@@ -264,15 +264,111 @@ impl ChannelModel {
     /// The broadcast phase of a synchronized round: the slowest receiver's
     /// downlink time for a `downlink_bytes`-long frame.
     pub fn downlink_phase_time(&self, round: usize, downlink_bytes: usize) -> f64 {
-        (0..self.links.len())
+        self.downlink_phase_time_over(round, 0..self.links.len(), downlink_bytes)
+    }
+
+    /// [`ChannelModel::downlink_phase_time`] folded over `members` only.
+    pub(crate) fn downlink_phase_time_over(
+        &self,
+        round: usize,
+        members: impl IntoIterator<Item = usize>,
+        downlink_bytes: usize,
+    ) -> f64 {
+        members
+            .into_iter()
             .map(|i| self.downlink_time(round, i, downlink_bytes))
             .fold(0.0f64, f64::max)
+    }
+
+    /// The links that can be the slowest receiver of a broadcast of *any*
+    /// size: the Pareto frontier under "link A dominates B iff
+    /// `latency_A ≥ latency_B` and `downlink_bw_A ≤ downlink_bw_B`", as
+    /// client ids ordered by ascending latency (and therefore strictly
+    /// ascending bandwidth). IEEE division and addition are monotone, so a
+    /// dominated link's [`ChannelModel::downlink_time`] never exceeds its
+    /// dominator's and [`ChannelModel::downlink_phase_time_over`] the
+    /// frontier equals the full sweep bit for bit; a uniform channel has a
+    /// frontier of one. `None` when a trace is attached: per-round
+    /// multipliers reorder the links, so every one must be priced.
+    ///
+    /// One pass over the links with a binary-searched sorted insert:
+    /// `O(N log F)` for a frontier of `F`.
+    pub(crate) fn downlink_frontier(&self) -> Option<Vec<usize>> {
+        if !self.trace.is_empty() {
+            return None;
+        }
+        let links = &self.links;
+        let mut frontier: Vec<usize> = Vec::new();
+        for (i, link) in links.iter().enumerate() {
+            let (lat, bw) = (link.latency, link.downlink_bytes_per_unit);
+            // Frontier members at `lo..` are at least as late; the first
+            // has the least bandwidth of them.
+            let lo = frontier.partition_point(|&f| links[f].latency < lat);
+            if frontier[lo..]
+                .first()
+                .is_some_and(|&f| links[f].downlink_bytes_per_unit <= bw)
+            {
+                continue;
+            }
+            // Not dominated: evict what it dominates — the members no later
+            // than it with at least its bandwidth, a contiguous run ending
+            // at `hi` — and take their place.
+            let hi = lo + frontier[lo..].partition_point(|&f| links[f].latency <= lat);
+            let from = frontier[..lo].partition_point(|&f| links[f].downlink_bytes_per_unit < bw);
+            frontier.splice(from..hi, [i]);
+        }
+        Some(frontier)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Pricing a broadcast over the Pareto frontier is `to_bits()`-equal
+        /// to the full sweep, for any links (drawn from small grids so
+        /// duplicate, zero-latency and mutually dominating links are
+        /// common) and any byte count.
+        #[test]
+        fn prop_frontier_price_equals_full_sweep(
+            raw in proptest::collection::vec((0usize..5, 0usize..5, 0u32..3), 1..40),
+            bytes in proptest::collection::vec(0usize..1_000_000, 1..6),
+            round in 0usize..4,
+        ) {
+            let links: Vec<ClientLink> = raw
+                .iter()
+                .map(|&(lat, bw, jitter)| {
+                    ClientLink::new(
+                        1_000.0,
+                        100.0 + 37.5 * bw as f64 + 0.1 * jitter as f64,
+                        0.03 * lat as f64,
+                    )
+                })
+                .collect();
+            let channel = ChannelModel::new(1.0, links);
+            let frontier = channel.downlink_frontier().expect("no trace attached");
+            prop_assert!(!frontier.is_empty() && frontier.len() <= channel.num_clients());
+            for &b in &bytes {
+                prop_assert_eq!(
+                    channel
+                        .downlink_phase_time_over(round, frontier.iter().copied(), b)
+                        .to_bits(),
+                    channel.downlink_phase_time(round, b).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frontier_of_a_uniform_channel_is_one_link_and_a_trace_disables_it() {
+        let channel = ChannelModel::uniform(1_000, 1.0, 100.0, 200.0, 0.1);
+        assert_eq!(channel.downlink_frontier(), Some(vec![0]));
+        let traced =
+            ChannelModel::uniform(2, 1.0, 100.0, 200.0, 0.1).with_trace(vec![vec![1.0, 0.5]]);
+        assert_eq!(traced.downlink_frontier(), None);
+    }
 
     #[test]
     fn uniform_round_time_decomposes() {

@@ -18,14 +18,16 @@
 //!
 //! # Determinism
 //!
-//! Hydration is a pure O(1) swap ([`Client::swap_persistent`]) and a fresh
-//! client's state is a pure function of `(simulation seed, client id)`
-//! ([`Client::reset_persistent`]), so which rounds touch which clients —
-//! and in which slot a client lands — never changes any stream. Cohort
-//! draws ([`draw_cohort`]) advance a dedicated ChaCha8 stream serially
-//! before the parallel client pass, and a full-population cohort makes *no*
-//! draw at all, which pins the sampled engine bit-identical to the
-//! historical owned-client path.
+//! Hydration is a pure O(1) swap ([`Client::swap_persistent`], serial:
+//! the population is the one shared structure) and a fresh client's state
+//! is a pure function of `(simulation seed, client id)`
+//! ([`Client::reset_persistent`], run per slot inside the parallel client
+//! pass next to the shard fill), so which rounds touch which clients — and
+//! in which slot, on which worker, a client lands — never changes any
+//! stream. Cohort draws ([`draw_cohort`]) advance a dedicated ChaCha8
+//! stream serially before the parallel client pass, and a full-population
+//! cohort makes *no* draw at all, which pins the sampled engine
+//! bit-identical to the historical owned-client path.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -43,7 +45,7 @@ pub(crate) struct Slot {
     /// The transient client the round's member is hydrated into.
     pub client: Client,
     /// The population row this slot borrowed (`None` for a first-time
-    /// participant, whose state was freshly reset instead).
+    /// participant, whose state the client pass freshly resets instead).
     pub cached_row: Option<usize>,
     /// The member's position within this round's cohort vector.
     pub cohort_pos: usize,
@@ -64,7 +66,8 @@ pub(crate) struct Slot {
     /// residual at reset time.
     pub errors: Vec<(usize, f32)>,
     /// Which client id the slot's shard currently holds, so a member that
-    /// lands in the same slot again skips re-materialization.
+    /// lands in the same slot again skips re-materialization. Written only
+    /// by the slot's own fill at the head of the client pass.
     pub shard_of: Option<usize>,
 }
 
@@ -142,10 +145,16 @@ impl ClientPopulation {
                 self.swap_row(row, client);
             }
             None if online => {
+                // The new row takes the slot's buffers; the slot gets
+                // pre-sized replacements, allocated here on the round
+                // thread, so the next first-timer's reset — on a pool
+                // worker — allocates nothing and the population's rows do
+                // not migrate into the workers' allocator arenas.
                 let row = self.rng.len();
                 self.rng.push(ChaCha8Rng::seed_from_u64(0));
-                self.residual.push(Vec::new());
-                self.order.push(Vec::new());
+                self.residual
+                    .push(Vec::with_capacity(client.accumulator().dim()));
+                self.order.push(Vec::with_capacity(client.num_samples()));
                 self.cursor.push(0);
                 self.last_batch.push(Vec::new());
                 self.probe_sample.push(None);

@@ -15,6 +15,7 @@ use agsfl_wire::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 use crate::channel::ChannelModel;
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
@@ -146,6 +147,12 @@ struct WireState {
     /// fused pass through the error-feedback encoder).
     lossy: bool,
     channel: ChannelModel,
+    /// The links a broadcast must be priced over
+    /// ([`ChannelModel::downlink_frontier`]), built on the first priced
+    /// round — not at construction, which stays O(1) in the population —
+    /// so later rounds stop sweeping all `N` links. Derived from `channel`
+    /// alone, hence runtime state rather than configuration.
+    downlink_frontier: OnceLock<Option<Vec<usize>>>,
     scratch: WireScratch,
 }
 
@@ -164,7 +171,25 @@ impl WireState {
             downlink,
             lossy: spec.is_lossy(),
             channel,
+            downlink_frontier: OnceLock::new(),
             scratch: WireScratch::new(),
+        }
+    }
+
+    /// [`ChannelModel::downlink_phase_time`] of this state's channel, bit
+    /// for bit, priced over the frontier links only when the channel has no
+    /// trace.
+    fn downlink_phase_time(&self, round_idx: usize, downlink_bytes: usize) -> f64 {
+        let frontier = self
+            .downlink_frontier
+            .get_or_init(|| self.channel.downlink_frontier());
+        match frontier {
+            Some(links) => self.channel.downlink_phase_time_over(
+                round_idx,
+                links.iter().copied(),
+                downlink_bytes,
+            ),
+            None => self.channel.downlink_phase_time(round_idx, downlink_bytes),
         }
     }
 
@@ -219,7 +244,7 @@ impl WireState {
             .encoded_len_gradient(&probe_selection.aggregated);
         self.channel.compute_time()
             + uplink_phase
-            + self.channel.downlink_phase_time(round_idx, downlink_bytes)
+            + self.downlink_phase_time(round_idx, downlink_bytes)
     }
 }
 
@@ -464,29 +489,34 @@ impl Simulation {
             .expect("simulation over a lazy source has no resident dataset")
     }
 
-    /// Streams every shard of a lazy source through one reusable buffer and
-    /// folds `per_shard(features, labels) * len` in shard order — exactly
-    /// the serial association of `agsfl_ml::metrics::global_loss` /
-    /// `global_accuracy`, so the lazy sweep is bit-identical to the eager
-    /// one for a source that materializes the same shards.
-    fn streamed_weighted_sweep(
+    /// Streams every shard of a lazy source through one reusable buffer —
+    /// each shard is materialized exactly once however many metrics ride
+    /// the sweep — and folds each `per_shard(features, labels)[m] * len` in
+    /// shard order: exactly the serial association of
+    /// `agsfl_ml::metrics::global_loss` / `global_accuracy`, so the lazy
+    /// sweep is bit-identical to the eager one for a source that
+    /// materializes the same shards.
+    fn streamed_weighted_sweep<const M: usize>(
         &self,
-        per_shard: impl Fn(&agsfl_tensor::Matrix, &[usize]) -> f32,
-    ) -> f32 {
+        per_shard: impl Fn(&agsfl_tensor::Matrix, &[usize]) -> [f32; M],
+    ) -> [f32; M] {
         let total = self.source.total_samples();
         if total == 0 {
-            return 0.0;
+            return [0.0; M];
         }
         let mut shard = ClientShard::empty(self.source.feature_dim());
-        let mut acc = 0.0f64;
+        let mut acc = [0.0f64; M];
         for id in 0..self.source.num_clients() {
             self.source.materialize_into(id, &mut shard);
             if shard.is_empty() {
                 continue;
             }
-            acc += per_shard(&shard.features, &shard.labels) as f64 * shard.len() as f64;
+            let values = per_shard(&shard.features, &shard.labels);
+            for (acc, value) in acc.iter_mut().zip(values) {
+                *acc += value as f64 * shard.len() as f64;
+            }
         }
-        (acc / total as f64) as f32
+        acc.map(|acc| (acc / total as f64) as f32)
     }
 
     /// Global training loss `L(w)` over all client data at the current
@@ -503,9 +533,12 @@ impl Simulation {
                 ds.clients(),
                 &self.executor,
             ) as f64,
-            None => self
-                .streamed_weighted_sweep(|x, labels| self.model.loss(&self.params, x, labels))
-                as f64,
+            None => {
+                let [loss] = self.streamed_weighted_sweep(|x, labels| {
+                    [self.model.loss(&self.params, x, labels)]
+                });
+                loss as f64
+            }
         }
     }
 
@@ -533,9 +566,12 @@ impl Simulation {
                 ds.clients(),
                 &self.executor,
             ) as f64,
-            None => self
-                .streamed_weighted_sweep(|x, labels| self.model.accuracy(&self.params, x, labels))
-                as f64,
+            None => {
+                let [accuracy] = self.streamed_weighted_sweep(|x, labels| {
+                    [self.model.accuracy(&self.params, x, labels)]
+                });
+                accuracy as f64
+            }
         }
     }
 
@@ -544,7 +580,8 @@ impl Simulation {
     /// over one work list, so an `eval_every` point spawns a single worker
     /// region and forwards every client shard exactly once (the individual
     /// accessors forward the shards once per metric). Over a lazy source
-    /// the train metrics stream shard-by-shard instead.
+    /// the train metrics stream shard-by-shard instead, both from one pass
+    /// that materializes every shard once.
     ///
     /// Each metric is bit-identical to its individual accessor.
     pub fn evaluate(&self) -> GlobalEvaluation {
@@ -573,11 +610,19 @@ impl Simulation {
                 ds.test(),
                 &self.executor,
             ),
-            None => GlobalEvaluation {
-                train_loss: self.global_train_loss() as f32,
-                train_accuracy: self.global_train_accuracy() as f32,
-                test_accuracy: self.test_accuracy() as f32,
-            },
+            None => {
+                let [train_loss, train_accuracy] = self.streamed_weighted_sweep(|x, labels| {
+                    [
+                        self.model.loss(&self.params, x, labels),
+                        self.model.accuracy(&self.params, x, labels),
+                    ]
+                });
+                GlobalEvaluation {
+                    train_loss,
+                    train_accuracy,
+                    test_accuracy: self.test_accuracy() as f32,
+                }
+            }
         }
     }
 
@@ -652,7 +697,7 @@ impl Simulation {
         let round_idx = self.round - 1;
 
         // The Hydrate span covers phases (0)–(0b): cohort draw, fault
-        // plan, and slot hydration.
+        // plan, slot binding and the population row swap.
         let t_hydrate = span_start(rec);
 
         // (0) Cohort draw, serial from its dedicated stream before any
@@ -687,59 +732,67 @@ impl Simulation {
         });
         let mut fault_report = plans.as_ref().map(|_| FaultRoundReport::default());
 
-        // (0b) Hydration, serial: bind each slot to its cohort member,
-        // materialize the shard if the slot held a different client's last
-        // round, and install the member's persistent state — swapped in
-        // O(1) from the population for returning participants, freshly
-        // derived from `(seed, id)` for first-timers (the same derivation
-        // the owned-client path used at construction, so lazy creation is
-        // invisible to the trajectory).
-        let seed = self.config.seed;
+        // (0b) Bind, serial and O(cohort): point each slot at its cohort
+        // member and swap a returning participant's persistent state in
+        // from the population — the only hydration step that mutates
+        // shared state. The per-slot *fill* (shard materialization, a
+        // first-timer's fresh state) is the head of the client pass below.
         for (pos, &id) in cohort.iter().enumerate() {
             let slot = &mut self.slots[pos];
-            let shard_len = self.source.shard_len(id);
-            slot.client
-                .bind(id, shard_len as f64 / cohort_samples as f64);
+            let weight = self.source.shard_len(id) as f64 / cohort_samples as f64;
+            slot.client.bind(id, weight);
             slot.cohort_pos = pos;
             slot.offline = plans.as_ref().is_some_and(|p| p[pos].offline);
             slot.dropped = plans.as_ref().is_some_and(|p| p[pos].dropped);
             slot.online = false;
             slot.loss = 0.0;
             slot.errors.clear();
-            if slot.shard_of != Some(id) {
-                self.source.materialize_into(id, slot.client.shard_mut());
-                slot.shard_of = Some(id);
-            }
             slot.cached_row = self.population.hydrate(id, &mut slot.client);
-            if slot.cached_row.is_none() {
-                slot.client.reset_persistent(
-                    seed.wrapping_add(1)
-                        .wrapping_mul(0x9E37_79B9)
-                        .wrapping_add(id as u64),
-                    dim,
-                    shard_len,
-                );
-            }
         }
         span_end(rec, SpanId::Hydrate, t_hydrate);
 
-        // (1) One fused parallel pass per cohort slot: local gradient
-        // computation (Line 4) immediately followed by building the uplink
-        // message (Line 6), so each member's residual is still hot in cache
-        // when its top-k runs and the round spawns one worker region
-        // instead of a parallel gradient pass plus a serial upload loop.
-        // Each slot owns its member's RNG and sampler and writes only into
-        // its own reused buffers, so this is bit-identical to the
-        // sequential loop and allocation-free in steady state. On the
-        // byte-priced path each member additionally encodes its message
-        // into its slot's wire frame in the same pass.
+        // (1) One fused parallel pass per cohort slot: the slot's fill,
+        // then local gradient computation (Line 4) immediately followed by
+        // building the uplink message (Line 6), so each member's residual
+        // is still hot in cache when its top-k runs and the round spawns
+        // one worker region instead of a serial hydration loop, a parallel
+        // gradient pass and a serial upload loop. Each slot owns its
+        // member's RNG and sampler and writes only into its own reused
+        // buffers, so this is bit-identical to the sequential loop and
+        // allocation-free in steady state. On the byte-priced path each
+        // member additionally encodes its message into its slot's wire
+        // frame in the same pass.
         let plan = self.sparsifier.upload_plan(dim, k, &mut self.server_rng);
         let rerank = matches!(plan, UploadPlan::TopKOwn);
         let model = self.model.as_ref();
         let params = &self.params;
         let wire_codec: Option<(&dyn Codec, bool)> =
             self.wire.as_ref().map(|w| (w.codec.as_ref(), w.lossy));
+        let source = self.source.as_ref();
+        let seed = self.config.seed;
         let client_pass = |slot: &mut Slot| {
+            // Fill: materialize the shard unless the slot already held this
+            // member's, and derive a first-timer's persistent state from
+            // `(seed, id)` (the derivation the owned-client path used at
+            // construction, so lazy creation is invisible to the
+            // trajectory). Both are pure functions of `(source, seed, id)`
+            // writing only into this slot, so they run on the pool. They
+            // come *before* the offline early-out: the probe evaluates an
+            // offline member's stale sample index against this shard.
+            let id = slot.client.id();
+            if slot.shard_of != Some(id) {
+                source.materialize_into(id, slot.client.shard_mut());
+                slot.shard_of = Some(id);
+            }
+            if slot.cached_row.is_none() {
+                slot.client.reset_persistent(
+                    seed.wrapping_add(1)
+                        .wrapping_mul(0x9E37_79B9)
+                        .wrapping_add(id as u64),
+                    dim,
+                    source.shard_len(id),
+                );
+            }
             if slot.offline {
                 // Mid-outage: no compute, no upload, and none of the
                 // member's streams advance, so recovery resumes them at
@@ -802,37 +855,8 @@ impl Simulation {
                 .pipeline_mut(&mut self.slots[..c], client_pass, |pos, slot, ()| {
                     train_loss += slot.client.weight() * slot.loss as f64;
                     survivors.push(pos);
-                    // (1b, fused) Decode the surviving frame *directly
-                    // into* its aggregation input — no intermediate
-                    // per-client gradient is allocated — so selection
-                    // genuinely runs on what crossed the wire. See the
-                    // faulty-path block below for the bit-identity argument
-                    // (decode is exact or client-pre-reconciled; re-ranking
-                    // is a total order); the debug assertion pins it here
-                    // too.
-                    let upload = &mut uploads[pos];
-                    upload.client = slot.client.id();
-                    upload.weight = slot.client.weight();
-                    upload.entries.clear();
-                    if wired {
-                        let (frame_dim, _) = decode_frame(&slot.frame, &mut upload.entries)
-                            .expect("self-encoded frame must decode");
-                        debug_assert_eq!(frame_dim, dim);
-                        if rerank {
-                            topk::rank_by_magnitude(&mut upload.entries);
-                        }
-                        debug_assert!(
-                            upload.entries.len() == slot.entries.len()
-                                && upload
-                                    .entries
-                                    .iter()
-                                    .zip(slot.entries.iter())
-                                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
-                            "decoded uploads must be bit-identical to the built ones"
-                        );
-                    } else {
-                        upload.entries.extend_from_slice(&slot.entries);
-                    }
+                    // (1b, fused) See the faulty-path block below.
+                    deliver_upload(slot, &mut uploads[pos], wired, rerank, dim);
                 });
         } else {
             // Fault path: survivorship is only known after the wire-level
@@ -943,16 +967,14 @@ impl Simulation {
         // are the identity mapping there, so `uploads[pos]` and
         // `uploads[u_idx]` coincide); under fault injection it runs here,
         // over the survivor list the wire-fault pass just compacted. On the
-        // byte-priced path the server decodes each surviving frame
-        // *directly into* its aggregation input — no intermediate
-        // per-client gradient is allocated — so selection genuinely runs on
-        // what crossed the wire. Re-ranking the decoded entries reproduces
-        // the built uploads bit for bit — on the lossless tier because
-        // decode is exact and the top-k rank order is a total order of the
-        // values (`topk::compare_magnitude_then_index`); on the lossy tier
-        // because the client already rewrote its entry list with its own
-        // decode of the same frame. The debug assertion pins both every
-        // test run.
+        // byte-priced path selection genuinely runs on what crossed the
+        // wire: re-ranking the decoded entries reproduces the built uploads
+        // bit for bit — on the lossless tier because decode is exact and
+        // the top-k rank order is a total order of the values
+        // (`topk::compare_magnitude_then_index`); on the lossy tier because
+        // the client already rewrote its entry list with its own decode of
+        // the same frame. `deliver_upload` debug-asserts both every test
+        // run.
         let s = self.survivors.len();
         let t_decode = span_start(rec);
         if faulty {
@@ -960,30 +982,8 @@ impl Simulation {
                 self.uploads.push(ClientUpload::new(0, 0.0, Vec::new()));
             }
             for (u_idx, &pos) in self.survivors.iter().enumerate() {
-                let slot = &self.slots[pos];
                 let upload = &mut self.uploads[u_idx];
-                upload.client = slot.client.id();
-                upload.weight = slot.client.weight();
-                upload.entries.clear();
-                if wired {
-                    let (frame_dim, _) = decode_frame(&slot.frame, &mut upload.entries)
-                        .expect("self-encoded frame must decode");
-                    debug_assert_eq!(frame_dim, dim);
-                    if rerank {
-                        topk::rank_by_magnitude(&mut upload.entries);
-                    }
-                    debug_assert!(
-                        upload.entries.len() == slot.entries.len()
-                            && upload
-                                .entries
-                                .iter()
-                                .zip(slot.entries.iter())
-                                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
-                        "decoded uploads must be bit-identical to the built ones"
-                    );
-                } else {
-                    upload.entries.extend_from_slice(&slot.entries);
-                }
+                deliver_upload(&mut self.slots[pos], upload, wired, rerank, dim);
             }
         }
         span_end(rec, SpanId::ServerDecode, t_decode);
@@ -1030,13 +1030,14 @@ impl Simulation {
         // crossed the wire (bit-identical to the local aggregate because
         // the codecs are lossless; debug-asserted below).
         //
-        // The O(N)-links broadcast *pricing* sweep
-        // (`ChannelModel::downlink_phase_time`) is deferred out of this
-        // match: it reads only the channel, so phase (4) below overlaps it
-        // with the end-of-round bookkeeping on a pool worker. Everything
-        // that feeds the next round's gradients — the weight update itself
-        // — still happens here, before the match ends: `params` is a true
-        // dependency of the next round's compute and is never raced.
+        // The broadcast *pricing* (`WireState::downlink_phase_time`, O(N)
+        // links on its first round and whenever the channel has a trace) is
+        // deferred out of this match: it reads only the channel, so phase
+        // (4) below overlaps it with the end-of-round bookkeeping on a pool
+        // worker. Everything that feeds the next round's gradients — the
+        // weight update itself — still happens here, before the match ends:
+        // `params` is a true dependency of the next round's compute and is
+        // never raced.
         // `time_before_downlink` carries the compute + uplink phases.
         let t_broadcast = span_start(rec);
         let (time_before_downlink, downlink_bytes, wire_report) = match &mut self.wire {
@@ -1139,15 +1140,16 @@ impl Simulation {
         };
         span_end(rec, SpanId::BroadcastApply, t_broadcast);
         // (4) End-of-round bookkeeping, overlapped with the deferred
-        // broadcast-pricing sweep. The downlink phase price folds a max
-        // over *every* link in the channel (the server pushes the global
-        // model to the whole population), which is O(N) at million-client
-        // scale — by far the priciest read-only computation left in the
-        // round. It runs on a pool worker while this thread performs the
-        // resets, contributions, and dehydration; neither side touches the
-        // other's state (the sweep reads only the channel and two scalars),
-        // and `f64` addition of the two finished phase times afterwards is
-        // schedule-independent, so the overlap cannot change a single bit.
+        // broadcast pricing. The downlink phase price is a max over
+        // *every* link in the channel (the server pushes the global model
+        // to the whole population) — O(N) at million-client scale when the
+        // channel has a trace or the frontier is not built yet. It runs on
+        // a pool worker while this thread performs the resets,
+        // contributions, and dehydration; neither side touches the other's
+        // state (the pricing reads only the channel, its frontier and two
+        // scalars), and `f64` addition of the two finished phase times
+        // afterwards is schedule-independent, so the overlap cannot change
+        // a single bit.
         //
         // Why not overlap the broadcast *application* with next-round
         // gradients, as the pipelining dream goes? Because that edge is a
@@ -1172,7 +1174,7 @@ impl Simulation {
         let downlink_elements = selection.downlink_elements;
         let max_uplink_scalars = selection.max_uplink_scalars();
         let mut contributions = vec![0usize; c];
-        let channel = self.wire.as_ref().map(|w| &w.channel);
+        let wire = self.wire.as_ref();
         let executor = &self.executor;
         let slots = &mut self.slots;
         let population = &mut self.population;
@@ -1203,8 +1205,8 @@ impl Simulation {
             },
             || {
                 let t0 = want_pricing_span.then(std::time::Instant::now);
-                let time = match (channel, downlink_bytes) {
-                    (Some(channel), Some(bytes)) => channel.downlink_phase_time(round_idx, bytes),
+                let time = match (wire, downlink_bytes) {
+                    (Some(wire), Some(bytes)) => wire.downlink_phase_time(round_idx, bytes),
                     _ => 0.0,
                 };
                 (time, t0.map(|t0| t0.elapsed().as_nanos() as u64))
@@ -1414,6 +1416,45 @@ impl Simulation {
         self.population = population;
         Ok(())
     }
+}
+
+/// Fills one aggregation input from its surviving member's slot, reusing
+/// the entry buffer. Wired, the server decodes the frame *directly into*
+/// the input (no intermediate per-client gradient) and re-ranks it, which
+/// reproduces the built upload bit for bit (phase (1b) of
+/// [`Simulation::run_round_recorded`] has the argument). Unwired, the slot
+/// hands its entry buffer over in O(1): nothing reads `slot.entries` after
+/// this point and `build_upload_into` rebuilds it from scratch next round,
+/// so the two grow-only buffers just trade places.
+fn deliver_upload(
+    slot: &mut Slot,
+    upload: &mut ClientUpload,
+    wired: bool,
+    rerank: bool,
+    dim: usize,
+) {
+    upload.client = slot.client.id();
+    upload.weight = slot.client.weight();
+    if !wired {
+        std::mem::swap(&mut upload.entries, &mut slot.entries);
+        return;
+    }
+    upload.entries.clear();
+    let (frame_dim, _) =
+        decode_frame(&slot.frame, &mut upload.entries).expect("self-encoded frame must decode");
+    debug_assert_eq!(frame_dim, dim);
+    if rerank {
+        topk::rank_by_magnitude(&mut upload.entries);
+    }
+    debug_assert!(
+        upload.entries.len() == slot.entries.len()
+            && upload
+                .entries
+                .iter()
+                .zip(slot.entries.iter())
+                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
+        "decoded uploads must be bit-identical to the built ones"
+    );
 }
 
 /// Mirrors a finished round's deterministic facts — cohort size, wire

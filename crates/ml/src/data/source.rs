@@ -10,10 +10,11 @@
 //! Determinism contract: `materialize_into(i, …)` must be a pure function
 //! of the source and `i` — same source, same client, same bytes — so a
 //! cohort-sampled simulation stays bit-identical regardless of which rounds
-//! touch which clients and of the order slots hydrate. [`FederatedDataset`]
-//! implements the trait by copying its eager shards;
-//! [`LazySyntheticFemnist`] regenerates a writer's shard from a per-writer
-//! RNG stream derived from the source seed.
+//! touch which clients, of the order slots hydrate, and of which pool
+//! worker fills which slot (the fill runs inside the parallel client
+//! pass). [`FederatedDataset`] implements the trait by copying its eager
+//! shards; [`LazySyntheticFemnist`] regenerates a writer's shard from a
+//! per-writer RNG stream derived from the source seed.
 
 use agsfl_tensor::init;
 use rand::Rng;
@@ -53,7 +54,12 @@ pub trait ShardSource: Send + Sync + std::fmt::Debug {
 
     /// Writes client `client`'s shard into `out`, reusing its buffers.
     ///
-    /// Must be a pure function of `(self, client)`.
+    /// Must be a pure function of `(self, client)`, through `&self` with no
+    /// interior state that an interleaving could observe: the round engine
+    /// calls this concurrently from its pool workers, one call per cohort
+    /// slot whose member changed, for distinct clients and in no fixed
+    /// order. Purity and the trait's `Sync` bound are what keep a run
+    /// bit-identical across worker counts — load-bearing, not advisory.
     ///
     /// # Panics
     ///

@@ -16,9 +16,12 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum SpanId {
-    /// Cohort hydration: population rows into the reusable slot arena.
+    /// The serial part of cohort hydration: cohort draw, fault plan, slot
+    /// binding, and population rows swapped into the reusable slot arena.
     Hydrate,
-    /// The fused per-client local-gradient + uplink-encode pass.
+    /// The fused per-slot pass on the pool: shard fill and first-timer
+    /// reset, then local gradient + uplink encode (and, on clean rounds,
+    /// the pipelined server decode).
     ClientPass,
     /// Server-side frame decode + re-rank into the aggregation arena.
     ServerDecode,
@@ -28,7 +31,8 @@ pub enum SpanId {
     Selection,
     /// The probe-loss sweep for the derivative-sign estimator.
     Probe,
-    /// The O(N) downlink pricing sweep over the channel model.
+    /// Pricing the broadcast over the channel model: the frontier links,
+    /// or all N when the channel carries a bandwidth trace.
     DownlinkPricing,
     /// Applying the broadcast sparse update to the shared weights.
     BroadcastApply,

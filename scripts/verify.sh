@@ -35,10 +35,13 @@ cargo test -q -p agsfl-core qlinear8
 step "pool gate (goldens + lossy pins bit-identical through the worker pool at every worker count)"
 # golden_trajectory and lossy_reproducibility sweep Serial/2/4/8 workers
 # internally, so one pass covers the serial reference and three pool
-# configurations; pool_lifecycle pins reuse-without-respawn across rounds.
+# configurations; pool_lifecycle pins reuse-without-respawn across rounds;
+# cohort_determinism takes the lazy shard source through the pool (the
+# per-slot shard fill runs on the workers).
 cargo test -q -p agsfl-fl --test golden_trajectory
 cargo test -q -p agsfl-fl --test lossy_reproducibility
 cargo test -q -p agsfl-fl --test pool_lifecycle
+cargo test -q -p agsfl-fl --test cohort_determinism
 
 step "bounded-RSS smoke (N=10^5 cohort rounds under a 256 MiB peak-RSS assertion)"
 cargo run --release --example million_clients -- --smoke
