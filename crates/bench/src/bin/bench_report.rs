@@ -96,6 +96,28 @@ fn time_ns<F: FnMut()>(mut f: F) -> f64 {
     samples[..half].iter().sum::<f64>() / half as f64 * 1e9
 }
 
+/// The `pool_dispatch` baseline: a spawn-per-region map over
+/// `std::thread::scope`, chunked like `Executor::map_mut` and returning
+/// results in item order.
+fn scoped_map_mut<T: Send, R: Send>(
+    threads: usize,
+    items: &mut [T],
+    f: impl Fn(&mut T) -> R + Sync,
+) -> Vec<R> {
+    let chunk = items.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items
+            .chunks_mut(chunk)
+            .map(|chunk| scope.spawn(move || chunk.iter_mut().map(f).collect::<Vec<R>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("baseline worker panicked"))
+            .collect()
+    })
+}
+
 struct KernelReport {
     name: &'static str,
     dim: usize,
@@ -223,9 +245,9 @@ fn main() {
         fab_sharded.speedup()
     );
 
-    // Parallel-region dispatch overhead: the historical spawn-per-region
-    // `thread::scope` path (`map_mut_scoped`, the retained baseline) vs the
-    // persistent channel-fed pool (`map_mut`), over a deliberately tiny
+    // Parallel-region dispatch overhead: a spawn-per-region `thread::scope`
+    // map (`scoped_map_mut` below, the baseline) vs the persistent
+    // channel-fed pool (`Executor::map_mut`), over a deliberately tiny
     // region — trivial per-item work on a small slice — so the pair
     // isolates what *dispatching* one region costs, not what the region
     // computes. The round engine pays this cost several times per round;
@@ -234,12 +256,14 @@ fn main() {
     let dispatch_exec = Executor::new(sharded_threads).with_min_items(1);
     let mut dispatch_items = vec![0u64; DISPATCH_ITEMS];
     let seed_ns = time_ns(|| {
-        black_box(
-            dispatch_exec.map_mut_scoped(black_box(&mut dispatch_items), |x| {
+        black_box(scoped_map_mut(
+            sharded_threads,
+            black_box(&mut dispatch_items),
+            |x| {
                 *x = x.wrapping_add(1);
                 *x
-            }),
-        );
+            },
+        ));
     });
     let scratch_ns = time_ns(|| {
         black_box(dispatch_exec.map_mut(black_box(&mut dispatch_items), |x| {

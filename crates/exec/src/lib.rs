@@ -40,14 +40,12 @@
 //!   evaluated in the serial accumulation order. No floating-point
 //!   reassociation ever happens behind the caller's back.
 //!
-//! The pool replaces the per-region scoped spawn with the generation
+//! The pool replaces a per-region scoped spawn with the generation
 //! handshake documented in [`pool`]: the submitter blocks until every task
 //! of its generation has completed, which is the same borrow-outlives-use
-//! proof `std::thread::scope` provides structurally. The historical scoped
-//! path survives as [`Executor::map_mut_scoped`]/
-//! [`Executor::map_ref_scoped`] — the executable spec the pool path is
-//! pinned against in tests, and the benchmark baseline for the dispatch
-//! overhead pair.
+//! proof `std::thread::scope` provides structurally. The executable spec
+//! of every primitive is its own serial fallback — the plain iterator the
+//! tests pin the pool path against.
 //!
 //! Nested regions — a worker that itself calls an executor primitive, for
 //! example the row-parallel CNN forward invoked from inside a sharded
@@ -489,70 +487,6 @@ impl Executor {
             .expect("completed join produced a result");
         (ra, rb)
     }
-
-    /// The historical spawn-per-region map over `std::thread::scope`,
-    /// retained as the executable spec the pool path is pinned against
-    /// (`pool_matches_scoped_*` tests) and as the benchmark baseline that
-    /// isolates dispatch overhead (`pool_dispatch` in the bench report).
-    /// Bit-identical to [`Executor::map_mut`] by construction: same
-    /// chunking, same closures, results concatenated in the same order.
-    pub fn map_mut_scoped<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(&mut T) -> R + Sync,
-    {
-        let threads = self.plan(items.len());
-        if threads <= 1 {
-            return items.iter_mut().map(f).collect();
-        }
-        let chunk = items.len().div_ceil(threads);
-        let total = items.len();
-        std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = items
-                .chunks_mut(chunk)
-                .map(|chunk| scope.spawn(move || chunk.iter_mut().map(f).collect::<Vec<R>>()))
-                .collect();
-            let mut out = Vec::with_capacity(total);
-            for handle in handles {
-                match handle.join() {
-                    Ok(part) => out.extend(part),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            out
-        })
-    }
-
-    /// Read-only sibling of [`Executor::map_mut_scoped`]; see there.
-    pub fn map_ref_scoped<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let threads = self.plan(items.len());
-        if threads <= 1 {
-            return items.iter().map(f).collect();
-        }
-        let chunk = items.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
-                .collect();
-            let mut out = Vec::with_capacity(items.len());
-            for handle in handles {
-                match handle.join() {
-                    Ok(part) => out.extend(part),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            out
-        })
-    }
 }
 
 /// Poison-tolerant lock (see `pool::lock_unpoisoned`; duplicated here to
@@ -641,9 +575,6 @@ mod tests {
         assert_eq!(out.capacity(), 5, "reservation must be items.len()");
         let out = exec.map_ref(&items, |&x| x);
         assert_eq!(out.capacity(), 5, "reservation must be items.len()");
-        // Scoped baseline gets the same fix.
-        let out = exec.map_mut_scoped(&mut items, |x| *x);
-        assert_eq!(out.capacity(), 5, "scoped reservation must be items.len()");
     }
 
     #[test]
@@ -727,12 +658,12 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_scoped_paths_are_bit_identical() {
+    fn pool_and_serial_paths_are_bit_identical() {
         let exec = Executor::new(3).with_min_items(1);
         let items: Vec<f32> = (0..101).map(|i| i as f32 * 0.37).collect();
         let via_pool = exec.map_ref(&items, |&x| (x * x).to_bits());
-        let via_scope = exec.map_ref_scoped(&items, |&x| (x * x).to_bits());
-        assert_eq!(via_pool, via_scope);
+        let serial: Vec<u32> = items.iter().map(|&x| (x * x).to_bits()).collect();
+        assert_eq!(via_pool, serial);
     }
 
     #[test]

@@ -33,14 +33,14 @@
 //! # Determinism
 //!
 //! The pool adds no scheduling freedom that can reach a result: regions
-//! hand workers disjoint `&mut` chunks exactly like the scoped path, chunk
+//! hand workers disjoint `&mut` chunks exactly like a scoped spawn, chunk
 //! results come back through per-chunk slots concatenated in chunk order
 //! (an **ordered completion queue** — see [`WorkerPool::submit_region`]'s
 //! callers in `lib.rs`), and pipelined consumers run on the submitting
 //! thread in item order. A worker panic is caught, recorded on the region,
 //! and re-raised on the submitting thread after the region completes
-//! ([`std::panic::resume_unwind`]), so failures behave exactly like the
-//! scoped path's propagating `join`.
+//! ([`std::panic::resume_unwind`]), so failures behave exactly like a
+//! scoped thread's propagating `join`.
 #![allow(unsafe_code)]
 
 use std::any::Any;

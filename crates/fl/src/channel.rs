@@ -235,32 +235,6 @@ impl ChannelModel {
             .fold(0.0f64, f64::max)
     }
 
-    /// [`ChannelModel::uplink_phase_time`] restricted to a cohort: the
-    /// slowest upload among `members` (client ids), with `uplink_bytes[i]`
-    /// the frame length of `members[i]`. With `members == 0..num_clients`
-    /// this is bit-identical to the full-population phase time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two slices differ in length.
-    pub fn uplink_phase_time_for(
-        &self,
-        round: usize,
-        members: &[usize],
-        uplink_bytes: &[usize],
-    ) -> f64 {
-        assert_eq!(
-            members.len(),
-            uplink_bytes.len(),
-            "one uplink byte count per cohort member"
-        );
-        members
-            .iter()
-            .zip(uplink_bytes.iter())
-            .map(|(&client, &bytes)| self.uplink_time(round, client, bytes))
-            .fold(0.0f64, f64::max)
-    }
-
     /// The broadcast phase of a synchronized round: the slowest receiver's
     /// downlink time for a `downlink_bytes`-long frame.
     pub fn downlink_phase_time(&self, round: usize, downlink_bytes: usize) -> f64 {
@@ -433,28 +407,6 @@ mod tests {
             channel.round_time(2, &[10, 50, 20], 100).to_bits(),
             (1.0 + up + down).to_bits()
         );
-    }
-
-    #[test]
-    fn cohort_phase_time_matches_full_population() {
-        let channel = ChannelModel::uniform(4, 1.0, 100.0, 200.0, 0.1);
-        let bytes = [10usize, 50, 20, 5];
-        let full = channel.uplink_phase_time(3, &bytes);
-        let via_members = channel.uplink_phase_time_for(3, &[0, 1, 2, 3], &bytes);
-        assert_eq!(full.to_bits(), via_members.to_bits());
-        // A strict cohort only folds over its members.
-        let sub = channel.uplink_phase_time_for(3, &[0, 3], &[10, 5]);
-        let expected = channel
-            .uplink_time(3, 0, 10)
-            .max(channel.uplink_time(3, 3, 5));
-        assert_eq!(sub.to_bits(), expected.to_bits());
-    }
-
-    #[test]
-    #[should_panic]
-    fn cohort_phase_time_length_mismatch_panics() {
-        let channel = ChannelModel::uniform(2, 1.0, 1.0, 1.0, 0.0);
-        let _ = channel.uplink_phase_time_for(0, &[0, 1], &[10]);
     }
 
     #[test]

@@ -254,7 +254,9 @@ pub(crate) struct ClientFaultPlan {
 }
 
 impl ClientFaultPlan {
-    fn clean() -> Self {
+    /// The plan of a member no fault touches this round — every member's
+    /// plan when no fault model is configured.
+    pub(crate) fn clean() -> Self {
         Self {
             offline: false,
             dropped: false,

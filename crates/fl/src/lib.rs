@@ -54,7 +54,11 @@
 //! message while the residual is hot in cache, the sharded server
 //! selection ([`agsfl_sparse::Sparsifier::select_parallel`]), and — on
 //! probe rounds — a per-client probe-loss sweep that evaluates all three
-//! weight vectors in a single sample fetch. Parallelism is purely a
+//! weight vectors in a single sample fetch. The client pass is the
+//! producer of a pipeline whose consumer — the server's *admission* of
+//! each finished upload, in cohort order — runs on the round thread: a
+//! round under a [`FaultModel`] is the same round over the members that
+//! survive admission, not a second engine. Parallelism is purely a
 //! wall-clock knob: every client owns its RNG and sampler, results are
 //! concatenated in client order, and the selection shards merge exactly
 //! (see `agsfl_sparse::shard`), so identical seeds give identical runs for

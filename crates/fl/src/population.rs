@@ -47,14 +47,8 @@ pub(crate) struct Slot {
     /// The population row this slot borrowed (`None` for a first-time
     /// participant, whose state the client pass freshly resets instead).
     pub cached_row: Option<usize>,
-    /// The member's position within this round's cohort vector.
-    pub cohort_pos: usize,
     /// The member is mid-outage this round (fault plan).
     pub offline: bool,
-    /// The member's upload is lost in transit this round (fault plan).
-    pub dropped: bool,
-    /// The member computed a gradient this round (not offline).
-    pub online: bool,
     /// Mini-batch loss of this round's local step.
     pub loss: f32,
     /// The ranked upload entries built this round (reused buffer).
@@ -77,10 +71,7 @@ impl Slot {
         Self {
             client: Client::placeholder(feature_dim, dim, batch_size),
             cached_row: None,
-            cohort_pos: 0,
             offline: false,
-            dropped: false,
-            online: false,
             loss: 0.0,
             entries: Vec::new(),
             frame: Vec::new(),

@@ -8,7 +8,7 @@ use agsfl_ml::metrics::{
 };
 use agsfl_ml::model::Model;
 use agsfl_sparse::{topk, ClientUpload, SelectionResult, ShardedScratch, Sparsifier, UploadPlan};
-use agsfl_telemetry::{span_end, span_start, CounterId, GaugeId, NoopRecorder, Recorder, SpanId};
+use agsfl_telemetry::{stage, CounterId, GaugeId, NoopRecorder, Recorder, SpanId};
 use agsfl_wire::{
     decode_frame, decode_frame_with, frame_codec, Auto, Codec, CodecSpec, Precision, WireScratch,
 };
@@ -16,10 +16,13 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
+use std::time::Instant;
 
 use crate::channel::ChannelModel;
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
-use crate::fault::{corrupt_frame, FaultConfigError, FaultModel, FaultRoundReport, FaultState};
+use crate::fault::{
+    corrupt_frame, ClientFaultPlan, FaultConfigError, FaultModel, FaultRoundReport, FaultState,
+};
 use crate::population::{draw_cohort, ClientPopulation, Slot};
 use crate::round::{ProbeReport, RoundReport, WireRoundReport};
 use crate::time::TimeModel;
@@ -592,9 +595,7 @@ impl Simulation {
     /// [`SpanId::Evaluate`] span. Telemetry is observation only — the
     /// metrics returned are bit-identical to [`Simulation::evaluate`]'s.
     pub fn evaluate_recorded<R: Recorder>(&self, rec: &mut R) -> GlobalEvaluation {
-        let t_eval = span_start(rec);
-        let eval = self.evaluate_inner();
-        span_end(rec, SpanId::Evaluate, t_eval);
+        let eval = stage(rec, SpanId::Evaluate, || self.evaluate_inner());
         if rec.enabled() {
             drain_batched_forward(rec);
         }
@@ -667,18 +668,24 @@ impl Simulation {
 
     /// [`Simulation::run_round`] with round-stage telemetry.
     ///
-    /// Each stage of the round — hydration, the fused client pass, the
-    /// wire-fault pass, server decode, selection, the probe, the downlink,
-    /// and the overlapped bookkeeping — is timed into a [`SpanId`] span,
-    /// and the report's deterministic facts (cohort size, wire bytes,
-    /// fault counts) are mirrored into [`CounterId`]/[`GaugeId`] streams.
+    /// The body is Algorithm 1 as a sequence of stages, each timed into a
+    /// [`SpanId`] span by [`stage`]: hydration, the fused client pass with
+    /// its in-order server admission ([`SpanId::WireFault`] and
+    /// [`SpanId::ServerDecode`] nest inside [`SpanId::ClientPass`]),
+    /// selection, the probe, the broadcast apply, and the bookkeeping that
+    /// overlaps the downlink pricing ([`SpanId::DownlinkPricing`] nests
+    /// inside [`SpanId::Bookkeeping`]). A faulty round is the same round
+    /// over the surviving subset — there is one engine, and a clean round
+    /// is the one where every member is admitted. The report's
+    /// deterministic facts (cohort size, wire bytes, fault counts) are
+    /// mirrored into [`CounterId`]/[`GaugeId`] streams.
     ///
     /// Telemetry is **observation only**: it draws no randomness, touches
-    /// no simulation state, and the recorder is consulted through
-    /// [`span_start`] so a [`NoopRecorder`] never even reads the clock —
-    /// `run_round` compiles down to the uninstrumented round. The golden
-    /// trajectories are pinned bit-identical with recording on and off at
-    /// every worker count.
+    /// no simulation state, and every clock read is gated on
+    /// [`Recorder::enabled`], so with a [`NoopRecorder`] `run_round`
+    /// compiles down to the uninstrumented round. The golden trajectories
+    /// are pinned bit-identical with recording on and off at every worker
+    /// count.
     ///
     /// # Panics
     ///
@@ -690,92 +697,177 @@ impl Simulation {
         rec: &mut R,
     ) -> RoundReport {
         assert!(k > 0, "k must be at least 1");
-        let k = k.min(self.dim());
-        self.round += 1;
         let dim = self.dim();
-        let lr = self.config.learning_rate;
+        let k = k.min(dim);
+        self.round += 1;
         let round_idx = self.round - 1;
-
-        // The Hydrate span covers phases (0)–(0b): cohort draw, fault
-        // plan, slot binding and the population row swap.
-        let t_hydrate = span_start(rec);
-
-        // (0) Cohort draw, serial from its dedicated stream before any
-        // parallel work (a full-population cohort makes no draw at all —
-        // see `draw_cohort`). The buffer is taken out of `self` so the
-        // round body can borrow members while mutating other fields.
+        // The cohort buffer is taken out of `self` so the stages can borrow
+        // members while mutating other fields.
         let mut cohort = std::mem::take(&mut self.cohort);
+
+        // (0) Cohort draw, fault plan, slot binding.
+        let plans = stage(rec, SpanId::Hydrate, || {
+            self.bind_cohort(round_idx, &mut cohort)
+        });
+
+        // (1) Lines 4–6 on the pool, the server's admission of each
+        // finished upload on this thread.
+        let (train_loss, uplink_phase, fault_report) =
+            self.client_pass(rec, round_idx, k, cohort.len(), plans.as_deref());
+        let s = self.survivors.len();
+
+        // (2) Server selection and aggregation, sharded across the
+        // executor's workers and reusing the round workspace.
+        let selection = stage(rec, SpanId::Selection, || {
+            self.sparsifier.select_parallel(
+                &self.uploads[..s],
+                dim,
+                k,
+                &mut self.scratch,
+                &self.executor,
+            )
+        });
+
+        // Optional probe for the derivative-sign estimator.
+        let probe = stage(rec, SpanId::Probe, || {
+            probe_k.map(|pk| self.probe(round_idx, cohort.len(), pk, &selection))
+        });
+
+        // (3) Downlink: every client applies the identical sparse update.
+        let (time_before_downlink, wire_report) = stage(rec, SpanId::BroadcastApply, || {
+            self.apply_broadcast(cohort.len(), &selection, uplink_phase)
+        });
+
+        // (4) End-of-round bookkeeping, overlapped with the broadcast
+        // pricing.
+        let downlink_bytes = wire_report.as_ref().map(|w| w.downlink_bytes);
+        let (contributions, downlink_time) =
+            self.bookkeep(rec, round_idx, &cohort, &selection, downlink_bytes);
+        let round_time = time_before_downlink + downlink_time;
+        self.elapsed += round_time;
+
+        let report = RoundReport {
+            round: self.round,
+            k_used: k,
+            train_loss,
+            round_time,
+            elapsed_time: self.elapsed,
+            downlink_elements: selection.downlink_elements,
+            max_uplink_scalars: selection.max_uplink_scalars(),
+            cohort: cohort.clone(),
+            contributions,
+            probe,
+            wire: wire_report,
+            fault: fault_report,
+        };
+        if rec.enabled() {
+            record_round_report(rec, &report);
+            rec.gauge(
+                GaugeId::ResidentClients,
+                self.population.resident_rows() as u64,
+            );
+            drain_batched_forward(rec);
+        }
+        self.cohort = cohort;
+        report
+    }
+
+    /// Stage (0): draws the cohort and its fault plan and binds the slot
+    /// arena to the members. Everything here is serial and O(cohort), and
+    /// every random draw of the round except the sparsifier's happens here,
+    /// *before* any parallel work: the plan — never the worker schedule —
+    /// decides every fault, so identical seeds give identical bits at any
+    /// thread count. A full-population cohort makes no draw at all (see
+    /// [`draw_cohort`]). Returns the plans, parallel to the cohort, when a
+    /// fault model is configured.
+    fn bind_cohort(
+        &mut self,
+        round_idx: usize,
+        cohort: &mut Vec<usize>,
+    ) -> Option<Vec<ClientFaultPlan>> {
         draw_cohort(
             &mut self.cohort_rng,
             self.source.num_clients(),
             self.config.cohort,
-            &mut cohort,
+            cohort,
         );
-        let c = cohort.len();
-        debug_assert!(c <= self.slots.len(), "cohort exceeds the slot arena");
+        debug_assert!(
+            cohort.len() <= self.slots.len(),
+            "cohort exceeds the slot arena"
+        );
         // Aggregation weights are renormalized over the cohort's samples
         // (`C_i / Σ_{j∈cohort} C_j`); with every client participating the
-        // denominator is the population total, exactly the historical
-        // weighting.
+        // denominator is the population total.
         let cohort_samples: usize = cohort.iter().map(|&id| self.source.shard_len(id)).sum();
         assert!(cohort_samples > 0, "cohort holds no samples");
-
-        // (0a) Fault plan for the round, drawn serially in cohort order from
-        // the injector's dedicated stream *before* any parallel work: the
-        // plan — never the worker schedule — decides every fault, so the
-        // determinism invariant (identical seeds, identical bits, any
-        // thread count) survives fault injection unchanged. Plans are
-        // indexed parallel to the cohort.
         let plans = self.fault.as_mut().map(|f| {
             let max_attempts = f.model().max_retries + 1;
-            f.plan_round_for(round_idx, max_attempts, &cohort)
+            f.plan_round_for(round_idx, max_attempts, cohort)
         });
-        let mut fault_report = plans.as_ref().map(|_| FaultRoundReport::default());
-
-        // (0b) Bind, serial and O(cohort): point each slot at its cohort
-        // member and swap a returning participant's persistent state in
-        // from the population — the only hydration step that mutates
-        // shared state. The per-slot *fill* (shard materialization, a
-        // first-timer's fresh state) is the head of the client pass below.
+        // Point each slot at its member and swap a returning participant's
+        // persistent state in from the population — the only hydration step
+        // that mutates shared state. The per-slot *fill* (shard
+        // materialization, a first-timer's fresh state) is the head of the
+        // client pass.
         for (pos, &id) in cohort.iter().enumerate() {
             let slot = &mut self.slots[pos];
             let weight = self.source.shard_len(id) as f64 / cohort_samples as f64;
             slot.client.bind(id, weight);
-            slot.cohort_pos = pos;
             slot.offline = plans.as_ref().is_some_and(|p| p[pos].offline);
-            slot.dropped = plans.as_ref().is_some_and(|p| p[pos].dropped);
-            slot.online = false;
             slot.loss = 0.0;
             slot.errors.clear();
             slot.cached_row = self.population.hydrate(id, &mut slot.client);
         }
-        span_end(rec, SpanId::Hydrate, t_hydrate);
+        plans
+    }
 
-        // (1) One fused parallel pass per cohort slot: the slot's fill,
-        // then local gradient computation (Line 4) immediately followed by
-        // building the uplink message (Line 6), so each member's residual
-        // is still hot in cache when its top-k runs and the round spawns
-        // one worker region instead of a serial hydration loop, a parallel
-        // gradient pass and a serial upload loop. Each slot owns its
-        // member's RNG and sampler and writes only into its own reused
-        // buffers, so this is bit-identical to the sequential loop and
-        // allocation-free in steady state. On the byte-priced path each
-        // member additionally encodes its message into its slot's wire
-        // frame in the same pass.
+    /// Stage (1): the fused client pass and the server's admission of its
+    /// output, as the two ends of one pipeline over the slot arena.
+    ///
+    /// The *producer* runs on the pool, one call per cohort slot: the
+    /// slot's fill, then local gradient computation (Line 4) immediately
+    /// followed by building — and, byte-priced, encoding — the uplink
+    /// message (Line 6), so each member's residual is still hot in cache
+    /// when its top-k runs. Each slot owns its member's RNG and sampler and
+    /// writes only into its own reused buffers, so the pass is
+    /// bit-identical to the sequential loop and allocation-free in steady
+    /// state.
+    ///
+    /// The *consumer* is the admission step, run on this thread in strict
+    /// cohort order as frames complete. A member's fate depends only on its
+    /// pre-drawn plan and its own finished frame, so the server decides it
+    /// the moment the frame arrives: offline and dropped members are
+    /// tallied; a transmitting member's uplink is priced on its own link
+    /// (straggler slowdown included), every planned corruption is replayed
+    /// through the *real* validated decoder (the `WireError` path), and
+    /// retries, backoff and the round deadline are applied; an admitted
+    /// upload is decoded straight into the next aggregation input. A
+    /// damaged frame that happens to decode is still treated as
+    /// detected-corrupt — the link-layer checksum stand-in — so corruption
+    /// delays rounds but can never skew the trajectory. The in-order
+    /// consumer is what keeps the loss reduction, the uplink-phase fold and
+    /// the upload list bit-identical to the sequential loop; a clean round
+    /// is the case where every plan is [`ClientFaultPlan::clean`].
+    fn client_pass<R: Recorder>(
+        &mut self,
+        rec: &mut R,
+        round_idx: usize,
+        k: usize,
+        cohort_len: usize,
+        plans: Option<&[ClientFaultPlan]>,
+    ) -> (f64, f64, Option<FaultRoundReport>) {
+        let dim = self.params.len();
         let plan = self.sparsifier.upload_plan(dim, k, &mut self.server_rng);
         let rerank = matches!(plan, UploadPlan::TopKOwn);
         let model = self.model.as_ref();
         let params = &self.params;
-        let wire_codec: Option<(&dyn Codec, bool)> =
-            self.wire.as_ref().map(|w| (w.codec.as_ref(), w.lossy));
+        let wire = self.wire.as_ref();
         let source = self.source.as_ref();
         let seed = self.config.seed;
-        let client_pass = |slot: &mut Slot| {
+        let produce = |slot: &mut Slot| {
             // Fill: materialize the shard unless the slot already held this
             // member's, and derive a first-timer's persistent state from
-            // `(seed, id)` (the derivation the owned-client path used at
-            // construction, so lazy creation is invisible to the
-            // trajectory). Both are pure functions of `(source, seed, id)`
+            // `(seed, id)`. Both are pure functions of `(source, seed, id)`
             // writing only into this slot, so they run on the pool. They
             // come *before* the offline early-out: the probe evaluates an
             // offline member's stale sample index against this shard.
@@ -801,459 +893,156 @@ impl Simulation {
             }
             slot.loss = slot.client.compute_local_gradient(model, params);
             slot.client.build_upload_into(&plan, k, &mut slot.entries);
-            match wire_codec {
-                Some((codec, true)) => {
-                    // Lossy tier: encode, self-decode to learn the server's
-                    // exact reconstruction, capture the per-entry
-                    // quantization error for the residual reset, and
-                    // rewrite the entry list with the decoded values —
-                    // still in this one fused pass, per slot, with no
-                    // cross-slot state (the quantization stream is keyed on
-                    // frame content, not worker schedule).
-                    slot.client.encode_upload_lossy_into(
-                        codec,
-                        dim,
-                        rerank,
-                        &mut slot.entries,
-                        &mut slot.frame,
-                        &mut slot.errors,
-                    );
-                }
-                Some((codec, false)) => {
-                    slot.client
-                        .encode_upload_into(codec, dim, &slot.entries, &mut slot.frame);
-                }
+            match wire {
+                // Lossy tier: encode, self-decode to learn the server's
+                // exact reconstruction, capture the per-entry quantization
+                // error for the residual reset, and rewrite the entry list
+                // with the decoded values — per slot, with no cross-slot
+                // state (the quantization stream is keyed on frame content,
+                // not worker schedule).
+                Some(w) if w.lossy => slot.client.encode_upload_lossy_into(
+                    w.codec.as_ref(),
+                    dim,
+                    rerank,
+                    &mut slot.entries,
+                    &mut slot.frame,
+                    &mut slot.errors,
+                ),
+                Some(w) => slot.client.encode_upload_into(
+                    w.codec.as_ref(),
+                    dim,
+                    &slot.entries,
+                    &mut slot.frame,
+                ),
                 None => {}
             }
-            slot.online = true;
         };
+
+        let no_faults = FaultModel::default();
+        let fmodel = self.fault.as_ref().map_or(&no_faults, FaultState::model);
+        let max_attempts = fmodel.max_retries + 1;
+        let clean = ClientFaultPlan::clean();
+        while self.uploads.len() < cohort_len {
+            self.uploads.push(ClientUpload::new(0, 0.0, Vec::new()));
+        }
+        let uploads = &mut self.uploads;
+        let survivors = &mut self.survivors;
+        survivors.clear();
         let mut train_loss = 0.0f64;
-        self.survivors.clear();
-        let faulty = plans.is_some();
-        let wired = self.wire.is_some();
-        // The ClientPass span covers the fused gradient/encode pass; on
-        // the clean path that includes the pipelined server decode (the
-        // ServerDecode span then measures only the fault path's separate
-        // decode loop below).
-        let t_client = span_start(rec);
-        if !faulty {
-            // Clean path: every member survives, so the server can start
-            // consuming uploads while later members are still encoding. The
-            // client pass runs as the *producer* stage of a pipeline over
-            // the slot arena; the server-side decode into the aggregation
-            // inputs (historically a separate phase (1b) after a full
-            // barrier) is the *consumer*, running on this thread in strict
-            // cohort order as frames complete. The in-order consumer is
-            // what keeps the loss reduction and the upload list
-            // bit-identical to the sequential loop.
-            while self.uploads.len() < c {
-                self.uploads.push(ClientUpload::new(0, 0.0, Vec::new()));
+        let mut uplink_phase = 0.0f64;
+        let mut fr = FaultRoundReport::default();
+        let mut damaged_entries: Vec<(usize, f32)> = Vec::new();
+        // The nested spans accumulate on this thread, one sample per round.
+        let clock = rec.enabled();
+        let (mut wire_fault_ns, mut decode_ns) = (0u64, 0u64);
+        let admit = |pos: usize, slot: &mut Slot, ()| {
+            let p = plans.map_or(&clean, |plans| &plans[pos]);
+            if p.offline {
+                fr.offline += 1;
+                return;
             }
-            let uploads = &mut self.uploads;
-            let survivors = &mut self.survivors;
-            self.executor
-                .pipeline_mut(&mut self.slots[..c], client_pass, |pos, slot, ()| {
-                    train_loss += slot.client.weight() * slot.loss as f64;
-                    survivors.push(pos);
-                    // (1b, fused) See the faulty-path block below.
-                    deliver_upload(slot, &mut uploads[pos], wired, rerank, dim);
-                });
-        } else {
-            // Fault path: survivorship is only known after the wire-level
-            // fault pass below, so the client pass stays a plain parallel
-            // region and the decode runs afterwards over the compacted
-            // survivor list.
-            let _: Vec<()> = self.executor.map_mut(&mut self.slots[..c], client_pass);
-            for (pos, slot) in self.slots[..c].iter().enumerate() {
-                if slot.offline {
-                    if let Some(fr) = fault_report.as_mut() {
-                        fr.offline += 1;
+            train_loss += slot.client.weight() * slot.loss as f64;
+            if p.dropped {
+                // Upload lost in transit, no retry. The computed gradient
+                // stays in the member's residual accumulator (no reset will
+                // target it), so error feedback re-sends the mass later.
+                fr.dropped += 1;
+                return;
+            }
+            let t_fault = clock.then(Instant::now);
+            let delivered = match wire {
+                None => true,
+                Some(wire) => {
+                    if p.slowdown > 1.0 {
+                        fr.stragglers += 1;
                     }
-                    continue;
-                }
-                train_loss += slot.client.weight() * slot.loss as f64;
-                if slot.dropped {
-                    // Upload lost in transit, no retry. The computed
-                    // gradient stays in the member's residual accumulator
-                    // (no reset will target it), so error feedback re-sends
-                    // the mass later.
-                    if let Some(fr) = fault_report.as_mut() {
-                        fr.dropped += 1;
-                    }
-                    continue;
-                }
-                self.survivors.push(pos);
-            }
-        }
-        span_end(rec, SpanId::ClientPass, t_client);
-
-        // (1a) Wire-level fault pass, serial in cohort order: replay every
-        // corrupted uplink attempt through the *real* validated decoder
-        // (the `WireError` path), price retries with backoff on the
-        // member's own link, and enforce the round deadline. A damaged
-        // frame that happens to decode is still treated as detected-corrupt
-        // — the link-layer checksum stand-in — so corruption delays rounds
-        // but can never skew the training trajectory. Survivors are
-        // compacted in place; uplink times are indexed parallel to the
-        // cohort.
-        let mut uplink_times: Vec<Option<f64>> = Vec::new();
-        let t_wire_fault = span_start(rec);
-        if let (Some(plans), Some(wire), Some(fr), Some(fault)) = (
-            plans.as_ref(),
-            self.wire.as_ref(),
-            fault_report.as_mut(),
-            self.fault.as_ref(),
-        ) {
-            let fmodel = fault.model();
-            let max_attempts = fmodel.max_retries + 1;
-            let backoff = fmodel.retry_backoff;
-            let deadline = fmodel.deadline;
-            uplink_times = vec![None; c];
-            let mut damaged_entries: Vec<(usize, f32)> = Vec::new();
-            let mut kept = 0usize;
-            for i in 0..self.survivors.len() {
-                let pos = self.survivors[i];
-                let slot = &self.slots[pos];
-                let frame = &slot.frame;
-                let p = &plans[pos];
-                if p.slowdown > 1.0 {
-                    fr.stragglers += 1;
-                }
-                let attempt_time = wire.channel.uplink_time_scaled(
-                    round_idx,
-                    slot.client.id(),
-                    frame.len(),
-                    p.slowdown,
-                );
-                for &corruption in &p.corruptions {
-                    damaged_entries.clear();
-                    let damaged = corrupt_frame(frame, corruption);
-                    let _ = decode_frame(&damaged, &mut damaged_entries);
-                    fr.corrupt_frames += 1;
-                }
-                let failures = p.corruptions.len();
-                let lost = failures >= max_attempts;
-                let attempts_made = if lost { max_attempts } else { failures + 1 };
-                fr.retries += attempts_made - 1;
-                fr.retransmitted_bytes += frame.len() as u64 * (attempts_made - 1) as u64;
-                let total_time =
-                    attempt_time * attempts_made as f64 + backoff * (attempts_made - 1) as f64;
-                if lost {
-                    // Retries exhausted; the server still listened through
-                    // every failed attempt, so the time counts toward the
-                    // uplink phase (unless a deadline caps it below).
-                    fr.corrupt_lost += 1;
-                    uplink_times[pos] = Some(total_time);
-                    continue;
-                }
-                if deadline.is_some_and(|d| total_time > d) {
-                    fr.deadline_dropped += 1;
-                    continue;
-                }
-                uplink_times[pos] = Some(total_time);
-                self.survivors[kept] = pos;
-                kept += 1;
-            }
-            self.survivors.truncate(kept);
-        }
-        span_end(rec, SpanId::WireFault, t_wire_fault);
-        if let Some(fr) = fault_report.as_mut() {
-            fr.survivors = self.survivors.len();
-        }
-
-        // (1b) Fill the persistent aggregation inputs, one per surviving
-        // member, reusing their entry buffers. On the clean path this
-        // already happened inside the pipeline consumer above (survivors
-        // are the identity mapping there, so `uploads[pos]` and
-        // `uploads[u_idx]` coincide); under fault injection it runs here,
-        // over the survivor list the wire-fault pass just compacted. On the
-        // byte-priced path selection genuinely runs on what crossed the
-        // wire: re-ranking the decoded entries reproduces the built uploads
-        // bit for bit — on the lossless tier because decode is exact and
-        // the top-k rank order is a total order of the values
-        // (`topk::compare_magnitude_then_index`); on the lossy tier because
-        // the client already rewrote its entry list with its own decode of
-        // the same frame. `deliver_upload` debug-asserts both every test
-        // run.
-        let s = self.survivors.len();
-        let t_decode = span_start(rec);
-        if faulty {
-            while self.uploads.len() < s {
-                self.uploads.push(ClientUpload::new(0, 0.0, Vec::new()));
-            }
-            for (u_idx, &pos) in self.survivors.iter().enumerate() {
-                let upload = &mut self.uploads[u_idx];
-                deliver_upload(&mut self.slots[pos], upload, wired, rerank, dim);
-            }
-        }
-        span_end(rec, SpanId::ServerDecode, t_decode);
-
-        // (2) Server selection and aggregation, sharded across the
-        // executor's workers and reusing the round workspace.
-        let t_select = span_start(rec);
-        let selection = self.sparsifier.select_parallel(
-            &self.uploads[..s],
-            dim,
-            k,
-            &mut self.scratch,
-            &self.executor,
-        );
-        span_end(rec, SpanId::Selection, t_select);
-
-        // Optional probe for the derivative-sign estimator; its second
-        // selection shares the same workspace. On the byte-priced path the
-        // hypothetical `θ_m(k')` is re-priced through the channel model
-        // (over the surviving cohort when faults are active — the probe is
-        // priced as a clean hypothetical round of those clients).
-        let t_probe = span_start(rec);
-        let probe = probe_k.map(|pk| {
-            let pk = pk.clamp(1, dim);
-            let probe_selection = self.sparsifier.select_parallel(
-                &self.uploads[..s],
-                dim,
-                pk,
-                &mut self.scratch,
-                &self.executor,
-            );
-            let mut report = self.build_probe_report(c, pk, &selection, &probe_selection);
-            if let Some(wire) = &mut self.wire {
-                report.probe_round_time =
-                    wire.probe_round_time(round_idx, dim, pk, &self.uploads[..s], &probe_selection);
-            }
-            report
-        });
-        span_end(rec, SpanId::Probe, t_probe);
-
-        // (3) Downlink: every client applies the identical sparse update.
-        // On the byte-priced path the broadcast is encoded, priced, and
-        // *decoded* before application — the weights advance by what
-        // crossed the wire (bit-identical to the local aggregate because
-        // the codecs are lossless; debug-asserted below).
-        //
-        // The broadcast *pricing* (`WireState::downlink_phase_time`, O(N)
-        // links on its first round and whenever the channel has a trace) is
-        // deferred out of this match: it reads only the channel, so phase
-        // (4) below overlaps it with the end-of-round bookkeeping on a pool
-        // worker. Everything that feeds the next round's gradients — the
-        // weight update itself — still happens here, before the match ends:
-        // `params` is a true dependency of the next round's compute and is
-        // never raced.
-        // `time_before_downlink` carries the compute + uplink phases.
-        let t_broadcast = span_start(rec);
-        let (time_before_downlink, downlink_bytes, wire_report) = match &mut self.wire {
-            None => {
-                selection.aggregated.apply_sgd(&mut self.params, lr);
-                let round_time = self.config.time_model.round_time(
-                    dim,
-                    selection.max_uplink_scalars(),
-                    selection.downlink_scalars(),
-                );
-                (round_time, None, None)
-            }
-            Some(wire) => {
-                let frame = wire
-                    .downlink
-                    .encode_gradient_into(&selection.aggregated, &mut wire.scratch);
-                let downlink_bytes = frame.len();
-                let downlink_codec = frame_codec(frame).expect("freshly encoded frame");
-                #[cfg(debug_assertions)]
-                {
-                    let broadcast =
-                        agsfl_wire::decode_gradient(frame).expect("self-encoded frame must decode");
-                    debug_assert!(
-                        broadcast
-                            .entries()
-                            .iter()
-                            .zip(selection.aggregated.entries().iter())
-                            .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
-                            && broadcast.nnz() == selection.aggregated.nnz(),
-                        "decoded broadcast must be bit-identical to the aggregate"
+                    let frame = &slot.frame;
+                    let attempt_time = wire.channel.uplink_time_scaled(
+                        round_idx,
+                        slot.client.id(),
+                        frame.len(),
+                        p.slowdown,
                     );
+                    for &corruption in &p.corruptions {
+                        damaged_entries.clear();
+                        let damaged = corrupt_frame(frame, corruption);
+                        let _ = decode_frame(&damaged, &mut damaged_entries);
+                        fr.corrupt_frames += 1;
+                    }
+                    let failures = p.corruptions.len();
+                    let lost = failures >= max_attempts;
+                    let attempts_made = if lost { max_attempts } else { failures + 1 };
+                    fr.retries += attempts_made - 1;
+                    fr.retransmitted_bytes += frame.len() as u64 * (attempts_made - 1) as u64;
+                    let total_time = attempt_time * attempts_made as f64
+                        + fmodel.retry_backoff * (attempts_made - 1) as f64;
+                    let late = !lost && fmodel.deadline.is_some_and(|d| total_time > d);
+                    fr.corrupt_lost += usize::from(lost);
+                    fr.deadline_dropped += usize::from(late);
+                    if !late {
+                        // The server listened through every attempt — a
+                        // corrupt-lost member's futile ones included — so the
+                        // time counts toward the uplink phase.
+                        uplink_phase = uplink_phase.max(total_time);
+                    }
+                    !lost && !late
                 }
-                // Streaming application: the decoded broadcast coordinates
-                // go straight into the weight vector, visiting them in
-                // frame order — exactly the entry order `apply_sgd` on the
-                // decoded gradient used to walk, with no intermediate
-                // gradient materialized.
-                let params = &mut self.params;
-                decode_frame_with(frame, |j, v| params[j] -= lr * v)
-                    .expect("self-encoded frame must decode");
-                // Byte accounting is indexed parallel to the cohort — the
-                // per-client identity mapping on a full clean cohort, and
-                // zero bytes for members that never delivered under fault
-                // injection.
-                let mut uplink_bytes = vec![0usize; c];
-                for &pos in &self.survivors {
-                    uplink_bytes[pos] = self.slots[pos].frame.len();
-                }
-                let uplink_codecs = self
-                    .survivors
-                    .iter()
-                    .map(|&pos| frame_codec(&self.slots[pos].frame).expect("freshly encoded frame"))
-                    .collect();
-                let time_before_downlink = if let Some(fr) = fault_report.as_ref() {
-                    // Fault path: the uplink phase is the slowest delivery
-                    // the server actually waited out — retries, backoff and
-                    // straggler slowdown included, corrupt-lost members'
-                    // futile attempts included — capped at the deadline,
-                    // which the server waits out in full whenever anyone is
-                    // missing. With every rate at zero this folds the exact
-                    // per-member times of the clean path in the same order,
-                    // so the price is bit-identical to `round_time`.
-                    let deadline = self
-                        .fault
-                        .as_ref()
-                        .expect("fault state present")
-                        .model()
-                        .deadline;
-                    let uplink_phase = match deadline {
-                        Some(d) if fr.lost() > 0 => d,
-                        _ => uplink_times
-                            .iter()
-                            .flatten()
-                            .copied()
-                            .fold(0.0f64, f64::max),
-                    };
-                    wire.channel.compute_time() + uplink_phase
-                } else {
-                    // Clean path: the uplink phase waits for the cohort's
-                    // own links; the downlink is still a broadcast priced
-                    // over every link (the server pushes the global model
-                    // to the whole population) — added after the overlapped
-                    // sweep below. For a full cohort the total is exactly
-                    // `ChannelModel::round_time`.
-                    wire.channel.compute_time()
-                        + wire
-                            .channel
-                            .uplink_phase_time_for(round_idx, &cohort, &uplink_bytes)
-                };
-                let max_uplink_bytes = uplink_bytes.iter().copied().max().unwrap_or(0);
-                let report = WireRoundReport {
-                    uplink_bytes,
-                    max_uplink_bytes,
-                    downlink_bytes,
-                    uplink_codecs,
-                    downlink_codec,
-                };
-                (time_before_downlink, Some(downlink_bytes), Some(report))
+            };
+            let t_decode = clock.then(Instant::now);
+            if delivered {
+                let upload = &mut uploads[survivors.len()];
+                deliver_upload(slot, upload, wire.is_some(), rerank, dim);
+                survivors.push(pos);
+            }
+            if let (Some(t_fault), Some(t_decode)) = (t_fault, t_decode) {
+                wire_fault_ns += (t_decode - t_fault).as_nanos() as u64;
+                decode_ns += t_decode.elapsed().as_nanos() as u64;
             }
         };
-        span_end(rec, SpanId::BroadcastApply, t_broadcast);
-        // (4) End-of-round bookkeeping, overlapped with the deferred
-        // broadcast pricing. The downlink phase price is a max over
-        // *every* link in the channel (the server pushes the global model
-        // to the whole population) — O(N) at million-client scale when the
-        // channel has a trace or the frontier is not built yet. It runs on
-        // a pool worker while this thread performs the resets,
-        // contributions, and dehydration; neither side touches the other's
-        // state (the pricing reads only the channel, its frontier and two
-        // scalars), and `f64` addition of the two finished phase times
-        // afterwards is schedule-independent, so the overlap cannot change
-        // a single bit.
-        //
-        // Why not overlap the broadcast *application* with next-round
-        // gradients, as the pipelining dream goes? Because that edge is a
-        // true dependency: clients compute gradients at the post-broadcast
-        // weights. The pricing sweep is the part of the downlink with no
-        // consumer until `RoundReport`, so it is the part that legally
-        // moves off the critical path.
-        //
-        // Bookkeeping on this thread: resets and contributions target the
-        // surviving members' slots — exactly the members whose uploads were
-        // aggregated get their used coordinates reset, so a lost member's
-        // residual keeps its update. On the lossy tier each reset
-        // coordinate is seeded with its quantization error instead of zero
-        // (error feedback); `errors` is empty on lossless rounds, which
-        // makes this bit-identical to a plain reset. Dehydration then
-        // returns every member's persistent state to the population
-        // (first-time online participants get a new row; pristine offline
-        // first-timers are dropped and recreated identically on their next
-        // appearance), and the selection workspace notes this round's
-        // demand so a shrinking cohort or `k` releases capacity instead of
-        // staying priced at its high-water mark.
-        let downlink_elements = selection.downlink_elements;
-        let max_uplink_scalars = selection.max_uplink_scalars();
-        let mut contributions = vec![0usize; c];
-        let wire = self.wire.as_ref();
-        let executor = &self.executor;
-        let slots = &mut self.slots;
-        let population = &mut self.population;
-        let scratch = &mut self.scratch;
-        let survivors = &self.survivors;
-        // The Bookkeeping span covers the whole joined region; the
-        // DownlinkPricing span is timed inside the overlapped closure (it
-        // runs on a pool worker, so its nanoseconds come back with the
-        // result and are recorded here on the round thread). The two spans
-        // overlap by construction.
-        let t_bookkeeping = span_start(rec);
-        let want_pricing_span = rec.enabled();
-        let ((), (downlink_time, pricing_ns)) = executor.join(
-            || {
-                for (u_idx, resets) in selection.reset_indices.iter().enumerate() {
-                    let slot = &mut slots[survivors[u_idx]];
-                    slot.client.apply_reset_with_errors(resets, &slot.errors);
-                }
-                for (u_idx, used) in selection.into_contributions().into_iter().enumerate() {
-                    contributions[survivors[u_idx]] = used;
-                }
-                for (pos, &id) in cohort.iter().enumerate() {
-                    let slot = &mut slots[pos];
-                    population.dehydrate(id, slot.cached_row, slot.online, &mut slot.client);
-                    slot.cached_row = None;
-                }
-                scratch.shrink_to_recent_demand();
-            },
-            || {
-                let t0 = want_pricing_span.then(std::time::Instant::now);
-                let time = match (wire, downlink_bytes) {
-                    (Some(wire), Some(bytes)) => wire.downlink_phase_time(round_idx, bytes),
-                    _ => 0.0,
-                };
-                (time, t0.map(|t0| t0.elapsed().as_nanos() as u64))
-            },
-        );
-        span_end(rec, SpanId::Bookkeeping, t_bookkeeping);
-        if let Some(ns) = pricing_ns {
-            rec.span(SpanId::DownlinkPricing, ns);
+        stage(rec, SpanId::ClientPass, || {
+            self.executor
+                .pipeline_mut(&mut self.slots[..cohort_len], produce, admit)
+        });
+        if clock {
+            rec.span(SpanId::WireFault, wire_fault_ns);
+            rec.span(SpanId::ServerDecode, decode_ns);
         }
-        let round_time = time_before_downlink + downlink_time;
-        self.elapsed += round_time;
-
-        let report = RoundReport {
-            round: self.round,
-            k_used: k,
-            train_loss,
-            round_time,
-            elapsed_time: self.elapsed,
-            downlink_elements,
-            max_uplink_scalars,
-            cohort: cohort.clone(),
-            contributions,
-            probe,
-            wire: wire_report,
-            fault: fault_report,
+        fr.survivors = self.survivors.len();
+        // The uplink phase is the slowest delivery the server actually
+        // waited out — retries, backoff and straggler slowdown included,
+        // corrupt-lost members' futile attempts included — capped at the
+        // deadline, which the server waits out in full whenever anyone is
+        // missing.
+        let uplink_phase = match fmodel.deadline {
+            Some(d) if fr.lost() > 0 => d,
+            _ => uplink_phase,
         };
-        if rec.enabled() {
-            record_round_report(rec, &report);
-            rec.gauge(
-                GaugeId::ResidentClients,
-                self.population.resident_rows() as u64,
-            );
-            drain_batched_forward(rec);
-        }
-        self.cohort = cohort;
-        report
+        (train_loss, uplink_phase, plans.map(|_| fr))
     }
 
-    /// Evaluates the probe losses `L̃(w(m-1))`, `L̃(w(m))`, `L̃(w'(m))` of the
-    /// derivative-sign estimator.
-    fn build_probe_report(
-        &self,
+    /// The probe stage: selects the hypothetical `probe_k`-element update
+    /// (its selection shares the round workspace) and evaluates the probe
+    /// losses `L̃(w(m-1))`, `L̃(w(m))`, `L̃(w'(m))` of the derivative-sign
+    /// estimator. On the byte-priced path the hypothetical `θ_m(k')` is
+    /// priced through the channel model, as a clean round of the members
+    /// that delivered.
+    fn probe(
+        &mut self,
+        round_idx: usize,
         cohort_len: usize,
         probe_k: usize,
         selection: &SelectionResult,
-        probe_selection: &SelectionResult,
     ) -> ProbeReport {
+        let dim = self.params.len();
+        let probe_k = probe_k.clamp(1, dim);
+        let uploads = &self.uploads[..self.survivors.len()];
+        let probe_selection = self.sparsifier.select_parallel(
+            uploads,
+            dim,
+            probe_k,
+            &mut self.scratch,
+            &self.executor,
+        );
         let lr = self.config.learning_rate;
         let model = self.model.as_ref();
 
@@ -1263,11 +1052,11 @@ impl Simulation {
         probe_selection.aggregated.apply_sgd(&mut w_probe, lr);
 
         // One pass per cohort slot (every hydrated member, offline ones
-        // included — their stale probe sample is exactly what the
-        // historical all-client sweep evaluated): the probe sample is
-        // fetched once and the three weight vectors evaluated together.
-        // The per-member results come back in cohort order, so the serial
-        // reduction below accumulates exactly as a sequential loop would.
+        // included — their stale probe sample is exactly what an
+        // all-client sweep evaluates): the probe sample is fetched once and
+        // the three weight vectors evaluated together. The per-member
+        // results come back in cohort order, so the serial reduction below
+        // accumulates exactly as a sequential loop would.
         let losses: Vec<Option<[f32; 3]>> =
             self.executor.map_ref(&self.slots[..cohort_len], |slot| {
                 slot.client
@@ -1292,11 +1081,157 @@ impl Simulation {
             loss_prev: prev_sum / n,
             loss_now: now_sum / n,
             loss_probe: probe_sum / n,
-            probe_round_time: self
-                .config
-                .time_model
-                .sparse_round_time(self.dim(), probe_k),
+            probe_round_time: match &mut self.wire {
+                Some(wire) => {
+                    wire.probe_round_time(round_idx, dim, probe_k, uploads, &probe_selection)
+                }
+                None => self.config.time_model.sparse_round_time(dim, probe_k),
+            },
         }
+    }
+
+    /// Stage (3): advances the weights by the broadcast and returns the
+    /// compute + uplink time together with the round's byte accounting. On
+    /// the byte-priced path the broadcast is encoded and *decoded* before
+    /// application — the weights advance by what crossed the wire
+    /// (bit-identical to the local aggregate because the downlink codec is
+    /// lossless; debug-asserted below).
+    ///
+    /// The broadcast *pricing* is not done here: it reads only the
+    /// channel, so [`Simulation::bookkeep`] overlaps it with the
+    /// end-of-round bookkeeping. The weight update itself is a true
+    /// dependency of the next round's gradients and is never raced.
+    fn apply_broadcast(
+        &mut self,
+        cohort_len: usize,
+        selection: &SelectionResult,
+        uplink_phase: f64,
+    ) -> (f64, Option<WireRoundReport>) {
+        let lr = self.config.learning_rate;
+        let Some(wire) = &mut self.wire else {
+            selection.aggregated.apply_sgd(&mut self.params, lr);
+            let round_time = self.config.time_model.round_time(
+                self.params.len(),
+                selection.max_uplink_scalars(),
+                selection.downlink_scalars(),
+            );
+            return (round_time, None);
+        };
+        let frame = wire
+            .downlink
+            .encode_gradient_into(&selection.aggregated, &mut wire.scratch);
+        let downlink_codec = frame_codec(frame).expect("freshly encoded frame");
+        #[cfg(debug_assertions)]
+        {
+            let broadcast =
+                agsfl_wire::decode_gradient(frame).expect("self-encoded frame must decode");
+            debug_assert!(
+                broadcast
+                    .entries()
+                    .iter()
+                    .zip(selection.aggregated.entries().iter())
+                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+                    && broadcast.nnz() == selection.aggregated.nnz(),
+                "decoded broadcast must be bit-identical to the aggregate"
+            );
+        }
+        // Streaming application: the decoded broadcast coordinates go
+        // straight into the weight vector in frame order — the entry order
+        // `apply_sgd` walks — with no intermediate gradient materialized.
+        let params = &mut self.params;
+        decode_frame_with(frame, |j, v| params[j] -= lr * v)
+            .expect("self-encoded frame must decode");
+        // Byte accounting is indexed parallel to the cohort: zero bytes for
+        // members that never delivered.
+        let mut uplink_bytes = vec![0usize; cohort_len];
+        for &pos in &self.survivors {
+            uplink_bytes[pos] = self.slots[pos].frame.len();
+        }
+        let report = WireRoundReport {
+            max_uplink_bytes: uplink_bytes.iter().copied().max().unwrap_or(0),
+            uplink_bytes,
+            downlink_bytes: frame.len(),
+            uplink_codecs: self
+                .survivors
+                .iter()
+                .map(|&pos| frame_codec(&self.slots[pos].frame).expect("freshly encoded frame"))
+                .collect(),
+            downlink_codec,
+        };
+        (wire.channel.compute_time() + uplink_phase, Some(report))
+    }
+
+    /// Stage (4): end-of-round bookkeeping on this thread, overlapped with
+    /// the broadcast pricing on a pool worker. Returns the per-member
+    /// contributions and the downlink phase time.
+    ///
+    /// The downlink price is a max over *every* link in the channel (the
+    /// server pushes the global model to the whole population) — O(N) at
+    /// million-client scale when the channel has a trace or the frontier is
+    /// not built yet — and has no consumer until the `RoundReport`, so it is
+    /// the part of the downlink that legally leaves the critical path.
+    /// Neither side touches the other's state (the pricing reads only the
+    /// channel, its frontier and two scalars), and adding the two finished
+    /// phase times afterwards is schedule-independent, so the overlap
+    /// cannot change a bit.
+    ///
+    /// Resets and contributions target exactly the members whose uploads
+    /// were aggregated, so a lost member's residual keeps its update. On
+    /// the lossy tier each reset coordinate is seeded with its quantization
+    /// error instead of zero (error feedback); `errors` is empty on
+    /// lossless rounds, which makes that a plain reset. Dehydration then
+    /// returns every member's persistent state to the population
+    /// (first-time online participants get a new row; pristine offline
+    /// first-timers are dropped and recreated identically on their next
+    /// appearance), and the selection workspace notes this round's demand
+    /// so a shrinking cohort or `k` releases capacity.
+    fn bookkeep<R: Recorder>(
+        &mut self,
+        rec: &mut R,
+        round_idx: usize,
+        cohort: &[usize],
+        selection: &SelectionResult,
+        downlink_bytes: Option<usize>,
+    ) -> (Vec<usize>, f64) {
+        let mut contributions = vec![0usize; cohort.len()];
+        // The pricing runs on a pool worker, so its nanoseconds come back
+        // with the result and are recorded here on the round thread.
+        let clock = rec.enabled();
+        let ((), (downlink_time, pricing_ns)) = stage(rec, SpanId::Bookkeeping, || {
+            self.executor.join(
+                || {
+                    for (u_idx, &pos) in self.survivors.iter().enumerate() {
+                        let slot = &mut self.slots[pos];
+                        let resets = &selection.reset_indices[u_idx];
+                        slot.client.apply_reset_with_errors(resets, &slot.errors);
+                        contributions[pos] = selection.contributions()[u_idx];
+                    }
+                    for (slot, &id) in self.slots.iter_mut().zip(cohort) {
+                        self.population.dehydrate(
+                            id,
+                            slot.cached_row,
+                            !slot.offline,
+                            &mut slot.client,
+                        );
+                        slot.cached_row = None;
+                    }
+                    self.scratch.shrink_to_recent_demand();
+                },
+                || {
+                    let t0 = clock.then(Instant::now);
+                    let time = self
+                        .wire
+                        .as_ref()
+                        .zip(downlink_bytes)
+                        .map_or(0.0, |(w, bytes)| w.downlink_phase_time(round_idx, bytes));
+                    (time, t0.map(|t0| t0.elapsed().as_nanos() as u64))
+                },
+            )
+        });
+        if let Some(ns) = pricing_ns {
+            rec.span(SpanId::DownlinkPricing, ns);
+        }
+        (contributions, downlink_time)
     }
 
     /// Serializes the complete mutable simulation state — round counter,
@@ -1421,11 +1356,14 @@ impl Simulation {
 /// Fills one aggregation input from its surviving member's slot, reusing
 /// the entry buffer. Wired, the server decodes the frame *directly into*
 /// the input (no intermediate per-client gradient) and re-ranks it, which
-/// reproduces the built upload bit for bit (phase (1b) of
-/// [`Simulation::run_round_recorded`] has the argument). Unwired, the slot
-/// hands its entry buffer over in O(1): nothing reads `slot.entries` after
-/// this point and `build_upload_into` rebuilds it from scratch next round,
-/// so the two grow-only buffers just trade places.
+/// reproduces the built upload bit for bit — on the lossless tier because
+/// decode is exact and the top-k rank order is a total order of the values
+/// (`topk::compare_magnitude_then_index`); on the lossy tier because the
+/// client already rewrote its entry list with its own decode of the same
+/// frame (both debug-asserted below). Unwired, the slot hands its entry
+/// buffer over in O(1): nothing reads `slot.entries` after this point and
+/// `build_upload_into` rebuilds it from scratch next round, so the two
+/// grow-only buffers just trade places.
 fn deliver_upload(
     slot: &mut Slot,
     upload: &mut ClientUpload,

@@ -1,7 +1,8 @@
 //! Property tests for the sampled-cohort engine's determinism contract:
-//! for *any* seed, cohort size, thread count and interrupt point, a
-//! cohort-sampled run is bit-identical to its serial / uninterrupted twin —
-//! over an eager dataset and over a lazy [`ShardSource`] alike.
+//! for *any* seed, cohort size, thread count, fault shape and interrupt
+//! point, a cohort-sampled run is bit-identical to its serial /
+//! uninterrupted twin — over an eager dataset and over a lazy
+//! [`ShardSource`] alike.
 //!
 //! These generalize the hand-picked cases in `simulation.rs`'s unit tests
 //! (and the historical pins in `golden_trajectory.rs`) across the whole
@@ -15,7 +16,8 @@ use std::sync::{Arc, Mutex};
 
 use agsfl_exec::Parallelism;
 use agsfl_fl::{
-    ChannelModel, FaultModel, RoundReport, Simulation, SimulationConfig, TimeModel, WireConfig,
+    ChannelModel, FaultModel, FaultRoundReport, RoundReport, Simulation, SimulationConfig,
+    TimeModel, WireConfig,
 };
 use agsfl_ml::data::{
     ClientShard, FederatedDataset, LazySyntheticFemnist, ShardSource, SyntheticFemnist,
@@ -81,6 +83,7 @@ fn build_sim(
     parallelism: Parallelism,
     wired: bool,
     lazy: bool,
+    fault: Option<FaultModel>,
 ) -> Simulation {
     let source: Box<dyn ShardSource> = if lazy {
         Box::new(LazySyntheticFemnist::new(
@@ -90,7 +93,33 @@ fn build_sim(
     } else {
         Box::new(tiny_dataset(seed))
     };
-    sim_over(source, seed, Some(cohort), parallelism, wired, None)
+    sim_over(source, seed, Some(cohort), parallelism, wired, fault)
+}
+
+/// The drawn fault shape as a model: `None` one time in four, otherwise
+/// drop / crash / straggle / corrupt probabilities, an optional deadline a
+/// straggler or a twice-retried member misses, and 0–3 retries. Unwired,
+/// the byte-level faults are zeroed (validation rejects them without a
+/// wire), which leaves the unwired + faulty shape: dropout and outages.
+fn fault_model(
+    seed: u64,
+    wired: bool,
+    (drop_prob, crash_prob, straggle_prob, corrupt_prob): (f64, f64, f64, f64),
+    (fault_draw, deadline_bit, max_retries): (u32, u32, usize),
+) -> Option<FaultModel> {
+    let byte_level = |p: f64| if wired { p } else { 0.0 };
+    (fault_draw > 0).then(|| FaultModel {
+        drop_prob,
+        crash_prob,
+        outage_rounds: (1, 3),
+        straggle_prob: byte_level(straggle_prob),
+        straggle_factor: 5.0,
+        deadline: (wired && deadline_bit == 1).then_some(0.3),
+        corrupt_prob: byte_level(corrupt_prob),
+        max_retries,
+        retry_backoff: 0.01,
+        seed,
+    })
 }
 
 /// One round of the fingerprinted schedule: k = 16, probes on even rounds.
@@ -98,12 +127,21 @@ fn step(sim: &mut Simulation, round: usize) -> RoundReport {
     sim.run_round(16, round.is_multiple_of(2).then_some(4))
 }
 
+/// What the fingerprint keeps of each round: the cohort members and the
+/// fault tallies.
+type RoundFacts = (Vec<usize>, Option<FaultRoundReport>);
+
+fn round_facts(sim: &mut Simulation, round: usize) -> RoundFacts {
+    let report = step(sim, round);
+    (report.cohort, report.fault)
+}
+
 /// Advances `rounds` rounds and returns a bit-exact fingerprint: weight
-/// bits, elapsed-time bits and per-round cohort members.
-fn run_fingerprint(sim: &mut Simulation, rounds: usize) -> (Vec<u32>, u64, Vec<Vec<usize>>) {
-    let cohorts = (0..rounds).map(|round| step(sim, round).cohort).collect();
+/// bits, elapsed-time bits and per-round cohort members and fault tallies.
+fn run_fingerprint(sim: &mut Simulation, rounds: usize) -> (Vec<u32>, u64, Vec<RoundFacts>) {
+    let facts = (0..rounds).map(|round| round_facts(sim, round)).collect();
     let params = sim.params().iter().map(|v| v.to_bits()).collect();
-    (params, sim.elapsed_time().to_bits(), cohorts)
+    (params, sim.elapsed_time().to_bits(), facts)
 }
 
 /// A [`ShardSource`] that logs the client id of every `materialize_into`
@@ -164,7 +202,7 @@ proptest! {
 
     /// Serial and 2/4/8-worker runs (plus one more drawn count) of the same
     /// sampled-cohort configuration are bit-identical, wired or not, eager
-    /// or lazy.
+    /// or lazy, under any fault shape.
     #[test]
     fn prop_cohort_runs_identical_across_worker_counts(
         seed in 0u64..10_000,
@@ -173,12 +211,16 @@ proptest! {
         wired_bit in 0u32..2,
         lazy_bit in 0u32..2,
         rounds in 1usize..6,
+        fault_probs in (0.0f64..0.4, 0.0f64..0.3, 0.0f64..0.5, 0.0f64..0.6),
+        fault_shape in (0u32..4, 0u32..2, 0usize..=3),
     ) {
         let (wired, lazy) = (wired_bit == 1, lazy_bit == 1);
-        let mut serial = build_sim(seed, cohort, Parallelism::Serial, wired, lazy);
+        let fault = fault_model(seed, wired, fault_probs, fault_shape);
+        let build = |parallelism| build_sim(seed, cohort, parallelism, wired, lazy, fault.clone());
+        let mut serial = build(Parallelism::Serial);
         let want = run_fingerprint(&mut serial, rounds);
         for workers in [2, 4, 8, threads] {
-            let mut threaded = build_sim(seed, cohort, Parallelism::Threads(workers), wired, lazy);
+            let mut threaded = build(Parallelism::Threads(workers));
             let got = run_fingerprint(&mut threaded, rounds);
             prop_assert_eq!(&got, &want, "serial vs {} workers diverged", workers);
         }
@@ -194,23 +236,27 @@ proptest! {
         cohort in 1usize..9,
         wired_bit in 0u32..2,
         lazy_bit in 0u32..2,
+        fault_probs in (0.0f64..0.4, 0.0f64..0.3, 0.0f64..0.5, 0.0f64..0.6),
+        fault_shape in (0u32..4, 0u32..2, 0usize..=3),
     ) {
         let (wired, lazy) = (wired_bit == 1, lazy_bit == 1);
+        let fault = fault_model(seed, wired, fault_probs, fault_shape);
+        let build = |parallelism| build_sim(seed, cohort, parallelism, wired, lazy, fault.clone());
         let rounds = 6;
-        let mut baseline = build_sim(seed, cohort, Parallelism::Serial, wired, lazy);
+        let mut baseline = build(Parallelism::Serial);
         let want = run_fingerprint(&mut baseline, rounds);
 
         for interrupt in 0..=rounds {
-            let mut first = build_sim(seed, cohort, Parallelism::Threads(2), wired, lazy);
-            let (_, _, mut cohorts) = run_fingerprint(&mut first, interrupt);
+            let mut first = build(Parallelism::Threads(2));
+            let (_, _, mut facts) = run_fingerprint(&mut first, interrupt);
             let blob = first.save_state();
-            let mut resumed = build_sim(seed, cohort, Parallelism::Threads(2), wired, lazy);
+            let mut resumed = build(Parallelism::Threads(2));
             resumed.restore_state(&blob).expect("same-shape restore");
-            cohorts.extend((interrupt..rounds).map(|round| step(&mut resumed, round).cohort));
+            facts.extend((interrupt..rounds).map(|round| round_facts(&mut resumed, round)));
             let got = (
                 resumed.params().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 resumed.elapsed_time().to_bits(),
-                cohorts,
+                facts,
             );
             prop_assert_eq!(&got, &want, "resume at round {} diverged", interrupt);
         }

@@ -17,16 +17,16 @@ use agsfl_sparse::{FabTopK, FubTopK, PeriodicK, SendAll, Sparsifier, Unidirectio
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+/// FNV-1a over a byte stream.
+fn fnv_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
 /// FNV-1a over the little-endian bytes of the weight vector.
 fn fnv(params: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in params {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    h
+    fnv_bytes(params.iter().flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
 fn sparsifiers() -> Vec<Box<dyn Sparsifier>> {
@@ -59,11 +59,11 @@ fn chaos_model(seed: u64) -> FaultModel {
     }
 }
 
-/// Runs four rounds (six on the fault path) and returns the weight-vector
-/// hash plus the elapsed-time bits.
-fn run(sim: &mut Simulation, rounds: usize, probing: bool) -> (u64, u64) {
+/// Runs `rounds` rounds, probing on the even ones, and returns the
+/// weight-vector hash plus the elapsed-time bits.
+fn run(sim: &mut Simulation, rounds: usize) -> (u64, u64) {
     for round in 0..rounds {
-        let probe = (probing && round % 2 == 0).then_some(4);
+        let probe = (round % 2 == 0).then_some(4);
         sim.run_round(8, probe);
     }
     (fnv(sim.params()), sim.elapsed_time().to_bits())
@@ -89,6 +89,14 @@ const WIRE_GOLDEN: [(u64, u64); 5] = [
 
 /// The historical fault-injected trajectory (FUB-top-k, wired, chaos model).
 const FAULT_GOLDEN: (u64, u64) = (0xe4d0f29a4b5293cc, 0x406ecbb645a1cac1);
+
+/// FNV-1a over every round of the fault-golden run: each
+/// `FaultRoundReport` field, the round-time bits and the per-member uplink
+/// bytes, as little-endian `u64` words. Captured from the barrier fault path
+/// (separate wire-fault pass and decode loop) before it was folded into the
+/// pipelined admission consumer; fences the retry, retransmission, straggler
+/// and deadline accounting that the params + elapsed pair cannot see.
+const FAULT_REPORT_GOLDEN: u64 = 0xc0270eb2df69ccd4;
 
 /// Every golden is pinned at each of these worker counts: the serial
 /// reference path and 2/4/8 channel-fed workers through the persistent
@@ -156,7 +164,7 @@ fn plain_trajectories_match_the_owned_client_engine() {
                     sp,
                     plain_config(42, cohort, parallelism),
                 );
-                let (params, elapsed) = run(&mut sim, 4, true);
+                let (params, elapsed) = run(&mut sim, 4);
                 assert_eq!(
                     params, want_params,
                     "{name} params drifted (cohort {cohort:?}, {parallelism:?})"
@@ -189,7 +197,7 @@ fn wire_trajectories_match_the_owned_client_engine() {
                     sp,
                     wire_config(7, n, None, cohort, parallelism),
                 );
-                let (params, elapsed) = run(&mut sim, 4, true);
+                let (params, elapsed) = run(&mut sim, 4);
                 assert_eq!(
                     params, want_params,
                     "{name} params drifted (cohort {cohort:?}, {parallelism:?})"
@@ -220,14 +228,42 @@ fn fault_trajectory_matches_the_owned_client_engine() {
                 Box::new(FubTopK::new()),
                 wire_config(11, n, Some(chaos_model(11)), cohort, parallelism),
             );
-            let (params, elapsed) = run(&mut sim, 6, false);
+            let mut words: Vec<u64> = Vec::new();
+            for _ in 0..6 {
+                let report = sim.run_round(8, None);
+                let fr = report.fault.expect("fault model configured");
+                words.extend(
+                    [
+                        fr.offline,
+                        fr.dropped,
+                        fr.stragglers,
+                        fr.corrupt_frames,
+                        fr.corrupt_lost,
+                        fr.deadline_dropped,
+                        fr.retries,
+                        fr.survivors,
+                    ]
+                    .map(|count| count as u64),
+                );
+                words.push(fr.retransmitted_bytes);
+                words.push(report.round_time.to_bits());
+                let wire = report.wire.expect("wired run");
+                words.extend(wire.uplink_bytes.iter().map(|&bytes| bytes as u64));
+            }
             assert_eq!(
-                params, FAULT_GOLDEN.0,
+                fnv(sim.params()),
+                FAULT_GOLDEN.0,
                 "fault params drifted (cohort {cohort:?}, {parallelism:?})"
             );
             assert_eq!(
-                elapsed, FAULT_GOLDEN.1,
+                sim.elapsed_time().to_bits(),
+                FAULT_GOLDEN.1,
                 "fault elapsed drifted (cohort {cohort:?}, {parallelism:?})"
+            );
+            assert_eq!(
+                fnv_bytes(words.iter().flat_map(|word| word.to_le_bytes())),
+                FAULT_REPORT_GOLDEN,
+                "fault reports drifted (cohort {cohort:?}, {parallelism:?})"
             );
         }
     }

@@ -243,7 +243,16 @@ fn fault_golden_holds_with_recording_enabled() {
             "fault trajectory drifted under recording ({parallelism:?})"
         );
         assert_eq!(rec.counter_total(CounterId::Rounds), 6);
-        assert_eq!(rec.span_histogram(SpanId::WireFault).count(), 6);
+        // One sample per round for the two spans accumulated inside the
+        // admission consumer, and both nest inside the client pass.
+        let span = |id| rec.span_histogram(id);
+        assert_eq!(span(SpanId::WireFault).count(), 6);
+        assert_eq!(span(SpanId::ServerDecode).count(), 6);
+        assert!(
+            span(SpanId::WireFault).sum() + span(SpanId::ServerDecode).sum()
+                <= span(SpanId::ClientPass).sum(),
+            "nested spans exceed the client pass ({parallelism:?})"
+        );
     }
 }
 

@@ -138,13 +138,6 @@ impl SelectionResult {
         &self.contributions
     }
 
-    /// Consumes the result, yielding the contributions vector without a
-    /// copy — for callers (like the round loop) that keep it past the
-    /// result's lifetime.
-    pub fn into_contributions(self) -> Vec<usize> {
-        self.contributions
-    }
-
     /// Per client: number of gradient elements it uploaded this round.
     pub fn uplink_elements(&self) -> &[usize] {
         &self.uplink_elements

@@ -8,31 +8,39 @@
 /// One timed stage of the round engine (or of the runner around it).
 ///
 /// The variants mirror the round's dependency graph: the fused client
-/// gradient+encode pass, the server-side decode+re-rank, the sharded
-/// selection, the probe sweep, downlink pricing, the broadcast weight
-/// apply, end-of-round bookkeeping, and the runner-level evaluation and
-/// checkpoint writes. `BatchedForward` times the row-parallel CNN
-/// inference kernel wherever evaluation calls it.
+/// gradient+encode pass with the server's admission of each finished
+/// upload nested inside it (wire-fault replay, decode+re-rank), the
+/// sharded selection, the probe sweep, the broadcast weight apply,
+/// end-of-round bookkeeping with downlink pricing nested inside it, and
+/// the runner-level evaluation and checkpoint writes. `BatchedForward`
+/// times the row-parallel CNN inference kernel wherever evaluation calls
+/// it. A nested span's interval is also counted by the span it nests in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum SpanId {
     /// The serial part of cohort hydration: cohort draw, fault plan, slot
     /// binding, and population rows swapped into the reusable slot arena.
     Hydrate,
-    /// The fused per-slot pass on the pool: shard fill and first-timer
-    /// reset, then local gradient + uplink encode (and, on clean rounds,
-    /// the pipelined server decode).
+    /// The pipelined client pass: on the pool, each slot's shard fill and
+    /// first-timer reset, then local gradient + uplink encode; on the round
+    /// thread, the in-order admission of every finished upload
+    /// ([`SpanId::WireFault`] and [`SpanId::ServerDecode`] nest in here).
     ClientPass,
-    /// Server-side frame decode + re-rank into the aggregation arena.
+    /// Server-side frame decode + re-rank of the admitted uploads into the
+    /// aggregation arena. Nested inside [`SpanId::ClientPass`]: accumulated
+    /// across the admission consumer, one sample per round.
     ServerDecode,
-    /// The wire-fault pass (retries, corruption, deadline accounting).
+    /// The wire-level part of admission: uplink pricing, corruption replay
+    /// through the real decoder, retry/backoff/deadline accounting. Nested
+    /// inside [`SpanId::ClientPass`], one sample per round.
     WireFault,
     /// Sharded server selection of the `k` broadcast elements.
     Selection,
     /// The probe-loss sweep for the derivative-sign estimator.
     Probe,
     /// Pricing the broadcast over the channel model: the frontier links,
-    /// or all N when the channel carries a bandwidth trace.
+    /// or all N when the channel carries a bandwidth trace. Runs on a pool
+    /// worker beside — and nested inside — [`SpanId::Bookkeeping`].
     DownlinkPricing,
     /// Applying the broadcast sparse update to the shared weights.
     BroadcastApply,

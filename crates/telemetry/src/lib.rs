@@ -9,20 +9,22 @@
 //! follows one idiom:
 //!
 //! ```
-//! use agsfl_telemetry::{span_start, span_end, NoopRecorder, Recorder, SpanId};
+//! use agsfl_telemetry::{stage, NoopRecorder, SpanId};
 //!
 //! let mut rec = NoopRecorder;
-//! let t0 = span_start(&rec);
-//! // ... the stage's work ...
-//! span_end(&mut rec, SpanId::Selection, t0);
+//! let selected = stage(&mut rec, SpanId::Selection, || {
+//!     // ... the stage's work ...
+//!     42
+//! });
+//! assert_eq!(selected, 42);
 //! ```
 //!
 //! With the default [`NoopRecorder`] the `enabled()` gate is a constant
-//! `false`, `span_start` never reads the clock, and `span_end` is a branch
-//! on a constant `None` — after monomorphization the instrumentation
-//! compiles down to nothing, which is the overhead contract `bench-report`
-//! and `scripts/verify.sh` check. A [`StageRecorder`] collects the same
-//! calls into per-stage histograms plus per-round deltas.
+//! `false` and `stage` never reads the clock — after monomorphization the
+//! instrumentation compiles down to the bare closure call, which is the
+//! overhead contract `bench-report` and `scripts/verify.sh` check. A
+//! [`StageRecorder`] collects the same calls into per-stage histograms plus
+//! per-round deltas.
 //!
 //! All histogram state is integer: shard merges fold bit-identically in
 //! worker order, exactly like every other merge in the codebase, and the
@@ -44,20 +46,18 @@ pub use ids::{CounterId, GaugeId, SpanId};
 pub use recorder::{NoopRecorder, Recorder, StageRecorder};
 pub use sink::JsonlSink;
 
-/// Starts a span clock if — and only if — the recorder is enabled.
+/// Runs `f` as one timed stage: its wall time is recorded under `id` if —
+/// and only if — the recorder is enabled.
 ///
-/// With [`NoopRecorder`] this is a constant `None`: the monotonic clock is
-/// never read on un-instrumented runs.
+/// With [`NoopRecorder`] this is the bare call `f()`: the monotonic clock
+/// is never read on un-instrumented runs.
 #[inline]
-pub fn span_start<R: Recorder + ?Sized>(rec: &R) -> Option<Instant> {
-    rec.enabled().then(Instant::now)
-}
-
-/// Closes a span opened by [`span_start`], recording the elapsed
-/// nanoseconds under `id`. A `None` start (disabled recorder) is free.
-#[inline]
-pub fn span_end<R: Recorder + ?Sized>(rec: &mut R, id: SpanId, start: Option<Instant>) {
-    if let Some(t0) = start {
-        rec.span(id, t0.elapsed().as_nanos() as u64);
+pub fn stage<R: Recorder + ?Sized, T>(rec: &mut R, id: SpanId, f: impl FnOnce() -> T) -> T {
+    if !rec.enabled() {
+        return f();
     }
+    let t0 = Instant::now();
+    let out = f();
+    rec.span(id, t0.elapsed().as_nanos() as u64);
+    out
 }

@@ -183,9 +183,9 @@ mod tests {
 
     #[test]
     fn noop_is_disabled_and_free() {
-        let rec = NoopRecorder;
+        let mut rec = NoopRecorder;
         assert!(!rec.enabled());
-        assert!(crate::span_start(&rec).is_none());
+        assert_eq!(crate::stage(&mut rec, SpanId::Selection, || 7), 7);
     }
 
     #[test]
@@ -200,6 +200,8 @@ mod tests {
         assert_eq!(rec.round_span_ns(SpanId::Selection), 150);
         assert_eq!(rec.span_histogram(SpanId::Selection).count(), 2);
         assert_eq!(rec.round_counter(CounterId::UplinkBytes), 7);
+        assert_eq!(crate::stage(&mut rec, SpanId::Probe, || 7), 7);
+        assert_eq!(rec.span_histogram(SpanId::Probe).count(), 1);
 
         rec.begin_round();
         assert_eq!(rec.round_span_ns(SpanId::Selection), 0);

@@ -17,6 +17,9 @@ step() { printf '\n==> %s\n' "$*"; }
 step "cargo build --release"
 cargo build --release
 
+step "benchmark package (outside the workspace, so the build above never compiles it; build only)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 step "cargo test -q (tier-1: root integration tests)"
 cargo test -q
 
