@@ -21,7 +21,7 @@ use agsfl_exec::Executor;
 use agsfl_ml::metrics;
 use agsfl_ml::model::{Im2colScratch, Model};
 use agsfl_ml::reference as ml_reference;
-use agsfl_sparse::{reference, topk, FabTopK, SelectionScratch, ShardedScratch, Sparsifier};
+use agsfl_sparse::{reference, topk, FabTopK, SelectionScratch, Sparsifier};
 use agsfl_wire::{decode_frame, reference as wire_reference, Codec, DeltaVarint, WireScratch};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::Rng;
@@ -75,29 +75,6 @@ fn bench_fab_selection(c: &mut Criterion) {
                     FAB_DIM,
                     FAB_K,
                     &mut scratch,
-                ))
-            })
-        },
-    );
-    // The sharded path on a multi-thread executor (at least two workers so
-    // the engine is exercised even on one core) — the serial-vs-sharded
-    // pair `bench-report` tracks in `BENCH_kernels.json`.
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
-    let exec = Executor::new(threads);
-    let mut sharded = ShardedScratch::new();
-    group.bench_function(
-        format!("sharded{threads}_{FAB_CLIENTS}clients_k{FAB_K}_d{FAB_DIM}"),
-        |b| {
-            b.iter(|| {
-                black_box(FabTopK::new().select_parallel(
-                    black_box(&uploads),
-                    FAB_DIM,
-                    FAB_K,
-                    &mut sharded,
-                    &exec,
                 ))
             })
         },

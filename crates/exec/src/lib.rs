@@ -1,8 +1,8 @@
 //! Deterministic parallel execution for the AGSFL workspace.
 //!
 //! Every parallel region in the workspace — the fused per-client
-//! gradient/upload pass, the probe-loss sweep and the sharded server
-//! selection in `agsfl-sparse` — runs through one [`Executor`], configured
+//! gradient/upload pass, the probe-loss sweep, the evaluation sweeps and
+//! FedAvg's weight average — runs through one [`Executor`], configured
 //! once per simulation from a [`Parallelism`] knob and reused every round.
 //! The executor owns a lazily spawned, **persistent** [`pool::WorkerPool`]:
 //! worker threads are created on the first parallel region and fed over a
@@ -34,11 +34,13 @@
 //!   on the calling thread in strict item order over an index-ordered
 //!   completion queue.
 //! * **Exact merges downstream.** Consumers that reduce across workers
-//!   (the selection shards in `agsfl-sparse`) only merge values whose
-//!   reduction is exact — integer histograms, minima, and index sets — or
+//!   only merge values whose reduction is exact (the integer histograms
+//!   and counters of `agsfl-telemetry`), fold per-item results in item
+//!   order on the calling thread (the evaluation sweeps in `agsfl-ml`), or
 //!   partition the floating-point work by coordinate so every sum is
-//!   evaluated in the serial accumulation order. No floating-point
-//!   reassociation ever happens behind the caller's back.
+//!   evaluated in the serial accumulation order (FedAvg's
+//!   `averaged_params`). No floating-point reassociation ever happens
+//!   behind the caller's back.
 //!
 //! The pool replaces a per-region scoped spawn with the generation
 //! handshake documented in [`pool`]: the submitter blocks until every task
@@ -48,9 +50,10 @@
 //! tests pin the pool path against.
 //!
 //! Nested regions — a worker that itself calls an executor primitive, for
-//! example the row-parallel CNN forward invoked from inside a sharded
-//! evaluation sweep — run inline on that worker (bit-identical; see
-//! [`pool::on_worker_thread`]), so the pool can never wait on itself.
+//! example the row-parallel CNN forward invoked from inside an
+//! executor-sharded evaluation sweep — run inline on that worker
+//! (bit-identical; see [`pool::on_worker_thread`]), so the pool can never
+//! wait on itself.
 //!
 //! # Serial fallback
 //!

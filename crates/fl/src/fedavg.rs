@@ -194,8 +194,7 @@ impl FedAvgSimulation {
     /// *dimension stripe*: each worker owns a contiguous coordinate range
     /// and folds over the clients in client order, so every coordinate's sum
     /// is evaluated in exactly the serial association and the result is
-    /// bit-identical for any stripe count (the same argument as
-    /// `agsfl_sparse::shard`).
+    /// bit-identical for any stripe count.
     pub fn averaged_params(&self) -> Vec<f32> {
         let dim = self.clients[0].params.len();
         let mut avg = vec![0.0f64; dim];
@@ -212,8 +211,9 @@ impl FedAvgSimulation {
             let clients = &self.clients;
             // The stripe count equals the thread count, so the map must not
             // re-apply the executor's min-items gate (2 stripes on a
-            // 2-thread executor must actually spawn); the is_serial/dim
-            // guard above already made the parallelize decision.
+            // 2-thread executor must still go to the pool); the
+            // is_serial/dim guard above already made the parallelize
+            // decision.
             let exec = self.executor.clone().with_min_items(1);
             exec.map_mut(&mut stripes, |(i, chunk)| {
                 let lo = *i * stripe;

@@ -7,7 +7,7 @@ use agsfl_ml::metrics::{
     GlobalEvaluation,
 };
 use agsfl_ml::model::Model;
-use agsfl_sparse::{topk, ClientUpload, SelectionResult, ShardedScratch, Sparsifier, UploadPlan};
+use agsfl_sparse::{topk, ClientUpload, SelectionResult, SelectionScratch, Sparsifier, UploadPlan};
 use agsfl_telemetry::{stage, CounterId, GaugeId, NoopRecorder, Recorder, SpanId};
 use agsfl_wire::{
     decode_frame, decode_frame_with, frame_codec, Auto, Codec, CodecSpec, Precision, WireScratch,
@@ -293,13 +293,12 @@ pub struct Simulation {
     /// Slot indices of the members whose uploads reached the server
     /// (reused buffer, rebuilt each round).
     survivors: Vec<usize>,
-    /// Reusable (sharded) server-side selection workspace; buffers are
-    /// sized on the first round and reused (including by the probe's second
-    /// selection), keeping the per-round server path allocation-free in
-    /// steady state on the serial path. Shrunk once per round when cohort
-    /// demand drops, so a small cohort never stays priced at a big one's
-    /// high-water mark.
-    scratch: ShardedScratch,
+    /// Reusable server-side selection workspace; buffers are sized on the
+    /// first round and reused (including by the probe's second selection),
+    /// keeping the per-round server path allocation-free in steady state.
+    /// Shrunk once per round when cohort demand drops, so a small cohort
+    /// never stays priced at a big one's high-water mark.
+    scratch: SelectionScratch,
     /// The round engine's executor, built once from the configured
     /// [`Parallelism`] and reused by every parallel region.
     executor: Executor,
@@ -405,7 +404,7 @@ impl Simulation {
             cohort_rng,
             cohort: Vec::new(),
             survivors: Vec::new(),
-            scratch: ShardedScratch::new(),
+            scratch: SelectionScratch::new(),
             executor,
             wire,
             fault,
@@ -716,16 +715,11 @@ impl Simulation {
             self.client_pass(rec, round_idx, k, cohort.len(), plans.as_deref());
         let s = self.survivors.len();
 
-        // (2) Server selection and aggregation, sharded across the
-        // executor's workers and reusing the round workspace.
+        // (2) Server selection and aggregation, on this thread, reusing
+        // the round workspace.
         let selection = stage(rec, SpanId::Selection, || {
-            self.sparsifier.select_parallel(
-                &self.uploads[..s],
-                dim,
-                k,
-                &mut self.scratch,
-                &self.executor,
-            )
+            self.sparsifier
+                .select_into(&self.uploads[..s], dim, k, &mut self.scratch)
         });
 
         // Optional probe for the derivative-sign estimator.
@@ -1036,13 +1030,9 @@ impl Simulation {
         let dim = self.params.len();
         let probe_k = probe_k.clamp(1, dim);
         let uploads = &self.uploads[..self.survivors.len()];
-        let probe_selection = self.sparsifier.select_parallel(
-            uploads,
-            dim,
-            probe_k,
-            &mut self.scratch,
-            &self.executor,
-        );
+        let probe_selection = self
+            .sparsifier
+            .select_into(uploads, dim, probe_k, &mut self.scratch);
         let lr = self.config.learning_rate;
         let model = self.model.as_ref();
 

@@ -4,8 +4,11 @@
 //! parallel region; the executor now feeds a long-lived channel-fed pool.
 //! This test pins the lifecycle half of that contract at the integration
 //! level: after the first round has spawned the pool, many further rounds
-//! reuse the same workers — the process thread count stays **flat** (no
-//! respawn per region, no leak per round). The companion properties —
+//! reuse the same workers — the process thread count read *between* rounds
+//! stays **flat** (no leak per round, no extra thread left behind).
+//! Threads spawned and joined inside one round are invisible to that read;
+//! `scripts/verify.sh`'s `thread::scope`/`thread::spawn` grep gate is what
+//! keeps product code from opening its own. The companion properties —
 //! panic propagation to the submitter, drop joining every worker, and
 //! bit-identity at each worker count — are pinned by the `agsfl-exec` unit
 //! tests and `golden_trajectory.rs` respectively.
@@ -46,8 +49,8 @@ fn rounds_reuse_the_pool_without_respawning() {
     };
 
     // Every further round (several parallel regions each) must reuse those
-    // exact workers: a per-region respawn shows up here immediately as a
-    // growing (or at least churning) thread count.
+    // exact workers: a leaked or lingering extra thread shows up here as a
+    // moved count (a scoped spawn joined within its round would not).
     for _ in 0..6 {
         sim.run_round(8, None);
     }

@@ -7,7 +7,7 @@
 //! batches and weights.
 //!
 //! **Tolerance, not byte equality.** Unlike the selection kernels in
-//! `agsfl-sparse` (whose sharded folds reproduce the serial association
+//! `agsfl-sparse` (whose folds reproduce the seed's association
 //! order-exactly and are pinned bit-identical), the im2col path reassociates
 //! floating-point sums: the gemm kernel accumulates the contraction
 //! dimension in a fixed 4-way blocking (with 2-row output tiling) and the

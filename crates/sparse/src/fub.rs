@@ -1,10 +1,6 @@
-use std::sync::mpsc;
-
-use agsfl_exec::Executor;
 use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
-use crate::shard::{bucket_channels, exchange_entries, merge_reset_positions, ShardedScratch};
 use crate::sparsifier::{ClientUpload, SelectionResult, Sparsifier, UploadPlan};
 use crate::topk;
 use crate::SparseGradient;
@@ -39,153 +35,6 @@ impl FubTopK {
     /// Creates the sparsifier.
     pub fn new() -> Self {
         Self
-    }
-
-    /// The sharded engine behind [`Sparsifier::select_parallel`]: one
-    /// map–shuffle bucket exchange (shared with FAB — every upload entry is
-    /// scanned once in total, not once per worker), then stripe workers
-    /// aggregate their cached coordinates (client-order folds, so the sums
-    /// are the serial bits) and send `(index, aggregated value)` candidate
-    /// lists to the coordinator, which cuts the global top-`k` set under
-    /// the same total order as the serial path and hands each worker its
-    /// stripe's membership slice for the cached reset sweep.
-    fn select_sharded(
-        uploads: &[ClientUpload],
-        dim: usize,
-        k: usize,
-        sharded: &mut ShardedScratch,
-        exec: &Executor,
-    ) -> SelectionResult {
-        sharded.stripe(dim, exec.threads());
-        let shard_count = sharded.shards.len();
-        let width = sharded.width;
-        let n_clients = uploads.len();
-        let ShardedScratch {
-            shards,
-            selected,
-            candidates,
-            ..
-        } = sharded;
-        std::thread::scope(|scope| {
-            let (bucket_tx, bucket_rx) = bucket_channels(shard_count);
-            // Per-worker result channels: a dead worker surfaces as a recv
-            // error at its slot, so the coordinator aborts, releases its
-            // channel ends and the scope re-raises the panic (a shared
-            // channel would leave the coordinator blocked; see fab.rs).
-            let mut to_worker = Vec::with_capacity(shard_count);
-            let mut from_worker = Vec::with_capacity(shard_count);
-            let mut handles = Vec::with_capacity(shard_count);
-            for (w, (shard, my_rx)) in shards.iter_mut().zip(bucket_rx).enumerate() {
-                let (tx, rx) = mpsc::channel::<Vec<usize>>();
-                to_worker.push(tx);
-                let (to_main, result_rx) = mpsc::channel::<Vec<(usize, f32)>>();
-                from_worker.push(result_rx);
-                let bucket_tx = bucket_tx.clone();
-                handles.push(scope.spawn(move || {
-                    // Phase 0 (map + shuffle): rebuild this stripe's entry
-                    // cache in serial (slot, pos) scan order.
-                    if !exchange_entries(
-                        w,
-                        uploads,
-                        dim,
-                        width,
-                        bucket_tx,
-                        &my_rx,
-                        &mut shard.entries,
-                    ) {
-                        return;
-                    }
-                    // Phase 1: aggregate every in-stripe coordinate over
-                    // the cache.
-                    shard.aggregate_union_cached(uploads);
-                    let cands: Vec<(usize, f32)> = shard
-                        .touched
-                        .iter()
-                        .map(|&j| (j, shard.sum(j) as f32))
-                        .collect();
-                    if to_main.send(cands).is_err() {
-                        return;
-                    }
-                    let Ok(members) = rx.recv() else {
-                        return;
-                    };
-                    // Phase 2: membership + reset positions for the stripe,
-                    // over the cache. Membership shares the ranks buffer;
-                    // the sums stay intact for the final entry emission.
-                    shard.begin_members();
-                    for &j in &members {
-                        shard.add_member(j);
-                    }
-                    shard.sweep_members_cached(n_clients);
-                }));
-            }
-            // The workers hold their own bucket-sender clones; dropping the
-            // coordinator's originals lets the exchange drain (with recv
-            // errors) if any worker dies before sending.
-            // The bounds check fires inside the workers' bucketing pass.
-            drop(bucket_tx);
-
-            // Gather candidates in stripe order (deterministic) and keep
-            // the top-k set. The partial selection's comparator is a total
-            // order over distinct indices, so the *set* — all the serial
-            // path keeps — is independent of candidate order.
-            candidates.clear();
-            let mut alive = true;
-            for rx in &from_worker {
-                match rx.recv() {
-                    Ok(cands) => candidates.extend(cands),
-                    Err(_) => {
-                        // The worker panicked; stop coordinating so every
-                        // other worker unblocks and the scope re-raises.
-                        alive = false;
-                        break;
-                    }
-                }
-            }
-            if alive {
-                if candidates.len() > k && k > 0 {
-                    candidates.select_nth_unstable_by(k - 1, topk::compare_magnitude_then_index);
-                }
-                candidates.truncate(k);
-                selected.clear();
-                selected.extend(candidates.iter().map(|&(j, _)| j));
-                selected.sort_unstable();
-
-                // Hand each worker its stripe's slice of the membership set.
-                // `selected` is sorted, so each stripe's members are the
-                // leading run of `rest` below the stripe's upper bound.
-                let mut rest: &[usize] = selected;
-                for (s, tx) in to_worker.iter().enumerate() {
-                    let stripe_hi = ((s + 1) * width).min(dim);
-                    let cut = rest.partition_point(|&j| j < stripe_hi);
-                    let (mine, tail) = rest.split_at(cut);
-                    rest = tail;
-                    if tx.send(mine.to_vec()).is_err() {
-                        break;
-                    }
-                }
-            }
-            // Release the coordinator's channel ends before joining so any
-            // worker still blocked on a recv observes the disconnect.
-            drop(to_worker);
-            drop(from_worker);
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-
-        let reset_indices = merge_reset_positions(uploads, &sharded.shards);
-        let entries = sharded.emit_entries();
-        SelectionResult::new(
-            SparseGradient::from_sorted_entries(dim, entries),
-            reset_indices,
-            uploads.iter().map(ClientUpload::len).collect(),
-            sharded.selected.len(),
-            true,
-            true,
-        )
     }
 }
 
@@ -269,20 +118,6 @@ impl Sparsifier for FubTopK {
             true,
             true,
         )
-    }
-
-    fn select_parallel(
-        &self,
-        uploads: &[ClientUpload],
-        dim: usize,
-        k: usize,
-        scratch: &mut ShardedScratch,
-        exec: &Executor,
-    ) -> SelectionResult {
-        if !exec.should_parallelize(uploads.len()) || k == 0 {
-            return self.select_into(uploads, dim, k, scratch.serial_scratch());
-        }
-        Self::select_sharded(uploads, dim, k, scratch, exec)
     }
 }
 

@@ -43,14 +43,13 @@
 //! keeps the seed implementations as the executable specification the fast
 //! paths are property-tested against.
 //!
-//! On top of the serial fast path, [`Sparsifier::select_parallel`] shards
-//! the selection across worker threads by contiguous *dimension stripes*
-//! ([`ShardedScratch`] / [`ScratchShard`], driven by an
-//! [`agsfl_exec::Executor`]). The striped decomposition is bit-identical
-//! to `select_into` for any thread count — floating-point sums are never
-//! reassociated and every cross-shard merge is exact — so parallelism
-//! never perturbs seeded experiments; see the [`shard`] module docs for
-//! the full argument.
+//! `select_into` is the only server-selection path, and it is serial on
+//! purpose: Algorithm 1's server step is one O(U) sweep that the paper's
+//! time model does not even charge for, so handing it to worker threads
+//! costs more in dispatch and merging than the sweep itself (see
+//! `benchmark/README.md`, finding 3). `agsfl_fl::Simulation` runs the
+//! round's selection and the probe's second selection on the round thread
+//! over one reused [`SelectionScratch`].
 //!
 //! # Example
 //!
@@ -79,20 +78,20 @@ mod periodic;
 pub mod reference;
 mod scratch;
 mod send_all;
-pub mod shard;
 mod sparse_vec;
 mod sparsifier;
 pub mod topk;
 mod unidirectional;
 
 pub use accumulator::ResidualAccumulator;
-pub use agsfl_exec::Executor;
 pub use fab::FabTopK;
 pub use fub::FubTopK;
 pub use periodic::PeriodicK;
 pub use scratch::SelectionScratch;
 pub use send_all::SendAll;
-pub use shard::{ScratchShard, ShardedScratch};
 pub use sparse_vec::SparseGradient;
 pub use sparsifier::{ClientUpload, SelectionResult, Sparsifier, UploadPlan};
 pub use unidirectional::UnidirectionalTopK;
+
+#[doc(hidden)]
+pub type ShardedScratch = SelectionScratch; // benchmark/ compat; see `Sparsifier::select_parallel`

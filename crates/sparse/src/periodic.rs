@@ -1,9 +1,7 @@
-use agsfl_exec::Executor;
 use rand::seq::SliceRandom;
 use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
-use crate::shard::{result_from_selected_sharded, ShardedScratch};
 use crate::sparsifier::{
     result_from_selected, ClientUpload, SelectionResult, Sparsifier, UploadPlan,
 };
@@ -84,31 +82,6 @@ impl Sparsifier for PeriodicK {
         let result = result_from_selected(uploads, &selected, dim, scratch, true);
         scratch.selected = selected;
         result
-    }
-
-    fn select_parallel(
-        &self,
-        uploads: &[ClientUpload],
-        dim: usize,
-        k: usize,
-        scratch: &mut ShardedScratch,
-        exec: &Executor,
-    ) -> SelectionResult {
-        if !exec.should_parallelize(uploads.len()) {
-            return self.select_into(uploads, dim, k, scratch.serial_scratch());
-        }
-        scratch.stripe(dim, exec.threads());
-        // Same canonicalization as the serial path: the common coordinate
-        // set, sorted and deduplicated.
-        scratch.selected.clear();
-        if let Some(first) = uploads.first() {
-            scratch
-                .selected
-                .extend(first.entries.iter().map(|&(j, _)| j));
-        }
-        scratch.selected.sort_unstable();
-        scratch.selected.dedup();
-        result_from_selected_sharded(uploads, dim, scratch, exec, true)
     }
 }
 

@@ -1,8 +1,6 @@
-use agsfl_exec::Executor;
 use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
-use crate::shard::{result_from_selected_sharded, ShardedScratch};
 use crate::sparsifier::{
     result_from_selected, ClientUpload, SelectionResult, Sparsifier, UploadPlan,
 };
@@ -57,23 +55,6 @@ impl Sparsifier for SendAll {
         let result = result_from_selected(uploads, &selected, dim, scratch, false);
         scratch.selected = selected;
         result
-    }
-
-    fn select_parallel(
-        &self,
-        uploads: &[ClientUpload],
-        dim: usize,
-        k: usize,
-        scratch: &mut ShardedScratch,
-        exec: &Executor,
-    ) -> SelectionResult {
-        if !exec.should_parallelize(uploads.len()) {
-            return self.select_into(uploads, dim, k, scratch.serial_scratch());
-        }
-        scratch.stripe(dim, exec.threads());
-        scratch.selected.clear();
-        scratch.selected.extend(0..dim);
-        result_from_selected_sharded(uploads, dim, scratch, exec, false)
     }
 }
 

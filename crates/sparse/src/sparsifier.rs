@@ -1,9 +1,7 @@
-use agsfl_exec::Executor;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use crate::scratch::SelectionScratch;
-use crate::shard::ShardedScratch;
 use crate::SparseGradient;
 
 /// What each client should upload in the current round.
@@ -198,7 +196,8 @@ pub trait Sparsifier: Send + Sync + std::fmt::Debug {
     /// sparse gradient, the per-client reset sets and the communication
     /// accounting.
     ///
-    /// This is the hot path of Algorithm 1's server. All temporaries live in
+    /// This is the hot path of Algorithm 1's server and the only selection
+    /// path: one serial sweep on the caller's thread. All temporaries live in
     /// `scratch`; a caller that reuses one workspace across rounds (as
     /// `agsfl_fl::Simulation::run_round` does) performs no per-round heap
     /// allocation beyond the returned result itself.
@@ -222,30 +221,18 @@ pub trait Sparsifier: Send + Sync + std::fmt::Debug {
         self.select_into(uploads, dim, k, &mut scratch)
     }
 
-    /// Multi-threaded server selection over per-worker dimension stripes.
-    ///
-    /// Bit-identical to [`Sparsifier::select_into`] for every executor and
-    /// shard count — see the [`crate::shard`] module docs for why the
-    /// striped decomposition makes this exact rather than approximate, and
-    /// `tests/select_equivalence.rs` for the proptests pinning it against
-    /// the seed implementations across 1–8 shards.
-    ///
-    /// The default method is the one-shard case: it simply runs the serial
-    /// path on the workspace's embedded [`SelectionScratch`]. Sparsifiers
-    /// with a genuinely parallel engine override it and fall back to the
-    /// same serial path when `exec` is single-threaded, the round has fewer
-    /// uploads than [`Executor::min_items`] (spawning threads for a tiny
-    /// round costs more than it saves), or the round is degenerate (no
-    /// uploads, `k == 0`).
+    /// Forwards to `select_into`. Kept, with the `ShardedScratch` alias, only because the frozen
+    /// `benchmark/` probe `sparse.select_parallel_ratio` calls it; both go when that probe does.
+    #[doc(hidden)]
     fn select_parallel(
         &self,
         uploads: &[ClientUpload],
         dim: usize,
         k: usize,
-        scratch: &mut ShardedScratch,
-        _exec: &Executor,
+        scratch: &mut crate::ShardedScratch,
+        _exec: &agsfl_exec::Executor,
     ) -> SelectionResult {
-        self.select_into(uploads, dim, k, scratch.serial_scratch())
+        self.select_into(uploads, dim, k, scratch)
     }
 }
 

@@ -13,8 +13,8 @@
 //!   no stale generation ever leaks.
 
 use agsfl_sparse::{
-    reference, ClientUpload, Executor, FabTopK, FubTopK, PeriodicK, SelectionResult,
-    SelectionScratch, SendAll, ShardedScratch, Sparsifier, UnidirectionalTopK,
+    reference, ClientUpload, FabTopK, FubTopK, PeriodicK, SelectionResult, SelectionScratch,
+    SendAll, Sparsifier, UnidirectionalTopK,
 };
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
@@ -146,54 +146,6 @@ proptest! {
         assert_equivalent(&SendAll::new(), &dense_uploads, dim, k, &expected, &mut scratch);
     }
 
-    /// Sharded selection across 1–8 shards: every sparsifier, every shard
-    /// count, byte-identical to the seed implementation. This is the
-    /// load-bearing determinism invariant of the parallel round engine —
-    /// thread/shard count must never perturb results, down to the floating
-    /// point bits (the striped decomposition accumulates every coordinate
-    /// in the serial client order; see `agsfl_sparse::shard`).
-    #[test]
-    fn prop_select_parallel_matches_reference(
-        seed in 0u64..10_000,
-        n_clients in 1usize..7,
-        dim in 2usize..48,
-        k_raw in 1usize..24,
-    ) {
-        let k = 1 + k_raw % dim;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let topk_uploads = random_topk_uploads(&mut rng, n_clients, dim, k);
-        let coord_uploads = random_coordinate_uploads(&mut rng, n_clients, dim, k);
-        let dense_uploads = random_dense_uploads(&mut rng, n_clients, dim);
-
-        let fab_expected = reference::fab_select(&topk_uploads, dim, k);
-        let fub_expected = reference::fub_select(&topk_uploads, dim, k);
-        let uni_expected = reference::unidirectional_select(&topk_uploads, dim);
-        let periodic_expected = reference::periodic_select(&coord_uploads, dim);
-        let send_all_expected = reference::send_all_select(&dense_uploads, dim);
-
-        // One sharded workspace reused across every shard count and
-        // sparsifier — re-striping must be as stateless as epoch bumps.
-        let mut sharded = ShardedScratch::new();
-        for shards in 1usize..=8 {
-            let exec = Executor::new(shards).with_min_items(1);
-            let checks: [(&dyn Sparsifier, &[ClientUpload], &SelectionResult); 5] = [
-                (&FabTopK::new(), &topk_uploads, &fab_expected),
-                (&FubTopK::new(), &topk_uploads, &fub_expected),
-                (&UnidirectionalTopK::new(), &topk_uploads, &uni_expected),
-                (&PeriodicK::new(), &coord_uploads, &periodic_expected),
-                (&SendAll::new(), &dense_uploads, &send_all_expected),
-            ];
-            for (sparsifier, uploads, expected) in checks {
-                let got = sparsifier.select_parallel(uploads, dim, k, &mut sharded, &exec);
-                prop_assert_eq!(
-                    &got, expected,
-                    "{} diverged from the reference with {} shard(s)",
-                    sparsifier.name(), shards
-                );
-            }
-        }
-    }
-
     /// FAB's sorted `select_indices` equals the (sorted) reference selection.
     #[test]
     fn prop_fab_select_indices_sorted_and_equal(
@@ -237,98 +189,77 @@ fn scratch_reuse_across_shifting_workloads_is_sound() {
     }
 }
 
-/// Sharded workspace reuse across shifting dimensions and shard counts:
-/// like the serial scratch-soundness test, but re-striping between rounds
-/// with stale high-index state present.
+/// An out-of-range upload index must panic in every sparsifier's sweep: on a
+/// scratch still sized for a larger round, the `assert!(j < dim)` checks are
+/// all that keeps a hostile index from landing in a stale slot silently.
 #[test]
-fn sharded_scratch_reuse_across_shifting_workloads_is_sound() {
-    let mut rng = ChaCha8Rng::seed_from_u64(4040);
-    let mut sharded = ShardedScratch::new();
-    let fab = FabTopK::new();
-    for &(dim, n, k, shards) in &[
-        (64, 5, 9, 4),
-        (8, 2, 3, 8),
-        (128, 7, 17, 2),
-        (16, 3, 4, 3),
-        (128, 7, 17, 5),
-    ] {
-        let exec = Executor::new(shards).with_min_items(1);
-        let uploads = random_topk_uploads(&mut rng, n, dim, k);
-        let expected = reference::fab_select(&uploads, dim, k);
-        let got = fab.select_parallel(&uploads, dim, k, &mut sharded, &exec);
-        assert_eq!(got, expected, "dim {dim}, n {n}, k {k}, shards {shards}");
-        let again = fab.select_parallel(&uploads, dim, k, &mut sharded, &exec);
-        assert_eq!(again, expected, "repeat on same sharded scratch: dim {dim}");
-    }
-}
-
-/// Degenerate sharded inputs fall back to (and equal) the serial path.
-#[test]
-fn degenerate_sharded_inputs_match_reference() {
-    let mut sharded = ShardedScratch::new();
-    let exec = Executor::new(4).with_min_items(1);
-    let fab = FabTopK::new();
-
-    let expected = reference::fab_select(&[], 10, 3);
-    assert_eq!(
-        fab.select_parallel(&[], 10, 3, &mut sharded, &exec),
-        expected
-    );
-
-    let uploads = vec![ClientUpload::new(0, 1.0, vec![(1, 2.0), (3, -1.0)])];
-    let expected = reference::fab_select(&uploads, 5, 0);
-    assert_eq!(
-        fab.select_parallel(&uploads, 5, 0, &mut sharded, &exec),
-        expected
-    );
-
-    // Clients with empty uploads mixed in, more shards than indices.
-    let uploads = vec![
-        ClientUpload::new(0, 0.5, vec![]),
-        ClientUpload::new(1, 0.5, vec![(2, 4.0), (0, -3.0)]),
-    ];
-    let expected = reference::fab_select(&uploads, 4, 2);
-    let exec = Executor::new(8).with_min_items(1);
-    assert_eq!(
-        fab.select_parallel(&uploads, 4, 2, &mut sharded, &exec),
-        expected
-    );
-}
-
-/// An out-of-range upload index must panic (as the serial path does), not
-/// deadlock the coordination: the bucketing pass's bounds check and the
-/// per-worker result channels guarantee the scope unwinds.
-#[test]
-#[should_panic]
-fn sharded_out_of_range_index_panics_instead_of_hanging() {
+#[should_panic(expected = "out of range")]
+fn out_of_range_index_panics() {
     let uploads: Vec<ClientUpload> = (0..4)
         .map(|i| ClientUpload::new(i, 0.25, vec![(i, 1.0), (9, 1.0)]))
         .collect();
-    let exec = Executor::new(4).with_min_items(1);
-    let mut sharded = ShardedScratch::new();
-    let _ = FabTopK::new().select_parallel(&uploads, 5, 2, &mut sharded, &exec);
+    let others: [&dyn Sparsifier; 4] = [
+        &FubTopK::new(),
+        &UnidirectionalTopK::new(),
+        &PeriodicK::new(),
+        &SendAll::new(),
+    ];
+    for sparsifier in others {
+        let select = std::panic::AssertUnwindSafe(|| sparsifier.select(&uploads, 5, 2));
+        let caught = std::panic::catch_unwind(select);
+        assert!(caught.is_err(), "{} accepted index 9", sparsifier.name());
+    }
+    let mut scratch = SelectionScratch::new();
+    let _ = FabTopK::new().select_into(&uploads, 5, 2, &mut scratch);
 }
 
-/// Degenerate inputs go through the same equivalence check.
+/// Degenerate inputs go through the same equivalence check, for all five
+/// sparsifiers on one shared scratch.
 #[test]
 fn degenerate_inputs_match_reference() {
     let mut scratch = SelectionScratch::new();
-    let fab = FabTopK::new();
-
-    // No uploads at all.
-    let expected = reference::fab_select(&[], 10, 3);
-    assert_eq!(fab.select_into(&[], 10, 3, &mut scratch), expected);
-
-    // k = 0.
-    let uploads = vec![ClientUpload::new(0, 1.0, vec![(1, 2.0), (3, -1.0)])];
-    let expected = reference::fab_select(&uploads, 5, 0);
-    assert_eq!(fab.select_into(&uploads, 5, 0, &mut scratch), expected);
-
-    // Clients with empty uploads mixed in.
-    let uploads = vec![
-        ClientUpload::new(0, 0.5, vec![]),
-        ClientUpload::new(1, 0.5, vec![(2, 4.0), (0, -3.0)]),
+    let cases: [(Vec<ClientUpload>, usize, usize); 4] = [
+        // No uploads at all.
+        (vec![], 10, 3),
+        // k = 0.
+        (
+            vec![ClientUpload::new(0, 1.0, vec![(1, 2.0), (3, -1.0)])],
+            5,
+            0,
+        ),
+        // Clients with empty uploads mixed in.
+        (
+            vec![
+                ClientUpload::new(0, 0.5, vec![]),
+                ClientUpload::new(1, 0.5, vec![(2, 4.0), (0, -3.0)]),
+            ],
+            4,
+            2,
+        ),
+        // k larger than the union of the uploads.
+        (
+            vec![
+                ClientUpload::new(0, 0.5, vec![(0, 3.0), (2, -1.0)]),
+                ClientUpload::new(1, 0.5, vec![(0, 1.0)]),
+            ],
+            4,
+            10,
+        ),
     ];
-    let expected = reference::fab_select(&uploads, 4, 2);
-    assert_eq!(fab.select_into(&uploads, 4, 2, &mut scratch), expected);
+    for (uploads, dim, k) in &cases {
+        let (dim, k) = (*dim, *k);
+        let checks: [(&dyn Sparsifier, SelectionResult); 5] = [
+            (&FabTopK::new(), reference::fab_select(uploads, dim, k)),
+            (&FubTopK::new(), reference::fub_select(uploads, dim, k)),
+            (
+                &UnidirectionalTopK::new(),
+                reference::unidirectional_select(uploads, dim),
+            ),
+            (&PeriodicK::new(), reference::periodic_select(uploads, dim)),
+            (&SendAll::new(), reference::send_all_select(uploads, dim)),
+        ];
+        for (sparsifier, expected) in &checks {
+            assert_equivalent(*sparsifier, uploads, dim, k, expected, &mut scratch);
+        }
+    }
 }

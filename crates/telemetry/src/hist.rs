@@ -9,10 +9,9 @@
 //! Everything the histogram stores is an integer (bucket counts, exact
 //! total count/sum, exact min/max), all updated with saturating adds, so
 //! merging shard histograms in worker order is associative, commutative,
-//! and bit-identical to recording the samples into one histogram — the
-//! same merge discipline as the selection shards. Quantiles return the
-//! *lower bound* of the bucket holding the requested rank: a deterministic
-//! integer, never an interpolation.
+//! and bit-identical to recording the samples into one histogram.
+//! Quantiles return the *lower bound* of the bucket holding the requested
+//! rank: a deterministic integer, never an interpolation.
 
 /// Sub-bucket resolution: each octave is split into `2^SUB_BITS` buckets.
 const SUB_BITS: u32 = 4;

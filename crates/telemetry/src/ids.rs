@@ -10,7 +10,7 @@
 /// The variants mirror the round's dependency graph: the fused client
 /// gradient+encode pass with the server's admission of each finished
 /// upload nested inside it (wire-fault replay, decode+re-rank), the
-/// sharded selection, the probe sweep, the broadcast weight apply,
+/// server selection, the probe sweep, the broadcast weight apply,
 /// end-of-round bookkeeping with downlink pricing nested inside it, and
 /// the runner-level evaluation and checkpoint writes. `BatchedForward`
 /// times the row-parallel CNN inference kernel wherever evaluation calls
@@ -34,7 +34,7 @@ pub enum SpanId {
     /// through the real decoder, retry/backoff/deadline accounting. Nested
     /// inside [`SpanId::ClientPass`], one sample per round.
     WireFault,
-    /// Sharded server selection of the `k` broadcast elements.
+    /// Server selection of the `k` broadcast elements, on the round thread.
     Selection,
     /// The probe-loss sweep for the derivative-sign estimator.
     Probe,

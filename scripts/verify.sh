@@ -3,7 +3,8 @@
 # formatting drift fail fast. Run from anywhere inside the repository.
 #
 #   scripts/verify.sh          # build + tests + clippy + docs + fmt
-#   scripts/verify.sh --quick  # skip the full workspace test pass and clippy
+#   scripts/verify.sh --quick  # skip the full workspace test pass, clippy and
+#                              # the benchmark's --quick run
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,11 +15,30 @@ fi
 
 step() { printf '\n==> %s\n' "$*"; }
 
+step "one dispatch path (no thread::scope / thread::spawn in product code outside the pool)"
+# Every parallel region goes through agsfl-exec's persistent pool; only
+# pool.rs itself and the bench crate's dispatch-cost baseline may open
+# threads. Comment lines are exempt. pool_lifecycle cannot see a spawn that
+# is joined within its round, so this is the gate for those.
+if grep -rnE 'thread::(scope|spawn)' crates/*/src \
+    | grep -vE '^(crates/exec/src/pool\.rs|crates/bench/)' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+    echo "verify: product code opens its own threads (lines above); use agsfl_exec::Executor" >&2
+    exit 1
+fi
+
 step "cargo build --release"
 cargo build --release
 
-step "benchmark package (outside the workspace, so the build above never compiles it; build only)"
+step "benchmark package (outside the workspace, so the build above never compiles it)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+if [[ "$quick" -eq 0 ]]; then
+    # Every workload and every probe once (~20 s); exits nonzero on a failed
+    # output check (pipefail carries it past the grep, which only trims the
+    # ~300 metric lines to one header and one check line per run), so API
+    # the probes call is exercised, not just compiled.
+    bash benchmark/run.sh --quick | grep -E '^(# [a-z_]+ seed=|failed_ops_pct)'
+fi
 
 step "cargo test -q (tier-1: root integration tests)"
 cargo test -q
