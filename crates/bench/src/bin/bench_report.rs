@@ -28,10 +28,9 @@
 //! delta-varint wire codec on a dim = 10⁵, k = 10³ message through the
 //! allocating reference implementations (`agsfl_wire::reference`) and the
 //! scratch-reusing fast paths, asserting byte-identical frames. The
-//! `checkpoint_save`/`checkpoint_load` pairs time simulation snapshots at
-//! the paper's >400k-weight scale: allocating `save_state` vs the
-//! buffer-reusing `save_state_into`, and rebuilding the simulation from
-//! its inputs vs `restore_state` of the serialized blob. The JSON reports
+//! `checkpoint_load` pair times a simulation snapshot at the paper's scale
+//! (>400k weights): rebuilding the simulation from its inputs vs
+//! `restore_state` of the serialized blob. The JSON reports
 //! nanoseconds per iteration (mean of the fastest half of samples) and
 //! baseline/optimized speedups.
 //!
@@ -524,38 +523,13 @@ fn main() {
         quant_decode.speedup()
     );
 
-    // Checkpoint save/load at the paper's >400k-weight scale: the fault
-    // path's resume story priced as kernels. `checkpoint_save` compares the
-    // allocating `save_state` against `save_state_into` reusing one buffer
-    // across rounds (the shape periodic checkpointing actually runs);
-    // `checkpoint_load` compares rebuilding the simulation from its inputs
-    // (dataset regeneration + model init — the no-checkpoint baseline)
-    // against `restore_state` of the serialized blob.
+    // Checkpoint load at the paper's >400k-weight scale: the fault path's
+    // resume story priced as a kernel. `checkpoint_load` compares rebuilding
+    // the simulation from its inputs (dataset regeneration + model init —
+    // the no-checkpoint baseline) against `restore_state` of the serialized
+    // blob.
     let ckpt_sim = checkpoint_workload();
     let ckpt_dim = ckpt_sim.dim();
-    let seed_ns = time_ns(|| {
-        black_box(ckpt_sim.save_state());
-    });
-    let mut ckpt_buf = Vec::new();
-    let scratch_ns = time_ns(|| {
-        ckpt_sim.save_state_into(black_box(&mut ckpt_buf));
-    });
-    let ckpt_save = KernelReport {
-        name: "checkpoint_save",
-        dim: ckpt_dim,
-        clients: CKPT_CLIENTS,
-        k: 0,
-        threads: 1,
-        seed_ns,
-        scratch_ns,
-    };
-    eprintln!(
-        "  checkpoint_save (D={ckpt_dim}): alloc {:.0} ns, reused-buffer {:.0} ns -> {:.2}x",
-        ckpt_save.seed_ns,
-        ckpt_save.scratch_ns,
-        ckpt_save.speedup()
-    );
-
     let blob = ckpt_sim.save_state();
     let seed_ns = time_ns(|| {
         black_box(fresh_checkpoint_sim());
@@ -723,7 +697,6 @@ fn main() {
         wire_decode,
         quant_encode,
         quant_decode,
-        ckpt_save,
         ckpt_load,
         telemetry_record,
     ];

@@ -53,7 +53,7 @@ mod runner;
 pub mod telemetry;
 
 pub use agsfl_exec::{Executor, Parallelism};
-pub use agsfl_fl::{CheckpointError, FaultConfigError, FaultModel, FaultRoundReport, FaultTotals};
+pub use agsfl_fl::{FaultConfigError, FaultModel, FaultRoundReport, FaultTotals, SnapshotError};
 pub use agsfl_telemetry::{CounterId, GaugeId, Histogram, Recorder, SpanId, StageRecorder};
 pub use agsfl_wire::CodecSpec;
 pub use config::{

@@ -2,13 +2,14 @@
 
 use std::path::PathBuf;
 
-use agsfl_fl::checkpoint::{self, SnapshotReader, SnapshotWriter};
+use agsfl_fl::checkpoint;
 use agsfl_fl::{
-    CheckpointError, FedAvgConfig, FedAvgSimulation, MetricPoint, RunHistory, Simulation,
-    SimulationConfig, TimeModel,
+    FedAvgConfig, FedAvgSimulation, MetricPoint, RunHistory, Simulation, SimulationConfig,
+    TimeModel,
 };
 use agsfl_online::{stochastic_round, KController, PrecisionController, RoundFeedback};
 use agsfl_telemetry::{Recorder, SpanId};
+use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -275,7 +276,7 @@ impl Experiment {
         stop: &StopCondition,
         label: &str,
         spec: &CheckpointSpec,
-    ) -> Result<RunHistory, CheckpointError> {
+    ) -> Result<RunHistory, SnapshotError> {
         let history = RunHistory::new(label, self.num_clients());
         let start_time = self.sim.elapsed_time();
         self.run_loop(controller, stop, history, 0, start_time, Some(spec))
@@ -287,7 +288,7 @@ impl Experiment {
     /// [`ExperimentConfig`] the checkpointed run used, and `controller` must
     /// be freshly constructed with the same parameters — the checkpoint
     /// transports only mutable state and rejects mismatched configurations
-    /// with [`CheckpointError::Mismatch`]. The run continues (checkpointing
+    /// with [`SnapshotError::Mismatch`]. The run continues (checkpointing
     /// on the same spec) until `stop` triggers, counting rounds from the
     /// checkpointed round number.
     pub fn resume_with_controller(
@@ -295,7 +296,7 @@ impl Experiment {
         controller: &mut dyn KController,
         stop: &StopCondition,
         spec: &CheckpointSpec,
-    ) -> Result<RunHistory, CheckpointError> {
+    ) -> Result<RunHistory, SnapshotError> {
         let bytes = checkpoint::read_file(&spec.path)?;
         let mut r = SnapshotReader::new(&bytes);
         r.header(RUN_MAGIC, RUN_VERSION)?;
@@ -304,15 +305,14 @@ impl Experiment {
         let controller_bytes = r.bytes()?;
         let round_in_run = r.usize()?;
         let start_time = r.f64()?;
-        let history = RunHistory::read_state(&mut r)?;
+        let mut history = RunHistory::default();
+        history.read_state(&mut r)?;
         r.finish()?;
         // Restore the simulation first: it fingerprints the configuration
         // and rejects a checkpoint from a different experiment before any
         // runner state is touched.
         self.sim.restore_state(&sim_blob)?;
-        controller
-            .restore_state(&controller_bytes)
-            .map_err(|_| CheckpointError::Invalid("controller state"))?;
+        controller.restore_state(&controller_bytes)?;
         self.rounding_rng = rounding_rng;
         self.run_loop(
             controller,
@@ -333,7 +333,7 @@ impl Experiment {
         round_in_run: usize,
         start_time: f64,
         path: &std::path::Path,
-    ) -> Result<(), CheckpointError> {
+    ) -> Result<(), SnapshotError> {
         let mut w = SnapshotWriter::new();
         w.header(RUN_MAGIC, RUN_VERSION);
         w.bytes(&self.sim.save_state());
@@ -358,7 +358,7 @@ impl Experiment {
         mut round_in_run: usize,
         start_time: f64,
         checkpoint: Option<&CheckpointSpec>,
-    ) -> Result<RunHistory, CheckpointError> {
+    ) -> Result<RunHistory, SnapshotError> {
         let dim = self.dim();
         loop {
             if stop.rounds_exhausted(round_in_run)
@@ -453,7 +453,7 @@ impl Experiment {
                 }
             }
             self.emit_telemetry_round(&report)
-                .map_err(|e| CheckpointError::Io(e.to_string()))?;
+                .map_err(|e| SnapshotError::Io(e.to_string()))?;
             if stop.loss_reached(global_loss) {
                 break;
             }
@@ -473,7 +473,7 @@ impl Experiment {
         if let Some(state) = self.telemetry.as_mut() {
             state
                 .flush()
-                .map_err(|e| CheckpointError::Io(e.to_string()))?;
+                .map_err(|e| SnapshotError::Io(e.to_string()))?;
         }
         Ok(history)
     }
@@ -942,7 +942,28 @@ mod tests {
         let err = other
             .resume_with_controller(c2.as_mut(), &StopCondition::after_rounds(4), &spec)
             .unwrap_err();
-        assert_eq!(err, CheckpointError::Mismatch { field: "seed" });
+        assert_eq!(err, SnapshotError::Mismatch { field: "seed" });
+        // Same experiment, another controller type: the controller's own
+        // typed error comes through.
+        let mut exp3 = ControllerSpec::Exp3 { num_arms: 8 }.build(first.dim(), cfg.seed);
+        Experiment::new(&cfg)
+            .run_with_controller_checkpointed(
+                exp3.as_mut(),
+                &StopCondition::after_rounds(2),
+                "run",
+                &spec,
+            )
+            .unwrap();
+        let mut sign_ogd = ControllerSpec::Algorithm2.build(first.dim(), cfg.seed);
+        let err = Experiment::new(&cfg)
+            .resume_with_controller(sign_ogd.as_mut(), &StopCondition::after_rounds(4), &spec)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SnapshotError::WrongController {
+                expected: "sign OGD"
+            }
+        );
         // A missing file is a typed I/O error, not a panic.
         std::fs::remove_file(&spec.path).unwrap();
         let mut c3 = ControllerSpec::Algorithm3.build(other.dim(), other_cfg.seed);
@@ -950,7 +971,7 @@ mod tests {
             Experiment::new(&other_cfg)
                 .resume_with_controller(c3.as_mut(), &StopCondition::after_rounds(4), &spec)
                 .unwrap_err(),
-            CheckpointError::Io(_)
+            SnapshotError::Io(_)
         ));
     }
 }

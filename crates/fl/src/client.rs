@@ -524,8 +524,8 @@ mod tests {
 
     #[test]
     fn state_roundtrip_resumes_gradient_stream() {
-        use crate::checkpoint::{SnapshotReader, SnapshotWriter};
         use crate::population::ClientPopulation;
+        use agsfl_wire::snapshot::{SnapshotReader, SnapshotWriter};
 
         let (mut a, model, params) = client_and_model();
         for _ in 0..3 {
@@ -561,8 +561,8 @@ mod tests {
 
     #[test]
     fn state_restore_rejects_wrong_shape() {
-        use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
         use crate::population::ClientPopulation;
+        use agsfl_wire::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
         let (mut a, model, params) = client_and_model();
         a.compute_local_gradient(&model, &params);
@@ -577,7 +577,7 @@ mod tests {
         let mut r = SnapshotReader::new(&bytes);
         assert!(matches!(
             ClientPopulation::read_state(&mut r, model.num_params() - 1, 1, |_| 12),
-            Err(CheckpointError::Mismatch { .. })
+            Err(SnapshotError::Mismatch { .. })
         ));
         // A shorter shard invalidates the serialized sampler epoch.
         let mut r = SnapshotReader::new(&bytes);

@@ -14,11 +14,10 @@
 
 use std::collections::BTreeMap;
 
+use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-
-use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 
 /// Upper bound on [`FaultModel::max_retries`]; larger values are almost
 /// certainly a misconfiguration (each retry re-transmits the full frame).
@@ -385,10 +384,12 @@ impl FaultState {
         }
         plans
     }
+}
 
-    /// Serializes the injector state (RNG position plus the sparse outage
-    /// table as parallel key/value vectors in ascending client order).
-    pub fn write_state(&self, w: &mut SnapshotWriter) {
+/// The injector state: RNG position plus the sparse outage table as parallel
+/// key/value vectors in ascending client order.
+impl Snapshot for FaultState {
+    fn write_state(&self, w: &mut SnapshotWriter) {
         w.rng(&self.rng);
         let keys: Vec<u64> = self.outage_until.keys().copied().collect();
         let values: Vec<u64> = self.outage_until.values().copied().collect();
@@ -396,21 +397,19 @@ impl FaultState {
         w.u64s(&values);
     }
 
-    /// Restores state produced by [`FaultState::write_state`].
-    pub fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), CheckpointError> {
-        let rng = r.rng()?;
+    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.rng = r.rng()?;
         let keys = r.u64s()?;
         let values = r.u64s()?;
         if keys.len() != values.len() {
-            return Err(CheckpointError::Mismatch {
+            return Err(SnapshotError::Mismatch {
                 field: "fault outage table length",
             });
         }
         let strictly_ascending = keys.windows(2).all(|w| w[0] < w[1]);
         if !strictly_ascending || keys.iter().any(|&k| k >= self.num_clients as u64) {
-            return Err(CheckpointError::Invalid("fault outage table keys"));
+            return Err(SnapshotError::Invalid("fault outage table keys"));
         }
-        self.rng = rng;
         self.outage_until = keys.into_iter().zip(values).collect();
         Ok(())
     }
@@ -688,13 +687,7 @@ mod tests {
         for round in 0..7 {
             a.plan_round(round, 2);
         }
-        let mut w = SnapshotWriter::new();
-        a.write_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut b = FaultState::new(model, 6);
-        let mut r = SnapshotReader::new(&bytes);
-        b.read_state(&mut r).unwrap();
-        r.finish().unwrap();
+        let mut b = agsfl_wire::snapshot::roundtrip(&a, || FaultState::new(model.clone(), 6));
         for round in 7..20 {
             assert_eq!(a.plan_round(round, 2), b.plan_round(round, 2));
         }

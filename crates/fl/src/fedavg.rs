@@ -17,9 +17,7 @@
 
 use agsfl_exec::{Executor, Parallelism};
 use agsfl_ml::data::{FederatedDataset, MinibatchSampler};
-use agsfl_ml::metrics::{
-    accuracy_parallel, global_accuracy_parallel, global_evaluation, global_loss_parallel,
-};
+use agsfl_ml::metrics::global_evaluation;
 use agsfl_ml::model::Model;
 use agsfl_ml::optim::sgd_step;
 use rand::SeedableRng;
@@ -232,10 +230,6 @@ impl FedAvgSimulation {
     /// the `N×D` weight average is computed a single time and all three
     /// metrics come from one fused parallel sweep
     /// ([`agsfl_ml::metrics::global_evaluation`]).
-    ///
-    /// The individual accessors ([`FedAvgSimulation::global_train_loss`] and
-    /// friends) each redo the reduction; callers that report more than one
-    /// metric per round — every figure pipeline does — should use this.
     pub fn evaluate(&self) -> FedAvgEvaluation {
         let avg = self.averaged_params();
         let eval = global_evaluation(
@@ -250,41 +244,6 @@ impl FedAvgSimulation {
             test_accuracy: eval.test_accuracy as f64,
             train_accuracy: eval.train_accuracy as f64,
         }
-    }
-
-    /// Global training loss at the averaged weights.
-    pub fn global_train_loss(&self) -> f64 {
-        let avg = self.averaged_params();
-        global_loss_parallel(
-            self.model.as_ref(),
-            &avg,
-            self.dataset.clients(),
-            &self.executor,
-        ) as f64
-    }
-
-    /// Test accuracy at the averaged weights.
-    pub fn test_accuracy(&self) -> f64 {
-        let avg = self.averaged_params();
-        let test = self.dataset.test();
-        accuracy_parallel(
-            self.model.as_ref(),
-            &avg,
-            &test.features,
-            &test.labels,
-            &self.executor,
-        ) as f64
-    }
-
-    /// Weighted train accuracy at the averaged weights.
-    pub fn global_train_accuracy(&self) -> f64 {
-        let avg = self.averaged_params();
-        global_accuracy_parallel(
-            self.model.as_ref(),
-            &avg,
-            self.dataset.clients(),
-            &self.executor,
-        ) as f64
     }
 
     /// Runs one FedAvg round: a local SGD step at every client (one
@@ -399,13 +358,17 @@ mod tests {
     #[test]
     fn training_reduces_loss() {
         let mut sim = tiny_fedavg(4, 1.0, 3);
-        let initial = sim.global_train_loss();
+        let initial = sim.evaluate().train_loss;
         for _ in 0..120 {
             sim.run_round();
         }
-        let trained = sim.global_train_loss();
-        assert!(trained < initial * 0.9, "loss {initial} -> {trained}");
-        assert!(sim.test_accuracy() > 0.1);
+        let trained = sim.evaluate();
+        assert!(
+            trained.train_loss < initial * 0.9,
+            "loss {initial} -> {}",
+            trained.train_loss
+        );
+        assert!(trained.test_accuracy > 0.1);
     }
 
     #[test]
@@ -422,18 +385,6 @@ mod tests {
         for (a, m) in avg.iter().zip(manual.iter()) {
             assert!((*a as f64 - m).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn evaluate_matches_single_metric_accessors() {
-        let mut sim = tiny_fedavg(3, 1.0, 5);
-        for _ in 0..4 {
-            sim.run_round();
-        }
-        let eval = sim.evaluate();
-        assert_eq!(eval.train_loss, sim.global_train_loss());
-        assert_eq!(eval.test_accuracy, sim.test_accuracy());
-        assert_eq!(eval.train_accuracy, sim.global_train_accuracy());
     }
 
     /// The evaluation invariant: a serial and a multi-threaded FedAvg run of

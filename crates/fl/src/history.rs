@@ -1,10 +1,10 @@
 //! Run histories: the time series the paper's figures plot.
 
 use agsfl_tensor::stats::Ecdf;
+use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use agsfl_wire::CodecId;
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::fault::FaultRoundReport;
 use crate::round::{RoundReport, WireRoundReport};
 
@@ -284,9 +284,28 @@ impl RunHistory {
         self.points.iter().map(|p| p.k).collect()
     }
 
-    /// Serializes the full history (checkpointing). Floats are stored as
-    /// raw bits, so a restored history is bit-identical.
-    pub fn write_state(&self, w: &mut SnapshotWriter) {
+    /// Renders the history as CSV (`round,time,k,train_loss,global_loss,test_accuracy`).
+    pub fn to_csv(&self) -> String {
+        let mut out = String::from("round,time,k,train_loss,global_loss,test_accuracy\n");
+        for p in &self.points {
+            out.push_str(&format!(
+                "{},{:.4},{},{:.6},{},{}\n",
+                p.round,
+                p.elapsed_time,
+                p.k,
+                p.train_loss,
+                p.global_loss.map_or(String::new(), |l| format!("{l:.6}")),
+                p.test_accuracy.map_or(String::new(), |a| format!("{a:.6}")),
+            ));
+        }
+        out
+    }
+}
+
+/// The full history (checkpointing). Floats are stored as raw bits, so a
+/// restored history is bit-identical.
+impl Snapshot for RunHistory {
+    fn write_state(&self, w: &mut SnapshotWriter) {
         w.str(&self.label);
         w.usize(self.points.len());
         for p in &self.points {
@@ -310,22 +329,20 @@ impl RunHistory {
         w.u64(self.fault.deadline_dropped);
         w.u64(self.fault.retries);
         w.u64(self.fault.retransmitted_bytes);
-        match self.fault.min_survivors {
-            Some(v) => {
-                w.bool(true);
-                w.u64(v);
-            }
-            None => w.bool(false),
+        w.bool(self.fault.min_survivors.is_some());
+        if let Some(v) = self.fault.min_survivors {
+            w.u64(v);
         }
     }
 
-    /// Rebuilds a history serialized by [`RunHistory::write_state`].
-    pub fn read_state(r: &mut SnapshotReader<'_>) -> Result<Self, CheckpointError> {
-        let label = r.str()?;
-        let num_points = r.usize()?;
-        let mut points = Vec::with_capacity(num_points.min(1 << 20));
+    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.label = r.str()?;
+        // 34 bytes is the smallest encoded point (both options absent), so a
+        // corrupt count is rejected before anything is reserved for it.
+        let num_points = r.len(34)?;
+        self.points = Vec::with_capacity(num_points);
         for _ in 0..num_points {
-            points.push(MetricPoint {
+            self.points.push(MetricPoint {
                 round: r.usize()?,
                 elapsed_time: r.f64()?,
                 k: r.usize()?,
@@ -334,11 +351,11 @@ impl RunHistory {
                 test_accuracy: r.opt_f64()?,
             });
         }
-        let contributions = r.u64s()?;
-        let uplink_bytes = r.u64()?;
-        let downlink_bytes = r.u64()?;
-        let codec_counts = r.u64s()?;
-        let fault = FaultTotals {
+        self.contributions = r.u64s()?;
+        self.uplink_bytes = r.u64()?;
+        self.downlink_bytes = r.u64()?;
+        self.codec_counts = r.u64s()?;
+        self.fault = FaultTotals {
             rounds: r.u64()?,
             offline: r.u64()?,
             dropped: r.u64()?,
@@ -350,38 +367,14 @@ impl RunHistory {
             retransmitted_bytes: r.u64()?,
             min_survivors: if r.bool()? { Some(r.u64()?) } else { None },
         };
-        Ok(Self {
-            label,
-            points,
-            contributions,
-            uplink_bytes,
-            downlink_bytes,
-            codec_counts,
-            fault,
-        })
-    }
-
-    /// Renders the history as CSV (`round,time,k,train_loss,global_loss,test_accuracy`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("round,time,k,train_loss,global_loss,test_accuracy\n");
-        for p in &self.points {
-            out.push_str(&format!(
-                "{},{:.4},{},{:.6},{},{}\n",
-                p.round,
-                p.elapsed_time,
-                p.k,
-                p.train_loss,
-                p.global_loss.map_or(String::new(), |l| format!("{l:.6}")),
-                p.test_accuracy.map_or(String::new(), |a| format!("{a:.6}")),
-            ));
-        }
-        out
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agsfl_wire::snapshot::roundtrip;
 
     fn point(round: usize, time: f64, loss: Option<f64>, acc: Option<f64>) -> MetricPoint {
         MetricPoint {
@@ -585,18 +578,22 @@ mod tests {
             survivors: 1,
             ..FaultRoundReport::default()
         });
+        assert_eq!(roundtrip(&h, RunHistory::default), h);
+
+        // A hostile point count is refused by the length guard before a
+        // single point is read or reserved: the reader stops right behind
+        // the count.
         let mut w = SnapshotWriter::new();
         h.write_state(&mut w);
-        let bytes = w.into_bytes();
+        let mut bytes = w.into_bytes();
+        let count_at = 8 + h.label.len();
+        bytes[count_at..count_at + 8].copy_from_slice(&(1u64 << 20).to_le_bytes());
         let mut r = SnapshotReader::new(&bytes);
-        let restored = RunHistory::read_state(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(h, restored);
-        // Truncations error instead of panicking.
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            let mut r = SnapshotReader::new(&bytes[..cut]);
-            assert!(RunHistory::read_state(&mut r).is_err(), "cut at {cut}");
-        }
+        assert_eq!(
+            RunHistory::default().read_state(&mut r),
+            Err(SnapshotError::Truncated)
+        );
+        assert_eq!(r.remaining(), bytes.len() - count_at - 8);
     }
 
     #[test]

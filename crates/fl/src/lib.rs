@@ -66,6 +66,17 @@
 //! `simulation::tests::serial_and_parallel_runs_are_identical` pins this
 //! end to end.
 //!
+//! # Checkpoints
+//!
+//! [`Simulation::save_state`] / [`Simulation::restore_state`] transport the
+//! complete mutable state as one fingerprinted blob, and a restored run
+//! continues bit-identically. The bytes are written and validated by the
+//! workspace's one snapshot codec, [`agsfl_wire::snapshot`] — the fault
+//! injector and [`RunHistory`] implement its `Snapshot` trait, the
+//! population keeps an inherent reader because it validates against the
+//! model dimension and shard lengths — and every failure is a
+//! [`SnapshotError`]. [`checkpoint`] is only the atomic file I/O.
+//!
 //! # Example
 //!
 //! ```
@@ -109,8 +120,8 @@ mod time;
 
 pub use agsfl_exec::{Executor, Parallelism};
 pub use agsfl_telemetry::{CounterId, GaugeId, NoopRecorder, Recorder, SpanId, StageRecorder};
+pub use agsfl_wire::snapshot::SnapshotError;
 pub use channel::{ChannelModel, ClientLink};
-pub use checkpoint::CheckpointError;
 pub use client::Client;
 pub use fault::{FaultConfigError, FaultModel, FaultRoundReport, MAX_RETRY_LIMIT};
 pub use fedavg::{FedAvgConfig, FedAvgSimulation};

@@ -31,11 +31,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use agsfl_wire::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::client::Client;
 
 /// One reusable cohort slot: a transient [`Client`] arena entry plus the
@@ -192,48 +192,48 @@ impl ClientPopulation {
         dim: usize,
         num_clients: usize,
         shard_len: impl Fn(usize) -> usize,
-    ) -> Result<Self, CheckpointError> {
+    ) -> Result<Self, SnapshotError> {
         let rows = r.usize()?;
         let mut pop = Self::new();
         let mut previous: Option<usize> = None;
         for _ in 0..rows {
             let id = r.usize()?;
             if id >= num_clients || previous.is_some_and(|p| p >= id) {
-                return Err(CheckpointError::Invalid("population row ids"));
+                return Err(SnapshotError::Invalid("population row ids"));
             }
             previous = Some(id);
             let rng = r.rng()?;
             let residual = r.f32s()?;
             if residual.len() != dim {
-                return Err(CheckpointError::Mismatch {
+                return Err(SnapshotError::Mismatch {
                     field: "client residual length",
                 });
             }
             let len = shard_len(id);
             let order = r.usizes()?;
             if order.len() != len {
-                return Err(CheckpointError::Mismatch {
+                return Err(SnapshotError::Mismatch {
                     field: "client sampler order length",
                 });
             }
             let cursor = r.usize()?;
             if cursor >= order.len().max(1) {
-                return Err(CheckpointError::Invalid("sampler cursor out of range"));
+                return Err(SnapshotError::Invalid("sampler cursor out of range"));
             }
             let mut seen = vec![false; order.len()];
             for &i in &order {
                 if i >= order.len() || seen[i] {
-                    return Err(CheckpointError::Invalid("sampler order not a permutation"));
+                    return Err(SnapshotError::Invalid("sampler order not a permutation"));
                 }
                 seen[i] = true;
             }
             let last_batch = r.usizes()?;
             if last_batch.iter().any(|&i| i >= len) {
-                return Err(CheckpointError::Invalid("batch index out of range"));
+                return Err(SnapshotError::Invalid("batch index out of range"));
             }
             let probe_sample = r.opt_usize()?;
             if probe_sample.is_some_and(|i| i >= len) {
-                return Err(CheckpointError::Invalid("probe sample out of range"));
+                return Err(SnapshotError::Invalid("probe sample out of range"));
             }
             let row = pop.rng.len();
             pop.rng.push(rng);

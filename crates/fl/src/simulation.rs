@@ -9,6 +9,7 @@ use agsfl_ml::metrics::{
 use agsfl_ml::model::Model;
 use agsfl_sparse::{topk, ClientUpload, SelectionResult, SelectionScratch, Sparsifier, UploadPlan};
 use agsfl_telemetry::{stage, CounterId, GaugeId, NoopRecorder, Recorder, SpanId};
+use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use agsfl_wire::{
     decode_frame, decode_frame_with, frame_codec, Auto, Codec, CodecSpec, Precision, WireScratch,
 };
@@ -19,7 +20,6 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::channel::ChannelModel;
-use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::fault::{
     corrupt_frame, ClientFaultPlan, FaultConfigError, FaultModel, FaultRoundReport, FaultState,
 };
@@ -1232,16 +1232,7 @@ impl Simulation {
     /// to the uninterrupted run (pinned by tests across sparsifiers, thread
     /// counts, and interrupt points).
     pub fn save_state(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.save_state_into(&mut buf);
-        buf
-    }
-
-    /// [`Simulation::save_state`] writing into a caller-owned buffer
-    /// (cleared first), so periodic checkpointing reuses one allocation
-    /// across rounds.
-    pub fn save_state_into(&self, buf: &mut Vec<u8>) {
-        let mut w = SnapshotWriter::with_buf(std::mem::take(buf));
+        let mut w = SnapshotWriter::new();
         w.header(SIM_MAGIC, SIM_VERSION);
         // Fingerprint: enough static configuration to reject a restore into
         // a differently-shaped simulation with a typed error.
@@ -1270,7 +1261,7 @@ impl Simulation {
         if let Some(fault) = &self.fault {
             fault.write_state(&mut w);
         }
-        *buf = w.into_bytes();
+        w.into_bytes()
     }
 
     /// Restores state produced by [`Simulation::save_state`] into a
@@ -1279,19 +1270,19 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`CheckpointError`] on malformed or truncated bytes,
+    /// Returns a typed [`SnapshotError`] on malformed or truncated bytes,
     /// on an unsupported format version, and on any fingerprint mismatch
     /// (dimension, client count, seed, batch size, sparsifier, wire/fault
     /// presence, cohort size, wire codec). On error the simulation may be
     /// partially overwritten and must be discarded.
-    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapshotReader::new(bytes);
         let version = r.header(SIM_MAGIC, SIM_VERSION)?;
         if version != SIM_VERSION {
             // Version 1 serialized one dense row per client with no cohort
             // stream; the population layout cannot represent its bytes, so
             // the old format is rejected rather than silently misread.
-            return Err(CheckpointError::UnsupportedVersion(version));
+            return Err(SnapshotError::UnsupportedVersion(version));
         }
         let checks: [(&'static str, bool); 9] = [
             ("dim", r.usize()? == self.params.len()),
@@ -1312,14 +1303,14 @@ impl Simulation {
         ];
         for (field, ok) in checks {
             if !ok {
-                return Err(CheckpointError::Mismatch { field });
+                return Err(SnapshotError::Mismatch { field });
             }
         }
         let round = r.usize()?;
         let elapsed = r.f64()?;
         let params = r.f32s()?;
         if params.len() != self.params.len() {
-            return Err(CheckpointError::Invalid("params length"));
+            return Err(SnapshotError::Invalid("params length"));
         }
         let server_rng = r.rng()?;
         let cohort_rng = r.rng()?;
@@ -2239,13 +2230,13 @@ mod tests {
         );
         assert!(matches!(
             other_seed.restore_state(&bytes),
-            Err(CheckpointError::Mismatch { field: "seed" })
+            Err(SnapshotError::Mismatch { field: "seed" })
         ));
         let mut no_fault =
             tiny_fault_sim(Box::new(FabTopK::new()), 150, Parallelism::Auto, true, None);
         assert!(matches!(
             no_fault.restore_state(&bytes),
-            Err(CheckpointError::Mismatch {
+            Err(SnapshotError::Mismatch {
                 field: "fault model"
             })
         ));
@@ -2258,7 +2249,7 @@ mod tests {
         );
         assert!(matches!(
             other_sparsifier.restore_state(&bytes),
-            Err(CheckpointError::Mismatch {
+            Err(SnapshotError::Mismatch {
                 field: "sparsifier"
             })
         ));
@@ -2287,7 +2278,7 @@ mod tests {
         );
         assert_eq!(
             target.restore_state(&extended),
-            Err(CheckpointError::TrailingBytes)
+            Err(SnapshotError::TrailingBytes)
         );
     }
 
@@ -2464,7 +2455,7 @@ mod tests {
         let mut target = tiny_cohort_sim(40, 3, Parallelism::Serial);
         assert_eq!(
             target.restore_state(&v1),
-            Err(CheckpointError::UnsupportedVersion(1))
+            Err(SnapshotError::UnsupportedVersion(1))
         );
 
         let mut donor = tiny_cohort_sim(41, 3, Parallelism::Serial);
@@ -2473,7 +2464,7 @@ mod tests {
         let mut other = tiny_cohort_sim(41, 4, Parallelism::Serial);
         assert_eq!(
             other.restore_state(&bytes),
-            Err(CheckpointError::Mismatch {
+            Err(SnapshotError::Mismatch {
                 field: "cohort size"
             })
         );

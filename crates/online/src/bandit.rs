@@ -1,11 +1,11 @@
 //! Continuous one-point bandit baseline (Flaxman et al.).
 
+use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::sign_ogd::SearchInterval;
-use crate::snapshot::{StateError, StateReader, StateWriter};
 
 /// Bandit online convex optimization with a one-point gradient estimate —
 /// the third baseline of Fig. 5 ("Continuous bandit").
@@ -112,29 +112,27 @@ impl ContinuousBandit {
         }
         self.current_direction = if self.rng.gen::<bool>() { 1.0 } else { -1.0 };
     }
+}
 
-    pub(crate) fn write_state(&self, w: &mut StateWriter) {
+impl Snapshot for ContinuousBandit {
+    fn write_state(&self, w: &mut SnapshotWriter) {
         w.f64(self.x);
         w.usize(self.m);
         w.f64(self.current_direction);
         w.rng(&self.rng);
     }
 
-    pub(crate) fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let x = r.f64()?;
-        if !self.interval.contains(x) {
-            return Err(StateError::Invalid("iterate outside interval"));
+    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.x = r.f64()?;
+        if !self.interval.contains(self.x) {
+            return Err(SnapshotError::Invalid("iterate outside interval"));
         }
-        let m = r.usize()?;
-        let direction = r.f64()?;
-        if direction != 1.0 && direction != -1.0 {
-            return Err(StateError::Invalid("perturbation direction"));
+        self.m = r.usize()?;
+        self.current_direction = r.f64()?;
+        if self.current_direction != 1.0 && self.current_direction != -1.0 {
+            return Err(SnapshotError::Invalid("perturbation direction"));
         }
-        let rng = r.rng()?;
-        self.x = x;
-        self.m = m;
-        self.current_direction = direction;
-        self.rng = rng;
+        self.rng = r.rng()?;
         Ok(())
     }
 }

@@ -13,6 +13,7 @@
 //!   decrease, the empirical analogue of `t(k, l)` — and feed it to EXP3 /
 //!   the one-point bandit.
 
+use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use agsfl_wire::Precision;
 use serde::{Deserialize, Serialize};
 
@@ -21,7 +22,6 @@ use crate::estimator::{DerivativeSignEstimator, EstimatorInputs};
 use crate::exp3::Exp3;
 use crate::extended::ExtendedSignOgd;
 use crate::sign_ogd::SignOgd;
-use crate::snapshot::{StateError, StateReader, StateWriter};
 use crate::value_based::ValueBasedDescent;
 use crate::{KController, RoundFeedback};
 
@@ -34,6 +34,34 @@ const TAG_FIXED_K: u8 = 4;
 const TAG_EXP3: u8 = 5;
 const TAG_BANDIT: u8 = 6;
 const TAG_PRECISION: u8 = 7;
+
+/// The body of every [`KController::save_state`]: the controller-type tag,
+/// then the state.
+fn save_tagged<T: Snapshot>(tag: u8, state: &T) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    w.tag(tag);
+    state.write_state(&mut w);
+    w.into_bytes()
+}
+
+/// The body of every [`KController::restore_state`]: checks the tag (`name`
+/// is what a mismatch reports as expected), decodes into a copy of `state`
+/// and commits the copy only once the bytes are exhausted, so any error
+/// leaves `state` untouched.
+fn restore_tagged<T: Snapshot + Clone>(
+    tag: u8,
+    name: &'static str,
+    state: &mut T,
+    bytes: &[u8],
+) -> Result<(), SnapshotError> {
+    let mut r = SnapshotReader::new(bytes);
+    r.tag(tag, name)?;
+    let mut restored = state.clone();
+    restored.read_state(&mut r)?;
+    r.finish()?;
+    *state = restored;
+    Ok(())
+}
 
 /// Builds the estimator inputs from a round's feedback, if the probe data is
 /// complete.
@@ -84,20 +112,11 @@ impl KController for SignOgd {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.tag(TAG_SIGN_OGD);
-        self.write_state(&mut w);
-        w.into_bytes()
+        save_tagged(TAG_SIGN_OGD, self)
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        r.tag(TAG_SIGN_OGD, "sign OGD")?;
-        let mut restored = self.clone();
-        restored.read_state(&mut r)?;
-        r.finish()?;
-        *self = restored;
-        Ok(())
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        restore_tagged(TAG_SIGN_OGD, "sign OGD", self, bytes)
     }
 }
 
@@ -121,20 +140,11 @@ impl KController for ExtendedSignOgd {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.tag(TAG_EXTENDED);
-        self.write_state(&mut w);
-        w.into_bytes()
+        save_tagged(TAG_EXTENDED, self)
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        r.tag(TAG_EXTENDED, "extended sign OGD")?;
-        let mut restored = self.clone();
-        restored.read_state(&mut r)?;
-        r.finish()?;
-        *self = restored;
-        Ok(())
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        restore_tagged(TAG_EXTENDED, "extended sign OGD", self, bytes)
     }
 }
 
@@ -158,20 +168,11 @@ impl KController for ValueBasedDescent {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.tag(TAG_VALUE_BASED);
-        self.write_state(&mut w);
-        w.into_bytes()
+        save_tagged(TAG_VALUE_BASED, self)
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        r.tag(TAG_VALUE_BASED, "value-based descent")?;
-        let mut restored = self.clone();
-        restored.read_state(&mut r)?;
-        r.finish()?;
-        *self = restored;
-        Ok(())
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        restore_tagged(TAG_VALUE_BASED, "value-based descent", self, bytes)
     }
 }
 
@@ -210,21 +211,24 @@ impl KController for FixedK {
     fn observe(&mut self, _feedback: &RoundFeedback) {}
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.tag(TAG_FIXED_K);
-        w.f64(self.k);
-        w.into_bytes()
+        save_tagged(TAG_FIXED_K, self)
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        r.tag(TAG_FIXED_K, "fixed k")?;
-        let k = r.f64()?;
-        if !k.is_finite() || k < 1.0 {
-            return Err(StateError::Invalid("fixed k"));
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        restore_tagged(TAG_FIXED_K, "fixed k", self, bytes)
+    }
+}
+
+impl Snapshot for FixedK {
+    fn write_state(&self, w: &mut SnapshotWriter) {
+        w.f64(self.k);
+    }
+
+    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.k = r.f64()?;
+        if !self.k.is_finite() || self.k < 1.0 {
+            return Err(SnapshotError::Invalid("fixed k"));
         }
-        r.finish()?;
-        self.k = k;
         Ok(())
     }
 }
@@ -283,31 +287,31 @@ impl KController for Exp3Controller {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.tag(TAG_EXP3);
-        self.exp3.write_state(&mut w);
-        w.usize(self.current_arm);
-        w.f64(self.best_cost);
-        w.into_bytes()
+        save_tagged(TAG_EXP3, self)
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        r.tag(TAG_EXP3, "EXP3")?;
-        let mut exp3 = self.exp3.clone();
-        exp3.read_state(&mut r)?;
-        let current_arm = r.usize()?;
-        if current_arm >= exp3.num_arms() {
-            return Err(StateError::Invalid("current arm"));
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        restore_tagged(TAG_EXP3, "EXP3", self, bytes)
+    }
+}
+
+impl Snapshot for Exp3Controller {
+    fn write_state(&self, w: &mut SnapshotWriter) {
+        self.exp3.write_state(w);
+        w.usize(self.current_arm);
+        w.f64(self.best_cost);
+    }
+
+    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.exp3.read_state(r)?;
+        self.current_arm = r.usize()?;
+        if self.current_arm >= self.exp3.num_arms() {
+            return Err(SnapshotError::Invalid("current arm"));
         }
-        let best_cost = r.f64()?;
-        if best_cost.is_nan() {
-            return Err(StateError::Invalid("best cost"));
+        self.best_cost = r.f64()?;
+        if self.best_cost.is_nan() {
+            return Err(SnapshotError::Invalid("best cost"));
         }
-        r.finish()?;
-        self.exp3 = exp3;
-        self.current_arm = current_arm;
-        self.best_cost = best_cost;
         Ok(())
     }
 }
@@ -357,25 +361,29 @@ impl KController for BanditController {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.tag(TAG_BANDIT);
-        self.bandit.write_state(&mut w);
-        w.opt_f64(self.reference_cost);
-        w.into_bytes()
+        save_tagged(TAG_BANDIT, self)
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        r.tag(TAG_BANDIT, "continuous bandit")?;
-        let mut bandit = self.bandit.clone();
-        bandit.read_state(&mut r)?;
-        let reference_cost = r.opt_f64()?;
-        if reference_cost.is_some_and(|c| !c.is_finite() || c <= 0.0) {
-            return Err(StateError::Invalid("reference cost"));
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        restore_tagged(TAG_BANDIT, "continuous bandit", self, bytes)
+    }
+}
+
+impl Snapshot for BanditController {
+    fn write_state(&self, w: &mut SnapshotWriter) {
+        self.bandit.write_state(w);
+        w.opt_f64(self.reference_cost);
+    }
+
+    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.bandit.read_state(r)?;
+        self.reference_cost = r.opt_f64()?;
+        if self
+            .reference_cost
+            .is_some_and(|c| !c.is_finite() || c <= 0.0)
+        {
+            return Err(SnapshotError::Invalid("reference cost"));
         }
-        r.finish()?;
-        self.bandit = bandit;
-        self.reference_cost = reference_cost;
         Ok(())
     }
 }
@@ -476,40 +484,62 @@ impl KController for PrecisionController {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.tag(TAG_PRECISION);
+        let state = PrecisionState {
+            round: self.round,
+            explore_every: self.explore_every,
+            cost: self.cost,
+            inner: self.inner.save_state(),
+        };
+        save_tagged(TAG_PRECISION, &state)
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let mut state = PrecisionState::default();
+        restore_tagged(TAG_PRECISION, "precision wrapper", &mut state, bytes)?;
+        if state.explore_every != self.explore_every {
+            return Err(SnapshotError::Invalid("explore period"));
+        }
+        // The inner restore is itself atomic, so restoring it before
+        // committing the outer fields keeps the whole operation atomic.
+        self.inner.restore_state(&state.inner)?;
+        self.round = state.round;
+        self.cost = state.cost;
+        Ok(())
+    }
+}
+
+/// What a [`PrecisionController`] snapshot carries: the wrapper's own fields
+/// and, still encoded, the wrapped controller's snapshot (a `dyn KController`
+/// restores only from bytes). `explore_every` is configuration: a snapshot
+/// taken under another period is rejected.
+#[derive(Debug, Clone, Default)]
+struct PrecisionState {
+    round: usize,
+    explore_every: usize,
+    cost: [Option<f64>; 4],
+    inner: Vec<u8>,
+}
+
+impl Snapshot for PrecisionState {
+    fn write_state(&self, w: &mut SnapshotWriter) {
         w.usize(self.round);
         w.usize(self.explore_every);
         for cost in self.cost {
             w.opt_f64(cost);
         }
-        w.bytes(&self.inner.save_state());
-        w.into_bytes()
+        w.bytes(&self.inner);
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        r.tag(TAG_PRECISION, "precision wrapper")?;
-        let round = r.usize()?;
-        let explore_every = r.usize()?;
-        if explore_every != self.explore_every {
-            return Err(StateError::Invalid("explore period"));
-        }
-        let mut cost = [None; 4];
-        for slot in &mut cost {
-            let c = r.opt_f64()?;
-            if c.is_some_and(|c| !c.is_finite() || c < 0.0) {
-                return Err(StateError::Invalid("tier cost"));
+    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.round = r.usize()?;
+        self.explore_every = r.usize()?;
+        for slot in &mut self.cost {
+            *slot = r.opt_f64()?;
+            if slot.is_some_and(|c| !c.is_finite() || c < 0.0) {
+                return Err(SnapshotError::Invalid("tier cost"));
             }
-            *slot = c;
         }
-        let inner_blob = r.bytes()?;
-        r.finish()?;
-        // The inner restore is itself atomic, so restoring it before
-        // committing the outer fields keeps the whole operation atomic.
-        self.inner.restore_state(&inner_blob)?;
-        self.round = round;
-        self.cost = cost;
+        self.inner = r.bytes()?;
         Ok(())
     }
 }
@@ -735,6 +765,49 @@ mod tests {
         }
     }
 
+    /// The two `agsfl_wire::snapshot::roundtrip` laws on `$fresh` after it
+    /// was driven through 25 synthetic rounds, restoring into another `$fresh`.
+    macro_rules! roundtrip {
+        ($fresh:expr) => {{
+            let mut driven = $fresh;
+            for round in 0..25 {
+                let k = driven.propose_k();
+                driven.observe(&synthetic_feedback(round, k));
+            }
+            agsfl_wire::snapshot::roundtrip(&driven, || $fresh)
+        }};
+    }
+
+    #[test]
+    fn every_persisted_type_obeys_the_roundtrip_laws() {
+        use agsfl_wire::snapshot::roundtrip as law;
+        let interval = SearchInterval::new(10.0, 1010.0);
+        let arms = || Exp3::geometric_arms(10.0, 1000.0, 6);
+        assert_eq!(law(&interval, || SearchInterval::new(1.0, 2.0)), interval);
+        roundtrip!(SignOgd::new(interval, 800.0));
+        roundtrip!(ExtendedSignOgd::new(ExtendedConfig {
+            k_min: 1.0,
+            k_max: 1000.0,
+            alpha: 1.5,
+            update_window: 5,
+            initial_k: 500.0,
+        }));
+        roundtrip!(ValueBasedDescent::new(interval, 500.0));
+        roundtrip!(FixedK::new(123.0));
+        let exp3 = roundtrip!(Exp3Controller::new(Exp3::new(arms(), 0.2, 42)));
+        law(exp3.exp3(), || Exp3::new(arms(), 0.2, 42));
+        let bandit = || ContinuousBandit::with_default_scales(interval, 500.0, 7);
+        let restored = roundtrip!(BanditController::new(bandit()));
+        law(restored.bandit(), bandit);
+        let wrapper = PrecisionState {
+            round: 9,
+            explore_every: 16,
+            cost: [Some(1.5), None, Some(0.0), Some(7.25)],
+            inner: exp3.save_state(),
+        };
+        law(&wrapper, PrecisionState::default);
+    }
+
     #[test]
     fn restore_rejects_wrong_controller_and_corrupt_bytes() {
         let sign = SignOgd::new(SearchInterval::new(1.0, 101.0), 50.0);
@@ -744,7 +817,7 @@ mod tests {
         let mut fixed = FixedK::new(10.0);
         assert!(matches!(
             fixed.restore_state(&snapshot),
-            Err(crate::StateError::WrongController { .. })
+            Err(SnapshotError::WrongController { .. })
         ));
 
         // Every truncation errors and leaves the controller untouched.
@@ -760,7 +833,7 @@ mod tests {
         extended.push(0);
         assert_eq!(
             target.restore_state(&extended),
-            Err(crate::StateError::TrailingBytes)
+            Err(SnapshotError::TrailingBytes)
         );
     }
 
@@ -771,7 +844,7 @@ mod tests {
         let mut two_arms = Exp3Controller::new(Exp3::new(vec![10.0, 100.0], 0.2, 1));
         assert_eq!(
             two_arms.restore_state(&snapshot),
-            Err(crate::StateError::Invalid("weight count"))
+            Err(SnapshotError::Invalid("weight count"))
         );
     }
 
@@ -846,7 +919,7 @@ mod tests {
         let bare = SignOgd::new(SearchInterval::new(1.0, 101.0), 50.0).save_state();
         assert!(matches!(
             target.restore_state(&bare),
-            Err(crate::StateError::WrongController { .. })
+            Err(SnapshotError::WrongController { .. })
         ));
 
         // Every truncation (including inside the nested inner blob) errors

@@ -1,11 +1,10 @@
 //! The EXP3 non-stochastic multi-armed bandit baseline.
 
+use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use agsfl_tensor::init::sample_weighted;
-
-use crate::snapshot::{StateError, StateReader, StateWriter};
 
 /// EXP3 (Auer et al.) over a finite set of candidate `k` values.
 ///
@@ -139,26 +138,25 @@ impl Exp3 {
             }
         }
     }
+}
 
-    pub(crate) fn write_state(&self, w: &mut StateWriter) {
+impl Snapshot for Exp3 {
+    fn write_state(&self, w: &mut SnapshotWriter) {
         w.f64s(&self.weights);
         w.usize(self.draws);
         w.rng(&self.rng);
     }
 
-    pub(crate) fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let weights = r.f64s()?;
-        if weights.len() != self.arms.len() {
-            return Err(StateError::Invalid("weight count"));
+    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.weights = r.f64s()?;
+        if self.weights.len() != self.arms.len() {
+            return Err(SnapshotError::Invalid("weight count"));
         }
-        if !weights.iter().all(|w| w.is_finite() && *w > 0.0) {
-            return Err(StateError::Invalid("weight value"));
+        if !self.weights.iter().all(|w| w.is_finite() && *w > 0.0) {
+            return Err(SnapshotError::Invalid("weight value"));
         }
-        let draws = r.usize()?;
-        let rng = r.rng()?;
-        self.weights = weights;
-        self.draws = draws;
-        self.rng = rng;
+        self.draws = r.usize()?;
+        self.rng = r.rng()?;
         Ok(())
     }
 }

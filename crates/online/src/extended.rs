@@ -1,9 +1,9 @@
 //! Algorithm 3: extended online learning with shrinking search intervals.
 
+use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use serde::{Deserialize, Serialize};
 
 use crate::sign_ogd::SearchInterval;
-use crate::snapshot::{StateError, StateReader, StateWriter};
 
 /// Configuration of [`ExtendedSignOgd`] (Algorithm 3).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -182,8 +182,10 @@ impl ExtendedSignOgd {
         }
         self.k
     }
+}
 
-    pub(crate) fn write_state(&self, w: &mut StateWriter) {
+impl Snapshot for ExtendedSignOgd {
+    fn write_state(&self, w: &mut SnapshotWriter) {
         self.interval.write_state(w);
         w.f64(self.k);
         w.usize(self.instance_rounds);
@@ -194,26 +196,18 @@ impl ExtendedSignOgd {
         w.usize(self.restarts);
     }
 
-    pub(crate) fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let interval = SearchInterval::read_state(r)?;
-        let k = r.f64()?;
-        if !interval.contains(k) {
-            return Err(StateError::Invalid("k outside interval"));
+    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.interval.read_state(r)?;
+        self.k = r.f64()?;
+        if !self.interval.contains(self.k) {
+            return Err(SnapshotError::Invalid("k outside interval"));
         }
-        let instance_rounds = r.usize()?;
-        let previous_instance_rounds = r.usize()?;
-        let window_count = r.usize()?;
-        let window_min = r.f64()?;
-        let window_max = r.f64()?;
-        let restarts = r.usize()?;
-        self.interval = interval;
-        self.k = k;
-        self.instance_rounds = instance_rounds;
-        self.previous_instance_rounds = previous_instance_rounds;
-        self.window_count = window_count;
-        self.window_min = window_min;
-        self.window_max = window_max;
-        self.restarts = restarts;
+        self.instance_rounds = r.usize()?;
+        self.previous_instance_rounds = r.usize()?;
+        self.window_count = r.usize()?;
+        self.window_min = r.f64()?;
+        self.window_max = r.f64()?;
+        self.restarts = r.usize()?;
         Ok(())
     }
 }

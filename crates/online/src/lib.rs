@@ -22,6 +22,14 @@
 //! convex cost environments and regret accounting ([`regret`]) used to check
 //! the theorems empirically.
 //!
+//! Every controller survives a checkpoint: [`KController::save_state`] /
+//! [`KController::restore_state`] carry its mutable state (RNG position
+//! included) as a tagged snapshot, so a restored controller reproduces the
+//! decision sequence bit for bit and a snapshot of another controller type
+//! is a typed `WrongController` error. The bytes go through the workspace's
+//! one snapshot codec, [`agsfl_wire::snapshot`], whose `Snapshot` trait the
+//! algorithm cores implement.
+//!
 //! # Example
 //!
 //! ```
@@ -47,9 +55,13 @@ mod extended;
 pub mod regret;
 mod rounding;
 mod sign_ogd;
-pub mod snapshot;
 mod value_based;
 
+use agsfl_wire::snapshot::SnapshotError;
+// The name `benchmark/src/tap.rs` spells `SnapshotError` by; goes with the
+// next PR that may edit `benchmark/` (see ROADMAP).
+#[doc(hidden)]
+pub use agsfl_wire::snapshot::SnapshotError as StateError;
 pub use bandit::ContinuousBandit;
 pub use controllers::{BanditController, Exp3Controller, FixedK, PrecisionController};
 pub use estimator::{DerivativeSignEstimator, EstimatorInputs};
@@ -57,7 +69,6 @@ pub use exp3::Exp3;
 pub use extended::{ExtendedConfig, ExtendedSignOgd};
 pub use rounding::stochastic_round;
 pub use sign_ogd::{SearchInterval, SignOgd};
-pub use snapshot::StateError;
 pub use value_based::ValueBasedDescent;
 
 /// A controller that proposes the sparsity degree `k` for the next round and
@@ -106,8 +117,8 @@ pub trait KController: Send + std::fmt::Debug {
     /// The controller must already be constructed with the same configuration
     /// (search interval, arms, schedules) the snapshot was taken under; only
     /// the mutable state is transported. Malformed or mismatched bytes leave
-    /// the controller untouched and return a [`StateError`].
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError>;
+    /// the controller untouched and return a [`SnapshotError`].
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError>;
 }
 
 /// Feedback given to a [`KController`] after each round.

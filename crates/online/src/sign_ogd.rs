@@ -1,8 +1,7 @@
 //! Algorithm 2: online learning from the sign of the derivative.
 
+use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use serde::{Deserialize, Serialize};
-
-use crate::snapshot::{StateError, StateReader, StateWriter};
 
 /// The closed search interval `K = [kmin, kmax]` for the sparsity degree.
 ///
@@ -60,19 +59,22 @@ impl SearchInterval {
     pub fn contains(&self, k: f64) -> bool {
         (self.min..=self.max).contains(&k)
     }
+}
 
-    pub(crate) fn write_state(&self, w: &mut StateWriter) {
+impl Snapshot for SearchInterval {
+    fn write_state(&self, w: &mut SnapshotWriter) {
         w.f64(self.min);
         w.f64(self.max);
     }
 
-    pub(crate) fn read_state(r: &mut StateReader<'_>) -> Result<Self, StateError> {
+    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let min = r.f64()?;
         let max = r.f64()?;
         if !min.is_finite() || !max.is_finite() || min < 1.0 || min > max {
-            return Err(StateError::Invalid("search interval"));
+            return Err(SnapshotError::Invalid("search interval"));
         }
-        Ok(Self { min, max })
+        *self = Self { min, max };
+        Ok(())
     }
 }
 
@@ -159,23 +161,22 @@ impl SignOgd {
         self.k = self.interval.project(self.k - delta * sign as f64);
         self.k
     }
+}
 
-    pub(crate) fn write_state(&self, w: &mut StateWriter) {
+impl Snapshot for SignOgd {
+    fn write_state(&self, w: &mut SnapshotWriter) {
         self.interval.write_state(w);
         w.f64(self.k);
         w.usize(self.m);
     }
 
-    pub(crate) fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let interval = SearchInterval::read_state(r)?;
-        let k = r.f64()?;
-        if !interval.contains(k) {
-            return Err(StateError::Invalid("k outside interval"));
+    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.interval.read_state(r)?;
+        self.k = r.f64()?;
+        if !self.interval.contains(self.k) {
+            return Err(SnapshotError::Invalid("k outside interval"));
         }
-        let m = r.usize()?;
-        self.interval = interval;
-        self.k = k;
-        self.m = m;
+        self.m = r.usize()?;
         Ok(())
     }
 }

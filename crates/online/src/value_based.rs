@@ -1,9 +1,9 @@
 //! Value-based derivative descent baseline.
 
+use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use serde::{Deserialize, Serialize};
 
 use crate::sign_ogd::SearchInterval;
-use crate::snapshot::{StateError, StateReader, StateWriter};
 
 /// Online gradient (derivative) descent that uses the *value* of the
 /// estimated derivative rather than only its sign — the first baseline of
@@ -65,23 +65,22 @@ impl ValueBasedDescent {
         self.k = self.interval.project(self.k - delta * derivative);
         self.k
     }
+}
 
-    pub(crate) fn write_state(&self, w: &mut StateWriter) {
+impl Snapshot for ValueBasedDescent {
+    fn write_state(&self, w: &mut SnapshotWriter) {
         self.interval.write_state(w);
         w.f64(self.k);
         w.usize(self.m);
     }
 
-    pub(crate) fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let interval = SearchInterval::read_state(r)?;
-        let k = r.f64()?;
-        if !interval.contains(k) {
-            return Err(StateError::Invalid("k outside interval"));
+    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.interval.read_state(r)?;
+        self.k = r.f64()?;
+        if !self.interval.contains(self.k) {
+            return Err(SnapshotError::Invalid("k outside interval"));
         }
-        let m = r.usize()?;
-        self.interval = interval;
-        self.k = k;
-        self.m = m;
+        self.m = r.usize()?;
         Ok(())
     }
 }

@@ -39,6 +39,12 @@
 //! implementations live in [`mod@reference`] as the executable spec for
 //! the equivalence tests and the `bench-report` encode/decode pairs.
 //!
+//! The same validated, panic-free decode discipline backs the other byte
+//! surface that takes outside input: [`mod@snapshot`] is the one codec every
+//! checkpoint goes through (the run file, the simulation blob, the
+//! controller snapshots), hosted here because this is the crate both
+//! `agsfl-online` and `agsfl-fl` depend on.
+//!
 //! # Example
 //!
 //! ```
@@ -63,6 +69,7 @@ mod error;
 pub mod lossy;
 pub mod reference;
 mod scratch;
+pub mod snapshot;
 mod varint;
 
 pub use codec::{

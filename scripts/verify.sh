@@ -27,6 +27,19 @@ if grep -rnE 'thread::(scope|spawn)' crates/*/src \
     exit 1
 fi
 
+step "one snapshot codec (agsfl_wire::snapshot is the only byte encoder/decoder of persisted state)"
+# The second codec (online's StateWriter/StateReader) and the buffer-reusing
+# save path (save_state_into / SnapshotWriter::with_buf) were deleted; a
+# second writer definition anywhere is a copy growing back.
+if grep -rnE 'StateWriter|StateReader|save_state_into|with_buf' crates/*/src; then
+    echo "verify: a deleted snapshot path is back (lines above); use agsfl_wire::snapshot" >&2
+    exit 1
+fi
+if [[ "$(grep -rn 'struct SnapshotWriter' crates/*/src | wc -l)" -ne 1 ]]; then
+    echo "verify: expected exactly one 'struct SnapshotWriter' under crates/*/src" >&2
+    exit 1
+fi
+
 step "cargo build --release"
 cargo build --release
 
@@ -49,6 +62,10 @@ cargo test -q -p agsfl-core resume
 
 step "decode fuzz (hostile frames never panic the wire layer)"
 cargo test -q -p agsfl-wire --test decode_fuzz
+
+step "checkpoint fuzz + format pins (hostile AGCK files never panic the resume; the bytes are pinned)"
+cargo test -q -p agsfl-core --test checkpoint_fuzz
+cargo test -q -p agsfl-core --test checkpoint_format
 
 step "lossy tier (quantize/dequantize contracts + seed-reproducibility pins)"
 cargo test -q -p agsfl-wire --test quantized_roundtrip
