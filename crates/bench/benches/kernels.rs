@@ -13,8 +13,8 @@
 
 use agsfl_bench::femnist_base;
 use agsfl_bench::kernel_workload::{
-    cnn_workload, eval_workload, fab_workload, wire_workload, CNN_BATCH, FAB_CLIENTS, FAB_DIM,
-    FAB_K,
+    cnn_workload, eval_workload, fab_workload, topk_workload, wire_workload, CNN_BATCH,
+    FAB_CLIENTS, FAB_DIM, FAB_K, TOPK_DIM, TOPK_KS,
 };
 use agsfl_core::{Experiment, StopCondition};
 use agsfl_exec::Executor;
@@ -24,33 +24,51 @@ use agsfl_ml::reference as ml_reference;
 use agsfl_sparse::{reference, topk, FabTopK, SelectionScratch, Sparsifier};
 use agsfl_wire::{decode_frame, reference as wire_reference, Codec, DeltaVarint, WireScratch};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 
 fn bench_topk_selection(c: &mut Criterion) {
-    let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let dims = [10_000usize, 100_000];
+    let values = topk_workload();
     let mut group = c.benchmark_group("topk_selection");
-    for &dim in &dims {
-        let values: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let k = dim / 100;
-        // The seed full-dimension-copy baseline, kept in `reference`.
-        group.bench_function(format!("top_{k}_of_{dim}"), |b| {
+    let mut keys = Vec::new();
+    for k in TOPK_KS {
+        // The comparator quickselect + sort, kept in `reference` as the spec.
+        group.bench_function(format!("top_{k}_of_{TOPK_DIM}_comparator"), |b| {
             b.iter(|| black_box(reference::top_k_entries(black_box(&values), k)))
         });
-        let mut scratch = Vec::new();
-        group.bench_function(format!("top_{k}_of_{dim}_scratch"), |b| {
+        // The integer-key histogram select + radix rank.
+        let mut ranked = Vec::new();
+        group.bench_function(format!("top_{k}_of_{TOPK_DIM}_keyed"), |b| {
             b.iter(|| {
-                black_box(topk::top_k_entries_with(
-                    black_box(&values),
-                    k,
-                    &mut scratch,
-                ))
+                topk::top_k_entries_into(black_box(&values), k, &mut keys, &mut ranked);
+                black_box(&ranked);
             })
         });
     }
+    // Re-ranking a decoded (index-sorted) list, as the lossy tier does on
+    // both ends of the wire.
+    let k = TOPK_KS[0];
+    let mut by_index = topk::top_k_entries(&values, k);
+    topk::sort_by_index(&mut by_index, &mut keys);
+    group.bench_function(format!("rank_{k}_comparator"), |b| {
+        b.iter_batched(
+            || by_index.clone(),
+            |mut entries| {
+                entries.sort_unstable_by(topk::compare_magnitude_then_index);
+                entries
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function(format!("rank_{k}_keyed"), |b| {
+        b.iter_batched(
+            || by_index.clone(),
+            |mut entries| {
+                topk::rank_by_magnitude(&mut entries, &mut keys);
+                entries
+            },
+            BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 

@@ -13,7 +13,12 @@
 //! Three workload families are tracked. The FAB selection workload
 //! (dim = 10⁵, N = 40, k = dim/100) is measured through the seed baseline
 //! (`agsfl_sparse::reference`) and the serial scratch-reusing `select_into`
-//! fast path, plus the client-side top-k kernel in both variants. The
+//! fast path. The `client_top_k` / `client_top_k_kmax` pairs time the
+//! client-side top-k at the paper's dimension (D = 419,582; k = 12,000 and
+//! k = D/2) through the comparator quickselect kept in `reference` and the
+//! integer-key histogram select of `agsfl_sparse::topk`, and the
+//! `rank_by_magnitude` pair the lossy tier's re-rank of a decoded
+//! (index-sorted) list: comparator sort vs radix rank. The
 //! `pool_dispatch` pair
 //! prices one parallel region's *dispatch* — the historical
 //! spawn-per-region `thread::scope` baseline vs the persistent channel-fed
@@ -46,8 +51,8 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use agsfl_bench::kernel_workload::{
     checkpoint_workload, cnn_workload, eval_workload, fab_workload, fresh_checkpoint_sim,
-    telemetry_workload, wire_workload, CKPT_CLIENTS, CNN_BATCH, EVAL_CLIENTS, FAB_CLIENTS, FAB_DIM,
-    FAB_K, TELEM_CLIENTS, TELEM_K,
+    telemetry_workload, topk_workload, wire_workload, CKPT_CLIENTS, CNN_BATCH, EVAL_CLIENTS,
+    FAB_CLIENTS, FAB_DIM, FAB_K, TELEM_CLIENTS, TELEM_K, TOPK_DIM, TOPK_KS,
 };
 use agsfl_core::figures::scale_sweep::{self, ScaleSweepConfig};
 use agsfl_exec::{mem, Executor};
@@ -59,9 +64,6 @@ use agsfl_telemetry::{SpanId, StageRecorder};
 use agsfl_wire::{
     decode_frame, reference as wire_reference, Codec, DeltaVarint, QLinear8, WireScratch,
 };
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 
 /// Samples per kernel; each sample runs enough iterations to cover ~20 ms.
@@ -256,36 +258,77 @@ fn main() {
         pool_dispatch.speedup()
     );
 
-    // Client-side top-k extraction: the seed full-dimension-copy baseline
-    // (kept in `reference`) vs the streaming bounded-buffer select.
-    let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let values: Vec<f32> = (0..FAB_DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    // Client-side top-k extraction at the paper's dimension, at a fixed-k
+    // round's degree and at an adaptive run's k_max: the comparator
+    // quickselect + sort kept in `reference` (the executable spec) vs the
+    // integer-key histogram select + radix rank. Then the lossy tier's
+    // re-rank of an index-sorted (decoded) list: comparator sort vs keys.
+    let values = topk_workload();
+    let mut keys = Vec::new();
+    let mut topk_reports = Vec::new();
+    for (name, k) in ["client_top_k", "client_top_k_kmax"]
+        .into_iter()
+        .zip(TOPK_KS)
+    {
+        let seed_ns = time_ns(|| {
+            black_box(reference::top_k_entries(black_box(&values), k));
+        });
+        let mut ranked = Vec::new();
+        let scratch_ns = time_ns(|| {
+            topk::top_k_entries_into(black_box(&values), k, &mut keys, &mut ranked);
+            black_box(&ranked);
+        });
+        assert_eq!(
+            ranked,
+            reference::top_k_entries(&values, k),
+            "keyed top-k must equal the comparator spec"
+        );
+        topk_reports.push(KernelReport {
+            name,
+            dim: TOPK_DIM,
+            clients: 1,
+            k,
+            threads: 1,
+            seed_ns,
+            scratch_ns,
+        });
+    }
+    let k = TOPK_KS[0];
+    let ranked = topk::top_k_entries(&values, k);
+    let mut by_index = ranked.clone();
+    topk::sort_by_index(&mut by_index, &mut keys);
+    let mut entries = Vec::new();
     let seed_ns = time_ns(|| {
-        black_box(reference::top_k_entries(black_box(&values), FAB_K));
+        entries.clone_from(&by_index);
+        entries.sort_unstable_by(topk::compare_magnitude_then_index);
+        black_box(&entries);
     });
-    let mut topk_scratch = Vec::new();
     let scratch_ns = time_ns(|| {
-        black_box(topk::top_k_entries_with(
-            black_box(&values),
-            FAB_K,
-            &mut topk_scratch,
-        ));
+        entries.clone_from(&by_index);
+        topk::rank_by_magnitude(&mut entries, &mut keys);
+        black_box(&entries);
     });
-    let topk_report = KernelReport {
-        name: "client_top_k",
-        dim: FAB_DIM,
+    assert_eq!(entries, ranked, "keyed re-rank must restore the ranking");
+    topk_reports.push(KernelReport {
+        name: "rank_by_magnitude",
+        dim: TOPK_DIM,
         clients: 1,
-        k: FAB_K,
+        k,
         threads: 1,
         seed_ns,
         scratch_ns,
-    };
-    eprintln!(
-        "  client_top_k: alloc {:.0} ns, scratch {:.0} ns -> {:.2}x",
-        topk_report.seed_ns,
-        topk_report.scratch_ns,
-        topk_report.speedup()
-    );
+    });
+    for r in &topk_reports {
+        eprintln!(
+            "  {} (D={}, k={}): comparator {:.0} ns, keyed {:.0} ns -> {:.2}x",
+            r.name,
+            r.dim,
+            r.k,
+            r.seed_ns,
+            r.scratch_ns,
+            r.speedup()
+        );
+    }
 
     // CNN forward at the paper shape (~420k weights, batch 32): the seed
     // scalar-loop kernel kept in `agsfl_ml::reference` vs the im2col
@@ -687,10 +730,9 @@ fn main() {
         })
         .collect();
 
-    let kernels = [
-        fab,
-        pool_dispatch,
-        topk_report,
+    let mut kernels = vec![fab, pool_dispatch];
+    kernels.extend(topk_reports);
+    kernels.extend([
         cnn_report,
         eval_report,
         wire_encode,
@@ -699,7 +741,7 @@ fn main() {
         quant_decode,
         ckpt_load,
         telemetry_record,
-    ];
+    ]);
     let body: Vec<String> = kernels.iter().map(KernelReport::to_json).collect();
     let json = format!(
         concat!(

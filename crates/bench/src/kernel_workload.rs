@@ -47,6 +47,21 @@ pub fn fab_workload() -> Vec<ClientUpload> {
         .collect()
 }
 
+/// Dimension of the client top-k and re-rank workloads: the paper's CNN.
+pub const TOPK_DIM: usize = 419_582;
+
+/// The two degrees the client top-k pair is tracked at: a fixed-`k` round
+/// (`faulty_auto_resume`'s `k`) and an adaptive run's first rounds
+/// (`k = D/2`, the controller's `k_max`).
+pub const TOPK_KS: [usize; 2] = [12_000, TOPK_DIM / 2];
+
+/// Builds the dense vector of the client top-k workload (dimension
+/// [`TOPK_DIM`], fixed seed).
+pub fn topk_workload() -> Vec<f32> {
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    (0..TOPK_DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+}
+
 /// Builds the wire-codec workload: one sparse gradient message at the
 /// acceptance shape (dim = [`FAB_DIM`] = 10⁵, [`FAB_K`] = 10³ entries,
 /// fixed seed) — the message a `k = D/100` round actually broadcasts.

@@ -91,7 +91,9 @@ mod tests {
         let Some(before) = current_rss_bytes() else {
             return; // no procfs on this platform
         };
-        let held = vec![1u8; 64 << 20];
+        // `black_box`: the buffer is never read, so an optimized build would
+        // otherwise elide the allocation and the test would mean nothing.
+        let held = std::hint::black_box(vec![1u8; 64 << 20]);
         // Regression: this used to `.expect("procfs vanished mid-test")` —
         // the one panic path in the module. A mid-test read failure now
         // just ends the test instead of aborting the suite.

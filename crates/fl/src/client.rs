@@ -27,9 +27,10 @@ pub struct Client {
     last_batch: Vec<usize>,
     /// The sample within `last_batch` chosen for the estimator this round.
     probe_sample: Option<usize>,
-    /// Reused candidate buffer for top-k extraction, so building the uplink
-    /// message allocates no full-dimension temporary after the first round.
-    topk_scratch: Vec<(usize, f32)>,
+    /// Reused order-key buffer for top-k extraction and the lossy tier's
+    /// index sort and re-rank (see `agsfl_sparse::topk`), so building the
+    /// uplink message allocates nothing after the first round.
+    topk_scratch: Vec<u64>,
     /// Reused wire-encoding workspace; byte-priced rounds encode the uplink
     /// message here without per-round allocation beyond the emitted frame.
     wire_scratch: WireScratch,
@@ -286,9 +287,9 @@ impl Client {
         frame: &mut Vec<u8>,
         errors: &mut Vec<(usize, f32)>,
     ) {
-        entries.sort_unstable_by_key(|&(j, _)| j);
+        topk::sort_by_index(entries, &mut self.topk_scratch);
         frame.clear();
-        frame.extend_from_slice(self.wire_scratch.encode_unsorted(codec, dim, entries));
+        frame.extend_from_slice(codec.encode_into(dim, entries, &mut self.wire_scratch));
         decode_frame(frame, &mut self.decode_scratch)
             .expect("a frame this client just encoded must decode");
         debug_assert_eq!(self.decode_scratch.len(), entries.len());
@@ -303,7 +304,7 @@ impl Client {
         entries.clear();
         entries.extend_from_slice(&self.decode_scratch);
         if rerank {
-            topk::rank_by_magnitude(entries);
+            topk::rank_by_magnitude(entries, &mut self.topk_scratch);
         }
     }
 

@@ -299,6 +299,9 @@ pub struct Simulation {
     /// Shrunk once per round when cohort demand drops, so a small cohort
     /// never stays priced at a big one's high-water mark.
     scratch: SelectionScratch,
+    /// Reused order keys for re-ranking decoded uploads on the round
+    /// thread (`topk::rank_by_magnitude`).
+    rank_keys: Vec<u64>,
     /// The round engine's executor, built once from the configured
     /// [`Parallelism`] and reused by every parallel region.
     executor: Executor,
@@ -405,6 +408,7 @@ impl Simulation {
             cohort: Vec::new(),
             survivors: Vec::new(),
             scratch: SelectionScratch::new(),
+            rank_keys: Vec::new(),
             executor,
             wire,
             fault,
@@ -922,6 +926,7 @@ impl Simulation {
         let uploads = &mut self.uploads;
         let survivors = &mut self.survivors;
         survivors.clear();
+        let rank_keys = &mut self.rank_keys;
         let mut train_loss = 0.0f64;
         let mut uplink_phase = 0.0f64;
         let mut fr = FaultRoundReport::default();
@@ -985,7 +990,13 @@ impl Simulation {
             let t_decode = clock.then(Instant::now);
             if delivered {
                 let upload = &mut uploads[survivors.len()];
-                deliver_upload(slot, upload, wire.is_some(), rerank, dim);
+                deliver_upload(
+                    slot,
+                    upload,
+                    wire.is_some(),
+                    rerank.then_some(&mut *rank_keys),
+                    dim,
+                );
                 survivors.push(pos);
             }
             if let (Some(t_fault), Some(t_decode)) = (t_fault, t_decode) {
@@ -1349,7 +1360,7 @@ fn deliver_upload(
     slot: &mut Slot,
     upload: &mut ClientUpload,
     wired: bool,
-    rerank: bool,
+    rerank: Option<&mut Vec<u64>>,
     dim: usize,
 ) {
     upload.client = slot.client.id();
@@ -1362,8 +1373,8 @@ fn deliver_upload(
     let (frame_dim, _) =
         decode_frame(&slot.frame, &mut upload.entries).expect("self-encoded frame must decode");
     debug_assert_eq!(frame_dim, dim);
-    if rerank {
-        topk::rank_by_magnitude(&mut upload.entries);
+    if let Some(keys) = rerank {
+        topk::rank_by_magnitude(&mut upload.entries, keys);
     }
     debug_assert!(
         upload.entries.len() == slot.entries.len()

@@ -77,24 +77,20 @@ impl ResidualAccumulator {
     /// Returns the top-`k` entries `(index, accumulated value)` ranked by
     /// decreasing magnitude — the uplink message `A_i`.
     ///
-    /// Allocates a fresh `O(k)` candidate buffer; per-round callers should
-    /// prefer [`ResidualAccumulator::top_k_entries_with`] with a reused
-    /// scratch buffer.
+    /// Allocates a fresh key buffer; per-round callers should prefer
+    /// [`ResidualAccumulator::top_k_entries_with`] with a reused one.
     pub fn top_k_entries(&self, k: usize) -> Vec<(usize, f32)> {
         topk::top_k_entries(&self.residual, k)
     }
 
-    /// [`ResidualAccumulator::top_k_entries`] with a caller-provided
-    /// candidate buffer. The selection streams over the residual with a
-    /// bounded `O(k)` buffer (see [`topk::top_k_entries_with`]) — no
-    /// full-dimension candidate copy is ever materialized — and reusing
-    /// one buffer across rounds makes the steady-state uplink path
-    /// allocation-free apart from the returned message.
-    pub fn top_k_entries_with(
-        &self,
-        k: usize,
-        scratch: &mut Vec<(usize, f32)>,
-    ) -> Vec<(usize, f32)> {
+    /// [`ResidualAccumulator::top_k_entries`] with a caller-provided key
+    /// buffer. The selection histograms the residual's magnitude bits and
+    /// gathers only the survivors and their boundary bucket as packed
+    /// 8-byte keys (see [`mod@topk`]) — no full-dimension candidate copy
+    /// unless the whole vector ties — and reusing one buffer across rounds
+    /// makes the steady-state uplink path allocation-free apart from the
+    /// returned message.
+    pub fn top_k_entries_with(&self, k: usize, scratch: &mut Vec<u64>) -> Vec<(usize, f32)> {
         topk::top_k_entries_with(&self.residual, k, scratch)
     }
 
@@ -104,7 +100,7 @@ impl ResidualAccumulator {
     pub fn top_k_entries_into(
         &self,
         k: usize,
-        scratch: &mut Vec<(usize, f32)>,
+        scratch: &mut Vec<u64>,
         out: &mut Vec<(usize, f32)>,
     ) {
         topk::top_k_entries_into(&self.residual, k, scratch, out);

@@ -150,7 +150,7 @@ impl FabTopK {
                     }
                 }
             }
-            topk::rank_by_magnitude(&mut scratch.candidates);
+            topk::rank_by_magnitude(&mut scratch.candidates, &mut scratch.keys);
             for i in 0..scratch.candidates.len() {
                 if scratch.selected.len() >= k {
                     break;

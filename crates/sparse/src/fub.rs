@@ -75,13 +75,8 @@ impl Sparsifier for FubTopK {
         }
         // Only the top-k *set* matters (the selection is re-sorted by index
         // below), so an O(U) partial selection replaces a full O(U log U)
-        // sort; the comparator is a total order, so the set is identical.
-        if scratch.candidates.len() > k && k > 0 {
-            scratch
-                .candidates
-                .select_nth_unstable_by(k - 1, topk::compare_magnitude_then_index);
-        }
-        scratch.candidates.truncate(k);
+        // sort; the key order is total, so the set is identical.
+        topk::truncate_to_top_k(&mut scratch.candidates, k, &mut scratch.keys);
         scratch.selected.clear();
         scratch
             .selected

@@ -34,7 +34,7 @@
 //! |---|---|---|
 //! | FAB `κ` search | `HashSet` union rebuild per probe: O(U) hashing × O(log k) probes | one O(U) sweep records per-index minimum ranks; prefix counts answer every `|∪ J_i^κ|` in O(1); largest feasible `κ` by direct scan |
 //! | aggregation | `HashSet` membership + `HashMap` sums + sort/dedup in `from_entries` | stamped dense `f64` sums, O(U) array probes, entries emitted sorted via [`SparseGradient::from_sorted_entries`] |
-//! | client top-k | fresh `16·D`-byte candidate buffer per client per round | [`topk::top_k_entries_with`] reuses one per-client buffer |
+//! | client top-k | comparator quickselect + sort over a fresh `16·D`-byte `(usize, f32)` candidate buffer per client per round | [`topk::top_k_entries_into`]: packed `u64` order keys in one reused per-client buffer — histogram select over the magnitude bits, radix rank, no float comparison |
 //!
 //! Measured on the kernel benchmark (`cargo bench -p agsfl-bench --bench
 //! kernels`, dim = 10⁵, N = 40, k = dim/100), the scratch path selects

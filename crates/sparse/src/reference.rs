@@ -109,7 +109,7 @@ pub fn fab_select_indices(uploads: &[ClientUpload], k: usize) -> Vec<usize> {
                 }
             }
         }
-        topk::rank_by_magnitude(&mut candidates);
+        candidates.sort_by(topk::compare_magnitude_then_index);
         for (j, _) in candidates {
             if selected.len() >= k {
                 break;
@@ -138,7 +138,7 @@ pub fn fub_select(uploads: &[ClientUpload], dim: usize, k: usize) -> SelectionRe
         }
     }
     let mut candidates: Vec<(usize, f32)> = sums.into_iter().map(|(j, v)| (j, v as f32)).collect();
-    topk::rank_by_magnitude(&mut candidates);
+    candidates.sort_by(topk::compare_magnitude_then_index);
     candidates.truncate(k);
     let selected: Vec<usize> = candidates.iter().map(|&(j, _)| j).collect();
     result_from(uploads, &selected, dim, true)
@@ -162,10 +162,11 @@ pub fn send_all_select(uploads: &[ClientUpload], dim: usize) -> SelectionResult 
 /// The seed client-side top-k: materializes a full-dimension `(index,
 /// |value|)` candidate copy, partially selects and sorts it.
 ///
-/// [`topk::top_k_entries_with`] replaced this with a streaming select over
-/// a bounded `O(k)` buffer; this baseline keeps the historical cost
-/// measurable (`bench-report`'s `client_top_k` pair) and the new path's
-/// output equivalence testable.
+/// [`topk::top_k_entries_into`] replaced this with a histogram select and
+/// radix rank on packed integer keys; this comparator version is the
+/// executable spec of the order on finite values
+/// (`tests/topk_equivalence.rs`) and keeps the historical cost measurable
+/// (`bench-report`'s `client_top_k` pairs).
 pub fn top_k_entries(values: &[f32], k: usize) -> Vec<(usize, f32)> {
     let mut candidates: Vec<(usize, f32)> = values
         .iter()

@@ -144,7 +144,8 @@ impl StampedBuf<usize> {
 /// * `rank_counts` — histogram of minimum ranks, turned into prefix counts so
 ///   every `|∪ J_i^κ|` is an O(1) lookup,
 /// * `selected` / `candidates` — index and candidate lists reused between
-///   rounds.
+///   rounds,
+/// * `keys` — the packed order keys [`crate::topk`] ranks candidates through.
 ///
 /// Buffers grow to the largest dimension seen and are invalidated by epoch
 /// bumps, so repeated calls perform zero allocations in steady state. The
@@ -167,10 +168,12 @@ pub struct SelectionScratch {
     pub(crate) selected: Vec<usize>,
     /// Fill candidates `(index, value)` at prefix level `κ`.
     pub(crate) candidates: Vec<(usize, f32)>,
+    /// Packed magnitude-order keys of `candidates` (see [`crate::topk`]).
+    pub(crate) keys: Vec<u64>,
     /// Decaying demand marks for the list buffers above, in field order
-    /// (`rank_counts`, `touched`, `selected`, `candidates`); updated by
-    /// [`SelectionScratch::shrink_to_recent_demand`].
-    list_demand: [usize; 4],
+    /// (`rank_counts`, `touched`, `selected`, `candidates`, `keys`);
+    /// updated by [`SelectionScratch::shrink_to_recent_demand`].
+    list_demand: [usize; 5],
 }
 
 impl SelectionScratch {
@@ -272,6 +275,8 @@ impl SelectionScratch {
         note_demand_and_shrink(&mut self.selected, &mut self.list_demand[2], used);
         let used = self.candidates.len();
         note_demand_and_shrink(&mut self.candidates, &mut self.list_demand[3], used);
+        let used = self.keys.len();
+        note_demand_and_shrink(&mut self.keys, &mut self.list_demand[4], used);
     }
 }
 

@@ -40,6 +40,21 @@ if [[ "$(grep -rn 'struct SnapshotWriter' crates/*/src | wc -l)" -ne 1 ]]; then
     exit 1
 fi
 
+step "one ordering path (the comparator is the spec, not a code path)"
+# agsfl_sparse::topk takes every magnitude order on packed integer keys
+# (histogram select, radix rank); `compare_magnitude_then_index` survives as
+# the executable spec for reference.rs and tests, and is not a total order
+# once a NaN shows up — a comparison sort handed it may panic. The bench
+# crate times it as the baseline; comment lines are exempt, and so is
+# everything from a file's `#[cfg(test)]` on.
+if for f in $(grep -rlE 'magnitude_then_index' crates/*/src | grep -vE '^(crates/sparse/src/reference\.rs$|crates/bench/)'); do
+    awk -v f="$f" '/#\[cfg\(test\)\]/ { exit } { print f ":" FNR ":" $0 }' "$f"
+done | grep -E '(sort_unstable_by|sort_by|select_nth_unstable_by)\(.*magnitude_then_index' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+    echo "verify: product code sorts through the float comparator (lines above); use agsfl_sparse::topk" >&2
+    exit 1
+fi
+
 step "cargo build --release"
 cargo build --release
 
@@ -62,6 +77,9 @@ cargo test -q -p agsfl-core resume
 
 step "decode fuzz (hostile frames never panic the wire layer)"
 cargo test -q -p agsfl-wire --test decode_fuzz
+
+step "top-k equivalence (integer-key select/rank == the comparator spec, bit for bit; NaN never panics)"
+cargo test -q -p agsfl-sparse --test topk_equivalence
 
 step "checkpoint fuzz + format pins (hostile AGCK files never panic the resume; the bytes are pinned)"
 cargo test -q -p agsfl-core --test checkpoint_fuzz
@@ -98,6 +116,9 @@ cargo test -q -p agsfl-core --test metrics_jsonl
 if [[ "$quick" -eq 0 ]]; then
     step "cargo test --workspace -q (full suite)"
     cargo test --workspace -q
+
+    step "cargo test --release -q -p agsfl-exec (the RSS probe test must hold under the optimizer too)"
+    cargo test --release -q -p agsfl-exec
 
     step "cargo clippy --workspace (warnings are errors)"
     cargo clippy --workspace --all-targets -- -D warnings
