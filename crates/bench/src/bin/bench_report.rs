@@ -13,7 +13,13 @@
 //! Three workload families are tracked. The FAB selection workload
 //! (dim = 10⁵, N = 40, k = dim/100) is measured through the seed baseline
 //! (`agsfl_sparse::reference`) and the serial scratch-reusing `select_into`
-//! fast path. The `client_top_k` / `client_top_k_kmax` pairs time the
+//! fast path; `fab_select_wide` / `fab_select_kmax` repeat that pair at the
+//! paper's dimension on `sparse_wide_linear`'s shape (N = 16, k = 20,000)
+//! and an adaptive run's k = D/2 round (N = 8), and `probe_restrict_wide` /
+//! `probe_restrict_kmax` time the probe aggregate on the same shapes — a
+//! second `select_into` at `k'` vs `Sparsifier::probe_aggregate`, the
+//! round's own aggregate restricted to `J(k')` — asserting equal output.
+//! The `client_top_k` / `client_top_k_kmax` pairs time the
 //! client-side top-k at the paper's dimension (D = 419,582; k = 12,000 and
 //! k = D/2) through the comparator quickselect kept in `reference` and the
 //! integer-key histogram select of `agsfl_sparse::topk`, and the
@@ -51,8 +57,9 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use agsfl_bench::kernel_workload::{
     checkpoint_workload, cnn_workload, eval_workload, fab_workload, fresh_checkpoint_sim,
-    telemetry_workload, topk_workload, wire_workload, CKPT_CLIENTS, CNN_BATCH, EVAL_CLIENTS,
-    FAB_CLIENTS, FAB_DIM, FAB_K, TELEM_CLIENTS, TELEM_K, TOPK_DIM, TOPK_KS,
+    server_workload, telemetry_workload, topk_workload, wire_workload, CKPT_CLIENTS, CNN_BATCH,
+    EVAL_CLIENTS, FAB_CLIENTS, FAB_DIM, FAB_K, SERVER_SHAPES, TELEM_CLIENTS, TELEM_K, TOPK_DIM,
+    TOPK_KS,
 };
 use agsfl_core::figures::scale_sweep::{self, ScaleSweepConfig};
 use agsfl_exec::{mem, Executor};
@@ -215,6 +222,79 @@ fn main() {
         fab.scratch_ns,
         fab.speedup()
     );
+
+    // The server's two reads of a round's uploads at the paper's dimension,
+    // on `sparse_wide_linear`'s shape and on an adaptive run's k ≈ D/2
+    // round. `fab_select_*`: the rank-major scan + aggregation against the
+    // seed's binary search over hash-set unions. `probe_restrict_*`: the
+    // probe aggregate as a restriction of the round's own against the
+    // second `select_into` at k' it replaced. Both sides of each pair must
+    // return the same bits.
+    let mut server_reports = Vec::new();
+    for (select_name, restrict_name, clients, k, probe_k) in SERVER_SHAPES {
+        let uploads = server_workload(clients, k);
+        let fab = FabTopK::new();
+        let seed_ns = time_ns(|| {
+            black_box(reference::fab_select(black_box(&uploads), TOPK_DIM, k));
+        });
+        let scratch_ns = time_ns(|| {
+            black_box(fab.select_into(black_box(&uploads), TOPK_DIM, k, &mut scratch));
+        });
+        let selection = fab.select_into(&uploads, TOPK_DIM, k, &mut scratch);
+        assert_eq!(
+            selection,
+            reference::fab_select(&uploads, TOPK_DIM, k),
+            "the rank-major scan must select what the reference selects"
+        );
+        server_reports.push(KernelReport {
+            name: select_name,
+            dim: TOPK_DIM,
+            clients,
+            k,
+            threads: 1,
+            seed_ns,
+            scratch_ns,
+        });
+        let seed_ns = time_ns(|| {
+            black_box(fab.select_into(black_box(&uploads), TOPK_DIM, probe_k, &mut scratch));
+        });
+        let scratch_ns = time_ns(|| {
+            black_box(fab.probe_aggregate(
+                black_box(&uploads),
+                TOPK_DIM,
+                k,
+                &selection,
+                probe_k,
+                &mut scratch,
+            ));
+        });
+        assert_eq!(
+            fab.probe_aggregate(&uploads, TOPK_DIM, k, &selection, probe_k, &mut scratch),
+            Some(fab.select(&uploads, TOPK_DIM, probe_k).aggregated),
+            "the restriction must equal the independent selection at k'"
+        );
+        server_reports.push(KernelReport {
+            name: restrict_name,
+            dim: TOPK_DIM,
+            clients,
+            k: probe_k,
+            threads: 1,
+            seed_ns,
+            scratch_ns,
+        });
+    }
+    for r in &server_reports {
+        eprintln!(
+            "  {} (D={}, N={}, k={}): before {:.0} ns, now {:.0} ns -> {:.2}x",
+            r.name,
+            r.dim,
+            r.clients,
+            r.k,
+            r.seed_ns,
+            r.scratch_ns,
+            r.speedup()
+        );
+    }
 
     // Parallel-region dispatch overhead: a spawn-per-region `thread::scope`
     // map (`scoped_map_mut` below, the baseline) vs the persistent
@@ -730,7 +810,9 @@ fn main() {
         })
         .collect();
 
-    let mut kernels = vec![fab, pool_dispatch];
+    let mut kernels = vec![fab];
+    kernels.extend(server_reports);
+    kernels.push(pool_dispatch);
     kernels.extend(topk_reports);
     kernels.extend([
         cnn_report,

@@ -3,7 +3,8 @@
 //! `benches/kernels.rs` (criterion) and the `bench-report` binary (plain
 //! timing + `BENCH_kernels.json`) must measure exactly the same inputs so
 //! their numbers are comparable across PRs; both build them here. Four
-//! workload families are tracked: the FAB server selection, the
+//! workload families are tracked: the FAB server selection (and, at the
+//! paper's dimension, the probe's restriction of it), the
 //! paper-shape CNN forward pass (im2col vs the seed scalar loops), the
 //! per-evaluation `O(N·D)` metric sweep (fused executor sweep vs the
 //! seed's three serial passes), and the wire-codec message (encode/decode
@@ -54,6 +55,36 @@ pub const TOPK_DIM: usize = 419_582;
 /// (`faulty_auto_resume`'s `k`) and an adaptive run's first rounds
 /// (`k = D/2`, the controller's `k_max`).
 pub const TOPK_KS: [usize; 2] = [12_000, TOPK_DIM / 2];
+
+/// The two server shapes tracked at [`TOPK_DIM`], as `(selection kernel,
+/// probe kernel, clients, k, probe k')`: `sparse_wide_linear`'s round (16
+/// clients, a small fixed `k`) and an adaptive run's `k ≈ D/2` round on
+/// `paper_cnn_adaptive` (8 clients, probing at three fifths of `k`, which is
+/// where Algorithm 3's `k' = k − δ/2` sits in those rounds).
+pub const SERVER_SHAPES: [(&str, &str, usize, usize, usize); 2] = [
+    ("fab_select_wide", "probe_restrict_wide", 16, 20_000, 10_000),
+    (
+        "fab_select_kmax",
+        "probe_restrict_kmax",
+        8,
+        TOPK_DIM / 2,
+        TOPK_DIM / 2 / 5 * 3,
+    ),
+];
+
+/// Builds the ranked top-`k` uploads of `clients` clients at [`TOPK_DIM`]
+/// (independent uniform accumulators, fixed seed).
+pub fn server_workload(clients: usize, k: usize) -> Vec<ClientUpload> {
+    let mut rng = ChaCha8Rng::seed_from_u64(6);
+    let mut keys = Vec::new();
+    (0..clients)
+        .map(|i| {
+            let dense: Vec<f32> = (0..TOPK_DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let entries = topk::top_k_entries_with(&dense, k, &mut keys);
+            ClientUpload::new(i, 1.0 / clients as f64, entries)
+        })
+        .collect()
+}
 
 /// Builds the dense vector of the client top-k workload (dimension
 /// [`TOPK_DIM`], fixed seed).

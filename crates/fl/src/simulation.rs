@@ -7,7 +7,9 @@ use agsfl_ml::metrics::{
     GlobalEvaluation,
 };
 use agsfl_ml::model::Model;
-use agsfl_sparse::{topk, ClientUpload, SelectionResult, SelectionScratch, Sparsifier, UploadPlan};
+use agsfl_sparse::{
+    topk, ClientUpload, SelectionResult, SelectionScratch, SparseGradient, Sparsifier, UploadPlan,
+};
 use agsfl_telemetry::{stage, CounterId, GaugeId, NoopRecorder, Recorder, SpanId};
 use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use agsfl_wire::{
@@ -218,7 +220,15 @@ impl WireState {
     /// each client's hypothetical uplink is the `k'`-element prefix of the
     /// message it actually built this round (for top-k plans the prefix is
     /// exactly its top-`k'` message), priced at its exact encoded length;
-    /// the downlink is the probe selection's aggregate.
+    /// the downlink is the probe aggregate.
+    ///
+    /// A member whose whole upload is the prefix is priced at
+    /// `sent_bytes(upload position)`, the length of the frame it actually
+    /// sent: every codec's `encoded_len` is a function of the dimension, the
+    /// entry count and the index gaps only, all of which the decoded upload
+    /// shares with its frame. Proper prefixes are index-sorted through the
+    /// server's packed `keys` (`topk::sort_by_index`) and measured without
+    /// being encoded.
     ///
     /// Uploads are addressed by their carried client id (not their slot), so
     /// the pricing also holds under fault injection when only a surviving
@@ -227,24 +237,32 @@ impl WireState {
     fn probe_round_time(
         &mut self,
         round_idx: usize,
-        dim: usize,
         probe_k: usize,
         uploads: &[ClientUpload],
-        probe_selection: &SelectionResult,
+        sent_bytes: impl Fn(usize) -> usize,
+        probe_aggregate: &SparseGradient,
+        keys: &mut Vec<u64>,
     ) -> f64 {
-        let uplink_phase = uploads
-            .iter()
-            .map(|upload| {
-                let prefix = &upload.entries[..probe_k.min(upload.entries.len())];
-                let bytes = self
-                    .scratch
-                    .encoded_len_unsorted(self.codec.as_ref(), dim, prefix);
-                self.channel.uplink_time(round_idx, upload.client, bytes)
-            })
-            .fold(0.0f64, f64::max);
-        let downlink_bytes = self
-            .downlink
-            .encoded_len_gradient(&probe_selection.aggregated);
+        let dim = probe_aggregate.dim();
+        let mut uplink_phase = 0.0f64;
+        for (pos, upload) in uploads.iter().enumerate() {
+            let codec = self.codec.as_ref();
+            let bytes = if probe_k < upload.entries.len() {
+                let prefix = &upload.entries[..probe_k];
+                self.scratch.encoded_len_unsorted(codec, dim, prefix, keys)
+            } else {
+                debug_assert_eq!(
+                    sent_bytes(pos),
+                    self.scratch
+                        .encoded_len_unsorted(codec, dim, &upload.entries, keys),
+                    "a frame is as long as the pricing of what it decodes to"
+                );
+                sent_bytes(pos)
+            };
+            uplink_phase =
+                uplink_phase.max(self.channel.uplink_time(round_idx, upload.client, bytes));
+        }
+        let downlink_bytes = self.downlink.encoded_len_gradient(probe_aggregate);
         self.channel.compute_time()
             + uplink_phase
             + self.downlink_phase_time(round_idx, downlink_bytes)
@@ -294,14 +312,22 @@ pub struct Simulation {
     /// (reused buffer, rebuilt each round).
     survivors: Vec<usize>,
     /// Reusable server-side selection workspace; buffers are sized on the
-    /// first round and reused (including by the probe's second selection),
-    /// keeping the per-round server path allocation-free in steady state.
-    /// Shrunk once per round when cohort demand drops, so a small cohort
-    /// never stays priced at a big one's high-water mark.
+    /// first round and reused (including by the probe's restriction to
+    /// `J(k')`), keeping the per-round server path allocation-free in
+    /// steady state. Shrunk once per round, from the round's own selection,
+    /// when cohort demand drops, so a small cohort never stays priced at a
+    /// big one's high-water mark.
     scratch: SelectionScratch,
     /// Reused order keys for re-ranking decoded uploads on the round
-    /// thread (`topk::rank_by_magnitude`).
+    /// thread (`topk::rank_by_magnitude`) and for index-sorting the
+    /// prefixes the probe prices (`topk::sort_by_index`).
     rank_keys: Vec<u64>,
+    /// The probe's hypothetical weight vectors — `w(m)` after the round's
+    /// own update and `w'(m)` after the `k'`-element one — refilled from
+    /// `params` each probing round; empty until the first probe (and
+    /// `w_probe` until the first probe whose aggregate is not the round's).
+    w_now: Vec<f32>,
+    w_probe: Vec<f32>,
     /// The round engine's executor, built once from the configured
     /// [`Parallelism`] and reused by every parallel region.
     executor: Executor,
@@ -409,6 +435,8 @@ impl Simulation {
             survivors: Vec::new(),
             scratch: SelectionScratch::new(),
             rank_keys: Vec::new(),
+            w_now: Vec::new(),
+            w_probe: Vec::new(),
             executor,
             wire,
             fault,
@@ -720,15 +748,19 @@ impl Simulation {
         let s = self.survivors.len();
 
         // (2) Server selection and aggregation, on this thread, reusing
-        // the round workspace.
+        // the round workspace — whose demand is noted here, from this
+        // selection's footprint, before the probe leaves a k'-sized one.
         let selection = stage(rec, SpanId::Selection, || {
-            self.sparsifier
-                .select_into(&self.uploads[..s], dim, k, &mut self.scratch)
+            let selection =
+                self.sparsifier
+                    .select_into(&self.uploads[..s], dim, k, &mut self.scratch);
+            self.scratch.shrink_to_recent_demand();
+            selection
         });
 
         // Optional probe for the derivative-sign estimator.
         let probe = stage(rec, SpanId::Probe, || {
-            probe_k.map(|pk| self.probe(round_idx, cohort.len(), pk, &selection))
+            probe_k.map(|pk| self.probe(round_idx, cohort.len(), k, pk, &selection))
         });
 
         // (3) Downlink: every client applies the identical sparse update.
@@ -1025,44 +1057,64 @@ impl Simulation {
         (train_loss, uplink_phase, plans.map(|_| fr))
     }
 
-    /// The probe stage: selects the hypothetical `probe_k`-element update
-    /// (its selection shares the round workspace) and evaluates the probe
-    /// losses `L̃(w(m-1))`, `L̃(w(m))`, `L̃(w'(m))` of the derivative-sign
-    /// estimator. On the byte-priced path the hypothetical `θ_m(k')` is
-    /// priced through the channel model, as a clean round of the members
-    /// that delivered.
+    /// The probe stage: the losses `L̃(w(m-1))`, `L̃(w(m))`, `L̃(w'(m))` of
+    /// the derivative-sign estimator, where `w'(m)` is the weights after the
+    /// hypothetical `probe_k`-element update, and the time that round would
+    /// have taken.
+    ///
+    /// The server reads the uploads once per round: the hypothetical
+    /// aggregate is [`Sparsifier::probe_aggregate`] — the round's own
+    /// `selection.aggregated` restricted to `J(k')`, with an independent
+    /// `select_into` only for `probe_k > k` — and when it *is* the round's
+    /// aggregate (`k' = k`, or a sparsifier that ignores `k`) `w'(m) = w(m)`
+    /// is neither built nor evaluated. The two weight vectors are reused
+    /// buffers. On the byte-priced path the hypothetical `θ_m(k')` is priced
+    /// through the channel model, as a clean round of the members that
+    /// delivered.
     fn probe(
         &mut self,
         round_idx: usize,
         cohort_len: usize,
+        k: usize,
         probe_k: usize,
         selection: &SelectionResult,
     ) -> ProbeReport {
         let dim = self.params.len();
         let probe_k = probe_k.clamp(1, dim);
         let uploads = &self.uploads[..self.survivors.len()];
-        let probe_selection = self
-            .sparsifier
-            .select_into(uploads, dim, probe_k, &mut self.scratch);
+        let probe_aggregate =
+            self.sparsifier
+                .probe_aggregate(uploads, dim, k, selection, probe_k, &mut self.scratch);
         let lr = self.config.learning_rate;
         let model = self.model.as_ref();
-
-        let mut w_now = self.params.clone();
-        selection.aggregated.apply_sgd(&mut w_now, lr);
-        let mut w_probe = self.params.clone();
-        probe_selection.aggregated.apply_sgd(&mut w_probe, lr);
+        let params = &self.params;
+        let refill = |w: &mut Vec<f32>, aggregate: &SparseGradient| {
+            w.clear();
+            w.extend_from_slice(params);
+            aggregate.apply_sgd(w, lr);
+        };
+        let (w_now, w_probe) = (&mut self.w_now, &mut self.w_probe);
+        refill(w_now, &selection.aggregated);
 
         // One pass per cohort slot (every hydrated member, offline ones
         // included — their stale probe sample is exactly what an
         // all-client sweep evaluates): the probe sample is fetched once and
-        // the three weight vectors evaluated together. The per-member
-        // results come back in cohort order, so the serial reduction below
+        // the weight vectors evaluated together. The per-member results
+        // come back in cohort order, so the serial reduction below
         // accumulates exactly as a sequential loop would.
-        let losses: Vec<Option<[f32; 3]>> =
-            self.executor.map_ref(&self.slots[..cohort_len], |slot| {
-                slot.client
-                    .probe_losses(model, [&self.params, &w_now, &w_probe])
-            });
+        let slots = &self.slots[..cohort_len];
+        let losses: Vec<Option<[f32; 3]>> = match &probe_aggregate {
+            Some(aggregate) => {
+                refill(w_probe, aggregate);
+                self.executor.map_ref(slots, |slot| {
+                    slot.client.probe_losses(model, [params, w_now, w_probe])
+                })
+            }
+            None => self.executor.map_ref(slots, |slot| {
+                let losses = slot.client.probe_losses(model, [params, w_now]);
+                losses.map(|[prev, now]| [prev, now, now])
+            }),
+        };
         let mut prev_sum = 0.0f64;
         let mut now_sum = 0.0f64;
         let mut probe_sum = 0.0f64;
@@ -1077,18 +1129,33 @@ impl Simulation {
             count += 1;
         }
         let n = count.max(1) as f64;
-        ProbeReport {
+        let survivors = &self.survivors;
+        let report = ProbeReport {
             probe_k,
             loss_prev: prev_sum / n,
             loss_now: now_sum / n,
             loss_probe: probe_sum / n,
             probe_round_time: match &mut self.wire {
-                Some(wire) => {
-                    wire.probe_round_time(round_idx, dim, probe_k, uploads, &probe_selection)
-                }
+                Some(wire) => wire.probe_round_time(
+                    round_idx,
+                    probe_k,
+                    uploads,
+                    |pos| slots[survivors[pos]].frame.len(),
+                    probe_aggregate.as_ref().unwrap_or(&selection.aggregated),
+                    &mut self.rank_keys,
+                ),
                 None => self.config.time_model.sparse_round_time(dim, probe_k),
             },
-        }
+        };
+        #[cfg(test)]
+        assert_eq!(
+            tests::probe_bits(&report),
+            tests::probe_bits(
+                &self.probe_by_second_selection(round_idx, cohort_len, probe_k, selection)
+            ),
+            "the probe must report what a second selection at k' reports (k = {k})"
+        );
+        report
     }
 
     /// Stage (3): advances the weights by the broadcast and returns the
@@ -1184,8 +1251,7 @@ impl Simulation {
     /// returns every member's persistent state to the population
     /// (first-time online participants get a new row; pristine offline
     /// first-timers are dropped and recreated identically on their next
-    /// appearance), and the selection workspace notes this round's demand
-    /// so a shrinking cohort or `k` releases capacity.
+    /// appearance).
     fn bookkeep<R: Recorder>(
         &mut self,
         rec: &mut R,
@@ -1216,7 +1282,6 @@ impl Simulation {
                         );
                         slot.cached_row = None;
                     }
-                    self.scratch.shrink_to_recent_demand();
                 },
                 || {
                     let t0 = clock.then(Instant::now);
@@ -1579,6 +1644,171 @@ mod tests {
 
     fn tiny_sim(sparsifier: Box<dyn Sparsifier>, beta: f64, seed: u64) -> Simulation {
         tiny_sim_with(sparsifier, beta, seed, Parallelism::Auto)
+    }
+
+    /// The probe as it was computed while the server still selected twice a
+    /// round, kept as the spec `Simulation::probe` asserts itself against in
+    /// every test of this module: an independent `select_into` at `k'` on a
+    /// fresh workspace, fresh clones of the weights, three losses per
+    /// member, and every prefix priced through a copy and a comparison sort.
+    impl Simulation {
+        pub(super) fn probe_by_second_selection(
+            &self,
+            round_idx: usize,
+            cohort_len: usize,
+            probe_k: usize,
+            selection: &SelectionResult,
+        ) -> ProbeReport {
+            let dim = self.params.len();
+            let uploads = &self.uploads[..self.survivors.len()];
+            let probe_selection = self.sparsifier.select(uploads, dim, probe_k);
+            let lr = self.config.learning_rate;
+            let mut w_now = self.params.clone();
+            selection.aggregated.apply_sgd(&mut w_now, lr);
+            let mut w_probe = self.params.clone();
+            probe_selection.aggregated.apply_sgd(&mut w_probe, lr);
+            let mut sums = [0.0f64; 3];
+            let mut count = 0usize;
+            for slot in &self.slots[..cohort_len] {
+                let weights = [&self.params[..], &w_now, &w_probe];
+                if let Some(losses) = slot.client.probe_losses(self.model.as_ref(), weights) {
+                    for (sum, loss) in sums.iter_mut().zip(losses) {
+                        *sum += loss as f64;
+                    }
+                    count += 1;
+                }
+            }
+            let n = count.max(1) as f64;
+            let probe_round_time = match &self.wire {
+                Some(wire) => {
+                    let uplink_phase = uploads
+                        .iter()
+                        .map(|upload| {
+                            let mut prefix =
+                                upload.entries[..probe_k.min(upload.entries.len())].to_vec();
+                            prefix.sort_unstable_by_key(|&(j, _)| j);
+                            let bytes = wire.codec.encoded_len(dim, &prefix);
+                            wire.channel.uplink_time(round_idx, upload.client, bytes)
+                        })
+                        .fold(0.0f64, f64::max);
+                    let downlink_bytes = wire
+                        .downlink
+                        .encoded_len_gradient(&probe_selection.aggregated);
+                    wire.channel.compute_time()
+                        + uplink_phase
+                        + wire.downlink_phase_time(round_idx, downlink_bytes)
+                }
+                None => self.config.time_model.sparse_round_time(dim, probe_k),
+            };
+            ProbeReport {
+                probe_k,
+                loss_prev: sums[0] / n,
+                loss_now: sums[1] / n,
+                loss_probe: sums[2] / n,
+                probe_round_time,
+            }
+        }
+    }
+
+    /// Every field of a probe report, floats as their bits.
+    pub(super) fn probe_bits(report: &ProbeReport) -> (usize, [u64; 4]) {
+        let floats = [
+            report.loss_prev,
+            report.loss_now,
+            report.loss_probe,
+            report.probe_round_time,
+        ];
+        (report.probe_k, floats.map(f64::to_bits))
+    }
+
+    /// Every sparsifier under every exchange — scalar-priced, lossless
+    /// wired, the QLinear8 lossy tier, and wired under chaos — probing
+    /// below `k`, at `k`, one above it (the runner's stochastic-rounding
+    /// corner, served by the independent selection) and far above anything
+    /// selected. `Simulation::probe` compares each report, bit for bit,
+    /// with `probe_by_second_selection`; this test supplies the rounds and
+    /// checks the comparison really ran on both sides of `k' <= k`.
+    #[test]
+    fn probe_reports_what_a_second_selection_reports() {
+        type Build = fn(Box<dyn Sparsifier>) -> Simulation;
+        let exchanges: [(&str, Build); 4] = [
+            ("unwired", |s| {
+                tiny_sim_with(s, 5.0, 3, Parallelism::Threads(2))
+            }),
+            ("lossless", |s| {
+                let codec = agsfl_wire::CodecSpec::DeltaVarint;
+                tiny_wire_sim(s, 3, Parallelism::Threads(2), codec, uniform_channel)
+            }),
+            ("qlinear8", |s| {
+                let codec = agsfl_wire::CodecSpec::QLinear8;
+                tiny_wire_sim(s, 3, Parallelism::Threads(2), codec, uniform_channel)
+            }),
+            ("faulty", |s| {
+                tiny_fault_sim(s, 3, Parallelism::Threads(2), true, Some(chaos_model(9)))
+            }),
+        ];
+        let sparsifiers: [fn() -> Box<dyn Sparsifier>; 5] = [
+            || Box::new(FabTopK::new()),
+            || Box::new(FubTopK::new()),
+            || Box::new(UnidirectionalTopK::new()),
+            || Box::new(PeriodicK::new()),
+            || Box::new(SendAll::new()),
+        ];
+        for (exchange, build) in exchanges {
+            for sparsifier in sparsifiers {
+                let mut sim = build(sparsifier());
+                let dim = sim.dim();
+                let k = dim / 8;
+                for probe_k in [1, k / 2, k - 1, k, k + 1, dim, k / 3, 2 * k] {
+                    let report = sim.run_round(k, Some(probe_k));
+                    let probe = report.probe.expect("a probe was asked for");
+                    assert_eq!(probe.probe_k, probe_k, "{exchange}");
+                    assert!(probe.loss_probe.is_finite() && probe.probe_round_time > 0.0);
+                    if probe_k == k {
+                        assert_eq!(probe.loss_probe.to_bits(), probe.loss_now.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Algorithm 3 keeps revisiting rounds with a large `k` and a probe at
+    /// `k' = 1`. The workspace's demand is read from the round's own
+    /// selection, so the probe's one-element lists never talk it into
+    /// releasing what the next round needs.
+    #[test]
+    fn workspace_capacity_is_stable_under_a_large_k_and_a_unit_probe() {
+        for sparsifier in [
+            Box::new(FabTopK::new()) as Box<dyn Sparsifier>,
+            Box::new(FubTopK::new()),
+        ] {
+            // Wide enough that k = D/2 clears the shrink floor by more than
+            // the policy's 4x guard, so a demand read off the probe's lists
+            // would release capacity.
+            let mut rng = ChaCha8Rng::seed_from_u64(4);
+            let fed = SyntheticFemnist::new(SyntheticFemnistConfig {
+                feature_dim: 400,
+                ..SyntheticFemnistConfig::tiny()
+            })
+            .generate(&mut rng);
+            let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+            let config = SimulationConfig {
+                batch_size: 8,
+                seed: 4,
+                ..SimulationConfig::default()
+            };
+            let mut sim = Simulation::new(Box::new(model), fed, sparsifier, config);
+            let k = sim.dim() / 2;
+            assert!(k > 4 * 256);
+            sim.run_round(k, Some(1));
+            sim.run_round(k, Some(1));
+            let settled = sim.scratch.list_capacities();
+            assert!(settled[1] >= k, "{settled:?}");
+            for _ in 0..6 {
+                sim.run_round(k, Some(1));
+                assert_eq!(sim.scratch.list_capacities(), settled);
+            }
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@ use rand::RngCore;
 use crate::scratch::SelectionScratch;
 use crate::sparsifier::{aggregate_marked, ClientUpload, SelectionResult, Sparsifier, UploadPlan};
 use crate::topk;
+use crate::SparseGradient;
 
 /// Fairness-aware bidirectional top-k gradient sparsification (FAB-top-k) —
 /// the paper's proposed method (Section III-B, Algorithm 1).
@@ -58,112 +59,89 @@ impl FabTopK {
         scratch.selected
     }
 
-    /// Single-pass fairness-aware selection into `scratch.selected` (sorted).
-    ///
-    /// One O(Σ|uploads|) sweep records, per index, the minimum rank at which
-    /// it appears across clients, plus a histogram of those minimum ranks.
-    /// The prefix sums of the histogram give every union size `|∪_i J_i^κ|`
-    /// in O(1), so the largest feasible `κ` falls out of a direct scan —
-    /// replacing the historical binary search whose every probe rebuilt a
-    /// `HashSet` over all uploads (O(N·κ) hashing per probe × O(log k)
-    /// probes).
-    ///
-    /// On return, `scratch`'s sums generation has exactly the selected
-    /// indices marked (with zero sums), ready for [`aggregate_marked`].
+    /// Fairness-aware selection into `scratch.selected` (sorted): the
+    /// [`Self::scan_levels`] marks, in index order.
     fn select_indices_into(
         uploads: &[ClientUpload],
         dim: usize,
         k: usize,
         scratch: &mut SelectionScratch,
     ) {
+        Self::scan_levels(uploads, dim, k, scratch);
+        scratch.selected.sort_unstable();
+    }
+
+    /// The rank-major scan behind every FAB selection: reads the uploads
+    /// level by level — level `r` is every client's rank-`r` entry — and
+    /// stops at the first level that does not fit in `k`.
+    ///
+    /// An index is first seen at its minimum rank across clients, so once
+    /// level `r` is marked the marked set is exactly `∪_i J_i^{r+1}` and its
+    /// size is that union's: the largest feasible `κ` is the first level
+    /// whose first-seen indices would overflow `k`, and that level's
+    /// unmarked entries are precisely the fill candidates of Algorithm 1.
+    /// The scan therefore reads `N·(κ+1)` upload entries, not all `N·k`
+    /// (`crate::reference` keeps the seed's binary search over `HashSet`
+    /// unions as the specification).
+    ///
+    /// `κ` never exceeds `min(k, longest upload)`; the level *at* that bound
+    /// is only ever a fill level, and taking all of a level that fits is the
+    /// same set as filling from it in magnitude order until it runs out.
+    ///
+    /// On return `scratch.selected` holds `J` in first-seen order and the
+    /// sums generation has exactly `J` marked (with zero sums), ready for
+    /// [`aggregate_marked`] or for restricting a larger round's aggregate.
+    fn scan_levels(uploads: &[ClientUpload], dim: usize, k: usize, scratch: &mut SelectionScratch) {
         scratch.selected.clear();
         scratch.begin_sums(dim);
-        if k == 0 || uploads.is_empty() {
+        if k == 0 {
             return;
         }
         let max_prefix = uploads.iter().map(ClientUpload::len).max().unwrap_or(0);
-        // κ above this bound cannot be feasible (κ = k already needs the
-        // union of k-prefixes to fit in k) nor useful (κ = max_prefix covers
-        // every upload in full).
-        let hi = max_prefix.min(k);
-
-        // Pass 1: minimum rank per index + histogram of minimum ranks < hi.
-        scratch.rank_counts.clear();
-        scratch.rank_counts.resize(hi, 0);
-        scratch.begin_ranks(dim);
-        for upload in uploads {
-            for (rank, &(j, _)) in upload.entries.iter().enumerate() {
-                assert!(j < dim, "upload index {j} out of range (dim {dim})");
-                match scratch.observe_rank(j, rank) {
-                    None => {
-                        if rank < hi {
-                            scratch.rank_counts[rank] += 1;
-                        }
-                    }
-                    Some(old) if rank < old => {
-                        if old < hi {
-                            scratch.rank_counts[old] -= 1;
-                        }
-                        if rank < hi {
-                            scratch.rank_counts[rank] += 1;
-                        }
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-
-        // Largest κ with |∪ J_i^κ| = Σ_{r<κ} counts[r] <= k; the union size
-        // is monotone non-decreasing in κ and κ = 0 is trivially feasible.
-        let mut kappa = 0;
-        let mut union_size = 0;
-        for cand in 1..=hi {
-            union_size += scratch.rank_counts[cand - 1];
-            if union_size <= k {
-                kappa = cand;
-            } else {
-                break;
-            }
-        }
-
-        // The union of per-client top-κ prefixes, marked for aggregation.
-        // Walking the κ-prefixes directly (O(N·κ) ≈ O(k) entries, deduped by
-        // the marks) beats rescanning every index the round touched.
-        for upload in uploads {
-            for &(j, _) in &upload.entries[..kappa.min(upload.entries.len())] {
-                debug_assert!(scratch.min_rank(j).is_some_and(|r| r < kappa));
-                if !scratch.is_marked(j) {
-                    scratch.mark_selected(j);
-                    scratch.selected.push(j);
-                }
-            }
-        }
-
-        // Fill up to k with the largest-magnitude candidates from prefix
-        // level κ+1 that are not already selected.
-        if scratch.selected.len() < k && kappa < max_prefix {
-            scratch.candidates.clear();
+        for level in 0..=max_prefix.min(k) {
+            let accepted = scratch.selected.len();
             for upload in uploads {
-                if let Some(&(j, v)) = upload.entries.get(kappa) {
+                if let Some(&(j, _)) = upload.entries.get(level) {
+                    assert!(j < dim, "upload index {j} out of range (dim {dim})");
                     if !scratch.is_marked(j) {
-                        scratch.candidates.push((j, v));
+                        scratch.mark_selected(j);
+                        scratch.selected.push(j);
                     }
                 }
             }
-            topk::rank_by_magnitude(&mut scratch.candidates, &mut scratch.keys);
-            for i in 0..scratch.candidates.len() {
-                if scratch.selected.len() >= k {
-                    break;
+            if scratch.selected.len() < k {
+                continue;
+            }
+            if scratch.selected.len() > k {
+                // κ = level. Un-accept it and fill up to k with its
+                // largest-magnitude entries that are not already selected.
+                for i in accepted..scratch.selected.len() {
+                    scratch.unmark(scratch.selected[i]);
                 }
-                let j = scratch.candidates[i].0;
-                // The same index may appear from several clients.
-                if !scratch.is_marked(j) {
-                    scratch.mark_selected(j);
-                    scratch.selected.push(j);
+                scratch.selected.truncate(accepted);
+                scratch.candidates.clear();
+                for upload in uploads {
+                    if let Some(&(j, v)) = upload.entries.get(level) {
+                        if !scratch.is_marked(j) {
+                            scratch.candidates.push((j, v));
+                        }
+                    }
+                }
+                topk::rank_by_magnitude(&mut scratch.candidates, &mut scratch.keys);
+                for i in 0..scratch.candidates.len() {
+                    if scratch.selected.len() >= k {
+                        break;
+                    }
+                    let j = scratch.candidates[i].0;
+                    // The same index may appear from several clients.
+                    if !scratch.is_marked(j) {
+                        scratch.mark_selected(j);
+                        scratch.selected.push(j);
+                    }
                 }
             }
+            return;
         }
-        scratch.selected.sort_unstable();
     }
 }
 
@@ -198,6 +176,42 @@ impl Sparsifier for FabTopK {
             true,
             true,
         )
+    }
+
+    fn probe_aggregate(
+        &self,
+        uploads: &[ClientUpload],
+        dim: usize,
+        k: usize,
+        selection: &SelectionResult,
+        probe_k: usize,
+        scratch: &mut SelectionScratch,
+    ) -> Option<SparseGradient> {
+        if probe_k > k {
+            return Some(self.select_into(uploads, dim, probe_k, scratch).aggregated);
+        }
+        // A selection that stopped short of its budget took every level, so
+        // any budget at least its size takes the same ones.
+        if probe_k >= selection.aggregated.nnz() {
+            return None;
+        }
+        Self::scan_levels(uploads, dim, probe_k, scratch);
+        // Keep the marked entries of the round's aggregate, in its (index)
+        // order. Branch-free: always write, advance only on a marked index;
+        // the spare slot absorbs the writes after the last match.
+        let kept = scratch.selected.len();
+        scratch.candidates.resize(kept + 1, (0, 0.0));
+        let mut n = 0;
+        for &entry in selection.aggregated.entries() {
+            scratch.candidates[n] = entry;
+            n += usize::from(scratch.is_marked(entry.0));
+        }
+        debug_assert_eq!(n, kept, "J(k') ⊆ J(k)");
+        scratch.candidates.truncate(kept);
+        Some(SparseGradient::from_sorted_entries(
+            dim,
+            scratch.candidates.clone(),
+        ))
     }
 }
 

@@ -114,6 +114,35 @@ impl Sparsifier for FubTopK {
             true,
         )
     }
+
+    fn probe_aggregate(
+        &self,
+        uploads: &[ClientUpload],
+        dim: usize,
+        k: usize,
+        selection: &SelectionResult,
+        probe_k: usize,
+        scratch: &mut SelectionScratch,
+    ) -> Option<SparseGradient> {
+        if probe_k > k {
+            return Some(self.select_into(uploads, dim, probe_k, scratch).aggregated);
+        }
+        if probe_k >= selection.aggregated.nnz() {
+            return None;
+        }
+        // The k kept entries carry the very `(index, sum as f32)` pairs the
+        // candidate cut ordered, so its best k' are the best k' of them.
+        scratch.candidates.clear();
+        scratch
+            .candidates
+            .extend_from_slice(selection.aggregated.entries());
+        topk::truncate_to_top_k(&mut scratch.candidates, probe_k, &mut scratch.keys);
+        topk::sort_by_index(&mut scratch.candidates, &mut scratch.keys);
+        Some(SparseGradient::from_sorted_entries(
+            dim,
+            scratch.candidates.clone(),
+        ))
+    }
 }
 
 #[cfg(test)]

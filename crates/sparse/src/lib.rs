@@ -32,7 +32,7 @@
 //!
 //! | stage | seed implementation | scratch implementation |
 //! |---|---|---|
-//! | FAB `κ` search | `HashSet` union rebuild per probe: O(U) hashing × O(log k) probes | one O(U) sweep records per-index minimum ranks; prefix counts answer every `|∪ J_i^κ|` in O(1); largest feasible `κ` by direct scan |
+//! | FAB `κ` search | `HashSet` union rebuild per probe: O(U) hashing × O(log k) probes | rank-major scan: level `r` is every client's rank-`r` entry, the indices first seen there are the ones whose minimum rank is `r`, so union sizes grow level by level and the scan stops at the first level that overflows `k` — `N·(κ+1)` entries read, not `U` |
 //! | aggregation | `HashSet` membership + `HashMap` sums + sort/dedup in `from_entries` | stamped dense `f64` sums, O(U) array probes, entries emitted sorted via [`SparseGradient::from_sorted_entries`] |
 //! | client top-k | comparator quickselect + sort over a fresh `16·D`-byte `(usize, f32)` candidate buffer per client per round | [`topk::top_k_entries_into`]: packed `u64` order keys in one reused per-client buffer — histogram select over the magnitude bits, radix rank, no float comparison |
 //!
@@ -47,9 +47,11 @@
 //! purpose: Algorithm 1's server step is one O(U) sweep that the paper's
 //! time model does not even charge for, so handing it to worker threads
 //! costs more in dispatch and merging than the sweep itself (see
-//! `benchmark/README.md`, finding 3). `agsfl_fl::Simulation` runs the
-//! round's selection and the probe's second selection on the round thread
-//! over one reused [`SelectionScratch`].
+//! `benchmark/README.md`, finding 3). It is also the only *read* of the
+//! uploads: the derivative-sign probe's hypothetical `k'`-element aggregate
+//! is [`Sparsifier::probe_aggregate`], the round's own aggregate restricted
+//! to `J(k')`, not a second selection. `agsfl_fl::Simulation` runs both on
+//! the round thread over one reused [`SelectionScratch`].
 //!
 //! # Example
 //!

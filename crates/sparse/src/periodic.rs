@@ -5,6 +5,7 @@ use crate::scratch::SelectionScratch;
 use crate::sparsifier::{
     result_from_selected, ClientUpload, SelectionResult, Sparsifier, UploadPlan,
 };
+use crate::SparseGradient;
 
 /// Periodic / random-k sparsification.
 ///
@@ -82,6 +83,19 @@ impl Sparsifier for PeriodicK {
         let result = result_from_selected(uploads, &selected, dim, scratch, true);
         scratch.selected = selected;
         result
+    }
+
+    fn probe_aggregate(
+        &self,
+        _uploads: &[ClientUpload],
+        _dim: usize,
+        _k: usize,
+        _selection: &SelectionResult,
+        _probe_k: usize,
+        _scratch: &mut SelectionScratch,
+    ) -> Option<SparseGradient> {
+        // The selection never reads k.
+        None
     }
 }
 

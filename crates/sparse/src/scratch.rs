@@ -81,8 +81,15 @@ impl<T: Copy + Default> StampedBuf<T> {
         self.data[j] = value;
     }
 
-    /// Reads slot `j`; `None` if it was not written this generation.
+    /// Takes slot `j` back out of the current generation (`begin` has run at
+    /// least once, so no generation is ever stamped 0).
     #[inline]
+    pub(crate) fn unset(&mut self, j: usize) {
+        self.stamp[j] = 0;
+    }
+
+    /// Reads slot `j`; `None` if it was not written this generation.
+    #[cfg(test)]
     pub(crate) fn get(&self, j: usize) -> Option<T> {
         if self.is_set(j) {
             Some(self.data[j])
@@ -114,37 +121,18 @@ impl StampedBuf<f64> {
     }
 }
 
-impl StampedBuf<usize> {
-    /// Records `value` at slot `j`, keeping the minimum across the current
-    /// generation; one stamp probe. Returns the previously stored value.
-    #[inline]
-    pub(crate) fn observe_min(&mut self, j: usize, value: usize) -> Option<usize> {
-        if self.stamp[j] == self.epoch {
-            let old = self.data[j];
-            if value < old {
-                self.data[j] = value;
-            }
-            Some(old)
-        } else {
-            self.stamp[j] = self.epoch;
-            self.data[j] = value;
-            None
-        }
-    }
-}
-
 /// Reusable workspace for [`Sparsifier::select_into`].
 ///
 /// One `SelectionScratch` amortises every temporary the server-side
 /// selection/aggregation pipeline needs across rounds:
 ///
-/// * `ranks` — per-index minimum upload rank (FAB's single-pass union
-///   counting),
-/// * `sums` — per-index weighted aggregation accumulator,
-/// * `rank_counts` — histogram of minimum ranks, turned into prefix counts so
-///   every `|∪ J_i^κ|` is an O(1) lookup,
-/// * `selected` / `candidates` — index and candidate lists reused between
-///   rounds,
+/// * `sums` — per-index weighted aggregation accumulator, whose stamps
+///   double as the "selected" marks (FAB's rank-major scan dedups its
+///   levels through them),
+/// * `ranks` — an index-membership set that leaves the sums generation
+///   alone (FUB's reset sweep),
+/// * `touched` / `selected` / `candidates` — index and candidate lists
+///   reused between rounds,
 /// * `keys` — the packed order keys [`crate::topk`] ranks candidates through.
 ///
 /// Buffers grow to the largest dimension seen and are invalidated by epoch
@@ -156,12 +144,10 @@ impl StampedBuf<usize> {
 /// [`Sparsifier::select_into`]: crate::Sparsifier::select_into
 #[derive(Debug, Clone, Default)]
 pub struct SelectionScratch {
-    /// Minimum rank at which each index appears across client uploads.
+    /// Index membership for a phase that must not disturb `sums`.
     pub(crate) ranks: StampedBuf<usize>,
     /// Weighted per-index sums for aggregation.
     pub(crate) sums: StampedBuf<f64>,
-    /// `rank_counts[r]` = number of indices whose minimum rank is `r`.
-    pub(crate) rank_counts: Vec<usize>,
     /// Distinct indices observed this round, in first-appearance order.
     pub(crate) touched: Vec<usize>,
     /// The selected downlink index set, sorted ascending.
@@ -171,9 +157,9 @@ pub struct SelectionScratch {
     /// Packed magnitude-order keys of `candidates` (see [`crate::topk`]).
     pub(crate) keys: Vec<u64>,
     /// Decaying demand marks for the list buffers above, in field order
-    /// (`rank_counts`, `touched`, `selected`, `candidates`, `keys`);
-    /// updated by [`SelectionScratch::shrink_to_recent_demand`].
-    list_demand: [usize; 5],
+    /// (`touched`, `selected`, `candidates`, `keys`); updated by
+    /// [`SelectionScratch::shrink_to_recent_demand`].
+    list_demand: [usize; 4],
 }
 
 impl SelectionScratch {
@@ -182,33 +168,14 @@ impl SelectionScratch {
         Self::default()
     }
 
-    /// Begins the rank-counting phase for a round of dimension `dim`.
-    pub(crate) fn begin_ranks(&mut self, dim: usize) {
-        self.ranks.begin(dim);
-    }
-
     /// Begins an aggregation phase for a round of dimension `dim`.
     pub(crate) fn begin_sums(&mut self, dim: usize) {
         self.sums.begin(dim);
     }
 
-    /// Records that `j` was uploaded at `rank`, keeping the minimum.
-    /// Returns the previously recorded rank, if any.
-    #[inline]
-    pub(crate) fn observe_rank(&mut self, j: usize, rank: usize) -> Option<usize> {
-        self.ranks.observe_min(j, rank)
-    }
-
-    /// The recorded minimum rank of `j`, if it was observed this round.
-    #[inline]
-    pub(crate) fn min_rank(&self, j: usize) -> Option<usize> {
-        self.ranks.get(j)
-    }
-
-    /// Begins a membership phase for a round of dimension `dim`. Membership
-    /// shares the `ranks` buffer (a sparsifier uses ranks or membership,
-    /// never both at once), so it can express an index set without touching
-    /// the sums generation.
+    /// Begins a membership phase for a round of dimension `dim`: an index
+    /// set in the `ranks` buffer, expressed without touching the sums
+    /// generation.
     pub(crate) fn begin_members(&mut self, dim: usize) {
         self.ranks.begin(dim);
     }
@@ -237,6 +204,12 @@ impl SelectionScratch {
         self.sums.is_set(j)
     }
 
+    /// Takes the mark of `j` back (FAB un-accepts the level that overflowed).
+    #[inline]
+    pub(crate) fn unmark(&mut self, j: usize) {
+        self.sums.unset(j);
+    }
+
     /// Adds `v` to the sum of a marked index.
     #[inline]
     pub(crate) fn accumulate(&mut self, j: usize, v: f64) {
@@ -259,24 +232,39 @@ impl SelectionScratch {
     }
 
     /// Applies the decaying-demand shrink policy to the list buffers, using
-    /// their current lengths (a just-finished round's footprint) as the
-    /// demand observation. Call once per round *after* selection: a
-    /// workspace that served a much larger round (bigger cohort, larger
-    /// union) releases that memory after a few smaller rounds instead of
-    /// pinning its high-water mark forever, while steady-state rounds never
-    /// trigger an allocation or release. The epoch-stamped dense buffers
-    /// shrink on their own in `begin()` when the dimension demand drops.
+    /// their current lengths (a just-finished selection's footprint) as the
+    /// demand observation. Call once per round, right after the round's own
+    /// `select_into` and before anything else reuses the lists — the probe's
+    /// [`Sparsifier::probe_aggregate`] leaves `k'`-sized contents behind,
+    /// and a demand read from those would shrink the lists a `k = D/2`
+    /// round needs and regrow them by doubling the round after. A workspace
+    /// that served a much larger round (bigger cohort, larger union)
+    /// releases that memory after a few smaller rounds instead of pinning
+    /// its high-water mark forever, while steady-state rounds never trigger
+    /// an allocation or release. The epoch-stamped dense buffers shrink on
+    /// their own in `begin()` when the dimension demand drops.
+    ///
+    /// [`Sparsifier::probe_aggregate`]: crate::Sparsifier::probe_aggregate
     pub fn shrink_to_recent_demand(&mut self) {
-        let used = self.rank_counts.len();
-        note_demand_and_shrink(&mut self.rank_counts, &mut self.list_demand[0], used);
         let used = self.touched.len();
-        note_demand_and_shrink(&mut self.touched, &mut self.list_demand[1], used);
+        note_demand_and_shrink(&mut self.touched, &mut self.list_demand[0], used);
         let used = self.selected.len();
-        note_demand_and_shrink(&mut self.selected, &mut self.list_demand[2], used);
+        note_demand_and_shrink(&mut self.selected, &mut self.list_demand[1], used);
         let used = self.candidates.len();
-        note_demand_and_shrink(&mut self.candidates, &mut self.list_demand[3], used);
+        note_demand_and_shrink(&mut self.candidates, &mut self.list_demand[2], used);
         let used = self.keys.len();
-        note_demand_and_shrink(&mut self.keys, &mut self.list_demand[4], used);
+        note_demand_and_shrink(&mut self.keys, &mut self.list_demand[3], used);
+    }
+
+    /// Capacities of the list buffers, in field order (`touched`,
+    /// `selected`, `candidates`, `keys`), for memory audits and tests.
+    pub fn list_capacities(&self) -> [usize; 4] {
+        [
+            self.touched.capacity(),
+            self.selected.capacity(),
+            self.candidates.capacity(),
+            self.keys.capacity(),
+        ]
     }
 }
 
@@ -308,14 +296,16 @@ mod tests {
     }
 
     #[test]
-    fn observe_rank_keeps_minimum() {
+    fn unmark_takes_one_index_out_of_the_generation() {
         let mut scratch = SelectionScratch::new();
-        scratch.begin_ranks(8);
-        assert_eq!(scratch.observe_rank(5, 3), None);
-        assert_eq!(scratch.observe_rank(5, 1), Some(3));
-        assert_eq!(scratch.min_rank(5), Some(1));
-        assert_eq!(scratch.observe_rank(5, 7), Some(1));
-        assert_eq!(scratch.min_rank(5), Some(1));
+        scratch.begin_sums(8);
+        scratch.mark_selected(5);
+        scratch.mark_selected(6);
+        scratch.unmark(5);
+        assert!(!scratch.is_marked(5));
+        assert!(scratch.is_marked(6));
+        scratch.mark_selected(5);
+        assert_eq!(scratch.sum(5), 0.0);
     }
 
     #[test]

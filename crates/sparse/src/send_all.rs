@@ -4,6 +4,7 @@ use crate::scratch::SelectionScratch;
 use crate::sparsifier::{
     result_from_selected, ClientUpload, SelectionResult, Sparsifier, UploadPlan,
 };
+use crate::SparseGradient;
 
 /// Always-send-all: clients upload their full accumulated gradients and the
 /// server broadcasts the full aggregated gradient every round.
@@ -55,6 +56,19 @@ impl Sparsifier for SendAll {
         let result = result_from_selected(uploads, &selected, dim, scratch, false);
         scratch.selected = selected;
         result
+    }
+
+    fn probe_aggregate(
+        &self,
+        _uploads: &[ClientUpload],
+        _dim: usize,
+        _k: usize,
+        _selection: &SelectionResult,
+        _probe_k: usize,
+        _scratch: &mut SelectionScratch,
+    ) -> Option<SparseGradient> {
+        // The selection never reads k.
+        None
     }
 }
 

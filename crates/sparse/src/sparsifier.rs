@@ -213,6 +213,49 @@ pub trait Sparsifier: Send + Sync + std::fmt::Debug {
         scratch: &mut SelectionScratch,
     ) -> SelectionResult;
 
+    /// The aggregate `select_into(uploads, dim, probe_k, ..)` would return,
+    /// for a caller that already holds `selection`, the result of
+    /// `select_into(uploads, dim, k, ..)` over the *same* uploads — the
+    /// derivative-sign probe of Section IV-E, which wants the hypothetical
+    /// `k'`-element update next to the real `k`-element one. `None` means
+    /// "`selection.aggregated` itself".
+    ///
+    /// For `probe_k <= k` no second selection runs; the probe aggregate is
+    /// `selection.aggregated` *restricted* to `J(k')`, bit for bit, because
+    ///
+    /// 1. **`b_j` does not depend on `J`.** `b_j = Σ_i w_i · a_ij` sums, in
+    ///    upload order, over every client that uploaded `j`; which other
+    ///    indices were selected never enters it, so the value aggregated for
+    ///    `j` at `k` is the value a selection at `k'` would aggregate.
+    /// 2. **`J` is nested in `k`.** FAB-top-k's `κ` is monotone in `k` and
+    ///    its fill takes a prefix of one ranked candidate list, FUB-top-k
+    ///    keeps a prefix of one total order, and the other three ignore `k`;
+    ///    so `J(k') ⊆ J(k)` over the same uploads.
+    ///
+    /// An implementation therefore only has to find `J(k')` — FAB by its
+    /// rank-major scan at `k'`, FUB by a top-`k'` cut of the `k` aggregated
+    /// entries, the `k`-blind three by answering `None`. For `probe_k > k`
+    /// (the runner's stochastic rounding can put `k'` one above `k`, and
+    /// direct `run_round` callers may ask for anything) `J(k')` is not
+    /// inside `J(k)` and the independent `select_into` at `probe_k` runs —
+    /// which is also this provided body, so a sparsifier without a
+    /// restriction of its own is correct by default.
+    ///
+    /// Clobbers the scratch's lists; see
+    /// [`SelectionScratch::shrink_to_recent_demand`].
+    fn probe_aggregate(
+        &self,
+        uploads: &[ClientUpload],
+        dim: usize,
+        k: usize,
+        selection: &SelectionResult,
+        probe_k: usize,
+        scratch: &mut SelectionScratch,
+    ) -> Option<SparseGradient> {
+        let _ = (k, selection);
+        Some(self.select_into(uploads, dim, probe_k, scratch).aggregated)
+    }
+
     /// Convenience wrapper over [`Sparsifier::select_into`] that allocates a
     /// throwaway [`SelectionScratch`]. Handy in tests and one-shot callers;
     /// round loops should own a scratch and call `select_into` directly.

@@ -84,6 +84,19 @@ impl Sparsifier for UnidirectionalTopK {
             true,
         )
     }
+
+    fn probe_aggregate(
+        &self,
+        _uploads: &[ClientUpload],
+        _dim: usize,
+        _k: usize,
+        _selection: &SelectionResult,
+        _probe_k: usize,
+        _scratch: &mut SelectionScratch,
+    ) -> Option<SparseGradient> {
+        // The selection never reads k.
+        None
+    }
 }
 
 #[cfg(test)]

@@ -12,12 +12,13 @@
 //!   identical results — i.e. epoch stamping really does isolate rounds and
 //!   no stale generation ever leaks.
 
+mod common;
+
 use agsfl_sparse::{
     reference, ClientUpload, FabTopK, FubTopK, PeriodicK, SelectionResult, SelectionScratch,
     SendAll, Sparsifier, UnidirectionalTopK,
 };
 use proptest::prelude::*;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -36,38 +37,6 @@ fn random_topk_uploads(
                 1.0 / n_clients as f64,
                 agsfl_sparse::topk::top_k_entries(&dense, k),
             )
-        })
-        .collect()
-}
-
-/// Builds uploads sharing one random sorted coordinate set (periodic-k).
-fn random_coordinate_uploads(
-    rng: &mut ChaCha8Rng,
-    n_clients: usize,
-    dim: usize,
-    k: usize,
-) -> Vec<ClientUpload> {
-    let mut pool: Vec<usize> = (0..dim).collect();
-    let (chosen, _) = pool.partial_shuffle(rng, k.min(dim));
-    let mut coords = chosen.to_vec();
-    coords.sort_unstable();
-    (0..n_clients)
-        .map(|i| {
-            let entries = coords
-                .iter()
-                .map(|&j| (j, rng.gen_range(-5.0f32..5.0)))
-                .collect();
-            ClientUpload::new(i, 1.0 / n_clients as f64, entries)
-        })
-        .collect()
-}
-
-/// Builds dense uploads (send-all).
-fn random_dense_uploads(rng: &mut ChaCha8Rng, n_clients: usize, dim: usize) -> Vec<ClientUpload> {
-    (0..n_clients)
-        .map(|i| {
-            let entries = (0..dim).map(|j| (j, rng.gen_range(-5.0f32..5.0))).collect();
-            ClientUpload::new(i, 1.0 / n_clients as f64, entries)
         })
         .collect()
 }
@@ -137,11 +106,11 @@ proptest! {
             &UnidirectionalTopK::new(), &topk_uploads, dim, k, &expected, &mut scratch,
         );
 
-        let coord_uploads = random_coordinate_uploads(&mut rng, n_clients, dim, k);
+        let coord_uploads = common::random_coordinate_uploads(&mut rng, n_clients, dim, k);
         let expected = reference::periodic_select(&coord_uploads, dim);
         assert_equivalent(&PeriodicK::new(), &coord_uploads, dim, k, &expected, &mut scratch);
 
-        let dense_uploads = random_dense_uploads(&mut rng, n_clients, dim);
+        let dense_uploads = common::random_dense_uploads(&mut rng, n_clients, dim);
         let expected = reference::send_all_select(&dense_uploads, dim);
         assert_equivalent(&SendAll::new(), &dense_uploads, dim, k, &expected, &mut scratch);
     }
@@ -162,6 +131,53 @@ proptest! {
         prop_assert!(fast.windows(2).all(|w| w[0] < w[1]));
         prop_assert_eq!(fast, slow);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// FAB's rank-major scan against the reference where uniform uploads
+    /// never go: clients sharing most indices, magnitudes that tie (so the
+    /// fill level offers one index from several clients and ranks it by the
+    /// index tie-break), ragged and empty uploads, `κ` running into its
+    /// `min(k, longest upload)` bound, and `k` on either side of the number
+    /// of distinct indices.
+    #[test]
+    fn prop_fab_scan_matches_reference_on_shared_tied_ragged_uploads(
+        seed in 0u64..1_000_000,
+        n_clients in 1usize..=24,
+        dim in 2usize..40,
+        max_len in 0usize..24,
+        k_raw in 0usize..64,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let uploads = common::ragged_tied_uploads(&mut rng, n_clients, dim, max_len);
+        let k = 1 + k_raw % dim;
+        let expected = reference::fab_select(&uploads, dim, k);
+        let mut scratch = SelectionScratch::new();
+        assert_equivalent(&FabTopK::new(), &uploads, dim, k, &expected, &mut scratch);
+        prop_assert_eq!(
+            FabTopK::select_indices(&uploads, k),
+            reference::fab_select_indices(&uploads, k)
+        );
+    }
+}
+
+/// `κ` at its `min(k, longest upload)` bound with budget left over: only an
+/// upload repeating an index (which no client builds) gets there, and the
+/// reference then still fills from the level at the bound. The scan reads
+/// that level too.
+#[test]
+fn fab_fills_from_the_level_at_the_kappa_bound() {
+    let uploads = vec![ClientUpload::new(
+        0,
+        1.0,
+        vec![(0, 3.0), (0, 2.0), (1, 1.0), (2, 0.5)],
+    )];
+    let expected = reference::fab_select(&uploads, 3, 2);
+    assert_eq!(expected.aggregated.indices().collect::<Vec<_>>(), [0, 1]);
+    let mut scratch = SelectionScratch::new();
+    assert_equivalent(&FabTopK::new(), &uploads, 3, 2, &expected, &mut scratch);
 }
 
 /// Epoch-stamping soundness: many rounds of shifting workloads on one

@@ -765,9 +765,17 @@ mod tests {
         let from_ranked = scratch.encode_unsorted(&DeltaVarint, 100, &ranked).to_vec();
         let from_sorted = DeltaVarint.encode_into(100, &sorted, &mut scratch).to_vec();
         assert_eq!(from_ranked, from_sorted);
+        let mut keys = Vec::new();
         assert_eq!(
-            scratch.encoded_len_unsorted(&DeltaVarint, 100, &ranked),
+            scratch.encoded_len_unsorted(&DeltaVarint, 100, &ranked, &mut keys),
             from_sorted.len()
+        );
+        // Long enough for the radix passes of `topk::sort_by_index`.
+        let long: Vec<(usize, f32)> = (0..3000).map(|i| (i * 7919 % 3001, i as f32)).collect();
+        let frame_len = scratch.encode_unsorted(&DeltaVarint, 3001, &long).len();
+        assert_eq!(
+            scratch.encoded_len_unsorted(&DeltaVarint, 3001, &long, &mut keys),
+            frame_len
         );
     }
 

@@ -1,5 +1,7 @@
 //! Reusable encode workspace.
 
+use agsfl_sparse::topk;
+
 use crate::codec::Codec;
 
 /// Smallest capacity (bytes or entries) a scratch buffer bothers shrinking
@@ -29,8 +31,9 @@ pub(crate) fn note_demand_and_shrink<T>(buf: &mut Vec<T>, demand: &mut usize, us
 ///   recent use (capacity decays when demand drops, see below) and is
 ///   logically cleared by starting a new generation.
 /// * `staging` — an index-sort buffer used by
-///   [`WireScratch::encode_unsorted`] to canonicalize rank-ordered uplink
-///   messages before encoding.
+///   [`WireScratch::encode_unsorted`] and
+///   [`WireScratch::encoded_len_unsorted`] to canonicalize rank-ordered
+///   uplink messages before encoding or pricing them.
 ///
 /// Each encode starts a new generation (see [`WireScratch::generation`]);
 /// the byte slice returned by an encode borrows the workspace, so the
@@ -106,7 +109,8 @@ impl WireScratch {
         dim: usize,
         entries: &[(usize, f32)],
     ) -> &[u8] {
-        let staging = self.stage_sorted(entries);
+        let mut staging = self.stage(entries);
+        staging.sort_unstable_by_key(|&(j, _)| j);
         let frame_len = codec.encode_into(dim, &staging, self).len();
         self.staging = staging;
         &self.frame[..frame_len]
@@ -114,28 +118,36 @@ impl WireScratch {
 
     /// Exact encoded size of a message whose entries are in arbitrary
     /// order, without encoding it (used for hypothetical-`k'` probe
-    /// pricing).
+    /// pricing). The index sort runs through [`topk::sort_by_index`] on the
+    /// caller's packed-key buffer: every client owns a `WireScratch`, so a
+    /// key buffer in here would be held once per client for the one caller
+    /// — the server's probe — that prices prefixes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index does not fit in 32 bits.
     pub fn encoded_len_unsorted(
         &mut self,
         codec: &dyn Codec,
         dim: usize,
         entries: &[(usize, f32)],
+        keys: &mut Vec<u64>,
     ) -> usize {
-        let staging = self.stage_sorted(entries);
+        let mut staging = self.stage(entries);
+        topk::sort_by_index(&mut staging, keys);
         let len = codec.encoded_len(dim, &staging);
         self.staging = staging;
         len
     }
 
     /// Takes the staging buffer out of the workspace, filled with `entries`
-    /// sorted by index. The caller must put it back.
-    fn stage_sorted(&mut self, entries: &[(usize, f32)]) -> Vec<(usize, f32)> {
+    /// in the order given. The caller sorts it and must put it back.
+    fn stage(&mut self, entries: &[(usize, f32)]) -> Vec<(usize, f32)> {
         let mut staging = std::mem::take(&mut self.staging);
         let used = staging.len();
         note_demand_and_shrink(&mut staging, &mut self.staging_demand, used);
         staging.clear();
         staging.extend_from_slice(entries);
-        staging.sort_unstable_by_key(|&(j, _)| j);
         staging
     }
 }

@@ -55,6 +55,33 @@ done | grep -E '(sort_unstable_by|sort_by|select_nth_unstable_by)\(.*magnitude_t
     exit 1
 fi
 
+step "the server reads the uploads once (no second selection, clone or comparison sort in the probe)"
+# The round path selects once; the probe restricts that result
+# (Sparsifier::probe_aggregate) into reused weight buffers and prices
+# prefixes through topk::sort_by_index. Product code only (up to `mod
+# tests`, whose probe_by_second_selection is the old recipe kept as the
+# spec); comment lines are exempt.
+sim_product() {
+    awk '/^mod tests/ { exit } { print FNR ":" $0 }' crates/fl/src/simulation.rs \
+        | grep -vE '^[0-9]+:[[:space:]]*//'
+}
+if [[ "$(sim_product | grep -c 'select_into')" -ne 1 ]]; then
+    echo "verify: crates/fl/src/simulation.rs must call select_into exactly once (the selection stage):" >&2
+    sim_product | grep 'select_into' >&2
+    exit 1
+fi
+if sim_product | grep -E 'sort_unstable_by_key|params\.clone\(\)'; then
+    echo "verify: the round path sorts by comparison or clones the weights (lines above)" >&2
+    exit 1
+fi
+# WireScratch::encode_unsorted (one per client, per round) keeps its
+# comparison sort; the probe's encoded_len_unsorted must not share it.
+if awk '/pub fn encoded_len_unsorted/ { on = 1 } on { print FNR ":" $0 } on && /^    }/ { exit }' \
+    crates/wire/src/scratch.rs | grep -F '.sort'; then
+    echo "verify: WireScratch::encoded_len_unsorted comparison-sorts (lines above); use topk::sort_by_index" >&2
+    exit 1
+fi
+
 step "cargo build --release"
 cargo build --release
 
@@ -80,6 +107,9 @@ cargo test -q -p agsfl-wire --test decode_fuzz
 
 step "top-k equivalence (integer-key select/rank == the comparator spec, bit for bit; NaN never panics)"
 cargo test -q -p agsfl-sparse --test topk_equivalence
+
+step "probe restriction (probe_aggregate == an independent select_into at k', bit for bit, all five sparsifiers)"
+cargo test -q -p agsfl-sparse --test probe_restriction
 
 step "checkpoint fuzz + format pins (hostile AGCK files never panic the resume; the bytes are pinned)"
 cargo test -q -p agsfl-core --test checkpoint_fuzz
