@@ -29,9 +29,10 @@
 //! prices one parallel region's *dispatch* — the historical
 //! spawn-per-region `thread::scope` baseline vs the persistent channel-fed
 //! worker pool — over a trivially small region, so the per-round overhead
-//! the pool saves is tracked explicitly. The `cnn_forward` pair times
-//! the paper-shape (~420k-weight, batch 32) CNN forward pass through the
-//! seed scalar loops (`agsfl_ml::reference`) and the im2col lowering. The
+//! the pool saves is tracked explicitly. The `cnn_forward` / `cnn_grad`
+//! pairs time the paper-shape (~420k-weight, batch 32) CNN forward pass and
+//! gradient through the seed scalar loops (`agsfl_ml::reference`) and the
+//! im2col lowering. The
 //! `eval_sweep` pair times one evaluation point's `O(N·D)` metric sweep
 //! through the seed's three serial passes and the fused executor sweep
 //! (`agsfl_ml::metrics::global_evaluation`), asserting on the way that both
@@ -410,10 +411,10 @@ fn main() {
         );
     }
 
-    // CNN forward at the paper shape (~420k weights, batch 32): the seed
-    // scalar-loop kernel kept in `agsfl_ml::reference` vs the im2col
-    // lowering with a reused column workspace.
-    let (cnn, cnn_params, cnn_x, _) = cnn_workload();
+    // CNN forward and gradient at the paper shape (~420k weights, batch
+    // 32): the seed scalar-loop kernels kept in `agsfl_ml::reference` vs
+    // the im2col lowering with a reused column workspace.
+    let (cnn, cnn_params, cnn_x, cnn_labels) = cnn_workload();
     let seed_ns = time_ns(|| {
         black_box(ml_reference::cnn_forward(
             &cnn,
@@ -434,14 +435,39 @@ fn main() {
         seed_ns,
         scratch_ns,
     };
-    eprintln!(
-        "  cnn_forward (D={}, batch={}): loops {:.0} ns, im2col {:.0} ns -> {:.2}x",
-        cnn.num_params(),
-        CNN_BATCH,
-        cnn_report.seed_ns,
-        cnn_report.scratch_ns,
-        cnn_report.speedup()
-    );
+    let seed_ns = time_ns(|| {
+        black_box(ml_reference::cnn_loss_and_grad(
+            &cnn,
+            black_box(&cnn_params),
+            black_box(&cnn_x),
+            &cnn_labels,
+        ));
+    });
+    let scratch_ns = time_ns(|| {
+        black_box(cnn.loss_and_grad_with(
+            black_box(&cnn_params),
+            black_box(&cnn_x),
+            &cnn_labels,
+            &mut im2col,
+        ));
+    });
+    let cnn_grad_report = KernelReport {
+        name: "cnn_grad",
+        seed_ns,
+        scratch_ns,
+        ..cnn_report
+    };
+    for r in [&cnn_report, &cnn_grad_report] {
+        eprintln!(
+            "  {} (D={}, batch={}): loops {:.0} ns, im2col {:.0} ns -> {:.2}x",
+            r.name,
+            r.dim,
+            r.clients,
+            r.seed_ns,
+            r.scratch_ns,
+            r.speedup()
+        );
+    }
 
     // Per-evaluation metric sweep: the seed's three serial passes (global
     // loss, global accuracy, test accuracy) vs the fused executor sweep.
@@ -816,6 +842,7 @@ fn main() {
     kernels.extend(topk_reports);
     kernels.extend([
         cnn_report,
+        cnn_grad_report,
         eval_report,
         wire_encode,
         wire_decode,

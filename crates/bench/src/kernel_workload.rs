@@ -1,11 +1,11 @@
-//! The shared kernel workloads.
+//! The kernel workloads.
 //!
-//! `benches/kernels.rs` (criterion) and the `bench-report` binary (plain
-//! timing + `BENCH_kernels.json`) must measure exactly the same inputs so
-//! their numbers are comparable across PRs; both build them here. Four
-//! workload families are tracked: the FAB server selection (and, at the
-//! paper's dimension, the probe's restriction of it), the
-//! paper-shape CNN forward pass (im2col vs the seed scalar loops), the
+//! The `bench-report` binary (plain timing + `BENCH_kernels.json`) must
+//! measure exactly the same inputs from one PR to the next so its numbers
+//! are comparable; it builds them here. Four workload families are
+//! tracked: the FAB server selection (and, at the paper's dimension, the
+//! probe's restriction of it), the paper-shape CNN forward pass and
+//! gradient (im2col vs the seed scalar loops), the
 //! per-evaluation `O(N·D)` metric sweep (fused executor sweep vs the
 //! seed's three serial passes), and the wire-codec message (encode/decode
 //! fast paths vs the allocating reference implementations).

@@ -2,7 +2,7 @@
 
 use agsfl_ml::data::{ClientShard, MinibatchSampler};
 use agsfl_ml::model::Model;
-use agsfl_sparse::{topk, ClientUpload, ResidualAccumulator, UploadPlan};
+use agsfl_sparse::{topk, ResidualAccumulator, UploadPlan};
 use agsfl_wire::{decode_frame, Codec, WireScratch};
 use rand::Rng;
 use rand::SeedableRng;
@@ -27,9 +27,9 @@ pub struct Client {
     last_batch: Vec<usize>,
     /// The sample within `last_batch` chosen for the estimator this round.
     probe_sample: Option<usize>,
-    /// Reused order-key buffer for top-k extraction and the lossy tier's
-    /// index sort and re-rank (see `agsfl_sparse::topk`), so building the
-    /// uplink message allocates nothing after the first round.
+    /// Reused order-key buffer for top-k extraction and the uplink frame's
+    /// index sort (see `agsfl_sparse::topk`), so building the uplink
+    /// message allocates nothing after the first round.
     topk_scratch: Vec<u64>,
     /// Reused wire-encoding workspace; byte-priced rounds encode the uplink
     /// message here without per-round allocation beyond the emitted frame.
@@ -191,49 +191,9 @@ impl Client {
     }
 
     /// Builds the uplink message for the current round according to the
-    /// sparsifier's [`UploadPlan`].
-    ///
-    /// Takes `&mut self` because top-k extraction reuses the client's scratch
-    /// buffer instead of allocating a full-dimension temporary every round.
-    pub fn build_upload(&mut self, plan: &UploadPlan, k: usize) -> ClientUpload {
-        let entries = match plan {
-            UploadPlan::TopKOwn => self
-                .accumulator
-                .top_k_entries_with(k, &mut self.topk_scratch),
-            UploadPlan::Coordinates(coords) => self.accumulator.entries_at(coords),
-            UploadPlan::Dense => self
-                .accumulator
-                .as_slice()
-                .iter()
-                .enumerate()
-                .map(|(j, &v)| (j, v))
-                .collect(),
-        };
-        ClientUpload::new(self.id, self.weight, entries)
-    }
-
-    /// Encodes an uplink message into a wire frame using the client's own
-    /// reused [`WireScratch`] (the message's rank-ordered entries are
-    /// staged index-sorted first — entry order is presentation, not
-    /// payload; the server re-derives ranks from the decoded values).
-    ///
-    /// Returns the owned frame — the bytes that would actually cross the
-    /// client's uplink.
-    pub fn encode_upload(
-        &mut self,
-        codec: &dyn Codec,
-        dim: usize,
-        upload: &ClientUpload,
-    ) -> Vec<u8> {
-        self.wire_scratch
-            .encode_unsorted(codec, dim, &upload.entries)
-            .to_vec()
-    }
-
-    /// [`Client::build_upload`] writing the ranked entries into a
-    /// caller-owned buffer instead of allocating a fresh message — the
-    /// allocation-free uplink builder of the cohort engine. The entry
-    /// sequence is identical to what `build_upload` would package.
+    /// sparsifier's [`UploadPlan`], writing the entries (ranked by magnitude
+    /// for `TopKOwn`) into a caller-owned buffer. Top-k extraction reuses the
+    /// client's key buffer, so nothing is allocated after the first round.
     pub(crate) fn build_upload_into(
         &mut self,
         plan: &UploadPlan,
@@ -250,17 +210,21 @@ impl Client {
         }
     }
 
-    /// [`Client::encode_upload`] writing the frame into a caller-owned
-    /// buffer (cleared first) instead of allocating one per round.
+    /// Encodes an uplink message into `frame` (cleared first) — the bytes
+    /// that would actually cross the client's uplink. The entries are
+    /// index-sorted **in place** on the client's key buffer first: entry
+    /// order is presentation, not payload, and the server re-derives the
+    /// rank order from the decoded values.
     pub(crate) fn encode_upload_into(
         &mut self,
         codec: &dyn Codec,
         dim: usize,
-        entries: &[(usize, f32)],
+        entries: &mut [(usize, f32)],
         frame: &mut Vec<u8>,
     ) {
+        topk::sort_by_index(entries, &mut self.topk_scratch);
         frame.clear();
-        frame.extend_from_slice(self.wire_scratch.encode_unsorted(codec, dim, entries));
+        frame.extend_from_slice(codec.encode_into(dim, entries, &mut self.wire_scratch));
     }
 
     /// [`Client::encode_upload_into`] for a lossy codec, with quantization
@@ -270,9 +234,8 @@ impl Client {
     /// learn the exact reconstruction `v̂_j` the server will see, and
     /// reports the per-entry quantization error `(j, v_j - v̂_j)` into
     /// `errors` (index-sorted, exact deliveries omitted). The entry list is
-    /// rewritten in place with the decoded values — and re-ranked by
-    /// magnitude when `rerank` is set (the `TopKOwn` presentation order) —
-    /// so it is bit-identical to what the server's own decode produces.
+    /// rewritten in place with the decoded values, so it is bit-identical
+    /// to what the server's own decode produces.
     ///
     /// The error entries later seed the residual reset
     /// ([`Client::apply_reset_with_errors`]): mass the quantizer dropped
@@ -282,14 +245,11 @@ impl Client {
         &mut self,
         codec: &dyn Codec,
         dim: usize,
-        rerank: bool,
         entries: &mut Vec<(usize, f32)>,
         frame: &mut Vec<u8>,
         errors: &mut Vec<(usize, f32)>,
     ) {
-        topk::sort_by_index(entries, &mut self.topk_scratch);
-        frame.clear();
-        frame.extend_from_slice(codec.encode_into(dim, entries, &mut self.wire_scratch));
+        self.encode_upload_into(codec, dim, entries, frame);
         decode_frame(frame, &mut self.decode_scratch)
             .expect("a frame this client just encoded must decode");
         debug_assert_eq!(self.decode_scratch.len(), entries.len());
@@ -303,41 +263,28 @@ impl Client {
         );
         entries.clear();
         entries.extend_from_slice(&self.decode_scratch);
-        if rerank {
-            topk::rank_by_magnitude(entries, &mut self.topk_scratch);
-        }
     }
 
     /// Resets the accumulator coordinates the server actually used
-    /// (Lines 16–17 of Algorithm 1).
-    pub fn apply_reset(&mut self, indices: &[usize]) {
-        self.accumulator.reset_indices(indices);
-    }
-
-    /// [`Client::apply_reset`] seeding each transmitted coordinate with its
-    /// quantization error instead of zero — the lossy tier's error
-    /// feedback. With an empty `errors` slice this is bit-identical to
-    /// [`Client::apply_reset`].
+    /// (Lines 16–17 of Algorithm 1), seeding each transmitted coordinate
+    /// with its quantization error instead of zero — the lossy tier's error
+    /// feedback; `errors` is empty on a lossless round.
     pub fn apply_reset_with_errors(&mut self, indices: &[usize], errors: &[(usize, f32)]) {
         self.accumulator.reset_indices_to(indices, errors);
     }
 
-    /// Loss of the round's probe sample evaluated at `params` — the
-    /// single-sample losses `f_{i,h}(·)` of the derivative-sign estimator
-    /// (Section IV-E of the paper).
-    ///
-    /// Returns `None` if no gradient has been computed yet this run.
-    pub fn probe_loss(&self, model: &dyn Model, params: &[f32]) -> Option<f32> {
-        let idx = self.probe_sample?;
-        let (features, label) = self.shard.sample(idx);
-        Some(model.sample_loss(params, features, label))
+    /// Capacity of the client's encode workspace, for the engine's
+    /// grow-only capacity test.
+    #[cfg(test)]
+    pub(crate) fn wire_frame_capacity(&self) -> usize {
+        self.wire_scratch.frame_capacity()
     }
 
-    /// Evaluates the round's probe sample at several weight vectors in one
-    /// pass: the sample is fetched once and `f_{i,h}(·)` evaluated per
-    /// vector. The estimator needs three losses per client per probe round
-    /// (`w(m-1)`, `w(m)`, `w'(m)`); calling [`Client::probe_loss`] three
-    /// times re-resolved the sample each time.
+    /// Loss of the round's probe sample at several weight vectors — the
+    /// single-sample losses `f_{i,h}(·)` of the derivative-sign estimator
+    /// (Section IV-E of the paper). The sample is fetched once and evaluated
+    /// per vector; the estimator needs up to three losses per client per
+    /// probe round (`w(m-1)`, `w(m)`, `w'(m)`).
     ///
     /// Returns `None` if no gradient has been computed yet this run.
     pub fn probe_losses<const M: usize>(
@@ -385,48 +332,37 @@ mod tests {
     fn upload_plans_produce_expected_shapes() {
         let (mut client, model, params) = client_and_model();
         client.compute_local_gradient(&model, &params);
-        let topk = client.build_upload(&UploadPlan::TopKOwn, 3);
-        assert_eq!(topk.len(), 3);
-        let coords = client.build_upload(&UploadPlan::Coordinates(vec![0, 5]), 3);
-        assert_eq!(coords.len(), 2);
-        assert_eq!(coords.entries[0].0, 0);
-        let dense = client.build_upload(&UploadPlan::Dense, 3);
-        assert_eq!(dense.len(), model.num_params());
+        let mut out = Vec::new();
+        client.build_upload_into(&UploadPlan::TopKOwn, 3, &mut out);
+        assert_eq!(out.len(), 3);
+        client.build_upload_into(&UploadPlan::Coordinates(vec![0, 5]), 3, &mut out);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].0, 0);
+        client.build_upload_into(&UploadPlan::Dense, 3, &mut out);
+        assert_eq!(out.len(), model.num_params());
     }
 
     #[test]
     fn reset_clears_only_used_coordinates() {
         let (mut client, model, params) = client_and_model();
         client.compute_local_gradient(&model, &params);
-        let upload = client.build_upload(&UploadPlan::TopKOwn, 2);
-        let used: Vec<usize> = upload.entries.iter().map(|&(j, _)| j).collect();
+        let mut upload = Vec::new();
+        client.build_upload_into(&UploadPlan::TopKOwn, 2, &mut upload);
+        let used: Vec<usize> = upload.iter().map(|&(j, _)| j).collect();
         let before = client.accumulator().residual_l1();
-        client.apply_reset(&used);
+        client.apply_reset_with_errors(&used, &[]);
         let after = client.accumulator().residual_l1();
         assert!(after < before);
         assert!(after > 0.0, "non-selected coordinates keep their residual");
     }
 
     #[test]
-    fn probe_loss_available_after_gradient() {
-        let (mut client, model, params) = client_and_model();
-        assert!(client.probe_loss(&model, &params).is_none());
-        client.compute_local_gradient(&model, &params);
-        let loss = client.probe_loss(&model, &params).unwrap();
-        assert!(loss.is_finite() && loss > 0.0);
-    }
-
-    #[test]
-    fn probe_losses_single_pass_matches_individual_calls() {
+    fn probe_losses_available_after_gradient() {
         let (mut client, model, params) = client_and_model();
         assert!(client.probe_losses(&model, [&params[..]]).is_none());
         client.compute_local_gradient(&model, &params);
-        let w_b: Vec<f32> = params.iter().map(|p| p + 0.01).collect();
-        let w_c: Vec<f32> = params.iter().map(|p| p - 0.02).collect();
-        let [a, b, c] = client.probe_losses(&model, [&params, &w_b, &w_c]).unwrap();
-        assert_eq!(Some(a), client.probe_loss(&model, &params));
-        assert_eq!(Some(b), client.probe_loss(&model, &w_b));
-        assert_eq!(Some(c), client.probe_loss(&model, &w_c));
+        let [loss] = client.probe_losses(&model, [&params[..]]).unwrap();
+        assert!(loss.is_finite() && loss > 0.0);
     }
 
     #[test]
@@ -441,22 +377,6 @@ mod tests {
             assert_eq!(la, lb);
         }
         assert_eq!(a.accumulator().as_slice(), b.accumulator().as_slice());
-    }
-
-    #[test]
-    fn upload_into_matches_owned_builder() {
-        let (mut client, model, params) = client_and_model();
-        client.compute_local_gradient(&model, &params);
-        let mut out = Vec::new();
-        for plan in [
-            UploadPlan::TopKOwn,
-            UploadPlan::Coordinates(vec![0, 5, 7]),
-            UploadPlan::Dense,
-        ] {
-            let owned = client.build_upload(&plan, 3);
-            client.build_upload_into(&plan, 3, &mut out);
-            assert_eq!(owned.entries, out, "{plan:?}");
-        }
     }
 
     #[test]
@@ -555,8 +475,8 @@ mod tests {
         }
         assert_eq!(a.accumulator().as_slice(), b.accumulator().as_slice());
         assert_eq!(
-            a.probe_loss(&model, &params).map(f32::to_bits),
-            b.probe_loss(&model, &params).map(f32::to_bits)
+            a.probe_losses(&model, [&params[..]]).map(|[l]| l.to_bits()),
+            b.probe_losses(&model, [&params[..]]).map(|[l]| l.to_bits())
         );
     }
 

@@ -113,7 +113,6 @@ mod fault;
 mod fedavg;
 mod history;
 mod population;
-mod resource;
 mod round;
 mod simulation;
 mod time;
@@ -126,7 +125,6 @@ pub use client::Client;
 pub use fault::{FaultConfigError, FaultModel, FaultRoundReport, MAX_RETRY_LIMIT};
 pub use fedavg::{FedAvgConfig, FedAvgSimulation};
 pub use history::{FaultTotals, MetricPoint, RunHistory};
-pub use resource::{CompositeCost, ResourceModel};
 pub use round::{ProbeReport, RoundReport, WireRoundReport};
 pub use simulation::{record_round_report, Simulation, SimulationConfig, WireConfig};
 pub use time::TimeModel;

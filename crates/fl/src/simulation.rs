@@ -314,9 +314,7 @@ pub struct Simulation {
     /// Reusable server-side selection workspace; buffers are sized on the
     /// first round and reused (including by the probe's restriction to
     /// `J(k')`), keeping the per-round server path allocation-free in
-    /// steady state. Shrunk once per round, from the round's own selection,
-    /// when cohort demand drops, so a small cohort never stays priced at a
-    /// big one's high-water mark.
+    /// steady state. Grow-only, like every workspace of the round.
     scratch: SelectionScratch,
     /// Reused order keys for re-ranking decoded uploads on the round
     /// thread (`topk::rank_by_magnitude`) and for index-sorting the
@@ -748,14 +746,10 @@ impl Simulation {
         let s = self.survivors.len();
 
         // (2) Server selection and aggregation, on this thread, reusing
-        // the round workspace — whose demand is noted here, from this
-        // selection's footprint, before the probe leaves a k'-sized one.
+        // the round workspace.
         let selection = stage(rec, SpanId::Selection, || {
-            let selection =
-                self.sparsifier
-                    .select_into(&self.uploads[..s], dim, k, &mut self.scratch);
-            self.scratch.shrink_to_recent_demand();
-            selection
+            self.sparsifier
+                .select_into(&self.uploads[..s], dim, k, &mut self.scratch)
         });
 
         // Optional probe for the derivative-sign estimator.
@@ -933,15 +927,16 @@ impl Simulation {
                 Some(w) if w.lossy => slot.client.encode_upload_lossy_into(
                     w.codec.as_ref(),
                     dim,
-                    rerank,
                     &mut slot.entries,
                     &mut slot.frame,
                     &mut slot.errors,
                 ),
+                // Lossless tier: index-sort the entry list in place and
+                // encode it; the server re-derives the rank order.
                 Some(w) => slot.client.encode_upload_into(
                     w.codec.as_ref(),
                     dim,
-                    &slot.entries,
+                    &mut slot.entries,
                     &mut slot.frame,
                 ),
                 None => {}
@@ -1412,15 +1407,16 @@ impl Simulation {
 
 /// Fills one aggregation input from its surviving member's slot, reusing
 /// the entry buffer. Wired, the server decodes the frame *directly into*
-/// the input (no intermediate per-client gradient) and re-ranks it, which
-/// reproduces the built upload bit for bit — on the lossless tier because
-/// decode is exact and the top-k rank order is a total order of the values
-/// (`topk::compare_magnitude_then_index`); on the lossy tier because the
-/// client already rewrote its entry list with its own decode of the same
-/// frame (both debug-asserted below). Unwired, the slot hands its entry
-/// buffer over in O(1): nothing reads `slot.entries` after this point and
-/// `build_upload_into` rebuilds it from scratch next round, so the two
-/// grow-only buffers just trade places.
+/// the input (no intermediate per-client gradient) — which reproduces the
+/// index-sorted list the client encoded bit for bit, on the lossless tier
+/// because decode is exact, on the lossy tier because the client already
+/// rewrote its entry list with its own decode of the same frame
+/// (debug-asserted below) — and then re-ranks it by magnitude when the plan
+/// ranks (`rerank`), the top-k rank order being a total order of the
+/// values. Unwired, the slot hands its entry buffer over in O(1): nothing
+/// reads `slot.entries` after this point and `build_upload_into` rebuilds
+/// it from scratch next round, so the two grow-only buffers just trade
+/// places.
 fn deliver_upload(
     slot: &mut Slot,
     upload: &mut ClientUpload,
@@ -1438,9 +1434,6 @@ fn deliver_upload(
     let (frame_dim, _) =
         decode_frame(&slot.frame, &mut upload.entries).expect("self-encoded frame must decode");
     debug_assert_eq!(frame_dim, dim);
-    if let Some(keys) = rerank {
-        topk::rank_by_magnitude(&mut upload.entries, keys);
-    }
     debug_assert!(
         upload.entries.len() == slot.entries.len()
             && upload
@@ -1448,8 +1441,11 @@ fn deliver_upload(
                 .iter()
                 .zip(slot.entries.iter())
                 .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
-        "decoded uploads must be bit-identical to the built ones"
+        "decoded uploads must be bit-identical to the encoded ones"
     );
+    if let Some(keys) = rerank {
+        topk::rank_by_magnitude(&mut upload.entries, keys);
+    }
 }
 
 /// Mirrors a finished round's deterministic facts — cohort size, wire
@@ -1772,19 +1768,35 @@ mod tests {
         }
     }
 
-    /// Algorithm 3 keeps revisiting rounds with a large `k` and a probe at
-    /// `k' = 1`. The workspace's demand is read from the round's own
-    /// selection, so the probe's one-element lists never talk it into
-    /// releasing what the next round needs.
+    /// Every reusable buffer a wired round touches, as capacities: the
+    /// selection workspace's lists, the server's encode workspace and rank
+    /// keys, and each slot's entry, frame, error and client-side encode
+    /// buffers.
+    fn workspace_capacities(sim: &Simulation) -> Vec<usize> {
+        let mut caps = sim.scratch.list_capacities().to_vec();
+        caps.push(sim.rank_keys.capacity());
+        caps.extend(sim.wire.as_ref().map(|w| w.scratch.frame_capacity()));
+        for slot in &sim.slots {
+            caps.extend([
+                slot.entries.capacity(),
+                slot.frame.capacity(),
+                slot.errors.capacity(),
+                slot.client.wire_frame_capacity(),
+            ]);
+        }
+        caps
+    }
+
+    /// Algorithm 3 keeps moving between a large `k` and a handful of rounds
+    /// near `k = 1`, each with a unit probe. Scratch is grow-only: the
+    /// `k = D/2` round sizes every buffer once, and no stretch of small
+    /// rounds releases what the next large one needs.
     #[test]
-    fn workspace_capacity_is_stable_under_a_large_k_and_a_unit_probe() {
+    fn workspace_capacity_never_decreases_between_large_and_unit_k_rounds() {
         for sparsifier in [
             Box::new(FabTopK::new()) as Box<dyn Sparsifier>,
             Box::new(FubTopK::new()),
         ] {
-            // Wide enough that k = D/2 clears the shrink floor by more than
-            // the policy's 4x guard, so a demand read off the probe's lists
-            // would release capacity.
             let mut rng = ChaCha8Rng::seed_from_u64(4);
             let fed = SyntheticFemnist::new(SyntheticFemnistConfig {
                 feature_dim: 400,
@@ -1795,18 +1807,38 @@ mod tests {
             let config = SimulationConfig {
                 batch_size: 8,
                 seed: 4,
+                wire: Some(WireConfig {
+                    codec: agsfl_wire::CodecSpec::DeltaVarint,
+                    channel: uniform_channel(fed.num_clients()),
+                }),
                 ..SimulationConfig::default()
             };
             let mut sim = Simulation::new(Box::new(model), fed, sparsifier, config);
-            let k = sim.dim() / 2;
-            assert!(k > 4 * 256);
-            sim.run_round(k, Some(1));
-            sim.run_round(k, Some(1));
-            let settled = sim.scratch.list_capacities();
-            assert!(settled[1] >= k, "{settled:?}");
-            for _ in 0..6 {
+            let large = sim.dim() / 2;
+            // One large round, then enough unit rounds for a halving demand
+            // mark to fall two octaves below it; three times over. How many
+            // fill candidates a large round ranks depends on its uploads, so
+            // `keys` may still double at the second one; after it nothing
+            // moves.
+            let ks = [large, 1, 1, 1, 1].repeat(3);
+            let mut previous: Vec<usize> = Vec::new();
+            let mut settled = Vec::new();
+            for (round, &k) in ks.iter().enumerate() {
                 sim.run_round(k, Some(1));
-                assert_eq!(sim.scratch.list_capacities(), settled);
+                let caps = workspace_capacities(&sim);
+                assert!(
+                    caps.iter()
+                        .zip(&previous)
+                        .all(|(now, before)| now >= before),
+                    "round {round} (k = {k}) released capacity: {previous:?} -> {caps:?}"
+                );
+                if round == 5 {
+                    assert!(caps[1] >= large, "{caps:?}");
+                    settled = caps.clone();
+                } else if round > 5 {
+                    assert_eq!(caps, settled, "round {round} (k = {k})");
+                }
+                previous = caps;
             }
         }
     }

@@ -14,18 +14,17 @@
 //! required.
 //!
 //! [`Im2colScratch`] owns every intermediate of that pipeline. Like
-//! `SelectionScratch` in `agsfl-sparse`, it is epoch-stamped and
-//! demand-tracked: [`Im2colScratch::begin`] bumps the generation counter
-//! and reshapes the buffers for the call's geometry, reusing their
+//! `SelectionScratch` in `agsfl-sparse`, it is epoch-stamped and grow-only:
+//! [`Im2colScratch::begin`] bumps the generation counter and the producing
+//! pass reshapes the buffers for the call's geometry, reusing their
 //! allocations (every active slot is either fully overwritten by its
-//! producer pass or explicitly cleared), so a caller that holds one scratch
-//! across rounds runs the CNN hot path allocation-free in steady state.
-//! Capacity is not pinned at the high-water mark: each buffer remembers an
-//! exponentially decaying demand and releases memory once its capacity
-//! exceeds four times recent use. The
-//! workspace carries no state between generations: two identical calls on a
-//! shared scratch return identical results (pinned by the reference
-//! proptests in `crates/ml/tests/cnn_equivalence.rs`).
+//! producer pass or explicitly cleared). Each buffer is sized to the largest
+//! geometry seen and never shrinks, so a caller that holds one scratch
+//! across rounds runs the CNN hot path allocation-free in steady state —
+//! including a round that follows its batch-32 gradient with batch-1 probe
+//! losses. The workspace carries no state between generations: two
+//! identical calls on a shared scratch return identical results (pinned by
+//! the reference proptests in `crates/ml/tests/cnn_equivalence.rs`).
 //!
 //! [`SimpleCnn`]: crate::model::SimpleCnn
 
@@ -81,29 +80,6 @@ pub struct Im2colScratch {
     pub(crate) dpre: Matrix,
     /// Backward: gradient at the pooled activations, `B x (O·ph·pw)`.
     pub(crate) dpooled: Matrix,
-    /// Decaying demand marks (elements) for the seven buffers above, in
-    /// field order; see [`Im2colScratch::begin`].
-    demand: [usize; 7],
-}
-
-/// Smallest capacity (elements; 16 KiB of `f32`) a workspace buffer bothers
-/// shrinking below.
-const SHRINK_FLOOR: usize = 4096;
-
-/// The decaying-demand shrink policy of `agsfl_sparse`'s and `agsfl_wire`'s
-/// scratches, applied to a [`Matrix`] buffer: the element count of the
-/// generation that just ended refreshes an exponentially decaying
-/// high-water mark, and capacity is released once it exceeds four times
-/// that demand. Steady-state geometry never triggers an allocation or a
-/// release; a workspace that once served a much larger batch (e.g. an
-/// evaluation sweep's test chunks) lets go of that memory after a few
-/// smaller generations.
-fn note_demand_and_shrink(m: &mut Matrix, demand: &mut usize) {
-    let used = m.rows() * m.cols();
-    *demand = used.max(*demand / 2).max(SHRINK_FLOOR);
-    if m.capacity() > *demand * 4 {
-        m.shrink_capacity_to(*demand * 2);
-    }
 }
 
 impl Im2colScratch {
@@ -118,47 +94,9 @@ impl Im2colScratch {
         self.epoch
     }
 
-    /// Total backing capacity across all buffers, in elements (for memory
-    /// audits and the shrink tests).
-    pub fn capacity_elems(&self) -> usize {
-        [
-            &self.cols,
-            &self.pre,
-            &self.pooled,
-            &self.conv_w,
-            &self.fc_w,
-            &self.dpre,
-            &self.dpooled,
-        ]
-        .iter()
-        .map(|m| m.capacity())
-        .sum()
-    }
-
-    /// Starts a new generation: bumps the epoch and returns `&mut self` for
-    /// the producing pass to reshape the buffers it needs. O(1) unless the
-    /// geometry grew — or unless the decayed per-buffer demand (observed
-    /// from the shapes the previous generation left behind) dropped far
-    /// below a buffer's held capacity, in which case that memory is
-    /// released rather than pinned at its high-water mark forever.
+    /// Starts a new generation: bumps the epoch; the producing pass then
+    /// reshapes the buffers it needs. O(1).
     pub(crate) fn begin(&mut self) {
-        let Self {
-            cols,
-            pre,
-            pooled,
-            conv_w,
-            fc_w,
-            dpre,
-            dpooled,
-            demand,
-            ..
-        } = self;
-        for (m, d) in [cols, pre, pooled, conv_w, fc_w, dpre, dpooled]
-            .into_iter()
-            .zip(demand.iter_mut())
-        {
-            note_demand_and_shrink(m, d);
-        }
         self.epoch += 1;
     }
 }
@@ -166,25 +104,20 @@ impl Im2colScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{Model, SimpleCnn};
 
-    #[test]
-    fn buffers_shrink_when_batch_demand_drops() {
-        let mut scratch = Im2colScratch::new();
-        scratch.begin();
-        scratch.cols.resize_for_overwrite(512, 4096);
-        let peak = scratch.capacity_elems();
-        assert!(peak >= 512 * 4096);
-        for _ in 0..24 {
-            scratch.begin();
-            scratch.cols.resize_for_overwrite(16, 64);
-        }
-        scratch.begin();
-        assert!(
-            scratch.capacity_elems() < peak / 4,
-            "capacity {} did not shrink from peak {}",
-            scratch.capacity_elems(),
-            peak
-        );
+    /// Backing capacity of every buffer, in elements and field order.
+    fn capacities(scratch: &Im2colScratch) -> [usize; 7] {
+        [
+            &scratch.cols,
+            &scratch.pre,
+            &scratch.pooled,
+            &scratch.conv_w,
+            &scratch.fc_w,
+            &scratch.dpre,
+            &scratch.dpooled,
+        ]
+        .map(Matrix::capacity)
     }
 
     #[test]
@@ -194,11 +127,47 @@ mod tests {
         scratch.cols.resize_for_overwrite(64, 1024);
         scratch.begin();
         scratch.cols.resize_for_overwrite(64, 1024);
-        let settled = scratch.capacity_elems();
+        let settled = capacities(&scratch);
         for _ in 0..50 {
             scratch.begin();
             scratch.cols.resize_for_overwrite(64, 1024);
         }
-        assert_eq!(scratch.capacity_elems(), settled);
+        assert_eq!(capacities(&scratch), settled);
+    }
+
+    /// The round's own traffic: a batch-32 gradient followed by batch-1
+    /// probe forwards, every round. Nothing may be released in between —
+    /// the next gradient would only have to allocate and zero it again.
+    #[test]
+    fn capacity_is_constant_under_alternating_gradient_and_probe_batches() {
+        let cnn = SimpleCnn::new(1, 12, 12, 8, 10);
+        let params = vec![0.01; cnn.num_params()];
+        let batch = Matrix::from_fn(32, cnn.input_dim(), |i, j| ((i + j) % 7) as f32 * 0.1);
+        let labels: Vec<usize> = (0..32).map(|i| i % 10).collect();
+        let sample = Matrix::from_fn(1, cnn.input_dim(), |_, j| (j % 5) as f32 * 0.2);
+        let mut scratch = Im2colScratch::new();
+        let cycle = |scratch: &mut Im2colScratch| {
+            let _ = cnn.loss_and_grad_with(&params, &batch, &labels, scratch);
+            let after_gradient = capacities(scratch);
+            // Two clients' worth of three-vector probe losses.
+            for _ in 0..6 {
+                let _ = cnn.forward_with(&params, &sample, scratch);
+            }
+            assert_eq!(
+                capacities(scratch),
+                after_gradient,
+                "the probe's batch-1 generations released gradient capacity"
+            );
+            after_gradient
+        };
+        cycle(&mut scratch);
+        let settled = cycle(&mut scratch);
+        assert!(
+            settled[0] >= 9 * 32 * 100,
+            "cols holds the batch-32 lowering"
+        );
+        for _ in 0..20 {
+            assert_eq!(cycle(&mut scratch), settled);
+        }
     }
 }

@@ -77,26 +77,19 @@ impl ResidualAccumulator {
     /// Returns the top-`k` entries `(index, accumulated value)` ranked by
     /// decreasing magnitude — the uplink message `A_i`.
     ///
-    /// Allocates a fresh key buffer; per-round callers should prefer
-    /// [`ResidualAccumulator::top_k_entries_with`] with a reused one.
+    /// Allocates a fresh key buffer and message; per-round callers should
+    /// prefer [`ResidualAccumulator::top_k_entries_into`] with reused ones.
     pub fn top_k_entries(&self, k: usize) -> Vec<(usize, f32)> {
         topk::top_k_entries(&self.residual, k)
     }
 
-    /// [`ResidualAccumulator::top_k_entries`] with a caller-provided key
-    /// buffer. The selection histograms the residual's magnitude bits and
+    /// [`ResidualAccumulator::top_k_entries`] through a caller-provided key
+    /// buffer, writing the ranked selection into a caller-owned buffer
+    /// (cleared first) — the allocation-free uplink builder of the cohort
+    /// engine. The selection histograms the residual's magnitude bits and
     /// gathers only the survivors and their boundary bucket as packed
     /// 8-byte keys (see [`mod@topk`]) — no full-dimension candidate copy
-    /// unless the whole vector ties — and reusing one buffer across rounds
-    /// makes the steady-state uplink path allocation-free apart from the
-    /// returned message.
-    pub fn top_k_entries_with(&self, k: usize, scratch: &mut Vec<u64>) -> Vec<(usize, f32)> {
-        topk::top_k_entries_with(&self.residual, k, scratch)
-    }
-
-    /// [`ResidualAccumulator::top_k_entries_with`] writing the ranked
-    /// selection into a caller-owned buffer (cleared first) — the fully
-    /// allocation-free uplink builder of the cohort engine.
+    /// unless the whole vector ties.
     pub fn top_k_entries_into(
         &self,
         k: usize,
@@ -106,20 +99,9 @@ impl ResidualAccumulator {
         topk::top_k_entries_into(&self.residual, k, scratch, out);
     }
 
-    /// Returns the values at the given indices (used by sparsifiers where the
-    /// server dictates the coordinate set, e.g. periodic-k).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn entries_at(&self, indices: &[usize]) -> Vec<(usize, f32)> {
-        let mut out = Vec::with_capacity(indices.len());
-        self.entries_at_into(indices, &mut out);
-        out
-    }
-
-    /// [`ResidualAccumulator::entries_at`] writing into a caller-owned
-    /// buffer (cleared first).
+    /// Writes the values at the given indices into a caller-owned buffer
+    /// (cleared first); used by sparsifiers where the server dictates the
+    /// coordinate set, e.g. periodic-k.
     ///
     /// # Panics
     ///
@@ -254,7 +236,9 @@ mod tests {
     fn entries_at_returns_requested_coordinates() {
         let mut acc = ResidualAccumulator::new(4);
         acc.add(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(acc.entries_at(&[3, 0]), vec![(3, 4.0), (0, 1.0)]);
+        let mut out = vec![(9, 9.0)];
+        acc.entries_at_into(&[3, 0], &mut out);
+        assert_eq!(out, vec![(3, 4.0), (0, 1.0)]);
     }
 
     #[test]

@@ -5,25 +5,6 @@
 //! "cleared" by bumping a generation counter instead of a `memset` or a
 //! hash-map rebuild. See the crate-level docs for the complexity picture.
 
-/// Smallest size (slots or entries) a scratch buffer bothers shrinking
-/// below — tiny buffers are never worth releasing.
-pub(crate) const SHRINK_FLOOR: usize = 256;
-
-/// Grow-only-with-decay policy shared by the workspace buffers (the same
-/// policy `agsfl_wire::WireScratch` applies to its frame buffer): tracks an
-/// exponentially decaying demand high-water mark and releases capacity once
-/// it exceeds four times the recent demand. Long runs whose round footprint
-/// drops (e.g. a cohort shrinking between rounds) stop pinning their
-/// high-water-mark allocation after a few rounds, while steady-state buffers
-/// never shrink (demand stays at the observed size, so the 4× guard never
-/// trips) and thus stay allocation-free.
-pub(crate) fn note_demand_and_shrink<T>(buf: &mut Vec<T>, demand: &mut usize, used: usize) {
-    *demand = used.max(*demand / 2).max(SHRINK_FLOOR);
-    if buf.capacity() > *demand * 4 {
-        buf.shrink_to(*demand * 2);
-    }
-}
-
 /// A dense buffer whose entries are valid only when their generation stamp
 /// matches the buffer's current epoch.
 ///
@@ -35,26 +16,12 @@ pub(crate) struct StampedBuf<T> {
     epoch: u64,
     stamp: Vec<u64>,
     data: Vec<T>,
-    /// Decaying high-water mark of requested dimensions (see
-    /// [`note_demand_and_shrink`]); lets a buffer grown for a huge round
-    /// release its slots when later rounds are smaller.
-    demand: usize,
 }
 
 impl<T: Copy + Default> StampedBuf<T> {
     /// Starts a new generation covering indices `< dim`. O(1) unless the
-    /// dimension grew (buffers are extended once) or the decayed demand
-    /// dropped far below the held size (buffers are truncated and their
-    /// memory released).
+    /// dimension grew (buffers are extended once, and never shrink).
     pub(crate) fn begin(&mut self, dim: usize) {
-        self.demand = dim.max(self.demand / 2).max(SHRINK_FLOOR);
-        if self.stamp.len() > self.demand * 4 {
-            let keep = self.demand * 2;
-            self.stamp.truncate(keep);
-            self.stamp.shrink_to(keep);
-            self.data.truncate(keep);
-            self.data.shrink_to(keep);
-        }
         if self.stamp.len() < dim {
             self.stamp.resize(dim, 0);
             self.data.resize(dim, T::default());
@@ -135,8 +102,9 @@ impl StampedBuf<f64> {
 ///   reused between rounds,
 /// * `keys` — the packed order keys [`crate::topk`] ranks candidates through.
 ///
-/// Buffers grow to the largest dimension seen and are invalidated by epoch
-/// bumps, so repeated calls perform zero allocations in steady state. The
+/// Capacity is grow-only — every buffer is sized to the largest geometry
+/// seen and never shrinks — and contents are invalidated by epoch bumps, so
+/// repeated calls perform zero allocations in steady state. The
 /// workspace carries no round state across calls: calling `select_into`
 /// twice with the same inputs returns identical results (there is a
 /// regression test for exactly this).
@@ -156,10 +124,6 @@ pub struct SelectionScratch {
     pub(crate) candidates: Vec<(usize, f32)>,
     /// Packed magnitude-order keys of `candidates` (see [`crate::topk`]).
     pub(crate) keys: Vec<u64>,
-    /// Decaying demand marks for the list buffers above, in field order
-    /// (`touched`, `selected`, `candidates`, `keys`); updated by
-    /// [`SelectionScratch::shrink_to_recent_demand`].
-    list_demand: [usize; 4],
 }
 
 impl SelectionScratch {
@@ -231,31 +195,6 @@ impl SelectionScratch {
         self.sums.get_unchecked(j)
     }
 
-    /// Applies the decaying-demand shrink policy to the list buffers, using
-    /// their current lengths (a just-finished selection's footprint) as the
-    /// demand observation. Call once per round, right after the round's own
-    /// `select_into` and before anything else reuses the lists — the probe's
-    /// [`Sparsifier::probe_aggregate`] leaves `k'`-sized contents behind,
-    /// and a demand read from those would shrink the lists a `k = D/2`
-    /// round needs and regrow them by doubling the round after. A workspace
-    /// that served a much larger round (bigger cohort, larger union)
-    /// releases that memory after a few smaller rounds instead of pinning
-    /// its high-water mark forever, while steady-state rounds never trigger
-    /// an allocation or release. The epoch-stamped dense buffers shrink on
-    /// their own in `begin()` when the dimension demand drops.
-    ///
-    /// [`Sparsifier::probe_aggregate`]: crate::Sparsifier::probe_aggregate
-    pub fn shrink_to_recent_demand(&mut self) {
-        let used = self.touched.len();
-        note_demand_and_shrink(&mut self.touched, &mut self.list_demand[0], used);
-        let used = self.selected.len();
-        note_demand_and_shrink(&mut self.selected, &mut self.list_demand[1], used);
-        let used = self.candidates.len();
-        note_demand_and_shrink(&mut self.candidates, &mut self.list_demand[2], used);
-        let used = self.keys.len();
-        note_demand_and_shrink(&mut self.keys, &mut self.list_demand[3], used);
-    }
-
     /// Capacities of the list buffers, in field order (`touched`,
     /// `selected`, `candidates`, `keys`), for memory audits and tests.
     pub fn list_capacities(&self) -> [usize; 4] {
@@ -309,33 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn stamped_buf_shrinks_when_dimension_demand_drops() {
-        let mut buf: StampedBuf<f64> = StampedBuf::default();
-        buf.begin(100_000);
-        buf.set(99_999, 1.0);
-        let peak = buf.resident_slots();
-        assert!(peak >= 100_000);
-        // Many small generations decay the demand; residency must come down.
-        for _ in 0..24 {
-            buf.begin(64);
-        }
-        assert!(
-            buf.resident_slots() < peak / 4,
-            "resident {} did not shrink from peak {}",
-            buf.resident_slots(),
-            peak
-        );
-        // Epoch semantics survive the shrink and a later regrow.
-        buf.set(10, 2.0);
-        assert_eq!(buf.get(10), Some(2.0));
-        buf.begin(100_000);
-        assert_eq!(buf.get(10), None, "stale generation must not leak");
-        assert_eq!(buf.get(99_999), None);
-        buf.set(99_999, 3.0);
-        assert_eq!(buf.get(99_999), Some(3.0));
-    }
-
-    #[test]
     fn stamped_buf_steady_state_is_stable() {
         let mut buf: StampedBuf<usize> = StampedBuf::default();
         buf.begin(4096);
@@ -344,26 +256,6 @@ mod tests {
             buf.begin(4096);
         }
         assert_eq!(buf.resident_slots(), settled);
-    }
-
-    #[test]
-    fn selection_lists_shrink_when_round_demand_drops() {
-        let mut scratch = SelectionScratch::new();
-        scratch.selected.extend(0..100_000);
-        scratch.shrink_to_recent_demand();
-        let peak = scratch.selected.capacity();
-        assert!(peak >= 100_000);
-        for _ in 0..24 {
-            scratch.selected.clear();
-            scratch.selected.extend(0..64);
-            scratch.shrink_to_recent_demand();
-        }
-        assert!(
-            scratch.selected.capacity() < peak / 4,
-            "capacity {} did not shrink from peak {}",
-            scratch.selected.capacity(),
-            peak
-        );
     }
 
     #[test]

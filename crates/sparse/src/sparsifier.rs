@@ -241,8 +241,8 @@ pub trait Sparsifier: Send + Sync + std::fmt::Debug {
     /// which is also this provided body, so a sparsifier without a
     /// restriction of its own is correct by default.
     ///
-    /// Clobbers the scratch's lists; see
-    /// [`SelectionScratch::shrink_to_recent_demand`].
+    /// Reuses (and so overwrites) the scratch's lists; `selection` is an
+    /// owned result and is not affected.
     fn probe_aggregate(
         &self,
         uploads: &[ClientUpload],

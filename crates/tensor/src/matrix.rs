@@ -248,17 +248,10 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Backing-store capacity in elements (for memory audits and
-    /// shrink-on-demand policies in reusable workspaces).
+    /// Backing-store capacity in elements (for memory audits of reusable
+    /// workspaces, which are grow-only).
     pub fn capacity(&self) -> usize {
         self.data.capacity()
-    }
-
-    /// Releases excess backing capacity down to at most `elems` elements
-    /// (never below the current element count). Shape and contents are
-    /// untouched.
-    pub fn shrink_capacity_to(&mut self, elems: usize) {
-        self.data.shrink_to(elems);
     }
 
     /// Sets every element to `value`.

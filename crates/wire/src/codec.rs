@@ -121,8 +121,8 @@ impl CodecId {
 ///
 /// Entries passed to `encode_into`/`encoded_len` must be sorted by strictly
 /// increasing index with every index `< dim` — exactly the
-/// [`SparseGradient`] invariant; use [`WireScratch::encode_unsorted`] for
-/// rank-ordered uplink messages.
+/// [`SparseGradient`] invariant; rank-ordered uplink messages are sorted
+/// first with `agsfl_sparse::topk::sort_by_index`.
 pub trait Codec: Send + Sync + std::fmt::Debug {
     /// Human-readable codec name used in reports.
     fn name(&self) -> &'static str;
@@ -757,22 +757,28 @@ mod tests {
     }
 
     #[test]
-    fn encode_unsorted_matches_sorted_encoding() {
+    fn index_sorted_uplink_matches_sorted_encoding() {
+        use agsfl_sparse::topk;
+
         let ranked = vec![(50usize, -9.0f32), (3, 4.0), (72, 1.0)];
         let mut sorted = ranked.clone();
         sorted.sort_unstable_by_key(|&(j, _)| j);
         let mut scratch = WireScratch::new();
-        let from_ranked = scratch.encode_unsorted(&DeltaVarint, 100, &ranked).to_vec();
+        let mut keys = Vec::new();
+        let mut uplink = ranked.clone();
+        topk::sort_by_index(&mut uplink, &mut keys);
+        let from_ranked = DeltaVarint.encode_into(100, &uplink, &mut scratch).to_vec();
         let from_sorted = DeltaVarint.encode_into(100, &sorted, &mut scratch).to_vec();
         assert_eq!(from_ranked, from_sorted);
-        let mut keys = Vec::new();
         assert_eq!(
             scratch.encoded_len_unsorted(&DeltaVarint, 100, &ranked, &mut keys),
             from_sorted.len()
         );
         // Long enough for the radix passes of `topk::sort_by_index`.
         let long: Vec<(usize, f32)> = (0..3000).map(|i| (i * 7919 % 3001, i as f32)).collect();
-        let frame_len = scratch.encode_unsorted(&DeltaVarint, 3001, &long).len();
+        let mut uplink = long.clone();
+        topk::sort_by_index(&mut uplink, &mut keys);
+        let frame_len = DeltaVarint.encode_into(3001, &uplink, &mut scratch).len();
         assert_eq!(
             scratch.encoded_len_unsorted(&DeltaVarint, 3001, &long, &mut keys),
             frame_len

@@ -140,14 +140,16 @@ fn all_sparsifier_outputs_round_trip_through_all_codecs() {
         };
         let result = sparsifier.select(&uploads, dim, k);
         let mut scratch = WireScratch::new();
+        let mut keys = Vec::new();
         for codec in codecs() {
             // Downlink: already a SparseGradient.
             assert_bit_exact_roundtrip(codec.as_ref(), &result.aggregated);
-            // Uplinks: rank-ordered entries go through the unsorted path.
+            // Uplinks: rank-ordered entries are index-sorted on packed keys
+            // first, as the client does.
             for upload in &uploads {
-                let frame = scratch
-                    .encode_unsorted(codec.as_ref(), dim, &upload.entries)
-                    .to_vec();
+                let mut uplink = upload.entries.clone();
+                topk::sort_by_index(&mut uplink, &mut keys);
+                let frame = codec.encode_into(dim, &uplink, &mut scratch).to_vec();
                 let decoded = decode_gradient(&frame).unwrap();
                 let mut expected = upload.entries.clone();
                 expected.sort_unstable_by_key(|&(j, _)| j);

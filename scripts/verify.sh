@@ -74,11 +74,23 @@ if sim_product | grep -E 'sort_unstable_by_key|params\.clone\(\)'; then
     echo "verify: the round path sorts by comparison or clones the weights (lines above)" >&2
     exit 1
 fi
-# WireScratch::encode_unsorted (one per client, per round) keeps its
-# comparison sort; the probe's encoded_len_unsorted must not share it.
+# Uplink frames are index-sorted in place by the client (topk::sort_by_index
+# on its key buffer); the probe's encoded_len_unsorted, the one user of the
+# staging copy, must not fall back to a comparison sort.
 if awk '/pub fn encoded_len_unsorted/ { on = 1 } on { print FNR ":" $0 } on && /^    }/ { exit }' \
     crates/wire/src/scratch.rs | grep -F '.sort'; then
     echo "verify: WireScratch::encoded_len_unsorted comparison-sorts (lines above); use topk::sort_by_index" >&2
+    exit 1
+fi
+
+step "scratch is grow-only (no workspace releases capacity)"
+# Every reusable workspace (SelectionScratch, WireScratch, Im2colScratch,
+# the slot and upload buffers) is sized to the largest geometry seen and
+# never shrinks: a release under Algorithm 3's moving k and the probe's
+# batch-1 forwards is re-allocated and zero-filled the round after. The
+# decaying-demand policy was deleted; this keeps a copy from growing back.
+if grep -rnE 'note_demand|shrink_to_recent_demand|shrink_capacity_to|SHRINK_FLOOR|\.shrink_to\(' crates/*/src; then
+    echo "verify: a scratch buffer releases capacity (lines above); workspaces are grow-only" >&2
     exit 1
 fi
 
@@ -97,6 +109,10 @@ fi
 
 step "cargo test -q (tier-1: root integration tests)"
 cargo test -q
+
+step "grow-only capacity (gradient/probe batch alternation and large/unit k rounds release nothing)"
+cargo test -q -p agsfl-ml --lib capacity_is_constant_under_alternating_gradient_and_probe_batches
+cargo test -q -p agsfl-fl --lib workspace_capacity_never_decreases
 
 step "resume equivalence (interrupted + resumed runs are bit-identical)"
 cargo test -q -p agsfl-fl resume
