@@ -7,8 +7,15 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p agsfl-bench --bin bench-report [-- OUTPUT.json [HISTORY.jsonl]]
+//! cargo run --release -p agsfl-bench --bin bench-report [-- [--check] [OUTPUT.json [HISTORY.jsonl]]]
 //! ```
+//!
+//! With `--check` nothing is written: every single-threaded pair's ratio is
+//! compared with the same pair in the last `selection_kernels` line of the
+//! history file recorded at the same core count, and the process exits 1 if
+//! one fell more than 15 % below it. Both sides of a pair see the same
+//! machine noise, which is why the *ratio* is what is gated; pairs whose
+//! optimized side runs on several threads are listed but not gated.
 //!
 //! Three workload families are tracked. The FAB selection workload
 //! (dim = 10⁵, N = 40, k = dim/100) is measured through the seed baseline
@@ -32,7 +39,11 @@
 //! the pool saves is tracked explicitly. The `cnn_forward` / `cnn_grad`
 //! pairs time the paper-shape (~420k-weight, batch 32) CNN forward pass and
 //! gradient through the seed scalar loops (`agsfl_ml::reference`) and the
-//! im2col lowering. The
+//! im2col lowering, and the `fc_fwd` / `fc_wgrad` / `fc_dinput` /
+//! `conv_fwd` / `conv_wgrad` pairs that gradient's five matrix products one
+//! by one: the scalar fold-order spec (`agsfl_tensor::reference`) against
+//! the register-tiled kernel, one row per dispatch level the host can run
+//! (`fc_fwd@avx2`, …), asserting equal bits. The
 //! `eval_sweep` pair times one evaluation point's `O(N·D)` metric sweep
 //! through the seed's three serial passes and the fused executor sweep
 //! (`agsfl_ml::metrics::global_evaluation`), asserting on the way that both
@@ -58,9 +69,9 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use agsfl_bench::kernel_workload::{
     checkpoint_workload, cnn_workload, eval_workload, fab_workload, fresh_checkpoint_sim,
-    server_workload, telemetry_workload, topk_workload, wire_workload, CKPT_CLIENTS, CNN_BATCH,
-    EVAL_CLIENTS, FAB_CLIENTS, FAB_DIM, FAB_K, SERVER_SHAPES, TELEM_CLIENTS, TELEM_K, TOPK_DIM,
-    TOPK_KS,
+    product_workload, server_workload, telemetry_workload, topk_workload, wire_workload,
+    CKPT_CLIENTS, CNN_BATCH, EVAL_CLIENTS, FAB_CLIENTS, FAB_DIM, FAB_K, PRODUCT_SHAPES,
+    SERVER_SHAPES, TELEM_CLIENTS, TELEM_K, TOPK_DIM, TOPK_KS,
 };
 use agsfl_core::figures::scale_sweep::{self, ScaleSweepConfig};
 use agsfl_exec::{mem, Executor};
@@ -69,6 +80,8 @@ use agsfl_ml::model::{Im2colScratch, Model};
 use agsfl_ml::reference as ml_reference;
 use agsfl_sparse::{reference, topk, FabTopK, SelectionScratch, Sparsifier};
 use agsfl_telemetry::{SpanId, StageRecorder};
+use agsfl_tensor::dispatch::{self, Level};
+use agsfl_tensor::{reference as tensor_reference, MatrixView, Product};
 use agsfl_wire::{
     decode_frame, reference as wire_reference, Codec, DeltaVarint, QLinear8, WireScratch,
 };
@@ -127,7 +140,7 @@ fn scoped_map_mut<T: Send, R: Send>(
 }
 
 struct KernelReport {
-    name: &'static str,
+    name: String,
     dim: usize,
     clients: usize,
     k: usize,
@@ -179,12 +192,82 @@ impl KernelReport {
     }
 }
 
+/// A pair's ratio may fall this far below its last recorded value before
+/// `--check` fails.
+const CHECK_TOLERANCE: f64 = 0.15;
+
+/// The `(kernel, speedup)` pairs of the last `selection_kernels` line of
+/// `history` that was recorded on `cores` cores. Reads the one format
+/// [`KernelReport::to_history_json`] writes, not JSON in general.
+fn last_recorded_ratios(history: &str, cores: usize) -> Option<Vec<(String, f64)>> {
+    let cores_field = format!("\"cores\":{cores},");
+    let line = history.lines().rev().find(|line| {
+        line.contains("\"suite\":\"selection_kernels\"") && line.contains(&cores_field)
+    })?;
+    Some(
+        line.split("{\"kernel\":\"")
+            .skip(1)
+            .filter_map(|entry| {
+                let name = entry.split('"').next()?;
+                let speedup = entry.split("\"speedup\":").nth(1)?.split('}').next()?;
+                Some((name.to_string(), speedup.parse().ok()?))
+            })
+            .collect(),
+    )
+}
+
+/// `--check`: compares every pair with the last history line at the same
+/// core count; returns whether a gated pair regressed.
+fn check_against_history(kernels: &[KernelReport], history_path: &str, cores: usize) -> bool {
+    let history = std::fs::read_to_string(history_path).unwrap_or_default();
+    let Some(recorded) = last_recorded_ratios(&history, cores) else {
+        eprintln!("bench-report --check: no selection_kernels line at {cores} core(s) in {history_path}; nothing to compare");
+        return false;
+    };
+    let mut regressed = false;
+    for kernel in kernels {
+        let Some(&(_, before)) = recorded.iter().find(|(name, _)| *name == kernel.name) else {
+            eprintln!(
+                "  {}: {:.2}x (no recorded ratio)",
+                kernel.name,
+                kernel.speedup()
+            );
+            continue;
+        };
+        let now = kernel.speedup();
+        let verdict = if now >= before * (1.0 - CHECK_TOLERANCE) {
+            "ok"
+        } else if kernel.threads > 1 {
+            "below, not gated (multi-threaded pair)"
+        } else {
+            regressed = true;
+            "REGRESSION"
+        };
+        eprintln!(
+            "  {}: {before:.2}x recorded, {now:.2}x now ({:+.1} %) {verdict}",
+            kernel.name,
+            (now / before - 1.0) * 100.0
+        );
+    }
+    regressed
+}
+
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
+    let (flags, paths): (Vec<String>, Vec<String>) = std::env::args()
+        .skip(1)
+        .partition(|arg| arg.starts_with("--"));
+    if let Some(unknown) = flags.iter().find(|flag| *flag != "--check") {
+        eprintln!("bench-report: unknown flag {unknown}; usage: bench-report [--check] [OUTPUT.json [HISTORY.jsonl]]");
+        std::process::exit(2);
+    }
+    let check = !flags.is_empty();
+    let out_path = paths
+        .first()
+        .cloned()
         .unwrap_or_else(|| "BENCH_kernels.json".to_string());
-    let history_path = std::env::args()
-        .nth(2)
+    let history_path = paths
+        .get(1)
+        .cloned()
         .unwrap_or_else(|| "BENCH_history.jsonl".to_string());
 
     let cores = std::thread::available_parallelism()
@@ -209,7 +292,7 @@ fn main() {
         black_box(FabTopK::new().select_into(black_box(&uploads), FAB_DIM, FAB_K, &mut scratch));
     });
     let fab = KernelReport {
-        name: "fab_select",
+        name: "fab_select".into(),
         dim: FAB_DIM,
         clients: FAB_CLIENTS,
         k: FAB_K,
@@ -248,7 +331,7 @@ fn main() {
             "the rank-major scan must select what the reference selects"
         );
         server_reports.push(KernelReport {
-            name: select_name,
+            name: select_name.into(),
             dim: TOPK_DIM,
             clients,
             k,
@@ -275,7 +358,7 @@ fn main() {
             "the restriction must equal the independent selection at k'"
         );
         server_reports.push(KernelReport {
-            name: restrict_name,
+            name: restrict_name.into(),
             dim: TOPK_DIM,
             clients,
             k: probe_k,
@@ -324,7 +407,7 @@ fn main() {
         }));
     });
     let pool_dispatch = KernelReport {
-        name: "pool_dispatch",
+        name: "pool_dispatch".into(),
         dim: DISPATCH_ITEMS,
         clients: DISPATCH_ITEMS,
         k: 0,
@@ -365,7 +448,7 @@ fn main() {
             "keyed top-k must equal the comparator spec"
         );
         topk_reports.push(KernelReport {
-            name,
+            name: name.into(),
             dim: TOPK_DIM,
             clients: 1,
             k,
@@ -391,7 +474,7 @@ fn main() {
     });
     assert_eq!(entries, ranked, "keyed re-rank must restore the ranking");
     topk_reports.push(KernelReport {
-        name: "rank_by_magnitude",
+        name: "rank_by_magnitude".into(),
         dim: TOPK_DIM,
         clients: 1,
         k,
@@ -424,10 +507,14 @@ fn main() {
     });
     let mut im2col = Im2colScratch::new();
     let scratch_ns = time_ns(|| {
-        black_box(cnn.forward_with(black_box(&cnn_params), black_box(&cnn_x), &mut im2col));
+        black_box(cnn.forward_with(
+            black_box(&cnn_params),
+            black_box(&cnn_x).view(),
+            &mut im2col,
+        ));
     });
     let cnn_report = KernelReport {
-        name: "cnn_forward",
+        name: "cnn_forward".into(),
         dim: cnn.num_params(),
         clients: CNN_BATCH,
         k: cnn.filters(),
@@ -443,19 +530,24 @@ fn main() {
             &cnn_labels,
         ));
     });
+    let mut cnn_grad = Vec::new();
     let scratch_ns = time_ns(|| {
         black_box(cnn.loss_and_grad_with(
             black_box(&cnn_params),
             black_box(&cnn_x),
             &cnn_labels,
             &mut im2col,
+            &mut cnn_grad,
         ));
     });
     let cnn_grad_report = KernelReport {
-        name: "cnn_grad",
+        name: "cnn_grad".into(),
+        dim: cnn_report.dim,
+        clients: cnn_report.clients,
+        k: cnn_report.k,
+        threads: 1,
         seed_ns,
         scratch_ns,
-        ..cnn_report
     };
     for r in [&cnn_report, &cnn_grad_report] {
         eprintln!(
@@ -468,6 +560,65 @@ fn main() {
             r.speedup()
         );
     }
+
+    // That gradient's five matrix products, one by one: the scalar spec of
+    // each product's fold order against the register-tiled kernel at every
+    // vector width this CPU can run. The rows justify the levels shipped —
+    // a level that does not beat the one below it on its pair has no
+    // business being dispatched to — and both sides must agree bit for bit.
+    let mut product_reports = Vec::new();
+    for (name, op, lhs, rhs) in PRODUCT_SHAPES {
+        let (a_data, b_data) = product_workload(lhs, rhs);
+        let a = MatrixView::new(lhs.0, lhs.1, &a_data);
+        let b = MatrixView::new(rhs.0, rhs.1, &b_data);
+        let (rows, cols) = op.output_shape(a, b);
+        let mut expected = vec![0.0f32; rows * cols];
+        tensor_reference::run(op, a, b, &mut expected);
+        let mut out = vec![0.0f32; rows * cols];
+        let seed_ns = time_ns(|| {
+            out.fill(0.0);
+            tensor_reference::run(op, black_box(a), black_box(b), &mut out);
+            black_box(&out);
+        });
+        for level in Level::available() {
+            let scratch_ns = time_ns(|| {
+                out.fill(0.0);
+                dispatch::run(level, op, black_box(a), black_box(b), &mut out);
+                black_box(&out);
+            });
+            assert!(
+                out.iter()
+                    .zip(&expected)
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{name} at {} must reproduce the scalar spec bit for bit",
+                level.name()
+            );
+            product_reports.push(KernelReport {
+                name: format!("{name}@{}", level.name()),
+                dim: rows * cols,
+                clients: lhs.0,
+                k: match op {
+                    Product::TransposeMatmulAcc | Product::TransposeMatmulInto => lhs.0,
+                    _ => lhs.1,
+                },
+                threads: 1,
+                seed_ns,
+                scratch_ns,
+            });
+        }
+    }
+    for r in &product_reports {
+        eprintln!(
+            "  {} ({} outputs over {}): scalar spec {:.0} ns, tiled {:.0} ns -> {:.2}x",
+            r.name,
+            r.dim,
+            r.k,
+            r.seed_ns,
+            r.scratch_ns,
+            r.speedup()
+        );
+    }
+    eprintln!("  product path dispatches to: {}", Level::detect().name());
 
     // Per-evaluation metric sweep: the seed's three serial passes (global
     // loss, global accuracy, test accuracy) vs the fused executor sweep.
@@ -510,7 +661,7 @@ fn main() {
         metrics::accuracy(model, &eval_params, &test.features, &test.labels)
     );
     let eval_report = KernelReport {
-        name: "eval_sweep",
+        name: "eval_sweep".into(),
         dim: eval_model.num_params(),
         clients: EVAL_CLIENTS,
         k: test.len(),
@@ -556,7 +707,7 @@ fn main() {
         "reference encoder must emit the identical frame"
     );
     let wire_encode = KernelReport {
-        name: "wire_encode",
+        name: "wire_encode".into(),
         dim: FAB_DIM,
         clients: 1,
         k: FAB_K,
@@ -586,7 +737,7 @@ fn main() {
         "decode must invert encode bit-exactly"
     );
     let wire_decode = KernelReport {
-        name: "wire_decode",
+        name: "wire_decode".into(),
         dim: FAB_DIM,
         clients: 1,
         k: FAB_K,
@@ -628,7 +779,7 @@ fn main() {
         "reference quantizer must emit the identical frame"
     );
     let quant_encode = KernelReport {
-        name: "quant_encode",
+        name: "quant_encode".into(),
         dim: FAB_DIM,
         clients: 1,
         k: FAB_K,
@@ -657,7 +808,7 @@ fn main() {
         "both quantized decoders must reconstruct the same bits"
     );
     let quant_decode = KernelReport {
-        name: "quant_decode",
+        name: "quant_decode".into(),
         dim: FAB_DIM,
         clients: 1,
         k: FAB_K,
@@ -692,7 +843,7 @@ fn main() {
     // The restore must reproduce the saved state bit-exactly.
     assert_eq!(target.save_state(), blob, "restore must be bit-exact");
     let ckpt_load = KernelReport {
-        name: "checkpoint_load",
+        name: "checkpoint_load".into(),
         dim: ckpt_dim,
         clients: CKPT_CLIENTS,
         k: 0,
@@ -726,7 +877,7 @@ fn main() {
         black_box(rec_sim.run_round_recorded(TELEM_K, None, &mut recorder));
     });
     let telemetry_record = KernelReport {
-        name: "telemetry_record",
+        name: "telemetry_record".into(),
         dim: telem_dim,
         clients: TELEM_CLIENTS,
         k: TELEM_K,
@@ -785,6 +936,32 @@ fn main() {
         );
     }
 
+    let mut kernels = vec![fab];
+    kernels.extend(server_reports);
+    kernels.push(pool_dispatch);
+    kernels.extend(topk_reports);
+    kernels.extend([cnn_report, cnn_grad_report]);
+    kernels.extend(product_reports);
+    kernels.extend([
+        eval_report,
+        wire_encode,
+        wire_decode,
+        quant_encode,
+        quant_decode,
+        ckpt_load,
+        telemetry_record,
+    ]);
+    if check {
+        eprintln!(
+            "bench-report --check: ratios against the last {cores}-core line of {history_path}"
+        );
+        let regressed = check_against_history(&kernels, &history_path, cores);
+        if regressed {
+            eprintln!("bench-report --check: a paired ratio fell more than {:.0} % below its recorded value", CHECK_TOLERANCE * 100.0);
+        }
+        std::process::exit(i32::from(regressed));
+    }
+
     // Population-scale sweep: fixed-cohort rounds over lazily materialized
     // populations, with resident memory observed by the OS. This is what
     // makes the O(cohort·k) scale claim auditable next to the ns/iter
@@ -836,21 +1013,6 @@ fn main() {
         })
         .collect();
 
-    let mut kernels = vec![fab];
-    kernels.extend(server_reports);
-    kernels.push(pool_dispatch);
-    kernels.extend(topk_reports);
-    kernels.extend([
-        cnn_report,
-        cnn_grad_report,
-        eval_report,
-        wire_encode,
-        wire_decode,
-        quant_encode,
-        quant_decode,
-        ckpt_load,
-        telemetry_record,
-    ]);
     let body: Vec<String> = kernels.iter().map(KernelReport::to_json).collect();
     let json = format!(
         concat!(
@@ -931,4 +1093,91 @@ fn main() {
         .write_all(scale.history_json_line(unix_secs).as_bytes())
         .expect("failed to append scale-sweep history");
     eprintln!("bench-report: appended to {history_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(name: &str, threads: usize, seed_ns: f64, scratch_ns: f64) -> KernelReport {
+        KernelReport {
+            name: name.into(),
+            dim: 1,
+            clients: 1,
+            k: 1,
+            threads,
+            seed_ns,
+            scratch_ns,
+        }
+    }
+
+    #[test]
+    fn last_recorded_ratios_reads_the_last_line_at_the_same_core_count() {
+        let line = |cores: usize, ratio: f64| {
+            format!(
+                "{{\"unix_time\":1,\"suite\":\"selection_kernels\",\"workload\":{{\"dim\":1,\"clients\":1,\"k\":1}},\"cores\":{cores},\"peak_rss_bytes\":null,\"kernels\":[{},{}]}}",
+                report("fab_select", 1, ratio * 100.0, 100.0).to_history_json(),
+                report("fc_fwd@avx2", 1, 300.0, 100.0).to_history_json(),
+            )
+        };
+        let history = [
+            line(2, 2.0),
+            line(2, 4.0),
+            "{\"unix_time\":2,\"suite\":\"telemetry\",\"cores\":2,\"spans\":[]}".to_string(),
+            line(1, 9.0),
+        ]
+        .join("\n");
+        assert_eq!(
+            last_recorded_ratios(&history, 2),
+            Some(vec![
+                ("fab_select".to_string(), 4.0),
+                ("fc_fwd@avx2".to_string(), 3.0)
+            ])
+        );
+        assert_eq!(last_recorded_ratios(&history, 1).unwrap()[0].1, 9.0);
+        assert_eq!(last_recorded_ratios(&history, 8), None);
+    }
+
+    #[test]
+    fn check_fails_only_on_a_single_threaded_pair_more_than_the_tolerance_below() {
+        let dir = std::env::temp_dir().join(format!("bench-report-check-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("history.jsonl");
+        let recorded = [
+            report("steady", 1, 400.0, 100.0),
+            report("slower", 1, 400.0, 100.0),
+            report("pooled", 2, 400.0, 100.0),
+        ];
+        let body: Vec<String> = recorded.iter().map(KernelReport::to_history_json).collect();
+        std::fs::write(
+            &path,
+            format!(
+                "{{\"suite\":\"selection_kernels\",\"cores\":2,\"kernels\":[{}]}}\n",
+                body.join(",")
+            ),
+        )
+        .unwrap();
+        let path = path.to_str().unwrap();
+        // 4.0x -> 3.5x is inside 15 %; a multi-threaded pair is never gated;
+        // a pair with no recorded ratio is only listed.
+        let inside = [
+            report("steady", 1, 350.0, 100.0),
+            report("pooled", 2, 100.0, 100.0),
+            report("new", 1, 100.0, 100.0),
+        ];
+        assert!(!check_against_history(&inside, path, 2));
+        // 4.0x -> 3.3x is not.
+        assert!(check_against_history(
+            &[report("slower", 1, 330.0, 100.0)],
+            path,
+            2
+        ));
+        // Another core count has no baseline.
+        assert!(!check_against_history(
+            &[report("slower", 1, 100.0, 100.0)],
+            path,
+            4
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

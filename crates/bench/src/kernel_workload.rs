@@ -2,10 +2,11 @@
 //!
 //! The `bench-report` binary (plain timing + `BENCH_kernels.json`) must
 //! measure exactly the same inputs from one PR to the next so its numbers
-//! are comparable; it builds them here. Four workload families are
+//! are comparable; it builds them here. Five workload families are
 //! tracked: the FAB server selection (and, at the paper's dimension, the
 //! probe's restriction of it), the paper-shape CNN forward pass and
-//! gradient (im2col vs the seed scalar loops), the
+//! gradient (im2col vs the seed scalar loops) and that gradient's five
+//! matrix products one by one (scalar spec vs each dispatch level), the
 //! per-evaluation `O(N·D)` metric sweep (fused executor sweep vs the
 //! seed's three serial passes), and the wire-codec message (encode/decode
 //! fast paths vs the allocating reference implementations).
@@ -15,7 +16,7 @@ use agsfl_fl::{ChannelModel, Simulation, SimulationConfig, TimeModel, WireConfig
 use agsfl_ml::data::{FederatedDataset, SyntheticFemnist, SyntheticFemnistConfig};
 use agsfl_ml::model::{LinearSoftmax, Mlp, Model, SimpleCnn};
 use agsfl_sparse::{topk, ClientUpload, FabTopK, SparseGradient};
-use agsfl_tensor::Matrix;
+use agsfl_tensor::{Matrix, Product};
 use agsfl_wire::CodecSpec;
 use rand::Rng;
 use rand::SeedableRng;
@@ -134,6 +135,60 @@ pub fn cnn_workload() -> (SimpleCnn, Vec<f32>, Matrix, Vec<usize>) {
     });
     let labels = (0..CNN_BATCH).map(|i| i % CNN_CLASSES).collect();
     (model, params, x, labels)
+}
+
+/// One entry of [`PRODUCT_SHAPES`]: `(pair name, product, lhs shape, rhs
+/// shape)`.
+pub type ProductShape = (&'static str, Product, (usize, usize), (usize, usize));
+
+/// The five matrix products of one batch-32 gradient of the paper-shape
+/// CNN: the fully
+/// connected forward (`pooled · W`), weight gradient (`pooledᵀ · dlogits`)
+/// and input gradient (`dlogits · Wᵀ`), and the im2col convolution's forward
+/// (`W_conv · cols`) and weight gradient (`dpre · colsᵀ`). 6760 = 40 filters
+/// x 13 x 13 pooled positions, 21,632 = 32 samples x 26 x 26 positions.
+pub const PRODUCT_SHAPES: [ProductShape; 5] = [
+    ("fc_fwd", Product::MatmulAcc, (CNN_BATCH, 6760), (6760, 62)),
+    (
+        "fc_wgrad",
+        Product::TransposeMatmulAcc,
+        (CNN_BATCH, 6760),
+        (CNN_BATCH, 62),
+    ),
+    (
+        "fc_dinput",
+        Product::MatmulTransposeAcc,
+        (CNN_BATCH, 62),
+        (6760, 62),
+    ),
+    ("conv_fwd", Product::MatmulAcc, (40, 9), (9, 21_632)),
+    (
+        "conv_wgrad",
+        Product::MatmulTransposeAcc,
+        (40, 21_632),
+        (9, 21_632),
+    ),
+];
+
+/// Operand data for one of [`PRODUCT_SHAPES`]: uniform values, with every
+/// fourth lhs element an exact zero so the products' skip rules are on the
+/// timed path (activations after ReLU and their gradients are like that).
+pub fn product_workload(lhs: (usize, usize), rhs: (usize, usize)) -> (Vec<f32>, Vec<f32>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let a = (0..lhs.0 * lhs.1)
+        .map(|i| {
+            let v = rng.gen_range(-1.0f32..1.0);
+            if i % 4 == 3 {
+                0.0
+            } else {
+                v
+            }
+        })
+        .collect();
+    let b = (0..rhs.0 * rhs.1)
+        .map(|_| rng.gen_range(-1.0f32..1.0))
+        .collect();
+    (a, b)
 }
 
 /// Number of clients of the evaluation-sweep workload.
@@ -290,6 +345,24 @@ mod tests {
         assert_eq!(params.len(), model.num_params());
         assert_eq!(x.shape(), (CNN_BATCH, model.input_dim()));
         assert_eq!(labels.len(), CNN_BATCH);
+    }
+
+    #[test]
+    fn product_shapes_are_the_paper_cnn_s() {
+        let (model, _, _, _) = cnn_workload();
+        let (ph, pw) = model.pooled_size();
+        let (ch, cw) = model.conv_output_size();
+        assert_eq!(PRODUCT_SHAPES[0].2, (CNN_BATCH, CNN_FILTERS * ph * pw));
+        assert_eq!(PRODUCT_SHAPES[0].3, (CNN_FILTERS * ph * pw, CNN_CLASSES));
+        assert_eq!(PRODUCT_SHAPES[3].2, (CNN_FILTERS, CNN_CHANNELS * 9));
+        assert_eq!(PRODUCT_SHAPES[3].3, (CNN_CHANNELS * 9, CNN_BATCH * ch * cw));
+        for (_, op, lhs, rhs) in PRODUCT_SHAPES {
+            let (a, b) = product_workload(lhs, rhs);
+            let a = agsfl_tensor::MatrixView::new(lhs.0, lhs.1, &a);
+            let b = agsfl_tensor::MatrixView::new(rhs.0, rhs.1, &b);
+            let (rows, cols) = op.output_shape(a, b);
+            assert!(rows * cols > 0);
+        }
     }
 
     #[test]

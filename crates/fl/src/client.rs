@@ -8,6 +8,15 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+thread_local! {
+    /// The mini-batch gradient of whichever client this thread is working
+    /// on: one `D`-vector per worker thread of the round engine's pool, not
+    /// one per client. A client only needs its gradient for as long as it
+    /// takes to add it to the residual accumulator, so the buffer carries
+    /// nothing between clients ([`Model::loss_and_grad_into`] overwrites it).
+    static GRADIENT: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// One federated client of Algorithm 1.
 ///
 /// The client owns its local shard, a mini-batch sampler, its residual
@@ -183,8 +192,12 @@ impl Client {
     /// Also draws the round's probe sample for the derivative-sign estimator.
     pub fn compute_local_gradient(&mut self, model: &dyn Model, params: &[f32]) -> f32 {
         let (features, labels, indices) = self.sampler.next_batch(&self.shard, &mut self.rng);
-        let (loss, grad) = model.loss_and_grad(params, &features, &labels);
-        self.accumulator.add(&grad);
+        let loss = GRADIENT.with(|grad| {
+            let grad = &mut *grad.borrow_mut();
+            let loss = model.loss_and_grad_into(params, &features, &labels, grad);
+            self.accumulator.add(grad);
+            loss
+        });
         self.probe_sample = Some(indices[self.rng.gen_range(0..indices.len())]);
         self.last_batch = indices;
         loss
@@ -363,6 +376,35 @@ mod tests {
         client.compute_local_gradient(&model, &params);
         let [loss] = client.probe_losses(&model, [&params[..]]).unwrap();
         assert!(loss.is_finite() && loss > 0.0);
+    }
+
+    /// The gradient buffer belongs to the thread, not the client: clients of
+    /// different model sizes taking turns on one thread each find the
+    /// other's gradient in it (the first finds it empty) — the residual is
+    /// the same either way.
+    #[test]
+    fn shared_gradient_buffer_carries_nothing_between_clients() {
+        use agsfl_ml::model::Mlp;
+        let small = LinearSoftmax::new(4, 3);
+        let large = Mlp::new(4, &[6], 3);
+        let small_params = vec![0.02; small.num_params()];
+        let large_params = vec![0.03; large.num_params()];
+        let run_small = || {
+            let mut c = Client::new(0, shard(10, 4, 3), 0.5, small.num_params(), 4, 9);
+            let loss = c.compute_local_gradient(&small, &small_params);
+            (loss.to_bits(), c.accumulator().as_slice().to_vec())
+        };
+        let run_large = || {
+            let mut c = Client::new(1, shard(10, 4, 3), 0.5, large.num_params(), 4, 11);
+            let loss = c.compute_local_gradient(&large, &large_params);
+            (loss.to_bits(), c.accumulator().as_slice().to_vec())
+        };
+        let first_small = run_small();
+        let first_large = run_large();
+        for _ in 0..2 {
+            assert_eq!(run_small(), first_small);
+            assert_eq!(run_large(), first_large);
+        }
     }
 
     #[test]

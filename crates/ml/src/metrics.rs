@@ -30,7 +30,7 @@
 //! set of workers and forwards every shard once instead of twice.
 
 use agsfl_exec::Executor;
-use agsfl_tensor::Matrix;
+use agsfl_tensor::{Matrix, MatrixView};
 
 use crate::data::ClientShard;
 use crate::loss::batch_cross_entropy;
@@ -87,8 +87,16 @@ pub fn global_accuracy(model: &dyn Model, params: &[f32], shards: &[ClientShard]
 /// The integer building block behind the chunked accuracy sweeps: counts
 /// merge exactly across chunks, unlike the `f32` fraction
 /// [`Model::accuracy`] returns.
-pub fn correct_count(model: &dyn Model, params: &[f32], x: &Matrix, labels: &[usize]) -> usize {
-    let logits = model.forward(params, x);
+///
+/// Takes the rows as a borrowed view, so a chunk of a larger matrix is
+/// forwarded where it lies.
+pub fn correct_count(
+    model: &dyn Model,
+    params: &[f32],
+    x: MatrixView<'_>,
+    labels: &[usize],
+) -> usize {
+    let logits = model.forward_view(params, x);
     logits
         .iter_rows()
         .zip(labels.iter())
@@ -106,19 +114,6 @@ fn row_chunks(rows: usize, exec: &Executor) -> Vec<std::ops::Range<usize>> {
     (0..rows.div_ceil(chunk))
         .map(|i| i * chunk..((i + 1) * chunk).min(rows))
         .collect()
-}
-
-/// Copies the contiguous row range `rows` of `x` into its own matrix.
-///
-/// One memcpy (rows are contiguous in the row-major layout); negligible next
-/// to the forward pass the chunk is about to run.
-fn row_slice(x: &Matrix, rows: &std::ops::Range<usize>) -> Matrix {
-    let cols = x.cols();
-    Matrix::from_vec(
-        rows.len(),
-        cols,
-        x.as_slice()[rows.start * cols..rows.end * cols].to_vec(),
-    )
 }
 
 /// Row-chunked accuracy sweep, in `[0, 1]`.
@@ -140,13 +135,18 @@ pub fn accuracy_parallel(
     let chunks = row_chunks(x.rows(), exec);
     if chunks.len() == 1 {
         // Serial fallback: forward the matrix directly, no row copy.
-        return correct_count(model, params, x, labels) as f32 / labels.len() as f32;
+        return correct_count(model, params, x.view(), labels) as f32 / labels.len() as f32;
     }
     // `row_chunks` already made the parallelize-or-not decision, so the map
     // must not re-apply the executor's min-items gate to the (small) chunk
     // count — a 2-chunk sweep on a 2-thread executor should actually spawn.
     let counts = exec.clone().with_min_items(1).map_ref(&chunks, |rows| {
-        correct_count(model, params, &row_slice(x, rows), &labels[rows.clone()])
+        correct_count(
+            model,
+            params,
+            x.view().row_block(rows.clone()),
+            &labels[rows.clone()],
+        )
     });
     counts.iter().sum::<usize>() as f32 / labels.len() as f32
 }
@@ -294,7 +294,7 @@ pub fn global_evaluation(
         EvalItem::TestChunk(rows) => EvalPartial::TestCorrect(correct_count(
             model,
             params,
-            &row_slice(&test.features, rows),
+            test.features.view().row_block(rows.clone()),
             &test.labels[rows.clone()],
         )),
     });

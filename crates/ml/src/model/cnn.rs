@@ -1,4 +1,4 @@
-use agsfl_tensor::{init, ops, Matrix};
+use agsfl_tensor::{init, ops, Matrix, MatrixView};
 use rand::RngCore;
 
 use crate::loss::batch_cross_entropy_with_grad;
@@ -30,7 +30,12 @@ use crate::model::{check_input, check_params, Model};
 /// convolution becomes a single `(O x C·9) · (C·9 x B·P)` matrix product,
 /// ReLU + average pooling are fused over the column layout, and the backward
 /// pass contracts the gradient against the same column buffer
-/// (`∂L/∂W_conv = dpre · colsᵀ`) instead of re-walking receptive fields. The
+/// (`∂L/∂W_conv = dpre · colsᵀ`) instead of re-walking receptive fields. Every
+/// product multiplies straight out of `params` and accumulates straight into
+/// the gradient vector through borrowed [`MatrixView`]s — no weight block is
+/// copied first — and the forward pass runs in blocks of at most
+/// [`FORWARD_BLOCK`](SimpleCnn::FORWARD_BLOCK) rows, so its workspace is sized
+/// by the block, not by the batch. The
 /// original scalar-loop implementation survives as the executable spec in
 /// [`crate::reference`], and `crates/ml/tests/cnn_equivalence.rs` pins the
 /// two against each other. The plain [`Model`] methods reuse a per-thread
@@ -169,28 +174,6 @@ impl SimpleCnn {
         ((o * self.in_channels + c) * KERNEL + ky) * KERNEL + kx
     }
 
-    /// Stages the two weight blocks of `params` as matrices in the scratch.
-    ///
-    /// Both blocks are already row-major in the layouts the lowering needs
-    /// (`O x C·9` and `pooled_dim x num_classes`), so this is two memcpys.
-    fn load_weights(&self, params: &[f32], scratch: &mut Im2colScratch) {
-        let (conv_w_off, _, fc_w_off, fc_b_off) = self.offsets();
-        scratch
-            .conv_w
-            .resize_for_overwrite(self.out_channels, self.patch_dim());
-        scratch
-            .conv_w
-            .as_mut_slice()
-            .copy_from_slice(&params[conv_w_off..conv_w_off + self.conv_weight_len()]);
-        scratch
-            .fc_w
-            .resize_for_overwrite(self.pooled_dim(), self.num_classes);
-        scratch
-            .fc_w
-            .as_mut_slice()
-            .copy_from_slice(&params[fc_w_off..fc_b_off]);
-    }
-
     /// Unrolls the batch into the column matrix: column `b·P + p` holds the
     /// flattened receptive field of output position `p` of sample `b`.
     ///
@@ -198,7 +181,7 @@ impl SimpleCnn {
     /// `copy_from_slice` runs of one output row each, because for fixed
     /// `(c, ky, kx)` the receptive-field pixels of output positions
     /// `(y, 0..cw)` are exactly the input pixels `(c, y+ky, kx..kx+cw)`.
-    fn im2col(&self, x: &Matrix, cols: &mut Matrix) {
+    fn im2col(&self, x: MatrixView<'_>, cols: &mut Matrix) {
         let (ch, cw) = self.conv_output_size();
         let positions = ch * cw;
         let batch = x.rows();
@@ -221,17 +204,36 @@ impl SimpleCnn {
         }
     }
 
+    /// The convolution weights inside `params`, as an `O x C·9` view.
+    fn conv_weights<'p>(&self, params: &'p [f32]) -> MatrixView<'p> {
+        MatrixView::new(
+            self.out_channels,
+            self.patch_dim(),
+            &params[..self.conv_weight_len()],
+        )
+    }
+
+    /// The fully connected weights inside `params`, as a
+    /// `pooled_dim x num_classes` view.
+    fn fc_weights<'p>(&self, params: &'p [f32]) -> MatrixView<'p> {
+        let (_, _, fc_w_off, fc_b_off) = self.offsets();
+        MatrixView::new(
+            self.pooled_dim(),
+            self.num_classes,
+            &params[fc_w_off..fc_b_off],
+        )
+    }
+
     /// Runs im2col, the convolution matmul (+ bias) and the fused
     /// ReLU/average-pooling pass, leaving `cols`, `pre` and `pooled` staged
     /// in the scratch for the backward pass.
-    fn forward_conv(&self, params: &[f32], x: &Matrix, scratch: &mut Im2colScratch) {
+    fn forward_conv(&self, params: &[f32], x: MatrixView<'_>, scratch: &mut Im2colScratch) {
         let (_, conv_b_off, _, _) = self.offsets();
         let (ch, cw) = self.conv_output_size();
         let (ph, pw) = self.pooled_size();
         let positions = ch * cw;
         let batch = x.rows();
 
-        self.load_weights(params, scratch);
         self.im2col(x, &mut scratch.cols);
         // Seed the pre-activations with the bias and accumulate the matmul
         // on top: one write pass instead of a zero fill plus a read-modify
@@ -243,7 +245,8 @@ impl SimpleCnn {
             let bias = params[conv_b_off + o];
             scratch.pre.row_mut(o).fill(bias);
         }
-        scratch.conv_w.matmul_acc(&scratch.cols, &mut scratch.pre);
+        self.conv_weights(params)
+            .matmul_acc(scratch.cols.view(), scratch.pre.as_mut_slice());
 
         // Fused ReLU + 2x2 average pooling straight off the column layout.
         scratch
@@ -272,21 +275,45 @@ impl SimpleCnn {
         }
     }
 
+    /// Rows per pass of the forward: [`SimpleCnn::forward_with`] lowers,
+    /// convolves and pools at most this many samples at a time, so the
+    /// column and pre-activation buffers of a 256-row evaluation chunk are
+    /// as large as a training batch's, not eight times that. Even, so the
+    /// products' row pairing is the same in every block as in the whole
+    /// batch.
+    pub const FORWARD_BLOCK: usize = 32;
+
     /// Forward pass reusing an explicit [`Im2colScratch`] (the
-    /// allocation-free hot path; the [`Model::forward`] impl wraps this with
-    /// a per-call workspace).
+    /// allocation-free hot path; the [`Model::forward_view`] impl wraps this
+    /// with the thread's workspace), in blocks of
+    /// [`SimpleCnn::FORWARD_BLOCK`] rows — bit-identical to one pass over
+    /// the whole batch because every output row depends on its own input
+    /// row only (the row independence of the [`Model`] contract).
     ///
     /// # Panics
     ///
     /// Panics on parameter/input dimension mismatches, like
     /// [`Model::forward`].
-    pub fn forward_with(&self, params: &[f32], x: &Matrix, scratch: &mut Im2colScratch) -> Matrix {
+    pub fn forward_with(
+        &self,
+        params: &[f32],
+        x: MatrixView<'_>,
+        scratch: &mut Im2colScratch,
+    ) -> Matrix {
         check_params(self, params);
         check_input(self, x);
         let (_, _, _, fc_b_off) = self.offsets();
         scratch.begin();
-        self.forward_conv(params, x, scratch);
-        let mut logits = scratch.pooled.matmul(&scratch.fc_w);
+        let mut logits = Matrix::zeros(x.rows(), self.num_classes);
+        for start in (0..x.rows()).step_by(Self::FORWARD_BLOCK) {
+            let rows = start..(start + Self::FORWARD_BLOCK).min(x.rows());
+            self.forward_conv(params, x.row_block(rows.clone()), scratch);
+            scratch.pooled.view().matmul_acc(
+                self.fc_weights(params),
+                &mut logits.as_mut_slice()
+                    [rows.start * self.num_classes..rows.end * self.num_classes],
+            );
+        }
         logits.add_row_broadcast(&params[fc_b_off..fc_b_off + self.num_classes]);
         logits
     }
@@ -342,12 +369,11 @@ impl SimpleCnn {
         exec: &agsfl_exec::Executor,
     ) -> Matrix {
         check_params(self, params);
-        check_input(self, x);
+        check_input(self, x.view());
         let batch = x.rows();
         if !exec.should_parallelize(batch) {
             return self.forward(params, x);
         }
-        let cols = x.cols();
         let chunk = batch.div_ceil(exec.threads());
         let ranges: Vec<std::ops::Range<usize>> = (0..batch.div_ceil(chunk))
             .map(|i| i * chunk..((i + 1) * chunk).min(batch))
@@ -355,12 +381,7 @@ impl SimpleCnn {
         // The chunk list already encodes the parallelize decision, so the
         // map must not re-apply the executor's min-items gate.
         let parts: Vec<Matrix> = exec.clone().with_min_items(1).map_ref(&ranges, |r| {
-            let rows = Matrix::from_vec(
-                r.len(),
-                cols,
-                x.as_slice()[r.start * cols..r.end * cols].to_vec(),
-            );
-            self.forward(params, &rows)
+            self.forward_view(params, x.view().row_block(r.clone()))
         });
         let mut flat = Vec::with_capacity(batch * self.num_classes);
         for part in parts {
@@ -370,8 +391,9 @@ impl SimpleCnn {
     }
 
     /// Loss + gradient reusing an explicit [`Im2colScratch`] (the
-    /// allocation-free hot path; the [`Model::loss_and_grad`] impl wraps
-    /// this with a per-call workspace).
+    /// allocation-free hot path; the [`Model::loss_and_grad_into`] impl
+    /// wraps this with the thread's workspace). `grad` is overwritten:
+    /// resized to [`Model::num_params`] and zeroed first, whatever it held.
     ///
     /// The backward pass is the col2im-style contraction described on
     /// [`Im2colScratch`]: both weight gradients are matrix products
@@ -388,9 +410,10 @@ impl SimpleCnn {
         x: &Matrix,
         labels: &[usize],
         scratch: &mut Im2colScratch,
-    ) -> (f32, Vec<f32>) {
+        grad: &mut Vec<f32>,
+    ) -> f32 {
         check_params(self, params);
-        check_input(self, x);
+        check_input(self, x.view());
         let (conv_w_off, conv_b_off, fc_w_off, fc_b_off) = self.offsets();
         let (ch, cw) = self.conv_output_size();
         let (ph, pw) = self.pooled_size();
@@ -398,45 +421,60 @@ impl SimpleCnn {
         let batch = x.rows();
 
         scratch.begin();
-        self.forward_conv(params, x, scratch);
-        let mut logits = scratch.pooled.matmul(&scratch.fc_w);
+        self.forward_conv(params, x.view(), scratch);
+        let mut logits = Matrix::zeros(batch, self.num_classes);
+        scratch
+            .pooled
+            .view()
+            .matmul_acc(self.fc_weights(params), logits.as_mut_slice());
         logits.add_row_broadcast(&params[fc_b_off..fc_b_off + self.num_classes]);
         let (loss, dlogits) = batch_cross_entropy_with_grad(&logits, labels);
 
-        let mut grad = vec![0.0f32; self.num_params()];
+        grad.clear();
+        grad.resize(self.num_params(), 0.0);
 
         // Fully connected layer: both gradients and the back-propagated
         // pooled gradient are single matmuls.
         scratch
             .pooled
-            .transpose_matmul_acc(&dlogits, &mut grad[fc_w_off..fc_b_off]);
+            .view()
+            .transpose_matmul_acc(dlogits.view(), &mut grad[fc_w_off..fc_b_off]);
         grad[fc_b_off..fc_b_off + self.num_classes].copy_from_slice(&dlogits.sum_rows());
         scratch
             .dpooled
             .resize_for_overwrite(batch, self.pooled_dim());
         scratch.dpooled.fill(0.0);
-        dlogits.matmul_transpose_acc(&scratch.fc_w, scratch.dpooled.as_mut_slice());
+        dlogits
+            .view()
+            .matmul_transpose_acc(self.fc_weights(params), scratch.dpooled.as_mut_slice());
 
         // Average pooling + ReLU backward into the column-layout
         // pre-activations. Positions not covered by a 2x2 pooling window
-        // (odd trailing row/column) keep a zero gradient.
+        // (odd trailing row/column) keep a zero gradient; every covered
+        // position is overwritten, so only an odd geometry needs the clear.
         scratch
             .dpre
             .resize_for_overwrite(self.out_channels, batch * positions);
-        scratch.dpre.fill(0.0);
+        if ch % 2 == 1 || cw % 2 == 1 {
+            scratch.dpre.fill(0.0);
+        }
         for b in 0..batch {
             let dpooled_row = scratch.dpooled.row(b);
             for o in 0..self.out_channels {
                 let pre_row = &scratch.pre.row(o)[b * positions..(b + 1) * positions];
                 let dpre_row = &mut scratch.dpre.row_mut(o)[b * positions..(b + 1) * positions];
                 for py in 0..ph {
-                    for px in 0..pw {
-                        let g = dpooled_row[(o * ph + py) * pw + px] / 4.0;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                let idx = (py * 2 + dy) * cw + px * 2 + dx;
-                                dpre_row[idx] = g * ops::relu_grad(pre_row[idx]);
-                            }
+                    let window_grads = &dpooled_row[(o * ph + py) * pw..][..pw];
+                    for dy in 0..2 {
+                        let row = (py * 2 + dy) * cw..(py * 2 + dy + 1) * cw;
+                        for ((d, z), &g) in dpre_row[row.clone()]
+                            .chunks_exact_mut(2)
+                            .zip(pre_row[row].chunks_exact(2))
+                            .zip(window_grads)
+                        {
+                            let g = g / 4.0;
+                            d[0] = g * ops::relu_grad(z[0]);
+                            d[1] = g * ops::relu_grad(z[1]);
                         }
                     }
                 }
@@ -445,18 +483,41 @@ impl SimpleCnn {
 
         // Convolution gradients: the bias gradient is a row sum and the
         // weight gradient the col2im contraction against the column buffer.
-        for o in 0..self.out_channels {
-            let mut acc = 0.0f32;
-            for &g in scratch.dpre.row(o) {
-                acc += g;
-            }
-            grad[conv_b_off + o] = acc;
-        }
+        sum_rows_interleaved(&scratch.dpre, &mut grad[conv_b_off..fc_w_off]);
         scratch
             .dpre
-            .matmul_transpose_acc(&scratch.cols, &mut grad[conv_w_off..conv_b_off]);
+            .view()
+            .matmul_transpose_acc(scratch.cols.view(), &mut grad[conv_w_off..conv_b_off]);
 
-        (loss, grad)
+        loss
+    }
+}
+
+/// `out[o]` = the left-to-right sum of row `o` of `m`, eight rows at a time:
+/// each row's additions form one serial dependency chain (that order is the
+/// bias gradient's fold order), so eight independent chains are advanced
+/// together to keep the adder busy instead of waiting out one chain's
+/// latency 21,632 times per filter.
+fn sum_rows_interleaved(m: &Matrix, out: &mut [f32]) {
+    let len = m.cols();
+    for (block, sums) in m.as_slice().chunks(8 * len.max(1)).zip(out.chunks_mut(8)) {
+        if sums.len() == 8 {
+            let mut acc = [0.0f32; 8];
+            for p in 0..len {
+                for (r, a) in acc.iter_mut().enumerate() {
+                    *a += block[r * len + p];
+                }
+            }
+            sums.copy_from_slice(&acc);
+        } else {
+            for (row, sum) in block.chunks_exact(len.max(1)).zip(sums.iter_mut()) {
+                let mut acc = 0.0f32;
+                for &g in row {
+                    acc += g;
+                }
+                *sum = acc;
+            }
+        }
     }
 }
 
@@ -489,12 +550,19 @@ impl Model for SimpleCnn {
         params
     }
 
-    fn forward(&self, params: &[f32], x: &Matrix) -> Matrix {
+    fn forward_view(&self, params: &[f32], x: MatrixView<'_>) -> Matrix {
         THREAD_SCRATCH.with(|s| self.forward_with(params, x, &mut s.borrow_mut()))
     }
 
-    fn loss_and_grad(&self, params: &[f32], x: &Matrix, labels: &[usize]) -> (f32, Vec<f32>) {
-        THREAD_SCRATCH.with(|s| self.loss_and_grad_with(params, x, labels, &mut s.borrow_mut()))
+    fn loss_and_grad_into(
+        &self,
+        params: &[f32],
+        x: &Matrix,
+        labels: &[usize],
+        grad: &mut Vec<f32>,
+    ) -> f32 {
+        THREAD_SCRATCH
+            .with(|s| self.loss_and_grad_with(params, x, labels, &mut s.borrow_mut(), grad))
     }
 }
 
@@ -578,16 +646,18 @@ mod tests {
         let other = SimpleCnn::new(2, 8, 5, 4, 2);
         let other_params = vec![0.02; other.num_params()];
         let (ox, olabels) = toy_batch(&other, 3);
-        let _ = other.loss_and_grad_with(&other_params, &ox, &olabels, &mut scratch);
+        // ... into a gradient buffer that starts out dirty and wrongly sized.
+        let mut grad = vec![f32::NAN; 5];
+        let _ = other.loss_and_grad_with(&other_params, &ox, &olabels, &mut scratch, &mut grad);
 
         let fresh = m.loss_and_grad(&params, &x, &labels);
-        let reused = m.loss_and_grad_with(&params, &x, &labels, &mut scratch);
-        assert_eq!(fresh, reused);
-        let again = m.loss_and_grad_with(&params, &x, &labels, &mut scratch);
-        assert_eq!(reused, again);
+        let loss = m.loss_and_grad_with(&params, &x, &labels, &mut scratch, &mut grad);
+        assert_eq!(fresh, (loss, grad.clone()));
+        let again = m.loss_and_grad_with(&params, &x, &labels, &mut scratch, &mut grad);
+        assert_eq!(fresh, (again, grad));
         assert_eq!(
             m.forward(&params, &x),
-            m.forward_with(&params, &x, &mut scratch)
+            m.forward_with(&params, x.view(), &mut scratch)
         );
     }
 
@@ -647,8 +717,9 @@ mod tests {
         let x = Matrix::from_vec(8, 36, flat);
         let initial = m.loss(&params, &x, &labels);
         let mut scratch = Im2colScratch::new();
+        let mut grad = Vec::new();
         for _ in 0..500 {
-            let (_, grad) = m.loss_and_grad_with(&params, &x, &labels, &mut scratch);
+            m.loss_and_grad_with(&params, &x, &labels, &mut scratch, &mut grad);
             crate::optim::sgd_step(&mut params, &grad, 0.3);
         }
         let trained = m.loss(&params, &x, &labels);

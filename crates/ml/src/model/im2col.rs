@@ -13,6 +13,9 @@
 //! needed — the convolution is the first layer and input gradients are not
 //! required.
 //!
+//! The weights themselves are never staged: every product reads them as a
+//! borrowed view of the flat parameter vector.
+//!
 //! [`Im2colScratch`] owns every intermediate of that pipeline. Like
 //! `SelectionScratch` in `agsfl-sparse`, it is epoch-stamped and grow-only:
 //! [`Im2colScratch::begin`] bumps the generation counter and the producing
@@ -22,11 +25,15 @@
 //! geometry seen and never shrinks, so a caller that holds one scratch
 //! across rounds runs the CNN hot path allocation-free in steady state —
 //! including a round that follows its batch-32 gradient with batch-1 probe
-//! losses. The workspace carries no state between generations: two
+//! losses. The geometry a forward pass presents is its row *block*
+//! ([`SimpleCnn::FORWARD_BLOCK`] rows at most), not its batch: a 256-row
+//! evaluation chunk leaves the buffers exactly as large as a 32-row one.
+//! The workspace carries no state between generations: two
 //! identical calls on a shared scratch return identical results (pinned by
 //! the reference proptests in `crates/ml/tests/cnn_equivalence.rs`).
 //!
 //! [`SimpleCnn`]: crate::model::SimpleCnn
+//! [`SimpleCnn::FORWARD_BLOCK`]: crate::model::SimpleCnn::FORWARD_BLOCK
 
 use agsfl_tensor::Matrix;
 
@@ -48,8 +55,8 @@ use agsfl_tensor::Matrix;
 /// let x = Matrix::zeros(4, cnn.input_dim());
 ///
 /// let mut scratch = Im2colScratch::new();
-/// let a = cnn.forward_with(&params, &x, &mut scratch);
-/// let b = cnn.forward_with(&params, &x, &mut scratch); // allocation-free reuse
+/// let a = cnn.forward_with(&params, x.view(), &mut scratch);
+/// let b = cnn.forward_with(&params, x.view(), &mut scratch); // allocation-free reuse
 /// assert_eq!(a, b);
 /// assert_eq!(scratch.epoch(), 2);
 /// ```
@@ -70,12 +77,6 @@ pub struct Im2colScratch {
     /// Pooled activations, shape `B x (O·ph·pw)` — the fully connected
     /// layer's input batch.
     pub(crate) pooled: Matrix,
-    /// Convolution weights staged as an `O x (C·K·K)` matrix (a row-major
-    /// copy of the flat parameter block).
-    pub(crate) conv_w: Matrix,
-    /// Fully connected weights staged as a `pooled_dim x num_classes`
-    /// matrix (a row-major copy of the flat parameter block).
-    pub(crate) fc_w: Matrix,
     /// Backward: gradient at the convolution pre-activations, `O x (B·P)`.
     pub(crate) dpre: Matrix,
     /// Backward: gradient at the pooled activations, `B x (O·ph·pw)`.
@@ -107,13 +108,11 @@ mod tests {
     use crate::model::{Model, SimpleCnn};
 
     /// Backing capacity of every buffer, in elements and field order.
-    fn capacities(scratch: &Im2colScratch) -> [usize; 7] {
+    fn capacities(scratch: &Im2colScratch) -> [usize; 5] {
         [
             &scratch.cols,
             &scratch.pre,
             &scratch.pooled,
-            &scratch.conv_w,
-            &scratch.fc_w,
             &scratch.dpre,
             &scratch.dpooled,
         ]
@@ -146,12 +145,13 @@ mod tests {
         let labels: Vec<usize> = (0..32).map(|i| i % 10).collect();
         let sample = Matrix::from_fn(1, cnn.input_dim(), |_, j| (j % 5) as f32 * 0.2);
         let mut scratch = Im2colScratch::new();
-        let cycle = |scratch: &mut Im2colScratch| {
-            let _ = cnn.loss_and_grad_with(&params, &batch, &labels, scratch);
+        let mut grad = Vec::new();
+        let mut cycle = |scratch: &mut Im2colScratch| {
+            let _ = cnn.loss_and_grad_with(&params, &batch, &labels, scratch, &mut grad);
             let after_gradient = capacities(scratch);
             // Two clients' worth of three-vector probe losses.
             for _ in 0..6 {
-                let _ = cnn.forward_with(&params, &sample, scratch);
+                let _ = cnn.forward_with(&params, sample.view(), scratch);
             }
             assert_eq!(
                 capacities(scratch),
@@ -168,6 +168,55 @@ mod tests {
         );
         for _ in 0..20 {
             assert_eq!(cycle(&mut scratch), settled);
+        }
+    }
+
+    /// The geometry is the block: a 256-row forward sizes every buffer the
+    /// forward pass touches exactly as a 32-row one does (and the backward
+    /// buffers not at all), and equals the per-row forward bit for bit at
+    /// every block remainder.
+    #[test]
+    fn forward_is_row_blocked_and_row_independent() {
+        let cnn = SimpleCnn::new(1, 12, 12, 8, 10);
+        let params: Vec<f32> = (0..cnn.num_params())
+            .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.004)
+            .collect();
+        let x = Matrix::from_fn(256, cnn.input_dim(), |i, j| {
+            ((i * 31 + j * 7) % 23) as f32 * 0.05 - 0.5
+        });
+        let mut one_block = Im2colScratch::new();
+        let _ = cnn.forward_with(
+            &params,
+            x.view().row_block(0..SimpleCnn::FORWARD_BLOCK),
+            &mut one_block,
+        );
+        let block_sized = capacities(&one_block);
+        assert_eq!(
+            block_sized[3..],
+            [0, 0],
+            "a forward needs no backward buffer"
+        );
+
+        let mut per_row_scratch = Im2colScratch::new();
+        let per_row: Vec<Matrix> = (0..256)
+            .map(|i| cnn.forward_with(&params, x.view().row_block(i..i + 1), &mut per_row_scratch))
+            .collect();
+        for rows in [1usize, 31, 33, 256] {
+            let mut scratch = Im2colScratch::new();
+            let logits = cnn.forward_with(&params, x.view().row_block(0..rows), &mut scratch);
+            assert_eq!(logits.shape(), (rows, 10));
+            for (i, single) in per_row.iter().take(rows).enumerate() {
+                for (a, b) in logits.row(i).iter().zip(single.as_slice()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "row {i} of a {rows}-row forward");
+                }
+            }
+            if rows >= SimpleCnn::FORWARD_BLOCK {
+                assert_eq!(
+                    capacities(&scratch),
+                    block_sized,
+                    "a {rows}-row forward must size the scratch by its block"
+                );
+            }
         }
     }
 }

@@ -1,4 +1,4 @@
-use agsfl_tensor::{init, Matrix};
+use agsfl_tensor::{init, Matrix, MatrixView};
 use rand::RngCore;
 
 use crate::loss::batch_cross_entropy_with_grad;
@@ -53,13 +53,13 @@ impl LinearSoftmax {
         self.input_dim * self.num_classes
     }
 
-    /// Borrows the weight matrix portion of a flat parameter slice as a
-    /// `(input_dim, num_classes)` matrix copy.
-    fn weights(&self, params: &[f32]) -> Matrix {
-        Matrix::from_vec(
+    /// Borrows the weight matrix portion of a flat parameter slice as an
+    /// `(input_dim, num_classes)` view.
+    fn weights<'p>(&self, params: &'p [f32]) -> MatrixView<'p> {
+        MatrixView::new(
             self.input_dim,
             self.num_classes,
-            params[..self.weight_len()].to_vec(),
+            &params[..self.weight_len()],
         )
     }
 
@@ -87,26 +87,31 @@ impl Model for LinearSoftmax {
         params
     }
 
-    fn forward(&self, params: &[f32], x: &Matrix) -> Matrix {
+    fn forward_view(&self, params: &[f32], x: MatrixView<'_>) -> Matrix {
         check_params(self, params);
         check_input(self, x);
-        let mut logits = x.matmul(&self.weights(params));
+        let mut logits = Matrix::zeros(x.rows(), self.num_classes);
+        x.matmul_acc(self.weights(params), logits.as_mut_slice());
         logits.add_row_broadcast(self.biases(params));
         logits
     }
 
-    fn loss_and_grad(&self, params: &[f32], x: &Matrix, labels: &[usize]) -> (f32, Vec<f32>) {
+    fn loss_and_grad_into(
+        &self,
+        params: &[f32],
+        x: &Matrix,
+        labels: &[usize],
+        grad: &mut Vec<f32>,
+    ) -> f32 {
         let logits = self.forward(params, x);
         let (loss, dlogits) = batch_cross_entropy_with_grad(&logits, labels);
         // dW = X^T * dLogits, db = column sums of dLogits.
-        let dw = x
-            .transpose_matmul(&dlogits)
-            .expect("shapes checked in forward");
-        let db = dlogits.sum_rows();
-        let mut grad = dw.into_vec();
-        grad.extend_from_slice(&db);
-        debug_assert_eq!(grad.len(), self.num_params());
-        (loss, grad)
+        grad.clear();
+        grad.resize(self.num_params(), 0.0);
+        let (dw, db) = grad.split_at_mut(self.weight_len());
+        x.view().transpose_matmul_into(dlogits.view(), dw);
+        db.copy_from_slice(&dlogits.sum_rows());
+        loss
     }
 }
 

@@ -1,4 +1,4 @@
-use agsfl_tensor::{init, ops, Matrix};
+use agsfl_tensor::{init, ops, Matrix, MatrixView};
 use rand::RngCore;
 
 use crate::loss::batch_cross_entropy_with_grad;
@@ -73,9 +73,9 @@ impl Mlp {
         (offset, offset + fan_in * fan_out, fan_in, fan_out)
     }
 
-    fn layer_weights(&self, params: &[f32], l: usize) -> Matrix {
+    fn layer_weights<'p>(&self, params: &'p [f32], l: usize) -> MatrixView<'p> {
         let (w_off, b_off, fan_in, fan_out) = self.layer_offsets(l);
-        Matrix::from_vec(fan_in, fan_out, params[w_off..b_off].to_vec())
+        MatrixView::new(fan_in, fan_out, &params[w_off..b_off])
     }
 
     fn layer_biases<'p>(&self, params: &'p [f32], l: usize) -> &'p [f32] {
@@ -88,13 +88,16 @@ impl Mlp {
     ///
     /// Returns `(activations, pre_activations)` where `activations[0]` is the
     /// input batch and `activations[i]` the post-ReLU output of layer `i-1`.
-    fn forward_cached(&self, params: &[f32], x: &Matrix) -> (Vec<Matrix>, Vec<Matrix>) {
+    fn forward_cached(&self, params: &[f32], x: MatrixView<'_>) -> (Vec<Matrix>, Vec<Matrix>) {
         let layers = self.num_layers();
         let mut activations: Vec<Matrix> = Vec::with_capacity(layers + 1);
         let mut pre_activations: Vec<Matrix> = Vec::with_capacity(layers);
-        activations.push(x.clone());
+        activations.push(Matrix::from_vec(x.rows(), x.cols(), x.as_slice().to_vec()));
         for l in 0..layers {
-            let mut z = activations[l].matmul(&self.layer_weights(params, l));
+            let mut z = Matrix::zeros(x.rows(), self.dims[l + 1]);
+            activations[l]
+                .view()
+                .matmul_acc(self.layer_weights(params, l), z.as_mut_slice());
             z.add_row_broadcast(self.layer_biases(params, l));
             pre_activations.push(z.clone());
             if l + 1 < layers {
@@ -138,35 +141,43 @@ impl Model for Mlp {
         params
     }
 
-    fn forward(&self, params: &[f32], x: &Matrix) -> Matrix {
+    fn forward_view(&self, params: &[f32], x: MatrixView<'_>) -> Matrix {
         check_params(self, params);
         check_input(self, x);
         let (activations, _) = self.forward_cached(params, x);
         activations.into_iter().last().expect("at least the input")
     }
 
-    fn loss_and_grad(&self, params: &[f32], x: &Matrix, labels: &[usize]) -> (f32, Vec<f32>) {
+    fn loss_and_grad_into(
+        &self,
+        params: &[f32],
+        x: &Matrix,
+        labels: &[usize],
+        grad: &mut Vec<f32>,
+    ) -> f32 {
         check_params(self, params);
-        check_input(self, x);
+        check_input(self, x.view());
         let layers = self.num_layers();
-        let (activations, pre_activations) = self.forward_cached(params, x);
+        let (activations, pre_activations) = self.forward_cached(params, x.view());
         let logits = activations.last().expect("forward produced output");
         let (loss, mut delta) = batch_cross_entropy_with_grad(logits, labels);
 
-        let mut grad = vec![0.0f32; self.num_params()];
+        grad.clear();
+        grad.resize(self.num_params(), 0.0);
         // Backwards over layers: delta is dLoss/dZ_l for the current layer l.
         for l in (0..layers).rev() {
             let (w_off, b_off, fan_in, fan_out) = self.layer_offsets(l);
             // dW_l = A_{l}^T * delta ; db_l = column sums of delta.
-            let dw = activations[l]
-                .transpose_matmul(&delta)
-                .expect("activation/delta shapes agree");
-            grad[w_off..w_off + fan_in * fan_out].copy_from_slice(dw.as_slice());
+            activations[l]
+                .view()
+                .transpose_matmul_into(delta.view(), &mut grad[w_off..b_off]);
             grad[b_off..b_off + fan_out].copy_from_slice(&delta.sum_rows());
             if l > 0 {
                 // delta_{l-1} = (delta_l * W_l^T) ⊙ relu'(Z_{l-1})
-                let w = self.layer_weights(params, l);
-                let mut prev = delta.matmul_transpose(&w).expect("delta/W shapes agree");
+                let mut prev = Matrix::zeros(delta.rows(), fan_in);
+                delta
+                    .view()
+                    .matmul_transpose_into(self.layer_weights(params, l), prev.as_mut_slice());
                 let z_prev = &pre_activations[l - 1];
                 for i in 0..prev.rows() {
                     let row = prev.row_mut(i);
@@ -177,7 +188,7 @@ impl Model for Mlp {
                 delta = prev;
             }
         }
-        (loss, grad)
+        loss
     }
 }
 

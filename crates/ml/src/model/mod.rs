@@ -17,7 +17,7 @@ pub use im2col::Im2colScratch;
 pub use linear::LinearSoftmax;
 pub use mlp::Mlp;
 
-use agsfl_tensor::Matrix;
+use agsfl_tensor::{Matrix, MatrixView};
 use rand::RngCore;
 
 use crate::loss::batch_cross_entropy;
@@ -40,7 +40,9 @@ use crate::loss::batch_cross_entropy;
 ///   [`SimpleCnn`]'s `conv_w | conv_b | fc_w | fc_b`), and
 ///   [`Model::init_params`] and [`Model::loss_and_grad`] must agree on it.
 ///   The sparsifiers treat coordinates as opaque, so the layout may never
-///   change between calls.
+///   change between calls. Because the weight blocks are row-major inside
+///   the vector, implementations multiply straight out of `params` through
+///   borrowed [`MatrixView`]s and never stage a copy.
 /// * **Sample-major gradient accumulation order.** The gradient returned by
 ///   [`Model::loss_and_grad`] is accumulated over the batch rows in
 ///   ascending sample order (row 0 first). Callers compare gradients across
@@ -68,19 +70,47 @@ pub trait Model: Send + Sync + std::fmt::Debug {
     /// The returned vector always has length [`Model::num_params`].
     fn init_params(&self, rng: &mut dyn RngCore) -> Vec<f32>;
 
-    /// Computes logits for a batch `x` of shape `(batch, input_dim)`.
+    /// Computes logits for a borrowed batch `x` of shape
+    /// `(batch, input_dim)` — rows of a larger matrix, or a single feature
+    /// row, without copying them into a [`Matrix`] first.
     ///
     /// # Panics
     ///
     /// Implementations panic if `params.len() != self.num_params()` or the
     /// input width differs from [`Model::input_dim`].
-    fn forward(&self, params: &[f32], x: &Matrix) -> Matrix;
+    fn forward_view(&self, params: &[f32], x: MatrixView<'_>) -> Matrix;
 
-    /// Computes the mean cross-entropy loss and its gradient with respect to
-    /// the flat parameter vector on a mini-batch.
+    /// Computes logits for a batch `x` of shape `(batch, input_dim)`:
+    /// [`Model::forward_view`] on the whole matrix.
+    ///
+    /// # Panics
+    ///
+    /// Like [`Model::forward_view`].
+    fn forward(&self, params: &[f32], x: &Matrix) -> Matrix {
+        self.forward_view(params, x.view())
+    }
+
+    /// Computes the mean cross-entropy loss on a mini-batch and writes its
+    /// gradient with respect to the flat parameter vector into `grad`,
+    /// which is overwritten — resized to [`Model::num_params`] whatever it
+    /// held — so a caller can reuse one buffer across calls (the round
+    /// engine keeps one per worker thread).
+    fn loss_and_grad_into(
+        &self,
+        params: &[f32],
+        x: &Matrix,
+        labels: &[usize],
+        grad: &mut Vec<f32>,
+    ) -> f32;
+
+    /// [`Model::loss_and_grad_into`] into a fresh vector.
     ///
     /// The gradient has length [`Model::num_params`].
-    fn loss_and_grad(&self, params: &[f32], x: &Matrix, labels: &[usize]) -> (f32, Vec<f32>);
+    fn loss_and_grad(&self, params: &[f32], x: &Matrix, labels: &[usize]) -> (f32, Vec<f32>) {
+        let mut grad = Vec::new();
+        let loss = self.loss_and_grad_into(params, x, labels, &mut grad);
+        (loss, grad)
+    }
 
     /// Computes the mean cross-entropy loss on a mini-batch.
     ///
@@ -95,8 +125,8 @@ pub trait Model: Send + Sync + std::fmt::Debug {
     /// paper (Section IV-E) which evaluates one randomly chosen sample per
     /// client per round.
     fn sample_loss(&self, params: &[f32], features: &[f32], label: usize) -> f32 {
-        let x = Matrix::from_vec(1, features.len(), features.to_vec());
-        self.loss(params, &x, &[label])
+        let x = MatrixView::new(1, features.len(), features);
+        batch_cross_entropy(&self.forward_view(params, x), &[label])
     }
 
     /// Classification accuracy on a batch, in `[0, 1]`.
@@ -129,7 +159,7 @@ pub(crate) fn check_params(model: &dyn Model, params: &[f32]) {
 }
 
 /// Checks a batch against the model's expected input width.
-pub(crate) fn check_input(model: &dyn Model, x: &Matrix) {
+pub(crate) fn check_input(model: &dyn Model, x: MatrixView<'_>) {
     assert_eq!(
         x.cols(),
         model.input_dim(),
@@ -202,6 +232,55 @@ mod tests {
         let single = model.sample_loss(&params, &features, 2);
         let batch = model.loss(&params, &Matrix::from_vec(1, 5, features), &[2]);
         assert!((single - batch).abs() < 1e-6);
+    }
+
+    /// One gradient buffer reused across all three models — so every call
+    /// finds stale values of another length in it — must give exactly what
+    /// a fresh `loss_and_grad` gives.
+    #[test]
+    fn loss_and_grad_into_overwrites_a_dirty_buffer() {
+        let models: Vec<Box<dyn Model>> = vec![
+            Box::new(LinearSoftmax::new(36, 3)),
+            Box::new(Mlp::new(36, &[7, 5], 3)),
+            Box::new(SimpleCnn::new(1, 6, 6, 2, 3)),
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let (x, labels) = tiny_batch(36, 3);
+        let mut grad = vec![f32::NAN; 11];
+        for _ in 0..2 {
+            for model in &models {
+                let params = model.init_params(&mut rng);
+                let (fresh_loss, fresh_grad) = model.loss_and_grad(&params, &x, &labels);
+                let loss = model.loss_and_grad_into(&params, &x, &labels, &mut grad);
+                assert_eq!(loss.to_bits(), fresh_loss.to_bits(), "{model:?}");
+                assert_eq!(grad.len(), model.num_params());
+                for (a, b) in grad.iter().zip(&fresh_grad) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{model:?}");
+                }
+            }
+        }
+    }
+
+    /// `sample_loss` evaluates the borrowed feature row where it lies and
+    /// equals the loss of the same row as a batch of one, bit for bit.
+    #[test]
+    fn sample_loss_borrows_the_feature_row() {
+        let models: Vec<Box<dyn Model>> = vec![
+            Box::new(LinearSoftmax::new(36, 3)),
+            Box::new(Mlp::new(36, &[7], 3)),
+            Box::new(SimpleCnn::new(1, 6, 6, 2, 3)),
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let (x, labels) = tiny_batch(36, 3);
+        for model in &models {
+            let params = model.init_params(&mut rng);
+            for (i, &label) in labels.iter().enumerate() {
+                let single = model.sample_loss(&params, x.row(i), label);
+                let row = Matrix::from_vec(1, 36, x.row(i).to_vec());
+                let batch = model.loss(&params, &row, &[label]);
+                assert_eq!(single.to_bits(), batch.to_bits(), "{model:?}");
+            }
+        }
     }
 
     #[test]

@@ -132,12 +132,23 @@ proptest! {
         let (model_b, params_b, x_b, labels_b) =
             build_case(seed ^ 0xDEAD, 2, height_b, width_b, filters, 4, batch);
         let mut scratch = Im2colScratch::new();
+        // One gradient buffer across both geometries: each call finds the
+        // other model's gradient in it, at the other model's length.
+        let mut grad = Vec::new();
         for _ in 0..2 {
-            let warm_a = model_a.loss_and_grad_with(&params_a, &x_a, &labels_a, &mut scratch);
-            prop_assert_eq!(warm_a, model_a.loss_and_grad(&params_a, &x_a, &labels_a));
-            let warm_b = model_b.loss_and_grad_with(&params_b, &x_b, &labels_b, &mut scratch);
-            prop_assert_eq!(warm_b, model_b.loss_and_grad(&params_b, &x_b, &labels_b));
-            let fwd = model_a.forward_with(&params_a, &x_a, &mut scratch);
+            let loss_a =
+                model_a.loss_and_grad_with(&params_a, &x_a, &labels_a, &mut scratch, &mut grad);
+            prop_assert_eq!(
+                (loss_a, grad.clone()),
+                model_a.loss_and_grad(&params_a, &x_a, &labels_a)
+            );
+            let loss_b =
+                model_b.loss_and_grad_with(&params_b, &x_b, &labels_b, &mut scratch, &mut grad);
+            prop_assert_eq!(
+                (loss_b, grad.clone()),
+                model_b.loss_and_grad(&params_b, &x_b, &labels_b)
+            );
+            let fwd = model_a.forward_with(&params_a, x_a.view(), &mut scratch);
             prop_assert_eq!(fwd, model_a.forward(&params_a, &x_a));
         }
     }

@@ -5,6 +5,11 @@
 //!
 //! * a row-major [`Matrix`] with matrix multiplication, transposition and
 //!   element-wise arithmetic,
+//! * the five matrix products the models need, over borrowed
+//!   [`MatrixView`]s ([`product`]) — register-tiled kernels ([`dispatch`]
+//!   picks their vector width from the CPU's features) that keep a
+//!   documented per-element fold order bit for bit, with the scalar
+//!   statement of that order in [`mod@reference`],
 //! * free functions over flat `f32` slices ([`vecops`]) — dot products, AXPY,
 //!   norms, arg-max — used for flattened model parameter/gradient vectors,
 //! * deterministic random initialisation ([`init`]) for model weights and
@@ -13,8 +18,10 @@
 //! * small statistics helpers ([`stats`]) used by the experiment harness
 //!   (empirical CDFs, running means).
 //!
-//! Everything is plain safe Rust with no SIMD or BLAS dependency so that the
-//! whole paper reproduction runs offline on any machine.
+//! There is no BLAS dependency, and outside the one [`dispatch`] module
+//! (which wraps `core::arch` vector loads, stores, multiplies and adds)
+//! everything is plain safe Rust, so the whole paper reproduction runs
+//! offline on any machine.
 //!
 //! # Example
 //!
@@ -28,16 +35,21 @@
 //! assert_eq!(vecops::dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;
+mod kernels;
 mod matrix;
 
+pub mod dispatch;
 pub mod init;
 pub mod ops;
+pub mod product;
+pub mod reference;
 pub mod stats;
 pub mod vecops;
 
 pub use error::ShapeError;
 pub use matrix::Matrix;
+pub use product::{MatrixView, Product};

@@ -1,5 +1,6 @@
 use serde::{Deserialize, Serialize};
 
+use crate::product::MatrixView;
 use crate::ShapeError;
 
 /// A dense, row-major `f32` matrix.
@@ -259,6 +260,12 @@ impl Matrix {
         self.data.fill(value);
     }
 
+    /// Borrows the matrix as a [`MatrixView`], the operand type of the
+    /// product kernels.
+    pub fn view(&self) -> MatrixView<'_> {
+        MatrixView::new(self.rows, self.cols, &self.data)
+    }
+
     /// Matrix multiplication `self * rhs`, panicking on shape mismatch.
     ///
     /// # Panics
@@ -273,170 +280,16 @@ impl Matrix {
     /// allocation (the buffer is reshaped with [`Matrix::resize_for_overwrite`]
     /// and fully overwritten).
     ///
-    /// Bit-identical to [`Matrix::matmul`]: both run the same blocked kernel
-    /// (see the `gemm_into` comment for the fixed accumulation order).
+    /// Bit-identical to [`Matrix::matmul`]: both are
+    /// [`MatrixView::matmul_acc`] on a zeroed output.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols,
-            rhs.rows,
-            "matmul_into shape mismatch: {:?} * {:?}",
-            self.shape(),
-            rhs.shape()
-        );
         out.resize_for_overwrite(self.rows, rhs.cols);
         out.fill(0.0);
-        gemm_into(
-            self.rows,
-            self.cols,
-            &self.data,
-            rhs.cols,
-            &rhs.data,
-            &mut out.data,
-        );
-    }
-
-    /// Matrix multiplication accumulated into an existing matrix:
-    /// `out += self * rhs`, without clearing `out` first.
-    ///
-    /// Same blocked kernel as [`Matrix::matmul`]; the pre-seeded `out` acts
-    /// as the fold's starting value (the im2col convolution seeds it with
-    /// the bias, matching the scalar reference's bias-first accumulation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()` or `out` has the wrong shape.
-    pub fn matmul_acc(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols,
-            rhs.rows,
-            "matmul_acc shape mismatch: {:?} * {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        assert_eq!(
-            out.shape(),
-            (self.rows, rhs.cols),
-            "matmul_acc output shape mismatch"
-        );
-        gemm_into(
-            self.rows,
-            self.cols,
-            &self.data,
-            rhs.cols,
-            &rhs.data,
-            &mut out.data,
-        );
-    }
-
-    /// Accumulates `self * rhs^T` into the row-major slice `out` (shape
-    /// `self.rows() x rhs.rows()`), without materialising the transpose and
-    /// without clearing `out` first.
-    ///
-    /// The accumulate-into-slice form exists for gradient computation: a
-    /// model's flat gradient vector contains the weight block as a
-    /// contiguous row-major region, so the backward matmul can add straight
-    /// into it with no temporary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.cols()` or `out` has the wrong length.
-    pub fn matmul_transpose_acc(&self, rhs: &Matrix, out: &mut [f32]) {
-        assert_eq!(
-            self.cols,
-            rhs.cols,
-            "matmul_transpose_acc shape mismatch: {:?} * {:?}^T",
-            self.shape(),
-            rhs.shape()
-        );
-        assert_eq!(
-            out.len(),
-            self.rows * rhs.rows,
-            "matmul_transpose_acc output length {} does not match {}x{}",
-            out.len(),
-            self.rows,
-            rhs.rows
-        );
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out[i * rhs.rows..(i + 1) * rhs.rows];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o += dot_unrolled(a_row, rhs.row(j));
-            }
-        }
-    }
-
-    /// Accumulates `self^T * rhs` into the row-major slice `out` (shape
-    /// `self.cols() x rhs.cols()`), without materialising the transpose and
-    /// without clearing `out` first.
-    ///
-    /// Accumulation runs over `self`'s rows (the batch dimension in
-    /// backpropagation) in ascending order within a fixed 4-row blocking —
-    /// the deterministic sample-major order documented on the `Model` trait
-    /// in `agsfl-ml`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != rhs.rows()` or `out` has the wrong length.
-    pub fn transpose_matmul_acc(&self, rhs: &Matrix, out: &mut [f32]) {
-        assert_eq!(
-            self.rows,
-            rhs.rows,
-            "transpose_matmul_acc shape mismatch: {:?}^T * {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        assert_eq!(
-            out.len(),
-            self.cols * rhs.cols,
-            "transpose_matmul_acc output length {} does not match {}x{}",
-            out.len(),
-            self.cols,
-            rhs.cols
-        );
-        // Four batch rows per sweep over the output block: the output row is
-        // the hot operand (it is read and written every step), so blocking
-        // the batch dimension cuts its memory traffic 4x. Accumulation stays
-        // ascending in `k` within a fixed deterministic blocking.
-        let n = rhs.cols;
-        let mut k = 0;
-        while k + 4 <= self.rows {
-            let b0 = rhs.row(k);
-            let b1 = rhs.row(k + 1);
-            let b2 = rhs.row(k + 2);
-            let b3 = rhs.row(k + 3);
-            for i in 0..self.cols {
-                let a0 = self.data[k * self.cols + i];
-                let a1 = self.data[(k + 1) * self.cols + i];
-                let a2 = self.data[(k + 2) * self.cols + i];
-                let a3 = self.data[(k + 3) * self.cols + i];
-                if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    *o += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-                }
-            }
-            k += 4;
-        }
-        while k < self.rows {
-            let a_row = self.row(k);
-            let b_row = rhs.row(k);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-            k += 1;
-        }
+        self.view().matmul_acc(rhs.view(), &mut out.data);
     }
 
     /// Matrix multiplication `self * rhs`.
@@ -449,74 +302,7 @@ impl Matrix {
             return Err(ShapeError::new("matmul", self.shape(), rhs.shape()));
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        gemm_into(
-            self.rows,
-            self.cols,
-            &self.data,
-            rhs.cols,
-            &rhs.data,
-            &mut out.data,
-        );
-        Ok(out)
-    }
-
-    /// Multiplies `self` by the transpose of `rhs` (i.e. `self * rhs^T`)
-    /// without materialising the transpose.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if `self.cols() != rhs.cols()`.
-    pub fn matmul_transpose(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.cols != rhs.cols {
-            return Err(ShapeError::new(
-                "matmul_transpose",
-                self.shape(),
-                rhs.shape(),
-            ));
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                let b_row = rhs.row(j);
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc += a * b;
-                }
-                out.set(i, j, acc);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Multiplies the transpose of `self` by `rhs` (i.e. `self^T * rhs`)
-    /// without materialising the transpose.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if `self.rows() != rhs.rows()`.
-    pub fn transpose_matmul(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.rows != rhs.rows {
-            return Err(ShapeError::new(
-                "transpose_matmul",
-                self.shape(),
-                rhs.shape(),
-            ));
-        }
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for k in 0..self.rows {
-            let a_row = self.row(k);
-            let b_row = rhs.row(k);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
+        self.view().matmul_acc(rhs.view(), &mut out.data);
         Ok(out)
     }
 
@@ -621,123 +407,6 @@ impl Default for Matrix {
     }
 }
 
-/// The shared row-major gemm kernel behind [`Matrix::matmul`] and
-/// [`Matrix::matmul_into`]: `out += a * b` with `out` pre-zeroed by the
-/// callers.
-///
-/// ikj loop order (stream over `b`'s rows) with the `k` dimension blocked
-/// four at a time: the output row is the hot operand — it is read and
-/// written on every `k` step — so the blocking cuts its memory traffic 4x,
-/// which is what the larger layers of the im2col CNN are bound by. The
-/// accumulation order is fixed and deterministic (ascending `k` within the
-/// 4-way blocking), independent of threads or call site, but it is *not*
-/// the scalar left fold: code comparing against a scalar reference (the
-/// `agsfl_ml::reference` equivalence tests) must compare within a small
-/// relative tolerance.
-fn gemm_into(a_rows: usize, a_cols: usize, a: &[f32], b_cols: usize, b: &[f32], out: &mut [f32]) {
-    // Two output rows per sweep: each streamed `b` block feeds both rows, so
-    // i-blocking halves `b`'s memory traffic and doubles the number of
-    // independent accumulation chains. It does not change any output
-    // element's fold order (rows are independent), so the single-row tail
-    // below produces the same bits as the paired path.
-    let mut i = 0;
-    while i + 2 <= a_rows {
-        let (out_row0, out_row1) = out[i * b_cols..(i + 2) * b_cols].split_at_mut(b_cols);
-        let a_row0 = &a[i * a_cols..(i + 1) * a_cols];
-        let a_row1 = &a[(i + 1) * a_cols..(i + 2) * a_cols];
-        let mut k = 0;
-        while k + 4 <= a_cols {
-            let b0 = &b[k * b_cols..(k + 1) * b_cols];
-            let b1 = &b[(k + 1) * b_cols..(k + 2) * b_cols];
-            let b2 = &b[(k + 2) * b_cols..(k + 3) * b_cols];
-            let b3 = &b[(k + 3) * b_cols..(k + 4) * b_cols];
-            let (x0, x1, x2, x3) = (a_row0[k], a_row0[k + 1], a_row0[k + 2], a_row0[k + 3]);
-            let (y0, y1, y2, y3) = (a_row1[k], a_row1[k + 1], a_row1[k + 2], a_row1[k + 3]);
-            for (((((o0, o1), &v0), &v1), &v2), &v3) in out_row0
-                .iter_mut()
-                .zip(out_row1.iter_mut())
-                .zip(b0.iter())
-                .zip(b1.iter())
-                .zip(b2.iter())
-                .zip(b3.iter())
-            {
-                *o0 += x0 * v0 + x1 * v1 + x2 * v2 + x3 * v3;
-                *o1 += y0 * v0 + y1 * v1 + y2 * v2 + y3 * v3;
-            }
-            k += 4;
-        }
-        while k < a_cols {
-            let b0 = &b[k * b_cols..(k + 1) * b_cols];
-            let x = a_row0[k];
-            let y = a_row1[k];
-            if x != 0.0 || y != 0.0 {
-                for ((o0, o1), &v) in out_row0.iter_mut().zip(out_row1.iter_mut()).zip(b0.iter()) {
-                    *o0 += x * v;
-                    *o1 += y * v;
-                }
-            }
-            k += 1;
-        }
-        i += 2;
-    }
-    if i < a_rows {
-        let a_row = &a[i * a_cols..(i + 1) * a_cols];
-        let out_row = &mut out[i * b_cols..(i + 1) * b_cols];
-        let mut k = 0;
-        while k + 4 <= a_cols {
-            let (a0, a1, a2, a3) = (a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]);
-            if a0 != 0.0 || a1 != 0.0 || a2 != 0.0 || a3 != 0.0 {
-                let b0 = &b[k * b_cols..(k + 1) * b_cols];
-                let b1 = &b[(k + 1) * b_cols..(k + 2) * b_cols];
-                let b2 = &b[(k + 2) * b_cols..(k + 3) * b_cols];
-                let b3 = &b[(k + 3) * b_cols..(k + 4) * b_cols];
-                for ((((o, &v0), &v1), &v2), &v3) in out_row
-                    .iter_mut()
-                    .zip(b0.iter())
-                    .zip(b1.iter())
-                    .zip(b2.iter())
-                    .zip(b3.iter())
-                {
-                    *o += a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3;
-                }
-            }
-            k += 4;
-        }
-        while k < a_cols {
-            let a0 = a_row[k];
-            if a0 != 0.0 {
-                let b0 = &b[k * b_cols..(k + 1) * b_cols];
-                for (o, &v) in out_row.iter_mut().zip(b0.iter()) {
-                    *o += a0 * v;
-                }
-            }
-            k += 1;
-        }
-    }
-}
-
-/// Dot product with eight independent accumulators, so the additions
-/// pipeline instead of forming one serial dependency chain (a plain fold is
-/// bound by FP-add latency on long vectors). Deterministic: the lane
-/// assignment depends only on the input length.
-fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
-    let mut lanes = [0.0f32; 8];
-    let mut a_chunks = a.chunks_exact(8);
-    let mut b_chunks = b.chunks_exact(8);
-    for (ca, cb) in (&mut a_chunks).zip(&mut b_chunks) {
-        for l in 0..8 {
-            lanes[l] += ca[l] * cb[l];
-        }
-    }
-    let mut tail = 0.0f32;
-    for (&x, &y) in a_chunks.remainder().iter().zip(b_chunks.remainder().iter()) {
-        tail += x * y;
-    }
-    (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-        + tail
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -795,28 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_transpose_acc_accumulates() {
-        let a = Matrix::from_fn(2, 3, |i, j| (i + j) as f32 + 0.5);
-        let b = Matrix::from_fn(4, 3, |i, j| (i * j) as f32 - 1.0);
-        let expected = a.matmul_transpose(&b).unwrap();
-        let mut out = vec![1.0f32; 2 * 4];
-        a.matmul_transpose_acc(&b, &mut out);
-        for (o, &e) in out.iter().zip(expected.as_slice().iter()) {
-            assert!((o - (e + 1.0)).abs() < 1e-6, "{o} vs {e} + 1");
-        }
-    }
-
-    #[test]
-    fn transpose_matmul_acc_accumulates() {
-        let a = Matrix::from_fn(5, 2, |i, j| (i as f32) - (j as f32) * 0.25);
-        let b = Matrix::from_fn(5, 3, |i, j| (i * 3 + j) as f32);
-        let expected = a.transpose_matmul(&b).unwrap();
-        let mut out = vec![0.0f32; 2 * 3];
-        a.transpose_matmul_acc(&b, &mut out);
-        assert_eq!(out.as_slice(), expected.as_slice());
-    }
-
-    #[test]
     fn resize_for_overwrite_keeps_allocation_and_fill_clears() {
         let mut m = Matrix::filled(2, 3, 7.0);
         m.resize_for_overwrite(3, 2);
@@ -824,33 +471,6 @@ mod tests {
         assert_eq!(m.as_slice()[0], 7.0, "old contents survive the reshape");
         m.fill(0.0);
         assert!(m.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn matmul_transpose_acc_bad_out_len_panics() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(4, 3);
-        let mut out = vec![0.0f32; 3];
-        a.matmul_transpose_acc(&b, &mut out);
-    }
-
-    #[test]
-    fn matmul_transpose_matches_explicit_transpose() {
-        let a = Matrix::from_fn(2, 3, |i, j| (i + j) as f32 + 0.5);
-        let b = Matrix::from_fn(4, 3, |i, j| (i * j) as f32 - 1.0);
-        let via_helper = a.matmul_transpose(&b).unwrap();
-        let via_explicit = a.matmul(&b.transpose());
-        assert_eq!(via_helper, via_explicit);
-    }
-
-    #[test]
-    fn transpose_matmul_matches_explicit_transpose() {
-        let a = Matrix::from_fn(5, 2, |i, j| (i as f32) - (j as f32) * 0.25);
-        let b = Matrix::from_fn(5, 3, |i, j| (i * 3 + j) as f32);
-        let via_helper = a.transpose_matmul(&b).unwrap();
-        let via_explicit = a.transpose().matmul(&b);
-        assert_eq!(via_helper, via_explicit);
     }
 
     #[test]

@@ -1,0 +1,219 @@
+//! The products' fold orders, written once as scalar loops.
+//!
+//! Mirroring `agsfl_sparse::reference`, this module is the executable
+//! specification of [`crate::product`]'s fold-order contract: the
+//! streaming loops the golden trajectories were recorded with, kept
+//! exactly as they were. Nothing on the product path calls it — the
+//! equivalence proptest (`crates/tensor/tests/product_equivalence.rs`)
+//! compares every dispatch level against it bit for bit, and
+//! `bench-report` times it as the baseline of the paired product kernels.
+
+use crate::product::{MatrixView, Product};
+
+/// Runs `op` through its scalar spec.
+///
+/// # Panics
+///
+/// Panics if the operand shapes do not fit `op` or `out` is not the
+/// product's `rows * cols` long.
+pub fn run(op: Product, a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
+    let (rows, cols) = op.output_shape(a, b);
+    assert_eq!(out.len(), rows * cols, "{op:?}: output length");
+    match op {
+        Product::MatmulAcc => matmul_acc(a, b, out),
+        Product::TransposeMatmulAcc => transpose_matmul_acc(a, b, out),
+        Product::TransposeMatmulInto => transpose_matmul_into(a, b, out),
+        Product::MatmulTransposeAcc => matmul_transpose_acc(a, b, out),
+        Product::MatmulTransposeInto => matmul_transpose_into(a, b, out),
+    }
+}
+
+/// `out += a · b`: ikj order, the contraction blocked four at a time, two
+/// output rows per sweep. Pairing does not change a row's additions, but
+/// it does change which all-zero terms are skipped (see the contract).
+fn matmul_acc(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
+    let (a_rows, a_cols, b_cols) = (a.rows(), a.cols(), b.cols());
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let mut i = 0;
+    while i + 2 <= a_rows {
+        let (out_row0, out_row1) = out[i * b_cols..(i + 2) * b_cols].split_at_mut(b_cols);
+        let a_row0 = &a[i * a_cols..(i + 1) * a_cols];
+        let a_row1 = &a[(i + 1) * a_cols..(i + 2) * a_cols];
+        let mut k = 0;
+        while k + 4 <= a_cols {
+            let b0 = &b[k * b_cols..(k + 1) * b_cols];
+            let b1 = &b[(k + 1) * b_cols..(k + 2) * b_cols];
+            let b2 = &b[(k + 2) * b_cols..(k + 3) * b_cols];
+            let b3 = &b[(k + 3) * b_cols..(k + 4) * b_cols];
+            let (x0, x1, x2, x3) = (a_row0[k], a_row0[k + 1], a_row0[k + 2], a_row0[k + 3]);
+            let (y0, y1, y2, y3) = (a_row1[k], a_row1[k + 1], a_row1[k + 2], a_row1[k + 3]);
+            for (((((o0, o1), &v0), &v1), &v2), &v3) in out_row0
+                .iter_mut()
+                .zip(out_row1.iter_mut())
+                .zip(b0.iter())
+                .zip(b1.iter())
+                .zip(b2.iter())
+                .zip(b3.iter())
+            {
+                *o0 += x0 * v0 + x1 * v1 + x2 * v2 + x3 * v3;
+                *o1 += y0 * v0 + y1 * v1 + y2 * v2 + y3 * v3;
+            }
+            k += 4;
+        }
+        while k < a_cols {
+            let b0 = &b[k * b_cols..(k + 1) * b_cols];
+            let x = a_row0[k];
+            let y = a_row1[k];
+            if x != 0.0 || y != 0.0 {
+                for ((o0, o1), &v) in out_row0.iter_mut().zip(out_row1.iter_mut()).zip(b0.iter()) {
+                    *o0 += x * v;
+                    *o1 += y * v;
+                }
+            }
+            k += 1;
+        }
+        i += 2;
+    }
+    if i < a_rows {
+        let a_row = &a[i * a_cols..(i + 1) * a_cols];
+        let out_row = &mut out[i * b_cols..(i + 1) * b_cols];
+        let mut k = 0;
+        while k + 4 <= a_cols {
+            let (a0, a1, a2, a3) = (a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]);
+            if a0 != 0.0 || a1 != 0.0 || a2 != 0.0 || a3 != 0.0 {
+                let b0 = &b[k * b_cols..(k + 1) * b_cols];
+                let b1 = &b[(k + 1) * b_cols..(k + 2) * b_cols];
+                let b2 = &b[(k + 2) * b_cols..(k + 3) * b_cols];
+                let b3 = &b[(k + 3) * b_cols..(k + 4) * b_cols];
+                for ((((o, &v0), &v1), &v2), &v3) in out_row
+                    .iter_mut()
+                    .zip(b0.iter())
+                    .zip(b1.iter())
+                    .zip(b2.iter())
+                    .zip(b3.iter())
+                {
+                    *o += a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3;
+                }
+            }
+            k += 4;
+        }
+        while k < a_cols {
+            let a0 = a_row[k];
+            if a0 != 0.0 {
+                let b0 = &b[k * b_cols..(k + 1) * b_cols];
+                for (o, &v) in out_row.iter_mut().zip(b0.iter()) {
+                    *o += a0 * v;
+                }
+            }
+            k += 1;
+        }
+    }
+}
+
+/// `out += aᵀ · b`: four shared (batch) rows per sweep over the output
+/// block, ascending.
+fn transpose_matmul_acc(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
+    let (rows, cols, n) = (a.rows(), a.cols(), b.cols());
+    let data = a.as_slice();
+    let mut k = 0;
+    while k + 4 <= rows {
+        let b0 = b.row(k);
+        let b1 = b.row(k + 1);
+        let b2 = b.row(k + 2);
+        let b3 = b.row(k + 3);
+        for i in 0..cols {
+            let a0 = data[k * cols + i];
+            let a1 = data[(k + 1) * cols + i];
+            let a2 = data[(k + 2) * cols + i];
+            let a3 = data[(k + 3) * cols + i];
+            if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
+                continue;
+            }
+            let out_row = &mut out[i * n..(i + 1) * n];
+            for (j, o) in out_row.iter_mut().enumerate() {
+                *o += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+            }
+        }
+        k += 4;
+    }
+    while k < rows {
+        let a_row = a.row(k);
+        let b_row = b.row(k);
+        for (i, &x) in a_row.iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            let out_row = &mut out[i * n..(i + 1) * n];
+            for (o, &y) in out_row.iter_mut().zip(b_row.iter()) {
+                *o += x * y;
+            }
+        }
+        k += 1;
+    }
+}
+
+/// `out = aᵀ · b`: one shared row at a time from zero.
+fn transpose_matmul_into(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
+    let n = b.cols();
+    out.fill(0.0);
+    for k in 0..a.rows() {
+        let a_row = a.row(k);
+        let b_row = b.row(k);
+        for (i, &x) in a_row.iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            let out_row = &mut out[i * n..(i + 1) * n];
+            for (o, &y) in out_row.iter_mut().zip(b_row.iter()) {
+                *o += x * y;
+            }
+        }
+    }
+}
+
+/// `out += a · bᵀ` through [`dot_unrolled`].
+fn matmul_transpose_acc(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
+    let n = b.rows();
+    for i in 0..a.rows() {
+        let a_row = a.row(i);
+        let out_row = &mut out[i * n..(i + 1) * n];
+        for (j, o) in out_row.iter_mut().enumerate() {
+            *o += dot_unrolled(a_row, b.row(j));
+        }
+    }
+}
+
+/// `out = a · bᵀ`, each element a sequential dot product.
+fn matmul_transpose_into(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
+    let n = b.rows();
+    for i in 0..a.rows() {
+        let a_row = a.row(i);
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for (&x, &y) in a_row.iter().zip(b.row(j).iter()) {
+                acc += x * y;
+            }
+            out[i * n + j] = acc;
+        }
+    }
+}
+
+/// Dot product with eight lane sums and a sequential tail; the lane a
+/// term goes to depends only on its index.
+fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; 8];
+    let mut a_chunks = a.chunks_exact(8);
+    let mut b_chunks = b.chunks_exact(8);
+    for (ca, cb) in (&mut a_chunks).zip(&mut b_chunks) {
+        for l in 0..8 {
+            lanes[l] += ca[l] * cb[l];
+        }
+    }
+    let mut tail = 0.0f32;
+    for (&x, &y) in a_chunks.remainder().iter().zip(b_chunks.remainder().iter()) {
+        tail += x * y;
+    }
+    (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
+        + tail
+}

@@ -94,6 +94,46 @@ if grep -rnE 'note_demand|shrink_to_recent_demand|shrink_capacity_to|SHRINK_FLOO
     exit 1
 fi
 
+step "unsafe stays in two modules (the pool's trampoline and the tensor width dispatch)"
+# agsfl_exec::pool erases a lifetime behind a monomorphized trampoline;
+# agsfl_tensor::dispatch calls #[target_feature] kernel instantiations after
+# feature detection and wraps core::arch loads/stores/mul/add. Every other
+# crate root forbids unsafe_code; this catches an allow growing elsewhere.
+# Comment lines are exempt.
+if grep -rnE '\bunsafe\b' crates/*/src \
+    | grep -vE '^(crates/exec/src/pool\.rs|crates/tensor/src/dispatch\.rs):' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+    echo "verify: unsafe outside crates/exec/src/pool.rs and crates/tensor/src/dispatch.rs (lines above)" >&2
+    exit 1
+fi
+
+step "products keep their fold order (no fused multiply-add, no staged weight copies)"
+# The goldens pin each product's exact sequence of roundings: a fused
+# multiply-add rounds once where mul-then-add rounds twice, so neither the
+# std method, the intrinsic family nor the target feature may appear in the
+# kernels or the models.
+if grep -rnE 'mul_add|fmadd|"fma"' crates/tensor/src crates/ml/src; then
+    echo "verify: a fused multiply-add in the product path (lines above) would move every golden" >&2
+    exit 1
+fi
+# The old streaming loops survive only as the scalar spec; nothing but the
+# bench crate (its paired kernels' baseline) and tests may call it.
+if { grep -rn 'agsfl_tensor::reference' crates/*/src; grep -rn 'crate::reference' crates/tensor/src; } \
+    | grep -vE '^crates/bench/' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+    echo "verify: product code calls agsfl_tensor::reference (lines above); it is the spec, not a path" >&2
+    exit 1
+fi
+# Models multiply straight out of the flat parameter vector through
+# MatrixView; a block of it copied into a Matrix first is the staging copy
+# coming back. Product code only (up to a file's #[cfg(test)]).
+if for f in crates/ml/src/model/*.rs; do
+    awk -v f="$f" '/#\[cfg\(test\)\]/ { exit } { print f ":" FNR ":" $0 }' "$f"
+done | grep -E 'params\[[^]]*\]\.to_vec\(\)'; then
+    echo "verify: a model copies a parameter block before multiplying (lines above); borrow it as a MatrixView" >&2
+    exit 1
+fi
+
 step "cargo build --release"
 cargo build --release
 
@@ -110,9 +150,13 @@ fi
 step "cargo test -q (tier-1: root integration tests)"
 cargo test -q
 
-step "grow-only capacity (gradient/probe batch alternation and large/unit k rounds release nothing)"
+step "grow-only capacity (gradient/probe batch alternation and large/unit k rounds release nothing; a forward sizes its scratch by the row block)"
 cargo test -q -p agsfl-ml --lib capacity_is_constant_under_alternating_gradient_and_probe_batches
+cargo test -q -p agsfl-ml --lib forward_is_row_blocked_and_row_independent
 cargo test -q -p agsfl-fl --lib workspace_capacity_never_decreases
+
+step "product equivalence (every dispatch level == the scalar fold-order spec, bit for bit)"
+cargo test -q -p agsfl-tensor --test product_equivalence
 
 step "resume equivalence (interrupted + resumed runs are bit-identical)"
 cargo test -q -p agsfl-fl resume
