@@ -50,7 +50,14 @@
 //! return identical bits. The `wire_encode`/`wire_decode` pairs time the
 //! delta-varint wire codec on a dim = 10⁵, k = 10³ message through the
 //! allocating reference implementations (`agsfl_wire::reference`) and the
-//! scratch-reusing fast paths, asserting byte-identical frames. The
+//! scratch-reusing fast paths, asserting byte-identical frames. Three pairs
+//! time a wired upload's ordering work at `sparse_wide_linear`'s shape
+//! (D = 418,624, k = 20,000, QLinear8), each asserting equal bits:
+//! `wired_client_upload` (ranked selection + index sort + encode vs
+//! index-ordered selection + encode), `server_rank_decoded` (decode to a
+//! list + `rank_by_magnitude` vs ranking from the decoder's visitor) and
+//! `reset_errors_merge` (a binary search of the error list per reset index
+//! vs one merge). The
 //! `checkpoint_load` pair times a simulation snapshot at the paper's scale
 //! (>400k weights): rebuilding the simulation from its inputs vs
 //! `restore_state` of the serialized blob. The JSON reports
@@ -70,20 +77,22 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use agsfl_bench::kernel_workload::{
     checkpoint_workload, cnn_workload, eval_workload, fab_workload, fresh_checkpoint_sim,
     product_workload, server_workload, telemetry_workload, topk_workload, wire_workload,
-    CKPT_CLIENTS, CNN_BATCH, EVAL_CLIENTS, FAB_CLIENTS, FAB_DIM, FAB_K, PRODUCT_SHAPES,
-    SERVER_SHAPES, TELEM_CLIENTS, TELEM_K, TOPK_DIM, TOPK_KS,
+    wired_workload, CKPT_CLIENTS, CNN_BATCH, EVAL_CLIENTS, FAB_CLIENTS, FAB_DIM, FAB_K,
+    PRODUCT_SHAPES, SERVER_SHAPES, TELEM_CLIENTS, TELEM_K, TOPK_DIM, TOPK_KS, WIRED_DIM, WIRED_K,
+    WIRED_RESETS,
 };
 use agsfl_core::figures::scale_sweep::{self, ScaleSweepConfig};
 use agsfl_exec::{mem, Executor};
 use agsfl_ml::metrics;
 use agsfl_ml::model::{Im2colScratch, Model};
 use agsfl_ml::reference as ml_reference;
-use agsfl_sparse::{reference, topk, FabTopK, SelectionScratch, Sparsifier};
+use agsfl_sparse::{reference, topk, FabTopK, ResidualAccumulator, SelectionScratch, Sparsifier};
 use agsfl_telemetry::{SpanId, StageRecorder};
 use agsfl_tensor::dispatch::{self, Level};
 use agsfl_tensor::{reference as tensor_reference, MatrixView, Product};
 use agsfl_wire::{
-    decode_frame, reference as wire_reference, Codec, DeltaVarint, QLinear8, WireScratch,
+    decode_frame, decode_frame_with, reference as wire_reference, Codec, DeltaVarint, QLinear8,
+    WireScratch,
 };
 use std::hint::black_box;
 
@@ -823,6 +832,135 @@ fn main() {
         quant_decode.speedup()
     );
 
+    // A wired upload's ordering work at `sparse_wide_linear`'s shape
+    // (D = 418,624, k = 20,000, QLinear8), once per side. Client: select
+    // ranked, index-sort, encode (what a wired client did while it ranked)
+    // vs select in index order, encode. Server: decode to an index-ordered
+    // list, pack and rank it vs rank from the decoder's visitor. Reset: one
+    // binary search of the error list per reset index vs one merge of the
+    // sorted reset indices against it. Each pair asserts equal bits.
+    let residual = wired_workload();
+    let (mut ranked, mut indexed) = (Vec::new(), Vec::new());
+    let mut sorted_frame = Vec::new();
+    let seed_ns = time_ns(|| {
+        topk::top_k_entries_into(black_box(&residual), WIRED_K, &mut keys, &mut ranked);
+        topk::sort_by_index(&mut ranked, &mut keys);
+        sorted_frame.clear();
+        sorted_frame.extend_from_slice(quant_codec.encode_into(
+            WIRED_DIM,
+            &ranked,
+            &mut wire_scratch,
+        ));
+        black_box(&sorted_frame);
+    });
+    let mut wired_frame = Vec::new();
+    let scratch_ns = time_ns(|| {
+        topk::top_k_entries_indexed_into(black_box(&residual), WIRED_K, &mut keys, &mut indexed);
+        wired_frame.clear();
+        wired_frame.extend_from_slice(quant_codec.encode_into(
+            WIRED_DIM,
+            &indexed,
+            &mut wire_scratch,
+        ));
+        black_box(&wired_frame);
+    });
+    assert_eq!(
+        wired_frame, sorted_frame,
+        "the index-ordered selection must encode to the index-sorted ranking's frame"
+    );
+    let wired_client = KernelReport {
+        name: "wired_client_upload".into(),
+        dim: WIRED_DIM,
+        clients: 1,
+        k: WIRED_K,
+        threads: 1,
+        seed_ns,
+        scratch_ns,
+    };
+
+    let mut decoded = Vec::new();
+    let seed_ns = time_ns(|| {
+        decode_frame(black_box(&wired_frame), &mut decoded).expect("valid frame");
+        topk::rank_by_magnitude(&mut decoded, &mut keys);
+        black_box(&decoded);
+    });
+    let mut delivered = Vec::new();
+    let scratch_ns = time_ns(|| {
+        keys.clear();
+        decode_frame_with(black_box(&wired_frame), |j, v| {
+            keys.push(topk::order_key(j as u32, v))
+        })
+        .expect("valid frame");
+        topk::rank_index_ordered_keys_into(&mut keys, &mut delivered);
+        black_box(&delivered);
+    });
+    let entry_bits = |entries: &[(usize, f32)]| -> Vec<(usize, u32)> {
+        entries.iter().map(|&(j, v)| (j, v.to_bits())).collect()
+    };
+    assert_eq!(
+        entry_bits(&delivered),
+        entry_bits(&decoded),
+        "ranking from the decoder's visitor must equal decode + rank_by_magnitude"
+    );
+    let server_rank = KernelReport {
+        name: "server_rank_decoded".into(),
+        dim: WIRED_DIM,
+        clients: 1,
+        k: WIRED_K,
+        threads: 1,
+        seed_ns,
+        scratch_ns,
+    };
+
+    // The errors of the frame above (entries it did not reproduce exactly)
+    // and the reset list FAB hands one client: a prefix of its ranking.
+    decode_frame(&wired_frame, &mut decoded).expect("valid frame");
+    let errors: Vec<(usize, f32)> = indexed
+        .iter()
+        .zip(&decoded)
+        .filter(|(&(_, v), &(_, vhat))| v != vhat)
+        .map(|(&(j, v), &(_, vhat))| (j, v - vhat))
+        .collect();
+    let resets: Vec<usize> = delivered[..WIRED_RESETS].iter().map(|&(j, _)| j).collect();
+    let mut by_search = residual.clone();
+    let seed_ns = time_ns(|| {
+        reference::reset_indices_to(&mut by_search, black_box(&resets), black_box(&errors));
+    });
+    let mut by_merge = ResidualAccumulator::new(WIRED_DIM);
+    by_merge.add(&residual);
+    let scratch_ns = time_ns(|| {
+        by_merge.reset_indices_to(black_box(&resets), black_box(&errors), &mut keys);
+    });
+    assert!(
+        by_merge
+            .as_slice()
+            .iter()
+            .zip(&by_search)
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "the merge must leave the residual the per-index search leaves"
+    );
+    let reset_merge = KernelReport {
+        name: "reset_errors_merge".into(),
+        dim: WIRED_DIM,
+        clients: 1,
+        k: WIRED_RESETS,
+        threads: 1,
+        seed_ns,
+        scratch_ns,
+    };
+    for r in [&wired_client, &server_rank, &reset_merge] {
+        eprintln!(
+            "  {} (D={}, k={}, {} errors): before {:.0} ns, now {:.0} ns -> {:.2}x",
+            r.name,
+            r.dim,
+            r.k,
+            errors.len(),
+            r.seed_ns,
+            r.scratch_ns,
+            r.speedup()
+        );
+    }
+
     // Checkpoint load at the paper's >400k-weight scale: the fault path's
     // resume story priced as a kernel. `checkpoint_load` compares rebuilding
     // the simulation from its inputs (dataset regeneration + model init —
@@ -948,6 +1086,9 @@ fn main() {
         wire_decode,
         quant_encode,
         quant_decode,
+        wired_client,
+        server_rank,
+        reset_merge,
         ckpt_load,
         telemetry_record,
     ]);

@@ -49,7 +49,7 @@ pub fn fab_workload() -> Vec<ClientUpload> {
         .collect()
 }
 
-/// Dimension of the client top-k and re-rank workloads: the paper's CNN.
+/// Dimension of the client top-k and rank workloads: the paper's CNN.
 pub const TOPK_DIM: usize = 419_582;
 
 /// The two degrees the client top-k pair is tracked at: a fixed-`k` round
@@ -102,6 +102,24 @@ pub fn wire_workload() -> SparseGradient {
     let dense: Vec<f32> = (0..FAB_DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let entries = topk::top_k_entries(&dense, FAB_K);
     SparseGradient::from_entries(FAB_DIM, entries)
+}
+
+/// Dimension and degree of the wired-upload workloads: `sparse_wide_linear`'s
+/// 784 × 534 linear model at its fixed `k`.
+pub const WIRED_DIM: usize = 418_624;
+/// See [`WIRED_DIM`].
+pub const WIRED_K: usize = 20_000;
+/// Reset indices one client receives in a `sparse_wide_linear` round (≈34k
+/// over 16 clients).
+pub const WIRED_RESETS: usize = 2_125;
+
+/// Builds one client's residual for the wired-upload workloads (dimension
+/// [`WIRED_DIM`], fixed seed).
+pub fn wired_workload() -> Vec<f32> {
+    let mut rng = ChaCha8Rng::seed_from_u64(23);
+    (0..WIRED_DIM)
+        .map(|_| rng.gen_range(-1.0f32..1.0))
+        .collect()
 }
 
 /// Input channels of the CNN forward workload.

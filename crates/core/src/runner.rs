@@ -334,15 +334,17 @@ impl Experiment {
         start_time: f64,
         path: &std::path::Path,
     ) -> Result<(), SnapshotError> {
-        let mut w = SnapshotWriter::new();
-        w.header(RUN_MAGIC, RUN_VERSION);
-        w.bytes(&self.sim.save_state());
-        w.rng(&self.rounding_rng);
-        w.bytes(&controller.save_state());
-        w.usize(round_in_run);
-        w.f64(start_time);
-        history.write_state(&mut w);
-        checkpoint::write_atomic(path, &w.into_bytes())
+        let controller_state = controller.save_state();
+        let bytes = SnapshotWriter::write_exact(|w| {
+            w.header(RUN_MAGIC, RUN_VERSION);
+            w.nested(|w| self.sim.write_state(w));
+            w.rng(&self.rounding_rng);
+            w.bytes(&controller_state);
+            w.usize(round_in_run);
+            w.f64(start_time);
+            history.write_state(w);
+        });
+        checkpoint::write_atomic(path, &bytes)
     }
 
     /// The shared round loop behind [`Experiment::run_with_controller`],

@@ -2,7 +2,7 @@
 
 use agsfl_ml::data::{ClientShard, MinibatchSampler};
 use agsfl_ml::model::Model;
-use agsfl_sparse::{topk, ResidualAccumulator, UploadPlan};
+use agsfl_sparse::{ResidualAccumulator, UploadPlan};
 use agsfl_wire::{decode_frame, Codec, WireScratch};
 use rand::Rng;
 use rand::SeedableRng;
@@ -36,9 +36,10 @@ pub struct Client {
     last_batch: Vec<usize>,
     /// The sample within `last_batch` chosen for the estimator this round.
     probe_sample: Option<usize>,
-    /// Reused order-key buffer for top-k extraction and the uplink frame's
-    /// index sort (see `agsfl_sparse::topk`), so building the uplink
-    /// message allocates nothing after the first round.
+    /// Reused order-key buffer for top-k extraction (see
+    /// `agsfl_sparse::topk`) and for the lossy tier's sorted reset indices,
+    /// so building the uplink message and resetting the residual allocate
+    /// nothing after the first round.
     topk_scratch: Vec<u64>,
     /// Reused wire-encoding workspace; byte-priced rounds encode the uplink
     /// message here without per-round allocation beyond the emitted frame.
@@ -204,16 +205,26 @@ impl Client {
     }
 
     /// Builds the uplink message for the current round according to the
-    /// sparsifier's [`UploadPlan`], writing the entries (ranked by magnitude
-    /// for `TopKOwn`) into a caller-owned buffer. Top-k extraction reuses the
-    /// client's key buffer, so nothing is allocated after the first round.
+    /// sparsifier's [`UploadPlan`], writing the entries into a caller-owned
+    /// buffer. A `TopKOwn` message comes out ranked by magnitude — what the
+    /// server's selection reads — unless the round is byte-priced
+    /// (`wired`): then it comes out in index order, what the codec encodes,
+    /// and the server ranks the decoded frame instead. The other two plans
+    /// are in index order either way (`Coordinates` is sorted at plan time).
+    /// Top-k extraction reuses the client's key buffer, so nothing is
+    /// allocated after the first round.
     pub(crate) fn build_upload_into(
         &mut self,
         plan: &UploadPlan,
         k: usize,
+        wired: bool,
         out: &mut Vec<(usize, f32)>,
     ) {
         match plan {
+            UploadPlan::TopKOwn if wired => {
+                self.accumulator
+                    .top_k_entries_indexed_into(k, &mut self.topk_scratch, out)
+            }
             UploadPlan::TopKOwn => {
                 self.accumulator
                     .top_k_entries_into(k, &mut self.topk_scratch, out)
@@ -224,18 +235,17 @@ impl Client {
     }
 
     /// Encodes an uplink message into `frame` (cleared first) — the bytes
-    /// that would actually cross the client's uplink. The entries are
-    /// index-sorted **in place** on the client's key buffer first: entry
-    /// order is presentation, not payload, and the server re-derives the
-    /// rank order from the decoded values.
+    /// that would actually cross the client's uplink. `entries` must be in
+    /// index order, which a `wired` [`Client::build_upload_into`] emits for
+    /// every plan (the codecs debug-assert it): nothing sorts between
+    /// selection and encode.
     pub(crate) fn encode_upload_into(
         &mut self,
         codec: &dyn Codec,
         dim: usize,
-        entries: &mut [(usize, f32)],
+        entries: &[(usize, f32)],
         frame: &mut Vec<u8>,
     ) {
-        topk::sort_by_index(entries, &mut self.topk_scratch);
         frame.clear();
         frame.extend_from_slice(codec.encode_into(dim, entries, &mut self.wire_scratch));
     }
@@ -283,7 +293,8 @@ impl Client {
     /// with its quantization error instead of zero — the lossy tier's error
     /// feedback; `errors` is empty on a lossless round.
     pub fn apply_reset_with_errors(&mut self, indices: &[usize], errors: &[(usize, f32)]) {
-        self.accumulator.reset_indices_to(indices, errors);
+        self.accumulator
+            .reset_indices_to(indices, errors, &mut self.topk_scratch);
     }
 
     /// Capacity of the client's encode workspace, for the engine's
@@ -346,13 +357,22 @@ mod tests {
         let (mut client, model, params) = client_and_model();
         client.compute_local_gradient(&model, &params);
         let mut out = Vec::new();
-        client.build_upload_into(&UploadPlan::TopKOwn, 3, &mut out);
+        client.build_upload_into(&UploadPlan::TopKOwn, 3, false, &mut out);
         assert_eq!(out.len(), 3);
-        client.build_upload_into(&UploadPlan::Coordinates(vec![0, 5]), 3, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, 0);
-        client.build_upload_into(&UploadPlan::Dense, 3, &mut out);
-        assert_eq!(out.len(), model.num_params());
+        assert!(out.windows(2).all(|w| w[0].1.abs() >= w[1].1.abs()));
+        // Byte-priced, the same three entries come out in index order.
+        let mut wired = Vec::new();
+        client.build_upload_into(&UploadPlan::TopKOwn, 3, true, &mut wired);
+        assert!(wired.windows(2).all(|w| w[0].0 < w[1].0));
+        out.sort_unstable_by_key(|&(j, _)| j);
+        assert_eq!(out, wired);
+        for wired in [false, true] {
+            client.build_upload_into(&UploadPlan::Coordinates(vec![0, 5]), 3, wired, &mut out);
+            assert_eq!(out.len(), 2);
+            assert_eq!(out[0].0, 0);
+            client.build_upload_into(&UploadPlan::Dense, 3, wired, &mut out);
+            assert_eq!(out.len(), model.num_params());
+        }
     }
 
     #[test]
@@ -360,7 +380,7 @@ mod tests {
         let (mut client, model, params) = client_and_model();
         client.compute_local_gradient(&model, &params);
         let mut upload = Vec::new();
-        client.build_upload_into(&UploadPlan::TopKOwn, 2, &mut upload);
+        client.build_upload_into(&UploadPlan::TopKOwn, 2, false, &mut upload);
         let used: Vec<usize> = upload.iter().map(|&(j, _)| j).collect();
         let before = client.accumulator().residual_l1();
         client.apply_reset_with_errors(&used, &[]);

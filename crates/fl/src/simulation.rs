@@ -316,9 +316,9 @@ pub struct Simulation {
     /// `J(k')`), keeping the per-round server path allocation-free in
     /// steady state. Grow-only, like every workspace of the round.
     scratch: SelectionScratch,
-    /// Reused order keys for re-ranking decoded uploads on the round
-    /// thread (`topk::rank_by_magnitude`) and for index-sorting the
-    /// prefixes the probe prices (`topk::sort_by_index`).
+    /// Reused order keys for ranking uploads as they are decoded on the
+    /// round thread (`topk::rank_index_ordered_keys_into`) and for
+    /// index-sorting the prefixes the probe prices (`topk::sort_by_index`).
     rank_keys: Vec<u64>,
     /// The probe's hypothetical weight vectors — `w(m)` after the round's
     /// own update and `w'(m)` after the `k'`-element one — refilled from
@@ -882,7 +882,7 @@ impl Simulation {
     ) -> (f64, f64, Option<FaultRoundReport>) {
         let dim = self.params.len();
         let plan = self.sparsifier.upload_plan(dim, k, &mut self.server_rng);
-        let rerank = matches!(plan, UploadPlan::TopKOwn);
+        let rank = matches!(plan, UploadPlan::TopKOwn);
         let model = self.model.as_ref();
         let params = &self.params;
         let wire = self.wire.as_ref();
@@ -916,7 +916,8 @@ impl Simulation {
                 return;
             }
             slot.loss = slot.client.compute_local_gradient(model, params);
-            slot.client.build_upload_into(&plan, k, &mut slot.entries);
+            slot.client
+                .build_upload_into(&plan, k, wire.is_some(), &mut slot.entries);
             match wire {
                 // Lossy tier: encode, self-decode to learn the server's
                 // exact reconstruction, capture the per-entry quantization
@@ -931,12 +932,12 @@ impl Simulation {
                     &mut slot.frame,
                     &mut slot.errors,
                 ),
-                // Lossless tier: index-sort the entry list in place and
-                // encode it; the server re-derives the rank order.
+                // Lossless tier: encode the index-ordered entry list as
+                // it is; the server derives the rank order.
                 Some(w) => slot.client.encode_upload_into(
                     w.codec.as_ref(),
                     dim,
-                    &mut slot.entries,
+                    &slot.entries,
                     &mut slot.frame,
                 ),
                 None => {}
@@ -1021,7 +1022,7 @@ impl Simulation {
                     slot,
                     upload,
                     wire.is_some(),
-                    rerank.then_some(&mut *rank_keys),
+                    rank.then_some(&mut *rank_keys),
                     dim,
                 );
                 survivors.push(pos);
@@ -1303,7 +1304,13 @@ impl Simulation {
     /// to the uninterrupted run (pinned by tests across sparsifiers, thread
     /// counts, and interrupt points).
     pub fn save_state(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
+        SnapshotWriter::write_exact(|w| self.write_state(w))
+    }
+
+    /// [`Simulation::save_state`] appended to a caller's writer, so a run
+    /// checkpoint nests the blob ([`SnapshotWriter::nested`]) without
+    /// building it on the side first.
+    pub fn write_state(&self, w: &mut SnapshotWriter) {
         w.header(SIM_MAGIC, SIM_VERSION);
         // Fingerprint: enough static configuration to reject a restore into
         // a differently-shaped simulation with a typed error.
@@ -1328,11 +1335,10 @@ impl Simulation {
         w.f32s(&self.params);
         w.rng(&self.server_rng);
         w.rng(&self.cohort_rng);
-        self.population.write_state(&mut w);
+        self.population.write_state(w);
         if let Some(fault) = &self.fault {
-            fault.write_state(&mut w);
+            fault.write_state(w);
         }
-        w.into_bytes()
     }
 
     /// Restores state produced by [`Simulation::save_state`] into a
@@ -1407,21 +1413,25 @@ impl Simulation {
 
 /// Fills one aggregation input from its surviving member's slot, reusing
 /// the entry buffer. Wired, the server decodes the frame *directly into*
-/// the input (no intermediate per-client gradient) — which reproduces the
-/// index-sorted list the client encoded bit for bit, on the lossless tier
-/// because decode is exact, on the lossy tier because the client already
-/// rewrote its entry list with its own decode of the same frame
-/// (debug-asserted below) — and then re-ranks it by magnitude when the plan
-/// ranks (`rerank`), the top-k rank order being a total order of the
-/// values. Unwired, the slot hands its entry buffer over in O(1): nothing
-/// reads `slot.entries` after this point and `build_upload_into` rebuilds
-/// it from scratch next round, so the two grow-only buffers just trade
-/// places.
+/// the input (no intermediate per-client gradient). When the plan ranks
+/// (`rank`), this is the one place a wired upload is ranked: the decoder's
+/// visitor packs each entry into its order key as it is decoded — a frame's
+/// entries arrive in index order, so the magnitude digits are all that is
+/// left to sort (`topk::rank_index_ordered_keys_into`) — and no
+/// index-ordered entry list exists in between. Otherwise the decoded list
+/// is the input as it stands. Either way it holds what the client encoded,
+/// bit for bit: on the lossless tier because decode is exact, on the lossy
+/// tier because the client already rewrote its entry list with its own
+/// decode of the same frame (debug-asserted below). Unwired, there is no
+/// decoder, so the client ranked the message itself and the slot hands its
+/// entry buffer over in O(1): nothing reads `slot.entries` after this point
+/// and `build_upload_into` rebuilds it from scratch next round, so the two
+/// grow-only buffers just trade places.
 fn deliver_upload(
     slot: &mut Slot,
     upload: &mut ClientUpload,
     wired: bool,
-    rerank: Option<&mut Vec<u64>>,
+    rank: Option<&mut Vec<u64>>,
     dim: usize,
 ) {
     upload.client = slot.client.id();
@@ -1430,21 +1440,50 @@ fn deliver_upload(
         std::mem::swap(&mut upload.entries, &mut slot.entries);
         return;
     }
-    upload.entries.clear();
-    let (frame_dim, _) =
-        decode_frame(&slot.frame, &mut upload.entries).expect("self-encoded frame must decode");
-    debug_assert_eq!(frame_dim, dim);
-    debug_assert!(
-        upload.entries.len() == slot.entries.len()
-            && upload
-                .entries
-                .iter()
-                .zip(slot.entries.iter())
-                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
-        "decoded uploads must be bit-identical to the encoded ones"
-    );
-    if let Some(keys) = rerank {
-        topk::rank_by_magnitude(&mut upload.entries, keys);
+    #[cfg(any(test, debug_assertions))]
+    let ranked = rank.is_some();
+    let frame_dim = match rank {
+        Some(keys) => {
+            // The decoder bounds every index by the frame's dimension.
+            assert!(dim <= u32::MAX as usize, "dimension exceeds the key field");
+            keys.clear();
+            let (frame_dim, _) =
+                decode_frame_with(&slot.frame, |j, v| keys.push(topk::order_key(j as u32, v)))
+                    .expect("self-encoded frame must decode");
+            topk::rank_index_ordered_keys_into(keys, &mut upload.entries);
+            frame_dim
+        }
+        None => {
+            decode_frame(&slot.frame, &mut upload.entries)
+                .expect("self-encoded frame must decode")
+                .0
+        }
+    };
+    assert_eq!(frame_dim, dim, "a frame carries the model's dimension");
+    // The one-pass rank against the two-step recipe it replaced: decode the
+    // index-ordered list (which must be the list the client encoded), then
+    // rank it.
+    #[cfg(any(test, debug_assertions))]
+    {
+        let same_bits = |a: &[(usize, f32)], b: &[(usize, f32)]| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+        };
+        let mut expected = Vec::new();
+        decode_frame(&slot.frame, &mut expected).expect("self-encoded frame must decode");
+        assert!(
+            same_bits(&expected, &slot.entries),
+            "decoded uploads must be bit-identical to the encoded ones"
+        );
+        if ranked {
+            topk::rank_by_magnitude(&mut expected, &mut Vec::new());
+        }
+        assert!(
+            same_bits(&upload.entries, &expected),
+            "ranking from the decoder's visitor must equal decode_frame + rank_by_magnitude"
+        );
     }
 }
 
@@ -2003,7 +2042,7 @@ mod tests {
     }
 
     /// The byte-priced path must not perturb training by a single bit: the
-    /// codecs are lossless and decode + re-rank reproduces every upload, so
+    /// codecs are lossless and decode + rank reproduces every upload, so
     /// a wired and an un-wired run of the same seed walk the identical
     /// trajectory — only the cost signal (round_time, wire report) differs.
     #[test]

@@ -235,6 +235,21 @@ enum EvalPartial {
     TestCorrect(usize),
 }
 
+/// Rows per test chunk of the fused sweep's work list. `map_ref` hands each
+/// worker a contiguous run of *items*, so the runs carry equal rows only if
+/// the items do: the test set is cut into chunks of the mean (non-empty)
+/// shard length — one chunk per worker when there are no shards. Test counts
+/// merge by integer addition, so the layout cannot change a bit.
+fn test_chunk_rows(shards: &[ClientShard], test_rows: usize, threads: usize) -> usize {
+    let non_empty = shards.iter().filter(|s| !s.is_empty()).count();
+    let total: usize = shards.iter().map(ClientShard::len).sum();
+    if non_empty == 0 {
+        test_rows.div_ceil(threads)
+    } else {
+        total.div_ceil(non_empty)
+    }
+}
+
 /// Fused evaluation sweep: global train loss, global train accuracy and test
 /// accuracy in **one** parallel region over one work list (client shards
 /// plus test-row chunks), forwarding every shard exactly once.
@@ -259,21 +274,23 @@ pub fn global_evaluation(
         .map(EvalItem::Shard)
         .collect();
     let num_shards = items.len();
+    // Parallelize when either the shard list or the test set clears the
+    // executor's gate; the map itself then runs with min_items = 1, because
+    // the work list already encodes that decision (a few-item list on a
+    // 2-thread executor must still spawn).
+    let parallel = exec.should_parallelize(num_shards) || exec.should_parallelize(test.len());
     if !test.is_empty() {
-        // The test chunking ignores the shard items when deciding whether to
-        // split: the shard map alone already keeps the workers busy, and a
-        // deterministic chunk layout keeps the work list reproducible.
+        let chunk = if parallel {
+            test_chunk_rows(shards, test.len(), exec.threads())
+        } else {
+            test.len()
+        };
         items.extend(
-            row_chunks(test.len(), exec)
-                .into_iter()
-                .map(EvalItem::TestChunk),
+            (0..test.len().div_ceil(chunk))
+                .map(|i| EvalItem::TestChunk(i * chunk..((i + 1) * chunk).min(test.len()))),
         );
     }
-    // Parallelize when either the shard list clears the executor's gate or
-    // the test set was big enough to be split; the map itself then runs with
-    // min_items = 1, because the work list already encodes that decision (a
-    // few-item list on a 2-thread executor must still spawn).
-    let map_exec = if exec.should_parallelize(num_shards) || items.len() > num_shards + 1 {
+    let map_exec = if parallel {
         exec.clone().with_min_items(1)
     } else {
         Executor::serial()
@@ -541,6 +558,23 @@ mod tests {
             assert_eq!(fused.train_accuracy, expected_acc, "threads={threads}");
             assert_eq!(fused.test_accuracy, expected_test, "threads={threads}");
         }
+    }
+
+    /// On the paper workload's shape (8 shards of 64 rows, 512 test rows, 2
+    /// workers) the two halves of the work list carry 512 rows each; one
+    /// test chunk per worker put 320 rows on one side and 704 on the other.
+    #[test]
+    fn fused_sweep_work_list_is_balanced_by_rows() {
+        let eight = vec![shard(vec![vec![0.0; 2]; 64], vec![0; 64]); 8];
+        assert_eq!(test_chunk_rows(&eight, 512, 2), 64);
+        // Ragged shards and empty ones: the mean over the non-empty.
+        let mut ragged = vec![shard(vec![vec![0.0; 2]; 10], vec![0; 10]); 3];
+        ragged.push(ClientShard::empty(2));
+        ragged.push(shard(vec![vec![0.0; 2]; 31], vec![0; 31]));
+        assert_eq!(test_chunk_rows(&ragged, 100, 2), 16);
+        // No shards: one chunk per worker.
+        assert_eq!(test_chunk_rows(&[], 101, 2), 51);
+        assert_eq!(test_chunk_rows(&[ClientShard::empty(2)], 7, 4), 2);
     }
 
     #[test]

@@ -99,6 +99,19 @@ impl ResidualAccumulator {
         topk::top_k_entries_into(&self.residual, k, scratch, out);
     }
 
+    /// [`ResidualAccumulator::top_k_entries_into`] in increasing index order
+    /// ([`topk::top_k_entries_indexed_into`]) — the byte-priced uplink
+    /// builder, whose codec wants index order and whose server ranks the
+    /// decoded frame itself.
+    pub fn top_k_entries_indexed_into(
+        &self,
+        k: usize,
+        scratch: &mut Vec<u64>,
+        out: &mut Vec<(usize, f32)>,
+    ) {
+        topk::top_k_entries_indexed_into(&self.residual, k, scratch, out);
+    }
+
     /// Writes the values at the given indices into a caller-owned buffer
     /// (cleared first); used by sparsifiers where the server dictates the
     /// coordinate set, e.g. periodic-k.
@@ -167,18 +180,42 @@ impl ResidualAccumulator {
     /// delivered. A transmitted coordinate that the codec reproduced
     /// exactly (or that has no entry in `errors`) resets to zero exactly as
     /// before, so with an empty `errors` slice this is bit-identical to
-    /// `reset_indices`.
+    /// `reset_indices`. Otherwise the reset indices are sorted into
+    /// `sorted` (cleared first, reusable across calls) and merged against
+    /// the error list in one forward sweep of both; an error at an index
+    /// that is not reset is ignored, a repeated reset index is harmless.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of range.
-    pub fn reset_indices_to(&mut self, indices: &[usize], errors: &[(usize, f32)]) {
-        for &j in indices {
+    pub fn reset_indices_to(
+        &mut self,
+        indices: &[usize],
+        errors: &[(usize, f32)],
+        sorted: &mut Vec<u64>,
+    ) {
+        if errors.is_empty() {
+            return self.reset_indices(indices);
+        }
+        debug_assert!(
+            errors.windows(2).all(|w| w[0].0 < w[1].0),
+            "errors must be sorted by strictly increasing index"
+        );
+        sorted.clear();
+        sorted.extend(indices.iter().map(|&j| j as u64));
+        if !sorted.is_sorted() {
+            sorted.sort_unstable();
+        }
+        let mut pending = errors;
+        for &j in sorted.iter() {
+            let j = j as usize;
             assert!(j < self.residual.len(), "index {j} out of range");
-            self.residual[j] = errors
-                .binary_search_by_key(&j, |&(i, _)| i)
-                .map(|p| errors[p].1)
-                .unwrap_or(0.0);
+            let skip = pending.iter().take_while(|&&(i, _)| i < j).count();
+            pending = &pending[skip..];
+            self.residual[j] = match pending.first() {
+                Some(&(i, error)) if i == j => error,
+                _ => 0.0,
+            };
         }
     }
 
@@ -258,7 +295,7 @@ mod tests {
         let mut acc = ResidualAccumulator::new(4);
         acc.add(&[1.0, 2.0, 3.0, 4.0]);
         // Index 0 was delivered exactly, index 2 lost 0.25 to quantization.
-        acc.reset_indices_to(&[0, 2], &[(2, 0.25)]);
+        acc.reset_indices_to(&[0, 2], &[(2, 0.25)], &mut Vec::new());
         assert_eq!(acc.as_slice(), &[0.0, 2.0, 0.25, 4.0]);
     }
 
@@ -269,8 +306,15 @@ mod tests {
         a.add(&[1.0, -2.0, 3.0, -4.0]);
         b.add(&[1.0, -2.0, 3.0, -4.0]);
         a.reset_indices(&[1, 3]);
-        b.reset_indices_to(&[1, 3], &[]);
+        b.reset_indices_to(&[1, 3], &[], &mut Vec::new());
         assert_eq!(a.as_slice(), b.as_slice());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn reset_indices_to_rejects_an_out_of_range_index() {
+        let mut acc = ResidualAccumulator::new(4);
+        acc.reset_indices_to(&[1, 4], &[(1, 0.5)], &mut Vec::new());
     }
 
     #[test]
@@ -281,6 +325,28 @@ mod tests {
     }
 
     proptest! {
+        /// The merge against the per-index binary search it replaced, on
+        /// reset lists in arbitrary order with repeats and on error lists
+        /// that also name indices outside the reset set.
+        #[test]
+        fn prop_reset_by_merge_equals_reset_by_binary_search(
+            grad in proptest::collection::vec(-5.0f32..5.0, 40),
+            resets in proptest::collection::vec(0usize..40, 0..60),
+            error_picks in proptest::collection::vec((0usize..40, -1.0f32..1.0), 0..40),
+        ) {
+            let mut errors = error_picks;
+            errors.sort_unstable_by_key(|&(j, _)| j);
+            errors.dedup_by_key(|&mut (j, _)| j);
+            let mut acc = ResidualAccumulator::new(40);
+            acc.add(&grad);
+            let mut expected = grad.clone();
+            crate::reference::reset_indices_to(&mut expected, &resets, &errors);
+            let mut scratch = vec![7; 3];
+            acc.reset_indices_to(&resets, &errors, &mut scratch);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(acc.as_slice()), bits(&expected));
+        }
+
         #[test]
         fn prop_reset_then_l1_decreases(
             grad in proptest::collection::vec(-5.0f32..5.0, 8),

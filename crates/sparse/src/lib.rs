@@ -34,12 +34,12 @@
 //! |---|---|---|
 //! | FAB `κ` search | `HashSet` union rebuild per probe: O(U) hashing × O(log k) probes | rank-major scan: level `r` is every client's rank-`r` entry, the indices first seen there are the ones whose minimum rank is `r`, so union sizes grow level by level and the scan stops at the first level that overflows `k` — `N·(κ+1)` entries read, not `U` |
 //! | aggregation | `HashSet` membership + `HashMap` sums + sort/dedup in `from_entries` | stamped dense `f64` sums, O(U) array probes, entries emitted sorted via [`SparseGradient::from_sorted_entries`] |
-//! | client top-k | comparator quickselect + sort over a fresh `16·D`-byte `(usize, f32)` candidate buffer per client per round | [`topk::top_k_entries_into`]: packed `u64` order keys in one reused per-client buffer — histogram select over the magnitude bits, radix rank, no float comparison |
+//! | client top-k | comparator quickselect + sort over a fresh `16·D`-byte `(usize, f32)` candidate buffer per client per round | [`topk::top_k_entries_into`]: packed `u64` order keys in one reused per-client buffer — histogram select over the magnitude bits, radix rank, no float comparison. Byte-priced rounds stop after the select ([`topk::top_k_entries_indexed_into`]: its output *is* the index order the codec encodes) and the server ranks the decoded frame once ([`topk::rank_index_ordered_keys_into`]) |
+//! | residual reset (lossy tier) | one binary search of the index-sorted error list per reset index | reset indices sorted into a reused buffer, one merge against the error list ([`ResidualAccumulator::reset_indices_to`]) |
 //!
-//! Measured on the kernel benchmark (`cargo bench -p agsfl-bench --bench
-//! kernels`, dim = 10⁵, N = 40, k = dim/100), the scratch path selects
-//! ~5× faster than the seed path it replaced (see `BENCH_kernels.json`,
-//! regenerated by the `bench-report` binary); the [`mod@reference`] module
+//! Measured on the kernel benchmark (`bench-report`, dim = 10⁵, N = 40,
+//! k = dim/100), the scratch path selects ~5× faster than the seed path it
+//! replaced (see `BENCH_kernels.json`); the [`mod@reference`] module
 //! keeps the seed implementations as the executable specification the fast
 //! paths are property-tested against.
 //!

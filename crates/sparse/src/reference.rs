@@ -9,9 +9,9 @@
 //! * the reference-equivalence property test in `tests/select_equivalence.rs`
 //!   asserts the fast paths return byte-identical `SelectionResult`s for all
 //!   five sparsifiers over random uploads, dims and `k`;
-//! * `benches/kernels.rs` and the `bench-report` binary time the fast paths
-//!   against these baselines, which is where the headline FAB selection
-//!   speedup is measured.
+//! * the `bench-report` binary times the fast paths against these
+//!   baselines, which is where the headline FAB selection speedup is
+//!   measured.
 //!
 //! Complexity of the FAB baseline: each binary-search probe rebuilds a
 //! `HashSet` over all uploads — O(Σ|uploads|) hashing per probe and O(log k)
@@ -183,6 +183,28 @@ pub fn top_k_entries(values: &[f32], k: usize) -> Vec<(usize, f32)> {
     }
     candidates.sort_unstable_by(topk::compare_magnitude_then_index);
     candidates.iter().map(|&(j, _)| (j, values[j])).collect()
+}
+
+/// The lossy tier's residual reset, one binary search of the index-sorted
+/// `errors` per reset index: `residual[j]` becomes `j`'s quantization error
+/// when it has one and zero otherwise.
+///
+/// [`ResidualAccumulator::reset_indices_to`](crate::ResidualAccumulator::reset_indices_to)
+/// replaced this with one merge of the sorted reset indices against the
+/// error list; this per-index version is what it is tested against
+/// (`bench-report`'s `reset_errors_merge` pair times the two).
+///
+/// # Panics
+///
+/// Panics if any index is out of range.
+pub fn reset_indices_to(residual: &mut [f32], indices: &[usize], errors: &[(usize, f32)]) {
+    for &j in indices {
+        assert!(j < residual.len(), "index {j} out of range");
+        residual[j] = errors
+            .binary_search_by_key(&j, |&(i, _)| i)
+            .map(|p| errors[p].1)
+            .unwrap_or(0.0);
+    }
 }
 
 /// Seed unidirectional top-k server selection (union of all uploads).

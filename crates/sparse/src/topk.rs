@@ -27,10 +27,14 @@
 //!   only that bucket, and a last in-place sweep keeps what is strictly
 //!   above the threshold plus the first few ties — which *is* the index
 //!   tie-break. The survivors are ranked with a stable LSD radix sort on the
-//!   magnitude bits.
+//!   magnitude bits (every digit counted in one sweep up front).
+//!   [`top_k_entries_indexed_into`] stops before that rank: the survivors
+//!   are already in index order, which is what a wire codec encodes.
 //! * [`rank_by_magnitude`] is the same radix rank: three magnitude passes
-//!   when the input is already index-sorted (a decoded frame always is),
-//!   index passes first otherwise.
+//!   when the input is already index-sorted, index passes first otherwise.
+//!   [`rank_index_ordered_keys_into`] is its streaming form for a decoded
+//!   frame, whose entries arrive in index order: the decoder's visitor
+//!   pushes [`order_key`]s and the magnitude passes run on them directly.
 //! * Short inputs skip the histograms, whose fixed cost would dominate:
 //!   vectors of at most `SMALL_DIM` coordinates select by a streaming
 //!   integer `select_nth_unstable`, lists of at most `SMALL_SORT` keys rank
@@ -66,8 +70,11 @@ const MAG_MASK: u32 = 0x7fff_ffff;
 /// first level of the selection histogram.
 const MAG_DIGITS: [(u32, u32); 3] = [(33, 10), (43, 10), (53, 11)];
 
-/// Radix digits of the key's index field followed by [`MAG_DIGITS`]: the
-/// full `(magnitude, index)` order for input in arbitrary order.
+/// Radix digits of the key's index field, least significant first.
+const INDEX_DIGITS: [(u32, u32); 3] = [(1, 11), (12, 11), (23, 10)];
+
+/// [`INDEX_DIGITS`] followed by [`MAG_DIGITS`]: the full `(magnitude,
+/// index)` order for input in arbitrary order.
 const ALL_DIGITS: [(u32, u32); 6] = [(1, 11), (12, 11), (23, 10), (33, 10), (43, 10), (53, 11)];
 
 /// Largest histogram any level or radix pass uses (11 bits).
@@ -93,11 +100,23 @@ fn pack(j: usize, v: f32) -> u64 {
     u64::from(!bits & MAG_MASK) << 33 | (j as u64) << 1 | u64::from(bits >> 31)
 }
 
+/// The index field of a key.
+#[inline]
+fn index_field(key: u64) -> u32 {
+    (key >> 1) as u32
+}
+
 /// Inverse of [`pack`].
 #[inline]
 fn unpack(key: u64) -> (usize, f32) {
     let bits = !((key >> 33) as u32) & MAG_MASK | (key as u32) << 31;
-    ((key >> 1) as u32 as usize, f32::from_bits(bits))
+    (index_field(key) as usize, f32::from_bits(bits))
+}
+
+/// Refills `out` with the unpacked `keys`.
+fn unpack_to(keys: &[u64], out: &mut Vec<(usize, f32)>) {
+    out.clear();
+    out.extend(keys.iter().map(|&key| unpack(key)));
 }
 
 /// Overwrites `entries` with the unpacked `keys` (equally long).
@@ -129,43 +148,54 @@ fn pack_entries(entries: &[(usize, f32)], keys: &mut Vec<u64>) -> bool {
     sorted
 }
 
-/// One stable counting-sort pass of `src` into `dst` on the `bits`-bit
-/// digit at `shift`. Returns `false`, leaving `dst` unwritten, when every
-/// key shares the digit (the pass would be a copy).
-fn radix_pass(src: &[u64], dst: &mut [u64], shift: u32, bits: u32) -> bool {
-    let mask = (1usize << bits) - 1;
-    let digit = |key: u64| (key >> shift) as usize & mask;
-    let mut offsets = [0u32; MAX_BUCKETS];
-    for &key in src {
-        offsets[digit(key)] += 1;
-    }
-    if src
-        .first()
-        .is_some_and(|&key| offsets[digit(key)] as usize == src.len())
-    {
-        return false;
-    }
+/// The `bits`-bit digit of `key` at `shift`.
+#[inline]
+fn digit(key: u64, (shift, bits): (u32, u32)) -> usize {
+    (key >> shift) as usize & ((1 << bits) - 1)
+}
+
+/// One stable counting-sort scatter of `src` into `dst` on digit `d`, whose
+/// histogram `counts` already holds; the counts become the write cursors.
+///
+/// A function of its own on purpose: written inline in [`radix_sort`]'s
+/// pass loop the same scatter ran up to twice as slow (measured at
+/// k ≥ 54,000 keys).
+fn scatter(src: &[u64], dst: &mut [u64], counts: &mut [u32; MAX_BUCKETS], d: (u32, u32)) {
     let mut start = 0;
-    for slot in &mut offsets[..=mask] {
+    for slot in &mut counts[..1 << d.1] {
         start += std::mem::replace(slot, start);
     }
     for &key in src {
-        let slot = &mut offsets[digit(key)];
+        let slot = &mut counts[digit(key, d)];
         dst[*slot as usize] = key;
         *slot += 1;
     }
-    true
 }
 
 /// Stable LSD radix sort of `keys` on `digits` (least significant first);
 /// returns the sorted run, which lives in either half of the doubled buffer.
-fn radix_sort<'a>(keys: &'a mut Vec<u64>, digits: &[(u32, u32)]) -> &'a [u64] {
+///
+/// Every digit is counted in one sweep up front: a digit's histogram is a
+/// property of the key multiset, not of the order the earlier passes left
+/// the keys in. A digit every key shares is skipped (its pass would be a
+/// copy).
+fn radix_sort<'a, const N: usize>(keys: &'a mut Vec<u64>, digits: &[(u32, u32); N]) -> &'a [u64] {
     let n = keys.len();
     assert!(n <= u32::MAX as usize, "radix offsets are 32-bit");
+    let mut counts = [[0u32; MAX_BUCKETS]; N];
+    for &key in keys.iter() {
+        for (counts, &d) in counts.iter_mut().zip(digits) {
+            counts[digit(key, d)] += 1;
+        }
+    }
     keys.resize(2 * n, 0);
     let (mut src, mut dst) = keys.split_at_mut(n);
-    for &(shift, bits) in digits {
-        if radix_pass(src, dst, shift, bits) {
+    for (counts, &d) in counts.iter_mut().zip(digits) {
+        let shared = src
+            .first()
+            .is_none_or(|&key| counts[digit(key, d)] as usize == n);
+        if !shared {
+            scatter(src, dst, counts, d);
             std::mem::swap(&mut src, &mut dst);
         }
     }
@@ -181,14 +211,11 @@ fn rank_keys(keys: &mut Vec<u64>, index_sorted: bool) -> &[u64] {
         keys.sort_unstable();
         return keys;
     }
-    radix_sort(
-        keys,
-        if index_sorted {
-            &MAG_DIGITS
-        } else {
-            &ALL_DIGITS
-        },
-    )
+    if index_sorted {
+        radix_sort(keys, &MAG_DIGITS)
+    } else {
+        radix_sort(keys, &ALL_DIGITS)
+    }
 }
 
 /// Walks `hist` up from bucket 0 (inverted digits: the largest magnitudes)
@@ -338,7 +365,39 @@ pub fn top_k_entries_into(
     scratch: &mut Vec<u64>,
     out: &mut Vec<(usize, f32)>,
 ) {
-    out.clear();
+    if select_keys(values, k, scratch) {
+        rank_index_ordered_keys_into(scratch, out);
+    } else {
+        scratch.sort_unstable();
+        unpack_to(scratch, out);
+    }
+}
+
+/// The selection of [`top_k_entries_into`] in increasing index order — what
+/// a wire codec encodes. The histogram select already leaves its survivors
+/// in index order, so this skips the rank altogether; a short vector sorts
+/// its at most `k` selected keys by their index field. Equal, entry for
+/// entry, to the ranked selection sorted by index.
+///
+/// # Panics
+///
+/// Panics if `values.len()` exceeds `u32::MAX`.
+pub fn top_k_entries_indexed_into(
+    values: &[f32],
+    k: usize,
+    scratch: &mut Vec<u64>,
+    out: &mut Vec<(usize, f32)>,
+) {
+    if !select_keys(values, k, scratch) {
+        scratch.sort_unstable_by_key(|&key| index_field(key));
+    }
+    unpack_to(scratch, out);
+}
+
+/// Refills `keys` with the keys of the best `min(k, len)` of `values`;
+/// returns whether they are in index order (they are unless the vector is
+/// short enough to select by streaming, which leaves them unordered).
+fn select_keys(values: &[f32], k: usize, keys: &mut Vec<u64>) -> bool {
     let dim = values.len();
     assert!(
         dim <= u32::MAX as usize,
@@ -346,22 +405,39 @@ pub fn top_k_entries_into(
     );
     let k = k.min(dim);
     if k == 0 {
-        return;
-    }
-    if dim <= SMALL_DIM {
-        select_streaming(values, k, scratch);
-        scratch.sort_unstable();
-        out.extend(scratch.iter().map(|&key| unpack(key)));
-        return;
-    }
-    if k < dim {
-        select_by_histogram(values, k, scratch);
+        keys.clear();
+    } else if dim <= SMALL_DIM {
+        select_streaming(values, k, keys);
+        return false;
+    } else if k < dim {
+        select_by_histogram(values, k, keys);
     } else {
-        scratch.clear();
-        scratch.extend(values.iter().enumerate().map(|(j, &v)| pack(j, v)));
+        keys.clear();
+        keys.extend(values.iter().enumerate().map(|(j, &v)| pack(j, v)));
     }
-    // Either way the keys are in index order: the magnitude digits finish it.
-    out.extend(rank_keys(scratch, true).iter().map(|&key| unpack(key)));
+    true
+}
+
+/// The order key of entry `(j, v)` (see the module docs), for a producer
+/// that streams entries straight into a key buffer —
+/// [`rank_index_ordered_keys_into`] ranks them without an entry list in
+/// between.
+#[inline]
+pub fn order_key(j: u32, v: f32) -> u64 {
+    pack(j as usize, v)
+}
+
+/// Ranks [`order_key`]s that were pushed in strictly increasing index order
+/// (a decoded frame's entries always are) and writes the ranked entries into
+/// `out` (cleared first): the magnitude digits are all that is left to sort.
+/// `keys` is consumed as scratch.
+pub fn rank_index_ordered_keys_into(keys: &mut Vec<u64>, out: &mut Vec<(usize, f32)>) {
+    debug_assert!(
+        keys.windows(2)
+            .all(|w| index_field(w[0]) < index_field(w[1])),
+        "keys must arrive in strictly increasing index order"
+    );
+    unpack_to(rank_keys(keys, true), out);
 }
 
 /// Returns the `kappa` largest-magnitude entries of an *already ranked*
@@ -403,7 +479,7 @@ pub fn sort_by_index(entries: &mut [(usize, f32)], scratch: &mut Vec<u64>) {
     if pack_entries(entries, scratch) {
         return;
     }
-    unpack_into(radix_sort(scratch, &ALL_DIGITS[..3]), entries);
+    unpack_into(radix_sort(scratch, &INDEX_DIGITS), entries);
 }
 
 /// Cuts `entries` down to its `k` best under the magnitude order, as an
@@ -517,6 +593,66 @@ mod tests {
         let mut entries = vec![(0, 1.0), (5, -4.0), (2, 2.5)];
         rank_by_magnitude(&mut entries, &mut Vec::new());
         assert_eq!(entries, vec![(5, -4.0), (2, 2.5), (0, 1.0)]);
+    }
+
+    /// Counting every digit in one sweep before the first scatter must sort
+    /// exactly as counting each digit on the run the previous pass left: on
+    /// the full key (`ALL_DIGITS`, arbitrary order in), on the magnitude
+    /// digits of index-ordered keys (`MAG_DIGITS`), and on the index digits
+    /// (`INDEX_DIGITS`, a stable sort by index) — with shared digits, whose
+    /// passes are skipped, and repeated keys.
+    #[test]
+    fn single_sweep_radix_sort_equals_comparison_sorts_of_the_keys() {
+        use rand::Rng;
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
+        for (n, index_range, quantized) in [
+            (0usize, 10u32, false),
+            (1, 10, false),
+            (2, 2, true),
+            (700, 5_000, true),
+            (5_000, 5_000, false),
+            (5_000, u32::MAX, false),
+            (5_000, 3, true),
+        ] {
+            let keys: Vec<u64> = (0..n)
+                .map(|_| {
+                    let v = if quantized {
+                        rng.gen_range(-3i32..3) as f32 * 0.5
+                    } else {
+                        f32::from_bits(rng.gen())
+                    };
+                    pack(rng.gen_range(0..index_range) as usize, v)
+                })
+                .collect();
+            // No digit covers the sign bit: keys that differ in nothing else
+            // keep their input order, as in a stable sort on the rest.
+            let mut expected = keys.clone();
+            expected.sort_by_key(|&key| key >> 1);
+            let mut all = keys.clone();
+            assert_eq!(radix_sort(&mut all, &ALL_DIGITS), expected, "n {n}");
+
+            let mut by_index = keys.clone();
+            by_index.sort_by_key(|&key| index_field(key));
+            let mut index_pass = keys.clone();
+            assert_eq!(
+                radix_sort(&mut index_pass, &INDEX_DIGITS)
+                    .iter()
+                    .map(|&key| index_field(key))
+                    .collect::<Vec<_>>(),
+                by_index
+                    .iter()
+                    .map(|&key| index_field(key))
+                    .collect::<Vec<_>>(),
+                "n {n}"
+            );
+            // Stable in the magnitude digits alone: distinct indices make the
+            // index order the tie-break, i.e. the full key order.
+            by_index.dedup_by_key(|key| index_field(*key));
+            let mut expected = by_index.clone();
+            expected.sort_unstable();
+            assert_eq!(radix_sort(&mut by_index, &MAG_DIGITS), expected, "n {n}");
+        }
     }
 
     #[test]

@@ -150,6 +150,43 @@ proptest! {
         prop_assert_eq!(bits(&entries), bits(&expected));
     }
 
+    /// The byte-priced client path against the unwired one: the index-ordered
+    /// selection is the ranked selection sorted by index, entry for entry, on
+    /// both sides of the streaming/histogram cut-over, at every edge `k`
+    /// (`k ≥ dim` included), with ties, both zeros and NaN in the vector. And
+    /// the server's half: ranking the index-ordered selection from its order
+    /// keys gives the ranked selection back.
+    #[test]
+    fn prop_indexed_selection_is_the_ranked_selection_sorted_by_index(
+        seed in 0u64..1_000_000,
+        dim_idx in 0usize..DIMS.len(),
+        generator in 0usize..GENERATORS,
+        nans in 0usize..3,
+    ) {
+        let dim = DIMS[dim_idx];
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut values = dense(&mut rng, generator, dim);
+        for _ in 0..nans {
+            values[rng.gen_range(0..dim)] = f32::from_bits(0x7fc0_0000 | rng.gen::<u32>());
+        }
+        let (mut scratch, mut ranked, mut indexed) = (Vec::new(), Vec::new(), vec![(9, 9.0)]);
+        for k in edge_ks(dim) {
+            topk::top_k_entries_into(&values, k, &mut scratch, &mut ranked);
+            topk::top_k_entries_indexed_into(&values, k, &mut scratch, &mut indexed);
+            let mut expected = ranked.clone();
+            expected.sort_by_key(|&(j, _)| j);
+            prop_assert_eq!(bits(&indexed), bits(&expected), "dim {}, k {}", dim, k);
+
+            let mut keys: Vec<u64> = indexed
+                .iter()
+                .map(|&(j, v)| topk::order_key(j as u32, v))
+                .collect();
+            let mut reranked = vec![(9, 9.0)];
+            topk::rank_index_ordered_keys_into(&mut keys, &mut reranked);
+            prop_assert_eq!(bits(&reranked), bits(&ranked), "dim {}, k {}", dim, k);
+        }
+    }
+
     /// The two set-level helpers: `sort_by_index` inverts a ranking, and
     /// `truncate_to_top_k` keeps exactly the ranked prefix, as a set.
     #[test]
@@ -193,11 +230,23 @@ fn paper_shape_matches_reference() {
             let expected = reference::top_k_entries(&values, k);
             assert_eq!(bits(&out), bits(&expected), "generator {generator}, k {k}");
 
-            // The lossy tier's round trip: index-sort, then re-rank.
+            // The wired round trip it replaced: index-sort, then re-rank.
             topk::sort_by_index(&mut out, &mut scratch);
             assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+            // The wired round itself: select in index order, rank from keys.
+            let mut indexed = Vec::new();
+            topk::top_k_entries_indexed_into(&values, k, &mut scratch, &mut indexed);
+            assert_eq!(bits(&indexed), bits(&out), "generator {generator}, k {k}");
             topk::rank_by_magnitude(&mut out, &mut scratch);
             assert_eq!(bits(&out), bits(&expected), "generator {generator}, k {k}");
+            scratch.clear();
+            scratch.extend(indexed.iter().map(|&(j, v)| topk::order_key(j as u32, v)));
+            topk::rank_index_ordered_keys_into(&mut scratch, &mut indexed);
+            assert_eq!(
+                bits(&indexed),
+                bits(&expected),
+                "generator {generator}, k {k}"
+            );
         }
     }
 }

@@ -9,7 +9,7 @@
 ///
 /// The variants mirror the round's dependency graph: the fused client
 /// gradient+encode pass with the server's admission of each finished
-/// upload nested inside it (wire-fault replay, decode+re-rank), the
+/// upload nested inside it (wire-fault replay, decode + rank), the
 /// server selection, the probe sweep, the broadcast weight apply,
 /// end-of-round bookkeeping with downlink pricing nested inside it, and
 /// the runner-level evaluation and checkpoint writes. `BatchedForward`
@@ -26,7 +26,7 @@ pub enum SpanId {
     /// thread, the in-order admission of every finished upload
     /// ([`SpanId::WireFault`] and [`SpanId::ServerDecode`] nest in here).
     ClientPass,
-    /// Server-side frame decode + re-rank of the admitted uploads into the
+    /// Server-side frame decode + rank of the admitted uploads into the
     /// aggregation arena. Nested inside [`SpanId::ClientPass`]: accumulated
     /// across the admission consumer, one sample per round.
     ServerDecode,

@@ -15,11 +15,11 @@
 //! Payloads carry entries in **strictly increasing index order** (the
 //! [`SparseGradient`] invariant) with `f32` values stored as their raw
 //! little-endian bit patterns, so every codec round-trips bit-exactly —
-//! including `-0.0`, subnormals and the exact bits of every value. Entry
-//! *order* is not part of the payload: a receiver that needs a rank order
-//! (FAB's per-client prefixes) re-derives it from the values, which is
-//! exact because the ranking comparator is a total order
-//! (`agsfl_sparse::topk::compare_magnitude_then_index`).
+//! including `-0.0`, subnormals and the exact bits of every value. A rank
+//! order is not part of the payload: a receiver that needs one (FAB's
+//! per-client prefixes) derives it from the decoded values, which is exact
+//! because the ranking is a total order of `(value, index)`
+//! (`agsfl_sparse::topk`; a byte-priced sender never ranks at all).
 //!
 //! | codec | payload | bytes (header aside) |
 //! |---|---|---|
@@ -121,8 +121,8 @@ impl CodecId {
 ///
 /// Entries passed to `encode_into`/`encoded_len` must be sorted by strictly
 /// increasing index with every index `< dim` — exactly the
-/// [`SparseGradient`] invariant; rank-ordered uplink messages are sorted
-/// first with `agsfl_sparse::topk::sort_by_index`.
+/// [`SparseGradient`] invariant; a byte-priced client selects its uplink
+/// message in that order (`agsfl_sparse::topk::top_k_entries_indexed_into`).
 pub trait Codec: Send + Sync + std::fmt::Debug {
     /// Human-readable codec name used in reports.
     fn name(&self) -> &'static str;

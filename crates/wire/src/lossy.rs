@@ -131,32 +131,42 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(sign | ((exp + 112) << 23) | (mant << 13))
 }
 
-/// FNV-1a over the message content: `dim`, then every `(index, value
-/// bits)` in sorted order, all little-endian. Part of the frame format
-/// spec — [`QLinear8`]'s per-frame RNG stream is keyed by this hash, so the
-/// reference encoder must derive it identically.
-pub(crate) fn frame_hash(dim: usize, entries: &[(usize, f32)]) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = BASIS;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    mix(&(dim as u64).to_le_bytes());
-    for &(j, v) in entries {
-        mix(&(j as u64).to_le_bytes());
-        mix(&v.to_bits().to_le_bytes());
-    }
-    h
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// `FNV_PRIME⁵`: five zero bytes in one step (`h ^ 0 == h`, so a zero byte
+/// only multiplies).
+const FNV_PRIME_POW5: u64 = FNV_PRIME
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME);
+
+#[inline]
+fn fnv_byte(h: u64, byte: u8) -> u64 {
+    (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
 }
 
-/// The per-frame stochastic-rounding stream: content-keyed, so it is a pure
-/// function of `(codec seed, message)`.
-pub(crate) fn frame_rng(seed: u64, dim: usize, entries: &[(usize, f32)]) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(seed ^ frame_hash(dim, entries))
+fn fnv_bytes<const N: usize>(h: u64, bytes: [u8; N]) -> u64 {
+    bytes.into_iter().fold(h, fnv_byte)
+}
+
+/// Folds one entry — the index as eight little-endian bytes, then the four
+/// value bytes — into the running FNV-1a state. A [`QLinear8`] frame's RNG
+/// stream is keyed by this chain over `dim` and then every entry in order,
+/// which makes it part of the frame format: [`crate::reference::frame_hash`]
+/// is the byte-at-a-time form it must equal. An index below 2²⁴ (every
+/// model this workspace trains) ends in five zero bytes, which cost one
+/// multiply instead of five; the key is the byte-wise one either way.
+#[inline]
+fn fnv_entry(h: u64, j: usize, v: f32) -> u64 {
+    let [b0, b1, b2, high @ ..] = (j as u64).to_le_bytes();
+    let h = fnv_bytes(h, [b0, b1, b2]);
+    let h = if high == [0; 5] {
+        h.wrapping_mul(FNV_PRIME_POW5)
+    } else {
+        fnv_bytes(h, high)
+    };
+    fnv_bytes(h, v.to_bits().to_le_bytes())
 }
 
 /// Asserts the lossy-encode contract: every value finite. (Lossless codecs
@@ -193,37 +203,56 @@ fn q8_value(lo: f32, step: f64, q: u8) -> f32 {
     (f64::from(lo) + f64::from(q) * step) as f32
 }
 
-fn q8_bounds(entries: &[(usize, f32)]) -> (f32, f32) {
-    let mut lo = f32::INFINITY;
-    let mut hi = f32::NEG_INFINITY;
-    for &(_, v) in entries {
+/// Everything [`QLinear8`] needs to know about a message before it writes
+/// a byte, from one sweep over it: the encode contract checked (indices in
+/// range, values finite; debug builds also the index order), the value
+/// range `[lo, hi]` (`[0, 0]` for an empty message), and the content hash
+/// that keys the frame's stochastic-rounding stream.
+fn q8_survey(dim: usize, entries: &[(usize, f32)]) -> (f32, f32, u64) {
+    let mut hash = fnv_bytes(FNV_BASIS, (dim as u64).to_le_bytes());
+    let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+    let (mut in_range, mut finite) = (true, true);
+    for &(j, v) in entries {
+        in_range &= j < dim;
+        finite &= v.is_finite();
         lo = lo.min(v);
         hi = hi.max(v);
+        hash = fnv_entry(hash, j, v);
     }
+    assert!(in_range, "wire entry index out of range (dim {dim})");
+    assert!(finite, "lossy codecs require finite values");
+    debug_assert!(
+        entries.windows(2).all(|w| w[0].0 < w[1].0),
+        "wire entries must be sorted by strictly increasing index"
+    );
     if entries.is_empty() {
-        (0.0, 0.0)
-    } else {
-        (lo, hi)
+        (lo, hi) = (0.0, 0.0);
     }
+    (lo, hi, hash)
 }
 
-/// Quantizes one value to a level in `0..=255`.
+/// Quantizes one value `v >= lo` to a level in `0..=255`.
 ///
 /// Levels within `1e-6` of an integer snap deterministically (exact
 /// round-trip for representable values, and no RNG draw); everything else
 /// rounds stochastically — down with probability `1 − frac`, up with
 /// probability `frac` — so the quantizer is unbiased in expectation.
+///
+/// The level's real-valued position is never negative, so its floor is a
+/// truncation and its round-half-away a `frac >= 0.5` compare: the same
+/// values `f64::floor`/`f64::round` return, without the two libm calls.
 fn q8_quantize(v: f32, lo: f32, step: f64, rng: &mut ChaCha8Rng) -> u8 {
     if step == 0.0 {
         return 0;
     }
     let q_real = (f64::from(v) - f64::from(lo)) / step;
-    let nearest = q_real.round();
+    debug_assert!((0.0..256.0).contains(&q_real), "value below the frame's lo");
+    let floor = f64::from(q_real as u32);
+    let frac = q_real - floor;
+    let nearest = floor + f64::from(frac >= 0.5);
     let q = if (q_real - nearest).abs() < 1e-6 {
         nearest
     } else {
-        let floor = q_real.floor();
-        let frac = q_real - floor;
         floor + f64::from(rng.gen::<f64>() < frac)
     };
     q.clamp(0.0, 255.0) as u8
@@ -267,11 +296,10 @@ impl Codec for QLinear8 {
         entries: &[(usize, f32)],
         scratch: &'a mut WireScratch,
     ) -> &'a [u8] {
-        check_entries(dim, entries);
-        check_finite(entries);
-        let (lo, hi) = q8_bounds(entries);
+        let (lo, hi, hash) = q8_survey(dim, entries);
         let step = q8_step(lo, hi);
-        let mut rng = frame_rng(self.seed, dim, entries);
+        // Content-keyed, so a pure function of `(codec seed, message)`.
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ hash);
         let buf = scratch.begin();
         write_header(buf, CodecId::QLinear8, dim, entries.len());
         buf.extend_from_slice(&lo.to_le_bytes());
@@ -596,6 +624,142 @@ mod tests {
             }
             assert_eq!(f32_to_f16_bits(x), h, "{h:#06x}");
         }
+    }
+
+    /// The survey reports the value range and the content hash the spec
+    /// derives byte by byte — so `encode_into` keys the stream the spec keys
+    /// — on indices either side of where the zero-byte fold applies (2²⁴),
+    /// either side of the `u32` range, and beyond.
+    #[test]
+    fn survey_reports_bounds_and_the_bytewise_content_hash() {
+        let edges = [
+            0usize,
+            1,
+            255,
+            256,
+            (1 << 24) - 1,
+            1 << 24,
+            (1 << 24) + 1,
+            u32::MAX as usize - 1,
+            u32::MAX as usize,
+            u32::MAX as usize + 1,
+            1 << 40,
+            (1 << 56) + 5,
+            usize::MAX - 1,
+        ];
+        for (n, &j) in edges.iter().enumerate() {
+            // One entry alone, then the sorted prefix of the edges up to it.
+            let prefix: Vec<(usize, f32)> =
+                edges[..=n].iter().map(|&j| (j, (j as f32).sin())).collect();
+            for entries in [vec![(j, -1.5f32)], prefix] {
+                for dim in [j + 1, usize::MAX] {
+                    let (lo, hi, hash) = q8_survey(dim, &entries);
+                    assert_eq!(
+                        hash,
+                        crate::reference::frame_hash(dim, &entries),
+                        "dim {dim}, entries {entries:?}"
+                    );
+                    let values = entries.iter().map(|e| e.1);
+                    assert_eq!(lo, values.clone().fold(f32::INFINITY, f32::min));
+                    assert_eq!(hi, values.fold(f32::NEG_INFINITY, f32::max));
+                }
+            }
+        }
+        assert_eq!(
+            q8_survey(4, &[]),
+            (0.0, 0.0, crate::reference::frame_hash(4, &[]))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of range")]
+    fn qlinear8_rejects_an_out_of_range_index() {
+        QLinear8::new(1).encode_into(4, &[(1, 0.5), (4, 1.0)], &mut WireScratch::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "finite values")]
+    fn qlinear8_rejects_a_non_finite_value() {
+        QLinear8::new(1).encode_into(4, &[(1, 0.5), (2, f32::NAN)], &mut WireScratch::new());
+    }
+
+    /// `q8_quantize` as it was written with `f64::round`/`f64::floor`.
+    fn q8_quantize_libm(v: f32, lo: f32, step: f64, rng: &mut ChaCha8Rng) -> u8 {
+        if step == 0.0 {
+            return 0;
+        }
+        let q_real = (f64::from(v) - f64::from(lo)) / step;
+        let nearest = q_real.round();
+        let q = if (q_real - nearest).abs() < 1e-6 {
+            nearest
+        } else {
+            let floor = q_real.floor();
+            floor + f64::from(rng.gen::<f64>() < q_real - floor)
+        };
+        q.clamp(0.0, 255.0) as u8
+    }
+
+    /// Truncation + compare against the libm form: same level and same
+    /// number of RNG draws, on every level's exact position, its halves, a
+    /// sweep across the 1e-6 snap boundary on both sides of each, the two
+    /// ends of the range, and a degenerate `lo == hi` frame.
+    #[test]
+    fn integer_quantize_equals_the_libm_form() {
+        let mut values = Vec::new();
+        for (lo, hi) in [
+            (0.0f32, 255.0f32),
+            (-3.5, 9.25),
+            (1e-3, 1.5e-3),
+            (-1e30, 1e30),
+        ] {
+            let step = q8_step(lo, hi);
+            let at = |q: f64| (f64::from(lo) + q * step) as f32;
+            for level in 0..=255u32 {
+                let q = f64::from(level);
+                for offset in [
+                    0.0,
+                    0.5,
+                    -0.5,
+                    0.25,
+                    0.75,
+                    0.999,
+                    1e-6,
+                    -1e-6,
+                    0.9e-6,
+                    -0.9e-6,
+                    1.1e-6,
+                    -1.1e-6,
+                    2e-6,
+                    -2e-6,
+                    0.5 - 1e-7,
+                    0.5 + 1e-7,
+                ] {
+                    values.push((at(q + offset).clamp(lo, hi), lo, step));
+                }
+            }
+            values.push((lo, lo, step));
+            values.push((hi, lo, step));
+            values.push((f32::from_bits(lo.to_bits() ^ 1).clamp(lo, hi), lo, step));
+        }
+        values.push((4.0, 4.0, q8_step(4.0, 4.0)));
+        let mut fast_rng = ChaCha8Rng::seed_from_u64(11);
+        let mut libm_rng = ChaCha8Rng::seed_from_u64(11);
+        let mut stochastic = 0;
+        for (v, lo, step) in values {
+            let before = fast_rng.clone();
+            assert_eq!(
+                q8_quantize(v, lo, step, &mut fast_rng),
+                q8_quantize_libm(v, lo, step, &mut libm_rng),
+                "v {v:e}, lo {lo:e}, step {step:e}"
+            );
+            // Same number of draws on both sides, or the next entry differs.
+            assert_eq!(fast_rng, libm_rng, "v {v:e}, lo {lo:e}, step {step:e}");
+            stochastic += usize::from(fast_rng != before);
+        }
+        assert!(
+            stochastic > 1000,
+            "the grid must reach the stochastic branch"
+        );
     }
 
     #[test]

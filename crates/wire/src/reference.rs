@@ -82,6 +82,24 @@ pub fn bitmap_encode(dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
     out
 }
 
+/// The key of a [`crate::QLinear8`] frame's stochastic-rounding stream:
+/// FNV-1a, one byte at a time, over the message serialized as `dim` then
+/// every `(index, value bits)`, each index a little-endian `u64`. Derived
+/// independently of the fast path, which folds the index's zero bytes.
+pub fn frame_hash(dim: usize, entries: &[(usize, f32)]) -> u64 {
+    let mut message: Vec<u8> = (dim as u64).to_le_bytes().to_vec();
+    for &(j, v) in entries {
+        message.extend_from_slice(&(j as u64).to_le_bytes());
+        message.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in message {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Allocating [`crate::QLinear8`] encoder. The content-keyed FNV-1a
 /// stream derivation and the snap-vs-stochastic rounding rule are part of
 /// the frame format spec, so both are re-derived here from scratch; the
@@ -105,18 +123,7 @@ pub fn qlinear8_encode(seed: u64, dim: usize, entries: &[(usize, f32)]) -> Vec<u
     for b in hi.to_le_bytes() {
         out.push(b);
     }
-    // Independent FNV-1a re-derivation of the per-frame stream key.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut message: Vec<u8> = (dim as u64).to_le_bytes().to_vec();
-    for &(j, v) in entries {
-        message.extend_from_slice(&(j as u64).to_le_bytes());
-        message.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    for b in message {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ h);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ frame_hash(dim, entries));
     let step = (f64::from(hi) - f64::from(lo)) / 255.0;
     let mut prev = 0u64;
     for &(j, v) in entries {

@@ -14,8 +14,8 @@ use crate::codec::Codec;
 /// * `staging` — an index-sort buffer used by
 ///   [`WireScratch::encoded_len_unsorted`] to canonicalize rank-ordered
 ///   uplink prefixes before pricing them. Only the server's one workspace
-///   ever fills it: clients index-sort their entry list in place and call
-///   [`Codec::encode_into`].
+///   ever fills it: clients select their entry list in index order and
+///   call [`Codec::encode_into`].
 ///
 /// Each encode starts a new generation (see [`WireScratch::generation`]);
 /// the byte slice returned by an encode borrows the workspace, so the

@@ -128,6 +128,9 @@ pub fn roundtrip<T: Snapshot>(value: &T, fresh: impl Fn() -> T) -> T {
 #[derive(Debug, Default)]
 pub struct SnapshotWriter {
     buf: Vec<u8>,
+    /// `Some(n)` on the sizing pass of [`SnapshotWriter::write_exact`]: the
+    /// bytes written so far are counted here and `buf` stays empty.
+    sizing: Option<usize>,
 }
 
 impl SnapshotWriter {
@@ -141,31 +144,77 @@ impl SnapshotWriter {
         self.buf
     }
 
+    /// Encodes what `write` writes into a buffer allocated once, at its
+    /// exact size: `write` runs twice, first against a writer that only
+    /// counts, then against one with that many bytes reserved, so a
+    /// multi-megabyte snapshot is never re-grown and copied on its way out.
+    /// `write` must write the same fields both times.
+    pub fn write_exact(write: impl Fn(&mut Self)) -> Vec<u8> {
+        let mut sizing = Self {
+            buf: Vec::new(),
+            sizing: Some(0),
+        };
+        write(&mut sizing);
+        let len = sizing.sizing.expect("a sizing writer keeps its count");
+        let mut w = Self {
+            buf: Vec::with_capacity(len),
+            sizing: None,
+        };
+        write(&mut w);
+        debug_assert_eq!(w.buf.len(), len, "both passes write the same fields");
+        w.buf
+    }
+
+    /// Appends raw bytes (or, on a sizing pass, counts them).
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.sizing {
+            Some(count) => *count += bytes.len(),
+            None => self.buf.extend_from_slice(bytes),
+        }
+    }
+
+    /// Appends a length-prefixed flat slice of `W`-byte little-endian
+    /// words: the payload's room is made once and filled by a fixed-width
+    /// copy per element, which a little-endian target turns into one bulk
+    /// copy of the slice.
+    fn words<T: Copy, const W: usize>(&mut self, v: &[T], le_bytes: impl Fn(T) -> [u8; W]) {
+        self.usize(v.len());
+        if let Some(count) = &mut self.sizing {
+            *count += v.len() * W;
+            return;
+        }
+        let start = self.buf.len();
+        self.buf.resize(start + v.len() * W, 0);
+        for (dst, &x) in self.buf[start..].chunks_exact_mut(W).zip(v) {
+            dst.copy_from_slice(&le_bytes(x));
+        }
+    }
+
     /// Writes a section header: four magic bytes plus a format version.
     pub fn header(&mut self, magic: [u8; 4], version: u32) {
-        self.buf.extend_from_slice(&magic);
+        self.put(&magic);
         self.u32(version);
     }
 
     /// Writes the one-byte controller-type tag that opens a controller
     /// snapshot.
     pub fn tag(&mut self, tag: u8) {
-        self.buf.push(tag);
+        self.put(&[tag]);
     }
 
     /// Writes a `bool` as one byte (0 or 1).
     pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
+        self.put(&[v as u8]);
     }
 
     /// Writes a little-endian `u32`.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Writes a little-endian `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Writes a `usize` as a `u64`.
@@ -180,41 +229,42 @@ impl SnapshotWriter {
 
     /// Writes a length-prefixed flat `f32` slice (shape + raw bits).
     pub fn f32s(&mut self, v: &[f32]) {
-        self.usize(v.len());
-        self.buf.reserve(v.len() * 4);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
+        self.words(v, |x| x.to_bits().to_le_bytes());
     }
 
     /// Writes a length-prefixed flat `f64` slice.
     pub fn f64s(&mut self, v: &[f64]) {
-        self.usize(v.len());
-        for &x in v {
-            self.f64(x);
-        }
+        self.words(v, |x| x.to_bits().to_le_bytes());
     }
 
     /// Writes a length-prefixed `usize` slice.
     pub fn usizes(&mut self, v: &[usize]) {
-        self.usize(v.len());
-        for &x in v {
-            self.usize(x);
-        }
+        self.words(v, |x| (x as u64).to_le_bytes());
     }
 
     /// Writes a length-prefixed `u64` slice.
     pub fn u64s(&mut self, v: &[u64]) {
-        self.usize(v.len());
-        for &x in v {
-            self.u64(x);
-        }
+        self.words(v, u64::to_le_bytes);
     }
 
     /// Writes a length-prefixed byte slice.
     pub fn bytes(&mut self, v: &[u8]) {
         self.usize(v.len());
-        self.buf.extend_from_slice(v);
+        self.put(v);
+    }
+
+    /// Writes what `write` writes as a length-prefixed byte slice — the
+    /// bytes [`SnapshotWriter::bytes`] would emit for it — without building
+    /// the inner blob first: the prefix is written as a placeholder and
+    /// patched once the length is known.
+    pub fn nested(&mut self, write: impl FnOnce(&mut Self)) {
+        let prefix = self.buf.len();
+        self.usize(0);
+        write(self);
+        if self.sizing.is_none() {
+            let len = (self.buf.len() - prefix - 8) as u64;
+            self.buf[prefix..prefix + 8].copy_from_slice(&len.to_le_bytes());
+        }
     }
 
     /// Writes a length-prefixed UTF-8 string.
@@ -500,6 +550,48 @@ mod tests {
         assert_eq!(r.bytes().unwrap(), vec![7, 0, 255]);
         assert_eq!(r.bytes().unwrap(), Vec::<u8>::new());
         r.finish().unwrap();
+    }
+
+    /// `nested` emits the bytes `bytes(inner blob)` emits, at any depth, and
+    /// `write_exact` the bytes a growing writer emits, in a buffer of
+    /// exactly that capacity.
+    #[test]
+    fn nested_and_exact_writes_are_byte_identical_to_the_staged_ones() {
+        let inner = |w: &mut SnapshotWriter| {
+            w.header(*b"INNR", 2);
+            w.f32s(&[1.0, -0.0, f32::NAN, f32::MIN_POSITIVE]);
+            w.usizes(&[usize::MAX, 0, 7]);
+            w.u64s(&[]);
+            w.f64s(&[-2.5]);
+            w.str("x");
+        };
+        let outer = |w: &mut SnapshotWriter, staged: bool| {
+            w.tag(9);
+            if staged {
+                let mut blob = SnapshotWriter::new();
+                inner(&mut blob);
+                let mut wrapped = SnapshotWriter::new();
+                wrapped.bytes(&blob.into_bytes());
+                wrapped.bool(true);
+                w.bytes(&wrapped.into_bytes());
+            } else {
+                w.nested(|w| {
+                    w.nested(inner);
+                    w.bool(true);
+                });
+            }
+            w.opt_f64(Some(1.5));
+        };
+        let mut staged = SnapshotWriter::new();
+        outer(&mut staged, true);
+        let staged = staged.into_bytes();
+        let mut patched = SnapshotWriter::new();
+        outer(&mut patched, false);
+        assert_eq!(patched.into_bytes(), staged);
+        let exact = SnapshotWriter::write_exact(|w| outer(w, false));
+        assert_eq!(exact, staged);
+        assert_eq!(exact.capacity(), exact.len());
+        assert_eq!(SnapshotWriter::write_exact(|_| {}), Vec::<u8>::new());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use agsfl_sparse::{
 };
 use agsfl_wire::{
     decode_frame, decode_gradient, frame_codec, reference, Auto, Bitmap, Codec, CooF32,
-    DeltaVarint, WireScratch,
+    DeltaVarint, QLinear8, SignNorm, WireScratch, F16,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -144,8 +144,8 @@ fn all_sparsifier_outputs_round_trip_through_all_codecs() {
         for codec in codecs() {
             // Downlink: already a SparseGradient.
             assert_bit_exact_roundtrip(codec.as_ref(), &result.aggregated);
-            // Uplinks: rank-ordered entries are index-sorted on packed keys
-            // first, as the client does.
+            // Uplinks: a rank-ordered message is index-sorted on packed keys
+            // first (a wired client selects in index order to begin with).
             for upload in &uploads {
                 let mut uplink = upload.entries.clone();
                 topk::sort_by_index(&mut uplink, &mut keys);
@@ -161,6 +161,54 @@ fn all_sparsifier_outputs_round_trip_through_all_codecs() {
                 let expected: Vec<(usize, u32)> =
                     expected.iter().map(|&(j, v)| (j, v.to_bits())).collect();
                 assert_eq!(got, expected, "{} / {}", sparsifier.name(), codec.name());
+            }
+        }
+    }
+}
+
+/// A wired client's frame, two ways: the ranked selection index-sorted and
+/// encoded (what the client did while it still ranked) and the index-ordered
+/// selection encoded as it is. Same bytes from all six encodings and from
+/// `Auto`, on short vectors (streaming select) and long ones (histogram
+/// select), sparse, half-dense and whole, with magnitude ties.
+#[test]
+fn indexed_selection_encodes_to_the_frame_of_the_index_sorted_ranking() {
+    let codecs: [Box<dyn Codec>; 7] = [
+        Box::new(CooF32),
+        Box::new(DeltaVarint),
+        Box::new(Bitmap),
+        Box::new(Auto),
+        Box::new(QLinear8::new(0x5EED)),
+        Box::new(F16),
+        Box::new(SignNorm),
+    ];
+    let mut rng = ChaCha8Rng::seed_from_u64(23);
+    let (mut keys, mut scratch) = (Vec::new(), WireScratch::new());
+    for dim in [97usize, 4096, 4097, 20_000] {
+        for quantized in [false, true] {
+            let residual: Vec<f32> = (0..dim)
+                .map(|_| {
+                    if quantized {
+                        rng.gen_range(-8i32..8) as f32 * 0.125
+                    } else {
+                        rng.gen_range(-2.0f32..2.0)
+                    }
+                })
+                .collect();
+            for k in [1, dim / 50 + 1, dim / 2, dim] {
+                let (mut ranked, mut indexed) = (Vec::new(), Vec::new());
+                topk::top_k_entries_into(&residual, k, &mut keys, &mut ranked);
+                topk::sort_by_index(&mut ranked, &mut keys);
+                topk::top_k_entries_indexed_into(&residual, k, &mut keys, &mut indexed);
+                for codec in &codecs {
+                    let sorted_frame = codec.encode_into(dim, &ranked, &mut scratch).to_vec();
+                    assert_eq!(
+                        codec.encode_into(dim, &indexed, &mut scratch),
+                        sorted_frame,
+                        "{} at dim {dim}, k {k}",
+                        codec.name()
+                    );
+                }
             }
         }
     }

@@ -74,12 +74,34 @@ if sim_product | grep -E 'sort_unstable_by_key|params\.clone\(\)'; then
     echo "verify: the round path sorts by comparison or clones the weights (lines above)" >&2
     exit 1
 fi
-# Uplink frames are index-sorted in place by the client (topk::sort_by_index
-# on its key buffer); the probe's encoded_len_unsorted, the one user of the
-# staging copy, must not fall back to a comparison sort.
+# The probe's encoded_len_unsorted — the one user of the staging copy, and
+# with the client selecting in index order the one caller of
+# topk::sort_by_index on the round path — must not fall back to a
+# comparison sort.
 if awk '/pub fn encoded_len_unsorted/ { on = 1 } on { print FNR ":" $0 } on && /^    }/ { exit }' \
     crates/wire/src/scratch.rs | grep -F '.sort'; then
     echo "verify: WireScratch::encoded_len_unsorted comparison-sorts (lines above); use topk::sort_by_index" >&2
+    exit 1
+fi
+
+step "a wired upload is ordered once per side (no index sort on the client, no per-index search in the reset)"
+# A byte-priced client selects in index order (topk::top_k_entries_indexed_into)
+# and hands that to the codec; the server ranks once, from the decoder's
+# visitor. An index sort in client.rs is the discarded client rank coming
+# back. The lossy tier's residual reset merges its sorted indices against
+# the error list; the per-index binary search lives on in
+# agsfl_sparse::reference as the spec. Product code only (up to a file's
+# #[cfg(test)]); comment lines are exempt.
+product_lines() {
+    awk -v f="$1" '/#\[cfg\(test\)\]/ { exit } { print f ":" FNR ":" $0 }' "$1" \
+        | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'
+}
+if product_lines crates/fl/src/client.rs | grep -F 'sort_by_index'; then
+    echo "verify: crates/fl/src/client.rs sorts an upload by index (lines above); select it in index order" >&2
+    exit 1
+fi
+if product_lines crates/sparse/src/accumulator.rs | grep -F 'binary_search'; then
+    echo "verify: crates/sparse/src/accumulator.rs searches the error list per index (lines above); merge it" >&2
     exit 1
 fi
 
@@ -167,6 +189,17 @@ cargo test -q -p agsfl-wire --test decode_fuzz
 
 step "top-k equivalence (integer-key select/rank == the comparator spec, bit for bit; NaN never panics)"
 cargo test -q -p agsfl-sparse --test topk_equivalence
+
+step "wired ordering (indexed selection, single-sweep radix, reset merge, decode-to-keys rank, frame hash, integer quantize == their specs)"
+# topk_equivalence above already ran the indexed-selection proptest. The
+# in-file wired simulation tests re-derive every delivered upload as
+# decode_frame + rank_by_magnitude inside deliver_upload.
+cargo test -q -p agsfl-sparse --lib single_sweep_radix_sort
+cargo test -q -p agsfl-sparse --lib prop_reset_by_merge
+cargo test -q -p agsfl-wire --lib survey_reports_bounds
+cargo test -q -p agsfl-wire --lib integer_quantize
+cargo test -q -p agsfl-wire --test codec_roundtrip indexed_selection
+cargo test -q -p agsfl-fl --lib wire
 
 step "probe restriction (probe_aggregate == an independent select_into at k', bit for bit, all five sparsifiers)"
 cargo test -q -p agsfl-sparse --test probe_restriction
