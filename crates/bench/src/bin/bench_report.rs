@@ -397,7 +397,7 @@ fn main() {
     // computes. The round engine pays this cost several times per round;
     // the acceptance bar is pool dispatch below the scope spawn cost.
     const DISPATCH_ITEMS: usize = 64;
-    let dispatch_exec = Executor::new(pool_threads).with_min_items(1);
+    let dispatch_exec = Executor::new(pool_threads);
     let mut dispatch_items = vec![0u64; DISPATCH_ITEMS];
     let seed_ns = time_ns(|| {
         black_box(scoped_map_mut(
@@ -638,12 +638,7 @@ fn main() {
     let seed_ns = time_ns(|| {
         black_box(metrics::global_loss(model, &eval_params, shards));
         black_box(metrics::global_accuracy(model, &eval_params, shards));
-        black_box(metrics::accuracy(
-            model,
-            &eval_params,
-            &test.features,
-            &test.labels,
-        ));
+        black_box(model.accuracy(&eval_params, &test.features, &test.labels));
     });
     let eval_exec = Executor::new(pool_threads);
     let sweep_ns = time_ns(|| {
@@ -667,7 +662,7 @@ fn main() {
     );
     assert_eq!(
         fused.test_accuracy,
-        metrics::accuracy(model, &eval_params, &test.features, &test.labels)
+        model.accuracy(&eval_params, &test.features, &test.labels)
     );
     let eval_report = KernelReport {
         name: "eval_sweep".into(),

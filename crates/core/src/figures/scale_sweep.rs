@@ -117,12 +117,6 @@ pub struct ScaleSweepResult {
 }
 
 impl ScaleSweepResult {
-    /// Largest `current_rss_bytes` over the sweep, if the platform reports
-    /// memory at all.
-    pub fn max_current_rss_bytes(&self) -> Option<u64> {
-        self.points.iter().filter_map(|p| p.current_rss_bytes).max()
-    }
-
     /// Renders the sweep as a text table.
     pub fn render(&self) -> String {
         fn mib(bytes: Option<u64>) -> String {

@@ -122,6 +122,19 @@ pub struct Experiment {
     telemetry: Option<TelemetryState>,
 }
 
+/// What picks each round's `k` in [`Experiment::run_loop`].
+enum Drive<'a> {
+    /// A live controller: proposes `(k, probe k', precision)` before the
+    /// round, observes the feedback after it, and — being the only drive
+    /// with state worth saving — is what a checkpoint spec rides with.
+    Controller {
+        controller: &'a mut dyn KController,
+        checkpoint: Option<&'a CheckpointSpec>,
+    },
+    /// A prescribed `{k_m}` sequence, its last value repeated.
+    Sequence(&'a [usize]),
+}
+
 impl std::fmt::Debug for Experiment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Experiment")
@@ -173,8 +186,7 @@ impl Experiment {
     /// Installs a telemetry spec: opens the JSONL sink (truncating any
     /// previous file), resets the recorder, and switches the subsequent runs
     /// onto the recorded round path. When the spec opts into the pool or
-    /// timings sets, the executor's worker metrics and the batched-forward
-    /// kernel accounting are enabled too.
+    /// timings sets, the executor's worker metrics are enabled too.
     ///
     /// Telemetry is observation only: a run with a spec installed is
     /// bit-identical to one without (pinned by `telemetry_determinism.rs`
@@ -183,7 +195,6 @@ impl Experiment {
         self.sim
             .executor()
             .set_metrics_enabled(spec.pool || spec.timings);
-        agsfl_ml::stats::set_enabled(spec.timings);
         self.telemetry = Some(TelemetryState::open(spec)?);
         Ok(())
     }
@@ -198,7 +209,6 @@ impl Experiment {
     /// final state (recorder + dispatch histogram) for post-run summaries.
     pub fn take_telemetry(&mut self) -> Option<TelemetryState> {
         self.sim.executor().set_metrics_enabled(false);
-        agsfl_ml::stats::set_enabled(false);
         let mut state = self.telemetry.take()?;
         state.flush().ok();
         Some(state)
@@ -261,7 +271,11 @@ impl Experiment {
     ) -> RunHistory {
         let history = RunHistory::new(label, self.num_clients());
         let start_time = self.sim.elapsed_time();
-        self.run_loop(controller, stop, history, 0, start_time, None)
+        let drive = Drive::Controller {
+            controller,
+            checkpoint: None,
+        };
+        self.run_loop(drive, stop, history, 0, start_time)
             .expect("a checkpoint-free run can only fail on telemetry sink I/O")
     }
 
@@ -279,7 +293,11 @@ impl Experiment {
     ) -> Result<RunHistory, SnapshotError> {
         let history = RunHistory::new(label, self.num_clients());
         let start_time = self.sim.elapsed_time();
-        self.run_loop(controller, stop, history, 0, start_time, Some(spec))
+        let drive = Drive::Controller {
+            controller,
+            checkpoint: Some(spec),
+        };
+        self.run_loop(drive, stop, history, 0, start_time)
     }
 
     /// Resumes a run from the checkpoint file at [`CheckpointSpec::path`].
@@ -314,14 +332,11 @@ impl Experiment {
         self.sim.restore_state(&sim_blob)?;
         controller.restore_state(&controller_bytes)?;
         self.rounding_rng = rounding_rng;
-        self.run_loop(
+        let drive = Drive::Controller {
             controller,
-            stop,
-            history,
-            round_in_run,
-            start_time,
-            Some(spec),
-        )
+            checkpoint: Some(spec),
+        };
+        self.run_loop(drive, stop, history, round_in_run, start_time)
     }
 
     /// Serializes the full run state (simulation, rounding RNG, controller,
@@ -347,19 +362,42 @@ impl Experiment {
         checkpoint::write_atomic(path, &bytes)
     }
 
-    /// The shared round loop behind [`Experiment::run_with_controller`],
-    /// [`Experiment::run_with_controller_checkpointed`] and
-    /// [`Experiment::resume_with_controller`]. Checkpoint writes happen
-    /// after a round is fully recorded and never touch any RNG, so a
-    /// checkpointed run's trajectory is bit-identical to an unobserved one.
+    /// Runs one round, on the recorded path when a telemetry spec is
+    /// installed.
+    fn round(&mut self, k: usize, probe_k: Option<usize>) -> agsfl_fl::RoundReport {
+        match self.telemetry.as_mut() {
+            Some(state) => {
+                let rec = state.recorder_mut();
+                rec.begin_round();
+                self.sim.run_round_recorded(k, probe_k, rec)
+            }
+            None => self.sim.run_round(k, probe_k),
+        }
+    }
+
+    /// Fills in `point`'s evaluation from one fused sweep
+    /// ([`Simulation::evaluate`]), recorded when a telemetry spec is
+    /// installed.
+    fn evaluate_into(&mut self, point: &mut MetricPoint) {
+        let eval = match self.telemetry.as_mut() {
+            Some(state) => self.sim.evaluate_recorded(state.recorder_mut()),
+            None => self.sim.evaluate(),
+        };
+        point.global_loss = Some(eval.train_loss as f64);
+        point.test_accuracy = Some(eval.test_accuracy as f64);
+    }
+
+    /// The one GS round loop, behind every `run_*` and `resume_*` entry
+    /// point but [`Experiment::run_fedavg`]. Checkpoint writes happen after
+    /// a round is fully recorded and never touch any RNG, so a checkpointed
+    /// run's trajectory is bit-identical to an unobserved one.
     fn run_loop(
         &mut self,
-        controller: &mut dyn KController,
+        mut drive: Drive<'_>,
         stop: &StopCondition,
         mut history: RunHistory,
         mut round_in_run: usize,
         start_time: f64,
-        checkpoint: Option<&CheckpointSpec>,
     ) -> Result<RunHistory, SnapshotError> {
         let dim = self.dim();
         loop {
@@ -370,42 +408,46 @@ impl Experiment {
             }
             round_in_run += 1;
 
-            let k_cont = controller.propose_k().clamp(1.0, dim as f64);
-            let k = stochastic_round(k_cont, &mut self.rounding_rng).min(dim);
-            // Always evaluate a probe so bandit-style controllers get a
-            // loss-decrease signal; sign-based controllers dictate their own
-            // probe k' = k − δ/2.
-            let probe_k = controller
-                .probe_k()
-                .map(|p| p.round().max(1.0) as usize)
-                .unwrap_or(k);
-            // The second axis of the 2-D (k × precision) action space. Pure-k
-            // controllers propose `None` (keep the configured codec), so this
-            // is a no-op — and bit-identical to older runs — unless the
-            // controller actively adapts the uplink precision. The override is
-            // controller policy, not simulation state: after a resume the
-            // restored controller re-proposes it here before the next round.
-            self.sim.set_wire_precision(controller.propose_precision());
-            let report = match self.telemetry.as_mut() {
-                Some(state) => {
-                    let rec = state.recorder_mut();
-                    rec.begin_round();
-                    self.sim.run_round_recorded(k, Some(probe_k), rec)
+            let (k, probe_k) = match &mut drive {
+                Drive::Controller { controller, .. } => {
+                    let k_cont = controller.propose_k().clamp(1.0, dim as f64);
+                    let k = stochastic_round(k_cont, &mut self.rounding_rng).min(dim);
+                    // Always evaluate a probe so bandit-style controllers get
+                    // a loss-decrease signal; sign-based controllers dictate
+                    // their own probe k' = k − δ/2.
+                    let probe_k = controller
+                        .probe_k()
+                        .map(|p| p.round().max(1.0) as usize)
+                        .unwrap_or(k);
+                    // The second axis of the 2-D (k × precision) action space.
+                    // Pure-k controllers propose `None` (keep the configured
+                    // codec), so this is a no-op — and bit-identical to older
+                    // runs — unless the controller actively adapts the uplink
+                    // precision. The override is controller policy, not
+                    // simulation state: after a resume the restored controller
+                    // re-proposes it here before the next round.
+                    self.sim.set_wire_precision(controller.propose_precision());
+                    (k, Some(probe_k))
                 }
-                None => self.sim.run_round(k, Some(probe_k)),
+                // A replay pays no probe: nothing consumes the feedback.
+                Drive::Sequence(sequence) => {
+                    let k = sequence[(round_in_run - 1).min(sequence.len() - 1)];
+                    (k.clamp(1, dim), None)
+                }
             };
-
-            let feedback = RoundFeedback {
-                k_used: report.k_used,
-                round_time: report.round_time,
-                probe_loss_prev: report.probe.map(|p| p.loss_prev),
-                probe_loss_now: report.probe.map(|p| p.loss_now),
-                probe_loss_alt: report.probe.map(|p| p.loss_probe),
-                probe_round_time: report.probe.map(|p| p.probe_round_time),
-                probe_k: report.probe.map(|p| p.probe_k),
-                loss_decrease: None,
-            };
-            controller.observe(&feedback);
+            let report = self.round(k, probe_k);
+            if let Drive::Controller { controller, .. } = &mut drive {
+                controller.observe(&RoundFeedback {
+                    k_used: report.k_used,
+                    round_time: report.round_time,
+                    probe_loss_prev: report.probe.map(|p| p.loss_prev),
+                    probe_loss_now: report.probe.map(|p| p.loss_now),
+                    probe_loss_alt: report.probe.map(|p| p.loss_probe),
+                    probe_round_time: report.probe.map(|p| p.probe_round_time),
+                    probe_k: report.probe.map(|p| p.probe_k),
+                    loss_decrease: None,
+                });
+            }
             history.record_round(&report);
 
             // Evaluate strictly on the cadence (plus round 1). The final
@@ -414,34 +456,28 @@ impl Experiment {
             // checkpoint never encodes where this particular run chose to
             // stop and a resumed run stays bit-identical to an
             // uninterrupted one.
-            let evaluate = round_in_run.is_multiple_of(self.config.eval_every) || round_in_run == 1;
-            let (global_loss, test_accuracy) = if evaluate {
-                // One fused parallel sweep for both metrics (bit-identical
-                // to the individual accessors; see Simulation::evaluate).
-                let eval = match self.telemetry.as_mut() {
-                    Some(state) => self.sim.evaluate_recorded(state.recorder_mut()),
-                    None => self.sim.evaluate(),
-                };
-                (
-                    Some(eval.train_loss as f64),
-                    Some(eval.test_accuracy as f64),
-                )
-            } else {
-                (None, None)
-            };
-            history.push(MetricPoint {
+            let mut point = MetricPoint {
                 round: round_in_run,
                 elapsed_time: self.sim.elapsed_time() - start_time,
                 k: report.k_used,
                 train_loss: report.train_loss,
-                global_loss,
-                test_accuracy,
-            });
-            if let Some(spec) = checkpoint {
+                global_loss: None,
+                test_accuracy: None,
+            };
+            if round_in_run.is_multiple_of(self.config.eval_every) || round_in_run == 1 {
+                self.evaluate_into(&mut point);
+            }
+            let global_loss = point.global_loss;
+            history.push(point);
+            if let Drive::Controller {
+                controller,
+                checkpoint: Some(spec),
+            } = &drive
+            {
                 if round_in_run.is_multiple_of(spec.every) {
                     let t0 = self.telemetry.is_some().then(std::time::Instant::now);
                     self.save_checkpoint(
-                        controller,
+                        &**controller,
                         &history,
                         round_in_run,
                         start_time,
@@ -464,12 +500,7 @@ impl Experiment {
         // records exactly the values an in-loop evaluation would have.
         if let Some(last) = history.last_point_mut() {
             if last.global_loss.is_none() {
-                let eval = match self.telemetry.as_mut() {
-                    Some(state) => self.sim.evaluate_recorded(state.recorder_mut()),
-                    None => self.sim.evaluate(),
-                };
-                last.global_loss = Some(eval.train_loss as f64);
-                last.test_accuracy = Some(eval.test_accuracy as f64);
+                self.evaluate_into(last);
             }
         }
         if let Some(state) = self.telemetry.as_mut() {
@@ -501,67 +532,18 @@ impl Experiment {
     /// Runs with a prescribed sequence of `k` values (used by Figs. 7 and 8
     /// to cross-apply a `{k_m}` sequence adapted for one communication time
     /// to a system with a different communication time). If the run lasts
-    /// longer than the sequence, the last value is repeated.
+    /// longer than the sequence, the last value is repeated. A replay pays no
+    /// probe, and like every other history has its last point evaluated.
     ///
     /// # Panics
     ///
     /// Panics if the sequence is empty.
     pub fn run_k_sequence(&mut self, sequence: &[usize], stop: &StopCondition) -> RunHistory {
         assert!(!sequence.is_empty(), "k sequence must not be empty");
-        let dim = self.dim();
-        let mut history = RunHistory::new("prescribed k sequence", self.num_clients());
-        let mut round_in_run = 0usize;
+        let history = RunHistory::new("prescribed k sequence", self.num_clients());
         let start_time = self.sim.elapsed_time();
-        loop {
-            if stop.rounds_exhausted(round_in_run)
-                || stop.time_exhausted(self.sim.elapsed_time() - start_time)
-            {
-                break;
-            }
-            let k = sequence[round_in_run.min(sequence.len() - 1)].clamp(1, dim);
-            round_in_run += 1;
-            let report = match self.telemetry.as_mut() {
-                Some(state) => {
-                    let rec = state.recorder_mut();
-                    rec.begin_round();
-                    self.sim.run_round_recorded(k, None, rec)
-                }
-                None => self.sim.run_round(k, None),
-            };
-            history.record_round(&report);
-            let evaluate = round_in_run.is_multiple_of(self.config.eval_every) || round_in_run == 1;
-            let (global_loss, test_accuracy) = if evaluate {
-                // One fused parallel sweep for both metrics (bit-identical
-                // to the individual accessors; see Simulation::evaluate).
-                let eval = match self.telemetry.as_mut() {
-                    Some(state) => self.sim.evaluate_recorded(state.recorder_mut()),
-                    None => self.sim.evaluate(),
-                };
-                (
-                    Some(eval.train_loss as f64),
-                    Some(eval.test_accuracy as f64),
-                )
-            } else {
-                (None, None)
-            };
-            history.push(MetricPoint {
-                round: round_in_run,
-                elapsed_time: self.sim.elapsed_time() - start_time,
-                k: report.k_used,
-                train_loss: report.train_loss,
-                global_loss,
-                test_accuracy,
-            });
-            self.emit_telemetry_round(&report)
-                .expect("telemetry sink I/O failed");
-            if stop.loss_reached(global_loss) {
-                break;
-            }
-        }
-        if let Some(state) = self.telemetry.as_mut() {
-            state.flush().expect("telemetry sink I/O failed");
-        }
-        history
+        self.run_loop(Drive::Sequence(sequence), stop, history, 0, start_time)
+            .expect("a checkpoint-free run can only fail on telemetry sink I/O")
     }
 
     /// Runs the FedAvg baseline at the communication overhead equivalent to
@@ -709,6 +691,36 @@ mod tests {
         let history = exp.run_k_sequence(&seq, &StopCondition::after_rounds(5));
         let ks = history.k_sequence();
         assert_eq!(ks, vec![10, 20, 30, 30, 30]);
+    }
+
+    /// A replay stopped off-cadence still ends on an evaluated point — the
+    /// loss Figs. 7/8 compare replays by — and is otherwise the simulation
+    /// hand-driven with `run_round(k, None)`.
+    #[test]
+    fn k_sequence_run_evaluates_its_last_point() {
+        let cfg = tiny_config(10.0, 4);
+        let seq = [10, 20, 30];
+        let mut exp = Experiment::new(&cfg);
+        let history = exp.run_k_sequence(&seq, &StopCondition::after_rounds(7));
+        assert_eq!(history.len(), 7);
+        let mut manual = Experiment::new(&cfg);
+        for (i, point) in history.points().iter().enumerate() {
+            let report = manual.sim.run_round(seq[i.min(2)], None);
+            assert!(report.probe.is_none());
+            assert_eq!(point.k, report.k_used);
+            assert_eq!(point.train_loss.to_bits(), report.train_loss.to_bits());
+            assert_eq!(point.elapsed_time.to_bits(), report.elapsed_time.to_bits());
+            // eval_every = 5: round 1, the cadence, and the last round.
+            if [1, 5, 7].contains(&point.round) {
+                let eval = manual.sim.evaluate();
+                assert_eq!(point.global_loss, Some(eval.train_loss as f64));
+                assert_eq!(point.test_accuracy, Some(eval.test_accuracy as f64));
+            } else {
+                assert_eq!((point.global_loss, point.test_accuracy), (None, None));
+            }
+        }
+        assert_eq!(exp.sim.params(), manual.sim.params());
+        assert_eq!(history.final_global_loss(), history.points()[6].global_loss);
     }
 
     #[test]

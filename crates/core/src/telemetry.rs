@@ -28,7 +28,7 @@ use std::path::PathBuf;
 
 use agsfl_exec::metrics::PoolMetricsSnapshot;
 use agsfl_fl::RoundReport;
-use agsfl_telemetry::{CounterId, GaugeId, Histogram, JsonlSink, Recorder, SpanId, StageRecorder};
+use agsfl_telemetry::{GaugeId, Histogram, JsonlSink, Recorder, SpanId, StageRecorder};
 
 /// How a run records and sinks telemetry. Install on an
 /// [`Experiment`](crate::Experiment) with
@@ -47,8 +47,7 @@ pub struct TelemetrySpec {
     /// Sink flush cadence in lines (0 is treated as 1: flush every line).
     /// Memory probes sample on the same cadence.
     pub flush_every: usize,
-    /// Include wall-clock stage spans in each line and enable the
-    /// batched-forward kernel accounting. Non-deterministic.
+    /// Include wall-clock stage spans in each line. Non-deterministic.
     pub timings: bool,
     /// Include worker-pool counters (busy/idle fractions, dispatch
     /// latency, queue depth) and enable them on the executor.
@@ -87,18 +86,6 @@ impl TelemetrySpec {
     /// Adds the wall-clock stage-span set.
     pub fn with_timings(mut self) -> Self {
         self.timings = true;
-        self
-    }
-
-    /// Adds the worker-pool set.
-    pub fn with_pool(mut self) -> Self {
-        self.pool = true;
-        self
-    }
-
-    /// Adds the memory-probe set.
-    pub fn with_memory(mut self) -> Self {
-        self.memory = true;
         self
     }
 }
@@ -262,10 +249,6 @@ fn render_line(
             let _ = write!(s, "\"{}\":{}", id.name(), ns);
         }
         s.push('}');
-        let rows = rec.round_counter(CounterId::BatchedForwardRows);
-        if rows > 0 {
-            let _ = write!(s, ",\"batched_forward_rows\":{rows}");
-        }
     }
     if spec.pool {
         if let Some(snap) = pool {

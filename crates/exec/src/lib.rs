@@ -1,7 +1,7 @@
 //! Deterministic parallel execution for the AGSFL workspace.
 //!
 //! Every parallel region in the workspace — the fused per-client
-//! gradient/upload pass, the probe-loss sweep, the evaluation sweeps and
+//! gradient/upload pass, the probe-loss sweep, the evaluation sweep and
 //! FedAvg's weight average — runs through one [`Executor`], configured
 //! once per simulation from a [`Parallelism`] knob and reused every round.
 //! The executor owns a lazily spawned, **persistent** [`pool::WorkerPool`]:
@@ -36,7 +36,7 @@
 //! * **Exact merges downstream.** Consumers that reduce across workers
 //!   only merge values whose reduction is exact (the integer histograms
 //!   and counters of `agsfl-telemetry`), fold per-item results in item
-//!   order on the calling thread (the evaluation sweeps in `agsfl-ml`), or
+//!   order on the calling thread (the evaluation sweep in `agsfl-ml`), or
 //!   partition the floating-point work by coordinate so every sum is
 //!   evaluated in the serial accumulation order (FedAvg's
 //!   `averaged_params`). No floating-point reassociation ever happens
@@ -49,19 +49,17 @@
 //! of every primitive is its own serial fallback — the plain iterator the
 //! tests pin the pool path against.
 //!
-//! Nested regions — a worker that itself calls an executor primitive, for
-//! example the row-parallel CNN forward invoked from inside an
-//! executor-sharded evaluation sweep — run inline on that worker
-//! (bit-identical; see [`pool::on_worker_thread`]), so the pool can never
-//! wait on itself.
+//! Nested regions — a worker that itself calls an executor primitive —
+//! run inline on that worker (bit-identical; see
+//! [`pool::on_worker_thread`]), so the pool can never wait on itself. No
+//! product code nests a region today; `nested_regions_run_inline_on_workers`
+//! pins the rule anyway, because a deadlock is the price of forgetting it.
 //!
 //! # Serial fallback
 //!
-//! A region falls back to an in-place sequential loop when the executor
-//! has one thread or when there are fewer than [`Executor::min_items`]
-//! work items (default [`DEFAULT_MIN_ITEMS`]) — tiny test simulations with
-//! a handful of clients should not pay dispatch. The fallback runs the
-//! *same closures on the same data in the same order*, so it is
+//! A region splits when there is more than one thread and more than one
+//! item; otherwise it is an in-place sequential loop. The fallback runs
+//! the *same closures on the same data in the same order*, so it is
 //! observationally identical to the parallel path.
 
 #![deny(unsafe_code)]
@@ -78,7 +76,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use serde::{Deserialize, Serialize};
 
 use metrics::PoolMetricsSnapshot;
-use pool::WorkerPool;
+use pool::{lock_unpoisoned as lock, WorkerPool};
 
 /// How many worker threads a simulation should use.
 ///
@@ -108,18 +106,11 @@ impl Parallelism {
         }
     }
 
-    /// Builds the executor for this policy with the default
-    /// [`Executor::min_items`] threshold.
+    /// Builds the executor for this policy.
     pub fn build(self) -> Executor {
         Executor::new(self.resolve())
     }
 }
-
-/// Default parallelism threshold: regions with fewer work items than this
-/// run serially. Matches the historical `clients.len() < 4` fallback of the
-/// simulator's ad-hoc `run_parallel`, but now lives in the executor
-/// configuration instead of being hard-coded at one call site.
-pub const DEFAULT_MIN_ITEMS: usize = 4;
 
 /// How many chunks per worker [`Executor::pipeline_mut`] splits its input
 /// into: finer chunks than the plain maps so the in-order consumer starts
@@ -128,24 +119,23 @@ const PIPELINE_CHUNKS_PER_WORKER: usize = 4;
 
 /// A chunked parallel executor over a persistent worker pool.
 ///
-/// Holds a thread count, a minimum work-item threshold, and a lazily
-/// spawned [`pool::WorkerPool`] shared by every clone. Cloning is cheap
+/// Holds a thread count and a lazily spawned [`pool::WorkerPool`] shared
+/// by every clone. Cloning is cheap
 /// (an `Arc` bump); the pool's workers are joined when the last clone is
 /// dropped. See the crate docs for the determinism argument.
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
-    min_items: usize,
     /// The shared pool, spawned by the first parallel region. `Executor`s
-    /// that never parallelize (serial config, tiny inputs) never spawn a
-    /// thread.
+    /// that never parallelize (serial config, single-item inputs) never
+    /// spawn a thread.
     pool: Arc<OnceLock<WorkerPool>>,
 }
 
 impl PartialEq for Executor {
     fn eq(&self, other: &Self) -> bool {
         // Configuration equality; the pool is an implementation detail.
-        self.threads == other.threads && self.min_items == other.min_items
+        self.threads == other.threads
     }
 }
 
@@ -158,15 +148,13 @@ impl Default for Executor {
 }
 
 impl Executor {
-    /// An executor with exactly `threads` workers (`0` is treated as `1`)
-    /// and the default [`DEFAULT_MIN_ITEMS`] serial-fallback threshold.
+    /// An executor with exactly `threads` workers (`0` is treated as `1`).
     ///
     /// No threads are spawned until the first region actually
     /// parallelizes.
     pub fn new(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            min_items: DEFAULT_MIN_ITEMS,
             pool: Arc::new(OnceLock::new()),
         }
     }
@@ -181,22 +169,9 @@ impl Executor {
         Parallelism::Auto.build()
     }
 
-    /// Overrides the serial-fallback threshold: regions with fewer than
-    /// `min_items` work items run on the calling thread. The returned
-    /// executor shares this executor's worker pool.
-    pub fn with_min_items(mut self, min_items: usize) -> Self {
-        self.min_items = min_items;
-        self
-    }
-
     /// Number of worker threads parallel regions may use.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The serial-fallback threshold (see [`Executor::with_min_items`]).
-    pub fn min_items(&self) -> usize {
-        self.min_items
     }
 
     /// Whether this executor never spawns (one thread).
@@ -254,20 +229,18 @@ impl Executor {
             .map_or(0, |p| p.metrics().drain_dispatch_into(hist))
     }
 
-    /// The fallback policy in one place: whether a region over `items` work
-    /// items is worth dispatching — multiple threads, at least
-    /// [`Executor::min_items`] items, and at least one item. Callers that
-    /// return `false` here must run their serial (bit-identical) path.
+    /// The executor's one rule: a region over `items` work items splits
+    /// when there is more than one thread and more than one item.
     pub fn should_parallelize(&self, items: usize) -> bool {
-        self.threads > 1 && items >= self.min_items && items > 0
+        self.threads > 1 && items > 1
     }
 
     /// Threads a region over `len` items should actually use.
     fn plan(&self, len: usize) -> usize {
-        if self.threads <= 1 || len < self.min_items {
-            1
-        } else {
+        if self.should_parallelize(len) {
             self.threads.min(len)
+        } else {
+            1
         }
     }
 
@@ -366,8 +339,8 @@ impl Executor {
     /// that order. This is the primitive behind the round engine's
     /// client-encode → server-decode stage overlap.
     ///
-    /// Falls back to the serial interleaving on one thread, under
-    /// [`Executor::min_items`], or on a pool worker.
+    /// Falls back to the serial interleaving on one thread, on a single
+    /// item, or on a pool worker.
     pub fn pipeline_mut<T, R, F, C>(&self, items: &mut [T], produce: F, mut consume: C)
     where
         T: Send,
@@ -492,14 +465,6 @@ impl Executor {
     }
 }
 
-/// Poison-tolerant lock (see `pool::lock_unpoisoned`; duplicated here to
-/// keep the pool module self-contained).
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,7 +474,7 @@ mod tests {
         let expected: Vec<i64> = (0..97).map(|i| i * i).collect();
         for threads in [1usize, 2, 3, 8, 64] {
             let mut items: Vec<i64> = (0..97).collect();
-            let exec = Executor::new(threads).with_min_items(1);
+            let exec = Executor::new(threads);
             let got = exec.map_mut(&mut items, |x| {
                 *x *= 1; // exercise the &mut access
                 *x * *x
@@ -521,7 +486,7 @@ mod tests {
     #[test]
     fn map_ref_preserves_order() {
         let items: Vec<usize> = (0..31).collect();
-        let exec = Executor::new(4).with_min_items(1);
+        let exec = Executor::new(4);
         assert_eq!(
             exec.map_ref(&items, |&x| x + 1),
             (1..32).collect::<Vec<usize>>()
@@ -529,14 +494,13 @@ mod tests {
     }
 
     #[test]
-    fn min_items_threshold_falls_back_to_serial() {
-        // With the default threshold, a 3-item region must not dispatch:
-        // the closure observes it runs on the calling thread, and the pool
-        // is never spawned.
+    fn single_item_region_falls_back_to_serial() {
+        // One item must not dispatch: the closure observes it runs on the
+        // calling thread, and the pool is never spawned.
         let caller = std::thread::current().id();
-        let mut items = [0u8; 3];
+        let mut items = [0u8; 1];
         let exec = Executor::new(8);
-        assert_eq!(exec.min_items(), DEFAULT_MIN_ITEMS);
+        assert!(!exec.should_parallelize(1) && exec.should_parallelize(2));
         exec.map_mut(&mut items, |_| {
             assert_eq!(std::thread::current().id(), caller);
         });
@@ -556,7 +520,7 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_inputs_are_fine() {
-        let exec = Executor::new(4).with_min_items(1);
+        let exec = Executor::new(4);
         let mut empty: Vec<u32> = Vec::new();
         assert!(exec.map_mut(&mut empty, |x| *x).is_empty());
         let mut one = vec![5u32];
@@ -571,7 +535,7 @@ mod tests {
     #[test]
     fn result_reservation_is_exact() {
         // len=5, threads=4 -> chunk=2, 3 chunks; old reservation was 6.
-        let exec = Executor::new(4).with_min_items(1);
+        let exec = Executor::new(4);
         let mut items: Vec<u8> = (0..5).collect();
         let out = exec.map_mut(&mut items, |x| *x);
         assert_eq!(out.len(), 5);
@@ -582,7 +546,7 @@ mod tests {
 
     #[test]
     fn empty_slice_allocates_nothing_and_spawns_nothing() {
-        let exec = Executor::new(8).with_min_items(0);
+        let exec = Executor::new(8);
         let mut empty: Vec<u64> = Vec::new();
         let out = exec.map_mut(&mut empty, |x| *x);
         assert_eq!(out.capacity(), 0);
@@ -591,8 +555,8 @@ mod tests {
 
     #[test]
     fn fewer_items_than_threads_uses_one_chunk_per_item() {
-        // len=2 < threads=8 with the gate lowered: 2 chunks, order kept.
-        let exec = Executor::new(8).with_min_items(1);
+        // len=2 < threads=8: 2 chunks, order kept.
+        let exec = Executor::new(8);
         let mut items = vec![10u32, 20];
         let out = exec.map_mut(&mut items, |x| *x + 1);
         assert_eq!(out, vec![11, 21]);
@@ -601,7 +565,7 @@ mod tests {
 
     #[test]
     fn worker_panics_propagate_with_payload() {
-        let exec = Executor::new(4).with_min_items(1);
+        let exec = Executor::new(4);
         let mut items: Vec<usize> = (0..16).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             exec.map_mut(&mut items, |&mut x| {
@@ -621,7 +585,7 @@ mod tests {
 
     #[test]
     fn executor_metrics_observe_without_changing_results() {
-        let exec = Executor::new(2).with_min_items(1);
+        let exec = Executor::new(2);
         // Serial executors have no pool: all metrics calls are no-ops.
         let serial = Executor::serial();
         serial.set_metrics_enabled(true);
@@ -646,8 +610,8 @@ mod tests {
 
     #[test]
     fn pool_is_shared_across_clones_and_reused() {
-        let exec = Executor::new(2).with_min_items(1);
-        let clone = exec.clone().with_min_items(1);
+        let exec = Executor::new(2);
+        let clone = exec.clone();
         let mut items: Vec<u32> = (0..8).collect();
         exec.map_mut(&mut items, |x| *x);
         clone.map_mut(&mut items, |x| *x);
@@ -662,7 +626,7 @@ mod tests {
 
     #[test]
     fn pool_and_serial_paths_are_bit_identical() {
-        let exec = Executor::new(3).with_min_items(1);
+        let exec = Executor::new(3);
         let items: Vec<f32> = (0..101).map(|i| i as f32 * 0.37).collect();
         let via_pool = exec.map_ref(&items, |&x| (x * x).to_bits());
         let serial: Vec<u32> = items.iter().map(|&x| (x * x).to_bits()).collect();
@@ -672,7 +636,7 @@ mod tests {
     #[test]
     fn pipeline_matches_serial_interleaving() {
         for threads in [1usize, 2, 4, 8] {
-            let exec = Executor::new(threads).with_min_items(1);
+            let exec = Executor::new(threads);
             let mut items: Vec<u64> = (0..57).collect();
             let mut seen: Vec<(usize, u64, u64)> = Vec::new();
             exec.pipeline_mut(
@@ -692,7 +656,7 @@ mod tests {
 
     #[test]
     fn pipeline_consumer_may_mutate_items() {
-        let exec = Executor::new(4).with_min_items(1);
+        let exec = Executor::new(4);
         let mut items: Vec<u64> = (0..40).collect();
         exec.pipeline_mut(
             &mut items,
@@ -705,7 +669,7 @@ mod tests {
 
     #[test]
     fn pipeline_producer_panic_propagates() {
-        let exec = Executor::new(4).with_min_items(1);
+        let exec = Executor::new(4);
         let mut items: Vec<usize> = (0..32).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             exec.pipeline_mut(
@@ -744,7 +708,7 @@ mod tests {
     fn nested_regions_run_inline_on_workers() {
         // A region whose closure itself maps through the executor must not
         // deadlock: the nested call runs inline on the worker.
-        let exec = Executor::new(2).with_min_items(1);
+        let exec = Executor::new(2);
         let inner = exec.clone();
         let items: Vec<u32> = (0..8).collect();
         let nested: Vec<Vec<u32>> = exec.map_ref(&items, |&x| {

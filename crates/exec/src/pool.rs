@@ -74,7 +74,7 @@ pub fn on_worker_thread() -> bool {
 /// counters, result slots, panic slot) stays consistent through unwinding
 /// because every critical section is a handful of moves with no invariant
 /// spanning a panic point.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())

@@ -207,13 +207,7 @@ impl FedAvgSimulation {
             let mut stripes: Vec<(usize, &mut [f64])> =
                 avg.chunks_mut(stripe).enumerate().collect();
             let clients = &self.clients;
-            // The stripe count equals the thread count, so the map must not
-            // re-apply the executor's min-items gate (2 stripes on a
-            // 2-thread executor must still go to the pool); the
-            // is_serial/dim guard above already made the parallelize
-            // decision.
-            let exec = self.executor.clone().with_min_items(1);
-            exec.map_mut(&mut stripes, |(i, chunk)| {
+            self.executor.map_mut(&mut stripes, |(i, chunk)| {
                 let lo = *i * stripe;
                 for client in clients {
                     let src = &client.params[lo..lo + chunk.len()];

@@ -2,10 +2,7 @@
 
 use agsfl_exec::{Executor, Parallelism};
 use agsfl_ml::data::{ClientShard, FederatedDataset, ShardSource};
-use agsfl_ml::metrics::{
-    accuracy_parallel, global_accuracy_parallel, global_evaluation, global_loss_parallel,
-    GlobalEvaluation,
-};
+use agsfl_ml::metrics::{global_evaluation, GlobalEvaluation};
 use agsfl_ml::model::Model;
 use agsfl_sparse::{
     topk, ClientUpload, SelectionResult, SelectionScratch, SparseGradient, Sparsifier, UploadPlan,
@@ -509,113 +506,27 @@ impl Simulation {
         self.source.as_ref()
     }
 
-    /// The federated dataset.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the simulation runs over a lazy [`ShardSource`] with no
-    /// resident dataset; use [`Simulation::source`] in source-generic code.
-    pub fn dataset(&self) -> &FederatedDataset {
-        self.source
-            .as_dataset()
-            .expect("simulation over a lazy source has no resident dataset")
-    }
-
-    /// Streams every shard of a lazy source through one reusable buffer —
-    /// each shard is materialized exactly once however many metrics ride
-    /// the sweep — and folds each `per_shard(features, labels)[m] * len` in
-    /// shard order: exactly the serial association of
-    /// `agsfl_ml::metrics::global_loss` / `global_accuracy`, so the lazy
-    /// sweep is bit-identical to the eager one for a source that
-    /// materializes the same shards.
-    fn streamed_weighted_sweep<const M: usize>(
-        &self,
-        per_shard: impl Fn(&agsfl_tensor::Matrix, &[usize]) -> [f32; M],
-    ) -> [f32; M] {
-        let total = self.source.total_samples();
-        if total == 0 {
-            return [0.0; M];
-        }
-        let mut shard = ClientShard::empty(self.source.feature_dim());
-        let mut acc = [0.0f64; M];
-        for id in 0..self.source.num_clients() {
-            self.source.materialize_into(id, &mut shard);
-            if shard.is_empty() {
-                continue;
-            }
-            let values = per_shard(&shard.features, &shard.labels);
-            for (acc, value) in acc.iter_mut().zip(values) {
-                *acc += value as f64 * shard.len() as f64;
-            }
-        }
-        acc.map(|acc| (acc / total as f64) as f32)
-    }
-
     /// Global training loss `L(w)` over all client data at the current
-    /// weights. Over an eager dataset the sweep is client-parallel through
-    /// the round engine's executor (bit-identical to the serial sweep; see
-    /// `agsfl_ml::metrics`); over a lazy source the shards are streamed one
-    /// at a time through a reusable buffer, so evaluation stays `O(shard)`
-    /// resident even at a million clients.
+    /// weights: the evaluation sweep restricted to the client shards.
     pub fn global_train_loss(&self) -> f64 {
-        match self.source.as_dataset() {
-            Some(ds) => global_loss_parallel(
-                self.model.as_ref(),
-                &self.params,
-                ds.clients(),
-                &self.executor,
-            ) as f64,
-            None => {
-                let [loss] = self.streamed_weighted_sweep(|x, labels| {
-                    [self.model.loss(&self.params, x, labels)]
-                });
-                loss as f64
-            }
-        }
+        self.sweep(true, false).train_loss as f64
     }
 
-    /// Test-set accuracy at the current weights (row-chunked parallel sweep,
-    /// bit-identical to the serial pass).
+    /// Test-set accuracy at the current weights: the evaluation sweep
+    /// restricted to the test set.
     pub fn test_accuracy(&self) -> f64 {
-        let test = self.source.test();
-        accuracy_parallel(
-            self.model.as_ref(),
-            &self.params,
-            &test.features,
-            &test.labels,
-            &self.executor,
-        ) as f64
-    }
-
-    /// Weighted training accuracy over all client data at the current
-    /// weights (client-parallel over an eager dataset, shard-streamed over
-    /// a lazy source; both bit-identical to the serial pass).
-    pub fn global_train_accuracy(&self) -> f64 {
-        match self.source.as_dataset() {
-            Some(ds) => global_accuracy_parallel(
-                self.model.as_ref(),
-                &self.params,
-                ds.clients(),
-                &self.executor,
-            ) as f64,
-            None => {
-                let [accuracy] = self.streamed_weighted_sweep(|x, labels| {
-                    [self.model.accuracy(&self.params, x, labels)]
-                });
-                accuracy as f64
-            }
-        }
+        self.sweep(false, true).test_accuracy as f64
     }
 
     /// Everything an evaluation point reports — global train loss, global
     /// train accuracy and test accuracy — from **one** fused parallel sweep
     /// over one work list, so an `eval_every` point spawns a single worker
-    /// region and forwards every client shard exactly once (the individual
-    /// accessors forward the shards once per metric). Over a lazy source
-    /// the train metrics stream shard-by-shard instead, both from one pass
-    /// that materializes every shard once.
+    /// region and forwards every client shard exactly once. Over a lazy
+    /// source the train metrics stream shard-by-shard instead, both from
+    /// one pass that materializes every shard once.
     ///
-    /// Each metric is bit-identical to its individual accessor.
+    /// Bit-identical to the serial oracles in `agsfl_ml::metrics` at every
+    /// worker count, eager or lazy.
     pub fn evaluate(&self) -> GlobalEvaluation {
         self.evaluate_recorded(&mut NoopRecorder)
     }
@@ -624,36 +535,45 @@ impl Simulation {
     /// [`SpanId::Evaluate`] span. Telemetry is observation only — the
     /// metrics returned are bit-identical to [`Simulation::evaluate`]'s.
     pub fn evaluate_recorded<R: Recorder>(&self, rec: &mut R) -> GlobalEvaluation {
-        let eval = stage(rec, SpanId::Evaluate, || self.evaluate_inner());
-        if rec.enabled() {
-            drain_batched_forward(rec);
-        }
-        eval
+        stage(rec, SpanId::Evaluate, || self.sweep(true, true))
     }
 
-    fn evaluate_inner(&self) -> GlobalEvaluation {
-        match self.source.as_dataset() {
-            Some(ds) => global_evaluation(
-                self.model.as_ref(),
-                &self.params,
-                ds.clients(),
-                ds.test(),
-                &self.executor,
-            ),
-            None => {
-                let [train_loss, train_accuracy] = self.streamed_weighted_sweep(|x, labels| {
-                    [
-                        self.model.loss(&self.params, x, labels),
-                        self.model.accuracy(&self.params, x, labels),
-                    ]
-                });
-                GlobalEvaluation {
-                    train_loss,
-                    train_accuracy,
-                    test_accuracy: self.test_accuracy() as f32,
+    /// The one evaluation body: [`global_evaluation`] over the resident
+    /// client shards (when `train`) and the test set (when `test`); a half
+    /// that is left out reads `0.0`.
+    ///
+    /// A lazy source has no resident shards to put on the work list: its
+    /// train metrics stream every shard through one reusable buffer —
+    /// evaluation stays `O(shard)` resident even at a million clients —
+    /// folding `metric * len` in shard order, which is exactly the serial
+    /// association of `agsfl_ml::metrics::global_loss` / `global_accuracy`,
+    /// so the lazy sweep is bit-identical to the eager one for a source
+    /// that materializes the same shards.
+    fn sweep(&self, train: bool, test: bool) -> GlobalEvaluation {
+        let model = self.model.as_ref();
+        let none = ClientShard::empty(self.source.feature_dim());
+        let test_set = if test { self.source.test() } else { &none };
+        let resident = self.source.as_dataset().map(FederatedDataset::clients);
+        let shards = if train { resident.unwrap_or(&[]) } else { &[] };
+        let mut eval = global_evaluation(model, &self.params, shards, test_set, &self.executor);
+        let total = self.source.total_samples();
+        if train && resident.is_none() && total > 0 {
+            let mut shard = ClientShard::empty(self.source.feature_dim());
+            let (mut loss, mut accuracy) = (0.0f64, 0.0f64);
+            for id in 0..self.source.num_clients() {
+                self.source.materialize_into(id, &mut shard);
+                if shard.is_empty() {
+                    continue;
                 }
+                let len = shard.len() as f64;
+                loss += model.loss(&self.params, &shard.features, &shard.labels) as f64 * len;
+                accuracy +=
+                    model.accuracy(&self.params, &shard.features, &shard.labels) as f64 * len;
             }
+            eval.train_loss = (loss / total as f64) as f32;
+            eval.train_accuracy = (accuracy / total as f64) as f32;
         }
+        eval
     }
 
     /// Installs an uplink precision tier for subsequent rounds — the
@@ -672,12 +592,6 @@ impl Simulation {
         if let Some(wire) = &mut self.wire {
             wire.set_precision(precision);
         }
-    }
-
-    /// Name of the uplink codec currently in force, `None` without a wire
-    /// config.
-    pub fn wire_codec_name(&self) -> Option<&'static str> {
-        self.wire.as_ref().map(|w| w.codec.name())
     }
 
     /// Runs one round of Algorithm 1 with `k`-element sparsification.
@@ -790,7 +704,6 @@ impl Simulation {
                 GaugeId::ResidentClients,
                 self.population.resident_rows() as u64,
             );
-            drain_batched_forward(rec);
         }
         self.cohort = cohort;
         report
@@ -1526,18 +1439,6 @@ pub fn record_round_report<R: Recorder>(rec: &mut R, report: &RoundReport) {
     }
 }
 
-/// Drains the process-wide batched-forward pool (`agsfl_ml::stats`) into
-/// the recorder: one [`SpanId::BatchedForward`] sample holding the drained
-/// wall time, plus the produced logit rows. A no-op while the kernel-side
-/// accounting is disabled (the pool stays empty).
-fn drain_batched_forward<R: Recorder>(rec: &mut R) {
-    let (calls, rows, nanos) = agsfl_ml::stats::take();
-    if calls > 0 {
-        rec.span(SpanId::BatchedForward, nanos);
-        rec.counter(CounterId::BatchedForwardRows, rows);
-    }
-}
-
 /// Magic bytes of a serialized [`Simulation`] state blob.
 const SIM_MAGIC: [u8; 4] = *b"AGSF";
 /// Current simulation state format version: v2 replaced the dense
@@ -1988,11 +1889,11 @@ mod tests {
         }
     }
 
-    /// The fused evaluation sweep must equal the individual accessors bit
-    /// for bit, serial or parallel, across 1–8 workers.
+    /// The accessors are restrictions of the fused evaluation sweep: equal
+    /// to its fields bit for bit, serial or parallel, across 1–8 workers.
     #[test]
     fn fused_evaluation_matches_accessors_for_any_worker_count() {
-        for threads in [1usize, 2, 3, 5, 8] {
+        for threads in [1usize, 2, 3, 4, 5, 8] {
             let parallelism = if threads == 1 {
                 Parallelism::Serial
             } else {
@@ -2004,18 +1905,13 @@ mod tests {
             }
             let eval = sim.evaluate();
             assert_eq!(
-                eval.train_loss as f64,
-                sim.global_train_loss(),
+                (eval.train_loss as f64).to_bits(),
+                sim.global_train_loss().to_bits(),
                 "threads={threads}"
             );
             assert_eq!(
-                eval.train_accuracy as f64,
-                sim.global_train_accuracy(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                eval.test_accuracy as f64,
-                sim.test_accuracy(),
+                (eval.test_accuracy as f64).to_bits(),
+                sim.test_accuracy().to_bits(),
                 "threads={threads}"
             );
         }
@@ -2035,10 +1931,6 @@ mod tests {
         assert_eq!(serial.evaluate(), parallel.evaluate());
         assert_eq!(serial.global_train_loss(), parallel.global_train_loss());
         assert_eq!(serial.test_accuracy(), parallel.test_accuracy());
-        assert_eq!(
-            serial.global_train_accuracy(),
-            parallel.global_train_accuracy()
-        );
     }
 
     /// The byte-priced path must not perturb training by a single bit: the
@@ -2791,61 +2683,68 @@ mod tests {
         use agsfl_ml::data::LazySyntheticFemnist;
 
         let cfg = SyntheticFemnistConfig::tiny();
-        let src = LazySyntheticFemnist::new(cfg, 5);
-        let n = ShardSource::num_clients(&src);
-        let mut shards = Vec::new();
-        for i in 0..n {
-            let mut shard = ClientShard::empty(cfg.feature_dim);
-            src.materialize_into(i, &mut shard);
-            shards.push(shard);
-        }
-        let fed = FederatedDataset::new(shards, src.test().clone(), cfg.num_classes);
-        let config = SimulationConfig {
-            learning_rate: 0.05,
-            batch_size: 8,
-            time_model: TimeModel::normalized(5.0),
-            seed: 5,
-            parallelism: Parallelism::Auto,
-            wire: None,
-            fault: None,
-            cohort: Some(4),
-        };
-        let mut lazy = Simulation::with_source(
-            Box::new(LinearSoftmax::new(cfg.feature_dim, cfg.num_classes)),
-            Box::new(src),
-            Box::new(FabTopK::new()),
-            config.clone(),
-        );
-        let mut eager = Simulation::new(
-            Box::new(LinearSoftmax::new(cfg.feature_dim, cfg.num_classes)),
-            fed,
-            Box::new(FabTopK::new()),
-            config,
-        );
-        for round in 0..5 {
-            let probe = (round % 2 == 0).then_some(4);
-            assert_eq!(
-                lazy.run_round(8, probe),
-                eager.run_round(8, probe),
-                "round {round}"
+        for parallelism in [
+            Parallelism::Serial,
+            Parallelism::Threads(2),
+            Parallelism::Threads(4),
+            Parallelism::Threads(8),
+        ] {
+            let src = LazySyntheticFemnist::new(cfg, 5);
+            let n = ShardSource::num_clients(&src);
+            let mut shards = Vec::new();
+            for i in 0..n {
+                let mut shard = ClientShard::empty(cfg.feature_dim);
+                src.materialize_into(i, &mut shard);
+                shards.push(shard);
+            }
+            let fed = FederatedDataset::new(shards, src.test().clone(), cfg.num_classes);
+            let config = SimulationConfig {
+                learning_rate: 0.05,
+                batch_size: 8,
+                time_model: TimeModel::normalized(5.0),
+                seed: 5,
+                parallelism,
+                wire: None,
+                fault: None,
+                cohort: Some(4),
+            };
+            let mut lazy = Simulation::with_source(
+                Box::new(LinearSoftmax::new(cfg.feature_dim, cfg.num_classes)),
+                Box::new(src),
+                Box::new(FabTopK::new()),
+                config.clone(),
             );
+            let mut eager = Simulation::new(
+                Box::new(LinearSoftmax::new(cfg.feature_dim, cfg.num_classes)),
+                fed,
+                Box::new(FabTopK::new()),
+                config,
+            );
+            for round in 0..5 {
+                let probe = (round % 2 == 0).then_some(4);
+                assert_eq!(
+                    lazy.run_round(8, probe),
+                    eager.run_round(8, probe),
+                    "round {round} under {parallelism:?}"
+                );
+            }
+            assert_eq!(lazy.params(), eager.params());
+            let (le, ee) = (lazy.evaluate(), eager.evaluate());
+            assert_eq!(le.train_loss.to_bits(), ee.train_loss.to_bits());
+            assert_eq!(le.train_accuracy.to_bits(), ee.train_accuracy.to_bits());
+            assert_eq!(le.test_accuracy.to_bits(), ee.test_accuracy.to_bits());
+            for sim in [&lazy, &eager] {
+                assert_eq!(
+                    sim.global_train_loss().to_bits(),
+                    (le.train_loss as f64).to_bits(),
+                    "{parallelism:?}"
+                );
+                assert_eq!(
+                    sim.test_accuracy().to_bits(),
+                    (le.test_accuracy as f64).to_bits(),
+                    "{parallelism:?}"
+                );
+            }
         }
-        assert_eq!(lazy.params(), eager.params());
-        assert_eq!(
-            lazy.global_train_loss().to_bits(),
-            eager.global_train_loss().to_bits()
-        );
-        assert_eq!(
-            lazy.global_train_accuracy().to_bits(),
-            eager.global_train_accuracy().to_bits()
-        );
-        assert_eq!(
-            lazy.test_accuracy().to_bits(),
-            eager.test_accuracy().to_bits()
-        );
-        let (le, ee) = (lazy.evaluate(), eager.evaluate());
-        assert_eq!(le.train_loss.to_bits(), ee.train_loss.to_bits());
-        assert_eq!(le.train_accuracy.to_bits(), ee.train_accuracy.to_bits());
-        assert_eq!(le.test_accuracy.to_bits(), ee.test_accuracy.to_bits());
     }
 }

@@ -402,10 +402,6 @@ fn lazy_evaluate_materializes_each_shard_once() {
         sim.global_train_loss().to_bits()
     );
     assert_eq!(
-        (eval.train_accuracy as f64).to_bits(),
-        sim.global_train_accuracy().to_bits()
-    );
-    assert_eq!(
         (eval.test_accuracy as f64).to_bits(),
         sim.test_accuracy().to_bits()
     );

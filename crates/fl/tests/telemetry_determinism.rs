@@ -1,7 +1,6 @@
 //! Telemetry is observation only: every golden trajectory must reproduce
-//! **bit-identically with recording enabled** — stage spans, counters, the
-//! worker pool's metrics, and the batched-forward accounting all on — at
-//! every pinned worker count.
+//! **bit-identically with recording enabled** — stage spans, counters and
+//! the worker pool's metrics all on — at every pinned worker count.
 //!
 //! The hashes here mirror the pins in `golden_trajectory.rs` (5 plain +
 //! 5 byte-priced + 1 fault-injected) and `lossy_reproducibility.rs` (6
@@ -72,19 +71,16 @@ const WORKER_COUNTS: [Parallelism; 4] = [
 ];
 
 /// Runs `rounds` recorded rounds with every telemetry layer enabled — a
-/// [`StageRecorder`], the executor's pool metrics, and the process-wide
-/// batched-forward accounting — and returns the trajectory hash pair plus
-/// the recorder for content assertions.
+/// [`StageRecorder`] and the executor's pool metrics — and returns the
+/// trajectory hash pair plus the recorder for content assertions.
 fn run_recorded(sim: &mut Simulation, rounds: usize, probing: bool) -> ((u64, u64), StageRecorder) {
     sim.executor().set_metrics_enabled(true);
-    agsfl_ml::stats::set_enabled(true);
     let mut rec = StageRecorder::new();
     for round in 0..rounds {
         rec.begin_round();
         let probe = (probing && round % 2 == 0).then_some(4);
         sim.run_round_recorded(8, probe, &mut rec);
     }
-    agsfl_ml::stats::set_enabled(false);
     ((fnv(sim.params()), sim.elapsed_time().to_bits()), rec)
 }
 
@@ -354,7 +350,6 @@ fn recording_produces_the_same_counters_at_every_worker_count() {
         let (_, rec) = run_recorded(&mut sim, 4, true);
         let counters: Vec<u64> = CounterId::ALL
             .iter()
-            .filter(|&&id| id != CounterId::BatchedForwardRows)
             .map(|&id| rec.counter_total(id))
             .collect();
         match &reference {

@@ -54,7 +54,6 @@ pub mod metrics;
 pub mod model;
 pub mod optim;
 pub mod reference;
-pub mod stats;
 
 pub use data::{ClientShard, FederatedDataset};
 pub use model::Model;

@@ -2,18 +2,20 @@
 //!
 //! The paper's global loss is the data-size-weighted average of per-client
 //! losses, `L(w) = Σ_i C_i L(w, i) / C` (Section III-A); [`global_loss`] and
-//! [`global_accuracy`] implement that weighting for any [`Model`].
+//! [`global_accuracy`] implement that weighting for any [`Model`], serially:
+//! they are the oracles the sweep below is pinned against.
 //!
-//! # Executor-sharded sweeps
+//! # The executor-sharded sweep
 //!
 //! At every evaluation point the simulators sweep **all** `N` clients (and
 //! the test set) at the current `D`-dimensional weights — an `O(N·D)` pass
 //! that dominates wall time at `eval_every` rounds once the per-round engine
-//! is parallel. The `*_parallel` variants and the fused
-//! [`global_evaluation`] run those sweeps through an
-//! [`agsfl_exec::Executor`] as chunked maps whose results come back in item
-//! order, with the reduction performed serially on the caller's thread in
-//! exactly the serial path's association. Results are therefore
+//! is parallel. [`global_evaluation`] is the one sweep that runs through an
+//! [`agsfl_exec::Executor`]: one parallel region over one work list (client
+//! shards plus test-row chunks) whose results come back in item order, with
+//! the reduction performed serially on the caller's thread in exactly the
+//! serial path's association. An empty shard list makes it the test-accuracy
+//! sweep, an empty test shard the train-metrics sweep. Results are
 //! **bit-identical** to the serial functions for every thread count:
 //!
 //! * per-shard losses/accuracies are computed independently (purity of
@@ -23,26 +25,13 @@
 //!   and per-chunk correct counts merge by integer addition;
 //! * the weighted folds over shards run on the caller's thread in shard
 //!   order, the serial association.
-//!
-//! [`global_evaluation`] additionally fuses the three sweeps the figure
-//! pipelines report (train loss, train accuracy, test accuracy) into one
-//! parallel region over one work list, so an evaluation point spawns one
-//! set of workers and forwards every shard once instead of twice.
 
 use agsfl_exec::Executor;
-use agsfl_tensor::{Matrix, MatrixView};
+use agsfl_tensor::Matrix;
 
 use crate::data::ClientShard;
 use crate::loss::batch_cross_entropy;
 use crate::model::Model;
-
-/// Fraction of correctly classified rows of `x` under `params`, in `[0, 1]`.
-///
-/// Convenience wrapper around [`Model::accuracy`] for callers that hold the
-/// model behind a reference.
-pub fn accuracy(model: &dyn Model, params: &[f32], x: &Matrix, labels: &[usize]) -> f32 {
-    model.accuracy(params, x, labels)
-}
 
 /// Data-size-weighted global loss `Σ_i C_i L(w, i) / C` over client shards.
 ///
@@ -82,131 +71,17 @@ pub fn global_accuracy(model: &dyn Model, params: &[f32], shards: &[ClientShard]
     (correct / total as f64) as f32
 }
 
-/// Number of correctly classified rows of `x` under `params`.
+/// Number of rows of `logits` whose argmax is the row's label.
 ///
-/// The integer building block behind the chunked accuracy sweeps: counts
-/// merge exactly across chunks, unlike the `f32` fraction
-/// [`Model::accuracy`] returns.
-///
-/// Takes the rows as a borrowed view, so a chunk of a larger matrix is
-/// forwarded where it lies.
-pub fn correct_count(
-    model: &dyn Model,
-    params: &[f32],
-    x: MatrixView<'_>,
-    labels: &[usize],
-) -> usize {
-    let logits = model.forward_view(params, x);
+/// The integer building block of the sweep's accuracies: counts merge
+/// exactly across chunks, unlike the `f32` fraction [`Model::accuracy`]
+/// returns.
+fn correct_rows(logits: &Matrix, labels: &[usize]) -> usize {
     logits
         .iter_rows()
         .zip(labels.iter())
         .filter(|(row, &label)| agsfl_tensor::vecops::argmax(row) == Some(label))
         .count()
-}
-
-/// Splits `rows` into one contiguous chunk per executor worker (or a single
-/// chunk when the executor would not parallelize the sweep).
-fn row_chunks(rows: usize, exec: &Executor) -> Vec<std::ops::Range<usize>> {
-    if !exec.should_parallelize(rows) {
-        return std::iter::once(0..rows).collect();
-    }
-    let chunk = rows.div_ceil(exec.threads());
-    (0..rows.div_ceil(chunk))
-        .map(|i| i * chunk..((i + 1) * chunk).min(rows))
-        .collect()
-}
-
-/// Row-chunked accuracy sweep, in `[0, 1]`.
-///
-/// Bit-identical to [`Model::accuracy`] for every executor configuration:
-/// each chunk's logits match the unsplit forward pass row-for-row (row
-/// independence, see the [`Model`] contract) and chunk counts merge by
-/// integer addition before the single final division.
-pub fn accuracy_parallel(
-    model: &dyn Model,
-    params: &[f32],
-    x: &Matrix,
-    labels: &[usize],
-    exec: &Executor,
-) -> f32 {
-    if labels.is_empty() {
-        return 0.0;
-    }
-    let chunks = row_chunks(x.rows(), exec);
-    if chunks.len() == 1 {
-        // Serial fallback: forward the matrix directly, no row copy.
-        return correct_count(model, params, x.view(), labels) as f32 / labels.len() as f32;
-    }
-    // `row_chunks` already made the parallelize-or-not decision, so the map
-    // must not re-apply the executor's min-items gate to the (small) chunk
-    // count — a 2-chunk sweep on a 2-thread executor should actually spawn.
-    let counts = exec.clone().with_min_items(1).map_ref(&chunks, |rows| {
-        correct_count(
-            model,
-            params,
-            x.view().row_block(rows.clone()),
-            &labels[rows.clone()],
-        )
-    });
-    counts.iter().sum::<usize>() as f32 / labels.len() as f32
-}
-
-/// Executor-sharded [`global_loss`]: one parallel map over the shards, with
-/// the weighted fold run serially in shard order. Bit-identical to the
-/// serial function for every executor configuration.
-pub fn global_loss_parallel(
-    model: &dyn Model,
-    params: &[f32],
-    shards: &[ClientShard],
-    exec: &Executor,
-) -> f32 {
-    let total: usize = shards.iter().map(ClientShard::len).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let losses = exec.map_ref(shards, |shard| {
-        if shard.is_empty() {
-            None
-        } else {
-            Some(model.loss(params, &shard.features, &shard.labels))
-        }
-    });
-    let mut acc = 0.0f64;
-    for (shard, loss) in shards.iter().zip(losses) {
-        if let Some(loss) = loss {
-            acc += loss as f64 * shard.len() as f64;
-        }
-    }
-    (acc / total as f64) as f32
-}
-
-/// Executor-sharded [`global_accuracy`]; bit-identical to the serial
-/// function for every executor configuration (same structure as
-/// [`global_loss_parallel`]).
-pub fn global_accuracy_parallel(
-    model: &dyn Model,
-    params: &[f32],
-    shards: &[ClientShard],
-    exec: &Executor,
-) -> f32 {
-    let total: usize = shards.iter().map(ClientShard::len).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let fractions = exec.map_ref(shards, |shard| {
-        if shard.is_empty() {
-            None
-        } else {
-            Some(model.accuracy(params, &shard.features, &shard.labels))
-        }
-    });
-    let mut correct = 0.0f64;
-    for (shard, frac) in shards.iter().zip(fractions) {
-        if let Some(frac) = frac {
-            correct += frac as f64 * shard.len() as f64;
-        }
-    }
-    (correct / total as f64) as f32
 }
 
 /// Everything an evaluation point reports, computed by one fused sweep
@@ -273,45 +148,28 @@ pub fn global_evaluation(
         .filter(|s| !s.is_empty())
         .map(EvalItem::Shard)
         .collect();
-    let num_shards = items.len();
-    // Parallelize when either the shard list or the test set clears the
-    // executor's gate; the map itself then runs with min_items = 1, because
-    // the work list already encodes that decision (a few-item list on a
-    // 2-thread executor must still spawn).
-    let parallel = exec.should_parallelize(num_shards) || exec.should_parallelize(test.len());
     if !test.is_empty() {
-        let chunk = if parallel {
-            test_chunk_rows(shards, test.len(), exec.threads())
-        } else {
+        // A serial sweep forwards the test set in one piece.
+        let chunk = if exec.is_serial() {
             test.len()
+        } else {
+            test_chunk_rows(shards, test.len(), exec.threads())
         };
         items.extend(
             (0..test.len().div_ceil(chunk))
                 .map(|i| EvalItem::TestChunk(i * chunk..((i + 1) * chunk).min(test.len()))),
         );
     }
-    let map_exec = if parallel {
-        exec.clone().with_min_items(1)
-    } else {
-        Executor::serial()
-    };
-    let partials = map_exec.map_ref(&items, |item| match item {
+    let partials = exec.map_ref(&items, |item| match item {
         EvalItem::Shard(shard) => {
             let logits = model.forward(params, &shard.features);
-            let correct = logits
-                .iter_rows()
-                .zip(shard.labels.iter())
-                .filter(|(row, &label)| agsfl_tensor::vecops::argmax(row) == Some(label))
-                .count();
             EvalPartial::Shard {
                 loss: batch_cross_entropy(&logits, &shard.labels),
-                accuracy: correct as f32 / shard.len() as f32,
+                accuracy: correct_rows(&logits, &shard.labels) as f32 / shard.len() as f32,
             }
         }
-        EvalItem::TestChunk(rows) => EvalPartial::TestCorrect(correct_count(
-            model,
-            params,
-            test.features.view().row_block(rows.clone()),
+        EvalItem::TestChunk(rows) => EvalPartial::TestCorrect(correct_rows(
+            &model.forward_view(params, test.features.view().row_block(rows.clone())),
             &test.labels[rows.clone()],
         )),
     });
@@ -346,85 +204,6 @@ pub fn global_evaluation(
         } else {
             test_correct as f32 / test.len() as f32
         },
-    }
-}
-
-/// A labelled confusion matrix over `num_classes` classes.
-///
-/// Row = true class, column = predicted class.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    num_classes: usize,
-    counts: Vec<u64>,
-}
-
-impl ConfusionMatrix {
-    /// Creates an empty confusion matrix.
-    pub fn new(num_classes: usize) -> Self {
-        Self {
-            num_classes,
-            counts: vec![0; num_classes * num_classes],
-        }
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    /// Records one observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either class index is out of range.
-    pub fn record(&mut self, true_class: usize, predicted: usize) {
-        assert!(true_class < self.num_classes && predicted < self.num_classes);
-        self.counts[true_class * self.num_classes + predicted] += 1;
-    }
-
-    /// Fills the matrix from model predictions on a batch.
-    pub fn record_batch(
-        &mut self,
-        model: &dyn Model,
-        params: &[f32],
-        x: &Matrix,
-        labels: &[usize],
-    ) {
-        let logits = model.forward(params, x);
-        for (row, &label) in logits.iter_rows().zip(labels.iter()) {
-            let pred = agsfl_tensor::vecops::argmax(row).unwrap_or(0);
-            self.record(label, pred);
-        }
-    }
-
-    /// Count for `(true_class, predicted)`.
-    pub fn count(&self, true_class: usize, predicted: usize) -> u64 {
-        self.counts[true_class * self.num_classes + predicted]
-    }
-
-    /// Total number of recorded observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Overall accuracy (trace / total), `0.0` when empty.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: u64 = (0..self.num_classes).map(|i| self.count(i, i)).sum();
-        diag as f64 / total as f64
-    }
-
-    /// Per-class recall (`None` for classes never observed).
-    pub fn recall(&self, class: usize) -> Option<f64> {
-        let row_total: u64 = (0..self.num_classes).map(|j| self.count(class, j)).sum();
-        if row_total == 0 {
-            None
-        } else {
-            Some(self.count(class, class) as f64 / row_total as f64)
-        }
     }
 }
 
@@ -474,89 +253,70 @@ mod tests {
         assert_eq!(global_accuracy(&model, &params, &[a]), 1.0);
     }
 
-    #[test]
-    fn confusion_matrix_counts_and_accuracy() {
-        let mut cm = ConfusionMatrix::new(3);
-        cm.record(0, 0);
-        cm.record(0, 1);
-        cm.record(1, 1);
-        cm.record(2, 2);
-        assert_eq!(cm.total(), 4);
-        assert_eq!(cm.count(0, 1), 1);
-        assert!((cm.accuracy() - 0.75).abs() < 1e-12);
-        assert_eq!(cm.recall(0), Some(0.5));
-        assert_eq!(cm.recall(1), Some(1.0));
-    }
-
-    #[test]
-    fn confusion_matrix_record_batch() {
-        let model = LinearSoftmax::new(2, 2);
-        let params = vec![5.0, -5.0, -5.0, 5.0, 0.0, 0.0];
-        let x = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 0.0]]);
-        let labels = vec![0, 1, 1];
-        let mut cm = ConfusionMatrix::new(2);
-        cm.record_batch(&model, &params, &x, &labels);
-        assert_eq!(cm.total(), 3);
-        assert_eq!(cm.count(1, 0), 1); // the mislabelled third sample
-        assert!((cm.accuracy() - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn recall_of_unseen_class_is_none() {
-        let cm = ConfusionMatrix::new(2);
-        assert_eq!(cm.recall(0), None);
-        assert_eq!(cm.accuracy(), 0.0);
-    }
-
-    /// The evaluation-sweep invariant: serial and parallel sweeps are
-    /// bit-identical for 1–8 workers, and the fused sweep matches the three
-    /// individual serial functions exactly.
+    /// The evaluation-sweep invariant: the fused sweep and its two
+    /// restrictions (shards only, test only) match the serial oracles
+    /// exactly for 1–8 workers — on the CNN too, whose row independence is
+    /// what lets the test set be cut into chunks — and so do the 2- and
+    /// 3-item work lists on 2 workers, the smallest regions that split.
     #[test]
     fn serial_and_parallel_evaluations_match() {
+        use crate::model::SimpleCnn;
         use agsfl_exec::Executor;
-        let model = LinearSoftmax::new(6, 4);
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let params = model.init_params(&mut rng);
-        let shards: Vec<ClientShard> = (0..9)
-            .map(|s| {
-                let n = 3 + (s * 5) % 7;
+        let linear = LinearSoftmax::new(6, 4);
+        let cnn = SimpleCnn::new(2, 7, 6, 3, 4);
+        for model in [&linear as &dyn Model, &cnn] {
+            let dim = model.input_dim();
+            let mut rng = ChaCha8Rng::seed_from_u64(7);
+            let params = model.init_params(&mut rng);
+            let shards: Vec<ClientShard> = (0..9)
+                .map(|s| {
+                    let n = 3 + (s * 5) % 7;
+                    ClientShard::new(
+                        Matrix::from_fn(n, dim, |i, j| {
+                            ((i * 31 + j * 17 + s * 13) % 23) as f32 * 0.1 - 1.0
+                        }),
+                        (0..n).map(|i| (i + s) % 4).collect(),
+                    )
+                })
+                .collect();
+            let test_rows = |n: usize| {
                 ClientShard::new(
-                    Matrix::from_fn(n, 6, |i, j| {
-                        ((i * 31 + j * 17 + s * 13) % 23) as f32 * 0.1 - 1.0
-                    }),
-                    (0..n).map(|i| (i + s) % 4).collect(),
+                    Matrix::from_fn(n, dim, |i, j| ((i * 7 + j * 29) % 19) as f32 * 0.1 - 0.9),
+                    (0..n).map(|i| i % 4).collect(),
                 )
-            })
-            .collect();
-        let test = ClientShard::new(
-            Matrix::from_fn(25, 6, |i, j| ((i * 7 + j * 29) % 19) as f32 * 0.1 - 0.9),
-            (0..25).map(|i| i % 4).collect(),
-        );
-
-        let expected_loss = global_loss(&model, &params, &shards);
-        let expected_acc = global_accuracy(&model, &params, &shards);
-        let expected_test = model.accuracy(&params, &test.features, &test.labels);
-        for threads in 1..=8 {
-            let exec = Executor::new(threads).with_min_items(1);
-            assert_eq!(
-                global_loss_parallel(&model, &params, &shards, &exec),
-                expected_loss,
-                "threads={threads}"
-            );
-            assert_eq!(
-                global_accuracy_parallel(&model, &params, &shards, &exec),
-                expected_acc,
-                "threads={threads}"
-            );
-            assert_eq!(
-                accuracy_parallel(&model, &params, &test.features, &test.labels, &exec),
-                expected_test,
-                "threads={threads}"
-            );
-            let fused = global_evaluation(&model, &params, &shards, &test, &exec);
-            assert_eq!(fused.train_loss, expected_loss, "threads={threads}");
-            assert_eq!(fused.train_accuracy, expected_acc, "threads={threads}");
-            assert_eq!(fused.test_accuracy, expected_test, "threads={threads}");
+            };
+            let none = ClientShard::empty(dim);
+            let check = |shards: &[ClientShard], test: &ClientShard, threads: usize| {
+                let exec = Executor::new(threads);
+                let fused = global_evaluation(model, &params, shards, test, &exec);
+                let what = format!("threads={threads} shards={}", shards.len());
+                assert_eq!(
+                    fused.train_loss,
+                    global_loss(model, &params, shards),
+                    "{what}"
+                );
+                assert_eq!(
+                    fused.train_accuracy,
+                    global_accuracy(model, &params, shards),
+                    "{what}"
+                );
+                assert_eq!(
+                    fused.test_accuracy,
+                    model.accuracy(&params, &test.features, &test.labels),
+                    "{what} test rows={}",
+                    test.len()
+                );
+            };
+            let test = test_rows(25);
+            for threads in 1..=8 {
+                check(&shards, &test, threads);
+                check(&shards, &none, threads);
+                check(&[], &test, threads);
+            }
+            for items in [2, 3] {
+                check(&shards[..items], &none, 2);
+                check(&[], &test_rows(items), 2);
+            }
         }
     }
 
@@ -582,7 +342,7 @@ mod tests {
         use agsfl_exec::Executor;
         let model = LinearSoftmax::new(2, 2);
         let params = vec![0.0; model.num_params()];
-        let exec = Executor::new(4).with_min_items(1);
+        let exec = Executor::new(4);
         let empty = global_evaluation(&model, &params, &[], &ClientShard::empty(2), &exec);
         assert_eq!(empty.train_loss, 0.0);
         assert_eq!(empty.train_accuracy, 0.0);

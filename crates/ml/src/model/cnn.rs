@@ -318,78 +318,6 @@ impl SimpleCnn {
         logits
     }
 
-    /// Row-parallel forward pass: splits the batch into one contiguous
-    /// row chunk per worker of `exec`'s persistent pool and runs
-    /// [`Model::forward`] on each chunk concurrently (each worker reuses
-    /// its own thread-local [`Im2colScratch`]), concatenating the logit
-    /// rows in chunk order.
-    ///
-    /// **Bit-identical to the unsplit forward pass** for every executor
-    /// configuration: each logit is a fold over the patch dimension (conv)
-    /// and the pooled dimension (fully connected), and the gemm kernels'
-    /// fold order over that contraction axis does not depend on how many
-    /// batch rows share the product — so evaluating a sample alone or
-    /// inside any batch produces the same bits (this is the row
-    /// independence the [`Model`] contract documents, and
-    /// `forward_batched_is_bit_identical` pins it per thread count). The
-    /// backward pass deliberately has **no** such sibling: its weight
-    /// gradients accumulate across the batch in a fixed fold order, so
-    /// row-splitting it would reassociate floating-point sums and break
-    /// the golden trajectories.
-    ///
-    /// Falls back to the plain forward when `exec` would not parallelize
-    /// `x.rows()` items. Nested inside another executor region (for
-    /// example the round engine's per-client pass) the chunks run inline
-    /// serially — same bits, no deadlock.
-    ///
-    /// # Panics
-    ///
-    /// Panics on parameter/input dimension mismatches, like
-    /// [`Model::forward`].
-    pub fn forward_batched(
-        &self,
-        params: &[f32],
-        x: &Matrix,
-        exec: &agsfl_exec::Executor,
-    ) -> Matrix {
-        // Observation-only accounting (see `crate::stats`): disabled runs
-        // pay one relaxed load and never read the clock.
-        let t0 = crate::stats::enabled().then(std::time::Instant::now);
-        let out = self.forward_batched_inner(params, x, exec);
-        if let Some(t0) = t0 {
-            crate::stats::record(out.rows() as u64, t0.elapsed().as_nanos() as u64);
-        }
-        out
-    }
-
-    fn forward_batched_inner(
-        &self,
-        params: &[f32],
-        x: &Matrix,
-        exec: &agsfl_exec::Executor,
-    ) -> Matrix {
-        check_params(self, params);
-        check_input(self, x.view());
-        let batch = x.rows();
-        if !exec.should_parallelize(batch) {
-            return self.forward(params, x);
-        }
-        let chunk = batch.div_ceil(exec.threads());
-        let ranges: Vec<std::ops::Range<usize>> = (0..batch.div_ceil(chunk))
-            .map(|i| i * chunk..((i + 1) * chunk).min(batch))
-            .collect();
-        // The chunk list already encodes the parallelize decision, so the
-        // map must not re-apply the executor's min-items gate.
-        let parts: Vec<Matrix> = exec.clone().with_min_items(1).map_ref(&ranges, |r| {
-            self.forward_view(params, x.view().row_block(r.clone()))
-        });
-        let mut flat = Vec::with_capacity(batch * self.num_classes);
-        for part in parts {
-            flat.extend_from_slice(part.as_slice());
-        }
-        Matrix::from_vec(batch, self.num_classes, flat)
-    }
-
     /// Loss + gradient reusing an explicit [`Im2colScratch`] (the
     /// allocation-free hot path; the [`Model::loss_and_grad_into`] impl
     /// wraps this with the thread's workspace). `grad` is overwritten:
@@ -731,36 +659,5 @@ mod tests {
     #[should_panic]
     fn too_small_image_panics() {
         let _ = SimpleCnn::new(1, 2, 2, 1, 2);
-    }
-
-    #[test]
-    fn forward_batched_is_bit_identical() {
-        let m = SimpleCnn::new(2, 7, 6, 3, 4);
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let params = m.init_params(&mut rng);
-        let (x, _) = toy_batch(&m, 23);
-        let serial = m.forward(&params, &x);
-        for threads in [1usize, 2, 4, 8] {
-            let exec = agsfl_exec::Executor::new(threads).with_min_items(1);
-            let batched = m.forward_batched(&params, &x, &exec);
-            assert_eq!(batched.shape(), serial.shape(), "threads={threads}");
-            for (a, b) in batched.as_slice().iter().zip(serial.as_slice().iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn forward_batched_handles_tiny_and_empty_batches() {
-        let m = toy_cnn();
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let params = m.init_params(&mut rng);
-        let exec = agsfl_exec::Executor::new(4);
-        let empty = Matrix::zeros(0, m.input_dim());
-        assert_eq!(m.forward_batched(&params, &empty, &exec).shape(), (0, 3));
-        let (x, _) = toy_batch(&m, 2);
-        let got = m.forward_batched(&params, &x, &exec);
-        let want = m.forward(&params, &x);
-        assert_eq!(got.as_slice(), want.as_slice());
     }
 }

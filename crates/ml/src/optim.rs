@@ -2,8 +2,7 @@
 //!
 //! Federated learning in the paper uses plain synchronous SGD with step size
 //! `η` (Eq. (1)): `w(m) = w(m-1) - η ∇_s L(w(m-1))`. [`sgd_step`] implements
-//! exactly that; [`SgdMomentum`] is provided for local (non-federated)
-//! baselines and ablation experiments.
+//! exactly that.
 //!
 //! # Examples
 //!
@@ -16,7 +15,6 @@
 //! ```
 
 use agsfl_tensor::vecops;
-use serde::{Deserialize, Serialize};
 
 /// Applies one SGD step `w -= lr * grad` in place.
 ///
@@ -25,93 +23,6 @@ use serde::{Deserialize, Serialize};
 /// Panics if `weights.len() != grad.len()`.
 pub fn sgd_step(weights: &mut [f32], grad: &[f32], lr: f32) {
     vecops::axpy(weights, -lr, grad);
-}
-
-/// Applies one SGD step using a *sparse* gradient given as `(index, value)`
-/// pairs: `w[j] -= lr * value` for every pair.
-///
-/// This is the update every client performs after receiving the aggregated
-/// sparse gradient `B` from the server (Lines 13–15 of Algorithm 1).
-///
-/// # Panics
-///
-/// Panics if any index is out of range.
-pub fn sgd_step_sparse(weights: &mut [f32], sparse_grad: &[(usize, f32)], lr: f32) {
-    for &(j, v) in sparse_grad {
-        assert!(j < weights.len(), "sparse gradient index {j} out of range");
-        weights[j] -= lr * v;
-    }
-}
-
-/// SGD with classical (heavy-ball) momentum, used by non-federated baselines.
-///
-/// # Examples
-///
-/// ```
-/// use agsfl_ml::optim::SgdMomentum;
-///
-/// let mut opt = SgdMomentum::new(2, 0.1, 0.9);
-/// let mut w = vec![0.0, 0.0];
-/// opt.step(&mut w, &[1.0, -1.0]);
-/// assert_eq!(w, vec![-0.1, 0.1]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SgdMomentum {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<f32>,
-}
-
-impl SgdMomentum {
-    /// Creates an optimizer for parameter vectors of length `dim`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `momentum` is not in `[0, 1)`.
-    pub fn new(dim: usize, lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Self {
-            lr,
-            momentum,
-            velocity: vec![0.0; dim],
-        }
-    }
-
-    /// Learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Momentum coefficient.
-    pub fn momentum(&self) -> f32 {
-        self.momentum
-    }
-
-    /// Applies one update `v = momentum * v + grad; w -= lr * v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` or `grad` length differs from the optimizer's
-    /// dimension.
-    pub fn step(&mut self, weights: &mut [f32], grad: &[f32]) {
-        assert_eq!(weights.len(), self.velocity.len(), "weight length mismatch");
-        assert_eq!(grad.len(), self.velocity.len(), "gradient length mismatch");
-        for ((v, w), g) in self
-            .velocity
-            .iter_mut()
-            .zip(weights.iter_mut())
-            .zip(grad.iter())
-        {
-            *v = self.momentum * *v + g;
-            *w -= self.lr * *v;
-        }
-    }
-
-    /// Resets the accumulated velocity to zero.
-    pub fn reset(&mut self) {
-        vecops::zero(&mut self.velocity);
-    }
 }
 
 #[cfg(test)]
@@ -124,65 +35,6 @@ mod tests {
         let mut w = vec![1.0, -1.0, 0.5];
         sgd_step(&mut w, &[1.0, 1.0, 1.0], 0.1);
         assert_eq!(w, vec![0.9, -1.1, 0.4]);
-    }
-
-    #[test]
-    fn sparse_step_only_touches_listed_indices() {
-        let mut w = vec![1.0; 5];
-        sgd_step_sparse(&mut w, &[(1, 2.0), (4, -2.0)], 0.5);
-        assert_eq!(w, vec![1.0, 0.0, 1.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn sparse_step_equals_dense_step_on_masked_gradient() {
-        let dense_grad = vec![0.0, 3.0, 0.0, -1.0];
-        let sparse: Vec<(usize, f32)> = dense_grad
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v != 0.0)
-            .map(|(i, v)| (i, *v))
-            .collect();
-        let mut w_dense = vec![1.0, 1.0, 1.0, 1.0];
-        let mut w_sparse = w_dense.clone();
-        sgd_step(&mut w_dense, &dense_grad, 0.25);
-        sgd_step_sparse(&mut w_sparse, &sparse, 0.25);
-        assert_eq!(w_dense, w_sparse);
-    }
-
-    #[test]
-    #[should_panic]
-    fn sparse_step_out_of_range_panics() {
-        let mut w = vec![0.0; 2];
-        sgd_step_sparse(&mut w, &[(5, 1.0)], 0.1);
-    }
-
-    #[test]
-    fn momentum_zero_equals_plain_sgd() {
-        let grad = vec![1.0, -2.0];
-        let mut w_plain = vec![0.0, 0.0];
-        sgd_step(&mut w_plain, &grad, 0.1);
-        let mut opt = SgdMomentum::new(2, 0.1, 0.0);
-        let mut w_mom = vec![0.0, 0.0];
-        opt.step(&mut w_mom, &grad);
-        assert_eq!(w_plain, w_mom);
-    }
-
-    #[test]
-    fn momentum_accumulates_velocity() {
-        let mut opt = SgdMomentum::new(1, 1.0, 0.5);
-        let mut w = vec![0.0];
-        opt.step(&mut w, &[1.0]); // v = 1, w = -1
-        opt.step(&mut w, &[1.0]); // v = 1.5, w = -2.5
-        assert!((w[0] + 2.5).abs() < 1e-6);
-        opt.reset();
-        opt.step(&mut w, &[0.0]);
-        assert!((w[0] + 2.5).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic]
-    fn invalid_momentum_panics() {
-        let _ = SgdMomentum::new(1, 0.1, 1.0);
     }
 
     proptest! {

@@ -121,11 +121,6 @@ impl RegretOutcome {
         self.cumulative_regret.last().copied().unwrap_or(0.0)
     }
 
-    /// Final theoretical bound.
-    pub fn final_bound(&self) -> f64 {
-        self.bound.last().copied().unwrap_or(0.0)
-    }
-
     /// Returns `true` if the empirical regret stays at or below the bound in
     /// every round.
     pub fn within_bound(&self) -> bool {

@@ -12,9 +12,8 @@
 /// upload nested inside it (wire-fault replay, decode + rank), the
 /// server selection, the probe sweep, the broadcast weight apply,
 /// end-of-round bookkeeping with downlink pricing nested inside it, and
-/// the runner-level evaluation and checkpoint writes. `BatchedForward`
-/// times the row-parallel CNN inference kernel wherever evaluation calls
-/// it. A nested span's interval is also counted by the span it nests in.
+/// the runner-level evaluation and checkpoint writes. A nested span's
+/// interval is also counted by the span it nests in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum SpanId {
@@ -48,15 +47,13 @@ pub enum SpanId {
     Bookkeeping,
     /// A full evaluation sweep (global loss/accuracy + test accuracy).
     Evaluate,
-    /// One row-parallel batched CNN forward inside evaluation.
-    BatchedForward,
     /// Serializing and writing one checkpoint.
     CheckpointWrite,
 }
 
 impl SpanId {
     /// Number of span identities.
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     /// Every span, in declaration (and index) order.
     pub const ALL: [SpanId; Self::COUNT] = [
@@ -70,7 +67,6 @@ impl SpanId {
         SpanId::BroadcastApply,
         SpanId::Bookkeeping,
         SpanId::Evaluate,
-        SpanId::BatchedForward,
         SpanId::CheckpointWrite,
     ];
 
@@ -93,7 +89,6 @@ impl SpanId {
             SpanId::BroadcastApply => "broadcast_apply",
             SpanId::Bookkeeping => "bookkeeping",
             SpanId::Evaluate => "evaluate",
-            SpanId::BatchedForward => "batched_forward",
             SpanId::CheckpointWrite => "checkpoint_write",
         }
     }
@@ -101,8 +96,7 @@ impl SpanId {
 
 /// A monotonically increasing counter.
 ///
-/// The deterministic subset (everything except the timing-derived
-/// counters) is sourced from `agsfl_fl::RoundReport` fields that are
+/// Every counter is sourced from `agsfl_fl::RoundReport` fields that are
 /// themselves bit-identical across thread counts, so counter values in
 /// the JSONL sink reproduce byte-for-byte between identically seeded runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -134,13 +128,11 @@ pub enum CounterId {
     FaultRetries,
     /// Bytes re-transmitted by retry attempts.
     FaultRetransmittedBytes,
-    /// Rows pushed through the batched CNN forward kernel.
-    BatchedForwardRows,
 }
 
 impl CounterId {
     /// Number of counter identities.
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 13;
 
     /// Every counter, in declaration (and index) order.
     pub const ALL: [CounterId; Self::COUNT] = [
@@ -157,7 +149,6 @@ impl CounterId {
         CounterId::FaultLost,
         CounterId::FaultRetries,
         CounterId::FaultRetransmittedBytes,
-        CounterId::BatchedForwardRows,
     ];
 
     /// The counter's array index.
@@ -182,7 +173,6 @@ impl CounterId {
             CounterId::FaultLost => "fault_lost",
             CounterId::FaultRetries => "fault_retries",
             CounterId::FaultRetransmittedBytes => "fault_retransmitted_bytes",
-            CounterId::BatchedForwardRows => "batched_forward_rows",
         }
     }
 }

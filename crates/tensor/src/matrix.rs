@@ -228,12 +228,6 @@ impl Matrix {
         self.data.chunks_exact(self.cols.max(1))
     }
 
-    /// Returns column `j` as an owned vector.
-    pub fn col(&self, j: usize) -> Vec<f32> {
-        assert!(j < self.cols, "column {j} out of bounds");
-        (0..self.rows).map(|i| self.get(i, j)).collect()
-    }
-
     /// Reshapes the matrix to `rows x cols` **without clearing its
     /// contents**: slots that existed before keep their old values and any
     /// newly grown slots are zero.
@@ -317,24 +311,6 @@ impl Matrix {
         out
     }
 
-    /// Element-wise addition, returning a new matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if the shapes differ.
-    pub fn try_add(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.shape() != rhs.shape() {
-            return Err(ShapeError::new("add", self.shape(), rhs.shape()));
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(rhs.data.iter())
-            .map(|(a, b)| a + b)
-            .collect();
-        Ok(Matrix::from_vec(self.rows, self.cols, data))
-    }
-
     /// In-place element-wise addition `self += rhs`.
     ///
     /// # Panics
@@ -393,11 +369,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 }
 
@@ -474,20 +445,10 @@ mod tests {
     }
 
     #[test]
-    fn add_and_scale() {
-        let a = Matrix::filled(2, 2, 1.0);
-        let b = Matrix::filled(2, 2, 2.0);
-        let mut c = a.try_add(&b).unwrap();
-        assert!(c.as_slice().iter().all(|&x| x == 3.0));
+    fn scale_multiplies_every_element() {
+        let mut c = Matrix::filled(2, 2, 3.0);
         c.scale(2.0);
         assert!(c.as_slice().iter().all(|&x| x == 6.0));
-    }
-
-    #[test]
-    fn add_shape_mismatch_errors() {
-        let a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(3, 2);
-        assert!(a.try_add(&b).is_err());
     }
 
     #[test]
@@ -501,14 +462,7 @@ mod tests {
     fn rows_and_cols_accessors() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(a.col(2), vec![3.0, 6.0]);
         assert_eq!(a.iter_rows().count(), 2);
-    }
-
-    #[test]
-    fn frobenius_norm_known_value() {
-        let a = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! assert!(probs[2] > probs[1] && probs[1] > probs[0]);
 //! ```
 
-use crate::Matrix;
-
 /// Numerically stable soft-max of a logit vector.
 ///
 /// Returns a probability vector that sums to one. An empty input yields an
@@ -24,16 +22,6 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
     let exps: Vec<f32> = logits.iter().map(|&x| (x - max).exp()).collect();
     let sum: f32 = exps.iter().sum();
     exps.into_iter().map(|e| e / sum).collect()
-}
-
-/// Applies [`softmax`] independently to every row of a logits matrix.
-pub fn softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(logits.rows(), logits.cols());
-    for i in 0..logits.rows() {
-        let probs = softmax(logits.row(i));
-        out.row_mut(i).copy_from_slice(&probs);
-    }
-    out
 }
 
 /// Numerically stable `log(sum(exp(x)))`.
@@ -61,21 +49,6 @@ pub fn cross_entropy_with_logits(logits: &[f32], target: usize) -> f32 {
     log_sum_exp(logits) - logits[target]
 }
 
-/// One-hot encodes `class` into a vector of length `num_classes`.
-///
-/// # Panics
-///
-/// Panics if `class >= num_classes`.
-pub fn one_hot(class: usize, num_classes: usize) -> Vec<f32> {
-    assert!(
-        class < num_classes,
-        "class {class} out of range {num_classes}"
-    );
-    let mut v = vec![0.0f32; num_classes];
-    v[class] = 1.0;
-    v
-}
-
 /// Rectified linear unit `max(x, 0)`.
 #[inline]
 pub fn relu(x: f32) -> f32 {
@@ -90,18 +63,6 @@ pub fn relu_grad(x: f32) -> f32 {
     } else {
         0.0
     }
-}
-
-/// Logistic sigmoid.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-/// Hyperbolic tangent (thin wrapper kept for symmetry with [`sigmoid`]).
-#[inline]
-pub fn tanh(x: f32) -> f32 {
-    x.tanh()
 }
 
 #[cfg(test)]
@@ -131,18 +92,6 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rows_matches_per_row() {
-        let logits = Matrix::from_rows(&[&[0.0, 1.0], &[3.0, -1.0]]);
-        let sm = softmax_rows(&logits);
-        for i in 0..2 {
-            let expected = softmax(logits.row(i));
-            for (j, &e) in expected.iter().enumerate() {
-                assert!((sm.get(i, j) - e).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
     fn log_sum_exp_known_values() {
         assert_eq!(log_sum_exp(&[]), f32::NEG_INFINITY);
         assert!((log_sum_exp(&[0.0, 0.0]) - std::f32::consts::LN_2).abs() < 1e-6);
@@ -162,24 +111,11 @@ mod tests {
     }
 
     #[test]
-    fn one_hot_layout() {
-        assert_eq!(one_hot(1, 3), vec![0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn one_hot_out_of_range_panics() {
-        let _ = one_hot(3, 3);
-    }
-
-    #[test]
     fn activation_functions() {
         assert_eq!(relu(-2.0), 0.0);
         assert_eq!(relu(2.0), 2.0);
         assert_eq!(relu_grad(-2.0), 0.0);
         assert_eq!(relu_grad(2.0), 1.0);
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-6);
-        assert!((tanh(0.0)).abs() < 1e-6);
     }
 
     proptest! {

@@ -1,7 +1,7 @@
 //! Small statistics helpers used by the experiment harness.
 //!
 //! The paper reports empirical CDFs (Fig. 4, right panel) and time series of
-//! loss/accuracy; [`Ecdf`] and [`RunningMean`] back those reports.
+//! loss/accuracy; [`Ecdf`] backs the former.
 //!
 //! # Examples
 //!
@@ -83,54 +83,6 @@ impl Ecdf {
     }
 }
 
-/// Incrementally updated arithmetic mean (Welford-style, without variance).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct RunningMean {
-    count: u64,
-    mean: f64,
-}
-
-impl RunningMean {
-    /// Creates an empty running mean.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        self.mean += (x - self.mean) / self.count as f64;
-    }
-
-    /// Current mean, `0.0` if no samples have been pushed.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Number of samples pushed so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-/// Computes a simple trailing moving average of a series with the given
-/// window, returning a series of the same length (the first elements average
-/// over however many samples are available).
-pub fn moving_average(series: &[f64], window: usize) -> Vec<f64> {
-    assert!(window > 0, "window must be positive");
-    let mut out = Vec::with_capacity(series.len());
-    let mut sum = 0.0;
-    for i in 0..series.len() {
-        sum += series[i];
-        if i >= window {
-            sum -= series[i - window];
-        }
-        let n = (i + 1).min(window);
-        out.push(sum / n as f64);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,30 +126,6 @@ mod tests {
         assert_eq!(curve.last().unwrap().1, 1.0);
     }
 
-    #[test]
-    fn running_mean_matches_batch_mean() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let mut rm = RunningMean::new();
-        for &x in &xs {
-            rm.push(x);
-        }
-        assert_eq!(rm.count(), 4);
-        assert!((rm.mean() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn moving_average_window_one_is_identity() {
-        let xs = [1.0, 5.0, 2.0];
-        assert_eq!(moving_average(&xs, 1), xs.to_vec());
-    }
-
-    #[test]
-    fn moving_average_window_larger_than_series() {
-        let xs = [2.0, 4.0];
-        let ma = moving_average(&xs, 10);
-        assert_eq!(ma, vec![2.0, 3.0]);
-    }
-
     proptest! {
         #[test]
         fn prop_ecdf_is_monotone_in_x(samples in proptest::collection::vec(-50.0f32..50.0, 1..40)) {
@@ -211,15 +139,6 @@ mod tests {
                 prev = v;
                 x += 5.0;
             }
-        }
-
-        #[test]
-        fn prop_running_mean_within_bounds(xs in proptest::collection::vec(-10.0f64..10.0, 1..50)) {
-            let mut rm = RunningMean::new();
-            for &x in &xs { rm.push(x); }
-            let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(rm.mean() >= lo - 1e-9 && rm.mean() <= hi + 1e-9);
         }
     }
 }

@@ -59,15 +59,6 @@ pub fn add_assign(y: &mut [f32], x: &[f32]) {
     axpy(y, 1.0, x);
 }
 
-/// In-place element-wise subtraction `y -= x`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn sub_assign(y: &mut [f32], x: &[f32]) {
-    axpy(y, -1.0, x);
-}
-
 /// In-place scalar multiplication `y *= alpha`.
 pub fn scale(y: &mut [f32], alpha: f32) {
     for yi in y.iter_mut() {
@@ -90,21 +81,6 @@ pub fn l2_norm(a: &[f32]) -> f32 {
 /// L1 norm (sum of absolute values).
 pub fn l1_norm(a: &[f32]) -> f32 {
     a.iter().map(|x| x.abs()).sum()
-}
-
-/// Squared Euclidean distance between two equally long slices.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "squared_distance: length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Largest absolute value in the slice, or `0.0` for an empty slice.
-pub fn max_abs(a: &[f32]) -> f32 {
-    a.iter().fold(0.0f32, |acc, x| acc.max(x.abs()))
 }
 
 /// Index of the maximum element, `None` for an empty slice.
@@ -135,46 +111,6 @@ pub fn mean(a: &[f32]) -> f32 {
     }
 }
 
-/// Population variance, `0.0` for slices with fewer than two elements.
-pub fn variance(a: &[f32]) -> f32 {
-    if a.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(a);
-    a.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / a.len() as f32
-}
-
-/// Returns the number of elements whose absolute value is strictly greater
-/// than `threshold`.
-pub fn count_above(a: &[f32], threshold: f32) -> usize {
-    a.iter().filter(|x| x.abs() > threshold).count()
-}
-
-/// Clamps every element of the slice into `[lo, hi]` in place.
-///
-/// # Panics
-///
-/// Panics if `lo > hi`.
-pub fn clamp(a: &mut [f32], lo: f32, hi: f32) {
-    assert!(lo <= hi, "clamp: lo must not exceed hi");
-    for v in a.iter_mut() {
-        *v = v.clamp(lo, hi);
-    }
-}
-
-/// Linear interpolation `(1 - t) * a + t * b` element-wise into a new vector.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn lerp(a: &[f32], b: &[f32], t: f32) -> Vec<f32> {
-    assert_eq!(a.len(), b.len(), "lerp: length mismatch");
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (1.0 - t) * x + t * y)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,8 +128,6 @@ mod tests {
         assert_eq!(y, vec![3.0, 7.0]);
         add_assign(&mut y, &[1.0, 1.0]);
         assert_eq!(y, vec![4.0, 8.0]);
-        sub_assign(&mut y, &[4.0, 8.0]);
-        assert_eq!(y, vec![0.0, 0.0]);
     }
 
     #[test]
@@ -209,8 +143,6 @@ mod tests {
     fn norms() {
         assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
         assert_eq!(l1_norm(&[3.0, -4.0]), 7.0);
-        assert_eq!(max_abs(&[-5.0, 2.0]), 5.0);
-        assert_eq!(max_abs(&[]), 0.0);
     }
 
     #[test]
@@ -223,33 +155,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_variance() {
+    fn mean_known_values() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(variance(&[1.0]), 0.0);
-        assert!((variance(&[1.0, 3.0]) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn count_above_and_clamp() {
-        assert_eq!(count_above(&[0.5, -2.0, 1.5], 1.0), 2);
-        let mut a = vec![-3.0, 0.5, 9.0];
-        clamp(&mut a, 0.0, 1.0);
-        assert_eq!(a, vec![0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = [1.0, 2.0];
-        let b = [3.0, 6.0];
-        assert_eq!(lerp(&a, &b, 0.0), vec![1.0, 2.0]);
-        assert_eq!(lerp(&a, &b, 1.0), vec![3.0, 6.0]);
-        assert_eq!(lerp(&a, &b, 0.5), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn squared_distance_known() {
-        assert_eq!(squared_distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
     }
 
     #[test]

@@ -105,6 +105,29 @@ if product_lines crates/sparse/src/accumulator.rs | grep -F 'binary_search'; the
     exit 1
 fi
 
+step "one evaluation path (one sweep, one eager/lazy decision, no parallelism threshold, no batched-forward channel)"
+# agsfl_ml::metrics::global_evaluation is the only executor sweep and
+# Simulation::sweep the only place that asks whether the shards are
+# resident; the executor splits any region of more than one item on more
+# than one thread, so there is no threshold for a caller to override; the
+# row-parallel CNN forward and the process-global statics it reported into
+# had no caller. Any of these names is a deleted path growing back (the
+# benchmark-package build below is the guard for the other direction:
+# nothing benchmark/ names was removed).
+if grep -rnE 'with_min_items|DEFAULT_MIN_ITEMS|forward_batched|BatchedForward|batched_forward|accuracy_parallel|global_loss_parallel|global_accuracy_parallel|global_train_accuracy' crates/*/src; then
+    echo "verify: a deleted evaluation/parallelism path is back (lines above)" >&2
+    exit 1
+fi
+if grep -rnE 'ml::stats|crate::stats' crates/ml crates/fl crates/core; then
+    echo "verify: the agsfl_ml::stats channel is back (lines above); it never recorded anything" >&2
+    exit 1
+fi
+if [[ "$(sim_product | grep -c 'as_dataset()')" -ne 1 ]]; then
+    echo "verify: crates/fl/src/simulation.rs must ask as_dataset() exactly once (Simulation::sweep):" >&2
+    sim_product | grep 'as_dataset()' >&2
+    exit 1
+fi
+
 step "scratch is grow-only (no workspace releases capacity)"
 # Every reusable workspace (SelectionScratch, WireScratch, Im2colScratch,
 # the slot and upload buffers) is sized to the largest geometry seen and
