@@ -61,24 +61,16 @@ impl ControllerSpec {
     /// `kmin = 0.002·D`, `kmax = D`, `α = 1.5`, `Mu = 20`; the baselines use
     /// the same range. The initial `k` is `D/2` for all methods.
     pub fn build(&self, dim: usize, seed: u64) -> Box<dyn KController> {
-        let d = dim as f64;
-        let k_min = (0.002 * d).max(1.0);
-        let k_max = d;
-        let initial = d / 2.0;
-        let interval = SearchInterval::new(k_min, k_max);
+        let paper = ExtendedConfig::paper_defaults(dim);
+        let interval = SearchInterval::new(paper.k_min, paper.k_max);
+        let initial = paper.initial_k;
         match self {
-            Self::Fixed(k) => Box::new(FixedK::new(k.clamp(1.0, d))),
+            Self::Fixed(k) => Box::new(FixedK::new(k.clamp(1.0, dim as f64))),
             Self::Algorithm2 => Box::new(SignOgd::new(interval, initial)),
-            Self::Algorithm3 => Box::new(ExtendedSignOgd::new(ExtendedConfig {
-                k_min,
-                k_max,
-                alpha: 1.5,
-                update_window: 20,
-                initial_k: initial,
-            })),
+            Self::Algorithm3 => Box::new(ExtendedSignOgd::new(paper)),
             Self::ValueBased => Box::new(ValueBasedDescent::new(interval, initial)),
             Self::Exp3 { num_arms } => {
-                let arms = Exp3::geometric_arms(k_min, k_max, (*num_arms).max(2));
+                let arms = Exp3::geometric_arms(paper.k_min, paper.k_max, (*num_arms).max(2));
                 Box::new(Exp3Controller::new(Exp3::new(arms, 0.1, seed)))
             }
             Self::ContinuousBandit => Box::new(BanditController::new(

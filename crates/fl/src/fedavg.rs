@@ -99,10 +99,6 @@ struct FedAvgClient {
     rng: ChaCha8Rng,
 }
 
-/// Dimension stripes below this size are averaged on the calling thread:
-/// tiny test models should not pay thread spawns for a memory-bound pass.
-const STRIPE_MIN_DIM: usize = 4096;
-
 /// Federated averaging with periodic full-model exchange.
 pub struct FedAvgSimulation {
     model: Box<dyn Model>,
@@ -192,31 +188,23 @@ impl FedAvgSimulation {
     /// *dimension stripe*: each worker owns a contiguous coordinate range
     /// and folds over the clients in client order, so every coordinate's sum
     /// is evaluated in exactly the serial association and the result is
-    /// bit-identical for any stripe count.
+    /// bit-identical for any stripe count. A one-thread executor gets one
+    /// stripe, which the executor runs as a plain loop.
     pub fn averaged_params(&self) -> Vec<f32> {
         let dim = self.clients[0].params.len();
         let mut avg = vec![0.0f64; dim];
-        if self.executor.is_serial() || dim < STRIPE_MIN_DIM {
-            for client in &self.clients {
-                for (a, &p) in avg.iter_mut().zip(client.params.iter()) {
+        let stripe = dim.div_ceil(self.executor.threads()).max(1);
+        let mut stripes: Vec<(usize, &mut [f64])> = avg.chunks_mut(stripe).enumerate().collect();
+        let clients = &self.clients;
+        self.executor.map_mut(&mut stripes, |(i, chunk)| {
+            let lo = *i * stripe;
+            for client in clients {
+                let src = &client.params[lo..lo + chunk.len()];
+                for (a, &p) in chunk.iter_mut().zip(src.iter()) {
                     *a += client.weight * p as f64;
                 }
             }
-        } else {
-            let stripe = dim.div_ceil(self.executor.threads());
-            let mut stripes: Vec<(usize, &mut [f64])> =
-                avg.chunks_mut(stripe).enumerate().collect();
-            let clients = &self.clients;
-            self.executor.map_mut(&mut stripes, |(i, chunk)| {
-                let lo = *i * stripe;
-                for client in clients {
-                    let src = &client.params[lo..lo + chunk.len()];
-                    for (a, &p) in chunk.iter_mut().zip(src.iter()) {
-                        *a += client.weight * p as f64;
-                    }
-                }
-            });
-        }
+        });
         avg.into_iter().map(|v| v as f32).collect()
     }
 
@@ -405,13 +393,13 @@ mod tests {
         }
     }
 
-    /// The dimension-striped average must be bit-identical to the serial
-    /// fold at dimensions large enough to actually take the striped branch.
+    /// The dimension-striped average must be bit-identical to the
+    /// one-stripe fold at a dimension that splits into uneven stripes.
     #[test]
     fn striped_average_matches_serial_at_large_dim() {
         use agsfl_ml::data::{ClientShard, FederatedDataset};
         use agsfl_tensor::Matrix;
-        let dim_features = 2_100; // LinearSoftmax params: 2100*2 + 2 > STRIPE_MIN_DIM
+        let dim_features = 2_100; // LinearSoftmax params: 2100*2 + 2
         let shard = |seed: usize, n: usize| {
             ClientShard::new(
                 Matrix::from_fn(n, dim_features, |i, j| {
@@ -436,7 +424,6 @@ mod tests {
         let mut serial = build(Parallelism::Serial);
         serial.run_round();
         let expected = serial.averaged_params();
-        assert!(expected.len() >= STRIPE_MIN_DIM, "test must cover striping");
         for threads in [2usize, 3, 5, 8] {
             let mut sim = build(Parallelism::Threads(threads));
             sim.run_round();

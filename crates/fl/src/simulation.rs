@@ -282,7 +282,9 @@ impl WireState {
 /// straight into the reusable upload arena the server aggregates from, and
 /// dehydrates the persistent state back into the population — so resident
 /// memory is `O(cohort + touched_clients · dim)` rather than `O(N)`, and
-/// the byte-priced round is allocation-free in steady state.
+/// the round's buffers are reused: what a steady-state round still
+/// allocates is its per-round output — the selection's aggregate entries,
+/// flat reset list and offsets, and the round report.
 pub struct Simulation {
     model: Box<dyn Model>,
     source: Box<dyn ShardSource>,
@@ -310,8 +312,9 @@ pub struct Simulation {
     survivors: Vec<usize>,
     /// Reusable server-side selection workspace; buffers are sized on the
     /// first round and reused (including by the probe's restriction to
-    /// `J(k')`), keeping the per-round server path allocation-free in
-    /// steady state. Grow-only, like every workspace of the round.
+    /// `J(k')`), so a steady-state selection allocates only the result it
+    /// returns (aggregate entries, flat reset list, offsets). Grow-only,
+    /// like every workspace of the round.
     scratch: SelectionScratch,
     /// Reused order keys for ranking uploads as they are decoded on the
     /// round thread (`topk::rank_index_ordered_keys_into`) and for
@@ -690,7 +693,7 @@ impl Simulation {
             train_loss,
             round_time,
             elapsed_time: self.elapsed,
-            downlink_elements: selection.downlink_elements,
+            downlink_elements: selection.downlink_elements(),
             max_uplink_scalars: selection.max_uplink_scalars(),
             cohort: cohort.clone(),
             contributions,
@@ -1178,9 +1181,9 @@ impl Simulation {
                 || {
                     for (u_idx, &pos) in self.survivors.iter().enumerate() {
                         let slot = &mut self.slots[pos];
-                        let resets = &selection.reset_indices[u_idx];
+                        let resets = selection.resets(u_idx);
                         slot.client.apply_reset_with_errors(resets, &slot.errors);
-                        contributions[pos] = selection.contributions()[u_idx];
+                        contributions[pos] = resets.len();
                     }
                     for (slot, &id) in self.slots.iter_mut().zip(cohort) {
                         self.population.dehydrate(
@@ -1773,7 +1776,8 @@ mod tests {
                     "round {round} (k = {k}) released capacity: {previous:?} -> {caps:?}"
                 );
                 if round == 5 {
-                    assert!(caps[1] >= large, "{caps:?}");
+                    // `selected`, the first of the selection's lists.
+                    assert!(caps[0] >= large, "{caps:?}");
                     settled = caps.clone();
                 } else if round > 5 {
                     assert_eq!(caps, settled, "round {round} (k = {k})");

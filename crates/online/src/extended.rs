@@ -3,7 +3,7 @@
 use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use serde::{Deserialize, Serialize};
 
-use crate::sign_ogd::SearchInterval;
+use crate::sign_ogd::{SearchInterval, SignOgd};
 
 /// Configuration of [`ExtendedSignOgd`] (Algorithm 3).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -72,12 +72,10 @@ impl ExtendedConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExtendedSignOgd {
     config: ExtendedConfig,
-    /// Current instance's search interval `K`.
-    interval: SearchInterval,
-    /// Current continuous decision `k_m`.
-    k: f64,
-    /// Signs consumed by the current instance (the `m − m0` of Algorithm 3).
-    instance_rounds: usize,
+    /// The current instance of Algorithm 2: its search interval `K`, the
+    /// continuous decision `k_m` and the signs it has consumed (the
+    /// `m − m0` of Algorithm 3).
+    instance: SignOgd,
     /// Length (in consumed signs) of the previous instance, `M'`.
     previous_instance_rounds: usize,
     /// Signs consumed since the window statistics were last reset, `n`.
@@ -101,9 +99,7 @@ impl ExtendedSignOgd {
         let interval = SearchInterval::new(config.k_min, config.k_max);
         Self {
             config,
-            interval,
-            k: interval.project(config.initial_k),
-            instance_rounds: 0,
+            instance: SignOgd::new(interval, config.initial_k),
             previous_instance_rounds: 0,
             window_count: 0,
             window_min: f64::INFINITY,
@@ -114,12 +110,12 @@ impl ExtendedSignOgd {
 
     /// The current (continuous) decision `k_m`.
     pub fn k(&self) -> f64 {
-        self.k
+        self.instance.k()
     }
 
     /// The current instance's search interval.
     pub fn interval(&self) -> &SearchInterval {
-        &self.interval
+        self.instance.interval()
     }
 
     /// How many times the search interval has been shrunk so far.
@@ -135,32 +131,27 @@ impl ExtendedSignOgd {
     /// The step size `δ_m = B / √(2(m − m0))` that will be applied to the
     /// next observed sign (instance-local round counted from 1).
     pub fn next_step_size(&self) -> f64 {
-        let m = (self.instance_rounds + 1) as f64;
-        self.interval.width() / (2.0 * m).sqrt()
+        self.instance.next_step_size()
     }
 
     /// The probe sparsity `k'_m = k_m − δ_m / 2`, clamped to at least 1.
     pub fn probe_k(&self) -> f64 {
-        (self.k - self.next_step_size() / 2.0).max(1.0)
+        self.instance.probe_k()
     }
 
     /// Consumes one (estimated) derivative sign; `None` keeps everything
     /// unchanged (the paper skips Lines 6–7 when the estimate is
     /// unavailable). Returns the new `k`.
     pub fn step(&mut self, sign: Option<i8>) -> f64 {
-        let Some(sign) = sign else {
-            return self.k;
-        };
-        debug_assert!((-1..=1).contains(&sign), "sign must be in {{-1, 0, 1}}");
-
-        // Line 4: k_{m+1} = P_K(k_m − δ_m · s_m).
-        self.instance_rounds += 1;
-        let delta = self.interval.width() / (2.0 * self.instance_rounds as f64).sqrt();
-        self.k = self.interval.project(self.k - delta * sign as f64);
+        if sign.is_none() {
+            return self.k();
+        }
+        // Line 4: k_{m+1} = P_K(k_m − δ_m · s_m), the instance's own step.
+        let k = self.instance.step(sign);
 
         // Lines 6–7: window statistics.
-        self.window_min = self.window_min.min(self.k);
-        self.window_max = self.window_max.max(self.k);
+        self.window_min = self.window_min.min(k);
+        self.window_max = self.window_max.max(k);
         self.window_count += 1;
 
         // Lines 8–15: consider shrinking the interval.
@@ -168,27 +159,30 @@ impl ExtendedSignOgd {
             let candidate_max = (self.window_max * self.config.alpha).min(self.config.k_max);
             let candidate_min = (self.window_min / self.config.alpha).max(self.config.k_min);
             let b_new = candidate_max - candidate_min;
-            let shrink_threshold = (std::f64::consts::SQRT_2 - 1.0) * self.interval.width();
-            if b_new < shrink_threshold && self.instance_rounds >= self.previous_instance_rounds {
-                self.interval = SearchInterval::new(candidate_min.max(1.0), candidate_max.max(1.0));
-                self.k = self.interval.project(self.k);
-                self.previous_instance_rounds = self.instance_rounds;
-                self.instance_rounds = 0;
+            let shrink_threshold =
+                (std::f64::consts::SQRT_2 - 1.0) * self.instance.interval().width();
+            let rounds = self.instance.rounds();
+            if b_new < shrink_threshold && rounds >= self.previous_instance_rounds {
+                // A fresh instance on the smaller interval, starting from
+                // the projected current k.
+                let interval = SearchInterval::new(candidate_min.max(1.0), candidate_max.max(1.0));
+                self.instance = SignOgd::new(interval, k);
+                self.previous_instance_rounds = rounds;
                 self.restarts += 1;
             }
             self.window_count = 0;
             self.window_min = f64::INFINITY;
             self.window_max = 0.0;
         }
-        self.k
+        self.k()
     }
 }
 
 impl Snapshot for ExtendedSignOgd {
     fn write_state(&self, w: &mut SnapshotWriter) {
-        self.interval.write_state(w);
-        w.f64(self.k);
-        w.usize(self.instance_rounds);
+        // The instance writes `interval, k, m − m0` first; the
+        // `checkpoint_format` hashes pin this layout.
+        self.instance.write_state(w);
         w.usize(self.previous_instance_rounds);
         w.usize(self.window_count);
         w.f64(self.window_min);
@@ -197,12 +191,7 @@ impl Snapshot for ExtendedSignOgd {
     }
 
     fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.interval.read_state(r)?;
-        self.k = r.f64()?;
-        if !self.interval.contains(self.k) {
-            return Err(SnapshotError::Invalid("k outside interval"));
-        }
-        self.instance_rounds = r.usize()?;
+        self.instance.read_state(r)?;
         self.previous_instance_rounds = r.usize()?;
         self.window_count = r.usize()?;
         self.window_min = r.f64()?;

@@ -156,9 +156,17 @@ impl SignOgd {
             return self.k;
         };
         debug_assert!((-1..=1).contains(&sign), "sign must be in {{-1, 0, 1}}");
+        self.descend(sign as f64)
+    }
+
+    /// The projected step of every derivative-descent controller in this
+    /// crate: advances `m` and sets `k ← P_K(k − δ_m · slope)`, where the
+    /// slope is a derivative sign (Algorithms 2 and 3) or its estimated
+    /// value ([`crate::ValueBasedDescent`]). Returns the new `k`.
+    pub(crate) fn descend(&mut self, slope: f64) -> f64 {
         self.m += 1;
         let delta = self.interval.width() / (2.0 * self.m as f64).sqrt();
-        self.k = self.interval.project(self.k - delta * sign as f64);
+        self.k = self.interval.project(self.k - delta * slope);
         self.k
     }
 }

@@ -3,7 +3,7 @@
 use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use serde::{Deserialize, Serialize};
 
-use crate::sign_ogd::SearchInterval;
+use crate::sign_ogd::{SearchInterval, SignOgd};
 
 /// Online gradient (derivative) descent that uses the *value* of the
 /// estimated derivative rather than only its sign — the first baseline of
@@ -16,72 +16,57 @@ use crate::sign_ogd::SearchInterval;
 /// the paper's sign-only update behaves much better in practice.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ValueBasedDescent {
-    interval: SearchInterval,
-    k: f64,
-    m: usize,
+    /// Algorithm 2's interval, decision and step schedule, stepped with the
+    /// derivative's value where Algorithm 2 steps with its sign.
+    descent: SignOgd,
 }
 
 impl ValueBasedDescent {
     /// Creates the baseline with search interval `K` and initial `k_1`.
     pub fn new(interval: SearchInterval, initial_k: f64) -> Self {
         Self {
-            interval,
-            k: interval.project(initial_k),
-            m: 0,
+            descent: SignOgd::new(interval, initial_k),
         }
     }
 
     /// The current (continuous) decision `k_m`.
     pub fn k(&self) -> f64 {
-        self.k
+        self.descent.k()
     }
 
     /// The search interval.
     pub fn interval(&self) -> &SearchInterval {
-        &self.interval
+        self.descent.interval()
     }
 
     /// The step size that will scale the next derivative estimate.
     pub fn next_step_size(&self) -> f64 {
-        self.interval.width() / (2.0 * (self.m + 1) as f64).sqrt()
+        self.descent.next_step_size()
     }
 
     /// The probe sparsity `k' = k − δ/2` used to estimate the derivative.
     pub fn probe_k(&self) -> f64 {
-        (self.k - self.next_step_size() / 2.0).max(1.0)
+        self.descent.probe_k()
     }
 
-    /// Consumes one derivative estimate (`None` leaves `k` unchanged) and
-    /// returns the new `k`.
+    /// Consumes one derivative estimate (`None` or a non-finite value leaves
+    /// `k` unchanged) and returns the new `k`.
     pub fn step(&mut self, derivative: Option<f64>) -> f64 {
-        let Some(derivative) = derivative else {
-            return self.k;
-        };
-        if !derivative.is_finite() {
-            return self.k;
+        match derivative {
+            Some(d) if d.is_finite() => self.descent.descend(d),
+            _ => self.k(),
         }
-        self.m += 1;
-        let delta = self.interval.width() / (2.0 * self.m as f64).sqrt();
-        self.k = self.interval.project(self.k - delta * derivative);
-        self.k
     }
 }
 
+/// The bytes of the underlying descent state: `interval, k, m`.
 impl Snapshot for ValueBasedDescent {
     fn write_state(&self, w: &mut SnapshotWriter) {
-        self.interval.write_state(w);
-        w.f64(self.k);
-        w.usize(self.m);
+        self.descent.write_state(w);
     }
 
     fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.interval.read_state(r)?;
-        self.k = r.f64()?;
-        if !self.interval.contains(self.k) {
-            return Err(SnapshotError::Invalid("k outside interval"));
-        }
-        self.m = r.usize()?;
-        Ok(())
+        self.descent.read_state(r)
     }
 }
 

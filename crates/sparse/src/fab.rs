@@ -55,20 +55,9 @@ impl FabTopK {
             .max()
             .unwrap_or(0);
         let mut scratch = SelectionScratch::new();
-        Self::select_indices_into(uploads, dim, k, &mut scratch);
-        scratch.selected
-    }
-
-    /// Fairness-aware selection into `scratch.selected` (sorted): the
-    /// [`Self::scan_levels`] marks, in index order.
-    fn select_indices_into(
-        uploads: &[ClientUpload],
-        dim: usize,
-        k: usize,
-        scratch: &mut SelectionScratch,
-    ) {
-        Self::scan_levels(uploads, dim, k, scratch);
+        Self::scan_levels(uploads, dim, k, &mut scratch);
         scratch.selected.sort_unstable();
+        scratch.selected
     }
 
     /// The rank-major scan behind every FAB selection: reads the uploads
@@ -89,8 +78,9 @@ impl FabTopK {
     /// same set as filling from it in magnitude order until it runs out.
     ///
     /// On return `scratch.selected` holds `J` in first-seen order and the
-    /// sums generation has exactly `J` marked (with zero sums), ready for
-    /// [`aggregate_marked`] or for restricting a larger round's aggregate.
+    /// sums generation has exactly `J` marked (with zero sums): sorted, it
+    /// is step one of the selection contract, ready for [`aggregate_marked`];
+    /// unsorted, it restricts a larger round's aggregate.
     fn scan_levels(uploads: &[ClientUpload], dim: usize, k: usize, scratch: &mut SelectionScratch) {
         scratch.selected.clear();
         scratch.begin_sums(dim);
@@ -161,21 +151,10 @@ impl Sparsifier for FabTopK {
         k: usize,
         scratch: &mut SelectionScratch,
     ) -> SelectionResult {
-        Self::select_indices_into(uploads, dim, k, scratch);
-        // The selection phase left exactly the selected indices marked in the
-        // sums generation, so aggregation skips the re-marking pass.
-        let selected = std::mem::take(&mut scratch.selected);
-        let (aggregated, reset_indices) = aggregate_marked(uploads, &selected, dim, scratch);
-        let downlink_elements = selected.len();
-        scratch.selected = selected;
-        SelectionResult::new(
-            aggregated,
-            reset_indices,
-            uploads.iter().map(ClientUpload::len).collect(),
-            downlink_elements,
-            true,
-            true,
-        )
+        // The scan leaves exactly J marked, so the sweep follows directly.
+        Self::scan_levels(uploads, dim, k, scratch);
+        scratch.selected.sort_unstable();
+        aggregate_marked(uploads, dim, scratch, true)
     }
 
     fn probe_aggregate(
@@ -243,7 +222,7 @@ mod tests {
         let fab = FabTopK::new();
         let result = fab.select(&uploads, 6, 3);
         assert_eq!(result.aggregated.nnz(), 3);
-        assert_eq!(result.downlink_elements, 3);
+        assert_eq!(result.downlink_elements(), 3);
     }
 
     #[test]
@@ -284,7 +263,7 @@ mod tests {
         let uploads = uploads_from_dense(&clients, 2);
         let result = FabTopK::new().select(&uploads, 2, 0);
         assert!(result.aggregated.is_empty());
-        assert_eq!(result.downlink_elements, 0);
+        assert_eq!(result.downlink_elements(), 0);
     }
 
     #[test]
@@ -305,7 +284,8 @@ mod tests {
         ];
         let uploads = uploads_from_dense(&clients, 3);
         let result = FabTopK::new().select(&uploads, 5, 3);
-        for (upload, resets) in uploads.iter().zip(result.reset_indices.iter()) {
+        for (u, upload) in uploads.iter().enumerate() {
+            let resets = result.resets(u);
             let uploaded: std::collections::HashSet<usize> =
                 upload.entries.iter().map(|&(j, _)| j).collect();
             assert!(resets.iter().all(|j| uploaded.contains(j)));
@@ -336,7 +316,7 @@ mod tests {
             let indices = FabTopK::select_indices(&uploads, k);
             prop_assert!(indices.windows(2).all(|w| w[0] < w[1]),
                 "select_indices must return sorted, duplicate-free indices");
-            prop_assert_eq!(indices.len(), result.downlink_elements);
+            prop_assert_eq!(indices.len(), result.downlink_elements());
 
             // Never more than k downlink elements; exactly k when the clients
             // collectively uploaded at least k distinct nonzero-capable indices.

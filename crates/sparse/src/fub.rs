@@ -1,7 +1,7 @@
 use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
-use crate::sparsifier::{ClientUpload, SelectionResult, Sparsifier, UploadPlan};
+use crate::sparsifier::{aggregate_marked, ClientUpload, SelectionResult, Sparsifier, UploadPlan};
 use crate::topk;
 use crate::SparseGradient;
 
@@ -54,23 +54,24 @@ impl Sparsifier for FubTopK {
         k: usize,
         scratch: &mut SelectionScratch,
     ) -> SelectionResult {
-        // Aggregate every uploaded coordinate into the epoch-stamped dense
-        // buffer, then keep the top-k of the aggregated magnitudes.
+        // Aggregate every uploaded coordinate (distinct indices collect in
+        // `selected`, first seen first), then keep the top-k of the
+        // aggregated magnitudes.
         scratch.begin_sums(dim);
-        scratch.touched.clear();
+        scratch.selected.clear();
         for upload in uploads {
             for &(j, v) in &upload.entries {
                 assert!(j < dim, "upload index {j} out of range (dim {dim})");
                 if !scratch.is_marked(j) {
                     scratch.mark_selected(j);
-                    scratch.touched.push(j);
+                    scratch.selected.push(j);
                 }
                 scratch.accumulate(j, upload.weight * v as f64);
             }
         }
         scratch.candidates.clear();
-        for i in 0..scratch.touched.len() {
-            let j = scratch.touched[i];
+        for i in 0..scratch.selected.len() {
+            let j = scratch.selected[i];
             scratch.candidates.push((j, scratch.sum(j) as f32));
         }
         // Only the top-k *set* matters (the selection is re-sorted by index
@@ -82,37 +83,10 @@ impl Sparsifier for FubTopK {
             .selected
             .extend(scratch.candidates.iter().map(|&(j, _)| j));
         scratch.selected.sort_unstable();
-
-        // The selected sums already sit in the pass-1 accumulator (each is
-        // the same in-order sequence of adds a re-accumulation would do), so
-        // emit them directly; only the reset sets need a second sweep, with
-        // membership expressed in the ranks buffer to leave the sums intact.
-        scratch.begin_members(dim);
-        for i in 0..scratch.selected.len() {
-            scratch.add_member(scratch.selected[i]);
-        }
-        let mut reset_indices = vec![Vec::new(); uploads.len()];
-        for (slot, upload) in uploads.iter().enumerate() {
-            let resets = &mut reset_indices[slot];
-            for &(j, _) in &upload.entries {
-                if scratch.is_member(j) {
-                    resets.push(j);
-                }
-            }
-        }
-        let entries: Vec<(usize, f32)> = scratch
-            .selected
-            .iter()
-            .map(|&j| (j, scratch.sum(j) as f32))
-            .collect();
-        SelectionResult::new(
-            SparseGradient::from_sorted_entries(dim, entries),
-            reset_indices,
-            uploads.iter().map(ClientUpload::len).collect(),
-            scratch.selected.len(),
-            true,
-            true,
-        )
+        // Re-mark J alone: the sweep re-adds its sums from zero in upload
+        // order, the very adds of the pass above.
+        scratch.mark_selection(dim);
+        aggregate_marked(uploads, dim, scratch, true)
     }
 
     fn probe_aggregate(
@@ -189,7 +163,7 @@ mod tests {
         let clients = vec![vec![1.0, 2.0, 3.0, 4.0, 5.0]; 4];
         let uploads = uploads_from_dense(&clients, 3);
         let result = FubTopK::new().select(&uploads, 5, 3);
-        assert_eq!(result.downlink_elements, 3);
+        assert_eq!(result.downlink_elements(), 3);
         assert_eq!(result.aggregated.nnz(), 3);
     }
 

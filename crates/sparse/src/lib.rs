@@ -23,9 +23,15 @@
 //! The server hot path of Algorithm 1 — executed once per round for every
 //! figure sweep, ablation and bench target — is `Sparsifier::select_into`,
 //! which threads a caller-owned [`SelectionScratch`] through selection and
-//! aggregation. The workspace holds epoch/generation-stamped dense buffers:
-//! "clearing" is a counter bump, never a `memset` or a hash-map rebuild, so
-//! steady-state rounds allocate nothing beyond the returned result.
+//! aggregation. Every sparsifier follows one contract: step one picks `J`
+//! (its own rule) and leaves it sorted and marked in the scratch; step two
+//! is one shared sweep over the uploads that aggregates `J` and writes
+//! every upload's resets `J ∩ J_i` into one flat list with per-upload end
+//! offsets ([`SelectionResult::resets`]). The workspace holds
+//! epoch/generation-stamped dense buffers: "clearing" is a counter bump,
+//! never a `memset` or a hash-map rebuild, so a steady-state round
+//! allocates only the returned result — the aggregate's entries, the flat
+//! reset list and its offsets — however many clients it has.
 //!
 //! With `N` clients, degree `k`, dimension `D` and `U = Σ_i |uploads_i|`
 //! (`U ≤ N·k`):
@@ -33,7 +39,7 @@
 //! | stage | seed implementation | scratch implementation |
 //! |---|---|---|
 //! | FAB `κ` search | `HashSet` union rebuild per probe: O(U) hashing × O(log k) probes | rank-major scan: level `r` is every client's rank-`r` entry, the indices first seen there are the ones whose minimum rank is `r`, so union sizes grow level by level and the scan stops at the first level that overflows `k` — `N·(κ+1)` entries read, not `U` |
-//! | aggregation | `HashSet` membership + `HashMap` sums + sort/dedup in `from_entries` | stamped dense `f64` sums, O(U) array probes, entries emitted sorted via [`SparseGradient::from_sorted_entries`] |
+//! | aggregation + resets | `HashSet` membership + `HashMap` sums + sort/dedup in `from_entries`, one reset `Vec` per client | one shared sweep for all five sparsifiers: stamped dense `f64` sums, O(U) array probes, entries emitted sorted via [`SparseGradient::from_sorted_entries`], resets appended to one flat list |
 //! | client top-k | comparator quickselect + sort over a fresh `16·D`-byte `(usize, f32)` candidate buffer per client per round | [`topk::top_k_entries_into`]: packed `u64` order keys in one reused per-client buffer — histogram select over the magnitude bits, radix rank, no float comparison. Byte-priced rounds stop after the select ([`topk::top_k_entries_indexed_into`]: its output *is* the index order the codec encodes) and the server ranks the decoded frame once ([`topk::rank_index_ordered_keys_into`]) |
 //! | residual reset (lossy tier) | one binary search of the index-sorted error list per reset index | reset indices sorted into a reused buffer, one merge against the error list ([`ResidualAccumulator::reset_indices_to`]) |
 //!

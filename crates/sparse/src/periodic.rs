@@ -2,9 +2,7 @@ use rand::seq::SliceRandom;
 use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
-use crate::sparsifier::{
-    result_from_selected, ClientUpload, SelectionResult, Sparsifier, UploadPlan,
-};
+use crate::sparsifier::{aggregate_marked, ClientUpload, SelectionResult, Sparsifier, UploadPlan};
 use crate::SparseGradient;
 
 /// Periodic / random-k sparsification.
@@ -67,9 +65,8 @@ impl Sparsifier for PeriodicK {
         // set (taken from the first upload; empty if there are no clients).
         // The server chose the coordinates sorted and distinct
         // (`UploadPlan::Coordinates`), but sort/dedup defensively for direct
-        // callers handing in arbitrary uploads. Duplicate coordinates are
-        // out of contract: the seed implementation double-counted them in
-        // `downlink_elements`; this path canonicalizes them away instead.
+        // callers handing in arbitrary uploads (duplicate coordinates are
+        // out of contract; `J` holds each once).
         scratch.selected.clear();
         if let Some(first) = uploads.first() {
             scratch
@@ -78,11 +75,8 @@ impl Sparsifier for PeriodicK {
         }
         scratch.selected.sort_unstable();
         scratch.selected.dedup();
-
-        let selected = std::mem::take(&mut scratch.selected);
-        let result = result_from_selected(uploads, &selected, dim, scratch, true);
-        scratch.selected = selected;
-        result
+        scratch.mark_selection(dim);
+        aggregate_marked(uploads, dim, scratch, true)
     }
 
     fn probe_aggregate(
@@ -142,7 +136,7 @@ mod tests {
             ClientUpload::new(1, 0.5, vec![(2, 3.0), (7, 2.0)]),
         ];
         let result = PeriodicK::new().select(&uploads, 10, 2);
-        assert_eq!(result.downlink_elements, 2);
+        assert_eq!(result.downlink_elements(), 2);
         assert!((result.aggregated.get(2) - 2.0).abs() < 1e-6);
         assert!((result.aggregated.get(7) - 0.0).abs() < 1e-6);
         assert_eq!(result.contributions(), vec![2, 2]);
@@ -152,7 +146,7 @@ mod tests {
     fn empty_uploads_select_nothing() {
         let result = PeriodicK::new().select(&[], 10, 4);
         assert!(result.aggregated.is_empty());
-        assert_eq!(result.downlink_elements, 0);
+        assert_eq!(result.downlink_elements(), 0);
     }
 
     #[test]

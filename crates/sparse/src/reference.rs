@@ -24,8 +24,10 @@ use std::collections::{HashMap, HashSet};
 use crate::sparsifier::{ClientUpload, SelectionResult};
 use crate::{topk, SparseGradient};
 
-/// The seed implementation of `aggregate_selected`: `HashSet` membership,
-/// `HashMap` accumulation, sort-and-dedup gradient construction.
+/// The seed implementation of the aggregate-and-reset sweep: `HashSet`
+/// membership, `HashMap` accumulation, sort-and-dedup gradient
+/// construction, and one reset list per upload (the seed results pack
+/// them into [`SelectionResult`]'s flat layout).
 pub fn aggregate_selected(
     uploads: &[ClientUpload],
     selected: &[usize],
@@ -54,14 +56,7 @@ fn result_from(
     indexed: bool,
 ) -> SelectionResult {
     let (aggregated, reset_indices) = aggregate_selected(uploads, selected, dim);
-    SelectionResult::new(
-        aggregated,
-        reset_indices,
-        uploads.iter().map(ClientUpload::len).collect(),
-        selected.len(),
-        indexed,
-        indexed,
-    )
+    SelectionResult::from_reset_lists(aggregated, &reset_indices, uploads, indexed)
 }
 
 /// Size of `∪_i J_i^κ`, rebuilt from scratch — the per-probe cost the fast

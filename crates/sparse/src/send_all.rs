@@ -1,9 +1,7 @@
 use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
-use crate::sparsifier::{
-    result_from_selected, ClientUpload, SelectionResult, Sparsifier, UploadPlan,
-};
+use crate::sparsifier::{aggregate_marked, ClientUpload, SelectionResult, Sparsifier, UploadPlan};
 use crate::SparseGradient;
 
 /// Always-send-all: clients upload their full accumulated gradients and the
@@ -52,10 +50,8 @@ impl Sparsifier for SendAll {
     ) -> SelectionResult {
         scratch.selected.clear();
         scratch.selected.extend(0..dim);
-        let selected = std::mem::take(&mut scratch.selected);
-        let result = result_from_selected(uploads, &selected, dim, scratch, false);
-        scratch.selected = selected;
-        result
+        scratch.mark_selection(dim);
+        aggregate_marked(uploads, dim, scratch, false)
     }
 
     fn probe_aggregate(
@@ -93,18 +89,17 @@ mod tests {
             dense_upload(1, 0.5, &[3.0, 2.0, 1.0]),
         ];
         let result = SendAll::new().select(&uploads, 3, 1);
-        assert_eq!(result.downlink_elements, 3);
+        assert_eq!(result.downlink_elements(), 3);
         assert_eq!(result.aggregated.to_dense(), vec![2.0, 2.0, 2.0]);
         assert_eq!(result.contributions(), vec![3, 3]);
-        assert!(!result.uplink_indexed());
-        assert!(!result.downlink_indexed);
+        assert!(!result.indexed());
     }
 
     #[test]
     fn scalar_accounting_is_dense() {
         let uploads = vec![dense_upload(0, 1.0, &[1.0, 2.0, 3.0, 4.0])];
         let result = SendAll::new().select(&uploads, 4, 2);
-        assert_eq!(result.uplink_scalars(0), 4);
+        assert_eq!(result.max_uplink_scalars(), 4);
         assert_eq!(result.downlink_scalars(), 4);
     }
 
@@ -122,6 +117,6 @@ mod tests {
     fn reset_covers_all_uploaded_indices() {
         let uploads = vec![dense_upload(0, 1.0, &[0.5, -0.5])];
         let result = SendAll::new().select(&uploads, 2, 1);
-        assert_eq!(result.reset_indices[0], vec![0, 1]);
+        assert_eq!(result.resets(0), &[0, 1]);
     }
 }

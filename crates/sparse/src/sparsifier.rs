@@ -70,107 +70,100 @@ impl ClientUpload {
 }
 
 /// Result of the server-side selection and aggregation step of one round.
+///
+/// The reset sets are stored flat: every upload's `J ∩ J_i`, concatenated
+/// in upload order, with one end offset per upload — a round allocates
+/// three lists (the aggregate's entries, the reset indices and their
+/// offsets) however many clients it has.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SelectionResult {
     /// The aggregated sparse gradient `B = {(j, b_j)}` broadcast to clients.
     pub aggregated: SparseGradient,
-    /// Per client: the indices `J ∩ J_i` whose accumulator entries must be
-    /// reset (Lines 16–17 of Algorithm 1).
-    pub reset_indices: Vec<Vec<usize>>,
-    /// Per client: how many of its uploaded elements were used in the
-    /// aggregate (`|J ∩ J_i|`). Private because it is derived from
-    /// `reset_indices` at construction; mutation would desync the two.
-    contributions: Vec<usize>,
-    /// Per client: number of gradient elements it uploaded this round.
-    /// Private (with the indexing flag) because [`Self::max_uplink_scalars`]
-    /// is cached from it at construction; mutation would desync the cache.
-    uplink_elements: Vec<usize>,
-    /// Number of gradient elements broadcast to every client.
-    pub downlink_elements: usize,
-    /// Whether uplink messages carry explicit indices alongside values
-    /// (`true` for sparse messages, `false` for dense full-vector messages).
-    uplink_indexed: bool,
-    /// Whether the downlink message carries explicit indices.
-    pub downlink_indexed: bool,
-    /// Cached largest per-client uplink scalar count; computed once at
-    /// construction so per-round time accounting does not rescan all
-    /// clients (twice) in `run_round`.
-    max_uplink_scalars: usize,
+    /// Every upload's reset indices, concatenated in upload order.
+    resets: Vec<usize>,
+    /// Per upload: the end offset of its run in `resets`.
+    reset_ends: Vec<usize>,
+    /// Length of the longest upload, in gradient elements.
+    max_upload_len: usize,
+    /// Whether messages carry explicit indices alongside values (`true` for
+    /// sparse messages, `false` for dense full-vector ones); the uplink and
+    /// the downlink always agree.
+    indexed: bool,
 }
 
 impl SelectionResult {
-    /// Assembles a selection result, deriving `contributions` (as
-    /// `reset_indices` lengths) and caching the maximum per-client uplink
-    /// scalar count.
-    pub fn new(
+    /// Packs one reset list per upload into the flat layout.
+    pub(crate) fn from_reset_lists(
         aggregated: SparseGradient,
-        reset_indices: Vec<Vec<usize>>,
-        uplink_elements: Vec<usize>,
-        downlink_elements: usize,
-        uplink_indexed: bool,
-        downlink_indexed: bool,
+        reset_lists: &[Vec<usize>],
+        uploads: &[ClientUpload],
+        indexed: bool,
     ) -> Self {
-        let contributions = reset_indices.iter().map(Vec::len).collect();
-        let per_scalar = if uplink_indexed { 2 } else { 1 };
-        let max_uplink_scalars = uplink_elements
+        let reset_ends = reset_lists
             .iter()
-            .map(|&n| per_scalar * n)
-            .max()
-            .unwrap_or(0);
+            .scan(0, |end, list| {
+                *end += list.len();
+                Some(*end)
+            })
+            .collect();
         Self {
             aggregated,
-            reset_indices,
-            contributions,
-            uplink_elements,
-            downlink_elements,
-            uplink_indexed,
-            downlink_indexed,
-            max_uplink_scalars,
+            resets: reset_lists.concat(),
+            reset_ends,
+            max_upload_len: uploads.iter().map(ClientUpload::len).max().unwrap_or(0),
+            indexed,
         }
     }
 
-    /// Per client: how many of its uploaded elements were used in the
-    /// aggregate (`|J ∩ J_i|`) — the lengths of `reset_indices`. This is
-    /// the quantity whose CDF the paper plots in Fig. 4 (right).
-    pub fn contributions(&self) -> &[usize] {
-        &self.contributions
+    /// The indices `J ∩ J_u` upload `u` must reset in its accumulator
+    /// (Lines 16–17 of Algorithm 1), in the upload's entry order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is not an upload of this round.
+    pub fn resets(&self, u: usize) -> &[usize] {
+        let start = if u == 0 { 0 } else { self.reset_ends[u - 1] };
+        &self.resets[start..self.reset_ends[u]]
     }
 
-    /// Per client: number of gradient elements it uploaded this round.
-    pub fn uplink_elements(&self) -> &[usize] {
-        &self.uplink_elements
+    /// Per upload: how many of its elements were used in the aggregate
+    /// (`|J ∩ J_i|`, the length of [`Self::resets`]). This is the quantity
+    /// whose CDF the paper plots in Fig. 4 (right).
+    pub fn contributions(&self) -> Vec<usize> {
+        (0..self.reset_ends.len())
+            .map(|u| self.resets(u).len())
+            .collect()
     }
 
-    /// Whether uplink messages carry explicit indices alongside values.
-    pub fn uplink_indexed(&self) -> bool {
-        self.uplink_indexed
+    /// Number of gradient elements broadcast to every client.
+    pub fn downlink_elements(&self) -> usize {
+        self.aggregated.nnz()
     }
 
-    /// Scalars transmitted on the uplink by client `i` (values plus indices
-    /// when the message is indexed). This is what the normalized time model
-    /// charges for.
-    pub fn uplink_scalars(&self, client: usize) -> usize {
-        let n = self.uplink_elements[client];
-        if self.uplink_indexed {
-            2 * n
-        } else {
-            n
-        }
+    /// Whether messages carry explicit indices alongside values.
+    pub fn indexed(&self) -> bool {
+        self.indexed
     }
 
-    /// Largest per-client uplink scalar count (clients transmit in parallel,
-    /// so the slowest link determines the round's uplink time). Cached at
-    /// construction; O(1).
+    /// Largest per-client uplink scalar count (values plus indices when the
+    /// message is indexed): clients transmit in parallel, so the slowest
+    /// link determines the round's uplink time.
     pub fn max_uplink_scalars(&self) -> usize {
-        self.max_uplink_scalars
+        self.scalars(self.max_upload_len)
     }
 
     /// Scalars transmitted on the downlink to each client.
     pub fn downlink_scalars(&self) -> usize {
-        if self.downlink_indexed {
-            2 * self.downlink_elements
+        self.scalars(self.downlink_elements())
+    }
+
+    /// Scalars a message of `elements` gradient elements carries — what the
+    /// normalized time model charges for.
+    fn scalars(&self, elements: usize) -> usize {
+        if self.indexed {
+            2 * elements
         } else {
-            self.downlink_elements
+            elements
         }
     }
 }
@@ -197,10 +190,13 @@ pub trait Sparsifier: Send + Sync + std::fmt::Debug {
     /// accounting.
     ///
     /// This is the hot path of Algorithm 1's server and the only selection
-    /// path: one serial sweep on the caller's thread. All temporaries live in
-    /// `scratch`; a caller that reuses one workspace across rounds (as
-    /// `agsfl_fl::Simulation::run_round` does) performs no per-round heap
-    /// allocation beyond the returned result itself.
+    /// path, serial on the caller's thread, in two steps: the sparsifier
+    /// picks `J` (Line 10), then one shared sweep over the uploads
+    /// aggregates it and records every upload's resets. All temporaries
+    /// live in `scratch`; a caller that reuses one workspace across rounds
+    /// (as `agsfl_fl::Simulation::run_round` does) allocates only the
+    /// returned result — the aggregate's entries, the flat reset list and
+    /// its offsets — whatever the number of clients.
     ///
     /// # Panics
     ///
@@ -279,85 +275,52 @@ pub trait Sparsifier: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Aggregates uploaded values for a set of selected indices:
-/// `b_j = Σ_i weight_i · a_ij · Il[j ∈ J_i]` (Line 10 of Algorithm 1).
+/// Step two of every [`Sparsifier::select_into`]: the one sweep over the
+/// uploads that aggregates `J` and records the resets.
 ///
-/// Also returns, per client, the subset of `selected` the client uploaded
-/// (`J ∩ J_i`) — used both for accumulator resets and for the fairness CDF.
-///
-/// `selected` must be sorted ascending and duplicate-free; sums accumulate in
-/// the scratch's epoch-stamped dense `f64` buffer (no hashing) and the output
-/// entries are emitted in index order, so the sparse gradient is built with
-/// the sort-free [`SparseGradient::from_sorted_entries`] constructor.
-/// Accumulation visits uploads in order, which keeps the floating-point
-/// results bit-identical to the historical `HashMap`-based implementation
-/// (see `crate::reference`).
-pub(crate) fn aggregate_selected_into(
-    uploads: &[ClientUpload],
-    selected: &[usize],
-    dim: usize,
-    scratch: &mut SelectionScratch,
-) -> (SparseGradient, Vec<Vec<usize>>) {
-    scratch.begin_sums(dim);
-    for &j in selected {
-        assert!(j < dim, "selected index {j} out of range (dim {dim})");
-        scratch.mark_selected(j);
-    }
-    aggregate_marked(uploads, selected, dim, scratch)
-}
-
-/// Core of [`aggregate_selected_into`] for callers that have already marked
-/// exactly the `selected` indices in the scratch's current sums generation
-/// (FAB does so during its selection phase and skips the re-marking pass).
+/// Step one left `J` in `scratch.selected`, sorted ascending and
+/// duplicate-free, with exactly `J` marked (at zero) in the sums
+/// generation. Visiting the uploads in order, each entry `(j, a_ij)` with
+/// `j ∈ J` adds `w_i · a_ij` to `b_j` (Line 10 of Algorithm 1) and lands in
+/// upload `i`'s run of the flat reset list (Lines 16–17). The in-order
+/// `f64` adds keep the sums bit-identical to the `HashMap` spec in
+/// `crate::reference`, and the entries come out in index order, so the
+/// gradient is built without a sort.
 pub(crate) fn aggregate_marked(
     uploads: &[ClientUpload],
-    selected: &[usize],
     dim: usize,
     scratch: &mut SelectionScratch,
-) -> (SparseGradient, Vec<Vec<usize>>) {
+    indexed: bool,
+) -> SelectionResult {
     debug_assert!(
-        selected.windows(2).all(|w| w[0] < w[1]),
+        scratch.selected.windows(2).all(|w| w[0] < w[1]),
         "selected must be sorted"
     );
-    let mut reset_indices = vec![Vec::new(); uploads.len()];
-    for (slot, upload) in uploads.iter().enumerate() {
-        let resets = &mut reset_indices[slot];
+    let mut resets = Vec::new();
+    let mut reset_ends = Vec::with_capacity(uploads.len());
+    let mut max_upload_len = 0;
+    for upload in uploads {
         for &(j, v) in &upload.entries {
             assert!(j < dim, "upload index {j} out of range (dim {dim})");
             if scratch.accumulate_if_marked(j, upload.weight * v as f64) {
                 resets.push(j);
             }
         }
+        reset_ends.push(resets.len());
+        max_upload_len = max_upload_len.max(upload.len());
     }
-    let entries: Vec<(usize, f32)> = selected
+    let entries = scratch
+        .selected
         .iter()
         .map(|&j| (j, scratch.sum(j) as f32))
         .collect();
-    (
-        SparseGradient::from_sorted_entries(dim, entries),
-        reset_indices,
-    )
-}
-
-/// Builds the full [`SelectionResult`] for sparsifiers whose downlink is a
-/// sorted index set: aggregation, reset sets, contribution counts and the
-/// communication accounting in one call.
-pub(crate) fn result_from_selected(
-    uploads: &[ClientUpload],
-    selected: &[usize],
-    dim: usize,
-    scratch: &mut SelectionScratch,
-    downlink_indexed: bool,
-) -> SelectionResult {
-    let (aggregated, reset_indices) = aggregate_selected_into(uploads, selected, dim, scratch);
-    SelectionResult::new(
-        aggregated,
-        reset_indices,
-        uploads.iter().map(ClientUpload::len).collect(),
-        selected.len(),
-        downlink_indexed,
-        downlink_indexed,
-    )
+    SelectionResult {
+        aggregated: SparseGradient::from_sorted_entries(dim, entries),
+        resets,
+        reset_ends,
+        max_upload_len,
+        indexed,
+    }
 }
 
 #[cfg(test)]
@@ -379,34 +342,45 @@ mod tests {
         let _ = ClientUpload::new(0, -0.1, vec![]);
     }
 
+    /// Step one for a given `J`, then the shared sweep.
+    fn aggregate(
+        uploads: &[ClientUpload],
+        selected: &[usize],
+        dim: usize,
+        scratch: &mut SelectionScratch,
+        indexed: bool,
+    ) -> SelectionResult {
+        scratch.selected.clear();
+        scratch.selected.extend_from_slice(selected);
+        scratch.mark_selection(dim);
+        aggregate_marked(uploads, dim, scratch, indexed)
+    }
+
     #[test]
     fn selection_result_scalar_accounting() {
-        let r = SelectionResult::new(
-            SparseGradient::zeros(10),
-            vec![vec![], vec![]],
-            vec![3, 5],
-            4,
-            true,
-            true,
-        );
-        assert_eq!(r.uplink_scalars(0), 6);
-        assert_eq!(r.uplink_scalars(1), 10);
+        let ones = |range: std::ops::Range<usize>| range.map(|j| (j, 1.0)).collect();
+        let uploads = vec![
+            ClientUpload::new(0, 0.5, ones(0..3)),
+            ClientUpload::new(1, 0.5, ones(5..10)),
+        ];
+        let mut scratch = SelectionScratch::new();
+        let r = aggregate(&uploads, &[3, 4, 5, 9], 10, &mut scratch, true);
         assert_eq!(r.max_uplink_scalars(), 10);
+        assert_eq!(r.downlink_elements(), 4);
         assert_eq!(r.downlink_scalars(), 8);
-        assert_eq!(r.contributions(), vec![0, 0]);
+        assert_eq!(r.contributions(), vec![0, 2]);
+        assert_eq!(r.resets(0), &[] as &[usize]);
+        assert_eq!(r.resets(1), &[5, 9]);
     }
 
     #[test]
     fn dense_messages_do_not_double_count() {
-        let r = SelectionResult::new(
-            SparseGradient::zeros(10),
-            vec![(0..10).collect()],
-            vec![10],
-            10,
-            false,
-            false,
-        );
-        assert_eq!(r.uplink_scalars(0), 10);
+        let entries = (0..10).map(|j| (j, 1.0)).collect();
+        let uploads = vec![ClientUpload::new(0, 1.0, entries)];
+        let mut scratch = SelectionScratch::new();
+        let selected: Vec<usize> = (0..10).collect();
+        let r = aggregate(&uploads, &selected, 10, &mut scratch, false);
+        assert!(!r.indexed());
         assert_eq!(r.max_uplink_scalars(), 10);
         assert_eq!(r.downlink_scalars(), 10);
         assert_eq!(r.contributions(), vec![10]);
@@ -419,34 +393,51 @@ mod tests {
             ClientUpload::new(1, 0.25, vec![(1, -4.0), (3, 8.0)]),
         ];
         let mut scratch = SelectionScratch::new();
-        let (agg, resets) = aggregate_selected_into(&uploads, &[1, 3], 5, &mut scratch);
+        let r = aggregate(&uploads, &[1, 3], 5, &mut scratch, true);
         // b_1 = 0.75*4 + 0.25*(-4) = 2.0 ; b_3 = 0.25*8 = 2.0 ; index 2 excluded.
-        assert_eq!(agg.get(1), 2.0);
-        assert_eq!(agg.get(3), 2.0);
-        assert!(!agg.contains(2));
-        assert_eq!(resets[0], vec![1]);
-        assert_eq!(resets[1], vec![1, 3]);
+        assert_eq!(r.aggregated.get(1), 2.0);
+        assert_eq!(r.aggregated.get(3), 2.0);
+        assert!(!r.aggregated.contains(2));
+        assert_eq!(r.resets(0), &[1]);
+        assert_eq!(r.resets(1), &[1, 3]);
     }
 
     #[test]
     fn aggregate_selected_with_no_uploads() {
         let mut scratch = SelectionScratch::new();
-        let (agg, resets) = aggregate_selected_into(&[], &[0, 1], 4, &mut scratch);
-        assert_eq!(agg.nnz(), 2);
-        assert_eq!(agg.get(0), 0.0);
-        assert!(resets.is_empty());
+        let r = aggregate(&[], &[0, 1], 4, &mut scratch, true);
+        assert_eq!(r.aggregated.nnz(), 2);
+        assert_eq!(r.aggregated.get(0), 0.0);
+        assert!(r.contributions().is_empty());
+        assert_eq!(r.max_uplink_scalars(), 0);
     }
 
     #[test]
     fn aggregate_scratch_reuse_is_stateless() {
         let uploads = vec![ClientUpload::new(0, 1.0, vec![(0, 1.0), (2, 2.0)])];
         let mut scratch = SelectionScratch::new();
-        let first = aggregate_selected_into(&uploads, &[0, 2], 3, &mut scratch);
-        let second = aggregate_selected_into(&uploads, &[0, 2], 3, &mut scratch);
+        let first = aggregate(&uploads, &[0, 2], 3, &mut scratch, true);
+        let second = aggregate(&uploads, &[0, 2], 3, &mut scratch, true);
         assert_eq!(first, second);
         // A different selected set on the same scratch must not see stale sums.
-        let (agg, _) = aggregate_selected_into(&uploads, &[1], 3, &mut scratch);
-        assert_eq!(agg.get(1), 0.0);
-        assert!(!agg.contains(0));
+        let r = aggregate(&uploads, &[1], 3, &mut scratch, true);
+        assert_eq!(r.aggregated.get(1), 0.0);
+        assert!(!r.aggregated.contains(0));
+    }
+
+    #[test]
+    fn packed_reset_lists_read_back_per_upload() {
+        let uploads = vec![
+            ClientUpload::new(0, 0.5, vec![(1, 1.0)]),
+            ClientUpload::new(1, 0.25, vec![]),
+            ClientUpload::new(2, 0.25, vec![(2, 1.0), (0, 1.0), (3, 1.0)]),
+        ];
+        let lists = vec![vec![1], vec![], vec![2, 0]];
+        let r = SelectionResult::from_reset_lists(SparseGradient::zeros(4), &lists, &uploads, true);
+        for (u, list) in lists.iter().enumerate() {
+            assert_eq!(r.resets(u), list.as_slice());
+        }
+        assert_eq!(r.contributions(), vec![1, 0, 2]);
+        assert_eq!(r.max_uplink_scalars(), 6);
     }
 }

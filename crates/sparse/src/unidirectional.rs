@@ -1,7 +1,7 @@
 use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
-use crate::sparsifier::{ClientUpload, SelectionResult, Sparsifier, UploadPlan};
+use crate::sparsifier::{aggregate_marked, ClientUpload, SelectionResult, Sparsifier, UploadPlan};
 use crate::SparseGradient;
 
 /// Unidirectional top-k sparsification.
@@ -24,7 +24,7 @@ use crate::SparseGradient;
 /// ];
 /// let result = uni.select(&uploads, 8, 2);
 /// // Disjoint selections: the downlink carries k * N = 4 elements.
-/// assert_eq!(result.downlink_elements, 4);
+/// assert_eq!(result.downlink_elements(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnidirectionalTopK;
@@ -52,37 +52,21 @@ impl Sparsifier for UnidirectionalTopK {
         _k: usize,
         scratch: &mut SelectionScratch,
     ) -> SelectionResult {
-        // The downlink is the union of every uploaded coordinate, so the
-        // whole selection + aggregation is a single sweep: accumulate the
-        // weighted sums and reset sets while discovering the union.
+        // The downlink is the union of every uploaded coordinate: mark it,
+        // and the sweep aggregates and resets every entry.
         scratch.begin_sums(dim);
         scratch.selected.clear();
-        let mut reset_indices = vec![Vec::new(); uploads.len()];
-        for (slot, upload) in uploads.iter().enumerate() {
-            for &(j, v) in &upload.entries {
+        for upload in uploads {
+            for &(j, _) in &upload.entries {
                 assert!(j < dim, "upload index {j} out of range (dim {dim})");
                 if !scratch.is_marked(j) {
                     scratch.mark_selected(j);
                     scratch.selected.push(j);
                 }
-                scratch.accumulate(j, upload.weight * v as f64);
-                reset_indices[slot].push(j);
             }
         }
         scratch.selected.sort_unstable();
-        let entries: Vec<(usize, f32)> = scratch
-            .selected
-            .iter()
-            .map(|&j| (j, scratch.sum(j) as f32))
-            .collect();
-        SelectionResult::new(
-            SparseGradient::from_sorted_entries(dim, entries),
-            reset_indices,
-            uploads.iter().map(ClientUpload::len).collect(),
-            scratch.selected.len(),
-            true,
-            true,
-        )
+        aggregate_marked(uploads, dim, scratch, true)
     }
 
     fn probe_aggregate(
@@ -113,7 +97,7 @@ mod tests {
             ClientUpload::new(1, 0.5, vec![(4, 2.0), (7, 0.5)]),
         ];
         let result = UnidirectionalTopK::new().select(&uploads, 8, 2);
-        assert_eq!(result.downlink_elements, 3);
+        assert_eq!(result.downlink_elements(), 3);
         assert!(result.aggregated.contains(0));
         assert!(result.aggregated.contains(4));
         assert!(result.aggregated.contains(7));
@@ -132,7 +116,7 @@ mod tests {
             })
             .collect();
         let result = UnidirectionalTopK::new().select(&uploads, n * k, k);
-        assert_eq!(result.downlink_elements, n * k);
+        assert_eq!(result.downlink_elements(), n * k);
     }
 
     #[test]
@@ -151,7 +135,7 @@ mod tests {
         let uploads = vec![ClientUpload::new(0, 1.0, topk::top_k_entries(&dense, 6))];
         let result = UnidirectionalTopK::new().select(&uploads, 6, 6);
         // Index 3 has value 0.0 but is still part of the upload.
-        assert_eq!(result.downlink_elements, 6);
+        assert_eq!(result.downlink_elements(), 6);
     }
 
     #[test]

@@ -84,6 +84,24 @@ if awk '/pub fn encoded_len_unsorted/ { on = 1 } on { print FNR ":" $0 } on && /
     exit 1
 fi
 
+step "one selection contract (each sparsifier picks J; one shared sweep aggregates it and writes the resets into one flat list)"
+# Every Sparsifier::select_into ends in sparsifier::aggregate_marked, which
+# accumulates J and appends each upload's resets to one list with
+# per-upload end offsets. A reset Vec per client, a second hand-written
+# aggregate-and-reset sweep, FUB's membership set or the touched list is a
+# deleted copy growing back; reference.rs keeps the seed's per-client lists
+# as the spec. FedAvg's average has one striped path too: the executor runs
+# a single stripe as a plain loop, so a size threshold is a second branch.
+if grep -rnE 'vec!\[Vec::new\(\);|result_from_selected|aggregate_selected_into|begin_members|is_member|\.touched' crates/sparse/src \
+    | grep -vE '^crates/sparse/src/reference\.rs:'; then
+    echo "verify: a deleted selection path is back (lines above); pick J, then call aggregate_marked" >&2
+    exit 1
+fi
+if grep -n 'STRIPE_MIN_DIM' crates/fl/src/fedavg.rs; then
+    echo "verify: crates/fl/src/fedavg.rs has an averaging threshold again (lines above); stripe every run" >&2
+    exit 1
+fi
+
 step "a wired upload is ordered once per side (no index sort on the client, no per-index search in the reset)"
 # A byte-priced client selects in index order (topk::top_k_entries_indexed_into)
 # and hands that to the codec; the server ranks once, from the decoder's
@@ -209,6 +227,10 @@ cargo test -q -p agsfl-core resume
 
 step "decode fuzz (hostile frames never panic the wire layer)"
 cargo test -q -p agsfl-wire --test decode_fuzz
+
+step "selection contract (all five select_into == the seed spec, bit for bit; a warm selection's allocations do not grow with the client count)"
+cargo test -q -p agsfl-sparse --test select_equivalence
+cargo test -q -p agsfl-sparse --test select_allocations
 
 step "top-k equivalence (integer-key select/rank == the comparator spec, bit for bit; NaN never panics)"
 cargo test -q -p agsfl-sparse --test topk_equivalence

@@ -54,7 +54,7 @@ fn per_client_weight_copies_stay_identical_under_fab_topk() {
         // resets its own accumulator entries.
         for i in 0..n {
             selection.aggregated.apply_sgd(&mut weights[i], eta);
-            accumulators[i].reset_indices(&selection.reset_indices[i]);
+            accumulators[i].reset_indices(selection.resets(i));
         }
         // Invariant: all weight copies identical after every round.
         for i in 1..n {
@@ -104,8 +104,8 @@ fn fab_fairness_holds_throughout_training() {
             );
         }
         selection.aggregated.apply_sgd(&mut weights, 0.05);
-        for (acc, resets) in accumulators.iter_mut().zip(selection.reset_indices.iter()) {
-            acc.reset_indices(resets);
+        for (i, acc) in accumulators.iter_mut().enumerate() {
+            acc.reset_indices(selection.resets(i));
         }
     }
 }
