@@ -1,6 +1,6 @@
-//! A federated client: local data, mini-batch sampling, residual accumulator.
+//! A federated client: mini-batch sampling, its batch rows, residual accumulator.
 
-use agsfl_ml::data::{ClientShard, MinibatchSampler};
+use agsfl_ml::data::{ClientShard, MinibatchSampler, ShardSource};
 use agsfl_ml::model::Model;
 use agsfl_sparse::{ResidualAccumulator, UploadPlan};
 use agsfl_wire::{decode_frame, Codec, WireScratch};
@@ -19,14 +19,16 @@ thread_local! {
 
 /// One federated client of Algorithm 1.
 ///
-/// The client owns its local shard, a mini-batch sampler, its residual
-/// accumulator `a_i` and a private RNG (so the simulation is deterministic
-/// regardless of the order in which clients are processed, including when
-/// gradient computation is parallelized across threads).
+/// The client owns a mini-batch sampler over its shard's sample indices,
+/// its residual accumulator `a_i` and a private RNG (so the simulation is
+/// deterministic regardless of the order in which clients are processed,
+/// including when gradient computation is parallelized across threads).
+/// Its data stays in a [`ShardSource`] as client `id`: a gradient step
+/// draws the batch indices first and then fetches just those rows into a
+/// reused batch buffer, so a client never holds its whole shard.
 #[derive(Debug, Clone)]
 pub struct Client {
     id: usize,
-    shard: ClientShard,
     weight: f64,
     sampler: MinibatchSampler,
     accumulator: ResidualAccumulator,
@@ -36,6 +38,12 @@ pub struct Client {
     last_batch: Vec<usize>,
     /// The sample within `last_batch` chosen for the estimator this round.
     probe_sample: Option<usize>,
+    /// The rows the client last fetched from its source: the mini-batch
+    /// `last_batch` names, or — for a member that sat a round out — just
+    /// its stale probe sample. Round-transient, like the scratch below.
+    batch: ClientShard,
+    /// The row of `batch` holding the probe sample.
+    probe_row: usize,
     /// Reused order-key buffer for top-k extraction (see
     /// `agsfl_sparse::topk`) and for the lossy tier's sorted reset indices,
     /// so building the uplink message and resetting the residual allocate
@@ -51,60 +59,50 @@ pub struct Client {
 }
 
 impl Client {
-    /// Creates a client.
+    /// Creates client `id` of a [`ShardSource`] whose shard holds
+    /// `shard_len` samples.
     ///
     /// `weight` is the aggregation weight `C_i / C`; `dim` the model
     /// dimension; `seed` the client's private RNG seed.
     ///
     /// # Panics
     ///
-    /// Panics if the shard is empty or `batch_size == 0`.
+    /// Panics if `shard_len == 0` or `batch_size == 0`.
     pub fn new(
         id: usize,
-        shard: ClientShard,
+        shard_len: usize,
         weight: f64,
         dim: usize,
         batch_size: usize,
         seed: u64,
     ) -> Self {
-        assert!(!shard.is_empty(), "client {id} has no local data");
-        let sampler = MinibatchSampler::new(&shard, batch_size);
-        Self {
-            id,
-            shard,
-            weight,
-            sampler,
-            accumulator: ResidualAccumulator::new(dim),
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            last_batch: Vec::new(),
-            probe_sample: None,
-            topk_scratch: Vec::new(),
-            wire_scratch: WireScratch::new(),
-            decode_scratch: Vec::new(),
-        }
+        assert!(shard_len > 0, "client {id} has no local data");
+        let mut client = Self::placeholder(dim, batch_size);
+        client.bind(id, weight);
+        client.reset_persistent(seed, dim, shard_len);
+        client
     }
 
-    /// Creates an unbound cohort slot: an empty shard, zero weight, and a
+    /// Creates an unbound cohort slot: no samples, zero weight, and a
     /// placeholder RNG. The cohort engine binds a real client onto the slot
-    /// each round ([`Client::bind`], shard materialization, then either a
-    /// population-row swap or [`Client::reset_persistent`]); a placeholder
-    /// never computes a gradient on its own.
+    /// each round ([`Client::bind`], then either a population-row swap or
+    /// [`Client::reset_persistent`]); a placeholder never computes a
+    /// gradient on its own.
     ///
     /// # Panics
     ///
     /// Panics if `batch_size == 0`.
-    pub(crate) fn placeholder(feature_dim: usize, dim: usize, batch_size: usize) -> Self {
-        let shard = ClientShard::empty(feature_dim);
-        let sampler = MinibatchSampler::new(&shard, batch_size);
+    pub(crate) fn placeholder(dim: usize, batch_size: usize) -> Self {
         Self {
             id: usize::MAX,
-            shard,
             weight: 0.0,
-            sampler,
+            sampler: MinibatchSampler::new(0, batch_size),
             accumulator: ResidualAccumulator::new(dim),
             rng: ChaCha8Rng::seed_from_u64(0),
             last_batch: Vec::new(),
             probe_sample: None,
+            batch: ClientShard::empty(0),
+            probe_row: 0,
             topk_scratch: Vec::new(),
             wire_scratch: WireScratch::new(),
             decode_scratch: Vec::new(),
@@ -116,14 +114,6 @@ impl Client {
     pub(crate) fn bind(&mut self, id: usize, weight: f64) {
         self.id = id;
         self.weight = weight;
-    }
-
-    /// Mutable access to the local shard, so a [`ShardSource`] can
-    /// materialize a cohort member's data into the slot's reused buffers.
-    ///
-    /// [`ShardSource`]: agsfl_ml::data::ShardSource
-    pub(crate) fn shard_mut(&mut self) -> &mut ClientShard {
-        &mut self.shard
     }
 
     /// Swaps the client's *persistent* state (RNG stream, residual, sampler
@@ -174,12 +164,7 @@ impl Client {
 
     /// Number of local samples `C_i`.
     pub fn num_samples(&self) -> usize {
-        self.shard.len()
-    }
-
-    /// Borrows the client's local shard.
-    pub fn shard(&self) -> &ClientShard {
-        &self.shard
+        self.sampler.order().len()
     }
 
     /// Borrows the residual accumulator `a_i`.
@@ -190,18 +175,40 @@ impl Client {
     /// Computes the local mini-batch gradient at `params`, adds it to the
     /// accumulator (Line 4 of Algorithm 1) and returns the mini-batch loss.
     ///
-    /// Also draws the round's probe sample for the derivative-sign estimator.
-    pub fn compute_local_gradient(&mut self, model: &dyn Model, params: &[f32]) -> f32 {
-        let (features, labels, indices) = self.sampler.next_batch(&self.shard, &mut self.rng);
+    /// Draws the batch indices first, then fetches only those rows of this
+    /// client's shard from `source` into the reused batch buffer. Also
+    /// draws the round's probe sample for the derivative-sign estimator.
+    /// Nothing is allocated once the client's buffers have grown.
+    pub fn compute_local_gradient(
+        &mut self,
+        source: &dyn ShardSource,
+        model: &dyn Model,
+        params: &[f32],
+    ) -> f32 {
+        self.sampler
+            .next_indices_into(&mut self.rng, &mut self.last_batch);
+        source.materialize_rows_into(self.id, &self.last_batch, &mut self.batch);
         let loss = GRADIENT.with(|grad| {
             let grad = &mut *grad.borrow_mut();
-            let loss = model.loss_and_grad_into(params, &features, &labels, grad);
+            let loss =
+                model.loss_and_grad_into(params, &self.batch.features, &self.batch.labels, grad);
             self.accumulator.add(grad);
             loss
         });
-        self.probe_sample = Some(indices[self.rng.gen_range(0..indices.len())]);
-        self.last_batch = indices;
+        self.probe_row = self.rng.gen_range(0..self.last_batch.len());
+        self.probe_sample = Some(self.last_batch[self.probe_row]);
         loss
+    }
+
+    /// Fetches the probe sample of the client's last online round, for a
+    /// member that computes nothing this round but whose stale sample the
+    /// probe still evaluates: one row from `source`, no stream advanced.
+    /// A client that has never computed a gradient fetches nothing.
+    pub(crate) fn fetch_probe_sample(&mut self, source: &dyn ShardSource) {
+        if let Some(sample) = self.probe_sample {
+            source.materialize_rows_into(self.id, &[sample], &mut self.batch);
+            self.probe_row = 0;
+        }
     }
 
     /// Builds the uplink message for the current round according to the
@@ -306,9 +313,12 @@ impl Client {
 
     /// Loss of the round's probe sample at several weight vectors — the
     /// single-sample losses `f_{i,h}(·)` of the derivative-sign estimator
-    /// (Section IV-E of the paper). The sample is fetched once and evaluated
-    /// per vector; the estimator needs up to three losses per client per
-    /// probe round (`w(m-1)`, `w(m)`, `w'(m)`).
+    /// (Section IV-E of the paper). The sample is read once from the batch
+    /// buffer — where [`Client::compute_local_gradient`] left it, or the
+    /// round engine's one-row fetch for a member that sat the round out —
+    /// and evaluated per vector;
+    /// the estimator needs up to three losses per client per probe round
+    /// (`w(m-1)`, `w(m)`, `w'(m)`).
     ///
     /// Returns `None` if no gradient has been computed yet this run.
     pub fn probe_losses<const M: usize>(
@@ -316,8 +326,8 @@ impl Client {
         model: &dyn Model,
         params: [&[f32]; M],
     ) -> Option<[f32; M]> {
-        let idx = self.probe_sample?;
-        let (features, label) = self.shard.sample(idx);
+        self.probe_sample?;
+        let (features, label) = self.batch.sample(self.probe_row);
         Some(params.map(|w| model.sample_loss(w, features, label)))
     }
 }
@@ -325,6 +335,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agsfl_ml::data::FederatedDataset;
     use agsfl_ml::model::LinearSoftmax;
     use agsfl_tensor::Matrix;
 
@@ -335,27 +346,31 @@ mod tests {
         )
     }
 
-    fn client_and_model() -> (Client, LinearSoftmax, Vec<f32>) {
+    /// A one-client source over `shard(n, 4, 3)`: client 0's data.
+    fn source(n: usize) -> FederatedDataset {
+        FederatedDataset::new(vec![shard(n, 4, 3)], shard(3, 4, 3), 3)
+    }
+
+    fn client_and_model() -> (Client, LinearSoftmax, Vec<f32>, FederatedDataset) {
         let model = LinearSoftmax::new(4, 3);
-        let shard = shard(12, 4, 3);
-        let client = Client::new(0, shard, 0.5, model.num_params(), 4, 42);
+        let client = Client::new(0, 12, 0.5, model.num_params(), 4, 42);
         let params = vec![0.01; model.num_params()];
-        (client, model, params)
+        (client, model, params, source(12))
     }
 
     #[test]
     fn gradient_accumulates_in_residual() {
-        let (mut client, model, params) = client_and_model();
+        let (mut client, model, params, data) = client_and_model();
         assert_eq!(client.accumulator().residual_l1(), 0.0);
-        let loss = client.compute_local_gradient(&model, &params);
+        let loss = client.compute_local_gradient(&data, &model, &params);
         assert!(loss > 0.0);
         assert!(client.accumulator().residual_l1() > 0.0);
     }
 
     #[test]
     fn upload_plans_produce_expected_shapes() {
-        let (mut client, model, params) = client_and_model();
-        client.compute_local_gradient(&model, &params);
+        let (mut client, model, params, data) = client_and_model();
+        client.compute_local_gradient(&data, &model, &params);
         let mut out = Vec::new();
         client.build_upload_into(&UploadPlan::TopKOwn, 3, false, &mut out);
         assert_eq!(out.len(), 3);
@@ -377,8 +392,8 @@ mod tests {
 
     #[test]
     fn reset_clears_only_used_coordinates() {
-        let (mut client, model, params) = client_and_model();
-        client.compute_local_gradient(&model, &params);
+        let (mut client, model, params, data) = client_and_model();
+        client.compute_local_gradient(&data, &model, &params);
         let mut upload = Vec::new();
         client.build_upload_into(&UploadPlan::TopKOwn, 2, false, &mut upload);
         let used: Vec<usize> = upload.iter().map(|&(j, _)| j).collect();
@@ -391,9 +406,9 @@ mod tests {
 
     #[test]
     fn probe_losses_available_after_gradient() {
-        let (mut client, model, params) = client_and_model();
+        let (mut client, model, params, data) = client_and_model();
         assert!(client.probe_losses(&model, [&params[..]]).is_none());
-        client.compute_local_gradient(&model, &params);
+        client.compute_local_gradient(&data, &model, &params);
         let [loss] = client.probe_losses(&model, [&params[..]]).unwrap();
         assert!(loss.is_finite() && loss > 0.0);
     }
@@ -409,14 +424,15 @@ mod tests {
         let large = Mlp::new(4, &[6], 3);
         let small_params = vec![0.02; small.num_params()];
         let large_params = vec![0.03; large.num_params()];
+        let data = source(10);
         let run_small = || {
-            let mut c = Client::new(0, shard(10, 4, 3), 0.5, small.num_params(), 4, 9);
-            let loss = c.compute_local_gradient(&small, &small_params);
+            let mut c = Client::new(0, 10, 0.5, small.num_params(), 4, 9);
+            let loss = c.compute_local_gradient(&data, &small, &small_params);
             (loss.to_bits(), c.accumulator().as_slice().to_vec())
         };
         let run_large = || {
-            let mut c = Client::new(1, shard(10, 4, 3), 0.5, large.num_params(), 4, 11);
-            let loss = c.compute_local_gradient(&large, &large_params);
+            let mut c = Client::new(0, 10, 0.5, large.num_params(), 4, 11);
+            let loss = c.compute_local_gradient(&data, &large, &large_params);
             (loss.to_bits(), c.accumulator().as_slice().to_vec())
         };
         let first_small = run_small();
@@ -431,11 +447,12 @@ mod tests {
     fn clients_with_same_seed_are_deterministic() {
         let model = LinearSoftmax::new(4, 3);
         let params = vec![0.02; model.num_params()];
-        let mut a = Client::new(0, shard(10, 4, 3), 0.5, model.num_params(), 4, 9);
-        let mut b = Client::new(0, shard(10, 4, 3), 0.5, model.num_params(), 4, 9);
+        let data = source(10);
+        let mut a = Client::new(0, 10, 0.5, model.num_params(), 4, 9);
+        let mut b = Client::new(0, 10, 0.5, model.num_params(), 4, 9);
         for _ in 0..3 {
-            let la = a.compute_local_gradient(&model, &params);
-            let lb = b.compute_local_gradient(&model, &params);
+            let la = a.compute_local_gradient(&data, &model, &params);
+            let lb = b.compute_local_gradient(&data, &model, &params);
             assert_eq!(la, lb);
         }
         assert_eq!(a.accumulator().as_slice(), b.accumulator().as_slice());
@@ -445,17 +462,16 @@ mod tests {
     fn hydrated_placeholder_matches_fresh_client() {
         let model = LinearSoftmax::new(4, 3);
         let params = vec![0.02; model.num_params()];
-        let data = shard(10, 4, 3);
-        let mut fresh = Client::new(7, data.clone(), 0.5, model.num_params(), 4, 99);
+        let data = source(10);
+        let mut fresh = Client::new(0, 10, 0.5, model.num_params(), 4, 99);
 
-        let mut slot = Client::placeholder(4, model.num_params(), 4);
-        slot.bind(7, 0.5);
-        *slot.shard_mut() = data;
+        let mut slot = Client::placeholder(model.num_params(), 4);
+        slot.bind(0, 0.5);
         slot.reset_persistent(99, model.num_params(), 10);
 
         for _ in 0..3 {
-            let lf = fresh.compute_local_gradient(&model, &params);
-            let ls = slot.compute_local_gradient(&model, &params);
+            let lf = fresh.compute_local_gradient(&data, &model, &params);
+            let ls = slot.compute_local_gradient(&data, &model, &params);
             assert_eq!(lf.to_bits(), ls.to_bits());
         }
         assert_eq!(
@@ -479,9 +495,8 @@ mod tests {
             &mut last_batch,
             &mut probe,
         );
-        let mut slot2 = Client::placeholder(4, model.num_params(), 4);
-        slot2.bind(7, 0.5);
-        *slot2.shard_mut() = slot.shard().clone();
+        let mut slot2 = Client::placeholder(model.num_params(), 4);
+        slot2.bind(0, 0.5);
         slot2.swap_persistent(
             &mut rng,
             &mut residual,
@@ -490,8 +505,14 @@ mod tests {
             &mut last_batch,
             &mut probe,
         );
-        let lf = fresh.compute_local_gradient(&model, &params);
-        let ls = slot2.compute_local_gradient(&model, &params);
+        // Before it computes, the rehydrated slot holds no rows: fetching
+        // its stale probe sample reads what the original batch read.
+        let bits = |c: &Client| c.probe_losses(&model, [&params[..]]).map(|[l]| l.to_bits());
+        slot2.fetch_probe_sample(&data);
+        assert_eq!(bits(&slot2), bits(&fresh));
+        assert!(bits(&fresh).is_some());
+        let lf = fresh.compute_local_gradient(&data, &model, &params);
+        let ls = slot2.compute_local_gradient(&data, &model, &params);
         assert_eq!(lf.to_bits(), ls.to_bits());
         assert_eq!(
             fresh.accumulator().as_slice(),
@@ -502,7 +523,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn empty_shard_panics() {
-        let _ = Client::new(0, ClientShard::empty(4), 0.1, 10, 4, 0);
+        let _ = Client::new(0, 0, 0.1, 10, 4, 0);
     }
 
     #[test]
@@ -510,9 +531,9 @@ mod tests {
         use crate::population::ClientPopulation;
         use agsfl_wire::snapshot::{SnapshotReader, SnapshotWriter};
 
-        let (mut a, model, params) = client_and_model();
+        let (mut a, model, params, data) = client_and_model();
         for _ in 0..3 {
-            a.compute_local_gradient(&model, &params);
+            a.compute_local_gradient(&data, &model, &params);
         }
         // Park the client's persistent state in a population row and
         // serialize it, the shape every checkpoint now uses.
@@ -523,7 +544,7 @@ mod tests {
         pop.write_state(&mut w);
         let bytes = w.into_bytes();
 
-        let (mut b, _, _) = client_and_model();
+        let (mut b, _, _, _) = client_and_model();
         let mut r = SnapshotReader::new(&bytes);
         let mut restored =
             ClientPopulation::read_state(&mut r, model.num_params(), 1, |_| 12).unwrap();
@@ -531,8 +552,8 @@ mod tests {
         assert_eq!(restored.hydrate(0, &mut b), Some(0));
         assert_eq!(a.accumulator().as_slice(), b.accumulator().as_slice());
         for _ in 0..4 {
-            let la = a.compute_local_gradient(&model, &params);
-            let lb = b.compute_local_gradient(&model, &params);
+            let la = a.compute_local_gradient(&data, &model, &params);
+            let lb = b.compute_local_gradient(&data, &model, &params);
             assert_eq!(la.to_bits(), lb.to_bits());
         }
         assert_eq!(a.accumulator().as_slice(), b.accumulator().as_slice());
@@ -547,8 +568,8 @@ mod tests {
         use crate::population::ClientPopulation;
         use agsfl_wire::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
-        let (mut a, model, params) = client_and_model();
-        a.compute_local_gradient(&model, &params);
+        let (mut a, model, params, data) = client_and_model();
+        a.compute_local_gradient(&data, &model, &params);
         let mut pop = ClientPopulation::new();
         pop.dehydrate(0, None, true, &mut a);
         let mut w = SnapshotWriter::new();

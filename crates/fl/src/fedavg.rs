@@ -16,7 +16,7 @@
 //! the serial path for every thread count; see `ARCHITECTURE.md`.
 
 use agsfl_exec::{Executor, Parallelism};
-use agsfl_ml::data::{FederatedDataset, MinibatchSampler};
+use agsfl_ml::data::{ClientShard, FederatedDataset, MinibatchSampler, ShardSource};
 use agsfl_ml::metrics::global_evaluation;
 use agsfl_ml::model::Model;
 use agsfl_ml::optim::sgd_step;
@@ -89,7 +89,7 @@ pub struct FedAvgRoundReport {
 
 /// One FedAvg client: its diverging local weights plus the private sampler
 /// and RNG that make the client-parallel round pass deterministic in any
-/// interleaving.
+/// interleaving, and the reused buffers its mini-batch is drawn into.
 #[derive(Debug, Clone)]
 struct FedAvgClient {
     id: usize,
@@ -97,6 +97,10 @@ struct FedAvgClient {
     params: Vec<f32>,
     sampler: MinibatchSampler,
     rng: ChaCha8Rng,
+    /// This round's batch indices into the client's shard.
+    indices: Vec<usize>,
+    /// This round's batch rows.
+    batch: ClientShard,
 }
 
 /// Federated averaging with periodic full-model exchange.
@@ -151,8 +155,10 @@ impl FedAvgSimulation {
                 id: i,
                 weight: shard.len() as f64 / total,
                 params: init.clone(),
-                sampler: MinibatchSampler::new(shard, config.batch_size),
+                sampler: MinibatchSampler::new(shard.len(), config.batch_size),
                 rng: ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(17).wrapping_add(i as u64)),
+                indices: Vec::new(),
+                batch: ClientShard::empty(shard.feature_dim()),
             })
             .collect();
         Self {
@@ -238,9 +244,12 @@ impl FedAvgSimulation {
         let model = self.model.as_ref();
         let dataset = &self.dataset;
         let losses: Vec<(f64, f32)> = self.executor.map_mut(&mut self.clients, |client| {
-            let shard = dataset.client(client.id);
-            let (features, labels, _) = client.sampler.next_batch(shard, &mut client.rng);
-            let (loss, grad) = model.loss_and_grad(&client.params, &features, &labels);
+            client
+                .sampler
+                .next_indices_into(&mut client.rng, &mut client.indices);
+            dataset.materialize_rows_into(client.id, &client.indices, &mut client.batch);
+            let batch = &client.batch;
+            let (loss, grad) = model.loss_and_grad(&client.params, &batch.features, &batch.labels);
             sgd_step(&mut client.params, &grad, lr);
             (client.weight, loss)
         });

@@ -1,20 +1,23 @@
 //! The struct-of-arrays client population behind the cohort engine.
 //!
 //! A million-client simulation cannot afford a [`Client`] per client: each
-//! one owns a materialized shard, reusable scratch buffers, and a resident
+//! one owns a batch buffer, reusable scratch buffers, and a resident
 //! residual vector. [`ClientPopulation`] keeps only what is genuinely
 //! *persistent* across rounds — the private RNG stream, the residual
 //! accumulator contents, the mini-batch sampler epoch, and the estimator
 //! bookkeeping — in flat parallel columns, and only for clients that have
 //! actually participated online at least once. Everything transient (the
-//! shard, top-k scratch, wire scratch) lives in a small reusable arena of
-//! cohort [`Slot`]s that is rebound to the round's sampled members.
+//! batch rows, top-k scratch, wire scratch) lives in a small reusable arena
+//! of cohort [`Slot`]s that is rebound to the round's sampled members. No
+//! slot ever holds a whole shard: a member fetches only its mini-batch rows
+//! from the `ShardSource`.
 //!
-//! Resident memory is therefore `O(slots · shard + touched_clients · dim)`
-//! rather than `O(N · (shard + dim))`: with a fixed round budget and cohort
-//! size the footprint is flat in the population size `N`, which is the
-//! tentpole claim audited by `figures::scale_sweep` in `agsfl-core` and the
-//! bounded-RSS smoke step of `scripts/verify.sh`.
+//! Resident memory is therefore `O(slots · batch + touched_clients · (dim +
+//! shard_len))` — the second factor is each stored row's residual and
+//! sampler epoch — rather than `O(N · (shard + dim))`: with a fixed round
+//! budget and cohort size the footprint is flat in the population size
+//! `N`, which is the tentpole claim audited by `figures::scale_sweep` in
+//! `agsfl-core` and the bounded-RSS smoke step of `scripts/verify.sh`.
 //!
 //! # Determinism
 //!
@@ -22,7 +25,7 @@
 //! the population is the one shared structure) and a fresh client's state
 //! is a pure function of `(simulation seed, client id)`
 //! ([`Client::reset_persistent`], run per slot inside the parallel client
-//! pass next to the shard fill), so which rounds touch which clients — and
+//! pass, ahead of the member's row fetch), so which rounds touch which clients — and
 //! in which slot, on which worker, a client lands — never changes any
 //! stream. Cohort draws ([`draw_cohort`]) advance a dedicated ChaCha8
 //! stream serially before the parallel client pass, and a full-population
@@ -38,8 +41,9 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::client::Client;
 
-/// One reusable cohort slot: a transient [`Client`] arena entry plus the
-/// round-scoped bookkeeping the engine needs between phases.
+/// One reusable cohort slot: a transient [`Client`] arena entry — its batch
+/// buffer holds this round's rows of the member's shard, never the shard —
+/// plus the round-scoped bookkeeping the engine needs between phases.
 #[derive(Debug)]
 pub(crate) struct Slot {
     /// The transient client the round's member is hydrated into.
@@ -59,24 +63,19 @@ pub(crate) struct Slot {
     /// uplink (reused buffer; empty on lossless rounds), fed back into the
     /// residual at reset time.
     pub errors: Vec<(usize, f32)>,
-    /// Which client id the slot's shard currently holds, so a member that
-    /// lands in the same slot again skips re-materialization. Written only
-    /// by the slot's own fill at the head of the client pass.
-    pub shard_of: Option<usize>,
 }
 
 impl Slot {
     /// Creates an empty slot arena entry.
-    pub fn new(feature_dim: usize, dim: usize, batch_size: usize) -> Self {
+    pub fn new(dim: usize, batch_size: usize) -> Self {
         Self {
-            client: Client::placeholder(feature_dim, dim, batch_size),
+            client: Client::placeholder(dim, batch_size),
             cached_row: None,
             offline: false,
             loss: 0.0,
             entries: Vec::new(),
             frame: Vec::new(),
             errors: Vec::new(),
-            shard_of: None,
         }
     }
 }

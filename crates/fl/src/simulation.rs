@@ -366,8 +366,9 @@ impl Simulation {
     }
 
     /// Creates a simulation over any [`ShardSource`] — eager datasets and
-    /// lazily materialized million-client populations alike. Only the
-    /// sampled cohort's shards are ever resident.
+    /// lazily materialized million-client populations alike. A round only
+    /// ever fetches its cohort's mini-batch rows, so over a lazy source no
+    /// shard is ever resident.
     pub fn with_source(
         model: Box<dyn Model>,
         source: Box<dyn ShardSource>,
@@ -399,7 +400,7 @@ impl Simulation {
         let dim = params.len();
         let slot_count = config.cohort.map_or(num_clients, |c| c.min(num_clients));
         let slots = (0..slot_count)
-            .map(|_| Slot::new(source.feature_dim(), dim, config.batch_size))
+            .map(|_| Slot::new(dim, config.batch_size))
             .collect();
         let wire = config.wire.as_ref().map(|w| {
             assert_eq!(
@@ -746,9 +747,9 @@ impl Simulation {
         });
         // Point each slot at its member and swap a returning participant's
         // persistent state in from the population — the only hydration step
-        // that mutates shared state. The per-slot *fill* (shard
-        // materialization, a first-timer's fresh state) is the head of the
-        // client pass.
+        // that mutates shared state. A first-timer's fresh state and the
+        // member's row fetch are per-slot work on the pool, in the client
+        // pass.
         for (pos, &id) in cohort.iter().enumerate() {
             let slot = &mut self.slots[pos];
             let weight = self.source.shard_len(id) as f64 / cohort_samples as f64;
@@ -764,8 +765,9 @@ impl Simulation {
     /// Stage (1): the fused client pass and the server's admission of its
     /// output, as the two ends of one pipeline over the slot arena.
     ///
-    /// The *producer* runs on the pool, one call per cohort slot: the
-    /// slot's fill, then local gradient computation (Line 4) immediately
+    /// The *producer* runs on the pool, one call per cohort slot: a
+    /// first-timer's fresh state, then local gradient computation (Line 4:
+    /// batch indices, then just those rows from the source) immediately
     /// followed by building — and, byte-priced, encoding — the uplink
     /// message (Line 6), so each member's residual is still hot in cache
     /// when its top-k runs. Each slot owns its member's RNG and sampler and
@@ -805,17 +807,10 @@ impl Simulation {
         let source = self.source.as_ref();
         let seed = self.config.seed;
         let produce = |slot: &mut Slot| {
-            // Fill: materialize the shard unless the slot already held this
-            // member's, and derive a first-timer's persistent state from
-            // `(seed, id)`. Both are pure functions of `(source, seed, id)`
-            // writing only into this slot, so they run on the pool. They
-            // come *before* the offline early-out: the probe evaluates an
-            // offline member's stale sample index against this shard.
+            // Derive a first-timer's persistent state from `(seed, id)`: a
+            // pure function writing only into this slot, so it runs on the
+            // pool.
             let id = slot.client.id();
-            if slot.shard_of != Some(id) {
-                source.materialize_into(id, slot.client.shard_mut());
-                slot.shard_of = Some(id);
-            }
             if slot.cached_row.is_none() {
                 slot.client.reset_persistent(
                     seed.wrapping_add(1)
@@ -829,9 +824,14 @@ impl Simulation {
                 // Mid-outage: no compute, no upload, and none of the
                 // member's streams advance, so recovery resumes them at
                 // exactly the position an always-online run never left.
+                // The probe still evaluates the sample index of the
+                // member's last online round, so that one row is fetched.
+                slot.client.fetch_probe_sample(source);
                 return;
             }
-            slot.loss = slot.client.compute_local_gradient(model, params);
+            // Line 4: the batch indices are drawn first and only those rows
+            // of the member's shard are fetched from the source.
+            slot.loss = slot.client.compute_local_gradient(source, model, params);
             slot.client
                 .build_upload_into(&plan, k, wire.is_some(), &mut slot.entries);
             match wire {

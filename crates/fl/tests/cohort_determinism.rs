@@ -7,11 +7,13 @@
 //! These generalize the hand-picked cases in `simulation.rs`'s unit tests
 //! (and the historical pins in `golden_trajectory.rs`) across the whole
 //! configuration space: cohort draws and RNG streams advance serially in
-//! client order before any parallel region, and the per-slot fill that runs
-//! *inside* the parallel client pass (shard materialization, a first-timer's
-//! fresh state) is a pure function of `(source, seed, id)`, so neither the
-//! worker count nor a checkpoint/restore cycle may perturb a single bit.
+//! client order before any parallel region, and the per-slot work that runs
+//! *inside* the parallel client pass (a first-timer's fresh state, the
+//! member's batch-row fetch) is a pure function of `(source, seed, id)` and
+//! the member's own stream, so neither the worker count nor a
+//! checkpoint/restore cycle may perturb a single bit.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use agsfl_exec::Parallelism;
@@ -144,12 +146,36 @@ fn run_fingerprint(sim: &mut Simulation, rounds: usize) -> (Vec<u32>, u64, Vec<R
     (params, sim.elapsed_time().to_bits(), facts)
 }
 
-/// A [`ShardSource`] that logs the client id of every `materialize_into`
-/// call (from whichever pool worker makes it) and otherwise delegates.
+/// Every call a [`CountingSource`] saw, from whichever pool worker made it.
+#[derive(Debug, Default)]
+struct CallLog {
+    /// `(client, rows)` of each `materialize_rows_into` call.
+    rows: Vec<(usize, Vec<usize>)>,
+    /// The client of each `materialize_into` call.
+    shards: Vec<usize>,
+    /// Set around an evaluation sweep, the one caller allowed whole shards:
+    /// a round fetches rows only, so a whole-shard call outside a sweep
+    /// panics.
+    evaluating: bool,
+}
+
+/// A [`ShardSource`] that logs every fetch into a [`CallLog`] and otherwise
+/// delegates.
 #[derive(Debug)]
 struct CountingSource<S> {
     inner: S,
-    calls: Arc<Mutex<Vec<usize>>>,
+    log: Arc<Mutex<CallLog>>,
+}
+
+impl<S: ShardSource> CountingSource<S> {
+    fn new(inner: S) -> (Self, Arc<Mutex<CallLog>>) {
+        let log = Arc::new(Mutex::new(CallLog::default()));
+        let source = Self {
+            inner,
+            log: Arc::clone(&log),
+        };
+        (source, log)
+    }
 }
 
 impl<S: ShardSource> ShardSource for CountingSource<S> {
@@ -169,16 +195,54 @@ impl<S: ShardSource> ShardSource for CountingSource<S> {
         self.inner.test()
     }
     fn materialize_into(&self, client: usize, out: &mut ClientShard) {
-        self.calls.lock().expect("call log").push(client);
+        let evaluating = {
+            let mut log = self.log.lock().expect("call log");
+            log.shards.push(client);
+            log.evaluating
+        };
+        assert!(
+            evaluating,
+            "a round materialized client {client}'s whole shard"
+        );
         self.inner.materialize_into(client, out);
+    }
+    fn materialize_rows_into(&self, client: usize, rows: &[usize], out: &mut ClientShard) {
+        let mut log = self.log.lock().expect("call log");
+        log.rows.push((client, rows.to_vec()));
+        drop(log);
+        self.inner.materialize_rows_into(client, rows, out);
     }
 }
 
-/// Drains the call log, sorted (workers log in schedule order).
-fn drain_sorted(calls: &Mutex<Vec<usize>>) -> Vec<usize> {
-    let mut ids = std::mem::take(&mut *calls.lock().expect("call log"));
+/// Drains the row fetches, keyed by client (workers log in schedule
+/// order); a client fetching twice in one round fails.
+fn drain_rows(log: &Mutex<CallLog>) -> BTreeMap<usize, Vec<usize>> {
+    let calls = std::mem::take(&mut log.lock().expect("call log").rows);
+    let mut by_client = BTreeMap::new();
+    for (client, rows) in calls {
+        assert!(
+            by_client.insert(client, rows).is_none(),
+            "client {client} fetched rows twice in one round"
+        );
+    }
+    by_client
+}
+
+/// Drains the whole-shard calls, sorted.
+fn drain_shards(log: &Mutex<CallLog>) -> Vec<usize> {
+    let mut ids = std::mem::take(&mut log.lock().expect("call log").shards);
     ids.sort_unstable();
     ids
+}
+
+/// Asserts `rows` is one mini-batch of a `shard_len`-row shard under
+/// [`sim_over`]'s batch size 8: `min(8, shard_len)` rows, all in range.
+fn assert_one_batch(client: usize, rows: &[usize], shard_len: usize) {
+    assert_eq!(rows.len(), shard_len.min(8), "client {client}: {rows:?}");
+    assert!(
+        rows.iter().all(|&r| r < shard_len),
+        "client {client}: {rows:?}"
+    );
 }
 
 /// Crash-heavy faults with outages that outlast several cohort draws, so
@@ -265,14 +329,14 @@ proptest! {
 
 /// A faulty, probed, wired run over the lazy source is bit-identical — probe
 /// losses included — to the same run over the eager dataset built from the
-/// same shards, at every worker count; and every slot whose member changed
-/// is refilled exactly once that round, *offline members included*: an
-/// offline member computes nothing, but the probe still evaluates the
-/// sample index of its last online round against the slot's shard, so a
-/// fill skipped behind the offline early-out would read somebody else's
-/// data.
+/// same shards, at every worker count; and every member fetches exactly the
+/// rows it reads, *offline members included*: an offline member computes
+/// nothing, but the probe still evaluates the sample index of its last
+/// online round, so it fetches that one row — the same row every round of
+/// its outage — while an online member fetches one batch and a member that
+/// was never online fetches nothing.
 #[test]
-fn offline_members_with_a_stale_probe_sample_still_get_their_shard() {
+fn offline_members_with_a_stale_probe_sample_fetch_just_that_row() {
     let (seed, cohort, rounds) = (23, 5, 16);
     let writers = SyntheticFemnistConfig {
         num_clients: 12,
@@ -297,11 +361,7 @@ fn offline_members_with_a_stale_probe_sample_still_get_their_shard() {
         Parallelism::Threads(4),
         Parallelism::Threads(8),
     ] {
-        let calls = Arc::new(Mutex::new(Vec::new()));
-        let source = CountingSource {
-            inner: lazy.clone(),
-            calls: Arc::clone(&calls),
-        };
+        let (source, log) = CountingSource::new(lazy.clone());
         let mut sim = sim_over(
             Box::new(source),
             seed,
@@ -310,67 +370,86 @@ fn offline_members_with_a_stale_probe_sample_still_get_their_shard() {
             true,
             fault.clone(),
         );
-        // What the reports alone say about the arena: who sits in each
-        // slot, and who has been online before (and so carries a probe
-        // sample).
-        let mut occupant: Vec<Option<usize>> = vec![None; cohort];
-        let mut sampled = std::collections::BTreeSet::new();
-        let mut stale_refills = 0;
+        // Each member's last online batch (whose rows hold its probe
+        // sample), and the row an offline member fetched for it.
+        let mut last_batch: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut stale_row: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut stale_fetches = 0;
         for (round, want) in want.iter().enumerate() {
             let report = sim.run_round(16, Some(4));
             assert_eq!(&report, want, "round {round} at {parallelism:?}");
             let delivered = &report.wire.as_ref().expect("wired run").uplink_bytes;
-            let mut refilled = Vec::new();
+            let mut fetched = drain_rows(&log);
             for (pos, &id) in report.cohort.iter().enumerate() {
-                let offline = delivered[pos] == 0;
-                if occupant[pos] != Some(id) {
-                    refilled.push(id);
-                    stale_refills += usize::from(offline && sampled.contains(&id));
-                    occupant[pos] = Some(id);
-                }
-                if !offline {
-                    sampled.insert(id);
+                let rows = fetched.remove(&id);
+                let at = format!("client {id}, round {round} at {parallelism:?}");
+                if delivered[pos] > 0 {
+                    let rows = rows.unwrap_or_else(|| panic!("{at}: online, fetched nothing"));
+                    assert_one_batch(id, &rows, writers.samples_per_client);
+                    last_batch.insert(id, rows);
+                    stale_row.remove(&id);
+                } else if let Some(batch) = last_batch.get(&id) {
+                    let rows = rows.unwrap_or_else(|| panic!("{at}: stale probe not fetched"));
+                    let [row] = rows[..] else {
+                        panic!("{at}: fetched {rows:?} for one probe sample")
+                    };
+                    assert!(batch.contains(&row), "{at}: row {row} not in {batch:?}");
+                    assert_eq!(*stale_row.entry(id).or_insert(row), row, "{at}");
+                    stale_fetches += 1;
+                } else {
+                    assert_eq!(rows, None, "{at}: never online, yet fetched");
                 }
             }
-            refilled.sort_unstable();
-            assert_eq!(
-                drain_sorted(&calls),
-                refilled,
-                "round {round} at {parallelism:?}"
-            );
+            assert!(fetched.is_empty(), "non-members fetched {fetched:?}");
         }
         assert!(
-            stale_refills > 0,
-            "the scenario never put an offline, previously sampled member into a changed slot"
+            stale_fetches > 0,
+            "the scenario never put an offline, previously sampled member into the cohort"
         );
+        assert_eq!(drain_shards(&log), Vec::<usize>::new());
         assert_eq!(sim.params(), eager.params());
     }
 }
 
-/// Over a full cohort every slot keeps its member, so the shard cache hits
-/// from round 2 on: `N` materializations in round 1, none afterwards.
+/// Every online member of every round fetches exactly one mini-batch —
+/// `min(batch, shard_len)` of its rows — and no round materializes a whole
+/// shard, over an eager dataset and over a lazy source whose shards are
+/// shorter than a batch, for a full cohort (every slot keeps its member)
+/// and a sampled one.
 #[test]
-fn full_cohort_materializes_each_shard_once() {
-    let calls = Arc::new(Mutex::new(Vec::new()));
-    let source = CountingSource {
-        inner: tiny_dataset(5),
-        calls: Arc::clone(&calls),
-    };
-    let n = source.num_clients();
-    let mut sim = sim_over(
-        Box::new(source),
-        5,
-        None,
-        Parallelism::Threads(4),
-        false,
-        None,
-    );
-    step(&mut sim, 0);
-    assert_eq!(drain_sorted(&calls), (0..n).collect::<Vec<_>>());
-    for round in 1..5 {
-        step(&mut sim, round);
+fn each_online_member_fetches_exactly_one_batch() {
+    fn check<S: ShardSource + 'static>(make: impl Fn() -> S, shard_len: usize) {
+        for cohort in [None, Some(3)] {
+            let (source, log) = CountingSource::new(make());
+            let mut sim = sim_over(
+                Box::new(source),
+                5,
+                cohort,
+                Parallelism::Threads(4),
+                false,
+                None,
+            );
+            for round in 0..5 {
+                let report = step(&mut sim, round);
+                let fetched = drain_rows(&log);
+                assert_eq!(
+                    fetched.keys().copied().collect::<Vec<_>>(),
+                    report.cohort,
+                    "round {round}, cohort {cohort:?}"
+                );
+                for (&id, rows) in &fetched {
+                    assert_one_batch(id, rows, shard_len);
+                }
+            }
+            assert_eq!(drain_shards(&log), Vec::<usize>::new());
+        }
     }
-    assert_eq!(drain_sorted(&calls), Vec::<usize>::new());
+    check(|| tiny_dataset(5), 32);
+    let short = SyntheticFemnistConfig {
+        samples_per_client: 5,
+        ..SyntheticFemnistConfig::tiny()
+    };
+    check(|| LazySyntheticFemnist::new(short, 5), 5);
 }
 
 /// Over a lazy source `evaluate()` streams the population once — every
@@ -378,11 +457,8 @@ fn full_cohort_materializes_each_shard_once() {
 /// is bit-identical to its individual accessor.
 #[test]
 fn lazy_evaluate_materializes_each_shard_once() {
-    let calls = Arc::new(Mutex::new(Vec::new()));
-    let source = CountingSource {
-        inner: LazySyntheticFemnist::new(SyntheticFemnistConfig::tiny(), 9),
-        calls: Arc::clone(&calls),
-    };
+    let (source, log) =
+        CountingSource::new(LazySyntheticFemnist::new(SyntheticFemnistConfig::tiny(), 9));
     let n = source.num_clients();
     let mut sim = sim_over(
         Box::new(source),
@@ -393,10 +469,14 @@ fn lazy_evaluate_materializes_each_shard_once() {
         None,
     );
     run_fingerprint(&mut sim, 4);
-    drain_sorted(&calls);
+    {
+        let mut log = log.lock().expect("call log");
+        log.rows.clear();
+        log.evaluating = true;
+    }
 
     let eval = sim.evaluate();
-    assert_eq!(drain_sorted(&calls), (0..n).collect::<Vec<_>>());
+    assert_eq!(drain_shards(&log), (0..n).collect::<Vec<_>>());
     assert_eq!(
         (eval.train_loss as f64).to_bits(),
         sim.global_train_loss().to_bits()

@@ -84,21 +84,34 @@ impl ClientShard {
         (self.features.row(i), self.labels[i])
     }
 
-    /// Builds a sub-shard from the given sample indices (used by mini-batch
-    /// sampling and partitioners).
+    /// Builds a sub-shard from the given sample indices (used by
+    /// partitioners).
     ///
     /// # Panics
     ///
     /// Panics if any index is out of range.
     pub fn subset(&self, indices: &[usize]) -> ClientShard {
-        let dim = self.feature_dim();
-        let mut flat = Vec::with_capacity(indices.len() * dim);
-        let mut labels = Vec::with_capacity(indices.len());
-        for &i in indices {
-            flat.extend_from_slice(self.features.row(i));
-            labels.push(self.labels[i]);
+        let mut out = ClientShard::empty(self.feature_dim());
+        self.subset_into(indices, &mut out);
+        out
+    }
+
+    /// [`ClientShard::subset`] into `out`, reusing its buffers: row `i` of
+    /// `out` is sample `indices[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of range.
+    pub(crate) fn subset_into(&self, indices: &[usize], out: &mut ClientShard) {
+        out.features
+            .resize_for_overwrite(indices.len(), self.feature_dim());
+        out.labels.clear();
+        for (row, &i) in indices.iter().enumerate() {
+            out.labels.push(self.labels[i]);
+            out.features
+                .row_mut(row)
+                .copy_from_slice(self.features.row(i));
         }
-        ClientShard::new(Matrix::from_vec(indices.len(), dim, flat), labels)
     }
 
     /// Set of distinct labels present in the shard, sorted ascending.

@@ -1,10 +1,7 @@
-//! Mini-batch sampling from a client shard.
+//! Mini-batch sampling over a client's sample indices.
 
-use agsfl_tensor::Matrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
-
-use crate::data::ClientShard;
 
 /// Epoch-based mini-batch sampler over a single client's shard.
 ///
@@ -13,22 +10,24 @@ use crate::data::ClientShard;
 /// matches the paper's setup of a fixed mini-batch size of 32 per client per
 /// round.
 ///
+/// The sampler draws *indices*; the caller fetches the rows they name (the
+/// FL round engine asks its `ShardSource` for exactly those rows), so a
+/// batch costs no copy of the shard and no allocation once the caller's
+/// index buffer has grown.
+///
 /// # Examples
 ///
 /// ```
-/// use agsfl_ml::data::{ClientShard, MinibatchSampler};
-/// use agsfl_tensor::Matrix;
+/// use agsfl_ml::data::MinibatchSampler;
 /// use rand::SeedableRng;
 /// use rand_chacha::ChaCha8Rng;
 ///
-/// let shard = ClientShard::new(Matrix::from_fn(10, 4, |i, j| (i + j) as f32),
-///                              (0..10).map(|i| i % 2).collect());
-/// let mut sampler = MinibatchSampler::new(&shard, 4);
+/// let mut sampler = MinibatchSampler::new(10, 4);
 /// let mut rng = ChaCha8Rng::seed_from_u64(0);
-/// let (batch, labels, indices) = sampler.next_batch(&shard, &mut rng);
-/// assert_eq!(batch.rows(), 4);
-/// assert_eq!(labels.len(), 4);
+/// let mut indices = Vec::new();
+/// sampler.next_indices_into(&mut rng, &mut indices);
 /// assert_eq!(indices.len(), 4);
+/// assert!(indices.iter().all(|&i| i < 10));
 /// ```
 #[derive(Debug, Clone)]
 pub struct MinibatchSampler {
@@ -38,16 +37,16 @@ pub struct MinibatchSampler {
 }
 
 impl MinibatchSampler {
-    /// Creates a sampler for the given shard and batch size.
+    /// Creates a sampler over a shard of `len` samples.
     ///
     /// # Panics
     ///
     /// Panics if `batch_size == 0`.
-    pub fn new(shard: &ClientShard, batch_size: usize) -> Self {
+    pub fn new(len: usize, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch_size must be positive");
         Self {
             batch_size,
-            order: (0..shard.len()).collect(),
+            order: (0..len).collect(),
             cursor: 0,
         }
     }
@@ -106,8 +105,8 @@ impl MinibatchSampler {
     /// before the round and the same swap puts it back afterwards, so no
     /// per-round allocation or permutation check happens. Callers are
     /// responsible for only installing state captured from a sampler over a
-    /// shard of the same length (the [`MinibatchSampler::next_batch`]
-    /// length assertion still catches mismatches at draw time).
+    /// shard of the same length (a row index past the shard still panics
+    /// where the caller fetches it).
     pub fn swap_state(&mut self, order: &mut Vec<usize>, cursor: &mut usize) {
         std::mem::swap(&mut self.order, order);
         std::mem::swap(&mut self.cursor, cursor);
@@ -124,37 +123,27 @@ impl MinibatchSampler {
         self.cursor = 0;
     }
 
-    /// Draws the next mini-batch, reshuffling at epoch boundaries.
+    /// Writes the next mini-batch's sample indices into `out` (cleared
+    /// first), reshuffling at epoch boundaries.
     ///
-    /// Returns `(features, labels, sample_indices)`; the indices refer to rows
-    /// of the shard and are needed by the derivative-sign estimator, which
-    /// re-evaluates the loss of one specific sample.
+    /// The indices are rows of the shard: the caller fetches their data,
+    /// and the derivative-sign estimator re-evaluates the loss of one of
+    /// them.
     ///
     /// # Panics
     ///
-    /// Panics if the shard is empty or its length changed since construction.
-    pub fn next_batch<R: Rng + ?Sized>(
-        &mut self,
-        shard: &ClientShard,
-        rng: &mut R,
-    ) -> (Matrix, Vec<usize>, Vec<usize>) {
-        assert!(!shard.is_empty(), "cannot sample from an empty shard");
-        assert_eq!(
-            shard.len(),
-            self.order.len(),
-            "shard size changed after the sampler was created"
-        );
-        let effective = self.batch_size.min(shard.len());
-        let mut indices = Vec::with_capacity(effective);
-        while indices.len() < effective {
+    /// Panics if the shard is empty.
+    pub fn next_indices_into<R: Rng + ?Sized>(&mut self, rng: &mut R, out: &mut Vec<usize>) {
+        assert!(!self.order.is_empty(), "cannot sample from an empty shard");
+        let effective = self.batch_size.min(self.order.len());
+        out.clear();
+        while out.len() < effective {
             if self.cursor == 0 {
                 self.order.shuffle(rng);
             }
-            indices.push(self.order[self.cursor]);
+            out.push(self.order[self.cursor]);
             self.cursor = (self.cursor + 1) % self.order.len();
         }
-        let batch = shard.subset(&indices);
-        (batch.features, batch.labels, indices)
     }
 }
 
@@ -164,113 +153,100 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn shard(n: usize) -> ClientShard {
-        ClientShard::new(
-            Matrix::from_fn(n, 2, |i, j| (i * 2 + j) as f32),
-            (0..n).map(|i| i % 3).collect(),
-        )
+    /// The next batch's indices, through a fresh buffer.
+    fn next(sampler: &mut MinibatchSampler, rng: &mut ChaCha8Rng) -> Vec<usize> {
+        let mut out = Vec::new();
+        sampler.next_indices_into(rng, &mut out);
+        out
     }
 
     #[test]
     fn batch_has_requested_size() {
-        let s = shard(10);
-        let mut sampler = MinibatchSampler::new(&s, 4);
+        let mut sampler = MinibatchSampler::new(10, 4);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let (x, y, idx) = sampler.next_batch(&s, &mut rng);
-        assert_eq!(x.rows(), 4);
-        assert_eq!(y.len(), 4);
+        let idx = next(&mut sampler, &mut rng);
         assert_eq!(idx.len(), 4);
+        assert!(idx.iter().all(|&i| i < 10));
     }
 
     #[test]
     fn small_shard_returns_whole_shard() {
-        let s = shard(3);
-        let mut sampler = MinibatchSampler::new(&s, 32);
+        let mut sampler = MinibatchSampler::new(3, 32);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let (x, y, _) = sampler.next_batch(&s, &mut rng);
-        assert_eq!(x.rows(), 3);
-        assert_eq!(y.len(), 3);
+        let mut idx = next(&mut sampler, &mut rng);
+        idx.sort_unstable();
+        assert_eq!(idx, vec![0, 1, 2]);
     }
 
     #[test]
     fn every_sample_visited_once_per_epoch() {
-        let s = shard(8);
-        let mut sampler = MinibatchSampler::new(&s, 4);
+        let mut sampler = MinibatchSampler::new(8, 4);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut seen = Vec::new();
         for _ in 0..2 {
-            let (_, _, idx) = sampler.next_batch(&s, &mut rng);
-            seen.extend(idx);
+            seen.extend(next(&mut sampler, &mut rng));
         }
         seen.sort_unstable();
         assert_eq!(seen, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
-    fn batch_content_matches_indices() {
-        let s = shard(6);
-        let mut sampler = MinibatchSampler::new(&s, 3);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let (x, y, idx) = sampler.next_batch(&s, &mut rng);
-        for (row, &i) in idx.iter().enumerate() {
-            assert_eq!(x.row(row), s.features.row(i));
-            assert_eq!(y[row], s.labels[i]);
+    fn reused_buffer_is_overwritten() {
+        let mut a = MinibatchSampler::new(9, 4);
+        let mut b = a.clone();
+        let mut rng_a = ChaCha8Rng::seed_from_u64(3);
+        let mut rng_b = rng_a.clone();
+        let mut reused = vec![7; 20];
+        for _ in 0..5 {
+            a.next_indices_into(&mut rng_a, &mut reused);
+            assert_eq!(reused, next(&mut b, &mut rng_b));
         }
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let s = shard(9);
-        let mut a = MinibatchSampler::new(&s, 4);
-        let mut b = MinibatchSampler::new(&s, 4);
+        let mut a = MinibatchSampler::new(9, 4);
+        let mut b = MinibatchSampler::new(9, 4);
         let mut rng_a = ChaCha8Rng::seed_from_u64(5);
         let mut rng_b = ChaCha8Rng::seed_from_u64(5);
         for _ in 0..5 {
-            let (_, _, ia) = a.next_batch(&s, &mut rng_a);
-            let (_, _, ib) = b.next_batch(&s, &mut rng_b);
-            assert_eq!(ia, ib);
+            assert_eq!(next(&mut a, &mut rng_a), next(&mut b, &mut rng_b));
         }
     }
 
     #[test]
     fn restore_resumes_mid_epoch() {
-        let s = shard(9);
-        let mut a = MinibatchSampler::new(&s, 4);
+        let mut a = MinibatchSampler::new(9, 4);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        a.next_batch(&s, &mut rng); // leaves the cursor mid-epoch
+        next(&mut a, &mut rng); // leaves the cursor mid-epoch
         let order = a.order().to_vec();
         let cursor = a.cursor();
-        let mut b = MinibatchSampler::new(&s, 4);
+        let mut b = MinibatchSampler::new(9, 4);
         b.restore(order, cursor);
         let mut rng_b = rng.clone();
         for _ in 0..6 {
-            let (_, _, ia) = a.next_batch(&s, &mut rng);
-            let (_, _, ib) = b.next_batch(&s, &mut rng_b);
-            assert_eq!(ia, ib);
+            assert_eq!(next(&mut a, &mut rng), next(&mut b, &mut rng_b));
         }
     }
 
     #[test]
     #[should_panic]
     fn restore_rejects_non_permutation() {
-        let s = shard(4);
-        let mut sampler = MinibatchSampler::new(&s, 2);
+        let mut sampler = MinibatchSampler::new(4, 2);
         sampler.restore(vec![0, 0, 1, 2], 0);
     }
 
     #[test]
     #[should_panic]
     fn empty_shard_panics() {
-        let s = ClientShard::empty(2);
-        let mut sampler = MinibatchSampler::new(&s, 1);
+        let mut sampler = MinibatchSampler::new(0, 1);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let _ = sampler.next_batch(&s, &mut rng);
+        let _ = next(&mut sampler, &mut rng);
     }
 
     #[test]
     #[should_panic]
     fn zero_batch_size_panics() {
-        let s = shard(4);
-        let _ = MinibatchSampler::new(&s, 0);
+        let _ = MinibatchSampler::new(4, 0);
     }
 }

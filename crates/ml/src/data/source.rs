@@ -3,25 +3,32 @@
 //! A [`FederatedDataset`] holds every client shard in memory, which caps
 //! simulated populations in the low thousands. A [`ShardSource`] inverts
 //! the contract: it *describes* the population (client count, per-client
-//! shard sizes, label space) up front and materializes any single client's
-//! shard on demand into a caller-owned buffer. A million-client simulation
-//! then keeps O(cohort) shards resident instead of O(N).
+//! shard sizes, label space) up front and materializes data on demand into
+//! a caller-owned buffer — any chosen rows of one client's shard
+//! ([`ShardSource::materialize_rows_into`], what a training round reads:
+//! one mini-batch, or one probe sample) or the whole shard
+//! ([`ShardSource::materialize_into`], what an evaluation sweep reads). A
+//! million-client simulation then keeps O(cohort · batch) rows resident
+//! instead of O(N) shards.
 //!
-//! Determinism contract: `materialize_into(i, …)` must be a pure function
-//! of the source and `i` — same source, same client, same bytes — so a
-//! cohort-sampled simulation stays bit-identical regardless of which rounds
-//! touch which clients, of the order slots hydrate, and of which pool
-//! worker fills which slot (the fill runs inside the parallel client
-//! pass). [`FederatedDataset`] implements the trait by copying its eager
-//! shards; [`LazySyntheticFemnist`] regenerates a writer's shard from a
-//! per-writer RNG stream derived from the source seed.
+//! Determinism contract: both calls must be pure functions of the source
+//! and their arguments — same source, same client, same rows, same bytes,
+//! and row `r` reads the same whichever call and whichever other rows
+//! fetch it — so a cohort-sampled simulation stays bit-identical
+//! regardless of which rounds touch which clients, of the order slots
+//! hydrate, and of which pool worker fetches which member's rows (the
+//! fetch runs inside the parallel client pass). [`FederatedDataset`]
+//! implements the trait by copying rows of its eager shards;
+//! [`LazySyntheticFemnist`] regenerates a writer's rows from a per-writer
+//! RNG stream derived from the source seed, seeking straight to each
+//! requested row.
 
 use agsfl_tensor::init;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::data::synthetic_femnist::{sample_features_into, write_writer_shard};
+use crate::data::synthetic_femnist::{row_words, sample_features_into, WriterHeader};
 use crate::data::{ClientShard, FederatedDataset, SyntheticFemnistConfig};
 use agsfl_tensor::Matrix;
 
@@ -52,19 +59,36 @@ pub trait ShardSource: Send + Sync + std::fmt::Debug {
     /// The held-out test shard (always resident — it is O(test), not O(N)).
     fn test(&self) -> &ClientShard;
 
-    /// Writes client `client`'s shard into `out`, reusing its buffers.
+    /// Writes client `client`'s whole shard into `out`, reusing its
+    /// buffers. The evaluation sweep over a lazy source is its caller; a
+    /// training round never needs a whole shard.
     ///
-    /// Must be a pure function of `(self, client)`, through `&self` with no
-    /// interior state that an interleaving could observe: the round engine
-    /// calls this concurrently from its pool workers, one call per cohort
-    /// slot whose member changed, for distinct clients and in no fixed
-    /// order. Purity and the trait's `Sync` bound are what keep a run
-    /// bit-identical across worker counts — load-bearing, not advisory.
+    /// Must be a pure function of `(self, client)` (see
+    /// [`ShardSource::materialize_rows_into`]), and row `r` of `out` must
+    /// equal what `materialize_rows_into(client, &[r], …)` writes.
     ///
     /// # Panics
     ///
     /// Panics if `client >= num_clients()`.
     fn materialize_into(&self, client: usize, out: &mut ClientShard);
+
+    /// Writes rows `rows` of client `client`'s shard into `out`, reusing its
+    /// buffers: row `i` of `out` is shard row `rows[i]`. `rows` may be in
+    /// any order and may repeat.
+    ///
+    /// Must be a pure function of `(self, client, rows)`, through `&self`
+    /// with no interior state that an interleaving could observe: the round
+    /// engine calls this concurrently from its pool workers — one call per
+    /// cohort member for its mini-batch, or for an offline member's stale
+    /// probe sample — for distinct clients and in no fixed order. Purity
+    /// and the trait's `Sync` bound are what keep a run bit-identical
+    /// across worker counts — load-bearing, not advisory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client >= num_clients()` or any row is
+    /// `>= shard_len(client)`.
+    fn materialize_rows_into(&self, client: usize, rows: &[usize], out: &mut ClientShard);
 
     /// Borrows the fully materialized dataset when the source is eager.
     ///
@@ -112,6 +136,10 @@ impl ShardSource for FederatedDataset {
         out.labels.extend_from_slice(&src.labels);
     }
 
+    fn materialize_rows_into(&self, client: usize, rows: &[usize], out: &mut ClientShard) {
+        self.client(client).subset_into(rows, out);
+    }
+
     fn as_dataset(&self) -> Option<&FederatedDataset> {
         Some(self)
     }
@@ -126,15 +154,18 @@ fn writer_seed(seed: u64, client: usize) -> u64 {
 
 /// [`SyntheticFemnist`](crate::data::SyntheticFemnist) as a lazy
 /// [`ShardSource`]: prototypes and the test set are generated at
-/// construction, but a writer's shard only exists while a round holds it.
+/// construction, but a writer's rows only exist while a round holds them.
 ///
-/// Each writer's shard is regenerated on demand from its own
-/// `ChaCha8Rng` stream seeded by `(seed, writer)`, so `materialize_into`
-/// is pure and the resident footprint is O(prototypes + test), independent
-/// of `num_clients`. Note the stream layout differs from the eager
-/// generator (which interleaves every writer on one master RNG), so a lazy
-/// source and an eager dataset built from the same seed hold *different*
-/// (equally distributed) data.
+/// Each writer's rows are regenerated on demand from its own `ChaCha8Rng`
+/// stream seeded by `(seed, writer)`: the writer's header, then one row
+/// after another, each a fixed number of keystream words long
+/// (`synthetic_femnist::row_words`). So row `r` starts at a known word
+/// position, [`ShardSource::materialize_rows_into`] seeks to each requested
+/// row and draws only those, both calls are pure, and the resident
+/// footprint is O(prototypes + test), independent of `num_clients`. Note
+/// the stream layout differs from the eager generator (which interleaves
+/// every writer on one master RNG), so a lazy source and an eager dataset
+/// built from the same seed hold *different* (equally distributed) data.
 #[derive(Debug, Clone)]
 pub struct LazySyntheticFemnist {
     config: SyntheticFemnistConfig,
@@ -226,12 +257,53 @@ impl ShardSource for LazySyntheticFemnist {
     }
 
     fn materialize_into(&self, client: usize, out: &mut ClientShard) {
+        let (header, mut rng, start) = self.writer(client);
+        let (cfg, stride) = (&self.config, row_words(self.config.feature_dim));
+        out.features
+            .resize_for_overwrite(cfg.samples_per_client, cfg.feature_dim);
+        out.labels.clear();
+        for row in 0..cfg.samples_per_client {
+            let label =
+                header.write_row(cfg, &self.prototypes, &mut rng, out.features.row_mut(row));
+            out.labels.push(label);
+            debug_assert_eq!(
+                rng.get_word_pos(),
+                start + (row as u128 + 1) * stride,
+                "a row drew other than `row_words` keystream words"
+            );
+        }
+    }
+
+    fn materialize_rows_into(&self, client: usize, rows: &[usize], out: &mut ClientShard) {
+        let (header, mut rng, start) = self.writer(client);
+        let (cfg, stride) = (&self.config, row_words(self.config.feature_dim));
+        out.features
+            .resize_for_overwrite(rows.len(), cfg.feature_dim);
+        out.labels.clear();
+        for (i, &r) in rows.iter().enumerate() {
+            assert!(
+                r < cfg.samples_per_client,
+                "row {r} out of range for client {client}"
+            );
+            rng.set_word_pos(start + r as u128 * stride);
+            let label = header.write_row(cfg, &self.prototypes, &mut rng, out.features.row_mut(i));
+            out.labels.push(label);
+        }
+    }
+}
+
+impl LazySyntheticFemnist {
+    /// Writer `client`'s stream positioned after its header, with the header
+    /// and the word position of row 0.
+    fn writer(&self, client: usize) -> (WriterHeader, ChaCha8Rng, u128) {
         assert!(
             client < self.config.num_clients,
             "client {client} out of range"
         );
         let mut rng = ChaCha8Rng::seed_from_u64(writer_seed(self.seed, client));
-        write_writer_shard(&self.config, &self.prototypes, &mut rng, out);
+        let header = WriterHeader::draw(&self.config, &mut rng);
+        let start = rng.get_word_pos();
+        (header, rng, start)
     }
 }
 

@@ -219,46 +219,93 @@ pub(crate) fn sample_features_into<R: Rng + ?Sized>(
     }
 }
 
-/// Writes one writer's shard into `out`, reusing its buffers.
+/// One writer's draws that precede its samples: the style shift, the class
+/// subset it writes, and its preference weights over that subset.
+pub(crate) struct WriterHeader {
+    style: Vec<f32>,
+    classes: Vec<usize>,
+    prefs: Vec<f64>,
+}
+
+impl WriterHeader {
+    /// Draws the header: style vector, class-subset shuffle, preference
+    /// weights — the head of every writer's stream, eager or lazy.
+    pub(crate) fn draw<R: Rng + ?Sized>(cfg: &SyntheticFemnistConfig, rng: &mut R) -> Self {
+        let style = init::normal_vec(cfg.feature_dim, 0.0, cfg.writer_shift_std, rng);
+        // Pick the writer's class subset.
+        let mut classes: Vec<usize> = (0..cfg.num_classes).collect();
+        classes.shuffle(rng);
+        classes.truncate(cfg.classes_per_client);
+        // Give the writer a skewed preference over its classes so label
+        // frequencies are non-uniform even within a writer.
+        let prefs = (0..classes.len())
+            .map(|_| rng.gen_range(0.2f64..1.0))
+            .collect();
+        Self {
+            style,
+            classes,
+            prefs,
+        }
+    }
+
+    /// The row body: draws one sample's class slot and features into
+    /// `features` and returns its label. Every row of every writer — the
+    /// eager generator's, and both lazy entry points' — comes from here.
+    pub(crate) fn write_row<R: Rng + ?Sized>(
+        &self,
+        cfg: &SyntheticFemnistConfig,
+        prototypes: &Matrix,
+        rng: &mut R,
+        features: &mut [f32],
+    ) -> usize {
+        let slot = init::sample_weighted(&self.prefs, rng).unwrap_or(0);
+        let class = self.classes[slot];
+        sample_features_into(
+            prototypes.row(class),
+            Some(&self.style),
+            cfg.noise_std,
+            rng,
+            features,
+        );
+        class
+    }
+}
+
+/// Keystream words one [`WriterHeader::write_row`] consumes from a
+/// `ChaCha8Rng`: always `2 + 2 · feature_dim`, whatever the draws turn out
+/// to be, so row `r` of a writer starts `r` strides after its header and a
+/// lazy source can seek straight to it.
 ///
-/// Draws exactly the random stream the eager generator's per-client loop
-/// consumes — style vector, class-subset shuffle, preference weights, then
-/// one `(class slot, features)` draw per sample — so materializing a client
-/// from a snapshot of the RNG state at its loop position is bit-identical
-/// to the eager dataset. This is the shared kernel behind both
-/// [`SyntheticFemnist::generate`] and the lazy per-client source used by
-/// million-client simulations.
+/// * `sample_weighted` draws exactly one `next_u64` (two words): the
+///   preference weights lie in `[0.2, 1)`, so they are never empty and
+///   never sum to zero, and it returns on its single draw.
+/// * Each feature's `standard_normal` draws exactly two `u32` words. The
+///   second, `gen::<f32>()`, is one word by construction. The first,
+///   `gen_range(f32::MIN_POSITIVE..1.0)`, is a rejection loop that never
+///   rejects: the span `1.0 − MIN_POSITIVE` rounds to `1.0`, and the unit
+///   draw is at most `1 − 2⁻²³`, so the candidate `unit + MIN_POSITIVE`
+///   rounds to at most `1 − 2⁻²³ < 1.0`.
+pub(crate) fn row_words(feature_dim: usize) -> u128 {
+    2 + 2 * feature_dim as u128
+}
+
+/// Writes one writer's shard into `out`, reusing its buffers: the header,
+/// then one [`WriterHeader::write_row`] per sample, sequentially on `rng`.
+/// This is the eager generator's per-client step, so the draws interleave
+/// with the other writers' on one master stream.
 pub(crate) fn write_writer_shard<R: Rng + ?Sized>(
     cfg: &SyntheticFemnistConfig,
     prototypes: &Matrix,
     rng: &mut R,
     out: &mut ClientShard,
 ) {
-    let style = init::normal_vec(cfg.feature_dim, 0.0, cfg.writer_shift_std, rng);
-    // Pick the writer's class subset.
-    let mut class_pool: Vec<usize> = (0..cfg.num_classes).collect();
-    class_pool.shuffle(rng);
-    let writer_classes = &class_pool[..cfg.classes_per_client];
-    // Give the writer a skewed preference over its classes so label
-    // frequencies are non-uniform even within a writer.
-    let prefs: Vec<f64> = (0..writer_classes.len())
-        .map(|_| rng.gen_range(0.2f64..1.0))
-        .collect();
-
+    let header = WriterHeader::draw(cfg, rng);
     out.features
         .resize_for_overwrite(cfg.samples_per_client, cfg.feature_dim);
     out.labels.clear();
     for row in 0..cfg.samples_per_client {
-        let slot = init::sample_weighted(&prefs, rng).unwrap_or(0);
-        let class = writer_classes[slot];
-        sample_features_into(
-            prototypes.row(class),
-            Some(&style),
-            cfg.noise_std,
-            rng,
-            out.features.row_mut(row),
-        );
-        out.labels.push(class);
+        let label = header.write_row(cfg, prototypes, rng, out.features.row_mut(row));
+        out.labels.push(label);
     }
 }
 

@@ -146,6 +146,27 @@ if [[ "$(sim_product | grep -c 'as_dataset()')" -ne 1 ]]; then
     exit 1
 fi
 
+step "a cohort member fetches only the rows it trains on (no slot shard cache, no whole-shard fill, no allocating batch)"
+# A client draws its batch indices (MinibatchSampler::next_indices_into),
+# then asks its ShardSource for just those rows; an offline member with a
+# stale probe sample fetches that one row. The slot's shard cache, the
+# whole-shard fill and the allocating next_batch are deleted paths growing
+# back. Whole shards are for the lazy evaluation sweep alone: the product
+# half of simulation.rs calls materialize_into exactly once, in
+# Simulation::sweep. Comment lines are exempt.
+if grep -rnE '\b(shard_of|shard_mut|next_batch)\b' crates/*/src \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+    echo "verify: a deleted whole-shard round path is back (lines above); fetch rows with materialize_rows_into" >&2
+    exit 1
+fi
+if [[ "$(sim_product | grep -c 'materialize_into')" -ne 1 ]] \
+    || ! awk '/^    fn sweep\(/ { on = 1 } on && /materialize_into/ { found = 1 } on && /^    }/ { exit } END { exit !found }' \
+        crates/fl/src/simulation.rs; then
+    echo "verify: crates/fl/src/simulation.rs must call materialize_into exactly once, in Simulation::sweep:" >&2
+    sim_product | grep 'materialize_into' >&2
+    exit 1
+fi
+
 step "scratch is grow-only (no workspace releases capacity)"
 # Every reusable workspace (SelectionScratch, WireScratch, Im2colScratch,
 # the slot and upload buffers) is sized to the largest geometry seen and
@@ -221,6 +242,12 @@ cargo test -q -p agsfl-fl --lib workspace_capacity_never_decreases
 step "product equivalence (every dispatch level == the scalar fold-order spec, bit for bit)"
 cargo test -q -p agsfl-tensor --test product_equivalence
 
+step "row fetches (a seek lands where drawing lands; rows == the whole shard's rows; a warm gradient step allocates nothing)"
+cargo test -q -p rand_chacha set_word_pos_matches_drawing_at_every_offset
+cargo test -q -p rand_chacha word_pos_round_trips_and_seeks_in_both_directions
+cargo test -q -p agsfl-ml --test materialize_rows
+cargo test -q -p agsfl-fl --test gradient_allocations
+
 step "resume equivalence (interrupted + resumed runs are bit-identical)"
 cargo test -q -p agsfl-fl resume
 cargo test -q -p agsfl-core resume
@@ -262,8 +289,9 @@ step "pool gate (goldens + lossy pins bit-identical through the worker pool at e
 # golden_trajectory and lossy_reproducibility sweep Serial/2/4/8 workers
 # internally, so one pass covers the serial reference and three pool
 # configurations; pool_lifecycle pins reuse-without-respawn across rounds;
-# cohort_determinism takes the lazy shard source through the pool (the
-# per-slot shard fill runs on the workers).
+# cohort_determinism takes the lazy shard source through the pool (each
+# member's row fetch runs on the workers) and pins which rows every member
+# fetches.
 cargo test -q -p agsfl-fl --test golden_trajectory
 cargo test -q -p agsfl-fl --test lossy_reproducibility
 cargo test -q -p agsfl-fl --test pool_lifecycle
