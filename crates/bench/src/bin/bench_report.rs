@@ -17,60 +17,40 @@
 //! machine noise, which is why the *ratio* is what is gated; pairs whose
 //! optimized side runs on several threads are listed but not gated.
 //!
-//! Three workload families are tracked. The FAB selection workload
-//! (dim = 10⁵, N = 40, k = dim/100) is measured through the seed baseline
-//! (`agsfl_sparse::reference`) and the serial scratch-reusing `select_into`
-//! fast path; `fab_select_wide` / `fab_select_kmax` repeat that pair at the
-//! paper's dimension on `sparse_wide_linear`'s shape (N = 16, k = 20,000)
-//! and an adaptive run's k = D/2 round (N = 8), and `probe_restrict_wide` /
-//! `probe_restrict_kmax` time the probe aggregate on the same shapes — a
-//! second `select_into` at `k'` vs `Sparsifier::probe_aggregate`, the
-//! round's own aggregate restricted to `J(k')` — asserting equal output.
-//! The `client_top_k` / `client_top_k_kmax` pairs time the
-//! client-side top-k at the paper's dimension (D = 419,582; k = 12,000 and
-//! k = D/2) through the comparator quickselect kept in `reference` and the
-//! integer-key histogram select of `agsfl_sparse::topk`, and the
-//! `rank_by_magnitude` pair the lossy tier's re-rank of a decoded
-//! (index-sorted) list: comparator sort vs radix rank. The
-//! `pool_dispatch` pair
-//! prices one parallel region's *dispatch* — the historical
-//! spawn-per-region `thread::scope` baseline vs the persistent channel-fed
-//! worker pool — over a trivially small region, so the per-round overhead
-//! the pool saves is tracked explicitly. The `cnn_forward` / `cnn_grad`
-//! pairs time the paper-shape (~420k-weight, batch 32) CNN forward pass and
-//! gradient through the seed scalar loops (`agsfl_ml::reference`) and the
-//! im2col lowering, and the `fc_fwd` / `fc_wgrad` / `fc_dinput` /
-//! `conv_fwd` / `conv_wgrad` pairs that gradient's five matrix products one
-//! by one: the scalar fold-order spec (`agsfl_tensor::reference`) against
-//! the register-tiled kernel, one row per dispatch level the host can run
-//! (`fc_fwd@avx2`, …), asserting equal bits. The
-//! `eval_sweep` pair times one evaluation point's `O(N·D)` metric sweep
-//! through the seed's three serial passes and the fused executor sweep
-//! (`agsfl_ml::metrics::global_evaluation`), asserting on the way that both
-//! return identical bits. The `wire_encode`/`wire_decode` pairs time the
-//! delta-varint wire codec on a dim = 10⁵, k = 10³ message through the
-//! allocating reference implementations (`agsfl_wire::reference`) and the
-//! scratch-reusing fast paths, asserting byte-identical frames. Three pairs
-//! time a wired upload's ordering work at `sparse_wide_linear`'s shape
-//! (D = 418,624, k = 20,000, QLinear8), each asserting equal bits:
-//! `wired_client_upload` (ranked selection + index sort + encode vs
-//! index-ordered selection + encode), `server_rank_decoded` (decode to a
-//! list + `rank_by_magnitude` vs ranking from the decoder's visitor) and
-//! `reset_errors_merge` (a binary search of the error list per reset index
-//! vs one merge). The
-//! `checkpoint_load` pair times a simulation snapshot at the paper's scale
-//! (>400k weights): rebuilding the simulation from its inputs vs
-//! `restore_state` of the serialized blob. The JSON reports
-//! nanoseconds per iteration (mean of the fastest half of samples) and
-//! baseline/optimized speedups.
+//! Every pair goes through one [`Ledger`]. A section builds its inputs,
+//! asserts that both sides produce the same bits or bytes, and makes one
+//! ledger call, which times both sides with [`time_ns`] (mean ns per
+//! iteration over the fastest half of the samples), records one
+//! [`KernelReport`] and prints one line. `--check`, the snapshot and the
+//! history line read the ledger in call order, and a report renders as the
+//! same JSON object in both files.
 //!
-//! Beyond the kernels, the report records the process' peak RSS and runs
-//! the `figures::scale_sweep` memory audit — fixed-cohort rounds at
+//! The pairs, each a baseline (usually the executable spec in a
+//! `reference` module) against the shipped fast path: FAB selection at
+//! dim = 10⁵, N = 40, k = dim/100 (`fab_select`) and at the paper's
+//! dimension (`fab_select_wide`/`_kmax`), the probe aggregate as a
+//! restriction of the round's own (`probe_restrict_*`), one pool region's
+//! dispatch against a scoped spawn (`pool_dispatch`), the client top-k and
+//! the lossy tier's re-rank (`client_top_k*`, `rank_by_magnitude`), the
+//! paper-shape CNN forward and gradient (`cnn_*`) and that gradient's five
+//! matrix products at every dispatch level the host runs (`fc_fwd@avx2`,
+//! …), the fused evaluation sweep (`eval_sweep`), the lossless and
+//! quantized wire codecs (`wire_*`, `quant_*`), a wired upload's ordering
+//! work at `sparse_wide_linear`'s shape (`wired_client_upload`,
+//! `server_rank_decoded`, `reset_errors_merge`), a checkpoint restore at
+//! the paper's scale (`checkpoint_load`) and the recorded-vs-noop round
+//! (`telemetry_record`). Each section's comment says what its two sides
+//! are.
+//!
+//! Beyond the kernels, the report records the process' peak RSS, the
+//! telemetry recorder's stage quantiles and pool occupancy, and runs the
+//! `figures::scale_sweep` memory audit — fixed-cohort rounds at
 //! N = 10³..10⁶ with per-population rounds/sec and resident-set bytes —
 //! writing the points into `BENCH_kernels.json` (`"scale"`) and appending
 //! a dedicated `scale_sweep` line to the history log, so the O(cohort·k)
 //! memory claim is tracked across PRs alongside the timings.
 
+use std::cell::RefCell;
 use std::io::Write as _;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -81,7 +61,7 @@ use agsfl_bench::kernel_workload::{
     PRODUCT_SHAPES, SERVER_SHAPES, TELEM_CLIENTS, TELEM_K, TOPK_DIM, TOPK_KS, WIRED_DIM, WIRED_K,
     WIRED_RESETS,
 };
-use agsfl_core::figures::scale_sweep::{self, ScaleSweepConfig};
+use agsfl_core::figures::scale_sweep::{self, ScaleSweepConfig, ScaleSweepPoint};
 use agsfl_exec::{mem, Executor};
 use agsfl_ml::metrics;
 use agsfl_ml::model::{Im2colScratch, Model};
@@ -101,13 +81,13 @@ const SAMPLES: usize = 12;
 const TARGET_SAMPLE_SECS: f64 = 0.02;
 
 /// Times `f`, returning mean nanoseconds per iteration over the fastest
-/// half of the samples.
-fn time_ns<F: FnMut()>(mut f: F) -> f64 {
+/// half of the samples. Every result of `f` goes through [`black_box`].
+fn time_ns<T>(mut f: impl FnMut() -> T) -> f64 {
     // Warm-up + calibration.
     let start = Instant::now();
     let mut warmup_iters = 0u64;
     while start.elapsed().as_secs_f64() < 0.05 {
-        f();
+        black_box(f());
         warmup_iters += 1;
     }
     let per_iter = start.elapsed().as_secs_f64() / warmup_iters as f64;
@@ -117,7 +97,7 @@ fn time_ns<F: FnMut()>(mut f: F) -> f64 {
     for _ in 0..SAMPLES {
         let start = Instant::now();
         for _ in 0..iters {
-            f();
+            black_box(f());
         }
         samples.push(start.elapsed().as_secs_f64() / iters as f64);
     }
@@ -148,13 +128,38 @@ fn scoped_map_mut<T: Send, R: Send>(
     })
 }
 
-struct KernelReport {
-    name: String,
+/// The workload a pair ran at: dimension, clients (or batch rows), `k`,
+/// and the worker threads of the optimized side (1 = serial kernel).
+#[derive(Debug, Clone, Copy)]
+struct Shape {
     dim: usize,
     clients: usize,
     k: usize,
-    /// Worker threads used by the optimized variant (1 = serial kernel).
     threads: usize,
+}
+
+impl Shape {
+    /// A pair whose optimized side runs on one thread.
+    fn new(dim: usize, clients: usize, k: usize) -> Self {
+        Self {
+            dim,
+            clients,
+            k,
+            threads: 1,
+        }
+    }
+
+    /// The same shape with the optimized side on `threads` workers.
+    fn on_threads(self, threads: usize) -> Self {
+        Self { threads, ..self }
+    }
+}
+
+/// One recorded pair: baseline ("seed") and optimized ("scratch")
+/// nanoseconds per iteration at one shape.
+struct KernelReport {
+    name: String,
+    shape: Shape,
     seed_ns: f64,
     scratch_ns: f64,
 }
@@ -164,40 +169,65 @@ impl KernelReport {
         self.seed_ns / self.scratch_ns
     }
 
-    fn to_json(&self) -> String {
+    /// The pair's one JSON object, written to both the snapshot and the
+    /// history line.
+    fn json_object(&self) -> String {
+        let s = self.shape;
         format!(
-            concat!(
-                "    {{\n",
-                "      \"kernel\": \"{}\",\n",
-                "      \"dim\": {},\n",
-                "      \"clients\": {},\n",
-                "      \"k\": {},\n",
-                "      \"threads\": {},\n",
-                "      \"seed_ns_per_iter\": {:.1},\n",
-                "      \"scratch_ns_per_iter\": {:.1},\n",
-                "      \"speedup\": {:.2}\n",
-                "    }}"
-            ),
-            self.name,
-            self.dim,
-            self.clients,
-            self.k,
-            self.threads,
-            self.seed_ns,
-            self.scratch_ns,
-            self.speedup()
+            "{{\"kernel\":\"{}\",\"dim\":{},\"clients\":{},\"k\":{},\"threads\":{},\"seed_ns_per_iter\":{:.1},\"scratch_ns_per_iter\":{:.1},\"speedup\":{:.2}}}",
+            self.name, s.dim, s.clients, s.k, s.threads, self.seed_ns, self.scratch_ns, self.speedup()
         )
     }
+}
 
-    fn to_history_json(&self) -> String {
-        format!(
-            "{{\"kernel\":\"{}\",\"threads\":{},\"seed_ns_per_iter\":{:.1},\"scratch_ns_per_iter\":{:.1},\"speedup\":{:.2}}}",
-            self.name,
-            self.threads,
-            self.seed_ns,
-            self.scratch_ns,
-            self.speedup()
-        )
+/// Every pair of the run, in call order.
+#[derive(Default)]
+struct Ledger {
+    kernels: Vec<KernelReport>,
+}
+
+impl Ledger {
+    /// Times `baseline`, then `optimized`, and records the pair.
+    fn pair<A, B>(
+        &mut self,
+        name: &str,
+        shape: Shape,
+        note: &str,
+        baseline: impl FnMut() -> A,
+        optimized: impl FnMut() -> B,
+    ) -> &KernelReport {
+        let seed_ns = time_ns(baseline);
+        let scratch_ns = time_ns(optimized);
+        self.record(name, shape, note, seed_ns, scratch_ns)
+    }
+
+    /// Records a pair whose sides the caller timed and prints its line:
+    /// name, shape, both times, the ratio and `note` (if not empty).
+    fn record(
+        &mut self,
+        name: impl Into<String>,
+        shape: Shape,
+        note: &str,
+        seed_ns: f64,
+        scratch_ns: f64,
+    ) -> &KernelReport {
+        let name = name.into();
+        let note = if note.is_empty() {
+            String::new()
+        } else {
+            format!("; {note}")
+        };
+        eprintln!(
+            "  {name} (D={}, N={}, k={}, threads={}{note}): {seed_ns:.0} ns -> {scratch_ns:.0} ns, {:.2}x",
+            shape.dim, shape.clients, shape.k, shape.threads, seed_ns / scratch_ns
+        );
+        self.kernels.push(KernelReport {
+            name,
+            shape,
+            seed_ns,
+            scratch_ns,
+        });
+        self.kernels.last().expect("just recorded")
     }
 }
 
@@ -207,7 +237,7 @@ const CHECK_TOLERANCE: f64 = 0.15;
 
 /// The `(kernel, speedup)` pairs of the last `selection_kernels` line of
 /// `history` that was recorded on `cores` cores. Reads the one format
-/// [`KernelReport::to_history_json`] writes, not JSON in general.
+/// [`KernelReport::json_object`] writes, not JSON in general.
 fn last_recorded_ratios(history: &str, cores: usize) -> Option<Vec<(String, f64)>> {
     let cores_field = format!("\"cores\":{cores},");
     let line = history.lines().rev().find(|line| {
@@ -246,7 +276,7 @@ fn check_against_history(kernels: &[KernelReport], history_path: &str, cores: us
         let now = kernel.speedup();
         let verdict = if now >= before * (1.0 - CHECK_TOLERANCE) {
             "ok"
-        } else if kernel.threads > 1 {
+        } else if kernel.shape.threads > 1 {
             "below, not gated (multi-threaded pair)"
         } else {
             regressed = true;
@@ -259,6 +289,12 @@ fn check_against_history(kernels: &[KernelReport], history_path: &str, cores: us
         );
     }
     regressed
+}
+
+/// `objects`, one per line at `indent`, comma-separated.
+fn json_lines(objects: &[String], indent: &str) -> String {
+    let lines: Vec<String> = objects.iter().map(|o| format!("{indent}{o}")).collect();
+    lines.join(",\n")
 }
 
 fn main() {
@@ -290,30 +326,17 @@ fn main() {
     eprintln!(
         "bench-report: FAB selection workload dim={FAB_DIM}, N={FAB_CLIENTS}, k={FAB_K} ({cores} core(s))"
     );
+    let mut ledger = Ledger::default();
 
     // FAB server selection: seed vs serial scratch.
     let uploads = fab_workload();
-    let seed_ns = time_ns(|| {
-        black_box(reference::fab_select(black_box(&uploads), FAB_DIM, FAB_K));
-    });
     let mut scratch = SelectionScratch::new();
-    let scratch_ns = time_ns(|| {
-        black_box(FabTopK::new().select_into(black_box(&uploads), FAB_DIM, FAB_K, &mut scratch));
-    });
-    let fab = KernelReport {
-        name: "fab_select".into(),
-        dim: FAB_DIM,
-        clients: FAB_CLIENTS,
-        k: FAB_K,
-        threads: 1,
-        seed_ns,
-        scratch_ns,
-    };
-    eprintln!(
-        "  fab_select: seed {:.0} ns, scratch {:.0} ns -> {:.2}x",
-        fab.seed_ns,
-        fab.scratch_ns,
-        fab.speedup()
+    ledger.pair(
+        "fab_select",
+        Shape::new(FAB_DIM, FAB_CLIENTS, FAB_K),
+        "",
+        || reference::fab_select(black_box(&uploads), FAB_DIM, FAB_K),
+        || FabTopK::new().select_into(black_box(&uploads), FAB_DIM, FAB_K, &mut scratch),
     );
 
     // The server's two reads of a round's uploads at the paper's dimension,
@@ -321,76 +344,49 @@ fn main() {
     // round. `fab_select_*`: the rank-major scan + aggregation against the
     // seed's binary search over hash-set unions. `probe_restrict_*`: the
     // probe aggregate as a restriction of the round's own against the
-    // second `select_into` at k' it replaced. Both sides of each pair must
+    // second `select_into` at k' it replaced; both sides share the round's
+    // workspace, as they did in the round. Both sides of each pair must
     // return the same bits.
-    let mut server_reports = Vec::new();
     for (select_name, restrict_name, clients, k, probe_k) in SERVER_SHAPES {
         let uploads = server_workload(clients, k);
         let fab = FabTopK::new();
-        let seed_ns = time_ns(|| {
-            black_box(reference::fab_select(black_box(&uploads), TOPK_DIM, k));
-        });
-        let scratch_ns = time_ns(|| {
-            black_box(fab.select_into(black_box(&uploads), TOPK_DIM, k, &mut scratch));
-        });
+        ledger.pair(
+            select_name,
+            Shape::new(TOPK_DIM, clients, k),
+            "",
+            || reference::fab_select(black_box(&uploads), TOPK_DIM, k),
+            || fab.select_into(black_box(&uploads), TOPK_DIM, k, &mut scratch),
+        );
         let selection = fab.select_into(&uploads, TOPK_DIM, k, &mut scratch);
         assert_eq!(
             selection,
             reference::fab_select(&uploads, TOPK_DIM, k),
             "the rank-major scan must select what the reference selects"
         );
-        server_reports.push(KernelReport {
-            name: select_name.into(),
-            dim: TOPK_DIM,
-            clients,
-            k,
-            threads: 1,
-            seed_ns,
-            scratch_ns,
-        });
-        let seed_ns = time_ns(|| {
-            black_box(fab.select_into(black_box(&uploads), TOPK_DIM, probe_k, &mut scratch));
-        });
-        let scratch_ns = time_ns(|| {
-            black_box(fab.probe_aggregate(
-                black_box(&uploads),
-                TOPK_DIM,
-                k,
-                &selection,
-                probe_k,
-                &mut scratch,
-            ));
-        });
+        let shared = RefCell::new(&mut scratch);
+        ledger.pair(
+            restrict_name,
+            Shape::new(TOPK_DIM, clients, probe_k),
+            "",
+            || {
+                let scratch = &mut shared.borrow_mut();
+                fab.select_into(black_box(&uploads), TOPK_DIM, probe_k, scratch)
+            },
+            || {
+                let scratch = &mut shared.borrow_mut();
+                let uploads = black_box(&uploads);
+                fab.probe_aggregate(uploads, TOPK_DIM, k, &selection, probe_k, scratch)
+            },
+        );
         assert_eq!(
             fab.probe_aggregate(&uploads, TOPK_DIM, k, &selection, probe_k, &mut scratch),
             Some(fab.select(&uploads, TOPK_DIM, probe_k).aggregated),
             "the restriction must equal the independent selection at k'"
         );
-        server_reports.push(KernelReport {
-            name: restrict_name.into(),
-            dim: TOPK_DIM,
-            clients,
-            k: probe_k,
-            threads: 1,
-            seed_ns,
-            scratch_ns,
-        });
-    }
-    for r in &server_reports {
-        eprintln!(
-            "  {} (D={}, N={}, k={}): before {:.0} ns, now {:.0} ns -> {:.2}x",
-            r.name,
-            r.dim,
-            r.clients,
-            r.k,
-            r.seed_ns,
-            r.scratch_ns,
-            r.speedup()
-        );
     }
 
     // Parallel-region dispatch overhead: a spawn-per-region `thread::scope`
-    // map (`scoped_map_mut` below, the baseline) vs the persistent
+    // map (`scoped_map_mut` above, the baseline) vs the persistent
     // channel-fed pool (`Executor::map_mut`), over a deliberately tiny
     // region — trivial per-item work on a small slice — so the pair
     // isolates what *dispatching* one region costs, not what the region
@@ -398,37 +394,18 @@ fn main() {
     // the acceptance bar is pool dispatch below the scope spawn cost.
     const DISPATCH_ITEMS: usize = 64;
     let dispatch_exec = Executor::new(pool_threads);
-    let mut dispatch_items = vec![0u64; DISPATCH_ITEMS];
-    let seed_ns = time_ns(|| {
-        black_box(scoped_map_mut(
-            pool_threads,
-            black_box(&mut dispatch_items),
-            |x| {
-                *x = x.wrapping_add(1);
-                *x
-            },
-        ));
-    });
-    let scratch_ns = time_ns(|| {
-        black_box(dispatch_exec.map_mut(black_box(&mut dispatch_items), |x| {
-            *x = x.wrapping_add(1);
-            *x
-        }));
-    });
-    let pool_dispatch = KernelReport {
-        name: "pool_dispatch".into(),
-        dim: DISPATCH_ITEMS,
-        clients: DISPATCH_ITEMS,
-        k: 0,
-        threads: pool_threads,
-        seed_ns,
-        scratch_ns,
+    let bump = |x: &mut u64| {
+        *x = x.wrapping_add(1);
+        *x
     };
-    eprintln!(
-        "  pool_dispatch ({DISPATCH_ITEMS} items): scope spawn {:.0} ns, pool {:.0} ns -> {:.2}x",
-        pool_dispatch.seed_ns,
-        pool_dispatch.scratch_ns,
-        pool_dispatch.speedup()
+    let (mut scoped_items, mut pooled_items) =
+        (vec![0u64; DISPATCH_ITEMS], vec![0u64; DISPATCH_ITEMS]);
+    ledger.pair(
+        "pool_dispatch",
+        Shape::new(DISPATCH_ITEMS, DISPATCH_ITEMS, 0).on_threads(pool_threads),
+        "",
+        || scoped_map_mut(pool_threads, black_box(&mut scoped_items), bump),
+        || dispatch_exec.map_mut(black_box(&mut pooled_items), bump),
     );
 
     // Client-side top-k extraction at the paper's dimension, at a fixed-k
@@ -438,144 +415,79 @@ fn main() {
     // re-rank of an index-sorted (decoded) list: comparator sort vs keys.
     let values = topk_workload();
     let mut keys = Vec::new();
-    let mut topk_reports = Vec::new();
     for (name, k) in ["client_top_k", "client_top_k_kmax"]
         .into_iter()
         .zip(TOPK_KS)
     {
-        let seed_ns = time_ns(|| {
-            black_box(reference::top_k_entries(black_box(&values), k));
-        });
         let mut ranked = Vec::new();
-        let scratch_ns = time_ns(|| {
-            topk::top_k_entries_into(black_box(&values), k, &mut keys, &mut ranked);
-            black_box(&ranked);
-        });
+        ledger.pair(
+            name,
+            Shape::new(TOPK_DIM, 1, k),
+            "",
+            || reference::top_k_entries(black_box(&values), k),
+            || {
+                topk::top_k_entries_into(black_box(&values), k, &mut keys, &mut ranked);
+                black_box(&ranked);
+            },
+        );
         assert_eq!(
             ranked,
             reference::top_k_entries(&values, k),
             "keyed top-k must equal the comparator spec"
         );
-        topk_reports.push(KernelReport {
-            name: name.into(),
-            dim: TOPK_DIM,
-            clients: 1,
-            k,
-            threads: 1,
-            seed_ns,
-            scratch_ns,
-        });
     }
     let k = TOPK_KS[0];
     let ranked = topk::top_k_entries(&values, k);
     let mut by_index = ranked.clone();
     topk::sort_by_index(&mut by_index, &mut keys);
-    let mut entries = Vec::new();
-    let seed_ns = time_ns(|| {
-        entries.clone_from(&by_index);
-        entries.sort_unstable_by(topk::compare_magnitude_then_index);
-        black_box(&entries);
-    });
-    let scratch_ns = time_ns(|| {
-        entries.clone_from(&by_index);
-        topk::rank_by_magnitude(&mut entries, &mut keys);
-        black_box(&entries);
-    });
+    let (mut sorted, mut entries) = (Vec::new(), Vec::new());
+    ledger.pair(
+        "rank_by_magnitude",
+        Shape::new(TOPK_DIM, 1, k),
+        "",
+        || {
+            sorted.clone_from(&by_index);
+            sorted.sort_unstable_by(topk::compare_magnitude_then_index);
+            black_box(&sorted);
+        },
+        || {
+            entries.clone_from(&by_index);
+            topk::rank_by_magnitude(&mut entries, &mut keys);
+            black_box(&entries);
+        },
+    );
     assert_eq!(entries, ranked, "keyed re-rank must restore the ranking");
-    topk_reports.push(KernelReport {
-        name: "rank_by_magnitude".into(),
-        dim: TOPK_DIM,
-        clients: 1,
-        k,
-        threads: 1,
-        seed_ns,
-        scratch_ns,
-    });
-    for r in &topk_reports {
-        eprintln!(
-            "  {} (D={}, k={}): comparator {:.0} ns, keyed {:.0} ns -> {:.2}x",
-            r.name,
-            r.dim,
-            r.k,
-            r.seed_ns,
-            r.scratch_ns,
-            r.speedup()
-        );
-    }
 
     // CNN forward and gradient at the paper shape (~420k weights, batch
     // 32): the seed scalar-loop kernels kept in `agsfl_ml::reference` vs
     // the im2col lowering with a reused column workspace.
-    let (cnn, cnn_params, cnn_x, cnn_labels) = cnn_workload();
-    let seed_ns = time_ns(|| {
-        black_box(ml_reference::cnn_forward(
-            &cnn,
-            black_box(&cnn_params),
-            black_box(&cnn_x),
-        ));
-    });
-    let mut im2col = Im2colScratch::new();
-    let scratch_ns = time_ns(|| {
-        black_box(cnn.forward_with(
-            black_box(&cnn_params),
-            black_box(&cnn_x).view(),
-            &mut im2col,
-        ));
-    });
-    let cnn_report = KernelReport {
-        name: "cnn_forward".into(),
-        dim: cnn.num_params(),
-        clients: CNN_BATCH,
-        k: cnn.filters(),
-        threads: 1,
-        seed_ns,
-        scratch_ns,
-    };
-    let seed_ns = time_ns(|| {
-        black_box(ml_reference::cnn_loss_and_grad(
-            &cnn,
-            black_box(&cnn_params),
-            black_box(&cnn_x),
-            &cnn_labels,
-        ));
-    });
-    let mut cnn_grad = Vec::new();
-    let scratch_ns = time_ns(|| {
-        black_box(cnn.loss_and_grad_with(
-            black_box(&cnn_params),
-            black_box(&cnn_x),
-            &cnn_labels,
-            &mut im2col,
-            &mut cnn_grad,
-        ));
-    });
-    let cnn_grad_report = KernelReport {
-        name: "cnn_grad".into(),
-        dim: cnn_report.dim,
-        clients: cnn_report.clients,
-        k: cnn_report.k,
-        threads: 1,
-        seed_ns,
-        scratch_ns,
-    };
-    for r in [&cnn_report, &cnn_grad_report] {
-        eprintln!(
-            "  {} (D={}, batch={}): loops {:.0} ns, im2col {:.0} ns -> {:.2}x",
-            r.name,
-            r.dim,
-            r.clients,
-            r.seed_ns,
-            r.scratch_ns,
-            r.speedup()
-        );
-    }
+    let (cnn, params, x, labels) = cnn_workload();
+    let cnn_shape = Shape::new(cnn.num_params(), CNN_BATCH, cnn.filters());
+    let (mut im2col, mut grad) = (Im2colScratch::new(), Vec::new());
+    ledger.pair(
+        "cnn_forward",
+        cnn_shape,
+        "",
+        || ml_reference::cnn_forward(&cnn, black_box(&params), black_box(&x)),
+        || cnn.forward_with(black_box(&params), black_box(&x).view(), &mut im2col),
+    );
+    ledger.pair(
+        "cnn_grad",
+        cnn_shape,
+        "",
+        || ml_reference::cnn_loss_and_grad(&cnn, black_box(&params), black_box(&x), &labels),
+        || {
+            let (params, x) = (black_box(&params), black_box(&x));
+            cnn.loss_and_grad_with(params, x, &labels, &mut im2col, &mut grad)
+        },
+    );
 
     // That gradient's five matrix products, one by one: the scalar spec of
-    // each product's fold order against the register-tiled kernel at every
-    // vector width this CPU can run. The rows justify the levels shipped —
-    // a level that does not beat the one below it on its pair has no
-    // business being dispatched to — and both sides must agree bit for bit.
-    let mut product_reports = Vec::new();
+    // each product's fold order, timed once, against the register-tiled
+    // kernel at every vector width this CPU can run. The rows justify the
+    // levels shipped — a level that does not beat the one below it on its
+    // pair has no business being dispatched to — and both sides must agree
+    // bit for bit. The level the product path runs at is noted.
     for (name, op, lhs, rhs) in PRODUCT_SHAPES {
         let (a_data, b_data) = product_workload(lhs, rhs);
         let a = MatrixView::new(lhs.0, lhs.1, &a_data);
@@ -589,6 +501,10 @@ fn main() {
             tensor_reference::run(op, black_box(a), black_box(b), &mut out);
             black_box(&out);
         });
+        let inner = match op {
+            Product::TransposeMatmulAcc | Product::TransposeMatmulInto => lhs.0,
+            _ => lhs.1,
+        };
         for level in Level::available() {
             let scratch_ns = time_ns(|| {
                 out.fill(0.0);
@@ -602,55 +518,41 @@ fn main() {
                 "{name} at {} must reproduce the scalar spec bit for bit",
                 level.name()
             );
-            product_reports.push(KernelReport {
-                name: format!("{name}@{}", level.name()),
-                dim: rows * cols,
-                clients: lhs.0,
-                k: match op {
-                    Product::TransposeMatmulAcc | Product::TransposeMatmulInto => lhs.0,
-                    _ => lhs.1,
-                },
-                threads: 1,
+            let note = if level == Level::detect() {
+                "dispatched"
+            } else {
+                ""
+            };
+            let shape = Shape::new(rows * cols, lhs.0, inner);
+            ledger.record(
+                format!("{name}@{}", level.name()),
+                shape,
+                note,
                 seed_ns,
                 scratch_ns,
-            });
+            );
         }
     }
-    for r in &product_reports {
-        eprintln!(
-            "  {} ({} outputs over {}): scalar spec {:.0} ns, tiled {:.0} ns -> {:.2}x",
-            r.name,
-            r.dim,
-            r.k,
-            r.seed_ns,
-            r.scratch_ns,
-            r.speedup()
-        );
-    }
-    eprintln!("  product path dispatches to: {}", Level::detect().name());
 
     // Per-evaluation metric sweep: the seed's three serial passes (global
-    // loss, global accuracy, test accuracy) vs the fused executor sweep.
+    // loss, global accuracy, test accuracy) vs the fused executor sweep,
+    // which must be bit-identical to the passes it replaces.
     let (eval_model, eval_params, eval_dataset) = eval_workload();
     let model = eval_model.as_ref();
     let shards = eval_dataset.clients();
     let test = eval_dataset.test();
-    let seed_ns = time_ns(|| {
-        black_box(metrics::global_loss(model, &eval_params, shards));
-        black_box(metrics::global_accuracy(model, &eval_params, shards));
-        black_box(model.accuracy(&eval_params, &test.features, &test.labels));
-    });
     let eval_exec = Executor::new(pool_threads);
-    let sweep_ns = time_ns(|| {
-        black_box(metrics::global_evaluation(
-            model,
-            &eval_params,
-            shards,
-            test,
-            &eval_exec,
-        ));
-    });
-    // The sweep must be bit-identical to the serial passes it replaces.
+    ledger.pair(
+        "eval_sweep",
+        Shape::new(eval_model.num_params(), EVAL_CLIENTS, test.len()).on_threads(pool_threads),
+        "",
+        || {
+            black_box(metrics::global_loss(model, &eval_params, shards));
+            black_box(metrics::global_accuracy(model, &eval_params, shards));
+            model.accuracy(&eval_params, &test.features, &test.labels)
+        },
+        || metrics::global_evaluation(model, &eval_params, shards, test, &eval_exec),
+    );
     let fused = metrics::global_evaluation(model, &eval_params, shards, test, &eval_exec);
     assert_eq!(
         fused.train_loss,
@@ -664,25 +566,6 @@ fn main() {
         fused.test_accuracy,
         model.accuracy(&eval_params, &test.features, &test.labels)
     );
-    let eval_report = KernelReport {
-        name: "eval_sweep".into(),
-        dim: eval_model.num_params(),
-        clients: EVAL_CLIENTS,
-        k: test.len(),
-        threads: pool_threads,
-        seed_ns,
-        scratch_ns: sweep_ns,
-    };
-    eprintln!(
-        "  eval_sweep (D={}, N={}, test={}): serial x3 {:.0} ns, fused({} threads) {:.0} ns -> {:.2}x",
-        eval_model.num_params(),
-        EVAL_CLIENTS,
-        test.len(),
-        eval_report.seed_ns,
-        pool_threads,
-        eval_report.scratch_ns,
-        eval_report.speedup()
-    );
 
     // Wire codec encode/decode at the acceptance shape (a dim = 10⁵
     // message with k = 10³ entries — what a k = D/100 round broadcasts):
@@ -690,18 +573,10 @@ fn main() {
     // scratch-reusing `encode_into`, and the allocating reference decode
     // vs `decode_frame` into a caller-reused entry buffer. Frames are
     // byte-identical between the variants (the reference is the executable
-    // spec), asserted below.
+    // spec).
     let message = wire_workload();
-    let seed_ns = time_ns(|| {
-        black_box(wire_reference::delta_encode(
-            message.dim(),
-            black_box(message.entries()),
-        ));
-    });
+    let wire_shape = Shape::new(FAB_DIM, 1, FAB_K);
     let mut wire_scratch = WireScratch::new();
-    let scratch_ns = time_ns(|| {
-        black_box(DeltaVarint.encode_gradient_into(black_box(&message), &mut wire_scratch));
-    });
     let frame = DeltaVarint
         .encode_gradient_into(&message, &mut wire_scratch)
         .to_vec();
@@ -710,50 +585,29 @@ fn main() {
         wire_reference::delta_encode(message.dim(), message.entries()),
         "reference encoder must emit the identical frame"
     );
-    let wire_encode = KernelReport {
-        name: "wire_encode".into(),
-        dim: FAB_DIM,
-        clients: 1,
-        k: FAB_K,
-        threads: 1,
-        seed_ns,
-        scratch_ns,
-    };
-    eprintln!(
-        "  wire_encode (delta-varint, {} B frame): alloc {:.0} ns, scratch {:.0} ns -> {:.2}x",
-        frame.len(),
-        wire_encode.seed_ns,
-        wire_encode.scratch_ns,
-        wire_encode.speedup()
+    ledger.pair(
+        "wire_encode",
+        wire_shape,
+        &format!("delta-varint, {} B frame", frame.len()),
+        || wire_reference::delta_encode(message.dim(), black_box(message.entries())),
+        || {
+            let frame = DeltaVarint.encode_gradient_into(black_box(&message), &mut wire_scratch);
+            black_box(frame);
+        },
     );
-
-    let seed_ns = time_ns(|| {
-        black_box(wire_reference::decode(black_box(&frame)).expect("valid frame"));
-    });
     let mut entries_buf = Vec::new();
-    let scratch_ns = time_ns(|| {
-        black_box(decode_frame(black_box(&frame), &mut entries_buf).expect("valid frame"));
-    });
+    ledger.pair(
+        "wire_decode",
+        wire_shape,
+        "delta-varint",
+        || wire_reference::decode(black_box(&frame)).expect("valid frame"),
+        || decode_frame(black_box(&frame), &mut entries_buf).expect("valid frame"),
+    );
     decode_frame(&frame, &mut entries_buf).expect("valid frame");
     assert_eq!(
         entries_buf,
         message.entries(),
         "decode must invert encode bit-exactly"
-    );
-    let wire_decode = KernelReport {
-        name: "wire_decode".into(),
-        dim: FAB_DIM,
-        clients: 1,
-        k: FAB_K,
-        threads: 1,
-        seed_ns,
-        scratch_ns,
-    };
-    eprintln!(
-        "  wire_decode (delta-varint): alloc {:.0} ns, reused-buffer {:.0} ns -> {:.2}x",
-        wire_decode.seed_ns,
-        wire_decode.scratch_ns,
-        wire_decode.speedup()
     );
 
     // Lossy quantized codec on the same message: the allocating reference
@@ -764,16 +618,6 @@ fn main() {
     // two encoders must emit byte-identical frames.
     const QUANT_SEED: u64 = 0x9E37_79B9;
     let quant_codec = QLinear8::new(QUANT_SEED);
-    let seed_ns = time_ns(|| {
-        black_box(wire_reference::qlinear8_encode(
-            QUANT_SEED,
-            message.dim(),
-            black_box(message.entries()),
-        ));
-    });
-    let scratch_ns = time_ns(|| {
-        black_box(quant_codec.encode_gradient_into(black_box(&message), &mut wire_scratch));
-    });
     let quant_frame = quant_codec
         .encode_gradient_into(&message, &mut wire_scratch)
         .to_vec();
@@ -782,49 +626,28 @@ fn main() {
         wire_reference::qlinear8_encode(QUANT_SEED, message.dim(), message.entries()),
         "reference quantizer must emit the identical frame"
     );
-    let quant_encode = KernelReport {
-        name: "quant_encode".into(),
-        dim: FAB_DIM,
-        clients: 1,
-        k: FAB_K,
-        threads: 1,
-        seed_ns,
-        scratch_ns,
-    };
-    eprintln!(
-        "  quant_encode (qlinear8, {} B frame): alloc {:.0} ns, scratch {:.0} ns -> {:.2}x",
-        quant_frame.len(),
-        quant_encode.seed_ns,
-        quant_encode.scratch_ns,
-        quant_encode.speedup()
+    ledger.pair(
+        "quant_encode",
+        wire_shape,
+        &format!("qlinear8, {} B frame", quant_frame.len()),
+        || wire_reference::qlinear8_encode(QUANT_SEED, message.dim(), black_box(message.entries())),
+        || {
+            let frame = quant_codec.encode_gradient_into(black_box(&message), &mut wire_scratch);
+            black_box(frame);
+        },
     );
-
-    let seed_ns = time_ns(|| {
-        black_box(wire_reference::decode(black_box(&quant_frame)).expect("valid frame"));
-    });
-    let scratch_ns = time_ns(|| {
-        black_box(decode_frame(black_box(&quant_frame), &mut entries_buf).expect("valid frame"));
-    });
+    ledger.pair(
+        "quant_decode",
+        wire_shape,
+        "qlinear8",
+        || wire_reference::decode(black_box(&quant_frame)).expect("valid frame"),
+        || decode_frame(black_box(&quant_frame), &mut entries_buf).expect("valid frame"),
+    );
     decode_frame(&quant_frame, &mut entries_buf).expect("valid frame");
     assert_eq!(
         entries_buf,
         wire_reference::decode(&quant_frame).expect("valid frame").1,
         "both quantized decoders must reconstruct the same bits"
-    );
-    let quant_decode = KernelReport {
-        name: "quant_decode".into(),
-        dim: FAB_DIM,
-        clients: 1,
-        k: FAB_K,
-        threads: 1,
-        seed_ns,
-        scratch_ns,
-    };
-    eprintln!(
-        "  quant_decode (qlinear8): alloc {:.0} ns, reused-buffer {:.0} ns -> {:.2}x",
-        quant_decode.seed_ns,
-        quant_decode.scratch_ns,
-        quant_decode.speedup()
     );
 
     // A wired upload's ordering work at `sparse_wide_linear`'s shape
@@ -833,62 +656,69 @@ fn main() {
     // vs select in index order, encode. Server: decode to an index-ordered
     // list, pack and rank it vs rank from the decoder's visitor. Reset: one
     // binary search of the error list per reset index vs one merge of the
-    // sorted reset indices against it. Each pair asserts equal bits.
+    // sorted reset indices against it. Each pair asserts equal bits; the
+    // baselines keep their own key and codec workspaces.
     let residual = wired_workload();
+    let wired_shape = Shape::new(WIRED_DIM, 1, WIRED_K);
+    let (mut seed_keys, mut seed_wire) = (Vec::new(), WireScratch::new());
     let (mut ranked, mut indexed) = (Vec::new(), Vec::new());
-    let mut sorted_frame = Vec::new();
-    let seed_ns = time_ns(|| {
-        topk::top_k_entries_into(black_box(&residual), WIRED_K, &mut keys, &mut ranked);
-        topk::sort_by_index(&mut ranked, &mut keys);
-        sorted_frame.clear();
-        sorted_frame.extend_from_slice(quant_codec.encode_into(
-            WIRED_DIM,
-            &ranked,
-            &mut wire_scratch,
-        ));
-        black_box(&sorted_frame);
-    });
-    let mut wired_frame = Vec::new();
-    let scratch_ns = time_ns(|| {
-        topk::top_k_entries_indexed_into(black_box(&residual), WIRED_K, &mut keys, &mut indexed);
-        wired_frame.clear();
-        wired_frame.extend_from_slice(quant_codec.encode_into(
-            WIRED_DIM,
-            &indexed,
-            &mut wire_scratch,
-        ));
-        black_box(&wired_frame);
-    });
+    let (mut sorted_frame, mut wired_frame) = (Vec::new(), Vec::new());
+    ledger.pair(
+        "wired_client_upload",
+        wired_shape,
+        "",
+        || {
+            topk::top_k_entries_into(black_box(&residual), WIRED_K, &mut seed_keys, &mut ranked);
+            topk::sort_by_index(&mut ranked, &mut seed_keys);
+            sorted_frame.clear();
+            sorted_frame.extend_from_slice(quant_codec.encode_into(
+                WIRED_DIM,
+                &ranked,
+                &mut seed_wire,
+            ));
+            black_box(&sorted_frame);
+        },
+        || {
+            topk::top_k_entries_indexed_into(
+                black_box(&residual),
+                WIRED_K,
+                &mut keys,
+                &mut indexed,
+            );
+            wired_frame.clear();
+            wired_frame.extend_from_slice(quant_codec.encode_into(
+                WIRED_DIM,
+                &indexed,
+                &mut wire_scratch,
+            ));
+            black_box(&wired_frame);
+        },
+    );
     assert_eq!(
         wired_frame, sorted_frame,
         "the index-ordered selection must encode to the index-sorted ranking's frame"
     );
-    let wired_client = KernelReport {
-        name: "wired_client_upload".into(),
-        dim: WIRED_DIM,
-        clients: 1,
-        k: WIRED_K,
-        threads: 1,
-        seed_ns,
-        scratch_ns,
-    };
 
-    let mut decoded = Vec::new();
-    let seed_ns = time_ns(|| {
-        decode_frame(black_box(&wired_frame), &mut decoded).expect("valid frame");
-        topk::rank_by_magnitude(&mut decoded, &mut keys);
-        black_box(&decoded);
-    });
-    let mut delivered = Vec::new();
-    let scratch_ns = time_ns(|| {
-        keys.clear();
-        decode_frame_with(black_box(&wired_frame), |j, v| {
-            keys.push(topk::order_key(j as u32, v))
-        })
-        .expect("valid frame");
-        topk::rank_index_ordered_keys_into(&mut keys, &mut delivered);
-        black_box(&delivered);
-    });
+    let (mut decoded, mut delivered) = (Vec::new(), Vec::new());
+    ledger.pair(
+        "server_rank_decoded",
+        wired_shape,
+        "",
+        || {
+            decode_frame(black_box(&wired_frame), &mut decoded).expect("valid frame");
+            topk::rank_by_magnitude(&mut decoded, &mut seed_keys);
+            black_box(&decoded);
+        },
+        || {
+            keys.clear();
+            decode_frame_with(black_box(&wired_frame), |j, v| {
+                keys.push(topk::order_key(j as u32, v))
+            })
+            .expect("valid frame");
+            topk::rank_index_ordered_keys_into(&mut keys, &mut delivered);
+            black_box(&delivered);
+        },
+    );
     let entry_bits = |entries: &[(usize, f32)]| -> Vec<(usize, u32)> {
         entries.iter().map(|&(j, v)| (j, v.to_bits())).collect()
     };
@@ -897,15 +727,6 @@ fn main() {
         entry_bits(&decoded),
         "ranking from the decoder's visitor must equal decode + rank_by_magnitude"
     );
-    let server_rank = KernelReport {
-        name: "server_rank_decoded".into(),
-        dim: WIRED_DIM,
-        clients: 1,
-        k: WIRED_K,
-        threads: 1,
-        seed_ns,
-        scratch_ns,
-    };
 
     // The errors of the frame above (entries it did not reproduce exactly)
     // and the reset list FAB hands one client: a prefix of its ranking.
@@ -918,14 +739,15 @@ fn main() {
         .collect();
     let resets: Vec<usize> = delivered[..WIRED_RESETS].iter().map(|&(j, _)| j).collect();
     let mut by_search = residual.clone();
-    let seed_ns = time_ns(|| {
-        reference::reset_indices_to(&mut by_search, black_box(&resets), black_box(&errors));
-    });
     let mut by_merge = ResidualAccumulator::new(WIRED_DIM);
     by_merge.add(&residual);
-    let scratch_ns = time_ns(|| {
-        by_merge.reset_indices_to(black_box(&resets), black_box(&errors), &mut keys);
-    });
+    ledger.pair(
+        "reset_errors_merge",
+        Shape::new(WIRED_DIM, 1, WIRED_RESETS),
+        &format!("{} errors", errors.len()),
+        || reference::reset_indices_to(&mut by_search, black_box(&resets), black_box(&errors)),
+        || by_merge.reset_indices_to(black_box(&resets), black_box(&errors), &mut keys),
+    );
     assert!(
         by_merge
             .as_slice()
@@ -934,63 +756,27 @@ fn main() {
             .all(|(a, b)| a.to_bits() == b.to_bits()),
         "the merge must leave the residual the per-index search leaves"
     );
-    let reset_merge = KernelReport {
-        name: "reset_errors_merge".into(),
-        dim: WIRED_DIM,
-        clients: 1,
-        k: WIRED_RESETS,
-        threads: 1,
-        seed_ns,
-        scratch_ns,
-    };
-    for r in [&wired_client, &server_rank, &reset_merge] {
-        eprintln!(
-            "  {} (D={}, k={}, {} errors): before {:.0} ns, now {:.0} ns -> {:.2}x",
-            r.name,
-            r.dim,
-            r.k,
-            errors.len(),
-            r.seed_ns,
-            r.scratch_ns,
-            r.speedup()
-        );
-    }
 
     // Checkpoint load at the paper's >400k-weight scale: the fault path's
     // resume story priced as a kernel. `checkpoint_load` compares rebuilding
     // the simulation from its inputs (dataset regeneration + model init —
     // the no-checkpoint baseline) against `restore_state` of the serialized
-    // blob.
+    // blob, which must reproduce the saved state bit-exactly.
     let ckpt_sim = checkpoint_workload();
-    let ckpt_dim = ckpt_sim.dim();
     let blob = ckpt_sim.save_state();
-    let seed_ns = time_ns(|| {
-        black_box(fresh_checkpoint_sim());
-    });
     let mut target = fresh_checkpoint_sim();
-    let scratch_ns = time_ns(|| {
-        target
-            .restore_state(black_box(&blob))
-            .expect("same-fingerprint restore");
-    });
-    // The restore must reproduce the saved state bit-exactly.
-    assert_eq!(target.save_state(), blob, "restore must be bit-exact");
-    let ckpt_load = KernelReport {
-        name: "checkpoint_load".into(),
-        dim: ckpt_dim,
-        clients: CKPT_CLIENTS,
-        k: 0,
-        threads: 1,
-        seed_ns,
-        scratch_ns,
-    };
-    eprintln!(
-        "  checkpoint_load (D={ckpt_dim}, {} B blob): rebuild {:.0} ns, restore {:.0} ns -> {:.2}x",
-        blob.len(),
-        ckpt_load.seed_ns,
-        ckpt_load.scratch_ns,
-        ckpt_load.speedup()
+    ledger.pair(
+        "checkpoint_load",
+        Shape::new(ckpt_sim.dim(), CKPT_CLIENTS, 0),
+        &format!("{} B blob", blob.len()),
+        fresh_checkpoint_sim,
+        || {
+            target
+                .restore_state(black_box(&blob))
+                .expect("same-fingerprint restore")
+        },
     );
+    assert_eq!(target.save_state(), blob, "restore must be bit-exact");
 
     // Telemetry: the recorded-vs-noop round pair prices what full
     // instrumentation (stage clock reads, histogram buckets, pool
@@ -999,30 +785,20 @@ fn main() {
     // stage-share regressions in the round engine are visible across PRs.
     let mut noop_sim = telemetry_workload();
     let telem_dim = noop_sim.dim();
-    let seed_ns = time_ns(|| {
-        black_box(noop_sim.run_round(TELEM_K, None));
-    });
     let mut rec_sim = telemetry_workload();
     rec_sim.executor().set_metrics_enabled(true);
     let mut recorder = StageRecorder::new();
-    let scratch_ns = time_ns(|| {
-        recorder.begin_round();
-        black_box(rec_sim.run_round_recorded(TELEM_K, None, &mut recorder));
-    });
-    let telemetry_record = KernelReport {
-        name: "telemetry_record".into(),
-        dim: telem_dim,
-        clients: TELEM_CLIENTS,
-        k: TELEM_K,
-        threads: 2,
-        seed_ns,
-        scratch_ns,
-    };
-    let (telem_seed_ns, telem_scratch_ns) = (telemetry_record.seed_ns, telemetry_record.scratch_ns);
-    eprintln!(
-        "  telemetry_record: noop {telem_seed_ns:.0} ns, recorded {telem_scratch_ns:.0} ns -> {:+.1}% overhead",
-        (telem_scratch_ns / telem_seed_ns - 1.0) * 100.0
+    let telemetry_record = ledger.pair(
+        "telemetry_record",
+        Shape::new(telem_dim, TELEM_CLIENTS, TELEM_K).on_threads(2),
+        "noop vs recorded round",
+        || noop_sim.run_round(TELEM_K, None),
+        || {
+            recorder.begin_round();
+            rec_sim.run_round_recorded(TELEM_K, None, &mut recorder)
+        },
     );
+    let (telem_seed_ns, telem_scratch_ns) = (telemetry_record.seed_ns, telemetry_record.scratch_ns);
     let telemetry_spans: Vec<String> = SpanId::ALL
         .into_iter()
         .filter_map(|id| {
@@ -1038,10 +814,6 @@ fn main() {
                 )
             })
         })
-        .collect();
-    let telemetry_spans_json: Vec<String> = telemetry_spans
-        .iter()
-        .map(|s| format!("      {s}"))
         .collect();
     let pool_snapshot = rec_sim.executor().pool_metrics();
     let telemetry_pool_json = pool_snapshot.as_ref().map_or_else(
@@ -1069,29 +841,11 @@ fn main() {
         );
     }
 
-    let mut kernels = vec![fab];
-    kernels.extend(server_reports);
-    kernels.push(pool_dispatch);
-    kernels.extend(topk_reports);
-    kernels.extend([cnn_report, cnn_grad_report]);
-    kernels.extend(product_reports);
-    kernels.extend([
-        eval_report,
-        wire_encode,
-        wire_decode,
-        quant_encode,
-        quant_decode,
-        wired_client,
-        server_rank,
-        reset_merge,
-        ckpt_load,
-        telemetry_record,
-    ]);
     if check {
         eprintln!(
             "bench-report --check: ratios against the last {cores}-core line of {history_path}"
         );
-        let regressed = check_against_history(&kernels, &history_path, cores);
+        let regressed = check_against_history(&ledger.kernels, &history_path, cores);
         if regressed {
             eprintln!("bench-report --check: a paired ratio fell more than {:.0} % below its recorded value", CHECK_TOLERANCE * 100.0);
         }
@@ -1108,48 +862,21 @@ fn main() {
         scale_config.populations, scale_config.cohort
     );
     let scale = scale_sweep::run(&scale_config);
-    for p in &scale.points {
-        eprintln!(
-            "  scale N={}: {:.1} rounds/s, rss {} B (peak {} B), {} resident clients",
-            p.population,
-            p.rounds_per_sec,
-            p.current_rss_bytes.unwrap_or(0),
-            p.peak_rss_bytes.unwrap_or(0),
-            p.resident_clients
-        );
-    }
+    eprint!("{}", scale.render());
     // Peak RSS of this whole process — an upper bound on every workload
     // above, recorded so memory regressions show up in the snapshot diff.
-    let peak_rss = mem::peak_rss_bytes();
-    let peak_rss_json = peak_rss.map_or_else(|| "null".to_string(), |b| b.to_string());
-    let scale_points_json: Vec<String> = scale
+    let peak_rss_json = mem::peak_rss_bytes().map_or_else(|| "null".to_string(), |b| b.to_string());
+    let kernels: Vec<String> = ledger
+        .kernels
+        .iter()
+        .map(KernelReport::json_object)
+        .collect();
+    let scale_points: Vec<String> = scale
         .points
         .iter()
-        .map(|p| {
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"population\": {},\n",
-                    "      \"cohort\": {},\n",
-                    "      \"rounds_per_sec\": {:.1},\n",
-                    "      \"resident_clients\": {},\n",
-                    "      \"current_rss_bytes\": {},\n",
-                    "      \"peak_rss_bytes\": {}\n",
-                    "    }}"
-                ),
-                p.population,
-                p.cohort,
-                p.rounds_per_sec,
-                p.resident_clients,
-                p.current_rss_bytes
-                    .map_or_else(|| "null".to_string(), |b| b.to_string()),
-                p.peak_rss_bytes
-                    .map_or_else(|| "null".to_string(), |b| b.to_string()),
-            )
-        })
+        .map(ScaleSweepPoint::json_object)
         .collect();
 
-    let body: Vec<String> = kernels.iter().map(KernelReport::to_json).collect();
     let json = format!(
         concat!(
             "{{\n",
@@ -1170,10 +897,10 @@ fn main() {
         FAB_K,
         cores,
         peak_rss_json,
-        body.join(",\n"),
-        telemetry_spans_json.join(",\n"),
+        json_lines(&kernels, "    "),
+        json_lines(&telemetry_spans, "      "),
         telemetry_pool_json,
-        scale_points_json.join(",\n")
+        json_lines(&scale_points, "    ")
     );
     std::fs::write(&out_path, json).expect("failed to write bench report");
     eprintln!("bench-report: wrote {out_path}");
@@ -1184,7 +911,6 @@ fn main() {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let history_kernels: Vec<String> = kernels.iter().map(KernelReport::to_history_json).collect();
     let line = format!(
         "{{\"unix_time\":{},\"suite\":\"selection_kernels\",\"workload\":{{\"dim\":{},\"clients\":{},\"k\":{}}},\"cores\":{},\"peak_rss_bytes\":{},\"kernels\":[{}]}}\n",
         unix_secs,
@@ -1193,7 +919,7 @@ fn main() {
         FAB_K,
         cores,
         peak_rss_json,
-        history_kernels.join(",")
+        kernels.join(",")
     );
     let mut history = std::fs::OpenOptions::new()
         .create(true)
@@ -1238,10 +964,7 @@ mod tests {
     fn report(name: &str, threads: usize, seed_ns: f64, scratch_ns: f64) -> KernelReport {
         KernelReport {
             name: name.into(),
-            dim: 1,
-            clients: 1,
-            k: 1,
-            threads,
+            shape: Shape::new(1, 1, 1).on_threads(threads),
             seed_ns,
             scratch_ns,
         }
@@ -1252,8 +975,8 @@ mod tests {
         let line = |cores: usize, ratio: f64| {
             format!(
                 "{{\"unix_time\":1,\"suite\":\"selection_kernels\",\"workload\":{{\"dim\":1,\"clients\":1,\"k\":1}},\"cores\":{cores},\"peak_rss_bytes\":null,\"kernels\":[{},{}]}}",
-                report("fab_select", 1, ratio * 100.0, 100.0).to_history_json(),
-                report("fc_fwd@avx2", 1, 300.0, 100.0).to_history_json(),
+                report("fab_select", 1, ratio * 100.0, 100.0).json_object(),
+                report("fc_fwd@avx2", 1, 300.0, 100.0).json_object(),
             )
         };
         let history = [
@@ -1284,7 +1007,7 @@ mod tests {
             report("slower", 1, 400.0, 100.0),
             report("pooled", 2, 400.0, 100.0),
         ];
-        let body: Vec<String> = recorded.iter().map(KernelReport::to_history_json).collect();
+        let body: Vec<String> = recorded.iter().map(KernelReport::json_object).collect();
         std::fs::write(
             &path,
             format!(

@@ -571,6 +571,11 @@ impl Experiment {
                 parallelism: config.parallelism,
             },
         );
+        let evaluate_into = |sim: &FedAvgSimulation, point: &mut MetricPoint| {
+            let eval = sim.evaluate();
+            point.global_loss = Some(eval.train_loss as f64);
+            point.test_accuracy = Some(eval.test_accuracy as f64);
+        };
         let mut history = RunHistory::new("FedAvg", num_clients);
         let mut round = 0usize;
         loop {
@@ -579,23 +584,28 @@ impl Experiment {
             }
             round += 1;
             let report = sim.run_round();
-            let evaluate = round.is_multiple_of(config.eval_every) || round == 1;
-            let (global_loss, test_accuracy) = if evaluate {
-                let eval = sim.evaluate();
-                (Some(eval.train_loss), Some(eval.test_accuracy))
-            } else {
-                (None, None)
-            };
-            history.push(MetricPoint {
+            let mut point = MetricPoint {
                 round,
                 elapsed_time: sim.elapsed_time(),
                 k: if report.aggregated { dim } else { 0 },
                 train_loss: report.train_loss,
-                global_loss,
-                test_accuracy,
-            });
+                global_loss: None,
+                test_accuracy: None,
+            };
+            if round.is_multiple_of(config.eval_every) || round == 1 {
+                evaluate_into(&sim, &mut point);
+            }
+            let global_loss = point.global_loss;
+            history.push(point);
             if stop.loss_reached(global_loss) {
                 break;
+            }
+        }
+        // As in `run_loop`: a run stopped off-cadence still ends on an
+        // evaluated point, the loss Fig. 4 compares FedAvg by.
+        if let Some(last) = history.last_point_mut() {
+            if last.global_loss.is_none() {
+                evaluate_into(&sim, last);
             }
         }
         history
@@ -731,6 +741,22 @@ mod tests {
         assert!(history.final_global_loss().is_some());
         // At least one aggregation round happened (k column equals dim there).
         assert!(history.points().iter().any(|p| p.k == exp.dim()));
+    }
+
+    /// Like a GS run, a FedAvg run stopped off-cadence ends on an evaluated
+    /// point, and the points before it are the cadence's.
+    #[test]
+    fn fedavg_run_evaluates_its_last_point() {
+        let exp = Experiment::new(&tiny_config(10.0, 5));
+        let history = exp.run_fedavg(exp.dim() / 20, &StopCondition::after_rounds(7));
+        assert_eq!(history.len(), 7);
+        // eval_every = 5: round 1, the cadence, and the last round.
+        for point in history.points() {
+            let evaluated = [1, 5, 7].contains(&point.round);
+            assert_eq!(point.global_loss.is_some(), evaluated, "{point:?}");
+            assert_eq!(point.test_accuracy.is_some(), evaluated, "{point:?}");
+        }
+        assert_eq!(history.final_global_loss(), history.points()[6].global_loss);
     }
 
     #[test]

@@ -45,9 +45,12 @@
 //! The pool replaces a per-region scoped spawn with the generation
 //! handshake documented in [`pool`]: the submitter blocks until every task
 //! of its generation has completed, which is the same borrow-outlives-use
-//! proof `std::thread::scope` provides structurally. The executable spec
-//! of every primitive is its own serial fallback — the plain iterator the
-//! tests pin the pool path against.
+//! proof `std::thread::scope` provides structurally. So every primitive —
+//! [`Executor::map_mut`], [`Executor::map_ref`], [`Executor::pipeline_mut`]
+//! — ends its region before it returns; none hands back a handle to work
+//! still running, and nothing overlaps the calling thread's next statement.
+//! The executable spec of every primitive is its own serial fallback — the
+//! plain iterator the tests pin the pool path against.
 //!
 //! Nested regions — a worker that itself calls an executor primitive —
 //! run inline on that worker (bit-identical; see
@@ -426,43 +429,6 @@ impl Executor {
             std::panic::resume_unwind(payload);
         }
     }
-
-    /// Runs `a` on the calling thread and `b` on a pool worker,
-    /// concurrently, returning both results. The two closures must touch
-    /// disjoint state (the borrow checker enforces it for borrows); since
-    /// neither result depends on scheduling, the overlap cannot change
-    /// bits. Falls back to `a` then `b` serially on one thread or on a
-    /// pool worker — the same order the results tuple implies.
-    ///
-    /// A panic in either side is propagated after both sides have
-    /// completed (the pool's handshake always waits for `b`).
-    pub fn join<RA, RB, FA, FB>(&self, a: FA, b: FB) -> (RA, RB)
-    where
-        RB: Send,
-        FA: FnOnce() -> RA,
-        FB: FnOnce() -> RB + Send,
-    {
-        if self.threads <= 1 || pool::on_worker_thread() {
-            return (a(), b());
-        }
-        let pool = self.pool();
-        let b_slot: Mutex<Option<FB>> = Mutex::new(Some(b));
-        let out: Mutex<Option<RB>> = Mutex::new(None);
-        let task = |_i: usize| {
-            let b = lock(&b_slot).take().expect("join task dispatched once");
-            *lock(&out) = Some(b());
-        };
-        let handle = pool.submit_region(1, &task);
-        // If `a` panics, `handle`'s Drop still waits for `b` before the
-        // borrows above leave scope.
-        let ra = a();
-        handle.finish();
-        let rb = out
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .expect("completed join produced a result");
-        (ra, rb)
-    }
 }
 
 #[cfg(test)]
@@ -684,24 +650,6 @@ mod tests {
         let payload = result.expect_err("panic must propagate");
         let msg = payload.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("pipe boom at 17"), "{msg}");
-    }
-
-    #[test]
-    fn join_runs_both_sides_and_propagates_panics() {
-        for threads in [1usize, 4] {
-            let exec = Executor::new(threads);
-            let xs: Vec<u64> = (0..100).collect();
-            let (a, b) = exec.join(|| xs.iter().sum::<u64>(), || xs.iter().max().copied());
-            assert_eq!(a, 4950);
-            assert_eq!(b, Some(99));
-        }
-        let exec = Executor::new(4);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec.join(|| 1u8, || panic!("join boom"))
-        }));
-        let payload = result.expect_err("panic must propagate");
-        let msg = payload.downcast_ref::<&'static str>().expect("str payload");
-        assert!(msg.contains("join boom"), "{msg}");
     }
 
     #[test]

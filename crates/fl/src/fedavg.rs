@@ -17,7 +17,7 @@
 
 use agsfl_exec::{Executor, Parallelism};
 use agsfl_ml::data::{ClientShard, FederatedDataset, MinibatchSampler, ShardSource};
-use agsfl_ml::metrics::global_evaluation;
+use agsfl_ml::metrics::{global_evaluation, GlobalEvaluation};
 use agsfl_ml::model::Model;
 use agsfl_ml::optim::sgd_step;
 use rand::SeedableRng;
@@ -57,19 +57,6 @@ impl Default for FedAvgConfig {
             parallelism: Parallelism::Auto,
         }
     }
-}
-
-/// All evaluation metrics of a FedAvg run at one point in time, computed
-/// from a single weight-averaging pass and one fused evaluation sweep (see
-/// [`FedAvgSimulation::evaluate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FedAvgEvaluation {
-    /// Global training loss at the averaged weights.
-    pub train_loss: f64,
-    /// Test-set accuracy at the averaged weights.
-    pub test_accuracy: f64,
-    /// Weighted training accuracy at the averaged weights.
-    pub train_accuracy: f64,
 }
 
 /// Report of one FedAvg round.
@@ -218,20 +205,15 @@ impl FedAvgSimulation {
     /// the `N×D` weight average is computed a single time and all three
     /// metrics come from one fused parallel sweep
     /// ([`agsfl_ml::metrics::global_evaluation`]).
-    pub fn evaluate(&self) -> FedAvgEvaluation {
+    pub fn evaluate(&self) -> GlobalEvaluation {
         let avg = self.averaged_params();
-        let eval = global_evaluation(
+        global_evaluation(
             self.model.as_ref(),
             &avg,
             self.dataset.clients(),
             self.dataset.test(),
             &self.executor,
-        );
-        FedAvgEvaluation {
-            train_loss: eval.train_loss as f64,
-            test_accuracy: eval.test_accuracy as f64,
-            train_accuracy: eval.train_accuracy as f64,
-        }
+        )
     }
 
     /// Runs one FedAvg round: a local SGD step at every client (one

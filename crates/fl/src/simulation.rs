@@ -620,7 +620,7 @@ impl Simulation {
     /// its in-order server admission ([`SpanId::WireFault`] and
     /// [`SpanId::ServerDecode`] nest inside [`SpanId::ClientPass`]),
     /// selection, the probe, the broadcast apply, and the bookkeeping that
-    /// overlaps the downlink pricing ([`SpanId::DownlinkPricing`] nests
+    /// ends with the downlink pricing ([`SpanId::DownlinkPricing`] nests
     /// inside [`SpanId::Bookkeeping`]). A faulty round is the same round
     /// over the surviving subset — there is one engine, and a clean round
     /// is the one where every member is admitted. The report's
@@ -680,8 +680,7 @@ impl Simulation {
             self.apply_broadcast(cohort.len(), &selection, uplink_phase)
         });
 
-        // (4) End-of-round bookkeeping, overlapped with the broadcast
-        // pricing.
+        // (4) End-of-round bookkeeping, then the broadcast pricing.
         let downlink_bytes = wire_report.as_ref().map(|w| w.downlink_bytes);
         let (contributions, downlink_time) =
             self.bookkeep(rec, round_idx, &cohort, &selection, downlink_bytes);
@@ -1078,9 +1077,8 @@ impl Simulation {
     /// lossless; debug-asserted below).
     ///
     /// The broadcast *pricing* is not done here: it reads only the
-    /// channel, so [`Simulation::bookkeep`] overlaps it with the
-    /// end-of-round bookkeeping. The weight update itself is a true
-    /// dependency of the next round's gradients and is never raced.
+    /// channel and the frame length, and [`Simulation::bookkeep`] does it
+    /// at the end of the round.
     fn apply_broadcast(
         &mut self,
         cohort_len: usize,
@@ -1141,19 +1139,8 @@ impl Simulation {
         (wire.channel.compute_time() + uplink_phase, Some(report))
     }
 
-    /// Stage (4): end-of-round bookkeeping on this thread, overlapped with
-    /// the broadcast pricing on a pool worker. Returns the per-member
-    /// contributions and the downlink phase time.
-    ///
-    /// The downlink price is a max over *every* link in the channel (the
-    /// server pushes the global model to the whole population) — O(N) at
-    /// million-client scale when the channel has a trace or the frontier is
-    /// not built yet — and has no consumer until the `RoundReport`, so it is
-    /// the part of the downlink that legally leaves the critical path.
-    /// Neither side touches the other's state (the pricing reads only the
-    /// channel, its frontier and two scalars), and adding the two finished
-    /// phase times afterwards is schedule-independent, so the overlap
-    /// cannot change a bit.
+    /// Stage (4): end-of-round bookkeeping, then the broadcast pricing.
+    /// Returns the per-member contributions and the downlink phase time.
     ///
     /// Resets and contributions target exactly the members whose uploads
     /// were aggregated, so a lost member's residual keeps its update. On
@@ -1164,6 +1151,12 @@ impl Simulation {
     /// (first-time online participants get a new row; pristine offline
     /// first-timers are dropped and recreated identically on their next
     /// appearance).
+    ///
+    /// The downlink price is a max over the links that can be the slowest
+    /// receiver of the broadcast: the channel's frontier, built on the
+    /// first priced round, or every link when the channel has a trace. Its
+    /// [`SpanId::DownlinkPricing`] span nests inside
+    /// [`SpanId::Bookkeeping`].
     fn bookkeep<R: Recorder>(
         &mut self,
         rec: &mut R,
@@ -1172,42 +1165,27 @@ impl Simulation {
         selection: &SelectionResult,
         downlink_bytes: Option<usize>,
     ) -> (Vec<usize>, f64) {
+        let t0 = rec.enabled().then(Instant::now);
         let mut contributions = vec![0usize; cohort.len()];
-        // The pricing runs on a pool worker, so its nanoseconds come back
-        // with the result and are recorded here on the round thread.
-        let clock = rec.enabled();
-        let ((), (downlink_time, pricing_ns)) = stage(rec, SpanId::Bookkeeping, || {
-            self.executor.join(
-                || {
-                    for (u_idx, &pos) in self.survivors.iter().enumerate() {
-                        let slot = &mut self.slots[pos];
-                        let resets = selection.resets(u_idx);
-                        slot.client.apply_reset_with_errors(resets, &slot.errors);
-                        contributions[pos] = resets.len();
-                    }
-                    for (slot, &id) in self.slots.iter_mut().zip(cohort) {
-                        self.population.dehydrate(
-                            id,
-                            slot.cached_row,
-                            !slot.offline,
-                            &mut slot.client,
-                        );
-                        slot.cached_row = None;
-                    }
-                },
-                || {
-                    let t0 = clock.then(Instant::now);
-                    let time = self
-                        .wire
-                        .as_ref()
-                        .zip(downlink_bytes)
-                        .map_or(0.0, |(w, bytes)| w.downlink_phase_time(round_idx, bytes));
-                    (time, t0.map(|t0| t0.elapsed().as_nanos() as u64))
-                },
-            )
+        for (u_idx, &pos) in self.survivors.iter().enumerate() {
+            let slot = &mut self.slots[pos];
+            let resets = selection.resets(u_idx);
+            slot.client.apply_reset_with_errors(resets, &slot.errors);
+            contributions[pos] = resets.len();
+        }
+        for (slot, &id) in self.slots.iter_mut().zip(cohort) {
+            self.population
+                .dehydrate(id, slot.cached_row, !slot.offline, &mut slot.client);
+            slot.cached_row = None;
+        }
+        let downlink_time = stage(rec, SpanId::DownlinkPricing, || {
+            self.wire
+                .as_ref()
+                .zip(downlink_bytes)
+                .map_or(0.0, |(w, bytes)| w.downlink_phase_time(round_idx, bytes))
         });
-        if let Some(ns) = pricing_ns {
-            rec.span(SpanId::DownlinkPricing, ns);
+        if let Some(t0) = t0 {
+            rec.span(SpanId::Bookkeeping, t0.elapsed().as_nanos() as u64);
         }
         (contributions, downlink_time)
     }

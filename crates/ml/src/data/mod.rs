@@ -198,11 +198,6 @@ impl FederatedDataset {
         &self.test
     }
 
-    /// Per-client sample counts `C_i`.
-    pub fn client_sizes(&self) -> Vec<usize> {
-        self.clients.iter().map(ClientShard::len).collect()
-    }
-
     /// Total number of training samples `C`.
     pub fn total_samples(&self) -> usize {
         self.clients.iter().map(ClientShard::len).sum()
@@ -260,7 +255,6 @@ mod tests {
         assert_eq!(fed.num_clients(), 2);
         assert_eq!(fed.num_classes(), 2);
         assert_eq!(fed.feature_dim(), 2);
-        assert_eq!(fed.client_sizes(), vec![2, 1]);
         assert_eq!(fed.total_samples(), 3);
         assert_eq!(fed.client(1).len(), 1);
         assert_eq!(fed.test().len(), 2);

@@ -311,18 +311,6 @@ impl Matrix {
         out
     }
 
-    /// In-place element-wise addition `self += rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn add_assign(&mut self, rhs: &Matrix) {
-        assert_eq!(self.shape(), rhs.shape(), "add_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(rhs.data.iter()) {
-            *a += b;
-        }
-    }
-
     /// In-place scalar multiplication `self *= s`.
     pub fn scale(&mut self, s: f32) {
         for v in &mut self.data {

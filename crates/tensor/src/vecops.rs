@@ -50,15 +50,6 @@ pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
     }
 }
 
-/// In-place element-wise addition `y += x`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn add_assign(y: &mut [f32], x: &[f32]) {
-    axpy(y, 1.0, x);
-}
-
 /// In-place scalar multiplication `y *= alpha`.
 pub fn scale(y: &mut [f32], alpha: f32) {
     for yi in y.iter_mut() {
@@ -126,8 +117,6 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(&mut y, 2.0, &[1.0, 3.0]);
         assert_eq!(y, vec![3.0, 7.0]);
-        add_assign(&mut y, &[1.0, 1.0]);
-        assert_eq!(y, vec![4.0, 8.0]);
     }
 
     #[test]

@@ -568,11 +568,6 @@ impl Precision {
             Precision::Sign => crate::CodecSpec::SignNorm,
         }
     }
-
-    /// Inverse of `tier as u8` (snapshot restore).
-    pub fn from_index(index: u8) -> Option<Precision> {
-        Precision::ALL.get(index as usize).copied()
-    }
 }
 
 #[cfg(test)]
@@ -818,10 +813,6 @@ mod tests {
 
     #[test]
     fn precision_tiers_map_to_their_codecs() {
-        for p in Precision::ALL {
-            assert_eq!(Precision::from_index(p as u8), Some(p));
-        }
-        assert_eq!(Precision::from_index(4), None);
         assert_eq!(Precision::F32.codec_spec().name(), "auto");
         assert_eq!(Precision::Q8.codec_spec().name(), "qlinear8");
         assert_eq!(Precision::F16.codec_spec().name(), "f16");

@@ -218,6 +218,27 @@ done | grep -E 'params\[[^]]*\]\.to_vec\(\)'; then
     exit 1
 fi
 
+step "one pair body (bench-report records every pair through its ledger; no fork-join, one evaluation type)"
+# bench-report builds a KernelReport in one place, Ledger::record, which
+# prints the pair's line; a second literal is a hand-copied section body
+# growing back (the type's definition, its impl, the `&KernelReport`
+# return types and the tests are exempt). The executor's scoped join had
+# one caller, the downlink pricing, which now runs inline; FedAvg
+# evaluates into agsfl_ml's GlobalEvaluation.
+if [[ "$(awk '/#\[cfg\(test\)\]/ { exit } /KernelReport \{/ && !/(struct |impl |&)KernelReport \{/' \
+    crates/bench/src/bin/bench_report.rs | wc -l)" -ne 1 ]]; then
+    echo "verify: crates/bench/src/bin/bench_report.rs must build KernelReport exactly once (Ledger::record)" >&2
+    exit 1
+fi
+if grep -n 'fn join' crates/exec/src/lib.rs; then
+    echo "verify: Executor::join is back (line above); a region's borrows end inside its call" >&2
+    exit 1
+fi
+if grep -rn 'FedAvgEvaluation' crates/*/src; then
+    echo "verify: FedAvgEvaluation is back (lines above); FedAvgSimulation::evaluate returns GlobalEvaluation" >&2
+    exit 1
+fi
+
 step "cargo build --release"
 cargo build --release
 
@@ -247,6 +268,10 @@ cargo test -q -p rand_chacha set_word_pos_matches_drawing_at_every_offset
 cargo test -q -p rand_chacha word_pos_round_trips_and_seeks_in_both_directions
 cargo test -q -p agsfl-ml --test materialize_rows
 cargo test -q -p agsfl-fl --test gradient_allocations
+
+step "bench-report --check rule and the FedAvg baseline's last evaluated point"
+cargo test -q -p agsfl-bench
+cargo test -q -p agsfl-core --lib fedavg_run_evaluates_its_last_point
 
 step "resume equivalence (interrupted + resumed runs are bit-identical)"
 cargo test -q -p agsfl-fl resume
