@@ -24,6 +24,12 @@ use crate::telemetry::{TelemetrySpec, TelemetryState};
 const RUN_MAGIC: [u8; 4] = *b"AGCK";
 const RUN_VERSION: u32 = 1;
 
+/// The stream a run's dataset is generated from: the sparse run and its
+/// FedAvg baseline draw the same data from the same seed.
+fn data_rng(seed: u64) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(seed.wrapping_mul(0x5DEECE66D).wrapping_add(11))
+}
+
 /// Where and how often a run writes checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointSpec {
@@ -150,9 +156,7 @@ impl Experiment {
     /// and sparsifier and wires up the simulator.
     pub fn new(config: &ExperimentConfig) -> Self {
         config.validate();
-        let mut data_rng =
-            ChaCha8Rng::seed_from_u64(config.seed.wrapping_mul(0x5DEECE66D).wrapping_add(11));
-        let dataset = config.dataset.generate(&mut data_rng);
+        let dataset = config.dataset.generate(&mut data_rng(config.seed));
         let model = config
             .model
             .build(dataset.feature_dim(), dataset.num_classes());
@@ -548,12 +552,11 @@ impl Experiment {
 
     /// Runs the FedAvg baseline at the communication overhead equivalent to
     /// `k`-element GS (aggregation every `⌊D/(2k)⌋` rounds), building a fresh
-    /// FedAvg simulation from this experiment's configuration.
+    /// FedAvg simulation from this experiment's configuration on this
+    /// experiment's executor.
     pub fn run_fedavg(&self, k_equivalent: usize, stop: &StopCondition) -> RunHistory {
         let config = &self.config;
-        let mut data_rng =
-            ChaCha8Rng::seed_from_u64(config.seed.wrapping_mul(0x5DEECE66D).wrapping_add(11));
-        let dataset = config.dataset.generate(&mut data_rng);
+        let dataset = config.dataset.generate(&mut data_rng(config.seed));
         let model = config
             .model
             .build(dataset.feature_dim(), dataset.num_classes());
@@ -568,8 +571,8 @@ impl Experiment {
                 time_model: TimeModel::normalized(config.comm_time),
                 aggregation_period: TimeModel::fedavg_period(dim, k_equivalent),
                 seed: config.seed,
-                parallelism: config.parallelism,
             },
+            self.sim.executor().clone(),
         );
         let evaluate_into = |sim: &FedAvgSimulation, point: &mut MetricPoint| {
             let eval = sim.evaluate();

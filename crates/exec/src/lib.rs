@@ -339,8 +339,9 @@ impl Executor {
     /// `for (i, item) { let r = produce(item); consume(i, item, r) }`
     /// whenever `produce` is a pure per-item function (no cross-item
     /// state), because the consumer observes items and results in exactly
-    /// that order. This is the primitive behind the round engine's
-    /// client-encode → server-decode stage overlap.
+    /// that order. This is the primitive behind the round engine's client
+    /// pass: each member's upload is finished on the pool while the server
+    /// admits the finished ones in cohort order.
     ///
     /// Falls back to the serial interleaving on one thread, on a single
     /// item, or on a pool worker.

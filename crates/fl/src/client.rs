@@ -2,8 +2,8 @@
 
 use agsfl_ml::data::{ClientShard, MinibatchSampler, ShardSource};
 use agsfl_ml::model::Model;
-use agsfl_sparse::{ResidualAccumulator, UploadPlan};
-use agsfl_wire::{decode_frame, Codec, WireScratch};
+use agsfl_sparse::{topk, ResidualAccumulator, UploadPlan};
+use agsfl_wire::{decode_frame_with, Codec, WireScratch};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -45,17 +45,13 @@ pub struct Client {
     /// The row of `batch` holding the probe sample.
     probe_row: usize,
     /// Reused order-key buffer for top-k extraction (see
-    /// `agsfl_sparse::topk`) and for the lossy tier's sorted reset indices,
-    /// so building the uplink message and resetting the residual allocate
-    /// nothing after the first round.
+    /// `agsfl_sparse::topk`), for ranking a wired upload as it is decoded,
+    /// and for the sorted reset indices, so building the uplink message and
+    /// resetting the residual allocate nothing after the first round.
     topk_scratch: Vec<u64>,
     /// Reused wire-encoding workspace; byte-priced rounds encode the uplink
     /// message here without per-round allocation beyond the emitted frame.
     wire_scratch: WireScratch,
-    /// Reused buffer for the lossy tier's self-decode: the client decodes
-    /// its own encoded frame to learn the exact values `v̂` the server will
-    /// reconstruct. Round-transient — never part of the persistent state.
-    decode_scratch: Vec<(usize, f32)>,
 }
 
 impl Client {
@@ -105,7 +101,6 @@ impl Client {
             probe_row: 0,
             topk_scratch: Vec::new(),
             wire_scratch: WireScratch::new(),
-            decode_scratch: Vec::new(),
         }
     }
 
@@ -216,10 +211,10 @@ impl Client {
     /// buffer. A `TopKOwn` message comes out ranked by magnitude — what the
     /// server's selection reads — unless the round is byte-priced
     /// (`wired`): then it comes out in index order, what the codec encodes,
-    /// and the server ranks the decoded frame instead. The other two plans
-    /// are in index order either way (`Coordinates` is sorted at plan time).
-    /// Top-k extraction reuses the client's key buffer, so nothing is
-    /// allocated after the first round.
+    /// and [`Client::decode_upload_into`] ranks the decoded frame. The
+    /// other two plans are in index order either way (`Coordinates` is
+    /// sorted at plan time). Top-k extraction reuses the client's key
+    /// buffer, so nothing is allocated after the first round.
     pub(crate) fn build_upload_into(
         &mut self,
         plan: &UploadPlan,
@@ -257,42 +252,73 @@ impl Client {
         frame.extend_from_slice(codec.encode_into(dim, entries, &mut self.wire_scratch));
     }
 
-    /// [`Client::encode_upload_into`] for a lossy codec, with quantization
-    /// error feedback.
-    ///
-    /// Encodes `entries` into `frame`, then *self-decodes* the frame to
-    /// learn the exact reconstruction `v̂_j` the server will see, and
-    /// reports the per-entry quantization error `(j, v_j - v̂_j)` into
-    /// `errors` (index-sorted, exact deliveries omitted). The entry list is
-    /// rewritten in place with the decoded values, so it is bit-identical
-    /// to what the server's own decode produces.
-    ///
-    /// The error entries later seed the residual reset
-    /// ([`Client::apply_reset_with_errors`]): mass the quantizer dropped
-    /// this round is carried forward exactly like sparsification residuals,
-    /// in the same fused pass.
-    pub(crate) fn encode_upload_lossy_into(
+    /// Finishes a wired upload from the frame [`Client::encode_upload_into`]
+    /// just wrote: decodes it exactly once, so that `entries` becomes what
+    /// the server aggregates, bit for bit (decode is a pure function of the
+    /// frame). Every entry the codec changed — `v != v̂`, which only a lossy
+    /// tier does — leaves its quantization error `(j, v − v̂)` in `errors`
+    /// (cleared first, index order) for the residual reset
+    /// ([`Client::apply_reset_with_errors`]). When `rank`, the visitor packs
+    /// order keys into the client's key buffer and `entries` comes out
+    /// ranked (a frame arrives in index order, so only the magnitude digits
+    /// are left to sort); otherwise it is rewritten with the decoded values.
+    pub(crate) fn decode_upload_into(
         &mut self,
-        codec: &dyn Codec,
-        dim: usize,
+        frame: &[u8],
+        rank: bool,
         entries: &mut Vec<(usize, f32)>,
-        frame: &mut Vec<u8>,
         errors: &mut Vec<(usize, f32)>,
     ) {
-        self.encode_upload_into(codec, dim, entries, frame);
-        decode_frame(frame, &mut self.decode_scratch)
-            .expect("a frame this client just encoded must decode");
-        debug_assert_eq!(self.decode_scratch.len(), entries.len());
+        #[cfg(any(test, debug_assertions))]
+        let sent = entries.clone();
         errors.clear();
-        errors.extend(
-            entries
-                .iter()
-                .zip(&self.decode_scratch)
-                .filter(|(&(_, v), &(_, vhat))| v != vhat)
-                .map(|(&(j, v), &(_, vhat))| (j, v - vhat)),
-        );
-        entries.clear();
-        entries.extend_from_slice(&self.decode_scratch);
+        let keys = &mut self.topk_scratch;
+        keys.clear();
+        let mut at = 0usize;
+        let (_, _codec) = decode_frame_with(frame, |j, decoded| {
+            let (_, value) = entries[at];
+            if value != decoded {
+                errors.push((j, value - decoded));
+            }
+            if rank {
+                // The ranked plan's selection asserted the dimension fits
+                // the key's 32-bit index field.
+                keys.push(topk::order_key(j as u32, decoded));
+            } else {
+                entries[at].1 = decoded;
+            }
+            at += 1;
+        })
+        .expect("a frame this client just encoded must decode");
+        if rank {
+            topk::rank_index_ordered_keys_into(keys, entries);
+        }
+        // The one-pass decode against the two-step recipe it replaced:
+        // decode into an index-ordered list (on a lossless codec, the list
+        // that was encoded), then rank it when the plan ranks.
+        #[cfg(any(test, debug_assertions))]
+        {
+            let bits = |list: &[(usize, f32)]| -> Vec<(usize, u32)> {
+                list.iter().map(|&(j, v)| (j, v.to_bits())).collect()
+            };
+            let mut expected = Vec::new();
+            agsfl_wire::decode_frame(frame, &mut expected).expect("self-encoded frame must decode");
+            if !_codec.is_lossy() {
+                assert_eq!(
+                    bits(&expected),
+                    bits(&sent),
+                    "lossless decode must be exact"
+                );
+            }
+            if rank {
+                topk::rank_by_magnitude(&mut expected, &mut Vec::new());
+            }
+            assert_eq!(
+                bits(entries),
+                bits(&expected),
+                "the decoder's visitor must equal decode_frame (+ rank_by_magnitude)"
+            );
+        }
     }
 
     /// Resets the accumulator coordinates the server actually used
@@ -388,6 +414,66 @@ mod tests {
             client.build_upload_into(&UploadPlan::Dense, 3, wired, &mut out);
             assert_eq!(out.len(), model.num_params());
         }
+    }
+
+    /// The one wired path over every codec and both plan shapes: after the
+    /// encode and the single decode, the entries are the frame's decode bit
+    /// for bit (ranked when the plan ranks), the errors are exactly the
+    /// entries the codec changed, and a second call into the dirty buffers
+    /// gives the same bits.
+    #[test]
+    fn wired_upload_equals_its_decoded_frame() {
+        use agsfl_sparse::topk::rank_by_magnitude;
+        use agsfl_wire::{decode_frame, CodecSpec};
+        let bits = |list: &[(usize, f32)]| -> Vec<(usize, u32)> {
+            list.iter().map(|&(j, v)| (j, v.to_bits())).collect()
+        };
+        let (mut client, model, params, data) = client_and_model();
+        for _ in 0..3 {
+            client.compute_local_gradient(&data, &model, &params);
+        }
+        let dim = model.num_params();
+        let plans = [
+            UploadPlan::TopKOwn,
+            UploadPlan::Coordinates(vec![0, 3, 5, 9, 14]),
+        ];
+        let mut lossy_changed = false;
+        for spec in CodecSpec::all().into_iter().chain(CodecSpec::lossy()) {
+            let codec = spec.build_seeded(5);
+            for plan in &plans {
+                let rank = matches!(plan, UploadPlan::TopKOwn);
+                let (mut entries, mut frame, mut errors) = (Vec::new(), Vec::new(), Vec::new());
+                let mut first = None;
+                for _ in 0..2 {
+                    client.build_upload_into(plan, 6, true, &mut entries);
+                    let sent = entries.clone();
+                    client.encode_upload_into(codec.as_ref(), dim, &entries, &mut frame);
+                    client.decode_upload_into(&frame, rank, &mut entries, &mut errors);
+
+                    let mut expected = Vec::new();
+                    decode_frame(&frame, &mut expected).unwrap();
+                    let changed: Vec<(usize, f32)> = sent
+                        .iter()
+                        .zip(&expected)
+                        .filter(|(s, d)| s.1 != d.1)
+                        .map(|(s, d)| (s.0, s.1 - d.1))
+                        .collect();
+                    assert_eq!(bits(&errors), bits(&changed), "{}", spec.name());
+                    if spec.is_lossy() {
+                        lossy_changed |= !errors.is_empty();
+                    } else {
+                        assert!(errors.is_empty(), "{}", spec.name());
+                    }
+                    if rank {
+                        rank_by_magnitude(&mut expected, &mut Vec::new());
+                    }
+                    assert_eq!(bits(&entries), bits(&expected), "{}", spec.name());
+                    let call = (bits(&entries), bits(&errors), frame.clone());
+                    assert_eq!(*first.get_or_insert_with(|| call.clone()), call);
+                }
+            }
+        }
+        assert!(lossy_changed, "no lossy codec changed a value");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! rounds in between.
 //!
 //! Like the sparse simulator, FedAvg runs its `O(N·D)` passes through the
-//! [`agsfl_exec::Executor`] configured by [`FedAvgConfig::parallelism`]: the
+//! [`agsfl_exec::Executor`] it is built with (the runner hands it the
+//! experiment's own, so the baseline shares the sparse run's pool): the
 //! per-round local SGD steps are a client-parallel map (each client owns its
 //! RNG and sampler, results reduce in client order), the `N×D` weight
 //! average is sharded by *dimension stripe* so every coordinate keeps its
@@ -15,7 +16,7 @@
 //! [`agsfl_ml::metrics::global_evaluation`]. All of it is bit-identical to
 //! the serial path for every thread count; see `ARCHITECTURE.md`.
 
-use agsfl_exec::{Executor, Parallelism};
+use agsfl_exec::Executor;
 use agsfl_ml::data::{ClientShard, FederatedDataset, MinibatchSampler, ShardSource};
 use agsfl_ml::metrics::{global_evaluation, GlobalEvaluation};
 use agsfl_ml::model::Model;
@@ -41,9 +42,6 @@ pub struct FedAvgConfig {
     pub aggregation_period: usize,
     /// Master seed.
     pub seed: u64,
-    /// Worker-thread policy for the round and evaluation sweeps. Purely a
-    /// wall-clock knob: results are bit-identical for every setting.
-    pub parallelism: Parallelism,
 }
 
 impl Default for FedAvgConfig {
@@ -54,7 +52,6 @@ impl Default for FedAvgConfig {
             time_model: TimeModel::default(),
             aggregation_period: 10,
             seed: 0,
-            parallelism: Parallelism::Auto,
         }
     }
 }
@@ -97,8 +94,9 @@ pub struct FedAvgSimulation {
     config: FedAvgConfig,
     /// Per-client state (local weights diverge between aggregations).
     clients: Vec<FedAvgClient>,
-    /// The executor built once from [`FedAvgConfig::parallelism`] and reused
-    /// by the round pass, the weight average and the evaluation sweeps.
+    /// The executor the run was built with, reused by the round pass, the
+    /// weight average and the evaluation sweeps. Results are bit-identical
+    /// for every thread count.
     executor: Executor,
     round: usize,
     elapsed: f64,
@@ -115,13 +113,19 @@ impl std::fmt::Debug for FedAvgSimulation {
 }
 
 impl FedAvgSimulation {
-    /// Creates a FedAvg run with all clients initialized to the same weights.
+    /// Creates a FedAvg run with all clients initialized to the same weights,
+    /// running its parallel passes on `executor`.
     ///
     /// # Panics
     ///
     /// Panics if `aggregation_period == 0` or the model/dataset dimensions
     /// disagree.
-    pub fn new(model: Box<dyn Model>, dataset: FederatedDataset, config: FedAvgConfig) -> Self {
+    pub fn new(
+        model: Box<dyn Model>,
+        dataset: FederatedDataset,
+        config: FedAvgConfig,
+        executor: Executor,
+    ) -> Self {
         assert!(
             config.aggregation_period > 0,
             "aggregation period must be positive"
@@ -153,7 +157,7 @@ impl FedAvgSimulation {
             dataset,
             config,
             clients,
-            executor: config.parallelism.build(),
+            executor,
             round: 0,
             elapsed: 0.0,
         }
@@ -266,6 +270,7 @@ impl FedAvgSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agsfl_exec::Parallelism;
     use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
     use agsfl_ml::model::LinearSoftmax;
 
@@ -287,8 +292,8 @@ mod tests {
                 time_model: TimeModel::normalized(beta),
                 aggregation_period: period,
                 seed,
-                parallelism,
             },
+            parallelism.build(),
         )
     }
 
@@ -407,9 +412,9 @@ mod tests {
                 fed,
                 FedAvgConfig {
                     batch_size: 2,
-                    parallelism,
                     ..FedAvgConfig::default()
                 },
+                parallelism.build(),
             )
         };
         let mut serial = build(Parallelism::Serial);
@@ -435,6 +440,7 @@ mod tests {
                 aggregation_period: 0,
                 ..FedAvgConfig::default()
             },
+            Executor::serial(),
         );
     }
 }

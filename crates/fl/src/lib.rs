@@ -21,8 +21,8 @@
 //!
 //! Alongside the scalar proxy, [`SimulationConfig::wire`] switches a run
 //! onto the **byte-accurate** cost path: every uplink/downlink message is
-//! encoded through an `agsfl_wire` codec, the server decodes the frames
-//! before aggregation, and the round time comes from a per-client
+//! encoded through an `agsfl_wire` codec, what the server aggregates is
+//! each frame's decode, and the round time comes from a per-client
 //! [`ChannelModel`] (heterogeneous bandwidths, latency, optional per-round
 //! bandwidth trace; round time = slowest upload + broadcast downlink). The
 //! codecs are lossless and the top-k rank order is a total order of the
@@ -51,13 +51,17 @@
 //! Each round runs its parallel regions through one reusable
 //! [`Executor`] (configured by [`SimulationConfig::parallelism`]): a fused
 //! per-client pass that computes the local gradient and builds the uplink
-//! message while the residual is hot in cache, and — on probe rounds — a
+//! message while the residual is hot in cache (byte-priced, it also
+//! encodes the message and decodes the frame once, so each upload is
+//! finished on the pool), and — on probe rounds — a
 //! per-client probe-loss sweep that evaluates all three weight vectors in
 //! a single sample fetch. The server selection between them
 //! ([`agsfl_sparse::Sparsifier::select_into`]) is one `O(cohort · k)` sweep
 //! and stays on the round thread. The client pass is the
 //! producer of a pipeline whose consumer — the server's *admission* of
-//! each finished upload, in cohort order — runs on the round thread: a
+//! each finished upload, in cohort order, which only decides its fate and
+//! swaps its entry buffer into the aggregation inputs — runs on the round
+//! thread: a
 //! round under a [`FaultModel`] is the same round over the members that
 //! survive admission, not a second engine. Parallelism is purely a
 //! wall-clock knob: every client owns its RNG and sampler and results are

@@ -55,13 +55,21 @@ pub(crate) struct Slot {
     pub offline: bool,
     /// Mini-batch loss of this round's local step.
     pub loss: f32,
-    /// The ranked upload entries built this round (reused buffer).
+    /// Nanoseconds the producer spent decoding this round's frame, when
+    /// the recorder is enabled (zero otherwise); admission takes it into
+    /// the round's [`SpanId::ServerDecode`](agsfl_telemetry::SpanId::ServerDecode)
+    /// sample.
+    pub decode_ns: u64,
+    /// This round's finished upload entries, exactly as the server
+    /// aggregates them: ranked when the plan ranks, and byte-priced, the
+    /// decode of `frame`. A grow-only buffer that trades places with an
+    /// aggregation input's when the upload is delivered.
     pub entries: Vec<(usize, f32)>,
     /// The encoded uplink frame (reused buffer; empty on scalar rounds).
     pub frame: Vec<u8>,
-    /// Per-entry quantization errors `(j, v - v̂)` of this round's lossy
-    /// uplink (reused buffer; empty on lossless rounds), fed back into the
-    /// residual at reset time.
+    /// Per-entry quantization errors `(j, v - v̂)` of this round's uplink
+    /// (reused buffer; empty unless a lossy codec changed a value), fed
+    /// back into the residual at reset time.
     pub errors: Vec<(usize, f32)>,
 }
 
@@ -73,6 +81,7 @@ impl Slot {
             cached_row: None,
             offline: false,
             loss: 0.0,
+            decode_ns: 0,
             entries: Vec::new(),
             frame: Vec::new(),
             errors: Vec::new(),

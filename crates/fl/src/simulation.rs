@@ -5,7 +5,7 @@ use agsfl_ml::data::{ClientShard, FederatedDataset, ShardSource};
 use agsfl_ml::metrics::{global_evaluation, GlobalEvaluation};
 use agsfl_ml::model::Model;
 use agsfl_sparse::{
-    topk, ClientUpload, SelectionResult, SelectionScratch, SparseGradient, Sparsifier, UploadPlan,
+    ClientUpload, SelectionResult, SelectionScratch, SparseGradient, Sparsifier, UploadPlan,
 };
 use agsfl_telemetry::{stage, CounterId, GaugeId, NoopRecorder, Recorder, SpanId};
 use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -30,8 +30,8 @@ use crate::time::TimeModel;
 /// messages and what channel each client sits behind.
 ///
 /// When [`SimulationConfig::wire`] is set, every round actually encodes the
-/// uplink/downlink messages (`agsfl_wire`), the server decodes them before
-/// aggregation, and the reported `round_time` is the [`ChannelModel`] price
+/// uplink/downlink messages (`agsfl_wire`), the server aggregates each
+/// frame's decode, and the reported `round_time` is the [`ChannelModel`] price
 /// of the emitted frames instead of the scalar-proxy
 /// [`TimeModel`](crate::TimeModel) time. With a lossless codec the
 /// trajectory is bit-identical to the un-wired run — the codecs round-trip
@@ -145,9 +145,6 @@ struct WireState {
     /// accumulator, so a downlink quantization error would be lost forever
     /// rather than fed back.
     downlink: Box<dyn Codec>,
-    /// Whether the uplink codec currently in force is lossy (routes the
-    /// fused pass through the error-feedback encoder).
-    lossy: bool,
     channel: ChannelModel,
     /// The links a broadcast must be priced over
     /// ([`ChannelModel::downlink_frontier`]), built on the first priced
@@ -171,7 +168,6 @@ impl WireState {
             precision: None,
             codec: spec.build_seeded(quant_seed),
             downlink,
-            lossy: spec.is_lossy(),
             channel,
             downlink_frontier: OnceLock::new(),
             scratch: WireScratch::new(),
@@ -211,7 +207,6 @@ impl WireState {
             Some(p) => p.codec_spec(),
         };
         self.codec = spec.build_seeded(self.quant_seed);
-        self.lossy = spec.is_lossy();
     }
     /// The channel-priced time a round with sparsity `k'` would have taken:
     /// each client's hypothetical uplink is the `k'`-element prefix of the
@@ -278,13 +273,14 @@ impl WireState {
 /// independent per-client copies.
 ///
 /// Each round hydrates the sampled cohort into the slot arena, runs the
-/// fused gradient/upload pass over the slots, streams surviving wire frames
-/// straight into the reusable upload arena the server aggregates from, and
-/// dehydrates the persistent state back into the population — so resident
-/// memory is `O(cohort + touched_clients · dim)` rather than `O(N)`, and
-/// the round's buffers are reused: what a steady-state round still
-/// allocates is its per-round output — the selection's aggregate entries,
-/// flat reset list and offsets, and the round report.
+/// fused gradient/upload pass over the slots, swaps each surviving member's
+/// finished entry list into the reusable upload arena the server
+/// aggregates from, and dehydrates the persistent state back into the
+/// population — so resident memory is `O(cohort + touched_clients · dim)`
+/// rather than `O(N)`, and the round's buffers are reused: what a
+/// steady-state round still allocates is its per-round output — the
+/// selection's aggregate entries, flat reset list and offsets, and the
+/// round report.
 pub struct Simulation {
     model: Box<dyn Model>,
     source: Box<dyn ShardSource>,
@@ -297,8 +293,8 @@ pub struct Simulation {
     /// this round's sample and reused across rounds.
     slots: Vec<Slot>,
     /// Persistent aggregation inputs: the first `survivors` entries are
-    /// rebuilt each round (decoded straight from the wire frames on the
-    /// byte-priced path), reusing their entry buffers.
+    /// rebuilt each round, each taking its member's finished entry list by
+    /// swapping buffers with the member's slot.
     uploads: Vec<ClientUpload>,
     params: Vec<f32>,
     server_rng: ChaCha8Rng,
@@ -316,9 +312,8 @@ pub struct Simulation {
     /// returns (aggregate entries, flat reset list, offsets). Grow-only,
     /// like every workspace of the round.
     scratch: SelectionScratch,
-    /// Reused order keys for ranking uploads as they are decoded on the
-    /// round thread (`topk::rank_index_ordered_keys_into`) and for
-    /// index-sorting the prefixes the probe prices (`topk::sort_by_index`).
+    /// Reused order keys for index-sorting the prefixes the probe prices
+    /// (`topk::sort_by_index`).
     rank_keys: Vec<u64>,
     /// The probe's hypothetical weight vectors — `w(m)` after the round's
     /// own update and `w'(m)` after the `k'`-element one — refilled from
@@ -617,15 +612,16 @@ impl Simulation {
     ///
     /// The body is Algorithm 1 as a sequence of stages, each timed into a
     /// [`SpanId`] span by [`stage`]: hydration, the fused client pass with
-    /// its in-order server admission ([`SpanId::WireFault`] and
-    /// [`SpanId::ServerDecode`] nest inside [`SpanId::ClientPass`]),
-    /// selection, the probe, the broadcast apply, and the bookkeeping that
-    /// ends with the downlink pricing ([`SpanId::DownlinkPricing`] nests
-    /// inside [`SpanId::Bookkeeping`]). A faulty round is the same round
-    /// over the surviving subset — there is one engine, and a clean round
-    /// is the one where every member is admitted. The report's
-    /// deterministic facts (cohort size, wire bytes, fault counts) are
-    /// mirrored into [`CounterId`]/[`GaugeId`] streams.
+    /// its in-order server admission (nested in [`SpanId::ClientPass`]:
+    /// [`SpanId::WireFault`], admission's time on this thread, and
+    /// [`SpanId::ServerDecode`], the workers' decode + rank time summed
+    /// over the members), selection, the probe, the broadcast apply, and
+    /// the bookkeeping that ends with the downlink pricing
+    /// ([`SpanId::DownlinkPricing`] nests inside [`SpanId::Bookkeeping`]).
+    /// A faulty round is the same round over the surviving subset — there
+    /// is one engine, and a clean round is the one where every member is
+    /// admitted. The report's deterministic facts (cohort size, wire bytes,
+    /// fault counts) are mirrored into [`CounterId`]/[`GaugeId`] streams.
     ///
     /// Telemetry is **observation only**: it draws no randomness, touches
     /// no simulation state, and every clock read is gated on
@@ -755,7 +751,6 @@ impl Simulation {
             slot.client.bind(id, weight);
             slot.offline = plans.as_ref().is_some_and(|p| p[pos].offline);
             slot.loss = 0.0;
-            slot.errors.clear();
             slot.cached_row = self.population.hydrate(id, &mut slot.client);
         }
         plans
@@ -764,31 +759,37 @@ impl Simulation {
     /// Stage (1): the fused client pass and the server's admission of its
     /// output, as the two ends of one pipeline over the slot arena.
     ///
-    /// The *producer* runs on the pool, one call per cohort slot: a
-    /// first-timer's fresh state, then local gradient computation (Line 4:
-    /// batch indices, then just those rows from the source) immediately
-    /// followed by building — and, byte-priced, encoding — the uplink
-    /// message (Line 6), so each member's residual is still hot in cache
-    /// when its top-k runs. Each slot owns its member's RNG and sampler and
-    /// writes only into its own reused buffers, so the pass is
-    /// bit-identical to the sequential loop and allocation-free in steady
-    /// state.
+    /// The *producer* runs on the pool, one call per cohort slot, and
+    /// finishes the member's upload: a first-timer's fresh state, then local
+    /// gradient computation (Line 4: batch indices, then just those rows
+    /// from the source) immediately followed by building the uplink message
+    /// (Line 6), so each member's residual is still hot in cache when its
+    /// top-k runs. Byte-priced, the index-ordered message is encoded and the
+    /// frame decoded once (`Client::decode_upload_into`): the decoded list
+    /// — ranked when the plan ranks — is what the server aggregates, and the
+    /// entries the codec changed are the member's quantization errors. Each
+    /// slot owns its member's RNG and sampler and writes only into its own
+    /// reused buffers, so the pass is bit-identical to the sequential loop
+    /// and allocation-free in steady state. When the recorder is enabled
+    /// the producer leaves its decode time in the slot for admission to
+    /// sum; the producer returns nothing, so the pipeline's per-chunk
+    /// result lists stay zero-sized and never allocate on a worker.
     ///
     /// The *consumer* is the admission step, run on this thread in strict
-    /// cohort order as frames complete. A member's fate depends only on its
-    /// pre-drawn plan and its own finished frame, so the server decides it
-    /// the moment the frame arrives: offline and dropped members are
-    /// tallied; a transmitting member's uplink is priced on its own link
-    /// (straggler slowdown included), every planned corruption is replayed
-    /// through the *real* validated decoder (the `WireError` path), and
-    /// retries, backoff and the round deadline are applied; an admitted
-    /// upload is decoded straight into the next aggregation input. A
-    /// damaged frame that happens to decode is still treated as
-    /// detected-corrupt — the link-layer checksum stand-in — so corruption
-    /// delays rounds but can never skew the trajectory. The in-order
-    /// consumer is what keeps the loss reduction, the uplink-phase fold and
-    /// the upload list bit-identical to the sequential loop; a clean round
-    /// is the case where every plan is [`ClientFaultPlan::clean`].
+    /// cohort order as uploads complete, and it only decides each member's
+    /// fate from its pre-drawn plan and its own finished frame: offline and
+    /// dropped members are tallied; a transmitting member's uplink is priced
+    /// on its own link (straggler slowdown included), every planned
+    /// corruption is replayed through the *real* validated decoder (the
+    /// `WireError` path), and retries, backoff and the round deadline are
+    /// applied; an admitted upload's entry buffer is swapped into the next
+    /// aggregation input. A damaged frame that happens to decode is still
+    /// treated as detected-corrupt — the link-layer checksum stand-in — so
+    /// corruption delays rounds but can never skew the trajectory. The
+    /// in-order consumer is what keeps the loss reduction, the uplink-phase
+    /// fold and the upload list bit-identical to the sequential loop; a
+    /// clean round is the case where every plan is
+    /// [`ClientFaultPlan::clean`].
     fn client_pass<R: Recorder>(
         &mut self,
         rec: &mut R,
@@ -805,6 +806,7 @@ impl Simulation {
         let wire = self.wire.as_ref();
         let source = self.source.as_ref();
         let seed = self.config.seed;
+        let clock = rec.enabled();
         let produce = |slot: &mut Slot| {
             // Derive a first-timer's persistent state from `(seed, id)`: a
             // pure function writing only into this slot, so it runs on the
@@ -833,30 +835,15 @@ impl Simulation {
             slot.loss = slot.client.compute_local_gradient(source, model, params);
             slot.client
                 .build_upload_into(&plan, k, wire.is_some(), &mut slot.entries);
-            match wire {
-                // Lossy tier: encode, self-decode to learn the server's
-                // exact reconstruction, capture the per-entry quantization
-                // error for the residual reset, and rewrite the entry list
-                // with the decoded values — per slot, with no cross-slot
-                // state (the quantization stream is keyed on frame content,
-                // not worker schedule).
-                Some(w) if w.lossy => slot.client.encode_upload_lossy_into(
-                    w.codec.as_ref(),
-                    dim,
-                    &mut slot.entries,
-                    &mut slot.frame,
-                    &mut slot.errors,
-                ),
-                // Lossless tier: encode the index-ordered entry list as
-                // it is; the server derives the rank order.
-                Some(w) => slot.client.encode_upload_into(
-                    w.codec.as_ref(),
-                    dim,
-                    &slot.entries,
-                    &mut slot.frame,
-                ),
-                None => {}
-            }
+            let Some(w) = wire else { return };
+            // The quantization stream is keyed on frame content, not on the
+            // worker schedule, so encoding here is per-slot work too.
+            slot.client
+                .encode_upload_into(w.codec.as_ref(), dim, &slot.entries, &mut slot.frame);
+            let t_decode = clock.then(Instant::now);
+            slot.client
+                .decode_upload_into(&slot.frame, rank, &mut slot.entries, &mut slot.errors);
+            slot.decode_ns = t_decode.map_or(0, |t| t.elapsed().as_nanos() as u64);
         };
 
         let no_faults = FaultModel::default();
@@ -869,15 +856,15 @@ impl Simulation {
         let uploads = &mut self.uploads;
         let survivors = &mut self.survivors;
         survivors.clear();
-        let rank_keys = &mut self.rank_keys;
         let mut train_loss = 0.0f64;
         let mut uplink_phase = 0.0f64;
         let mut fr = FaultRoundReport::default();
         let mut damaged_entries: Vec<(usize, f32)> = Vec::new();
-        // The nested spans accumulate on this thread, one sample per round.
-        let clock = rec.enabled();
+        // The nested spans accumulate here, one sample per round: the wire
+        // faults on this thread, the decodes as each slot reports them.
         let (mut wire_fault_ns, mut decode_ns) = (0u64, 0u64);
         let admit = |pos: usize, slot: &mut Slot, ()| {
+            decode_ns += std::mem::take(&mut slot.decode_ns);
             let p = plans.map_or(&clean, |plans| &plans[pos]);
             if p.offline {
                 fr.offline += 1;
@@ -891,61 +878,56 @@ impl Simulation {
                 fr.dropped += 1;
                 return;
             }
-            let t_fault = clock.then(Instant::now);
-            let delivered = match wire {
-                None => true,
-                Some(wire) => {
-                    if p.slowdown > 1.0 {
-                        fr.stragglers += 1;
-                    }
-                    let frame = &slot.frame;
-                    let attempt_time = wire.channel.uplink_time_scaled(
-                        round_idx,
-                        slot.client.id(),
-                        frame.len(),
-                        p.slowdown,
-                    );
-                    for &corruption in &p.corruptions {
-                        damaged_entries.clear();
-                        let damaged = corrupt_frame(frame, corruption);
-                        let _ = decode_frame(&damaged, &mut damaged_entries);
-                        fr.corrupt_frames += 1;
-                    }
-                    let failures = p.corruptions.len();
-                    let lost = failures >= max_attempts;
-                    let attempts_made = if lost { max_attempts } else { failures + 1 };
-                    fr.retries += attempts_made - 1;
-                    fr.retransmitted_bytes += frame.len() as u64 * (attempts_made - 1) as u64;
-                    let total_time = attempt_time * attempts_made as f64
-                        + fmodel.retry_backoff * (attempts_made - 1) as f64;
-                    let late = !lost && fmodel.deadline.is_some_and(|d| total_time > d);
-                    fr.corrupt_lost += usize::from(lost);
-                    fr.deadline_dropped += usize::from(late);
-                    if !late {
-                        // The server listened through every attempt — a
-                        // corrupt-lost member's futile ones included — so the
-                        // time counts toward the uplink phase.
-                        uplink_phase = uplink_phase.max(total_time);
-                    }
-                    !lost && !late
+            if let Some(wire) = wire {
+                let t_fault = clock.then(Instant::now);
+                if p.slowdown > 1.0 {
+                    fr.stragglers += 1;
                 }
-            };
-            let t_decode = clock.then(Instant::now);
-            if delivered {
-                let upload = &mut uploads[survivors.len()];
-                deliver_upload(
-                    slot,
-                    upload,
-                    wire.is_some(),
-                    rank.then_some(&mut *rank_keys),
-                    dim,
+                let frame = &slot.frame;
+                let attempt_time = wire.channel.uplink_time_scaled(
+                    round_idx,
+                    slot.client.id(),
+                    frame.len(),
+                    p.slowdown,
                 );
-                survivors.push(pos);
+                for &corruption in &p.corruptions {
+                    damaged_entries.clear();
+                    let damaged = corrupt_frame(frame, corruption);
+                    let _ = decode_frame(&damaged, &mut damaged_entries);
+                    fr.corrupt_frames += 1;
+                }
+                let failures = p.corruptions.len();
+                let lost = failures >= max_attempts;
+                let attempts_made = if lost { max_attempts } else { failures + 1 };
+                fr.retries += attempts_made - 1;
+                fr.retransmitted_bytes += frame.len() as u64 * (attempts_made - 1) as u64;
+                let total_time = attempt_time * attempts_made as f64
+                    + fmodel.retry_backoff * (attempts_made - 1) as f64;
+                let late = !lost && fmodel.deadline.is_some_and(|d| total_time > d);
+                fr.corrupt_lost += usize::from(lost);
+                fr.deadline_dropped += usize::from(late);
+                if !late {
+                    // The server listened through every attempt — a
+                    // corrupt-lost member's futile ones included — so the
+                    // time counts toward the uplink phase.
+                    uplink_phase = uplink_phase.max(total_time);
+                }
+                if let Some(t_fault) = t_fault {
+                    wire_fault_ns += t_fault.elapsed().as_nanos() as u64;
+                }
+                if lost || late {
+                    return;
+                }
             }
-            if let (Some(t_fault), Some(t_decode)) = (t_fault, t_decode) {
-                wire_fault_ns += (t_decode - t_fault).as_nanos() as u64;
-                decode_ns += t_decode.elapsed().as_nanos() as u64;
-            }
+            // Delivered: the slot's finished entry list becomes the next
+            // aggregation input, and the two grow-only buffers trade places
+            // (nothing reads `slot.entries` again before the next round's
+            // `build_upload_into` rebuilds it).
+            let upload = &mut uploads[survivors.len()];
+            upload.client = slot.client.id();
+            upload.weight = slot.client.weight();
+            std::mem::swap(&mut upload.entries, &mut slot.entries);
+            survivors.push(pos);
         };
         stage(rec, SpanId::ClientPass, || {
             self.executor
@@ -1305,82 +1287,6 @@ impl Simulation {
     }
 }
 
-/// Fills one aggregation input from its surviving member's slot, reusing
-/// the entry buffer. Wired, the server decodes the frame *directly into*
-/// the input (no intermediate per-client gradient). When the plan ranks
-/// (`rank`), this is the one place a wired upload is ranked: the decoder's
-/// visitor packs each entry into its order key as it is decoded — a frame's
-/// entries arrive in index order, so the magnitude digits are all that is
-/// left to sort (`topk::rank_index_ordered_keys_into`) — and no
-/// index-ordered entry list exists in between. Otherwise the decoded list
-/// is the input as it stands. Either way it holds what the client encoded,
-/// bit for bit: on the lossless tier because decode is exact, on the lossy
-/// tier because the client already rewrote its entry list with its own
-/// decode of the same frame (debug-asserted below). Unwired, there is no
-/// decoder, so the client ranked the message itself and the slot hands its
-/// entry buffer over in O(1): nothing reads `slot.entries` after this point
-/// and `build_upload_into` rebuilds it from scratch next round, so the two
-/// grow-only buffers just trade places.
-fn deliver_upload(
-    slot: &mut Slot,
-    upload: &mut ClientUpload,
-    wired: bool,
-    rank: Option<&mut Vec<u64>>,
-    dim: usize,
-) {
-    upload.client = slot.client.id();
-    upload.weight = slot.client.weight();
-    if !wired {
-        std::mem::swap(&mut upload.entries, &mut slot.entries);
-        return;
-    }
-    #[cfg(any(test, debug_assertions))]
-    let ranked = rank.is_some();
-    let frame_dim = match rank {
-        Some(keys) => {
-            // The decoder bounds every index by the frame's dimension.
-            assert!(dim <= u32::MAX as usize, "dimension exceeds the key field");
-            keys.clear();
-            let (frame_dim, _) =
-                decode_frame_with(&slot.frame, |j, v| keys.push(topk::order_key(j as u32, v)))
-                    .expect("self-encoded frame must decode");
-            topk::rank_index_ordered_keys_into(keys, &mut upload.entries);
-            frame_dim
-        }
-        None => {
-            decode_frame(&slot.frame, &mut upload.entries)
-                .expect("self-encoded frame must decode")
-                .0
-        }
-    };
-    assert_eq!(frame_dim, dim, "a frame carries the model's dimension");
-    // The one-pass rank against the two-step recipe it replaced: decode the
-    // index-ordered list (which must be the list the client encoded), then
-    // rank it.
-    #[cfg(any(test, debug_assertions))]
-    {
-        let same_bits = |a: &[(usize, f32)], b: &[(usize, f32)]| {
-            a.len() == b.len()
-                && a.iter()
-                    .zip(b)
-                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
-        };
-        let mut expected = Vec::new();
-        decode_frame(&slot.frame, &mut expected).expect("self-encoded frame must decode");
-        assert!(
-            same_bits(&expected, &slot.entries),
-            "decoded uploads must be bit-identical to the encoded ones"
-        );
-        if ranked {
-            topk::rank_by_magnitude(&mut expected, &mut Vec::new());
-        }
-        assert!(
-            same_bits(&upload.entries, &expected),
-            "ranking from the decoder's visitor must equal decode_frame + rank_by_magnitude"
-        );
-    }
-}
-
 /// Mirrors a finished round's deterministic facts — cohort size, wire
 /// bytes, codec frame counts, fault tallies — into a recorder's counter and
 /// gauge streams. Called by [`Simulation::run_round_recorded`] for every
@@ -1692,14 +1598,19 @@ mod tests {
     /// Every reusable buffer a wired round touches, as capacities: the
     /// selection workspace's lists, the server's encode workspace and rank
     /// keys, and each slot's entry, frame, error and client-side encode
-    /// buffers.
+    /// buffers. A delivered slot's entry buffer trades places with its
+    /// upload's every round, so the two are reported as one sorted pair
+    /// (every member delivers in a fault-free round, slot `i` into upload
+    /// `i`): a released buffer still lowers one of them.
     fn workspace_capacities(sim: &Simulation) -> Vec<usize> {
         let mut caps = sim.scratch.list_capacities().to_vec();
         caps.push(sim.rank_keys.capacity());
         caps.extend(sim.wire.as_ref().map(|w| w.scratch.frame_capacity()));
-        for slot in &sim.slots {
+        for (slot, upload) in sim.slots.iter().zip(&sim.uploads) {
+            let (a, b) = (slot.entries.capacity(), upload.entries.capacity());
             caps.extend([
-                slot.entries.capacity(),
+                a.min(b),
+                a.max(b),
                 slot.frame.capacity(),
                 slot.errors.capacity(),
                 slot.client.wire_frame_capacity(),

@@ -239,15 +239,26 @@ fn fault_golden_holds_with_recording_enabled() {
             "fault trajectory drifted under recording ({parallelism:?})"
         );
         assert_eq!(rec.counter_total(CounterId::Rounds), 6);
-        // One sample per round for the two spans accumulated inside the
-        // admission consumer, and both nest inside the client pass.
+        // One sample per round for the two spans nested in the client
+        // pass. The wire faults are admission's time on the round thread;
+        // the decodes are worker time summed over the members, so at most
+        // the pass's wall time on every thread, and never nothing on a
+        // wired round.
         let span = |id| rec.span_histogram(id);
         assert_eq!(span(SpanId::WireFault).count(), 6);
         assert_eq!(span(SpanId::ServerDecode).count(), 6);
+        let client_pass = span(SpanId::ClientPass).sum();
         assert!(
-            span(SpanId::WireFault).sum() + span(SpanId::ServerDecode).sum()
-                <= span(SpanId::ClientPass).sum(),
-            "nested spans exceed the client pass ({parallelism:?})"
+            span(SpanId::WireFault).sum() <= client_pass,
+            "wire faults exceed the client pass ({parallelism:?})"
+        );
+        assert!(
+            span(SpanId::ServerDecode).sum() <= client_pass * parallelism.resolve() as u64,
+            "decodes exceed the client pass on every worker ({parallelism:?})"
+        );
+        assert!(
+            span(SpanId::ServerDecode).sum() > 0,
+            "a wired round decodes ({parallelism:?})"
         );
     }
 }

@@ -17,7 +17,7 @@ mod source;
 mod synthetic_cifar;
 mod synthetic_femnist;
 
-pub use partition::{partition_dirichlet, partition_iid, partition_one_class_per_client};
+pub use partition::partition_one_class_per_client;
 pub use sampler::MinibatchSampler;
 pub use source::{LazySyntheticFemnist, ShardSource};
 pub use synthetic_cifar::{SyntheticCifar, SyntheticCifarConfig};

@@ -3,42 +3,12 @@
 //! The paper's CIFAR-10 setup assigns **one class per client** ("each client
 //! only has one class of images that is randomly partitioned among all the
 //! clients with this image class"); [`partition_one_class_per_client`]
-//! reproduces that. [`partition_iid`] and [`partition_dirichlet`] are the
-//! usual i.i.d. and Dirichlet label-skew baselines used for ablations.
+//! reproduces that.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::data::ClientShard;
-
-/// Splits the pooled shard into `num_clients` shards by uniformly shuffling
-/// samples (i.i.d. partition).
-///
-/// Sample counts differ by at most one between clients.
-///
-/// # Panics
-///
-/// Panics if `num_clients == 0`.
-pub fn partition_iid<R: Rng + ?Sized>(
-    pool: &ClientShard,
-    num_clients: usize,
-    rng: &mut R,
-) -> Vec<ClientShard> {
-    assert!(num_clients > 0, "num_clients must be positive");
-    let mut indices: Vec<usize> = (0..pool.len()).collect();
-    indices.shuffle(rng);
-    let mut shards = Vec::with_capacity(num_clients);
-    for c in 0..num_clients {
-        let client_indices: Vec<usize> = indices
-            .iter()
-            .copied()
-            .skip(c)
-            .step_by(num_clients)
-            .collect();
-        shards.push(pool.subset(&client_indices));
-    }
-    shards
-}
 
 /// Assigns every client exactly one class: client `i` receives a random
 /// subset of the samples of class `i % num_classes`, and the samples of each
@@ -86,101 +56,10 @@ pub fn partition_one_class_per_client<R: Rng + ?Sized>(
     shards
 }
 
-/// Dirichlet label-skew partition: for each class, the class's samples are
-/// distributed over clients according to a Dirichlet(`alpha`) draw. Smaller
-/// `alpha` means stronger skew.
-///
-/// # Panics
-///
-/// Panics if `num_clients == 0`, `num_classes == 0` or `alpha <= 0`.
-pub fn partition_dirichlet<R: Rng + ?Sized>(
-    pool: &ClientShard,
-    num_clients: usize,
-    num_classes: usize,
-    alpha: f64,
-    rng: &mut R,
-) -> Vec<ClientShard> {
-    assert!(
-        num_clients > 0 && num_classes > 0,
-        "empty partition request"
-    );
-    assert!(alpha > 0.0, "alpha must be positive");
-    let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
-    for (i, &label) in pool.labels.iter().enumerate() {
-        assert!(label < num_classes, "label {label} out of range");
-        by_class[label].push(i);
-    }
-    let mut client_indices: Vec<Vec<usize>> = vec![Vec::new(); num_clients];
-    for class_indices in &mut by_class {
-        class_indices.shuffle(rng);
-        let weights = dirichlet_sample(num_clients, alpha, rng);
-        // Convert weights to cumulative cut points over this class's samples.
-        let n = class_indices.len();
-        let mut cuts = Vec::with_capacity(num_clients + 1);
-        cuts.push(0usize);
-        let mut acc = 0.0f64;
-        for w in &weights[..num_clients - 1] {
-            acc += w;
-            cuts.push(((acc * n as f64).round() as usize).min(n));
-        }
-        cuts.push(n);
-        for c in 0..num_clients {
-            let (start, end) = (cuts[c], cuts[c + 1].max(cuts[c]));
-            client_indices[c].extend_from_slice(&class_indices[start..end]);
-        }
-    }
-    client_indices.iter().map(|idx| pool.subset(idx)).collect()
-}
-
-/// Draws a sample from a symmetric Dirichlet(alpha) distribution using the
-/// Gamma-ratio construction with Marsaglia–Tsang gamma sampling.
-fn dirichlet_sample<R: Rng + ?Sized>(n: usize, alpha: f64, rng: &mut R) -> Vec<f64> {
-    let mut draws: Vec<f64> = (0..n).map(|_| gamma_sample(alpha, rng)).collect();
-    let sum: f64 = draws.iter().sum();
-    if sum <= 0.0 {
-        // Numerically degenerate (tiny alpha): fall back to a one-hot draw.
-        let winner = rng.gen_range(0..n);
-        draws = vec![0.0; n];
-        draws[winner] = 1.0;
-        return draws;
-    }
-    draws.iter_mut().for_each(|d| *d /= sum);
-    draws
-}
-
-/// Marsaglia–Tsang sampler for Gamma(shape, 1).
-fn gamma_sample<R: Rng + ?Sized>(shape: f64, rng: &mut R) -> f64 {
-    if shape < 1.0 {
-        // Boost: Gamma(a) = Gamma(a + 1) * U^(1/a).
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        return gamma_sample(shape + 1.0, rng) * u.powf(1.0 / shape);
-    }
-    let d = shape - 1.0 / 3.0;
-    let c = 1.0 / (9.0 * d).sqrt();
-    loop {
-        let x = normal64(rng);
-        let v = (1.0 + c * x).powi(3);
-        if v <= 0.0 {
-            continue;
-        }
-        let u: f64 = rng.gen();
-        if u < 1.0 - 0.0331 * x.powi(4) || u.ln() < 0.5 * x * x + d * (1.0 - v + v.ln()) {
-            return d * v;
-        }
-    }
-}
-
-fn normal64<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use agsfl_tensor::Matrix;
-    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -188,20 +67,6 @@ mod tests {
         let n = samples_per_class * num_classes;
         let labels: Vec<usize> = (0..n).map(|i| i % num_classes).collect();
         ClientShard::new(Matrix::from_fn(n, dim, |i, j| (i * dim + j) as f32), labels)
-    }
-
-    #[test]
-    fn iid_partition_conserves_samples() {
-        let p = pool(10, 4, 3);
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let shards = partition_iid(&p, 7, &mut rng);
-        assert_eq!(shards.len(), 7);
-        let total: usize = shards.iter().map(ClientShard::len).sum();
-        assert_eq!(total, p.len());
-        // Balanced to within one sample.
-        let min = shards.iter().map(ClientShard::len).min().unwrap();
-        let max = shards.iter().map(ClientShard::len).max().unwrap();
-        assert!(max - min <= 1);
     }
 
     #[test]
@@ -228,68 +93,5 @@ mod tests {
         // Only classes 0 and 1 are used; samples of other classes are unused.
         assert_eq!(shards[0].distinct_labels(), vec![0]);
         assert_eq!(shards[1].distinct_labels(), vec![1]);
-    }
-
-    #[test]
-    fn dirichlet_partition_conserves_samples() {
-        let p = pool(30, 3, 2);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let shards = partition_dirichlet(&p, 5, 3, 0.5, &mut rng);
-        assert_eq!(shards.len(), 5);
-        let total: usize = shards.iter().map(ClientShard::len).sum();
-        assert_eq!(total, p.len());
-    }
-
-    #[test]
-    fn dirichlet_low_alpha_is_more_skewed_than_high_alpha() {
-        let p = pool(100, 4, 2);
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let skewed = partition_dirichlet(&p, 8, 4, 0.05, &mut rng);
-        let uniform = partition_dirichlet(&p, 8, 4, 100.0, &mut rng);
-        let var = |shards: &[ClientShard]| {
-            let sizes: Vec<f64> = shards.iter().map(|s| s.len() as f64).collect();
-            let mean = sizes.iter().sum::<f64>() / sizes.len() as f64;
-            sizes.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / sizes.len() as f64
-        };
-        assert!(
-            var(&skewed) > var(&uniform),
-            "{} vs {}",
-            var(&skewed),
-            var(&uniform)
-        );
-    }
-
-    #[test]
-    fn gamma_sample_mean_close_to_shape() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        for &shape in &[0.5f64, 1.0, 3.0] {
-            let mean: f64 = (0..5000)
-                .map(|_| gamma_sample(shape, &mut rng))
-                .sum::<f64>()
-                / 5000.0;
-            assert!(
-                (mean - shape).abs() < 0.15 * shape.max(1.0),
-                "shape {shape} mean {mean}"
-            );
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-        #[test]
-        fn prop_partitions_never_lose_or_duplicate_samples(
-            clients in 1usize..9,
-            classes in 1usize..5,
-            per_class in 1usize..12,
-        ) {
-            let p = pool(per_class, classes, 2);
-            let mut rng = ChaCha8Rng::seed_from_u64(7);
-            let shards = partition_iid(&p, clients, &mut rng);
-            let total: usize = shards.iter().map(ClientShard::len).sum();
-            prop_assert_eq!(total, p.len());
-            let shards = partition_dirichlet(&p, clients, classes, 1.0, &mut rng);
-            let total: usize = shards.iter().map(ClientShard::len).sum();
-            prop_assert_eq!(total, p.len());
-        }
     }
 }

@@ -219,12 +219,6 @@ impl ResidualAccumulator {
         }
     }
 
-    /// Resets the whole accumulator to zero (used by send-all / FedAvg where
-    /// every coordinate is transmitted).
-    pub fn reset_all(&mut self) {
-        self.residual.fill(0.0);
-    }
-
     /// Sum of absolute residual values — a measure of how much gradient mass
     /// is still waiting to be communicated.
     pub fn residual_l1(&self) -> f32 {
@@ -251,14 +245,6 @@ mod tests {
         acc.add(&[1.0, 2.0, 3.0, 4.0]);
         acc.reset_indices(&[0, 2]);
         assert_eq!(acc.as_slice(), &[0.0, 2.0, 0.0, 4.0]);
-    }
-
-    #[test]
-    fn reset_all_clears_everything() {
-        let mut acc = ResidualAccumulator::new(3);
-        acc.add(&[1.0, 2.0, 3.0]);
-        acc.reset_all();
-        assert_eq!(acc.residual_l1(), 0.0);
     }
 
     #[test]

@@ -90,21 +90,6 @@ impl SparseGradient {
         Self { dim, entries }
     }
 
-    /// Creates a sparse gradient holding every non-zero coordinate of a dense
-    /// vector.
-    pub fn from_dense(dense: &[f32]) -> Self {
-        let entries = dense
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v != 0.0)
-            .map(|(j, &v)| (j, v))
-            .collect();
-        Self {
-            dim: dense.len(),
-            entries,
-        }
-    }
-
     /// Dimension `D` of the underlying dense space.
     pub fn dim(&self) -> usize {
         self.dim
@@ -157,51 +142,6 @@ impl SparseGradient {
         dense
     }
 
-    /// Scales every stored value by `s` in place.
-    pub fn scale(&mut self, s: f32) {
-        for (_, v) in &mut self.entries {
-            *v *= s;
-        }
-    }
-
-    /// Adds `alpha * other` into `self` (union of supports).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn axpy(&mut self, alpha: f32, other: &SparseGradient) {
-        assert_eq!(self.dim, other.dim, "dimension mismatch in sparse axpy");
-        let mut merged = Vec::with_capacity(self.entries.len() + other.entries.len());
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < self.entries.len() || b < other.entries.len() {
-            match (self.entries.get(a), other.entries.get(b)) {
-                (Some(&(ja, va)), Some(&(jb, vb))) => {
-                    if ja == jb {
-                        merged.push((ja, va + alpha * vb));
-                        a += 1;
-                        b += 1;
-                    } else if ja < jb {
-                        merged.push((ja, va));
-                        a += 1;
-                    } else {
-                        merged.push((jb, alpha * vb));
-                        b += 1;
-                    }
-                }
-                (Some(&(ja, va)), None) => {
-                    merged.push((ja, va));
-                    a += 1;
-                }
-                (None, Some(&(jb, vb))) => {
-                    merged.push((jb, alpha * vb));
-                    b += 1;
-                }
-                (None, None) => unreachable!("loop condition guarantees progress"),
-            }
-        }
-        self.entries = merged;
-    }
-
     /// Applies the sparse gradient to a dense weight vector:
     /// `weights[j] -= lr * value` for every stored entry. This is exactly the
     /// weight update of Eq. (1) restricted to the sparse support.
@@ -214,16 +154,6 @@ impl SparseGradient {
         for &(j, v) in &self.entries {
             weights[j] -= lr * v;
         }
-    }
-
-    /// Sum of absolute values of stored entries.
-    pub fn l1_norm(&self) -> f32 {
-        self.entries.iter().map(|(_, v)| v.abs()).sum()
-    }
-
-    /// Euclidean norm of stored entries.
-    pub fn l2_norm(&self) -> f32 {
-        self.entries.iter().map(|(_, v)| v * v).sum::<f32>().sqrt()
     }
 }
 
@@ -261,14 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn from_dense_round_trip() {
-        let dense = vec![0.0, 1.5, 0.0, -2.0, 0.0];
-        let g = SparseGradient::from_dense(&dense);
-        assert_eq!(g.nnz(), 2);
-        assert_eq!(g.to_dense(), dense);
-    }
-
-    #[test]
     fn get_and_contains() {
         let g = SparseGradient::from_entries(6, vec![(1, 5.0), (4, -1.0)]);
         assert_eq!(g.get(1), 5.0);
@@ -281,24 +203,6 @@ mod tests {
     #[should_panic]
     fn out_of_range_entry_panics() {
         let _ = SparseGradient::from_entries(3, vec![(3, 1.0)]);
-    }
-
-    #[test]
-    fn scale_and_norms() {
-        let mut g = SparseGradient::from_entries(4, vec![(0, 3.0), (2, -4.0)]);
-        assert_eq!(g.l1_norm(), 7.0);
-        assert!((g.l2_norm() - 5.0).abs() < 1e-6);
-        g.scale(2.0);
-        assert_eq!(g.get(0), 6.0);
-        assert_eq!(g.get(2), -8.0);
-    }
-
-    #[test]
-    fn axpy_merges_supports() {
-        let mut a = SparseGradient::from_entries(6, vec![(0, 1.0), (3, 2.0)]);
-        let b = SparseGradient::from_entries(6, vec![(3, 1.0), (5, -1.0)]);
-        a.axpy(2.0, &b);
-        assert_eq!(a.entries(), &[(0, 1.0), (3, 4.0), (5, -2.0)]);
     }
 
     #[test]
@@ -323,30 +227,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_to_dense_from_dense_round_trip(
-            dense in proptest::collection::vec(-10.0f32..10.0, 1..64)
-        ) {
-            let g = SparseGradient::from_dense(&dense);
-            prop_assert_eq!(g.to_dense(), dense);
-        }
-
-        #[test]
-        fn prop_axpy_matches_dense_axpy(
-            a_dense in proptest::collection::vec(-5.0f32..5.0, 16),
-            b_dense in proptest::collection::vec(-5.0f32..5.0, 16),
-            alpha in -2.0f32..2.0,
-        ) {
-            let mut a = SparseGradient::from_dense(&a_dense);
-            let b = SparseGradient::from_dense(&b_dense);
-            a.axpy(alpha, &b);
-            let got = a.to_dense();
-            for j in 0..16 {
-                let expected = a_dense[j] + alpha * b_dense[j];
-                prop_assert!((got[j] - expected).abs() < 1e-4);
-            }
-        }
-
         #[test]
         fn prop_entries_sorted_and_unique(
             raw in proptest::collection::vec((0usize..32, -3.0f32..3.0), 0..40)

@@ -59,14 +59,6 @@ impl ClientUpload {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Returns the uploaded value at `index`, if present.
-    pub fn value_at(&self, index: usize) -> Option<f32> {
-        self.entries
-            .iter()
-            .find(|&&(j, _)| j == index)
-            .map(|&(_, v)| v)
-    }
 }
 
 /// Result of the server-side selection and aggregation step of one round.
@@ -332,8 +324,6 @@ mod tests {
         let u = ClientUpload::new(3, 0.25, vec![(1, 2.0), (4, -1.0)]);
         assert_eq!(u.len(), 2);
         assert!(!u.is_empty());
-        assert_eq!(u.value_at(4), Some(-1.0));
-        assert_eq!(u.value_at(0), None);
     }
 
     #[test]

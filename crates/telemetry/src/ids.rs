@@ -8,26 +8,32 @@
 /// One timed stage of the round engine (or of the runner around it).
 ///
 /// The variants mirror the round's dependency graph: the fused client
-/// gradient+encode pass with the server's admission of each finished
-/// upload nested inside it (wire-fault replay, decode + rank), the
-/// server selection, the probe sweep, the broadcast weight apply,
-/// end-of-round bookkeeping with downlink pricing nested inside it, and
-/// the runner-level evaluation and checkpoint writes. A nested span's
-/// interval is also counted by the span it nests in.
+/// gradient+encode+decode pass with two spans nested inside it (the
+/// workers' decode + rank, and the wire-fault part of the server's
+/// admission), the server selection, the probe sweep, the broadcast weight
+/// apply, end-of-round bookkeeping with downlink pricing nested inside it,
+/// and the runner-level evaluation and checkpoint writes. A nested span's
+/// time is also counted by the span it nests in; the decode span is summed
+/// over workers, so it is bounded by its parent's wall time times the
+/// worker count rather than by the wall time alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum SpanId {
     /// The serial part of cohort hydration: cohort draw, fault plan, slot
     /// binding, and population rows swapped into the reusable slot arena.
     Hydrate,
-    /// The pipelined client pass: on the pool, each slot's shard fill and
-    /// first-timer reset, then local gradient + uplink encode; on the round
-    /// thread, the in-order admission of every finished upload
-    /// ([`SpanId::WireFault`] and [`SpanId::ServerDecode`] nest in here).
+    /// The pipelined client pass: on the pool, each member's first-timer
+    /// reset, batch-row fetch, local gradient and uplink message — wired,
+    /// encoded and decoded once; on the round thread, the in-order admission
+    /// of every finished upload ([`SpanId::WireFault`] and
+    /// [`SpanId::ServerDecode`] nest in here).
     ClientPass,
-    /// Server-side frame decode + rank of the admitted uploads into the
-    /// aggregation arena. Nested inside [`SpanId::ClientPass`]: accumulated
-    /// across the admission consumer, one sample per round.
+    /// The decode + rank of every wired upload, which each member's producer
+    /// runs on a pool worker right after encoding (the decoded list is what
+    /// the server aggregates). Worker time, summed over the members into one
+    /// sample per round, so it may exceed the wall time of
+    /// [`SpanId::ClientPass`] by up to the worker count; zero on unwired
+    /// rounds.
     ServerDecode,
     /// The wire-level part of admission: uplink pricing, corruption replay
     /// through the real decoder, retry/backoff/deadline accounting. Nested
@@ -38,8 +44,9 @@ pub enum SpanId {
     /// The probe-loss sweep for the derivative-sign estimator.
     Probe,
     /// Pricing the broadcast over the channel model: the frontier links,
-    /// or all N when the channel carries a bandwidth trace. Runs on a pool
-    /// worker beside — and nested inside — [`SpanId::Bookkeeping`].
+    /// or all N when the channel carries a bandwidth trace. Runs on the
+    /// round thread at the end of — and nested inside —
+    /// [`SpanId::Bookkeeping`].
     DownlinkPricing,
     /// Applying the broadcast sparse update to the shared weights.
     BroadcastApply,

@@ -39,7 +39,8 @@
 //! # Error feedback
 //!
 //! Capturing quantization error is *not* the codec's job: the FL client
-//! self-decodes its own frame and routes `v − v̂` per entry back into its
+//! decodes its own frame once — that decode is also the upload the server
+//! aggregates — and routes `v − v̂` per entry back into its
 //! `ResidualAccumulator` (see `agsfl_fl`), the same error-feedback path
 //! top-k sparsification already uses. Decoders only promise that `v̂` is a
 //! deterministic, validated function of the frame bytes — malformed

@@ -102,18 +102,43 @@ if grep -n 'STRIPE_MIN_DIM' crates/fl/src/fedavg.rs; then
     exit 1
 fi
 
-step "a wired upload is ordered once per side (no index sort on the client, no per-index search in the reset)"
-# A byte-priced client selects in index order (topk::top_k_entries_indexed_into)
-# and hands that to the codec; the server ranks once, from the decoder's
-# visitor. An index sort in client.rs is the discarded client rank coming
-# back. The lossy tier's residual reset merges its sorted indices against
-# the error list; the per-index binary search lives on in
-# agsfl_sparse::reference as the spec. Product code only (up to a file's
-# #[cfg(test)]); comment lines are exempt.
+step "a wired upload is finished where it is produced (ordered once per side, decoded once on the pool, admission only decides its fate)"
+# A byte-priced client selects in index order (topk::top_k_entries_indexed_into),
+# encodes that, and decodes its own frame exactly once
+# (Client::decode_upload_into): the decoded list — ranked from the decoder's
+# visitor when the plan ranks — is the upload the server aggregates, and the
+# entries the codec changed are the lossy tier's errors. Admission swaps the
+# slot's entry buffer into the aggregation input, so the round thread never
+# decodes or ranks an upload: simulation.rs calls decode_frame_with once, in
+# apply_broadcast (the downlink). An index sort in client.rs is the
+# discarded client rank coming back. The lossy tier's residual reset merges
+# its sorted indices against the error list; the per-index binary search
+# lives on in agsfl_sparse::reference as the spec. Product code only (up to
+# a file's #[cfg(test)]); comment lines are exempt.
 product_lines() {
     awk -v f="$1" '/#\[cfg\(test\)\]/ { exit } { print f ":" FNR ":" $0 }' "$1" \
         | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'
 }
+if grep -rnE '\b(deliver_upload|encode_upload_lossy_into|decode_scratch)\b' crates/*/src; then
+    echo "verify: a deleted second decode path is back (lines above); the producer finishes the upload" >&2
+    exit 1
+fi
+if sim_product | grep -F 'rank_index_ordered_keys_into'; then
+    echo "verify: crates/fl/src/simulation.rs ranks an upload on the round thread (lines above)" >&2
+    exit 1
+fi
+if [[ "$(sim_product | grep -c 'decode_frame_with(')" -ne 1 ]] \
+    || ! awk '/^    fn apply_broadcast\(/ { on = 1 } on && /decode_frame_with\(/ { found = 1 } on && /^    }/ { exit } END { exit !found }' \
+        crates/fl/src/simulation.rs; then
+    echo "verify: crates/fl/src/simulation.rs must call decode_frame_with exactly once, in apply_broadcast:" >&2
+    sim_product | grep 'decode_frame_with(' >&2
+    exit 1
+fi
+if [[ "$(product_lines crates/fl/src/client.rs | grep -c 'decode_frame_with(')" -ne 1 ]]; then
+    echo "verify: crates/fl/src/client.rs must call decode_frame_with exactly once (Client::decode_upload_into):" >&2
+    product_lines crates/fl/src/client.rs | grep 'decode_frame_with(' >&2
+    exit 1
+fi
 if product_lines crates/fl/src/client.rs | grep -F 'sort_by_index'; then
     echo "verify: crates/fl/src/client.rs sorts an upload by index (lines above); select it in index order" >&2
     exit 1
@@ -287,10 +312,12 @@ cargo test -q -p agsfl-sparse --test select_allocations
 step "top-k equivalence (integer-key select/rank == the comparator spec, bit for bit; NaN never panics)"
 cargo test -q -p agsfl-sparse --test topk_equivalence
 
-step "wired ordering (indexed selection, single-sweep radix, reset merge, decode-to-keys rank, frame hash, integer quantize == their specs)"
-# topk_equivalence above already ran the indexed-selection proptest. The
-# in-file wired simulation tests re-derive every delivered upload as
-# decode_frame + rank_by_magnitude inside deliver_upload.
+step "wired uploads (one encode-then-decode per member over every codec; indexed selection, single-sweep radix, reset merge, decode-to-keys rank, frame hash, integer quantize == their specs)"
+# topk_equivalence above already ran the indexed-selection proptest. Every
+# test and debug build re-derives each wired upload as decode_frame +
+# rank_by_magnitude inside Client::decode_upload_into, so the in-file wired
+# simulation tests check it too.
+cargo test -q -p agsfl-fl --lib wired_upload_equals_its_decoded_frame
 cargo test -q -p agsfl-sparse --lib single_sweep_radix_sort
 cargo test -q -p agsfl-sparse --lib prop_reset_by_merge
 cargo test -q -p agsfl-wire --lib survey_reports_bounds
