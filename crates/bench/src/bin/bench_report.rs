@@ -37,7 +37,9 @@
 //! …), the fused evaluation sweep (`eval_sweep`), the lossless and
 //! quantized wire codecs (`wire_*`, `quant_*`), a wired upload's ordering
 //! work at `sparse_wide_linear`'s shape (`wired_client_upload`,
-//! `server_rank_decoded`, `reset_errors_merge`), a checkpoint restore at
+//! `server_rank_decoded`, `reset_errors_merge`), the bookkeeping resets of
+//! a `k = D/2` round from rank-ordered vs index-ordered uploads
+//! (`bookkeeping_reset_kmax`), a checkpoint restore at
 //! the paper's scale (`checkpoint_load`) and the recorded-vs-noop round
 //! (`telemetry_record`). Each section's comment says what its two sides
 //! are.
@@ -66,7 +68,9 @@ use agsfl_exec::{mem, Executor};
 use agsfl_ml::metrics;
 use agsfl_ml::model::{Im2colScratch, Model};
 use agsfl_ml::reference as ml_reference;
-use agsfl_sparse::{reference, topk, FabTopK, ResidualAccumulator, SelectionScratch, Sparsifier};
+use agsfl_sparse::{
+    reference, topk, ClientUpload, FabTopK, ResidualAccumulator, SelectionScratch, Sparsifier,
+};
 use agsfl_telemetry::{SpanId, StageRecorder};
 use agsfl_tensor::dispatch::{self, Level};
 use agsfl_tensor::{reference as tensor_reference, MatrixView, Product};
@@ -654,10 +658,11 @@ fn main() {
     // (D = 418,624, k = 20,000, QLinear8), once per side. Client: select
     // ranked, index-sort, encode (what a wired client did while it ranked)
     // vs select in index order, encode. Server: decode to an index-ordered
-    // list, pack and rank it vs rank from the decoder's visitor. Reset: one
-    // binary search of the error list per reset index vs one merge of the
-    // sorted reset indices against it. Each pair asserts equal bits; the
-    // baselines keep their own key and codec workspaces.
+    // list, pack and rank it vs rank the decoder visitor's keys into the
+    // ranked key view. Reset: one binary search of the error list per reset
+    // index vs one merge of the (index-ordered, as delivered) reset indices
+    // against it. Each pair asserts equal bits; the baselines keep their
+    // own key and codec workspaces.
     let residual = wired_workload();
     let wired_shape = Shape::new(WIRED_DIM, 1, WIRED_K);
     let (mut seed_keys, mut seed_wire) = (Vec::new(), WireScratch::new());
@@ -722,14 +727,16 @@ fn main() {
     let entry_bits = |entries: &[(usize, f32)]| -> Vec<(usize, u32)> {
         entries.iter().map(|&(j, v)| (j, v.to_bits())).collect()
     };
+    let view: Vec<(usize, f32)> = delivered.iter().map(|&key| topk::key_entry(key)).collect();
     assert_eq!(
-        entry_bits(&delivered),
+        entry_bits(&view),
         entry_bits(&decoded),
         "ranking from the decoder's visitor must equal decode + rank_by_magnitude"
     );
 
     // The errors of the frame above (entries it did not reproduce exactly)
-    // and the reset list FAB hands one client: a prefix of its ranking.
+    // and the reset list FAB hands one client: a top prefix of its ranking,
+    // in the index order of its upload.
     decode_frame(&wired_frame, &mut decoded).expect("valid frame");
     let errors: Vec<(usize, f32)> = indexed
         .iter()
@@ -737,7 +744,8 @@ fn main() {
         .filter(|(&(_, v), &(_, vhat))| v != vhat)
         .map(|(&(j, v), &(_, vhat))| (j, v - vhat))
         .collect();
-    let resets: Vec<usize> = delivered[..WIRED_RESETS].iter().map(|&(j, _)| j).collect();
+    let mut resets: Vec<usize> = topk::prefix_indices(&delivered, WIRED_RESETS).collect();
+    resets.sort_unstable();
     let mut by_search = residual.clone();
     let mut by_merge = ResidualAccumulator::new(WIRED_DIM);
     by_merge.add(&residual);
@@ -755,6 +763,72 @@ fn main() {
             .zip(&by_search)
             .all(|(a, b)| a.to_bits() == b.to_bits()),
         "the merge must leave the residual the per-index search leaves"
+    );
+
+    // The bookkeeping stage's residual resets at an adaptive run's k = D/2
+    // round (`fab_select_kmax`'s 8 members): each member's run of the flat
+    // reset list applied to its residual, when the uploads list their
+    // entries in rank order (the runs scatter over the residual) vs in
+    // index order, as the round engine delivers them (the runs stream).
+    // Both selections aggregate the same bits and reset the same sets, and
+    // both sides leave the same residuals.
+    let (_, _, reset_clients, reset_k, _) = SERVER_SHAPES[1];
+    let index_ordered = server_workload(reset_clients, reset_k);
+    let rank_ordered: Vec<ClientUpload> = index_ordered
+        .iter()
+        .map(|u| {
+            let entries = u.ranked.iter().map(|&key| topk::key_entry(key)).collect();
+            ClientUpload::new(u.client, u.weight, entries)
+        })
+        .collect();
+    let fab = FabTopK::new();
+    let scattered = fab.select_into(&rank_ordered, TOPK_DIM, reset_k, &mut scratch);
+    let streamed = fab.select_into(&index_ordered, TOPK_DIM, reset_k, &mut scratch);
+    assert_eq!(
+        scattered.aggregated, streamed.aggregated,
+        "entry order must not change the aggregate"
+    );
+    for u in 0..reset_clients {
+        let mut set = scattered.resets(u).to_vec();
+        set.sort_unstable();
+        assert_eq!(
+            set,
+            streamed.resets(u),
+            "entry order must not change a reset set"
+        );
+    }
+    let members = || -> Vec<ResidualAccumulator> {
+        (0..reset_clients)
+            .map(|_| {
+                let mut acc = ResidualAccumulator::new(TOPK_DIM);
+                acc.add(&values);
+                acc
+            })
+            .collect()
+    };
+    let (mut rank_side, mut index_side) = (members(), members());
+    let reset_count: usize = streamed.contributions().iter().sum();
+    ledger.pair(
+        "bookkeeping_reset_kmax",
+        Shape::new(TOPK_DIM, reset_clients, reset_k),
+        &format!("{reset_count} resets"),
+        || {
+            for (u, acc) in rank_side.iter_mut().enumerate() {
+                acc.reset_indices_to(black_box(scattered.resets(u)), &[], &mut seed_keys);
+            }
+        },
+        || {
+            for (u, acc) in index_side.iter_mut().enumerate() {
+                acc.reset_indices_to(black_box(streamed.resets(u)), &[], &mut keys);
+            }
+        },
+    );
+    assert!(
+        rank_side
+            .iter()
+            .zip(&index_side)
+            .all(|(a, b)| a.as_slice() == b.as_slice()),
+        "both reset orders must leave the same residuals"
     );
 
     // Checkpoint load at the paper's >400k-weight scale: the fault path's

@@ -73,16 +73,18 @@ pub const SERVER_SHAPES: [(&str, &str, usize, usize, usize); 2] = [
     ),
 ];
 
-/// Builds the ranked top-`k` uploads of `clients` clients at [`TOPK_DIM`]
-/// (independent uniform accumulators, fixed seed).
+/// Builds the top-`k` uploads of `clients` clients at [`TOPK_DIM`]
+/// (independent uniform accumulators, fixed seed), shaped as the round
+/// engine delivers them: entries in index order, with their ranked key
+/// view.
 pub fn server_workload(clients: usize, k: usize) -> Vec<ClientUpload> {
     let mut rng = ChaCha8Rng::seed_from_u64(6);
-    let mut keys = Vec::new();
+    let (mut keys, mut entries) = (Vec::new(), Vec::new());
     (0..clients)
         .map(|i| {
             let dense: Vec<f32> = (0..TOPK_DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            let entries = topk::top_k_entries_with(&dense, k, &mut keys);
-            ClientUpload::new(i, 1.0 / clients as f64, entries)
+            topk::top_k_entries_indexed_into(&dense, k, &mut keys, &mut entries);
+            ClientUpload::new(i, 1.0 / clients as f64, entries.clone())
         })
         .collect()
 }
@@ -350,6 +352,24 @@ mod tests {
         assert_eq!(uploads.len(), FAB_CLIENTS);
         assert!(uploads.iter().all(|u| u.len() == FAB_K));
         assert_eq!(FAB_K, FAB_DIM / 100);
+    }
+
+    #[test]
+    fn server_workload_is_engine_shaped() {
+        let uploads = server_workload(3, 5_000);
+        assert_eq!(uploads.len(), 3);
+        for upload in &uploads {
+            assert_eq!(upload.len(), 5_000);
+            assert!(upload.entries.windows(2).all(|w| w[0].0 < w[1].0));
+            let mut ranked = upload.entries.clone();
+            topk::rank_by_magnitude(&mut ranked, &mut Vec::new());
+            let view: Vec<(usize, f32)> = upload
+                .ranked
+                .iter()
+                .map(|&key| topk::key_entry(key))
+                .collect();
+            assert_eq!(view, ranked);
+        }
     }
 
     #[test]

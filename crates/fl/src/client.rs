@@ -44,10 +44,14 @@ pub struct Client {
     batch: ClientShard,
     /// The row of `batch` holding the probe sample.
     probe_row: usize,
-    /// Reused order-key buffer for top-k extraction (see
-    /// `agsfl_sparse::topk`), for ranking a wired upload as it is decoded,
-    /// and for the sorted reset indices, so building the uplink message and
-    /// resetting the residual allocate nothing after the first round.
+    /// Reused order-key buffer (see `agsfl_sparse::topk`). A `TopKOwn`
+    /// build leaves the upload's keys here in index order — the selection's
+    /// own, or on a byte-priced round the decoded values' — for
+    /// [`Client::rank_upload_into`], whose radix passes ping-pong between
+    /// it and the ranked view, so it holds about `k` keys, not `2k`; a
+    /// reset list that arrives out of order is sorted here. So building the
+    /// uplink message and resetting the residual allocate nothing after the
+    /// first round.
     topk_scratch: Vec<u64>,
     /// Reused wire-encoding workspace; byte-priced rounds encode the uplink
     /// message here without per-round allocation beyond the emitted frame.
@@ -208,39 +212,47 @@ impl Client {
 
     /// Builds the uplink message for the current round according to the
     /// sparsifier's [`UploadPlan`], writing the entries into a caller-owned
-    /// buffer. A `TopKOwn` message comes out ranked by magnitude — what the
-    /// server's selection reads — unless the round is byte-priced
-    /// (`wired`): then it comes out in index order, what the codec encodes,
-    /// and [`Client::decode_upload_into`] ranks the decoded frame. The
-    /// other two plans are in index order either way (`Coordinates` is
-    /// sorted at plan time). Top-k extraction reuses the client's key
-    /// buffer, so nothing is allocated after the first round.
+    /// buffer, in index order for every plan — what a codec encodes and
+    /// what the server's sweep and the resets stream through (`Coordinates`
+    /// is sorted at plan time). A `TopKOwn` build is the index-ordered
+    /// top-k selection, and it leaves the entries' order keys in the
+    /// client's key buffer for [`Client::rank_upload_into`]. Top-k
+    /// extraction reuses that buffer, so nothing is allocated after the
+    /// first round.
     pub(crate) fn build_upload_into(
         &mut self,
         plan: &UploadPlan,
         k: usize,
-        wired: bool,
         out: &mut Vec<(usize, f32)>,
     ) {
         match plan {
-            UploadPlan::TopKOwn if wired => {
-                self.accumulator
-                    .top_k_entries_indexed_into(k, &mut self.topk_scratch, out)
-            }
             UploadPlan::TopKOwn => {
                 self.accumulator
-                    .top_k_entries_into(k, &mut self.topk_scratch, out)
+                    .top_k_entries_indexed_into(k, &mut self.topk_scratch, out)
             }
             UploadPlan::Coordinates(coords) => self.accumulator.entries_at_into(coords, out),
             UploadPlan::Dense => self.accumulator.dense_entries_into(out),
         }
     }
 
+    /// Writes the upload's ranked key view into `ranked` (cleared first):
+    /// when the plan ranks, one rank — the magnitude passes — of the
+    /// index-ordered keys the last `TopKOwn` build or wired decode left in
+    /// the client's key buffer; otherwise nothing, since only FAB's scan
+    /// and the probe's prefix pricing read the view.
+    pub(crate) fn rank_upload_into(&mut self, rank: bool, ranked: &mut Vec<u64>) {
+        if rank {
+            topk::rank_index_ordered_keys_into(&mut self.topk_scratch, ranked);
+        } else {
+            ranked.clear();
+        }
+    }
+
     /// Encodes an uplink message into `frame` (cleared first) — the bytes
     /// that would actually cross the client's uplink. `entries` must be in
-    /// index order, which a `wired` [`Client::build_upload_into`] emits for
-    /// every plan (the codecs debug-assert it): nothing sorts between
-    /// selection and encode.
+    /// index order, which [`Client::build_upload_into`] emits for every
+    /// plan (the codecs debug-assert it): nothing sorts between selection
+    /// and encode.
     pub(crate) fn encode_upload_into(
         &mut self,
         codec: &dyn Codec,
@@ -253,24 +265,24 @@ impl Client {
     }
 
     /// Finishes a wired upload from the frame [`Client::encode_upload_into`]
-    /// just wrote: decodes it exactly once, so that `entries` becomes what
-    /// the server aggregates, bit for bit (decode is a pure function of the
-    /// frame). Every entry the codec changed — `v != v̂`, which only a lossy
-    /// tier does — leaves its quantization error `(j, v − v̂)` in `errors`
-    /// (cleared first, index order) for the residual reset
-    /// ([`Client::apply_reset_with_errors`]). When `rank`, the visitor packs
-    /// order keys into the client's key buffer and `entries` comes out
-    /// ranked (a frame arrives in index order, so only the magnitude digits
-    /// are left to sort); otherwise it is rewritten with the decoded values.
+    /// just wrote: decodes it exactly once, writing each decoded `v̂` back
+    /// over `entries` in place (a frame carries them in the same index
+    /// order), so that `entries` becomes what the server aggregates, bit
+    /// for bit (decode is a pure function of the frame). Every entry the
+    /// codec changed — `v != v̂`, which only a lossy tier does — leaves its
+    /// quantization error `(j, v − v̂)` in `errors` (cleared first, index
+    /// order) for the residual reset ([`Client::apply_reset_with_errors`]).
+    /// When `rank`, the visitor also repacks the client's key buffer with
+    /// the decoded values' order keys, for [`Client::rank_upload_into`].
     pub(crate) fn decode_upload_into(
         &mut self,
         frame: &[u8],
         rank: bool,
-        entries: &mut Vec<(usize, f32)>,
+        entries: &mut [(usize, f32)],
         errors: &mut Vec<(usize, f32)>,
     ) {
         #[cfg(any(test, debug_assertions))]
-        let sent = entries.clone();
+        let sent = entries.to_vec();
         errors.clear();
         let keys = &mut self.topk_scratch;
         keys.clear();
@@ -284,18 +296,14 @@ impl Client {
                 // The ranked plan's selection asserted the dimension fits
                 // the key's 32-bit index field.
                 keys.push(topk::order_key(j as u32, decoded));
-            } else {
-                entries[at].1 = decoded;
             }
+            entries[at].1 = decoded;
             at += 1;
         })
         .expect("a frame this client just encoded must decode");
-        if rank {
-            topk::rank_index_ordered_keys_into(keys, entries);
-        }
-        // The one-pass decode against the two-step recipe it replaced:
-        // decode into an index-ordered list (on a lossless codec, the list
-        // that was encoded), then rank it when the plan ranks.
+        // The one-pass decode against the recipe it replaced: decode into
+        // an index-ordered list (on a lossless codec, the list that was
+        // encoded), and pack its keys when the plan ranks.
         #[cfg(any(test, debug_assertions))]
         {
             let bits = |list: &[(usize, f32)]| -> Vec<(usize, u32)> {
@@ -310,14 +318,21 @@ impl Client {
                     "lossless decode must be exact"
                 );
             }
-            if rank {
-                topk::rank_by_magnitude(&mut expected, &mut Vec::new());
-            }
             assert_eq!(
                 bits(entries),
                 bits(&expected),
-                "the decoder's visitor must equal decode_frame (+ rank_by_magnitude)"
+                "the decoder's visitor must equal decode_frame"
             );
+            if rank {
+                let expected_keys: Vec<u64> = expected
+                    .iter()
+                    .map(|&(j, v)| topk::order_key(j as u32, v))
+                    .collect();
+                assert_eq!(
+                    *keys, expected_keys,
+                    "the visitor must pack the decoded keys"
+                );
+            }
         }
     }
 
@@ -397,30 +412,31 @@ mod tests {
     fn upload_plans_produce_expected_shapes() {
         let (mut client, model, params, data) = client_and_model();
         client.compute_local_gradient(&data, &model, &params);
-        let mut out = Vec::new();
-        client.build_upload_into(&UploadPlan::TopKOwn, 3, false, &mut out);
+        let (mut out, mut ranked) = (Vec::new(), Vec::new());
+        client.build_upload_into(&UploadPlan::TopKOwn, 3, &mut out);
+        // The top three in index order, and their ranking as keys.
         assert_eq!(out.len(), 3);
-        assert!(out.windows(2).all(|w| w[0].1.abs() >= w[1].1.abs()));
-        // Byte-priced, the same three entries come out in index order.
-        let mut wired = Vec::new();
-        client.build_upload_into(&UploadPlan::TopKOwn, 3, true, &mut wired);
-        assert!(wired.windows(2).all(|w| w[0].0 < w[1].0));
-        out.sort_unstable_by_key(|&(j, _)| j);
-        assert_eq!(out, wired);
-        for wired in [false, true] {
-            client.build_upload_into(&UploadPlan::Coordinates(vec![0, 5]), 3, wired, &mut out);
-            assert_eq!(out.len(), 2);
-            assert_eq!(out[0].0, 0);
-            client.build_upload_into(&UploadPlan::Dense, 3, wired, &mut out);
-            assert_eq!(out.len(), model.num_params());
-        }
+        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut expected = client.accumulator().top_k_entries(3);
+        client.rank_upload_into(true, &mut ranked);
+        let view: Vec<(usize, f32)> = ranked.iter().map(|&key| topk::key_entry(key)).collect();
+        assert_eq!(view, expected);
+        expected.sort_unstable_by_key(|&(j, _)| j);
+        assert_eq!(out, expected);
+        client.build_upload_into(&UploadPlan::Coordinates(vec![0, 5]), 3, &mut out);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].0, 0);
+        client.rank_upload_into(false, &mut ranked);
+        assert!(ranked.is_empty());
+        client.build_upload_into(&UploadPlan::Dense, 3, &mut out);
+        assert_eq!(out.len(), model.num_params());
     }
 
     /// The one wired path over every codec and both plan shapes: after the
     /// encode and the single decode, the entries are the frame's decode bit
-    /// for bit (ranked when the plan ranks), the errors are exactly the
-    /// entries the codec changed, and a second call into the dirty buffers
-    /// gives the same bits.
+    /// for bit, the ranked view (when the plan ranks) is their magnitude
+    /// rank, the errors are exactly the entries the codec changed, and a
+    /// second call into the dirty buffers gives the same bits.
     #[test]
     fn wired_upload_equals_its_decoded_frame() {
         use agsfl_sparse::topk::rank_by_magnitude;
@@ -443,12 +459,14 @@ mod tests {
             for plan in &plans {
                 let rank = matches!(plan, UploadPlan::TopKOwn);
                 let (mut entries, mut frame, mut errors) = (Vec::new(), Vec::new(), Vec::new());
+                let mut ranked = vec![7];
                 let mut first = None;
                 for _ in 0..2 {
-                    client.build_upload_into(plan, 6, true, &mut entries);
+                    client.build_upload_into(plan, 6, &mut entries);
                     let sent = entries.clone();
                     client.encode_upload_into(codec.as_ref(), dim, &entries, &mut frame);
                     client.decode_upload_into(&frame, rank, &mut entries, &mut errors);
+                    client.rank_upload_into(rank, &mut ranked);
 
                     let mut expected = Vec::new();
                     decode_frame(&frame, &mut expected).unwrap();
@@ -464,11 +482,16 @@ mod tests {
                     } else {
                         assert!(errors.is_empty(), "{}", spec.name());
                     }
+                    assert_eq!(bits(&entries), bits(&expected), "{}", spec.name());
+                    let view: Vec<(usize, f32)> =
+                        ranked.iter().map(|&key| topk::key_entry(key)).collect();
                     if rank {
                         rank_by_magnitude(&mut expected, &mut Vec::new());
+                        assert_eq!(bits(&view), bits(&expected), "{}", spec.name());
+                    } else {
+                        assert!(view.is_empty(), "{}", spec.name());
                     }
-                    assert_eq!(bits(&entries), bits(&expected), "{}", spec.name());
-                    let call = (bits(&entries), bits(&errors), frame.clone());
+                    let call = (bits(&entries), bits(&errors), frame.clone(), ranked.clone());
                     assert_eq!(*first.get_or_insert_with(|| call.clone()), call);
                 }
             }
@@ -481,7 +504,7 @@ mod tests {
         let (mut client, model, params, data) = client_and_model();
         client.compute_local_gradient(&data, &model, &params);
         let mut upload = Vec::new();
-        client.build_upload_into(&UploadPlan::TopKOwn, 2, false, &mut upload);
+        client.build_upload_into(&UploadPlan::TopKOwn, 2, &mut upload);
         let used: Vec<usize> = upload.iter().map(|&(j, _)| j).collect();
         let before = client.accumulator().residual_l1();
         client.apply_reset_with_errors(&used, &[]);

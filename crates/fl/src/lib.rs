@@ -51,16 +51,17 @@
 //! Each round runs its parallel regions through one reusable
 //! [`Executor`] (configured by [`SimulationConfig::parallelism`]): a fused
 //! per-client pass that computes the local gradient and builds the uplink
-//! message while the residual is hot in cache (byte-priced, it also
-//! encodes the message and decodes the frame once, so each upload is
-//! finished on the pool), and — on probe rounds — a
+//! message, in index order, while the residual is hot in cache
+//! (byte-priced, it also encodes the message and decodes the frame once),
+//! then ranks its order keys into the upload's ranked view, so each upload
+//! is finished on the pool; and — on probe rounds — a
 //! per-client probe-loss sweep that evaluates all three weight vectors in
 //! a single sample fetch. The server selection between them
 //! ([`agsfl_sparse::Sparsifier::select_into`]) is one `O(cohort · k)` sweep
 //! and stays on the round thread. The client pass is the
 //! producer of a pipeline whose consumer — the server's *admission* of
 //! each finished upload, in cohort order, which only decides its fate and
-//! swaps its entry buffer into the aggregation inputs — runs on the round
+//! lends its buffers to the aggregation inputs — runs on the round
 //! thread: a
 //! round under a [`FaultModel`] is the same round over the members that
 //! survive admission, not a second engine. Parallelism is purely a

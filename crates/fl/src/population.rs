@@ -61,10 +61,13 @@ pub(crate) struct Slot {
     /// sample.
     pub decode_ns: u64,
     /// This round's finished upload entries, exactly as the server
-    /// aggregates them: ranked when the plan ranks, and byte-priced, the
-    /// decode of `frame`. A grow-only buffer that trades places with an
-    /// aggregation input's when the upload is delivered.
+    /// aggregates them: in index order, and byte-priced, the decode of
+    /// `frame`. A grow-only buffer the slot owns: admission lends it to an
+    /// aggregation input, and bookkeeping takes it back.
     pub entries: Vec<(usize, f32)>,
+    /// The entries' order keys in the magnitude order when the plan ranks
+    /// (empty otherwise), owned and lent like `entries`.
+    pub ranked: Vec<u64>,
     /// The encoded uplink frame (reused buffer; empty on scalar rounds).
     pub frame: Vec<u8>,
     /// Per-entry quantization errors `(j, v - v̂)` of this round's uplink
@@ -83,6 +86,7 @@ impl Slot {
             loss: 0.0,
             decode_ns: 0,
             entries: Vec::new(),
+            ranked: Vec::new(),
             frame: Vec::new(),
             errors: Vec::new(),
         }

@@ -210,17 +210,17 @@ impl WireState {
     }
     /// The channel-priced time a round with sparsity `k'` would have taken:
     /// each client's hypothetical uplink is the `k'`-element prefix of the
-    /// message it actually built this round (for top-k plans the prefix is
-    /// exactly its top-`k'` message), priced at its exact encoded length;
-    /// the downlink is the probe aggregate.
+    /// message it actually built this round — for top-k plans the first
+    /// `k'` keys of its ranked view, exactly its top-`k'` message — priced
+    /// at its exact encoded length; the downlink is the probe aggregate.
     ///
     /// A member whose whole upload is the prefix is priced at
     /// `sent_bytes(upload position)`, the length of the frame it actually
     /// sent: every codec's `encoded_len` is a function of the dimension, the
     /// entry count and the index gaps only, all of which the decoded upload
-    /// shares with its frame. Proper prefixes are index-sorted through the
-    /// server's packed `keys` (`topk::sort_by_index`) and measured without
-    /// being encoded.
+    /// shares with its frame. Proper prefixes are measured without being
+    /// encoded (`WireScratch::encoded_len_prefix`: a ranked prefix is
+    /// unpacked and index-sorted through the server's packed `keys`).
     ///
     /// Uploads are addressed by their carried client id (not their slot), so
     /// the pricing also holds under fault injection when only a surviving
@@ -239,14 +239,13 @@ impl WireState {
         let mut uplink_phase = 0.0f64;
         for (pos, upload) in uploads.iter().enumerate() {
             let codec = self.codec.as_ref();
-            let bytes = if probe_k < upload.entries.len() {
-                let prefix = &upload.entries[..probe_k];
-                self.scratch.encoded_len_unsorted(codec, dim, prefix, keys)
+            let bytes = if probe_k < upload.len() {
+                self.scratch
+                    .encoded_len_prefix(codec, dim, upload, probe_k, keys)
             } else {
                 debug_assert_eq!(
                     sent_bytes(pos),
-                    self.scratch
-                        .encoded_len_unsorted(codec, dim, &upload.entries, keys),
+                    codec.encoded_len(dim, &upload.entries),
                     "a frame is as long as the pricing of what it decodes to"
                 );
                 sent_bytes(pos)
@@ -273,9 +272,10 @@ impl WireState {
 /// independent per-client copies.
 ///
 /// Each round hydrates the sampled cohort into the slot arena, runs the
-/// fused gradient/upload pass over the slots, swaps each surviving member's
-/// finished entry list into the reusable upload arena the server
-/// aggregates from, and dehydrates the persistent state back into the
+/// fused gradient/upload pass over the slots, lends each surviving member's
+/// finished entry list and ranked key view to the upload arena the server
+/// aggregates from (bookkeeping takes them back, so each buffer has one
+/// owner, its slot), and dehydrates the persistent state back into the
 /// population — so resident memory is `O(cohort + touched_clients · dim)`
 /// rather than `O(N)`, and the round's buffers are reused: what a
 /// steady-state round still allocates is its per-round output — the
@@ -293,8 +293,9 @@ pub struct Simulation {
     /// this round's sample and reused across rounds.
     slots: Vec<Slot>,
     /// Persistent aggregation inputs: the first `survivors` entries are
-    /// rebuilt each round, each taking its member's finished entry list by
-    /// swapping buffers with the member's slot.
+    /// rebuilt each round, each borrowing its member's finished entry list
+    /// and ranked view by a swap with the member's slot, which bookkeeping
+    /// swaps back. Between rounds every upload holds empty buffers.
     uploads: Vec<ClientUpload>,
     params: Vec<f32>,
     server_rng: ChaCha8Rng,
@@ -312,8 +313,8 @@ pub struct Simulation {
     /// returns (aggregate entries, flat reset list, offsets). Grow-only,
     /// like every workspace of the round.
     scratch: SelectionScratch,
-    /// Reused order keys for index-sorting the prefixes the probe prices
-    /// (`topk::sort_by_index`).
+    /// Reused order keys for index-sorting the ranked prefixes the probe
+    /// prices (`WireScratch::encoded_len_prefix`).
     rank_keys: Vec<u64>,
     /// The probe's hypothetical weight vectors — `w(m)` after the round's
     /// own update and `w'(m)` after the `k'`-element one — refilled from
@@ -763,17 +764,19 @@ impl Simulation {
     /// finishes the member's upload: a first-timer's fresh state, then local
     /// gradient computation (Line 4: batch indices, then just those rows
     /// from the source) immediately followed by building the uplink message
-    /// (Line 6), so each member's residual is still hot in cache when its
-    /// top-k runs. Byte-priced, the index-ordered message is encoded and the
-    /// frame decoded once (`Client::decode_upload_into`): the decoded list
-    /// — ranked when the plan ranks — is what the server aggregates, and the
-    /// entries the codec changed are the member's quantization errors. Each
-    /// slot owns its member's RNG and sampler and writes only into its own
-    /// reused buffers, so the pass is bit-identical to the sequential loop
-    /// and allocation-free in steady state. When the recorder is enabled
-    /// the producer leaves its decode time in the slot for admission to
-    /// sum; the producer returns nothing, so the pipeline's per-chunk
-    /// result lists stay zero-sized and never allocate on a worker.
+    /// (Line 6) in index order, so each member's residual is still hot in
+    /// cache when its top-k runs. Byte-priced, that message is encoded and
+    /// the frame decoded once (`Client::decode_upload_into`): the decoded
+    /// list is what the server aggregates, and the entries the codec
+    /// changed are the member's quantization errors. Both paths end with
+    /// one rank of the upload's index-ordered keys into the slot's ranked
+    /// view when the plan ranks. Each slot owns its member's RNG and
+    /// sampler and writes only into its own reused buffers, so the pass is
+    /// bit-identical to the sequential loop and allocation-free in steady
+    /// state. When the recorder is enabled the producer leaves its decode
+    /// time in the slot for admission to sum; the producer returns nothing,
+    /// so the pipeline's per-chunk result lists stay zero-sized and never
+    /// allocate on a worker.
     ///
     /// The *consumer* is the admission step, run on this thread in strict
     /// cohort order as uploads complete, and it only decides each member's
@@ -782,9 +785,9 @@ impl Simulation {
     /// on its own link (straggler slowdown included), every planned
     /// corruption is replayed through the *real* validated decoder (the
     /// `WireError` path), and retries, backoff and the round deadline are
-    /// applied; an admitted upload's entry buffer is swapped into the next
-    /// aggregation input. A damaged frame that happens to decode is still
-    /// treated as detected-corrupt — the link-layer checksum stand-in — so
+    /// applied; an admitted upload's entry and ranked buffers are swapped
+    /// into the next aggregation input. A damaged frame that happens to
+    /// decode is still treated as detected-corrupt — the link-layer checksum stand-in — so
     /// corruption delays rounds but can never skew the trajectory. The
     /// in-order consumer is what keeps the loss reduction, the uplink-phase
     /// fold and the upload list bit-identical to the sequential loop; a
@@ -833,16 +836,27 @@ impl Simulation {
             // Line 4: the batch indices are drawn first and only those rows
             // of the member's shard are fetched from the source.
             slot.loss = slot.client.compute_local_gradient(source, model, params);
-            slot.client
-                .build_upload_into(&plan, k, wire.is_some(), &mut slot.entries);
-            let Some(w) = wire else { return };
-            // The quantization stream is keyed on frame content, not on the
-            // worker schedule, so encoding here is per-slot work too.
-            slot.client
-                .encode_upload_into(w.codec.as_ref(), dim, &slot.entries, &mut slot.frame);
-            let t_decode = clock.then(Instant::now);
-            slot.client
-                .decode_upload_into(&slot.frame, rank, &mut slot.entries, &mut slot.errors);
+            slot.client.build_upload_into(&plan, k, &mut slot.entries);
+            // Byte-priced, the decode and the rank after it are the span.
+            let mut t_decode = None;
+            if let Some(w) = wire {
+                // The quantization stream is keyed on frame content, not on
+                // the worker schedule, so encoding here is per-slot work too.
+                slot.client.encode_upload_into(
+                    w.codec.as_ref(),
+                    dim,
+                    &slot.entries,
+                    &mut slot.frame,
+                );
+                t_decode = clock.then(Instant::now);
+                slot.client.decode_upload_into(
+                    &slot.frame,
+                    rank,
+                    &mut slot.entries,
+                    &mut slot.errors,
+                );
+            }
+            slot.client.rank_upload_into(rank, &mut slot.ranked);
             slot.decode_ns = t_decode.map_or(0, |t| t.elapsed().as_nanos() as u64);
         };
 
@@ -919,14 +933,14 @@ impl Simulation {
                     return;
                 }
             }
-            // Delivered: the slot's finished entry list becomes the next
-            // aggregation input, and the two grow-only buffers trade places
-            // (nothing reads `slot.entries` again before the next round's
-            // `build_upload_into` rebuilds it).
+            // Delivered: the slot lends its finished entry list and ranked
+            // view to the next aggregation input, which held empty buffers;
+            // bookkeeping swaps them back.
             let upload = &mut uploads[survivors.len()];
             upload.client = slot.client.id();
             upload.weight = slot.client.weight();
             std::mem::swap(&mut upload.entries, &mut slot.entries);
+            std::mem::swap(&mut upload.ranked, &mut slot.ranked);
             survivors.push(pos);
         };
         stage(rec, SpanId::ClientPass, || {
@@ -938,6 +952,8 @@ impl Simulation {
             rec.span(SpanId::ServerDecode, decode_ns);
         }
         fr.survivors = self.survivors.len();
+        #[cfg(test)]
+        tests::assert_upload_contract(&self.uploads[..self.survivors.len()], rank);
         // The uplink phase is the slowest delivery the server actually
         // waited out — retries, backoff and straggler slowdown included,
         // corrupt-lost members' futile attempts included — capped at the
@@ -1125,10 +1141,13 @@ impl Simulation {
     /// Returns the per-member contributions and the downlink phase time.
     ///
     /// Resets and contributions target exactly the members whose uploads
-    /// were aggregated, so a lost member's residual keeps its update. On
-    /// the lossy tier each reset coordinate is seeded with its quantization
-    /// error instead of zero (error feedback); `errors` is empty on
-    /// lossless rounds, which makes that a plain reset. Dehydration then
+    /// were aggregated, so a lost member's residual keeps its update; the
+    /// same loop takes each delivered upload's buffers back into its slot.
+    /// A member's resets arrive in index order (its upload's entry order),
+    /// so each reset is one forward sweep of its residual. On the lossy
+    /// tier each reset coordinate is seeded with its quantization error
+    /// instead of zero (error feedback); `errors` is empty on lossless
+    /// rounds, which makes that a plain reset. Dehydration then
     /// returns every member's persistent state to the population
     /// (first-time online participants get a new row; pristine offline
     /// first-timers are dropped and recreated identically on their next
@@ -1151,6 +1170,9 @@ impl Simulation {
         let mut contributions = vec![0usize; cohort.len()];
         for (u_idx, &pos) in self.survivors.iter().enumerate() {
             let slot = &mut self.slots[pos];
+            let upload = &mut self.uploads[u_idx];
+            std::mem::swap(&mut slot.entries, &mut upload.entries);
+            std::mem::swap(&mut slot.ranked, &mut upload.ranked);
             let resets = selection.resets(u_idx);
             slot.client.apply_reset_with_errors(resets, &slot.errors);
             contributions[pos] = resets.len();
@@ -1345,7 +1367,42 @@ mod tests {
     use crate::channel::ClientLink;
     use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
     use agsfl_ml::model::LinearSoftmax;
-    use agsfl_sparse::{FabTopK, FubTopK, PeriodicK, SendAll, UnidirectionalTopK};
+    use agsfl_sparse::{topk, FabTopK, FubTopK, PeriodicK, SendAll, UnidirectionalTopK};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Ranked uploads [`assert_upload_contract`] has checked on this
+        /// thread.
+        static RANKED_CHECKS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The upload contract, checked at the end of every client pass of every
+    /// test in this module: each delivered upload's entries are strictly
+    /// increasing in index, and its ranked view is the magnitude rank of
+    /// those entries, bit for bit, when the plan ranks and empty otherwise.
+    pub(super) fn assert_upload_contract(uploads: &[ClientUpload], rank: bool) {
+        for upload in uploads {
+            assert!(
+                upload.entries.windows(2).all(|w| w[0].0 < w[1].0),
+                "client {}: entries out of index order",
+                upload.client
+            );
+            if rank {
+                let mut expected = upload.entries.clone();
+                topk::rank_by_magnitude(&mut expected, &mut Vec::new());
+                let expected: Vec<u64> = expected
+                    .iter()
+                    .map(|&(j, v)| topk::order_key(j as u32, v))
+                    .collect();
+                assert_eq!(upload.ranked, expected, "client {}", upload.client);
+            } else {
+                assert!(upload.ranked.is_empty(), "client {}", upload.client);
+            }
+        }
+        if rank {
+            RANKED_CHECKS.with(|checks| checks.set(checks.get() + uploads.len()));
+        }
+    }
 
     fn tiny_sim_with(
         sparsifier: Box<dyn Sparsifier>,
@@ -1473,7 +1530,8 @@ mod tests {
     /// round, kept as the spec `Simulation::probe` asserts itself against in
     /// every test of this module: an independent `select_into` at `k'` on a
     /// fresh workspace, fresh clones of the weights, three losses per
-    /// member, and every prefix priced through a copy and a comparison sort.
+    /// member, and every prefix — the ranked view's when the plan ranks,
+    /// the entries' otherwise — priced through a copy and a comparison sort.
     impl Simulation {
         pub(super) fn probe_by_second_selection(
             &self,
@@ -1507,8 +1565,16 @@ mod tests {
                     let uplink_phase = uploads
                         .iter()
                         .map(|upload| {
-                            let mut prefix =
-                                upload.entries[..probe_k.min(upload.entries.len())].to_vec();
+                            let mut prefix: Vec<(usize, f32)> = if upload.ranked.is_empty() {
+                                upload.entries.clone()
+                            } else {
+                                upload
+                                    .ranked
+                                    .iter()
+                                    .map(|&key| topk::key_entry(key))
+                                    .collect()
+                            };
+                            prefix.truncate(probe_k);
                             prefix.sort_unstable_by_key(|&(j, _)| j);
                             let bytes = wire.codec.encoded_len(dim, &prefix);
                             wire.channel.uplink_time(round_idx, upload.client, bytes)
@@ -1597,26 +1663,96 @@ mod tests {
 
     /// Every reusable buffer a wired round touches, as capacities: the
     /// selection workspace's lists, the server's encode workspace and rank
-    /// keys, and each slot's entry, frame, error and client-side encode
-    /// buffers. A delivered slot's entry buffer trades places with its
-    /// upload's every round, so the two are reported as one sorted pair
-    /// (every member delivers in a fault-free round, slot `i` into upload
-    /// `i`): a released buffer still lowers one of them.
+    /// keys, and each slot's entry, ranked, frame, error and client-side
+    /// encode buffers. Between rounds a slot owns its upload buffers — the
+    /// upload it lent them to holds none — so a released one lowers its
+    /// slot's capacity.
     fn workspace_capacities(sim: &Simulation) -> Vec<usize> {
+        assert_uploads_hold_nothing(sim);
         let mut caps = sim.scratch.list_capacities().to_vec();
         caps.push(sim.rank_keys.capacity());
         caps.extend(sim.wire.as_ref().map(|w| w.scratch.frame_capacity()));
-        for (slot, upload) in sim.slots.iter().zip(&sim.uploads) {
-            let (a, b) = (slot.entries.capacity(), upload.entries.capacity());
+        for slot in &sim.slots {
             caps.extend([
-                a.min(b),
-                a.max(b),
+                slot.entries.capacity(),
+                slot.ranked.capacity(),
                 slot.frame.capacity(),
                 slot.errors.capacity(),
                 slot.client.wire_frame_capacity(),
             ]);
         }
         caps
+    }
+
+    /// After bookkeeping every upload holds zero capacity: its member's
+    /// buffers went back to the slot.
+    fn assert_uploads_hold_nothing(sim: &Simulation) {
+        for (u, upload) in sim.uploads.iter().enumerate() {
+            assert_eq!(
+                (upload.entries.capacity(), upload.ranked.capacity()),
+                (0, 0),
+                "upload {u} kept a buffer past bookkeeping"
+            );
+        }
+    }
+
+    /// Every plan (ranked top-k, coordinates, dense), unwired and through
+    /// every lossless and lossy codec, then wired under chaos: each
+    /// delivered upload is index-ordered and carries its own magnitude rank
+    /// (checked inside every client pass by [`assert_upload_contract`]),
+    /// and after bookkeeping the uploads hold nothing while each slot owns
+    /// its buffers again — the ranked one only under the ranked plan.
+    #[test]
+    fn delivered_uploads_are_index_ordered_and_slots_own_their_buffers() {
+        let sparsifiers: [fn() -> Box<dyn Sparsifier>; 3] = [
+            || Box::new(FabTopK::new()),
+            || Box::new(PeriodicK::new()),
+            || Box::new(SendAll::new()),
+        ];
+        let codecs = [None]
+            .into_iter()
+            .chain(agsfl_wire::CodecSpec::all().into_iter().map(Some))
+            .chain(agsfl_wire::CodecSpec::lossy().into_iter().map(Some));
+        let before = RANKED_CHECKS.with(Cell::get);
+        for codec in codecs {
+            for (which, make) in sparsifiers.iter().enumerate() {
+                let mut sim = match codec {
+                    None => tiny_sim_with(make(), 5.0, 5, Parallelism::Threads(2)),
+                    Some(spec) => {
+                        tiny_wire_sim(make(), 5, Parallelism::Threads(2), spec, uniform_channel)
+                    }
+                };
+                let k = sim.dim() / 5;
+                for round in 0..3 {
+                    sim.run_round(k, (round == 1).then_some(k / 2));
+                    assert_uploads_hold_nothing(&sim);
+                    for slot in &sim.slots {
+                        assert!(slot.entries.capacity() > 0, "{codec:?}, plan {which}");
+                        let ranks = which == 0;
+                        assert_eq!(slot.ranked.capacity() > 0, ranks, "{codec:?}");
+                    }
+                }
+            }
+        }
+        assert!(
+            RANKED_CHECKS.with(Cell::get) > before,
+            "the client pass checked the ranked views"
+        );
+        // Lost and late members keep their buffers; delivered ones lend and
+        // get theirs back.
+        let chaos = Some(chaos_model(13));
+        let mut sim = tiny_fault_sim(
+            Box::new(FabTopK::new()),
+            5,
+            Parallelism::Threads(2),
+            true,
+            chaos,
+        );
+        let k = sim.dim() / 5;
+        for _ in 0..6 {
+            sim.run_round(k, Some(k / 2));
+            assert_uploads_hold_nothing(&sim);
+        }
     }
 
     /// Algorithm 3 keeps moving between a large `k` and a handful of rounds
@@ -1827,7 +1963,7 @@ mod tests {
     }
 
     /// The byte-priced path must not perturb training by a single bit: the
-    /// codecs are lossless and decode + rank reproduces every upload, so
+    /// codecs are lossless, so decode reproduces every upload and its rank, so
     /// a wired and an un-wired run of the same seed walk the identical
     /// trajectory — only the cost signal (round_time, wire report) differs.
     #[test]

@@ -78,31 +78,21 @@ impl ResidualAccumulator {
     /// decreasing magnitude — the uplink message `A_i`.
     ///
     /// Allocates a fresh key buffer and message; per-round callers should
-    /// prefer [`ResidualAccumulator::top_k_entries_into`] with reused ones.
+    /// prefer [`ResidualAccumulator::top_k_entries_indexed_into`] with
+    /// reused ones.
     pub fn top_k_entries(&self, k: usize) -> Vec<(usize, f32)> {
         topk::top_k_entries(&self.residual, k)
     }
 
-    /// [`ResidualAccumulator::top_k_entries`] through a caller-provided key
-    /// buffer, writing the ranked selection into a caller-owned buffer
-    /// (cleared first) — the allocation-free uplink builder of the cohort
-    /// engine. The selection histograms the residual's magnitude bits and
-    /// gathers only the survivors and their boundary bucket as packed
-    /// 8-byte keys (see [`mod@topk`]) — no full-dimension candidate copy
-    /// unless the whole vector ties.
-    pub fn top_k_entries_into(
-        &self,
-        k: usize,
-        scratch: &mut Vec<u64>,
-        out: &mut Vec<(usize, f32)>,
-    ) {
-        topk::top_k_entries_into(&self.residual, k, scratch, out);
-    }
-
-    /// [`ResidualAccumulator::top_k_entries_into`] in increasing index order
-    /// ([`topk::top_k_entries_indexed_into`]) — the byte-priced uplink
-    /// builder, whose codec wants index order and whose server ranks the
-    /// decoded frame itself.
+    /// The top-`k` entries in increasing index order
+    /// ([`topk::top_k_entries_indexed_into`]), through a caller-provided key
+    /// buffer into a caller-owned one (cleared first) — the allocation-free
+    /// uplink builder of the cohort engine. The selection histograms the
+    /// residual's magnitude bits and gathers only the survivors and their
+    /// boundary bucket as packed 8-byte keys (see [`mod@topk`]) — no
+    /// full-dimension candidate copy unless the whole vector ties — and
+    /// leaves the entries' keys in `scratch`, in index order, for the
+    /// upload's rank.
     pub fn top_k_entries_indexed_into(
         &self,
         k: usize,
@@ -180,10 +170,12 @@ impl ResidualAccumulator {
     /// delivered. A transmitted coordinate that the codec reproduced
     /// exactly (or that has no entry in `errors`) resets to zero exactly as
     /// before, so with an empty `errors` slice this is bit-identical to
-    /// `reset_indices`. Otherwise the reset indices are sorted into
-    /// `sorted` (cleared first, reusable across calls) and merged against
-    /// the error list in one forward sweep of both; an error at an index
-    /// that is not reset is ignored, a repeated reset index is harmless.
+    /// `reset_indices`. Otherwise the reset indices are merged against the
+    /// error list in one forward sweep of both — directly when they are
+    /// already ascending (every reset list of an upload the round engine
+    /// delivers is), else after sorting them into `sorted` (cleared first,
+    /// reusable across calls); an error at an index that is not reset is
+    /// ignored, a repeated reset index is harmless.
     ///
     /// # Panics
     ///
@@ -201,14 +193,20 @@ impl ResidualAccumulator {
             errors.windows(2).all(|w| w[0].0 < w[1].0),
             "errors must be sorted by strictly increasing index"
         );
+        if indices.is_sorted() {
+            return self.merge_errors(indices.iter().copied(), errors);
+        }
         sorted.clear();
         sorted.extend(indices.iter().map(|&j| j as u64));
-        if !sorted.is_sorted() {
-            sorted.sort_unstable();
-        }
+        sorted.sort_unstable();
+        self.merge_errors(sorted.iter().map(|&j| j as usize), errors);
+    }
+
+    /// The merge of [`ResidualAccumulator::reset_indices_to`]: `ascending`
+    /// reset indices against the index-sorted `errors`.
+    fn merge_errors(&mut self, ascending: impl Iterator<Item = usize>, errors: &[(usize, f32)]) {
         let mut pending = errors;
-        for &j in sorted.iter() {
-            let j = j as usize;
+        for j in ascending {
             assert!(j < self.residual.len(), "index {j} out of range");
             let skip = pending.iter().take_while(|&&(i, _)| i < j).count();
             pending = &pending[skip..];
@@ -312,8 +310,9 @@ mod tests {
 
     proptest! {
         /// The merge against the per-index binary search it replaced, on
-        /// reset lists in arbitrary order with repeats and on error lists
-        /// that also name indices outside the reset set.
+        /// reset lists in arbitrary order with repeats, on the same lists
+        /// ascending (merged in place, the way an upload's resets arrive),
+        /// and on error lists that also name indices outside the reset set.
         #[test]
         fn prop_reset_by_merge_equals_reset_by_binary_search(
             grad in proptest::collection::vec(-5.0f32..5.0, 40),
@@ -323,14 +322,18 @@ mod tests {
             let mut errors = error_picks;
             errors.sort_unstable_by_key(|&(j, _)| j);
             errors.dedup_by_key(|&mut (j, _)| j);
-            let mut acc = ResidualAccumulator::new(40);
-            acc.add(&grad);
-            let mut expected = grad.clone();
-            crate::reference::reset_indices_to(&mut expected, &resets, &errors);
-            let mut scratch = vec![7; 3];
-            acc.reset_indices_to(&resets, &errors, &mut scratch);
+            let mut ascending = resets.clone();
+            ascending.sort_unstable();
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(acc.as_slice()), bits(&expected));
+            for resets in [resets, ascending] {
+                let mut acc = ResidualAccumulator::new(40);
+                acc.add(&grad);
+                let mut expected = grad.clone();
+                crate::reference::reset_indices_to(&mut expected, &resets, &errors);
+                let mut scratch = vec![7; 3];
+                acc.reset_indices_to(&resets, &errors, &mut scratch);
+                prop_assert_eq!(bits(acc.as_slice()), bits(&expected));
+            }
         }
 
         #[test]

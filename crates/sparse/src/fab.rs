@@ -56,13 +56,14 @@ impl FabTopK {
             .unwrap_or(0);
         let mut scratch = SelectionScratch::new();
         Self::scan_levels(uploads, dim, k, &mut scratch);
-        scratch.selected.sort_unstable();
+        topk::sort_indices(&mut scratch.selected, &mut scratch.keys);
         scratch.selected
     }
 
-    /// The rank-major scan behind every FAB selection: reads the uploads
-    /// level by level — level `r` is every client's rank-`r` entry — and
-    /// stops at the first level that does not fit in `k`.
+    /// The rank-major scan behind every FAB selection: reads the uploads'
+    /// ranked key views level by level — level `r` is every client's
+    /// rank-`r` key — and stops at the first level that does not fit in
+    /// `k`. The views are the only part of an upload the scan reads.
     ///
     /// An index is first seen at its minimum rank across clients, so once
     /// level `r` is marked the marked set is exactly `∪_i J_i^{r+1}` and its
@@ -82,16 +83,21 @@ impl FabTopK {
     /// is step one of the selection contract, ready for [`aggregate_marked`];
     /// unsorted, it restricts a larger round's aggregate.
     fn scan_levels(uploads: &[ClientUpload], dim: usize, k: usize, scratch: &mut SelectionScratch) {
+        debug_assert!(
+            uploads.iter().all(|u| u.ranked.len() == u.entries.len()),
+            "FAB reads every upload's ranked key view"
+        );
         scratch.selected.clear();
         scratch.begin_sums(dim);
         if k == 0 {
             return;
         }
-        let max_prefix = uploads.iter().map(ClientUpload::len).max().unwrap_or(0);
+        let max_prefix = uploads.iter().map(|u| u.ranked.len()).max().unwrap_or(0);
         for level in 0..=max_prefix.min(k) {
             let accepted = scratch.selected.len();
             for upload in uploads {
-                if let Some(&(j, _)) = upload.entries.get(level) {
+                if let Some(&key) = upload.ranked.get(level) {
+                    let (j, _) = topk::key_entry(key);
                     assert!(j < dim, "upload index {j} out of range (dim {dim})");
                     if !scratch.is_marked(j) {
                         scratch.mark_selected(j);
@@ -111,7 +117,8 @@ impl FabTopK {
                 scratch.selected.truncate(accepted);
                 scratch.candidates.clear();
                 for upload in uploads {
-                    if let Some(&(j, v)) = upload.entries.get(level) {
+                    if let Some(&key) = upload.ranked.get(level) {
+                        let (j, v) = topk::key_entry(key);
                         if !scratch.is_marked(j) {
                             scratch.candidates.push((j, v));
                         }
@@ -153,7 +160,7 @@ impl Sparsifier for FabTopK {
     ) -> SelectionResult {
         // The scan leaves exactly J marked, so the sweep follows directly.
         Self::scan_levels(uploads, dim, k, scratch);
-        scratch.selected.sort_unstable();
+        topk::sort_indices(&mut scratch.selected, &mut scratch.keys);
         aggregate_marked(uploads, dim, scratch, true)
     }
 

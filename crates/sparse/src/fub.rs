@@ -82,7 +82,7 @@ impl Sparsifier for FubTopK {
         scratch
             .selected
             .extend(scratch.candidates.iter().map(|&(j, _)| j));
-        scratch.selected.sort_unstable();
+        topk::sort_indices(&mut scratch.selected, &mut scratch.keys);
         // Re-mark J alone: the sweep re-adds its sums from zero in upload
         // order, the very adds of the pass above.
         scratch.mark_selection(dim);

@@ -60,24 +60,25 @@ fn result_from(
 }
 
 /// Size of `∪_i J_i^κ`, rebuilt from scratch — the per-probe cost the fast
-/// path eliminates.
+/// path eliminates. Prefixes are read from each upload's ranked key view.
 pub fn fab_union_size(uploads: &[ClientUpload], kappa: usize) -> usize {
     let mut set = HashSet::new();
     for upload in uploads {
-        set.extend(topk::prefix_indices(&upload.entries, kappa));
+        set.extend(topk::prefix_indices(&upload.ranked, kappa));
     }
     set.len()
 }
 
 /// The seed FAB-top-k downlink selection: binary search over `κ` with a
-/// hash-set union rebuild per probe. Returns the selected set **sorted** so
-/// results compare directly against the fast path (the seed returned
-/// hash-set iteration order; every downstream consumer re-sorted).
+/// hash-set union rebuild per probe, over the uploads' ranked key views.
+/// Returns the selected set **sorted** so results compare directly against
+/// the fast path (the seed returned hash-set iteration order; every
+/// downstream consumer re-sorted).
 pub fn fab_select_indices(uploads: &[ClientUpload], k: usize) -> Vec<usize> {
     if k == 0 || uploads.is_empty() {
         return Vec::new();
     }
-    let max_prefix = uploads.iter().map(ClientUpload::len).max().unwrap_or(0);
+    let max_prefix = uploads.iter().map(|u| u.ranked.len()).max().unwrap_or(0);
     let mut lo = 0usize;
     let mut hi = max_prefix.min(k);
     while lo < hi {
@@ -92,13 +93,14 @@ pub fn fab_select_indices(uploads: &[ClientUpload], k: usize) -> Vec<usize> {
 
     let mut selected: HashSet<usize> = HashSet::new();
     for upload in uploads {
-        selected.extend(topk::prefix_indices(&upload.entries, kappa));
+        selected.extend(topk::prefix_indices(&upload.ranked, kappa));
     }
 
     if selected.len() < k && kappa < max_prefix {
         let mut candidates: Vec<(usize, f32)> = Vec::new();
         for upload in uploads {
-            if let Some(&(j, v)) = upload.entries.get(kappa) {
+            if let Some(&key) = upload.ranked.get(kappa) {
+                let (j, v) = topk::key_entry(key);
                 if !selected.contains(&j) {
                     candidates.push((j, v));
                 }

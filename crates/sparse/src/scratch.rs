@@ -20,7 +20,8 @@
 ///   place of `HashSet`/`HashMap` rebuilds,
 /// * `selected` / `candidates` — index and candidate lists reused between
 ///   rounds,
-/// * `keys` — the packed order keys [`crate::topk`] ranks candidates through.
+/// * `keys` — the packed keys [`crate::topk`] ranks fill candidates and
+///   sorts `J` through.
 ///
 /// Capacity is grow-only — every buffer is sized to the largest geometry
 /// seen and never shrinks — and contents are invalidated by epoch bumps, so
@@ -44,7 +45,7 @@ pub struct SelectionScratch {
     pub(crate) selected: Vec<usize>,
     /// Fill candidates `(index, value)` at prefix level `κ`.
     pub(crate) candidates: Vec<(usize, f32)>,
-    /// Packed magnitude-order keys of `candidates` (see [`crate::topk`]).
+    /// Packed keys of `candidates` or of `selected` (see [`crate::topk`]).
     pub(crate) keys: Vec<u64>,
 }
 

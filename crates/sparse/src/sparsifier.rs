@@ -2,7 +2,7 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use crate::scratch::SelectionScratch;
-use crate::SparseGradient;
+use crate::{topk, SparseGradient};
 
 /// What each client should upload in the current round.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -18,10 +18,17 @@ pub enum UploadPlan {
     Dense,
 }
 
-/// The uplink message of one client: `(client id, C_i / C, entries)`.
+/// The uplink message of one client: `(client id, C_i / C, entries)`, plus
+/// the entries' magnitude ranking as a packed key view.
 ///
-/// For top-k sparsifiers the entries are ranked by decreasing magnitude, which
-/// is how the fairness-aware selection reads per-client prefixes `J_i^κ`.
+/// Every upload the round engine delivers holds its `entries` in strictly
+/// increasing index order — the order a wire frame carries — so the
+/// aggregation sweep and the residual resets stream through memory. The
+/// magnitude ranking that FAB-top-k's prefixes `J_i^κ` need lives in
+/// `ranked`, the entries' [`topk::order_key`]s sorted by decreasing
+/// magnitude (ties by index), read back with [`topk::key_entry`]. FAB's
+/// scan and the wired probe's prefix pricing are its only readers; an
+/// upload under a plan that does not rank carries it empty.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClientUpload {
     /// Index of the uploading client.
@@ -30,23 +37,34 @@ pub struct ClientUpload {
     pub weight: f64,
     /// Uploaded `(index, accumulated value)` pairs.
     pub entries: Vec<(usize, f32)>,
+    /// The entries' order keys in the magnitude order (empty when the plan
+    /// does not rank).
+    pub ranked: Vec<u64>,
 }
 
 impl ClientUpload {
-    /// Creates an upload message.
+    /// Creates an upload message with `entries` in the order given and
+    /// derives their ranked key view. So a rank-ordered `entries` keeps
+    /// meaning "a top-`k` prefix is `entries[..k]`", and an index-ordered
+    /// one is the shape the round engine delivers; every selection reads
+    /// the same bits from both.
     ///
     /// # Panics
     ///
-    /// Panics if `weight` is negative or not finite.
+    /// Panics if `weight` is negative or not finite, or if an index does
+    /// not fit in 32 bits.
     pub fn new(client: usize, weight: f64, entries: Vec<(usize, f32)>) -> Self {
         assert!(
             weight.is_finite() && weight >= 0.0,
             "invalid client weight {weight}"
         );
+        let mut ranked = Vec::new();
+        topk::rank_entries_into(&entries, &mut Vec::new(), &mut ranked);
         Self {
             client,
             weight,
             entries,
+            ranked,
         }
     }
 
@@ -108,7 +126,9 @@ impl SelectionResult {
     }
 
     /// The indices `J ∩ J_u` upload `u` must reset in its accumulator
-    /// (Lines 16–17 of Algorithm 1), in the upload's entry order.
+    /// (Lines 16–17 of Algorithm 1), in the upload's entry order — so
+    /// ascending for every upload the round engine delivers, and a reset is
+    /// a forward sweep of the residual.
     ///
     /// # Panics
     ///
@@ -276,8 +296,15 @@ pub trait Sparsifier: Send + Sync + std::fmt::Debug {
 /// `j ∈ J` adds `w_i · a_ij` to `b_j` (Line 10 of Algorithm 1) and lands in
 /// upload `i`'s run of the flat reset list (Lines 16–17). The in-order
 /// `f64` adds keep the sums bit-identical to the `HashMap` spec in
-/// `crate::reference`, and the entries come out in index order, so the
-/// gradient is built without a sort.
+/// `crate::reference` — `b_j` takes one add per upload, in upload order,
+/// whatever order an upload lists its entries in — and the entries come
+/// out in index order, so the gradient is built without a sort. Over
+/// index-ordered uploads each upload's walk of the stamps and sums is
+/// monotone (it streams), and its run of resets comes out ascending.
+///
+/// The reset list is reserved once, at the sum of the upload lengths (no
+/// upload resets more than it sent), so a call allocates its three lists
+/// once each, however many resets it writes.
 pub(crate) fn aggregate_marked(
     uploads: &[ClientUpload],
     dim: usize,
@@ -288,7 +315,7 @@ pub(crate) fn aggregate_marked(
         scratch.selected.windows(2).all(|w| w[0] < w[1]),
         "selected must be sorted"
     );
-    let mut resets = Vec::new();
+    let mut resets = Vec::with_capacity(uploads.iter().map(ClientUpload::len).sum());
     let mut reset_ends = Vec::with_capacity(uploads.len());
     let mut max_upload_len = 0;
     for upload in uploads {

@@ -29,12 +29,17 @@
 //!   tie-break. The survivors are ranked with a stable LSD radix sort on the
 //!   magnitude bits (every digit counted in one sweep up front).
 //!   [`top_k_entries_indexed_into`] stops before that rank: the survivors
-//!   are already in index order, which is what a wire codec encodes.
+//!   are already in index order, which is what a wire codec encodes and
+//!   what every upload the round engine delivers holds.
 //! * [`rank_by_magnitude`] is the same radix rank: three magnitude passes
 //!   when the input is already index-sorted, index passes first otherwise.
-//!   [`rank_index_ordered_keys_into`] is its streaming form for a decoded
-//!   frame, whose entries arrive in index order: the decoder's visitor
-//!   pushes [`order_key`]s and the magnitude passes run on them directly.
+//!   [`rank_index_ordered_keys_into`] is its key-to-key form for an
+//!   index-ordered upload: the selection (or a decoder's visitor) leaves
+//!   the [`order_key`]s in index order and the magnitude passes rank them
+//!   into the upload's ranked key view, which [`key_entry`] reads back.
+//!   [`rank_entries_into`] builds the same view from entries in any order.
+//! * [`sort_indices`] sorts bare indices (a downlink set `J`) with the index
+//!   passes.
 //! * Short inputs skip the histograms, whose fixed cost would dominate:
 //!   vectors of at most `SMALL_DIM` coordinates select by a streaming
 //!   integer `select_nth_unstable`, lists of at most `SMALL_SORT` keys rank
@@ -106,9 +111,10 @@ fn index_field(key: u64) -> u32 {
     (key >> 1) as u32
 }
 
-/// Inverse of [`pack`].
+/// The entry `(j, v)` a key packs, bit for bit: the inverse of
+/// [`order_key`], for readers of a ranked key view.
 #[inline]
-fn unpack(key: u64) -> (usize, f32) {
+pub fn key_entry(key: u64) -> (usize, f32) {
     let bits = !((key >> 33) as u32) & MAG_MASK | (key as u32) << 31;
     (index_field(key) as usize, f32::from_bits(bits))
 }
@@ -116,13 +122,13 @@ fn unpack(key: u64) -> (usize, f32) {
 /// Refills `out` with the unpacked `keys`.
 fn unpack_to(keys: &[u64], out: &mut Vec<(usize, f32)>) {
     out.clear();
-    out.extend(keys.iter().map(|&key| unpack(key)));
+    out.extend(keys.iter().map(|&key| key_entry(key)));
 }
 
 /// Overwrites `entries` with the unpacked `keys` (equally long).
 fn unpack_into(keys: &[u64], entries: &mut [(usize, f32)]) {
     for (entry, &key) in entries.iter_mut().zip(keys) {
-        *entry = unpack(key);
+        *entry = key_entry(key);
     }
 }
 
@@ -157,9 +163,9 @@ fn digit(key: u64, (shift, bits): (u32, u32)) -> usize {
 /// One stable counting-sort scatter of `src` into `dst` on digit `d`, whose
 /// histogram `counts` already holds; the counts become the write cursors.
 ///
-/// A function of its own on purpose: written inline in [`radix_sort`]'s
-/// pass loop the same scatter ran up to twice as slow (measured at
-/// k ≥ 54,000 keys).
+/// A function of its own on purpose: written inline in
+/// [`radix_sort_between`]'s pass loop the same scatter ran up to twice as
+/// slow (measured at k ≥ 54,000 keys).
 fn scatter(src: &[u64], dst: &mut [u64], counts: &mut [u32; MAX_BUCKETS], d: (u32, u32)) {
     let mut start = 0;
     for slot in &mut counts[..1 << d.1] {
@@ -172,15 +178,21 @@ fn scatter(src: &[u64], dst: &mut [u64], counts: &mut [u32; MAX_BUCKETS], d: (u3
     }
 }
 
-/// Stable LSD radix sort of `keys` on `digits` (least significant first);
-/// returns the sorted run, which lives in either half of the doubled buffer.
+/// Stable LSD radix sort on `digits` (least significant first) of the keys
+/// in `keys`, ping-ponging with `other` (as long, contents ignored); returns
+/// whether the sorted run ended in `other`.
 ///
 /// Every digit is counted in one sweep up front: a digit's histogram is a
 /// property of the key multiset, not of the order the earlier passes left
 /// the keys in. A digit every key shares is skipped (its pass would be a
 /// copy).
-fn radix_sort<'a, const N: usize>(keys: &'a mut Vec<u64>, digits: &[(u32, u32); N]) -> &'a [u64] {
+fn radix_sort_between<const N: usize>(
+    keys: &mut [u64],
+    other: &mut [u64],
+    digits: &[(u32, u32); N],
+) -> bool {
     let n = keys.len();
+    assert_eq!(other.len(), n, "the ping-pong halves must be equally long");
     assert!(n <= u32::MAX as usize, "radix offsets are 32-bit");
     let mut counts = [[0u32; MAX_BUCKETS]; N];
     for &key in keys.iter() {
@@ -188,8 +200,7 @@ fn radix_sort<'a, const N: usize>(keys: &'a mut Vec<u64>, digits: &[(u32, u32); 
             counts[digit(key, d)] += 1;
         }
     }
-    keys.resize(2 * n, 0);
-    let (mut src, mut dst) = keys.split_at_mut(n);
+    let (mut src, mut dst, mut in_other) = (keys, other, false);
     for (counts, &d) in counts.iter_mut().zip(digits) {
         let shared = src
             .first()
@@ -197,9 +208,23 @@ fn radix_sort<'a, const N: usize>(keys: &'a mut Vec<u64>, digits: &[(u32, u32); 
         if !shared {
             scatter(src, dst, counts, d);
             std::mem::swap(&mut src, &mut dst);
+            in_other = !in_other;
         }
     }
-    src
+    in_other
+}
+
+/// [`radix_sort_between`] the two halves of `keys` doubled; returns the
+/// sorted run, which lives in either half.
+fn radix_sort<'a, const N: usize>(keys: &'a mut Vec<u64>, digits: &[(u32, u32); N]) -> &'a [u64] {
+    let n = keys.len();
+    keys.resize(2 * n, 0);
+    let (front, back) = keys.split_at_mut(n);
+    if radix_sort_between(front, back, digits) {
+        &keys[n..]
+    } else {
+        &keys[..n]
+    }
 }
 
 /// Sorts `keys` into the magnitude order and returns the sorted run.
@@ -365,19 +390,17 @@ pub fn top_k_entries_into(
     scratch: &mut Vec<u64>,
     out: &mut Vec<(usize, f32)>,
 ) {
-    if select_keys(values, k, scratch) {
-        rank_index_ordered_keys_into(scratch, out);
-    } else {
-        scratch.sort_unstable();
-        unpack_to(scratch, out);
-    }
+    let index_sorted = select_keys(values, k, scratch);
+    unpack_to(rank_keys(scratch, index_sorted), out);
 }
 
 /// The selection of [`top_k_entries_into`] in increasing index order — what
-/// a wire codec encodes. The histogram select already leaves its survivors
-/// in index order, so this skips the rank altogether; a short vector sorts
-/// its at most `k` selected keys by their index field. Equal, entry for
-/// entry, to the ranked selection sorted by index.
+/// a wire codec encodes and what an upload holds. The histogram select
+/// already leaves its survivors in index order, so this skips the rank
+/// altogether; a short vector sorts its at most `k` selected keys by their
+/// index field. Equal, entry for entry, to the ranked selection sorted by
+/// index. On return `scratch` holds the [`order_key`]s of `out`, in the
+/// same order, ready for [`rank_index_ordered_keys_into`].
 ///
 /// # Panics
 ///
@@ -421,33 +444,84 @@ fn select_keys(values: &[f32], k: usize, keys: &mut Vec<u64>) -> bool {
 /// The order key of entry `(j, v)` (see the module docs), for a producer
 /// that streams entries straight into a key buffer —
 /// [`rank_index_ordered_keys_into`] ranks them without an entry list in
-/// between.
+/// between, and [`key_entry`] reads one back.
 #[inline]
 pub fn order_key(j: u32, v: f32) -> u64 {
     pack(j as usize, v)
 }
 
-/// Ranks [`order_key`]s that were pushed in strictly increasing index order
-/// (a decoded frame's entries always are) and writes the ranked entries into
-/// `out` (cleared first): the magnitude digits are all that is left to sort.
-/// `keys` is consumed as scratch.
-pub fn rank_index_ordered_keys_into(keys: &mut Vec<u64>, out: &mut Vec<(usize, f32)>) {
+/// Ranks [`order_key`]s that arrive in strictly increasing index order (an
+/// upload's entries always are) into `ranked` (refilled): the magnitude
+/// digits are all that is left to sort. The passes ping-pong between
+/// `keys`, consumed as scratch, and `ranked`, so neither buffer grows past
+/// the key count.
+pub fn rank_index_ordered_keys_into(keys: &mut [u64], ranked: &mut Vec<u64>) {
     debug_assert!(
         keys.windows(2)
             .all(|w| index_field(w[0]) < index_field(w[1])),
         "keys must arrive in strictly increasing index order"
     );
-    unpack_to(rank_keys(keys, true), out);
+    ranked.clear();
+    if keys.len() <= SMALL_SORT {
+        keys.sort_unstable();
+        ranked.extend_from_slice(keys);
+        return;
+    }
+    ranked.resize(keys.len(), 0);
+    if !radix_sort_between(keys, ranked, &MAG_DIGITS) {
+        ranked.copy_from_slice(keys);
+    }
 }
 
-/// Returns the `kappa` largest-magnitude entries of an *already ranked*
-/// upload list (entries sorted by decreasing magnitude), i.e. the per-client
-/// `J_i^kappa` sets used by the fairness-aware selection.
-pub fn prefix_indices(
-    ranked_entries: &[(usize, f32)],
-    kappa: usize,
-) -> impl Iterator<Item = usize> + '_ {
-    ranked_entries.iter().take(kappa).map(|&(j, _)| j)
+/// Writes the [`order_key`]s of `entries` (any order) into `ranked`
+/// (cleared first) in the magnitude order — an upload's ranked key view,
+/// for a caller that holds only its entries. `scratch` is cleared and
+/// reused.
+///
+/// # Panics
+///
+/// Panics if an index does not fit in 32 bits.
+pub fn rank_entries_into(entries: &[(usize, f32)], scratch: &mut Vec<u64>, ranked: &mut Vec<u64>) {
+    let index_sorted = pack_entries(entries, scratch);
+    ranked.clear();
+    ranked.extend_from_slice(rank_keys(scratch, index_sorted));
+}
+
+/// The indices of the first `kappa` keys of a ranked key view, i.e. the
+/// per-client `J_i^kappa` sets used by the fairness-aware selection.
+pub fn prefix_indices(ranked: &[u64], kappa: usize) -> impl Iterator<Item = usize> + '_ {
+    ranked
+        .iter()
+        .take(kappa)
+        .map(|&key| index_field(key) as usize)
+}
+
+/// Sorts `indices` ascending — a downlink set `J` before the shared sweep —
+/// with the index passes of [`sort_by_index`] on `scratch` (cleared first;
+/// it grows to `2 · indices.len()` keys), or `sort_unstable` up to
+/// `SMALL_SORT` indices.
+///
+/// # Panics
+///
+/// Panics if an index does not fit in 32 bits.
+pub fn sort_indices(indices: &mut [usize], scratch: &mut Vec<u64>) {
+    if indices.len() <= SMALL_SORT {
+        indices.sort_unstable();
+        return;
+    }
+    scratch.clear();
+    let mut index_bits = 0;
+    scratch.extend(indices.iter().map(|&j| {
+        index_bits |= j;
+        (j as u64) << 1
+    }));
+    assert!(
+        index_bits <= u32::MAX as usize,
+        "index exceeds the 32-bit key field"
+    );
+    for (j, &key) in indices.iter_mut().zip(radix_sort(scratch, &INDEX_DIGITS)) {
+        *j = index_field(key) as usize;
+    }
 }
 
 /// Sorts entries by decreasing magnitude with deterministic index
@@ -497,7 +571,7 @@ pub fn truncate_to_top_k(entries: &mut Vec<(usize, f32)>, k: usize, scratch: &mu
         scratch.select_nth_unstable(k - 1);
     }
     entries.clear();
-    entries.extend(scratch[..k].iter().map(|&key| unpack(key)));
+    entries.extend(scratch[..k].iter().map(|&key| key_entry(key)));
 }
 
 /// The executable specification of the magnitude order: larger magnitude
@@ -656,8 +730,13 @@ mod tests {
     }
 
     #[test]
-    fn prefix_indices_takes_leading_entries() {
-        let ranked = vec![(5, -4.0), (2, 2.5), (0, 1.0)];
+    fn prefix_indices_takes_leading_keys() {
+        let (mut ranked, mut scratch) = (Vec::new(), Vec::new());
+        rank_entries_into(&[(0, 1.0), (2, 2.5), (5, -4.0)], &mut scratch, &mut ranked);
+        assert_eq!(
+            ranked.iter().map(|&key| key_entry(key)).collect::<Vec<_>>(),
+            [(5, -4.0), (2, 2.5), (0, 1.0)]
+        );
         let first_two: Vec<usize> = prefix_indices(&ranked, 2).collect();
         assert_eq!(first_two, vec![5, 2]);
         let none: Vec<usize> = prefix_indices(&ranked, 0).collect();
@@ -665,6 +744,31 @@ mod tests {
     }
 
     proptest! {
+        /// The index radix against `sort_unstable`, on both sides of the
+        /// `SMALL_SORT` cut-over, with indices up to the 32-bit field's top
+        /// digit (so no index pass is skipped as shared).
+        #[test]
+        fn prop_sort_indices_matches_sort_unstable(
+            len in 0usize..3000,
+            bound_idx in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            use rand::seq::SliceRandom;
+            use rand::SeedableRng;
+            let bound = [5_000usize, 419_582, u32::MAX as usize][bound_idx];
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut indices: Vec<usize> = (0..len)
+                .map(|_| rand::Rng::gen_range(&mut rng, 0..=bound))
+                .collect();
+            indices.sort_unstable();
+            indices.dedup();
+            let expected = indices.clone();
+            indices.shuffle(&mut rng);
+            let mut scratch = vec![7; 3];
+            sort_indices(&mut indices, &mut scratch);
+            prop_assert_eq!(indices, expected);
+        }
+
         #[test]
         fn prop_topk_returns_true_top_k(
             values in proptest::collection::vec(-100.0f32..100.0, 1..80),

@@ -2,7 +2,7 @@ use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
 use crate::sparsifier::{aggregate_marked, ClientUpload, SelectionResult, Sparsifier, UploadPlan};
-use crate::SparseGradient;
+use crate::{topk, SparseGradient};
 
 /// Unidirectional top-k sparsification.
 ///
@@ -65,7 +65,7 @@ impl Sparsifier for UnidirectionalTopK {
                 }
             }
         }
-        scratch.selected.sort_unstable();
+        topk::sort_indices(&mut scratch.selected, &mut scratch.keys);
         aggregate_marked(uploads, dim, scratch, true)
     }
 
@@ -86,7 +86,6 @@ impl Sparsifier for UnidirectionalTopK {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topk;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

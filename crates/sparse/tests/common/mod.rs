@@ -1,6 +1,49 @@
 //! Upload generators shared by the selection proptests.
 
-use agsfl_sparse::{topk, ClientUpload};
+use agsfl_sparse::{topk, ClientUpload, SelectionResult, SparseGradient};
+
+/// The uploads as the round engine delivers them: the same entries in
+/// index order, carrying their ranked key view when the plan ranks and
+/// none otherwise.
+pub fn engine_shaped(uploads: &[ClientUpload], rank: bool) -> Vec<ClientUpload> {
+    uploads
+        .iter()
+        .map(|u| {
+            let mut entries = u.entries.clone();
+            entries.sort_unstable_by_key(|&(j, _)| j);
+            let mut upload = ClientUpload::new(u.client, u.weight, entries);
+            if !rank {
+                upload.ranked.clear();
+            }
+            upload
+        })
+        .collect()
+}
+
+/// A gradient's entries, values as their bits.
+pub fn bits(gradient: &SparseGradient) -> Vec<(usize, u32)> {
+    gradient
+        .entries()
+        .iter()
+        .map(|&(j, v)| (j, v.to_bits()))
+        .collect()
+}
+
+/// Two selections over the same uploads listed in different entry orders
+/// agree bit for bit: the aggregate, the accounting, and every upload's
+/// reset *set* (its run lists the resets in the upload's entry order).
+pub fn assert_same_selection(a: &SelectionResult, b: &SelectionResult, uploads: usize) {
+    assert_eq!(bits(&a.aggregated), bits(&b.aggregated));
+    assert_eq!(a.max_uplink_scalars(), b.max_uplink_scalars());
+    assert_eq!(a.downlink_scalars(), b.downlink_scalars());
+    for u in 0..uploads {
+        let mut set = a.resets(u).to_vec();
+        set.sort_unstable();
+        let mut other = b.resets(u).to_vec();
+        other.sort_unstable();
+        assert_eq!(set, other, "upload {u}");
+    }
+}
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;

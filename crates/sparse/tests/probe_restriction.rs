@@ -5,25 +5,20 @@
 //! answers from the round's own result instead — `selection.aggregated`
 //! restricted to `J(k')` — and these tests hold it, bit for bit, to that
 //! independent selection, for all five sparsifiers and on both sides of the
-//! `k' <= k` line where the restriction hands over to the fallback.
+//! `k' <= k` line where the restriction hands over to the fallback — on
+//! rank-ordered uploads built by `ClientUpload::new` and on the same
+//! uploads engine-shaped, which must probe the same bits.
 
 mod common;
 
 use agsfl_sparse::{
-    ClientUpload, FabTopK, FubTopK, PeriodicK, SelectionScratch, SendAll, SparseGradient,
-    Sparsifier, UnidirectionalTopK,
+    ClientUpload, FabTopK, FubTopK, PeriodicK, SelectionScratch, SendAll, Sparsifier,
+    UnidirectionalTopK,
 };
+use common::bits;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-fn bits(gradient: &SparseGradient) -> Vec<(usize, u32)> {
-    gradient
-        .entries()
-        .iter()
-        .map(|&(j, v)| (j, v.to_bits()))
-        .collect()
-}
 
 /// Every probe degree worth a case around the round's `k` and the size of
 /// what it selected: the smallest, the middle, one below, the same, and the
@@ -33,17 +28,45 @@ fn probe_degrees(k: usize, nnz: usize) -> [usize; 6] {
     [1, k / 2, k.saturating_sub(1), k, nnz, nnz + 1]
 }
 
-/// Selects at `k`, then checks `probe_aggregate` at every probe degree
-/// against a fresh-scratch `select_into` at that degree. The probe runs on
-/// the scratch the selection just used, as it does in the round engine.
+/// [`assert_restriction_matches_on`] over `uploads` as built and
+/// engine-shaped (`rank`: whether the plan ranks), with equal bits from
+/// both.
 fn assert_restriction_matches(
     sparsifier: &dyn Sparsifier,
     uploads: &[ClientUpload],
     dim: usize,
     k: usize,
+    rank: bool,
 ) {
+    let built = assert_restriction_matches_on(sparsifier, uploads, dim, k);
+    let engine = common::engine_shaped(uploads, rank);
+    common::assert_same_selection(
+        &sparsifier.select(uploads, dim, k),
+        &sparsifier.select(&engine, dim, k),
+        uploads.len(),
+    );
+    assert_eq!(
+        built,
+        assert_restriction_matches_on(sparsifier, &engine, dim, k),
+        "{} k={}: engine-shaped uploads probed other bits",
+        sparsifier.name(),
+        k
+    );
+}
+
+/// Selects at `k`, then checks `probe_aggregate` at every probe degree
+/// against a fresh-scratch `select_into` at that degree. The probe runs on
+/// the scratch the selection just used, as it does in the round engine.
+/// Returns every probed aggregate's bits.
+fn assert_restriction_matches_on(
+    sparsifier: &dyn Sparsifier,
+    uploads: &[ClientUpload],
+    dim: usize,
+    k: usize,
+) -> Vec<Vec<(usize, u32)>> {
     let mut scratch = SelectionScratch::new();
     let selection = sparsifier.select_into(uploads, dim, k, &mut scratch);
+    let mut probed_bits = Vec::new();
     for probe_k in probe_degrees(k, selection.aggregated.nnz()) {
         let expected = sparsifier.select(uploads, dim, probe_k).aggregated;
         let probed = sparsifier.probe_aggregate(uploads, dim, k, &selection, probe_k, &mut scratch);
@@ -67,7 +90,9 @@ fn assert_restriction_matches(
                 probe_k
             );
         }
+        probed_bits.push(bits(got));
     }
+    probed_bits
 }
 
 proptest! {
@@ -86,9 +111,9 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let uploads = common::ragged_tied_uploads(&mut rng, n_clients, dim, max_len);
         let k = 1 + k_raw % dim;
-        assert_restriction_matches(&FabTopK::new(), &uploads, dim, k);
-        assert_restriction_matches(&FubTopK::new(), &uploads, dim, k);
-        assert_restriction_matches(&UnidirectionalTopK::new(), &uploads, dim, k);
+        assert_restriction_matches(&FabTopK::new(), &uploads, dim, k, true);
+        assert_restriction_matches(&FubTopK::new(), &uploads, dim, k, true);
+        assert_restriction_matches(&UnidirectionalTopK::new(), &uploads, dim, k, true);
     }
 
     /// The coordinate-set and dense sparsifiers, whose selection never reads
@@ -103,9 +128,9 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let k = 1 + k_raw % dim;
         let sparse = common::random_coordinate_uploads(&mut rng, n_clients, dim, k);
-        assert_restriction_matches(&PeriodicK::new(), &sparse, dim, k);
+        assert_restriction_matches(&PeriodicK::new(), &sparse, dim, k, false);
         let dense = common::random_dense_uploads(&mut rng, n_clients, dim);
-        assert_restriction_matches(&SendAll::new(), &dense, dim, k);
+        assert_restriction_matches(&SendAll::new(), &dense, dim, k, false);
     }
 }
 
@@ -121,7 +146,7 @@ fn hand_built_corners() {
     ];
     for k in 1..=8 {
         for sparsifier in [&FabTopK::new() as &dyn Sparsifier, &FubTopK::new()] {
-            assert_restriction_matches(sparsifier, &uploads, 8, k);
+            assert_restriction_matches(sparsifier, &uploads, 8, k, true);
         }
     }
     // {0, 1} fits k = 3; level 1 offers index 7 three times and overflows

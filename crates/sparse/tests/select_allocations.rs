@@ -1,12 +1,14 @@
-//! The selection's allocations do not grow with the number of clients.
+//! The selection's allocations do not grow with the number of clients or
+//! the number of resets.
 //!
 //! `Sparsifier::select_into` keeps every temporary in the caller's
 //! `SelectionScratch`, and its result stores the resets as one flat list
-//! with per-upload end offsets. So once a warm-up call has sized the
-//! scratch, a call allocates the same number of times whether its uploads
-//! come from 1, 8 or 64 clients — as long as the total of uploaded and
-//! reset entries stays the same. A reset `Vec` per client, or any other
-//! per-client list, makes the count grow with `N`.
+//! with per-upload end offsets, reserved once at the total upload length.
+//! So once a warm-up call has sized the scratch, a call allocates exactly
+//! its three result lists whether its uploads come from 1, 8 or 64
+//! clients and however many entries they reset. A reset `Vec` per client,
+//! or any other per-client list, makes the count grow with `N`; a reset
+//! list that grows by doubling makes it grow with the resets.
 //!
 //! The counter is a `#[global_allocator]` of this test binary alone,
 //! counting the calls that obtain memory (`alloc`, `alloc_zeroed`,
@@ -59,21 +61,26 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Uploaded entries per round, whatever the client count.
-const TOTAL: usize = 512;
-/// Downlink budget of the two bidirectional top-k sparsifiers: with the
-/// uploads disjoint, each selected index is reset in exactly one upload.
-const K: usize = 64;
+/// Allocations of a warm `select_into`, for every sparsifier, client count
+/// and reset total: the aggregate's entries, the flat reset list and its
+/// end offsets, once each.
+const WARM_SELECT_ALLOCATIONS: usize = 3;
+
+/// Uploaded entries per round, whatever the client count: two totals, so
+/// the resets differ too.
+const TOTALS: [usize; 2] = [512, 4096];
 
 /// One round's uploads from `n` clients, and the model dimension.
 type Round = (Vec<ClientUpload>, usize);
-/// Builds the round a sparsifier is counted on, for a client count.
-type RoundFor = fn(usize) -> Round;
+/// Builds the round a sparsifier is counted on, for a client count and an
+/// upload total.
+type RoundFor = fn(usize, usize) -> Round;
 
-/// Top-k uploads: each client uploads its own `TOTAL / n` indices, ranked
-/// by decreasing magnitude — disjoint, so the union is all `TOTAL`.
-fn disjoint_ranked(n: usize) -> Round {
-    let len = TOTAL / n;
+/// Top-k uploads: each client uploads its own `total / n` indices in index
+/// order, the shape the round engine delivers — disjoint, so the union is
+/// all `total`.
+fn disjoint_top_k(n: usize, total: usize) -> Round {
+    let len = total / n;
     let uploads = (0..n)
         .map(|i| {
             let entries = (0..len)
@@ -82,28 +89,28 @@ fn disjoint_ranked(n: usize) -> Round {
             ClientUpload::new(i, 1.0 / n as f64, entries)
         })
         .collect();
-    (uploads, TOTAL)
+    (uploads, total)
 }
 
-/// Every client uploads the same first `TOTAL / n` coordinates, so the
+/// Every client uploads the same first `total / n` coordinates, so the
 /// shared set shrinks as the clients grow.
-fn shared_prefix(n: usize) -> Vec<ClientUpload> {
+fn shared_prefix(n: usize, total: usize) -> Vec<ClientUpload> {
     (0..n)
         .map(|i| {
-            let entries = (0..TOTAL / n).map(|j| (j, (i + j) as f32 - 3.0)).collect();
+            let entries = (0..total / n).map(|j| (j, (i + j) as f32 - 3.0)).collect();
             ClientUpload::new(i, 1.0 / n as f64, entries)
         })
         .collect()
 }
 
 /// Periodic-k: the shared set is a subset of the coordinates.
-fn periodic(n: usize) -> Round {
-    (shared_prefix(n), TOTAL)
+fn periodic(n: usize, total: usize) -> Round {
+    (shared_prefix(n, total), total)
 }
 
 /// Send-all: the shared set is every coordinate.
-fn dense(n: usize) -> Round {
-    (shared_prefix(n), TOTAL / n)
+fn dense(n: usize, total: usize) -> Round {
+    (shared_prefix(n, total), total / n)
 }
 
 /// Allocations of the second of two `select_into` calls on one scratch,
@@ -124,28 +131,32 @@ fn warm_allocations(
 }
 
 #[test]
-fn warm_selection_allocations_do_not_depend_on_the_client_count() {
+fn warm_selection_allocations_do_not_depend_on_the_client_count_or_the_resets() {
+    // (sparsifier, round builder, resets as a fraction of the total: the
+    // bidirectional two select k = total / 8, each index reset in exactly
+    // one of the disjoint uploads; the other three reset every entry).
     let cases: [(&dyn Sparsifier, RoundFor, usize); 5] = [
-        (&FabTopK::new(), disjoint_ranked, K),
-        (&FubTopK::new(), disjoint_ranked, K),
-        (&UnidirectionalTopK::new(), disjoint_ranked, TOTAL),
-        (&PeriodicK::new(), periodic, TOTAL),
-        (&SendAll::new(), dense, TOTAL),
+        (&FabTopK::new(), disjoint_top_k, 8),
+        (&FubTopK::new(), disjoint_top_k, 8),
+        (&UnidirectionalTopK::new(), disjoint_top_k, 1),
+        (&PeriodicK::new(), periodic, 1),
+        (&SendAll::new(), dense, 1),
     ];
-    for (sparsifier, round, expected_resets) in cases {
-        let counts: Vec<(usize, usize)> = [1, 8, 64]
-            .into_iter()
-            .map(|n| {
-                let (uploads, dim) = round(n);
-                assert_eq!(uploads.iter().map(ClientUpload::len).sum::<usize>(), TOTAL);
-                let (allocations, resets) = warm_allocations(sparsifier, &uploads, dim, K);
-                assert_eq!(resets, expected_resets, "{} N={n}", sparsifier.name());
-                (n, allocations)
-            })
-            .collect();
+    for (sparsifier, round, divisor) in cases {
+        let mut counts = Vec::new();
+        for total in TOTALS {
+            let k = total / 8;
+            for n in [1, 8, 64] {
+                let (uploads, dim) = round(n, total);
+                assert_eq!(uploads.iter().map(ClientUpload::len).sum::<usize>(), total);
+                let (allocations, resets) = warm_allocations(sparsifier, &uploads, dim, k);
+                assert_eq!(resets, total / divisor, "{} N={n}", sparsifier.name());
+                counts.push((total, n, allocations));
+            }
+        }
         assert!(
-            counts.iter().all(|&(_, a)| a == counts[0].1),
-            "{}: allocations of a warm select_into by client count (N, count): {counts:?}",
+            counts.iter().all(|&(_, _, a)| a == WARM_SELECT_ALLOCATIONS),
+            "{}: allocations of a warm select_into by (upload total, N, count): {counts:?}",
             sparsifier.name()
         );
     }

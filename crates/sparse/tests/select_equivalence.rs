@@ -10,7 +10,10 @@
 //!   the same order, so even the floating point output is bit-equal);
 //! * repeated `select_into` calls on one shared scratch must return
 //!   identical results — i.e. epoch stamping really does isolate rounds and
-//!   no stale generation ever leaks.
+//!   no stale generation ever leaks;
+//! * the uploads built rank-ordered by `ClientUpload::new` and the same
+//!   uploads engine-shaped (index-ordered entries, ranked key view) select
+//!   the same bits, each against the reference on its own shape.
 
 mod common;
 
@@ -94,25 +97,45 @@ proptest! {
         // does with its probe selection.
         let mut scratch = SelectionScratch::new();
 
-        let topk_uploads = random_topk_uploads(&mut rng, n_clients, dim, k);
-        let expected = reference::fab_select(&topk_uploads, dim, k);
-        assert_equivalent(&FabTopK::new(), &topk_uploads, dim, k, &expected, &mut scratch);
+        let ranked = random_topk_uploads(&mut rng, n_clients, dim, k);
+        let coordinates = common::random_coordinate_uploads(&mut rng, n_clients, dim, k);
+        let dense = common::random_dense_uploads(&mut rng, n_clients, dim);
+        let shapes = [
+            (ranked.clone(), coordinates.clone(), dense.clone()),
+            (
+                common::engine_shaped(&ranked, true),
+                common::engine_shaped(&coordinates, false),
+                common::engine_shaped(&dense, false),
+            ),
+        ];
+        let mut results = Vec::new();
+        for (topk_uploads, coord_uploads, dense_uploads) in &shapes {
+            let expected = reference::fab_select(topk_uploads, dim, k);
+            assert_equivalent(&FabTopK::new(), topk_uploads, dim, k, &expected, &mut scratch);
+            results.push(expected);
 
-        let expected = reference::fub_select(&topk_uploads, dim, k);
-        assert_equivalent(&FubTopK::new(), &topk_uploads, dim, k, &expected, &mut scratch);
+            let expected = reference::fub_select(topk_uploads, dim, k);
+            assert_equivalent(&FubTopK::new(), topk_uploads, dim, k, &expected, &mut scratch);
+            results.push(expected);
 
-        let expected = reference::unidirectional_select(&topk_uploads, dim);
-        assert_equivalent(
-            &UnidirectionalTopK::new(), &topk_uploads, dim, k, &expected, &mut scratch,
-        );
+            let expected = reference::unidirectional_select(topk_uploads, dim);
+            assert_equivalent(
+                &UnidirectionalTopK::new(), topk_uploads, dim, k, &expected, &mut scratch,
+            );
+            results.push(expected);
 
-        let coord_uploads = common::random_coordinate_uploads(&mut rng, n_clients, dim, k);
-        let expected = reference::periodic_select(&coord_uploads, dim);
-        assert_equivalent(&PeriodicK::new(), &coord_uploads, dim, k, &expected, &mut scratch);
+            let expected = reference::periodic_select(coord_uploads, dim);
+            assert_equivalent(&PeriodicK::new(), coord_uploads, dim, k, &expected, &mut scratch);
+            results.push(expected);
 
-        let dense_uploads = common::random_dense_uploads(&mut rng, n_clients, dim);
-        let expected = reference::send_all_select(&dense_uploads, dim);
-        assert_equivalent(&SendAll::new(), &dense_uploads, dim, k, &expected, &mut scratch);
+            let expected = reference::send_all_select(dense_uploads, dim);
+            assert_equivalent(&SendAll::new(), dense_uploads, dim, k, &expected, &mut scratch);
+            results.push(expected);
+        }
+        let (rank_ordered, engine) = results.split_at(5);
+        for (a, b) in rank_ordered.iter().zip(engine) {
+            common::assert_same_selection(a, b, n_clients);
+        }
     }
 
     /// FAB's sorted `select_indices` equals the (sorted) reference selection.
@@ -151,15 +174,21 @@ proptest! {
         k_raw in 0usize..64,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let uploads = common::ragged_tied_uploads(&mut rng, n_clients, dim, max_len);
+        let ranked = common::ragged_tied_uploads(&mut rng, n_clients, dim, max_len);
+        let engine = common::engine_shaped(&ranked, true);
         let k = 1 + k_raw % dim;
-        let expected = reference::fab_select(&uploads, dim, k);
         let mut scratch = SelectionScratch::new();
-        assert_equivalent(&FabTopK::new(), &uploads, dim, k, &expected, &mut scratch);
-        prop_assert_eq!(
-            FabTopK::select_indices(&uploads, k),
-            reference::fab_select_indices(&uploads, k)
-        );
+        let mut results = Vec::new();
+        for uploads in [&ranked, &engine] {
+            let expected = reference::fab_select(uploads, dim, k);
+            assert_equivalent(&FabTopK::new(), uploads, dim, k, &expected, &mut scratch);
+            prop_assert_eq!(
+                FabTopK::select_indices(uploads, k),
+                reference::fab_select_indices(uploads, k)
+            );
+            results.push(expected);
+        }
+        common::assert_same_selection(&results[0], &results[1], n_clients);
     }
 }
 

@@ -153,9 +153,10 @@ proptest! {
     /// The byte-priced client path against the unwired one: the index-ordered
     /// selection is the ranked selection sorted by index, entry for entry, on
     /// both sides of the streaming/histogram cut-over, at every edge `k`
-    /// (`k ≥ dim` included), with ties, both zeros and NaN in the vector. And
-    /// the server's half: ranking the index-ordered selection from its order
-    /// keys gives the ranked selection back.
+    /// (`k ≥ dim` included), with ties, both zeros and NaN in the vector. The
+    /// selection leaves exactly its entries' order keys in the scratch, and
+    /// ranking those (or the entries, through `rank_entries_into`) gives the
+    /// ranked selection back as a key view.
     #[test]
     fn prop_indexed_selection_is_the_ranked_selection_sorted_by_index(
         seed in 0u64..1_000_000,
@@ -177,13 +178,18 @@ proptest! {
             expected.sort_by_key(|&(j, _)| j);
             prop_assert_eq!(bits(&indexed), bits(&expected), "dim {}, k {}", dim, k);
 
-            let mut keys: Vec<u64> = indexed
+            let keys: Vec<u64> = indexed
                 .iter()
                 .map(|&(j, v)| topk::order_key(j as u32, v))
                 .collect();
-            let mut reranked = vec![(9, 9.0)];
-            topk::rank_index_ordered_keys_into(&mut keys, &mut reranked);
+            prop_assert_eq!(&scratch, &keys, "dim {}, k {}", dim, k);
+            let mut view = vec![9];
+            topk::rank_index_ordered_keys_into(&mut scratch, &mut view);
+            let reranked: Vec<(usize, f32)> = view.iter().map(|&key| topk::key_entry(key)).collect();
             prop_assert_eq!(bits(&reranked), bits(&ranked), "dim {}, k {}", dim, k);
+            let mut from_entries = vec![9];
+            topk::rank_entries_into(&indexed, &mut scratch, &mut from_entries);
+            prop_assert_eq!(&from_entries, &view, "dim {}, k {}", dim, k);
         }
     }
 
@@ -239,11 +245,12 @@ fn paper_shape_matches_reference() {
             assert_eq!(bits(&indexed), bits(&out), "generator {generator}, k {k}");
             topk::rank_by_magnitude(&mut out, &mut scratch);
             assert_eq!(bits(&out), bits(&expected), "generator {generator}, k {k}");
-            scratch.clear();
-            scratch.extend(indexed.iter().map(|&(j, v)| topk::order_key(j as u32, v)));
-            topk::rank_index_ordered_keys_into(&mut scratch, &mut indexed);
+            topk::top_k_entries_indexed_into(&values, k, &mut scratch, &mut indexed);
+            let mut view = Vec::new();
+            topk::rank_index_ordered_keys_into(&mut scratch, &mut view);
+            let ranked: Vec<(usize, f32)> = view.iter().map(|&key| topk::key_entry(key)).collect();
             assert_eq!(
-                bits(&indexed),
+                bits(&ranked),
                 bits(&expected),
                 "generator {generator}, k {k}"
             );

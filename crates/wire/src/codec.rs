@@ -756,9 +756,12 @@ mod tests {
         assert_eq!(scratch.generation(), 3);
     }
 
+    /// A prefix is priced as the frame of its entries in index order: the
+    /// top keys of a ranked upload (whichever order its entries are in),
+    /// and the leading entries of an unranked one.
     #[test]
-    fn index_sorted_uplink_matches_sorted_encoding() {
-        use agsfl_sparse::topk;
+    fn prefix_pricing_matches_the_encoded_prefix() {
+        use agsfl_sparse::{topk, ClientUpload};
 
         let ranked = vec![(50usize, -9.0f32), (3, 4.0), (72, 1.0)];
         let mut sorted = ranked.clone();
@@ -770,17 +773,33 @@ mod tests {
         let from_ranked = DeltaVarint.encode_into(100, &uplink, &mut scratch).to_vec();
         let from_sorted = DeltaVarint.encode_into(100, &sorted, &mut scratch).to_vec();
         assert_eq!(from_ranked, from_sorted);
+        for entries in [ranked.clone(), sorted.clone()] {
+            let upload = ClientUpload::new(0, 1.0, entries);
+            for len in 0..=3 {
+                let mut top = ranked[..len].to_vec();
+                top.sort_unstable_by_key(|&(j, _)| j);
+                assert_eq!(
+                    scratch.encoded_len_prefix(&DeltaVarint, 100, &upload, len, &mut keys),
+                    DeltaVarint.encode_into(100, &top, &mut scratch).len()
+                );
+            }
+        }
+        let mut unranked = ClientUpload::new(0, 1.0, sorted.clone());
+        unranked.ranked.clear();
         assert_eq!(
-            scratch.encoded_len_unsorted(&DeltaVarint, 100, &ranked, &mut keys),
-            from_sorted.len()
+            scratch.encoded_len_prefix(&DeltaVarint, 100, &unranked, 2, &mut keys),
+            DeltaVarint
+                .encode_into(100, &sorted[..2], &mut scratch)
+                .len()
         );
         // Long enough for the radix passes of `topk::sort_by_index`.
         let long: Vec<(usize, f32)> = (0..3000).map(|i| (i * 7919 % 3001, i as f32)).collect();
         let mut uplink = long.clone();
         topk::sort_by_index(&mut uplink, &mut keys);
         let frame_len = DeltaVarint.encode_into(3001, &uplink, &mut scratch).len();
+        let upload = ClientUpload::new(0, 1.0, long);
         assert_eq!(
-            scratch.encoded_len_unsorted(&DeltaVarint, 3001, &long, &mut keys),
+            scratch.encoded_len_prefix(&DeltaVarint, 3001, &upload, 3000, &mut keys),
             frame_len
         );
     }

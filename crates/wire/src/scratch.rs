@@ -1,6 +1,6 @@
 //! Reusable encode workspace.
 
-use agsfl_sparse::topk;
+use agsfl_sparse::{topk, ClientUpload};
 
 use crate::codec::Codec;
 
@@ -12,10 +12,10 @@ use crate::codec::Codec;
 /// * `frame` — the output byte buffer, logically cleared by starting a new
 ///   generation.
 /// * `staging` — an index-sort buffer used by
-///   [`WireScratch::encoded_len_unsorted`] to canonicalize rank-ordered
-///   uplink prefixes before pricing them. Only the server's one workspace
-///   ever fills it: clients select their entry list in index order and
-///   call [`Codec::encode_into`].
+///   [`WireScratch::encoded_len_prefix`] to canonicalize ranked uplink
+///   prefixes before pricing them. Only the server's one workspace ever
+///   fills it: clients select their entry list in index order and call
+///   [`Codec::encode_into`].
 ///
 /// Each encode starts a new generation (see [`WireScratch::generation`]);
 /// the byte slice returned by an encode borrows the workspace, so the
@@ -65,10 +65,12 @@ impl WireScratch {
         &self.frame
     }
 
-    /// Exact encoded size of a message whose entries are in arbitrary
-    /// order (e.g. a prefix of a magnitude-ranked uplink message), without
-    /// encoding it — used for hypothetical-`k'` probe pricing. The entries
-    /// are staged in the workspace and index-sorted through
+    /// Exact encoded size of the upload an uplink of `len` entries would
+    /// have been, without encoding it — used for hypothetical-`k'` probe
+    /// pricing. That is the first `len` keys of the upload's ranked view
+    /// (its top-`len` message) when the plan ranks, and its first `len`
+    /// entries — already in index order — when it does not. A ranked prefix
+    /// is unpacked into the workspace and index-sorted through
     /// [`topk::sort_by_index`] on the caller's packed-key buffer: every
     /// client owns a `WireScratch`, so a key buffer in here would be held
     /// once per client for the one caller — the server's probe — that
@@ -76,16 +78,21 @@ impl WireScratch {
     ///
     /// # Panics
     ///
-    /// Panics if an index does not fit in 32 bits.
-    pub fn encoded_len_unsorted(
+    /// Panics if `len` exceeds the upload.
+    pub fn encoded_len_prefix(
         &mut self,
         codec: &dyn Codec,
         dim: usize,
-        entries: &[(usize, f32)],
+        upload: &ClientUpload,
+        len: usize,
         keys: &mut Vec<u64>,
     ) -> usize {
+        if upload.ranked.is_empty() {
+            return codec.encoded_len(dim, &upload.entries[..len]);
+        }
         self.staging.clear();
-        self.staging.extend_from_slice(entries);
+        self.staging
+            .extend(upload.ranked[..len].iter().map(|&key| topk::key_entry(key)));
         topk::sort_by_index(&mut self.staging, keys);
         codec.encoded_len(dim, &self.staging)
     }

@@ -74,13 +74,13 @@ if sim_product | grep -E 'sort_unstable_by_key|params\.clone\(\)'; then
     echo "verify: the round path sorts by comparison or clones the weights (lines above)" >&2
     exit 1
 fi
-# The probe's encoded_len_unsorted — the one user of the staging copy, and
+# The probe's encoded_len_prefix — the one user of the staging copy, and
 # with the client selecting in index order the one caller of
 # topk::sort_by_index on the round path — must not fall back to a
 # comparison sort.
-if awk '/pub fn encoded_len_unsorted/ { on = 1 } on { print FNR ":" $0 } on && /^    }/ { exit }' \
+if awk '/pub fn encoded_len_prefix/ { on = 1 } on { print FNR ":" $0 } on && /^    }/ { exit }' \
     crates/wire/src/scratch.rs | grep -F '.sort'; then
-    echo "verify: WireScratch::encoded_len_unsorted comparison-sorts (lines above); use topk::sort_by_index" >&2
+    echo "verify: WireScratch::encoded_len_prefix comparison-sorts (lines above); use topk::sort_by_index" >&2
     exit 1
 fi
 
@@ -145,6 +145,26 @@ if product_lines crates/fl/src/client.rs | grep -F 'sort_by_index'; then
 fi
 if product_lines crates/sparse/src/accumulator.rs | grep -F 'binary_search'; then
     echo "verify: crates/sparse/src/accumulator.rs searches the error list per index (lines above); merge it" >&2
+    exit 1
+fi
+
+step "an upload is index-ordered wherever it lives (entries in index order, the ranking a key view, one owner per buffer)"
+# Every TopKOwn build is topk::top_k_entries_indexed_into, wired or not;
+# the producer ranks the index-ordered keys into the slot's ranked view
+# (Client::rank_upload_into), which FAB's scan and the probe's prefix
+# pricing read. A ranked top_k_entries_into call or a wired-only arm in the
+# product code of crates/fl/src is the rank-ordered upload coming back, and
+# a probe that prices entries[..k'] prices an index-ordered prefix as if it
+# were the top k'. Product code only (up to a file's #[cfg(test)]); comment
+# lines are exempt.
+if for f in crates/fl/src/*.rs; do product_lines "$f"; done \
+    | grep -E 'top_k_entries_into\(|TopKOwn if wired'; then
+    echo "verify: crates/fl/src builds a rank-ordered upload (lines above); select in index order and rank the keys" >&2
+    exit 1
+fi
+if awk '/fn probe_round_time\(/ { on = 1 } on { print FNR ":" $0 } on && /^    }/ { exit }' \
+    crates/fl/src/simulation.rs | grep -F 'entries[..'; then
+    echo "verify: WireState::probe_round_time prices an entries prefix (lines above); price the ranked view's" >&2
     exit 1
 fi
 
@@ -305,18 +325,24 @@ cargo test -q -p agsfl-core resume
 step "decode fuzz (hostile frames never panic the wire layer)"
 cargo test -q -p agsfl-wire --test decode_fuzz
 
-step "selection contract (all five select_into == the seed spec, bit for bit; a warm selection's allocations do not grow with the client count)"
+step "selection contract (all five select_into == the seed spec, bit for bit, on rank-ordered and engine-shaped uploads alike; a warm selection allocates its three lists, whatever the client count or resets)"
 cargo test -q -p agsfl-sparse --test select_equivalence
 cargo test -q -p agsfl-sparse --test select_allocations
+cargo test -q -p agsfl-sparse --lib prop_sort_indices_matches_sort_unstable
+
+step "upload contract (every plan, unwired and every codec: delivered entries index-ordered with their own rank as keys; uploads hold nothing after bookkeeping)"
+cargo test -q -p agsfl-fl --lib delivered_uploads_are_index_ordered_and_slots_own_their_buffers
+cargo test -q -p agsfl-bench --lib server_workload_is_engine_shaped
 
 step "top-k equivalence (integer-key select/rank == the comparator spec, bit for bit; NaN never panics)"
 cargo test -q -p agsfl-sparse --test topk_equivalence
 
 step "wired uploads (one encode-then-decode per member over every codec; indexed selection, single-sweep radix, reset merge, decode-to-keys rank, frame hash, integer quantize == their specs)"
 # topk_equivalence above already ran the indexed-selection proptest. Every
-# test and debug build re-derives each wired upload as decode_frame +
-# rank_by_magnitude inside Client::decode_upload_into, so the in-file wired
-# simulation tests check it too.
+# test and debug build re-derives each wired upload as decode_frame (and its
+# order keys) inside Client::decode_upload_into, and every in-file
+# simulation test checks each delivered upload's rank, so the in-file wired
+# simulation tests check both too.
 cargo test -q -p agsfl-fl --lib wired_upload_equals_its_decoded_frame
 cargo test -q -p agsfl-sparse --lib single_sweep_radix_sort
 cargo test -q -p agsfl-sparse --lib prop_reset_by_merge
