@@ -28,7 +28,7 @@ pub const MAX_RETRY_LIMIT: usize = 16;
 /// All faults are drawn from a dedicated stream seeded by
 /// [`FaultModel::seed`], independent of every other RNG in the simulation.
 /// With every rate at zero the simulation is bit-identical to a run without
-/// a fault model (pinned by tests in `simulation.rs`).
+/// a fault model (pinned by the client pass's tests, `stages/client_pass.rs`).
 ///
 /// Corruption, straggling, and the deadline act on *bytes and link timing*,
 /// so they require a wire configuration; [`FaultModel::validate`] rejects

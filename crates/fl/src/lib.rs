@@ -69,7 +69,8 @@
 //! concatenated in client order, so identical seeds give identical runs for
 //! every thread count. `crates/fl`'s
 //! `simulation::tests::serial_and_parallel_runs_are_identical` pins this
-//! end to end.
+//! end to end. Each stage of the round is a module of its own whose
+//! signature names the simulation fields it reads and writes.
 //!
 //! # Checkpoints
 //!
@@ -80,7 +81,8 @@
 //! injector and [`RunHistory`] implement its `Snapshot` trait, the
 //! population keeps an inherent reader because it validates against the
 //! model dimension and shard lengths — and every failure is a
-//! [`SnapshotError`]. [`checkpoint`] is only the atomic file I/O.
+//! [`SnapshotError`]. [`checkpoint`] owns the blob's format and the atomic
+//! file I/O; a failed restore leaves the simulation unchanged.
 //!
 //! # Example
 //!
@@ -116,11 +118,15 @@ pub mod checkpoint;
 mod client;
 mod fault;
 mod fedavg;
+#[cfg(test)]
+mod fixture;
 mod history;
 mod population;
 mod round;
 mod simulation;
+mod stages;
 mod time;
+mod wire_state;
 
 pub use agsfl_exec::{Executor, Parallelism};
 pub use agsfl_telemetry::{CounterId, GaugeId, NoopRecorder, Recorder, SpanId, StageRecorder};

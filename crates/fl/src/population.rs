@@ -39,7 +39,10 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use agsfl_sparse::ClientUpload;
+
 use crate::client::Client;
+use crate::fault::ClientFaultPlan;
 
 /// One reusable cohort slot: a transient [`Client`] arena entry — its batch
 /// buffer holds this round's rows of the member's shard, never the shard —
@@ -48,11 +51,14 @@ use crate::client::Client;
 pub(crate) struct Slot {
     /// The transient client the round's member is hydrated into.
     pub client: Client,
-    /// The population row this slot borrowed (`None` for a first-time
-    /// participant, whose state the client pass freshly resets instead).
+    /// The population row this slot borrowed this round (`None` for a
+    /// first-time participant, whose state the client pass freshly resets
+    /// instead). Hydration sets it every round.
     pub cached_row: Option<usize>,
-    /// The member is mid-outage this round (fault plan).
-    pub offline: bool,
+    /// The member's fault plan for this round ([`ClientFaultPlan::clean`]
+    /// without a fault model): hydration writes it, the client pass reads
+    /// it, and bookkeeping dehydrates an offline member without a new row.
+    pub plan: ClientFaultPlan,
     /// Mini-batch loss of this round's local step.
     pub loss: f32,
     /// Nanoseconds the producer spent decoding this round's frame, when
@@ -82,7 +88,7 @@ impl Slot {
         Self {
             client: Client::placeholder(dim, batch_size),
             cached_row: None,
-            offline: false,
+            plan: ClientFaultPlan::clean(),
             loss: 0.0,
             decode_ns: 0,
             entries: Vec::new(),
@@ -90,6 +96,36 @@ impl Slot {
             frame: Vec::new(),
             errors: Vec::new(),
         }
+    }
+}
+
+/// The reusable cohort arena: one slot per cohort member, rebound to each
+/// round's sample, and the aggregation inputs the delivered members lend
+/// their finished buffers to. The first `survivors.len()` uploads are
+/// rebuilt each round, each borrowing its member's entry list and ranked
+/// view by a swap with the member's slot, which bookkeeping swaps back:
+/// between rounds every upload holds empty buffers and each buffer has one
+/// owner, its slot.
+pub(crate) struct Cohort {
+    pub slots: Vec<Slot>,
+    pub uploads: Vec<ClientUpload>,
+    /// Slot index of each delivered upload, in cohort order.
+    pub survivors: Vec<usize>,
+}
+
+impl Cohort {
+    /// `size` empty slots and as many empty uploads.
+    pub fn new(size: usize, dim: usize, batch_size: usize) -> Self {
+        Self {
+            slots: (0..size).map(|_| Slot::new(dim, batch_size)).collect(),
+            uploads: vec![ClientUpload::new(0, 0.0, Vec::new()); size],
+            survivors: Vec::new(),
+        }
+    }
+
+    /// This round's delivered uploads, in cohort order.
+    pub fn delivered(&self) -> &[ClientUpload] {
+        &self.uploads[..self.survivors.len()]
     }
 }
 
@@ -180,6 +216,35 @@ impl ClientPopulation {
         );
     }
 
+    /// Panics unless the population is well formed: every column has
+    /// [`ClientPopulation::resident_rows`] entries, the id index is a
+    /// bijection onto `0..resident_rows()`, and no two of `slots` borrow
+    /// the same row. Debug builds check it at the end of every round's
+    /// bookkeeping, when the slots still name the rows they returned.
+    #[cfg(any(test, debug_assertions))]
+    pub fn check_invariants(&self, slots: &[Slot]) {
+        let rows = self.resident_rows();
+        let columns = [
+            self.rng.len(),
+            self.residual.len(),
+            self.order.len(),
+            self.cursor.len(),
+            self.last_batch.len(),
+            self.probe_sample.len(),
+        ];
+        assert_eq!(columns, [rows; 6], "population column lengths");
+        let indexed = self.index.values().copied();
+        assert!(
+            distinct_below(indexed, rows),
+            "population index is not a bijection onto its rows"
+        );
+        let bound = slots.iter().filter_map(|slot| slot.cached_row);
+        assert!(
+            distinct_below(bound, rows),
+            "two slots borrow one population row"
+        );
+    }
+
     /// Serializes every stored row in ascending client-id order.
     pub fn write_state(&self, w: &mut SnapshotWriter) {
         w.usize(self.index.len());
@@ -232,12 +297,8 @@ impl ClientPopulation {
             if cursor >= order.len().max(1) {
                 return Err(SnapshotError::Invalid("sampler cursor out of range"));
             }
-            let mut seen = vec![false; order.len()];
-            for &i in &order {
-                if i >= order.len() || seen[i] {
-                    return Err(SnapshotError::Invalid("sampler order not a permutation"));
-                }
-                seen[i] = true;
+            if !distinct_below(order.iter().copied(), order.len()) {
+                return Err(SnapshotError::Invalid("sampler order not a permutation"));
             }
             let last_batch = r.usizes()?;
             if last_batch.iter().any(|&i| i >= len) {
@@ -258,6 +319,13 @@ impl ClientPopulation {
         }
         Ok(pop)
     }
+}
+
+/// Whether `rows` are distinct and each below `bound`.
+fn distinct_below(rows: impl IntoIterator<Item = usize>, bound: usize) -> bool {
+    let mut seen = vec![false; bound];
+    rows.into_iter()
+        .all(|row| row < bound && !std::mem::replace(&mut seen[row], true))
 }
 
 /// Draws one round's cohort into `out` (ascending client ids).
@@ -335,6 +403,46 @@ mod tests {
             differs |= x != cohort(&mut c, 1000, Some(8));
         }
         assert!(differs, "different seeds should draw different cohorts");
+    }
+
+    /// A population with rows for clients 3 and 5, and one slot bound to
+    /// each row.
+    fn two_rows() -> (ClientPopulation, Vec<Slot>) {
+        let mut pop = ClientPopulation::new();
+        let mut slots = Vec::new();
+        for id in [3, 5] {
+            let mut client = Client::new(id, 4, 0.5, 6, 2, id as u64);
+            pop.dehydrate(id, None, true, &mut client);
+            let mut slot = Slot::new(6, 2);
+            slot.cached_row = pop.hydrate(id, &mut slot.client);
+            slots.push(slot);
+        }
+        pop.check_invariants(&slots);
+        (pop, slots)
+    }
+
+    #[test]
+    #[should_panic(expected = "population column lengths")]
+    fn invariants_catch_a_column_out_of_step() {
+        let (mut pop, slots) = two_rows();
+        pop.cursor.push(0);
+        pop.check_invariants(&slots);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a bijection")]
+    fn invariants_catch_two_ids_on_one_row() {
+        let (mut pop, slots) = two_rows();
+        pop.index.insert(5, 0);
+        pop.check_invariants(&slots);
+    }
+
+    #[test]
+    #[should_panic(expected = "two slots borrow one population row")]
+    fn invariants_catch_two_slots_on_one_row() {
+        let (pop, mut slots) = two_rows();
+        slots[0].cached_row = Some(1);
+        pop.check_invariants(&slots);
     }
 
     #[test]

@@ -1,0 +1,135 @@
+//! Stage (4), bookkeeping: the residual resets, the dehydration of the
+//! cohort, and the broadcast's pricing.
+
+use agsfl_sparse::SelectionResult;
+use agsfl_telemetry::{stage, Recorder, SpanId};
+use std::time::Instant;
+
+use crate::population::{ClientPopulation, Cohort};
+use crate::wire_state::WireState;
+
+/// End-of-round bookkeeping, then the broadcast pricing. Returns the
+/// per-member contributions and the downlink phase time.
+///
+/// Resets and contributions target exactly the members whose uploads were
+/// aggregated, so a lost member's residual keeps its update; the same loop
+/// takes each delivered upload's buffers back into its slot. A member's
+/// resets arrive in index order (its upload's entry order), so each reset
+/// is one forward sweep of its residual. On the lossy tier each reset
+/// coordinate is seeded with its quantization error instead of zero (error
+/// feedback); `errors` is empty on lossless rounds, which makes that a
+/// plain reset. Dehydration then returns every member's persistent state to
+/// the population (first-time online participants get a new row; pristine
+/// offline first-timers are dropped and recreated identically on their
+/// next appearance). Each slot keeps naming the row it returned until the
+/// next hydration rebinds it, so debug builds check the population against
+/// this round's rows ([`ClientPopulation::check_invariants`]).
+///
+/// The downlink price is a max over the links that can be the slowest
+/// receiver of the broadcast: the channel's frontier, built on the first
+/// priced round, or every link when the channel has a trace. Its
+/// [`SpanId::DownlinkPricing`] span nests inside [`SpanId::Bookkeeping`].
+pub(crate) fn bookkeep<R: Recorder>(
+    rec: &mut R,
+    round_idx: usize,
+    selection: &SelectionResult,
+    downlink_bytes: Option<usize>,
+    wire: Option<&WireState>,
+    cohort: &mut Cohort,
+    population: &mut ClientPopulation,
+) -> (Vec<usize>, f64) {
+    let t0 = rec.enabled().then(Instant::now);
+    let slots = &mut cohort.slots;
+    let mut contributions = vec![0usize; slots.len()];
+    for (u_idx, &pos) in cohort.survivors.iter().enumerate() {
+        let (slot, upload) = (&mut slots[pos], &mut cohort.uploads[u_idx]);
+        std::mem::swap(&mut slot.entries, &mut upload.entries);
+        std::mem::swap(&mut slot.ranked, &mut upload.ranked);
+        let resets = selection.resets(u_idx);
+        slot.client.apply_reset_with_errors(resets, &slot.errors);
+        contributions[pos] = resets.len();
+    }
+    for slot in slots.iter_mut() {
+        let (id, online) = (slot.client.id(), !slot.plan.offline);
+        population.dehydrate(id, slot.cached_row, online, &mut slot.client);
+    }
+    #[cfg(debug_assertions)]
+    population.check_invariants(slots);
+    let downlink_time = stage(rec, SpanId::DownlinkPricing, || {
+        wire.zip(downlink_bytes)
+            .map_or(0.0, |(w, bytes)| w.downlink_phase_time(round_idx, bytes))
+    });
+    if let Some(t0) = t0 {
+        rec.span(SpanId::Bookkeeping, t0.elapsed().as_nanos() as u64);
+    }
+    (contributions, downlink_time)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::fixture::{uniform_channel, workspace_capacities};
+    use crate::{Simulation, SimulationConfig, WireConfig};
+    use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
+    use agsfl_ml::model::LinearSoftmax;
+    use agsfl_sparse::{FabTopK, FubTopK, Sparsifier};
+    use agsfl_wire::CodecSpec;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    /// Algorithm 3 keeps moving between a large `k` and a handful of rounds
+    /// near `k = 1`, each with a unit probe. Scratch is grow-only: the
+    /// `k = D/2` round sizes every buffer once, and no stretch of small
+    /// rounds releases what the next large one needs.
+    #[test]
+    fn workspace_capacity_never_decreases_between_large_and_unit_k_rounds() {
+        for sparsifier in [
+            Box::new(FabTopK::new()) as Box<dyn Sparsifier>,
+            Box::new(FubTopK::new()),
+        ] {
+            let mut rng = ChaCha8Rng::seed_from_u64(4);
+            let fed = SyntheticFemnist::new(SyntheticFemnistConfig {
+                feature_dim: 400,
+                ..SyntheticFemnistConfig::tiny()
+            })
+            .generate(&mut rng);
+            let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+            let config = SimulationConfig {
+                batch_size: 8,
+                seed: 4,
+                wire: Some(WireConfig {
+                    codec: CodecSpec::DeltaVarint,
+                    channel: uniform_channel(fed.num_clients()),
+                }),
+                ..SimulationConfig::default()
+            };
+            let mut sim = Simulation::new(Box::new(model), fed, sparsifier, config);
+            let large = sim.dim() / 2;
+            // One large round, then enough unit rounds for a halving demand
+            // mark to fall two octaves below it; three times over. How many
+            // fill candidates a large round ranks depends on its uploads, so
+            // `keys` may still double at the second one; after it nothing
+            // moves.
+            let ks = [large, 1, 1, 1, 1].repeat(3);
+            let mut previous: Vec<usize> = Vec::new();
+            let mut settled = Vec::new();
+            for (round, &k) in ks.iter().enumerate() {
+                sim.run_round(k, Some(1));
+                let caps = workspace_capacities(&sim);
+                assert!(
+                    caps.iter()
+                        .zip(&previous)
+                        .all(|(now, before)| now >= before),
+                    "round {round} (k = {k}) released capacity: {previous:?} -> {caps:?}"
+                );
+                if round == 5 {
+                    // `selected`, the first of the selection's lists.
+                    assert!(caps[0] >= large, "{caps:?}");
+                    settled = caps.clone();
+                } else if round > 5 {
+                    assert_eq!(caps, settled, "round {round} (k = {k})");
+                }
+                previous = caps;
+            }
+        }
+    }
+}

@@ -1,0 +1,505 @@
+//! Stage (1), the client pass: Lines 4–6 of Algorithm 1 on the pool, and the
+//! server's admission of each finished upload on the round thread.
+
+use agsfl_sparse::UploadPlan;
+use agsfl_telemetry::{stage, Recorder, SpanId};
+use agsfl_wire::decode_frame;
+use std::time::Instant;
+
+use crate::fault::{corrupt_frame, FaultModel, FaultRoundReport};
+use crate::population::{Cohort, Slot};
+use crate::simulation::Shared;
+use crate::wire_state::WireState;
+
+/// The fused client pass and the server's admission of its output, as the
+/// two ends of one pipeline over the cohort's slots. Returns the weighted
+/// training loss, the uplink phase and — with a fault model — the round's
+/// fault accounting.
+///
+/// The *producer* runs on the pool, one call per cohort slot, and finishes
+/// the member's upload: a first-timer's fresh state, then local gradient
+/// computation (Line 4: batch indices, then just those rows from the
+/// source) immediately followed by building the uplink message (Line 6) in
+/// index order, so each member's residual is still hot in cache when its
+/// top-k runs. Byte-priced, that message is encoded and the frame decoded
+/// once (`Client::decode_upload_into`): the decoded list is what the server
+/// aggregates, and the entries the codec changed are the member's
+/// quantization errors. Both paths end with one rank of the upload's
+/// index-ordered keys into the slot's ranked view when the plan ranks. Each
+/// slot owns its member's RNG and sampler and writes only into its own
+/// reused buffers, so the pass is bit-identical to the sequential loop and
+/// allocation-free in steady state. When the recorder is enabled the
+/// producer leaves its decode time in the slot for admission to sum; the
+/// producer returns nothing, so the pipeline's per-chunk result lists stay
+/// zero-sized and never allocate on a worker.
+///
+/// The *consumer* is the admission step, run on this thread in strict
+/// cohort order as uploads complete, and it only decides each member's fate
+/// from its pre-drawn plan and its own finished frame: offline and dropped
+/// members are tallied; a transmitting member's uplink is priced on its own
+/// link (straggler slowdown included), every planned corruption is replayed
+/// through the *real* validated decoder (the `WireError` path), and
+/// retries, backoff and the round deadline are applied; an admitted
+/// upload's entry and ranked buffers are swapped into the next aggregation
+/// input. A damaged frame that happens to decode is still treated as
+/// detected-corrupt — the link-layer checksum stand-in — so corruption
+/// delays rounds but can never skew the trajectory. The in-order consumer
+/// is what keeps the loss reduction, the uplink-phase fold and the upload
+/// list bit-identical to the sequential loop; a clean round is the case
+/// where every plan is [`ClientFaultPlan::clean`](crate::fault::ClientFaultPlan::clean).
+///
+/// [`SpanId::WireFault`] (admission's time on this thread) and
+/// [`SpanId::ServerDecode`] (the workers' decode + rank time summed over
+/// the members) nest in [`SpanId::ClientPass`].
+pub(crate) fn client_pass<R: Recorder>(
+    rec: &mut R,
+    shared: &Shared,
+    round_idx: usize,
+    k: usize,
+    upload_plan: &UploadPlan,
+    wire: Option<&WireState>,
+    cohort: &mut Cohort,
+) -> (f64, f64, Option<FaultRoundReport>) {
+    let (model, params) = (shared.model.as_ref(), &shared.params[..]);
+    let (source, dim) = (shared.source.as_ref(), params.len());
+    let seed = shared.config.seed.wrapping_add(1).wrapping_mul(0x9E37_79B9);
+    let rank = matches!(upload_plan, UploadPlan::TopKOwn);
+    let clock = rec.enabled();
+    let produce = |slot: &mut Slot| {
+        // Derive a first-timer's persistent state from `(seed, id)`: a
+        // pure function writing only into this slot, so it runs on the
+        // pool.
+        let id = slot.client.id();
+        if slot.cached_row.is_none() {
+            let client_seed = seed.wrapping_add(id as u64);
+            slot.client
+                .reset_persistent(client_seed, dim, source.shard_len(id));
+        }
+        if slot.plan.offline {
+            // Mid-outage: no compute, no upload, and none of the member's
+            // streams advance, so recovery resumes them at exactly the
+            // position an always-online run never left. The probe still
+            // evaluates the sample index of the member's last online
+            // round, so that one row is fetched.
+            slot.client.fetch_probe_sample(source);
+            return;
+        }
+        // Line 4: the batch indices are drawn first and only those rows of
+        // the member's shard are fetched from the source.
+        slot.loss = slot.client.compute_local_gradient(source, model, params);
+        slot.client
+            .build_upload_into(upload_plan, k, &mut slot.entries);
+        // Byte-priced, the decode and the rank after it are the span.
+        let mut t_decode = None;
+        if let Some(w) = wire {
+            // The quantization stream is keyed on frame content, not on the
+            // worker schedule, so encoding here is per-slot work too.
+            slot.client
+                .encode_upload_into(w.codec.as_ref(), dim, &slot.entries, &mut slot.frame);
+            t_decode = clock.then(Instant::now);
+            slot.client
+                .decode_upload_into(&slot.frame, rank, &mut slot.entries, &mut slot.errors);
+        }
+        slot.client.rank_upload_into(rank, &mut slot.ranked);
+        slot.decode_ns = t_decode.map_or(0, |t| t.elapsed().as_nanos() as u64);
+    };
+
+    let no_faults = FaultModel::default();
+    let fault = shared.config.fault.as_ref();
+    let fmodel = fault.unwrap_or(&no_faults);
+    let max_attempts = fmodel.max_retries + 1;
+    cohort.survivors.clear();
+    let mut train_loss = 0.0f64;
+    let mut uplink_phase = 0.0f64;
+    let mut fr = FaultRoundReport::default();
+    let mut damaged_entries: Vec<(usize, f32)> = Vec::new();
+    // The nested spans accumulate here, one sample per round: the wire
+    // faults on this thread, the decodes as each slot reports them.
+    let (mut wire_fault_ns, mut decode_ns) = (0u64, 0u64);
+    let admit = |pos: usize, slot: &mut Slot, ()| {
+        decode_ns += std::mem::take(&mut slot.decode_ns);
+        let (id, p) = (slot.client.id(), &slot.plan);
+        if p.offline {
+            fr.offline += 1;
+            return;
+        }
+        train_loss += slot.client.weight() * slot.loss as f64;
+        if p.dropped {
+            // Upload lost in transit, no retry. The computed gradient stays
+            // in the member's residual accumulator (no reset will target
+            // it), so error feedback re-sends the mass later.
+            fr.dropped += 1;
+            return;
+        }
+        if let Some(wire) = wire {
+            let t_fault = clock.then(Instant::now);
+            fr.stragglers += usize::from(p.slowdown > 1.0);
+            let frame = &slot.frame;
+            let attempt_time =
+                wire.channel
+                    .uplink_time_scaled(round_idx, id, frame.len(), p.slowdown);
+            for &corruption in &p.corruptions {
+                let _ = decode_frame(&corrupt_frame(frame, corruption), &mut damaged_entries);
+            }
+            fr.corrupt_frames += p.corruptions.len();
+            let failures = p.corruptions.len();
+            let lost = failures >= max_attempts;
+            let attempts_made = if lost { max_attempts } else { failures + 1 };
+            fr.retries += attempts_made - 1;
+            fr.retransmitted_bytes += frame.len() as u64 * (attempts_made - 1) as u64;
+            let total_time = attempt_time * attempts_made as f64
+                + fmodel.retry_backoff * (attempts_made - 1) as f64;
+            let late = !lost && fmodel.deadline.is_some_and(|d| total_time > d);
+            fr.corrupt_lost += usize::from(lost);
+            fr.deadline_dropped += usize::from(late);
+            if !late {
+                // The server listened through every attempt — a
+                // corrupt-lost member's futile ones included — so the time
+                // counts toward the uplink phase.
+                uplink_phase = uplink_phase.max(total_time);
+            }
+            wire_fault_ns += t_fault.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            if lost || late {
+                return;
+            }
+        }
+        // Delivered: the slot lends its finished entry list and ranked view
+        // to the next aggregation input, which held empty buffers;
+        // bookkeeping swaps them back.
+        let upload = &mut cohort.uploads[cohort.survivors.len()];
+        upload.client = id;
+        upload.weight = slot.client.weight();
+        std::mem::swap(&mut upload.entries, &mut slot.entries);
+        std::mem::swap(&mut upload.ranked, &mut slot.ranked);
+        cohort.survivors.push(pos);
+    };
+    stage(rec, SpanId::ClientPass, || {
+        shared
+            .executor
+            .pipeline_mut(&mut cohort.slots, produce, admit)
+    });
+    if clock {
+        rec.span(SpanId::WireFault, wire_fault_ns);
+        rec.span(SpanId::ServerDecode, decode_ns);
+    }
+    fr.survivors = cohort.survivors.len();
+    #[cfg(test)]
+    crate::fixture::assert_upload_contract(cohort.delivered(), rank);
+    // The uplink phase is the slowest delivery the server actually waited
+    // out — retries, backoff and straggler slowdown included, corrupt-lost
+    // members' futile attempts included — capped at the deadline, which the
+    // server waits out in full whenever anyone is missing.
+    let uplink_phase = match fmodel.deadline {
+        Some(d) if fr.lost() > 0 => d,
+        _ => uplink_phase,
+    };
+    (train_loss, uplink_phase, fault.map(|_| fr))
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::fixture::{
+        assert_uploads_hold_nothing, chaos_model, tiny_sim, uniform_wire, RANKED_CHECKS,
+        SPARSIFIERS,
+    };
+    use crate::{
+        ChannelModel, ClientLink, FaultModel, FaultRoundReport, Parallelism, RoundReport,
+        WireConfig,
+    };
+    use agsfl_sparse::{FabTopK, PeriodicK, SendAll, Sparsifier};
+    use agsfl_wire::CodecSpec;
+    use std::cell::Cell;
+
+    /// Every plan (ranked top-k, coordinates, dense), unwired and through
+    /// every lossless and lossy codec, then wired under chaos: each
+    /// delivered upload is index-ordered and carries its own magnitude rank
+    /// (checked inside every client pass by `fixture::assert_upload_contract`),
+    /// and after bookkeeping the uploads hold nothing while each slot owns
+    /// its buffers again — the ranked one only under the ranked plan.
+    #[test]
+    fn delivered_uploads_are_index_ordered_and_slots_own_their_buffers() {
+        let sparsifiers: [fn() -> Box<dyn Sparsifier>; 3] = [
+            || Box::new(FabTopK::new()),
+            || Box::new(PeriodicK::new()),
+            || Box::new(SendAll::new()),
+        ];
+        let codecs = [None]
+            .into_iter()
+            .chain(CodecSpec::all().into_iter().map(Some))
+            .chain(CodecSpec::lossy().into_iter().map(Some));
+        let before = RANKED_CHECKS.with(Cell::get);
+        for codec in codecs {
+            for (which, make) in sparsifiers.iter().enumerate() {
+                let mut sim = tiny_sim(make(), 5, |c, n| {
+                    c.parallelism = Parallelism::Threads(2);
+                    c.wire = codec.and_then(|spec| uniform_wire(spec, n));
+                });
+                let k = sim.dim() / 5;
+                for round in 0..3 {
+                    sim.run_round(k, (round == 1).then_some(k / 2));
+                    assert_uploads_hold_nothing(&sim);
+                    for slot in &sim.cohort.slots {
+                        assert!(slot.entries.capacity() > 0, "{codec:?}, plan {which}");
+                        let ranks = which == 0;
+                        assert_eq!(slot.ranked.capacity() > 0, ranks, "{codec:?}");
+                    }
+                }
+            }
+        }
+        assert!(
+            RANKED_CHECKS.with(Cell::get) > before,
+            "the client pass checked the ranked views"
+        );
+        // Lost and late members keep their buffers; delivered ones lend and
+        // get theirs back.
+        let mut sim = tiny_sim(Box::new(FabTopK::new()), 5, |c, n| {
+            c.parallelism = Parallelism::Threads(2);
+            c.wire = uniform_wire(CodecSpec::Auto, n);
+            c.fault = Some(chaos_model(13));
+        });
+        let k = sim.dim() / 5;
+        for _ in 0..6 {
+            sim.run_round(k, Some(k / 2));
+            assert_uploads_hold_nothing(&sim);
+        }
+    }
+
+    /// The byte-priced path must not perturb training by a single bit: the
+    /// codecs are lossless, so decode reproduces every upload and its rank, so
+    /// a wired and an un-wired run of the same seed walk the identical
+    /// trajectory — only the cost signal (round_time, wire report) differs.
+    #[test]
+    fn wire_path_keeps_training_bit_identical() {
+        for (which, make) in SPARSIFIERS.into_iter().enumerate() {
+            let seed = 70 + which as u64;
+            let mut plain = tiny_sim(make(), seed, |_, _| {});
+            let mut wired = tiny_sim(make(), seed, |c, n| {
+                c.wire = uniform_wire(CodecSpec::Auto, n)
+            });
+            let k = plain.dim() / 6;
+            for round in 0..3 {
+                let probe = if round == 1 { Some(k / 2) } else { None };
+                let rp = plain.run_round(k, probe);
+                let rw = wired.run_round(k, probe);
+                assert_eq!(rp.train_loss, rw.train_loss, "sparsifier {which}");
+                assert_eq!(rp.contributions, rw.contributions, "sparsifier {which}");
+                assert_eq!(rp.downlink_elements, rw.downlink_elements);
+                let wire = rw.wire.expect("wire report present");
+                assert_eq!(wire.uplink_bytes.len(), wired.num_clients());
+                assert!(wire.downlink_bytes > 0);
+                assert!(
+                    rw.round_time > wired.config().wire.as_ref().unwrap().channel.compute_time()
+                );
+            }
+            assert_eq!(
+                plain.params(),
+                wired.params(),
+                "weights diverged for sparsifier {which}"
+            );
+        }
+    }
+
+    /// Acceptance invariant: byte-priced simulations stay serial-vs-parallel
+    /// identical (full round reports, wire accounting included) across
+    /// 1–8 workers.
+    #[test]
+    fn wire_serial_and_parallel_runs_are_identical() {
+        let build = |parallelism| {
+            tiny_sim(Box::new(FabTopK::new()), 90, |c, n| {
+                c.parallelism = parallelism;
+                c.wire = uniform_wire(CodecSpec::Auto, n);
+            })
+        };
+        for threads in [2usize, 3, 5, 8] {
+            let mut serial = build(Parallelism::Serial);
+            let mut parallel = build(Parallelism::Threads(threads));
+            let k = serial.dim() / 6;
+            for round in 0..3 {
+                let probe = if round % 2 == 0 { Some(k / 2) } else { None };
+                let rs = serial.run_round(k, probe);
+                let rp = parallel.run_round(k, probe);
+                assert_eq!(rs, rp, "threads={threads}, round={round}");
+            }
+            assert_eq!(serial.params(), parallel.params(), "threads={threads}");
+        }
+    }
+
+    /// A fault model with every rate at zero must not perturb a single bit
+    /// of the run — same reports (modulo the attached all-zero fault
+    /// accounting), same weights — wired or not.
+    #[test]
+    fn zero_rate_fault_model_is_bit_identical_to_no_fault() {
+        for wire in [false, true] {
+            let build = |fault: Option<FaultModel>| {
+                tiny_sim(Box::new(FabTopK::new()), 105, |c, n| {
+                    c.wire = uniform_wire(CodecSpec::Auto, n).filter(|_| wire);
+                    c.fault = fault;
+                })
+            };
+            let mut plain = build(None);
+            let mut faulted = build(Some(FaultModel::default()));
+            let k = plain.dim() / 6;
+            let n = plain.num_clients();
+            for round in 0..4 {
+                let probe = (round % 2 == 0).then_some(k / 2);
+                let rp = plain.run_round(k, probe);
+                let rf = faulted.run_round(k, probe);
+                assert_eq!(
+                    rf.fault.expect("fault accounting attached"),
+                    FaultRoundReport {
+                        survivors: n,
+                        ..FaultRoundReport::default()
+                    },
+                    "wired={wire}, round={round}"
+                );
+                let stripped = RoundReport { fault: None, ..rf };
+                assert_eq!(rp, stripped, "wired={wire}, round={round}");
+            }
+            assert_eq!(plain.params(), faulted.params(), "wired={wire}");
+        }
+    }
+
+    /// Acceptance invariant: no fault configuration aborts a round. Chaos
+    /// at high rates — dropouts, crashes, stragglers, corruption with
+    /// retries, and a deadline all at once — still yields a completed run
+    /// with coherent survivor accounting every round.
+    #[test]
+    fn faults_never_abort_a_round() {
+        let mut sim = tiny_sim(Box::new(FabTopK::new()), 106, |c, n| {
+            c.wire = uniform_wire(CodecSpec::Auto, n);
+            c.fault = Some(chaos_model(7));
+        });
+        let n = sim.num_clients();
+        let k = sim.dim() / 6;
+        let mut lost_any = false;
+        for round in 0..8 {
+            let probe = (round % 2 == 0).then_some(k / 2);
+            let report = sim.run_round(k, probe);
+            let fault = report.fault.expect("fault accounting attached");
+            assert_eq!(fault.survivors + fault.lost(), n, "round {round}");
+            assert_eq!(
+                fault.corrupt_frames,
+                fault.retries + fault.corrupt_lost,
+                "round {round}: every corrupt frame is a retry or part of an exhausted client"
+            );
+            assert!(report.round_time.is_finite() && report.round_time > 0.0);
+            assert_eq!(report.contributions.len(), n);
+            lost_any |= fault.lost() > 0;
+        }
+        assert!(lost_any, "chaos rates should lose at least one upload");
+    }
+
+    /// Even a total blackout (every upload lost, zero survivors) completes
+    /// rounds gracefully: empty aggregate, zero contributions, no panic.
+    #[test]
+    fn total_blackout_still_completes_rounds() {
+        let mut sim = tiny_sim(Box::new(FabTopK::new()), 107, |c, n| {
+            c.wire = uniform_wire(CodecSpec::Auto, n);
+            c.fault = Some(FaultModel {
+                drop_prob: 1.0,
+                seed: 1,
+                ..FaultModel::default()
+            });
+        });
+        let before = sim.params().to_vec();
+        for _ in 0..3 {
+            let report = sim.run_round(sim.dim() / 6, None);
+            let fault = report.fault.expect("fault accounting attached");
+            assert_eq!(fault.survivors, 0);
+            assert_eq!(fault.dropped, sim.num_clients());
+            assert!(report.contributions.iter().all(|&c| c == 0));
+        }
+        // Nothing was aggregated, so the weights never moved; the updates
+        // wait in the residual accumulators.
+        assert_eq!(sim.params(), &before[..]);
+    }
+
+    /// Fault injection preserves the serial-vs-parallel identity: the plan,
+    /// drawn serially before the parallel client pass, decides every fault.
+    #[test]
+    fn faulty_serial_and_parallel_runs_are_identical() {
+        let build = |parallelism| {
+            tiny_sim(Box::new(FabTopK::new()), 108, |c, n| {
+                c.parallelism = parallelism;
+                c.wire = uniform_wire(CodecSpec::Auto, n);
+                c.fault = Some(chaos_model(9));
+            })
+        };
+        for threads in [2usize, 4, 8] {
+            let mut serial = build(Parallelism::Serial);
+            let mut parallel = build(Parallelism::Threads(threads));
+            let k = serial.dim() / 6;
+            for round in 0..5 {
+                let probe = (round % 2 == 0).then_some(k / 2);
+                let rs = serial.run_round(k, probe);
+                let rp = parallel.run_round(k, probe);
+                assert_eq!(rs, rp, "threads={threads}, round={round}");
+            }
+            assert_eq!(serial.params(), parallel.params(), "threads={threads}");
+        }
+    }
+
+    /// A deadline drops the client whose uplink cannot finish in time, caps
+    /// the uplink phase at the deadline, and leaves the fast clients'
+    /// aggregation intact.
+    #[test]
+    fn deadline_drops_slow_clients_and_caps_the_phase() {
+        let mut sim = tiny_sim(Box::new(FabTopK::new()), 160, |c, n| {
+            let mut links = vec![ClientLink::new(10_000.0, 10_000.0, 0.0); n];
+            links[0] = ClientLink::new(10.0, 10_000.0, 0.0); // crawling uplink
+            c.wire = Some(WireConfig {
+                codec: CodecSpec::Auto,
+                channel: ChannelModel::new(1.0, links),
+            });
+            c.fault = Some(FaultModel {
+                deadline: Some(5.0),
+                seed: 2,
+                ..FaultModel::default()
+            });
+        });
+        let n = sim.num_clients();
+        let report = sim.run_round(sim.dim() / 6, None);
+        let fault = report.fault.expect("fault accounting attached");
+        assert_eq!(fault.deadline_dropped, 1);
+        assert_eq!(fault.survivors, n - 1);
+        assert_eq!(report.contributions[0], 0);
+        // compute (1.0) + deadline (5.0) + a fast broadcast.
+        assert!(
+            report.round_time > 6.0 && report.round_time < 7.0,
+            "phase not capped at the deadline: {}",
+            report.round_time
+        );
+    }
+
+    /// Stragglers slow the round they straggle in but never touch the
+    /// training trajectory — the slowdown only scales link timing.
+    #[test]
+    fn stragglers_slow_the_round_but_not_training() {
+        let build = |fault: FaultModel| {
+            tiny_sim(Box::new(FabTopK::new()), 161, |c, n| {
+                c.wire = uniform_wire(CodecSpec::Auto, n);
+                c.fault = Some(fault);
+            })
+        };
+        let mut clean = build(FaultModel {
+            seed: 3,
+            ..FaultModel::default()
+        });
+        let mut straggly = build(FaultModel {
+            straggle_prob: 1.0,
+            straggle_factor: 10.0,
+            seed: 3,
+            ..FaultModel::default()
+        });
+        let k = clean.dim() / 6;
+        let n = clean.num_clients();
+        for _ in 0..3 {
+            let rc = clean.run_round(k, None);
+            let rs = straggly.run_round(k, None);
+            assert!(rs.round_time > rc.round_time);
+            assert_eq!(rc.train_loss, rs.train_loss);
+            assert_eq!(rs.fault.unwrap().stragglers, n);
+        }
+        assert_eq!(clean.params(), straggly.params());
+    }
+}

@@ -4,7 +4,8 @@
 //! uninterrupted twin — over an eager dataset and over a lazy
 //! [`ShardSource`] alike.
 //!
-//! These generalize the hand-picked cases in `simulation.rs`'s unit tests
+//! These generalize the hand-picked cases in the unit tests of
+//! `crates/fl/src/stages/hydrate.rs` and `crates/fl/src/checkpoint.rs`
 //! (and the historical pins in `golden_trajectory.rs`) across the whole
 //! configuration space: cohort draws and RNG streams advance serially in
 //! client order before any parallel region, and the per-slot work that runs

@@ -56,21 +56,45 @@ done | grep -E '(sort_unstable_by|sort_by|select_nth_unstable_by)\(.*magnitude_t
 fi
 
 step "the server reads the uploads once (no second selection, clone or comparison sort in the probe)"
-# The round path selects once; the probe restricts that result
-# (Sparsifier::probe_aggregate) into reused weight buffers and prices
-# prefixes through topk::sort_by_index. Product code only (up to `mod
-# tests`, whose probe_by_second_selection is the old recipe kept as the
-# spec); comment lines are exempt.
-sim_product() {
-    awk '/^mod tests/ { exit } { print FNR ":" $0 }' crates/fl/src/simulation.rs \
-        | grep -vE '^[0-9]+:[[:space:]]*//'
+# The round path selects once, in Simulation::run_round_recorded; the probe
+# stage restricts that result (Sparsifier::probe_aggregate) into reused
+# weight buffers and prices prefixes through topk::sort_by_index. Product
+# code only: product_lines skips every #[cfg(test)] item (the fixture's
+# probe_by_second_selection is the old recipe kept as the spec) and comment
+# lines. engine_product is the round engine: simulation.rs, wire_state.rs
+# and one module per stage under stages/.
+product_lines() {
+    awk -v f="$1" '
+        function count(s, c) { return gsub(c, "", s) }
+        skip {
+            o = count($0, "{"); c = count($0, "}"); depth += o - c
+            if (o > 0) opened = 1
+            if ((opened && depth <= 0) || (!opened && index($0, ";") && depth <= 0)) skip = 0
+            next
+        }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+        { print f ":" FNR ":" $0 }' "$1" \
+        | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'
 }
-if [[ "$(sim_product | grep -c 'select_into')" -ne 1 ]]; then
-    echo "verify: crates/fl/src/simulation.rs must call select_into exactly once (the selection stage):" >&2
-    sim_product | grep 'select_into' >&2
+engine_product() {
+    for f in crates/fl/src/simulation.rs crates/fl/src/wire_state.rs crates/fl/src/stages/*.rs; do
+        product_lines "$f"
+    done
+}
+# `fn_body FILE NAME` prints the product lines of fn NAME in FILE.
+fn_body() {
+    product_lines "$1" | awk -F: -v name="$2" '
+        $0 ~ ("fn " name "[<(]") { on = 1; indent = match($3, /[^ ]/) }
+        on { print }
+        on && $3 ~ /^ *}$/ && match($3, /[^ ]/) == indent { exit }'
+}
+if [[ "$(engine_product | grep -c 'select_into')" -ne 1 ]] \
+    || [[ "$(fn_body crates/fl/src/simulation.rs run_round_recorded | grep -c 'select_into')" -eq 0 ]]; then
+    echo "verify: the round engine must call select_into exactly once, in Simulation::run_round_recorded:" >&2
+    engine_product | grep 'select_into' >&2
     exit 1
 fi
-if sim_product | grep -E 'sort_unstable_by_key|params\.clone\(\)'; then
+if engine_product | grep -E 'sort_unstable_by_key|params\.clone\(\)'; then
     echo "verify: the round path sorts by comparison or clones the weights (lines above)" >&2
     exit 1
 fi
@@ -83,6 +107,17 @@ if awk '/pub fn encoded_len_prefix/ { on = 1 } on { print FNR ":" $0 } on && /^ 
     echo "verify: WireScratch::encoded_len_prefix comparison-sorts (lines above); use topk::sort_by_index" >&2
     exit 1
 fi
+
+step "a stage is a module, and no module of the round engine's crate grows past 800 lines"
+# Every stage of Algorithm 1's round lives in its own module under
+# crates/fl/src/stages/ and names what it borrows; a file over 800 lines is
+# the one-file engine growing back.
+for f in $(find crates/fl/src -name '*.rs'); do
+    if [[ "$(wc -l < "$f")" -gt 800 ]]; then
+        echo "verify: $f has $(wc -l < "$f") lines (limit 800); split it" >&2
+        exit 1
+    fi
+done
 
 step "one selection contract (each sparsifier picks J; one shared sweep aggregates it and writes the resets into one flat list)"
 # Every Sparsifier::select_into ends in sparsifier::aggregate_marked, which
@@ -109,29 +144,24 @@ step "a wired upload is finished where it is produced (ordered once per side, de
 # visitor when the plan ranks — is the upload the server aggregates, and the
 # entries the codec changed are the lossy tier's errors. Admission swaps the
 # slot's entry buffer into the aggregation input, so the round thread never
-# decodes or ranks an upload: simulation.rs calls decode_frame_with once, in
-# apply_broadcast (the downlink). An index sort in client.rs is the
-# discarded client rank coming back. The lossy tier's residual reset merges
-# its sorted indices against the error list; the per-index binary search
-# lives on in agsfl_sparse::reference as the spec. Product code only (up to
-# a file's #[cfg(test)]); comment lines are exempt.
-product_lines() {
-    awk -v f="$1" '/#\[cfg\(test\)\]/ { exit } { print f ":" FNR ":" $0 }' "$1" \
-        | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'
-}
+# decodes or ranks an upload: the round engine calls decode_frame_with
+# once, in stages/broadcast.rs apply_broadcast (the downlink). An index sort
+# in client.rs is the discarded client rank coming back. The lossy tier's
+# residual reset merges its sorted indices against the error list; the
+# per-index binary search lives on in agsfl_sparse::reference as the spec.
+# Product code only (no #[cfg(test)] item); comment lines are exempt.
 if grep -rnE '\b(deliver_upload|encode_upload_lossy_into|decode_scratch)\b' crates/*/src; then
     echo "verify: a deleted second decode path is back (lines above); the producer finishes the upload" >&2
     exit 1
 fi
-if sim_product | grep -F 'rank_index_ordered_keys_into'; then
-    echo "verify: crates/fl/src/simulation.rs ranks an upload on the round thread (lines above)" >&2
+if engine_product | grep -F 'rank_index_ordered_keys_into'; then
+    echo "verify: the round engine ranks an upload on the round thread (lines above)" >&2
     exit 1
 fi
-if [[ "$(sim_product | grep -c 'decode_frame_with(')" -ne 1 ]] \
-    || ! awk '/^    fn apply_broadcast\(/ { on = 1 } on && /decode_frame_with\(/ { found = 1 } on && /^    }/ { exit } END { exit !found }' \
-        crates/fl/src/simulation.rs; then
-    echo "verify: crates/fl/src/simulation.rs must call decode_frame_with exactly once, in apply_broadcast:" >&2
-    sim_product | grep 'decode_frame_with(' >&2
+if [[ "$(engine_product | grep -c 'decode_frame_with(')" -ne 1 ]] \
+    || [[ "$(fn_body crates/fl/src/stages/broadcast.rs apply_broadcast | grep -c 'decode_frame_with(')" -eq 0 ]]; then
+    echo "verify: the round engine must call decode_frame_with exactly once, in stages/broadcast.rs apply_broadcast:" >&2
+    engine_product | grep 'decode_frame_with(' >&2
     exit 1
 fi
 if [[ "$(product_lines crates/fl/src/client.rs | grep -c 'decode_frame_with(')" -ne 1 ]]; then
@@ -155,22 +185,21 @@ step "an upload is index-ordered wherever it lives (entries in index order, the 
 # pricing read. A ranked top_k_entries_into call or a wired-only arm in the
 # product code of crates/fl/src is the rank-ordered upload coming back, and
 # a probe that prices entries[..k'] prices an index-ordered prefix as if it
-# were the top k'. Product code only (up to a file's #[cfg(test)]); comment
-# lines are exempt.
-if for f in crates/fl/src/*.rs; do product_lines "$f"; done \
+# were the top k'. Product code only (no #[cfg(test)] item); comment lines
+# are exempt.
+if for f in $(find crates/fl/src -name '*.rs'); do product_lines "$f"; done \
     | grep -E 'top_k_entries_into\(|TopKOwn if wired'; then
     echo "verify: crates/fl/src builds a rank-ordered upload (lines above); select in index order and rank the keys" >&2
     exit 1
 fi
-if awk '/fn probe_round_time\(/ { on = 1 } on { print FNR ":" $0 } on && /^    }/ { exit }' \
-    crates/fl/src/simulation.rs | grep -F 'entries[..'; then
+if fn_body crates/fl/src/wire_state.rs probe_round_time | grep -F 'entries[..'; then
     echo "verify: WireState::probe_round_time prices an entries prefix (lines above); price the ranked view's" >&2
     exit 1
 fi
 
 step "one evaluation path (one sweep, one eager/lazy decision, no parallelism threshold, no batched-forward channel)"
 # agsfl_ml::metrics::global_evaluation is the only executor sweep and
-# Simulation::sweep the only place that asks whether the shards are
+# stages/evaluate.rs sweep the only place that asks whether the shards are
 # resident; the executor splits any region of more than one item on more
 # than one thread, so there is no threshold for a caller to override; the
 # row-parallel CNN forward and the process-global statics it reported into
@@ -185,9 +214,10 @@ if grep -rnE 'ml::stats|crate::stats' crates/ml crates/fl crates/core; then
     echo "verify: the agsfl_ml::stats channel is back (lines above); it never recorded anything" >&2
     exit 1
 fi
-if [[ "$(sim_product | grep -c 'as_dataset()')" -ne 1 ]]; then
-    echo "verify: crates/fl/src/simulation.rs must ask as_dataset() exactly once (Simulation::sweep):" >&2
-    sim_product | grep 'as_dataset()' >&2
+if [[ "$(engine_product | grep -c 'as_dataset()')" -ne 1 ]] \
+    || [[ "$(fn_body crates/fl/src/stages/evaluate.rs sweep | grep -c 'as_dataset()')" -eq 0 ]]; then
+    echo "verify: the round engine must ask as_dataset() exactly once, in stages/evaluate.rs sweep:" >&2
+    engine_product | grep 'as_dataset()' >&2
     exit 1
 fi
 
@@ -196,19 +226,18 @@ step "a cohort member fetches only the rows it trains on (no slot shard cache, n
 # then asks its ShardSource for just those rows; an offline member with a
 # stale probe sample fetches that one row. The slot's shard cache, the
 # whole-shard fill and the allocating next_batch are deleted paths growing
-# back. Whole shards are for the lazy evaluation sweep alone: the product
-# half of simulation.rs calls materialize_into exactly once, in
-# Simulation::sweep. Comment lines are exempt.
+# back. Whole shards are for the lazy evaluation sweep alone: the round
+# engine calls materialize_into exactly once, in stages/evaluate.rs sweep.
+# Comment lines are exempt.
 if grep -rnE '\b(shard_of|shard_mut|next_batch)\b' crates/*/src \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
     echo "verify: a deleted whole-shard round path is back (lines above); fetch rows with materialize_rows_into" >&2
     exit 1
 fi
-if [[ "$(sim_product | grep -c 'materialize_into')" -ne 1 ]] \
-    || ! awk '/^    fn sweep\(/ { on = 1 } on && /materialize_into/ { found = 1 } on && /^    }/ { exit } END { exit !found }' \
-        crates/fl/src/simulation.rs; then
-    echo "verify: crates/fl/src/simulation.rs must call materialize_into exactly once, in Simulation::sweep:" >&2
-    sim_product | grep 'materialize_into' >&2
+if [[ "$(engine_product | grep -c 'materialize_into')" -ne 1 ]] \
+    || [[ "$(fn_body crates/fl/src/stages/evaluate.rs sweep | grep -c 'materialize_into')" -eq 0 ]]; then
+    echo "verify: the round engine must call materialize_into exactly once, in stages/evaluate.rs sweep:" >&2
+    engine_product | grep 'materialize_into' >&2
     exit 1
 fi
 
