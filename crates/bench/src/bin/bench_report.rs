@@ -75,8 +75,7 @@ use agsfl_telemetry::{SpanId, StageRecorder};
 use agsfl_tensor::dispatch::{self, Level};
 use agsfl_tensor::{reference as tensor_reference, MatrixView, Product};
 use agsfl_wire::{
-    decode_frame, decode_frame_with, reference as wire_reference, Codec, DeltaVarint, QLinear8,
-    WireScratch,
+    decode_frame, decode_frame_with, reference as wire_reference, CodecSpec, WireScratch,
 };
 use std::hint::black_box;
 
@@ -581,8 +580,9 @@ fn main() {
     let message = wire_workload();
     let wire_shape = Shape::new(FAB_DIM, 1, FAB_K);
     let mut wire_scratch = WireScratch::new();
-    let frame = DeltaVarint
-        .encode_gradient_into(&message, &mut wire_scratch)
+    let delta = CodecSpec::DeltaVarint.build();
+    let frame = delta
+        .encode_into(message.dim(), message.entries(), &mut wire_scratch)
         .to_vec();
     assert_eq!(
         frame,
@@ -595,7 +595,8 @@ fn main() {
         &format!("delta-varint, {} B frame", frame.len()),
         || wire_reference::delta_encode(message.dim(), black_box(message.entries())),
         || {
-            let frame = DeltaVarint.encode_gradient_into(black_box(&message), &mut wire_scratch);
+            let message = black_box(&message);
+            let frame = delta.encode_into(message.dim(), message.entries(), &mut wire_scratch);
             black_box(frame);
         },
     );
@@ -621,9 +622,9 @@ fn main() {
     // `decode_frame` into a reused buffer. As with the lossless pair, the
     // two encoders must emit byte-identical frames.
     const QUANT_SEED: u64 = 0x9E37_79B9;
-    let quant_codec = QLinear8::new(QUANT_SEED);
+    let quant_codec = CodecSpec::QLinear8.build_seeded(QUANT_SEED);
     let quant_frame = quant_codec
-        .encode_gradient_into(&message, &mut wire_scratch)
+        .encode_into(message.dim(), message.entries(), &mut wire_scratch)
         .to_vec();
     assert_eq!(
         quant_frame,
@@ -636,7 +637,9 @@ fn main() {
         &format!("qlinear8, {} B frame", quant_frame.len()),
         || wire_reference::qlinear8_encode(QUANT_SEED, message.dim(), black_box(message.entries())),
         || {
-            let frame = quant_codec.encode_gradient_into(black_box(&message), &mut wire_scratch);
+            let message = black_box(&message);
+            let frame =
+                quant_codec.encode_into(message.dim(), message.entries(), &mut wire_scratch);
             black_box(frame);
         },
     );

@@ -181,9 +181,6 @@ fn run_cell(
         let k = ((experiment.dim() as f64 * config.fixed_k_fraction) as usize).max(1);
         experiment.run_fixed_k(k, &stop)
     };
-    let ks = history.k_sequence();
-    let tail_len = (ks.len() / 4).max(1).min(ks.len());
-    let tail = &ks[ks.len() - tail_len..];
     FaultSweepCell {
         severity: label.to_string(),
         final_loss: history.final_global_loss().unwrap_or(f64::NAN),
@@ -192,7 +189,7 @@ fn run_cell(
             .last()
             .map(|p| p.elapsed_time)
             .unwrap_or(0.0),
-        tail_mean_k: tail.iter().sum::<usize>() as f64 / tail.len().max(1) as f64,
+        tail_mean_k: super::tail_mean_k(&history.k_sequence()),
         totals: *history.fault_totals(),
     }
 }

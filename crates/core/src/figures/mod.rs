@@ -29,3 +29,10 @@ pub mod regret_check;
 pub mod scale_sweep;
 pub mod sweep;
 pub mod wire_sweep;
+
+/// Mean of `k` over the last quarter of a run's `{k_m}` sequence (at least
+/// its last round; `0` for an empty run).
+fn tail_mean_k(ks: &[usize]) -> f64 {
+    let tail = &ks[ks.len().saturating_sub((ks.len() / 4).max(1))..];
+    tail.iter().sum::<usize>() as f64 / tail.len().max(1) as f64
+}

@@ -178,9 +178,7 @@ pub fn run(config: &SweepConfig, dataset_label: &str) -> SweepResult {
             &StopCondition::after_rounds(config.adaptation_rounds),
         );
         let k_sequence = history.k_sequence();
-        let tail_start = k_sequence.len().saturating_sub(k_sequence.len() / 4).max(1) - 1;
-        let tail = &k_sequence[tail_start..];
-        let tail_mean_k = tail.iter().sum::<usize>() as f64 / tail.len().max(1) as f64;
+        let tail_mean_k = super::tail_mean_k(&k_sequence);
         let adaptation_time = history
             .points()
             .last()
@@ -268,6 +266,12 @@ mod tests {
         assert!(result.replay(100.0, 0.1).is_some());
         for r in &result.replays {
             assert!(r.final_loss.is_finite());
+        }
+        for s in &result.sequences {
+            let ks = &s.k_sequence;
+            let tail = &ks[ks.len() - (ks.len() / 4).max(1)..];
+            let mean = tail.iter().sum::<usize>() as f64 / tail.len() as f64;
+            assert_eq!(s.tail_mean_k, mean, "{} rounds", ks.len());
         }
     }
 

@@ -220,10 +220,6 @@ fn run_cell(
         let k = ((experiment.dim() as f64 * config.fixed_k_fraction) as usize).max(1);
         experiment.run_fixed_k(k, &stop)
     };
-    let ks = history.k_sequence();
-    // The last quarter of the run (at least one round when the run is short).
-    let tail_len = (ks.len() / 4).max(1).min(ks.len());
-    let tail = &ks[ks.len() - tail_len..];
     let (uplink_bytes, downlink_bytes) = history.wire_bytes();
     WireSweepCell {
         channel: channel_label.to_string(),
@@ -236,7 +232,7 @@ fn run_cell(
             .map(|p| p.elapsed_time)
             .unwrap_or(0.0),
         final_loss: history.final_global_loss().unwrap_or(f64::NAN),
-        tail_mean_k: tail.iter().sum::<usize>() as f64 / tail.len().max(1) as f64,
+        tail_mean_k: super::tail_mean_k(&history.k_sequence()),
         codec_counts: history.codec_counts().to_vec(),
     }
 }

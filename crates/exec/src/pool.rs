@@ -26,9 +26,10 @@
 //!    borrowed closure go out of scope.
 //!
 //! The borrow therefore strictly outlives every dereference, exactly the
-//! guarantee `thread::scope` provides structurally. This is the **only**
-//! `unsafe` code in the workspace, confined to this module and carried by
-//! that single argument.
+//! guarantee `thread::scope` provides structurally. This module is one of
+//! the workspace's two homes of `unsafe` code (the other is
+//! `agsfl_tensor::dispatch`, whose `#[target_feature]` kernels argue their
+//! own case), and every `unsafe` here is carried by that single argument.
 //!
 //! # Determinism
 //!
@@ -158,6 +159,11 @@ unsafe impl Send for Task {}
 /// `ctx` must point to a live `F`; guaranteed by the generation handshake
 /// (see the module docs).
 unsafe fn call_erased<F: Fn(usize) + Sync>(ctx: *const (), index: usize) {
+    // SAFETY: `submit_region` pairs this trampoline with a `ctx` cast from
+    // an `&F` of the same `F`, so the cast restores the pointee's type; the
+    // submitter blocks until the region completes, so the `&F` is live for
+    // the whole call; and `F: Sync`, so sharing it with other workers
+    // running sibling chunks is sound.
     let f = unsafe { &*(ctx.cast::<F>()) };
     f(index);
 }
@@ -377,9 +383,12 @@ fn worker_loop(receiver: &Mutex<Receiver<Task>>, metrics: &PoolMetrics, worker: 
             stats.record_dispatch_ns(now.duration_since(t0).as_nanos() as u64);
             now
         });
-        // SAFETY: the submitter blocks until this region's completion
-        // count reaches its task count, so `ctx` is live for the whole
-        // call (see the `Task` Send impl and the module docs).
+        // SAFETY: `call` is `call_erased::<F>` and `ctx` an erased `&F` of
+        // that same `F`, both stamped on the task by `submit_region`, which
+        // is `call_erased`'s type contract. The submitter blocks until this
+        // region's completion count reaches its task count, and this task
+        // completes only after the call returns or unwinds, so `ctx` is live
+        // for the whole call (see the `Task` Send impl and the module docs).
         let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { call(ctx, index) }));
         if let Some(t0) = busy_start {
             stats.add_busy_ns(t0.elapsed().as_nanos() as u64);

@@ -255,7 +255,7 @@ impl Client {
     /// and encode.
     pub(crate) fn encode_upload_into(
         &mut self,
-        codec: &dyn Codec,
+        codec: Codec,
         dim: usize,
         entries: &[(usize, f32)],
         frame: &mut Vec<u8>,
@@ -464,7 +464,7 @@ mod tests {
                 for _ in 0..2 {
                     client.build_upload_into(plan, 6, &mut entries);
                     let sent = entries.clone();
-                    client.encode_upload_into(codec.as_ref(), dim, &entries, &mut frame);
+                    client.encode_upload_into(codec, dim, &entries, &mut frame);
                     client.decode_upload_into(&frame, rank, &mut entries, &mut errors);
                     client.rank_upload_into(rank, &mut ranked);
 

@@ -191,9 +191,10 @@ pub(crate) fn probe_by_second_selection(
                     wire.channel.uplink_time(round_idx, upload.client, bytes)
                 })
                 .fold(0.0f64, f64::max);
+            let aggregate = &probe_selection.aggregated;
             let downlink_bytes = wire
                 .downlink
-                .encoded_len_gradient(&probe_selection.aggregated);
+                .encoded_len(aggregate.dim(), aggregate.entries());
             wire.channel.compute_time()
                 + uplink_phase
                 + wire.downlink_phase_time(round_idx, downlink_bytes)

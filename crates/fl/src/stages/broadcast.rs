@@ -37,19 +37,18 @@ pub(crate) fn apply_broadcast(
         );
         return (round_time, None);
     };
-    let frame = wire
-        .downlink
-        .encode_gradient_into(&selection.aggregated, &mut wire.scratch);
+    let (dim, aggregate) = (selection.aggregated.dim(), selection.aggregated.entries());
+    let frame = wire.downlink.encode_into(dim, aggregate, &mut wire.scratch);
     #[cfg(debug_assertions)]
     {
-        let broadcast = agsfl_wire::decode_gradient(frame).expect("self-encoded frame must decode");
+        let mut broadcast = Vec::new();
+        agsfl_wire::decode_frame(frame, &mut broadcast).expect("self-encoded frame must decode");
         debug_assert!(
             broadcast
-                .entries()
                 .iter()
-                .zip(selection.aggregated.entries().iter())
+                .zip(aggregate)
                 .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
-                && broadcast.nnz() == selection.aggregated.nnz(),
+                && broadcast.len() == aggregate.len(),
             "decoded broadcast must be bit-identical to the aggregate"
         );
     }

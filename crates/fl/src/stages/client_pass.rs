@@ -95,7 +95,7 @@ pub(crate) fn client_pass<R: Recorder>(
             // The quantization stream is keyed on frame content, not on the
             // worker schedule, so encoding here is per-slot work too.
             slot.client
-                .encode_upload_into(w.codec.as_ref(), dim, &slot.entries, &mut slot.frame);
+                .encode_upload_into(w.codec, dim, &slot.entries, &mut slot.frame);
             t_decode = clock.then(Instant::now);
             slot.client
                 .decode_upload_into(&slot.frame, rank, &mut slot.entries, &mut slot.errors);

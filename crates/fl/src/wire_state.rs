@@ -2,7 +2,7 @@
 //! the broadcast's downlink phase and the probe's hypothetical round.
 
 use agsfl_sparse::{ClientUpload, SparseGradient};
-use agsfl_wire::{Auto, Codec, CodecSpec, Precision, WireScratch};
+use agsfl_wire::{Codec, CodecSpec, Precision, WireScratch};
 use std::sync::OnceLock;
 
 use crate::channel::ChannelModel;
@@ -24,11 +24,11 @@ pub(crate) struct WireState {
     /// the restored controller state before the next round.
     precision: Option<Precision>,
     /// The uplink codec currently in force.
-    pub codec: Box<dyn Codec>,
+    pub codec: Codec,
     /// The downlink codec — always lossless: the server holds no residual
     /// accumulator, so a downlink quantization error would be lost forever
     /// rather than fed back.
-    pub downlink: Box<dyn Codec>,
+    pub downlink: Codec,
     pub channel: ChannelModel,
     /// The links a broadcast must be priced over
     /// ([`ChannelModel::downlink_frontier`]), built on the first priced
@@ -47,7 +47,7 @@ impl WireState {
             precision: None,
             codec: spec.build_seeded(quant_seed),
             downlink: if spec.is_lossy() {
-                Box::new(Auto)
+                CodecSpec::Auto.build()
             } else {
                 spec.build()
             },
@@ -76,9 +76,9 @@ impl WireState {
 
     /// Installs a precision override for subsequent rounds: `None` restores
     /// the configured spec, [`Precision::F32`] pins a lossless uplink (the
-    /// configured spec when it is lossless, [`Auto`] otherwise), and the
-    /// lossy tiers swap in their codec seeded from the same quantization
-    /// stream. Idempotent — re-proposing the current tier rebuilds nothing.
+    /// configured spec when it is lossless, [`CodecSpec::Auto`] otherwise),
+    /// and the lossy tiers swap in their codec seeded from the same
+    /// quantization stream. Idempotent — re-proposing the current tier rebuilds nothing.
     pub fn set_precision(&mut self, precision: Option<Precision>) {
         if precision == self.precision {
             return;
@@ -123,14 +123,13 @@ impl WireState {
         let dim = probe_aggregate.dim();
         let mut uplink_phase = 0.0f64;
         for (pos, upload) in uploads.iter().enumerate() {
-            let codec = self.codec.as_ref();
             let bytes = if probe_k < upload.len() {
                 self.scratch
-                    .encoded_len_prefix(codec, dim, upload, probe_k, keys)
+                    .encoded_len_prefix(self.codec, dim, upload, probe_k, keys)
             } else {
                 debug_assert_eq!(
                     sent_bytes(pos),
-                    codec.encoded_len(dim, &upload.entries),
+                    self.codec.encoded_len(dim, &upload.entries),
                     "a frame is as long as the pricing of what it decodes to"
                 );
                 sent_bytes(pos)
@@ -138,7 +137,7 @@ impl WireState {
             uplink_phase =
                 uplink_phase.max(self.channel.uplink_time(round_idx, upload.client, bytes));
         }
-        let downlink_bytes = self.downlink.encoded_len_gradient(probe_aggregate);
+        let downlink_bytes = self.downlink.encoded_len(dim, probe_aggregate.entries());
         self.channel.compute_time()
             + uplink_phase
             + self.downlink_phase_time(round_idx, downlink_bytes)

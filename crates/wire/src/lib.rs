@@ -8,13 +8,15 @@
 //! [`Codec`] encodes a message into a self-describing frame, a channel
 //! model (`agsfl_fl::ChannelModel`) prices the frame on a per-client link,
 //! and the adaptive-`k` controllers in `agsfl-online` see the realized
-//! byte cost.
+//! byte cost. A codec is a plain value built from its config selector,
+//! [`CodecSpec`]; the frame's first byte, a [`CodecId`], names the format
+//! it was written in.
 //!
-//! Three lossless encodings are provided — [`CooF32`] (4-byte index +
-//! 4-byte value baseline), [`DeltaVarint`] (sorted-index gaps as LEB128
-//! varints, enabled by the `SparseGradient` sorted-entries invariant) and
-//! [`Bitmap`] (dense occupancy bitmap + packed values, which wins at high
-//! `k/D`) — plus [`Auto`], which deterministically emits the smallest of
+//! Three lossless formats are provided — coo-f32 (4-byte index + 4-byte
+//! value baseline), delta-varint (sorted-index gaps as LEB128 varints,
+//! enabled by the `SparseGradient` sorted-entries invariant) and bitmap
+//! (dense occupancy bitmap + packed values, which wins at high `k/D`) —
+//! plus [`CodecSpec::Auto`], which deterministically emits the smallest of
 //! the three per message. All four round-trip **bit-exactly** (including
 //! `-0.0` and subnormals; pinned by proptests across every sparsifier's
 //! output in `tests/codec_roundtrip.rs`), which is what lets the lossless
@@ -22,15 +24,15 @@
 //! invariant: those codecs never perturb a single bit of the training
 //! trajectory.
 //!
-//! On top of the lossless tier sits a *lossy* tier — [`QLinear8`] (8-bit
-//! linear with seed-deterministic stochastic rounding), [`F16`] (IEEE
-//! binary16, round-to-nearest-even) and [`SignNorm`] (1 bit/sign + frame
-//! norm) — selected through the [`Precision`] axis of the controllers'
-//! 2-D action space. Lossy frames deliberately trade bit-identity with
-//! the lossless trajectory for bytes; what they keep is
-//! **reproducibility**: encoding is a pure function of `(seed, message)`,
-//! so a lossy run is still bit-identical to itself across worker counts
-//! and checkpoint/resume (see [`mod@lossy`]).
+//! On top of the lossless tier sits a *lossy* tier — qlinear8 (8-bit
+//! linear with seed-deterministic stochastic rounding), f16 (IEEE binary16,
+//! round-to-nearest-even) and sign-norm (1 bit/sign + frame norm) —
+//! selected through the [`Precision`] axis of the controllers' 2-D action
+//! space. Lossy frames deliberately trade bit-identity with the lossless
+//! trajectory for bytes; what they keep is **reproducibility**: encoding is
+//! a pure function of `(seed, message)`, so a lossy run is still
+//! bit-identical to itself across worker counts and checkpoint/resume (see
+//! [`mod@lossy`]).
 //!
 //! Encoding is zero-allocation in steady state against a reusable
 //! [`WireScratch`] (the `SelectionScratch`/`Im2colScratch` house style);
@@ -49,16 +51,19 @@
 //!
 //! ```
 //! use agsfl_sparse::SparseGradient;
-//! use agsfl_wire::{decode_gradient, frame_codec, Auto, Codec, WireScratch};
+//! use agsfl_wire::{decode_frame, frame_codec, CodecSpec, WireScratch};
 //!
 //! let g = SparseGradient::from_entries(1_000, (0..40).map(|j| (j * 7, 0.5)).collect());
+//! let auto = CodecSpec::Auto.build();
 //! let mut scratch = WireScratch::new();
-//! let frame = Auto.encode_gradient_into(&g, &mut scratch);
-//! // Self-describing: the frame records which encoding Auto chose...
+//! let frame = auto.encode_into(g.dim(), g.entries(), &mut scratch);
+//! // Self-describing: the frame records which format Auto chose...
 //! let chosen = frame_codec(frame).unwrap();
-//! assert_eq!(chosen, Auto.choose(g.dim(), g.entries()));
+//! assert_eq!(chosen, auto.choose(g.dim(), g.entries()));
 //! // ...and decodes back bit-exactly.
-//! assert_eq!(decode_gradient(frame).unwrap(), g);
+//! let mut decoded = Vec::new();
+//! assert_eq!(decode_frame(frame, &mut decoded).unwrap(), (g.dim(), chosen));
+//! assert_eq!(decoded, g.entries());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -72,10 +77,7 @@ mod scratch;
 pub mod snapshot;
 mod varint;
 
-pub use codec::{
-    decode_frame, decode_frame_with, decode_gradient, frame_codec, Auto, Bitmap, Codec, CodecId,
-    CodecSpec, CooF32, DeltaVarint,
-};
+pub use codec::{decode_frame, decode_frame_with, frame_codec, Codec, CodecId, CodecSpec};
 pub use error::WireError;
-pub use lossy::{f16_bits_to_f32, f32_to_f16_bits, Precision, QLinear8, SignNorm, F16, F16_MAX};
+pub use lossy::{f16_bits_to_f32, f32_to_f16_bits, Precision, F16_MAX};
 pub use scratch::WireScratch;

@@ -5,27 +5,31 @@
 //!
 //! Lossy frames reuse the common self-describing header (`codec id`,
 //! `varint dim`, `varint nnz`); index *positions* stay exact — only values
-//! are quantized — and travel as the same sorted-gap varints
-//! [`crate::DeltaVarint`] uses:
+//! are quantized — and travel as the same sorted-gap varints delta-varint
+//! frames use:
 //!
-//! | codec | payload after the header | bytes (header aside) |
+//! | format | payload after the header | bytes (header aside) |
 //! |---|---|---|
-//! | [`QLinear8`] | `f32 lo`, `f32 hi`, then `n × (varint gap, u8 level)` | `8 + n + Σ varint(Δ)` |
-//! | [`F16`] | `n × (varint gap, u16 half, LE)` | `2n + Σ varint(Δ)` |
-//! | [`SignNorm`] | `f32 magnitude`, `⌈n/8⌉` sign bytes (bit set = negative), then `n × varint gap` | `4 + ⌈n/8⌉ + Σ varint(Δ)` |
+//! | qlinear8 ([`CodecId::QLinear8`](crate::CodecId::QLinear8)) | `f32 lo`, `f32 hi`, then `n × (varint gap, u8 level)` | `8 + n + Σ varint(Δ)` |
+//! | f16 ([`CodecId::F16`](crate::CodecId::F16)) | `n × (varint gap, u16 half, LE)` | `2n + Σ varint(Δ)` |
+//! | sign-norm ([`CodecId::SignNorm`](crate::CodecId::SignNorm)) | `f32 magnitude`, `⌈n/8⌉` sign bytes (bit set = negative), then `n × varint gap` | `4 + ⌈n/8⌉ + Σ varint(Δ)` |
 //!
-//! [`QLinear8`] maps each value onto 256 linear levels between the frame's
-//! observed `[lo, hi]`; [`F16`] stores IEEE-754 binary16 with
+//! qlinear8 maps each value onto 256 linear levels between the frame's
+//! observed `[lo, hi]`; f16 stores IEEE-754 binary16 with
 //! round-to-nearest-even (inputs saturate at ±65504, the largest finite
-//! half, so error feedback never sees an infinity); [`SignNorm`] keeps one
+//! half, so error feedback never sees an infinity); sign-norm keeps one
 //! sign bit per entry plus the frame's mean absolute value, the classic
-//! 1-bit-with-norm quantizer.
+//! 1-bit-with-norm quantizer. Its sign bytes precede the gap varints so the
+//! streaming decoder can locate them without a first parsing pass; padding
+//! bits of the last sign byte must be zero (validated). f16 and sign-norm
+//! carry no RNG at all.
 //!
 //! # Determinism
 //!
-//! [`QLinear8`] is the only codec that rounds stochastically. Its RNG is a
+//! qlinear8 is the only format that rounds stochastically. Its RNG is a
 //! per-frame ChaCha8 stream keyed by `seed XOR fnv1a(dim, entries)` — a
-//! pure function of the codec's configured seed and the message content,
+//! pure function of the seed the codec was built with
+//! ([`CodecSpec::build_seeded`]) and the message content,
 //! so encoding carries **no mutable state**: the same message encodes to
 //! the same bytes no matter which worker thread encodes it, how many
 //! times, or on which side of a checkpoint/resume boundary. That
@@ -52,19 +56,17 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::codec::{check_entries, finish, header_len, read_f32, write_header, Codec, CodecId};
+use crate::codec::{read_f32, read_gaps, take, write_gaps, CodecSpec};
 use crate::error::WireError;
-use crate::scratch::WireScratch;
-use crate::varint;
 
-/// Largest finite IEEE-754 binary16 value; [`F16`] saturates here.
+/// Largest finite IEEE-754 binary16 value; f16 frames saturate here.
 pub const F16_MAX: f32 = 65504.0;
 
 /// Converts an `f32` to IEEE-754 binary16 bits with round-to-nearest-even.
 ///
 /// Full IEEE semantics: values at or beyond 65520 round to infinity, NaN
 /// stays NaN (quieted), subnormal halves and signed zero are exact. The
-/// [`F16`] codec clamps its inputs to `±`[`F16_MAX`] *before* calling this,
+/// f16 format clamps its inputs to `±`[`F16_MAX`] *before* calling this,
 /// so codec frames never carry an infinity.
 pub fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
@@ -152,7 +154,7 @@ fn fnv_bytes<const N: usize>(h: u64, bytes: [u8; N]) -> u64 {
 }
 
 /// Folds one entry — the index as eight little-endian bytes, then the four
-/// value bytes — into the running FNV-1a state. A [`QLinear8`] frame's RNG
+/// value bytes — into the running FNV-1a state. A qlinear8 frame's RNG
 /// stream is keyed by this chain over `dim` and then every entry in order,
 /// which makes it part of the frame format: [`crate::reference::frame_hash`]
 /// is the byte-at-a-time form it must equal. An index below 2²⁴ (every
@@ -170,27 +172,6 @@ fn fnv_entry(h: u64, j: usize, v: f32) -> u64 {
     fnv_bytes(h, v.to_bits().to_le_bytes())
 }
 
-/// Asserts the lossy-encode contract: every value finite. (Lossless codecs
-/// carry arbitrary bit patterns; a lossy frame's header fields must be
-/// finite for the decoder to accept them, so the encoder refuses the
-/// inputs that could not round-trip.)
-fn check_finite(entries: &[(usize, f32)]) {
-    assert!(
-        entries.iter().all(|&(_, v)| v.is_finite()),
-        "lossy codecs require finite values"
-    );
-}
-
-fn gaps_len(entries: &[(usize, f32)]) -> usize {
-    let mut len = 0usize;
-    let mut prev = 0u64;
-    for &(j, _) in entries {
-        len += varint::len(j as u64 - prev);
-        prev = j as u64;
-    }
-    len
-}
-
 /// The quantization step shared by encoder, decoder and error feedback:
 /// computed in `f64` so `hi − lo` never overflows even at `±f32::MAX`.
 fn q8_step(lo: f32, hi: f32) -> f64 {
@@ -204,11 +185,11 @@ fn q8_value(lo: f32, step: f64, q: u8) -> f32 {
     (f64::from(lo) + f64::from(q) * step) as f32
 }
 
-/// Everything [`QLinear8`] needs to know about a message before it writes
-/// a byte, from one sweep over it: the encode contract checked (indices in
-/// range, values finite; debug builds also the index order), the value
-/// range `[lo, hi]` (`[0, 0]` for an empty message), and the content hash
-/// that keys the frame's stochastic-rounding stream.
+/// Everything a qlinear8 frame needs to know about a message before it
+/// writes a byte, from one sweep over it: the encode contract checked
+/// (indices in range, values finite; debug builds also the index order),
+/// the value range `[lo, hi]` (`[0, 0]` for an empty message), and the
+/// content hash that keys the frame's stochastic-rounding stream.
 fn q8_survey(dim: usize, entries: &[(usize, f32)]) -> (f32, f32, u64) {
     let mut hash = fnv_bytes(FNV_BASIS, (dim as u64).to_le_bytes());
     let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
@@ -259,60 +240,17 @@ fn q8_quantize(v: f32, lo: f32, step: f64, rng: &mut ChaCha8Rng) -> u8 {
     q.clamp(0.0, 255.0) as u8
 }
 
-/// 8-bit linear quantizer over the frame's own `[lo, hi]` value range with
-/// seed-deterministic stochastic rounding (see the [module docs](self) for
-/// the per-frame RNG derivation).
-///
-/// Two frames with the same content always encode identically; the `seed`
-/// distinguishes independent experiments, exactly like the simulation's
-/// other named RNG streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QLinear8 {
-    seed: u64,
-}
-
-impl QLinear8 {
-    /// Creates the quantizer with its stochastic-rounding stream seed.
-    pub fn new(seed: u64) -> Self {
-        Self { seed }
-    }
-}
-
-impl Codec for QLinear8 {
-    fn name(&self) -> &'static str {
-        CodecId::QLinear8.name()
-    }
-
-    fn choose(&self, _dim: usize, _entries: &[(usize, f32)]) -> CodecId {
-        CodecId::QLinear8
-    }
-
-    fn encoded_len(&self, dim: usize, entries: &[(usize, f32)]) -> usize {
-        header_len(dim, entries.len()) + 8 + entries.len() + gaps_len(entries)
-    }
-
-    fn encode_into<'a>(
-        &self,
-        dim: usize,
-        entries: &[(usize, f32)],
-        scratch: &'a mut WireScratch,
-    ) -> &'a [u8] {
-        let (lo, hi, hash) = q8_survey(dim, entries);
-        let step = q8_step(lo, hi);
-        // Content-keyed, so a pure function of `(codec seed, message)`.
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ hash);
-        let buf = scratch.begin();
-        write_header(buf, CodecId::QLinear8, dim, entries.len());
-        buf.extend_from_slice(&lo.to_le_bytes());
-        buf.extend_from_slice(&hi.to_le_bytes());
-        let mut prev = 0u64;
-        for &(j, v) in entries {
-            varint::write(buf, j as u64 - prev);
-            prev = j as u64;
-            buf.push(q8_quantize(v, lo, step, &mut rng));
-        }
-        scratch.frame()
-    }
+/// Writes a qlinear8 payload: the value range, then the gap stream with
+/// one level per entry, rounded on the stream keyed by `(seed, message)`.
+pub(crate) fn write_qlinear8(seed: u64, dim: usize, entries: &[(usize, f32)], buf: &mut Vec<u8>) {
+    let (lo, hi, hash) = q8_survey(dim, entries);
+    let step = q8_step(lo, hi);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ hash);
+    buf.extend_from_slice(&lo.to_le_bytes());
+    buf.extend_from_slice(&hi.to_le_bytes());
+    write_gaps(buf, entries, |buf, v| {
+        buf.push(q8_quantize(v, lo, step, &mut rng))
+    });
 }
 
 pub(crate) fn decode_qlinear8(
@@ -328,110 +266,12 @@ pub(crate) fn decode_qlinear8(
         return Err(WireError::InvalidQuantization("qlinear8 bounds"));
     }
     let step = q8_step(lo, hi);
-    let mut next = 0u64;
-    for i in 0..nnz {
-        let delta = varint::read(frame, &mut pos)?;
-        if i > 0 && delta == 0 {
-            return Err(WireError::NotSorted);
-        }
-        let j = next.checked_add(delta).ok_or(WireError::VarintOverflow)?;
-        if j >= dim as u64 {
-            return Err(WireError::IndexOutOfRange {
-                index: j,
-                dim: dim as u64,
-            });
-        }
-        let &q = frame.get(pos).ok_or(WireError::Truncated)?;
-        pos += 1;
-        visit(j as usize, q8_value(lo, step, q));
-        next = j;
-    }
-    finish(frame, pos)
+    let level = |_, at: &mut usize| take(frame, at).map(|[q]| q8_value(lo, step, q));
+    read_gaps(frame, pos, dim, nnz, level, visit)
 }
 
-/// IEEE-754 binary16 values with round-to-nearest-even, saturating at
-/// `±`[`F16_MAX`] so error feedback never sees an infinity. Deterministic:
-/// carries no RNG at all.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct F16;
-
-impl Codec for F16 {
-    fn name(&self) -> &'static str {
-        CodecId::F16.name()
-    }
-
-    fn choose(&self, _dim: usize, _entries: &[(usize, f32)]) -> CodecId {
-        CodecId::F16
-    }
-
-    fn encoded_len(&self, dim: usize, entries: &[(usize, f32)]) -> usize {
-        header_len(dim, entries.len()) + 2 * entries.len() + gaps_len(entries)
-    }
-
-    fn encode_into<'a>(
-        &self,
-        dim: usize,
-        entries: &[(usize, f32)],
-        scratch: &'a mut WireScratch,
-    ) -> &'a [u8] {
-        check_entries(dim, entries);
-        check_finite(entries);
-        let buf = scratch.begin();
-        write_header(buf, CodecId::F16, dim, entries.len());
-        let mut prev = 0u64;
-        for &(j, v) in entries {
-            varint::write(buf, j as u64 - prev);
-            prev = j as u64;
-            let half = f32_to_f16_bits(v.clamp(-F16_MAX, F16_MAX));
-            buf.extend_from_slice(&half.to_le_bytes());
-        }
-        scratch.frame()
-    }
-}
-
-pub(crate) fn decode_f16(
-    frame: &[u8],
-    mut pos: usize,
-    dim: usize,
-    nnz: usize,
-    visit: &mut impl FnMut(usize, f32),
-) -> Result<(), WireError> {
-    let mut next = 0u64;
-    for i in 0..nnz {
-        let delta = varint::read(frame, &mut pos)?;
-        if i > 0 && delta == 0 {
-            return Err(WireError::NotSorted);
-        }
-        let j = next.checked_add(delta).ok_or(WireError::VarintOverflow)?;
-        if j >= dim as u64 {
-            return Err(WireError::IndexOutOfRange {
-                index: j,
-                dim: dim as u64,
-            });
-        }
-        let bytes: [u8; 2] = frame
-            .get(pos..pos + 2)
-            .ok_or(WireError::Truncated)?
-            .try_into()
-            .expect("2-byte slice");
-        pos += 2;
-        visit(j as usize, f16_bits_to_f32(u16::from_le_bytes(bytes)));
-        next = j;
-    }
-    finish(frame, pos)
-}
-
-/// One sign bit per entry plus the frame's mean absolute value — the
-/// 1-bit-with-norm quantizer. Every decoded value is `±magnitude`, where
-/// `magnitude = (Σ|vᵢ|)/n` accumulated in `f64` over the sorted entries.
-/// Deterministic: carries no RNG at all.
-///
-/// The sign bytes precede the gap varints so the streaming decoder can
-/// locate them without a first parsing pass; padding bits of the last sign
-/// byte must be zero (validated).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SignNorm;
-
+/// The sign-norm magnitude: `(Σ|vᵢ|)/n` accumulated in `f64` over the
+/// sorted entries; every decoded value is `±magnitude`.
 fn sign_norm_magnitude(entries: &[(usize, f32)]) -> f32 {
     if entries.is_empty() {
         return 0.0;
@@ -440,45 +280,18 @@ fn sign_norm_magnitude(entries: &[(usize, f32)]) -> f32 {
     (sum / entries.len() as f64) as f32
 }
 
-impl Codec for SignNorm {
-    fn name(&self) -> &'static str {
-        CodecId::SignNorm.name()
-    }
-
-    fn choose(&self, _dim: usize, _entries: &[(usize, f32)]) -> CodecId {
-        CodecId::SignNorm
-    }
-
-    fn encoded_len(&self, dim: usize, entries: &[(usize, f32)]) -> usize {
-        header_len(dim, entries.len()) + 4 + entries.len().div_ceil(8) + gaps_len(entries)
-    }
-
-    fn encode_into<'a>(
-        &self,
-        dim: usize,
-        entries: &[(usize, f32)],
-        scratch: &'a mut WireScratch,
-    ) -> &'a [u8] {
-        check_entries(dim, entries);
-        check_finite(entries);
-        let magnitude = sign_norm_magnitude(entries);
-        let buf = scratch.begin();
-        write_header(buf, CodecId::SignNorm, dim, entries.len());
-        buf.extend_from_slice(&magnitude.to_le_bytes());
-        let signs_start = buf.len();
-        buf.resize(signs_start + entries.len().div_ceil(8), 0);
-        for (i, &(_, v)) in entries.iter().enumerate() {
-            if v.is_sign_negative() {
-                buf[signs_start + i / 8] |= 1 << (i % 8);
-            }
+/// Writes a sign-norm payload: the magnitude, the sign bits, then the gap
+/// stream with no value bytes.
+pub(crate) fn write_sign_norm(entries: &[(usize, f32)], buf: &mut Vec<u8>) {
+    buf.extend_from_slice(&sign_norm_magnitude(entries).to_le_bytes());
+    let signs_start = buf.len();
+    buf.resize(signs_start + entries.len().div_ceil(8), 0);
+    for (i, &(_, v)) in entries.iter().enumerate() {
+        if v.is_sign_negative() {
+            buf[signs_start + i / 8] |= 1 << (i % 8);
         }
-        let mut prev = 0u64;
-        for &(j, _) in entries {
-            varint::write(buf, j as u64 - prev);
-            prev = j as u64;
-        }
-        scratch.frame()
     }
+    write_gaps(buf, entries, |_, _| {});
 }
 
 pub(crate) fn decode_sign_norm(
@@ -492,51 +305,35 @@ pub(crate) fn decode_sign_norm(
     if !magnitude.is_finite() || magnitude < 0.0 {
         return Err(WireError::InvalidQuantization("sign-norm magnitude"));
     }
-    let signs_len = nnz.div_ceil(8);
-    let signs_start = pos;
-    if frame.len() < signs_start + signs_len {
-        return Err(WireError::Truncated);
-    }
-    if !nnz.is_multiple_of(8) && frame[signs_start + signs_len - 1] >> (nnz % 8) != 0 {
+    let signs = frame
+        .get(pos..pos + nnz.div_ceil(8))
+        .ok_or(WireError::Truncated)?;
+    if !nnz.is_multiple_of(8) && signs[signs.len() - 1] >> (nnz % 8) != 0 {
         return Err(WireError::InvalidQuantization("sign-norm padding bits"));
     }
-    pos += signs_len;
-    let mut next = 0u64;
-    for i in 0..nnz {
-        let delta = varint::read(frame, &mut pos)?;
-        if i > 0 && delta == 0 {
-            return Err(WireError::NotSorted);
-        }
-        let j = next.checked_add(delta).ok_or(WireError::VarintOverflow)?;
-        if j >= dim as u64 {
-            return Err(WireError::IndexOutOfRange {
-                index: j,
-                dim: dim as u64,
-            });
-        }
-        let negative = frame[signs_start + i / 8] & (1 << (i % 8)) != 0;
-        visit(j as usize, if negative { -magnitude } else { magnitude });
-        next = j;
-    }
-    finish(frame, pos)
+    let sign = |i: usize, _: &mut usize| {
+        let negative = signs[i / 8] & (1 << (i % 8)) != 0;
+        Ok(if negative { -magnitude } else { magnitude })
+    };
+    read_gaps(frame, pos + signs.len(), dim, nnz, sign, visit)
 }
 
 /// A value-precision tier — the second axis of the controllers' 2-D
 /// `(k × precision)` action space.
 ///
 /// [`Precision::F32`] is the lossless tier (the smallest-frame
-/// [`crate::Auto`] codec): selecting it reproduces the lossless trajectory
+/// [`CodecSpec::Auto`] codec): selecting it reproduces the lossless trajectory
 /// exactly, which is the zero-error end of the bytes-vs-accuracy frontier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[repr(u8)]
 pub enum Precision {
-    /// Lossless `f32` frames ([`crate::Auto`]).
+    /// Lossless `f32` frames ([`CodecSpec::Auto`]).
     F32 = 0,
-    /// IEEE binary16 values ([`F16`]).
+    /// IEEE binary16 values (f16 frames).
     F16 = 1,
-    /// 8-bit linear quantization ([`QLinear8`]).
+    /// 8-bit linear quantization (qlinear8 frames).
     Q8 = 2,
-    /// 1-bit sign + frame norm ([`SignNorm`]).
+    /// 1-bit sign + frame norm (sign-norm frames).
     Sign = 3,
 }
 
@@ -561,12 +358,12 @@ impl Precision {
     }
 
     /// The codec selector implementing this tier.
-    pub fn codec_spec(self) -> crate::CodecSpec {
+    pub fn codec_spec(self) -> CodecSpec {
         match self {
-            Precision::F32 => crate::CodecSpec::Auto,
-            Precision::F16 => crate::CodecSpec::F16,
-            Precision::Q8 => crate::CodecSpec::QLinear8,
-            Precision::Sign => crate::CodecSpec::SignNorm,
+            Precision::F32 => CodecSpec::Auto,
+            Precision::F16 => CodecSpec::F16,
+            Precision::Q8 => CodecSpec::QLinear8,
+            Precision::Sign => CodecSpec::SignNorm,
         }
     }
 }
@@ -575,6 +372,7 @@ impl Precision {
 mod tests {
     use super::*;
     use crate::codec::decode_frame;
+    use crate::WireScratch;
 
     #[test]
     fn f16_conversion_is_exact_on_known_values() {
@@ -670,13 +468,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "index out of range")]
     fn qlinear8_rejects_an_out_of_range_index() {
-        QLinear8::new(1).encode_into(4, &[(1, 0.5), (4, 1.0)], &mut WireScratch::new());
+        let codec = CodecSpec::QLinear8.build_seeded(1);
+        codec.encode_into(4, &[(1, 0.5), (4, 1.0)], &mut WireScratch::new());
     }
 
     #[test]
     #[should_panic(expected = "finite values")]
     fn qlinear8_rejects_a_non_finite_value() {
-        QLinear8::new(1).encode_into(4, &[(1, 0.5), (2, f32::NAN)], &mut WireScratch::new());
+        let codec = CodecSpec::QLinear8.build_seeded(1);
+        codec.encode_into(4, &[(1, 0.5), (2, f32::NAN)], &mut WireScratch::new());
     }
 
     /// `q8_quantize` as it was written with `f64::round`/`f64::floor`.
@@ -761,14 +561,15 @@ mod tests {
     #[test]
     fn qlinear8_same_content_encodes_identically() {
         let entries: Vec<(usize, f32)> = (0..40).map(|j| (j * 3, (j as f32).sin())).collect();
-        let codec = QLinear8::new(7);
+        let codec = CodecSpec::QLinear8.build_seeded(7);
         let mut s1 = WireScratch::new();
         let mut s2 = WireScratch::new();
         let a = codec.encode_into(200, &entries, &mut s1).to_vec();
         let b = codec.encode_into(200, &entries, &mut s2).to_vec();
         assert_eq!(a, b);
         // A different seed draws a different stochastic stream.
-        let c = QLinear8::new(8)
+        let c = CodecSpec::QLinear8
+            .build_seeded(8)
             .encode_into(200, &entries, &mut s1)
             .to_vec();
         assert_ne!(a, c);
@@ -778,7 +579,7 @@ mod tests {
     #[test]
     fn qlinear8_reencoding_decoded_values_is_idempotent() {
         let entries: Vec<(usize, f32)> = (0..64).map(|j| (j, (j as f32) * 0.37 - 9.0)).collect();
-        let codec = QLinear8::new(3);
+        let codec = CodecSpec::QLinear8.build_seeded(3);
         let mut scratch = WireScratch::new();
         let frame = codec.encode_into(64, &entries, &mut scratch).to_vec();
         let mut decoded = Vec::new();
@@ -798,7 +599,10 @@ mod tests {
     fn sign_norm_padding_bits_are_validated() {
         let entries = vec![(1usize, -1.0f32), (4, 2.0), (9, -3.0)];
         let mut scratch = WireScratch::new();
-        let mut frame = SignNorm.encode_into(16, &entries, &mut scratch).to_vec();
+        let mut frame = CodecSpec::SignNorm
+            .build()
+            .encode_into(16, &entries, &mut scratch)
+            .to_vec();
         let mut out = Vec::new();
         decode_frame(&frame, &mut out).unwrap();
         assert_eq!(out.iter().map(|&(j, _)| j).collect::<Vec<_>>(), [1, 4, 9]);

@@ -35,7 +35,7 @@ fn push_header(out: &mut Vec<u8>, id: CodecId, dim: usize, nnz: usize) {
     push_varint(out, nnz as u64);
 }
 
-/// Allocating [`crate::CooF32`] encoder.
+/// Allocating coo-f32 encoder.
 pub fn coo_encode(dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
     let mut out = Vec::new();
     push_header(&mut out, CodecId::CooF32, dim, entries.len());
@@ -50,7 +50,7 @@ pub fn coo_encode(dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
     out
 }
 
-/// Allocating [`crate::DeltaVarint`] encoder.
+/// Allocating delta-varint encoder.
 pub fn delta_encode(dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
     let mut out = Vec::new();
     push_header(&mut out, CodecId::DeltaVarint, dim, entries.len());
@@ -65,7 +65,7 @@ pub fn delta_encode(dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
     out
 }
 
-/// Allocating [`crate::Bitmap`] encoder.
+/// Allocating bitmap encoder.
 pub fn bitmap_encode(dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
     let mut out = Vec::new();
     push_header(&mut out, CodecId::Bitmap, dim, entries.len());
@@ -82,7 +82,7 @@ pub fn bitmap_encode(dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
     out
 }
 
-/// The key of a [`crate::QLinear8`] frame's stochastic-rounding stream:
+/// The key of a qlinear8 frame's stochastic-rounding stream:
 /// FNV-1a, one byte at a time, over the message serialized as `dim` then
 /// every `(index, value bits)`, each index a little-endian `u64`. Derived
 /// independently of the fast path, which folds the index's zero bytes.
@@ -100,7 +100,7 @@ pub fn frame_hash(dim: usize, entries: &[(usize, f32)]) -> u64 {
     h
 }
 
-/// Allocating [`crate::QLinear8`] encoder. The content-keyed FNV-1a
+/// Allocating qlinear8 encoder. The content-keyed FNV-1a
 /// stream derivation and the snap-vs-stochastic rounding rule are part of
 /// the frame format spec, so both are re-derived here from scratch; the
 /// frames are byte-identical to the fast path's for every `(seed,
@@ -145,7 +145,7 @@ pub fn qlinear8_encode(seed: u64, dim: usize, entries: &[(usize, f32)]) -> Vec<u
     out
 }
 
-/// Allocating [`crate::F16`] encoder.
+/// Allocating f16 encoder.
 pub fn f16_encode(dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
     let mut out = Vec::new();
     push_header(&mut out, CodecId::F16, dim, entries.len());
@@ -160,7 +160,7 @@ pub fn f16_encode(dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
     out
 }
 
-/// Allocating [`crate::SignNorm`] encoder.
+/// Allocating sign-norm encoder.
 pub fn sign_norm_encode(dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
     let mut out = Vec::new();
     push_header(&mut out, CodecId::SignNorm, dim, entries.len());

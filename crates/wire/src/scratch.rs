@@ -81,7 +81,7 @@ impl WireScratch {
     /// Panics if `len` exceeds the upload.
     pub fn encoded_len_prefix(
         &mut self,
-        codec: &dyn Codec,
+        codec: Codec,
         dim: usize,
         upload: &ClientUpload,
         len: usize,
@@ -101,16 +101,17 @@ impl WireScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::CooF32;
+    use crate::CodecSpec;
 
     #[test]
     fn steady_state_capacity_is_stable() {
+        let coo = CodecSpec::Coo.build();
         let mut scratch = WireScratch::new();
         let msg: Vec<(usize, f32)> = (0..500).map(|j| (j * 2, 1.0)).collect();
-        let _ = CooF32.encode_into(1000, &msg, &mut scratch);
+        let _ = coo.encode_into(1000, &msg, &mut scratch);
         let settled = scratch.frame_capacity();
         for _ in 0..50 {
-            let _ = CooF32.encode_into(1000, &msg, &mut scratch);
+            let _ = coo.encode_into(1000, &msg, &mut scratch);
         }
         assert_eq!(scratch.frame_capacity(), settled);
     }

@@ -1,9 +1,9 @@
 //! LEB128 variable-length integers.
 //!
 //! Every multi-byte integer a frame carries — the header's dimension and
-//! entry count, and [`crate::DeltaVarint`]'s index gaps — is encoded as an
-//! unsigned LEB128 varint: 7 payload bits per byte, the high bit flagging a
-//! continuation. Small values (the common case for sorted-index deltas at
+//! entry count, and the sorted-index gaps of every format but coo-f32 and
+//! bitmap — is encoded as an unsigned LEB128 varint: 7 payload bits per
+//! byte, the high bit flagging a continuation. Small values (the common case for sorted-index deltas at
 //! realistic sparsity) cost one byte; a full `u64` costs at most ten.
 
 use crate::error::WireError;

@@ -3,8 +3,8 @@
 //! * **Bit-exact roundtrip** for every codec over the messages the FL
 //!   stack actually produces — the uplink messages and aggregated downlink
 //!   of all five sparsifiers, plus empty and dense-degenerate messages.
-//! * **Size ordering**: `Auto` never exceeds `CooF32` (or any concrete
-//!   codec), and every `encoded_len` equals the emitted frame length.
+//! * **Size ordering**: `Auto` never exceeds coo-f32 (or any concrete
+//!   format), and every `encoded_len` equals the emitted frame length.
 //! * **Reference equivalence**: the allocating `reference` encoders emit
 //!   byte-identical frames to the scratch fast paths (the executable-spec
 //!   contract the bench pairs rely on).
@@ -13,22 +13,22 @@ use agsfl_sparse::{
     topk, ClientUpload, FabTopK, FubTopK, PeriodicK, SendAll, SparseGradient, Sparsifier,
     UnidirectionalTopK,
 };
-use agsfl_wire::{
-    decode_frame, decode_gradient, frame_codec, reference, Auto, Bitmap, Codec, CooF32,
-    DeltaVarint, QLinear8, SignNorm, WireScratch, F16,
-};
+use agsfl_wire::{decode_frame, frame_codec, reference, Codec, CodecSpec, WireScratch};
 use proptest::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn codecs() -> [Box<dyn Codec>; 4] {
-    [
-        Box::new(CooF32),
-        Box::new(DeltaVarint),
-        Box::new(Bitmap),
-        Box::new(Auto),
-    ]
+fn codecs() -> [Codec; 4] {
+    CodecSpec::all().map(|spec| spec.build())
+}
+
+fn len(spec: CodecSpec, g: &SparseGradient) -> usize {
+    spec.build().encoded_len(g.dim(), g.entries())
+}
+
+fn encode<'a>(spec: CodecSpec, g: &SparseGradient, scratch: &'a mut WireScratch) -> &'a [u8] {
+    spec.build().encode_into(g.dim(), g.entries(), scratch)
 }
 
 fn sparsifiers() -> [Box<dyn Sparsifier>; 5] {
@@ -42,12 +42,14 @@ fn sparsifiers() -> [Box<dyn Sparsifier>; 5] {
 }
 
 /// Asserts a frame decodes back to exactly `g`, bit for bit.
-fn assert_bit_exact_roundtrip(codec: &dyn Codec, g: &SparseGradient) {
+fn assert_bit_exact_roundtrip(codec: Codec, g: &SparseGradient) {
     let mut scratch = WireScratch::new();
-    let frame = codec.encode_gradient_into(g, &mut scratch).to_vec();
+    let frame = codec
+        .encode_into(g.dim(), g.entries(), &mut scratch)
+        .to_vec();
     assert_eq!(
         frame.len(),
-        codec.encoded_len_gradient(g),
+        codec.encoded_len(g.dim(), g.entries()),
         "encoded_len disagrees with the emitted frame ({})",
         codec.name()
     );
@@ -80,7 +82,7 @@ fn degenerate_messages_round_trip() {
     let single = SparseGradient::from_entries(1, vec![(0, f32::MIN_POSITIVE)]);
     for codec in codecs() {
         for g in [&empty, &dense, &single] {
-            assert_bit_exact_roundtrip(codec.as_ref(), g);
+            assert_bit_exact_roundtrip(codec, g);
         }
     }
 }
@@ -97,19 +99,20 @@ fn reference_encoders_emit_identical_frames() {
         .collect();
     let dim = dense.len();
     let mut scratch = WireScratch::new();
+    let [coo, delta, bitmap, _] = codecs();
     assert_eq!(
         reference::coo_encode(dim, &entries),
-        CooF32.encode_into(dim, &entries, &mut scratch)
+        coo.encode_into(dim, &entries, &mut scratch)
     );
     assert_eq!(
         reference::delta_encode(dim, &entries),
-        DeltaVarint.encode_into(dim, &entries, &mut scratch)
+        delta.encode_into(dim, &entries, &mut scratch)
     );
     assert_eq!(
         reference::bitmap_encode(dim, &entries),
-        Bitmap.encode_into(dim, &entries, &mut scratch)
+        bitmap.encode_into(dim, &entries, &mut scratch)
     );
-    let frame = CooF32.encode_into(dim, &entries, &mut scratch).to_vec();
+    let frame = coo.encode_into(dim, &entries, &mut scratch).to_vec();
     let (ref_dim, ref_entries) = reference::decode(&frame).unwrap();
     assert_eq!(ref_dim, dim);
     assert_eq!(ref_entries, entries);
@@ -140,24 +143,21 @@ fn all_sparsifier_outputs_round_trip_through_all_codecs() {
         };
         let result = sparsifier.select(&uploads, dim, k);
         let mut scratch = WireScratch::new();
-        let mut keys = Vec::new();
+        let (mut keys, mut decoded) = (Vec::new(), Vec::new());
         for codec in codecs() {
             // Downlink: already a SparseGradient.
-            assert_bit_exact_roundtrip(codec.as_ref(), &result.aggregated);
+            assert_bit_exact_roundtrip(codec, &result.aggregated);
             // Uplinks: a rank-ordered message is index-sorted on packed keys
             // first (a wired client selects in index order to begin with).
             for upload in &uploads {
                 let mut uplink = upload.entries.clone();
                 topk::sort_by_index(&mut uplink, &mut keys);
                 let frame = codec.encode_into(dim, &uplink, &mut scratch).to_vec();
-                let decoded = decode_gradient(&frame).unwrap();
+                decode_frame(&frame, &mut decoded).unwrap();
                 let mut expected = upload.entries.clone();
                 expected.sort_unstable_by_key(|&(j, _)| j);
-                let got: Vec<(usize, u32)> = decoded
-                    .entries()
-                    .iter()
-                    .map(|&(j, v)| (j, v.to_bits()))
-                    .collect();
+                let got: Vec<(usize, u32)> =
+                    decoded.iter().map(|&(j, v)| (j, v.to_bits())).collect();
                 let expected: Vec<(usize, u32)> =
                     expected.iter().map(|&(j, v)| (j, v.to_bits())).collect();
                 assert_eq!(got, expected, "{} / {}", sparsifier.name(), codec.name());
@@ -168,20 +168,16 @@ fn all_sparsifier_outputs_round_trip_through_all_codecs() {
 
 /// A wired client's frame, two ways: the ranked selection index-sorted and
 /// encoded (what the client did while it still ranked) and the index-ordered
-/// selection encoded as it is. Same bytes from all six encodings and from
+/// selection encoded as it is. Same bytes from all six formats and from
 /// `Auto`, on short vectors (streaming select) and long ones (histogram
 /// select), sparse, half-dense and whole, with magnitude ties.
 #[test]
 fn indexed_selection_encodes_to_the_frame_of_the_index_sorted_ranking() {
-    let codecs: [Box<dyn Codec>; 7] = [
-        Box::new(CooF32),
-        Box::new(DeltaVarint),
-        Box::new(Bitmap),
-        Box::new(Auto),
-        Box::new(QLinear8::new(0x5EED)),
-        Box::new(F16),
-        Box::new(SignNorm),
-    ];
+    let codecs: Vec<Codec> = CodecSpec::all()
+        .into_iter()
+        .chain(CodecSpec::lossy())
+        .map(|spec| spec.build_seeded(0x5EED))
+        .collect();
     let mut rng = ChaCha8Rng::seed_from_u64(23);
     let (mut keys, mut scratch) = (Vec::new(), WireScratch::new());
     for dim in [97usize, 4096, 4097, 20_000] {
@@ -230,7 +226,7 @@ proptest! {
             .collect();
         let g = SparseGradient::from_entries(dim, entries);
         for codec in codecs() {
-            assert_bit_exact_roundtrip(codec.as_ref(), &g);
+            assert_bit_exact_roundtrip(codec, &g);
         }
     }
 
@@ -245,17 +241,17 @@ proptest! {
             .map(|(j, v)| (j % dim, v))
             .collect();
         let g = SparseGradient::from_entries(dim, entries);
-        let auto = Auto.encoded_len_gradient(&g);
-        prop_assert!(auto <= CooF32.encoded_len_gradient(&g));
-        prop_assert!(auto <= DeltaVarint.encoded_len_gradient(&g));
-        prop_assert!(auto <= Bitmap.encoded_len_gradient(&g));
+        let auto = len(CodecSpec::Auto, &g);
+        prop_assert!(auto <= len(CodecSpec::Coo, &g));
+        prop_assert!(auto <= len(CodecSpec::DeltaVarint, &g));
+        prop_assert!(auto <= len(CodecSpec::Bitmap, &g));
         // And its emitted frame matches the deterministic choice.
         let mut scratch = WireScratch::new();
-        let frame = Auto.encode_gradient_into(&g, &mut scratch);
+        let frame = encode(CodecSpec::Auto, &g, &mut scratch);
         prop_assert_eq!(frame.len(), auto);
         prop_assert_eq!(
             frame_codec(frame).unwrap(),
-            Auto.choose(g.dim(), g.entries())
+            CodecSpec::Auto.build().choose(g.dim(), g.entries())
         );
     }
 
@@ -275,12 +271,13 @@ proptest! {
         let mut out = Vec::new();
         for sparsifier in sparsifiers() {
             let result = sparsifier.select(&uploads, dim, k);
-            let frame = Auto
-                .encode_gradient_into(&result.aggregated, &mut scratch)
-                .to_vec();
+            let frame = encode(CodecSpec::Auto, &result.aggregated, &mut scratch).to_vec();
             let (frame_dim, id) = decode_frame(&frame, &mut out).unwrap();
             prop_assert_eq!(frame_dim, dim);
-            prop_assert_eq!(id, Auto.choose(dim, result.aggregated.entries()));
+            prop_assert_eq!(
+                id,
+                CodecSpec::Auto.build().choose(dim, result.aggregated.entries())
+            );
             let got: Vec<(usize, u32)> =
                 out.iter().map(|&(j, v)| (j, v.to_bits())).collect();
             let expected: Vec<(usize, u32)> = result
@@ -308,21 +305,21 @@ proptest! {
         let mut scratch = WireScratch::new();
         prop_assert_eq!(
             reference::coo_encode(dim, g.entries()),
-            CooF32.encode_gradient_into(&g, &mut scratch)
+            encode(CodecSpec::Coo, &g, &mut scratch)
         );
         prop_assert_eq!(
             reference::delta_encode(dim, g.entries()),
-            DeltaVarint.encode_gradient_into(&g, &mut scratch)
+            encode(CodecSpec::DeltaVarint, &g, &mut scratch)
         );
         prop_assert_eq!(
             reference::bitmap_encode(dim, g.entries()),
-            Bitmap.encode_gradient_into(&g, &mut scratch)
+            encode(CodecSpec::Bitmap, &g, &mut scratch)
         );
         // The independent reference decoder agrees with the fast path on
         // every valid frame of every codec.
         let mut out = Vec::new();
         for codec in codecs() {
-            let frame = codec.encode_gradient_into(&g, &mut scratch).to_vec();
+            let frame = codec.encode_into(dim, g.entries(), &mut scratch).to_vec();
             let (ref_dim, ref_entries) = reference::decode(&frame).unwrap();
             let fast_dim = codec.decode_into(&frame, &mut out).unwrap();
             prop_assert_eq!(ref_dim, fast_dim);

@@ -8,25 +8,18 @@
 //! an out-of-range index, never a huge speculative allocation.
 
 use agsfl_sparse::SparseGradient;
-use agsfl_wire::{
-    decode_frame, Auto, Bitmap, Codec, CooF32, DeltaVarint, QLinear8, SignNorm, WireError,
-    WireScratch, F16,
-};
+use agsfl_wire::{decode_frame, Codec, CodecSpec, WireError, WireScratch};
 use proptest::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn codecs() -> Vec<Box<dyn Codec>> {
-    vec![
-        Box::new(CooF32),
-        Box::new(DeltaVarint),
-        Box::new(Bitmap),
-        Box::new(Auto),
-        Box::new(QLinear8::new(9)),
-        Box::new(F16),
-        Box::new(SignNorm),
-    ]
+fn codecs() -> Vec<Codec> {
+    CodecSpec::all()
+        .into_iter()
+        .chain(CodecSpec::lossy())
+        .map(|spec| spec.build_seeded(9))
+        .collect()
 }
 
 /// Decodes `frame` through the frame dispatcher and through every concrete
@@ -85,7 +78,7 @@ fn valid_frames(seed: u64, dim: usize, k: usize) -> Vec<Vec<u8>> {
     let mut scratch = WireScratch::new();
     codecs()
         .iter()
-        .map(|c| c.encode_gradient_into(&g, &mut scratch).to_vec())
+        .map(|c| c.encode_into(dim, g.entries(), &mut scratch).to_vec())
         .collect()
 }
 
@@ -126,7 +119,7 @@ fn length_prefixes_cannot_demand_absurd_allocations() {
 /// A valid lossy frame with one-byte `dim`/`nnz` varints, so the
 /// quantization header sits at a known offset (byte 3) for surgical
 /// corruption.
-fn small_lossy_frame(codec: &dyn Codec, n: usize) -> Vec<u8> {
+fn small_lossy_frame(codec: Codec, n: usize) -> Vec<u8> {
     let entries: Vec<(usize, f32)> = (0..n).map(|i| (i * 7, 1.5 - i as f32)).collect();
     let mut scratch = WireScratch::new();
     let frame = codec.encode_into(64, &entries, &mut scratch).to_vec();
@@ -137,7 +130,7 @@ fn small_lossy_frame(codec: &dyn Codec, n: usize) -> Vec<u8> {
 
 #[test]
 fn qlinear8_malformed_bounds_yield_typed_errors() {
-    let frame = small_lossy_frame(&QLinear8::new(3), 8);
+    let frame = small_lossy_frame(CodecSpec::QLinear8.build_seeded(3), 8);
     let mut out = Vec::new();
     // lo occupies bytes 3..7, hi bytes 7..11.
     for bad in [
@@ -160,7 +153,7 @@ fn qlinear8_malformed_bounds_yield_typed_errors() {
 #[test]
 fn sign_norm_malformed_magnitude_and_padding_yield_typed_errors() {
     // n = 5 leaves three padding bits in the single sign byte at offset 7.
-    let frame = small_lossy_frame(&SignNorm, 5);
+    let frame = small_lossy_frame(CodecSpec::SignNorm.build(), 5);
     let mut out = Vec::new();
     for bad_magnitude in [f32::NAN, f32::INFINITY, -1.0f32] {
         let mut corrupt = frame.clone();
@@ -186,9 +179,9 @@ fn sign_norm_malformed_magnitude_and_padding_yield_typed_errors() {
 fn truncated_quantization_headers_are_truncation_errors() {
     let mut out = Vec::new();
     for (codec, header_end) in [
-        (&QLinear8::new(3) as &dyn Codec, 11usize), // id + dim + nnz + lo + hi
-        (&F16 as &dyn Codec, 3),                    // id + dim + nnz
-        (&SignNorm as &dyn Codec, 8),               // id + dim + nnz + magnitude + signs
+        (CodecSpec::QLinear8.build_seeded(3), 11usize), // id + dim + nnz + lo + hi
+        (CodecSpec::F16.build(), 3),                    // id + dim + nnz
+        (CodecSpec::SignNorm.build(), 8),               // id + dim + nnz + magnitude + signs
     ] {
         let frame = small_lossy_frame(codec, 8);
         for cut in 3..header_end.min(frame.len()) {

@@ -7,18 +7,16 @@
 //! encoders stay byte-identical to the scratch fast paths, including the
 //! seed-keyed stochastic rounding stream.
 
-use agsfl_wire::{
-    decode_frame, f16_bits_to_f32, reference, Codec, QLinear8, SignNorm, WireScratch, F16,
-};
+use agsfl_wire::{decode_frame, f16_bits_to_f32, reference, Codec, CodecSpec, WireScratch};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-fn lossy_codecs() -> [Box<dyn Codec>; 3] {
-    [
-        Box::new(QLinear8::new(41)),
-        Box::new(F16),
-        Box::new(SignNorm),
-    ]
+fn lossy_codecs() -> [Codec; 3] {
+    CodecSpec::lossy().map(|spec| spec.build_seeded(41))
+}
+
+fn qlinear8(seed: u64) -> Codec {
+    CodecSpec::QLinear8.build_seeded(seed)
 }
 
 /// Canonicalizes proptest-generated raw pairs into a sorted, deduplicated
@@ -34,7 +32,7 @@ fn sorted_entries(dim: usize, raw: Vec<(usize, f32)>) -> Vec<(usize, f32)> {
 /// Encodes, checks the length contract, decodes through the frame
 /// dispatcher, and checks that index positions survive exactly (only
 /// values are lossy).
-fn encode_decode(codec: &dyn Codec, dim: usize, entries: &[(usize, f32)]) -> Vec<(usize, f32)> {
+fn encode_decode(codec: Codec, dim: usize, entries: &[(usize, f32)]) -> Vec<(usize, f32)> {
     let mut scratch = WireScratch::new();
     let frame = codec.encode_into(dim, entries, &mut scratch).to_vec();
     assert_eq!(
@@ -70,7 +68,7 @@ fn edge_case_messages_never_panic() {
     ];
     for codec in lossy_codecs() {
         for (dim, entries) in &cases {
-            let decoded = encode_decode(codec.as_ref(), *dim, entries);
+            let decoded = encode_decode(codec, *dim, entries);
             assert!(
                 decoded.iter().all(|&(_, v)| v.is_finite()),
                 "{}: lossy reconstruction must stay finite",
@@ -86,16 +84,16 @@ fn zero_error_messages_reconstruct_exactly() {
     // levels of a [0, 255] range for QLinear8, small integers for F16,
     // and a constant magnitude for SignNorm.
     let entries: Vec<(usize, f32)> = vec![(0, 0.0), (3, 51.0), (9, 204.0), (11, 255.0)];
-    let decoded = encode_decode(&QLinear8::new(5), 12, &entries);
+    let decoded = encode_decode(qlinear8(5), 12, &entries);
     for (&(_, v), &(_, d)) in entries.iter().zip(&decoded) {
         assert_eq!(v.to_bits(), d.to_bits(), "qlinear8 level values are exact");
     }
-    let decoded = encode_decode(&F16, 12, &entries);
+    let decoded = encode_decode(CodecSpec::F16.build(), 12, &entries);
     for (&(_, v), &(_, d)) in entries.iter().zip(&decoded) {
         assert_eq!(v.to_bits(), d.to_bits(), "f16 small integers are exact");
     }
     let constant: Vec<(usize, f32)> = vec![(1, 2.5), (4, -2.5), (7, 2.5)];
-    let decoded = encode_decode(&SignNorm, 8, &constant);
+    let decoded = encode_decode(CodecSpec::SignNorm.build(), 8, &constant);
     for (&(_, v), &(_, d)) in constant.iter().zip(&decoded) {
         assert_eq!(v.to_bits(), d.to_bits(), "constant-magnitude is exact");
     }
@@ -117,7 +115,7 @@ proptest! {
         let lo = entries.iter().map(|&(_, v)| v).fold(f32::INFINITY, f32::min);
         let hi = entries.iter().map(|&(_, v)| v).fold(f32::NEG_INFINITY, f32::max);
         let step = (f64::from(hi) - f64::from(lo)) / 255.0;
-        let decoded = encode_decode(&QLinear8::new(seed), dim, &entries);
+        let decoded = encode_decode(qlinear8(seed), dim, &entries);
         for (&(_, v), &(_, vhat)) in entries.iter().zip(&decoded) {
             let err = (f64::from(v) - f64::from(vhat)).abs();
             // One step, plus two f32 ulps of slack for the final cast.
@@ -134,7 +132,7 @@ proptest! {
         raw in proptest::collection::vec((0usize..300, -60_000.0f32..60_000.0), 1..60),
     ) {
         let entries = sorted_entries(dim, raw);
-        let decoded = encode_decode(&F16, dim, &entries);
+        let decoded = encode_decode(CodecSpec::F16.build(), dim, &entries);
         for (&(_, v), &(_, vhat)) in entries.iter().zip(&decoded) {
             let err = (f64::from(v) - f64::from(vhat)).abs();
             let bound = (f64::from(v.abs()) * 2.0f64.powi(-11)).max(2.0f64.powi(-24));
@@ -153,7 +151,7 @@ proptest! {
             bits &= !(1 << 14);
         }
         let x = f16_bits_to_f32(bits);
-        let decoded = encode_decode(&F16, 1, &[(0, x)]);
+        let decoded = encode_decode(CodecSpec::F16.build(), 1, &[(0, x)]);
         prop_assert_eq!(decoded[0].1.to_bits(), x.to_bits());
     }
 
@@ -167,7 +165,7 @@ proptest! {
         let entries = sorted_entries(dim, raw);
         let sum: f64 = entries.iter().map(|&(_, v)| f64::from(v).abs()).sum();
         let magnitude = (sum / entries.len() as f64) as f32;
-        let decoded = encode_decode(&SignNorm, dim, &entries);
+        let decoded = encode_decode(CodecSpec::SignNorm.build(), dim, &entries);
         for (&(_, v), &(_, vhat)) in entries.iter().zip(&decoded) {
             prop_assert_eq!(vhat.abs().to_bits(), magnitude.to_bits());
             prop_assert_eq!(vhat.is_sign_negative(), v.is_sign_negative());
@@ -184,9 +182,9 @@ proptest! {
         raw in proptest::collection::vec((0usize..200, -100.0f32..100.0), 1..40),
     ) {
         let entries = sorted_entries(dim, raw);
-        let codec = QLinear8::new(seed);
-        let once = encode_decode(&codec, dim, &entries);
-        let twice = encode_decode(&codec, dim, &once);
+        let codec = qlinear8(seed);
+        let once = encode_decode(codec, dim, &entries);
+        let twice = encode_decode(codec, dim, &once);
         for (&(_, a), &(_, b)) in once.iter().zip(&twice) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -205,15 +203,15 @@ proptest! {
         let mut scratch = WireScratch::new();
         prop_assert_eq!(
             reference::qlinear8_encode(seed, dim, &entries),
-            QLinear8::new(seed).encode_into(dim, &entries, &mut scratch)
+            qlinear8(seed).encode_into(dim, &entries, &mut scratch)
         );
         prop_assert_eq!(
             reference::f16_encode(dim, &entries),
-            F16.encode_into(dim, &entries, &mut scratch)
+            CodecSpec::F16.build().encode_into(dim, &entries, &mut scratch)
         );
         prop_assert_eq!(
             reference::sign_norm_encode(dim, &entries),
-            SignNorm.encode_into(dim, &entries, &mut scratch)
+            CodecSpec::SignNorm.build().encode_into(dim, &entries, &mut scratch)
         );
         let mut out = Vec::new();
         for codec in lossy_codecs() {

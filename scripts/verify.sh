@@ -178,6 +178,28 @@ if product_lines crates/sparse/src/accumulator.rs | grep -F 'binary_search'; the
     exit 1
 fi
 
+step "one codec value (CodecSpec builds a Codec; the sorted-index gap stream is read once)"
+# A codec is the plain value CodecSpec::build_seeded returns; each frame
+# format is one arm of the length, writer and decoder matches in
+# crates/wire/src/codec.rs. A codec trait, an impl of it or a trait object
+# is the per-format type layer growing back. Delta-varint, qlinear8, f16 and
+# sign-norm read their indices through one validated gap reader
+# (codec::read_gaps); a second `checked_add(delta)` outside reference.rs
+# (the spec's own decoder) is a copied gap loop. Product code only (no
+# #[cfg(test)] item); comment lines are exempt.
+if for f in $(find crates/*/src -name '*.rs'); do product_lines "$f"; done \
+    | grep -E 'trait Codec\b|impl Codec for|dyn Codec\b'; then
+    echo "verify: a codec trait or trait object is back (lines above); build a Codec from its CodecSpec" >&2
+    exit 1
+fi
+if [[ "$(for f in $(find crates/wire/src -name '*.rs' ! -name reference.rs); do product_lines "$f"; done \
+    | grep -c 'checked_add(delta)')" -ne 1 ]]; then
+    echo "verify: crates/wire/src must read sorted-index gaps in exactly one place (codec::read_gaps):" >&2
+    for f in $(find crates/wire/src -name '*.rs' ! -name reference.rs); do product_lines "$f"; done \
+        | grep 'checked_add(delta)' >&2
+    exit 1
+fi
+
 step "an upload is index-ordered wherever it lives (entries in index order, the ranking a key view, one owner per buffer)"
 # Every TopKOwn build is topk::top_k_entries_indexed_into, wired or not;
 # the producer ranks the index-ordered keys into the slot's ranked view
