@@ -32,9 +32,10 @@
 //! restriction of the round's own (`probe_restrict_*`), one pool region's
 //! dispatch against a scoped spawn (`pool_dispatch`), the client top-k and
 //! the lossy tier's re-rank (`client_top_k*`, `rank_by_magnitude`), the
-//! paper-shape CNN forward and gradient (`cnn_*`) and that gradient's five
+//! paper-shape CNN forward and gradient (`cnn_*`), that gradient's four
 //! matrix products at every dispatch level the host runs (`fc_fwd@avx2`,
-//! …), the fused evaluation sweep (`eval_sweep`), the lossless and
+//! …) and its fused convolution layer against the im2col lowering it
+//! replaced (`conv_relu_pool@avx512`, …), the fused evaluation sweep (`eval_sweep`), the lossless and
 //! quantized wire codecs (`wire_*`, `quant_*`), a wired upload's ordering
 //! work at `sparse_wide_linear`'s shape (`wired_client_upload`,
 //! `server_rank_decoded`, `reset_errors_merge`), the bookkeeping resets of
@@ -73,7 +74,8 @@ use agsfl_sparse::{
 };
 use agsfl_telemetry::{SpanId, StageRecorder};
 use agsfl_tensor::dispatch::{self, Level};
-use agsfl_tensor::{reference as tensor_reference, MatrixView, Product};
+use agsfl_tensor::reference::{self as tensor_reference, Im2colLowering};
+use agsfl_tensor::{ConvLayer, ConvScratch, ConvShape, MatrixView, Product};
 use agsfl_wire::{
     decode_frame, decode_frame_with, reference as wire_reference, CodecSpec, WireScratch,
 };
@@ -463,7 +465,8 @@ fn main() {
 
     // CNN forward and gradient at the paper shape (~420k weights, batch
     // 32): the seed scalar-loop kernels kept in `agsfl_ml::reference` vs
-    // the im2col lowering with a reused column workspace.
+    // the fused convolution kernel (plus, for the gradient, the im2col
+    // weight-gradient contraction) with a reused workspace.
     let (cnn, params, x, labels) = cnn_workload();
     let cnn_shape = Shape::new(cnn.num_params(), CNN_BATCH, cnn.filters());
     let (mut im2col, mut grad) = (Im2colScratch::new(), Vec::new());
@@ -485,7 +488,63 @@ fn main() {
         },
     );
 
-    // That gradient's five matrix products, one by one: the scalar spec of
+    // Its convolution layer alone (conv + bias + ReLU + 2x2 pool, 32 rows
+    // of 1x28x28, 40 filters), at every vector width this CPU can run: the
+    // im2col lowering the fused kernel replaced — columns, a bias-seeded
+    // `matmul_acc` at the same level, then a ReLU/pool pass reading the
+    // pre-activations back — against the fused kernel. Both sides must
+    // agree bit for bit.
+    let conv_shape = ConvShape {
+        channels: cnn.in_channels(),
+        height: cnn.height(),
+        width: cnn.width(),
+        filters: cnn.filters(),
+    };
+    // The parameter vector starts with the `[O][C][3][3]` weights, then the
+    // `O` biases.
+    let conv_weights = cnn.filters() * conv_shape.patch_dim();
+    let layer = ConvLayer::new(
+        conv_shape,
+        &params[..conv_weights],
+        &params[conv_weights..conv_weights + cnn.filters()],
+    );
+    let (mut lowering, mut conv_scratch) = (Im2colLowering::default(), ConvScratch::new());
+    let mut expected = vec![0.0f32; CNN_BATCH * conv_shape.pooled_dim()];
+    let mut pooled = expected.clone();
+    for level in Level::available() {
+        let note = if level == Level::detect() {
+            "dispatched"
+        } else {
+            ""
+        };
+        ledger.pair(
+            &format!("conv_relu_pool@{}", level.name()),
+            Shape::new(layer.weights().len(), CNN_BATCH, cnn.filters()),
+            note,
+            || {
+                lowering.run(
+                    layer,
+                    black_box(&x).view(),
+                    &mut expected,
+                    |w, cols, pre| dispatch::run(level, Product::MatmulAcc, w, cols, pre),
+                )
+            },
+            || {
+                let images = black_box(&x).view();
+                dispatch::conv_relu_pool(level, layer, images, &mut conv_scratch, &mut pooled, None)
+            },
+        );
+        assert!(
+            pooled
+                .iter()
+                .zip(&expected)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "conv_relu_pool at {} must reproduce the im2col lowering bit for bit",
+            level.name()
+        );
+    }
+
+    // That gradient's four matrix products, one by one: the scalar spec of
     // each product's fold order, timed once, against the register-tiled
     // kernel at every vector width this CPU can run. The rows justify the
     // levels shipped — a level that does not beat the one below it on its

@@ -161,13 +161,15 @@ pub fn cnn_workload() -> (SimpleCnn, Vec<f32>, Matrix, Vec<usize>) {
 /// shape)`.
 pub type ProductShape = (&'static str, Product, (usize, usize), (usize, usize));
 
-/// The five matrix products of one batch-32 gradient of the paper-shape
+/// The four matrix products of one batch-32 gradient of the paper-shape
 /// CNN: the fully
 /// connected forward (`pooled · W`), weight gradient (`pooledᵀ · dlogits`)
-/// and input gradient (`dlogits · Wᵀ`), and the im2col convolution's forward
-/// (`W_conv · cols`) and weight gradient (`dpre · colsᵀ`). 6760 = 40 filters
+/// and input gradient (`dlogits · Wᵀ`), and the convolution's weight
+/// gradient against the im2col columns (`dpre · colsᵀ`). 6760 = 40 filters
 /// x 13 x 13 pooled positions, 21,632 = 32 samples x 26 x 26 positions.
-pub const PRODUCT_SHAPES: [ProductShape; 5] = [
+/// The convolution's forward is the fused kernel, paired on its own
+/// (`conv_relu_pool@…`).
+pub const PRODUCT_SHAPES: [ProductShape; 4] = [
     ("fc_fwd", Product::MatmulAcc, (CNN_BATCH, 6760), (6760, 62)),
     (
         "fc_wgrad",
@@ -181,7 +183,6 @@ pub const PRODUCT_SHAPES: [ProductShape; 5] = [
         (CNN_BATCH, 62),
         (6760, 62),
     ),
-    ("conv_fwd", Product::MatmulAcc, (40, 9), (9, 21_632)),
     (
         "conv_wgrad",
         Product::MatmulTransposeAcc,
@@ -392,7 +393,7 @@ mod tests {
         let (ch, cw) = model.conv_output_size();
         assert_eq!(PRODUCT_SHAPES[0].2, (CNN_BATCH, CNN_FILTERS * ph * pw));
         assert_eq!(PRODUCT_SHAPES[0].3, (CNN_FILTERS * ph * pw, CNN_CLASSES));
-        assert_eq!(PRODUCT_SHAPES[3].2, (CNN_FILTERS, CNN_CHANNELS * 9));
+        assert_eq!(PRODUCT_SHAPES[3].2, (CNN_FILTERS, CNN_BATCH * ch * cw));
         assert_eq!(PRODUCT_SHAPES[3].3, (CNN_CHANNELS * 9, CNN_BATCH * ch * cw));
         for (_, op, lhs, rhs) in PRODUCT_SHAPES {
             let (a, b) = product_workload(lhs, rhs);

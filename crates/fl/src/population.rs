@@ -61,11 +61,14 @@ pub(crate) struct Slot {
     pub plan: ClientFaultPlan,
     /// Mini-batch loss of this round's local step.
     pub loss: f32,
-    /// Nanoseconds the producer spent decoding this round's frame, when
-    /// the recorder is enabled (zero otherwise); admission takes it into
-    /// the round's [`SpanId::ServerDecode`](agsfl_telemetry::SpanId::ServerDecode)
-    /// sample.
-    pub decode_ns: u64,
+    /// Nanoseconds the producer spent on this round's local gradient,
+    /// upload selection and frame decode, when the recorder is enabled
+    /// (zero otherwise); admission takes them into the round's
+    /// [`SpanId::ClientGradient`](agsfl_telemetry::SpanId::ClientGradient),
+    /// [`SpanId::ClientSelect`](agsfl_telemetry::SpanId::ClientSelect) and
+    /// [`SpanId::ServerDecode`](agsfl_telemetry::SpanId::ServerDecode)
+    /// samples.
+    pub worker_ns: WorkerNs,
     /// This round's finished upload entries, exactly as the server
     /// aggregates them: in index order, and byte-priced, the decode of
     /// `frame`. A grow-only buffer the slot owns: admission lends it to an
@@ -82,6 +85,25 @@ pub(crate) struct Slot {
     pub errors: Vec<(usize, f32)>,
 }
 
+/// A producer's timed steps, in nanoseconds (see [`Slot::worker_ns`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct WorkerNs {
+    /// The local gradient.
+    pub gradient: u64,
+    /// Building the upload (the member's selection).
+    pub select: u64,
+    /// Decoding and ranking the wired frame.
+    pub decode: u64,
+}
+
+impl std::ops::AddAssign for WorkerNs {
+    fn add_assign(&mut self, other: WorkerNs) {
+        self.gradient += other.gradient;
+        self.select += other.select;
+        self.decode += other.decode;
+    }
+}
+
 impl Slot {
     /// Creates an empty slot arena entry.
     pub fn new(dim: usize, batch_size: usize) -> Self {
@@ -90,7 +112,7 @@ impl Slot {
             cached_row: None,
             plan: ClientFaultPlan::clean(),
             loss: 0.0,
-            decode_ns: 0,
+            worker_ns: WorkerNs::default(),
             entries: Vec::new(),
             ranked: Vec::new(),
             frame: Vec::new(),

@@ -7,7 +7,7 @@ use agsfl_wire::decode_frame;
 use std::time::Instant;
 
 use crate::fault::{corrupt_frame, FaultModel, FaultRoundReport};
-use crate::population::{Cohort, Slot};
+use crate::population::{Cohort, Slot, WorkerNs};
 use crate::simulation::Shared;
 use crate::wire_state::WireState;
 
@@ -29,7 +29,8 @@ use crate::wire_state::WireState;
 /// slot owns its member's RNG and sampler and writes only into its own
 /// reused buffers, so the pass is bit-identical to the sequential loop and
 /// allocation-free in steady state. When the recorder is enabled the
-/// producer leaves its decode time in the slot for admission to sum; the
+/// producer leaves its gradient, selection and decode times in the slot for
+/// admission to sum; the
 /// producer returns nothing, so the pipeline's per-chunk result lists stay
 /// zero-sized and never allocate on a worker.
 ///
@@ -48,9 +49,10 @@ use crate::wire_state::WireState;
 /// list bit-identical to the sequential loop; a clean round is the case
 /// where every plan is [`ClientFaultPlan::clean`](crate::fault::ClientFaultPlan::clean).
 ///
-/// [`SpanId::WireFault`] (admission's time on this thread) and
-/// [`SpanId::ServerDecode`] (the workers' decode + rank time summed over
-/// the members) nest in [`SpanId::ClientPass`].
+/// [`SpanId::WireFault`] (admission's time on this thread) and the worker
+/// spans — [`SpanId::ClientGradient`], [`SpanId::ClientSelect`] and
+/// [`SpanId::ServerDecode`] (decode + rank), each summed over the members —
+/// nest in [`SpanId::ClientPass`].
 pub(crate) fn client_pass<R: Recorder>(
     rec: &mut R,
     shared: &Shared,
@@ -86,9 +88,14 @@ pub(crate) fn client_pass<R: Recorder>(
         }
         // Line 4: the batch indices are drawn first and only those rows of
         // the member's shard are fetched from the source.
+        let elapsed = |t: Option<Instant>| t.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let t_gradient = clock.then(Instant::now);
         slot.loss = slot.client.compute_local_gradient(source, model, params);
+        let gradient = elapsed(t_gradient);
+        let t_select = clock.then(Instant::now);
         slot.client
             .build_upload_into(upload_plan, k, &mut slot.entries);
+        let select = elapsed(t_select);
         // Byte-priced, the decode and the rank after it are the span.
         let mut t_decode = None;
         if let Some(w) = wire {
@@ -101,7 +108,11 @@ pub(crate) fn client_pass<R: Recorder>(
                 .decode_upload_into(&slot.frame, rank, &mut slot.entries, &mut slot.errors);
         }
         slot.client.rank_upload_into(rank, &mut slot.ranked);
-        slot.decode_ns = t_decode.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        slot.worker_ns = WorkerNs {
+            gradient,
+            select,
+            decode: elapsed(t_decode),
+        };
     };
 
     let no_faults = FaultModel::default();
@@ -114,10 +125,10 @@ pub(crate) fn client_pass<R: Recorder>(
     let mut fr = FaultRoundReport::default();
     let mut damaged_entries: Vec<(usize, f32)> = Vec::new();
     // The nested spans accumulate here, one sample per round: the wire
-    // faults on this thread, the decodes as each slot reports them.
-    let (mut wire_fault_ns, mut decode_ns) = (0u64, 0u64);
+    // faults on this thread, the worker spans as each slot reports them.
+    let (mut wire_fault_ns, mut worker_ns) = (0u64, WorkerNs::default());
     let admit = |pos: usize, slot: &mut Slot, ()| {
-        decode_ns += std::mem::take(&mut slot.decode_ns);
+        worker_ns += std::mem::take(&mut slot.worker_ns);
         let (id, p) = (slot.client.id(), &slot.plan);
         if p.offline {
             fr.offline += 1;
@@ -180,7 +191,9 @@ pub(crate) fn client_pass<R: Recorder>(
     });
     if clock {
         rec.span(SpanId::WireFault, wire_fault_ns);
-        rec.span(SpanId::ServerDecode, decode_ns);
+        rec.span(SpanId::ClientGradient, worker_ns.gradient);
+        rec.span(SpanId::ClientSelect, worker_ns.select);
+        rec.span(SpanId::ServerDecode, worker_ns.decode);
     }
     fr.survivors = cohort.survivors.len();
     #[cfg(test)]
@@ -501,5 +514,40 @@ mod tests {
             assert_eq!(rs.fault.unwrap().stragglers, n);
         }
         assert_eq!(clean.params(), straggly.params());
+    }
+
+    /// The worker sub-spans of the client pass: one sample per round each
+    /// for the members' gradients and upload selections, worker time summed
+    /// over the members — positive, and at most the pass's wall time on
+    /// every worker — and recording them moves nothing.
+    #[test]
+    fn client_gradient_and_select_spans_are_worker_time_per_round() {
+        use agsfl_telemetry::{SpanId, StageRecorder};
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let build = || {
+                tiny_sim(Box::new(FabTopK::new()), 9, |c, _| {
+                    c.parallelism = parallelism
+                })
+            };
+            let (mut recorded, mut plain) = (build(), build());
+            let k = recorded.dim() / 5;
+            let mut rec = StageRecorder::new();
+            for _ in 0..4 {
+                rec.begin_round();
+                recorded.run_round_recorded(k, None, &mut rec);
+                plain.run_round(k, None);
+            }
+            assert_eq!(recorded.params(), plain.params(), "{parallelism:?}");
+            let client_pass = rec.span_histogram(SpanId::ClientPass).sum();
+            for id in [SpanId::ClientGradient, SpanId::ClientSelect] {
+                let span = rec.span_histogram(id);
+                assert_eq!(span.count(), 4, "{id:?}, {parallelism:?}");
+                assert!(span.sum() > 0, "{id:?}, {parallelism:?}");
+                assert!(
+                    span.sum() <= client_pass * parallelism.resolve() as u64,
+                    "{id:?} exceeds the client pass on every worker ({parallelism:?})"
+                );
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@
 use agsfl_exec::Parallelism;
 use agsfl_fl::{ChannelModel, FaultModel, Simulation, SimulationConfig, TimeModel, WireConfig};
 use agsfl_ml::data::{FederatedDataset, SyntheticFemnist, SyntheticFemnistConfig};
-use agsfl_ml::model::LinearSoftmax;
+use agsfl_ml::model::{LinearSoftmax, SimpleCnn};
 use agsfl_sparse::{FabTopK, FubTopK, PeriodicK, SendAll, Sparsifier, UnidirectionalTopK};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -264,6 +264,72 @@ fn fault_trajectory_matches_the_owned_client_engine() {
                 fnv_bytes(words.iter().flat_map(|word| word.to_le_bytes())),
                 FAULT_REPORT_GOLDEN,
                 "fault reports drifted (cohort {cohort:?}, {parallelism:?})"
+            );
+        }
+    }
+}
+
+/// `(channels, height, width, filters)` of a `SimpleCnn`.
+type CnnGeometry = (usize, usize, usize, usize);
+/// `(params, per-round losses, evaluated point)` hashes.
+type CnnPin = (u64, u64, u64);
+
+/// The CNN pins: `(params, per-round losses, evaluated point)` hashes of a
+/// FAB-top-k run on a `SimpleCnn`, one per geometry. Captured from the im2col
+/// convolution (bias-seeded `matmul_acc` product, then a separate ReLU and
+/// 2x2 average-pool pass) before the fused convolution kernel replaced it;
+/// the fused kernel keeps every pre-activation's fold, so none may move.
+const CNN_GOLDEN: [(CnnGeometry, CnnPin); 2] = [
+    // 1 channel, 14x14, 8 filters: even convolution output, paired filters.
+    (
+        (1, 14, 14, 8),
+        (0x1cee65aa298e31e9, 0xc33de4efa3623b85, 0xc0078cd1d438e47f),
+    ),
+    // 3 channels, 11x11, 5 filters: odd convolution output (an uncovered
+    // pooling edge) and an unpaired last filter.
+    (
+        (3, 11, 11, 5),
+        (0xbc5ce5584dc71f32, 0x325def985b089c4f, 0x5b987b221ce73514),
+    ),
+];
+
+#[test]
+fn cnn_trajectories_match_the_im2col_engine() {
+    for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+        for &((channels, height, width, filters), want) in &CNN_GOLDEN {
+            let mut rng = ChaCha8Rng::seed_from_u64(23);
+            let fed = SyntheticFemnist::new(SyntheticFemnistConfig {
+                feature_dim: channels * height * width,
+                ..SyntheticFemnistConfig::tiny()
+            })
+            .generate(&mut rng);
+            let model = SimpleCnn::new(channels, height, width, filters, fed.num_classes());
+            let mut sim = Simulation::new(
+                Box::new(model),
+                fed,
+                Box::new(FabTopK::new()),
+                plain_config(23, None, parallelism),
+            );
+            let k = sim.dim() / 10;
+            let mut losses: Vec<u64> = Vec::new();
+            for round in 0..4 {
+                let probe = (round % 2 == 0).then_some(k / 2);
+                let report = sim.run_round(k, probe);
+                losses.push(report.train_loss.to_bits());
+                if let Some(p) = report.probe {
+                    losses.extend([p.loss_prev, p.loss_now, p.loss_probe].map(f64::to_bits));
+                }
+            }
+            let eval = sim.evaluate();
+            let point = [eval.train_loss, eval.train_accuracy, eval.test_accuracy];
+            let got = (
+                fnv(sim.params()),
+                fnv_bytes(losses.iter().flat_map(|word| word.to_le_bytes())),
+                fnv_bytes(point.iter().flat_map(|v| v.to_bits().to_le_bytes())),
+            );
+            assert_eq!(
+                got, want,
+                "CNN {channels}x{height}x{width}, {filters} filters drifted ({parallelism:?})"
             );
         }
     }

@@ -18,7 +18,7 @@
 //! * [`metrics`] — accuracy and loss evaluation helpers, both serial and
 //!   executor-sharded (bit-identical) parallel sweeps,
 //! * [`mod@reference`] — the seed scalar-loop CNN kernels kept as the executable
-//!   specification for the im2col fast path.
+//!   specification for the CNN fast path.
 //!
 //! # Example
 //!

@@ -1,4 +1,5 @@
-use agsfl_tensor::{init, ops, Matrix, MatrixView};
+use agsfl_tensor::conv::KERNEL;
+use agsfl_tensor::{init, ConvLayer, ConvShape, Matrix, MatrixView};
 use rand::RngCore;
 
 use crate::loss::batch_cross_entropy_with_grad;
@@ -25,17 +26,22 @@ use crate::model::{check_input, check_params, Model};
 ///
 /// # Implementation
 ///
-/// Both passes run through an **im2col lowering** (see
-/// [`Im2colScratch`]): the batch is unrolled into a column matrix once, the
-/// convolution becomes a single `(O x C·9) · (C·9 x B·P)` matrix product,
-/// ReLU + average pooling are fused over the column layout, and the backward
-/// pass contracts the gradient against the same column buffer
-/// (`∂L/∂W_conv = dpre · colsᵀ`) instead of re-walking receptive fields. Every
-/// product multiplies straight out of `params` and accumulates straight into
-/// the gradient vector through borrowed [`MatrixView`]s — no weight block is
-/// copied first — and the forward pass runs in blocks of at most
-/// [`FORWARD_BLOCK`](SimpleCnn::FORWARD_BLOCK) rows, so its workspace is sized
-/// by the block, not by the batch. The
+/// The convolution layer — 3x3 convolution, bias, ReLU and 2x2 average
+/// pooling — is **one fused kernel** straight from the images
+/// ([`ConvLayer::relu_pool`], dispatched to the CPU's vector width like the
+/// matrix products): a forward writes only the pooled activations, never
+/// the pre-activations. Each pre-activation keeps the fold of the im2col
+/// lowering the kernel replaced (a bias-seeded `matmul_acc` over the patch
+/// index; see [`agsfl_tensor::conv`]), so both paths are bit-identical.
+/// The gradient asks the same kernel for a ReLU mask too (one byte per
+/// pre-activation: where ReLU was active), and it alone still lowers
+/// the batch to an im2col column matrix (see [`Im2colScratch`]): the
+/// convolution's weight gradient is the contraction `∂L/∂W_conv = dpre ·
+/// colsᵀ` against it. Every product multiplies straight out of `params` and
+/// accumulates straight into the gradient vector through borrowed
+/// [`MatrixView`]s — no weight block is copied first — and the forward pass
+/// runs in blocks of at most [`FORWARD_BLOCK`](SimpleCnn::FORWARD_BLOCK)
+/// rows, so its workspace is sized by the block, not by the batch. The
 /// original scalar-loop implementation survives as the executable spec in
 /// [`crate::reference`], and `crates/ml/tests/cnn_equivalence.rs` pins the
 /// two against each other. The plain [`Model`] methods reuse a per-thread
@@ -61,8 +67,6 @@ pub struct SimpleCnn {
     out_channels: usize,
     num_classes: usize,
 }
-
-const KERNEL: usize = 3;
 
 thread_local! {
     /// Per-thread im2col workspace behind the plain [`Model`] methods, so
@@ -127,19 +131,28 @@ impl SimpleCnn {
 
     /// Spatial size of the convolution output (`height - 2`, `width - 2`).
     pub fn conv_output_size(&self) -> (usize, usize) {
-        (self.height - KERNEL + 1, self.width - KERNEL + 1)
+        self.conv_shape().conv_size()
     }
 
     /// Spatial size after 2x2 average pooling.
     pub fn pooled_size(&self) -> (usize, usize) {
-        let (ch, cw) = self.conv_output_size();
-        (ch / 2, cw / 2)
+        self.conv_shape().pooled_size()
+    }
+
+    /// The convolution layer's geometry.
+    fn conv_shape(&self) -> ConvShape {
+        ConvShape {
+            channels: self.in_channels,
+            height: self.height,
+            width: self.width,
+            filters: self.out_channels,
+        }
     }
 
     /// Length of a flattened receptive field (`in_channels · 3 · 3`) — the
     /// row count of the im2col column matrix.
     fn patch_dim(&self) -> usize {
-        self.in_channels * KERNEL * KERNEL
+        self.conv_shape().patch_dim()
     }
 
     fn conv_weight_len(&self) -> usize {
@@ -147,8 +160,7 @@ impl SimpleCnn {
     }
 
     fn pooled_dim(&self) -> usize {
-        let (ph, pw) = self.pooled_size();
-        self.out_channels * ph * pw
+        self.conv_shape().pooled_dim()
     }
 
     fn fc_weight_len(&self) -> usize {
@@ -204,12 +216,13 @@ impl SimpleCnn {
         }
     }
 
-    /// The convolution weights inside `params`, as an `O x C·9` view.
-    fn conv_weights<'p>(&self, params: &'p [f32]) -> MatrixView<'p> {
-        MatrixView::new(
-            self.out_channels,
-            self.patch_dim(),
-            &params[..self.conv_weight_len()],
+    /// The convolution layer over its weights and biases inside `params`.
+    fn conv_layer<'p>(&self, params: &'p [f32]) -> ConvLayer<'p> {
+        let (conv_w_off, conv_b_off, fc_w_off, _) = self.offsets();
+        ConvLayer::new(
+            self.conv_shape(),
+            &params[conv_w_off..conv_b_off],
+            &params[conv_b_off..fc_w_off],
         )
     }
 
@@ -224,63 +237,42 @@ impl SimpleCnn {
         )
     }
 
-    /// Runs im2col, the convolution matmul (+ bias) and the fused
-    /// ReLU/average-pooling pass, leaving `cols`, `pre` and `pooled` staged
-    /// in the scratch for the backward pass.
-    fn forward_conv(&self, params: &[f32], x: MatrixView<'_>, scratch: &mut Im2colScratch) {
-        let (_, conv_b_off, _, _) = self.offsets();
-        let (ch, cw) = self.conv_output_size();
-        let (ph, pw) = self.pooled_size();
-        let positions = ch * cw;
-        let batch = x.rows();
-
-        self.im2col(x, &mut scratch.cols);
-        // Seed the pre-activations with the bias and accumulate the matmul
-        // on top: one write pass instead of a zero fill plus a read-modify
-        // bias pass, and the same bias-first fold as the scalar reference.
-        scratch
-            .pre
-            .resize_for_overwrite(self.out_channels, batch * positions);
-        for o in 0..self.out_channels {
-            let bias = params[conv_b_off + o];
-            scratch.pre.row_mut(o).fill(bias);
-        }
-        self.conv_weights(params)
-            .matmul_acc(scratch.cols.view(), scratch.pre.as_mut_slice());
-
-        // Fused ReLU + 2x2 average pooling straight off the column layout.
+    /// Runs the fused convolution layer over `x` into `scratch.pooled`,
+    /// and — for the backward pass — where ReLU was active into
+    /// `scratch.relu_mask`.
+    fn forward_conv(
+        &self,
+        params: &[f32],
+        x: MatrixView<'_>,
+        scratch: &mut Im2colScratch,
+        keep_mask: bool,
+    ) {
+        let shape = self.conv_shape();
         scratch
             .pooled
-            .resize_for_overwrite(batch, self.pooled_dim());
-        for b in 0..batch {
-            let pre = &scratch.pre;
-            let pooled_row = scratch.pooled.row_mut(b);
-            for o in 0..self.out_channels {
-                let pre_row = &pre.row(o)[b * positions..(b + 1) * positions];
-                for py in 0..ph {
-                    let r0 = &pre_row[py * 2 * cw..py * 2 * cw + cw];
-                    let r1 = &pre_row[(py * 2 + 1) * cw..(py * 2 + 1) * cw + cw];
-                    let dst = &mut pooled_row[(o * ph + py) * pw..(o * ph + py) * pw + pw];
-                    // Same fold order as the scalar reference: (dy,dx) in
-                    // (0,0), (0,1), (1,0), (1,1).
-                    for (px, d) in dst.iter_mut().enumerate() {
-                        *d = (ops::relu(r0[px * 2])
-                            + ops::relu(r0[px * 2 + 1])
-                            + ops::relu(r1[px * 2])
-                            + ops::relu(r1[px * 2 + 1]))
-                            / 4.0;
-                    }
-                }
+            .resize_for_overwrite(x.rows(), shape.pooled_dim());
+        let relu_mask = if keep_mask {
+            let len = x.rows() * shape.window_dim();
+            if scratch.relu_mask.len() < len {
+                scratch.relu_mask.resize(len, 0);
             }
-        }
+            Some(&mut scratch.relu_mask[..len])
+        } else {
+            None
+        };
+        self.conv_layer(params).relu_pool(
+            x,
+            &mut scratch.conv,
+            scratch.pooled.as_mut_slice(),
+            relu_mask,
+        );
     }
 
-    /// Rows per pass of the forward: [`SimpleCnn::forward_with`] lowers,
-    /// convolves and pools at most this many samples at a time, so the
-    /// column and pre-activation buffers of a 256-row evaluation chunk are
-    /// as large as a training batch's, not eight times that. Even, so the
-    /// products' row pairing is the same in every block as in the whole
-    /// batch.
+    /// Rows per pass of the forward: [`SimpleCnn::forward_with`] convolves
+    /// and pools at most this many samples at a time, so the pooled buffer
+    /// of a 256-row evaluation chunk is as large as a training batch's, not
+    /// eight times that. Even, so the fully connected product's row pairing
+    /// is the same in every block as in the whole batch.
     pub const FORWARD_BLOCK: usize = 32;
 
     /// Forward pass reusing an explicit [`Im2colScratch`] (the
@@ -307,7 +299,7 @@ impl SimpleCnn {
         let mut logits = Matrix::zeros(x.rows(), self.num_classes);
         for start in (0..x.rows()).step_by(Self::FORWARD_BLOCK) {
             let rows = start..(start + Self::FORWARD_BLOCK).min(x.rows());
-            self.forward_conv(params, x.row_block(rows.clone()), scratch);
+            self.forward_conv(params, x.row_block(rows.clone()), scratch, false);
             scratch.pooled.view().matmul_acc(
                 self.fc_weights(params),
                 &mut logits.as_mut_slice()
@@ -323,10 +315,12 @@ impl SimpleCnn {
     /// wraps this with the thread's workspace). `grad` is overwritten:
     /// resized to [`Model::num_params`] and zeroed first, whatever it held.
     ///
-    /// The backward pass is the col2im-style contraction described on
-    /// [`Im2colScratch`]: both weight gradients are matrix products
-    /// accumulated directly into the flat gradient vector, in the
-    /// sample-major order documented on the [`Model`] trait.
+    /// The forward is the fused convolution kernel, which also hands back
+    /// where ReLU was active; the backward pass is the
+    /// col2im-style contraction described on [`Im2colScratch`]: both weight
+    /// gradients are matrix products accumulated directly into the flat
+    /// gradient vector, in the sample-major order documented on the
+    /// [`Model`] trait.
     ///
     /// # Panics
     ///
@@ -349,7 +343,8 @@ impl SimpleCnn {
         let batch = x.rows();
 
         scratch.begin();
-        self.forward_conv(params, x.view(), scratch);
+        self.forward_conv(params, x.view(), scratch, true);
+        self.im2col(x.view(), &mut scratch.cols);
         let mut logits = Matrix::zeros(batch, self.num_classes);
         scratch
             .pooled
@@ -376,8 +371,9 @@ impl SimpleCnn {
             .view()
             .matmul_transpose_acc(self.fc_weights(params), scratch.dpooled.as_mut_slice());
 
-        // Average pooling + ReLU backward into the column-layout
-        // pre-activations. Positions not covered by a 2x2 pooling window
+        // Average pooling + ReLU backward into the column-layout gradient
+        // at the pre-activations, reading the ReLU mask the forward kept.
+        // Positions not covered by a 2x2 pooling window
         // (odd trailing row/column) keep a zero gradient; every covered
         // position is overwritten, so only an odd geometry needs the clear.
         scratch
@@ -388,21 +384,25 @@ impl SimpleCnn {
         }
         for b in 0..batch {
             let dpooled_row = scratch.dpooled.row(b);
+            let mask = &scratch.relu_mask[b * self.conv_shape().window_dim()..];
             for o in 0..self.out_channels {
-                let pre_row = &scratch.pre.row(o)[b * positions..(b + 1) * positions];
                 let dpre_row = &mut scratch.dpre.row_mut(o)[b * positions..(b + 1) * positions];
                 for py in 0..ph {
                     let window_grads = &dpooled_row[(o * ph + py) * pw..][..pw];
                     for dy in 0..2 {
-                        let row = (py * 2 + dy) * cw..(py * 2 + dy + 1) * cw;
-                        for ((d, z), &g) in dpre_row[row.clone()]
-                            .chunks_exact_mut(2)
-                            .zip(pre_row[row].chunks_exact(2))
-                            .zip(window_grads)
+                        // Window positions (dy, 0) and (dy, 1): the even and
+                        // odd columns of convolution row 2·py + dy.
+                        let plane = |dx: usize| ((4 * o + 2 * dy + dx) * ph + py) * pw;
+                        let even = &mask[plane(0)..][..pw];
+                        let odd = &mask[plane(1)..][..pw];
+                        let row = &mut dpre_row[(py * 2 + dy) * cw..][..2 * pw];
+                        // A mask byte is the pre-activation's `relu_grad`.
+                        for (((d, &g), &m0), &m1) in
+                            row.chunks_exact_mut(2).zip(window_grads).zip(even).zip(odd)
                         {
                             let g = g / 4.0;
-                            d[0] = g * ops::relu_grad(z[0]);
-                            d[1] = g * ops::relu_grad(z[1]);
+                            d[0] = g * f32::from(m0);
+                            d[1] = g * f32::from(m1);
                         }
                     }
                 }

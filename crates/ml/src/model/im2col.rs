@@ -1,22 +1,23 @@
-//! Reusable workspace for the im2col convolution lowering.
+//! Reusable workspace for the CNN's convolution layer.
 //!
-//! [`SimpleCnn`] lowers its 3x3 valid convolution to a matrix multiply: the
-//! input batch is unrolled into a *column matrix* whose column `(b, y, x)`
-//! holds the flattened receptive field of output position `(y, x)` of sample
-//! `b`, so the whole batch's convolution becomes one
-//! `weights (O x C·9) · columns (C·9 x B·P)` product against
-//! [`agsfl_tensor::Matrix`]. The ReLU + 2x2 average pooling pass is fused
-//! directly over the column-major convolution output, and the backward pass
-//! reuses the same column buffer: both weight gradients are matrix products
-//! against matrices already in the workspace (`∂L/∂W_conv = dpre · columnsᵀ`,
-//! the col2im-style contraction), so no scatter back to image layout is ever
-//! needed — the convolution is the first layer and input gradients are not
-//! required.
+//! [`SimpleCnn`]'s forward runs the convolution, bias, ReLU and 2x2 average
+//! pooling as one fused kernel straight from the images
+//! ([`agsfl_tensor::ConvLayer::relu_pool`]); only the pooled activations
+//! reach memory. The gradient additionally keeps the kernel's optional
+//! second output, a ReLU mask of one byte per pre-activation, so the
+//! backward pass knows where ReLU was active, and lowers the batch to
+//! an im2col *column matrix* whose column `(b, y, x)` holds the flattened
+//! receptive field of output position `(y, x)` of sample `b`: the
+//! convolution's weight gradient is then one matrix product against it
+//! (`∂L/∂W_conv = dpre · columnsᵀ`, the col2im-style contraction), so no
+//! scatter back to image layout is ever needed — the convolution is the
+//! first layer and input gradients are not required. Nothing but the
+//! gradient builds the column matrix.
 //!
 //! The weights themselves are never staged: every product reads them as a
 //! borrowed view of the flat parameter vector.
 //!
-//! [`Im2colScratch`] owns every intermediate of that pipeline. Like
+//! [`Im2colScratch`] owns every intermediate of both passes. Like
 //! `SelectionScratch` in `agsfl-sparse`, it is epoch-stamped and grow-only:
 //! [`Im2colScratch::begin`] bumps the generation counter and the producing
 //! pass reshapes the buffers for the call's geometry, reusing their
@@ -27,22 +28,26 @@
 //! including a round that follows its batch-32 gradient with batch-1 probe
 //! losses. The geometry a forward pass presents is its row *block*
 //! ([`SimpleCnn::FORWARD_BLOCK`] rows at most), not its batch: a 256-row
-//! evaluation chunk leaves the buffers exactly as large as a 32-row one.
-//! The workspace carries no state between generations: two
+//! evaluation chunk leaves the buffers exactly as large as a 32-row one,
+//! and a forward touches neither the column matrix nor the backward
+//! buffers. The workspace carries no state between generations: two
 //! identical calls on a shared scratch return identical results (pinned by
 //! the reference proptests in `crates/ml/tests/cnn_equivalence.rs`).
 //!
 //! [`SimpleCnn`]: crate::model::SimpleCnn
 //! [`SimpleCnn::FORWARD_BLOCK`]: crate::model::SimpleCnn::FORWARD_BLOCK
 
-use agsfl_tensor::Matrix;
+use agsfl_tensor::{ConvScratch, Matrix};
 
-/// Reusable buffers for [`SimpleCnn`]'s im2col forward and backward passes.
+/// Reusable buffers for [`SimpleCnn`]'s forward and backward passes: the
+/// fused convolution kernel's workspace, the pooled activations, and —
+/// for the gradient only — the ReLU mask, the im2col column matrix and the
+/// backward's gradients.
 ///
 /// Create one with [`Im2colScratch::new`] and pass it to
 /// [`SimpleCnn::forward_with`] / [`SimpleCnn::loss_and_grad_with`]; the
 /// buffers are sized on first use and reused afterwards. See the module docs
-/// for the lowering itself.
+/// for what each pass computes.
 ///
 /// # Examples
 ///
@@ -69,11 +74,16 @@ pub struct Im2colScratch {
     /// Generation counter: bumped by [`Im2colScratch::begin`]; buffers are
     /// only meaningful within the generation that produced them.
     epoch: u64,
-    /// Column matrix, shape `(C·K·K) x (B·P)`: column `b·P + p` is the
-    /// receptive field of output position `p` of sample `b`.
+    /// The fused convolution kernel's workspace (one image's column
+    /// planes and a block of receptive fields).
+    pub(crate) conv: ConvScratch,
+    /// Backward: column matrix, shape `(C·K·K) x (B·P)`: column `b·P + p`
+    /// is the receptive field of output position `p` of sample `b`.
     pub(crate) cols: Matrix,
-    /// Pre-activation convolution output, shape `O x (B·P)`.
-    pub(crate) pre: Matrix,
+    /// Backward: where each pre-activation under a pooling window was
+    /// positive, `B x (O·4·ph·pw)` bytes of 0 or 1 in
+    /// [`agsfl_tensor::conv`]'s window order.
+    pub(crate) relu_mask: Vec<u8>,
     /// Pooled activations, shape `B x (O·ph·pw)` — the fully connected
     /// layer's input batch.
     pub(crate) pooled: Matrix,
@@ -107,16 +117,18 @@ mod tests {
     use super::*;
     use crate::model::{Model, SimpleCnn};
 
-    /// Backing capacity of every buffer, in elements and field order.
-    fn capacities(scratch: &Im2colScratch) -> [usize; 5] {
+    /// Backing capacity of every buffer, in elements: `cols`, the ReLU
+    /// mask, `pooled`, `dpre`, `dpooled`, then the convolution kernel's
+    /// workspace.
+    fn capacities(scratch: &Im2colScratch) -> [usize; 6] {
         [
-            &scratch.cols,
-            &scratch.pre,
-            &scratch.pooled,
-            &scratch.dpre,
-            &scratch.dpooled,
+            scratch.cols.capacity(),
+            scratch.relu_mask.capacity(),
+            scratch.pooled.capacity(),
+            scratch.dpre.capacity(),
+            scratch.dpooled.capacity(),
+            scratch.conv.capacity(),
         ]
-        .map(Matrix::capacity)
     }
 
     #[test]
@@ -192,9 +204,14 @@ mod tests {
         );
         let block_sized = capacities(&one_block);
         assert_eq!(
-            block_sized[3..],
-            [0, 0],
-            "a forward needs no backward buffer"
+            [
+                block_sized[0],
+                block_sized[1],
+                block_sized[3],
+                block_sized[4]
+            ],
+            [0, 0, 0, 0],
+            "a forward builds no column matrix and needs no backward buffer"
         );
 
         let mut per_row_scratch = Im2colScratch::new();

@@ -4,13 +4,13 @@
 //! scalar-loop implementation of [`SimpleCnn`]'s forward and backward passes
 //! exactly as the seed wrote them: six nested loops per convolution, an
 //! explicit pooling/ReLU pass and per-sample fully connected accumulation.
-//! The optimized im2col lowering (see [`crate::model::Im2colScratch`]) is
-//! property-tested against these functions in
-//! `crates/ml/tests/cnn_equivalence.rs`.
+//! The optimized path (the fused convolution kernel and the im2col weight
+//! gradient; see [`crate::model::Im2colScratch`]) is property-tested against
+//! these functions in `crates/ml/tests/cnn_equivalence.rs`.
 //!
-//! **Equivalence is ULP-level, not bit-level.** The im2col path computes the
-//! same left-fold over each receptive field but adds the bias *after* the
-//! fold instead of seeding the accumulator with it, and the fully connected
+//! **Equivalence is ULP-level, not bit-level.** The fast path folds each
+//! receptive field in four-way groups from a bias seed where the seed loops
+//! fold it term by term, and the fully connected
 //! matmul accumulates from `0.0` before the bias broadcast. IEEE additions
 //! reassociated this way can differ in the last bits, so the equivalence
 //! tests assert a small relative tolerance instead of byte equality — in

@@ -1,6 +1,8 @@
-//! Reference-equivalence proptests for the im2col CNN fast path.
+//! Reference-equivalence proptests for the CNN fast path.
 //!
-//! `SimpleCnn` lowers its convolution to matrix multiplies against a reused
+//! `SimpleCnn` runs its convolution layer as one fused kernel
+//! (`agsfl_tensor::ConvLayer::relu_pool`: convolution, bias, ReLU and 2x2
+//! average pooling in one pass) and its gradient against a reused im2col
 //! column workspace (`Im2colScratch`); the seed scalar-loop implementation
 //! survives in `agsfl_ml::reference` as the executable specification, and
 //! these tests pin the two against each other over random geometries,
@@ -8,9 +10,10 @@
 //!
 //! **Tolerance, not byte equality.** Unlike the selection kernels in
 //! `agsfl-sparse` (whose folds reproduce the seed's association
-//! order-exactly and are pinned bit-identical), the im2col path reassociates
-//! floating-point sums: the gemm kernel accumulates the contraction
-//! dimension in a fixed 4-way blocking (with 2-row output tiling) and the
+//! order-exactly and are pinned bit-identical), the fast path reassociates
+//! floating-point sums against the seed loops: each convolution
+//! pre-activation and the fully connected product accumulate the
+//! contraction in a fixed 4-way blocking (with paired output rows), and the
 //! fully connected bias is broadcast after the fold instead of seeding it.
 //! Those are ULP-level reassociation differences, so equivalence is asserted
 //! within a small relative tolerance:
@@ -20,9 +23,14 @@
 //!
 //! which is orders of magnitude tighter than the finite-difference gradient
 //! check but loose enough to absorb any IEEE reassociation of the summands.
-//! What *is* exact: the im2col pass itself (pure copies), the pooling fold
-//! (same four-term order as the reference) and repeated calls on a shared
-//! scratch (observational purity, asserted bit-identical below).
+//! What *is* exact: the fused convolution layer against the im2col lowering
+//! it replaced (bias-seeded `matmul_acc`, then ReLU and the four-term pool),
+//! at every dispatch level — pinned in `agsfl-tensor`'s `conv_equivalence`
+//! and, through whole FL runs, by the CNN golden in `agsfl-fl`'s
+//! `golden_trajectory`; the im2col pass of the gradient (pure copies); the
+//! pooling fold (same four-term order as the reference); and repeated calls
+//! on a shared scratch (observational purity, asserted bit-identical
+//! below).
 
 use agsfl_ml::model::{Im2colScratch, Model, SimpleCnn};
 use agsfl_ml::reference;

@@ -8,14 +8,15 @@
 /// One timed stage of the round engine (or of the runner around it).
 ///
 /// The variants mirror the round's dependency graph: the fused client
-/// gradient+encode+decode pass with two spans nested inside it (the
-/// workers' decode + rank, and the wire-fault part of the server's
-/// admission), the server selection, the probe sweep, the broadcast weight
+/// gradient+encode+decode pass with four spans nested inside it (the
+/// workers' local gradients, upload selections and decode + rank, and the
+/// wire-fault part of the server's admission), the server selection, the probe sweep, the broadcast weight
 /// apply, end-of-round bookkeeping with downlink pricing nested inside it,
 /// and the runner-level evaluation and checkpoint writes. A nested span's
-/// time is also counted by the span it nests in; the decode span is summed
-/// over workers, so it is bounded by its parent's wall time times the
-/// worker count rather than by the wall time alone.
+/// time is also counted by the span it nests in; the worker spans
+/// (gradient, select, decode) are summed over workers, so each is bounded
+/// by its parent's wall time times the worker count rather than by the
+/// wall time alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum SpanId {
@@ -25,9 +26,18 @@ pub enum SpanId {
     /// The pipelined client pass: on the pool, each member's first-timer
     /// reset, batch-row fetch, local gradient and uplink message — wired,
     /// encoded and decoded once; on the round thread, the in-order admission
-    /// of every finished upload ([`SpanId::WireFault`] and
-    /// [`SpanId::ServerDecode`] nest in here).
+    /// of every finished upload ([`SpanId::ClientGradient`],
+    /// [`SpanId::ClientSelect`], [`SpanId::ServerDecode`] and
+    /// [`SpanId::WireFault`] nest in here).
     ClientPass,
+    /// Each member's local gradient — batch-row fetch, forward and
+    /// backward — on a pool worker. Worker time, summed over the members
+    /// into one sample per round, like [`SpanId::ServerDecode`].
+    ClientGradient,
+    /// Each member's upload selection (its top-k, or the plan's coordinate
+    /// list) right after its gradient, on a pool worker. Worker time,
+    /// summed over the members into one sample per round.
+    ClientSelect,
     /// The decode + rank of every wired upload, which each member's producer
     /// runs on a pool worker right after encoding (the decoded list is what
     /// the server aggregates). Worker time, summed over the members into one
@@ -60,12 +70,14 @@ pub enum SpanId {
 
 impl SpanId {
     /// Number of span identities.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 13;
 
     /// Every span, in declaration (and index) order.
     pub const ALL: [SpanId; Self::COUNT] = [
         SpanId::Hydrate,
         SpanId::ClientPass,
+        SpanId::ClientGradient,
+        SpanId::ClientSelect,
         SpanId::ServerDecode,
         SpanId::WireFault,
         SpanId::Selection,
@@ -88,6 +100,8 @@ impl SpanId {
         match self {
             SpanId::Hydrate => "hydrate",
             SpanId::ClientPass => "client_pass",
+            SpanId::ClientGradient => "client_gradient",
+            SpanId::ClientSelect => "client_select",
             SpanId::ServerDecode => "server_decode",
             SpanId::WireFault => "wire_fault",
             SpanId::Selection => "selection",

@@ -1,8 +1,11 @@
-//! Vector-width dispatch for the product kernels (`kernels.rs`).
+//! Vector-width dispatch for the product kernels and the fused convolution
+//! kernel (`kernels.rs`).
 //!
 //! Each kernel body is written once, generic over a `Vector` — a handful
-//! of `f32` lanes with `load`/`splat`/`mul`/`add`/`store` and nothing else
-//! (no fused multiply-add, no horizontal operation) — and instantiated at
+//! of `f32` lanes with `load`/`splat`/`mul`/`add`/`relu`/`store` and a
+//! lane-sign bit mask, nothing else (no fused multiply-add, no horizontal
+//! arithmetic) — and
+//! instantiated at
 //! every [`Level`]: a portable four-lane array type that is plain safe Rust
 //! and compiles everywhere, plus `__m256` (AVX2) and `__m512` (AVX-512F) on
 //! `x86_64`. Because every level performs the same IEEE operations on the
@@ -13,9 +16,9 @@
 //!
 //! [`Level::detect`] is the product path's only selector: a pure function
 //! of `is_x86_feature_detected!`, with no cargo feature, environment
-//! variable, config field or settable global behind it. [`run`] takes the
-//! level as an argument so the equivalence proptest and `bench-report` can
-//! drive every level the host supports.
+//! variable, config field or settable global behind it. [`run`] and
+//! [`conv_relu_pool`] take the level as an argument so the equivalence
+//! proptests and `bench-report` can drive every level the host supports.
 //!
 //! # `unsafe` policy
 //!
@@ -23,16 +26,22 @@
 //! root is `#![deny(unsafe_code)]`; `agsfl_exec::pool` is the only other
 //! such module in the workspace). Two things need it, both here:
 //!
-//! * **Calling a `#[target_feature]` instantiation** from [`run`], after
-//!   [`Level::is_available`] has confirmed the CPU implements the feature.
+//! * **Calling a `#[target_feature]` instantiation** from [`run`] or
+//!   [`conv_relu_pool`], after [`Level::is_available`] has confirmed the
+//!   CPU implements the feature.
 //! * **The `Vector` impls of the `x86_64` register types**, which wrap
 //!   `core::arch` intrinsics in safe methods. Those types are private to
 //!   this module and are only ever named inside the `#[target_feature]`
 //!   instantiations above, so no value of them exists — and none of their
 //!   methods runs — on a CPU without the feature. Loads and stores go
 //!   through pointers taken from bounds-checked array or slice references.
+//!
+//! Every `unsafe` block carries a `// SAFETY:` comment naming the
+//! precondition it relies on, and every `#[target_feature]` entry point
+//! states in its docs what its callers must have checked.
 #![allow(unsafe_code)]
 
+use crate::conv::{ConvLayer, ConvScratch};
 use crate::kernels;
 use crate::product::{MatrixView, Product};
 
@@ -156,6 +165,68 @@ pub fn run(level: Level, op: Product, a: MatrixView<'_>, b: MatrixView<'_>, out:
     }
 }
 
+/// Runs the fused convolution → bias → ReLU → 2x2 average pool of `layer`
+/// over every row of `images` at `level` (see [`crate::conv`] for the
+/// layouts and the fold order every level keeps).
+///
+/// [`ConvLayer::relu_pool`] calls this with [`Level::detect`]; tests and
+/// `bench-report` pass each available level.
+///
+/// # Panics
+///
+/// Panics if the CPU cannot run `level`, if `images` rows are not the
+/// layer's input length, or if `pooled` (or `relu_mask`) is not
+/// `images.rows()` times [`ConvShape::pooled_dim`] (or
+/// [`ConvShape::window_dim`]) long.
+///
+/// [`ConvShape::pooled_dim`]: crate::conv::ConvShape::pooled_dim
+/// [`ConvShape::window_dim`]: crate::conv::ConvShape::window_dim
+pub fn conv_relu_pool(
+    level: Level,
+    layer: ConvLayer<'_>,
+    images: MatrixView<'_>,
+    scratch: &mut ConvScratch,
+    pooled: &mut [f32],
+    relu_mask: Option<&mut [u8]>,
+) {
+    let shape = layer.shape();
+    assert_eq!(images.cols(), shape.input_dim(), "image length");
+    assert_eq!(
+        pooled.len(),
+        images.rows() * shape.pooled_dim(),
+        "pooled output length"
+    );
+    if let Some(relu_mask) = &relu_mask {
+        assert_eq!(
+            relu_mask.len(),
+            images.rows() * shape.window_dim(),
+            "ReLU mask length"
+        );
+    }
+    assert!(
+        level.is_available(),
+        "dispatch level {} is not available on this CPU",
+        level.name()
+    );
+    let work = scratch.reserve(shape);
+    match level {
+        Level::Portable => {
+            kernels::conv_relu_pool::<Lanes4>(layer, images, work, pooled, relu_mask)
+        }
+        // SAFETY: `is_available` above confirmed through
+        // `is_x86_feature_detected!` that this CPU implements AVX2, the
+        // only precondition of the `#[target_feature]` instantiation.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => unsafe { x86::conv_relu_pool_avx2(layer, images, work, pooled, relu_mask) },
+        // SAFETY: as above, for AVX-512F and AVX2 (`Level::select` returns
+        // `Avx512` only when both bits are set).
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => unsafe {
+            x86::conv_relu_pool_avx512(layer, images, work, pooled, relu_mask)
+        },
+    }
+}
+
 /// A fixed number of `f32` lanes — the whole instruction set the kernel
 /// bodies are written in. `mul` and `add` are separate IEEE operations at
 /// every level (never fused), which is what keeps the levels bit-identical.
@@ -186,6 +257,13 @@ pub(crate) trait Vector: Copy {
     fn add(self, rhs: Self) -> Self;
     /// Lane-wise `self * rhs`.
     fn mul(self, rhs: Self) -> Self;
+    /// Lane-wise [`crate::ops::relu`]: `x` where `x > 0`, else `+0.0` (so
+    /// NaN and `-0.0` give `+0.0`) — what x86's `max(x, 0)` computes, its
+    /// second operand winning ties and NaN.
+    fn relu(self) -> Self;
+    /// Bit `l` set iff lane `l` is `> 0` (an ordered compare: NaN and `±0`
+    /// clear it) — where [`crate::ops::relu_grad`] is 1.
+    fn positive_bits(self) -> u32;
 }
 
 /// The portable vector: four lanes in an array, plain safe Rust. LLVM
@@ -240,6 +318,20 @@ impl Vector for Lanes4 {
     fn mul(self, rhs: Self) -> Self {
         Lanes4(std::array::from_fn(|l| self.0[l] * rhs.0[l]))
     }
+
+    #[inline(always)]
+    fn relu(self) -> Self {
+        Lanes4(std::array::from_fn(|l| crate::ops::relu(self.0[l])))
+    }
+
+    #[inline(always)]
+    fn positive_bits(self) -> u32 {
+        let mut bits = 0;
+        for l in 0..4 {
+            bits |= u32::from(self.0[l] > 0.0) << l;
+        }
+        bits
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -247,22 +339,51 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use super::Vector;
+    use crate::conv::ConvLayer;
     use crate::kernels;
     use crate::product::{MatrixView, Product};
 
     /// [`kernels::run`] compiled with AVX2 enabled: the generic body and
     /// every `Vector` method inline into this function and inherit the
-    /// feature.
+    /// feature. Callers must have confirmed AVX2 ([`super::Level::Avx2`]
+    /// available); calling it is `unsafe` for that reason alone.
     #[target_feature(enable = "avx2")]
     pub(super) fn run_avx2(op: Product, a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
         kernels::run::<Avx2>(op, a, b, out);
     }
 
     /// [`kernels::run`] compiled with AVX-512F (and AVX2, for
-    /// [`Vector::Oct`]) enabled.
+    /// [`Vector::Oct`]) enabled. Callers must have confirmed both
+    /// ([`super::Level::Avx512`] available).
     #[target_feature(enable = "avx512f,avx2")]
     pub(super) fn run_avx512(op: Product, a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
         kernels::run::<Avx512>(op, a, b, out);
+    }
+
+    /// [`kernels::conv_relu_pool`] compiled with AVX2 enabled. Callers
+    /// must have confirmed AVX2, as for [`run_avx2`].
+    #[target_feature(enable = "avx2")]
+    pub(super) fn conv_relu_pool_avx2(
+        layer: ConvLayer<'_>,
+        images: MatrixView<'_>,
+        work: &mut [f32],
+        pooled: &mut [f32],
+        relu_mask: Option<&mut [u8]>,
+    ) {
+        kernels::conv_relu_pool::<Avx2>(layer, images, work, pooled, relu_mask);
+    }
+
+    /// [`kernels::conv_relu_pool`] compiled with AVX-512F and AVX2
+    /// enabled. Callers must have confirmed both, as for [`run_avx512`].
+    #[target_feature(enable = "avx512f,avx2")]
+    pub(super) fn conv_relu_pool_avx512(
+        layer: ConvLayer<'_>,
+        images: MatrixView<'_>,
+        work: &mut [f32],
+        pooled: &mut [f32],
+        relu_mask: Option<&mut [u8]>,
+    ) {
+        kernels::conv_relu_pool::<Avx512>(layer, images, work, pooled, relu_mask);
     }
 
     /// `MASK8[8 - n..][..8]` has its first `n` lanes set.
@@ -341,6 +462,24 @@ mod x86 {
             // SAFETY: AVX2 is available (see the type's docs).
             Avx2(unsafe { _mm256_mul_ps(self.0, rhs.0) })
         }
+
+        #[inline(always)]
+        fn relu(self) -> Self {
+            // SAFETY: AVX2 is available (see the type's docs). `max_ps`
+            // returns its second operand, `+0.0`, when the lanes tie or
+            // `self` is NaN.
+            Avx2(unsafe { _mm256_max_ps(self.0, _mm256_setzero_ps()) })
+        }
+
+        #[inline(always)]
+        fn positive_bits(self) -> u32 {
+            // SAFETY: AVX2 is available (see the type's docs); the compare
+            // and the sign-bit gather touch registers only.
+            let bits = unsafe {
+                _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(self.0, _mm256_setzero_ps()))
+            };
+            bits as u32
+        }
     }
 
     /// Sixteen lanes in a `__m512`. Only named inside [`run_avx512`], i.e.
@@ -413,6 +552,22 @@ mod x86 {
         fn mul(self, rhs: Self) -> Self {
             // SAFETY: AVX-512F is available (see the type's docs).
             Avx512(unsafe { _mm512_mul_ps(self.0, rhs.0) })
+        }
+
+        #[inline(always)]
+        fn relu(self) -> Self {
+            // SAFETY: AVX-512F is available (see the type's docs). `max_ps`
+            // returns its second operand, `+0.0`, when the lanes tie or
+            // `self` is NaN.
+            Avx512(unsafe { _mm512_max_ps(self.0, _mm512_setzero_ps()) })
+        }
+
+        #[inline(always)]
+        fn positive_bits(self) -> u32 {
+            // SAFETY: AVX-512F is available (see the type's docs); the
+            // compare writes a mask register only.
+            let bits = unsafe { _mm512_cmp_ps_mask::<_CMP_GT_OQ>(self.0, _mm512_setzero_ps()) };
+            u32::from(bits)
         }
     }
 }

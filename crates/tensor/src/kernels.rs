@@ -1,6 +1,6 @@
-//! The product kernel bodies: one register-tiled body per product shape,
-//! generic over the [`Vector`] width [`crate::dispatch`] instantiates them
-//! at.
+//! The product kernel bodies — one register-tiled body per product shape —
+//! and the fused convolution layer's body, generic over the [`Vector`]
+//! width [`crate::dispatch`] instantiates them at.
 //!
 //! Every body keeps a block of output elements in vector registers for the
 //! whole contraction instead of streaming the output through memory once
@@ -22,6 +22,7 @@
 // See the note on index loops above.
 #![allow(clippy::needless_range_loop)]
 
+use crate::conv::{plane_len, run_len, ConvLayer, KERNEL, MAX_LANES};
 use crate::dispatch::Vector;
 use crate::product::{MatrixView, Product};
 
@@ -516,5 +517,275 @@ fn long_dots_tile<O: Vector, const IT: usize, const JT: usize>(
                 acc[r][c][part].store(&mut l[part * O::LANES..]);
             }
         }
+    }
+}
+
+/// [`crate::conv::ConvLayer::relu_pool`] with `V`-wide vectors; shapes were
+/// checked by the caller and `work` is [`crate::conv::ConvScratch`]'s
+/// region for the layer.
+///
+/// The vector lanes run across an image's pooling windows in pooled order
+/// (`py·pw + px`), so a block of `LANES` windows advances per instruction.
+/// Image by image, the kernel first splits the image into even- and
+/// odd-column planes, then copies, for every patch index `k` and window
+/// position `q = 2·dy + dx`, the input each window meets there into one
+/// contiguous window-ordered run (run `4·k + q`). Block by block it
+/// gathers the runs' vectors side by side — the operands of the block, at
+/// fixed offsets, so the fold below indexes them without a bounds check —
+/// and goes over them with the filters a pair at a time: four accumulators
+/// per filter (one per window position) carry the contract's fold from the
+/// bias seed, and ReLU, the pooling sum and the quarter follow in
+/// registers, as does the ReLU mask when it is asked for.
+#[inline(always)]
+pub(crate) fn conv_relu_pool<V: Vector>(
+    layer: ConvLayer<'_>,
+    images: MatrixView<'_>,
+    work: &mut [f32],
+    pooled: &mut [f32],
+    relu_mask: Option<&mut [u8]>,
+) {
+    match relu_mask {
+        Some(relu_mask) => conv_body::<V, true>(layer, images, work, pooled, relu_mask),
+        None => conv_body::<V, false>(layer, images, work, pooled, &mut []),
+    }
+}
+
+/// The kernel behind [`conv_relu_pool`]; `KEEP` writes `relu_mask`.
+#[inline(always)]
+fn conv_body<V: Vector, const KEEP: bool>(
+    layer: ConvLayer<'_>,
+    images: MatrixView<'_>,
+    work: &mut [f32],
+    pooled: &mut [f32],
+    relu_mask: &mut [u8],
+) {
+    let shape = layer.shape();
+    let (channels, height, width, filters) =
+        (shape.channels, shape.height, shape.width, shape.filters);
+    let (ph, pw) = shape.pooled_size();
+    let (lanes, stride, run) = (V::LANES, width.div_ceil(2), run_len(shape));
+    let (planes, work) = work.split_at_mut(plane_len(shape) + 2 * MAX_LANES);
+    let (runs, operands) = work.split_at_mut(4 * shape.patch_dim() * run);
+    for b in 0..images.rows() {
+        let image = images.row(b);
+        for row in 0..channels * height {
+            let src = &image[row * width..][..width];
+            let even = row * 2 * stride;
+            for i in 0..width / 2 {
+                planes[even + i] = src[2 * i];
+                planes[even + stride + i] = src[2 * i + 1];
+            }
+            if width % 2 == 1 {
+                planes[even + width / 2] = src[width - 1];
+            }
+        }
+        // Window (py, px) at position (dy, dx) meets input column
+        // 2·px + dx + kx of row 2·py + dy + ky: plane (dx + kx) mod 2,
+        // offset (dx + kx) / 2. Each run row is copied in whole vectors;
+        // the lanes past `pw` land where the next row (or the run's
+        // slack) is written, and a load reaches past the last plane row
+        // into the planes region's overhang.
+        for c in 0..channels {
+            for ky in 0..KERNEL {
+                for kx in 0..KERNEL {
+                    let k = (c * KERNEL + ky) * KERNEL + kx;
+                    for q in 0..4 {
+                        let (dy, dx) = (q / 2, q % 2);
+                        let s = dx + kx;
+                        let dst = (4 * k + q) * run;
+                        for py in 0..ph {
+                            let row = c * height + 2 * py + dy + ky;
+                            let src = (row * 2 + s % 2) * stride + s / 2;
+                            let mut x = 0;
+                            while x < pw {
+                                V::load(&planes[src + x..]).store(&mut runs[dst + py * pw + x..]);
+                                x += lanes;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let pooled = &mut pooled[b * shape.pooled_dim()..][..shape.pooled_dim()];
+        let relu_mask = if KEEP {
+            &mut relu_mask[b * shape.window_dim()..][..shape.window_dim()]
+        } else {
+            &mut []
+        };
+        let mut p0 = 0;
+        while p0 < ph * pw {
+            for a in 0..4 * shape.patch_dim() {
+                V::load(&runs[a * run + p0..]).store(&mut operands[a * lanes..]);
+            }
+            let mut block = WindowBlock {
+                layer,
+                operands,
+                pooled: &mut *pooled,
+                relu_mask: &mut *relu_mask,
+                p0,
+            };
+            let mut o = 0;
+            while o + 2 <= filters {
+                block.filters::<V, 2, KEEP>(o);
+                o += 2;
+            }
+            if o < filters {
+                block.filters::<V, 1, KEEP>(o);
+            }
+            p0 += lanes;
+        }
+    }
+}
+
+/// The block of pooling windows `p0..p0 + LANES` (pooled order, the last
+/// block partial) of one image, with the block's operands — vector
+/// `4·k + q` the input patch index `k` meets at window position `q` — and
+/// the image's rows of the two outputs.
+struct WindowBlock<'a> {
+    layer: ConvLayer<'a>,
+    operands: &'a [f32],
+    pooled: &'a mut [f32],
+    relu_mask: &'a mut [u8],
+    p0: usize,
+}
+
+impl WindowBlock<'_> {
+    /// Filters `o..o + F` (`F` is 2 for a pair, 1 for the unpaired last
+    /// filter): their pre-activations, pooled values and — if `KEEP` —
+    /// ReLU mask bytes.
+    #[inline(always)]
+    fn filters<V: Vector, const F: usize, const KEEP: bool>(&mut self, o: usize) {
+        let pre = self.pre_activations::<V, F>(o);
+        let (ph, pw) = self.layer.shape().pooled_size();
+        let windows = ph * pw;
+        let n = V::LANES.min(windows - self.p0);
+        for f in 0..F {
+            let [r00, r01, r10, r11] = pre[f];
+            let pooled = r00
+                .relu()
+                .add(r01.relu())
+                .add(r10.relu())
+                .add(r11.relu())
+                .mul(V::splat(0.25));
+            let at = (o + f) * windows + self.p0;
+            store_lanes(pooled, &mut self.pooled[at..][..n]);
+            if KEEP {
+                for q in 0..4 {
+                    let at = (4 * (o + f) + q) * windows + self.p0;
+                    store_mask(pre[f][q], &mut self.relu_mask[at..][..n]);
+                }
+            }
+        }
+    }
+
+    /// The four window positions' pre-activations of filters `o..o + F`
+    /// over the block, in the contract's fold order and with its skip
+    /// rules: a pair skips a leftover index that weighs zero in both its
+    /// filters, and only an unpaired filter (`F == 1`) skips whole groups.
+    #[inline(always)]
+    fn pre_activations<V: Vector, const F: usize>(&self, o: usize) -> [[V; 4]; F] {
+        let lanes = V::LANES;
+        let patch = self.layer.shape().patch_dim();
+        let (weights, bias) = (self.layer.weights(), self.layer.bias());
+        let mut rows = [&[][..]; F];
+        let mut acc = [[V::splat(0.0); 4]; F];
+        for f in 0..F {
+            rows[f] = &weights[(o + f) * patch..][..patch];
+            acc[f] = [V::splat(bias[o + f]); 4];
+        }
+        let groups = patch / 4;
+        for g in 0..groups {
+            let k = 4 * g;
+            if F == 1 {
+                let w = &rows[0][k..][..4];
+                if w[0] == 0.0 && w[1] == 0.0 && w[2] == 0.0 && w[3] == 0.0 {
+                    continue;
+                }
+            }
+            let mut w = [[V::splat(0.0); 4]; F];
+            for f in 0..F {
+                let row = &rows[f][k..][..4];
+                for t in 0..4 {
+                    w[f][t] = V::splat(row[t]);
+                }
+            }
+            // The group's sixteen operand vectors; constant offsets below.
+            let xs = &self.operands[4 * k * lanes..][..16 * lanes];
+            for q in 0..4 {
+                let mut x = [V::splat(0.0); 4];
+                for t in 0..4 {
+                    x[t] = V::load(&xs[(4 * t + q) * lanes..]);
+                }
+                for f in 0..F {
+                    let term = w[f][0]
+                        .mul(x[0])
+                        .add(w[f][1].mul(x[1]))
+                        .add(w[f][2].mul(x[2]))
+                        .add(w[f][3].mul(x[3]));
+                    acc[f][q] = acc[f][q].add(term);
+                }
+            }
+        }
+        for k in 4 * groups..patch {
+            let mut live = false;
+            for f in 0..F {
+                live |= rows[f][k] != 0.0;
+            }
+            if !live {
+                continue;
+            }
+            let xs = &self.operands[4 * k * lanes..][..4 * lanes];
+            for q in 0..4 {
+                let x = V::load(&xs[q * lanes..]);
+                for f in 0..F {
+                    acc[f][q] = acc[f][q].add(V::splat(rows[f][k]).mul(x));
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// `SPREAD[b]` holds bit `i` of `b` in byte `i` (little-endian).
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut i = 0;
+        while i < 8 {
+            table[b] |= ((b as u64 >> i) & 1) << (8 * i);
+            i += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// Writes lane `l`'s bit of `v.positive_bits()` to `dst[l]` as 0 or 1,
+/// for the first `dst.len()` (at most `LANES`) lanes, eight bytes per
+/// table lookup.
+#[inline(always)]
+fn store_mask<V: Vector>(v: V, dst: &mut [u8]) {
+    let bits = v.positive_bits();
+    let mut l = 0;
+    while l < dst.len() {
+        let bytes = SPREAD[(bits >> l) as usize & 0xFF].to_le_bytes();
+        if dst.len() - l >= 8 {
+            dst[l..l + 8].copy_from_slice(&bytes);
+        } else {
+            let tail = dst.len() - l;
+            dst[l..].copy_from_slice(&bytes[..tail]);
+        }
+        l += 8;
+    }
+}
+
+/// Stores the first `dst.len()` lanes (at most `LANES`) of `v`.
+#[inline(always)]
+fn store_lanes<V: Vector>(v: V, dst: &mut [f32]) {
+    if dst.len() == V::LANES {
+        v.store(dst);
+    } else {
+        v.store_head(dst);
     }
 }

@@ -10,6 +10,10 @@
 //!   picks their vector width from the CPU's features) that keep a
 //!   documented per-element fold order bit for bit, with the scalar
 //!   statement of that order in [`mod@reference`],
+//! * the CNN's convolution layer as one fused kernel — 3x3 convolution,
+//!   bias, ReLU and 2x2 average pooling in a single pass ([`conv`]),
+//!   dispatched like the products and bit-identical to their im2col
+//!   lowering,
 //! * free functions over flat `f32` slices ([`vecops`]) — dot products, AXPY,
 //!   norms, arg-max — used for flattened model parameter/gradient vectors,
 //! * deterministic random initialisation ([`init`]) for model weights and
@@ -42,6 +46,7 @@ mod error;
 mod kernels;
 mod matrix;
 
+pub mod conv;
 pub mod dispatch;
 pub mod init;
 pub mod ops;
@@ -50,6 +55,7 @@ pub mod reference;
 pub mod stats;
 pub mod vecops;
 
+pub use conv::{ConvLayer, ConvScratch, ConvShape};
 pub use error::ShapeError;
 pub use matrix::Matrix;
 pub use product::{MatrixView, Product};

@@ -49,10 +49,19 @@ pub fn cross_entropy_with_logits(logits: &[f32], target: usize) -> f32 {
     log_sum_exp(logits) - logits[target]
 }
 
-/// Rectified linear unit `max(x, 0)`.
+/// Rectified linear unit `max(x, 0)`: `x` where `x > 0`, else `+0.0`, so
+/// NaN and `-0.0` map to `+0.0`.
+///
+/// Written as the comparison rather than `f32::max`, whose result on
+/// `-0.0` is unspecified and differs between optimized and unoptimized
+/// builds; an optimized build compiles both to the same x86 `max(x, 0)`.
 #[inline]
 pub fn relu(x: f32) -> f32 {
-    x.max(0.0)
+    if x > 0.0 {
+        x
+    } else {
+        0.0
+    }
 }
 
 /// Derivative of [`relu`] with the convention `relu'(0) = 0`.

@@ -1,13 +1,17 @@
-//! The products' fold orders, written once as scalar loops.
+//! The products' fold orders, written once as scalar loops, and the fused
+//! convolution layer as the im2col lowering it replaced.
 //!
 //! Mirroring `agsfl_sparse::reference`, this module is the executable
-//! specification of [`crate::product`]'s fold-order contract: the
-//! streaming loops the golden trajectories were recorded with, kept
-//! exactly as they were. Nothing on the product path calls it — the
-//! equivalence proptest (`crates/tensor/tests/product_equivalence.rs`)
-//! compares every dispatch level against it bit for bit, and
-//! `bench-report` times it as the baseline of the paired product kernels.
+//! specification of [`crate::product`]'s and [`crate::conv`]'s fold-order
+//! contracts: the streaming loops the golden trajectories were recorded
+//! with, kept exactly as they were. Nothing on the product path calls it —
+//! the equivalence proptests (`crates/tensor/tests/product_equivalence.rs`,
+//! `crates/tensor/tests/conv_equivalence.rs`) compare every dispatch level
+//! against it bit for bit, and `bench-report` times it as the baseline of
+//! the paired kernels.
 
+use crate::conv::{ConvLayer, KERNEL};
+use crate::ops;
 use crate::product::{MatrixView, Product};
 
 /// Runs `op` through its scalar spec.
@@ -216,4 +220,134 @@ fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
     (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
         + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
         + tail
+}
+
+/// The fused convolution layer ([`ConvLayer::relu_pool`]) as the im2col
+/// lowering it replaced, with the scalar [`Product::MatmulAcc`] spec as
+/// the convolution product: the statement of [`crate::conv`]'s contract.
+///
+/// # Panics
+///
+/// Panics on the shape mismatches [`ConvLayer::relu_pool`] panics on.
+pub fn conv_relu_pool(
+    layer: ConvLayer<'_>,
+    images: MatrixView<'_>,
+    pooled: &mut [f32],
+    relu_mask: Option<&mut [u8]>,
+) {
+    let mut lowering = Im2colLowering::default();
+    lowering.run(layer, images, pooled, matmul_acc);
+    if let Some(relu_mask) = relu_mask {
+        lowering.relu_mask_into(layer, images.rows(), relu_mask);
+    }
+}
+
+/// The im2col convolution layer, with its two buffers kept across calls:
+/// the images unrolled into a `C·9 x B·P` column matrix, one bias-seeded
+/// `O x B·P` product against the filters, then a ReLU + 2x2 average-pool
+/// pass reading the product back. The product is the caller's, so
+/// `bench-report` can time the lowering with the dispatched
+/// [`MatrixView::matmul_acc`] as the fused kernel's seed.
+#[derive(Debug, Clone, Default)]
+pub struct Im2colLowering {
+    cols: Vec<f32>,
+    pre: Vec<f32>,
+}
+
+impl Im2colLowering {
+    /// Runs the layer over `images` into `pooled`, with `product` computing
+    /// `out += filters · columns`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `images` rows are not the layer's input length or `pooled`
+    /// is not `images.rows()` pooled rows long.
+    pub fn run(
+        &mut self,
+        layer: ConvLayer<'_>,
+        images: MatrixView<'_>,
+        pooled: &mut [f32],
+        product: impl FnOnce(MatrixView<'_>, MatrixView<'_>, &mut [f32]),
+    ) {
+        let shape = layer.shape();
+        let (height, width, filters) = (shape.height, shape.width, shape.filters);
+        let (ch, cw) = shape.conv_size();
+        let (ph, pw) = shape.pooled_size();
+        let (patch, positions, batch) = (shape.patch_dim(), ch * cw, images.rows());
+        assert_eq!(images.cols(), shape.input_dim(), "image length");
+        assert_eq!(pooled.len(), batch * shape.pooled_dim(), "pooled length");
+
+        // Column `b·P + y·cw + x`, row `(c·3 + ky)·3 + kx`: input pixel
+        // `(c, y + ky, x + kx)` of sample `b`.
+        self.cols.resize(patch * batch * positions, 0.0);
+        for c in 0..shape.channels {
+            for ky in 0..KERNEL {
+                for kx in 0..KERNEL {
+                    let row = (c * KERNEL + ky) * KERNEL + kx;
+                    for b in 0..batch {
+                        let sample = images.row(b);
+                        for y in 0..ch {
+                            let src = &sample[(c * height + y + ky) * width + kx..][..cw];
+                            let at = (row * batch + b) * positions + y * cw;
+                            self.cols[at..at + cw].copy_from_slice(src);
+                        }
+                    }
+                }
+            }
+        }
+        self.pre.clear();
+        for &bias in layer.bias() {
+            self.pre
+                .extend(std::iter::repeat_n(bias, batch * positions));
+        }
+        product(
+            MatrixView::new(filters, patch, layer.weights()),
+            MatrixView::new(patch, batch * positions, &self.cols),
+            &mut self.pre,
+        );
+
+        // ReLU + pooling, (dy, dx) in (0, 0), (0, 1), (1, 0), (1, 1).
+        for b in 0..batch {
+            for o in 0..filters {
+                let pre = &self.pre[(o * batch + b) * positions..][..positions];
+                for py in 0..ph {
+                    let (r0, r1) = (&pre[2 * py * cw..], &pre[(2 * py + 1) * cw..]);
+                    for px in 0..pw {
+                        pooled[(b * filters + o) * ph * pw + py * pw + px] =
+                            (ops::relu(r0[2 * px])
+                                + ops::relu(r0[2 * px + 1])
+                                + ops::relu(r1[2 * px])
+                                + ops::relu(r1[2 * px + 1]))
+                                / 4.0;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Writes the `ops::relu_grad` of the last run's pre-activations into
+    /// `relu_mask`, in [`crate::conv`]'s window order.
+    fn relu_mask_into(&self, layer: ConvLayer<'_>, batch: usize, relu_mask: &mut [u8]) {
+        let shape = layer.shape();
+        let (ch, cw) = shape.conv_size();
+        let (ph, pw) = shape.pooled_size();
+        let positions = ch * cw;
+        assert_eq!(relu_mask.len(), batch * shape.window_dim(), "mask length");
+        for b in 0..batch {
+            for o in 0..shape.filters {
+                let pre = &self.pre[(o * batch + b) * positions..][..positions];
+                for dy in 0..2 {
+                    for dx in 0..2 {
+                        let plane = (b * shape.filters + o) * 4 + 2 * dy + dx;
+                        for py in 0..ph {
+                            for px in 0..pw {
+                                let z = pre[(2 * py + dy) * cw + 2 * px + dx];
+                                relu_mask[(plane * ph + py) * pw + px] = ops::relu_grad(z) as u8;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -287,6 +287,38 @@ if grep -rnE '\bunsafe\b' crates/*/src \
     exit 1
 fi
 
+# Every unsafe block in the dispatch module states what it relies on: a
+# `// SAFETY:` comment at most six lines above it, after the previous
+# block (comment lines, attributes and the match arm's head sit between).
+if ! awk '
+    /\/\/ SAFETY:/ { safety = FNR }
+    /^[[:space:]]*\/\// { next }
+    /(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)/ {
+        if (safety <= last || FNR - safety > 6) { print FILENAME ":" FNR ":" $0; bad = 1 }
+        last = FNR
+    }
+    END { exit bad }' crates/tensor/src/dispatch.rs; then
+    echo "verify: an unsafe block in crates/tensor/src/dispatch.rs has no // SAFETY: comment (lines above)" >&2
+    exit 1
+fi
+
+step "one convolution forward (the fused conv + bias + ReLU + pool kernel; im2col only for the weight gradient)"
+# SimpleCnn's forward calls agsfl_tensor's fused kernel straight from the
+# images: the column matrix is built once, in loss_and_grad_with, for the
+# conv_wgrad contraction, and no ReLU/pool loop over stored
+# pre-activations is left in the model (the backward's relu_grad is).
+cnn=crates/ml/src/model/cnn.rs
+if [[ "$(product_lines "$cnn" | grep 'im2col(' | grep -vc 'fn im2col(')" -ne 1 ]] \
+    || [[ "$(fn_body "$cnn" loss_and_grad_with | grep -c 'im2col(')" -ne 1 ]]; then
+    echo "verify: $cnn must call im2col exactly once, in loss_and_grad_with:" >&2
+    product_lines "$cnn" | grep 'im2col(' >&2
+    exit 1
+fi
+if product_lines "$cnn" | grep -E 'ops::relu\(|\.max\(0\.0\)'; then
+    echo "verify: a ReLU/pool loop is back in $cnn (lines above); the forward is ConvLayer::relu_pool" >&2
+    exit 1
+fi
+
 step "products keep their fold order (no fused multiply-add, no staged weight copies)"
 # The goldens pin each product's exact sequence of roundings: a fused
 # multiply-add rounds once where mul-then-add rounds twice, so neither the
@@ -356,8 +388,9 @@ cargo test -q -p agsfl-ml --lib capacity_is_constant_under_alternating_gradient_
 cargo test -q -p agsfl-ml --lib forward_is_row_blocked_and_row_independent
 cargo test -q -p agsfl-fl --lib workspace_capacity_never_decreases
 
-step "product equivalence (every dispatch level == the scalar fold-order spec, bit for bit)"
+step "product and convolution equivalence (every dispatch level == the scalar fold-order spec, bit for bit)"
 cargo test -q -p agsfl-tensor --test product_equivalence
+cargo test -q -p agsfl-tensor --test conv_equivalence
 
 step "row fetches (a seek lands where drawing lands; rows == the whole shard's rows; a warm gradient step allocates nothing)"
 cargo test -q -p rand_chacha set_word_pos_matches_drawing_at_every_offset
