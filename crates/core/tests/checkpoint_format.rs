@@ -44,3 +44,68 @@ fn checkpoint_bytes_are_pinned_for_every_controller_kind() {
         .collect();
     assert_eq!(got, FORMAT_GOLDEN, "{got:#018x?}");
 }
+
+/// `Simulation::save_state()` of a sampled, faulty, wired run after
+/// [`SAMPLED_ROUNDS`] rounds: a cohort of 4 out of 12 `femnist_tiny`-shaped
+/// clients with crashes on. The blob holds rows only for the members that
+/// were ever online, so it pins the population section's sparse layout,
+/// including the dropped offline first-timer the test asserts.
+const SAMPLED_COHORT_GOLDEN: u64 = 0xa034_75c5_c399_6240;
+const SAMPLED_ROUNDS: usize = 4;
+
+#[test]
+fn sampled_cohort_checkpoint_bytes_are_pinned() {
+    use agsfl_core::ChannelSpec;
+    use agsfl_fl::{Simulation, SimulationConfig, WireConfig};
+    use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
+    use agsfl_ml::model::LinearSoftmax;
+    use agsfl_sparse::FabTopK;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    let seed = 71;
+    let data = SyntheticFemnist::new(SyntheticFemnistConfig {
+        num_clients: 12,
+        ..SyntheticFemnistConfig::tiny()
+    })
+    .generate(&mut ChaCha8Rng::seed_from_u64(seed));
+    let model = LinearSoftmax::new(data.feature_dim(), data.num_classes());
+    let n = data.num_clients();
+    let config = SimulationConfig {
+        batch_size: 8,
+        seed,
+        wire: Some(WireConfig {
+            codec: agsfl_core::CodecSpec::Auto,
+            channel: ChannelSpec::uniform(2_000.0, 4_000.0, 0.05).build(n, seed),
+        }),
+        fault: Some(agsfl_core::FaultModel {
+            drop_prob: 0.15,
+            crash_prob: 0.4,
+            outage_rounds: (2, 4),
+            corrupt_prob: 0.2,
+            max_retries: 2,
+            seed: seed ^ 0xFA,
+            ..agsfl_core::FaultModel::default()
+        }),
+        cohort: Some(4),
+        ..SimulationConfig::default()
+    };
+    let mut sim = Simulation::new(Box::new(model), data, Box::new(FabTopK::new()), config);
+    let k = sim.dim() / 8;
+    let mut touched = vec![false; n];
+    for round in 0..SAMPLED_ROUNDS {
+        let report = sim.run_round(k, (round % 2 == 0).then_some(k / 2));
+        for &id in &report.cohort {
+            touched[id] = true;
+        }
+    }
+    let touched = touched.iter().filter(|&&t| t).count();
+    assert!(touched < n, "every client was sampled");
+    assert!(
+        sim.resident_clients() < touched,
+        "no offline first-timer was dropped ({} rows, {touched} touched)",
+        sim.resident_clients()
+    );
+    let got = fnv_bytes(&sim.save_state());
+    assert_eq!(got, SAMPLED_COHORT_GOLDEN, "{got:#018x}");
+}

@@ -8,8 +8,10 @@
 //! destination, so an interrupt mid-write leaves either the previous
 //! complete checkpoint or none — never a torn file (see [`write_atomic`]).
 
+use agsfl_ml::data::{MinibatchSampler, ShardSource};
 use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
+use crate::client::ClientState;
 use crate::population::ClientPopulation;
 use crate::Simulation;
 
@@ -62,7 +64,11 @@ impl Simulation {
         w.f32s(&self.shared.params);
         w.rng(&self.server_rng);
         w.rng(&self.cohort_rng);
-        self.population.write_state(w);
+        w.usize(self.population.len());
+        for (&id, state) in &self.population {
+            w.usize(id);
+            state.write(w);
+        }
         if let Some(fault) = &self.fault {
             fault.write_state(w);
         }
@@ -112,10 +118,8 @@ impl Simulation {
             return Err(SnapshotError::Invalid("params length"));
         }
         let (server_rng, cohort_rng) = (r.rng()?, r.rng()?);
-        let population =
-            ClientPopulation::read_state(&mut r, self.dim(), self.num_clients(), |id| {
-                self.shared.source.shard_len(id)
-            })?;
+        let source = self.shared.source.as_ref();
+        let population = read_population(&mut r, self.dim(), config.batch_size, source)?;
         let mut fault = self.fault.clone();
         if let Some(fault) = &mut fault {
             fault.read_state(&mut r)?;
@@ -129,6 +133,96 @@ impl Simulation {
         self.population = population;
         self.fault = fault;
         Ok(())
+    }
+}
+
+/// Reads the population section [`Simulation::write_state`] writes: a row
+/// count, then each row's client id — strictly ascending and a client of
+/// `source`, else [`SnapshotError::Invalid`] — and its [`ClientState`], read
+/// against `dim` and the client's shard length.
+fn read_population(
+    r: &mut SnapshotReader<'_>,
+    dim: usize,
+    batch_size: usize,
+    source: &dyn ShardSource,
+) -> Result<ClientPopulation, SnapshotError> {
+    let mut population = ClientPopulation::new();
+    for _ in 0..r.usize()? {
+        let id = r.usize()?;
+        let after = population
+            .last_key_value()
+            .is_none_or(|(&last, _)| last < id);
+        if id >= source.num_clients() || !after {
+            return Err(SnapshotError::Invalid("population row ids"));
+        }
+        let state = ClientState::read(r, dim, source.shard_len(id), batch_size)?;
+        population.insert(id, state);
+    }
+    Ok(population)
+}
+
+impl ClientState {
+    /// Writes one population row's state, after its client id: the stream,
+    /// the residual, the sampler's order and cursor, the last batch and the
+    /// probe sample.
+    pub(crate) fn write(&self, w: &mut SnapshotWriter) {
+        w.rng(&self.rng);
+        w.f32s(self.residual.as_slice());
+        w.usizes(self.sampler.order());
+        w.usize(self.sampler.cursor());
+        w.usizes(&self.last_batch);
+        w.opt_usize(self.probe_sample);
+    }
+
+    /// Reads a state written by [`ClientState::write`] for a client whose
+    /// shard holds `shard_len` samples: a residual that is not `dim` long or
+    /// a sampler order that is not `shard_len` long is a
+    /// [`SnapshotError::Mismatch`]; a cursor out of range, an order that is
+    /// not a permutation, or a batch index or probe sample past the shard is
+    /// [`SnapshotError::Invalid`]. The sampler draws batches of
+    /// `batch_size`, which the blob's fingerprint has already checked.
+    pub(crate) fn read(
+        r: &mut SnapshotReader<'_>,
+        dim: usize,
+        shard_len: usize,
+        batch_size: usize,
+    ) -> Result<Self, SnapshotError> {
+        let mismatch = |field| SnapshotError::Mismatch { field };
+        let rng = r.rng()?;
+        let residual = r.f32s()?;
+        if residual.len() != dim {
+            return Err(mismatch("client residual length"));
+        }
+        let order = r.usizes()?;
+        if order.len() != shard_len {
+            return Err(mismatch("client sampler order length"));
+        }
+        let cursor = r.usize()?;
+        if cursor >= shard_len.max(1) {
+            return Err(SnapshotError::Invalid("sampler cursor out of range"));
+        }
+        let mut seen = vec![false; shard_len];
+        if order
+            .iter()
+            .any(|&i| i >= shard_len || std::mem::replace(&mut seen[i], true))
+        {
+            return Err(SnapshotError::Invalid("sampler order not a permutation"));
+        }
+        let last_batch = r.usizes()?;
+        if last_batch.iter().any(|&i| i >= shard_len) {
+            return Err(SnapshotError::Invalid("batch index out of range"));
+        }
+        let probe_sample = r.opt_usize()?;
+        if probe_sample.is_some_and(|i| i >= shard_len) {
+            return Err(SnapshotError::Invalid("probe sample out of range"));
+        }
+        Ok(Self {
+            rng,
+            residual: residual.into(),
+            sampler: MinibatchSampler::from_epoch(order, cursor, batch_size),
+            last_batch,
+            probe_sample,
+        })
     }
 }
 
@@ -154,8 +248,12 @@ mod tests {
     use super::*;
     use crate::fixture::{chaos_model, drive, tiny_sim, uniform_wire, SPARSIFIERS};
     use crate::{FaultModel, Parallelism, RoundReport};
+    use agsfl_ml::data::{ClientShard, FederatedDataset};
     use agsfl_sparse::{FabTopK, FubTopK, Sparsifier};
+    use agsfl_tensor::Matrix;
     use agsfl_wire::CodecSpec;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     /// A wired (`Auto` codec) simulation under `fault`.
     fn faulty_sim(
@@ -399,6 +497,121 @@ mod tests {
                 field: "cohort size"
             })
         );
+    }
+
+    /// One hand-built row of the population section, field by field in
+    /// the section's order (the stream is seeded by the id).
+    #[derive(Clone)]
+    struct Row {
+        id: usize,
+        residual: Vec<f32>,
+        order: Vec<usize>,
+        cursor: usize,
+        last_batch: Vec<usize>,
+        probe_sample: Option<usize>,
+    }
+
+    const DIM: usize = 5;
+    const SHARD: usize = 4;
+    const CLIENTS: usize = 6;
+
+    fn row(id: usize) -> Row {
+        Row {
+            id,
+            residual: vec![0.5; DIM],
+            order: vec![2, 0, 3, 1],
+            cursor: 1,
+            last_batch: vec![2, 0],
+            probe_sample: Some(0),
+        }
+    }
+
+    fn section(rows: &[Row]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.usize(rows.len());
+        for row in rows {
+            w.usize(row.id);
+            w.rng(&ChaCha8Rng::seed_from_u64(row.id as u64));
+            w.f32s(&row.residual);
+            w.usizes(&row.order);
+            w.usize(row.cursor);
+            w.usizes(&row.last_batch);
+            w.opt_usize(row.probe_sample);
+        }
+        w.into_bytes()
+    }
+
+    /// Reads a whole section against `DIM` and a source of `CLIENTS`
+    /// shards of `SHARD` samples; returns its row count.
+    fn read(bytes: &[u8]) -> Result<usize, SnapshotError> {
+        let shard = || ClientShard::new(Matrix::zeros(SHARD, 1), vec![0; SHARD]);
+        let source = FederatedDataset::new(vec![shard(); CLIENTS], shard(), 1);
+        let mut r = SnapshotReader::new(bytes);
+        let population = read_population(&mut r, DIM, 2, &source)?;
+        r.finish()?;
+        Ok(population.len())
+    }
+
+    /// The population section's shape laws: a row whose residual or
+    /// sampler order has the wrong length is a `Mismatch`, a row whose
+    /// values do not fit its shard or whose id breaks the ascending order
+    /// is `Invalid`, and every strict prefix of a valid section is an
+    /// error, never a panic.
+    #[test]
+    fn population_rows_obey_their_shape_laws() {
+        let valid = [row(1), row(4)];
+        assert_eq!(read(&section(&valid)), Ok(2));
+        let mismatch = |field| SnapshotError::Mismatch { field };
+        let residual = mismatch("client residual length");
+        let order = mismatch("client sampler order length");
+        let ids = SnapshotError::Invalid("population row ids");
+        type Edit = fn(&mut [Row; 2]);
+        let cases: [(&str, Edit, SnapshotError); 11] = [
+            (
+                "residual of dim - 1",
+                |r| r[1].residual.truncate(DIM - 1),
+                residual.clone(),
+            ),
+            ("residual of dim + 1", |r| r[1].residual.push(0.0), residual),
+            (
+                "order shorter than the shard",
+                |r| r[1].order.truncate(SHARD - 1),
+                order.clone(),
+            ),
+            ("order longer than the shard", |r| r[1].order.push(4), order),
+            (
+                "cursor out of range",
+                |r| r[0].cursor = SHARD,
+                SnapshotError::Invalid("sampler cursor out of range"),
+            ),
+            (
+                "order not a permutation",
+                |r| r[1].order[1] = 2,
+                SnapshotError::Invalid("sampler order not a permutation"),
+            ),
+            (
+                "batch index past the shard",
+                |r| r[1].last_batch[1] = SHARD,
+                SnapshotError::Invalid("batch index out of range"),
+            ),
+            (
+                "probe sample past the shard",
+                |r| r[0].probe_sample = Some(SHARD),
+                SnapshotError::Invalid("probe sample out of range"),
+            ),
+            ("repeated id", |r| r[1].id = 1, ids.clone()),
+            ("descending ids", |r| r[0].id = 5, ids.clone()),
+            ("id past the population", |r| r[1].id = CLIENTS, ids),
+        ];
+        for (case, edit, want) in cases {
+            let mut rows = valid.clone();
+            edit(&mut rows);
+            assert_eq!(read(&section(&rows)), Err(want), "{case}");
+        }
+        let bytes = section(&valid);
+        for cut in 0..bytes.len() {
+            assert!(read(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! A federated client: mini-batch sampling, its batch rows, residual accumulator.
+//! A federated client: its persistent [`ClientState`] — the residual
+//! accumulator, private stream and mini-batch sampler — plus the
+//! round-transient batch rows and scratch.
 
 use agsfl_ml::data::{ClientShard, MinibatchSampler, ShardSource};
 use agsfl_ml::model::Model;
@@ -17,30 +19,70 @@ thread_local! {
     static GRADIENT: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
+/// The part of a client that outlives a round, and all of it: the private
+/// RNG stream, the residual accumulator `a_i` (the error-feedback memory of
+/// Algorithm 1), the mini-batch sampler's epoch, and the estimator's
+/// bookkeeping. It is what one checkpoint row holds, and the whole of what
+/// the population stores per client id: hydration swaps it into a cohort
+/// slot's [`Client`] and dehydration swaps it back.
+#[derive(Debug, Clone)]
+pub(crate) struct ClientState {
+    pub rng: ChaCha8Rng,
+    pub residual: ResidualAccumulator,
+    pub sampler: MinibatchSampler,
+    /// Indices (into the shard) of the most recent mini-batch, used by the
+    /// derivative-sign estimator to re-evaluate a single sample's loss.
+    pub last_batch: Vec<usize>,
+    /// The sample within `last_batch` chosen for the estimator this round.
+    pub probe_sample: Option<usize>,
+}
+
+impl ClientState {
+    /// An empty state with room for a `dim`-residual and a `shard_len`
+    /// sampler order — what [`ClientState::reset`] then fills without
+    /// allocating — and a placeholder stream.
+    pub fn with_capacity(dim: usize, shard_len: usize, batch_size: usize) -> Self {
+        Self {
+            rng: ChaCha8Rng::seed_from_u64(0),
+            residual: Vec::with_capacity(dim).into(),
+            sampler: MinibatchSampler::from_epoch(Vec::with_capacity(shard_len), 0, batch_size),
+            last_batch: Vec::new(),
+            probe_sample: None,
+        }
+    }
+
+    /// Resets to the pristine state of a client that has never
+    /// participated: a fresh RNG at `seed`, a zero residual of dimension
+    /// `dim`, an identity sampler epoch over `shard_len` samples, and no
+    /// estimator bookkeeping. Allocation-free once the buffers have grown.
+    pub fn reset(&mut self, seed: u64, dim: usize, shard_len: usize) {
+        self.rng = ChaCha8Rng::seed_from_u64(seed);
+        self.residual.reset_to_dim(dim);
+        self.sampler.reset_identity(shard_len);
+        self.last_batch.clear();
+        self.probe_sample = None;
+    }
+}
+
 /// One federated client of Algorithm 1.
 ///
-/// The client owns a mini-batch sampler over its shard's sample indices,
-/// its residual accumulator `a_i` and a private RNG (so the simulation is
-/// deterministic regardless of the order in which clients are processed,
-/// including when gradient computation is parallelized across threads).
-/// Its data stays in a [`ShardSource`] as client `id`: a gradient step
-/// draws the batch indices first and then fetches just those rows into a
-/// reused batch buffer, so a client never holds its whole shard.
+/// The client owns its persistent state (`ClientState`) — a mini-batch
+/// sampler over its shard's sample indices, its residual accumulator `a_i`
+/// and a private RNG (so the simulation is deterministic regardless of the
+/// order in which clients are processed, including when gradient
+/// computation is parallelized across threads). Its data stays in a
+/// [`ShardSource`] as client `id`: a gradient step draws the batch indices
+/// first and then fetches just those rows into a reused batch buffer, so a
+/// client never holds its whole shard.
 #[derive(Debug, Clone)]
 pub struct Client {
     id: usize,
     weight: f64,
-    sampler: MinibatchSampler,
-    accumulator: ResidualAccumulator,
-    rng: ChaCha8Rng,
-    /// Indices (into the shard) of the most recent mini-batch, used by the
-    /// derivative-sign estimator to re-evaluate a single sample's loss.
-    last_batch: Vec<usize>,
-    /// The sample within `last_batch` chosen for the estimator this round.
-    probe_sample: Option<usize>,
+    /// The persistent state; everything below it is round-transient.
+    pub(crate) state: ClientState,
     /// The rows the client last fetched from its source: the mini-batch
     /// `last_batch` names, or — for a member that sat a round out — just
-    /// its stale probe sample. Round-transient, like the scratch below.
+    /// its stale probe sample.
     batch: ClientShard,
     /// The row of `batch` holding the probe sample.
     probe_row: usize,
@@ -79,15 +121,15 @@ impl Client {
         assert!(shard_len > 0, "client {id} has no local data");
         let mut client = Self::placeholder(dim, batch_size);
         client.bind(id, weight);
-        client.reset_persistent(seed, dim, shard_len);
+        client.state.reset(seed, dim, shard_len);
         client
     }
 
-    /// Creates an unbound cohort slot: no samples, zero weight, and a
-    /// placeholder RNG. The cohort engine binds a real client onto the slot
-    /// each round ([`Client::bind`], then either a population-row swap or
-    /// [`Client::reset_persistent`]); a placeholder never computes a
-    /// gradient on its own.
+    /// Creates an unbound cohort slot: no samples, zero weight, and an
+    /// empty state with room for a `dim`-residual. The cohort engine binds
+    /// a real client onto the slot each round ([`Client::bind`], then either
+    /// a population swap or [`ClientState::reset`]); a placeholder never
+    /// computes a gradient on its own.
     ///
     /// # Panics
     ///
@@ -96,11 +138,7 @@ impl Client {
         Self {
             id: usize::MAX,
             weight: 0.0,
-            sampler: MinibatchSampler::new(0, batch_size),
-            accumulator: ResidualAccumulator::new(dim),
-            rng: ChaCha8Rng::seed_from_u64(0),
-            last_batch: Vec::new(),
-            probe_sample: None,
+            state: ClientState::with_capacity(dim, 0, batch_size),
             batch: ClientShard::empty(0),
             probe_row: 0,
             topk_scratch: Vec::new(),
@@ -115,42 +153,6 @@ impl Client {
         self.weight = weight;
     }
 
-    /// Swaps the client's *persistent* state (RNG stream, residual, sampler
-    /// epoch, estimator bookkeeping) with the caller's buffers in O(1).
-    ///
-    /// Symmetric: the cohort engine calls it once to install a population
-    /// row into a slot and once more to put the (updated) row back after
-    /// the round. No validation happens here — the buffers must come from
-    /// the same client's row, which the population index guarantees.
-    pub(crate) fn swap_persistent(
-        &mut self,
-        rng: &mut ChaCha8Rng,
-        residual: &mut Vec<f32>,
-        order: &mut Vec<usize>,
-        cursor: &mut usize,
-        last_batch: &mut Vec<usize>,
-        probe_sample: &mut Option<usize>,
-    ) {
-        std::mem::swap(&mut self.rng, rng);
-        self.accumulator.swap_storage(residual);
-        self.sampler.swap_state(order, cursor);
-        std::mem::swap(&mut self.last_batch, last_batch);
-        std::mem::swap(&mut self.probe_sample, probe_sample);
-    }
-
-    /// Resets the slot to the pristine persistent state of a client that
-    /// has never participated: a fresh RNG at `seed`, a zero residual of
-    /// dimension `dim`, an identity sampler epoch over `shard_len` samples,
-    /// and no estimator bookkeeping. Allocation-free once the slot's
-    /// buffers have grown.
-    pub(crate) fn reset_persistent(&mut self, seed: u64, dim: usize, shard_len: usize) {
-        self.rng = ChaCha8Rng::seed_from_u64(seed);
-        self.accumulator.reset_to_dim(dim);
-        self.sampler.reset_identity(shard_len);
-        self.last_batch.clear();
-        self.probe_sample = None;
-    }
-
     /// Client identifier.
     pub fn id(&self) -> usize {
         self.id
@@ -163,12 +165,12 @@ impl Client {
 
     /// Number of local samples `C_i`.
     pub fn num_samples(&self) -> usize {
-        self.sampler.order().len()
+        self.state.sampler.order().len()
     }
 
     /// Borrows the residual accumulator `a_i`.
     pub fn accumulator(&self) -> &ResidualAccumulator {
-        &self.accumulator
+        &self.state.residual
     }
 
     /// Computes the local mini-batch gradient at `params`, adds it to the
@@ -184,18 +186,20 @@ impl Client {
         model: &dyn Model,
         params: &[f32],
     ) -> f32 {
-        self.sampler
-            .next_indices_into(&mut self.rng, &mut self.last_batch);
-        source.materialize_rows_into(self.id, &self.last_batch, &mut self.batch);
+        let state = &mut self.state;
+        state
+            .sampler
+            .next_indices_into(&mut state.rng, &mut state.last_batch);
+        source.materialize_rows_into(self.id, &state.last_batch, &mut self.batch);
         let loss = GRADIENT.with(|grad| {
             let grad = &mut *grad.borrow_mut();
             let loss =
                 model.loss_and_grad_into(params, &self.batch.features, &self.batch.labels, grad);
-            self.accumulator.add(grad);
+            state.residual.add(grad);
             loss
         });
-        self.probe_row = self.rng.gen_range(0..self.last_batch.len());
-        self.probe_sample = Some(self.last_batch[self.probe_row]);
+        self.probe_row = state.rng.gen_range(0..state.last_batch.len());
+        state.probe_sample = Some(state.last_batch[self.probe_row]);
         loss
     }
 
@@ -204,7 +208,7 @@ impl Client {
     /// probe still evaluates: one row from `source`, no stream advanced.
     /// A client that has never computed a gradient fetches nothing.
     pub(crate) fn fetch_probe_sample(&mut self, source: &dyn ShardSource) {
-        if let Some(sample) = self.probe_sample {
+        if let Some(sample) = self.state.probe_sample {
             source.materialize_rows_into(self.id, &[sample], &mut self.batch);
             self.probe_row = 0;
         }
@@ -227,11 +231,12 @@ impl Client {
     ) {
         match plan {
             UploadPlan::TopKOwn => {
-                self.accumulator
+                self.state
+                    .residual
                     .top_k_entries_indexed_into(k, &mut self.topk_scratch, out)
             }
-            UploadPlan::Coordinates(coords) => self.accumulator.entries_at_into(coords, out),
-            UploadPlan::Dense => self.accumulator.dense_entries_into(out),
+            UploadPlan::Coordinates(coords) => self.state.residual.entries_at_into(coords, out),
+            UploadPlan::Dense => self.state.residual.dense_entries_into(out),
         }
     }
 
@@ -341,7 +346,8 @@ impl Client {
     /// with its quantization error instead of zero — the lossy tier's error
     /// feedback; `errors` is empty on a lossless round.
     pub fn apply_reset_with_errors(&mut self, indices: &[usize], errors: &[(usize, f32)]) {
-        self.accumulator
+        self.state
+            .residual
             .reset_indices_to(indices, errors, &mut self.topk_scratch);
     }
 
@@ -367,7 +373,7 @@ impl Client {
         model: &dyn Model,
         params: [&[f32]; M],
     ) -> Option<[f32; M]> {
-        self.probe_sample?;
+        self.state.probe_sample?;
         let (features, label) = self.batch.sample(self.probe_row);
         Some(params.map(|w| model.sample_loss(w, features, label)))
     }
@@ -576,7 +582,7 @@ mod tests {
 
         let mut slot = Client::placeholder(model.num_params(), 4);
         slot.bind(0, 0.5);
-        slot.reset_persistent(99, model.num_params(), 10);
+        slot.state.reset(99, model.num_params(), 10);
 
         for _ in 0..3 {
             let lf = fresh.compute_local_gradient(&data, &model, &params);
@@ -590,30 +596,11 @@ mod tests {
 
         // Dehydrate the slot's persistent state, rehydrate it into another
         // placeholder, and the gradient stream continues bit-identically.
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut residual = Vec::new();
-        let mut order = Vec::new();
-        let mut cursor = 0usize;
-        let mut last_batch = Vec::new();
-        let mut probe = None;
-        slot.swap_persistent(
-            &mut rng,
-            &mut residual,
-            &mut order,
-            &mut cursor,
-            &mut last_batch,
-            &mut probe,
-        );
+        let mut parked = ClientState::with_capacity(0, 0, 1);
+        std::mem::swap(&mut slot.state, &mut parked);
         let mut slot2 = Client::placeholder(model.num_params(), 4);
         slot2.bind(0, 0.5);
-        slot2.swap_persistent(
-            &mut rng,
-            &mut residual,
-            &mut order,
-            &mut cursor,
-            &mut last_batch,
-            &mut probe,
-        );
+        std::mem::swap(&mut slot2.state, &mut parked);
         // Before it computes, the rehydrated slot holds no rows: fetching
         // its stale probe sample reads what the original batch read.
         let bits = |c: &Client| c.probe_losses(&model, [&params[..]]).map(|[l]| l.to_bits());
@@ -637,28 +624,21 @@ mod tests {
 
     #[test]
     fn state_roundtrip_resumes_gradient_stream() {
-        use crate::population::ClientPopulation;
         use agsfl_wire::snapshot::{SnapshotReader, SnapshotWriter};
 
         let (mut a, model, params, data) = client_and_model();
         for _ in 0..3 {
             a.compute_local_gradient(&data, &model, &params);
         }
-        // Park the client's persistent state in a population row and
-        // serialize it, the shape every checkpoint now uses.
-        let mut donor = a.clone();
-        let mut pop = ClientPopulation::new();
-        pop.dehydrate(0, None, true, &mut donor);
+        // Serialize the client's persistent state as one checkpoint row.
         let mut w = SnapshotWriter::new();
-        pop.write_state(&mut w);
+        a.state.write(&mut w);
         let bytes = w.into_bytes();
 
         let (mut b, _, _, _) = client_and_model();
         let mut r = SnapshotReader::new(&bytes);
-        let mut restored =
-            ClientPopulation::read_state(&mut r, model.num_params(), 1, |_| 12).unwrap();
+        b.state = ClientState::read(&mut r, model.num_params(), 12, 4).unwrap();
         r.finish().unwrap();
-        assert_eq!(restored.hydrate(0, &mut b), Some(0));
         assert_eq!(a.accumulator().as_slice(), b.accumulator().as_slice());
         for _ in 0..4 {
             let la = a.compute_local_gradient(&data, &model, &params);
@@ -670,42 +650,5 @@ mod tests {
             a.probe_losses(&model, [&params[..]]).map(|[l]| l.to_bits()),
             b.probe_losses(&model, [&params[..]]).map(|[l]| l.to_bits())
         );
-    }
-
-    #[test]
-    fn state_restore_rejects_wrong_shape() {
-        use crate::population::ClientPopulation;
-        use agsfl_wire::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
-
-        let (mut a, model, params, data) = client_and_model();
-        a.compute_local_gradient(&data, &model, &params);
-        let mut pop = ClientPopulation::new();
-        pop.dehydrate(0, None, true, &mut a);
-        let mut w = SnapshotWriter::new();
-        pop.write_state(&mut w);
-        let bytes = w.into_bytes();
-
-        // A population over a different model dimension must refuse the
-        // snapshot.
-        let mut r = SnapshotReader::new(&bytes);
-        assert!(matches!(
-            ClientPopulation::read_state(&mut r, model.num_params() - 1, 1, |_| 12),
-            Err(SnapshotError::Mismatch { .. })
-        ));
-        // A shorter shard invalidates the serialized sampler epoch.
-        let mut r = SnapshotReader::new(&bytes);
-        assert!(
-            ClientPopulation::read_state(&mut r, model.num_params(), 1, |_| 11).is_err(),
-            "mismatched shard length must be rejected"
-        );
-        // Truncations surface as typed errors, never panics.
-        for cut in 0..bytes.len() {
-            let mut r = SnapshotReader::new(&bytes[..cut]);
-            assert!(
-                ClientPopulation::read_state(&mut r, model.num_params(), 1, |_| 12).is_err()
-                    || r.finish().is_err(),
-                "cut at {cut}"
-            );
-        }
     }
 }

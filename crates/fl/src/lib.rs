@@ -34,9 +34,10 @@
 //! # Sampled cohorts and million-client populations
 //!
 //! Per-client *persistent* state (residual accumulator, RNG stream,
-//! sampler cursor) lives in a struct-of-arrays `ClientPopulation` holding
-//! rows only for clients that have participated, and each round hydrates
-//! the participating clients into a reusable arena of cohort slots.
+//! sampler cursor) is one `ClientState` value per client id, held by the
+//! `ClientPopulation` only for clients that have participated, and each
+//! round swaps the participating clients' states whole into a reusable
+//! arena of cohort slots.
 //! [`SimulationConfig::cohort`] samples that many clients per round
 //! (without replacement, from a dedicated seeded stream, drawn serially
 //! before the parallel pass); `None` runs everyone and is bit-identical
@@ -78,9 +79,9 @@
 //! complete mutable state as one fingerprinted blob, and a restored run
 //! continues bit-identically. The bytes are written and validated by the
 //! workspace's one snapshot codec, [`agsfl_wire::snapshot`] — the fault
-//! injector and [`RunHistory`] implement its `Snapshot` trait, the
-//! population keeps an inherent reader because it validates against the
-//! model dimension and shard lengths — and every failure is a
+//! injector and [`RunHistory`] implement its `Snapshot` trait, a client's
+//! `ClientState` keeps an inherent reader because it validates against the
+//! model dimension and its shard length — and every failure is a
 //! [`SnapshotError`]. [`checkpoint`] owns the blob's format and the atomic
 //! file I/O; a failed restore leaves the simulation unchanged.
 //!

@@ -1,11 +1,12 @@
-//! The struct-of-arrays client population behind the cohort engine.
+//! The client population behind the cohort engine, and the slot arena its
+//! members are hydrated into.
 //!
 //! A million-client simulation cannot afford a [`Client`] per client: each
 //! one owns a batch buffer, reusable scratch buffers, and a resident
 //! residual vector. [`ClientPopulation`] keeps only what is genuinely
-//! *persistent* across rounds — the private RNG stream, the residual
-//! accumulator contents, the mini-batch sampler epoch, and the estimator
-//! bookkeeping — in flat parallel columns, and only for clients that have
+//! *persistent* across rounds — one [`ClientState`] (the private RNG
+//! stream, the residual accumulator, the mini-batch sampler epoch, and the
+//! estimator bookkeeping) per client id — and only for clients that have
 //! actually participated online at least once. Everything transient (the
 //! batch rows, top-k scratch, wire scratch) lives in a small reusable arena
 //! of cohort [`Slot`]s that is rebound to the round's sampled members. No
@@ -13,7 +14,7 @@
 //! from the `ShardSource`.
 //!
 //! Resident memory is therefore `O(slots · batch + touched_clients · (dim +
-//! shard_len))` — the second factor is each stored row's residual and
+//! shard_len))` — the second factor is each stored state's residual and
 //! sampler epoch — rather than `O(N · (shard + dim))`: with a fixed round
 //! budget and cohort size the footprint is flat in the population size
 //! `N`, which is the tentpole claim audited by `figures::scale_sweep` in
@@ -21,12 +22,12 @@
 //!
 //! # Determinism
 //!
-//! Hydration is a pure O(1) swap ([`Client::swap_persistent`], serial:
-//! the population is the one shared structure) and a fresh client's state
-//! is a pure function of `(simulation seed, client id)`
-//! ([`Client::reset_persistent`], run per slot inside the parallel client
-//! pass, ahead of the member's row fetch), so which rounds touch which clients — and
-//! in which slot, on which worker, a client lands — never changes any
+//! Hydration is a map lookup and one swap of the whole [`ClientState`]
+//! (serial: the population is the one shared structure), and a fresh
+//! client's state is a pure function of `(simulation seed, client id)`
+//! ([`ClientState::reset`], run per slot inside the parallel client pass,
+//! ahead of the member's row fetch), so which rounds touch which clients —
+//! and in which slot, on which worker, a client lands — never changes any
 //! stream. Cohort draws ([`draw_cohort`]) advance a dedicated ChaCha8
 //! stream serially before the parallel client pass, and a full-population
 //! cohort makes *no* draw at all, which pins the sampled engine
@@ -34,15 +35,18 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use agsfl_wire::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use rand::Rng;
-use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use agsfl_sparse::ClientUpload;
 
-use crate::client::Client;
+use crate::client::{Client, ClientState};
 use crate::fault::ClientFaultPlan;
+
+/// Every client's persistent state, by client id, for the clients that
+/// have participated online at least once. A `BTreeMap` keeps iteration
+/// (and therefore checkpoint bytes) in ascending id order.
+pub(crate) type ClientPopulation = BTreeMap<usize, ClientState>;
 
 /// One reusable cohort slot: a transient [`Client`] arena entry — its batch
 /// buffer holds this round's rows of the member's shard, never the shard —
@@ -51,13 +55,13 @@ use crate::fault::ClientFaultPlan;
 pub(crate) struct Slot {
     /// The transient client the round's member is hydrated into.
     pub client: Client,
-    /// The population row this slot borrowed this round (`None` for a
-    /// first-time participant, whose state the client pass freshly resets
-    /// instead). Hydration sets it every round.
-    pub cached_row: Option<usize>,
+    /// Whether hydration swapped the member's stored state in (`false` for
+    /// a first-time participant, whose state the client pass freshly
+    /// resets instead). Hydration sets it every round.
+    pub hydrated: bool,
     /// The member's fault plan for this round ([`ClientFaultPlan::clean`]
     /// without a fault model): hydration writes it, the client pass reads
-    /// it, and bookkeeping dehydrates an offline member without a new row.
+    /// it, and bookkeeping stores no state for an offline first-timer.
     pub plan: ClientFaultPlan,
     /// Mini-batch loss of this round's local step.
     pub loss: f32,
@@ -109,7 +113,7 @@ impl Slot {
     pub fn new(dim: usize, batch_size: usize) -> Self {
         Self {
             client: Client::placeholder(dim, batch_size),
-            cached_row: None,
+            hydrated: false,
             plan: ClientFaultPlan::clean(),
             loss: 0.0,
             worker_ns: WorkerNs::default(),
@@ -151,205 +155,6 @@ impl Cohort {
     }
 }
 
-/// Persistent per-client state in struct-of-arrays layout, indexed by a
-/// deterministic map from client id to row (see the module docs).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ClientPopulation {
-    /// Client id → row in the columns below. A `BTreeMap` keeps iteration
-    /// (and therefore checkpoint bytes) deterministic.
-    index: BTreeMap<usize, usize>,
-    rng: Vec<ChaCha8Rng>,
-    residual: Vec<Vec<f32>>,
-    order: Vec<Vec<usize>>,
-    cursor: Vec<usize>,
-    last_batch: Vec<Vec<usize>>,
-    probe_sample: Vec<Option<usize>>,
-}
-
-impl ClientPopulation {
-    /// An empty population: no client has participated yet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of clients with a stored row (participated online at least
-    /// once) — the `touched_clients` factor of the memory bound.
-    pub fn resident_rows(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Installs client `id`'s persistent state into `client` and returns
-    /// the borrowed row, or `None` if the client has never participated
-    /// (the caller must [`Client::reset_persistent`] the slot instead).
-    pub fn hydrate(&mut self, id: usize, client: &mut Client) -> Option<usize> {
-        let row = *self.index.get(&id)?;
-        self.swap_row(row, client);
-        Some(row)
-    }
-
-    /// Returns a slot's persistent state to the population after the round.
-    ///
-    /// A slot that borrowed a row swaps it back; a first-time participant
-    /// gets a new row *only if it was online* — an offline first-timer's
-    /// state is still pristine (offline clients advance no stream), so it
-    /// is dropped and recreated identically on its next appearance.
-    pub fn dehydrate(
-        &mut self,
-        id: usize,
-        slot_row: Option<usize>,
-        online: bool,
-        client: &mut Client,
-    ) {
-        match slot_row {
-            Some(row) => {
-                debug_assert_eq!(self.index.get(&id), Some(&row), "row index out of sync");
-                self.swap_row(row, client);
-            }
-            None if online => {
-                // The new row takes the slot's buffers; the slot gets
-                // pre-sized replacements, allocated here on the round
-                // thread, so the next first-timer's reset — on a pool
-                // worker — allocates nothing and the population's rows do
-                // not migrate into the workers' allocator arenas.
-                let row = self.rng.len();
-                self.rng.push(ChaCha8Rng::seed_from_u64(0));
-                self.residual
-                    .push(Vec::with_capacity(client.accumulator().dim()));
-                self.order.push(Vec::with_capacity(client.num_samples()));
-                self.cursor.push(0);
-                self.last_batch.push(Vec::new());
-                self.probe_sample.push(None);
-                self.index.insert(id, row);
-                self.swap_row(row, client);
-            }
-            None => {}
-        }
-    }
-
-    /// O(1) state exchange between row `row` and `client`.
-    fn swap_row(&mut self, row: usize, client: &mut Client) {
-        client.swap_persistent(
-            &mut self.rng[row],
-            &mut self.residual[row],
-            &mut self.order[row],
-            &mut self.cursor[row],
-            &mut self.last_batch[row],
-            &mut self.probe_sample[row],
-        );
-    }
-
-    /// Panics unless the population is well formed: every column has
-    /// [`ClientPopulation::resident_rows`] entries, the id index is a
-    /// bijection onto `0..resident_rows()`, and no two of `slots` borrow
-    /// the same row. Debug builds check it at the end of every round's
-    /// bookkeeping, when the slots still name the rows they returned.
-    #[cfg(any(test, debug_assertions))]
-    pub fn check_invariants(&self, slots: &[Slot]) {
-        let rows = self.resident_rows();
-        let columns = [
-            self.rng.len(),
-            self.residual.len(),
-            self.order.len(),
-            self.cursor.len(),
-            self.last_batch.len(),
-            self.probe_sample.len(),
-        ];
-        assert_eq!(columns, [rows; 6], "population column lengths");
-        let indexed = self.index.values().copied();
-        assert!(
-            distinct_below(indexed, rows),
-            "population index is not a bijection onto its rows"
-        );
-        let bound = slots.iter().filter_map(|slot| slot.cached_row);
-        assert!(
-            distinct_below(bound, rows),
-            "two slots borrow one population row"
-        );
-    }
-
-    /// Serializes every stored row in ascending client-id order.
-    pub fn write_state(&self, w: &mut SnapshotWriter) {
-        w.usize(self.index.len());
-        for (&id, &row) in &self.index {
-            w.usize(id);
-            w.rng(&self.rng[row]);
-            w.f32s(&self.residual[row]);
-            w.usizes(&self.order[row]);
-            w.usize(self.cursor[row]);
-            w.usizes(&self.last_batch[row]);
-            w.opt_usize(self.probe_sample[row]);
-        }
-    }
-
-    /// Rebuilds a population serialized by [`ClientPopulation::write_state`].
-    ///
-    /// `dim` is the model dimension every residual must match;
-    /// `num_clients` bounds the ids; `shard_len(id)` is the sample count
-    /// the sampler epoch and estimator indices are validated against.
-    pub fn read_state(
-        r: &mut SnapshotReader<'_>,
-        dim: usize,
-        num_clients: usize,
-        shard_len: impl Fn(usize) -> usize,
-    ) -> Result<Self, SnapshotError> {
-        let rows = r.usize()?;
-        let mut pop = Self::new();
-        let mut previous: Option<usize> = None;
-        for _ in 0..rows {
-            let id = r.usize()?;
-            if id >= num_clients || previous.is_some_and(|p| p >= id) {
-                return Err(SnapshotError::Invalid("population row ids"));
-            }
-            previous = Some(id);
-            let rng = r.rng()?;
-            let residual = r.f32s()?;
-            if residual.len() != dim {
-                return Err(SnapshotError::Mismatch {
-                    field: "client residual length",
-                });
-            }
-            let len = shard_len(id);
-            let order = r.usizes()?;
-            if order.len() != len {
-                return Err(SnapshotError::Mismatch {
-                    field: "client sampler order length",
-                });
-            }
-            let cursor = r.usize()?;
-            if cursor >= order.len().max(1) {
-                return Err(SnapshotError::Invalid("sampler cursor out of range"));
-            }
-            if !distinct_below(order.iter().copied(), order.len()) {
-                return Err(SnapshotError::Invalid("sampler order not a permutation"));
-            }
-            let last_batch = r.usizes()?;
-            if last_batch.iter().any(|&i| i >= len) {
-                return Err(SnapshotError::Invalid("batch index out of range"));
-            }
-            let probe_sample = r.opt_usize()?;
-            if probe_sample.is_some_and(|i| i >= len) {
-                return Err(SnapshotError::Invalid("probe sample out of range"));
-            }
-            let row = pop.rng.len();
-            pop.rng.push(rng);
-            pop.residual.push(residual);
-            pop.order.push(order);
-            pop.cursor.push(cursor);
-            pop.last_batch.push(last_batch);
-            pop.probe_sample.push(probe_sample);
-            pop.index.insert(id, row);
-        }
-        Ok(pop)
-    }
-}
-
-/// Whether `rows` are distinct and each below `bound`.
-fn distinct_below(rows: impl IntoIterator<Item = usize>, bound: usize) -> bool {
-    let mut seen = vec![false; bound];
-    rows.into_iter()
-        .all(|row| row < bound && !std::mem::replace(&mut seen[row], true))
-}
-
 /// Draws one round's cohort into `out` (ascending client ids).
 ///
 /// With `cohort` unset — or at least the population size — every client
@@ -384,6 +189,7 @@ pub(crate) fn draw_cohort(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     fn cohort(rng: &mut ChaCha8Rng, n: usize, c: Option<usize>) -> Vec<usize> {
         let mut out = Vec::new();
@@ -425,46 +231,6 @@ mod tests {
             differs |= x != cohort(&mut c, 1000, Some(8));
         }
         assert!(differs, "different seeds should draw different cohorts");
-    }
-
-    /// A population with rows for clients 3 and 5, and one slot bound to
-    /// each row.
-    fn two_rows() -> (ClientPopulation, Vec<Slot>) {
-        let mut pop = ClientPopulation::new();
-        let mut slots = Vec::new();
-        for id in [3, 5] {
-            let mut client = Client::new(id, 4, 0.5, 6, 2, id as u64);
-            pop.dehydrate(id, None, true, &mut client);
-            let mut slot = Slot::new(6, 2);
-            slot.cached_row = pop.hydrate(id, &mut slot.client);
-            slots.push(slot);
-        }
-        pop.check_invariants(&slots);
-        (pop, slots)
-    }
-
-    #[test]
-    #[should_panic(expected = "population column lengths")]
-    fn invariants_catch_a_column_out_of_step() {
-        let (mut pop, slots) = two_rows();
-        pop.cursor.push(0);
-        pop.check_invariants(&slots);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a bijection")]
-    fn invariants_catch_two_ids_on_one_row() {
-        let (mut pop, slots) = two_rows();
-        pop.index.insert(5, 0);
-        pop.check_invariants(&slots);
-    }
-
-    #[test]
-    #[should_panic(expected = "two slots borrow one population row")]
-    fn invariants_catch_two_slots_on_one_row() {
-        let (pop, mut slots) = two_rows();
-        slots[0].cached_row = Some(1);
-        pop.check_invariants(&slots);
     }
 
     #[test]

@@ -133,7 +133,7 @@ pub(crate) struct Shared {
 ///
 /// The simulation owns the model architecture, a [`ShardSource`] describing
 /// the client population, the persistent per-client state in a
-/// struct-of-arrays `ClientPopulation`, a small arena of reusable cohort
+/// `ClientPopulation` (one `ClientState` per client id), a small arena of reusable cohort
 /// `Slot`s, and a single global weight vector. Keeping one weight vector
 /// is sound because every client applies exactly the same downlink update
 /// (the paper's synchronization argument for Algorithm 1); an integration
@@ -296,7 +296,7 @@ impl Simulation {
     /// (participated online at least once) — the `touched_clients` factor
     /// of the memory bound, exposed for the scale sweep's audits.
     pub fn resident_clients(&self) -> usize {
-        self.population.resident_rows()
+        self.population.len()
     }
 
     /// Rounds completed so far.
@@ -359,8 +359,9 @@ impl Simulation {
     /// train accuracy and test accuracy — from **one** fused parallel sweep
     /// over one work list, so an `eval_every` point spawns a single worker
     /// region and forwards every client shard exactly once. Over a lazy
-    /// source the train metrics stream shard-by-shard instead, both from
-    /// one pass that materializes every shard once.
+    /// source the train metrics stream shard by shard instead, on the
+    /// calling thread: each shard is materialized once and forwarded once
+    /// for both its loss and its accuracy.
     ///
     /// Bit-identical to the serial oracles in `agsfl_ml::metrics` at every
     /// worker count, eager or lazy.

@@ -5,6 +5,7 @@ use agsfl_sparse::SelectionResult;
 use agsfl_telemetry::{stage, Recorder, SpanId};
 use std::time::Instant;
 
+use crate::client::ClientState;
 use crate::population::{ClientPopulation, Cohort};
 use crate::wire_state::WireState;
 
@@ -18,12 +19,15 @@ use crate::wire_state::WireState;
 /// is one forward sweep of its residual. On the lossy tier each reset
 /// coordinate is seeded with its quantization error instead of zero (error
 /// feedback); `errors` is empty on lossless rounds, which makes that a
-/// plain reset. Dehydration then returns every member's persistent state to
-/// the population (first-time online participants get a new row; pristine
-/// offline first-timers are dropped and recreated identically on their
-/// next appearance). Each slot keeps naming the row it returned until the
-/// next hydration rebinds it, so debug builds check the population against
-/// this round's rows ([`ClientPopulation::check_invariants`]).
+/// plain reset. Dehydration then swaps every hydrated member's
+/// [`ClientState`] back into the population. A first-time participant's
+/// state is stored only if it was online: the population takes the slot's
+/// state whole, and the slot gets an empty one pre-sized here, on the round
+/// thread, so the next first-timer's reset — on a pool worker — allocates
+/// nothing and the population's states do not migrate into the workers'
+/// allocator arenas. A pristine offline first-timer's state is dropped
+/// (offline clients advance no stream) and recreated identically on its
+/// next appearance.
 ///
 /// The downlink price is a max over the links that can be the slowest
 /// receiver of the broadcast: the channel's frontier, built on the first
@@ -50,11 +54,18 @@ pub(crate) fn bookkeep<R: Recorder>(
         contributions[pos] = resets.len();
     }
     for slot in slots.iter_mut() {
-        let (id, online) = (slot.client.id(), !slot.plan.offline);
-        population.dehydrate(id, slot.cached_row, online, &mut slot.client);
+        let (id, state) = (slot.client.id(), &mut slot.client.state);
+        if slot.hydrated {
+            let stored = population
+                .get_mut(&id)
+                .expect("a hydrated member is stored");
+            std::mem::swap(stored, state);
+        } else if !slot.plan.offline {
+            let (dim, len) = (state.residual.dim(), state.sampler.order().len());
+            let empty = ClientState::with_capacity(dim, len, state.sampler.batch_size());
+            population.insert(id, std::mem::replace(state, empty));
+        }
     }
-    #[cfg(debug_assertions)]
-    population.check_invariants(slots);
     let downlink_time = stage(rec, SpanId::DownlinkPricing, || {
         wire.zip(downlink_bytes)
             .map_or(0.0, |(w, bytes)| w.downlink_phase_time(round_idx, bytes))

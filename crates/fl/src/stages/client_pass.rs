@@ -72,10 +72,11 @@ pub(crate) fn client_pass<R: Recorder>(
         // pure function writing only into this slot, so it runs on the
         // pool.
         let id = slot.client.id();
-        if slot.cached_row.is_none() {
+        if !slot.hydrated {
             let client_seed = seed.wrapping_add(id as u64);
             slot.client
-                .reset_persistent(client_seed, dim, source.shard_len(id));
+                .state
+                .reset(client_seed, dim, source.shard_len(id));
         }
         if slot.plan.offline {
             // Mid-outage: no compute, no upload, and none of the member's

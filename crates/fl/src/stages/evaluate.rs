@@ -1,7 +1,7 @@
 //! The evaluation sweep, run between rounds.
 
 use agsfl_ml::data::{ClientShard, FederatedDataset};
-use agsfl_ml::metrics::{global_evaluation, GlobalEvaluation};
+use agsfl_ml::metrics::{global_evaluation, shard_metrics, GlobalEvaluation};
 
 use crate::simulation::Shared;
 
@@ -11,8 +11,10 @@ use crate::simulation::Shared;
 ///
 /// A lazy source has no resident shards to put on the work list: its train
 /// metrics stream every shard through one reusable buffer — evaluation
-/// stays `O(shard)` resident even at a million clients — folding `metric *
-/// len` in shard order, which is exactly the serial association of
+/// stays `O(shard)` resident even at a million clients — taking each
+/// shard's loss and accuracy from one forward ([`shard_metrics`], the
+/// eager sweep's per-shard body) and folding `metric * len` in shard order,
+/// which is exactly the serial association of
 /// `agsfl_ml::metrics::global_loss` / `global_accuracy`, so the lazy sweep
 /// is bit-identical to the eager one for a source that materializes the
 /// same shards.
@@ -34,8 +36,9 @@ pub(crate) fn sweep(shared: &Shared, train: bool, test: bool) -> GlobalEvaluatio
                 continue;
             }
             let len = shard.len() as f64;
-            loss += model.loss(params, &shard.features, &shard.labels) as f64 * len;
-            accuracy += model.accuracy(params, &shard.features, &shard.labels) as f64 * len;
+            let (shard_loss, shard_accuracy) = shard_metrics(model, params, &shard);
+            loss += shard_loss as f64 * len;
+            accuracy += shard_accuracy as f64 * len;
         }
         eval.train_loss = (loss / total as f64) as f32;
         eval.train_accuracy = (accuracy / total as f64) as f32;

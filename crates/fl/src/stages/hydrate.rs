@@ -1,6 +1,7 @@
 //! Stage (0), hydration: the cohort draw, its fault plans and the slot
 //! binding.
 
+use agsfl_ml::data::ShardSource;
 use rand_chacha::ChaCha8Rng;
 
 use crate::fault::{ClientFaultPlan, FaultState};
@@ -31,31 +32,55 @@ pub(crate) fn bind_cohort(
         shared.config.cohort,
         &mut cohort,
     );
+    let plans = fault.map(|f| f.plan_round_for(round_idx, f.model().max_retries + 1, &cohort));
+    bind_slots(source, &cohort, plans, population, slots);
+    cohort
+}
+
+/// Points each slot at its member and swaps a returning participant's
+/// [`ClientState`](crate::client::ClientState) in from the population —
+/// the only hydration step that mutates shared state. A first-timer's
+/// fresh state and the member's row fetch are per-slot work on the pool, in
+/// the client pass.
+///
+/// The members must be distinct (debug builds check that they ascend):
+/// two slots bound to one client would each swap with its one stored
+/// state, and dehydration would store the wrong one.
+fn bind_slots(
+    source: &dyn ShardSource,
+    cohort: &[usize],
+    plans: Option<Vec<ClientFaultPlan>>,
+    population: &mut ClientPopulation,
+    slots: &mut [Slot],
+) {
     debug_assert_eq!(cohort.len(), slots.len(), "one slot per cohort member");
+    debug_assert!(
+        cohort.windows(2).all(|w| w[0] < w[1]),
+        "cohort members are not distinct and ascending: {cohort:?}"
+    );
     // Aggregation weights are renormalized over the cohort's samples
     // (`C_i / Σ_{j∈cohort} C_j`); with every client participating the
     // denominator is the population total.
     let cohort_samples: usize = cohort.iter().map(|&id| source.shard_len(id)).sum();
     assert!(cohort_samples > 0, "cohort holds no samples");
-    let plans = fault.map(|f| f.plan_round_for(round_idx, f.model().max_retries + 1, &cohort));
     let mut plans = plans.into_iter().flatten();
-    // Point each slot at its member and swap a returning participant's
-    // persistent state in from the population — the only hydration step
-    // that mutates shared state. A first-timer's fresh state and the
-    // member's row fetch are per-slot work on the pool, in the client
-    // pass.
-    for (slot, &id) in slots.iter_mut().zip(&cohort) {
+    for (slot, &id) in slots.iter_mut().zip(cohort) {
         let weight = source.shard_len(id) as f64 / cohort_samples as f64;
         slot.client.bind(id, weight);
         slot.plan = plans.next().unwrap_or_else(ClientFaultPlan::clean);
-        slot.cached_row = population.hydrate(id, &mut slot.client);
+        let stored = population.get_mut(&id);
+        slot.hydrated = stored.is_some();
+        if let Some(state) = stored {
+            std::mem::swap(&mut slot.client.state, state);
+        }
     }
-    cohort
 }
 
 #[cfg(test)]
 mod tests {
+    use super::bind_slots;
     use crate::fixture::{chaos_model, tiny_sim, uniform_wire};
+    use crate::population::{ClientPopulation, Slot};
     use crate::{Parallelism, Simulation};
     use agsfl_sparse::{FabTopK, FubTopK};
     use agsfl_wire::CodecSpec;
@@ -136,5 +161,18 @@ mod tests {
             assert_eq!(rs, rp, "round {round}");
         }
         assert_eq!(serial.params(), parallel.params());
+    }
+
+    /// Binding one client to two slots trips the distinct-members check
+    /// before either slot swaps its state.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "cohort members are not distinct")]
+    fn binding_one_client_to_two_slots_panics() {
+        let sim = tiny_sim(Box::new(FabTopK::new()), 23, |_, _| {});
+        let mut population = ClientPopulation::new();
+        let mut slots: Vec<Slot> = (0..2).map(|_| Slot::new(sim.dim(), 4)).collect();
+        let source = sim.shared.source.as_ref();
+        bind_slots(source, &[1, 1], None, &mut population, &mut slots);
     }
 }

@@ -43,11 +43,26 @@ impl MinibatchSampler {
     ///
     /// Panics if `batch_size == 0`.
     pub fn new(len: usize, batch_size: usize) -> Self {
+        Self::from_epoch((0..len).collect(), 0, batch_size)
+    }
+
+    /// A sampler resuming the epoch `order` at `cursor`, as
+    /// [`MinibatchSampler::order`]/[`MinibatchSampler::cursor`] captured
+    /// it, so a resumed run draws exactly the batches the uninterrupted run
+    /// would. Nothing is checked beyond the batch size: the caller
+    /// validates that `order` is a permutation of the shard's samples and
+    /// that `cursor` is in range (the FL checkpoint reader returns a typed
+    /// error where this would panic later).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch_size == 0`.
+    pub fn from_epoch(order: Vec<usize>, cursor: usize, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch_size must be positive");
         Self {
             batch_size,
-            order: (0..len).collect(),
-            cursor: 0,
+            order,
+            cursor,
         }
     }
 
@@ -65,51 +80,6 @@ impl MinibatchSampler {
     /// (for checkpointing).
     pub fn cursor(&self) -> usize {
         self.cursor
-    }
-
-    /// Restores a position previously captured via
-    /// [`MinibatchSampler::order`]/[`MinibatchSampler::cursor`], so a
-    /// resumed run draws exactly the batches the uninterrupted run would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is not a permutation of the current sample set or
-    /// `cursor` is out of range.
-    pub fn restore(&mut self, order: Vec<usize>, cursor: usize) {
-        assert_eq!(
-            order.len(),
-            self.order.len(),
-            "restored order length does not match the shard"
-        );
-        assert!(
-            cursor < order.len().max(1),
-            "restored cursor {cursor} out of range"
-        );
-        let mut seen = vec![false; order.len()];
-        for &i in &order {
-            assert!(
-                i < order.len() && !seen[i],
-                "restored order is not a permutation"
-            );
-            seen[i] = true;
-        }
-        self.order = order;
-        self.cursor = cursor;
-    }
-
-    /// Swaps the sampler's epoch state (visit order and cursor) with the
-    /// caller's buffers in O(1), without validation.
-    ///
-    /// This is the population-row hydration primitive of the FL simulator's
-    /// cohort engine: a client slot installs a stored row's epoch state
-    /// before the round and the same swap puts it back afterwards, so no
-    /// per-round allocation or permutation check happens. Callers are
-    /// responsible for only installing state captured from a sampler over a
-    /// shard of the same length (a row index past the shard still panics
-    /// where the caller fetches it).
-    pub fn swap_state(&mut self, order: &mut Vec<usize>, cursor: &mut usize) {
-        std::mem::swap(&mut self.order, order);
-        std::mem::swap(&mut self.cursor, cursor);
     }
 
     /// Resets the sampler to the start of a fresh identity-order epoch over
@@ -215,25 +185,15 @@ mod tests {
     }
 
     #[test]
-    fn restore_resumes_mid_epoch() {
+    fn from_epoch_resumes_mid_epoch() {
         let mut a = MinibatchSampler::new(9, 4);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         next(&mut a, &mut rng); // leaves the cursor mid-epoch
-        let order = a.order().to_vec();
-        let cursor = a.cursor();
-        let mut b = MinibatchSampler::new(9, 4);
-        b.restore(order, cursor);
+        let mut b = MinibatchSampler::from_epoch(a.order().to_vec(), a.cursor(), 4);
         let mut rng_b = rng.clone();
         for _ in 0..6 {
             assert_eq!(next(&mut a, &mut rng), next(&mut b, &mut rng_b));
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn restore_rejects_non_permutation() {
-        let mut sampler = MinibatchSampler::new(4, 2);
-        sampler.restore(vec![0, 0, 1, 2], 0);
     }
 
     #[test]

@@ -92,9 +92,11 @@ pub trait ShardSource: Send + Sync + std::fmt::Debug {
 
     /// Borrows the fully materialized dataset when the source is eager.
     ///
-    /// Cohort simulations use this to keep the exact legacy evaluation
-    /// sweeps (which want `&[ClientShard]`) on eager datasets; lazy sources
-    /// return `None` and evaluation streams shard by shard instead.
+    /// The FL round engine's evaluation sweep puts an eager dataset's
+    /// shards on one parallel work list
+    /// ([`global_evaluation`](crate::metrics::global_evaluation) takes
+    /// `&[ClientShard]`); lazy sources return `None` and the sweep streams
+    /// shard by shard instead.
     fn as_dataset(&self) -> Option<&FederatedDataset> {
         None
     }

@@ -84,6 +84,19 @@ fn correct_rows(logits: &Matrix, labels: &[usize]) -> usize {
         .count()
 }
 
+/// Loss and accuracy of one non-empty shard from a single forward pass —
+/// the per-shard body of [`global_evaluation`] and of a sweep that streams
+/// shards one at a time. Bit-identical to [`Model::loss`] and
+/// [`Model::accuracy`] on the shard while a model keeps their default
+/// bodies (no model in this crate overrides them).
+pub fn shard_metrics(model: &dyn Model, params: &[f32], shard: &ClientShard) -> (f32, f32) {
+    let logits = model.forward(params, &shard.features);
+    (
+        batch_cross_entropy(&logits, &shard.labels),
+        correct_rows(&logits, &shard.labels) as f32 / shard.len() as f32,
+    )
+}
+
 /// Everything an evaluation point reports, computed by one fused sweep
 /// ([`global_evaluation`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,11 +175,8 @@ pub fn global_evaluation(
     }
     let partials = exec.map_ref(&items, |item| match item {
         EvalItem::Shard(shard) => {
-            let logits = model.forward(params, &shard.features);
-            EvalPartial::Shard {
-                loss: batch_cross_entropy(&logits, &shard.labels),
-                accuracy: correct_rows(&logits, &shard.labels) as f32 / shard.len() as f32,
-            }
+            let (loss, accuracy) = shard_metrics(model, params, shard);
+            EvalPartial::Shard { loss, accuracy }
         }
         EvalItem::TestChunk(rows) => EvalPartial::TestCorrect(correct_rows(
             &model.forward_view(params, test.features.view().row_block(rows.clone())),

@@ -47,21 +47,6 @@ impl ResidualAccumulator {
         &self.residual
     }
 
-    /// Overwrites the residual with a previously captured snapshot
-    /// (checkpoint restore); the copy is bit-exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `residual.len() != dim()`.
-    pub fn restore(&mut self, residual: &[f32]) {
-        assert_eq!(
-            residual.len(),
-            self.residual.len(),
-            "restored residual length mismatch"
-        );
-        self.residual.copy_from_slice(residual);
-    }
-
     /// Adds a freshly computed local gradient (Line 4 of Algorithm 1).
     ///
     /// # Panics
@@ -124,25 +109,12 @@ impl ResidualAccumulator {
         out.extend(self.residual.iter().copied().enumerate());
     }
 
-    /// Swaps the accumulator's backing storage with the caller's buffer in
-    /// O(1), without validation or copying.
-    ///
-    /// This is the population-row hydration primitive of the FL simulator's
-    /// cohort engine: a cohort slot installs a stored client's residual
-    /// before the round and the same swap puts it back afterwards. The
-    /// caller is responsible for the buffer holding a residual of the right
-    /// dimension when the accumulator is subsequently used
-    /// ([`ResidualAccumulator::add`] still asserts the length at use time).
-    pub fn swap_storage(&mut self, buf: &mut Vec<f32>) {
-        std::mem::swap(&mut self.residual, buf);
-    }
-
     /// Resets the accumulator to a zero residual of dimension `dim`,
     /// reusing the current buffer's capacity.
     ///
     /// Equivalent to `*self = ResidualAccumulator::new(dim)` without the
-    /// allocation; used when a cohort slot is hydrated for a client that
-    /// has no stored row yet.
+    /// allocation once the buffer has grown; used when a cohort slot is
+    /// bound to a client that has no stored state yet.
     pub fn reset_to_dim(&mut self, dim: usize) {
         self.residual.clear();
         self.residual.resize(dim, 0.0);
@@ -221,6 +193,15 @@ impl ResidualAccumulator {
     /// is still waiting to be communicated.
     pub fn residual_l1(&self) -> f32 {
         self.residual.iter().map(|r| r.abs()).sum()
+    }
+}
+
+/// An accumulator holding `residual` as is — a checkpointed residual, bit
+/// for bit, or an empty buffer whose capacity a later
+/// [`ResidualAccumulator::reset_to_dim`] fills without allocating.
+impl From<Vec<f32>> for ResidualAccumulator {
+    fn from(residual: Vec<f32>) -> Self {
+        Self { residual }
     }
 }
 

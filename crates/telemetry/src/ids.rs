@@ -21,7 +21,7 @@
 #[repr(usize)]
 pub enum SpanId {
     /// The serial part of cohort hydration: cohort draw, fault plan, slot
-    /// binding, and population rows swapped into the reusable slot arena.
+    /// binding, and population states swapped into the reusable slot arena.
     Hydrate,
     /// The pipelined client pass: on the pool, each member's first-timer
     /// reset, batch-row fetch, local gradient and uplink message — wired,

@@ -61,21 +61,9 @@ step "the server reads the uploads once (no second selection, clone or compariso
 # weight buffers and prices prefixes through topk::sort_by_index. Product
 # code only: product_lines skips every #[cfg(test)] item (the fixture's
 # probe_by_second_selection is the old recipe kept as the spec) and comment
-# lines. engine_product is the round engine: simulation.rs, wire_state.rs
-# and one module per stage under stages/.
-product_lines() {
-    awk -v f="$1" '
-        function count(s, c) { return gsub(c, "", s) }
-        skip {
-            o = count($0, "{"); c = count($0, "}"); depth += o - c
-            if (o > 0) opened = 1
-            if ((opened && depth <= 0) || (!opened && index($0, ";") && depth <= 0)) skip = 0
-            next
-        }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
-        { print f ":" FNR ":" $0 }' "$1" \
-        | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'
-}
+# lines (scripts/product_lines.sh). engine_product is the round engine:
+# simulation.rs, wire_state.rs and one module per stage under stages/.
+source scripts/product_lines.sh
 engine_product() {
     for f in crates/fl/src/simulation.rs crates/fl/src/wire_state.rs crates/fl/src/stages/*.rs; do
         product_lines "$f"
@@ -216,6 +204,23 @@ if for f in $(find crates/fl/src -name '*.rs'); do product_lines "$f"; done \
 fi
 if fn_body crates/fl/src/wire_state.rs probe_round_time | grep -F 'entries[..'; then
     echo "verify: WireState::probe_round_time prices an entries prefix (lines above); price the ranked view's" >&2
+    exit 1
+fi
+
+step "one client state value (the population keeps one ClientState per client id; hydration swaps it whole)"
+# A client's persistent state — stream, residual, sampler epoch, estimator
+# bookkeeping — is one ClientState, and ClientPopulation is a map from
+# client id to it: hydration and dehydration are a lookup and one swap.
+# Field-by-field swap helpers through a row index, or a column of vectors
+# in population.rs, are the struct-of-arrays layout growing back. Product
+# code only (no #[cfg(test)] item); comment lines are exempt.
+if for f in $(find crates/*/src -name '*.rs'); do product_lines "$f"; done \
+    | grep -E 'swap_persistent|swap_storage|swap_state|swap_row|cached_row'; then
+    echo "verify: a column-wise client state swap is back (lines above); swap the whole ClientState" >&2
+    exit 1
+fi
+if product_lines crates/fl/src/population.rs | grep -F 'Vec<Vec<'; then
+    echo "verify: crates/fl/src/population.rs holds a column of vectors (lines above); store one ClientState per client id" >&2
     exit 1
 fi
 
