@@ -32,7 +32,11 @@
 //! restriction of the round's own (`probe_restrict_*`), one pool region's
 //! dispatch against a scoped spawn (`pool_dispatch`), the client top-k and
 //! the lossy tier's re-rank (`client_top_k*`, `rank_by_magnitude`), the
-//! paper-shape CNN forward and gradient (`cnn_*`), that gradient's four
+//! paper-shape CNN forward and gradient (`cnn_*`), one client step —
+//! gradient into a residual, then the top-k — with the gradient
+//! materialized and added against landed in the residual, at the CNN and
+//! at `sparse_wide_linear`'s linear model (`client_step`, `linear_step`),
+//! that gradient's four
 //! matrix products at every dispatch level the host runs (`fc_fwd@avx2`,
 //! …) and its fused convolution layer against the im2col lowering it
 //! replaced (`conv_relu_pool@avx512`, …), the fused evaluation sweep (`eval_sweep`), the lossless and
@@ -59,10 +63,10 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use agsfl_bench::kernel_workload::{
     checkpoint_workload, cnn_workload, eval_workload, fab_workload, fresh_checkpoint_sim,
-    product_workload, server_workload, telemetry_workload, topk_workload, wire_workload,
-    wired_workload, CKPT_CLIENTS, CNN_BATCH, EVAL_CLIENTS, FAB_CLIENTS, FAB_DIM, FAB_K,
-    PRODUCT_SHAPES, SERVER_SHAPES, TELEM_CLIENTS, TELEM_K, TOPK_DIM, TOPK_KS, WIRED_DIM, WIRED_K,
-    WIRED_RESETS,
+    linear_workload, product_workload, residual_workload, server_workload, telemetry_workload,
+    topk_workload, wire_workload, wired_workload, CKPT_CLIENTS, CLIENT_STEP_K, CNN_BATCH,
+    EVAL_CLIENTS, FAB_CLIENTS, FAB_DIM, FAB_K, PRODUCT_SHAPES, SERVER_SHAPES, TELEM_CLIENTS,
+    TELEM_K, TOPK_DIM, TOPK_KS, WIRED_DIM, WIRED_K, WIRED_RESETS,
 };
 use agsfl_core::figures::scale_sweep::{self, ScaleSweepConfig, ScaleSweepPoint};
 use agsfl_exec::{mem, Executor};
@@ -75,7 +79,7 @@ use agsfl_sparse::{
 use agsfl_telemetry::{SpanId, StageRecorder};
 use agsfl_tensor::dispatch::{self, Level};
 use agsfl_tensor::reference::{self as tensor_reference, Im2colLowering};
-use agsfl_tensor::{ConvLayer, ConvScratch, ConvShape, MatrixView, Product};
+use agsfl_tensor::{ConvLayer, ConvScratch, ConvShape, Matrix, MatrixView, Product};
 use agsfl_wire::{
     decode_frame, decode_frame_with, reference as wire_reference, CodecSpec, WireScratch,
 };
@@ -296,6 +300,57 @@ fn check_against_history(kernels: &[KernelReport], history_path: &str, cores: us
     regressed
 }
 
+/// Records one client-step pair: the gradient of `batch` added into a
+/// dirty residual, then its index-ordered top-`k`. The seed materializes
+/// the gradient in a reused `D`-vector and adds it; the optimized side
+/// lands it in the residual. Both start from the same residual, and their
+/// first steps must leave the same bits and the same loss.
+fn client_step_pair(
+    ledger: &mut Ledger,
+    name: &str,
+    model: &dyn Model,
+    (params, x, labels): (&[f32], &Matrix, &[usize]),
+    k: usize,
+) {
+    let dim = model.num_params();
+    let start: ResidualAccumulator = residual_workload(dim).into();
+    let (mut seed_acc, mut landed_acc) = (start.clone(), start);
+    let (mut grad, mut seed_keys, mut seed_entries) = (Vec::new(), Vec::new(), Vec::new());
+    let mut seed_step = |acc: &mut ResidualAccumulator| {
+        let loss = model.loss_and_grad_into(black_box(params), x, labels, &mut grad);
+        acc.add(&grad);
+        acc.top_k_entries_indexed_into(k, &mut seed_keys, &mut seed_entries);
+        black_box(&seed_entries);
+        loss
+    };
+    let (mut keys, mut entries) = (Vec::new(), Vec::new());
+    let mut landed_step = |acc: &mut ResidualAccumulator| {
+        let loss = acc.add_with(dim, |residual| {
+            model.loss_and_accumulate_into(black_box(params), x, labels, residual)
+        });
+        acc.top_k_entries_indexed_into(k, &mut keys, &mut entries);
+        black_box(&entries);
+        loss
+    };
+    let (seed_loss, landed_loss) = (seed_step(&mut seed_acc), landed_step(&mut landed_acc));
+    assert_eq!(seed_loss.to_bits(), landed_loss.to_bits(), "{name}: loss");
+    assert!(
+        seed_acc
+            .as_slice()
+            .iter()
+            .zip(landed_acc.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "{name}: the landed gradient must leave the residual bits of the added one"
+    );
+    ledger.pair(
+        name,
+        Shape::new(dim, x.rows(), k),
+        "",
+        || seed_step(&mut seed_acc),
+        || landed_step(&mut landed_acc),
+    );
+}
+
 /// `objects`, one per line at `indent`, comma-separated.
 fn json_lines(objects: &[String], indent: &str) -> String {
     let lines: Vec<String> = objects.iter().map(|o| format!("{indent}{o}")).collect();
@@ -488,6 +543,30 @@ fn main() {
         },
     );
 
+    // One client step, Line 4 then Line 6 of Algorithm 1: the gradient
+    // added into a dirty residual, then the index-ordered top-k of it. The
+    // seed materializes the gradient (`loss_and_grad_into` into a reused
+    // D-vector) and adds it (`ResidualAccumulator::add`); the optimized
+    // side lands it in the residual (`loss_and_accumulate_into`). Both
+    // start from the same residual and must agree on its bits. At the
+    // paper's CNN (`client_step`) and at `sparse_wide_linear`'s model
+    // (`linear_step`).
+    client_step_pair(
+        &mut ledger,
+        "client_step",
+        &cnn,
+        (&params, &x, &labels),
+        CLIENT_STEP_K,
+    );
+    let (linear, linear_params, linear_x, linear_labels) = linear_workload();
+    client_step_pair(
+        &mut ledger,
+        "linear_step",
+        &linear,
+        (&linear_params, &linear_x, &linear_labels),
+        WIRED_K,
+    );
+
     // Its convolution layer alone (conv + bias + ReLU + 2x2 pool, 32 rows
     // of 1x28x28, 40 filters), at every vector width this CPU can run: the
     // im2col lowering the fused kernel replaced — columns, a bias-seeded
@@ -564,7 +643,7 @@ fn main() {
             black_box(&out);
         });
         let inner = match op {
-            Product::TransposeMatmulAcc | Product::TransposeMatmulInto => lhs.0,
+            Product::TransposeMatmulGrouped(_) | Product::TransposeMatmul(_) => lhs.0,
             _ => lhs.1,
         };
         for level in Level::available() {

@@ -5,8 +5,10 @@
 //! are comparable; it builds them here. Five workload families are
 //! tracked: the FAB server selection (and, at the paper's dimension, the
 //! probe's restriction of it), the paper-shape CNN forward pass and
-//! gradient (im2col vs the seed scalar loops) and that gradient's five
-//! matrix products one by one (scalar spec vs each dispatch level), the
+//! gradient (im2col vs the seed scalar loops), one client step into a
+//! residual at the CNN and at `sparse_wide_linear`'s linear model, and
+//! that gradient's four matrix products one by one (scalar spec vs each
+//! dispatch level), the
 //! per-evaluation `O(N·D)` metric sweep (fused executor sweep vs the
 //! seed's three serial passes), and the wire-codec message (encode/decode
 //! fast paths vs the allocating reference implementations).
@@ -16,7 +18,7 @@ use agsfl_fl::{ChannelModel, Simulation, SimulationConfig, TimeModel, WireConfig
 use agsfl_ml::data::{FederatedDataset, SyntheticFemnist, SyntheticFemnistConfig};
 use agsfl_ml::model::{LinearSoftmax, Mlp, Model, SimpleCnn};
 use agsfl_sparse::{topk, ClientUpload, FabTopK, SparseGradient};
-use agsfl_tensor::{Matrix, Product};
+use agsfl_tensor::{Matrix, Product, Store};
 use agsfl_wire::CodecSpec;
 use rand::Rng;
 use rand::SeedableRng;
@@ -157,6 +159,45 @@ pub fn cnn_workload() -> (SimpleCnn, Vec<f32>, Matrix, Vec<usize>) {
     (model, params, x, labels)
 }
 
+/// Features of the linear client-step workload: `sparse_wide_linear`'s
+/// `LinearSoftmax`, 6751 x 62 weights and 62 biases ([`WIRED_DIM`]).
+pub const LINEAR_FEATURES: usize = 6_751;
+/// Mini-batch size of the linear client-step workload.
+pub const LINEAR_BATCH: usize = 8;
+/// Entries a client of the CNN client-step workload uploads.
+pub const CLIENT_STEP_K: usize = 12_000;
+
+/// Builds the linear client-step workload: `sparse_wide_linear`'s model
+/// ([`LINEAR_FEATURES`] x [`CNN_CLASSES`], D = [`WIRED_DIM`]), initialized
+/// weights and one mini-batch of [`LINEAR_BATCH`] rows with labels.
+pub fn linear_workload() -> (LinearSoftmax, Vec<f32>, Matrix, Vec<usize>) {
+    let model = LinearSoftmax::new(LINEAR_FEATURES, CNN_CLASSES);
+    let mut rng = ChaCha8Rng::seed_from_u64(29);
+    let params = model.init_params(&mut rng);
+    let x = Matrix::from_fn(LINEAR_BATCH, LINEAR_FEATURES, |_, _| {
+        rng.gen_range(-1.0f32..1.0)
+    });
+    let labels = (0..LINEAR_BATCH).map(|i| (7 * i) % CNN_CLASSES).collect();
+    (model, params, x, labels)
+}
+
+/// A client's residual after some rounds, the accumulator a client step
+/// lands its gradient in: small values of both signs, with every fifth
+/// coordinate an exact zero (reset by the server's last selection).
+pub fn residual_workload(dim: usize) -> Vec<f32> {
+    let mut rng = ChaCha8Rng::seed_from_u64(31);
+    (0..dim)
+        .map(|j| {
+            let v = rng.gen_range(-0.05f32..0.05);
+            if j % 5 == 4 {
+                0.0
+            } else {
+                v
+            }
+        })
+        .collect()
+}
+
 /// One entry of [`PRODUCT_SHAPES`]: `(pair name, product, lhs shape, rhs
 /// shape)`.
 pub type ProductShape = (&'static str, Product, (usize, usize), (usize, usize));
@@ -173,7 +214,7 @@ pub const PRODUCT_SHAPES: [ProductShape; 4] = [
     ("fc_fwd", Product::MatmulAcc, (CNN_BATCH, 6760), (6760, 62)),
     (
         "fc_wgrad",
-        Product::TransposeMatmulAcc,
+        Product::TransposeMatmulGrouped(Store::Overwrite),
         (CNN_BATCH, 6760),
         (CNN_BATCH, 62),
     ),

@@ -1,6 +1,10 @@
 //! A federated client: its persistent [`ClientState`] — the residual
 //! accumulator, private stream and mini-batch sampler — plus the
 //! round-transient batch rows and scratch.
+//!
+//! A client holds no gradient: its local step lands the model's gradient
+//! straight in the residual accumulator
+//! ([`Client::compute_local_gradient`]).
 
 use agsfl_ml::data::{ClientShard, MinibatchSampler, ShardSource};
 use agsfl_ml::model::Model;
@@ -9,15 +13,6 @@ use agsfl_wire::{decode_frame_with, Codec, WireScratch};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-thread_local! {
-    /// The mini-batch gradient of whichever client this thread is working
-    /// on: one `D`-vector per worker thread of the round engine's pool, not
-    /// one per client. A client only needs its gradient for as long as it
-    /// takes to add it to the residual accumulator, so the buffer carries
-    /// nothing between clients ([`Model::loss_and_grad_into`] overwrites it).
-    static GRADIENT: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
 
 /// The part of a client that outlives a round, and all of it: the private
 /// RNG stream, the residual accumulator `a_i` (the error-feedback memory of
@@ -177,9 +172,15 @@ impl Client {
     /// accumulator (Line 4 of Algorithm 1) and returns the mini-batch loss.
     ///
     /// Draws the batch indices first, then fetches only those rows of this
-    /// client's shard from `source` into the reused batch buffer. Also
-    /// draws the round's probe sample for the derivative-sign estimator.
-    /// Nothing is allocated once the client's buffers have grown.
+    /// client's shard from `source` into the reused batch buffer. The
+    /// gradient lands in the residual:
+    /// [`Model::loss_and_accumulate_into`] gets the accumulator's slice
+    /// (lent by [`ResidualAccumulator::add_with`], which checks its
+    /// dimension), so computing and adding are one step, and a model that
+    /// folds its products into the residual never materializes the
+    /// gradient. Also draws the round's probe sample for the
+    /// derivative-sign estimator. The client allocates nothing once its
+    /// buffers have grown.
     pub fn compute_local_gradient(
         &mut self,
         source: &dyn ShardSource,
@@ -191,12 +192,9 @@ impl Client {
             .sampler
             .next_indices_into(&mut state.rng, &mut state.last_batch);
         source.materialize_rows_into(self.id, &state.last_batch, &mut self.batch);
-        let loss = GRADIENT.with(|grad| {
-            let grad = &mut *grad.borrow_mut();
-            let loss =
-                model.loss_and_grad_into(params, &self.batch.features, &self.batch.labels, grad);
-            state.residual.add(grad);
-            loss
+        let (features, labels) = (&self.batch.features, &self.batch.labels);
+        let loss = state.residual.add_with(model.num_params(), |residual| {
+            model.loss_and_accumulate_into(params, features, labels, residual)
         });
         self.probe_row = state.rng.gen_range(0..state.last_batch.len());
         state.probe_sample = Some(state.last_batch[self.probe_row]);
@@ -526,36 +524,6 @@ mod tests {
         client.compute_local_gradient(&data, &model, &params);
         let [loss] = client.probe_losses(&model, [&params[..]]).unwrap();
         assert!(loss.is_finite() && loss > 0.0);
-    }
-
-    /// The gradient buffer belongs to the thread, not the client: clients of
-    /// different model sizes taking turns on one thread each find the
-    /// other's gradient in it (the first finds it empty) — the residual is
-    /// the same either way.
-    #[test]
-    fn shared_gradient_buffer_carries_nothing_between_clients() {
-        use agsfl_ml::model::Mlp;
-        let small = LinearSoftmax::new(4, 3);
-        let large = Mlp::new(4, &[6], 3);
-        let small_params = vec![0.02; small.num_params()];
-        let large_params = vec![0.03; large.num_params()];
-        let data = source(10);
-        let run_small = || {
-            let mut c = Client::new(0, 10, 0.5, small.num_params(), 4, 9);
-            let loss = c.compute_local_gradient(&data, &small, &small_params);
-            (loss.to_bits(), c.accumulator().as_slice().to_vec())
-        };
-        let run_large = || {
-            let mut c = Client::new(0, 10, 0.5, large.num_params(), 4, 11);
-            let loss = c.compute_local_gradient(&data, &large, &large_params);
-            (loss.to_bits(), c.accumulator().as_slice().to_vec())
-        };
-        let first_small = run_small();
-        let first_large = run_large();
-        for _ in 0..2 {
-            assert_eq!(run_small(), first_small);
-            assert_eq!(run_large(), first_large);
-        }
     }
 
     #[test]

@@ -66,11 +66,14 @@ pub(crate) struct Slot {
     /// Mini-batch loss of this round's local step.
     pub loss: f32,
     /// Nanoseconds the producer spent on this round's local gradient,
-    /// upload selection and frame decode, when the recorder is enabled
-    /// (zero otherwise); admission takes them into the round's
+    /// upload selection, frame encode, frame decode and rank, when the
+    /// recorder is enabled (zero otherwise); admission takes them into the
+    /// round's
     /// [`SpanId::ClientGradient`](agsfl_telemetry::SpanId::ClientGradient),
-    /// [`SpanId::ClientSelect`](agsfl_telemetry::SpanId::ClientSelect) and
-    /// [`SpanId::ServerDecode`](agsfl_telemetry::SpanId::ServerDecode)
+    /// [`SpanId::ClientSelect`](agsfl_telemetry::SpanId::ClientSelect),
+    /// [`SpanId::ClientEncode`](agsfl_telemetry::SpanId::ClientEncode),
+    /// [`SpanId::ServerDecode`](agsfl_telemetry::SpanId::ServerDecode) and
+    /// [`SpanId::ClientRank`](agsfl_telemetry::SpanId::ClientRank)
     /// samples.
     pub worker_ns: WorkerNs,
     /// This round's finished upload entries, exactly as the server
@@ -92,19 +95,25 @@ pub(crate) struct Slot {
 /// A producer's timed steps, in nanoseconds (see [`Slot::worker_ns`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct WorkerNs {
-    /// The local gradient.
+    /// The local gradient, landed in the residual.
     pub gradient: u64,
     /// Building the upload (the member's selection).
     pub select: u64,
-    /// Decoding and ranking the wired frame.
+    /// Encoding the wired upload into its frame.
+    pub encode: u64,
+    /// Decoding the wired frame and ranking the decoded upload.
     pub decode: u64,
+    /// Ranking the upload's keys into the ranked view.
+    pub rank: u64,
 }
 
 impl std::ops::AddAssign for WorkerNs {
     fn add_assign(&mut self, other: WorkerNs) {
         self.gradient += other.gradient;
         self.select += other.select;
+        self.encode += other.encode;
         self.decode += other.decode;
+        self.rank += other.rank;
     }
 }
 

@@ -29,8 +29,8 @@ use crate::wire_state::WireState;
 /// slot owns its member's RNG and sampler and writes only into its own
 /// reused buffers, so the pass is bit-identical to the sequential loop and
 /// allocation-free in steady state. When the recorder is enabled the
-/// producer leaves its gradient, selection and decode times in the slot for
-/// admission to sum; the
+/// producer leaves its gradient, selection, encode, decode and rank times
+/// in the slot for admission to sum; the
 /// producer returns nothing, so the pipeline's per-chunk result lists stay
 /// zero-sized and never allocate on a worker.
 ///
@@ -50,9 +50,10 @@ use crate::wire_state::WireState;
 /// where every plan is [`ClientFaultPlan::clean`](crate::fault::ClientFaultPlan::clean).
 ///
 /// [`SpanId::WireFault`] (admission's time on this thread) and the worker
-/// spans — [`SpanId::ClientGradient`], [`SpanId::ClientSelect`] and
-/// [`SpanId::ServerDecode`] (decode + rank), each summed over the members —
-/// nest in [`SpanId::ClientPass`].
+/// spans — [`SpanId::ClientGradient`], [`SpanId::ClientSelect`],
+/// [`SpanId::ClientEncode`], [`SpanId::ServerDecode`] (decode + rank) and
+/// [`SpanId::ClientRank`] (nested in the decode span on a wired round),
+/// each summed over the members — nest in [`SpanId::ClientPass`].
 pub(crate) fn client_pass<R: Recorder>(
     rec: &mut R,
     shared: &Shared,
@@ -97,22 +98,29 @@ pub(crate) fn client_pass<R: Recorder>(
         slot.client
             .build_upload_into(upload_plan, k, &mut slot.entries);
         let select = elapsed(t_select);
-        // Byte-priced, the decode and the rank after it are the span.
-        let mut t_decode = None;
+        // Byte-priced, the decode and the rank after it are the decode
+        // span; the rank is its own span too, wired or not.
+        let (mut encode, mut t_decode) = (0, None);
         if let Some(w) = wire {
             // The quantization stream is keyed on frame content, not on the
             // worker schedule, so encoding here is per-slot work too.
+            let t_encode = clock.then(Instant::now);
             slot.client
                 .encode_upload_into(w.codec, dim, &slot.entries, &mut slot.frame);
+            encode = elapsed(t_encode);
             t_decode = clock.then(Instant::now);
             slot.client
                 .decode_upload_into(&slot.frame, rank, &mut slot.entries, &mut slot.errors);
         }
+        let t_rank = clock.then(Instant::now);
         slot.client.rank_upload_into(rank, &mut slot.ranked);
+        let rank = elapsed(t_rank);
         slot.worker_ns = WorkerNs {
             gradient,
             select,
+            encode,
             decode: elapsed(t_decode),
+            rank,
         };
     };
 
@@ -194,7 +202,9 @@ pub(crate) fn client_pass<R: Recorder>(
         rec.span(SpanId::WireFault, wire_fault_ns);
         rec.span(SpanId::ClientGradient, worker_ns.gradient);
         rec.span(SpanId::ClientSelect, worker_ns.select);
+        rec.span(SpanId::ClientEncode, worker_ns.encode);
         rec.span(SpanId::ServerDecode, worker_ns.decode);
+        rec.span(SpanId::ClientRank, worker_ns.rank);
     }
     fr.survivors = cohort.survivors.len();
     #[cfg(test)]
@@ -518,36 +528,54 @@ mod tests {
     }
 
     /// The worker sub-spans of the client pass: one sample per round each
-    /// for the members' gradients and upload selections, worker time summed
-    /// over the members — positive, and at most the pass's wall time on
-    /// every worker — and recording them moves nothing.
+    /// for the members' gradients, upload selections, encodes and ranks,
+    /// worker time summed over the members — positive (the encode only on
+    /// a wired run), and at most the pass's wall time on every worker; the
+    /// rank nested in the decode + rank span on a wired run — and
+    /// recording them moves nothing.
     #[test]
     fn client_gradient_and_select_spans_are_worker_time_per_round() {
         use agsfl_telemetry::{SpanId, StageRecorder};
         for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
-            let build = || {
-                tiny_sim(Box::new(FabTopK::new()), 9, |c, _| {
-                    c.parallelism = parallelism
-                })
-            };
-            let (mut recorded, mut plain) = (build(), build());
-            let k = recorded.dim() / 5;
-            let mut rec = StageRecorder::new();
-            for _ in 0..4 {
-                rec.begin_round();
-                recorded.run_round_recorded(k, None, &mut rec);
-                plain.run_round(k, None);
-            }
-            assert_eq!(recorded.params(), plain.params(), "{parallelism:?}");
-            let client_pass = rec.span_histogram(SpanId::ClientPass).sum();
-            for id in [SpanId::ClientGradient, SpanId::ClientSelect] {
-                let span = rec.span_histogram(id);
-                assert_eq!(span.count(), 4, "{id:?}, {parallelism:?}");
-                assert!(span.sum() > 0, "{id:?}, {parallelism:?}");
-                assert!(
-                    span.sum() <= client_pass * parallelism.resolve() as u64,
-                    "{id:?} exceeds the client pass on every worker ({parallelism:?})"
-                );
+            for wired in [false, true] {
+                let build = || {
+                    tiny_sim(Box::new(FabTopK::new()), 9, |c, n| {
+                        c.parallelism = parallelism;
+                        c.wire = wired
+                            .then(|| uniform_wire(CodecSpec::DeltaVarint, n))
+                            .flatten();
+                    })
+                };
+                let (mut recorded, mut plain) = (build(), build());
+                let k = recorded.dim() / 5;
+                let mut rec = StageRecorder::new();
+                for _ in 0..4 {
+                    rec.begin_round();
+                    recorded.run_round_recorded(k, None, &mut rec);
+                    plain.run_round(k, None);
+                }
+                let case = format!("{parallelism:?}, wired {wired}");
+                assert_eq!(recorded.params(), plain.params(), "{case}");
+                let client_pass = rec.span_histogram(SpanId::ClientPass).sum();
+                for id in [
+                    SpanId::ClientGradient,
+                    SpanId::ClientSelect,
+                    SpanId::ClientEncode,
+                    SpanId::ClientRank,
+                ] {
+                    let span = rec.span_histogram(id);
+                    assert_eq!(span.count(), 4, "{id:?}, {case}");
+                    let timed = wired || id != SpanId::ClientEncode;
+                    assert_eq!(span.sum() > 0, timed, "{id:?}, {case}");
+                    assert!(
+                        span.sum() <= client_pass * parallelism.resolve() as u64,
+                        "{id:?} exceeds the client pass on every worker ({case})"
+                    );
+                }
+                // On a wired round the rank nests in the decode span.
+                let decode = rec.span_histogram(SpanId::ServerDecode).sum();
+                let rank = rec.span_histogram(SpanId::ClientRank).sum();
+                assert_eq!(decode >= rank && decode > 0, wired, "{case}");
             }
         }
     }

@@ -1,16 +1,22 @@
-//! A client's gradient step allocates nothing once it is warm.
+//! A client's gradient step allocates nothing once it is warm, and a real
+//! model's step allocates only what the model itself still does.
 //!
 //! `Client::compute_local_gradient` draws the batch indices into the
 //! client's reused index buffer, fetches just those rows from the
-//! `ShardSource` into its reused batch buffer, and writes the gradient into
-//! the thread's reused buffer. So after one warm-up call has sized them,
-//! a step allocates nothing — across epoch boundaries too, where the
-//! sampler reshuffles its order in place. A batch drawn into a fresh index
-//! `Vec`, or copied out of the shard into a fresh matrix, shows up here.
+//! `ShardSource` into its reused batch buffer, and lets the model land the
+//! gradient in its residual (`Model::loss_and_accumulate_into`, through
+//! `ResidualAccumulator::add_with`). So after one warm-up call has sized
+//! them, a step allocates nothing of the client's — across epoch
+//! boundaries too, where the sampler reshuffles its order in place. A batch
+//! drawn into a fresh index `Vec`, or copied out of the shard into a fresh
+//! matrix, shows up here.
 //!
-//! The model is a stand-in whose gradient is a plain sum written into the
-//! caller's buffer, so the count is the client's alone: the real models
-//! allocate their logits, which is theirs to fix, not the client's.
+//! The stand-in model's gradient is a plain column sum, folded per
+//! coordinate and added into the residual (`Model::loss_and_land` with
+//! `Store::Add`), so its count is the client's alone: zero. The real models' counts
+//! are pinned per step, each allocation named — the model's own, which are
+//! theirs to fix: the product kernels allocate nothing, and neither does
+//! landing the gradient.
 //!
 //! The counter is a `#[global_allocator]` of this test binary alone,
 //! counting the calls that obtain memory (`alloc`, `alloc_zeroed`,
@@ -22,8 +28,8 @@ use std::cell::Cell;
 
 use agsfl_fl::Client;
 use agsfl_ml::data::{FederatedDataset, ShardSource, SyntheticFemnist, SyntheticFemnistConfig};
-use agsfl_ml::model::Model;
-use agsfl_tensor::{Matrix, MatrixView};
+use agsfl_ml::model::{LinearSoftmax, Model, SimpleCnn};
+use agsfl_tensor::{Matrix, MatrixView, Store};
 use rand::RngCore;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -99,19 +105,28 @@ impl Model for SumModel {
         Matrix::zeros(x.rows(), self.num_classes)
     }
 
-    fn loss_and_grad_into(
+    fn loss_and_land(
         &self,
         params: &[f32],
         x: &Matrix,
         labels: &[usize],
-        grad: &mut Vec<f32>,
+        out: &mut [f32],
+        store: Store,
     ) -> f32 {
-        grad.clear();
-        grad.resize(self.input_dim, 0.0);
+        assert_eq!(out.len(), self.input_dim, "gradient length mismatch");
+        for (j, o) in out.iter_mut().enumerate() {
+            let mut g = 0.0;
+            for row in x.iter_rows() {
+                g += row[j];
+            }
+            match store {
+                Store::Overwrite => *o = g,
+                Store::Add => *o += g,
+            }
+        }
         let mut loss = 0.0;
         for (row, &label) in x.iter_rows().zip(labels) {
-            for ((g, &w), &v) in grad.iter_mut().zip(params).zip(row) {
-                *g += v;
+            for (&w, &v) in params.iter().zip(row) {
                 loss += w * v;
             }
             loss += label as f32;
@@ -120,29 +135,86 @@ impl Model for SumModel {
     }
 }
 
-#[test]
-fn a_warm_gradient_step_allocates_nothing() {
-    let cfg = SyntheticFemnistConfig::tiny();
-    let data: FederatedDataset =
-        SyntheticFemnist::new(cfg).generate(&mut ChaCha8Rng::seed_from_u64(4));
-    let model = SumModel {
-        input_dim: cfg.feature_dim,
-        num_classes: cfg.num_classes,
-    };
-    let params = vec![0.01; model.num_params()];
-    let id = 3;
-    // A batch of 5 over 32 rows: batches straddle the epoch boundary, where
-    // the sampler reshuffles.
-    let mut client = Client::new(id, data.shard_len(id), 0.5, model.num_params(), 5, 7);
-    client.compute_local_gradient(&data, &model, &params);
+/// Rows per batch: a batch of 5 over 32 rows straddles the epoch
+/// boundary, where the sampler reshuffles.
+const BATCH: usize = 5;
 
+/// A warm `LinearSoftmax` step: the logits matrix, the logit-gradient
+/// matrix, one soft-max row per sample and the bias gradient's
+/// `sum_rows` — nothing of the `D`-sized gradient or the residual add.
+const LINEAR_STEP_ALLOCATIONS: usize = 3 + BATCH;
+
+/// A warm `SimpleCnn` step: the logits matrix, the logit-gradient matrix,
+/// one soft-max row per sample and the classifier biases' `sum_rows`. The
+/// convolution and its backward run in the thread's reused workspace and
+/// the product kernels allocate nothing.
+const CNN_STEP_ALLOCATIONS: usize = 3 + BATCH;
+
+/// Warm `client` up with one step, then returns the allocations of each of
+/// 40 more steps.
+fn warm_step_allocations(
+    model: &dyn Model,
+    data: &FederatedDataset,
+    seed: u64,
+) -> (Vec<usize>, Client) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let params = model.init_params(&mut rng);
+    let id = 3;
+    let mut client = Client::new(id, data.shard_len(id), 0.5, model.num_params(), BATCH, 7);
+    client.compute_local_gradient(data, model, &params);
+    let mut counts = Vec::with_capacity(40);
     let mut losses = 0.0f32;
-    for step in 0..40 {
+    for _ in 0..40 {
         let before = allocations();
-        let loss = client.compute_local_gradient(&data, &model, &params);
-        assert_eq!(allocations() - before, 0, "step {step} allocated");
+        let loss = client.compute_local_gradient(data, model, &params);
+        counts.push(allocations() - before);
         losses += loss;
     }
     assert!(losses.is_finite());
     assert!(client.accumulator().residual_l1() > 0.0);
+    (counts, client)
+}
+
+fn dataset(feature_dim: usize) -> FederatedDataset {
+    let cfg = SyntheticFemnistConfig {
+        feature_dim,
+        ..SyntheticFemnistConfig::tiny()
+    };
+    SyntheticFemnist::new(cfg).generate(&mut ChaCha8Rng::seed_from_u64(4))
+}
+
+#[test]
+fn a_warm_gradient_step_allocates_nothing() {
+    let cfg = SyntheticFemnistConfig::tiny();
+    let data = dataset(cfg.feature_dim);
+    let model = SumModel {
+        input_dim: cfg.feature_dim,
+        num_classes: cfg.num_classes,
+    };
+    let (counts, _) = warm_step_allocations(&model, &data, 1);
+    for (step, &count) in counts.iter().enumerate() {
+        assert_eq!(count, 0, "step {step} allocated");
+    }
+}
+
+/// The real models through the client: every warm step allocates exactly
+/// the model's pinned count, whatever the epoch boundary does.
+#[test]
+fn a_warm_real_model_step_allocates_only_its_pinned_count() {
+    let cfg = SyntheticFemnistConfig::tiny();
+    let linear_data = dataset(cfg.feature_dim);
+    let linear = LinearSoftmax::new(cfg.feature_dim, cfg.num_classes);
+    // 1 x 8 x 8 images: a 6 x 6 convolution, pooled to 3 x 3.
+    let cnn_data = dataset(64);
+    let cnn = SimpleCnn::new(1, 8, 8, 4, cfg.num_classes);
+    let cases: [(&dyn Model, &FederatedDataset, usize); 2] = [
+        (&linear, &linear_data, LINEAR_STEP_ALLOCATIONS),
+        (&cnn, &cnn_data, CNN_STEP_ALLOCATIONS),
+    ];
+    for (model, data, pinned) in cases {
+        let (counts, _) = warm_step_allocations(model, data, 2);
+        for (step, &count) in counts.iter().enumerate() {
+            assert_eq!(count, pinned, "{model:?}: step {step}");
+        }
+    }
 }

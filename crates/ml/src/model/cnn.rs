@@ -1,10 +1,10 @@
 use agsfl_tensor::conv::KERNEL;
-use agsfl_tensor::{init, ConvLayer, ConvShape, Matrix, MatrixView};
+use agsfl_tensor::{init, ConvLayer, ConvShape, Matrix, MatrixView, Store};
 use rand::RngCore;
 
 use crate::loss::batch_cross_entropy_with_grad;
 use crate::model::im2col::Im2colScratch;
-use crate::model::{check_input, check_params, Model};
+use crate::model::{check_input, check_params, land, Model};
 
 /// A small convolutional network: one 3x3 convolution, ReLU, 2x2 average
 /// pooling and a fully connected soft-max output layer.
@@ -37,17 +37,28 @@ use crate::model::{check_input, check_params, Model};
 /// pre-activation: where ReLU was active), and it alone still lowers
 /// the batch to an im2col column matrix (see [`Im2colScratch`]): the
 /// convolution's weight gradient is the contraction `∂L/∂W_conv = dpre ·
-/// colsᵀ` against it. Every product multiplies straight out of `params` and
-/// accumulates straight into the gradient vector through borrowed
-/// [`MatrixView`]s — no weight block is copied first — and the forward pass
-/// runs in blocks of at most [`FORWARD_BLOCK`](SimpleCnn::FORWARD_BLOCK)
-/// rows, so its workspace is sized by the block, not by the batch. The
-/// original scalar-loop implementation survives as the executable spec in
-/// [`crate::reference`], and `crates/ml/tests/cnn_equivalence.rs` pins the
-/// two against each other. The plain [`Model`] methods reuse a per-thread
-/// workspace, so `dyn Model` callers (the FL round engine) amortize the
-/// buffers too; callers that want explicit control can hold an
-/// [`Im2colScratch`] and use [`SimpleCnn::forward_with`] /
+/// colsᵀ` against it. Every product multiplies straight out of `params`
+/// through borrowed [`MatrixView`]s — no weight block is copied first — and
+/// the forward pass runs in blocks of at most
+/// [`FORWARD_BLOCK`](SimpleCnn::FORWARD_BLOCK) rows, so its workspace is
+/// sized by the block, not by the batch.
+///
+/// One backward body serves both landings of the gradient. The fully
+/// connected weight gradient (all but 462 of the paper shape's 419,582
+/// coordinates) is folded over the batch in registers and stored once by
+/// the product's [`Store`]: over the gradient vector for
+/// [`Model::loss_and_grad_into`], or added into the client's residual for
+/// [`Model::loss_and_accumulate_into`] — so a client step never
+/// materializes, zeroes or re-reads a `D`-vector. The small blocks (the
+/// convolution's weights and biases, the classifier's biases) are computed
+/// into small buffers and land the same way.
+///
+/// The original scalar-loop implementation survives as the executable spec
+/// in [`crate::reference`], and `crates/ml/tests/cnn_equivalence.rs` pins
+/// the two against each other. The plain [`Model`] methods reuse a
+/// per-thread workspace, so `dyn Model` callers (the FL round engine)
+/// amortize the buffers too; callers that want explicit control can hold
+/// an [`Im2colScratch`] and use [`SimpleCnn::forward_with`] /
 /// [`SimpleCnn::loss_and_grad_with`].
 ///
 /// # Examples
@@ -311,16 +322,10 @@ impl SimpleCnn {
     }
 
     /// Loss + gradient reusing an explicit [`Im2colScratch`] (the
-    /// allocation-free hot path; the [`Model::loss_and_grad_into`] impl
-    /// wraps this with the thread's workspace). `grad` is overwritten:
-    /// resized to [`Model::num_params`] and zeroed first, whatever it held.
-    ///
-    /// The forward is the fused convolution kernel, which also hands back
-    /// where ReLU was active; the backward pass is the
-    /// col2im-style contraction described on [`Im2colScratch`]: both weight
-    /// gradients are matrix products accumulated directly into the flat
-    /// gradient vector, in the sample-major order documented on the
-    /// [`Model`] trait.
+    /// allocation-free hot path; the [`Model::loss_and_land`] impl runs the
+    /// same body with the thread's workspace). `grad` is overwritten:
+    /// resized to [`Model::num_params`], every coordinate stored, whatever
+    /// it held.
     ///
     /// # Panics
     ///
@@ -333,6 +338,31 @@ impl SimpleCnn {
         labels: &[usize],
         scratch: &mut Im2colScratch,
         grad: &mut Vec<f32>,
+    ) -> f32 {
+        grad.resize(self.num_params(), 0.0);
+        self.loss_and_land_with(params, x, labels, scratch, grad, Store::Overwrite)
+    }
+
+    /// The forward and backward pass, with the gradient landing in `out`
+    /// (`num_params` long) as `store` says — over a gradient vector, or
+    /// added into a residual.
+    ///
+    /// The forward is the fused convolution kernel, which also hands back
+    /// where ReLU was active; the backward pass is the col2im-style
+    /// contraction described on [`Im2colScratch`], in the sample-major
+    /// order documented on the [`Model`] trait. The fully connected weight
+    /// gradient — 419,120 of the paper shape's 419,582 coordinates — is
+    /// folded in registers and stored into `out` once, by the product's
+    /// own [`Store`]; the convolution's weights and biases go through the
+    /// scratch's small block buffer and land with the classifier biases.
+    fn loss_and_land_with(
+        &self,
+        params: &[f32],
+        x: &Matrix,
+        labels: &[usize],
+        scratch: &mut Im2colScratch,
+        out: &mut [f32],
+        store: Store,
     ) -> f32 {
         check_params(self, params);
         check_input(self, x.view());
@@ -353,16 +383,14 @@ impl SimpleCnn {
         logits.add_row_broadcast(&params[fc_b_off..fc_b_off + self.num_classes]);
         let (loss, dlogits) = batch_cross_entropy_with_grad(&logits, labels);
 
-        grad.clear();
-        grad.resize(self.num_params(), 0.0);
-
         // Fully connected layer: both gradients and the back-propagated
         // pooled gradient are single matmuls.
-        scratch
-            .pooled
-            .view()
-            .transpose_matmul_acc(dlogits.view(), &mut grad[fc_w_off..fc_b_off]);
-        grad[fc_b_off..fc_b_off + self.num_classes].copy_from_slice(&dlogits.sum_rows());
+        scratch.pooled.view().transpose_matmul_grouped(
+            dlogits.view(),
+            &mut out[fc_w_off..fc_b_off],
+            store,
+        );
+        land(&mut out[fc_b_off..], &dlogits.sum_rows(), store);
         scratch
             .dpooled
             .resize_for_overwrite(batch, self.pooled_dim());
@@ -409,13 +437,18 @@ impl SimpleCnn {
             }
         }
 
-        // Convolution gradients: the bias gradient is a row sum and the
-        // weight gradient the col2im contraction against the column buffer.
-        sum_rows_interleaved(&scratch.dpre, &mut grad[conv_b_off..fc_w_off]);
+        // Convolution gradients, into the small block buffer: the bias
+        // gradient is a row sum and the weight gradient the col2im
+        // contraction against the column buffer, from zero.
+        let conv_grad = &mut scratch.conv_grad;
+        conv_grad.clear();
+        conv_grad.resize(fc_w_off, 0.0);
+        sum_rows_interleaved(&scratch.dpre, &mut conv_grad[conv_b_off..]);
         scratch
             .dpre
             .view()
-            .matmul_transpose_acc(scratch.cols.view(), &mut grad[conv_w_off..conv_b_off]);
+            .matmul_transpose_acc(scratch.cols.view(), &mut conv_grad[conv_w_off..conv_b_off]);
+        land(&mut out[..fc_w_off], conv_grad, store);
 
         loss
     }
@@ -482,15 +515,16 @@ impl Model for SimpleCnn {
         THREAD_SCRATCH.with(|s| self.forward_with(params, x, &mut s.borrow_mut()))
     }
 
-    fn loss_and_grad_into(
+    fn loss_and_land(
         &self,
         params: &[f32],
         x: &Matrix,
         labels: &[usize],
-        grad: &mut Vec<f32>,
+        out: &mut [f32],
+        store: Store,
     ) -> f32 {
         THREAD_SCRATCH
-            .with(|s| self.loss_and_grad_with(params, x, labels, &mut s.borrow_mut(), grad))
+            .with(|s| self.loss_and_land_with(params, x, labels, &mut s.borrow_mut(), out, store))
     }
 }
 

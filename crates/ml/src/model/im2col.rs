@@ -91,6 +91,9 @@ pub struct Im2colScratch {
     pub(crate) dpre: Matrix,
     /// Backward: gradient at the pooled activations, `B x (O·ph·pw)`.
     pub(crate) dpooled: Matrix,
+    /// Backward: the convolution block's gradient, `conv_w | conv_b`
+    /// (`O·C·9 + O` values), before it lands in the gradient or residual.
+    pub(crate) conv_grad: Vec<f32>,
 }
 
 impl Im2colScratch {
@@ -118,15 +121,16 @@ mod tests {
     use crate::model::{Model, SimpleCnn};
 
     /// Backing capacity of every buffer, in elements: `cols`, the ReLU
-    /// mask, `pooled`, `dpre`, `dpooled`, then the convolution kernel's
-    /// workspace.
-    fn capacities(scratch: &Im2colScratch) -> [usize; 6] {
+    /// mask, `pooled`, `dpre`, `dpooled`, the convolution block's
+    /// gradient, then the convolution kernel's workspace.
+    fn capacities(scratch: &Im2colScratch) -> [usize; 7] {
         [
             scratch.cols.capacity(),
             scratch.relu_mask.capacity(),
             scratch.pooled.capacity(),
             scratch.dpre.capacity(),
             scratch.dpooled.capacity(),
+            scratch.conv_grad.capacity(),
             scratch.conv.capacity(),
         ]
     }

@@ -1,8 +1,8 @@
-use agsfl_tensor::{init, Matrix, MatrixView};
+use agsfl_tensor::{init, Matrix, MatrixView, Store};
 use rand::RngCore;
 
 use crate::loss::batch_cross_entropy_with_grad;
-use crate::model::{check_input, check_params, Model};
+use crate::model::{check_input, check_params, land, Model};
 
 /// Multinomial logistic regression (a single linear layer followed by
 /// soft-max cross-entropy).
@@ -96,21 +96,21 @@ impl Model for LinearSoftmax {
         logits
     }
 
-    fn loss_and_grad_into(
+    /// `dW = Xᵀ · dLogits` lands straight from the product's registers,
+    /// `db` = the column sums of `dLogits`.
+    fn loss_and_land(
         &self,
         params: &[f32],
         x: &Matrix,
         labels: &[usize],
-        grad: &mut Vec<f32>,
+        out: &mut [f32],
+        store: Store,
     ) -> f32 {
         let logits = self.forward(params, x);
         let (loss, dlogits) = batch_cross_entropy_with_grad(&logits, labels);
-        // dW = X^T * dLogits, db = column sums of dLogits.
-        grad.clear();
-        grad.resize(self.num_params(), 0.0);
-        let (dw, db) = grad.split_at_mut(self.weight_len());
-        x.view().transpose_matmul_into(dlogits.view(), dw);
-        db.copy_from_slice(&dlogits.sum_rows());
+        let (dw, db) = out.split_at_mut(self.weight_len());
+        x.view().transpose_matmul(dlogits.view(), dw, store);
+        land(db, &dlogits.sum_rows(), store);
         loss
     }
 }

@@ -1,8 +1,8 @@
-use agsfl_tensor::{init, ops, Matrix, MatrixView};
+use agsfl_tensor::{init, ops, Matrix, MatrixView, Store};
 use rand::RngCore;
 
 use crate::loss::batch_cross_entropy_with_grad;
-use crate::model::{check_input, check_params, Model};
+use crate::model::{check_input, check_params, land, Model};
 
 /// A fully connected multi-layer perceptron with ReLU activations.
 ///
@@ -148,30 +148,33 @@ impl Model for Mlp {
         activations.into_iter().last().expect("at least the input")
     }
 
-    fn loss_and_grad_into(
+    /// Back-propagation layer by layer, last first: each layer's `dW`
+    /// lands straight from the product's registers, its `db` (the column
+    /// sums of the layer's delta) with it.
+    fn loss_and_land(
         &self,
         params: &[f32],
         x: &Matrix,
         labels: &[usize],
-        grad: &mut Vec<f32>,
+        out: &mut [f32],
+        store: Store,
     ) -> f32 {
         check_params(self, params);
         check_input(self, x.view());
+        assert_eq!(out.len(), self.num_params(), "gradient length mismatch");
         let layers = self.num_layers();
         let (activations, pre_activations) = self.forward_cached(params, x.view());
         let logits = activations.last().expect("forward produced output");
         let (loss, mut delta) = batch_cross_entropy_with_grad(logits, labels);
 
-        grad.clear();
-        grad.resize(self.num_params(), 0.0);
         // Backwards over layers: delta is dLoss/dZ_l for the current layer l.
         for l in (0..layers).rev() {
             let (w_off, b_off, fan_in, fan_out) = self.layer_offsets(l);
             // dW_l = A_{l}^T * delta ; db_l = column sums of delta.
             activations[l]
                 .view()
-                .transpose_matmul_into(delta.view(), &mut grad[w_off..b_off]);
-            grad[b_off..b_off + fan_out].copy_from_slice(&delta.sum_rows());
+                .transpose_matmul(delta.view(), &mut out[w_off..b_off], store);
+            land(&mut out[b_off..b_off + fan_out], &delta.sum_rows(), store);
             if l > 0 {
                 // delta_{l-1} = (delta_l * W_l^T) ⊙ relu'(Z_{l-1})
                 let mut prev = Matrix::zeros(delta.rows(), fan_in);

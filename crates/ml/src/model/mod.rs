@@ -17,7 +17,7 @@ pub use im2col::Im2colScratch;
 pub use linear::LinearSoftmax;
 pub use mlp::Mlp;
 
-use agsfl_tensor::{Matrix, MatrixView};
+use agsfl_tensor::{Matrix, MatrixView, Store};
 use rand::RngCore;
 
 use crate::loss::batch_cross_entropy;
@@ -49,6 +49,12 @@ use crate::loss::batch_cross_entropy;
 ///   implementations (the `agsfl_ml::reference` equivalence tests), so the
 ///   accumulation order is part of the observable behaviour, not an
 ///   implementation detail.
+/// * **One gradient, two landings.** [`Model::loss_and_land`] is the one
+///   backward body: it folds every gradient coordinate from `+0.0` and
+///   stores it once, over `out` ([`Store::Overwrite`]) or added to it
+///   ([`Store::Add`]). So [`Model::loss_and_accumulate_into`] on a residual
+///   is exactly `residual += loss_and_grad` bit for bit, and a client step
+///   (Line 4 of Algorithm 1) never materializes its gradient.
 /// * **Row independence.** [`Model::forward`] must compute each output row
 ///   as a function of that row's input alone — no batch statistics. This is
 ///   what makes the executor's row-chunked evaluation sweeps
@@ -90,18 +96,73 @@ pub trait Model: Send + Sync + std::fmt::Debug {
         self.forward_view(params, x.view())
     }
 
+    /// Computes the mean cross-entropy loss on a mini-batch and lands its
+    /// gradient `g` with respect to the flat parameter vector in `out`
+    /// (`num_params` long) as `store` says: [`Store::Overwrite`] writes
+    /// `out[j] = g[j]` whatever `out` held, [`Store::Add`] writes
+    /// `out[j] += g[j]`. Both are the same bits of `g`: a model folds each
+    /// coordinate from `+0.0` and stores the fold once, by the store mode —
+    /// its weight-gradient products straight from their registers — so
+    /// neither landing materializes, zeroes or re-reads a gradient vector.
+    ///
+    /// Callers use the two wrappers: [`Model::loss_and_grad_into`] and
+    /// [`Model::loss_and_accumulate_into`].
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic on parameter/input/label dimension mismatches
+    /// and if `out.len() != self.num_params()`.
+    fn loss_and_land(
+        &self,
+        params: &[f32],
+        x: &Matrix,
+        labels: &[usize],
+        out: &mut [f32],
+        store: Store,
+    ) -> f32;
+
     /// Computes the mean cross-entropy loss on a mini-batch and writes its
     /// gradient with respect to the flat parameter vector into `grad`,
     /// which is overwritten — resized to [`Model::num_params`] whatever it
-    /// held — so a caller can reuse one buffer across calls (the round
-    /// engine keeps one per worker thread).
+    /// held — so a caller can reuse one buffer across calls.
     fn loss_and_grad_into(
         &self,
         params: &[f32],
         x: &Matrix,
         labels: &[usize],
         grad: &mut Vec<f32>,
-    ) -> f32;
+    ) -> f32 {
+        // Every coordinate is stored, so stale values need no clear.
+        grad.resize(self.num_params(), 0.0);
+        self.loss_and_land(params, x, labels, grad, Store::Overwrite)
+    }
+
+    /// Computes the mean cross-entropy loss on a mini-batch and adds its
+    /// gradient into `residual` — Line 4 of Algorithm 1,
+    /// `a_i ← a_i + ∇f_i(w)`. The result is `residual[j] += g[j]` bit for
+    /// bit, where `g` is what [`Model::loss_and_grad_into`] writes, and the
+    /// loss is the same: [`Model::loss_and_land`] with [`Store::Add`], so
+    /// no `D`-sized gradient buffer, no zeroing pass and no separate add
+    /// pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `residual.len() != self.num_params()` ("gradient length
+    /// mismatch"), and wherever [`Model::loss_and_land`] panics.
+    fn loss_and_accumulate_into(
+        &self,
+        params: &[f32],
+        x: &Matrix,
+        labels: &[usize],
+        residual: &mut [f32],
+    ) -> f32 {
+        assert_eq!(
+            residual.len(),
+            self.num_params(),
+            "gradient length mismatch"
+        );
+        self.loss_and_land(params, x, labels, residual, Store::Add)
+    }
 
     /// [`Model::loss_and_grad_into`] into a fresh vector.
     ///
@@ -156,6 +217,24 @@ pub(crate) fn check_params(model: &dyn Model, params: &[f32]) {
         params.len(),
         model.num_params()
     );
+}
+
+/// Puts the gradient block `g` into `out` as `store` says: `out = g`, or
+/// `out[j] += g[j]` — the one add a residual gets per coordinate.
+///
+/// # Panics
+///
+/// Panics if the lengths differ ("gradient length mismatch").
+pub(crate) fn land(out: &mut [f32], g: &[f32], store: Store) {
+    assert_eq!(out.len(), g.len(), "gradient length mismatch");
+    match store {
+        Store::Overwrite => out.copy_from_slice(g),
+        Store::Add => {
+            for (o, &g) in out.iter_mut().zip(g) {
+                *o += g;
+            }
+        }
+    }
 }
 
 /// Checks a batch against the model's expected input width.
@@ -236,14 +315,33 @@ mod tests {
 
     /// One gradient buffer reused across all three models — so every call
     /// finds stale values of another length in it — must give exactly what
-    /// a fresh `loss_and_grad` gives.
+    /// a fresh `loss_and_grad` gives. And `loss_and_accumulate_into` on a
+    /// dirty residual (signed zeros, infinities, subnormals) is
+    /// `residual += loss_and_grad` bit for bit with the same loss, for every
+    /// model (the CNN in even and odd convolution geometry); a residual of
+    /// the wrong length panics.
     #[test]
     fn loss_and_grad_into_overwrites_a_dirty_buffer() {
         let models: Vec<Box<dyn Model>> = vec![
             Box::new(LinearSoftmax::new(36, 3)),
             Box::new(Mlp::new(36, &[7, 5], 3)),
             Box::new(SimpleCnn::new(1, 6, 6, 2, 3)),
+            Box::new(SimpleCnn::new(1, 9, 4, 3, 3)),
         ];
+        let dirty = |len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|j| match j % 7 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::from_bits(1 + j as u32),
+                    3 => -f32::from_bits(0x7F_FFFF - j as u32),
+                    4 if j % 2 == 0 => f32::INFINITY,
+                    4 => f32::NEG_INFINITY,
+                    _ => (j as f32 - 20.0) * 0.37,
+                })
+                .collect()
+        };
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let (x, labels) = tiny_batch(36, 3);
         let mut grad = vec![f32::NAN; 11];
@@ -257,6 +355,21 @@ mod tests {
                 for (a, b) in grad.iter().zip(&fresh_grad) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{model:?}");
                 }
+
+                let mut expected = dirty(model.num_params());
+                for (r, g) in expected.iter_mut().zip(&fresh_grad) {
+                    *r += g;
+                }
+                let mut residual = dirty(model.num_params());
+                let loss = model.loss_and_accumulate_into(&params, &x, &labels, &mut residual);
+                assert_eq!(loss.to_bits(), fresh_loss.to_bits(), "{model:?}");
+                assert_eq!(bits(&residual), bits(&expected), "{model:?}");
+
+                let mut short = dirty(model.num_params() - 1);
+                let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    model.loss_and_accumulate_into(&params, &x, &labels, &mut short)
+                }));
+                assert!(rejected.is_err(), "{model:?} took a short residual");
             }
         }
     }

@@ -59,6 +59,20 @@ impl ResidualAccumulator {
         }
     }
 
+    /// Lends the residual to `add`, which adds a freshly computed
+    /// `dim`-long local gradient into it in place (Line 4 of Algorithm 1) —
+    /// [`ResidualAccumulator::add`] for a gradient that never exists on its
+    /// own, such as `agsfl_ml`'s `Model::loss_and_accumulate_into`. Returns
+    /// what `add` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim != dim()`, before `add` runs.
+    pub fn add_with<R>(&mut self, dim: usize, add: impl FnOnce(&mut [f32]) -> R) -> R {
+        assert_eq!(dim, self.residual.len(), "gradient length mismatch");
+        add(&mut self.residual)
+    }
+
     /// Returns the top-`k` entries `(index, accumulated value)` ranked by
     /// decreasing magnitude — the uplink message `A_i`.
     ///
@@ -216,6 +230,31 @@ mod tests {
         acc.add(&[1.0, 2.0, 3.0]);
         acc.add(&[1.0, -1.0, 0.0]);
         assert_eq!(acc.as_slice(), &[2.0, 1.0, 3.0]);
+    }
+
+    /// A gradient added in place through the lent slice is the same add,
+    /// and a gradient of another dimension never reaches the residual.
+    #[test]
+    fn add_with_lends_the_residual_and_checks_its_dimension() {
+        let grad = [1.0, -0.0, 3.0];
+        let mut by_add = ResidualAccumulator::new(3);
+        let mut in_place = ResidualAccumulator::new(3);
+        for _ in 0..2 {
+            by_add.add(&grad);
+            let seen = in_place.add_with(3, |residual| {
+                for (r, g) in residual.iter_mut().zip(&grad) {
+                    *r += g;
+                }
+                residual.len()
+            });
+            assert_eq!(seen, 3);
+        }
+        assert_eq!(in_place, by_add);
+        let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            in_place.add_with(4, |residual| residual.fill(f32::NAN))
+        }));
+        assert!(rejected.is_err());
+        assert_eq!(in_place, by_add);
     }
 
     #[test]

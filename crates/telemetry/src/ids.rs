@@ -8,15 +8,16 @@
 /// One timed stage of the round engine (or of the runner around it).
 ///
 /// The variants mirror the round's dependency graph: the fused client
-/// gradient+encode+decode pass with four spans nested inside it (the
-/// workers' local gradients, upload selections and decode + rank, and the
-/// wire-fault part of the server's admission), the server selection, the probe sweep, the broadcast weight
+/// gradient+encode+decode pass with six spans nested inside it (the
+/// workers' local gradients, upload selections, encodes, decode + rank
+/// with the ranks nested in it, and the wire-fault part of the server's
+/// admission), the server selection, the probe sweep, the broadcast weight
 /// apply, end-of-round bookkeeping with downlink pricing nested inside it,
 /// and the runner-level evaluation and checkpoint writes. A nested span's
 /// time is also counted by the span it nests in; the worker spans
-/// (gradient, select, decode) are summed over workers, so each is bounded
-/// by its parent's wall time times the worker count rather than by the
-/// wall time alone.
+/// (gradient, select, encode, decode, rank) are summed over workers, so
+/// each is bounded by its parent's wall time times the worker count rather
+/// than by the wall time alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum SpanId {
@@ -27,23 +28,36 @@ pub enum SpanId {
     /// reset, batch-row fetch, local gradient and uplink message — wired,
     /// encoded and decoded once; on the round thread, the in-order admission
     /// of every finished upload ([`SpanId::ClientGradient`],
-    /// [`SpanId::ClientSelect`], [`SpanId::ServerDecode`] and
+    /// [`SpanId::ClientSelect`], [`SpanId::ClientEncode`],
+    /// [`SpanId::ServerDecode`], [`SpanId::ClientRank`] and
     /// [`SpanId::WireFault`] nest in here).
     ClientPass,
     /// Each member's local gradient — batch-row fetch, forward and
-    /// backward — on a pool worker. Worker time, summed over the members
+    /// backward, and the gradient's add into the residual, which is no
+    /// separate step: the gradient lands in the residual as the backward
+    /// stores it — on a pool worker. Worker time, summed over the members
     /// into one sample per round, like [`SpanId::ServerDecode`].
     ClientGradient,
     /// Each member's upload selection (its top-k, or the plan's coordinate
     /// list) right after its gradient, on a pool worker. Worker time,
     /// summed over the members into one sample per round.
     ClientSelect,
-    /// The decode + rank of every wired upload, which each member's producer
-    /// runs on a pool worker right after encoding (the decoded list is what
-    /// the server aggregates). Worker time, summed over the members into one
-    /// sample per round, so it may exceed the wall time of
-    /// [`SpanId::ClientPass`] by up to the worker count; zero on unwired
-    /// rounds.
+    /// Each wired member's encode of its upload into a frame, on a pool
+    /// worker. Worker time, summed over the members into one sample per
+    /// round; zero on unwired rounds.
+    ClientEncode,
+    /// Each member's rank of its upload's index-ordered keys into the
+    /// ranked view, when the plan ranks, on a pool worker — after the
+    /// decode on a wired round, and nested in [`SpanId::ServerDecode`]
+    /// then. Worker time, summed over the members into one sample per
+    /// round.
+    ClientRank,
+    /// The decode + rank of every wired upload, which each member's
+    /// producer runs on a pool worker right after encoding (the decoded list
+    /// is what the server aggregates; [`SpanId::ClientRank`] nests in it).
+    /// Worker time, summed over the members into one sample per round, so
+    /// it may exceed the wall time of [`SpanId::ClientPass`] by up to the
+    /// worker count; zero on unwired rounds.
     ServerDecode,
     /// The wire-level part of admission: uplink pricing, corruption replay
     /// through the real decoder, retry/backoff/deadline accounting. Nested
@@ -70,7 +84,7 @@ pub enum SpanId {
 
 impl SpanId {
     /// Number of span identities.
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 15;
 
     /// Every span, in declaration (and index) order.
     pub const ALL: [SpanId; Self::COUNT] = [
@@ -78,6 +92,8 @@ impl SpanId {
         SpanId::ClientPass,
         SpanId::ClientGradient,
         SpanId::ClientSelect,
+        SpanId::ClientEncode,
+        SpanId::ClientRank,
         SpanId::ServerDecode,
         SpanId::WireFault,
         SpanId::Selection,
@@ -102,6 +118,8 @@ impl SpanId {
             SpanId::ClientPass => "client_pass",
             SpanId::ClientGradient => "client_gradient",
             SpanId::ClientSelect => "client_select",
+            SpanId::ClientEncode => "client_encode",
+            SpanId::ClientRank => "client_rank",
             SpanId::ServerDecode => "server_decode",
             SpanId::WireFault => "wire_fault",
             SpanId::Selection => "selection",

@@ -24,35 +24,51 @@
 
 use crate::conv::{plane_len, run_len, ConvLayer, KERNEL, MAX_LANES};
 use crate::dispatch::Vector;
-use crate::product::{MatrixView, Product};
+use crate::product::{MatrixView, Product, Store};
 
 /// Runs `op` with `V`-wide vectors. Shapes were checked by the caller.
 #[inline(always)]
 pub(crate) fn run<V: Vector>(op: Product, a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
     match op {
         Product::MatmulAcc => for_each_strip::<V, _>(b.cols(), 4, &mut Matmul { a, b, out }),
-        Product::TransposeMatmulAcc => for_each_strip::<V, _>(
-            b.cols(),
-            V::ROW_STRIP,
-            &mut TransposeMatmul::<true> { a, b, out },
-        ),
-        Product::TransposeMatmulInto => {
-            out.fill(0.0);
-            for_each_strip::<V, _>(
-                b.cols(),
-                V::ROW_STRIP,
-                &mut TransposeMatmul::<false> { a, b, out },
-            );
-        }
+        Product::TransposeMatmulGrouped(store) => transpose_matmul::<V, true>(a, b, out, store),
+        Product::TransposeMatmul(store) => transpose_matmul::<V, false>(a, b, out, store),
         // The lanes-across-rows body transposes the lhs once per block of
         // `LANES` rows and reuses it for every rhs row, which pays when
         // there are at least as many rhs rows as contraction indices (the
         // back-propagated `dlogits · Wᵀ`: 6760 rows of 62); with few, long
         // rhs rows (the convolution's `dpre · colsᵀ`: 9 rows of 21,632)
-        // the lanes run along the contraction instead.
-        Product::MatmulTransposeAcc if b.rows() < b.cols() => long_dots::<V::Oct>(a, b, out),
+        // the lanes run along the contraction instead — and so they do for
+        // a contraction too long to transpose onto the stack.
+        Product::MatmulTransposeAcc if b.rows() < b.cols() || b.cols() > ACROSS_CHUNK => {
+            long_dots::<V::Oct>(a, b, out)
+        }
         Product::MatmulTransposeAcc => dots_across_rows::<V, true>(a, b, out),
+        Product::MatmulTransposeInto if b.cols() > ACROSS_CHUNK => sequential_dots(a, b, out),
         Product::MatmulTransposeInto => dots_across_rows::<V, false>(a, b, out),
+    }
+}
+
+/// The `aᵀ · b` strip body with `store` as its compile-time store mode.
+#[inline(always)]
+fn transpose_matmul<V: Vector, const GROUPED: bool>(
+    a: MatrixView<'_>,
+    b: MatrixView<'_>,
+    out: &mut [f32],
+    store: Store,
+) {
+    let n = b.cols();
+    match store {
+        Store::Overwrite => for_each_strip::<V, _>(
+            n,
+            V::ROW_STRIP,
+            &mut TransposeMatmul::<GROUPED, false> { a, b, out },
+        ),
+        Store::Add => for_each_strip::<V, _>(
+            n,
+            V::ROW_STRIP,
+            &mut TransposeMatmul::<GROUPED, true> { a, b, out },
+        ),
     }
 }
 
@@ -266,26 +282,26 @@ impl Matmul<'_> {
     }
 }
 
-/// `out (i x n) += aᵀ · b` for `a: kb x i`, `b: kb x n`: each output row's
-/// strip stays in registers across all `kb` shared rows, so the output is
-/// read once and written once. `GROUPED` folds the shared rows four at a
-/// time ([`Product::TransposeMatmulAcc`]); otherwise one at a time
-/// ([`Product::TransposeMatmulInto`], whose caller zeroed `out`).
-struct TransposeMatmul<'a, const GROUPED: bool> {
+/// `aᵀ · b` for `a: kb x i`, `b: kb x n` into `out (i x n)`: each output
+/// row's strip is folded in registers from `+0.0` across all `kb` shared
+/// rows, then stored once — as it is, or (`ADD`) added to what `out` held,
+/// so the output is written once and read at most once. `GROUPED` folds the
+/// shared rows four at a time ([`Product::TransposeMatmulGrouped`]);
+/// otherwise one at a time ([`Product::TransposeMatmul`]).
+struct TransposeMatmul<'a, const GROUPED: bool, const ADD: bool> {
     a: MatrixView<'a>,
     b: MatrixView<'a>,
     out: &'a mut [f32],
 }
 
-impl<const GROUPED: bool> StripBody for TransposeMatmul<'_, GROUPED> {
+impl<const GROUPED: bool, const ADD: bool> StripBody for TransposeMatmul<'_, GROUPED, ADD> {
     #[inline(always)]
     fn strip<V: Vector, const C: usize, const MASKED: bool>(&mut self, j: usize, w: usize) {
         let (kb, rows, n) = (self.a.rows(), self.a.cols(), self.b.cols());
         let (a, b) = (self.a.as_slice(), self.b.as_slice());
         let groups = if GROUPED { kb / 4 } else { 0 };
         for i in 0..rows {
-            let out_strip = &mut self.out[i * n + j..][..w];
-            let mut acc = load_strip::<V, C, MASKED>(out_strip);
+            let mut acc = [V::splat(0.0); C];
             for g in 0..groups {
                 let x = [
                     a[4 * g * rows + i],
@@ -307,18 +323,33 @@ impl<const GROUPED: bool> StripBody for TransposeMatmul<'_, GROUPED> {
                 let b_row = load_strip::<V, C, MASKED>(&b[kk * n + j..][..w]);
                 add_single(&mut acc, x, &b_row);
             }
+            let out_strip = &mut self.out[i * n + j..][..w];
+            if ADD {
+                let held = load_strip::<V, C, MASKED>(out_strip);
+                for c in 0..C {
+                    acc[c] = held[c].add(acc[c]);
+                }
+            }
             store_strip::<V, C, MASKED>(acc, out_strip);
         }
     }
 }
 
-/// `out (m x n) (+)= a (m x k) · bᵀ` for `b: n x k`, with the vector lanes
-/// laid across `LANES` lhs rows: lane `r` of every register belongs to
-/// output row `i0 + r`, so the dot product's own lane sums (`TREE`: eight
-/// of them plus the tail, [`Product::MatmulTransposeAcc`]) or its single
-/// running sum ([`Product::MatmulTransposeInto`]) are whole registers and
-/// are combined register by register — no horizontal sum. The lhs block is
-/// transposed once and reused by every rhs row.
+/// The longest contraction the lanes-across-rows body transposes (a
+/// multiple of eight): the back-propagated `dlogits · Wᵀ` contracts over the
+/// classes (62 for the paper's models). A longer one takes
+/// [`long_dots`] or [`sequential_dots`].
+const ACROSS_CHUNK: usize = 128;
+
+/// `out (m x n) (+)= a (m x k) · bᵀ` for `b: n x k` and `k` at most
+/// [`ACROSS_CHUNK`], with the vector lanes laid across `LANES` lhs rows:
+/// lane `r` of every register belongs to output row `i0 + r`, so the dot
+/// product's own lane sums (`TREE`: eight of them plus the tail,
+/// [`Product::MatmulTransposeAcc`]) or its single running sum
+/// ([`Product::MatmulTransposeInto`]) are whole registers and are combined
+/// register by register — no horizontal sum. The lhs block is transposed
+/// once and reused by every rhs row. Both buffers live on the stack: the
+/// kernel allocates nothing.
 #[inline(always)]
 fn dots_across_rows<V: Vector, const TREE: bool>(
     a: MatrixView<'_>,
@@ -330,9 +361,14 @@ fn dots_across_rows<V: Vector, const TREE: bool>(
     const STAGE: usize = 64;
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
     let lanes = V::LANES;
+    debug_assert!(
+        k <= ACROSS_CHUNK,
+        "the transposed block holds the contraction"
+    );
     // transposed[p * lanes + r] = a[i0 + r][p]; rows past `m` stay zero.
-    let mut transposed = vec![0.0f32; k * lanes];
-    let mut staged = vec![0.0f32; STAGE * lanes];
+    let mut transposed = [0.0f32; ACROSS_CHUNK * MAX_LANES];
+    let transposed = &mut transposed[..k * lanes];
+    let mut staged = [0.0f32; STAGE * MAX_LANES];
     for i0 in (0..m).step_by(lanes) {
         let block_rows = lanes.min(m - i0);
         if block_rows < lanes {
@@ -348,9 +384,9 @@ fn dots_across_rows<V: Vector, const TREE: bool>(
             for jj in 0..block_cols {
                 let b_row = b.row(j0 + jj);
                 let dots: V = if TREE {
-                    dot_tree(&transposed, b_row)
+                    dot_tree(transposed, b_row)
                 } else {
-                    dot_sequential(&transposed, b_row)
+                    dot_sequential(transposed, b_row)
                 };
                 dots.store(&mut staged[jj * lanes..]);
             }
@@ -364,6 +400,23 @@ fn dots_across_rows<V: Vector, const TREE: bool>(
                     }
                 }
             }
+        }
+    }
+}
+
+/// [`Product::MatmulTransposeInto`] for a contraction longer than
+/// [`ACROSS_CHUNK`]: each output is one running sum from `+0.0`, left to
+/// right — the spec's own fold, element by element.
+fn sequential_dots(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
+    let n = b.rows();
+    for i in 0..a.rows() {
+        let a_row = a.row(i);
+        for j in 0..n {
+            let mut sum = 0.0f32;
+            for (&x, &y) in a_row.iter().zip(b.row(j)) {
+                sum += x * y;
+            }
+            out[i * n + j] = sum;
         }
     }
 }
@@ -409,73 +462,91 @@ fn dot_sequential<V: Vector>(transposed: &[f32], b_row: &[f32]) -> V {
     sum
 }
 
-/// [`Product::MatmulTransposeAcc`] for few, long rhs rows: the vector lanes
-/// *are* the dot tree's eight lane sums (`O` is four or eight lanes wide,
-/// so one or two registers per output element), held for a tile of
-/// `2 x 4` outputs while a chunk of the contraction streams past. The
-/// contraction is chunked so the rhs chunk stays in L1 while the lhs
-/// streams once; the lane sums wait in `sums` between chunks, which keeps
-/// every lane's additions in ascending index order.
+/// [`Product::MatmulTransposeAcc`] for few, long rhs rows (or a long
+/// contraction): the vector lanes *are* the dot tree's eight lane sums (`O`
+/// is four or eight lanes wide, so one or two registers per output
+/// element), held for a tile of `2 x 4` outputs while a chunk of the
+/// contraction streams past. The contraction is chunked so the rhs chunk
+/// stays in L1 while the lhs streams once; the lane sums wait in `sums`
+/// between chunks, which keeps every lane's additions in ascending index
+/// order. The outputs are covered in blocks of at most `BLOCK`, so `sums`
+/// is a stack array and the kernel allocates nothing; the convolution's
+/// `40 x 9` outputs are one block.
 #[inline(always)]
 fn long_dots<O: Vector>(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
     /// Contraction indices per pass (a multiple of eight): 2 KB per row.
     const CHUNK: usize = 512;
+    /// Outputs per block: 16 KB of lane sums.
+    const BLOCK: usize = 512;
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
     let full = k / 8 * 8;
-    let mut sums = vec![0.0f32; m * n * 8];
-    for p0 in (0..full).step_by(CHUNK) {
-        let p1 = (p0 + CHUNK).min(full);
-        let mut i = 0;
-        while i < m {
-            let it = (m - i).min(2);
-            let mut j = 0;
-            while j < n {
-                let jt = match n - j {
-                    4.. => 4,
-                    2.. => 2,
-                    _ => 1,
-                };
-                let args = (a, b, &mut sums[..], i, j, p0..p1);
-                match (it, jt) {
-                    (2, 4) => long_dots_tile::<O, 2, 4>(args),
-                    (2, 2) => long_dots_tile::<O, 2, 2>(args),
-                    (2, _) => long_dots_tile::<O, 2, 1>(args),
-                    (_, 4) => long_dots_tile::<O, 1, 4>(args),
-                    (_, 2) => long_dots_tile::<O, 1, 2>(args),
-                    (_, _) => long_dots_tile::<O, 1, 1>(args),
+    let mut sums = [0.0f32; BLOCK * 8];
+    let block_cols = n.clamp(1, BLOCK / 2);
+    let block_rows = BLOCK / block_cols;
+    for i0 in (0..m).step_by(block_rows) {
+        let i1 = (i0 + block_rows).min(m);
+        for j0 in (0..n).step_by(block_cols) {
+            let j1 = (j0 + block_cols).min(n);
+            let cols = j1 - j0;
+            let sums = &mut sums[..(i1 - i0) * cols * 8];
+            sums.fill(0.0);
+            for p0 in (0..full).step_by(CHUNK) {
+                let p1 = (p0 + CHUNK).min(full);
+                let mut i = i0;
+                while i < i1 {
+                    let it = (i1 - i).min(2);
+                    let mut j = j0;
+                    while j < j1 {
+                        let jt = match j1 - j {
+                            4.. => 4,
+                            2.. => 2,
+                            _ => 1,
+                        };
+                        let at = (i - i0) * cols + (j - j0);
+                        let args = (a, b, &mut sums[at * 8..], i, j, cols, p0..p1);
+                        match (it, jt) {
+                            (2, 4) => long_dots_tile::<O, 2, 4>(args),
+                            (2, 2) => long_dots_tile::<O, 2, 2>(args),
+                            (2, _) => long_dots_tile::<O, 2, 1>(args),
+                            (_, 4) => long_dots_tile::<O, 1, 4>(args),
+                            (_, 2) => long_dots_tile::<O, 1, 2>(args),
+                            (_, _) => long_dots_tile::<O, 1, 1>(args),
+                        }
+                        j += jt;
+                    }
+                    i += it;
                 }
-                j += jt;
             }
-            i += it;
-        }
-    }
-    for i in 0..m {
-        for j in 0..n {
-            let l = &sums[(i * n + j) * 8..][..8];
-            let mut tail = 0.0f32;
-            for (&x, &y) in a.row(i)[full..].iter().zip(&b.row(j)[full..]) {
-                tail += x * y;
+            for i in i0..i1 {
+                for j in j0..j1 {
+                    let l = &sums[((i - i0) * cols + j - j0) * 8..][..8];
+                    let mut tail = 0.0f32;
+                    for (&x, &y) in a.row(i)[full..].iter().zip(&b.row(j)[full..]) {
+                        tail += x * y;
+                    }
+                    out[i * n + j] +=
+                        (((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))) + tail;
+                }
             }
-            out[i * n + j] +=
-                (((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))) + tail;
         }
     }
 }
 
 /// Advances the lane sums of outputs `(i..i + IT) x (j..j + JT)` over the
-/// contraction indices `span` (a multiple of eight long).
+/// contraction indices `span` (a multiple of eight long); `sums` starts at
+/// output `(i, j)`'s eight, in a block `cols` outputs wide.
 #[inline(always)]
 fn long_dots_tile<O: Vector, const IT: usize, const JT: usize>(
-    (a, b, sums, i, j, span): (
+    (a, b, sums, i, j, cols, span): (
         MatrixView<'_>,
         MatrixView<'_>,
         &mut [f32],
         usize,
         usize,
+        usize,
         std::ops::Range<usize>,
     ),
 ) {
-    let n = b.rows();
     // One or two registers hold an output's eight lane sums.
     let parts = 8 / O::LANES;
     let mut a_rows = [&[][..]; IT];
@@ -489,7 +560,7 @@ fn long_dots_tile<O: Vector, const IT: usize, const JT: usize>(
     let mut acc = [[[O::splat(0.0); 2]; JT]; IT];
     for r in 0..IT {
         for c in 0..JT {
-            let l = &sums[((i + r) * n + j + c) * 8..][..8];
+            let l = &sums[(r * cols + c) * 8..][..8];
             for part in 0..parts {
                 acc[r][c][part] = O::load(&l[part * O::LANES..]);
             }
@@ -512,7 +583,7 @@ fn long_dots_tile<O: Vector, const IT: usize, const JT: usize>(
     }
     for r in 0..IT {
         for c in 0..JT {
-            let l = &mut sums[((i + r) * n + j + c) * 8..][..8];
+            let l = &mut sums[(r * cols + c) * 8..][..8];
             for part in 0..parts {
                 acc[r][c][part].store(&mut l[part * O::LANES..]);
             }

@@ -58,4 +58,4 @@ pub mod vecops;
 pub use conv::{ConvLayer, ConvScratch, ConvShape};
 pub use error::ShapeError;
 pub use matrix::Matrix;
-pub use product::{MatrixView, Product};
+pub use product::{MatrixView, Product, Store};

@@ -1,9 +1,10 @@
 //! Matrix products over borrowed row-major views.
 //!
 //! A model's weights live inside its flat parameter vector and its weight
-//! gradients inside the flat gradient vector, so the products take their
-//! operands as [`MatrixView`]s over any `&[f32]` and write into any
-//! `&mut [f32]`: nothing is copied into a [`Matrix`](crate::Matrix) first.
+//! gradients land inside a flat gradient vector or straight in a client's
+//! residual, so the products take their operands as [`MatrixView`]s over
+//! any `&[f32]` and write into any `&mut [f32]`: nothing is copied into a
+//! [`Matrix`](crate::Matrix) first.
 //!
 //! # The fold-order contract
 //!
@@ -22,12 +23,13 @@
 //!   element is zero in *both* rows of the pair; in an unpaired last row a
 //!   group is skipped when all four lhs elements are zero and a leftover
 //!   index when its lhs element is zero.
-//! * [`MatrixView::transpose_matmul_acc`] — the same four-way grouping
-//!   over the shared row (batch) index; a group is skipped when all four
-//!   lhs elements are zero, a leftover row when its lhs element is zero.
-//! * [`MatrixView::transpose_matmul_into`] — `out[i][j]` starts from
-//!   `+0.0` and adds `a·b` per shared row in ascending order, skipping
-//!   rows whose lhs element is zero.
+//! * [`MatrixView::transpose_matmul_grouped`] — `out[i][j]`'s fold starts
+//!   from `+0.0` and adds the same four-way grouped terms over the shared
+//!   row (batch) index; a group is skipped when all four lhs elements are
+//!   zero, a leftover row when its lhs element is zero.
+//! * [`MatrixView::transpose_matmul`] — the fold starts from `+0.0` and
+//!   adds `a·b` per shared row in ascending order, skipping rows whose lhs
+//!   element is zero.
 //! * [`MatrixView::matmul_transpose_acc`] — `out[i][j] += dot`, where the
 //!   dot product keeps eight lane sums (index `p` goes to lane `p mod 8`
 //!   for `p` below the last multiple of eight), one sequential tail sum
@@ -35,6 +37,13 @@
 //!   `(((l₀+l₁)+(l₂+l₃)) + ((l₄+l₅)+(l₆+l₇))) + tail`.
 //! * [`MatrixView::matmul_transpose_into`] — `out[i][j]` is the plain
 //!   left-to-right dot product starting from `+0.0`.
+//!
+//! Both `aᵀ·b` folds reach `out` through a [`Store`]: [`Store::Overwrite`]
+//! writes the fold `g`, [`Store::Add`] writes `out[i][j] + g` — one
+//! addition per element after the whole fold, so `residual[j] += g[j]` on
+//! a gradient that never exists on its own is the same addition as on one
+//! that does. That is not the fold seeded with `out`
+//! (`(out + t₀) + t₁ ≠ out + (t₀ + t₁)` in general).
 //!
 //! A skipped term is not the same as adding zero (`-0.0 + 0.0` is `+0.0`),
 //! so the skip rules are part of the order.
@@ -64,17 +73,27 @@ pub struct MatrixView<'a> {
     data: &'a [f32],
 }
 
-/// The five products, named by the method of [`MatrixView`] that runs them.
-/// Each has its own fold order (see the [module docs](self)).
+/// How an `aᵀ · b` product puts its fold `g` into `out` (see the [module
+/// docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Store {
+    /// `out = g`, whatever `out` held.
+    Overwrite,
+    /// `out = out + g`, one addition per element after the fold.
+    Add,
+}
+
+/// The five products, named by the method of [`MatrixView`] that runs them,
+/// the two `aᵀ · b` folds with their [`Store`]. Each has its own fold order
+/// (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Product {
     /// [`MatrixView::matmul_acc`]: `out += a · b`.
     MatmulAcc,
-    /// [`MatrixView::transpose_matmul_acc`]: `out += aᵀ · b`, four-way
-    /// grouped.
-    TransposeMatmulAcc,
-    /// [`MatrixView::transpose_matmul_into`]: `out = aᵀ · b`, ungrouped.
-    TransposeMatmulInto,
+    /// [`MatrixView::transpose_matmul_grouped`]: `aᵀ · b`, four-way grouped.
+    TransposeMatmulGrouped(Store),
+    /// [`MatrixView::transpose_matmul`]: `aᵀ · b`, one shared row at a time.
+    TransposeMatmul(Store),
     /// [`MatrixView::matmul_transpose_acc`]: `out += a · bᵀ`, eight-lane
     /// dot tree.
     MatmulTransposeAcc,
@@ -84,11 +103,14 @@ pub enum Product {
 }
 
 impl Product {
-    /// All five products, for tests and reports that sweep them.
-    pub const ALL: [Product; 5] = [
+    /// All five products, both stores of each `aᵀ · b` fold, for tests and
+    /// reports that sweep them.
+    pub const ALL: [Product; 7] = [
         Product::MatmulAcc,
-        Product::TransposeMatmulAcc,
-        Product::TransposeMatmulInto,
+        Product::TransposeMatmulGrouped(Store::Overwrite),
+        Product::TransposeMatmulGrouped(Store::Add),
+        Product::TransposeMatmul(Store::Overwrite),
+        Product::TransposeMatmul(Store::Add),
         Product::MatmulTransposeAcc,
         Product::MatmulTransposeInto,
     ];
@@ -110,7 +132,7 @@ impl Product {
                 );
                 (a.rows, b.cols)
             }
-            Product::TransposeMatmulAcc | Product::TransposeMatmulInto => {
+            Product::TransposeMatmulGrouped(_) | Product::TransposeMatmul(_) => {
                 assert_eq!(
                     a.rows,
                     b.rows,
@@ -206,26 +228,27 @@ impl<'a> MatrixView<'a> {
         self.product(Product::MatmulAcc, rhs, out);
     }
 
-    /// `out += selfᵀ · rhs` (`out` row-major `self.cols() x rhs.cols()`)
-    /// without materialising the transpose: the weight-gradient product,
-    /// accumulated over the batch rows in four-row groups.
+    /// `selfᵀ · rhs` (`out` row-major `self.cols() x rhs.cols()`) without
+    /// materialising the transpose, stored as `store` says: the
+    /// weight-gradient product, folded over the batch rows in four-row
+    /// groups.
     ///
     /// # Panics
     ///
     /// Panics if `self.rows() != rhs.rows()` or `out` has the wrong length.
-    pub fn transpose_matmul_acc(self, rhs: MatrixView<'_>, out: &mut [f32]) {
-        self.product(Product::TransposeMatmulAcc, rhs, out);
+    pub fn transpose_matmul_grouped(self, rhs: MatrixView<'_>, out: &mut [f32], store: Store) {
+        self.product(Product::TransposeMatmulGrouped(store), rhs, out);
     }
 
-    /// `out = selfᵀ · rhs`, overwriting `out`, accumulated over the batch
-    /// rows one at a time (the order the linear and MLP models' goldens
-    /// were recorded with).
+    /// `selfᵀ · rhs`, stored as `store` says, folded over the batch rows
+    /// one at a time (the order the linear and MLP models' goldens were
+    /// recorded with).
     ///
     /// # Panics
     ///
     /// Panics if `self.rows() != rhs.rows()` or `out` has the wrong length.
-    pub fn transpose_matmul_into(self, rhs: MatrixView<'_>, out: &mut [f32]) {
-        self.product(Product::TransposeMatmulInto, rhs, out);
+    pub fn transpose_matmul(self, rhs: MatrixView<'_>, out: &mut [f32], store: Store) {
+        self.product(Product::TransposeMatmul(store), rhs, out);
     }
 
     /// `out += self · rhsᵀ` (`out` row-major `self.rows() x rhs.rows()`)

@@ -12,7 +12,7 @@
 
 use crate::conv::{ConvLayer, KERNEL};
 use crate::ops;
-use crate::product::{MatrixView, Product};
+use crate::product::{MatrixView, Product, Store};
 
 /// Runs `op` through its scalar spec.
 ///
@@ -25,8 +25,10 @@ pub fn run(op: Product, a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
     assert_eq!(out.len(), rows * cols, "{op:?}: output length");
     match op {
         Product::MatmulAcc => matmul_acc(a, b, out),
-        Product::TransposeMatmulAcc => transpose_matmul_acc(a, b, out),
-        Product::TransposeMatmulInto => transpose_matmul_into(a, b, out),
+        Product::TransposeMatmulGrouped(store) => {
+            stored(a, b, out, store, transpose_matmul_grouped)
+        }
+        Product::TransposeMatmul(store) => stored(a, b, out, store, transpose_matmul),
         Product::MatmulTransposeAcc => matmul_transpose_acc(a, b, out),
         Product::MatmulTransposeInto => matmul_transpose_into(a, b, out),
     }
@@ -114,9 +116,30 @@ fn matmul_acc(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
     }
 }
 
+/// An `aᵀ · b` fold `g` from a zeroed buffer, put into `out` by `store`:
+/// copied over it, or added to it — `out[j] + g[j]`, once per element.
+fn stored(
+    a: MatrixView<'_>,
+    b: MatrixView<'_>,
+    out: &mut [f32],
+    store: Store,
+    fold: fn(MatrixView<'_>, MatrixView<'_>, &mut [f32]),
+) {
+    let mut g = vec![0.0f32; out.len()];
+    fold(a, b, &mut g);
+    match store {
+        Store::Overwrite => out.copy_from_slice(&g),
+        Store::Add => {
+            for (o, &g) in out.iter_mut().zip(&g) {
+                *o += g;
+            }
+        }
+    }
+}
+
 /// `out += aᵀ · b`: four shared (batch) rows per sweep over the output
 /// block, ascending.
-fn transpose_matmul_acc(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
+fn transpose_matmul_grouped(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
     let (rows, cols, n) = (a.rows(), a.cols(), b.cols());
     let data = a.as_slice();
     let mut k = 0;
@@ -156,10 +179,9 @@ fn transpose_matmul_acc(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
     }
 }
 
-/// `out = aᵀ · b`: one shared row at a time from zero.
-fn transpose_matmul_into(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
+/// `out += aᵀ · b`: one shared row at a time.
+fn transpose_matmul(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
     let n = b.cols();
-    out.fill(0.0);
     for k in 0..a.rows() {
         let a_row = a.row(k);
         let b_row = b.row(k);

@@ -10,10 +10,12 @@
 //! width (1, 7 x 13 x 29, 62 output columns, a contraction of 9, batches of
 //! 1/31/32/33), pre-seeded outputs, and — because a skipped all-zero term
 //! is not the same as an added zero — exact zeros and `-0.0` in the operand
-//! the skip rules read.
+//! the skip rules read. The `aᵀ·b` folds run with both stores; an `Add`
+//! lands on dirty residuals (±0, ±∞, subnormals), and one planted case
+//! shows that adding the fold is not folding from the residual.
 
 use agsfl_tensor::dispatch::{self, Level};
-use agsfl_tensor::{reference, MatrixView, Product};
+use agsfl_tensor::{reference, MatrixView, Product, Store};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -25,7 +27,10 @@ const DIMS: [usize; 22] = [
     0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17, 29, 31, 32, 33, 62, 63, 64, 65, 131,
 ];
 
-const GENERATORS: usize = 5;
+const GENERATORS: usize = 6;
+
+/// The generator of a dirty residual: what `Store::Add` lands on.
+const DIRTY: usize = 5;
 
 /// `len` values of the requested flavour.
 fn values(rng: &mut ChaCha8Rng, generator: usize, len: usize) -> Vec<f32> {
@@ -47,6 +52,18 @@ fn values(rng: &mut ChaCha8Rng, generator: usize, len: usize) -> Vec<f32> {
             },
             // Small integers: exact cancellation to ±0 mid-fold.
             3 => rng.gen_range(-3i32..=3) as f32,
+            // A client's residual after rounds of resets and lossy error
+            // feedback: signed zeros, infinities, subnormals and ordinary
+            // values side by side.
+            DIRTY => match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::INFINITY,
+                3 => f32::NEG_INFINITY,
+                4 => f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+                5 => -f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+                _ => rng.gen_range(-2.0f32..2.0),
+            },
             // Every finite exponent, subnormals and the odd infinity; sums
             // may overflow or turn into NaN, which must happen identically.
             _ => {
@@ -71,7 +88,7 @@ fn operand_shapes(
 ) -> ((usize, usize), (usize, usize)) {
     match op {
         Product::MatmulAcc => ((rows, inner), (inner, cols)),
-        Product::TransposeMatmulAcc | Product::TransposeMatmulInto => {
+        Product::TransposeMatmulGrouped(_) | Product::TransposeMatmul(_) => {
             ((inner, rows), (inner, cols))
         }
         Product::MatmulTransposeAcc | Product::MatmulTransposeInto => {
@@ -162,7 +179,7 @@ fn named_remainder_shapes_match_the_scalar_spec() {
     ];
     for (case, &shape) in shapes.iter().enumerate() {
         for op in Product::ALL {
-            for generators in [(0, 0, 0), (1, 0, 1), (2, 3, 2), (3, 3, 3)] {
+            for generators in [(0, 0, 0), (1, 0, 1), (2, 3, 2), (3, 3, 3), (1, 0, DIRTY)] {
                 assert_levels_match_spec(op, shape, generators, 0xA65F + case as u64);
             }
         }
@@ -175,10 +192,49 @@ fn named_remainder_shapes_match_the_scalar_spec() {
 fn paper_shapes_match_the_scalar_spec() {
     assert_levels_match_spec(Product::MatmulAcc, (32, 62, 6760), (1, 0, 0), 7);
     assert_levels_match_spec(Product::MatmulAcc, (1, 62, 6760), (1, 0, 0), 8);
-    assert_levels_match_spec(Product::TransposeMatmulAcc, (6760, 62, 32), (1, 0, 0), 9);
+    for store in [Store::Overwrite, Store::Add] {
+        let grouped = Product::TransposeMatmulGrouped(store);
+        assert_levels_match_spec(grouped, (6760, 62, 32), (1, 0, DIRTY), 9);
+        // The linear model's weight gradient: batch 8, 6751 features.
+        let ungrouped = Product::TransposeMatmul(store);
+        assert_levels_match_spec(ungrouped, (6751, 62, 8), (0, 0, DIRTY), 13);
+    }
     assert_levels_match_spec(Product::MatmulTransposeAcc, (32, 6760, 62), (0, 0, 1), 10);
     assert_levels_match_spec(Product::MatmulTransposeAcc, (40, 9, 21_632), (1, 0, 0), 11);
     assert_levels_match_spec(Product::MatmulAcc, (40, 21_632, 9), (0, 0, 0), 12);
+}
+
+/// `Store::Add` adds the finished fold to the residual once. At 2²⁴, where
+/// `f32`s are 2 apart, the fold seeded with the residual would round each
+/// `+1` term away, while the terms' sum survives the one addition. The
+/// ungrouped fold has one term per row; the grouped one a four-row group's
+/// term and then one per leftover row.
+#[test]
+fn add_is_not_the_fold_seeded_with_the_residual() {
+    let residual = 16_777_216.0f32;
+    let cases: [(Product, usize, &[f32]); 2] = [
+        (Product::TransposeMatmul(Store::Add), 2, &[1.0, 1.0]),
+        (
+            Product::TransposeMatmulGrouped(Store::Add),
+            6,
+            &[4.0, 1.0, 1.0],
+        ),
+    ];
+    for (op, rows, terms) in cases {
+        let seeded = terms.iter().fold(residual, |v, &t| v + t);
+        let added = residual + terms.iter().fold(0.0f32, |g, &t| g + t);
+        assert_ne!(seeded, added, "{op:?}: the plant must tell them apart");
+        let ones = vec![1.0f32; rows];
+        let view = MatrixView::new(rows, 1, &ones);
+        let mut expected = [residual];
+        reference::run(op, view, view, &mut expected);
+        assert_eq!(expected, [added], "{op:?}: the spec adds the fold once");
+        for level in Level::available() {
+            let mut got = [residual];
+            dispatch::run(level, op, view, view, &mut got);
+            assert_eq!(got, expected, "{op:?} at {}", level.name());
+        }
+    }
 }
 
 /// `MatrixView`'s methods run the detected level and check shapes.

@@ -309,18 +309,50 @@ fi
 
 step "one convolution forward (the fused conv + bias + ReLU + pool kernel; im2col only for the weight gradient)"
 # SimpleCnn's forward calls agsfl_tensor's fused kernel straight from the
-# images: the column matrix is built once, in loss_and_grad_with, for the
-# conv_wgrad contraction, and no ReLU/pool loop over stored
+# images: the column matrix is built once, in loss_and_land_with (the one
+# backward body behind loss_and_grad_with and Model::loss_and_land),
+# for the conv_wgrad contraction, and no ReLU/pool loop over stored
 # pre-activations is left in the model (the backward's relu_grad is).
 cnn=crates/ml/src/model/cnn.rs
 if [[ "$(product_lines "$cnn" | grep 'im2col(' | grep -vc 'fn im2col(')" -ne 1 ]] \
-    || [[ "$(fn_body "$cnn" loss_and_grad_with | grep -c 'im2col(')" -ne 1 ]]; then
-    echo "verify: $cnn must call im2col exactly once, in loss_and_grad_with:" >&2
+    || [[ "$(fn_body "$cnn" loss_and_land_with | grep -c 'im2col(')" -ne 1 ]]; then
+    echo "verify: $cnn must call im2col exactly once, in loss_and_land_with:" >&2
     product_lines "$cnn" | grep 'im2col(' >&2
     exit 1
 fi
 if product_lines "$cnn" | grep -E 'ops::relu\(|\.max\(0\.0\)'; then
     echo "verify: a ReLU/pool loop is back in $cnn (lines above); the forward is ConvLayer::relu_pool" >&2
+    exit 1
+fi
+
+step "the gradient lands in the residual (one accumulate call, no client gradient buffer, allocation-free kernels)"
+# Line 4 of Algorithm 1 is one call: Client::compute_local_gradient lends
+# the residual to Model::loss_and_accumulate_into, whose loss_and_land
+# stores the weight-gradient products' register folds into it once. A
+# loss_and_grad_into or a thread-local buffer in the client crate is the
+# materialized D-vector growing back (the fixture's thread-locals are test
+# hooks); a second caller of the accumulate entry is a second gradient
+# path. The bench crate times the old path as its seed and is exempt. The
+# product kernels run on stack arrays: a vec! or Vec:: in kernels.rs is a
+# per-call allocation coming back. Product code only (no #[cfg(test)]
+# item); comment lines are exempt.
+if for f in $(find crates/fl/src -name '*.rs' ! -name fixture.rs); do product_lines "$f"; done \
+    | grep -E 'loss_and_grad_into|thread_local!'; then
+    echo "verify: crates/fl/src materializes a gradient (lines above); land it with loss_and_accumulate_into" >&2
+    exit 1
+fi
+accumulate_calls() {
+    for f in $(find crates/*/src -name '*.rs' | grep -v '^crates/bench/'); do product_lines "$f"; done \
+        | grep 'loss_and_accumulate_into' | grep -v 'fn loss_and_accumulate_into'
+}
+if [[ "$(accumulate_calls | wc -l)" -ne 1 ]] \
+    || [[ "$(fn_body crates/fl/src/client.rs compute_local_gradient | grep -c 'loss_and_accumulate_into')" -ne 1 ]]; then
+    echo "verify: loss_and_accumulate_into must be called exactly once, in Client::compute_local_gradient:" >&2
+    accumulate_calls >&2
+    exit 1
+fi
+if product_lines crates/tensor/src/kernels.rs | grep -E 'vec!|Vec::'; then
+    echo "verify: crates/tensor/src/kernels.rs allocates (lines above); the kernels run on stack arrays" >&2
     exit 1
 fi
 
@@ -397,7 +429,7 @@ step "product and convolution equivalence (every dispatch level == the scalar fo
 cargo test -q -p agsfl-tensor --test product_equivalence
 cargo test -q -p agsfl-tensor --test conv_equivalence
 
-step "row fetches (a seek lands where drawing lands; rows == the whole shard's rows; a warm gradient step allocates nothing)"
+step "row fetches (a seek lands where drawing lands; rows == the whole shard's rows; a warm gradient step allocates nothing of the client's, a real model's only its pinned count)"
 cargo test -q -p rand_chacha set_word_pos_matches_drawing_at_every_offset
 cargo test -q -p rand_chacha word_pos_round_trips_and_seeks_in_both_directions
 cargo test -q -p agsfl-ml --test materialize_rows
