@@ -1,7 +1,6 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md
-//! (experiment E8): the FAB fairness guarantee, Algorithm 3's update window
-//! `Mu` and inflation factor `α`, and stochastic vs floor rounding of the
-//! continuous `k`.
+//! Ablation benchmarks for the reproduction's design choices: the FAB
+//! fairness guarantee, Algorithm 3's update window `Mu` and inflation
+//! factor `α`, and stochastic vs floor rounding of the continuous `k`.
 
 use agsfl_bench::{banner, femnist_base};
 use agsfl_core::{ControllerSpec, Experiment, ExperimentConfig, SparsifierSpec, StopCondition};

@@ -1,5 +1,5 @@
 //! Empirically checks the regret bounds of Theorems 1 and 2 on synthetic
-//! convex cost sequences (experiment E7 in DESIGN.md).
+//! convex cost sequences.
 
 use agsfl_bench::banner;
 use agsfl_core::figures::regret_check::{self, RegretCheckConfig};

@@ -127,15 +127,15 @@ pub fn wired_workload() -> Vec<f32> {
 }
 
 /// Input channels of the CNN forward workload.
-pub const CNN_CHANNELS: usize = 1;
+const CNN_CHANNELS: usize = 1;
 /// Input height of the CNN forward workload (FEMNIST-like 28x28 images).
-pub const CNN_HEIGHT: usize = 28;
+const CNN_HEIGHT: usize = 28;
 /// Input width of the CNN forward workload.
-pub const CNN_WIDTH: usize = 28;
+const CNN_WIDTH: usize = 28;
 /// Number of 3x3 filters of the CNN forward workload.
-pub const CNN_FILTERS: usize = 40;
+const CNN_FILTERS: usize = 40;
 /// Output classes of the CNN forward workload (FEMNIST's 62).
-pub const CNN_CLASSES: usize = 62;
+const CNN_CLASSES: usize = 62;
 /// Mini-batch size of the CNN forward workload (the paper's 32).
 pub const CNN_BATCH: usize = 32;
 
@@ -161,15 +161,15 @@ pub fn cnn_workload() -> (SimpleCnn, Vec<f32>, Matrix, Vec<usize>) {
 
 /// Features of the linear client-step workload: `sparse_wide_linear`'s
 /// `LinearSoftmax`, 6751 x 62 weights and 62 biases ([`WIRED_DIM`]).
-pub const LINEAR_FEATURES: usize = 6_751;
+const LINEAR_FEATURES: usize = 6_751;
 /// Mini-batch size of the linear client-step workload.
-pub const LINEAR_BATCH: usize = 8;
+const LINEAR_BATCH: usize = 8;
 /// Entries a client of the CNN client-step workload uploads.
 pub const CLIENT_STEP_K: usize = 12_000;
 
 /// Builds the linear client-step workload: `sparse_wide_linear`'s model
-/// ([`LINEAR_FEATURES`] x [`CNN_CLASSES`], D = [`WIRED_DIM`]), initialized
-/// weights and one mini-batch of [`LINEAR_BATCH`] rows with labels.
+/// (`LINEAR_FEATURES` x `CNN_CLASSES`, D = [`WIRED_DIM`]), initialized
+/// weights and one mini-batch of `LINEAR_BATCH` rows with labels.
 pub fn linear_workload() -> (LinearSoftmax, Vec<f32>, Matrix, Vec<usize>) {
     let model = LinearSoftmax::new(LINEAR_FEATURES, CNN_CLASSES);
     let mut rng = ChaCha8Rng::seed_from_u64(29);
@@ -200,7 +200,7 @@ pub fn residual_workload(dim: usize) -> Vec<f32> {
 
 /// One entry of [`PRODUCT_SHAPES`]: `(pair name, product, lhs shape, rhs
 /// shape)`.
-pub type ProductShape = (&'static str, Product, (usize, usize), (usize, usize));
+type ProductShape = (&'static str, Product, (usize, usize), (usize, usize));
 
 /// The four matrix products of one batch-32 gradient of the paper-shape
 /// CNN: the fully
@@ -256,7 +256,7 @@ pub fn product_workload(lhs: (usize, usize), rhs: (usize, usize)) -> (Vec<f32>, 
 /// Number of clients of the evaluation-sweep workload.
 pub const EVAL_CLIENTS: usize = 40;
 /// Samples per client of the evaluation-sweep workload.
-pub const EVAL_SAMPLES_PER_CLIENT: usize = 60;
+const EVAL_SAMPLES_PER_CLIENT: usize = 60;
 
 /// Builds the evaluation-sweep workload: the bench-scale federated FEMNIST
 /// dataset (40 clients, 30 classes, 400 test samples) plus an MLP and its
@@ -282,9 +282,9 @@ pub fn eval_workload() -> (Box<dyn Model>, Vec<f32>, FederatedDataset) {
 /// Feature dimension of the checkpoint workload; with [`CKPT_CLASSES`]
 /// classes the linear model carries `(6751 + 1) * 62 = 418,624` parameters
 /// — the paper's >400k-weight scale.
-pub const CKPT_FEATURES: usize = 6_751;
+const CKPT_FEATURES: usize = 6_751;
 /// Output classes of the checkpoint workload (FEMNIST's 62).
-pub const CKPT_CLASSES: usize = 62;
+const CKPT_CLASSES: usize = 62;
 /// Clients of the checkpoint workload.
 pub const CKPT_CLIENTS: usize = 8;
 

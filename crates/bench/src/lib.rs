@@ -3,9 +3,9 @@
 //! Every figure of the paper has its own `cargo bench` target in `benches/`;
 //! they all build on the bench-scale workload defined here so results are
 //! comparable across figures and reproducible from the fixed seed. The
-//! bench scale is a scaled-down version of the paper's setup (see the
-//! substitution table in `DESIGN.md`): the qualitative shapes are preserved
-//! while the full suite runs in minutes on a laptop.
+//! bench scale is a scaled-down version of the paper's setup (synthetic
+//! FEMNIST/CIFAR-10-like data and smaller models): the qualitative shapes
+//! are preserved while the full suite runs in minutes on a laptop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

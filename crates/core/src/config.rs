@@ -26,11 +26,6 @@ pub enum DatasetSpec {
 }
 
 impl DatasetSpec {
-    /// The paper-scale FEMNIST setup (156 clients, 62 classes).
-    pub fn femnist_paper() -> Self {
-        Self::Femnist(SyntheticFemnistConfig::default())
-    }
-
     /// A small FEMNIST setup for tests, examples and fast benchmarks.
     pub fn femnist_tiny() -> Self {
         Self::Femnist(SyntheticFemnistConfig::tiny())
@@ -52,11 +47,6 @@ impl DatasetSpec {
             noise_std: 0.7,
             test_samples: 400,
         })
-    }
-
-    /// The paper-scale CIFAR-10 setup (100 clients, one class each).
-    pub fn cifar_paper() -> Self {
-        Self::Cifar(SyntheticCifarConfig::default())
     }
 
     /// A small CIFAR-10 setup for tests and fast benchmarks.
@@ -780,20 +770,5 @@ mod tests {
         assert_eq!(wire.codec, CodecSpec::Auto);
         let built = wire.build(3, 1);
         assert_eq!(built.channel.num_clients(), 3);
-    }
-
-    #[test]
-    fn paper_scale_specs_match_paper_counts() {
-        match DatasetSpec::femnist_paper() {
-            DatasetSpec::Femnist(cfg) => {
-                assert_eq!(cfg.num_clients, 156);
-                assert_eq!(cfg.num_classes, 62);
-            }
-            _ => unreachable!(),
-        }
-        match DatasetSpec::cifar_paper() {
-            DatasetSpec::Cifar(cfg) => assert_eq!(cfg.num_clients, 100),
-            _ => unreachable!(),
-        }
     }
 }

@@ -49,7 +49,7 @@ impl Default for FaultSweepConfig {
 
 /// The default severity ladder: fault-free, mild dropout, lossy transport
 /// with retries, and a chaotic regime combining every fault class.
-pub fn default_severities() -> Vec<(String, Option<FaultModel>)> {
+fn default_severities() -> Vec<(String, Option<FaultModel>)> {
     vec![
         ("none".to_string(), None),
         (
@@ -114,20 +114,6 @@ pub struct FaultSweepResult {
 }
 
 impl FaultSweepResult {
-    fn find<'a>(cells: &'a [FaultSweepCell], severity: &str) -> Option<&'a FaultSweepCell> {
-        cells.iter().find(|c| c.severity == severity)
-    }
-
-    /// The fixed-`k` cell for a severity level.
-    pub fn fixed_cell(&self, severity: &str) -> Option<&FaultSweepCell> {
-        Self::find(&self.fixed, severity)
-    }
-
-    /// The adaptive cell for a severity level.
-    pub fn adaptive_cell(&self, severity: &str) -> Option<&FaultSweepCell> {
-        Self::find(&self.adaptive, severity)
-    }
-
     fn render_table(out: &mut String, title: &str, cells: &[FaultSweepCell]) {
         out.push_str(&format!("\n{title}\n"));
         out.push_str(&format!(
@@ -160,6 +146,15 @@ impl FaultSweepResult {
         Self::render_table(&mut out, "Fixed k", &self.fixed);
         Self::render_table(&mut out, "Adaptive k (Algorithm 3)", &self.adaptive);
         out
+    }
+}
+
+/// Cell lookups for the tests, which assert on single cells.
+#[cfg(test)]
+impl FaultSweepResult {
+    /// The fixed-`k` cell for a severity level.
+    fn fixed_cell(&self, severity: &str) -> Option<&FaultSweepCell> {
+        self.fixed.iter().find(|c| c.severity == severity)
     }
 }
 

@@ -1,11 +1,13 @@
 //! One module per figure of the paper's evaluation (Section V).
 //!
 //! Every figure has a `*Config` describing the workload (with defaults sized
-//! so the whole suite regenerates in seconds on a laptop — see the
-//! substitution table in `DESIGN.md`) and a `*Result` holding the exact
-//! series the paper plots plus a `render()` method that prints them as text
-//! tables. The benchmark crate (`agsfl-bench`) calls these functions and
-//! `EXPERIMENTS.md` records the measured shapes against the paper's.
+//! so the whole suite regenerates in seconds on a laptop: synthetic data and
+//! smaller models stand in for FEMNIST, CIFAR-10 and the paper's CNN) and a
+//! `*Result` holding the exact series the paper plots plus a `render()`
+//! method that prints them as text tables. The benchmark crate
+//! (`agsfl-bench`) runs the paper's figures and the regret check, one
+//! `cargo bench` target each; the two sweeps beyond the paper run only
+//! from their own tests.
 //!
 //! | Paper figure | Function |
 //! |---|---|

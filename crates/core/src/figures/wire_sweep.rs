@@ -118,36 +118,6 @@ pub struct WireSweepResult {
 }
 
 impl WireSweepResult {
-    fn find<'a>(
-        cells: &'a [WireSweepCell],
-        channel: &str,
-        codec: CodecSpec,
-    ) -> Option<&'a WireSweepCell> {
-        cells
-            .iter()
-            .find(|c| c.channel == channel && c.codec == codec)
-    }
-
-    /// The fixed-`k` cell for a channel/codec pair.
-    pub fn fixed_cell(&self, channel: &str, codec: CodecSpec) -> Option<&WireSweepCell> {
-        Self::find(&self.fixed, channel, codec)
-    }
-
-    /// The adaptive cell for a channel/codec pair.
-    pub fn adaptive_cell(&self, channel: &str, codec: CodecSpec) -> Option<&WireSweepCell> {
-        Self::find(&self.adaptive, channel, codec)
-    }
-
-    /// For a channel regime, the codec whose fixed-`k` run put the fewest
-    /// bytes on the wire.
-    pub fn smallest_codec_for(&self, channel: &str) -> Option<CodecSpec> {
-        self.fixed
-            .iter()
-            .filter(|c| c.channel == channel)
-            .min_by_key(|c| c.total_bytes())
-            .map(|c| c.codec)
-    }
-
     fn render_table(out: &mut String, title: &str, cells: &[WireSweepCell]) {
         out.push_str(&format!("\n{title}\n"));
         out.push_str(&format!(
@@ -166,11 +136,6 @@ impl WireSweepResult {
                 c.tail_mean_k
             ));
         }
-    }
-
-    /// The Pareto point for a precision tier, by name.
-    pub fn pareto_point(&self, precision: Precision) -> Option<&PrecisionParetoPoint> {
-        self.pareto.iter().find(|p| p.precision == precision.name())
     }
 
     /// Renders all three tables.
@@ -198,6 +163,32 @@ impl WireSweepResult {
             ));
         }
         out
+    }
+}
+
+/// Cell lookups for the tests, which assert on single cells.
+#[cfg(test)]
+impl WireSweepResult {
+    /// The fixed-`k` cell for a channel/codec pair.
+    fn fixed_cell(&self, channel: &str, codec: CodecSpec) -> Option<&WireSweepCell> {
+        self.fixed
+            .iter()
+            .find(|c| c.channel == channel && c.codec == codec)
+    }
+
+    /// For a channel regime, the codec whose fixed-`k` run put the fewest
+    /// bytes on the wire.
+    fn smallest_codec_for(&self, channel: &str) -> Option<CodecSpec> {
+        self.fixed
+            .iter()
+            .filter(|c| c.channel == channel)
+            .min_by_key(|c| c.total_bytes())
+            .map(|c| c.codec)
+    }
+
+    /// The Pareto point for a precision tier, by name.
+    fn pareto_point(&self, precision: Precision) -> Option<&PrecisionParetoPoint> {
+        self.pareto.iter().find(|p| p.precision == precision.name())
     }
 }
 

@@ -3,7 +3,7 @@
 //! The paper presents its results as figures; this reproduction regenerates
 //! the underlying *series* and prints them as aligned text tables so the
 //! shapes (who wins, by how much, where curves cross) can be read directly
-//! from the benchmark output and recorded in `EXPERIMENTS.md`.
+//! from the benchmark output.
 
 use agsfl_fl::RunHistory;
 use agsfl_telemetry::{CounterId, GaugeId, Histogram, SpanId, StageRecorder};
@@ -94,14 +94,12 @@ pub fn contribution_summary(histories: &[&RunHistory]) -> String {
 }
 
 /// Formats the accumulated fault counters of the given histories: uploads
-/// lost per fault class, retry overhead on the wire, and the smallest
-/// cohort the server ever aggregated over.
+/// lost per fault class, stragglers and corrupted frames, retry overhead on
+/// the wire, and the smallest cohort the server ever aggregated over.
 pub fn fault_summary(histories: &[&RunHistory]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<26}{:>8}{:>10}{:>8}{:>8}{:>10}{:>12}{:>10}\n",
-        "method", "lost", "offline", "corrupt", "ddl", "retries", "rtx [B]", "min surv"
-    ));
+    let mut out = String::from(
+        "method                      lost  offline  drop  corrupt  ddl  straggle  frames  retries   rtx [B]  min surv\n",
+    );
     for h in histories {
         let t = h.fault_totals();
         let min_survivors = t
@@ -109,12 +107,15 @@ pub fn fault_summary(histories: &[&RunHistory]) -> String {
             .map(|v| v.to_string())
             .unwrap_or_else(|| "-".to_string());
         out.push_str(&format!(
-            "{:<26}{:>8}{:>10}{:>8}{:>8}{:>10}{:>12}{:>10}\n",
+            "{:<26}{:>6}{:>9}{:>6}{:>9}{:>5}{:>10}{:>8}{:>9}{:>10}{:>10}\n",
             truncate(&h.label, 26),
             t.lost(),
             t.offline,
+            t.dropped,
             t.corrupt_lost,
             t.deadline_dropped,
+            t.stragglers,
+            t.corrupt_frames,
             t.retries,
             t.retransmitted_bytes,
             min_survivors

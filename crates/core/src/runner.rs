@@ -7,7 +7,7 @@ use agsfl_fl::{
     FedAvgConfig, FedAvgSimulation, MetricPoint, RunHistory, Simulation, SimulationConfig,
     TimeModel,
 };
-use agsfl_online::{stochastic_round, KController, PrecisionController, RoundFeedback};
+use agsfl_online::{stochastic_round, KController, RoundFeedback};
 use agsfl_telemetry::{Recorder, SpanId};
 use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use rand::SeedableRng;
@@ -94,12 +94,6 @@ impl StopCondition {
             target_loss: Some(loss),
             ..Self::default()
         }
-    }
-
-    /// Adds a time budget to an existing condition.
-    pub fn with_max_time(mut self, time: f64) -> Self {
-        self.max_time = Some(time);
-        self
     }
 
     fn rounds_exhausted(&self, round: usize) -> bool {
@@ -251,20 +245,6 @@ impl Experiment {
         self.run_with_controller(controller.as_mut(), stop, spec.name())
     }
 
-    /// Runs the 2-D `(k × precision)` adaptive loop: the given controller
-    /// spec keeps authority over `k` while a deterministic
-    /// [`PrecisionController`] wrapper picks the uplink precision tier each
-    /// round. Without a wire configuration the precision axis is inert and
-    /// this reduces to [`Experiment::run_adaptive`].
-    pub fn run_adaptive_precision(
-        &mut self,
-        spec: ControllerSpec,
-        stop: &StopCondition,
-    ) -> RunHistory {
-        let mut controller = PrecisionController::new(spec.build(self.dim(), self.config.seed));
-        self.run_with_controller(&mut controller, stop, "2-D (k × precision)")
-    }
-
     /// Runs with an externally constructed controller (useful for ablations
     /// that tweak controller parameters directly).
     pub fn run_with_controller(
@@ -327,7 +307,8 @@ impl Experiment {
         let controller_bytes = r.bytes()?;
         let round_in_run = r.usize()?;
         let start_time = r.f64()?;
-        let mut history = RunHistory::default();
+        // The label is read from the file; the client count is this run's.
+        let mut history = RunHistory::new("", self.num_clients());
         history.read_state(&mut r)?;
         r.finish()?;
         // Restore the simulation first: it fingerprints the configuration
@@ -619,6 +600,7 @@ impl Experiment {
 mod tests {
     use super::*;
     use crate::config::{DatasetSpec, ModelSpec};
+    use agsfl_online::PrecisionController;
 
     fn tiny_config(comm_time: f64, seed: u64) -> ExperimentConfig {
         ExperimentConfig::builder()
@@ -658,10 +640,7 @@ mod tests {
     #[test]
     fn time_budget_stops_run() {
         let mut exp = Experiment::new(&tiny_config(10.0, 1));
-        let history = exp.run_fixed_k(
-            exp.dim() / 10,
-            &StopCondition::after_rounds(1000).with_max_time(50.0),
-        );
+        let history = exp.run_fixed_k(exp.dim() / 10, &StopCondition::after_time(50.0));
         assert!(history.len() < 1000);
         let last = history.points().last().unwrap();
         assert!(last.elapsed_time >= 50.0);
@@ -922,9 +901,12 @@ mod tests {
         });
         let total = 8;
         let mut reference = Experiment::new(&cfg);
-        let full = reference.run_adaptive_precision(
-            ControllerSpec::Algorithm3,
+        let mut c0 =
+            PrecisionController::new(ControllerSpec::Algorithm3.build(reference.dim(), cfg.seed));
+        let full = reference.run_with_controller(
+            &mut c0,
             &StopCondition::after_rounds(total),
+            "2-D (k × precision)",
         );
         // The wrapper's exploration phase walks every tier, so both lossless
         // (ids 0–2) and lossy (ids 3–5) frames must appear on the wire.

@@ -12,8 +12,10 @@ mod common;
 use agsfl_core::{CheckpointSpec, Experiment, SnapshotError, StopCondition};
 use agsfl_fl::RunHistory;
 use agsfl_online::KController;
+use agsfl_wire::snapshot::{SnapshotReader, SnapshotWriter};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 /// One experiment + controller of a kind, resumed over and over from
 /// whatever bytes the fuzzer puts into its checkpoint file.
@@ -130,4 +132,77 @@ fuzz_kinds! {
     exp3_checkpoints_never_panic_the_resume: 4,
     bandit_checkpoints_never_panic_the_resume: 5,
     precision_wrapper_checkpoints_never_panic_the_resume: 6,
+}
+
+/// Byte ranges of the run history's contribution and codec-count vectors
+/// in an AGCK file, each with its length prefix.
+fn history_vectors(file: &[u8]) -> [Range<usize>; 2] {
+    // Behind the 8-byte header: the simulation blob, the rounding RNG, the
+    // controller blob, the round counter and the start time.
+    let mut r = SnapshotReader::new(&file[8..]);
+    let at = |r: &SnapshotReader| file.len() - r.remaining();
+    r.bytes().unwrap();
+    r.rng().unwrap();
+    r.bytes().unwrap();
+    r.usize().unwrap();
+    r.f64().unwrap();
+    // The history: label, points, contributions, wire bytes, codec counts.
+    r.str().unwrap();
+    for _ in 0..r.usize().unwrap() {
+        r.usize().unwrap();
+        r.f64().unwrap();
+        r.usize().unwrap();
+        r.f64().unwrap();
+        r.opt_f64().unwrap();
+        r.opt_f64().unwrap();
+    }
+    let start = at(&r);
+    r.u64s().unwrap();
+    let contributions = start..at(&r);
+    r.u64().unwrap();
+    r.u64().unwrap();
+    let start = at(&r);
+    r.u64s().unwrap();
+    [contributions, start..at(&r)]
+}
+
+/// A well-formed file whose history has the wrong shape for the run — a
+/// contribution vector of another client count, or codec counts that are
+/// neither absent nor one per codec — fails the resume with its typed
+/// error when rounds are left to run, instead of indexing out of bounds
+/// in the first resumed round's bookkeeping.
+#[test]
+fn a_history_of_the_wrong_shape_fails_the_resume() {
+    let cfg = common::faulty_wired_config(61);
+    let run = common::checkpointed_run(&cfg, 1);
+    let [contributions, codecs] = history_vectors(&run.file);
+    let vector = |range: &Range<usize>| SnapshotReader::new(&run.file[range.clone()]).u64s();
+    assert_eq!(
+        vector(&contributions).unwrap().len(),
+        run.experiment.num_clients()
+    );
+    assert_eq!(
+        vector(&codecs).unwrap().len(),
+        agsfl_wire::CodecId::ALL.len()
+    );
+    let rewritten = |range: Range<usize>, values: &[u64]| {
+        let mut w = SnapshotWriter::new();
+        w.u64s(values);
+        let mut file = run.file[..range.start].to_vec();
+        file.extend_from_slice(&w.into_bytes());
+        file.extend_from_slice(&run.file[range.end..]);
+        file
+    };
+    let mut target = Target::new(&cfg, 1);
+    assert_eq!(
+        target.resume(&rewritten(contributions, &[]), 6).err(),
+        Some(SnapshotError::Mismatch {
+            field: "history contributions length"
+        })
+    );
+    assert_eq!(
+        target.resume(&rewritten(codecs, &[1]), 6).err(),
+        Some(SnapshotError::Invalid("history codec counts"))
+    );
+    std::fs::remove_file(&target.spec.path).ok();
 }

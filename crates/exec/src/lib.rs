@@ -184,7 +184,8 @@ impl Executor {
 
     /// Whether the persistent pool has been spawned yet (it is created by
     /// the first region that parallelizes and reused from then on).
-    pub fn pool_started(&self) -> bool {
+    #[cfg(test)]
+    fn pool_started(&self) -> bool {
         self.pool.get().is_some()
     }
 
@@ -211,7 +212,8 @@ impl Executor {
     }
 
     /// Whether pool metrics are currently being recorded.
-    pub fn metrics_enabled(&self) -> bool {
+    #[cfg(test)]
+    fn metrics_enabled(&self) -> bool {
         self.pool.get().is_some_and(|p| p.metrics().enabled())
     }
 
@@ -234,7 +236,7 @@ impl Executor {
 
     /// The executor's one rule: a region over `items` work items splits
     /// when there is more than one thread and more than one item.
-    pub fn should_parallelize(&self, items: usize) -> bool {
+    fn should_parallelize(&self, items: usize) -> bool {
         self.threads > 1 && items > 1
     }
 

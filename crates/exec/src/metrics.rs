@@ -3,7 +3,7 @@
 //!
 //! Everything here is relaxed atomics and fixed, preallocated storage:
 //!
-//! * each worker owns a [`WorkerStats`] row (busy/idle nanoseconds, task
+//! * each worker owns a `WorkerStats` row (busy/idle nanoseconds, task
 //!   count, and a lossy single-producer ring of dispatch-latency samples),
 //!   written only by that worker with relaxed stores;
 //! * the submitter maintains the queue depth (incremented per task at
@@ -76,7 +76,7 @@ impl SampleRing {
 
 /// One worker's cumulative accounting, written only by that worker.
 #[derive(Debug)]
-pub struct WorkerStats {
+pub(crate) struct WorkerStats {
     busy_ns: AtomicU64,
     idle_ns: AtomicU64,
     tasks: AtomicU64,
@@ -111,7 +111,7 @@ impl WorkerStats {
 }
 
 /// Shared pool metrics: the enable gate, queue-depth accounting, and one
-/// [`WorkerStats`] row per worker.
+/// `WorkerStats` row per worker.
 #[derive(Debug)]
 pub struct PoolMetrics {
     enabled: AtomicBool,

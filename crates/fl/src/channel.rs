@@ -222,7 +222,7 @@ impl ChannelModel {
     /// # Panics
     ///
     /// Panics if `uplink_bytes.len()` differs from the client count.
-    pub fn uplink_phase_time(&self, round: usize, uplink_bytes: &[usize]) -> f64 {
+    fn uplink_phase_time(&self, round: usize, uplink_bytes: &[usize]) -> f64 {
         assert_eq!(
             uplink_bytes.len(),
             self.links.len(),

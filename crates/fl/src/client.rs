@@ -158,11 +158,6 @@ impl Client {
         self.weight
     }
 
-    /// Number of local samples `C_i`.
-    pub fn num_samples(&self) -> usize {
-        self.state.sampler.order().len()
-    }
-
     /// Borrows the residual accumulator `a_i`.
     pub fn accumulator(&self) -> &ResidualAccumulator {
         &self.state.residual

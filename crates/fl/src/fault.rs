@@ -311,14 +311,6 @@ impl FaultState {
         &self.model
     }
 
-    /// Draws the fault plan for every client, serially in client order.
-    /// Equivalent to [`FaultState::plan_round_for`] over `0..num_clients`.
-    #[cfg(test)]
-    pub fn plan_round(&mut self, round: usize, max_attempts: usize) -> Vec<ClientFaultPlan> {
-        let cohort: Vec<usize> = (0..self.num_clients).collect();
-        self.plan_round_for(round, max_attempts, &cohort)
-    }
-
     /// Draws the fault plan for one round's cohort, serially in member
     /// order; the returned plans are parallel to `cohort`. `round` is the
     /// 0-based round index; `max_attempts` is `1 + max_retries` and bounds
@@ -457,8 +449,9 @@ mod tests {
         model.validate(false).unwrap();
         model.validate(true).unwrap();
         let mut state = FaultState::new(model, 5);
+        let cohort: Vec<usize> = (0..5).collect();
         for round in 0..20 {
-            for plan in state.plan_round(round, 3) {
+            for plan in state.plan_round_for(round, 3, &cohort) {
                 assert_eq!(plan, ClientFaultPlan::clean());
             }
         }
@@ -579,8 +572,12 @@ mod tests {
         };
         let mut a = FaultState::new(model.clone(), 8);
         let mut b = FaultState::new(model, 8);
+        let cohort: Vec<usize> = (0..8).collect();
         for round in 0..30 {
-            assert_eq!(a.plan_round(round, 3), b.plan_round(round, 3));
+            assert_eq!(
+                a.plan_round_for(round, 3, &cohort),
+                b.plan_round_for(round, 3, &cohort)
+            );
         }
     }
 
@@ -595,8 +592,9 @@ mod tests {
         let mut state = FaultState::new(model, 4);
         let mut saw_outage_continuation = false;
         let mut previous: Vec<bool> = vec![false; 4];
+        let cohort: Vec<usize> = (0..4).collect();
         for round in 0..40 {
-            let plans = state.plan_round(round, 1);
+            let plans = state.plan_round_for(round, 1, &cohort);
             for (client, plan) in plans.iter().enumerate() {
                 if previous[client] && plan.offline {
                     saw_outage_continuation = true;
@@ -608,28 +606,6 @@ mod tests {
             saw_outage_continuation,
             "outages of 2+ rounds must keep clients offline across rounds"
         );
-    }
-
-    #[test]
-    fn cohort_plans_match_full_population_prefix() {
-        // Planning a cohort draws exactly the stream a full-population plan
-        // would draw for those members (when they lead the client order).
-        let model = FaultModel {
-            drop_prob: 0.3,
-            crash_prob: 0.1,
-            straggle_prob: 0.2,
-            corrupt_prob: 0.4,
-            seed: 17,
-            ..FaultModel::default()
-        };
-        let mut full = FaultState::new(model.clone(), 6);
-        let mut sampled = FaultState::new(model, 6);
-        for round in 0..15 {
-            let all = full.plan_round(round, 3);
-            let cohort: Vec<usize> = (0..6).collect();
-            let sub = sampled.plan_round_for(round, 3, &cohort);
-            assert_eq!(all, sub, "round {round}");
-        }
     }
 
     #[test]
@@ -684,12 +660,76 @@ mod tests {
             ..FaultModel::default()
         };
         let mut a = FaultState::new(model.clone(), 6);
+        let cohort: Vec<usize> = (0..6).collect();
         for round in 0..7 {
-            a.plan_round(round, 2);
+            a.plan_round_for(round, 2, &cohort);
         }
         let mut b = agsfl_wire::snapshot::roundtrip(&a, || FaultState::new(model.clone(), 6));
         for round in 7..20 {
-            assert_eq!(a.plan_round(round, 2), b.plan_round(round, 2));
+            assert_eq!(
+                a.plan_round_for(round, 2, &cohort),
+                b.plan_round_for(round, 2, &cohort)
+            );
+        }
+    }
+
+    /// Clients of the hand-built injector sections.
+    const CLIENTS: usize = 6;
+
+    /// An injector section written field by field: the stream position,
+    /// then the outage table as key and value vectors.
+    fn section(keys: &[u64], values: &[u64]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.rng(&ChaCha8Rng::seed_from_u64(5));
+        w.u64s(keys);
+        w.u64s(values);
+        w.into_bytes()
+    }
+
+    /// Reads a whole section into an injector of `CLIENTS` clients;
+    /// returns its outage table size.
+    fn read(bytes: &[u8]) -> Result<usize, SnapshotError> {
+        let mut state = FaultState::new(FaultModel::default(), CLIENTS);
+        let mut r = SnapshotReader::new(bytes);
+        state.read_state(&mut r)?;
+        r.finish()?;
+        Ok(state.outage_until.len())
+    }
+
+    /// The injector section's shape laws: key and value vectors of
+    /// different lengths are a `Mismatch`, keys that are not strictly
+    /// ascending client ids are `Invalid`, and every strict prefix of a
+    /// valid section is `Truncated`.
+    #[test]
+    fn fault_sections_obey_their_shape_laws() {
+        let valid = section(&[1, 4], &[9, 12]);
+        assert_eq!(read(&valid), Ok(2));
+        let keys = SnapshotError::Invalid("fault outage table keys");
+        let cases = [
+            (
+                "more keys than values",
+                section(&[1, 4], &[9]),
+                SnapshotError::Mismatch {
+                    field: "fault outage table length",
+                },
+            ),
+            (
+                "key past the population",
+                section(&[1, 6], &[9, 12]),
+                keys.clone(),
+            ),
+            ("descending keys", section(&[4, 1], &[9, 12]), keys.clone()),
+            ("repeated key", section(&[4, 4], &[9, 12]), keys),
+        ];
+        for (case, bytes, want) in cases {
+            assert_eq!(read(&bytes), Err(want), "{case}");
+        }
+        for cut in 0..valid.len() {
+            assert_eq!(
+                read(&valid[..cut]),
+                Err(SnapshotError::Truncated),
+                "cut at {cut}"
+            );
         }
     }
 }

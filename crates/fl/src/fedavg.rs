@@ -173,8 +173,9 @@ impl FedAvgSimulation {
         self.elapsed
     }
 
-    /// Client `i`'s current local weights (test/diagnostic accessor).
-    pub fn local_params(&self, i: usize) -> &[f32] {
+    /// Client `i`'s current local weights.
+    #[cfg(test)]
+    fn local_params(&self, i: usize) -> &[f32] {
         &self.clients[i].params
     }
 

@@ -126,7 +126,7 @@ impl RunHistory {
     /// # Panics
     ///
     /// Panics if the slices differ in length or a member id is out of range.
-    pub fn add_cohort_contributions(&mut self, cohort: &[usize], per_member: &[usize]) {
+    fn add_cohort_contributions(&mut self, cohort: &[usize], per_member: &[usize]) {
         assert_eq!(
             cohort.len(),
             per_member.len(),
@@ -166,11 +166,9 @@ impl RunHistory {
     /// Accumulates everything a [`RoundReport`] contributes to the run
     /// totals in one call: per-client contribution counts, the wire
     /// accounting when the round was byte-priced, and the fault tallies
-    /// when a fault model was active. This is the single bookkeeping entry
-    /// point the runners use after every round — equivalent to calling
-    /// [`RunHistory::add_cohort_contributions`], [`RunHistory::record_wire`]
-    /// and [`RunHistory::record_fault`] by hand (pinned by a regression
-    /// test), without each caller re-deriving which sections are present.
+    /// when a fault model was active ([`RunHistory::record_fault`]). This is
+    /// the single bookkeeping entry point the runners use after every
+    /// round, so no caller re-derives which sections are present.
     pub fn record_round(&mut self, report: &RoundReport) {
         self.add_cohort_contributions(&report.cohort, &report.contributions);
         if let Some(wire) = &report.wire {
@@ -182,7 +180,7 @@ impl RunHistory {
     }
 
     /// Accumulates a byte-priced round's wire accounting.
-    pub fn record_wire(&mut self, wire: &WireRoundReport) {
+    fn record_wire(&mut self, wire: &WireRoundReport) {
         self.uplink_bytes += wire.uplink_bytes.iter().map(|&b| b as u64).sum::<u64>();
         self.downlink_bytes += wire.downlink_bytes as u64;
         if self.codec_counts.is_empty() {
@@ -283,27 +281,12 @@ impl RunHistory {
     pub fn k_sequence(&self) -> Vec<usize> {
         self.points.iter().map(|p| p.k).collect()
     }
-
-    /// Renders the history as CSV (`round,time,k,train_loss,global_loss,test_accuracy`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("round,time,k,train_loss,global_loss,test_accuracy\n");
-        for p in &self.points {
-            out.push_str(&format!(
-                "{},{:.4},{},{:.6},{},{}\n",
-                p.round,
-                p.elapsed_time,
-                p.k,
-                p.train_loss,
-                p.global_loss.map_or(String::new(), |l| format!("{l:.6}")),
-                p.test_accuracy.map_or(String::new(), |a| format!("{a:.6}")),
-            ));
-        }
-        out
-    }
 }
 
 /// The full history (checkpointing). Floats are stored as raw bits, so a
-/// restored history is bit-identical.
+/// restored history is bit-identical. Restore into a history built for the
+/// same client count: a contribution vector of another length is a
+/// `Mismatch`, and codec counts are absent or one per [`CodecId`].
 impl Snapshot for RunHistory {
     fn write_state(&self, w: &mut SnapshotWriter) {
         w.str(&self.label);
@@ -351,10 +334,19 @@ impl Snapshot for RunHistory {
                 test_accuracy: r.opt_f64()?,
             });
         }
-        self.contributions = r.u64s()?;
+        let contributions = r.u64s()?;
+        if contributions.len() != self.contributions.len() {
+            return Err(SnapshotError::Mismatch {
+                field: "history contributions length",
+            });
+        }
+        self.contributions = contributions;
         self.uplink_bytes = r.u64()?;
         self.downlink_bytes = r.u64()?;
         self.codec_counts = r.u64s()?;
+        if !self.codec_counts.is_empty() && self.codec_counts.len() != CodecId::ALL.len() {
+            return Err(SnapshotError::Invalid("history codec counts"));
+        }
         self.fault = FaultTotals {
             rounds: r.u64()?,
             offline: r.u64()?,
@@ -578,7 +570,7 @@ mod tests {
             survivors: 1,
             ..FaultRoundReport::default()
         });
-        assert_eq!(roundtrip(&h, RunHistory::default), h);
+        assert_eq!(roundtrip(&h, || RunHistory::new("", 2)), h);
 
         // A hostile point count is refused by the length guard before a
         // single point is read or reserved: the reader stops right behind
@@ -590,18 +582,97 @@ mod tests {
         bytes[count_at..count_at + 8].copy_from_slice(&(1u64 << 20).to_le_bytes());
         let mut r = SnapshotReader::new(&bytes);
         assert_eq!(
-            RunHistory::default().read_state(&mut r),
+            RunHistory::new("", 2).read_state(&mut r),
             Err(SnapshotError::Truncated)
         );
         assert_eq!(r.remaining(), bytes.len() - count_at - 8);
     }
 
+    /// Clients of the hand-built history sections.
+    const CLIENTS: usize = 3;
+
+    /// A history section written field by field in the section's order:
+    /// `points` is the declared point count, and two encoded points follow
+    /// whatever it says.
+    fn section(points: usize, contributions: &[u64], codec_counts: &[u64]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.str("laws");
+        w.usize(points);
+        for round in 1..=2 {
+            w.usize(round);
+            w.f64(round as f64);
+            w.usize(7);
+            w.f64(0.5);
+            w.opt_f64(Some(0.4));
+            w.opt_f64(None);
+        }
+        w.u64s(contributions);
+        w.u64(10);
+        w.u64(20);
+        w.u64s(codec_counts);
+        for total in 0..9 {
+            w.u64(total);
+        }
+        w.bool(true);
+        w.u64(2);
+        w.into_bytes()
+    }
+
+    /// Reads a whole section into a history of `CLIENTS` clients; returns
+    /// its point count.
+    fn read(bytes: &[u8]) -> Result<usize, SnapshotError> {
+        let mut h = RunHistory::new("", CLIENTS);
+        let mut r = SnapshotReader::new(bytes);
+        h.read_state(&mut r)?;
+        r.finish()?;
+        Ok(h.len())
+    }
+
+    /// The history section's shape laws: a contribution vector of another
+    /// client count is a `Mismatch`, codec counts that are neither absent
+    /// nor one per codec are `Invalid`, a point count the bytes cannot hold
+    /// and every strict prefix of a valid section are `Truncated`.
     #[test]
-    fn csv_has_header_and_rows() {
-        let mut h = RunHistory::new("test", 1);
-        h.push(point(1, 1.0, Some(2.0), None));
-        let csv = h.to_csv();
-        assert!(csv.starts_with("round,time,k"));
-        assert_eq!(csv.lines().count(), 2);
+    fn history_sections_obey_their_shape_laws() {
+        let contributions = [4, 0, 1];
+        let codecs = [1, 0, 2, 0, 0, 3];
+        let valid = section(2, &contributions, &codecs);
+        assert_eq!(read(&valid), Ok(2));
+        assert_eq!(read(&section(2, &contributions, &[])), Ok(2));
+        let mismatch = SnapshotError::Mismatch {
+            field: "history contributions length",
+        };
+        let cases = [
+            (
+                "contributions of N - 1",
+                section(2, &[4, 0], &codecs),
+                mismatch.clone(),
+            ),
+            (
+                "contributions of N + 1",
+                section(2, &[4, 0, 1, 1], &codecs),
+                mismatch,
+            ),
+            (
+                "codec counts of length 1",
+                section(2, &contributions, &[1]),
+                SnapshotError::Invalid("history codec counts"),
+            ),
+            (
+                "point count past the bytes",
+                section(1 << 20, &contributions, &codecs),
+                SnapshotError::Truncated,
+            ),
+        ];
+        for (case, bytes, want) in cases {
+            assert_eq!(read(&bytes), Err(want), "{case}");
+        }
+        for cut in 0..valid.len() {
+            assert_eq!(
+                read(&valid[..cut]),
+                Err(SnapshotError::Truncated),
+                "cut at {cut}"
+            );
+        }
     }
 }

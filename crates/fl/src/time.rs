@@ -74,11 +74,6 @@ impl TimeModel {
         self.compute_time
     }
 
-    /// Communication time of a full `D`-element exchange (uplink + downlink).
-    pub fn full_comm_time(&self) -> f64 {
-        self.full_comm_time
-    }
-
     /// Communication time of exchanging `uplink_scalars` + `downlink_scalars`
     /// scalars for a model of dimension `dim`: the full communication time
     /// covers `2 * dim` scalars (D up, D down), and partial exchanges scale

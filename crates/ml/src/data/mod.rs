@@ -9,7 +9,10 @@
 //! * a classification loss that decreases under SGD,
 //! * per-client sample counts `C_i` used for weighted aggregation.
 //!
-//! See `DESIGN.md` for the full substitution rationale.
+//! Algorithms 1–3 see the data only through these properties: the
+//! gradients they sparsify and the losses they observe. So a seeded
+//! generator that reproduces them stands in for the real corpora, and the
+//! experiments stay runnable offline and bit-reproducible.
 
 mod partition;
 mod sampler;

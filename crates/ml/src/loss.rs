@@ -50,7 +50,7 @@ pub fn batch_cross_entropy(logits: &Matrix, labels: &[usize]) -> f32 {
 /// # Panics
 ///
 /// Panics if `labels.len() != logits.rows()` or any label is out of range.
-pub fn cross_entropy_logit_grad(logits: &Matrix, labels: &[usize]) -> Matrix {
+fn cross_entropy_logit_grad(logits: &Matrix, labels: &[usize]) -> Matrix {
     assert_eq!(
         logits.rows(),
         labels.len(),

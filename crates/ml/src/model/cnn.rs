@@ -12,8 +12,8 @@ use crate::model::{check_input, check_params, land, Model};
 /// The paper trains a CNN with more than 400,000 weights; this model provides
 /// the same *kind* of parameter structure (convolutional filters followed by a
 /// dense classifier) at a configurable size, so experiments that want a
-/// convolutional gradient spectrum rather than an MLP one can use it (see
-/// DESIGN.md, substitution table). Inputs are flattened images in
+/// convolutional gradient spectrum rather than an MLP one can use it. Inputs
+/// are flattened images in
 /// channel-major order: element `(c, y, x)` lives at index
 /// `c * height * width + y * width + x`.
 ///

@@ -14,7 +14,7 @@ use crate::model::{check_input, check_params, land, Model};
 /// This is the default experiment model of the reproduction: with
 /// `Mlp::new(784, &[128], 62)` it has ~100k parameters, which plays the role
 /// of the paper's >400k-parameter CNN at a size that keeps the full benchmark
-/// suite runnable on a laptop (see DESIGN.md, substitution table).
+/// suite runnable on a laptop.
 ///
 /// # Examples
 ///
@@ -23,7 +23,6 @@ use crate::model::{check_input, check_params, land, Model};
 ///
 /// let mlp = Mlp::new(16, &[8, 8], 4);
 /// assert_eq!(mlp.num_params(), 16 * 8 + 8 + 8 * 8 + 8 + 8 * 4 + 4);
-/// assert_eq!(mlp.layer_dims(), &[16, 8, 8, 4]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mlp {
@@ -52,13 +51,8 @@ impl Mlp {
         Self { dims }
     }
 
-    /// All layer widths including the input and output layers.
-    pub fn layer_dims(&self) -> &[usize] {
-        &self.dims
-    }
-
     /// Number of weight layers (hidden layers + output layer).
-    pub fn num_layers(&self) -> usize {
+    fn num_layers(&self) -> usize {
         self.dims.len() - 1
     }
 

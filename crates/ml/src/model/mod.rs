@@ -249,13 +249,10 @@ pub(crate) fn check_input(model: &dyn Model, x: MatrixView<'_>) {
 }
 
 /// Verifies a model's analytic gradient against a central finite difference
-/// on a handful of randomly selected coordinates.
-///
-/// Exposed as a public helper so downstream crates (and the property-based
-/// test suites) can sanity-check new model implementations.
-///
-/// Returns the maximum absolute deviation observed.
-pub fn finite_difference_check(
+/// on a handful of randomly selected coordinates; each model's unit tests
+/// run it. Returns the maximum absolute deviation observed.
+#[cfg(test)]
+pub(crate) fn finite_difference_check(
     model: &dyn Model,
     params: &[f32],
     x: &Matrix,

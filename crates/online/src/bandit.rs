@@ -85,12 +85,12 @@ impl ContinuousBandit {
     }
 
     /// The perturbation radius `δ_m` for the upcoming round.
-    pub fn current_delta(&self) -> f64 {
+    fn current_delta(&self) -> f64 {
         self.delta0 / ((self.m + 1) as f64).powf(0.25)
     }
 
     /// The step size `η_m` for the upcoming round.
-    pub fn current_eta(&self) -> f64 {
+    fn current_eta(&self) -> f64 {
         self.eta0 / ((self.m + 1) as f64).powf(0.75)
     }
 

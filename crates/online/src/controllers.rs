@@ -429,7 +429,8 @@ impl PrecisionController {
     }
 
     /// The EMA cost estimate per tier, indexed like [`Precision::ALL`].
-    pub fn tier_costs(&self) -> [Option<f64>; 4] {
+    #[cfg(test)]
+    fn tier_costs(&self) -> [Option<f64>; 4] {
         self.cost
     }
 

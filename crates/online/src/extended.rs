@@ -119,19 +119,14 @@ impl ExtendedSignOgd {
     }
 
     /// How many times the search interval has been shrunk so far.
-    pub fn restarts(&self) -> usize {
+    #[cfg(test)]
+    fn restarts(&self) -> usize {
         self.restarts
     }
 
     /// The configuration this instance was created with.
     pub fn config(&self) -> &ExtendedConfig {
         &self.config
-    }
-
-    /// The step size `δ_m = B / √(2(m − m0))` that will be applied to the
-    /// next observed sign (instance-local round counted from 1).
-    pub fn next_step_size(&self) -> f64 {
-        self.instance.next_step_size()
     }
 
     /// The probe sparsity `k'_m = k_m − δ_m / 2`, clamped to at least 1.

@@ -4,8 +4,7 @@
 //! `G·B·√(2M)` (exact signs) and `G·H·B·√(2M)` (estimated signs). The types
 //! in this module generate non-stochastic convex cost sequences satisfying
 //! Assumption 2 so that the bounds can be checked empirically — this is the
-//! "regret_bounds" benchmark of the reproduction (experiment E7 in
-//! DESIGN.md).
+//! "regret_bounds" benchmark of the reproduction.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -60,7 +59,7 @@ impl SyntheticCostEnv {
     }
 
     /// The derivative bound `G` of this environment.
-    pub fn g_bound(&self) -> f64 {
+    fn g_bound(&self) -> f64 {
         self.slopes.iter().cloned().fold(0.0, f64::max)
     }
 
@@ -74,7 +73,7 @@ impl SyntheticCostEnv {
     }
 
     /// The exact derivative sign of `τ_m` at `k`.
-    pub fn derivative_sign(&self, m: usize, k: f64) -> i8 {
+    fn derivative_sign(&self, m: usize, k: f64) -> i8 {
         let _ = self.slopes[m];
         if k > self.k_star {
             1
@@ -88,7 +87,7 @@ impl SyntheticCostEnv {
     /// A noisy sign oracle that flips the exact sign with probability
     /// `flip_prob < 0.5`. Such an oracle satisfies Eqs. (6)–(7) with
     /// `H = 1 / (1 − 2·flip_prob)`.
-    pub fn noisy_sign<R: Rng + ?Sized>(&self, m: usize, k: f64, flip_prob: f64, rng: &mut R) -> i8 {
+    fn noisy_sign<R: Rng + ?Sized>(&self, m: usize, k: f64, flip_prob: f64, rng: &mut R) -> i8 {
         assert!(
             (0.0..0.5).contains(&flip_prob),
             "flip_prob must be in [0, 0.5)"
@@ -117,7 +116,7 @@ pub struct RegretOutcome {
 
 impl RegretOutcome {
     /// Final cumulative regret.
-    pub fn final_regret(&self) -> f64 {
+    fn final_regret(&self) -> f64 {
         self.cumulative_regret.last().copied().unwrap_or(0.0)
     }
 

@@ -132,7 +132,7 @@ impl SignOgd {
 
     /// The step size `δ_m = B / √(2m)` that will be applied to the *next*
     /// observed sign (with `m` counted from 1).
-    pub fn next_step_size(&self) -> f64 {
+    pub(crate) fn next_step_size(&self) -> f64 {
         let m = (self.m + 1) as f64;
         self.interval.width() / (2.0 * m).sqrt()
     }

@@ -40,7 +40,8 @@ impl ValueBasedDescent {
     }
 
     /// The step size that will scale the next derivative estimate.
-    pub fn next_step_size(&self) -> f64 {
+    #[cfg(test)]
+    fn next_step_size(&self) -> f64 {
         self.descent.next_step_size()
     }
 

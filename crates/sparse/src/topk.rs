@@ -57,12 +57,10 @@
 //! # Examples
 //!
 //! ```
-//! use agsfl_sparse::topk::top_k_indices;
+//! use agsfl_sparse::topk::top_k_entries;
 //!
 //! let values = [0.1, -5.0, 3.0, 0.0, 4.0];
-//! let mut top2 = top_k_indices(&values, 2);
-//! top2.sort_unstable();
-//! assert_eq!(top2, vec![1, 4]);
+//! assert_eq!(top_k_entries(&values, 2), vec![(1, -5.0), (4, 4.0)]);
 //! ```
 
 use std::cmp::Ordering;
@@ -340,18 +338,6 @@ fn select_streaming(values: &[f32], k: usize, keys: &mut Vec<u64>) {
     }
 }
 
-/// Returns the indices of the `k` largest absolute values of `values`.
-///
-/// If `k >= values.len()` all indices are returned. The output is ranked by
-/// decreasing magnitude, **not** sorted by index; callers that need index
-/// order must sort it themselves.
-pub fn top_k_indices(values: &[f32], k: usize) -> Vec<usize> {
-    top_k_entries(values, k)
-        .into_iter()
-        .map(|(j, _)| j)
-        .collect()
-}
-
 /// Returns `(index, value)` pairs of the `k` largest absolute values,
 /// ordered by decreasing magnitude (ties broken by index).
 ///
@@ -603,20 +589,20 @@ mod tests {
     fn k_zero_and_k_too_large() {
         let v = [1.0, 2.0];
         assert!(top_k_entries(&v, 0).is_empty());
-        let all = top_k_indices(&v, 10);
+        let all = top_k_entries(&v, 10);
         assert_eq!(all.len(), 2);
     }
 
     #[test]
     fn ties_are_broken_by_index() {
         let v = [2.0, -2.0, 2.0, 1.0];
-        let idx = top_k_indices(&v, 2);
-        assert_eq!(idx, vec![0, 1]);
+        let entries = top_k_entries(&v, 2);
+        assert_eq!(entries, vec![(0, 2.0), (1, -2.0)]);
     }
 
     #[test]
     fn empty_input() {
-        assert!(top_k_indices(&[], 3).is_empty());
+        assert!(top_k_entries(&[], 3).is_empty());
     }
 
     #[test]
@@ -775,7 +761,7 @@ mod tests {
             k_raw in 0usize..80,
         ) {
             let k = k_raw % (values.len() + 1);
-            let selected = top_k_indices(&values, k);
+            let selected: Vec<usize> = top_k_entries(&values, k).into_iter().map(|(j, _)| j).collect();
             prop_assert_eq!(selected.len(), k.min(values.len()));
             // The smallest selected magnitude is >= the largest unselected one.
             let selected_set: std::collections::HashSet<usize> = selected.iter().copied().collect();

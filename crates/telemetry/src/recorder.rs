@@ -102,7 +102,8 @@ impl StageRecorder {
     }
 
     /// Counter delta since the last [`StageRecorder::begin_round`].
-    pub fn round_counter(&self, id: CounterId) -> u64 {
+    #[cfg(test)]
+    fn round_counter(&self, id: CounterId) -> u64 {
         self.round_counters[id.index()]
     }
 

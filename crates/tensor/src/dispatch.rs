@@ -27,8 +27,8 @@
 //! such module in the workspace). Two things need it, both here:
 //!
 //! * **Calling a `#[target_feature]` instantiation** from [`run`] or
-//!   [`conv_relu_pool`], after [`Level::is_available`] has confirmed the
-//!   CPU implements the feature.
+//!   [`conv_relu_pool`], after the level's `is_available` check has
+//!   confirmed the CPU implements the feature.
 //! * **The `Vector` impls of the `x86_64` register types**, which wrap
 //!   `core::arch` intrinsics in safe methods. Those types are private to
 //!   this module and are only ever named inside the `#[target_feature]`
@@ -65,7 +65,7 @@ pub enum Level {
 
 impl Level {
     /// Every level compiled into this build, narrowest first.
-    pub const COMPILED: &'static [Level] = &[
+    const COMPILED: &'static [Level] = &[
         Level::Portable,
         #[cfg(target_arch = "x86_64")]
         Level::Avx2,
@@ -104,7 +104,7 @@ impl Level {
     }
 
     /// Whether this CPU can run the level.
-    pub fn is_available(self) -> bool {
+    fn is_available(self) -> bool {
         self <= Level::detect()
     }
 

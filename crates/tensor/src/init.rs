@@ -46,7 +46,7 @@ pub fn normal_vec<R: Rng + ?Sized>(n: usize, mean: f32, std: f32, rng: &mut R) -
 /// # Panics
 ///
 /// Panics if `lo >= hi`.
-pub fn uniform_vec<R: Rng + ?Sized>(n: usize, lo: f32, hi: f32, rng: &mut R) -> Vec<f32> {
+fn uniform_vec<R: Rng + ?Sized>(n: usize, lo: f32, hi: f32, rng: &mut R) -> Vec<f32> {
     assert!(lo < hi, "uniform_vec: empty range");
     (0..n).map(|_| rng.gen_range(lo..hi)).collect()
 }

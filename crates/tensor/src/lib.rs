@@ -15,7 +15,7 @@
 //!   dispatched like the products and bit-identical to their im2col
 //!   lowering,
 //! * free functions over flat `f32` slices ([`vecops`]) — dot products, AXPY,
-//!   norms, arg-max — used for flattened model parameter/gradient vectors,
+//!   scaling, arg-max — used for flattened model parameter/gradient vectors,
 //! * deterministic random initialisation ([`init`]) for model weights and
 //!   synthetic datasets,
 //! * numerically careful reductions ([`ops`]) such as soft-max and log-sum-exp,

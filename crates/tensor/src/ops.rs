@@ -27,7 +27,7 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
 /// Numerically stable `log(sum(exp(x)))`.
 ///
 /// Returns negative infinity for an empty slice.
-pub fn log_sum_exp(xs: &[f32]) -> f32 {
+fn log_sum_exp(xs: &[f32]) -> f32 {
     if xs.is_empty() {
         return f32::NEG_INFINITY;
     }

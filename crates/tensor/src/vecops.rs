@@ -64,16 +64,6 @@ pub fn zero(y: &mut [f32]) {
     }
 }
 
-/// Euclidean (L2) norm.
-pub fn l2_norm(a: &[f32]) -> f32 {
-    a.iter().map(|x| x * x).sum::<f32>().sqrt()
-}
-
-/// L1 norm (sum of absolute values).
-pub fn l1_norm(a: &[f32]) -> f32 {
-    a.iter().map(|x| x.abs()).sum()
-}
-
 /// Index of the maximum element, `None` for an empty slice.
 ///
 /// NaN elements are never selected; if every element is NaN the first index is
@@ -129,12 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn norms() {
-        assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
-        assert_eq!(l1_norm(&[3.0, -4.0]), 7.0);
-    }
-
-    #[test]
     fn argmax_behaviour() {
         assert_eq!(argmax(&[]), None);
         assert_eq!(argmax(&[1.0]), Some(0));
@@ -175,18 +159,6 @@ mod tests {
             for i in 0..y.len() {
                 prop_assert!((y[i] - (y0[i] + alpha * x[i])).abs() < 1e-4);
             }
-        }
-
-        #[test]
-        fn prop_l2_norm_nonnegative_and_scaling(
-            a in proptest::collection::vec(-10.0f32..10.0, 1..30),
-            s in 0.0f32..4.0,
-        ) {
-            let n = l2_norm(&a);
-            prop_assert!(n >= 0.0);
-            let mut scaled = a.clone();
-            scale(&mut scaled, s);
-            prop_assert!((l2_norm(&scaled) - s * n).abs() <= 1e-2 * (1.0 + n));
         }
 
         #[test]

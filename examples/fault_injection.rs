@@ -16,7 +16,7 @@
 //! clients keep their updates in the error-feedback residual for later
 //! rounds.
 
-use agsfl::core::{ChannelSpec, CodecSpec, ControllerSpec};
+use agsfl::core::{report, ChannelSpec, CodecSpec, ControllerSpec};
 use agsfl::exec::Parallelism;
 use agsfl::fl::{
     FaultModel, MetricPoint, RunHistory, Simulation, SimulationConfig, TimeModel, WireConfig,
@@ -133,31 +133,12 @@ fn main() {
         });
     }
 
-    let totals = history.fault_totals();
     println!("\nRun totals over {} rounds:", history.len());
-    println!(
-        "  uploads lost {} (offline {}, dropped {}, corrupt {}, deadline {})",
-        totals.lost(),
-        totals.offline,
-        totals.dropped,
-        totals.corrupt_lost,
-        totals.deadline_dropped
-    );
-    println!(
-        "  stragglers {}, corrupted frames {}, retries {} adding {} retransmitted bytes",
-        totals.stragglers, totals.corrupt_frames, totals.retries, totals.retransmitted_bytes
-    );
-    println!(
-        "  smallest surviving cohort: {} of {num_clients} clients",
-        totals
-            .min_survivors
-            .map(|v| v.to_string())
-            .unwrap_or_else(|| "-".to_string())
-    );
+    print!("{}", report::fault_summary(&[&history]));
 
     let eval = sim.evaluate();
     println!(
-        "  final global train loss {:.4}, test accuracy {:.3} after {:.1} time units",
+        "\nFinal global train loss {:.4}, test accuracy {:.3} after {:.1} time units",
         eval.train_loss,
         eval.test_accuracy,
         sim.elapsed_time()

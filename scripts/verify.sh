@@ -15,6 +15,28 @@ fi
 
 step() { printf '\n==> %s\n' "$*"; }
 
+step "every public item has a caller (scripts/unused_pub.sh)"
+# A `pub` item of the product code that no other file names is decided:
+# it gets its caller, narrows to private / pub(crate) / #[cfg(test)], is
+# deleted, or is listed in scripts/unused_pub.allow with its reason.
+scripts/unused_pub.sh
+
+step "doc references resolve (every *.md a comment names exists)"
+# A comment under crates/, src/, examples/ or tests/ that cites a document
+# names it relative to the repository root or to its own directory; a
+# document the repository does not have sends the reader nowhere.
+dangling=$({ grep -rnE --include='*.rs' '//.*[A-Za-z0-9_-]\.md\b' crates src examples tests || true; } \
+    | while IFS=: read -r file line text; do
+        for doc in $(grep -oE '//.*' <<<"$text" | grep -oE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b'); do
+            [[ -f "$doc" || -f "$(dirname "$file")/$doc" ]] || echo "$file:$line: $doc"
+        done
+    done)
+if [[ -n "$dangling" ]]; then
+    printf '%s\n' "$dangling"
+    echo "verify: comments cite documents that do not exist (lines above)" >&2
+    exit 1
+fi
+
 step "one dispatch path (no thread::scope / thread::spawn in product code outside the pool)"
 # Every parallel region goes through agsfl-exec's persistent pool; only
 # pool.rs itself and the bench crate's dispatch-cost baseline may open

@@ -58,7 +58,8 @@ fn fig4_fab_is_competitive_and_fairer() {
     // The paper's headline ordering: magnitude-based selection beats random
     // selection at equal communication budget. At this deliberately tiny test
     // scale both methods converge, so only a loose dominance check is made
-    // here; the bench-scale run in EXPERIMENTS.md shows the full gap.
+    // here; `cargo bench --bench fig4_sparsifiers` runs the comparison at
+    // bench scale.
     assert!(
         fab_loss <= periodic_loss * 1.25,
         "FAB {fab_loss} vs periodic {periodic_loss}"
