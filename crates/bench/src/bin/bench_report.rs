@@ -469,13 +469,14 @@ fn main() {
     );
 
     // Client-side top-k extraction at the paper's dimension, at a fixed-k
-    // round's degree and at an adaptive run's k_max: the comparator
-    // quickselect + sort kept in `reference` (the executable spec) vs the
-    // integer-key histogram select + radix rank. Then the lossy tier's
-    // re-rank of an index-sorted (decoded) list: comparator sort vs keys.
+    // round's degree, at an adaptive run's k_max and at Algorithm 3's low
+    // end: the comparator quickselect + sort kept in `reference` (the
+    // executable spec) vs the integer-key sampled select + radix rank.
+    // Then the lossy tier's re-rank of an index-sorted (decoded) list:
+    // comparator sort vs keys.
     let values = topk_workload();
     let mut keys = Vec::new();
-    for (name, k) in ["client_top_k", "client_top_k_kmax"]
+    for (name, k) in ["client_top_k", "client_top_k_kmax", "client_top_k_min"]
         .into_iter()
         .zip(TOPK_KS)
     {

@@ -54,10 +54,11 @@ pub fn fab_workload() -> Vec<ClientUpload> {
 /// Dimension of the client top-k and rank workloads: the paper's CNN.
 pub const TOPK_DIM: usize = 419_582;
 
-/// The two degrees the client top-k pair is tracked at: a fixed-`k` round
-/// (`faulty_auto_resume`'s `k`) and an adaptive run's first rounds
-/// (`k = D/2`, the controller's `k_max`).
-pub const TOPK_KS: [usize; 2] = [12_000, TOPK_DIM / 2];
+/// The three degrees the client top-k pair is tracked at: a fixed-`k`
+/// round (`faulty_auto_resume`'s `k`), an adaptive run's first rounds
+/// (`k = D/2`, the controller's `k_max`) and the low end Algorithm 3 probes
+/// in `paper_cnn_adaptive` (`k = 839`).
+pub const TOPK_KS: [usize; 3] = [12_000, TOPK_DIM / 2, 839];
 
 /// The two server shapes tracked at [`TOPK_DIM`], as `(selection kernel,
 /// probe kernel, clients, k, probe k')`: `sparse_wide_linear`'s round (16

@@ -86,11 +86,13 @@ impl ResidualAccumulator {
     /// The top-`k` entries in increasing index order
     /// ([`topk::top_k_entries_indexed_into`]), through a caller-provided key
     /// buffer into a caller-owned one (cleared first) — the allocation-free
-    /// uplink builder of the cohort engine. The selection histograms the
-    /// residual's magnitude bits and gathers only the survivors and their
-    /// boundary bucket as packed 8-byte keys (see [`mod@topk`]) — no
-    /// full-dimension candidate copy unless the whole vector ties — and
-    /// leaves the entries' keys in `scratch`, in index order, for the
+    /// uplink builder of the cohort engine. The selection reads the
+    /// residual once: a stratified sample bounds the `k`-th magnitude, and
+    /// one pass gathers only the entries at or above that bound — the
+    /// survivors plus the sample's margin — as packed 8-byte keys, which an
+    /// exact histogram cut trims to `k` (see [`mod@topk`]); there is no
+    /// full-dimension candidate copy unless the sample falls short twice.
+    /// It leaves the entries' keys in `scratch`, in index order, for the
     /// upload's rank.
     pub fn top_k_entries_indexed_into(
         &self,

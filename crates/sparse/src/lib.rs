@@ -40,7 +40,7 @@
 //! |---|---|---|
 //! | FAB `κ` search | `HashSet` union rebuild per probe: O(U) hashing × O(log k) probes | rank-major scan of each upload's ranked key view ([`ClientUpload::ranked`]): level `r` is every client's rank-`r` key, the indices first seen there are the ones whose minimum rank is `r`, so union sizes grow level by level and the scan stops at the first level that overflows `k` — `N·(κ+1)` keys read, not `U`; `J` is sorted by the index radix ([`topk::sort_indices`]) |
 //! | aggregation + resets | `HashSet` membership + `HashMap` sums + sort/dedup in `from_entries`, one reset `Vec` per client | one shared sweep for all five sparsifiers: stamped dense `f64` sums, O(U) array probes — monotone per upload, since uploads are index-ordered — entries emitted sorted via [`SparseGradient::from_sorted_entries`], resets appended to one flat list reserved once |
-//! | client top-k | comparator quickselect + sort over a fresh `16·D`-byte `(usize, f32)` candidate buffer per client per round | [`topk::top_k_entries_indexed_into`]: packed `u64` order keys in one reused per-client buffer — histogram select over the magnitude bits, no float comparison; its output *is* the index order an upload holds and a codec encodes — then one radix rank of the keys into the ranked view ([`topk::rank_index_ordered_keys_into`]; byte-priced, of the decoded frame's keys) |
+//! | client top-k | comparator quickselect + sort over a fresh `16·D`-byte `(usize, f32)` candidate buffer per client per round | [`topk::top_k_entries_indexed_into`]: packed `u64` order keys in one reused per-client buffer — one read of the residual (a stratified sample bounds the `k`-th magnitude, a masked pass gathers the candidates, a histogram cut over them alone makes it exact), no float comparison; its output *is* the index order an upload holds and a codec encodes — then one radix rank of the keys into the ranked view ([`topk::rank_index_ordered_keys_into`]; byte-priced, of the decoded frame's keys) |
 //! | residual reset (lossy tier) | one binary search of the index-sorted error list per reset index | one merge of the (already ascending) reset indices against the error list ([`ResidualAccumulator::reset_indices_to`]) |
 //!
 //! Measured on the kernel benchmark (`bench-report`, dim = 10⁵, N = 40,

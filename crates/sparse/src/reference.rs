@@ -159,7 +159,7 @@ pub fn send_all_select(uploads: &[ClientUpload], dim: usize) -> SelectionResult 
 /// The seed client-side top-k: materializes a full-dimension `(index,
 /// |value|)` candidate copy, partially selects and sorts it.
 ///
-/// [`topk::top_k_entries_into`] replaced this with a histogram select and
+/// [`topk::top_k_entries_into`] replaced this with a sampled select and
 /// radix rank on packed integer keys; this comparator version is the
 /// executable spec of the order on finite values
 /// (`tests/topk_equivalence.rs`) and keeps the historical cost measurable

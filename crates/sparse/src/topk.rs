@@ -20,14 +20,20 @@
 //! and the key alone rebuilds `(index, value)` bit for bit. Nothing compares
 //! floats:
 //!
-//! * [`top_k_entries_into`] finds the `k`-th magnitude with a three-level
-//!   bucket histogram over the magnitude bits (11 + 10 + 10 bits, `O(D)`):
-//!   the first level scans the vector, one index-order sweep gathers
-//!   everything in or above the boundary bucket, the two finer levels read
-//!   only that bucket, and a last in-place sweep keeps what is strictly
+//! * [`top_k_entries_into`] reads the vector once. A stratified sample of
+//!   4096 coordinates bounds the `k`-th magnitude from below and above; one
+//!   index-order pass gathers the key of every entry at or above the lower
+//!   bound (a bit mask per 64-coordinate chunk; only the set lanes are
+//!   packed); and the exact cut runs over those candidates alone: a
+//!   histogram of the band between the two bounds (everything above the
+//!   upper one is a certain survivor), at most two finer levels inside the
+//!   boundary bucket, and a last in-place sweep that keeps what is strictly
 //!   above the threshold plus the first few ties — which *is* the index
-//!   tie-break. The survivors are ranked with a stable LSD radix sort on the
-//!   magnitude bits (every digit counted in one sweep up front).
+//!   tie-break. The sample only sizes the candidate set, so the selection
+//!   is exact whatever it draws: a gather that comes back with fewer than
+//!   `k` candidates retries at a lower bound, the last at 0. The survivors
+//!   are ranked with a stable LSD radix sort on the magnitude bits (every
+//!   digit counted in one sweep up front).
 //!   [`top_k_entries_indexed_into`] stops before that rank: the survivors
 //!   are already in index order, which is what a wire codec encodes and
 //!   what every upload the round engine delivers holds.
@@ -40,11 +46,11 @@
 //!   [`rank_entries_into`] builds the same view from entries in any order.
 //! * [`sort_indices`] sorts bare indices (a downlink set `J`) with the index
 //!   passes.
-//! * Short inputs skip the histograms, whose fixed cost would dominate:
-//!   vectors of at most `SMALL_DIM` coordinates select by a streaming
-//!   integer `select_nth_unstable`, lists of at most `SMALL_SORT` keys rank
-//!   by a plain `sort_unstable`. The cut-overs are where the two sides
-//!   measured equal (`k = D/2` at `D ≈ 8k`; `n ≈ 1–2k` keys).
+//! * Short inputs skip the sample and the histograms, whose fixed cost
+//!   would dominate: vectors of at most `SMALL_DIM` coordinates select by a
+//!   streaming integer `select_nth_unstable`, lists of at most `SMALL_SORT`
+//!   keys rank by a plain `sort_unstable`. The cut-overs are where the two
+//!   sides measured about equal (`D ≈ 8–12k`; `n ≈ 1–2k` keys).
 //!
 //! # Non-finite values
 //!
@@ -84,11 +90,43 @@ const ALL_DIGITS: [(u32, u32); 6] = [(1, 11), (12, 11), (23, 10), (33, 10), (43,
 const MAX_BUCKETS: usize = 1 << 11;
 
 /// Dimensions up to this select through [`select_streaming`] instead of
-/// [`select_by_histogram`]. Measured on uniform values at `k = D/50`, `D/10`
-/// and `D/2`: streaming wins all three at `D = 4200` (5.3/11.2/25 µs against
-/// 8.1/14/43 µs), the histograms win `k = D/2` from `D = 8400` (53 against
-/// 62 µs) and `k = D/10` from `D = 16800` (42 against 66 µs).
-const SMALL_DIM: usize = 4096;
+/// [`select_by_sample`], whose sample alone costs about 25 µs. Measured on
+/// uniform values, index-ordered selection, at `k = D/50`, `D/10` and
+/// `D/2`: streaming wins the first two at `D = 8192` (11.3 and 26.5 µs
+/// against 29.6 and 33.5 µs) and loses only `k = D/2` (64.7 against 54.2
+/// µs); at `D = 12,000` the sample wins `D/10` and `D/2` (38.7 and 78.6 µs
+/// against 40.7 and 112.7 µs).
+const SMALL_DIM: usize = 8192;
+
+/// Strata of the sample that bounds the `k`-th magnitude
+/// ([`sample_bounds`]). Measured on residuals recorded from the
+/// benchmark's `sparse_wide_linear` (69 selections, `k = 20,000` of
+/// 418,624) and `paper_cnn_adaptive` (69 selections, `k` = 839 to 210,211
+/// of 419,582) runs, as total selection time against the two-pass
+/// histogram select: 1024 strata 0.50/0.67 (one gather fell short), 2048
+/// 0.53/0.67, 4096 0.52/0.66, 8192 0.54/0.68, 16,384 0.60/0.76 — the
+/// sample's own cost against the candidates its margin admits (a median
+/// 23 % of `k` past `k` at 4096 strata, 15 % at 8192).
+const SAMPLES: usize = 4096;
+
+const _: () = assert!(SAMPLES <= SMALL_DIM, "every stratum needs a coordinate");
+
+/// The sample's margin, gather by gather, in units of `σ + 1` sample
+/// ranks, `σ` the binomial standard deviation of the rank the `k`-th
+/// magnitude is expected at (the `+ 1` covers small ranks: `k = 839` of
+/// 419,582 expects rank 8). A gather that falls short of `k` retries at
+/// four times the margin, and then at lower bound 0 — every coordinate.
+/// Measured over nine benchmark runs (`sparse_wide_linear`,
+/// `paper_cnn_adaptive` and `faulty_auto_resume`, seeds 7, 11 and 13;
+/// 10,265 selections): one gather fell short at 3, where `3σ` alone fell
+/// short on 5 of 6,920 (seeds 7 and 11) and `2σ` alone on 3 of 238
+/// recorded residuals.
+const MARGIN_SIGMAS: [Option<f64>; 3] = [Some(3.0), Some(12.0), None];
+
+/// Lanes of the gather's mask: one mispredicted loop exit per 64
+/// coordinates instead of per 16. Measured at `D = 418,624`: 0.26 against
+/// 0.45 ms at 6 % of the vector gathered, 0.41 against 0.75 ms at 50 %.
+const LANES: usize = 64;
 
 /// Key lists up to this long are sorted by `sort_unstable` instead of the
 /// radix passes. Measured: 4.5 against 5.9 µs at 512 keys, 9.2 against 9.6 µs
@@ -109,11 +147,17 @@ fn index_field(key: u64) -> u32 {
     (key >> 1) as u32
 }
 
+/// The inverted magnitude field of a key: smaller is larger `|v|`.
+#[inline]
+fn inverted_magnitude(key: u64) -> u32 {
+    (key >> 33) as u32
+}
+
 /// The entry `(j, v)` a key packs, bit for bit: the inverse of
 /// [`order_key`], for readers of a ranked key view.
 #[inline]
 pub fn key_entry(key: u64) -> (usize, f32) {
-    let bits = !((key >> 33) as u32) & MAG_MASK | (key as u32) << 31;
+    let bits = !inverted_magnitude(key) & MAG_MASK | (key as u32) << 31;
     (index_field(key) as usize, f32::from_bits(bits))
 }
 
@@ -241,68 +285,264 @@ fn rank_keys(keys: &mut Vec<u64>, index_sorted: bool) -> &[u64] {
     }
 }
 
-/// Walks `hist` up from bucket 0 (inverted digits: the largest magnitudes)
+/// Walks `hist` up from bucket 0 (inverted magnitudes: the largest first)
 /// to the bucket holding the `need`-th best element; returns that bucket
 /// and how many of its elements are still needed.
-fn cut(hist: &[u32], mut need: usize) -> (u64, usize) {
+fn cut(hist: &[u32], mut need: usize) -> (u32, usize) {
     for (bucket, &count) in hist.iter().enumerate() {
         if count as usize >= need {
-            return (bucket as u64, need);
+            return (bucket as u32, need);
         }
         need -= count as usize;
     }
     unreachable!("histogram holds fewer elements than requested");
 }
 
-/// Refills `keys` with the best `k` of `values` (`0 < k < len`), in index
-/// order, without comparing: a histogram of the top magnitude digit finds
-/// the bucket the `k`-th magnitude falls in; one sweep gathers every entry
-/// in or above that bucket (the survivors plus, typically, `D/16` boundary
-/// candidates or fewer); two finer histograms over the boundary bucket pin
-/// the `k`-th magnitude exactly; and an in-place sweep drops what is below
-/// it, keeping only the first few of the entries tied *at* it — which is
-/// the index tie-break.
-fn select_by_histogram(values: &[f32], k: usize, keys: &mut Vec<u64>) {
-    let [(low_shift, _), (mid_shift, _), (top_shift, _)] = MAG_DIGITS;
-    let mut hist = [0u32; MAX_BUCKETS];
-    for &v in values {
-        hist[(pack(0, v) >> top_shift) as usize] += 1;
-    }
-    let (top, need) = cut(&hist, k);
+/// The sample's bounds on the `k`-th magnitude of `values`.
+struct Bounds {
+    /// Magnitude bits at or below the `k`-th magnitude, with high
+    /// probability; 0 takes every coordinate.
+    lower: u32,
+    /// Magnitude bits at or above the `k`-th magnitude, with high
+    /// probability; `MAG_MASK` is at or above every magnitude.
+    upper: u32,
+    /// How many coordinates the sample expects at or above `lower`.
+    estimate: usize,
+}
 
-    // Branch-free gather: always write, advance only on a match. The spare
-    // slot absorbs the writes after the last match.
-    let candidates = k - need + hist[top as usize] as usize;
-    keys.clear();
-    keys.resize(candidates + 1, 0);
-    let mut n = 0;
-    for (j, &v) in values.iter().enumerate() {
-        let key = pack(j, v);
-        keys[n] = key;
-        n += usize::from(key >> top_shift <= top);
+/// Bounds the `k`-th magnitude of `values` (`SAMPLES ≤ len`, `0 < k < len`)
+/// from a stratified sample: each of the `SAMPLES` equal strata gives one
+/// coordinate at a fixed pseudo-random offset, and the bounds are the
+/// sample magnitudes `sigmas · (σ + 1)` ranks below and above the rank the
+/// `k`-th magnitude is expected at (see `MARGIN_SIGMAS`).
+fn sample_bounds(values: &[f32], k: usize, sigmas: f64) -> Bounds {
+    let dim = values.len();
+    let mut sample = [0u32; SAMPLES];
+    for (s, slot) in sample.iter_mut().enumerate() {
+        let (lo, hi) = (s * dim / SAMPLES, (s + 1) * dim / SAMPLES);
+        *slot = values[lo + jitter(s) % (hi - lo)].to_bits() & MAG_MASK;
     }
-    keys.truncate(candidates);
+    let p = k as f64 / dim as f64;
+    let expected = p * SAMPLES as f64;
+    let margin = sigmas * ((expected * (1.0 - p)).sqrt() + 1.0);
+    // Ranks count from the largest sample magnitude; `select_nth_unstable`
+    // counts from the smallest.
+    let mut rank = |rank: f64| *sample.select_nth_unstable(SAMPLES - 1 - rank as usize).1;
+    let lower = if expected + margin < (SAMPLES - 1) as f64 {
+        rank((expected + margin).ceil())
+    } else {
+        0
+    };
+    let upper = if expected - margin >= 1.0 {
+        rank((expected - margin).floor())
+    } else {
+        MAG_MASK
+    };
+    let at_least = sample.iter().filter(|&&m| m >= lower).count();
+    Bounds {
+        lower,
+        upper,
+        estimate: (at_least * dim).div_ceil(SAMPLES),
+    }
+}
 
-    // One finer level: the 10-bit digit at `shift`, over the keys whose
-    // bits from `above` up equal `prefix`.
-    let refine = |prefix: u64, above: u32, shift: u32, need: usize| {
-        let mut hist = [0u32; 1 << 10];
-        for &key in keys.iter() {
-            if key >> above == prefix {
-                hist[(key >> shift) as usize & 0x3ff] += 1;
+/// The offset of stratum `s`'s sample (the SplitMix64 finalizer): fixed, so
+/// a selection is a function of its input, and scrambled, so the sample
+/// does not alias with a periodic layout such as a weight matrix's rows.
+fn jitter(s: usize) -> usize {
+    let mut z = (s as u64)
+        .wrapping_add(1)
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    (z ^ (z >> 31)) as usize
+}
+
+/// One level of the exact cut: the inverted magnitude fields
+/// ([`inverted_magnitude`]) `lo..=hi` the `k`-th best key is known to lie in,
+/// histogrammed in at most 2048 buckets of `1 << shift` fields each, and
+/// how many keys lie above that interval (smaller fields, larger
+/// magnitudes).
+#[derive(Clone, Copy)]
+struct Level {
+    lo: u32,
+    hi: u32,
+    shift: u32,
+    better: usize,
+}
+
+impl Level {
+    fn new(lo: u32, hi: u32, better: usize) -> Self {
+        let shift = (u32::BITS - (hi - lo).leading_zeros()).saturating_sub(11);
+        Level {
+            lo,
+            hi,
+            shift,
+            better,
+        }
+    }
+
+    /// The first level over candidate `keys` (every field at most `hi`):
+    /// the band `lo..=hi`, and above it the certain survivors. The band's
+    /// keys are interleaved at random with the rest, so this counts
+    /// without a branch. A key above the band wraps its offset to at least
+    /// `2^31`, which any shift of at most 20 leaves at `MAX_BUCKETS` or
+    /// more, so a `min` sends it to a spare bucket — spread by position, so
+    /// that consecutive increments do not chain — and the spares' total is
+    /// `better`. (Measured over 216,730 candidates at `D = 418,624`,
+    /// `k = D/2`: 0.40 ms, against 0.49 ms for the branch [`Level::scan`]
+    /// takes.)
+    fn first(keys: &[u64], lo: u32, hi: u32) -> (Self, [u32; MAX_BUCKETS]) {
+        let mut level = Level::new(lo, hi, 0);
+        let mut hist = [0u32; MAX_BUCKETS + 8];
+        for (i, &key) in keys.iter().enumerate() {
+            let offset = inverted_magnitude(key).wrapping_sub(lo) >> level.shift;
+            hist[(offset as usize).min(MAX_BUCKETS + i % 8)] += 1;
+        }
+        let (band, spares) = hist.split_at(MAX_BUCKETS);
+        level.better = spares.iter().sum::<u32>() as usize;
+        (
+            level,
+            band.try_into().expect("the band is MAX_BUCKETS long"),
+        )
+    }
+
+    /// This level's histogram of `keys`, for a finer level: few keys fall
+    /// inside it, and a branch skips the rest. (Measured as above: 0.21 ms,
+    /// against 0.40 ms branch-free.)
+    fn scan(self, keys: &[u64]) -> [u32; MAX_BUCKETS] {
+        let mut hist = [0u32; MAX_BUCKETS];
+        for &key in keys {
+            let offset = inverted_magnitude(key).wrapping_sub(self.lo);
+            if offset <= self.hi - self.lo {
+                hist[(offset >> self.shift) as usize] += 1;
             }
         }
-        let (digit, need) = cut(&hist, need);
-        (prefix << 10 | digit, need)
-    };
-    let (prefix, need) = refine(top, top_shift, mid_shift, need);
-    let (threshold, ties) = refine(prefix, mid_shift, low_shift, need);
+        hist
+    }
 
+    /// Where this level's histogram puts the `k`-th best key.
+    fn narrow(self, hist: &[u32; MAX_BUCKETS], k: usize) -> Narrowed {
+        let Some(need) = k.checked_sub(self.better).filter(|&need| need > 0) else {
+            return Narrowed::Above;
+        };
+        let (bucket, ties) = cut(hist, need);
+        let lo = self.lo + (bucket << self.shift);
+        if self.shift == 0 {
+            Narrowed::At(lo, ties)
+        } else {
+            let hi = self.hi.min(lo + ((1 << self.shift) - 1));
+            Narrowed::Inside(Level::new(lo, hi, k - ties))
+        }
+    }
+}
+
+/// Where a [`Level`] puts the `k`-th best key.
+enum Narrowed {
+    /// At this field, with this many of the keys tied at it surviving.
+    At(u32, usize),
+    /// Inside this finer level (one bucket of the last).
+    Inside(Level),
+    /// Above the level's interval: `k` or more keys lie above it.
+    Above,
+}
+
+/// Refills `keys` with the order keys of every entry whose magnitude bits
+/// are at least `lower`, in index order, in one pass: each `LANES`-wide
+/// chunk becomes a bit mask (16-lane `bool` arrays folded into words), and
+/// only the set bits are packed. The buffer is reserved exactly, to
+/// `estimate` and past it to the count still expected at the density seen
+/// so far — it never doubles.
+fn gather_at_least(values: &[f32], lower: u32, estimate: usize, keys: &mut Vec<u64>) {
+    keys.clear();
+    keys.reserve_exact(estimate);
+    let mut chunks = values.chunks_exact(LANES);
+    for (c, chunk) in (&mut chunks).enumerate() {
+        let mut lanes = [false; LANES];
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            *lane = v.to_bits() & MAG_MASK >= lower;
+        }
+        let mut mask = lanes.chunks_exact(16).rev().fold(0u64, |mask, word| {
+            let word = word
+                .iter()
+                .rev()
+                .fold(0u32, |w, &lane| w << 1 | u32::from(lane));
+            mask << 16 | u64::from(word)
+        });
+        let base = c * LANES;
+        if keys.capacity() - keys.len() < LANES {
+            let rest = (keys.len() + 1) * (values.len() - base) / (base + 1);
+            keys.reserve_exact(rest + LANES);
+        }
+        while mask != 0 {
+            let lane = mask.trailing_zeros() as usize;
+            keys.push(pack(base + lane, chunk[lane]));
+            mask &= mask - 1;
+        }
+    }
+    let (base, rest) = (values.len() - chunks.remainder().len(), chunks.remainder());
+    keys.reserve_exact(rest.len());
+    for (j, &v) in rest.iter().enumerate() {
+        if v.to_bits() & MAG_MASK >= lower {
+            keys.push(pack(base + j, v));
+        }
+    }
+}
+
+/// Refills `keys` with the best `k` of `values` (`SAMPLES ≤ len`,
+/// `0 < k < len`), in index order, reading the vector once; returns how
+/// many gathers that took. A stratified sample bounds the `k`-th magnitude
+/// ([`sample_bounds`]), one pass gathers every entry at or above the lower
+/// bound — the survivors plus a margin — and the exact cut reads those
+/// candidates alone ([`cut_candidates`]). A gather that comes back with
+/// fewer than `k` candidates retries at a wider margin, and the last at
+/// lower bound 0: every coordinate.
+fn select_by_sample(values: &[f32], k: usize, keys: &mut Vec<u64>) -> usize {
+    let mut gathers = 0;
+    let bounds = loop {
+        let bounds = match MARGIN_SIGMAS[gathers] {
+            Some(sigmas) => sample_bounds(values, k, sigmas),
+            None => Bounds {
+                lower: 0,
+                upper: MAG_MASK,
+                estimate: values.len(),
+            },
+        };
+        gather_at_least(values, bounds.lower, bounds.estimate, keys);
+        gathers += 1;
+        if keys.len() >= k {
+            break bounds;
+        }
+    };
+    cut_candidates(keys, k, &bounds);
+    gathers
+}
+
+/// Cuts the index-ordered candidate `keys` (at least `k`, none below
+/// `bounds.lower`) to their best `k`, in place and in index order. The
+/// first level histograms only the band between the two bounds, since
+/// everything above the upper one is a certain survivor; each level
+/// narrows to the bucket that holds the `k`-th magnitude (a 31-bit field
+/// takes at most three levels), and an in-place sweep drops what is below
+/// it, keeping only the first few of the entries tied *at* it — which is
+/// the index tie-break. Should `k` or more candidates lie above the upper
+/// bound, the count restarts from the largest magnitude.
+fn cut_candidates(keys: &mut Vec<u64>, k: usize, bounds: &Bounds) {
+    let invert = |magnitude: u32| !magnitude & MAG_MASK;
+    let (mut level, mut hist) = Level::first(keys, invert(bounds.upper), invert(bounds.lower));
+    let (threshold, ties) = loop {
+        (level, hist) = match level.narrow(&hist, k) {
+            Narrowed::At(threshold, ties) => break (threshold, ties),
+            Narrowed::Inside(finer) => (finer, finer.scan(keys)),
+            Narrowed::Above => Level::first(keys, 0, level.hi),
+        };
+    };
     let (mut n, mut seen) = (0, 0);
-    for i in 0..candidates {
+    for i in 0..keys.len() {
         let key = keys[i];
-        let tie = key >> low_shift == threshold;
-        let take = key >> low_shift < threshold || (tie && seen < ties);
+        let field = inverted_magnitude(key);
+        let tie = field == threshold;
+        let take = field < threshold || (tie && seen < ties);
         seen += usize::from(tie);
         keys[n] = key;
         n += usize::from(take);
@@ -350,7 +590,8 @@ pub fn top_k_entries(values: &[f32], k: usize) -> Vec<(usize, f32)> {
 /// [`top_k_entries`] with a caller-provided key buffer.
 ///
 /// `scratch` is cleared and refilled on every call and holds at most
-/// `max(2k, boundary bucket)` packed keys (see the module docs); reusing
+/// `max(2k, candidates)` packed keys, the candidates being the survivors
+/// plus the sample's margin, reserved exactly (see the module docs); reusing
 /// one buffer across rounds (as `agsfl_fl::Client` does) makes the
 /// steady-state path allocation-free apart from the returned vector, which
 /// holds only the `k` selected entries and is handed off to the upload
@@ -377,12 +618,15 @@ pub fn top_k_entries_into(
     out: &mut Vec<(usize, f32)>,
 ) {
     let index_sorted = select_keys(values, k, scratch);
+    // The radix rank ping-pongs through a second half: reserve exactly
+    // that, rather than let it double a buffer sized for the candidates.
+    scratch.reserve_exact(scratch.len());
     unpack_to(rank_keys(scratch, index_sorted), out);
 }
 
 /// The selection of [`top_k_entries_into`] in increasing index order — what
-/// a wire codec encodes and what an upload holds. The histogram select
-/// already leaves its survivors in index order, so this skips the rank
+/// a wire codec encodes and what an upload holds. The sampled select
+/// gathers and keeps its survivors in index order, so this skips the rank
 /// altogether; a short vector sorts its at most `k` selected keys by their
 /// index field. Equal, entry for entry, to the ranked selection sorted by
 /// index. On return `scratch` holds the [`order_key`]s of `out`, in the
@@ -419,7 +663,7 @@ fn select_keys(values: &[f32], k: usize, keys: &mut Vec<u64>) -> bool {
         select_streaming(values, k, keys);
         return false;
     } else if k < dim {
-        select_by_histogram(values, k, keys);
+        select_by_sample(values, k, keys);
     } else {
         keys.clear();
         keys.extend(values.iter().enumerate().map(|(j, &v)| pack(j, v)));
@@ -713,6 +957,85 @@ mod tests {
             expected.sort_unstable();
             assert_eq!(radix_sort(&mut by_index, &MAG_DIGITS), expected, "n {n}");
         }
+    }
+
+    /// The reference selection: a full comparator sort, cut to `k`.
+    fn sorted_top_k(values: &[f32], k: usize) -> Vec<(usize, u32)> {
+        let mut ranked: Vec<(usize, f32)> = values.iter().copied().enumerate().collect();
+        ranked.sort_by(compare_magnitude_then_index);
+        ranked.truncate(k);
+        ranked.sort_by_key(|&(j, _)| j);
+        ranked.into_iter().map(|(j, v)| (j, v.to_bits())).collect()
+    }
+
+    /// Where [`sample_bounds`] reads `values`.
+    fn sample_positions(dim: usize) -> impl Iterator<Item = usize> {
+        (0..SAMPLES).map(move |s| {
+            let (lo, hi) = (s * dim / SAMPLES, (s + 1) * dim / SAMPLES);
+            lo + jitter(s) % (hi - lo)
+        })
+    }
+
+    /// The largest magnitudes sit exactly where the sample reads, so the
+    /// sample sees a vector of giants and sets its lower bound far above
+    /// the `k`-th magnitude: the first gather and the wider retry come back
+    /// with fewer than `k` candidates, and the last gather (lower bound 0)
+    /// still selects exactly.
+    #[test]
+    fn a_sample_on_the_largest_magnitudes_retries_down_to_every_coordinate() {
+        let (dim, k) = (50_000, 5_000);
+        let mut values: Vec<f32> = (0..dim).map(|j| (j % 997) as f32 * 1e-3 - 0.5).collect();
+        for (s, j) in sample_positions(dim).enumerate() {
+            values[j] = 1e3 + s as f32;
+        }
+        let bounds = sample_bounds(
+            &values,
+            k,
+            MARGIN_SIGMAS[0].expect("a sampled first gather"),
+        );
+        let mut keys = Vec::new();
+        gather_at_least(&values, bounds.lower, bounds.estimate, &mut keys);
+        assert!(keys.len() < k, "the first gather must fall short");
+
+        assert_eq!(select_by_sample(&values, k, &mut keys), MARGIN_SIGMAS.len());
+        let got: Vec<(usize, u32)> = keys
+            .iter()
+            .map(|&key| key_entry(key))
+            .map(|(j, v)| (j, v.to_bits()))
+            .collect();
+        assert_eq!(got, sorted_top_k(&values, k));
+    }
+
+    /// The smallest magnitudes sit where the sample reads, so its upper
+    /// bound falls below the `k`-th magnitude and more than `k` candidates
+    /// lie above it: the cut must restart its count from the largest
+    /// magnitude, and still select exactly.
+    #[test]
+    fn a_sample_on_the_smallest_magnitudes_restarts_the_cut() {
+        let (dim, k) = (50_000, 20_000);
+        let mut values: Vec<f32> = (0..dim).map(|j| 1.0 + (j % 991) as f32 * 1e-3).collect();
+        for j in sample_positions(dim) {
+            values[j] = 1e-3;
+        }
+        let bounds = sample_bounds(
+            &values,
+            k,
+            MARGIN_SIGMAS[0].expect("a sampled first gather"),
+        );
+        let mut keys = Vec::new();
+        gather_at_least(&values, bounds.lower, bounds.estimate, &mut keys);
+        let invert = |magnitude: u32| !magnitude & MAG_MASK;
+        let (level, hist) = Level::first(&keys, invert(bounds.upper), invert(bounds.lower));
+        assert!(level.better >= k);
+        assert!(matches!(level.narrow(&hist, k), Narrowed::Above));
+
+        assert_eq!(select_by_sample(&values, k, &mut keys), 1);
+        let got: Vec<(usize, u32)> = keys
+            .iter()
+            .map(|&key| key_entry(key))
+            .map(|(j, v)| (j, v.to_bits()))
+            .collect();
+        assert_eq!(got, sorted_top_k(&values, k));
     }
 
     #[test]

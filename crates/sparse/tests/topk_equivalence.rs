@@ -1,20 +1,22 @@
 //! Spec-equivalence, totality and scratch-soundness tests for the integer-key
 //! magnitude order.
 //!
-//! `agsfl_sparse::topk` takes every ordering on packed `u64` keys (histogram
+//! `agsfl_sparse::topk` takes every ordering on packed `u64` keys (sampled
 //! select, radix rank, integer quickselect on short inputs); the comparator
 //! implementations kept in `agsfl_sparse::reference` and
 //! `topk::compare_magnitude_then_index` are the executable spec. These tests
 //! pin the two together **entry for entry and bit for bit**:
 //!
 //! * over dimensions and list lengths straddling every internal cut-over
-//!   (`SMALL_DIM` = 4096 coordinates, `SMALL_SORT` = 1024 keys, the streaming
+//!   (`SMALL_DIM` = 8192 coordinates, `SMALL_SORT` = 1024 keys, the streaming
 //!   select's `2k` against `D`), every edge `k`, and value generators that
-//!   force heavy exact ties, all-equal, all-zero, one-hot and
-//!   full-dynamic-range vectors;
+//!   force heavy exact ties, all-equal, all-zero, one-hot,
+//!   full-dynamic-range and periodic vectors;
 //! * at the paper's dimension, outside proptest's small sizes;
 //! * on one scratch vector reused across shrinking and growing shapes, whose
-//!   capacity must settle (steady-state rounds allocate nothing);
+//!   capacity must settle (steady-state rounds allocate nothing), and on a
+//!   fresh one, whose capacity must stay within what the two-pass histogram
+//!   select reserved;
 //! * and on NaN/±∞/±0/subnormal inputs, where the comparator is not a total
 //!   order and the keys must be.
 
@@ -24,14 +26,20 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Dimensions on both sides of the streaming/histogram cut-over, plus tiny
-/// and odd ones.
-const DIMS: [usize; 10] = [1, 2, 7, 64, 527, 4095, 4096, 4097, 5000, 9001];
+/// Dimensions on both sides of the streaming/sampled cut-over (`SMALL_DIM`
+/// = 8192), where the sample's 4096 strata are one or two coordinates
+/// wide, plus tiny, odd and wider ones.
+const DIMS: [usize; 14] = [
+    1, 2, 7, 64, 527, 4095, 4096, 4097, 5000, 8191, 8192, 8193, 9001, 65_537,
+];
 
 /// List lengths on both sides of the sort/radix cut-over.
 const LENS: [usize; 8] = [0, 1, 2, 33, 1023, 1024, 1025, 3000];
 
-const GENERATORS: usize = 6;
+const GENERATORS: usize = 8;
+
+/// Strata of the top-k sample (`topk::SAMPLES`).
+const SAMPLES: usize = 4096;
 
 /// One dense vector of the requested flavour.
 fn dense(rng: &mut ChaCha8Rng, generator: usize, dim: usize) -> Vec<f32> {
@@ -61,6 +69,27 @@ fn dense(rng: &mut ChaCha8Rng, generator: usize, dim: usize) -> Vec<f32> {
             let mut v = vec![0.0; dim];
             v[rng.gen_range(0..dim)] = sign(rng) * 3.0;
             v
+        }
+        // Large magnitudes repeating with a period — the linear model's
+        // class stride (62), or the sample's stratum width — on small
+        // noise, which a strided sample would alias with.
+        6 | 7 => {
+            let period = if generator == 6 {
+                62
+            } else {
+                (dim / SAMPLES).max(1)
+            };
+            let phase = rng.gen_range(0..period);
+            (0..dim)
+                .map(|j| {
+                    let noise = rng.gen_range(-1.0f32..1.0);
+                    if j % period == phase {
+                        noise + 10.0 * sign(rng)
+                    } else {
+                        noise
+                    }
+                })
+                .collect()
         }
         // Random bit patterns: every exponent, subnormals, ±∞ — but no NaN,
         // on which the comparator spec is not an order.
@@ -298,6 +327,38 @@ fn scratch_reuse_across_shifting_shapes_is_sound_and_settles() {
         }
         let capacities = (scratch.capacity(), out.capacity(), entries.capacity());
         assert_eq!(*settled.get_or_insert(capacities), capacities);
+    }
+}
+
+/// The sampled select reserves its candidate buffer exactly; it never
+/// doubles it. On a fresh scratch, at `sparse_wide_linear`'s shape
+/// (418,624, 20,000) and at `paper_cnn_adaptive`'s `k = D/2` (419,582,
+/// 209,791), the buffer's capacity after the index-ordered and the ranked
+/// selection stays within what the two-pass histogram select it replaced
+/// reserved for the same call on the same vector — recorded from that
+/// implementation: 41,777 and 41,777 keys, 230,281 and 460,562 keys.
+#[test]
+fn fresh_scratch_capacity_stays_within_the_histogram_select() {
+    for (dim, k, indexed_cap, ranked_cap) in [
+        (418_624, 20_000, 41_777, 41_777),
+        (419_582, 209_791, 230_281, 460_562),
+    ] {
+        let mut rng = ChaCha8Rng::seed_from_u64(418);
+        let values = dense(&mut rng, 0, dim);
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        topk::top_k_entries_indexed_into(&values, k, &mut scratch, &mut out);
+        assert!(
+            scratch.capacity() <= indexed_cap,
+            "dim {dim}, k {k}: indexed selection reserved {} keys",
+            scratch.capacity()
+        );
+        let mut scratch = Vec::new();
+        topk::top_k_entries_into(&values, k, &mut scratch, &mut out);
+        assert!(
+            scratch.capacity() <= ranked_cap,
+            "dim {dim}, k {k}: ranked selection reserved {} keys",
+            scratch.capacity()
+        );
     }
 }
 

@@ -64,9 +64,10 @@ fi
 
 step "one ordering path (the comparator is the spec, not a code path)"
 # agsfl_sparse::topk takes every magnitude order on packed integer keys
-# (histogram select, radix rank); `compare_magnitude_then_index` survives as
-# the executable spec for reference.rs and tests, and is not a total order
-# once a NaN shows up — a comparison sort handed it may panic. The bench
+# (sampled select with a histogram cut, radix rank);
+# `compare_magnitude_then_index` survives as the executable spec for
+# reference.rs and tests, and is not a total order once a NaN shows up — a
+# comparison sort handed it may panic. The bench
 # crate times it as the baseline; comment lines are exempt, and so is
 # everything from a file's `#[cfg(test)]` on.
 if for f in $(grep -rlE 'magnitude_then_index' crates/*/src | grep -vE '^(crates/sparse/src/reference\.rs$|crates/bench/)'); do
@@ -430,7 +431,10 @@ step "cargo build --release"
 cargo build --release
 
 step "benchmark package (outside the workspace, so the build above never compiles it)"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# --locked: a product change that would rewrite the tracked
+# benchmark/Cargo.lock (a new dependency edge between workspace crates)
+# fails here instead of changing the benchmark's lock file in passing.
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 if [[ "$quick" -eq 0 ]]; then
     # Every workload and every probe once (~20 s); exits nonzero on a failed
     # output check (pipefail carries it past the grep, which only trims the
