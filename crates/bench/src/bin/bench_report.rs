@@ -43,7 +43,7 @@
 //! quantized wire codecs (`wire_*`, `quant_*`), a wired upload's ordering
 //! work at `sparse_wide_linear`'s shape (`wired_client_upload`,
 //! `server_rank_decoded`, `reset_errors_merge`), the bookkeeping resets of
-//! a `k = D/2` round from rank-ordered vs index-ordered uploads
+//! a `k = D/2` round from a reset list vs the members' fused walk
 //! (`bookkeeping_reset_kmax`), a checkpoint restore at
 //! the paper's scale (`checkpoint_load`) and the recorded-vs-noop round
 //! (`telemetry_record`). Each section's comment says what its two sides
@@ -388,34 +388,43 @@ fn main() {
     );
     let mut ledger = Ledger::default();
 
-    // FAB server selection: seed vs serial scratch.
+    // FAB server selection: seed vs the shipped path — every upload
+    // accumulated into the dense sums, then the rank-major scan into the
+    // `J` bitset and the gather — with the result recycled into the
+    // workspace, as the round engine runs it. (In the engine the
+    // accumulation runs in the client pass's admission, overlapped with
+    // the workers; here it is timed in full.)
     let uploads = fab_workload();
     let mut scratch = SelectionScratch::new();
+    let select_recycled = |scratch: &mut SelectionScratch, uploads: &[ClientUpload], dim, k| {
+        let result = FabTopK::new().select_into(black_box(uploads), dim, k, scratch);
+        scratch.recycle(result);
+    };
     ledger.pair(
         "fab_select",
         Shape::new(FAB_DIM, FAB_CLIENTS, FAB_K),
-        "",
+        "accumulate + select",
         || reference::fab_select(black_box(&uploads), FAB_DIM, FAB_K),
-        || FabTopK::new().select_into(black_box(&uploads), FAB_DIM, FAB_K, &mut scratch),
+        || select_recycled(&mut scratch, &uploads, FAB_DIM, FAB_K),
     );
 
     // The server's two reads of a round's uploads at the paper's dimension,
     // on `sparse_wide_linear`'s shape and on an adaptive run's k ≈ D/2
-    // round. `fab_select_*`: the rank-major scan + aggregation against the
-    // seed's binary search over hash-set unions. `probe_restrict_*`: the
-    // probe aggregate as a restriction of the round's own against the
-    // second `select_into` at k' it replaced; both sides share the round's
-    // workspace, as they did in the round. Both sides of each pair must
-    // return the same bits.
+    // round. `fab_select_*`: accumulate + the rank-major scan + the gather
+    // against the seed's binary search over hash-set unions.
+    // `probe_restrict_*`: the probe aggregate as a restriction of the
+    // round's own against the second `select_into` at k' it replaced; both
+    // sides share the round's workspace, as they did in the round. Both
+    // sides of each pair must return the same bits.
     for (select_name, restrict_name, clients, k, probe_k) in SERVER_SHAPES {
         let uploads = server_workload(clients, k);
         let fab = FabTopK::new();
         ledger.pair(
             select_name,
             Shape::new(TOPK_DIM, clients, k),
-            "",
+            "accumulate + select",
             || reference::fab_select(black_box(&uploads), TOPK_DIM, k),
-            || fab.select_into(black_box(&uploads), TOPK_DIM, k, &mut scratch),
+            || select_recycled(&mut scratch, &uploads, TOPK_DIM, k),
         );
         let selection = fab.select_into(&uploads, TOPK_DIM, k, &mut scratch);
         assert_eq!(
@@ -877,8 +886,12 @@ fn main() {
     );
 
     // The errors of the frame above (entries it did not reproduce exactly)
-    // and the reset list FAB hands one client: a top prefix of its ranking,
-    // in the index order of its upload.
+    // and the resets FAB hands one client: a top prefix of its ranking, in
+    // the index order of its upload. `reset_errors_merge`: the spec's
+    // per-index search of the index-keyed errors over a prebuilt reset
+    // list against the member's packed walk of its whole upload, which
+    // tests each entry against `J` and reads the per-entry errors
+    // alongside.
     decode_frame(&wired_frame, &mut decoded).expect("valid frame");
     let errors: Vec<(usize, f32)> = indexed
         .iter()
@@ -888,57 +901,47 @@ fn main() {
         .collect();
     let mut resets: Vec<usize> = topk::prefix_indices(&delivered, WIRED_RESETS).collect();
     resets.sort_unstable();
+    let reset_upload: Vec<(usize, f32)> = resets.iter().map(|&j| (j, 1.0)).collect();
+    let selection = FabTopK::new().select(
+        &[ClientUpload::new(0, 1.0, reset_upload)],
+        WIRED_DIM,
+        WIRED_RESETS,
+    );
+    let per_entry: Vec<f32> = indexed
+        .iter()
+        .zip(&decoded)
+        .map(|(&(_, v), &(_, vhat))| if v != vhat { v - vhat } else { 0.0 })
+        .collect();
     let mut by_search = residual.clone();
-    let mut by_merge = ResidualAccumulator::new(WIRED_DIM);
-    by_merge.add(&residual);
+    let mut fused = ResidualAccumulator::new(WIRED_DIM);
+    fused.add(&residual);
     ledger.pair(
         "reset_errors_merge",
         Shape::new(WIRED_DIM, 1, WIRED_RESETS),
         &format!("{} errors", errors.len()),
         || reference::reset_indices_to(&mut by_search, black_box(&resets), black_box(&errors)),
-        || by_merge.reset_indices_to(black_box(&resets), black_box(&errors), &mut keys),
+        || fused.reset_selected(black_box(&decoded), &selection, black_box(&per_entry)),
     );
     assert!(
-        by_merge
+        fused
             .as_slice()
             .iter()
             .zip(&by_search)
             .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "the merge must leave the residual the per-index search leaves"
+        "the fused walk must leave the residual the per-index search leaves"
     );
 
     // The bookkeeping stage's residual resets at an adaptive run's k = D/2
-    // round (`fab_select_kmax`'s 8 members): each member's run of the flat
-    // reset list applied to its residual, when the uploads list their
-    // entries in rank order (the runs scatter over the residual) vs in
-    // index order, as the round engine delivers them (the runs stream).
-    // Both selections aggregate the same bits and reset the same sets, and
-    // both sides leave the same residuals.
+    // round (`fab_select_kmax`'s 8 members, index-ordered uploads as the
+    // round engine delivers them): the reset list built from `J` with a
+    // branch per entry — what the server's sweep built for every member —
+    // and then applied, against each member's fused walk of its upload
+    // (`ResidualAccumulator::reset_selected`: the test against `J` is a
+    // mask, every entry is stored, no list). Both sides leave the same
+    // residuals and count the same resets.
     let (_, _, reset_clients, reset_k, _) = SERVER_SHAPES[1];
-    let index_ordered = server_workload(reset_clients, reset_k);
-    let rank_ordered: Vec<ClientUpload> = index_ordered
-        .iter()
-        .map(|u| {
-            let entries = u.ranked.iter().map(|&key| topk::key_entry(key)).collect();
-            ClientUpload::new(u.client, u.weight, entries)
-        })
-        .collect();
-    let fab = FabTopK::new();
-    let scattered = fab.select_into(&rank_ordered, TOPK_DIM, reset_k, &mut scratch);
-    let streamed = fab.select_into(&index_ordered, TOPK_DIM, reset_k, &mut scratch);
-    assert_eq!(
-        scattered.aggregated, streamed.aggregated,
-        "entry order must not change the aggregate"
-    );
-    for u in 0..reset_clients {
-        let mut set = scattered.resets(u).to_vec();
-        set.sort_unstable();
-        assert_eq!(
-            set,
-            streamed.resets(u),
-            "entry order must not change a reset set"
-        );
-    }
+    let uploads = server_workload(reset_clients, reset_k);
+    let selection = FabTopK::new().select(&uploads, TOPK_DIM, reset_k);
     let members = || -> Vec<ResidualAccumulator> {
         (0..reset_clients)
             .map(|_| {
@@ -948,29 +951,40 @@ fn main() {
             })
             .collect()
     };
-    let (mut rank_side, mut index_side) = (members(), members());
-    let reset_count: usize = streamed.contributions().iter().sum();
+    let (mut listed, mut walked) = (members(), members());
+    let reset_count: usize = selection.contributions(&uploads).iter().sum();
+    let mut list = Vec::with_capacity(reset_k);
     ledger.pair(
         "bookkeeping_reset_kmax",
         Shape::new(TOPK_DIM, reset_clients, reset_k),
         &format!("{reset_count} resets"),
         || {
-            for (u, acc) in rank_side.iter_mut().enumerate() {
-                acc.reset_indices_to(black_box(scattered.resets(u)), &[], &mut seed_keys);
+            for (acc, upload) in listed.iter_mut().zip(black_box(&uploads)) {
+                list.clear();
+                list.extend(selection.resets(upload));
+                acc.reset_indices(&list);
             }
         },
         || {
-            for (u, acc) in index_side.iter_mut().enumerate() {
-                acc.reset_indices_to(black_box(streamed.resets(u)), &[], &mut keys);
+            let mut count = 0;
+            for (acc, upload) in walked.iter_mut().zip(black_box(&uploads)) {
+                count += acc.reset_selected(&upload.entries, &selection, &[]);
             }
+            count
         },
     );
+    let walked_count: usize = members()
+        .iter_mut()
+        .zip(&uploads)
+        .map(|(acc, upload)| acc.reset_selected(&upload.entries, &selection, &[]))
+        .sum();
+    assert_eq!(walked_count, reset_count, "the walk counts every reset");
     assert!(
-        rank_side
+        listed
             .iter()
-            .zip(&index_side)
+            .zip(&walked)
             .all(|(a, b)| a.as_slice() == b.as_slice()),
-        "both reset orders must leave the same residuals"
+        "both resets must leave the same residuals"
     );
 
     // Checkpoint load at the paper's >400k-weight scale: the fault path's

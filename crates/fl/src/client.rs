@@ -8,7 +8,7 @@
 
 use agsfl_ml::data::{ClientShard, MinibatchSampler, ShardSource};
 use agsfl_ml::model::Model;
-use agsfl_sparse::{topk, ResidualAccumulator, UploadPlan};
+use agsfl_sparse::{topk, ResidualAccumulator, SelectionResult, UploadPlan};
 use agsfl_wire::{decode_frame_with, Codec, WireScratch};
 use rand::Rng;
 use rand::SeedableRng;
@@ -85,10 +85,9 @@ pub struct Client {
     /// build leaves the upload's keys here in index order — the selection's
     /// own, or on a byte-priced round the decoded values' — for
     /// [`Client::rank_upload_into`], whose radix passes ping-pong between
-    /// it and the ranked view, so it holds about `k` keys, not `2k`; a
-    /// reset list that arrives out of order is sorted here. So building the
-    /// uplink message and resetting the residual allocate nothing after the
-    /// first round.
+    /// it and the ranked view, so it holds about `k` keys, not `2k`. So
+    /// building the uplink message allocates nothing after the first
+    /// round.
     topk_scratch: Vec<u64>,
     /// Reused wire-encoding workspace; byte-priced rounds encode the uplink
     /// message here without per-round allocation beyond the emitted frame.
@@ -266,10 +265,11 @@ impl Client {
     /// just wrote: decodes it exactly once, writing each decoded `v̂` back
     /// over `entries` in place (a frame carries them in the same index
     /// order), so that `entries` becomes what the server aggregates, bit
-    /// for bit (decode is a pure function of the frame). Every entry the
-    /// codec changed — `v != v̂`, which only a lossy tier does — leaves its
-    /// quantization error `(j, v − v̂)` in `errors` (cleared first, index
-    /// order) for the residual reset ([`Client::apply_reset_with_errors`]).
+    /// for bit (decode is a pure function of the frame). When the codec
+    /// changed an entry — `v != v̂`, which only a lossy tier does — `errors`
+    /// (cleared first) holds every entry's quantization error `v − v̂`, zero
+    /// where the codec was exact, for the residual reset
+    /// ([`Client::reset_selected`]); otherwise it stays empty.
     /// When `rank`, the visitor also repacks the client's key buffer with
     /// the decoded values' order keys, for [`Client::rank_upload_into`].
     pub(crate) fn decode_upload_into(
@@ -277,19 +277,19 @@ impl Client {
         frame: &[u8],
         rank: bool,
         entries: &mut [(usize, f32)],
-        errors: &mut Vec<(usize, f32)>,
+        errors: &mut Vec<f32>,
     ) {
         #[cfg(any(test, debug_assertions))]
         let sent = entries.to_vec();
         errors.clear();
         let keys = &mut self.topk_scratch;
         keys.clear();
-        let mut at = 0usize;
+        let (mut at, mut changed) = (0usize, false);
         let (_, _codec) = decode_frame_with(frame, |j, decoded| {
             let (_, value) = entries[at];
-            if value != decoded {
-                errors.push((j, value - decoded));
-            }
+            let exact = value == decoded;
+            errors.push(if exact { 0.0 } else { value - decoded });
+            changed |= !exact;
             if rank {
                 // The ranked plan's selection asserted the dimension fits
                 // the key's 32-bit index field.
@@ -299,6 +299,9 @@ impl Client {
             at += 1;
         })
         .expect("a frame this client just encoded must decode");
+        if !changed {
+            errors.clear();
+        }
         // The one-pass decode against the recipe it replaced: decode into
         // an index-ordered list (on a lossless codec, the list that was
         // encoded), and pack its keys when the plan ranks.
@@ -335,13 +338,19 @@ impl Client {
     }
 
     /// Resets the accumulator coordinates the server actually used
-    /// (Lines 16–17 of Algorithm 1), seeding each transmitted coordinate
-    /// with its quantization error instead of zero — the lossy tier's error
-    /// feedback; `errors` is empty on a lossless round.
-    pub fn apply_reset_with_errors(&mut self, indices: &[usize], errors: &[(usize, f32)]) {
-        self.state
-            .residual
-            .reset_indices_to(indices, errors, &mut self.topk_scratch);
+    /// (Lines 16–17 of Algorithm 1): the client derives `J ∩ J_i` from the
+    /// round's `J` and `sent`, the upload it delivered, in one walk of its
+    /// entries ([`ResidualAccumulator::reset_selected`]), seeding each reset
+    /// coordinate with its quantization error instead of zero — the lossy
+    /// tier's error feedback; `errors` is empty on a lossless round, else
+    /// one per sent entry. Returns `|J ∩ J_i|`, the client's contribution.
+    pub fn reset_selected(
+        &mut self,
+        sent: &[(usize, f32)],
+        selection: &SelectionResult,
+        errors: &[f32],
+    ) -> usize {
+        self.state.residual.reset_selected(sent, selection, errors)
     }
 
     /// Capacity of the client's encode workspace, for the engine's
@@ -377,6 +386,7 @@ mod tests {
     use super::*;
     use agsfl_ml::data::FederatedDataset;
     use agsfl_ml::model::LinearSoftmax;
+    use agsfl_sparse::{ClientUpload, FabTopK, Sparsifier};
     use agsfl_tensor::Matrix;
 
     fn shard(n: usize, dim: usize, classes: usize) -> ClientShard {
@@ -434,7 +444,7 @@ mod tests {
     /// The one wired path over every codec and both plan shapes: after the
     /// encode and the single decode, the entries are the frame's decode bit
     /// for bit, the ranked view (when the plan ranks) is their magnitude
-    /// rank, the errors are exactly the entries the codec changed, and a
+    /// rank, the errors are exactly what the codec changed, and a
     /// second call into the dirty buffers gives the same bits.
     #[test]
     fn wired_upload_equals_its_decoded_frame() {
@@ -469,13 +479,18 @@ mod tests {
 
                     let mut expected = Vec::new();
                     decode_frame(&frame, &mut expected).unwrap();
-                    let changed: Vec<(usize, f32)> = sent
+                    let mut changed: Vec<f32> = sent
                         .iter()
                         .zip(&expected)
-                        .filter(|(s, d)| s.1 != d.1)
-                        .map(|(s, d)| (s.0, s.1 - d.1))
+                        .map(|(s, d)| if s.1 != d.1 { s.1 - d.1 } else { 0.0 })
                         .collect();
-                    assert_eq!(bits(&errors), bits(&changed), "{}", spec.name());
+                    if sent.iter().zip(&expected).all(|(s, d)| s.1 == d.1) {
+                        changed.clear();
+                    }
+                    let error_bits = |errors: &[f32]| -> Vec<u32> {
+                        errors.iter().map(|e| e.to_bits()).collect()
+                    };
+                    assert_eq!(error_bits(&errors), error_bits(&changed), "{}", spec.name());
                     if spec.is_lossy() {
                         lossy_changed |= !errors.is_empty();
                     } else {
@@ -490,7 +505,12 @@ mod tests {
                     } else {
                         assert!(view.is_empty(), "{}", spec.name());
                     }
-                    let call = (bits(&entries), bits(&errors), frame.clone(), ranked.clone());
+                    let call = (
+                        bits(&entries),
+                        error_bits(&errors),
+                        frame.clone(),
+                        ranked.clone(),
+                    );
                     assert_eq!(*first.get_or_insert_with(|| call.clone()), call);
                 }
             }
@@ -504,9 +524,11 @@ mod tests {
         client.compute_local_gradient(&data, &model, &params);
         let mut upload = Vec::new();
         client.build_upload_into(&UploadPlan::TopKOwn, 2, &mut upload);
-        let used: Vec<usize> = upload.iter().map(|&(j, _)| j).collect();
+        let dim = model.num_params();
+        let sent = [ClientUpload::new(0, 1.0, upload.clone())];
+        let selection = FabTopK::new().select(&sent, dim, 1);
         let before = client.accumulator().residual_l1();
-        client.apply_reset_with_errors(&used, &[]);
+        assert_eq!(client.reset_selected(&upload, &selection, &[]), 1);
         let after = client.accumulator().residual_l1();
         assert!(after < before);
         assert!(after > 0.0, "non-selected coordinates keep their residual");

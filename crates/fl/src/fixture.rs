@@ -1,7 +1,8 @@
 //! The unit tests' one simulation fixture, and the hooks every in-crate
 //! test build runs inside the round: the client pass checks the upload
-//! contract ([`assert_upload_contract`]) and the probe checks itself
-//! against [`probe_by_second_selection`].
+//! contract ([`assert_upload_contract`]), the round records its selection
+//! ([`record_selection`]) and the probe checks itself against
+//! [`probe_by_second_selection`].
 
 use agsfl_exec::Parallelism;
 use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
@@ -13,7 +14,7 @@ use agsfl_sparse::{
 use agsfl_wire::CodecSpec;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 use crate::population::Slot;
 use crate::simulation::Shared;
@@ -104,6 +105,17 @@ thread_local! {
     /// Ranked uploads [`assert_upload_contract`] has checked on this
     /// thread.
     pub(crate) static RANKED_CHECKS: Cell<usize> = const { Cell::new(0) };
+    /// The last round's delivered uploads and the selection the round
+    /// engine made from its admitted sums, on this thread
+    /// ([`record_selection`]).
+    pub(crate) static LAST_SELECTION: RefCell<Option<(Vec<ClientUpload>, SelectionResult)>> =
+        const { RefCell::new(None) };
+}
+
+/// Keeps a copy of the round's delivered uploads and its selection, right
+/// after selection, for a test to compare with an independent one.
+pub(crate) fn record_selection(delivered: &[ClientUpload], selection: &SelectionResult) {
+    LAST_SELECTION.with(|last| *last.borrow_mut() = Some((delivered.to_vec(), selection.clone())));
 }
 
 /// The upload contract, checked at the end of every client pass of every
@@ -222,13 +234,14 @@ pub(crate) fn probe_bits(report: &ProbeReport) -> (usize, [u64; 4]) {
 }
 
 /// Every reusable buffer a wired round touches, as capacities: the
-/// selection workspace's lists, the server's encode workspace and rank
+/// selection workspace's buffers (the dense sums first, then the `J`
+/// bitsets), the server's encode workspace and rank
 /// keys, and each slot's entry, ranked, frame, error and client-side encode
 /// buffers. Between rounds a slot owns its upload buffers — the upload it
 /// lent them to holds none — so a released one lowers its slot's capacity.
 pub(crate) fn workspace_capacities(sim: &Simulation) -> Vec<usize> {
     assert_uploads_hold_nothing(sim);
-    let mut caps = sim.scratch.list_capacities().to_vec();
+    let mut caps = sim.scratch.capacities().to_vec();
     caps.push(sim.probe.rank_keys.capacity());
     caps.extend(sim.wire.as_ref().map(|w| w.scratch.frame_capacity()));
     for slot in &sim.cohort.slots {

@@ -55,17 +55,18 @@
 //! message, in index order, while the residual is hot in cache
 //! (byte-priced, it also encodes the message and decodes the frame once),
 //! then ranks its order keys into the upload's ranked view, so each upload
-//! is finished on the pool; and — on probe rounds — a
-//! per-client probe-loss sweep that evaluates all three weight vectors in
-//! a single sample fetch. The server selection between them
-//! ([`agsfl_sparse::Sparsifier::select_into`]) is one `O(cohort · k)` sweep
-//! and stays on the round thread. The client pass is the
-//! producer of a pipeline whose consumer — the server's *admission* of
-//! each finished upload, in cohort order, which only decides its fate and
-//! lends its buffers to the aggregation inputs — runs on the round
-//! thread: a
-//! round under a [`FaultModel`] is the same round over the members that
-//! survive admission, not a second engine. Parallelism is purely a
+//! is finished on the pool; on probe rounds, a per-client probe-loss
+//! sweep that evaluates all three weight vectors in a single sample fetch;
+//! and at the end of the round, each member's reset of its own residual on
+//! the downlink set `J`. The client pass is the producer of a pipeline
+//! whose consumer — the server's *admission* of each finished upload, in
+//! cohort order, which decides its fate and adds a delivered upload into
+//! the server's per-coordinate sums — runs on the round thread while the
+//! workers finish the rest: a round under a [`FaultModel`] is the same
+//! round over the members that survive admission, not a second engine.
+//! The server selection after the pass
+//! ([`agsfl_sparse::Sparsifier::select_accumulated`]) only picks `J` and
+//! gathers its sums, and stays on the round thread. Parallelism is purely a
 //! wall-clock knob: every client owns its RNG and sampler and results are
 //! concatenated in client order, so identical seeds give identical runs for
 //! every thread count. `crates/fl`'s

@@ -65,6 +65,9 @@ pub(crate) struct Slot {
     pub plan: ClientFaultPlan,
     /// Mini-batch loss of this round's local step.
     pub loss: f32,
+    /// Whether admission delivered this round's upload to the server, so
+    /// bookkeeping resets the member's residual on the round's `J`.
+    pub delivered: bool,
     /// Nanoseconds the producer spent on this round's local gradient,
     /// upload selection, frame encode, frame decode and rank, when the
     /// recorder is enabled (zero otherwise); admission takes them into the
@@ -86,10 +89,11 @@ pub(crate) struct Slot {
     pub ranked: Vec<u64>,
     /// The encoded uplink frame (reused buffer; empty on scalar rounds).
     pub frame: Vec<u8>,
-    /// Per-entry quantization errors `(j, v - v̂)` of this round's uplink
-    /// (reused buffer; empty unless a lossy codec changed a value), fed
-    /// back into the residual at reset time.
-    pub errors: Vec<(usize, f32)>,
+    /// The quantization error `v - v̂` of each of this round's uplink
+    /// entries, zero where the codec was exact (reused buffer; empty unless
+    /// a lossy codec changed a value), fed back into the residual at reset
+    /// time.
+    pub errors: Vec<f32>,
 }
 
 /// A producer's timed steps, in nanoseconds (see [`Slot::worker_ns`]).
@@ -125,6 +129,7 @@ impl Slot {
             hydrated: false,
             plan: ClientFaultPlan::clean(),
             loss: 0.0,
+            delivered: false,
             worker_ns: WorkerNs::default(),
             entries: Vec::new(),
             ranked: Vec::new(),

@@ -146,10 +146,10 @@ pub(crate) struct Shared {
 /// aggregates from (bookkeeping takes them back, so each buffer has one
 /// owner, its slot), and dehydrates the persistent state back into the
 /// population — so resident memory is `O(cohort + touched_clients · dim)`
-/// rather than `O(N)`, and the round's buffers are reused: what a
-/// steady-state round still allocates is its per-round output — the
-/// selection's aggregate entries, flat reset list and offsets, and the
-/// round report.
+/// rather than `O(N)`, and the round's buffers are reused: the selection's
+/// result goes back into its workspace at the end of the round, so what a
+/// steady-state round still allocates is the per-member contribution list
+/// and the round report, besides the pool's per-region bookkeeping.
 ///
 /// The fields are the stages' borrow lists' vocabulary: each stage in
 /// `crate::stages` takes the ones it reads by `&` and the ones it writes by
@@ -171,10 +171,11 @@ pub struct Simulation {
     /// Dedicated stream for cohort draws; untouched on full-population
     /// rounds so sampling is opt-in without perturbing any other stream.
     pub(crate) cohort_rng: ChaCha8Rng,
-    /// Reusable server-side selection workspace; buffers are sized on the
-    /// first round and reused (including by the probe's restriction to
-    /// `J(k')`), so a steady-state selection allocates only the result it
-    /// returns (aggregate entries, flat reset list, offsets). Grow-only,
+    /// Reusable server-side selection workspace: the dense sums the client
+    /// pass's admission adds each delivered upload into, and the `J`
+    /// bitsets; sized on the first round and reused (including by the
+    /// probe's restriction to `J(k')`), and each round's result is recycled
+    /// into it, so a steady-state selection allocates nothing. Grow-only,
     /// like every workspace of the round.
     pub(crate) scratch: SelectionScratch,
     pub(crate) probe: ProbeWorkspace,
@@ -464,7 +465,8 @@ impl Simulation {
         });
 
         // (1) Lines 4–6 on the pool, the server's admission of each
-        // finished upload on this thread.
+        // finished upload on this thread, which adds it into the round's
+        // sums.
         let upload_plan = self.sparsifier.upload_plan(dim, k, &mut self.server_rng);
         let (train_loss, uplink_phase, fault_report) = client_pass::client_pass(
             rec,
@@ -474,14 +476,17 @@ impl Simulation {
             &upload_plan,
             self.wire.as_ref(),
             &mut self.cohort,
+            &mut self.scratch,
         );
 
-        // (2) Server selection and aggregation, on this thread, reusing
-        // the round workspace.
+        // (2) Server selection from the admitted sums, on this thread: pick
+        // J, gather its sums.
         let selection = stage(rec, SpanId::Selection, || {
             self.sparsifier
-                .select_into(self.cohort.delivered(), dim, k, &mut self.scratch)
+                .select_accumulated(self.cohort.delivered(), dim, k, &mut self.scratch)
         });
+        #[cfg(test)]
+        crate::fixture::record_selection(self.cohort.delivered(), &selection);
 
         // Optional probe for the derivative-sign estimator.
         let probe = stage(rec, SpanId::Probe, || {
@@ -514,6 +519,7 @@ impl Simulation {
         // (4) End-of-round bookkeeping, then the broadcast pricing.
         let (contributions, downlink_time) = bookkeep::bookkeep(
             rec,
+            &self.shared,
             round_idx,
             &selection,
             wire_report.as_ref().map(|w| w.downlink_bytes),
@@ -523,6 +529,11 @@ impl Simulation {
         );
         let round_time = time_before_downlink + downlink_time;
         self.elapsed += round_time;
+        let (downlink_elements, max_uplink_scalars) = (
+            selection.downlink_elements(),
+            selection.max_uplink_scalars(),
+        );
+        self.scratch.recycle(selection);
 
         let report = RoundReport {
             round: self.round,
@@ -530,8 +541,8 @@ impl Simulation {
             train_loss,
             round_time,
             elapsed_time: self.elapsed,
-            downlink_elements: selection.downlink_elements(),
-            max_uplink_scalars: selection.max_uplink_scalars(),
+            downlink_elements,
+            max_uplink_scalars,
             cohort,
             contributions,
             probe,

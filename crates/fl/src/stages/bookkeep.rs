@@ -7,27 +7,32 @@ use std::time::Instant;
 
 use crate::client::ClientState;
 use crate::population::{ClientPopulation, Cohort};
+use crate::simulation::Shared;
 use crate::wire_state::WireState;
 
 /// End-of-round bookkeeping, then the broadcast pricing. Returns the
 /// per-member contributions and the downlink phase time.
 ///
-/// Resets and contributions target exactly the members whose uploads were
-/// aggregated, so a lost member's residual keeps its update; the same loop
-/// takes each delivered upload's buffers back into its slot. A member's
-/// resets arrive in index order (its upload's entry order), so each reset
-/// is one forward sweep of its residual. On the lossy tier each reset
-/// coordinate is seeded with its quantization error instead of zero (error
-/// feedback); `errors` is empty on lossless rounds, which makes that a
-/// plain reset. Dehydration then swaps every hydrated member's
-/// [`ClientState`] back into the population. A first-time participant's
-/// state is stored only if it was online: the population takes the slot's
-/// state whole, and the slot gets an empty one pre-sized here, on the round
-/// thread, so the next first-timer's reset — on a pool worker — allocates
-/// nothing and the population's states do not migrate into the workers'
-/// allocator arenas. A pristine offline first-timer's state is dropped
-/// (offline clients advance no stream) and recreated identically on its
-/// next appearance.
+/// Each delivered upload's buffers go back into its slot first. Then every
+/// member resets its own residual on the pool, as Algorithm 1's clients do:
+/// a member that delivered derives `J ∩ J_i` from the round's `J` (the
+/// selection's bitset) and its own upload in one walk of its entries, which
+/// tests each against `J` without a branch and writes only the selected
+/// coordinates ([`Client::reset_selected`](crate::client::Client::reset_selected)),
+/// and counts the member's contribution; a lost or offline member resets
+/// nothing, so its residual keeps its update. The member's entries are in
+/// index order, so the walk is one forward sweep of its residual. On the
+/// lossy tier each reset coordinate is seeded with its quantization error
+/// instead of zero (error feedback); `errors` is empty on lossless rounds,
+/// which makes that a plain reset. The server builds no reset list.
+/// Dehydration then swaps every hydrated member's [`ClientState`] back into
+/// the population. A first-time participant's state is stored only if it
+/// was online: the population takes the slot's state whole, and the slot
+/// gets an empty one pre-sized here, on the round thread, so the next
+/// first-timer's reset — on a pool worker — allocates nothing and the
+/// population's states do not migrate into the workers' allocator arenas.
+/// A pristine offline first-timer's state is dropped (offline clients
+/// advance no stream) and recreated identically on its next appearance.
 ///
 /// The downlink price is a max over the links that can be the slowest
 /// receiver of the broadcast: the channel's frontier, built on the first
@@ -35,6 +40,7 @@ use crate::wire_state::WireState;
 /// [`SpanId::DownlinkPricing`] span nests inside [`SpanId::Bookkeeping`].
 pub(crate) fn bookkeep<R: Recorder>(
     rec: &mut R,
+    shared: &Shared,
     round_idx: usize,
     selection: &SelectionResult,
     downlink_bytes: Option<usize>,
@@ -44,15 +50,17 @@ pub(crate) fn bookkeep<R: Recorder>(
 ) -> (Vec<usize>, f64) {
     let t0 = rec.enabled().then(Instant::now);
     let slots = &mut cohort.slots;
-    let mut contributions = vec![0usize; slots.len()];
-    for (u_idx, &pos) in cohort.survivors.iter().enumerate() {
-        let (slot, upload) = (&mut slots[pos], &mut cohort.uploads[u_idx]);
-        std::mem::swap(&mut slot.entries, &mut upload.entries);
-        std::mem::swap(&mut slot.ranked, &mut upload.ranked);
-        let resets = selection.resets(u_idx);
-        slot.client.apply_reset_with_errors(resets, &slot.errors);
-        contributions[pos] = resets.len();
+    for (upload, &pos) in cohort.uploads.iter_mut().zip(&cohort.survivors) {
+        std::mem::swap(&mut slots[pos].entries, &mut upload.entries);
+        std::mem::swap(&mut slots[pos].ranked, &mut upload.ranked);
     }
+    let contributions = shared.executor.map_mut(slots, |slot| {
+        if !slot.delivered {
+            return 0;
+        }
+        slot.client
+            .reset_selected(&slot.entries, selection, &slot.errors)
+    });
     for slot in slots.iter_mut() {
         let (id, state) = (slot.client.id(), &mut slot.client.state);
         if slot.hydrated {
@@ -117,9 +125,9 @@ mod tests {
             let large = sim.dim() / 2;
             // One large round, then enough unit rounds for a halving demand
             // mark to fall two octaves below it; three times over. How many
-            // fill candidates a large round ranks depends on its uploads, so
-            // `keys` may still double at the second one; after it nothing
-            // moves.
+            // candidates a large round ranks (FAB's fill level, FUB's
+            // aggregated union) depends on its uploads, so `keys` may still
+            // double at the second one; after it nothing moves.
             let ks = [large, 1, 1, 1, 1].repeat(3);
             let mut previous: Vec<usize> = Vec::new();
             let mut settled = Vec::new();
@@ -133,8 +141,12 @@ mod tests {
                     "round {round} (k = {k}) released capacity: {previous:?} -> {caps:?}"
                 );
                 if round == 5 {
-                    // `selected`, the first of the selection's lists.
-                    assert!(caps[0] >= large, "{caps:?}");
+                    // The dense sums and the `J` bitset, the first two of
+                    // the selection's buffers.
+                    assert!(
+                        caps[0] >= sim.dim() && caps[1] >= sim.dim() / 64,
+                        "{caps:?}"
+                    );
                     settled = caps.clone();
                 } else if round > 5 {
                     assert_eq!(caps, settled, "round {round} (k = {k})");

@@ -1,7 +1,7 @@
 //! Stage (1), the client pass: Lines 4–6 of Algorithm 1 on the pool, and the
 //! server's admission of each finished upload on the round thread.
 
-use agsfl_sparse::UploadPlan;
+use agsfl_sparse::{SelectionScratch, UploadPlan};
 use agsfl_telemetry::{stage, Recorder, SpanId};
 use agsfl_wire::decode_frame;
 use std::time::Instant;
@@ -40,14 +40,20 @@ use crate::wire_state::WireState;
 /// members are tallied; a transmitting member's uplink is priced on its own
 /// link (straggler slowdown included), every planned corruption is replayed
 /// through the *real* validated decoder (the `WireError` path), and
-/// retries, backoff and the round deadline are applied; an admitted
+/// retries, backoff and the round deadline are applied. A delivered
 /// upload's entry and ranked buffers are swapped into the next aggregation
-/// input. A damaged frame that happens to decode is still treated as
-/// detected-corrupt — the link-layer checksum stand-in — so corruption
+/// input, and the server adds it into the round's sums right there
+/// ([`SelectionScratch::accumulate`], begun at the model's dimension before
+/// the pass): the consumer sees every delivered upload, in cohort order,
+/// while the workers finish the rest, so a dropped, corrupt-lost, late or
+/// offline member's entries never enter the sums and selection only picks
+/// `J` and gathers. A damaged frame that happens to decode is still treated
+/// as detected-corrupt — the link-layer checksum stand-in — so corruption
 /// delays rounds but can never skew the trajectory. The in-order consumer
-/// is what keeps the loss reduction, the uplink-phase fold and the upload
-/// list bit-identical to the sequential loop; a clean round is the case
-/// where every plan is [`ClientFaultPlan::clean`](crate::fault::ClientFaultPlan::clean).
+/// is what keeps the loss reduction, the uplink-phase fold, the upload list
+/// and every coordinate's sum bit-identical to the sequential loop; a clean
+/// round is the case where every plan is
+/// [`ClientFaultPlan::clean`](crate::fault::ClientFaultPlan::clean).
 ///
 /// [`SpanId::WireFault`] (admission's time on this thread) and the worker
 /// spans — [`SpanId::ClientGradient`], [`SpanId::ClientSelect`],
@@ -62,6 +68,7 @@ pub(crate) fn client_pass<R: Recorder>(
     upload_plan: &UploadPlan,
     wire: Option<&WireState>,
     cohort: &mut Cohort,
+    scratch: &mut SelectionScratch,
 ) -> (f64, f64, Option<FaultRoundReport>) {
     let (model, params) = (shared.model.as_ref(), &shared.params[..]);
     let (source, dim) = (shared.source.as_ref(), params.len());
@@ -129,6 +136,7 @@ pub(crate) fn client_pass<R: Recorder>(
     let fmodel = fault.unwrap_or(&no_faults);
     let max_attempts = fmodel.max_retries + 1;
     cohort.survivors.clear();
+    scratch.begin(dim);
     let mut train_loss = 0.0f64;
     let mut uplink_phase = 0.0f64;
     let mut fr = FaultRoundReport::default();
@@ -138,6 +146,7 @@ pub(crate) fn client_pass<R: Recorder>(
     let (mut wire_fault_ns, mut worker_ns) = (0u64, WorkerNs::default());
     let admit = |pos: usize, slot: &mut Slot, ()| {
         worker_ns += std::mem::take(&mut slot.worker_ns);
+        slot.delivered = false;
         let (id, p) = (slot.client.id(), &slot.plan);
         if p.offline {
             fr.offline += 1;
@@ -184,13 +193,15 @@ pub(crate) fn client_pass<R: Recorder>(
             }
         }
         // Delivered: the slot lends its finished entry list and ranked view
-        // to the next aggregation input, which held empty buffers;
-        // bookkeeping swaps them back.
+        // to the next aggregation input, which held empty buffers
+        // (bookkeeping swaps them back), and the server adds it in.
         let upload = &mut cohort.uploads[cohort.survivors.len()];
         upload.client = id;
         upload.weight = slot.client.weight();
         std::mem::swap(&mut upload.entries, &mut slot.entries);
         std::mem::swap(&mut upload.ranked, &mut slot.ranked);
+        scratch.accumulate(upload);
+        slot.delivered = true;
         cohort.survivors.push(pos);
     };
     stage(rec, SpanId::ClientPass, || {
@@ -223,14 +234,20 @@ pub(crate) fn client_pass<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use crate::fixture::{
-        assert_uploads_hold_nothing, chaos_model, tiny_sim, uniform_wire, RANKED_CHECKS,
-        SPARSIFIERS,
+        assert_uploads_hold_nothing, chaos_model, tiny_sim, uniform_wire, LAST_SELECTION,
+        RANKED_CHECKS, SPARSIFIERS,
     };
     use crate::{
         ChannelModel, ClientLink, FaultModel, FaultRoundReport, Parallelism, RoundReport,
         WireConfig,
     };
-    use agsfl_sparse::{FabTopK, PeriodicK, SendAll, Sparsifier};
+    use agsfl_sparse::{reference, FabTopK, PeriodicK, SendAll, SparseGradient, Sparsifier};
+
+    /// A gradient's entries, values as their bits.
+    fn bits(gradient: &SparseGradient) -> Vec<(usize, u32)> {
+        let entries = gradient.entries().iter();
+        entries.map(|&(j, v)| (j, v.to_bits())).collect()
+    }
     use agsfl_wire::CodecSpec;
     use std::cell::Cell;
 
@@ -286,6 +303,71 @@ mod tests {
             sim.run_round(k, Some(k / 2));
             assert_uploads_hold_nothing(&sim);
         }
+    }
+
+    /// The server sums only what it was delivered. Under chaos — drops,
+    /// outages, corrupt-lost frames and a deadline — for every sparsifier,
+    /// every round: the aggregate the engine selected from its admitted
+    /// sums equals an independent `select_into` over the delivered uploads,
+    /// bit for bit; those uploads are exactly the members admission
+    /// delivered; each delivered member's contribution is the spec's
+    /// `|J ∩ J_i|` and its residual is reset there and nowhere else; and a
+    /// member that computed an upload the server never received keeps all
+    /// of its mass.
+    #[test]
+    fn only_delivered_uploads_are_summed() {
+        let mut lost_any = false;
+        for (which, make) in SPARSIFIERS.into_iter().enumerate() {
+            let mut sim = tiny_sim(make(), 40 + which as u64, |c, n| {
+                c.parallelism = Parallelism::Threads(2);
+                c.wire = uniform_wire(CodecSpec::Auto, n);
+                c.fault = Some(chaos_model(11));
+            });
+            let (dim, k) = (sim.dim(), sim.dim() / 6);
+            for round in 0..8 {
+                let report = sim.run_round(k, (round % 2 == 0).then_some(k / 2));
+                let (delivered, selection) = LAST_SELECTION
+                    .with(|last| last.borrow_mut().take())
+                    .expect("the round recorded its selection");
+                let fault = report.fault.as_ref().expect("fault accounting attached");
+                assert_eq!(delivered.len(), fault.survivors, "round {round}");
+                let spec = make().select(&delivered, dim, k);
+                assert_eq!(
+                    bits(&selection.aggregated),
+                    bits(&spec.aggregated),
+                    "sparsifier {which}, round {round}"
+                );
+                let j: Vec<usize> = spec.aggregated.indices().collect();
+                let (_, spec_resets) = reference::aggregate_selected(&delivered, &j, dim);
+                let mut spec_contributions = vec![0; report.cohort.len()];
+                let mut uploads = delivered.iter().zip(&spec_resets);
+                for (pos, slot) in sim.cohort.slots.iter().enumerate() {
+                    let id = slot.client.id();
+                    let residual = || sim.population[&id].residual.as_slice();
+                    if slot.delivered {
+                        let (upload, resets) = uploads.next().expect("one upload per delivery");
+                        assert_eq!((upload.client, &upload.entries), (id, &slot.entries));
+                        spec_contributions[pos] = resets.len();
+                        for &(j, v) in &upload.entries {
+                            let reset = resets.contains(&j);
+                            assert_eq!(residual()[j] == 0.0, reset || v == 0.0, "client {id}, {j}");
+                        }
+                    } else if !slot.plan.offline {
+                        // Computed, never received: nothing was reset.
+                        lost_any = true;
+                        for &(j, v) in &slot.entries {
+                            assert_eq!(residual()[j], v, "client {id} lost mass at {j}");
+                        }
+                    }
+                }
+                assert!(uploads.next().is_none(), "round {round}");
+                assert_eq!(report.contributions, spec_contributions, "round {round}");
+            }
+        }
+        assert!(
+            lost_any,
+            "chaos rates should lose at least one computed upload"
+        );
     }
 
     /// The byte-priced path must not perturb training by a single bit: the

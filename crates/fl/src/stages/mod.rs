@@ -1,8 +1,11 @@
 //! The stages of Algorithm 1's round, one module each, in the order
 //! [`Simulation::run_round_recorded`](crate::Simulation::run_round_recorded)
-//! calls them: [`hydrate`], [`client_pass`], selection (one
-//! `Sparsifier::select_into` call, inline), [`probe`], [`broadcast`] and
-//! [`bookkeep`]; [`evaluate`] runs between rounds.
+//! calls them: [`hydrate`], [`client_pass`] (whose admission adds each
+//! delivered upload into the server's sums), selection (one
+//! `Sparsifier::select_accumulated` call, inline: pick `J`, gather its
+//! sums), [`probe`], [`broadcast`] and [`bookkeep`] (where each member
+//! resets its own residual on `J`, on the pool); [`evaluate`] runs between
+//! rounds.
 //!
 //! A stage is a free function whose parameters are its borrow list: every
 //! field of the simulation it reads is a `&` argument and every field it

@@ -17,8 +17,9 @@
 //! The weights themselves are never staged: every product reads them as a
 //! borrowed view of the flat parameter vector.
 //!
-//! [`Im2colScratch`] owns every intermediate of both passes. Like
-//! `SelectionScratch` in `agsfl-sparse`, it is epoch-stamped and grow-only:
+//! [`Im2colScratch`] owns every intermediate of both passes. Like every
+//! workspace of the round engine (`SelectionScratch` in `agsfl-sparse`
+//! among them), it is grow-only; it is also epoch-stamped:
 //! [`Im2colScratch::begin`] bumps the generation counter and the producing
 //! pass reshapes the buffers for the call's geometry, reusing their
 //! allocations (every active slot is either fully overwritten by its

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use crate::topk;
+use crate::{topk, SelectionResult};
 
 /// The per-client accumulated local gradient `a_i` of Algorithm 1.
 ///
@@ -28,6 +28,10 @@ use crate::topk;
 pub struct ResidualAccumulator {
     residual: Vec<f32>,
 }
+
+/// Entries [`ResidualAccumulator::reset_selected`] packs before it writes
+/// their residual coordinates.
+const RESET_CHUNK: usize = 256;
 
 impl ResidualAccumulator {
     /// Creates a zero accumulator of dimension `dim`.
@@ -149,60 +153,63 @@ impl ResidualAccumulator {
         }
     }
 
-    /// Resets the given coordinates, seeding each with its quantization
-    /// error instead of zero — the lossy-tier extension of
-    /// [`ResidualAccumulator::reset_indices`].
+    /// Resets the coordinates of its own upload that the server selected —
+    /// `a_ij <- 0` for `j ∈ J ∩ J_i` (Lines 16–17 of Algorithm 1) — seeding
+    /// each with its quantization error instead of zero on the lossy tier,
+    /// and returns how many it reset (`|J ∩ J_i|`, the client's
+    /// contribution).
     ///
-    /// `errors` holds `(j, v - v̂)` pairs sorted by index: the gap between
-    /// what the client computed and what the lossy wire codec actually
-    /// delivered. A transmitted coordinate that the codec reproduced
-    /// exactly (or that has no entry in `errors`) resets to zero exactly as
-    /// before, so with an empty `errors` slice this is bit-identical to
-    /// `reset_indices`. Otherwise the reset indices are merged against the
-    /// error list in one forward sweep of both — directly when they are
-    /// already ascending (every reset list of an upload the round engine
-    /// delivers is), else after sorting them into `sorted` (cleared first,
-    /// reusable across calls); an error at an index that is not reset is
-    /// ignored, a repeated reset index is harmless.
+    /// `sent` is the upload's entries as the server aggregated them; the
+    /// client derives `J ∩ J_i` from them and the round's `J` itself, with
+    /// no list from the server. The walk goes `RESET_CHUNK` entries at a
+    /// time: the entries in `J` are packed into a stack buffer without a
+    /// data-dependent branch (every entry is written, the cursor advances
+    /// on the bit), and then only those coordinates of the residual are
+    /// written — so neither the membership test nor the residual lines of
+    /// unselected entries cost a mispredicted branch or a store, whatever
+    /// share of the upload was selected. `errors` is empty, or holds one
+    /// quantization error `v - v̂` per sent entry: the gap between what the
+    /// client computed and what the lossy wire codec delivered, zero where
+    /// the codec was exact. A reset coordinate is seeded with its error
+    /// (error feedback), so with an empty `errors` slice this is
+    /// [`Self::reset_indices`] over `J ∩ J_i`; the error of an entry that
+    /// is not reset is ignored.
     ///
     /// # Panics
     ///
-    /// Panics if any index is out of range.
-    pub fn reset_indices_to(
+    /// Panics if a selected entry's index is out of range, or if `errors`
+    /// is neither empty nor as long as `sent`. A sent index outside the
+    /// selection's dimension is never in `J`, so it resets nothing.
+    pub fn reset_selected(
         &mut self,
-        indices: &[usize],
-        errors: &[(usize, f32)],
-        sorted: &mut Vec<u64>,
-    ) {
-        if errors.is_empty() {
-            return self.reset_indices(indices);
-        }
-        debug_assert!(
-            errors.windows(2).all(|w| w[0].0 < w[1].0),
-            "errors must be sorted by strictly increasing index"
+        sent: &[(usize, f32)],
+        selection: &SelectionResult,
+        errors: &[f32],
+    ) -> usize {
+        assert!(
+            errors.is_empty() || errors.len() == sent.len(),
+            "{} quantization errors for {} sent entries",
+            errors.len(),
+            sent.len()
         );
-        if indices.is_sorted() {
-            return self.merge_errors(indices.iter().copied(), errors);
+        let selected = selection.selected_words();
+        // One chunk's selected coordinates and their reset values, as bits.
+        let mut packed = [(0usize, 0u32); RESET_CHUNK];
+        let mut resets = 0;
+        for (at, chunk) in sent.chunks(RESET_CHUNK).enumerate() {
+            let chunk_errors = errors.get(at * RESET_CHUNK..).unwrap_or_default();
+            let mut n = 0;
+            for (e, &(j, _)) in chunk.iter().enumerate() {
+                let value = chunk_errors.get(e).map_or(0, |v| v.to_bits());
+                packed[n] = (j, value);
+                n += (selected[j / 64] >> (j % 64)) as usize & 1;
+            }
+            for &(j, value) in &packed[..n] {
+                self.residual[j] = f32::from_bits(value);
+            }
+            resets += n;
         }
-        sorted.clear();
-        sorted.extend(indices.iter().map(|&j| j as u64));
-        sorted.sort_unstable();
-        self.merge_errors(sorted.iter().map(|&j| j as usize), errors);
-    }
-
-    /// The merge of [`ResidualAccumulator::reset_indices_to`]: `ascending`
-    /// reset indices against the index-sorted `errors`.
-    fn merge_errors(&mut self, ascending: impl Iterator<Item = usize>, errors: &[(usize, f32)]) {
-        let mut pending = errors;
-        for j in ascending {
-            assert!(j < self.residual.len(), "index {j} out of range");
-            let skip = pending.iter().take_while(|&&(i, _)| i < j).count();
-            pending = &pending[skip..];
-            self.residual[j] = match pending.first() {
-                Some(&(i, error)) if i == j => error,
-                _ => 0.0,
-            };
-        }
+        resets
     }
 
     /// Sum of absolute residual values — a measure of how much gradient mass
@@ -224,6 +231,7 @@ impl From<Vec<f32>> for ResidualAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SparseGradient;
     use proptest::prelude::*;
 
     #[test]
@@ -296,31 +304,58 @@ mod tests {
         assert_eq!(acc.as_slice()[1], 0.0);
     }
 
-    #[test]
-    fn reset_indices_to_seeds_quantization_errors() {
-        let mut acc = ResidualAccumulator::new(4);
-        acc.add(&[1.0, 2.0, 3.0, 4.0]);
-        // Index 0 was delivered exactly, index 2 lost 0.25 to quantization.
-        acc.reset_indices_to(&[0, 2], &[(2, 0.25)], &mut Vec::new());
-        assert_eq!(acc.as_slice(), &[0.0, 2.0, 0.25, 4.0]);
+    /// A selection of dimension `dim` whose `J` is `selected`.
+    fn selection(dim: usize, selected: &[usize]) -> SelectionResult {
+        let mut bits = vec![0u64; dim.div_ceil(64)];
+        for &j in selected {
+            bits[j / 64] |= 1 << (j % 64);
+        }
+        let aggregate = selected.iter().map(|&j| (j, 1.0)).collect();
+        SelectionResult::new(
+            SparseGradient::from_entries(dim, aggregate),
+            bits,
+            &[],
+            true,
+        )
     }
 
     #[test]
-    fn reset_indices_to_with_empty_errors_matches_reset_indices() {
-        let mut a = ResidualAccumulator::new(4);
-        let mut b = ResidualAccumulator::new(4);
-        a.add(&[1.0, -2.0, 3.0, -4.0]);
-        b.add(&[1.0, -2.0, 3.0, -4.0]);
-        a.reset_indices(&[1, 3]);
-        b.reset_indices_to(&[1, 3], &[], &mut Vec::new());
-        assert_eq!(a.as_slice(), b.as_slice());
+    fn reset_selected_seeds_quantization_errors() {
+        let mut acc = ResidualAccumulator::new(5);
+        acc.add(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let sent = [(0, 1.0), (2, 3.0), (3, 4.0)];
+        // Index 0 was delivered exactly, index 2 lost 0.25 to quantization,
+        // index 3 lost 0.5 but was not selected.
+        let resets = acc.reset_selected(&sent, &selection(5, &[0, 2, 4]), &[0.0, 0.25, 0.5]);
+        assert_eq!(resets, 2);
+        assert_eq!(acc.as_slice(), &[0.0, 2.0, 0.25, 4.0, 5.0]);
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn reset_indices_to_rejects_an_out_of_range_index() {
+    fn reset_selected_without_errors_resets_the_selected_sent_coordinates() {
+        let mut a = ResidualAccumulator::new(70);
+        let grad: Vec<f32> = (0..70).map(|j| j as f32 - 20.5).collect();
+        a.add(&grad);
+        let mut b = a.clone();
+        // Any entry order, an unselected entry, a selected index not sent.
+        let sent = [(65, 1.0), (3, 1.0), (40, 1.0), (1, 1.0)];
+        let resets = a.reset_selected(&sent, &selection(70, &[1, 3, 8, 65]), &[]);
+        b.reset_indices(&[65, 3, 1]);
+        assert_eq!((resets, a.as_slice()), (3, b.as_slice()));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn reset_selected_rejects_a_selected_index_out_of_range() {
         let mut acc = ResidualAccumulator::new(4);
-        acc.reset_indices_to(&[1, 4], &[(1, 0.5)], &mut Vec::new());
+        acc.reset_selected(&[(1, 1.0), (65, 1.0)], &selection(70, &[1, 65]), &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "1 quantization errors for 2 sent entries")]
+    fn a_lossy_reset_wants_an_error_per_sent_entry() {
+        let mut acc = ResidualAccumulator::new(4);
+        acc.reset_selected(&[(1, 1.0), (3, 1.0)], &selection(4, &[1]), &[0.5]);
     }
 
     #[test]
@@ -331,30 +366,57 @@ mod tests {
     }
 
     proptest! {
-        /// The merge against the per-index binary search it replaced, on
-        /// reset lists in arbitrary order with repeats, on the same lists
-        /// ascending (merged in place, the way an upload's resets arrive),
-        /// and on error lists that also name indices outside the reset set.
+        /// The packed walk against the per-index binary search of the spec
+        /// over `J ∩ J_i`, on sent entries in any order and ascending (the
+        /// way an upload arrives), past a chunk boundary, without errors
+        /// and with errors on a random part of the entries, some of them
+        /// not reset.
         #[test]
-        fn prop_reset_by_merge_equals_reset_by_binary_search(
-            grad in proptest::collection::vec(-5.0f32..5.0, 40),
-            resets in proptest::collection::vec(0usize..40, 0..60),
-            error_picks in proptest::collection::vec((0usize..40, -1.0f32..1.0), 0..40),
+        fn prop_packed_reset_equals_reset_by_binary_search(
+            grad in proptest::collection::vec(-5.0f32..5.0, 300),
+            sent_picks in proptest::collection::vec(0usize..300, 0..600),
+            selected_picks in proptest::collection::vec(0usize..300, 0..200),
+            error_picks in proptest::collection::vec((0usize..3, -1.0f32..1.0), 600),
         ) {
-            let mut errors = error_picks;
-            errors.sort_unstable_by_key(|&(j, _)| j);
-            errors.dedup_by_key(|&mut (j, _)| j);
-            let mut ascending = resets.clone();
-            ascending.sort_unstable();
+            let mut distinct = std::collections::HashSet::new();
+            let sent: Vec<(usize, f32)> = sent_picks
+                .into_iter()
+                .filter(|&j| distinct.insert(j))
+                .map(|j| (j, 1.0))
+                .collect();
+            let mut ascending = sent.clone();
+            ascending.sort_unstable_by_key(|&(j, _)| j);
+            let errors: Vec<f32> = error_picks[..sent.len()]
+                .iter()
+                .map(|&(keep, e)| if keep > 0 { e } else { 0.0 })
+                .collect();
+            let selection = selection(300, &selected_picks);
+            let chosen: std::collections::HashSet<usize> = selected_picks.into_iter().collect();
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            for resets in [resets, ascending] {
-                let mut acc = ResidualAccumulator::new(40);
-                acc.add(&grad);
-                let mut expected = grad.clone();
-                crate::reference::reset_indices_to(&mut expected, &resets, &errors);
-                let mut scratch = vec![7; 3];
-                acc.reset_indices_to(&resets, &errors, &mut scratch);
-                prop_assert_eq!(bits(acc.as_slice()), bits(&expected));
+            for sent in [&sent, &ascending] {
+                for errors in [&[][..], &errors[..]] {
+                    let mut acc = ResidualAccumulator::new(300);
+                    acc.add(&grad);
+                    let resets: Vec<usize> = sent
+                        .iter()
+                        .map(|&(j, _)| j)
+                        .filter(|j| chosen.contains(j))
+                        .collect();
+                    // The spec's errors: index-sorted, only where the codec
+                    // changed a value.
+                    let mut by_index: Vec<(usize, f32)> = sent
+                        .iter()
+                        .zip(errors)
+                        .filter(|&(_, &e)| e != 0.0)
+                        .map(|(&(j, _), &e)| (j, e))
+                        .collect();
+                    by_index.sort_unstable_by_key(|&(j, _)| j);
+                    let mut expected = grad.clone();
+                    crate::reference::reset_indices_to(&mut expected, &resets, &by_index);
+                    let count = acc.reset_selected(sent, &selection, errors);
+                    prop_assert_eq!(count, resets.len());
+                    prop_assert_eq!(bits(acc.as_slice()), bits(&expected));
+                }
             }
         }
 

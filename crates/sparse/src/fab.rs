@@ -1,7 +1,7 @@
 use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
-use crate::sparsifier::{aggregate_marked, ClientUpload, SelectionResult, Sparsifier, UploadPlan};
+use crate::sparsifier::{ClientUpload, SelectionResult, Sparsifier, UploadPlan};
 use crate::topk;
 use crate::SparseGradient;
 
@@ -30,7 +30,7 @@ use crate::SparseGradient;
 /// let result = fab.select(&uploads, 8, 2);
 /// // Fairness: even though client 1's values are tiny, it still contributes
 /// // at least floor(2/2) = 1 element.
-/// assert!(result.contributions()[1] >= 1);
+/// assert!(result.contributions(&uploads)[1] >= 1);
 /// assert_eq!(result.aggregated.nnz(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -47,7 +47,8 @@ impl FabTopK {
     /// iteration order, which was nondeterministic across processes).
     ///
     /// Exposed for testing and for the ablation benchmarks; the round loop
-    /// goes through [`Sparsifier::select_into`], which reuses the scratch.
+    /// goes through [`Sparsifier::select_accumulated`], which reuses the
+    /// scratch.
     pub fn select_indices(uploads: &[ClientUpload], k: usize) -> Vec<usize> {
         let dim = uploads
             .iter()
@@ -56,8 +57,7 @@ impl FabTopK {
             .unwrap_or(0);
         let mut scratch = SelectionScratch::new();
         Self::scan_levels(uploads, dim, k, &mut scratch);
-        topk::sort_indices(&mut scratch.selected, &mut scratch.keys);
-        scratch.selected
+        scratch.marked().collect()
     }
 
     /// The rank-major scan behind every FAB selection: reads the uploads'
@@ -69,76 +69,89 @@ impl FabTopK {
     /// level `r` is marked the marked set is exactly `∪_i J_i^{r+1}` and its
     /// size is that union's: the largest feasible `κ` is the first level
     /// whose first-seen indices would overflow `k`, and that level's
-    /// unmarked entries are precisely the fill candidates of Algorithm 1.
-    /// The scan therefore reads `N·(κ+1)` upload entries, not all `N·k`
-    /// (`crate::reference` keeps the seed's binary search over `HashSet`
-    /// unions as the specification).
+    /// entries not marked before it are precisely the fill candidates of
+    /// Algorithm 1. The scan therefore reads `N·(κ+1)` upload entries, not
+    /// all `N·k` (`crate::reference` keeps the seed's binary search over
+    /// `HashSet` unions as the specification).
     ///
     /// `κ` never exceeds `min(k, longest upload)`; the level *at* that bound
     /// is only ever a fill level, and taking all of a level that fits is the
     /// same set as filling from it in magnitude order until it runs out.
     ///
-    /// On return `scratch.selected` holds `J` in first-seen order and the
-    /// sums generation has exactly `J` marked (with zero sums): sorted, it
-    /// is step one of the selection contract, ready for [`aggregate_marked`];
-    /// unsorted, it restricts a larger round's aggregate.
-    fn scan_levels(uploads: &[ClientUpload], dim: usize, k: usize, scratch: &mut SelectionScratch) {
+    /// On return the scratch's bitset holds exactly `J`, whose size is
+    /// returned: read in index order, the bitset is the round's selection,
+    /// or restricts a larger round's aggregate.
+    fn scan_levels(
+        uploads: &[ClientUpload],
+        dim: usize,
+        k: usize,
+        scratch: &mut SelectionScratch,
+    ) -> usize {
         debug_assert!(
             uploads.iter().all(|u| u.ranked.len() == u.entries.len()),
             "FAB reads every upload's ranked key view"
         );
-        scratch.selected.clear();
-        scratch.begin_sums(dim);
+        scratch.clear_marks(dim);
         if k == 0 {
-            return;
+            return 0;
         }
+        let mut selected = 0;
         let max_prefix = uploads.iter().map(|u| u.ranked.len()).max().unwrap_or(0);
+        // One slot per upload: a level's candidates fit.
+        scratch.candidates.clear();
+        scratch.candidates.resize(uploads.len(), (0, 0.0));
         for level in 0..=max_prefix.min(k) {
-            let accepted = scratch.selected.len();
+            // Mark the level, keeping the indices first seen here.
+            // Branch-free: every entry is written, and the cursor advances
+            // on an unmarked index.
+            let mut n = 0;
             for upload in uploads {
                 if let Some(&key) = upload.ranked.get(level) {
-                    let (j, _) = topk::key_entry(key);
+                    let (j, v) = topk::key_entry(key);
                     assert!(j < dim, "upload index {j} out of range (dim {dim})");
-                    if !scratch.is_marked(j) {
-                        scratch.mark_selected(j);
-                        scratch.selected.push(j);
-                    }
+                    scratch.candidates[n] = (j, v);
+                    n += usize::from(!scratch.is_marked(j));
+                    scratch.mark(j);
                 }
             }
-            if scratch.selected.len() < k {
+            selected += n;
+            if selected < k {
                 continue;
             }
-            if scratch.selected.len() > k {
+            if selected > k {
                 // κ = level. Un-accept it and fill up to k with its
-                // largest-magnitude entries that are not already selected.
-                for i in accepted..scratch.selected.len() {
-                    scratch.unmark(scratch.selected[i]);
+                // largest-magnitude entries not marked before it — an
+                // index several clients rank here is a candidate once per
+                // client.
+                for i in 0..n {
+                    scratch.unmark(scratch.candidates[i].0);
                 }
-                scratch.selected.truncate(accepted);
-                scratch.candidates.clear();
+                selected -= n;
+                let mut m = 0;
                 for upload in uploads {
                     if let Some(&key) = upload.ranked.get(level) {
                         let (j, v) = topk::key_entry(key);
-                        if !scratch.is_marked(j) {
-                            scratch.candidates.push((j, v));
-                        }
+                        scratch.candidates[m] = (j, v);
+                        m += usize::from(!scratch.is_marked(j));
                     }
                 }
+                scratch.candidates.truncate(m);
                 topk::rank_by_magnitude(&mut scratch.candidates, &mut scratch.keys);
                 for i in 0..scratch.candidates.len() {
-                    if scratch.selected.len() >= k {
+                    if selected >= k {
                         break;
                     }
                     let j = scratch.candidates[i].0;
                     // The same index may appear from several clients.
                     if !scratch.is_marked(j) {
-                        scratch.mark_selected(j);
-                        scratch.selected.push(j);
+                        scratch.mark(j);
+                        selected += 1;
                     }
                 }
             }
-            return;
+            return selected;
         }
+        selected
     }
 }
 
@@ -151,17 +164,15 @@ impl Sparsifier for FabTopK {
         UploadPlan::TopKOwn
     }
 
-    fn select_into(
+    fn select_accumulated(
         &self,
         uploads: &[ClientUpload],
         dim: usize,
         k: usize,
         scratch: &mut SelectionScratch,
     ) -> SelectionResult {
-        // The scan leaves exactly J marked, so the sweep follows directly.
         Self::scan_levels(uploads, dim, k, scratch);
-        topk::sort_indices(&mut scratch.selected, &mut scratch.keys);
-        aggregate_marked(uploads, dim, scratch, true)
+        scratch.gather(uploads, dim, true)
     }
 
     fn probe_aggregate(
@@ -174,18 +185,18 @@ impl Sparsifier for FabTopK {
         scratch: &mut SelectionScratch,
     ) -> Option<SparseGradient> {
         if probe_k > k {
-            return Some(self.select_into(uploads, dim, probe_k, scratch).aggregated);
+            let probe = self.select_into(uploads, dim, probe_k, scratch);
+            return Some(scratch.take_aggregate(probe));
         }
         // A selection that stopped short of its budget took every level, so
         // any budget at least its size takes the same ones.
         if probe_k >= selection.aggregated.nnz() {
             return None;
         }
-        Self::scan_levels(uploads, dim, probe_k, scratch);
+        let kept = Self::scan_levels(uploads, dim, probe_k, scratch);
         // Keep the marked entries of the round's aggregate, in its (index)
         // order. Branch-free: always write, advance only on a marked index;
         // the spare slot absorbs the writes after the last match.
-        let kept = scratch.selected.len();
         scratch.candidates.resize(kept + 1, (0, 0.0));
         let mut n = 0;
         for &entry in selection.aggregated.entries() {
@@ -243,14 +254,14 @@ mod tests {
         let uploads = uploads_from_dense(&clients, 4);
         let result = FabTopK::new().select(&uploads, 10, 4);
         assert!(
-            result.contributions()[1] >= 2,
+            result.contributions(&uploads)[1] >= 2,
             "{:?}",
-            result.contributions()
+            result.contributions(&uploads)
         );
         assert!(
-            result.contributions()[0] >= 2,
+            result.contributions(&uploads)[0] >= 2,
             "{:?}",
-            result.contributions()
+            result.contributions(&uploads)
         );
     }
 
@@ -261,7 +272,7 @@ mod tests {
         let result = FabTopK::new().select(&uploads, 3, 1);
         assert_eq!(result.aggregated.nnz(), 1);
         assert!((result.aggregated.get(0) - 3.0).abs() < 1e-6);
-        assert_eq!(result.contributions(), vec![1, 1]);
+        assert_eq!(result.contributions(&uploads), vec![1, 1]);
     }
 
     #[test]
@@ -291,12 +302,13 @@ mod tests {
         ];
         let uploads = uploads_from_dense(&clients, 3);
         let result = FabTopK::new().select(&uploads, 5, 3);
-        for (u, upload) in uploads.iter().enumerate() {
-            let resets = result.resets(u);
+        for upload in &uploads {
             let uploaded: std::collections::HashSet<usize> =
                 upload.entries.iter().map(|&(j, _)| j).collect();
-            assert!(resets.iter().all(|j| uploaded.contains(j)));
-            assert!(resets.iter().all(|j| result.aggregated.contains(*j)));
+            for j in result.resets(upload) {
+                assert!(uploaded.contains(&j));
+                assert!(result.aggregated.contains(j));
+            }
         }
     }
 
@@ -337,7 +349,7 @@ mod tests {
             // Fairness: every client contributes at least floor(k / N) elements
             // (as long as it uploaded that many).
             let floor_share = k / n_clients;
-            for (upload, &contrib) in uploads.iter().zip(result.contributions().iter()) {
+            for (upload, &contrib) in uploads.iter().zip(result.contributions(&uploads).iter()) {
                 prop_assert!(contrib >= floor_share.min(upload.len()),
                     "contribution {} < floor share {}", contrib, floor_share);
             }

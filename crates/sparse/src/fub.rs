@@ -1,7 +1,7 @@
 use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
-use crate::sparsifier::{aggregate_marked, ClientUpload, SelectionResult, Sparsifier, UploadPlan};
+use crate::sparsifier::{ClientUpload, SelectionResult, Sparsifier, UploadPlan};
 use crate::topk;
 use crate::SparseGradient;
 
@@ -26,7 +26,7 @@ use crate::SparseGradient;
 /// ];
 /// let result = fub.select(&uploads, 8, 2);
 /// // The small client is starved: all k slots go to client 0's indices.
-/// assert_eq!(result.contributions()[1], 0);
+/// assert_eq!(result.contributions(&uploads)[1], 0);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FubTopK;
@@ -47,46 +47,27 @@ impl Sparsifier for FubTopK {
         UploadPlan::TopKOwn
     }
 
-    fn select_into(
+    fn select_accumulated(
         &self,
         uploads: &[ClientUpload],
         dim: usize,
         k: usize,
         scratch: &mut SelectionScratch,
     ) -> SelectionResult {
-        // Aggregate every uploaded coordinate (distinct indices collect in
-        // `selected`, first seen first), then keep the top-k of the
-        // aggregated magnitudes.
-        scratch.begin_sums(dim);
-        scratch.selected.clear();
-        for upload in uploads {
-            for &(j, v) in &upload.entries {
-                assert!(j < dim, "upload index {j} out of range (dim {dim})");
-                if !scratch.is_marked(j) {
-                    scratch.mark_selected(j);
-                    scratch.selected.push(j);
-                }
-                scratch.accumulate(j, upload.weight * v as f64);
-            }
-        }
-        scratch.candidates.clear();
-        for i in 0..scratch.selected.len() {
-            let j = scratch.selected[i];
-            scratch.candidates.push((j, scratch.sum(j) as f32));
-        }
-        // Only the top-k *set* matters (the selection is re-sorted by index
-        // below), so an O(U) partial selection replaces a full O(U log U)
-        // sort; the key order is total, so the set is identical.
+        // Every uploaded coordinate is aggregated already: read the union's
+        // sums, keep the top-k of the aggregated magnitudes, and mark them.
+        scratch.clear_marks(dim);
+        scratch.mark_entries(uploads, dim);
+        scratch.marked_sums_into_candidates();
+        // Only the top-k *set* matters (`J` is read back in index order),
+        // so an O(U) partial selection replaces a full O(U log U) sort; the
+        // key order is total, so the set is identical.
         topk::truncate_to_top_k(&mut scratch.candidates, k, &mut scratch.keys);
-        scratch.selected.clear();
-        scratch
-            .selected
-            .extend(scratch.candidates.iter().map(|&(j, _)| j));
-        topk::sort_indices(&mut scratch.selected, &mut scratch.keys);
-        // Re-mark J alone: the sweep re-adds its sums from zero in upload
-        // order, the very adds of the pass above.
-        scratch.mark_selection(dim);
-        aggregate_marked(uploads, dim, scratch, true)
+        scratch.clear_marks(dim);
+        for i in 0..scratch.candidates.len() {
+            scratch.mark(scratch.candidates[i].0);
+        }
+        scratch.gather(uploads, dim, true)
     }
 
     fn probe_aggregate(
@@ -99,7 +80,8 @@ impl Sparsifier for FubTopK {
         scratch: &mut SelectionScratch,
     ) -> Option<SparseGradient> {
         if probe_k > k {
-            return Some(self.select_into(uploads, dim, probe_k, scratch).aggregated);
+            let probe = self.select_into(uploads, dim, probe_k, scratch);
+            return Some(scratch.take_aggregate(probe));
         }
         if probe_k >= selection.aggregated.nnz() {
             return None;
@@ -154,8 +136,8 @@ mod tests {
         ];
         let uploads = uploads_from_dense(&clients, 3);
         let result = FubTopK::new().select(&uploads, 6, 3);
-        assert_eq!(result.contributions()[1], 0);
-        assert_eq!(result.contributions()[0], 3);
+        assert_eq!(result.contributions(&uploads)[1], 0);
+        assert_eq!(result.contributions(&uploads)[0], 3);
     }
 
     #[test]

@@ -21,38 +21,45 @@
 //! # The selection pipeline and its complexity
 //!
 //! The server hot path of Algorithm 1 — executed once per round for every
-//! figure sweep, ablation and bench target — is `Sparsifier::select_into`,
-//! which threads a caller-owned [`SelectionScratch`] through selection and
-//! aggregation. Every sparsifier follows one contract: step one picks `J`
-//! (its own rule) and leaves it sorted and marked in the scratch; step two
-//! is one shared sweep over the uploads that aggregates `J` and writes
-//! every upload's resets `J ∩ J_i` into one flat list with per-upload end
-//! offsets ([`SelectionResult::resets`]). The workspace holds
-//! epoch/generation-stamped dense buffers: "clearing" is a counter bump,
-//! never a `memset` or a hash-map rebuild, so a steady-state round
-//! allocates only the returned result — the aggregate's entries, the flat
-//! reset list and its offsets — however many clients it has.
+//! figure sweep, ablation and bench target — runs in two phases over a
+//! caller-owned [`SelectionScratch`]. Every upload is *accumulated* into a
+//! dense `f64` sum per coordinate ([`SelectionScratch::accumulate`]:
+//! `weight × value`, in entry order); then the sparsifier picks `J` (its own
+//! rule) into a bitset — FAB-top-k by its rank-major scan, FUB-top-k and
+//! unidirectional top-k from the union of the uploads, periodic-k and
+//! send-all from their plan — and the aggregate is that bitset read in
+//! index order, each coordinate with its sum: one gather
+//! ([`Sparsifier::select_accumulated`]). [`Sparsifier::select_into`] is the
+//! two phases in one call; the round engine in `agsfl-fl` accumulates each
+//! delivered upload as it is admitted and selects once the pass is over.
+//! The server builds no reset list: the result keeps `J`, and each client
+//! derives its own resets `J ∩ J_i` from its own upload
+//! ([`SelectionResult::resets`], fused into the reset itself by
+//! [`ResidualAccumulator::reset_selected`]). The sums are zeroed by one
+//! fill of the dimension after each selection, and a result handed back
+//! ([`SelectionScratch::recycle`]) lends its two buffers to the next one, so
+//! a steady-state round allocates nothing here, however many clients it
+//! has.
 //!
 //! With `N` clients, degree `k`, dimension `D` and `U = Σ_i |uploads_i|`
 //! (`U ≤ N·k`):
 //!
 //! | stage | seed implementation | scratch implementation |
 //! |---|---|---|
-//! | FAB `κ` search | `HashSet` union rebuild per probe: O(U) hashing × O(log k) probes | rank-major scan of each upload's ranked key view ([`ClientUpload::ranked`]): level `r` is every client's rank-`r` key, the indices first seen there are the ones whose minimum rank is `r`, so union sizes grow level by level and the scan stops at the first level that overflows `k` — `N·(κ+1)` keys read, not `U`; `J` is sorted by the index radix ([`topk::sort_indices`]) |
-//! | aggregation + resets | `HashSet` membership + `HashMap` sums + sort/dedup in `from_entries`, one reset `Vec` per client | one shared sweep for all five sparsifiers: stamped dense `f64` sums, O(U) array probes — monotone per upload, since uploads are index-ordered — entries emitted sorted via [`SparseGradient::from_sorted_entries`], resets appended to one flat list reserved once |
+//! | FAB `κ` search | `HashSet` union rebuild per probe: O(U) hashing × O(log k) probes | rank-major scan of each upload's ranked key view ([`ClientUpload::ranked`]): level `r` is every client's rank-`r` key, the indices first seen there are the ones whose minimum rank is `r`, so union sizes grow level by level and the scan stops at the first level that overflows `k` — `N·(κ+1)` keys read, not `U`; `J` is a bitset, read in index order, never sorted |
+//! | aggregation + resets | `HashSet` membership + `HashMap` sums + sort/dedup in `from_entries`, one reset `Vec` per client | each upload added into dense `f64` sums as it arrives (O(U), in the round engine overlapped with the client pass), then one gather of `J`'s sums off the bitset (O(D/64 + k)) and one fill of the sums; entries emitted sorted via [`SparseGradient::from_sorted_entries`]; no reset list — each client tests its own entries against `J`, on the pool in the round engine |
 //! | client top-k | comparator quickselect + sort over a fresh `16·D`-byte `(usize, f32)` candidate buffer per client per round | [`topk::top_k_entries_indexed_into`]: packed `u64` order keys in one reused per-client buffer — one read of the residual (a stratified sample bounds the `k`-th magnitude, a masked pass gathers the candidates, a histogram cut over them alone makes it exact), no float comparison; its output *is* the index order an upload holds and a codec encodes — then one radix rank of the keys into the ranked view ([`topk::rank_index_ordered_keys_into`]; byte-priced, of the decoded frame's keys) |
-//! | residual reset (lossy tier) | one binary search of the index-sorted error list per reset index | one merge of the (already ascending) reset indices against the error list ([`ResidualAccumulator::reset_indices_to`]) |
+//! | residual reset (lossy tier) | one binary search of the index-sorted error list per reset index | the client's walk of its own upload ([`ResidualAccumulator::reset_selected`]): each entry's `J` bit packs it into a stack chunk without a branch, the per-entry errors ride along, and only the selected coordinates are written |
 //!
 //! Measured on the kernel benchmark (`bench-report`, dim = 10⁵, N = 40,
-//! k = dim/100), the scratch path selects ~5× faster than the seed path it
-//! replaced (see `BENCH_kernels.json`); the [`mod@reference`] module
-//! keeps the seed implementations as the executable specification the fast
-//! paths are property-tested against.
+//! k = dim/100), the scratch path selects faster than the seed path it
+//! replaced (`BENCH_kernels.json` holds the ratio); the [`mod@reference`]
+//! module keeps the seed implementations as the executable specification
+//! the fast paths are property-tested against.
 //!
-//! `select_into` is the only server-selection path, and it is serial on
-//! purpose: Algorithm 1's server step is one O(U) sweep that the paper's
-//! time model does not even charge for, so handing it to worker threads
-//! costs more in dispatch and merging than the sweep itself (see
+//! Selection is serial on purpose: what is left of it after the
+//! accumulation — the scan, the gather and the fill — is small next to
+//! dispatching and merging it across worker threads (see
 //! `benchmark/README.md`, finding 3). It is also the only *read* of the
 //! uploads: the derivative-sign probe's hypothetical `k'`-element aggregate
 //! is [`Sparsifier::probe_aggregate`], the round's own aggregate restricted
@@ -73,7 +80,9 @@
 //! let result = sparsifier.select(&uploads, 6, 2);
 //! assert_eq!(result.aggregated.nnz(), 2);
 //! // Fairness: each client contributes at least floor(k/N) = 1 element.
-//! assert!(result.contributions().iter().all(|&c| c >= 1));
+//! assert!(result.contributions(&uploads).iter().all(|&c| c >= 1));
+//! // Each client derives its own resets from the downlink set.
+//! assert_eq!(result.resets(&uploads[0]).collect::<Vec<_>>(), [0]);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,7 +2,7 @@ use rand::seq::SliceRandom;
 use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
-use crate::sparsifier::{aggregate_marked, ClientUpload, SelectionResult, Sparsifier, UploadPlan};
+use crate::sparsifier::{ClientUpload, SelectionResult, Sparsifier, UploadPlan};
 use crate::SparseGradient;
 
 /// Periodic / random-k sparsification.
@@ -54,29 +54,20 @@ impl Sparsifier for PeriodicK {
         UploadPlan::Coordinates(coords)
     }
 
-    fn select_into(
+    fn select_accumulated(
         &self,
         uploads: &[ClientUpload],
         dim: usize,
         _k: usize,
         scratch: &mut SelectionScratch,
     ) -> SelectionResult {
-        // Every client uploaded the same coordinate set; the selection is that
-        // set (taken from the first upload; empty if there are no clients).
-        // The server chose the coordinates sorted and distinct
-        // (`UploadPlan::Coordinates`), but sort/dedup defensively for direct
-        // callers handing in arbitrary uploads (duplicate coordinates are
-        // out of contract; `J` holds each once).
-        scratch.selected.clear();
-        if let Some(first) = uploads.first() {
-            scratch
-                .selected
-                .extend(first.entries.iter().map(|&(j, _)| j));
-        }
-        scratch.selected.sort_unstable();
-        scratch.selected.dedup();
-        scratch.mark_selection(dim);
-        aggregate_marked(uploads, dim, scratch, true)
+        // Every client uploaded the same coordinate set, the plan; the
+        // selection is that set (taken from the first upload; empty if
+        // there are no clients). A direct caller's repeated coordinate
+        // (out of contract) is marked once.
+        scratch.clear_marks(dim);
+        scratch.mark_entries(&uploads[..uploads.len().min(1)], dim);
+        scratch.gather(uploads, dim, true)
     }
 
     fn probe_aggregate(
@@ -139,7 +130,7 @@ mod tests {
         assert_eq!(result.downlink_elements(), 2);
         assert!((result.aggregated.get(2) - 2.0).abs() < 1e-6);
         assert!((result.aggregated.get(7) - 0.0).abs() < 1e-6);
-        assert_eq!(result.contributions(), vec![2, 2]);
+        assert_eq!(result.contributions(&uploads), vec![2, 2]);
     }
 
     #[test]

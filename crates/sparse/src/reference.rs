@@ -2,13 +2,16 @@
 //! an executable specification.
 //!
 //! [`Sparsifier::select_into`](crate::Sparsifier::select_into) replaced these
-//! hash-based paths with epoch-stamped scratch buffers and single-pass union
-//! counting. The functions here are the slow-but-obviously-correct baselines
-//! they are checked against:
+//! hash-based paths with dense per-coordinate sums each upload is
+//! accumulated into, a bitset `J` and single-pass union counting. The
+//! functions here are the slow-but-obviously-correct baselines they are
+//! checked against:
 //!
 //! * the reference-equivalence property test in `tests/select_equivalence.rs`
 //!   asserts the fast paths return byte-identical `SelectionResult`s for all
-//!   five sparsifiers over random uploads, dims and `k`;
+//!   five sparsifiers over random uploads, dims and `k`, and that every
+//!   upload's resets read off the result equal the reset list
+//!   [`aggregate_selected`] builds;
 //! * the `bench-report` binary times the fast paths against these
 //!   baselines, which is where the headline FAB selection speedup is
 //!   measured.
@@ -16,8 +19,9 @@
 //! Complexity of the FAB baseline: each binary-search probe rebuilds a
 //! `HashSet` over all uploads — O(Σ|uploads|) hashing per probe and O(log k)
 //! probes — and aggregation runs through a `HashMap` plus a sort in
-//! `SparseGradient::from_entries`. The fast path does one O(Σ|uploads|)
-//! array sweep, no hashing, and emits already-sorted entries.
+//! `SparseGradient::from_entries`. The fast path adds each upload into a
+//! dense sum as it arrives, no hashing, and reads `J`'s sums off a bitset
+//! in index order.
 
 use std::collections::{HashMap, HashSet};
 
@@ -26,8 +30,9 @@ use crate::{topk, SparseGradient};
 
 /// The seed implementation of the aggregate-and-reset sweep: `HashSet`
 /// membership, `HashMap` accumulation, sort-and-dedup gradient
-/// construction, and one reset list per upload (the seed results pack
-/// them into [`SelectionResult`]'s flat layout).
+/// construction, and one reset list per upload (the seed's per-client
+/// resets; a [`SelectionResult`] keeps `J` and lets each client derive its
+/// own).
 pub fn aggregate_selected(
     uploads: &[ClientUpload],
     selected: &[usize],
@@ -55,8 +60,12 @@ fn result_from(
     dim: usize,
     indexed: bool,
 ) -> SelectionResult {
-    let (aggregated, reset_indices) = aggregate_selected(uploads, selected, dim);
-    SelectionResult::from_reset_lists(aggregated, &reset_indices, uploads, indexed)
+    let (aggregated, _) = aggregate_selected(uploads, selected, dim);
+    let mut bits = vec![0u64; dim.div_ceil(64)];
+    for &j in selected {
+        bits[j / 64] |= 1 << (j % 64);
+    }
+    SelectionResult::new(aggregated, bits, uploads, indexed)
 }
 
 /// Size of `∪_i J_i^κ`, rebuilt from scratch — the per-probe cost the fast
@@ -186,10 +195,11 @@ pub fn top_k_entries(values: &[f32], k: usize) -> Vec<(usize, f32)> {
 /// `errors` per reset index: `residual[j]` becomes `j`'s quantization error
 /// when it has one and zero otherwise.
 ///
-/// [`ResidualAccumulator::reset_indices_to`](crate::ResidualAccumulator::reset_indices_to)
-/// replaced this with one merge of the sorted reset indices against the
-/// error list; this per-index version is what it is tested against
-/// (`bench-report`'s `reset_errors_merge` pair times the two).
+/// [`ResidualAccumulator::reset_selected`](crate::ResidualAccumulator::reset_selected)
+/// replaced this with a client's walk of its own upload against `J`, which
+/// reads one error per sent entry at the entry's position; this per-index
+/// version over `J ∩ J_i` is what it is tested against (`bench-report`'s
+/// `reset_errors_merge` pair times the two).
 ///
 /// # Panics
 ///
@@ -253,6 +263,6 @@ mod tests {
         ];
         let result = fab_select(&uploads, 8, 2);
         assert_eq!(result.aggregated.nnz(), 2);
-        assert!(result.contributions()[1] >= 1);
+        assert!(result.contributions(&uploads)[1] >= 1);
     }
 }

@@ -1,7 +1,7 @@
 use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
-use crate::sparsifier::{aggregate_marked, ClientUpload, SelectionResult, Sparsifier, UploadPlan};
+use crate::sparsifier::{ClientUpload, SelectionResult, Sparsifier, UploadPlan};
 use crate::SparseGradient;
 
 /// Always-send-all: clients upload their full accumulated gradients and the
@@ -41,17 +41,15 @@ impl Sparsifier for SendAll {
         UploadPlan::Dense
     }
 
-    fn select_into(
+    fn select_accumulated(
         &self,
         uploads: &[ClientUpload],
         dim: usize,
         _k: usize,
         scratch: &mut SelectionScratch,
     ) -> SelectionResult {
-        scratch.selected.clear();
-        scratch.selected.extend(0..dim);
-        scratch.mark_selection(dim);
-        aggregate_marked(uploads, dim, scratch, false)
+        scratch.mark_all(dim);
+        scratch.gather(uploads, dim, false)
     }
 
     fn probe_aggregate(
@@ -91,7 +89,7 @@ mod tests {
         let result = SendAll::new().select(&uploads, 3, 1);
         assert_eq!(result.downlink_elements(), 3);
         assert_eq!(result.aggregated.to_dense(), vec![2.0, 2.0, 2.0]);
-        assert_eq!(result.contributions(), vec![3, 3]);
+        assert_eq!(result.contributions(&uploads), vec![3, 3]);
         assert!(!result.indexed());
     }
 
@@ -117,6 +115,6 @@ mod tests {
     fn reset_covers_all_uploaded_indices() {
         let uploads = vec![dense_upload(0, 1.0, &[0.5, -0.5])];
         let result = SendAll::new().select(&uploads, 2, 1);
-        assert_eq!(result.resets(0), &[0, 1]);
+        assert_eq!(result.resets(&uploads[0]).collect::<Vec<_>>(), [0, 1]);
     }
 }

@@ -110,6 +110,11 @@ impl SparseGradient {
         &self.entries
     }
 
+    /// The entry list, for a workspace that reuses its capacity.
+    pub(crate) fn into_entries(self) -> Vec<(usize, f32)> {
+        self.entries
+    }
+
     /// The stored indices, sorted ascending.
     pub fn indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.entries.iter().map(|&(j, _)| j)

@@ -81,18 +81,16 @@ impl ClientUpload {
 
 /// Result of the server-side selection and aggregation step of one round.
 ///
-/// The reset sets are stored flat: every upload's `J ∩ J_i`, concatenated
-/// in upload order, with one end offset per upload — a round allocates
-/// three lists (the aggregate's entries, the reset indices and their
-/// offsets) however many clients it has.
+/// Besides the aggregate it keeps the downlink set `J` as a bitset, so each
+/// client derives its own resets `J ∩ J_i` from its own upload
+/// ([`SelectionResult::resets`]) — the server builds no per-client list.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SelectionResult {
     /// The aggregated sparse gradient `B = {(j, b_j)}` broadcast to clients.
     pub aggregated: SparseGradient,
-    /// Every upload's reset indices, concatenated in upload order.
-    resets: Vec<usize>,
-    /// Per upload: the end offset of its run in `resets`.
-    reset_ends: Vec<usize>,
+    /// `J`: bit `j % 64` of word `j / 64` is set when `j` is selected; one
+    /// word per 64 indices of the dimension.
+    selected: Vec<u64>,
     /// Length of the longest upload, in gradient elements.
     max_upload_len: usize,
     /// Whether messages carry explicit indices alongside values (`true` for
@@ -102,49 +100,57 @@ pub struct SelectionResult {
 }
 
 impl SelectionResult {
-    /// Packs one reset list per upload into the flat layout.
-    pub(crate) fn from_reset_lists(
+    /// A result over `uploads` whose `J` is the `selected` bitset.
+    pub(crate) fn new(
         aggregated: SparseGradient,
-        reset_lists: &[Vec<usize>],
+        selected: Vec<u64>,
         uploads: &[ClientUpload],
         indexed: bool,
     ) -> Self {
-        let reset_ends = reset_lists
-            .iter()
-            .scan(0, |end, list| {
-                *end += list.len();
-                Some(*end)
-            })
-            .collect();
+        debug_assert_eq!(selected.len(), aggregated.dim().div_ceil(64));
         Self {
             aggregated,
-            resets: reset_lists.concat(),
-            reset_ends,
+            selected,
             max_upload_len: uploads.iter().map(ClientUpload::len).max().unwrap_or(0),
             indexed,
         }
     }
 
-    /// The indices `J ∩ J_u` upload `u` must reset in its accumulator
-    /// (Lines 16–17 of Algorithm 1), in the upload's entry order — so
-    /// ascending for every upload the round engine delivers, and a reset is
-    /// a forward sweep of the residual.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is not an upload of this round.
-    pub fn resets(&self, u: usize) -> &[usize] {
-        let start = if u == 0 { 0 } else { self.reset_ends[u - 1] };
-        &self.resets[start..self.reset_ends[u]]
+    /// The aggregate and the `J` bitset, for a workspace that reuses them.
+    pub(crate) fn into_parts(self) -> (SparseGradient, Vec<u64>) {
+        (self.aggregated, self.selected)
+    }
+
+    /// The `J` bitset, one word per 64 indices.
+    pub(crate) fn selected_words(&self) -> &[u64] {
+        &self.selected
+    }
+
+    /// Whether index `j` is in the downlink set `J`.
+    pub fn selects(&self, j: usize) -> bool {
+        self.selected
+            .get(j / 64)
+            .is_some_and(|word| word >> (j % 64) & 1 == 1)
+    }
+
+    /// The indices `J ∩ J_i` the client that sent `upload` must reset in
+    /// its accumulator (Lines 16–17 of Algorithm 1), in the upload's entry
+    /// order — so ascending for every upload the round engine delivers.
+    /// The round engine's members fuse this test into the reset itself
+    /// ([`crate::ResidualAccumulator::reset_selected`]).
+    pub fn resets<'a>(&'a self, upload: &'a ClientUpload) -> impl Iterator<Item = usize> + 'a {
+        upload
+            .entries
+            .iter()
+            .map(|&(j, _)| j)
+            .filter(|&j| self.selects(j))
     }
 
     /// Per upload: how many of its elements were used in the aggregate
     /// (`|J ∩ J_i|`, the length of [`Self::resets`]). This is the quantity
     /// whose CDF the paper plots in Fig. 4 (right).
-    pub fn contributions(&self) -> Vec<usize> {
-        (0..self.reset_ends.len())
-            .map(|u| self.resets(u).len())
-            .collect()
+    pub fn contributions(&self, uploads: &[ClientUpload]) -> Vec<usize> {
+        uploads.iter().map(|u| self.resets(u).count()).collect()
     }
 
     /// Number of gradient elements broadcast to every client.
@@ -197,29 +203,56 @@ pub trait Sparsifier: Send + Sync + std::fmt::Debug {
     /// The RNG is used by randomized plans (periodic-k).
     fn upload_plan(&self, dim: usize, k: usize, rng: &mut dyn RngCore) -> UploadPlan;
 
-    /// Server-side selection: from the client uploads, produce the aggregated
-    /// sparse gradient, the per-client reset sets and the communication
-    /// accounting.
-    ///
-    /// This is the hot path of Algorithm 1's server and the only selection
-    /// path, serial on the caller's thread, in two steps: the sparsifier
-    /// picks `J` (Line 10), then one shared sweep over the uploads
-    /// aggregates it and records every upload's resets. All temporaries
-    /// live in `scratch`; a caller that reuses one workspace across rounds
-    /// (as `agsfl_fl::Simulation::run_round` does) allocates only the
-    /// returned result — the aggregate's entries, the flat reset list and
-    /// its offsets — whatever the number of clients.
+    /// Server-side selection from uploads already accumulated into
+    /// `scratch`: the sparsifier picks `J` (Line 10) into the scratch's
+    /// bitset, and the aggregate is that bitset read in index order with
+    /// each coordinate's accumulated sum. The round engine accumulates each
+    /// delivered upload as it is admitted
+    /// ([`SelectionScratch::accumulate`]) and then calls this once; the
+    /// sparsifier reads `uploads` only for what picks `J` — FAB-top-k their
+    /// ranked key views, FUB-top-k and unidirectional top-k their union,
+    /// periodic-k the plan's coordinates — never to aggregate.
     ///
     /// # Panics
     ///
-    /// Implementations panic if an upload references an index `>= dim`.
-    fn select_into(
+    /// Panics unless `scratch` was begun at `dim` and has accumulated
+    /// exactly `uploads.len()` uploads, or if an upload references an
+    /// index `>= dim`.
+    fn select_accumulated(
         &self,
         uploads: &[ClientUpload],
         dim: usize,
         k: usize,
         scratch: &mut SelectionScratch,
     ) -> SelectionResult;
+
+    /// Server-side selection: from the client uploads, produce the aggregated
+    /// sparse gradient, the downlink set and the communication accounting.
+    ///
+    /// This is Algorithm 1's server step in one call, serial on the
+    /// caller's thread: accumulate every upload, in order, then
+    /// [`Sparsifier::select_accumulated`] — the one path, which the round
+    /// engine runs in two halves. All temporaries live in `scratch`; a
+    /// caller that reuses one workspace across rounds and hands each
+    /// result back ([`SelectionScratch::recycle`]) allocates nothing,
+    /// whatever the number of clients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an upload references an index `>= dim`.
+    fn select_into(
+        &self,
+        uploads: &[ClientUpload],
+        dim: usize,
+        k: usize,
+        scratch: &mut SelectionScratch,
+    ) -> SelectionResult {
+        scratch.begin(dim);
+        for upload in uploads {
+            scratch.accumulate(upload);
+        }
+        self.select_accumulated(uploads, dim, k, scratch)
+    }
 
     /// The aggregate `select_into(uploads, dim, probe_k, ..)` would return,
     /// for a caller that already holds `selection`, the result of
@@ -261,7 +294,8 @@ pub trait Sparsifier: Send + Sync + std::fmt::Debug {
         scratch: &mut SelectionScratch,
     ) -> Option<SparseGradient> {
         let _ = (k, selection);
-        Some(self.select_into(uploads, dim, probe_k, scratch).aggregated)
+        let probe = self.select_into(uploads, dim, probe_k, scratch);
+        Some(scratch.take_aggregate(probe))
     }
 
     /// Convenience wrapper over [`Sparsifier::select_into`] that allocates a
@@ -287,61 +321,6 @@ pub trait Sparsifier: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Step two of every [`Sparsifier::select_into`]: the one sweep over the
-/// uploads that aggregates `J` and records the resets.
-///
-/// Step one left `J` in `scratch.selected`, sorted ascending and
-/// duplicate-free, with exactly `J` marked (at zero) in the sums
-/// generation. Visiting the uploads in order, each entry `(j, a_ij)` with
-/// `j ∈ J` adds `w_i · a_ij` to `b_j` (Line 10 of Algorithm 1) and lands in
-/// upload `i`'s run of the flat reset list (Lines 16–17). The in-order
-/// `f64` adds keep the sums bit-identical to the `HashMap` spec in
-/// `crate::reference` — `b_j` takes one add per upload, in upload order,
-/// whatever order an upload lists its entries in — and the entries come
-/// out in index order, so the gradient is built without a sort. Over
-/// index-ordered uploads each upload's walk of the stamps and sums is
-/// monotone (it streams), and its run of resets comes out ascending.
-///
-/// The reset list is reserved once, at the sum of the upload lengths (no
-/// upload resets more than it sent), so a call allocates its three lists
-/// once each, however many resets it writes.
-pub(crate) fn aggregate_marked(
-    uploads: &[ClientUpload],
-    dim: usize,
-    scratch: &mut SelectionScratch,
-    indexed: bool,
-) -> SelectionResult {
-    debug_assert!(
-        scratch.selected.windows(2).all(|w| w[0] < w[1]),
-        "selected must be sorted"
-    );
-    let mut resets = Vec::with_capacity(uploads.iter().map(ClientUpload::len).sum());
-    let mut reset_ends = Vec::with_capacity(uploads.len());
-    let mut max_upload_len = 0;
-    for upload in uploads {
-        for &(j, v) in &upload.entries {
-            assert!(j < dim, "upload index {j} out of range (dim {dim})");
-            if scratch.accumulate_if_marked(j, upload.weight * v as f64) {
-                resets.push(j);
-            }
-        }
-        reset_ends.push(resets.len());
-        max_upload_len = max_upload_len.max(upload.len());
-    }
-    let entries = scratch
-        .selected
-        .iter()
-        .map(|&j| (j, scratch.sum(j) as f32))
-        .collect();
-    SelectionResult {
-        aggregated: SparseGradient::from_sorted_entries(dim, entries),
-        resets,
-        reset_ends,
-        max_upload_len,
-        indexed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,7 +338,7 @@ mod tests {
         let _ = ClientUpload::new(0, -0.1, vec![]);
     }
 
-    /// Step one for a given `J`, then the shared sweep.
+    /// Accumulates the uploads, marks a given `J`, and gathers.
     fn aggregate(
         uploads: &[ClientUpload],
         selected: &[usize],
@@ -367,10 +346,20 @@ mod tests {
         scratch: &mut SelectionScratch,
         indexed: bool,
     ) -> SelectionResult {
-        scratch.selected.clear();
-        scratch.selected.extend_from_slice(selected);
-        scratch.mark_selection(dim);
-        aggregate_marked(uploads, dim, scratch, indexed)
+        scratch.begin(dim);
+        for upload in uploads {
+            scratch.accumulate(upload);
+        }
+        scratch.clear_marks(dim);
+        for &j in selected {
+            scratch.mark(j);
+        }
+        scratch.gather(uploads, dim, indexed)
+    }
+
+    /// Every upload's resets, collected.
+    fn resets(result: &SelectionResult, uploads: &[ClientUpload]) -> Vec<Vec<usize>> {
+        uploads.iter().map(|u| result.resets(u).collect()).collect()
     }
 
     #[test]
@@ -385,9 +374,8 @@ mod tests {
         assert_eq!(r.max_uplink_scalars(), 10);
         assert_eq!(r.downlink_elements(), 4);
         assert_eq!(r.downlink_scalars(), 8);
-        assert_eq!(r.contributions(), vec![0, 2]);
-        assert_eq!(r.resets(0), &[] as &[usize]);
-        assert_eq!(r.resets(1), &[5, 9]);
+        assert_eq!(r.contributions(&uploads), vec![0, 2]);
+        assert_eq!(resets(&r, &uploads), [vec![], vec![5, 9]]);
     }
 
     #[test]
@@ -400,7 +388,7 @@ mod tests {
         assert!(!r.indexed());
         assert_eq!(r.max_uplink_scalars(), 10);
         assert_eq!(r.downlink_scalars(), 10);
-        assert_eq!(r.contributions(), vec![10]);
+        assert_eq!(r.contributions(&uploads), vec![10]);
     }
 
     #[test]
@@ -415,8 +403,8 @@ mod tests {
         assert_eq!(r.aggregated.get(1), 2.0);
         assert_eq!(r.aggregated.get(3), 2.0);
         assert!(!r.aggregated.contains(2));
-        assert_eq!(r.resets(0), &[1]);
-        assert_eq!(r.resets(1), &[1, 3]);
+        assert_eq!(resets(&r, &uploads), [vec![1], vec![1, 3]]);
+        assert!(r.selects(3) && !r.selects(2) && !r.selects(500));
     }
 
     #[test]
@@ -425,7 +413,7 @@ mod tests {
         let r = aggregate(&[], &[0, 1], 4, &mut scratch, true);
         assert_eq!(r.aggregated.nnz(), 2);
         assert_eq!(r.aggregated.get(0), 0.0);
-        assert!(r.contributions().is_empty());
+        assert!(r.contributions(&[]).is_empty());
         assert_eq!(r.max_uplink_scalars(), 0);
     }
 
@@ -436,25 +424,47 @@ mod tests {
         let first = aggregate(&uploads, &[0, 2], 3, &mut scratch, true);
         let second = aggregate(&uploads, &[0, 2], 3, &mut scratch, true);
         assert_eq!(first, second);
-        // A different selected set on the same scratch must not see stale sums.
+        scratch.recycle(first);
+        // A different selected set on the same scratch must not see stale
+        // sums or marks.
         let r = aggregate(&uploads, &[1], 3, &mut scratch, true);
         assert_eq!(r.aggregated.get(1), 0.0);
         assert!(!r.aggregated.contains(0));
+        assert_eq!(resets(&r, &uploads), [Vec::<usize>::new()]);
     }
 
     #[test]
-    fn packed_reset_lists_read_back_per_upload() {
+    fn resets_keep_each_uploads_entry_order() {
         let uploads = vec![
             ClientUpload::new(0, 0.5, vec![(1, 1.0)]),
             ClientUpload::new(1, 0.25, vec![]),
             ClientUpload::new(2, 0.25, vec![(2, 1.0), (0, 1.0), (3, 1.0)]),
         ];
-        let lists = vec![vec![1], vec![], vec![2, 0]];
-        let r = SelectionResult::from_reset_lists(SparseGradient::zeros(4), &lists, &uploads, true);
-        for (u, list) in lists.iter().enumerate() {
-            assert_eq!(r.resets(u), list.as_slice());
-        }
-        assert_eq!(r.contributions(), vec![1, 0, 2]);
+        let mut scratch = SelectionScratch::new();
+        let r = aggregate(&uploads, &[0, 1, 2], 4, &mut scratch, true);
+        assert_eq!(resets(&r, &uploads), [vec![1], vec![], vec![2, 0]]);
+        assert_eq!(r.contributions(&uploads), vec![1, 0, 2]);
         assert_eq!(r.max_uplink_scalars(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "were accumulated")]
+    fn selecting_uploads_that_were_not_accumulated_panics() {
+        let uploads = vec![ClientUpload::new(0, 1.0, vec![(0, 1.0)])];
+        let mut scratch = SelectionScratch::new();
+        scratch.begin(4);
+        let _ = crate::FabTopK::new().select_accumulated(&uploads, 4, 1, &mut scratch);
+    }
+
+    /// A selection zeroes the sums it read, so a second one from the same
+    /// round would aggregate zeros: it must begin and accumulate again.
+    #[test]
+    #[should_panic(expected = "None were accumulated")]
+    fn selecting_twice_from_one_accumulation_panics() {
+        let uploads = vec![ClientUpload::new(0, 1.0, vec![(0, 1.0)])];
+        let mut scratch = SelectionScratch::new();
+        let fab = crate::FabTopK::new();
+        let _ = fab.select_into(&uploads, 4, 1, &mut scratch);
+        let _ = fab.select_accumulated(&uploads, 4, 1, &mut scratch);
     }
 }

@@ -44,8 +44,6 @@
 //!   the [`order_key`]s in index order and the magnitude passes rank them
 //!   into the upload's ranked key view, which [`key_entry`] reads back.
 //!   [`rank_entries_into`] builds the same view from entries in any order.
-//! * [`sort_indices`] sorts bare indices (a downlink set `J`) with the index
-//!   passes.
 //! * Short inputs skip the sample and the histograms, whose fixed cost
 //!   would dominate: vectors of at most `SMALL_DIM` coordinates select by a
 //!   streaming integer `select_nth_unstable`, lists of at most `SMALL_SORT`
@@ -726,34 +724,6 @@ pub fn prefix_indices(ranked: &[u64], kappa: usize) -> impl Iterator<Item = usiz
         .map(|&key| index_field(key) as usize)
 }
 
-/// Sorts `indices` ascending — a downlink set `J` before the shared sweep —
-/// with the index passes of [`sort_by_index`] on `scratch` (cleared first;
-/// it grows to `2 · indices.len()` keys), or `sort_unstable` up to
-/// `SMALL_SORT` indices.
-///
-/// # Panics
-///
-/// Panics if an index does not fit in 32 bits.
-pub fn sort_indices(indices: &mut [usize], scratch: &mut Vec<u64>) {
-    if indices.len() <= SMALL_SORT {
-        indices.sort_unstable();
-        return;
-    }
-    scratch.clear();
-    let mut index_bits = 0;
-    scratch.extend(indices.iter().map(|&j| {
-        index_bits |= j;
-        (j as u64) << 1
-    }));
-    assert!(
-        index_bits <= u32::MAX as usize,
-        "index exceeds the 32-bit key field"
-    );
-    for (j, &key) in indices.iter_mut().zip(radix_sort(scratch, &INDEX_DIGITS)) {
-        *j = index_field(key) as usize;
-    }
-}
-
 /// Sorts entries by decreasing magnitude with deterministic index
 /// tie-break, through the packed keys in `scratch` (cleared first; it grows
 /// to `2 · entries.len()` keys and is reusable across calls).
@@ -1053,31 +1023,6 @@ mod tests {
     }
 
     proptest! {
-        /// The index radix against `sort_unstable`, on both sides of the
-        /// `SMALL_SORT` cut-over, with indices up to the 32-bit field's top
-        /// digit (so no index pass is skipped as shared).
-        #[test]
-        fn prop_sort_indices_matches_sort_unstable(
-            len in 0usize..3000,
-            bound_idx in 0usize..3,
-            seed in 0u64..1_000_000,
-        ) {
-            use rand::seq::SliceRandom;
-            use rand::SeedableRng;
-            let bound = [5_000usize, 419_582, u32::MAX as usize][bound_idx];
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let mut indices: Vec<usize> = (0..len)
-                .map(|_| rand::Rng::gen_range(&mut rng, 0..=bound))
-                .collect();
-            indices.sort_unstable();
-            indices.dedup();
-            let expected = indices.clone();
-            indices.shuffle(&mut rng);
-            let mut scratch = vec![7; 3];
-            sort_indices(&mut indices, &mut scratch);
-            prop_assert_eq!(indices, expected);
-        }
-
         #[test]
         fn prop_topk_returns_true_top_k(
             values in proptest::collection::vec(-100.0f32..100.0, 1..80),

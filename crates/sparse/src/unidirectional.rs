@@ -1,8 +1,8 @@
 use rand::RngCore;
 
 use crate::scratch::SelectionScratch;
-use crate::sparsifier::{aggregate_marked, ClientUpload, SelectionResult, Sparsifier, UploadPlan};
-use crate::{topk, SparseGradient};
+use crate::sparsifier::{ClientUpload, SelectionResult, Sparsifier, UploadPlan};
+use crate::SparseGradient;
 
 /// Unidirectional top-k sparsification.
 ///
@@ -45,28 +45,18 @@ impl Sparsifier for UnidirectionalTopK {
         UploadPlan::TopKOwn
     }
 
-    fn select_into(
+    fn select_accumulated(
         &self,
         uploads: &[ClientUpload],
         dim: usize,
         _k: usize,
         scratch: &mut SelectionScratch,
     ) -> SelectionResult {
-        // The downlink is the union of every uploaded coordinate: mark it,
-        // and the sweep aggregates and resets every entry.
-        scratch.begin_sums(dim);
-        scratch.selected.clear();
-        for upload in uploads {
-            for &(j, _) in &upload.entries {
-                assert!(j < dim, "upload index {j} out of range (dim {dim})");
-                if !scratch.is_marked(j) {
-                    scratch.mark_selected(j);
-                    scratch.selected.push(j);
-                }
-            }
-        }
-        topk::sort_indices(&mut scratch.selected, &mut scratch.keys);
-        aggregate_marked(uploads, dim, scratch, true)
+        // The downlink is the union of every uploaded coordinate, each
+        // with the sum every upload of it added.
+        scratch.clear_marks(dim);
+        scratch.mark_entries(uploads, dim);
+        scratch.gather(uploads, dim, true)
     }
 
     fn probe_aggregate(
@@ -86,6 +76,7 @@ impl Sparsifier for UnidirectionalTopK {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topk;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -101,7 +92,7 @@ mod tests {
         assert!(result.aggregated.contains(4));
         assert!(result.aggregated.contains(7));
         // Every client contributed everything it uploaded.
-        assert_eq!(result.contributions(), vec![2, 2]);
+        assert_eq!(result.contributions(&uploads), vec![2, 2]);
     }
 
     #[test]

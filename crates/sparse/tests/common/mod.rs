@@ -1,6 +1,6 @@
 //! Upload generators shared by the selection proptests.
 
-use agsfl_sparse::{topk, ClientUpload, SelectionResult, SparseGradient};
+use agsfl_sparse::{reference, topk, ClientUpload, SelectionResult, SparseGradient};
 
 /// The uploads as the round engine delivers them: the same entries in
 /// index order, carrying their ranked key view when the plan ranks and
@@ -30,20 +30,48 @@ pub fn bits(gradient: &SparseGradient) -> Vec<(usize, u32)> {
 }
 
 /// Two selections over the same uploads listed in different entry orders
-/// agree bit for bit: the aggregate, the accounting, and every upload's
-/// reset *set* (its run lists the resets in the upload's entry order).
-pub fn assert_same_selection(a: &SelectionResult, b: &SelectionResult, uploads: usize) {
+/// (`a_uploads`, `b_uploads`) agree bit for bit: the aggregate, the
+/// accounting, and every upload's reset *set* (each lists its resets in
+/// its upload's entry order).
+pub fn assert_same_selection(
+    a: &SelectionResult,
+    a_uploads: &[ClientUpload],
+    b: &SelectionResult,
+    b_uploads: &[ClientUpload],
+) {
     assert_eq!(bits(&a.aggregated), bits(&b.aggregated));
     assert_eq!(a.max_uplink_scalars(), b.max_uplink_scalars());
     assert_eq!(a.downlink_scalars(), b.downlink_scalars());
-    for u in 0..uploads {
-        let mut set = a.resets(u).to_vec();
+    for (u, (a_upload, b_upload)) in a_uploads.iter().zip(b_uploads).enumerate() {
+        let mut set: Vec<usize> = a.resets(a_upload).collect();
         set.sort_unstable();
-        let mut other = b.resets(u).to_vec();
+        let mut other: Vec<usize> = b.resets(b_upload).collect();
         other.sort_unstable();
         assert_eq!(set, other, "upload {u}");
     }
 }
+
+/// Every upload's resets read off `result` — and so its contribution —
+/// equal the reset list the seed sweep ([`reference::aggregate_selected`])
+/// builds for the result's `J`.
+pub fn assert_resets_match_reference(
+    result: &SelectionResult,
+    uploads: &[ClientUpload],
+    dim: usize,
+) {
+    let selected: Vec<usize> = result.aggregated.indices().collect();
+    let (_, lists) = reference::aggregate_selected(uploads, &selected, dim);
+    for (u, (upload, list)) in uploads.iter().zip(&lists).enumerate() {
+        assert_eq!(
+            &result.resets(upload).collect::<Vec<_>>(),
+            list,
+            "upload {u}"
+        );
+    }
+    let lengths: Vec<usize> = lists.iter().map(Vec::len).collect();
+    assert_eq!(result.contributions(uploads), lengths);
+}
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;

@@ -40,11 +40,13 @@ fn assert_restriction_matches(
 ) {
     let built = assert_restriction_matches_on(sparsifier, uploads, dim, k);
     let engine = common::engine_shaped(uploads, rank);
-    common::assert_same_selection(
-        &sparsifier.select(uploads, dim, k),
-        &sparsifier.select(&engine, dim, k),
-        uploads.len(),
+    let (a, b) = (
+        sparsifier.select(uploads, dim, k),
+        sparsifier.select(&engine, dim, k),
     );
+    common::assert_same_selection(&a, uploads, &b, &engine);
+    common::assert_resets_match_reference(&a, uploads, dim);
+    common::assert_resets_match_reference(&b, &engine, dim);
     assert_eq!(
         built,
         assert_restriction_matches_on(sparsifier, &engine, dim, k),

@@ -2,13 +2,15 @@
 //! the number of resets.
 //!
 //! `Sparsifier::select_into` keeps every temporary in the caller's
-//! `SelectionScratch`, and its result stores the resets as one flat list
-//! with per-upload end offsets, reserved once at the total upload length.
-//! So once a warm-up call has sized the scratch, a call allocates exactly
-//! its three result lists whether its uploads come from 1, 8 or 64
-//! clients and however many entries they reset. A reset `Vec` per client,
-//! or any other per-client list, makes the count grow with `N`; a reset
-//! list that grows by doubling makes it grow with the resets.
+//! `SelectionScratch`, and its result keeps `J` as a bitset from which each
+//! client derives its own resets — the server builds no reset list. So once
+//! a warm-up call has sized the scratch, a call whose previous result was
+//! dropped allocates exactly its two result buffers (the aggregate's
+//! entries, reserved once at `|J|`, and the bitset), and one whose previous
+//! result was recycled allocates nothing, whether its uploads come from 1,
+//! 8 or 64 clients and however many entries they reset. A per-client list
+//! makes the count grow with `N`; a list that grows by doubling makes it
+//! grow with the resets.
 //!
 //! The counter is a `#[global_allocator]` of this test binary alone,
 //! counting the calls that obtain memory (`alloc`, `alloc_zeroed`,
@@ -61,10 +63,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocations of a warm `select_into`, for every sparsifier, client count
-/// and reset total: the aggregate's entries, the flat reset list and its
-/// end offsets, once each.
-const WARM_SELECT_ALLOCATIONS: usize = 3;
+/// Allocations of a warm `select_into` after a dropped result, for every
+/// sparsifier, client count and reset total: the aggregate's entries and
+/// the `J` bitset, once each.
+const WARM_SELECT_ALLOCATIONS: usize = 2;
+
+/// Allocations of a warm `select_into` after a recycled result
+/// (`SelectionScratch::recycle`), as the round engine runs it.
+const RECYCLED_SELECT_ALLOCATIONS: usize = 0;
 
 /// Uploaded entries per round, whatever the client count: two totals, so
 /// the resets differ too.
@@ -113,21 +119,27 @@ fn dense(n: usize, total: usize) -> Round {
     (shared_prefix(n, total), total / n)
 }
 
-/// Allocations of the second of two `select_into` calls on one scratch,
-/// with the number of reset entries it produced.
+/// Allocations of the second of two `select_into` calls on one scratch —
+/// after dropping the first result, and after recycling it — with the
+/// number of reset entries it produced.
 fn warm_allocations(
     sparsifier: &dyn Sparsifier,
     uploads: &[ClientUpload],
     dim: usize,
     k: usize,
-) -> (usize, usize) {
+) -> (usize, usize, usize) {
     let mut scratch = SelectionScratch::new();
     drop(sparsifier.select_into(uploads, dim, k, &mut scratch));
     let before = ALLOCATIONS.with(Cell::get);
     let result = sparsifier.select_into(uploads, dim, k, &mut scratch);
-    let allocations = ALLOCATIONS.with(Cell::get) - before;
-    let resets = result.contributions().iter().sum();
-    (allocations, resets)
+    let dropped = ALLOCATIONS.with(Cell::get) - before;
+    let resets = result.contributions(uploads).iter().sum();
+    scratch.recycle(result);
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = sparsifier.select_into(uploads, dim, k, &mut scratch);
+    let recycled = ALLOCATIONS.with(Cell::get) - before;
+    scratch.recycle(result);
+    (dropped, recycled, resets)
 }
 
 #[test]
@@ -149,14 +161,17 @@ fn warm_selection_allocations_do_not_depend_on_the_client_count_or_the_resets() 
             for n in [1, 8, 64] {
                 let (uploads, dim) = round(n, total);
                 assert_eq!(uploads.iter().map(ClientUpload::len).sum::<usize>(), total);
-                let (allocations, resets) = warm_allocations(sparsifier, &uploads, dim, k);
+                let (dropped, recycled, resets) = warm_allocations(sparsifier, &uploads, dim, k);
                 assert_eq!(resets, total / divisor, "{} N={n}", sparsifier.name());
-                counts.push((total, n, allocations));
+                counts.push((total, n, dropped, recycled));
             }
         }
         assert!(
-            counts.iter().all(|&(_, _, a)| a == WARM_SELECT_ALLOCATIONS),
-            "{}: allocations of a warm select_into by (upload total, N, count): {counts:?}",
+            counts.iter().all(|&(_, _, dropped, recycled)| {
+                (dropped, recycled) == (WARM_SELECT_ALLOCATIONS, RECYCLED_SELECT_ALLOCATIONS)
+            }),
+            "{}: allocations of a warm select_into by (upload total, N, after a dropped \
+             result, after a recycled one): {counts:?}",
             sparsifier.name()
         );
     }

@@ -2,15 +2,20 @@
 //! pipeline.
 //!
 //! `Sparsifier::select_into` replaced the seed's hash-based selection with
-//! epoch-stamped scratch buffers; these tests pin the fast paths to the seed
-//! implementations kept in `agsfl_sparse::reference`:
+//! dense sums each upload is accumulated into and a bitset `J`; these tests
+//! pin the fast paths to the seed implementations kept in
+//! `agsfl_sparse::reference`:
 //!
 //! * for all five sparsifiers, random uploads/dims/k must produce
 //!   **byte-identical** `SelectionResult`s (the aggregation accumulates in
-//!   the same order, so even the floating point output is bit-equal);
+//!   the same order, so even the floating point output is bit-equal), and
+//!   every upload's resets read off the result must equal the seed sweep's
+//!   reset list;
+//! * uploads accumulated one at a time, as the round engine admits them,
+//!   with a lost member skipped, select what the reference selects over
+//!   the uploads that were kept;
 //! * repeated `select_into` calls on one shared scratch must return
-//!   identical results — i.e. epoch stamping really does isolate rounds and
-//!   no stale generation ever leaks;
+//!   identical results — no stale sum or mark ever leaks;
 //! * the uploads built rank-ordered by `ClientUpload::new` and the same
 //!   uploads engine-shaped (index-ordered entries, ranked key view) select
 //!   the same bits, each against the reference on its own shape.
@@ -76,6 +81,8 @@ fn assert_equivalent(
         "{} select_into() is not idempotent on a reused scratch",
         sparsifier.name()
     );
+    common::assert_resets_match_reference(&first, uploads, dim);
+    scratch.recycle(first);
 }
 
 proptest! {
@@ -133,8 +140,13 @@ proptest! {
             results.push(expected);
         }
         let (rank_ordered, engine) = results.split_at(5);
-        for (a, b) in rank_ordered.iter().zip(engine) {
-            common::assert_same_selection(a, b, n_clients);
+        for (u, (a, b)) in rank_ordered.iter().zip(engine).enumerate() {
+            let (a_uploads, b_uploads) = match u {
+                0..=2 => (&shapes[0].0, &shapes[1].0),
+                3 => (&shapes[0].1, &shapes[1].1),
+                _ => (&shapes[0].2, &shapes[1].2),
+            };
+            common::assert_same_selection(a, a_uploads, b, b_uploads);
         }
     }
 
@@ -153,6 +165,56 @@ proptest! {
         let slow = reference::fab_select_indices(&uploads, k);
         prop_assert!(fast.windows(2).all(|w| w[0] < w[1]));
         prop_assert_eq!(fast, slow);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The round engine's two halves: the uploads are accumulated one at a
+    /// time, in admission order, with one member skipped — lost in transit,
+    /// so its entries never enter the sums — and the sparsifier then
+    /// selects from the sums. All five must equal the reference over the
+    /// uploads that were kept, resets included, on one shared scratch.
+    #[test]
+    fn prop_uploads_accumulated_as_admitted_select_what_the_reference_selects(
+        seed in 0u64..10_000,
+        n_clients in 2usize..7,
+        dim in 2usize..48,
+        k_raw in 1usize..24,
+        lost_raw in 0usize..7,
+    ) {
+        let k = 1 + k_raw % dim;
+        let lost = lost_raw % n_clients;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut scratch = SelectionScratch::new();
+        let ranked = common::engine_shaped(&random_topk_uploads(&mut rng, n_clients, dim, k), true);
+        let coordinates = common::engine_shaped(
+            &common::random_coordinate_uploads(&mut rng, n_clients, dim, k),
+            false,
+        );
+        let dense = common::engine_shaped(&common::random_dense_uploads(&mut rng, n_clients, dim), false);
+        let kept = |uploads: &[ClientUpload]| -> Vec<ClientUpload> {
+            uploads.iter().enumerate().filter(|&(i, _)| i != lost).map(|(_, u)| u.clone()).collect()
+        };
+        let (ranked, coordinates, dense) = (kept(&ranked), kept(&coordinates), kept(&dense));
+        let cases: [(&dyn Sparsifier, &[ClientUpload], SelectionResult); 5] = [
+            (&FabTopK::new(), &ranked, reference::fab_select(&ranked, dim, k)),
+            (&FubTopK::new(), &ranked, reference::fub_select(&ranked, dim, k)),
+            (&UnidirectionalTopK::new(), &ranked, reference::unidirectional_select(&ranked, dim)),
+            (&PeriodicK::new(), &coordinates, reference::periodic_select(&coordinates, dim)),
+            (&SendAll::new(), &dense, reference::send_all_select(&dense, dim)),
+        ];
+        for (sparsifier, uploads, expected) in cases {
+            scratch.begin(dim);
+            for upload in uploads {
+                scratch.accumulate(upload);
+            }
+            let got = sparsifier.select_accumulated(uploads, dim, k, &mut scratch);
+            prop_assert_eq!(&got, &expected, "{}", sparsifier.name());
+            common::assert_resets_match_reference(&got, uploads, dim);
+            scratch.recycle(got);
+        }
     }
 }
 
@@ -188,7 +250,7 @@ proptest! {
             );
             results.push(expected);
         }
-        common::assert_same_selection(&results[0], &results[1], n_clients);
+        common::assert_same_selection(&results[0], &ranked, &results[1], &engine);
     }
 }
 
@@ -209,7 +271,7 @@ fn fab_fills_from_the_level_at_the_kappa_bound() {
     assert_equivalent(&FabTopK::new(), &uploads, 3, 2, &expected, &mut scratch);
 }
 
-/// Epoch-stamping soundness: many rounds of shifting workloads on one
+/// Scratch-reuse soundness: many rounds of shifting workloads on one
 /// scratch, each checked against a fresh-scratch run and the reference.
 #[test]
 fn scratch_reuse_across_shifting_workloads_is_sound() {

@@ -78,14 +78,18 @@ done | grep -E '(sort_unstable_by|sort_by|select_nth_unstable_by)\(.*magnitude_t
     exit 1
 fi
 
-step "the server reads the uploads once (no second selection, clone or comparison sort in the probe)"
-# The round path selects once, in Simulation::run_round_recorded; the probe
-# stage restricts that result (Sparsifier::probe_aggregate) into reused
-# weight buffers and prices prefixes through topk::sort_by_index. Product
-# code only: product_lines skips every #[cfg(test)] item (the fixture's
-# probe_by_second_selection is the old recipe kept as the spec) and comment
-# lines (scripts/product_lines.sh). engine_product is the round engine:
-# simulation.rs, wire_state.rs and one module per stage under stages/.
+step "the server reads the uploads once (each delivered upload summed at admission, one selection from the sums, no second selection, clone or comparison sort in the probe)"
+# The round's admission consumer adds each delivered upload into the
+# server's sums (SelectionScratch::accumulate, in client_pass), and the
+# round selects once from those sums, in Simulation::run_round_recorded
+# (Sparsifier::select_accumulated; select_into would accumulate a second
+# time); the probe stage restricts that result (Sparsifier::probe_aggregate)
+# into reused weight buffers and prices prefixes through topk::sort_by_index.
+# Product code only: product_lines skips every #[cfg(test)] item (the
+# fixture's probe_by_second_selection is the old recipe kept as the spec)
+# and comment lines (scripts/product_lines.sh). engine_product is the round
+# engine: simulation.rs, wire_state.rs and one module per stage under
+# stages/.
 source scripts/product_lines.sh
 engine_product() {
     for f in crates/fl/src/simulation.rs crates/fl/src/wire_state.rs crates/fl/src/stages/*.rs; do
@@ -99,10 +103,27 @@ fn_body() {
         on { print }
         on && $3 ~ /^ *}$/ && match($3, /[^ ]/) == indent { exit }'
 }
-if [[ "$(engine_product | grep -c 'select_into')" -ne 1 ]] \
-    || [[ "$(fn_body crates/fl/src/simulation.rs run_round_recorded | grep -c 'select_into')" -eq 0 ]]; then
-    echo "verify: the round engine must call select_into exactly once, in Simulation::run_round_recorded:" >&2
-    engine_product | grep 'select_into' >&2
+if [[ "$(engine_product | grep -c 'select_accumulated(')" -ne 1 ]] \
+    || [[ "$(fn_body crates/fl/src/simulation.rs run_round_recorded | grep -c 'select_accumulated(')" -ne 1 ]] \
+    || [[ "$(engine_product | grep -c 'select_into(')" -ne 0 ]]; then
+    echo "verify: the round engine must select exactly once, with select_accumulated in Simulation::run_round_recorded, and never call select_into:" >&2
+    engine_product | grep -E 'select_accumulated\(|select_into\(' >&2
+    exit 1
+fi
+# Exactly one accumulate call in the fl crate's product code, and it is in
+# the body of client_pass's admission closure (`let admit = …`), the
+# consumer that swaps each delivered upload in.
+fl_product() {
+    for f in $(find crates/fl/src -name '*.rs' | sort); do product_lines "$f"; done
+}
+admit_body() {
+    fn_body crates/fl/src/stages/client_pass.rs client_pass \
+        | awk -F: '/let admit = / { on = 1 } on { print } on && $3 ~ /^    };$/ { exit }'
+}
+if [[ "$(fl_product | grep -c '\.accumulate(')" -ne 1 ]] \
+    || [[ "$(admit_body | grep -c '\.accumulate(')" -ne 1 ]]; then
+    echo "verify: crates/fl/src must add each delivered upload into the sums exactly once, in client_pass's admission consumer:" >&2
+    fl_product | grep '\.accumulate(' >&2
     exit 1
 fi
 if engine_product | grep -E 'sort_unstable_by_key|params\.clone\(\)'; then
@@ -130,17 +151,20 @@ for f in $(find crates/fl/src -name '*.rs'); do
     fi
 done
 
-step "one selection contract (each sparsifier picks J; one shared sweep aggregates it and writes the resets into one flat list)"
-# Every Sparsifier::select_into ends in sparsifier::aggregate_marked, which
-# accumulates J and appends each upload's resets to one list with
-# per-upload end offsets. A reset Vec per client, a second hand-written
-# aggregate-and-reset sweep, FUB's membership set or the touched list is a
-# deleted copy growing back; reference.rs keeps the seed's per-client lists
-# as the spec. FedAvg's average has one striped path too: the executor runs
-# a single stripe as a plain loop, so a size threshold is a second branch.
-if grep -rnE 'vec!\[Vec::new\(\);|result_from_selected|aggregate_selected_into|begin_members|is_member|\.touched' crates/sparse/src \
+step "one selection contract (uploads summed as they arrive; each sparsifier picks J into a bitset; the aggregate is one gather; no sweep, no reset list)"
+# Every selection picks J into SelectionScratch's bitset and ends in its
+# gather, which reads J's accumulated sums in index order; each client
+# derives its own resets from J (ResidualAccumulator::reset_selected). The
+# old second sweep (aggregate_marked), a J sorted by the index radix
+# (sort_indices), a stamp epoch, a flat reset list with per-upload end
+# offsets (reset_ends), a reset Vec per client, FUB's membership set or the
+# touched list is a deleted copy growing back; reference.rs keeps the
+# seed's per-client lists as the spec. FedAvg's average has one striped
+# path too: the executor runs a single stripe as a plain loop, so a size
+# threshold is a second branch.
+if grep -rnE 'vec!\[Vec::new\(\);|result_from_selected|aggregate_selected_into|begin_members|is_member|\.touched|aggregate_marked|sort_indices\(|\bepoch\b|reset_ends' crates/sparse/src \
     | grep -vE '^crates/sparse/src/reference\.rs:'; then
-    echo "verify: a deleted selection path is back (lines above); pick J, then call aggregate_marked" >&2
+    echo "verify: a deleted selection path is back (lines above); accumulate, pick J into the bitset, then gather" >&2
     exit 1
 fi
 if grep -n 'STRIPE_MIN_DIM' crates/fl/src/fedavg.rs; then
@@ -472,10 +496,10 @@ cargo test -q -p agsfl-core resume
 step "decode fuzz (hostile frames never panic the wire layer)"
 cargo test -q -p agsfl-wire --test decode_fuzz
 
-step "selection contract (all five select_into == the seed spec, bit for bit, on rank-ordered and engine-shaped uploads alike; a warm selection allocates its three lists, whatever the client count or resets)"
+step "selection contract (all five select_into == the seed spec, bit for bit, resets included, on rank-ordered and engine-shaped uploads and accumulated one at a time with a member lost; a warm selection allocates its two result buffers, a recycled one nothing, whatever the client count or resets; only delivered uploads are summed)"
 cargo test -q -p agsfl-sparse --test select_equivalence
 cargo test -q -p agsfl-sparse --test select_allocations
-cargo test -q -p agsfl-sparse --lib prop_sort_indices_matches_sort_unstable
+cargo test -q -p agsfl-fl --lib only_delivered_uploads_are_summed
 
 step "upload contract (every plan, unwired and every codec: delivered entries index-ordered with their own rank as keys; uploads hold nothing after bookkeeping)"
 cargo test -q -p agsfl-fl --lib delivered_uploads_are_index_ordered_and_slots_own_their_buffers
@@ -484,7 +508,7 @@ cargo test -q -p agsfl-bench --lib server_workload_is_engine_shaped
 step "top-k equivalence (integer-key select/rank == the comparator spec, bit for bit; NaN never panics)"
 cargo test -q -p agsfl-sparse --test topk_equivalence
 
-step "wired uploads (one encode-then-decode per member over every codec; indexed selection, single-sweep radix, reset merge, decode-to-keys rank, frame hash, integer quantize == their specs)"
+step "wired uploads (one encode-then-decode per member over every codec; indexed selection, single-sweep radix, packed reset with per-entry errors, decode-to-keys rank, frame hash, integer quantize == their specs)"
 # topk_equivalence above already ran the indexed-selection proptest. Every
 # test and debug build re-derives each wired upload as decode_frame (and its
 # order keys) inside Client::decode_upload_into, and every in-file
@@ -492,7 +516,7 @@ step "wired uploads (one encode-then-decode per member over every codec; indexed
 # simulation tests check both too.
 cargo test -q -p agsfl-fl --lib wired_upload_equals_its_decoded_frame
 cargo test -q -p agsfl-sparse --lib single_sweep_radix_sort
-cargo test -q -p agsfl-sparse --lib prop_reset_by_merge
+cargo test -q -p agsfl-sparse --lib prop_packed_reset_equals_reset_by_binary_search
 cargo test -q -p agsfl-wire --lib survey_reports_bounds
 cargo test -q -p agsfl-wire --lib integer_quantize
 cargo test -q -p agsfl-wire --test codec_roundtrip indexed_selection

@@ -54,7 +54,8 @@ fn per_client_weight_copies_stay_identical_under_fab_topk() {
         // resets its own accumulator entries.
         for i in 0..n {
             selection.aggregated.apply_sgd(&mut weights[i], eta);
-            accumulators[i].reset_indices(selection.resets(i));
+            let resets: Vec<usize> = selection.resets(&uploads[i]).collect();
+            accumulators[i].reset_indices(&resets);
         }
         // Invariant: all weight copies identical after every round.
         for i in 1..n {
@@ -96,7 +97,7 @@ fn fab_fairness_holds_throughout_training() {
             .collect();
         let selection = sparsifier.select(&uploads, dim, k);
         assert!(selection.aggregated.nnz() <= k);
-        for (i, contribution) in selection.contributions().iter().enumerate() {
+        for (i, contribution) in selection.contributions(&uploads).iter().enumerate() {
             assert!(
                 *contribution >= k / n,
                 "client {i} contributed {contribution} < floor(k/N) = {}",
@@ -104,8 +105,9 @@ fn fab_fairness_holds_throughout_training() {
             );
         }
         selection.aggregated.apply_sgd(&mut weights, 0.05);
-        for (i, acc) in accumulators.iter_mut().enumerate() {
-            acc.reset_indices(selection.resets(i));
+        for (acc, upload) in accumulators.iter_mut().zip(&uploads) {
+            let resets: Vec<usize> = selection.resets(upload).collect();
+            acc.reset_indices(&resets);
         }
     }
 }
