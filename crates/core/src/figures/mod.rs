@@ -6,8 +6,10 @@
 //! `*Result` holding the exact series the paper plots plus a `render()`
 //! method that prints them as text tables. The benchmark crate
 //! (`agsfl-bench`) runs the paper's figures and the regret check, one
-//! `cargo bench` target each; the two sweeps beyond the paper run only
-//! from their own tests.
+//! `cargo bench` target each. The one table beyond the paper is the
+//! population-scale audit; what the wire codecs and the fault model do to
+//! a whole run is asserted on [`crate::Experiment`] runs directly, in
+//! `crates/core/tests/byte_priced_runs.rs`.
 //!
 //! | Paper figure | Function |
 //! |---|---|
@@ -18,11 +20,8 @@
 //! | Fig. 7 (comm-time sweep, FEMNIST) | [`sweep::run_femnist`] |
 //! | Fig. 8 (comm-time sweep, CIFAR-10) | [`sweep::run_cifar`] |
 //! | Theorems 1–2 (regret bounds) | [`regret_check::run`] |
-//! | Wire codec × channel sweep (byte-priced, beyond the paper) | [`wire_sweep::run`] |
-//! | Fault-severity sweep (robustness, beyond the paper) | [`fault_sweep::run`] |
 //! | Population-scale sweep (cohort memory audit, beyond the paper) | [`scale_sweep::run`] |
 
-pub mod fault_sweep;
 pub mod fig1;
 pub mod fig4;
 pub mod fig5;
@@ -30,11 +29,3 @@ pub mod fig6;
 pub mod regret_check;
 pub mod scale_sweep;
 pub mod sweep;
-pub mod wire_sweep;
-
-/// Mean of `k` over the last quarter of a run's `{k_m}` sequence (at least
-/// its last round; `0` for an empty run).
-fn tail_mean_k(ks: &[usize]) -> f64 {
-    let tail = &ks[ks.len().saturating_sub((ks.len() / 4).max(1))..];
-    tail.iter().sum::<usize>() as f64 / tail.len().max(1) as f64
-}

@@ -162,6 +162,13 @@ impl SweepResult {
     }
 }
 
+/// Mean of `k` over the last quarter of a run's `{k_m}` sequence (at least
+/// its last round; `0` for an empty run).
+fn tail_mean_k(ks: &[usize]) -> f64 {
+    let tail = &ks[ks.len().saturating_sub((ks.len() / 4).max(1))..];
+    tail.iter().sum::<usize>() as f64 / tail.len().max(1) as f64
+}
+
 /// Runs the sweep for an arbitrary base configuration.
 pub fn run(config: &SweepConfig, dataset_label: &str) -> SweepResult {
     assert!(!config.comm_times.is_empty(), "need at least one comm time");
@@ -178,7 +185,7 @@ pub fn run(config: &SweepConfig, dataset_label: &str) -> SweepResult {
             &StopCondition::after_rounds(config.adaptation_rounds),
         );
         let k_sequence = history.k_sequence();
-        let tail_mean_k = super::tail_mean_k(&k_sequence);
+        let tail_mean_k = tail_mean_k(&k_sequence);
         let adaptation_time = history
             .points()
             .last()

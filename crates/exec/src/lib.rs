@@ -263,38 +263,13 @@ impl Executor {
         R: Send,
         F: Fn(&mut T) -> R + Sync,
     {
-        let threads = self.plan(items.len());
-        if threads <= 1 || pool::on_worker_thread() {
-            return items.iter_mut().map(f).collect();
-        }
         let total = items.len();
-        let chunk = total.div_ceil(threads);
-        let pool = self.pool();
-        // Take-once chunk slots plus one ordered result slot per chunk:
-        // the ordered completion queue that makes the parallel map
-        // indistinguishable from the serial one.
-        let chunks: Vec<Mutex<Option<&mut [T]>>> = items
-            .chunks_mut(chunk)
-            .map(|c| Mutex::new(Some(c)))
-            .collect();
-        let results: Vec<Mutex<Option<Vec<R>>>> =
-            (0..chunks.len()).map(|_| Mutex::new(None)).collect();
-        let f = &f;
-        let task = |i: usize| {
-            let chunk = lock(&chunks[i]).take().expect("chunk dispatched once");
-            let out: Vec<R> = chunk.iter_mut().map(f).collect();
-            *lock(&results[i]) = Some(out);
-        };
-        pool.run_region(chunks.len(), &task);
-        let mut out = Vec::with_capacity(total);
-        for slot in results {
-            out.extend(
-                slot.into_inner()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .expect("completed region filled every slot"),
-            );
+        match self.chunk_len(total) {
+            None => items.iter_mut().map(f).collect(),
+            Some(chunk) => self.map_chunks(total, items.chunks_mut(chunk), |c| {
+                c.iter_mut().map(&f).collect()
+            }),
         }
-        out
     }
 
     /// Read-only sibling of [`Executor::map_mut`]: applies `f` to every
@@ -305,19 +280,43 @@ impl Executor {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let threads = self.plan(items.len());
-        if threads <= 1 || pool::on_worker_thread() {
-            return items.iter().map(f).collect();
-        }
         let total = items.len();
-        let chunk = total.div_ceil(threads);
+        match self.chunk_len(total) {
+            None => items.iter().map(f).collect(),
+            Some(chunk) => {
+                self.map_chunks(total, items.chunks(chunk), |c| c.iter().map(&f).collect())
+            }
+        }
+    }
+
+    /// Items per chunk when a map over `len` items goes to the pool (one
+    /// contiguous chunk per planned thread); `None` when it runs inline —
+    /// on one thread, on a single item, or on a pool worker.
+    fn chunk_len(&self, len: usize) -> Option<usize> {
+        let threads = self.plan(len);
+        (threads > 1 && !pool::on_worker_thread()).then(|| len.div_ceil(threads))
+    }
+
+    /// The ordered-chunk body of [`Executor::map_mut`] and
+    /// [`Executor::map_ref`]: maps each of `chunks` (`&mut [T]` or `&[T]`)
+    /// with `f` on the pool and concatenates the results in chunk order,
+    /// `total` items in all.
+    fn map_chunks<C, R, F>(&self, total: usize, chunks: impl Iterator<Item = C>, f: F) -> Vec<R>
+    where
+        C: Send,
+        R: Send,
+        F: Fn(C) -> Vec<R> + Sync,
+    {
         let pool = self.pool();
-        let chunks: Vec<&[T]> = items.chunks(chunk).collect();
+        // Take-once chunk slots plus one ordered result slot per chunk:
+        // the ordered completion queue that makes the parallel map
+        // indistinguishable from the serial one.
+        let chunks: Vec<Mutex<Option<C>>> = chunks.map(|c| Mutex::new(Some(c))).collect();
         let results: Vec<Mutex<Option<Vec<R>>>> =
             (0..chunks.len()).map(|_| Mutex::new(None)).collect();
-        let f = &f;
         let task = |i: usize| {
-            let out: Vec<R> = chunks[i].iter().map(f).collect();
+            let chunk = lock(&chunks[i]).take().expect("chunk dispatched once");
+            let out = f(chunk);
             *lock(&results[i]) = Some(out);
         };
         pool.run_region(chunks.len(), &task);

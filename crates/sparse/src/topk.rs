@@ -579,31 +579,21 @@ fn select_streaming(values: &[f32], k: usize, keys: &mut Vec<u64>) {
 /// Returns `(index, value)` pairs of the `k` largest absolute values,
 /// ordered by decreasing magnitude (ties broken by index).
 ///
-/// Allocates a fresh key buffer; hot paths that run every round should use
-/// [`top_k_entries_with`] and reuse one.
+/// Allocates a fresh key buffer and output; hot paths that run every round
+/// should use [`top_k_entries_into`] and reuse both.
 pub fn top_k_entries(values: &[f32], k: usize) -> Vec<(usize, f32)> {
-    top_k_entries_with(values, k, &mut Vec::new())
-}
-
-/// [`top_k_entries`] with a caller-provided key buffer.
-///
-/// `scratch` is cleared and refilled on every call and holds at most
-/// `max(2k, candidates)` packed keys, the candidates being the survivors
-/// plus the sample's margin, reserved exactly (see the module docs); reusing
-/// one buffer across rounds (as `agsfl_fl::Client` does) makes the
-/// steady-state path allocation-free apart from the returned vector, which
-/// holds only the `k` selected entries and is handed off to the upload
-/// message.
-pub fn top_k_entries_with(values: &[f32], k: usize, scratch: &mut Vec<u64>) -> Vec<(usize, f32)> {
     let mut out = Vec::new();
-    top_k_entries_into(values, k, scratch, &mut out);
+    top_k_entries_into(values, k, &mut Vec::new(), &mut out);
     out
 }
 
-/// [`top_k_entries_with`] writing the ranked selection into a caller-owned
-/// output buffer (cleared first): identical selection and order, zero
-/// allocation once both buffers have grown. This is the cohort engine's
-/// per-slot uplink builder.
+/// [`top_k_entries`] with a caller-provided key buffer, writing the ranked
+/// selection into a caller-owned output buffer (cleared first): identical
+/// selection and order, zero allocation once both buffers have grown.
+///
+/// `scratch` is cleared and refilled on every call and holds at most
+/// `max(2k, candidates)` packed keys, the candidates being the survivors
+/// plus the sample's margin, reserved exactly (see the module docs).
 ///
 /// # Panics
 ///
@@ -822,12 +812,10 @@ mod tests {
     #[test]
     fn scratch_variant_matches_allocating_variant() {
         let v = [1.0, -10.0, 5.0, 0.5, -6.0, 0.0, 3.25];
-        let mut scratch = Vec::new();
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
         for k in 0..=v.len() + 1 {
-            assert_eq!(
-                top_k_entries_with(&v, k, &mut scratch),
-                top_k_entries(&v, k)
-            );
+            top_k_entries_into(&v, k, &mut scratch, &mut out);
+            assert_eq!(out, top_k_entries(&v, k));
         }
     }
 
@@ -839,7 +827,7 @@ mod tests {
         use rand::Rng;
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-        let mut scratch = Vec::new();
+        let (mut scratch, mut got) = (Vec::new(), Vec::new());
         for (dim, k) in [(500, 5), (500, 32), (1000, 1), (257, 100), (64, 31)] {
             // Quantized values force plenty of exact magnitude ties.
             let values: Vec<f32> = (0..dim)
@@ -849,7 +837,7 @@ mod tests {
                 values.iter().enumerate().map(|(j, &v)| (j, v)).collect();
             ranked.sort_by(compare_magnitude_then_index);
             let expected: Vec<(usize, f32)> = ranked.into_iter().take(k).collect();
-            let got = top_k_entries_with(&values, k, &mut scratch);
+            top_k_entries_into(&values, k, &mut scratch, &mut got);
             assert_eq!(got, expected, "dim={dim}, k={k}");
         }
     }

@@ -393,9 +393,9 @@ fn non_finite_inputs_rank_totally() {
             })
             .collect();
         let magnitude = |v: f32| v.to_bits() & 0x7fff_ffff;
-        let mut scratch = Vec::new();
+        let (mut scratch, mut got) = (Vec::new(), Vec::new());
         for k in [1, dim / 3, dim / 2, dim - 1, dim] {
-            let got = topk::top_k_entries_with(&values, k, &mut scratch);
+            topk::top_k_entries_into(&values, k, &mut scratch, &mut got);
             assert_eq!(bits(&got), bits(&topk::top_k_entries(&values, k)));
             assert_eq!(got.len(), k);
             assert!(got.iter().all(|&(j, v)| v.to_bits() == values[j].to_bits()));

@@ -173,8 +173,7 @@ impl CodecSpec {
         self.id().is_some_and(CodecId::is_lossy)
     }
 
-    /// Every *lossless* selector, in a fixed order (used by the codec
-    /// sweep figure).
+    /// Every *lossless* selector, in a fixed order.
     pub fn all() -> [CodecSpec; 4] {
         [
             CodecSpec::Coo,

@@ -15,6 +15,21 @@ fi
 
 step() { printf '\n==> %s\n' "$*"; }
 
+# `named_tests ARGS...` runs `cargo test ARGS`, whose last argument is a
+# test-name filter, once the filter is seen to select a test: cargo passes
+# a filter that matches nothing with "0 passed", so a renamed or deleted
+# test would leave its gate running nothing.
+named_tests() {
+    local list count
+    list=$(cargo test "$@" -- --list)
+    count=$(grep -c ': test$' <<<"$list" || true)
+    if [[ "$count" -eq 0 ]]; then
+        echo "verify: 'cargo test $*' selects no test; fix its name filter" >&2
+        exit 1
+    fi
+    cargo test "$@"
+}
+
 step "every public item has a caller (scripts/unused_pub.sh)"
 # A `pub` item of the product code that no other file names is decided:
 # it gets its caller, narrows to private / pub(crate) / #[cfg(test)], is
@@ -471,27 +486,27 @@ step "cargo test -q (tier-1: root integration tests)"
 cargo test -q
 
 step "grow-only capacity (gradient/probe batch alternation and large/unit k rounds release nothing; a forward sizes its scratch by the row block)"
-cargo test -q -p agsfl-ml --lib capacity_is_constant_under_alternating_gradient_and_probe_batches
-cargo test -q -p agsfl-ml --lib forward_is_row_blocked_and_row_independent
-cargo test -q -p agsfl-fl --lib workspace_capacity_never_decreases
+named_tests -q -p agsfl-ml --lib capacity_is_constant_under_alternating_gradient_and_probe_batches
+named_tests -q -p agsfl-ml --lib forward_is_row_blocked_and_row_independent
+named_tests -q -p agsfl-fl --lib workspace_capacity_never_decreases
 
 step "product and convolution equivalence (every dispatch level == the scalar fold-order spec, bit for bit)"
 cargo test -q -p agsfl-tensor --test product_equivalence
 cargo test -q -p agsfl-tensor --test conv_equivalence
 
 step "row fetches (a seek lands where drawing lands; rows == the whole shard's rows; a warm gradient step allocates nothing of the client's, a real model's only its pinned count)"
-cargo test -q -p rand_chacha set_word_pos_matches_drawing_at_every_offset
-cargo test -q -p rand_chacha word_pos_round_trips_and_seeks_in_both_directions
+named_tests -q -p rand_chacha set_word_pos_matches_drawing_at_every_offset
+named_tests -q -p rand_chacha word_pos_round_trips_and_seeks_in_both_directions
 cargo test -q -p agsfl-ml --test materialize_rows
 cargo test -q -p agsfl-fl --test gradient_allocations
 
 step "bench-report --check rule and the FedAvg baseline's last evaluated point"
 cargo test -q -p agsfl-bench
-cargo test -q -p agsfl-core --lib fedavg_run_evaluates_its_last_point
+named_tests -q -p agsfl-core --lib fedavg_run_evaluates_its_last_point
 
 step "resume equivalence (interrupted + resumed runs are bit-identical)"
-cargo test -q -p agsfl-fl resume
-cargo test -q -p agsfl-core resume
+named_tests -q -p agsfl-fl resume
+named_tests -q -p agsfl-core resume
 
 step "decode fuzz (hostile frames never panic the wire layer)"
 cargo test -q -p agsfl-wire --test decode_fuzz
@@ -499,11 +514,11 @@ cargo test -q -p agsfl-wire --test decode_fuzz
 step "selection contract (all five select_into == the seed spec, bit for bit, resets included, on rank-ordered and engine-shaped uploads and accumulated one at a time with a member lost; a warm selection allocates its two result buffers, a recycled one nothing, whatever the client count or resets; only delivered uploads are summed)"
 cargo test -q -p agsfl-sparse --test select_equivalence
 cargo test -q -p agsfl-sparse --test select_allocations
-cargo test -q -p agsfl-fl --lib only_delivered_uploads_are_summed
+named_tests -q -p agsfl-fl --lib only_delivered_uploads_are_summed
 
 step "upload contract (every plan, unwired and every codec: delivered entries index-ordered with their own rank as keys; uploads hold nothing after bookkeeping)"
-cargo test -q -p agsfl-fl --lib delivered_uploads_are_index_ordered_and_slots_own_their_buffers
-cargo test -q -p agsfl-bench --lib server_workload_is_engine_shaped
+named_tests -q -p agsfl-fl --lib delivered_uploads_are_index_ordered_and_slots_own_their_buffers
+named_tests -q -p agsfl-bench --lib server_workload_is_engine_shaped
 
 step "top-k equivalence (integer-key select/rank == the comparator spec, bit for bit; NaN never panics)"
 cargo test -q -p agsfl-sparse --test topk_equivalence
@@ -514,13 +529,13 @@ step "wired uploads (one encode-then-decode per member over every codec; indexed
 # order keys) inside Client::decode_upload_into, and every in-file
 # simulation test checks each delivered upload's rank, so the in-file wired
 # simulation tests check both too.
-cargo test -q -p agsfl-fl --lib wired_upload_equals_its_decoded_frame
-cargo test -q -p agsfl-sparse --lib single_sweep_radix_sort
-cargo test -q -p agsfl-sparse --lib prop_packed_reset_equals_reset_by_binary_search
-cargo test -q -p agsfl-wire --lib survey_reports_bounds
-cargo test -q -p agsfl-wire --lib integer_quantize
-cargo test -q -p agsfl-wire --test codec_roundtrip indexed_selection
-cargo test -q -p agsfl-fl --lib wire
+named_tests -q -p agsfl-fl --lib wired_upload_equals_its_decoded_frame
+named_tests -q -p agsfl-sparse --lib single_sweep_radix_sort
+named_tests -q -p agsfl-sparse --lib prop_packed_reset_equals_reset_by_binary_search
+named_tests -q -p agsfl-wire --lib survey_reports_bounds
+named_tests -q -p agsfl-wire --lib integer_quantize
+named_tests -q -p agsfl-wire --test codec_roundtrip indexed_selection
+named_tests -q -p agsfl-fl --lib wire
 
 step "probe restriction (probe_aggregate == an independent select_into at k', bit for bit, all five sparsifiers)"
 cargo test -q -p agsfl-sparse --test probe_restriction
@@ -532,7 +547,7 @@ cargo test -q -p agsfl-core --test checkpoint_format
 step "lossy tier (quantize/dequantize contracts + seed-reproducibility pins)"
 cargo test -q -p agsfl-wire --test quantized_roundtrip
 cargo test -q -p agsfl-fl --test lossy_reproducibility
-cargo test -q -p agsfl-core qlinear8
+named_tests -q -p agsfl-core qlinear8
 
 step "pool gate (goldens + lossy pins bit-identical through the worker pool at every worker count)"
 # golden_trajectory and lossy_reproducibility sweep Serial/2/4/8 workers
