@@ -2,12 +2,13 @@
 //! fault model do to a whole [`Experiment`], asserted on the run's
 //! [`RunHistory`].
 //!
-//! The codec claims share one tiny workload (FEMNIST-like synthetic data, a
-//! linear model, seed 13, 25 rounds, a fixed `k` of 15 % of the dimension —
-//! large enough that qlinear8's 8-byte range header amortizes the way it
-//! does at production scale). The fault claims run the same workload on
-//! an `Auto` wire at seed 29 for 20 rounds with `k` at 5 %. Each test runs
-//! only the runs its claim compares.
+//! Every test runs one tiny workload (FEMNIST-like synthetic data, a linear
+//! model, learning rate 0.05, batch 8). The codec claims run it at seed 13
+//! for 25 rounds with a fixed `k` of 15 % of the dimension — large enough
+//! that qlinear8's 8-byte range header amortizes the way it does at
+//! production scale — or with Algorithm 3 adapting `k`. The fault claims
+//! run it on an `Auto` wire at seed 29 for 20 rounds with `k` at 5 %. Each
+//! test runs only the runs its claim compares.
 
 use agsfl_core::{
     ChannelSpec, CodecSpec, ControllerSpec, DatasetSpec, Experiment, ExperimentConfig, FaultModel,
@@ -24,20 +25,40 @@ fn fluctuating() -> ChannelSpec {
     uniform().with_fluctuation(8, 0.75)
 }
 
-/// A fixed-`k` run of the codec workload on `codec` over `channel`.
-fn codec_run(codec: CodecSpec, channel: ChannelSpec) -> RunHistory {
-    let config = ExperimentConfig::builder()
+/// The shared workload at `seed` on a `codec` wire over `channel`.
+fn config(seed: u64, codec: CodecSpec, channel: ChannelSpec) -> ExperimentConfig {
+    ExperimentConfig::builder()
         .dataset(DatasetSpec::femnist_tiny())
         .model(ModelSpec::Linear)
         .learning_rate(0.05)
         .batch_size(8)
         .eval_every(10)
-        .seed(13)
+        .seed(seed)
         .wire(WireSpec { codec, channel })
-        .build();
-    let mut experiment = Experiment::new(&config);
+        .build()
+}
+
+const CODEC_ROUNDS: usize = 25;
+
+/// A fixed-`k` run of the codec workload on `codec` over `channel`.
+fn codec_run(codec: CodecSpec, channel: ChannelSpec) -> RunHistory {
+    let mut experiment = Experiment::new(&config(13, codec, channel));
     let k = ((experiment.dim() as f64 * 0.15) as usize).max(1);
-    experiment.run_fixed_k(k, &StopCondition::after_rounds(25))
+    experiment.run_fixed_k(k, &StopCondition::after_rounds(CODEC_ROUNDS))
+}
+
+/// The run moved bytes both ways, spent channel time and ended with a
+/// finite loss.
+fn assert_priced(label: &str, history: &RunHistory) {
+    let (up, down) = history.wire_bytes();
+    assert!(up > 0 && down > 0, "{label}: {up} up, {down} down");
+    let elapsed = history.points().last().map_or(0.0, |p| p.elapsed_time);
+    assert!(elapsed > 0.0, "{label}: elapsed {elapsed}");
+    assert!(
+        history.final_global_loss().is_some_and(f64::is_finite),
+        "{label}: final loss {:?}",
+        history.final_global_loss()
+    );
 }
 
 fn total_bytes(history: &RunHistory) -> u64 {
@@ -52,13 +73,12 @@ fn total_bytes(history: &RunHistory) -> u64 {
 fn auto_is_smallest_on_fixed_trajectories() {
     for (label, channel) in [("uniform", uniform()), ("fluctuating", fluctuating())] {
         let auto = codec_run(CodecSpec::Auto, channel);
+        assert_priced(&format!("{label} auto"), &auto);
         let auto_loss = auto.final_global_loss().expect("the run evaluates");
-        assert!(auto_loss.is_finite(), "{label}");
-        let (up, down) = auto.wire_bytes();
-        assert!(up > 0 && down > 0, "{label}: {up} up, {down} down");
         let mut smallest = u64::MAX;
         for codec in [CodecSpec::Coo, CodecSpec::DeltaVarint, CodecSpec::Bitmap] {
             let concrete = codec_run(codec, channel);
+            assert_priced(&format!("{label} {}", codec.name()), &concrete);
             assert!(
                 total_bytes(&auto) <= total_bytes(&concrete),
                 "{label}: auto {} > {} {}",
@@ -78,6 +98,23 @@ fn auto_is_smallest_on_fixed_trajectories() {
         }
         // Auto may lose the label on a tie, but never the total.
         assert_eq!(total_bytes(&auto), smallest, "{label}");
+    }
+}
+
+/// Algorithm 3 adapts `k` against the byte-priced round time on every
+/// lossless codec, on a steady and on a fluctuating channel: each run moves
+/// bytes both ways, spends channel time and ends with a finite loss.
+#[test]
+fn adaptive_runs_complete_on_every_codec_and_channel() {
+    for (label, channel) in [("uniform", uniform()), ("fluctuating", fluctuating())] {
+        for codec in CodecSpec::all() {
+            let history = Experiment::new(&config(13, codec, channel)).run_adaptive(
+                ControllerSpec::Algorithm3,
+                &StopCondition::after_rounds(CODEC_ROUNDS),
+            );
+            assert_eq!(history.k_sequence().len(), CODEC_ROUNDS, "{label}");
+            assert_priced(&format!("{label} {}", codec.name()), &history);
+        }
     }
 }
 
@@ -182,36 +219,32 @@ fn chaos() -> FaultModel {
 }
 
 fn fault_experiment(fault: Option<FaultModel>) -> Experiment {
-    let config = ExperimentConfig {
+    Experiment::new(&ExperimentConfig {
         fault,
-        ..ExperimentConfig::builder()
-            .dataset(DatasetSpec::femnist_tiny())
-            .model(ModelSpec::Linear)
-            .learning_rate(0.05)
-            .batch_size(8)
-            .eval_every(10)
-            .wire(WireSpec {
-                codec: CodecSpec::Auto,
-                channel: uniform(),
-            })
-            .seed(29)
-            .build()
-    };
-    Experiment::new(&config)
+        ..config(29, CodecSpec::Auto, uniform())
+    })
 }
 
-/// A fixed-`k` faulty run; its fault counters.
+/// A fixed-`k` faulty run, checked to complete priced; its fault counters.
 fn fixed_k_fault_totals(fault: Option<FaultModel>) -> FaultTotals {
+    let label = format!("{fault:?}");
     let mut experiment = fault_experiment(fault);
     let k = ((experiment.dim() as f64 * 0.05) as usize).max(1);
     let history = experiment.run_fixed_k(k, &StopCondition::after_rounds(FAULT_ROUNDS));
-    assert!(history.final_global_loss().is_some_and(f64::is_finite));
+    assert_eq!(history.k_sequence().len(), FAULT_ROUNDS, "{label}");
+    assert_priced(&label, &history);
     *history.fault_totals()
 }
 
 #[test]
 fn fault_free_runs_record_no_faults() {
     assert_eq!(fixed_k_fault_totals(None), FaultTotals::default());
+}
+
+#[test]
+fn dropout_loses_members_without_aborting_a_fixed_run() {
+    let totals = fixed_k_fault_totals(Some(dropout()));
+    assert!(totals.dropped > 0, "{totals:?}");
 }
 
 #[test]
@@ -247,11 +280,6 @@ fn faults_never_abort_an_adaptive_run() {
         assert_eq!(ks.len(), FAULT_ROUNDS, "{label}");
         let tail = &ks[ks.len() - (ks.len() / 4).max(1)..];
         assert!(tail.iter().all(|&k| k >= 1), "{label}: {ks:?}");
-        assert!(
-            history.final_global_loss().is_some_and(f64::is_finite),
-            "{label}"
-        );
-        let elapsed = history.points().last().map_or(0.0, |p| p.elapsed_time);
-        assert!(elapsed > 0.0, "{label}");
+        assert_priced(&label, &history);
     }
 }
