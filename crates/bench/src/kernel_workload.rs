@@ -16,7 +16,7 @@
 use agsfl_exec::Parallelism;
 use agsfl_fl::{ChannelModel, Simulation, SimulationConfig, TimeModel, WireConfig};
 use agsfl_ml::data::{FederatedDataset, SyntheticFemnist, SyntheticFemnistConfig};
-use agsfl_ml::model::{LinearSoftmax, Mlp, Model, SimpleCnn};
+use agsfl_ml::model::{Mlp, Model, SimpleCnn};
 use agsfl_sparse::{topk, ClientUpload, FabTopK, SparseGradient};
 use agsfl_tensor::{Matrix, Product, Store};
 use agsfl_wire::CodecSpec;
@@ -161,7 +161,8 @@ pub fn cnn_workload() -> (SimpleCnn, Vec<f32>, Matrix, Vec<usize>) {
 }
 
 /// Features of the linear client-step workload: `sparse_wide_linear`'s
-/// `LinearSoftmax`, 6751 x 62 weights and 62 biases ([`WIRED_DIM`]).
+/// `Mlp` without a hidden layer, 6751 x 62 weights and 62 biases
+/// ([`WIRED_DIM`]).
 const LINEAR_FEATURES: usize = 6_751;
 /// Mini-batch size of the linear client-step workload.
 const LINEAR_BATCH: usize = 8;
@@ -171,8 +172,8 @@ pub const CLIENT_STEP_K: usize = 12_000;
 /// Builds the linear client-step workload: `sparse_wide_linear`'s model
 /// (`LINEAR_FEATURES` x `CNN_CLASSES`, D = [`WIRED_DIM`]), initialized
 /// weights and one mini-batch of `LINEAR_BATCH` rows with labels.
-pub fn linear_workload() -> (LinearSoftmax, Vec<f32>, Matrix, Vec<usize>) {
-    let model = LinearSoftmax::new(LINEAR_FEATURES, CNN_CLASSES);
+pub fn linear_workload() -> (Mlp, Vec<f32>, Matrix, Vec<usize>) {
+    let model = Mlp::new(LINEAR_FEATURES, &[], CNN_CLASSES);
     let mut rng = ChaCha8Rng::seed_from_u64(29);
     let params = model.init_params(&mut rng);
     let x = Matrix::from_fn(LINEAR_BATCH, LINEAR_FEATURES, |_, _| {
@@ -331,7 +332,7 @@ pub fn checkpoint_workload() -> Simulation {
 pub fn fresh_checkpoint_sim() -> Simulation {
     let mut rng = ChaCha8Rng::seed_from_u64(super::BENCH_SEED);
     let dataset = SyntheticFemnist::new(ckpt_config()).generate(&mut rng);
-    let model = LinearSoftmax::new(dataset.feature_dim(), dataset.num_classes());
+    let model = Mlp::new(dataset.feature_dim(), &[], dataset.num_classes());
     Simulation::new(
         Box::new(model),
         dataset,
@@ -363,7 +364,7 @@ pub fn telemetry_workload() -> Simulation {
         test_samples: 32,
     })
     .generate(&mut rng);
-    let model = LinearSoftmax::new(dataset.feature_dim(), dataset.num_classes());
+    let model = Mlp::new(dataset.feature_dim(), &[], dataset.num_classes());
     let num_clients = dataset.num_clients();
     Simulation::new(
         Box::new(model),

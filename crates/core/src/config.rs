@@ -6,7 +6,7 @@ use agsfl_ml::data::{
     FederatedDataset, SyntheticCifar, SyntheticCifarConfig, SyntheticFemnist,
     SyntheticFemnistConfig,
 };
-use agsfl_ml::model::{LinearSoftmax, Mlp, Model, SimpleCnn};
+use agsfl_ml::model::{Mlp, Model, SimpleCnn};
 use agsfl_sparse::{FabTopK, FubTopK, PeriodicK, SendAll, Sparsifier, UnidirectionalTopK};
 use agsfl_wire::CodecSpec;
 use rand::Rng;
@@ -89,7 +89,8 @@ impl DatasetSpec {
 /// Which model architecture to train.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ModelSpec {
-    /// Multinomial logistic regression.
+    /// Multinomial logistic regression: an [`agsfl_ml::model::Mlp`] with no
+    /// hidden layer.
     Linear,
     /// Multi-layer perceptron with the given hidden widths.
     Mlp {
@@ -118,7 +119,7 @@ impl ModelSpec {
     /// Panics if a [`ModelSpec::Cnn`] spec does not match `input_dim`.
     pub fn build(&self, input_dim: usize, num_classes: usize) -> Box<dyn Model> {
         match self {
-            Self::Linear => Box::new(LinearSoftmax::new(input_dim, num_classes)),
+            Self::Linear => Box::new(Mlp::new(input_dim, &[], num_classes)),
             Self::Mlp { hidden } => Box::new(Mlp::new(input_dim, hidden, num_classes)),
             Self::Cnn {
                 channels,

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use agsfl_exec::{mem, Parallelism};
 use agsfl_fl::{Simulation, SimulationConfig, TimeModel};
 use agsfl_ml::data::{LazySyntheticFemnist, SyntheticFemnistConfig};
-use agsfl_ml::model::LinearSoftmax;
+use agsfl_ml::model::Mlp;
 use agsfl_sparse::FabTopK;
 use agsfl_telemetry::{SpanId, StageRecorder};
 
@@ -220,7 +220,7 @@ pub fn run_point(config: &ScaleSweepConfig, num_clients: usize) -> ScaleSweepPoi
         config.dataset_config(num_clients),
         config.seed ^ (num_clients as u64).rotate_left(17),
     );
-    let model = LinearSoftmax::new(config.feature_dim, config.num_classes);
+    let model = Mlp::new(config.feature_dim, &[], config.num_classes);
     let mut sim = Simulation::with_source(
         Box::new(model),
         Box::new(source),

@@ -228,7 +228,7 @@ fn render_line(
             fault.dropped,
             fault.stragglers,
             fault.corrupt_frames,
-            fault.corrupt_lost + fault.deadline_dropped,
+            fault.lost(),
             fault.retries,
             fault.retransmitted_bytes,
             fault.survivors,
@@ -321,5 +321,33 @@ mod tests {
         assert!(line.contains("\"spans_ns\":{\"client_pass\":1234}"));
         assert!(line.ends_with('}'));
         assert!(!line.contains('\n'));
+    }
+
+    #[test]
+    fn fault_lost_counts_all_four_losses() {
+        let fault = agsfl_fl::FaultRoundReport {
+            offline: 1,
+            dropped: 2,
+            corrupt_lost: 3,
+            deadline_dropped: 4,
+            ..Default::default()
+        };
+        let report = RoundReport {
+            round: 1,
+            k_used: 8,
+            train_loss: 0.5,
+            round_time: 2.0,
+            elapsed_time: 2.0,
+            downlink_elements: 8,
+            max_uplink_scalars: 8,
+            cohort: vec![0, 1, 2],
+            contributions: vec![1, 2, 3],
+            probe: None,
+            wire: None,
+            fault: Some(fault),
+        };
+        let spec = TelemetrySpec::deterministic("m.jsonl");
+        let line = render_line(&spec, &StageRecorder::new(), &report, None, false);
+        assert!(line.contains("\"lost\":10,"), "{line}");
     }
 }

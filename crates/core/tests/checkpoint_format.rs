@@ -58,7 +58,7 @@ fn sampled_cohort_checkpoint_bytes_are_pinned() {
     use agsfl_core::ChannelSpec;
     use agsfl_fl::{Simulation, SimulationConfig, WireConfig};
     use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
-    use agsfl_ml::model::LinearSoftmax;
+    use agsfl_ml::model::Mlp;
     use agsfl_sparse::FabTopK;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -69,7 +69,7 @@ fn sampled_cohort_checkpoint_bytes_are_pinned() {
         ..SyntheticFemnistConfig::tiny()
     })
     .generate(&mut ChaCha8Rng::seed_from_u64(seed));
-    let model = LinearSoftmax::new(data.feature_dim(), data.num_classes());
+    let model = Mlp::new(data.feature_dim(), &[], data.num_classes());
     let n = data.num_clients();
     let config = SimulationConfig {
         batch_size: 8,

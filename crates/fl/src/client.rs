@@ -385,7 +385,7 @@ impl Client {
 mod tests {
     use super::*;
     use agsfl_ml::data::FederatedDataset;
-    use agsfl_ml::model::LinearSoftmax;
+    use agsfl_ml::model::Mlp;
     use agsfl_sparse::{ClientUpload, FabTopK, Sparsifier};
     use agsfl_tensor::Matrix;
 
@@ -401,8 +401,8 @@ mod tests {
         FederatedDataset::new(vec![shard(n, 4, 3)], shard(3, 4, 3), 3)
     }
 
-    fn client_and_model() -> (Client, LinearSoftmax, Vec<f32>, FederatedDataset) {
-        let model = LinearSoftmax::new(4, 3);
+    fn client_and_model() -> (Client, Mlp, Vec<f32>, FederatedDataset) {
+        let model = Mlp::new(4, &[], 3);
         let client = Client::new(0, 12, 0.5, model.num_params(), 4, 42);
         let params = vec![0.01; model.num_params()];
         (client, model, params, source(12))
@@ -545,7 +545,7 @@ mod tests {
 
     #[test]
     fn clients_with_same_seed_are_deterministic() {
-        let model = LinearSoftmax::new(4, 3);
+        let model = Mlp::new(4, &[], 3);
         let params = vec![0.02; model.num_params()];
         let data = source(10);
         let mut a = Client::new(0, 10, 0.5, model.num_params(), 4, 9);
@@ -560,7 +560,7 @@ mod tests {
 
     #[test]
     fn hydrated_placeholder_matches_fresh_client() {
-        let model = LinearSoftmax::new(4, 3);
+        let model = Mlp::new(4, &[], 3);
         let params = vec![0.02; model.num_params()];
         let data = source(10);
         let mut fresh = Client::new(0, 10, 0.5, model.num_params(), 4, 99);

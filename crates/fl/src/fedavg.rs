@@ -273,7 +273,7 @@ mod tests {
     use super::*;
     use agsfl_exec::Parallelism;
     use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
-    use agsfl_ml::model::LinearSoftmax;
+    use agsfl_ml::model::Mlp;
 
     fn tiny_fedavg_with(
         period: usize,
@@ -283,7 +283,7 @@ mod tests {
     ) -> FedAvgSimulation {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let fed = SyntheticFemnist::new(SyntheticFemnistConfig::tiny()).generate(&mut rng);
-        let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+        let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
         FedAvgSimulation::new(
             Box::new(model),
             fed,
@@ -396,7 +396,7 @@ mod tests {
     fn striped_average_matches_serial_at_large_dim() {
         use agsfl_ml::data::{ClientShard, FederatedDataset};
         use agsfl_tensor::Matrix;
-        let dim_features = 2_100; // LinearSoftmax params: 2100*2 + 2
+        let dim_features = 2_100; // zero-hidden `Mlp` params: 2100*2 + 2
         let shard = |seed: usize, n: usize| {
             ClientShard::new(
                 Matrix::from_fn(n, dim_features, |i, j| {
@@ -409,7 +409,7 @@ mod tests {
             let fed =
                 FederatedDataset::new(vec![shard(0, 5), shard(1, 3), shard(2, 7)], shard(9, 4), 2);
             FedAvgSimulation::new(
-                Box::new(LinearSoftmax::new(dim_features, 2)),
+                Box::new(Mlp::new(dim_features, &[], 2)),
                 fed,
                 FedAvgConfig {
                     batch_size: 2,
@@ -433,7 +433,7 @@ mod tests {
     fn zero_period_panics() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let fed = SyntheticFemnist::new(SyntheticFemnistConfig::tiny()).generate(&mut rng);
-        let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+        let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
         let _ = FedAvgSimulation::new(
             Box::new(model),
             fed,

@@ -6,7 +6,7 @@
 
 use agsfl_exec::Parallelism;
 use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
-use agsfl_ml::model::LinearSoftmax;
+use agsfl_ml::model::Mlp;
 use agsfl_sparse::{
     topk, ClientUpload, FabTopK, FubTopK, PeriodicK, SelectionResult, SendAll, Sparsifier,
     UnidirectionalTopK,
@@ -45,7 +45,7 @@ pub(crate) fn tiny_sim(
 ) -> Simulation {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let fed = SyntheticFemnist::new(SyntheticFemnistConfig::tiny()).generate(&mut rng);
-    let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+    let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
     let mut config = SimulationConfig {
         learning_rate: 0.05,
         batch_size: 8,

@@ -91,14 +91,14 @@
 //! ```
 //! use agsfl_fl::{Simulation, SimulationConfig, TimeModel};
 //! use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
-//! use agsfl_ml::model::LinearSoftmax;
+//! use agsfl_ml::model::Mlp;
 //! use agsfl_sparse::FabTopK;
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
 //!
 //! let mut rng = ChaCha8Rng::seed_from_u64(0);
 //! let fed = SyntheticFemnist::new(SyntheticFemnistConfig::tiny()).generate(&mut rng);
-//! let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+//! let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
 //! let config = SimulationConfig {
 //!     learning_rate: 0.05,
 //!     batch_size: 8,

@@ -584,8 +584,7 @@ pub fn record_round_report<R: Recorder>(rec: &mut R, report: &RoundReport) {
         rec.counter(CounterId::FaultDropped, fault.dropped as u64);
         rec.counter(CounterId::FaultStragglers, fault.stragglers as u64);
         rec.counter(CounterId::FaultCorruptFrames, fault.corrupt_frames as u64);
-        let lost = fault.corrupt_lost + fault.deadline_dropped;
-        rec.counter(CounterId::FaultLost, lost as u64);
+        rec.counter(CounterId::FaultLost, fault.lost() as u64);
         rec.counter(CounterId::FaultRetries, fault.retries as u64);
         let retransmitted = fault.retransmitted_bytes;
         rec.counter(CounterId::FaultRetransmittedBytes, retransmitted);

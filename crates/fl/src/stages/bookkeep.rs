@@ -89,7 +89,7 @@ mod tests {
     use crate::fixture::{uniform_channel, workspace_capacities};
     use crate::{Simulation, SimulationConfig, WireConfig};
     use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
-    use agsfl_ml::model::LinearSoftmax;
+    use agsfl_ml::model::Mlp;
     use agsfl_sparse::{FabTopK, FubTopK, Sparsifier};
     use agsfl_wire::CodecSpec;
     use rand::SeedableRng;
@@ -111,7 +111,7 @@ mod tests {
                 ..SyntheticFemnistConfig::tiny()
             })
             .generate(&mut rng);
-            let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+            let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
             let config = SimulationConfig {
                 batch_size: 8,
                 seed: 4,

@@ -53,7 +53,7 @@ mod tests {
     use agsfl_ml::data::{
         ClientShard, FederatedDataset, LazySyntheticFemnist, ShardSource, SyntheticFemnistConfig,
     };
-    use agsfl_ml::model::LinearSoftmax;
+    use agsfl_ml::model::Mlp;
     use agsfl_sparse::FabTopK;
 
     /// The accessors are restrictions of the fused evaluation sweep: equal
@@ -139,13 +139,13 @@ mod tests {
                 cohort: Some(4),
             };
             let mut lazy = Simulation::with_source(
-                Box::new(LinearSoftmax::new(cfg.feature_dim, cfg.num_classes)),
+                Box::new(Mlp::new(cfg.feature_dim, &[], cfg.num_classes)),
                 Box::new(src),
                 Box::new(FabTopK::new()),
                 config.clone(),
             );
             let mut eager = Simulation::new(
-                Box::new(LinearSoftmax::new(cfg.feature_dim, cfg.num_classes)),
+                Box::new(Mlp::new(cfg.feature_dim, &[], cfg.num_classes)),
                 fed,
                 Box::new(FabTopK::new()),
                 config,

@@ -26,7 +26,7 @@ use agsfl_ml::data::{
     ClientShard, FederatedDataset, LazySyntheticFemnist, ShardSource, SyntheticFemnist,
     SyntheticFemnistConfig,
 };
-use agsfl_ml::model::LinearSoftmax;
+use agsfl_ml::model::Mlp;
 use agsfl_sparse::FubTopK;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -58,7 +58,7 @@ fn sim_over(
     fault: Option<FaultModel>,
 ) -> Simulation {
     let num_clients = source.num_clients();
-    let model = LinearSoftmax::new(source.feature_dim(), source.num_classes());
+    let model = Mlp::new(source.feature_dim(), &[], source.num_classes());
     let wire = wired.then(|| WireConfig {
         codec: agsfl_wire::CodecSpec::Auto,
         channel: ChannelModel::uniform(num_clients, 1.0, 2_000.0, 4_000.0, 0.05),

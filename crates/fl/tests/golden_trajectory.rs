@@ -12,7 +12,7 @@
 use agsfl_exec::Parallelism;
 use agsfl_fl::{ChannelModel, FaultModel, Simulation, SimulationConfig, TimeModel, WireConfig};
 use agsfl_ml::data::{FederatedDataset, SyntheticFemnist, SyntheticFemnistConfig};
-use agsfl_ml::model::{LinearSoftmax, SimpleCnn};
+use agsfl_ml::model::{Mlp, SimpleCnn};
 use agsfl_sparse::{FabTopK, FubTopK, PeriodicK, SendAll, Sparsifier, UnidirectionalTopK};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -157,7 +157,7 @@ fn plain_trajectories_match_the_owned_client_engine() {
                 let name = sp.name();
                 let fed = tiny_dataset(42);
                 let cohort = cohort_of(fed.num_clients());
-                let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+                let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
                 let mut sim = Simulation::new(
                     Box::new(model),
                     fed,
@@ -190,7 +190,7 @@ fn wire_trajectories_match_the_owned_client_engine() {
                 let fed = tiny_dataset(7);
                 let n = fed.num_clients();
                 let cohort = cohort_of(n);
-                let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+                let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
                 let mut sim = Simulation::new(
                     Box::new(model),
                     fed,
@@ -221,7 +221,7 @@ fn fault_trajectory_matches_the_owned_client_engine() {
             let fed = tiny_dataset(11);
             let n = fed.num_clients();
             let cohort = cohort_of(n);
-            let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+            let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
             let mut sim = Simulation::new(
                 Box::new(model),
                 fed,
@@ -269,6 +269,23 @@ fn fault_trajectory_matches_the_owned_client_engine() {
     }
 }
 
+/// Runs `rounds` rounds at `k = D / 10`, probing `k / 2` on the even
+/// ones, and returns the FNV-1a hash of every round's training loss and
+/// probe losses.
+fn probing_run(sim: &mut Simulation, rounds: usize) -> u64 {
+    let k = sim.dim() / 10;
+    let mut losses: Vec<u64> = Vec::new();
+    for round in 0..rounds {
+        let probe = (round % 2 == 0).then_some(k / 2);
+        let report = sim.run_round(k, probe);
+        losses.push(report.train_loss.to_bits());
+        if let Some(p) = report.probe {
+            losses.extend([p.loss_prev, p.loss_now, p.loss_probe].map(f64::to_bits));
+        }
+    }
+    fnv_bytes(losses.iter().flat_map(|word| word.to_le_bytes()))
+}
+
 /// `(channels, height, width, filters)` of a `SimpleCnn`.
 type CnnGeometry = (usize, usize, usize, usize);
 /// `(params, per-round losses, evaluated point)` hashes.
@@ -310,21 +327,12 @@ fn cnn_trajectories_match_the_im2col_engine() {
                 Box::new(FabTopK::new()),
                 plain_config(23, None, parallelism),
             );
-            let k = sim.dim() / 10;
-            let mut losses: Vec<u64> = Vec::new();
-            for round in 0..4 {
-                let probe = (round % 2 == 0).then_some(k / 2);
-                let report = sim.run_round(k, probe);
-                losses.push(report.train_loss.to_bits());
-                if let Some(p) = report.probe {
-                    losses.extend([p.loss_prev, p.loss_now, p.loss_probe].map(f64::to_bits));
-                }
-            }
+            let losses = probing_run(&mut sim, 4);
             let eval = sim.evaluate();
             let point = [eval.train_loss, eval.train_accuracy, eval.test_accuracy];
             let got = (
                 fnv(sim.params()),
-                fnv_bytes(losses.iter().flat_map(|word| word.to_le_bytes())),
+                losses,
                 fnv_bytes(point.iter().flat_map(|v| v.to_bits().to_le_bytes())),
             );
             assert_eq!(
@@ -332,5 +340,32 @@ fn cnn_trajectories_match_the_im2col_engine() {
                 "CNN {channels}x{height}x{width}, {filters} filters drifted ({parallelism:?})"
             );
         }
+    }
+}
+
+/// `(params, elapsed, per-round losses)` of an 8-round FAB-top-k run on
+/// `Mlp::new(16, &[16], 10)` over the tiny FEMNIST data, `k = D / 10`,
+/// probing `k / 2` on the even rounds. Captured from the MLP that copied
+/// its input batch and kept every pre-activation for the ReLU derivative,
+/// before it read the derivative off the post-ReLU activations.
+const MLP_GOLDEN: (u64, u64, u64) = (0x304b95463f5517d0, 0x402fed774fed7750, 0xe81f6421464760ca);
+
+#[test]
+fn mlp_trajectory_matches_the_pre_activation_engine() {
+    for parallelism in WORKER_COUNTS {
+        let fed = tiny_dataset(29);
+        let model = Mlp::new(fed.feature_dim(), &[16], fed.num_classes());
+        let mut sim = Simulation::new(
+            Box::new(model),
+            fed,
+            Box::new(FabTopK::new()),
+            plain_config(29, None, parallelism),
+        );
+        let losses = probing_run(&mut sim, 8);
+        let got = (fnv(sim.params()), sim.elapsed_time().to_bits(), losses);
+        assert_eq!(
+            got, MLP_GOLDEN,
+            "MLP [16] drifted ({parallelism:?}): {got:#x?}"
+        );
     }
 }

@@ -28,7 +28,7 @@ use std::cell::Cell;
 
 use agsfl_fl::Client;
 use agsfl_ml::data::{FederatedDataset, ShardSource, SyntheticFemnist, SyntheticFemnistConfig};
-use agsfl_ml::model::{LinearSoftmax, Model, SimpleCnn};
+use agsfl_ml::model::{Mlp, Model, SimpleCnn};
 use agsfl_tensor::{Matrix, MatrixView, Store};
 use rand::RngCore;
 use rand::SeedableRng;
@@ -139,16 +139,23 @@ impl Model for SumModel {
 /// boundary, where the sampler reshuffles.
 const BATCH: usize = 5;
 
-/// A warm `LinearSoftmax` step: the logits matrix, the logit-gradient
-/// matrix, one soft-max row per sample and the bias gradient's
-/// `sum_rows` — nothing of the `D`-sized gradient or the residual add.
-const LINEAR_STEP_ALLOCATIONS: usize = 3 + BATCH;
+/// A warm step of `Mlp` without a hidden layer (multinomial logistic
+/// regression): the logits matrix, the logit-gradient matrix and the bias
+/// gradient's `sum_rows` — nothing of the batch, the `D`-sized gradient or
+/// the residual add.
+const LINEAR_STEP_ALLOCATIONS: usize = 3;
 
-/// A warm `SimpleCnn` step: the logits matrix, the logit-gradient matrix,
-/// one soft-max row per sample and the classifier biases' `sum_rows`. The
-/// convolution and its backward run in the thread's reused workspace and
-/// the product kernels allocate nothing.
-const CNN_STEP_ALLOCATIONS: usize = 3 + BATCH;
+/// A warm `Mlp [16]` step: the hidden-activation list, the hidden
+/// activations, the logits, the logit gradient, the output layer's bias
+/// `sum_rows`, the hidden layer's delta and its bias `sum_rows` — the batch
+/// is borrowed and no pre-activation is kept.
+const MLP16_STEP_ALLOCATIONS: usize = 7;
+
+/// A warm `SimpleCnn` step: the logits matrix, the logit-gradient matrix
+/// and the classifier biases' `sum_rows`. The convolution and its backward
+/// run in the thread's reused workspace and the product kernels allocate
+/// nothing.
+const CNN_STEP_ALLOCATIONS: usize = 3;
 
 /// Warm `client` up with one step, then returns the allocations of each of
 /// 40 more steps.
@@ -202,13 +209,15 @@ fn a_warm_gradient_step_allocates_nothing() {
 #[test]
 fn a_warm_real_model_step_allocates_only_its_pinned_count() {
     let cfg = SyntheticFemnistConfig::tiny();
-    let linear_data = dataset(cfg.feature_dim);
-    let linear = LinearSoftmax::new(cfg.feature_dim, cfg.num_classes);
+    let femnist = dataset(cfg.feature_dim);
+    let linear = Mlp::new(cfg.feature_dim, &[], cfg.num_classes);
+    let mlp = Mlp::new(cfg.feature_dim, &[16], cfg.num_classes);
     // 1 x 8 x 8 images: a 6 x 6 convolution, pooled to 3 x 3.
     let cnn_data = dataset(64);
     let cnn = SimpleCnn::new(1, 8, 8, 4, cfg.num_classes);
-    let cases: [(&dyn Model, &FederatedDataset, usize); 2] = [
-        (&linear, &linear_data, LINEAR_STEP_ALLOCATIONS),
+    let cases: [(&dyn Model, &FederatedDataset, usize); 3] = [
+        (&linear, &femnist, LINEAR_STEP_ALLOCATIONS),
+        (&mlp, &femnist, MLP16_STEP_ALLOCATIONS),
         (&cnn, &cnn_data, CNN_STEP_ALLOCATIONS),
     ];
     for (model, data, pinned) in cases {

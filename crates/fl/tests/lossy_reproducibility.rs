@@ -17,7 +17,7 @@
 use agsfl_exec::Parallelism;
 use agsfl_fl::{ChannelModel, Simulation, SimulationConfig, TimeModel, WireConfig};
 use agsfl_ml::data::{FederatedDataset, SyntheticFemnist, SyntheticFemnistConfig};
-use agsfl_ml::model::LinearSoftmax;
+use agsfl_ml::model::Mlp;
 use agsfl_sparse::{FabTopK, FubTopK, Sparsifier};
 use agsfl_wire::{CodecSpec, Precision};
 use rand::SeedableRng;
@@ -47,7 +47,7 @@ fn build(
 ) -> Simulation {
     let fed = tiny_dataset(7);
     let n = fed.num_clients();
-    let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+    let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
     Simulation::new(
         Box::new(model),
         fed,

@@ -19,7 +19,7 @@
 use agsfl_exec::Parallelism;
 use agsfl_fl::{Simulation, SimulationConfig, TimeModel};
 use agsfl_ml::data::{FederatedDataset, SyntheticFemnist, SyntheticFemnistConfig};
-use agsfl_ml::model::LinearSoftmax;
+use agsfl_ml::model::Mlp;
 use agsfl_sparse::FabTopK;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -29,7 +29,7 @@ fn rounds_reuse_the_pool_without_respawning() {
     let mut rng = ChaCha8Rng::seed_from_u64(42);
     let fed: FederatedDataset =
         SyntheticFemnist::new(SyntheticFemnistConfig::tiny()).generate(&mut rng);
-    let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+    let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
     let config = SimulationConfig {
         learning_rate: 0.05,
         batch_size: 8,

@@ -11,11 +11,11 @@
 
 use agsfl_exec::Parallelism;
 use agsfl_fl::{
-    ChannelModel, CounterId, FaultModel, Simulation, SimulationConfig, SpanId, StageRecorder,
-    TimeModel, WireConfig,
+    ChannelModel, CounterId, FaultModel, RunHistory, Simulation, SimulationConfig, SpanId,
+    StageRecorder, TimeModel, WireConfig,
 };
 use agsfl_ml::data::{FederatedDataset, SyntheticFemnist, SyntheticFemnistConfig};
-use agsfl_ml::model::LinearSoftmax;
+use agsfl_ml::model::Mlp;
 use agsfl_sparse::{FabTopK, FubTopK, PeriodicK, SendAll, Sparsifier, UnidirectionalTopK};
 use agsfl_wire::CodecSpec;
 use rand::SeedableRng;
@@ -176,7 +176,7 @@ fn plain_goldens_hold_with_recording_enabled() {
         for (sp, &want) in sparsifiers().into_iter().zip(&PLAIN_GOLDEN) {
             let name = sp.name();
             let fed = tiny_dataset(42);
-            let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+            let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
             let mut sim = Simulation::new(Box::new(model), fed, sp, plain_config(42, parallelism));
             let (got, rec) = run_recorded(&mut sim, 4, true);
             assert_eq!(
@@ -203,7 +203,7 @@ fn wire_goldens_hold_with_recording_enabled() {
             let name = sp.name();
             let fed = tiny_dataset(7);
             let n = fed.num_clients();
-            let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+            let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
             let mut sim = Simulation::new(
                 Box::new(model),
                 fed,
@@ -226,7 +226,7 @@ fn fault_golden_holds_with_recording_enabled() {
     for parallelism in WORKER_COUNTS {
         let fed = tiny_dataset(11);
         let n = fed.num_clients();
-        let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+        let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
         let mut sim = Simulation::new(
             Box::new(model),
             fed,
@@ -263,6 +263,43 @@ fn fault_golden_holds_with_recording_enabled() {
     }
 }
 
+/// `fault_lost` counts every upload a round lost — offline, dropped,
+/// corrupt past its retries and past the deadline — the same four
+/// [`FaultTotals::lost`] sums, on a chaos run that has all four.
+///
+/// [`FaultTotals::lost`]: agsfl_fl::FaultTotals::lost
+#[test]
+fn fault_lost_counter_counts_all_four_losses() {
+    let fed = tiny_dataset(11);
+    let n = fed.num_clients();
+    let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
+    let mut sim = Simulation::new(
+        Box::new(model),
+        fed,
+        Box::new(FubTopK::new()),
+        wire_config(
+            11,
+            n,
+            CodecSpec::Auto,
+            Some(chaos_model(11)),
+            Parallelism::Serial,
+        ),
+    );
+    let mut rec = StageRecorder::new();
+    let mut history = RunHistory::new("chaos", n);
+    for _ in 0..6 {
+        rec.begin_round();
+        let report = sim.run_round_recorded(8, None, &mut rec);
+        history.record_round(&report);
+    }
+    let totals = history.fault_totals();
+    assert!(
+        totals.offline > 0 && totals.dropped > 0,
+        "the chaos run must have outages and dropouts: {totals:?}"
+    );
+    assert_eq!(rec.counter_total(CounterId::FaultLost), totals.lost());
+}
+
 #[test]
 fn lossy_pins_hold_with_recording_enabled() {
     type MakeSparsifier = fn() -> Box<dyn Sparsifier>;
@@ -280,7 +317,7 @@ fn lossy_pins_hold_with_recording_enabled() {
             for parallelism in WORKER_COUNTS {
                 let fed = tiny_dataset(7);
                 let n = fed.num_clients();
-                let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+                let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
                 let mut sim = Simulation::new(
                     Box::new(model),
                     fed,
@@ -309,7 +346,7 @@ fn recording_overhead_stays_within_noise_of_the_noop_round() {
     // bound. Median-of-many keeps the gate stable on noisy CI boxes.
     fn median_round_ns(recorded: bool) -> u64 {
         let fed = tiny_dataset(42);
-        let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+        let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
         let mut sim = Simulation::new(
             Box::new(model),
             fed,
@@ -351,7 +388,7 @@ fn recording_produces_the_same_counters_at_every_worker_count() {
     for parallelism in WORKER_COUNTS {
         let fed = tiny_dataset(7);
         let n = fed.num_clients();
-        let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+        let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
         let mut sim = Simulation::new(
             Box::new(model),
             fed,

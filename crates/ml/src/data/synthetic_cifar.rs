@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn dataset_is_learnable_centrally() {
-        use crate::model::{LinearSoftmax, Model};
+        use crate::model::{Mlp, Model};
         use crate::optim::sgd_step;
         let cfg = SyntheticCifarConfig {
             num_clients: 10,
@@ -223,7 +223,7 @@ mod tests {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let fed = SyntheticCifar::new(cfg).generate(&mut rng);
-        let model = LinearSoftmax::new(cfg.feature_dim, cfg.num_classes);
+        let model = Mlp::new(cfg.feature_dim, &[], cfg.num_classes);
         let mut params = model.init_params(&mut rng);
         for _ in 0..40 {
             for shard in fed.clients() {

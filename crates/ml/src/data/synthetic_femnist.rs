@@ -364,7 +364,7 @@ mod tests {
 
     #[test]
     fn dataset_is_learnable_by_linear_model() {
-        use crate::model::{LinearSoftmax, Model};
+        use crate::model::{Mlp, Model};
         use crate::optim::sgd_step;
         let cfg = SyntheticFemnistConfig {
             num_clients: 4,
@@ -378,7 +378,7 @@ mod tests {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let fed = SyntheticFemnist::new(cfg).generate(&mut rng);
-        let model = LinearSoftmax::new(cfg.feature_dim, cfg.num_classes);
+        let model = Mlp::new(cfg.feature_dim, &[], cfg.num_classes);
         let mut params = model.init_params(&mut rng);
         // Pool all client data and train centrally for a few epochs.
         let initial: f32 = crate::metrics::global_loss(&model, &params, fed.clients());

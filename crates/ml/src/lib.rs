@@ -5,10 +5,11 @@
 //! gradient comes from. This crate provides everything needed to produce such
 //! gradients and evaluate the resulting models:
 //!
-//! * [`model`] — neural-network models ([`model::LinearSoftmax`],
-//!   [`model::Mlp`], [`model::SimpleCnn`]) that store their parameters in a
-//!   single flat `Vec<f32>` so the sparsification layer can treat the model as
-//!   an opaque `D`-dimensional vector, exactly as the paper does,
+//! * [`model`] — the two neural-network models, [`model::Mlp`] (with no
+//!   hidden layer, multinomial logistic regression) and [`model::SimpleCnn`],
+//!   which store their parameters in a single flat `Vec<f32>` so the
+//!   sparsification layer can treat the model as an opaque `D`-dimensional
+//!   vector, exactly as the paper does,
 //! * [`loss`] — cross-entropy loss over mini-batches,
 //! * [`optim`] — plain SGD on flat parameter vectors (Eq. (1) of the paper),
 //! * [`data`] — synthetic federated datasets reproducing the *structure* of
@@ -24,7 +25,7 @@
 //!
 //! ```
 //! use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
-//! use agsfl_ml::model::{LinearSoftmax, Model};
+//! use agsfl_ml::model::{Mlp, Model};
 //! use agsfl_ml::optim::sgd_step;
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
@@ -37,7 +38,8 @@
 //! })
 //! .generate(&mut rng);
 //!
-//! let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+//! // Multinomial logistic regression: an MLP without a hidden layer.
+//! let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
 //! let mut params = model.init_params(&mut rng);
 //! let shard = fed.client(0);
 //! let (loss, grad) = model.loss_and_grad(&params, &shard.features, &shard.labels);

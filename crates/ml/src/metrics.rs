@@ -221,7 +221,7 @@ pub fn global_evaluation(
 mod tests {
     use super::*;
     use crate::data::ClientShard;
-    use crate::model::LinearSoftmax;
+    use crate::model::Mlp;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -233,7 +233,7 @@ mod tests {
 
     #[test]
     fn global_loss_is_weighted_by_client_size() {
-        let model = LinearSoftmax::new(2, 2);
+        let model = Mlp::new(2, &[], 2);
         let params = vec![0.0; model.num_params()];
         // Uniform logits -> loss = ln(2) per sample everywhere, so weighting is
         // invisible; instead check against the unweighted formula explicitly.
@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn global_metrics_empty_shards() {
-        let model = LinearSoftmax::new(2, 2);
+        let model = Mlp::new(2, &[], 2);
         let params = vec![0.0; model.num_params()];
         assert_eq!(global_loss(&model, &params, &[]), 0.0);
         assert_eq!(global_accuracy(&model, &params, &[]), 0.0);
@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn global_accuracy_perfect_model() {
-        let model = LinearSoftmax::new(2, 2);
+        let model = Mlp::new(2, &[], 2);
         // Weights mapping feature 0 -> class 0, feature 1 -> class 1.
         let params = vec![5.0, -5.0, -5.0, 5.0, 0.0, 0.0];
         let a = shard(vec![vec![1.0, 0.0], vec![0.0, 1.0]], vec![0, 1]);
@@ -272,7 +272,7 @@ mod tests {
     fn serial_and_parallel_evaluations_match() {
         use crate::model::SimpleCnn;
         use agsfl_exec::Executor;
-        let linear = LinearSoftmax::new(6, 4);
+        let linear = Mlp::new(6, &[], 4);
         let cnn = SimpleCnn::new(2, 7, 6, 3, 4);
         for model in [&linear as &dyn Model, &cnn] {
             let dim = model.input_dim();
@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn fused_evaluation_handles_empty_inputs() {
         use agsfl_exec::Executor;
-        let model = LinearSoftmax::new(2, 2);
+        let model = Mlp::new(2, &[], 2);
         let params = vec![0.0; model.num_params()];
         let exec = Executor::new(4);
         let empty = global_evaluation(&model, &params, &[], &ClientShard::empty(2), &exec);
@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn global_accuracy_matches_model_accuracy_single_shard() {
-        let model = LinearSoftmax::new(3, 2);
+        let model = Mlp::new(3, &[], 2);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let params = model.init_params(&mut rng);
         let s = shard(vec![vec![0.1, 0.2, 0.3], vec![0.3, 0.2, 0.1]], vec![0, 1]);

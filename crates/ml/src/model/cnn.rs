@@ -85,7 +85,7 @@ thread_local! {
     /// scratch reuse without threading a workspace through the trait: a
     /// round-engine worker processing its chunk of clients allocates once
     /// per thread, not once per client. Sound because the scratch carries no
-    /// state between generations (observational purity, pinned by the
+    /// state between calls (observational purity, pinned by the
     /// equivalence proptests), so the shared buffer never changes results.
     static THREAD_SCRATCH: std::cell::RefCell<Im2colScratch> =
         std::cell::RefCell::new(Im2colScratch::new());
@@ -306,7 +306,6 @@ impl SimpleCnn {
         check_params(self, params);
         check_input(self, x);
         let (_, _, _, fc_b_off) = self.offsets();
-        scratch.begin();
         let mut logits = Matrix::zeros(x.rows(), self.num_classes);
         for start in (0..x.rows()).step_by(Self::FORWARD_BLOCK) {
             let rows = start..(start + Self::FORWARD_BLOCK).min(x.rows());
@@ -372,7 +371,6 @@ impl SimpleCnn {
         let positions = ch * cw;
         let batch = x.rows();
 
-        scratch.begin();
         self.forward_conv(params, x.view(), scratch, true);
         self.im2col(x.view(), &mut scratch.cols);
         let mut logits = Matrix::zeros(batch, self.num_classes);
@@ -604,7 +602,7 @@ mod tests {
         let (x, labels) = toy_batch(&m, 4);
         let mut scratch = Im2colScratch::new();
         // Warm the scratch on a *different* geometry first: stale contents
-        // must never leak into a later generation.
+        // must never leak into a later call.
         let other = SimpleCnn::new(2, 8, 5, 4, 2);
         let other_params = vec![0.02; other.num_params()];
         let (ox, olabels) = toy_batch(&other, 3);

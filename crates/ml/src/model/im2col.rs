@@ -19,11 +19,9 @@
 //!
 //! [`Im2colScratch`] owns every intermediate of both passes. Like every
 //! workspace of the round engine (`SelectionScratch` in `agsfl-sparse`
-//! among them), it is grow-only; it is also epoch-stamped:
-//! [`Im2colScratch::begin`] bumps the generation counter and the producing
-//! pass reshapes the buffers for the call's geometry, reusing their
-//! allocations (every active slot is either fully overwritten by its
-//! producer pass or explicitly cleared). Each buffer is sized to the largest
+//! among them), it is grow-only: each pass reshapes the buffers it needs
+//! for the call's geometry, reusing their allocations (every active slot is
+//! either fully overwritten by its producer pass or explicitly cleared). Each buffer is sized to the largest
 //! geometry seen and never shrinks, so a caller that holds one scratch
 //! across rounds runs the CNN hot path allocation-free in steady state —
 //! including a round that follows its batch-32 gradient with batch-1 probe
@@ -31,7 +29,7 @@
 //! ([`SimpleCnn::FORWARD_BLOCK`] rows at most), not its batch: a 256-row
 //! evaluation chunk leaves the buffers exactly as large as a 32-row one,
 //! and a forward touches neither the column matrix nor the backward
-//! buffers. The workspace carries no state between generations: two
+//! buffers. The workspace carries no state between calls: two
 //! identical calls on a shared scratch return identical results (pinned by
 //! the reference proptests in `crates/ml/tests/cnn_equivalence.rs`).
 //!
@@ -64,7 +62,6 @@ use agsfl_tensor::{ConvScratch, Matrix};
 /// let a = cnn.forward_with(&params, x.view(), &mut scratch);
 /// let b = cnn.forward_with(&params, x.view(), &mut scratch); // allocation-free reuse
 /// assert_eq!(a, b);
-/// assert_eq!(scratch.epoch(), 2);
 /// ```
 ///
 /// [`SimpleCnn`]: crate::model::SimpleCnn
@@ -72,9 +69,6 @@ use agsfl_tensor::{ConvScratch, Matrix};
 /// [`SimpleCnn::loss_and_grad_with`]: crate::model::SimpleCnn::loss_and_grad_with
 #[derive(Debug, Clone, Default)]
 pub struct Im2colScratch {
-    /// Generation counter: bumped by [`Im2colScratch::begin`]; buffers are
-    /// only meaningful within the generation that produced them.
-    epoch: u64,
     /// The fused convolution kernel's workspace (one image's column
     /// planes and a block of receptive fields).
     pub(crate) conv: ConvScratch,
@@ -102,18 +96,6 @@ impl Im2colScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The current generation counter (starts at 0, bumped once per
-    /// forward/backward call). Exposed for tests and diagnostics.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Starts a new generation: bumps the epoch; the producing pass then
-    /// reshapes the buffers it needs. O(1).
-    pub(crate) fn begin(&mut self) {
-        self.epoch += 1;
-    }
 }
 
 #[cfg(test)]
@@ -139,13 +121,10 @@ mod tests {
     #[test]
     fn steady_state_capacity_is_stable() {
         let mut scratch = Im2colScratch::new();
-        scratch.begin();
         scratch.cols.resize_for_overwrite(64, 1024);
-        scratch.begin();
         scratch.cols.resize_for_overwrite(64, 1024);
         let settled = capacities(&scratch);
         for _ in 0..50 {
-            scratch.begin();
             scratch.cols.resize_for_overwrite(64, 1024);
         }
         assert_eq!(capacities(&scratch), settled);
@@ -173,7 +152,7 @@ mod tests {
             assert_eq!(
                 capacities(scratch),
                 after_gradient,
-                "the probe's batch-1 generations released gradient capacity"
+                "the probe's batch-1 forwards released gradient capacity"
             );
             after_gradient
         };

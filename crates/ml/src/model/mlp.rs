@@ -11,10 +11,16 @@ use crate::model::{check_input, check_params, land, Model};
 /// output. Parameters are stored flat, layer by layer, each layer contributing
 /// its row-major `in x out` weight matrix followed by its `out` biases.
 ///
-/// This is the default experiment model of the reproduction: with
-/// `Mlp::new(784, &[128], 62)` it has ~100k parameters, which plays the role
-/// of the paper's >400k-parameter CNN at a size that keeps the full benchmark
-/// suite runnable on a laptop.
+/// With no hidden layer, `Mlp::new(d, &[], c)` is multinomial logistic
+/// regression — one Xavier-initialised linear layer with zero biases under
+/// soft-max cross-entropy — the model `ModelSpec::Linear` builds. With
+/// `Mlp::new(784, &[128], 62)` it has ~100k parameters, which plays the
+/// role of the paper's >400k-parameter CNN at a size that keeps the full
+/// benchmark suite runnable on a laptop.
+///
+/// The input batch is borrowed, never copied, and the backward pass keeps
+/// only the post-ReLU hidden activations: ReLU's derivative reads the same
+/// off `relu(z)` as off `z`.
 ///
 /// # Examples
 ///
@@ -23,11 +29,26 @@ use crate::model::{check_input, check_params, land, Model};
 ///
 /// let mlp = Mlp::new(16, &[8, 8], 4);
 /// assert_eq!(mlp.num_params(), 16 * 8 + 8 + 8 * 8 + 8 + 8 * 4 + 4);
+/// let linear = Mlp::new(16, &[], 4);
+/// assert_eq!(linear.num_params(), 16 * 4 + 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mlp {
     /// Layer widths including input and output: `[input, h1, ..., classes]`.
     dims: Vec<usize>,
+}
+
+/// Multinomial logistic regression under its former name: the
+/// zero-hidden-layer [`Mlp`].
+#[doc(hidden)]
+pub enum LinearSoftmax {}
+
+impl LinearSoftmax {
+    /// `Mlp::new(input_dim, &[], num_classes)`.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(input_dim: usize, num_classes: usize) -> Mlp {
+        Mlp::new(input_dim, &[], num_classes)
+    }
 }
 
 impl Mlp {
@@ -77,29 +98,27 @@ impl Mlp {
         &params[b_off..b_off + fan_out]
     }
 
-    /// Runs the forward pass keeping the pre-activation of every layer, which
-    /// the backward pass needs.
-    ///
-    /// Returns `(activations, pre_activations)` where `activations[0]` is the
-    /// input batch and `activations[i]` the post-ReLU output of layer `i-1`.
-    fn forward_cached(&self, params: &[f32], x: MatrixView<'_>) -> (Vec<Matrix>, Vec<Matrix>) {
-        let layers = self.num_layers();
-        let mut activations: Vec<Matrix> = Vec::with_capacity(layers + 1);
-        let mut pre_activations: Vec<Matrix> = Vec::with_capacity(layers);
-        activations.push(Matrix::from_vec(x.rows(), x.cols(), x.as_slice().to_vec()));
-        for l in 0..layers {
-            let mut z = Matrix::zeros(x.rows(), self.dims[l + 1]);
-            activations[l]
-                .view()
-                .matmul_acc(self.layer_weights(params, l), z.as_mut_slice());
-            z.add_row_broadcast(self.layer_biases(params, l));
-            pre_activations.push(z.clone());
-            if l + 1 < layers {
-                z.map_inplace(ops::relu);
-            }
-            activations.push(z);
+    /// `input · W_l + b_l`, the pre-activation of layer `l`.
+    fn affine(&self, params: &[f32], l: usize, input: MatrixView<'_>) -> Matrix {
+        let mut z = Matrix::zeros(input.rows(), self.dims[l + 1]);
+        input.matmul_acc(self.layer_weights(params, l), z.as_mut_slice());
+        z.add_row_broadcast(self.layer_biases(params, l));
+        z
+    }
+
+    /// Runs the forward pass over the borrowed batch `x`. Returns the
+    /// post-ReLU output of every hidden layer, which is all the backward
+    /// pass keeps, and the logits.
+    fn forward_hidden(&self, params: &[f32], x: MatrixView<'_>) -> (Vec<Matrix>, Matrix) {
+        let output = self.num_layers() - 1;
+        let mut hidden: Vec<Matrix> = Vec::with_capacity(output);
+        for l in 0..output {
+            let mut a = self.affine(params, l, hidden.last().map_or(x, Matrix::view));
+            a.map_inplace(ops::relu);
+            hidden.push(a);
         }
-        (activations, pre_activations)
+        let logits = self.affine(params, output, hidden.last().map_or(x, Matrix::view));
+        (hidden, logits)
     }
 }
 
@@ -138,8 +157,7 @@ impl Model for Mlp {
     fn forward_view(&self, params: &[f32], x: MatrixView<'_>) -> Matrix {
         check_params(self, params);
         check_input(self, x);
-        let (activations, _) = self.forward_cached(params, x);
-        activations.into_iter().last().expect("at least the input")
+        self.forward_hidden(params, x).1
     }
 
     /// Back-propagation layer by layer, last first: each layer's `dW`
@@ -156,31 +174,28 @@ impl Model for Mlp {
         check_params(self, params);
         check_input(self, x.view());
         assert_eq!(out.len(), self.num_params(), "gradient length mismatch");
-        let layers = self.num_layers();
-        let (activations, pre_activations) = self.forward_cached(params, x.view());
-        let logits = activations.last().expect("forward produced output");
-        let (loss, mut delta) = batch_cross_entropy_with_grad(logits, labels);
+        let (hidden, logits) = self.forward_hidden(params, x.view());
+        let (loss, mut delta) = batch_cross_entropy_with_grad(&logits, labels);
 
         // Backwards over layers: delta is dLoss/dZ_l for the current layer l.
-        for l in (0..layers).rev() {
+        for l in (0..self.num_layers()).rev() {
             let (w_off, b_off, fan_in, fan_out) = self.layer_offsets(l);
-            // dW_l = A_{l}^T * delta ; db_l = column sums of delta.
-            activations[l]
-                .view()
-                .transpose_matmul(delta.view(), &mut out[w_off..b_off], store);
+            let input = if l == 0 {
+                x.view()
+            } else {
+                hidden[l - 1].view()
+            };
+            // dW_l = A_l^T * delta ; db_l = column sums of delta.
+            input.transpose_matmul(delta.view(), &mut out[w_off..b_off], store);
             land(&mut out[b_off..b_off + fan_out], &delta.sum_rows(), store);
             if l > 0 {
-                // delta_{l-1} = (delta_l * W_l^T) ⊙ relu'(Z_{l-1})
+                // delta_{l-1} = (delta_l * W_l^T) ⊙ relu'(A_l), A_l = relu(Z_{l-1}).
                 let mut prev = Matrix::zeros(delta.rows(), fan_in);
                 delta
                     .view()
                     .matmul_transpose_into(self.layer_weights(params, l), prev.as_mut_slice());
-                let z_prev = &pre_activations[l - 1];
-                for i in 0..prev.rows() {
-                    let row = prev.row_mut(i);
-                    for (v, &z) in row.iter_mut().zip(z_prev.row(i).iter()) {
-                        *v *= ops::relu_grad(z);
-                    }
+                for (v, &a) in prev.as_mut_slice().iter_mut().zip(input.as_slice()) {
+                    *v *= ops::relu_grad(a);
                 }
                 delta = prev;
             }
@@ -205,13 +220,83 @@ mod tests {
     }
 
     #[test]
-    fn no_hidden_layers_reduces_to_linear_shape() {
-        let m = Mlp::new(6, &[], 4);
-        assert_eq!(m.num_params(), 6 * 4 + 4);
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
+    fn no_hidden_layer_is_the_linear_layout() {
+        let m = Mlp::new(10, &[], 4);
+        assert_eq!(m.num_params(), 10 * 4 + 4);
+        assert_eq!(m.num_layers(), 1);
+        assert_eq!(m.input_dim(), 10);
+        assert_eq!(m.num_classes(), 4);
+        assert_eq!(m.layer_offsets(0), (0, 40, 10, 4));
+    }
+
+    #[test]
+    fn no_hidden_layer_inits_xavier_weights_and_zero_biases() {
+        let m = Mlp::new(7, &[], 3);
+        let p = m.init_params(&mut ChaCha8Rng::seed_from_u64(0));
+        assert_eq!(p.len(), m.num_params());
+        let xavier = agsfl_tensor::init::xavier_uniform(7, 3, &mut ChaCha8Rng::seed_from_u64(0));
+        assert_eq!(&p[..21], xavier.as_slice());
+        assert!(p[21..].iter().all(|&b| b.to_bits() == 0));
+    }
+
+    #[test]
+    fn no_hidden_layer_forward_known_values() {
+        let m = Mlp::new(2, &[], 2);
+        let x = Matrix::from_rows(&[&[2.0, 3.0]]);
+        let zero = m.forward(&[0.0; 6], &x);
+        assert!(zero.as_slice().iter().all(|&v| v == 0.0));
+        // W = [[1, 0], [0, 1]], b = [0.5, -0.5]
+        let params = [1.0, 0.0, 0.0, 1.0, 0.5, -0.5];
+        assert_eq!(m.forward(&params, &x).as_slice(), &[2.5, 2.5]);
+    }
+
+    #[test]
+    fn no_hidden_layer_gradient_matches_finite_difference() {
+        let m = Mlp::new(5, &[], 3);
+        let mut rng = ChaCha8Rng::seed_from_u64(42);
         let params = m.init_params(&mut rng);
-        let x = Matrix::from_fn(2, 6, |i, j| (i + j) as f32 * 0.1);
-        assert_eq!(m.forward(&params, &x).shape(), (2, 4));
+        let x = Matrix::from_fn(6, 5, |i, j| ((i + 2 * j) % 7) as f32 * 0.1 - 0.3);
+        let labels = vec![0, 1, 2, 0, 1, 2];
+        let coords: Vec<usize> = (0..m.num_params()).step_by(3).collect();
+        let worst = finite_difference_check(&m, &params, &x, &labels, &coords, 1e-2);
+        assert!(worst < 5e-3, "worst deviation {worst}");
+    }
+
+    #[test]
+    fn no_hidden_layer_training_separates_separable_data() {
+        let m = Mlp::new(4, &[], 2);
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut params = m.init_params(&mut rng);
+        let x = Matrix::from_rows(&[
+            &[1.0, 1.0, 0.0, 0.0],
+            &[0.9, 1.1, 0.1, 0.0],
+            &[0.0, 0.0, 1.0, 1.0],
+            &[0.1, 0.0, 0.9, 1.1],
+        ]);
+        let labels = vec![0, 0, 1, 1];
+        let initial = m.loss(&params, &x, &labels);
+        for _ in 0..200 {
+            let (_, grad) = m.loss_and_grad(&params, &x, &labels);
+            crate::optim::sgd_step(&mut params, &grad, 0.5);
+        }
+        let trained = m.loss(&params, &x, &labels);
+        assert!(trained < initial * 0.2, "loss {initial} -> {trained}");
+        assert_eq!(m.accuracy(&params, &x, &labels), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter vector has length 4")]
+    fn wrong_param_length_panics() {
+        let m = Mlp::new(3, &[], 2);
+        let _ = m.forward(&[0.0; 4], &Matrix::zeros(1, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "input batch has width 5")]
+    fn wrong_input_width_panics() {
+        let m = Mlp::new(3, &[], 2);
+        let params = vec![0.0; m.num_params()];
+        let _ = m.forward(&params, &Matrix::zeros(1, 5));
     }
 
     #[test]
@@ -282,10 +367,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
         fn prop_gradient_is_finite_and_right_sized(
-            hidden in 1usize..6,
+            hidden in 0usize..6,
             batch in 1usize..4,
         ) {
-            let m = Mlp::new(5, &[hidden], 3);
+            let widths: &[usize] = if hidden == 0 { &[] } else { &[hidden] };
+            let m = Mlp::new(5, widths, 3);
             let mut rng = ChaCha8Rng::seed_from_u64(5);
             let params = m.init_params(&mut rng);
             let x = Matrix::from_fn(batch, 5, |i, j| ((i * 2 + j) % 3) as f32 * 0.3 - 0.3);

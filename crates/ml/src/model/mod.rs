@@ -9,13 +9,11 @@
 
 mod cnn;
 mod im2col;
-mod linear;
 mod mlp;
 
 pub use cnn::SimpleCnn;
 pub use im2col::Im2colScratch;
-pub use linear::LinearSoftmax;
-pub use mlp::Mlp;
+pub use mlp::{LinearSoftmax, Mlp};
 
 use agsfl_tensor::{Matrix, MatrixView, Store};
 use rand::RngCore;
@@ -290,7 +288,7 @@ mod tests {
 
     #[test]
     fn default_loss_matches_forward_cross_entropy() {
-        let model = LinearSoftmax::new(6, 3);
+        let model = Mlp::new(6, &[], 3);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let params = model.init_params(&mut rng);
         let (x, labels) = tiny_batch(6, 3);
@@ -301,7 +299,7 @@ mod tests {
 
     #[test]
     fn sample_loss_matches_batch_of_one() {
-        let model = LinearSoftmax::new(5, 4);
+        let model = Mlp::new(5, &[], 4);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let params = model.init_params(&mut rng);
         let features: Vec<f32> = (0..5).map(|i| i as f32 * 0.1).collect();
@@ -320,7 +318,7 @@ mod tests {
     #[test]
     fn loss_and_grad_into_overwrites_a_dirty_buffer() {
         let models: Vec<Box<dyn Model>> = vec![
-            Box::new(LinearSoftmax::new(36, 3)),
+            Box::new(Mlp::new(36, &[], 3)),
             Box::new(Mlp::new(36, &[7, 5], 3)),
             Box::new(SimpleCnn::new(1, 6, 6, 2, 3)),
             Box::new(SimpleCnn::new(1, 9, 4, 3, 3)),
@@ -376,7 +374,7 @@ mod tests {
     #[test]
     fn sample_loss_borrows_the_feature_row() {
         let models: Vec<Box<dyn Model>> = vec![
-            Box::new(LinearSoftmax::new(36, 3)),
+            Box::new(Mlp::new(36, &[], 3)),
             Box::new(Mlp::new(36, &[7], 3)),
             Box::new(SimpleCnn::new(1, 6, 6, 2, 3)),
         ];
@@ -405,7 +403,7 @@ mod tests {
 
     #[test]
     fn accuracy_of_empty_batch_is_zero() {
-        let model = LinearSoftmax::new(3, 2);
+        let model = Mlp::new(3, &[], 2);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let params = model.init_params(&mut rng);
         assert_eq!(model.accuracy(&params, &Matrix::zeros(0, 3), &[]), 0.0);
@@ -414,7 +412,7 @@ mod tests {
     #[test]
     fn models_are_object_safe() {
         let models: Vec<Box<dyn Model>> = vec![
-            Box::new(LinearSoftmax::new(4, 2)),
+            Box::new(Mlp::new(4, &[], 2)),
             Box::new(Mlp::new(4, &[3], 2)),
         ];
         for m in &models {

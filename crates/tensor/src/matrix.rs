@@ -168,11 +168,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the underlying row-major data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns element `(i, j)`.
     ///
     /// # Panics

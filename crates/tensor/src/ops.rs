@@ -5,24 +5,11 @@
 //! ```
 //! use agsfl_tensor::ops;
 //!
-//! let probs = ops::softmax(&[1.0, 2.0, 3.0]);
-//! assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-6);
-//! assert!(probs[2] > probs[1] && probs[1] > probs[0]);
+//! // Uniform logits over two classes: the loss is ln 2.
+//! let loss = ops::cross_entropy_with_logits(&[1.0, 1.0], 0);
+//! assert!((loss - std::f32::consts::LN_2).abs() < 1e-6);
+//! assert_eq!(ops::relu(-1.5), 0.0);
 //! ```
-
-/// Numerically stable soft-max of a logit vector.
-///
-/// Returns a probability vector that sums to one. An empty input yields an
-/// empty output.
-pub fn softmax(logits: &[f32]) -> Vec<f32> {
-    if logits.is_empty() {
-        return Vec::new();
-    }
-    let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&x| (x - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
-}
 
 /// Numerically stable `log(sum(exp(x)))`.
 ///
@@ -79,26 +66,24 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn softmax_sums_to_one_and_orders() {
-        let p = softmax(&[1.0, 2.0, 3.0]);
-        assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-6);
-        assert!(p[2] > p[1] && p[1] > p[0]);
-    }
-
-    #[test]
-    fn softmax_is_shift_invariant() {
-        let a = softmax(&[1.0, 2.0, 3.0]);
-        let b = softmax(&[1001.0, 1002.0, 1003.0]);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn softmax_empty() {
-        assert!(softmax(&[]).is_empty());
-    }
+    /// NaNs of both signs and payloads, ±0, ±inf, the subnormal extremes
+    /// and the normal extremes.
+    const SPECIAL_BITS: [u32; 14] = [
+        0x7fc0_0000, // quiet NaN
+        0xffc0_0000, // negative quiet NaN
+        0x7f80_0001, // signalling NaN
+        0xffff_ffff, // negative NaN, full payload
+        0x0000_0000, // +0
+        0x8000_0000, // -0
+        0x7f80_0000, // +inf
+        0xff80_0000, // -inf
+        0x0000_0001, // smallest positive subnormal
+        0x8000_0001, // smallest negative subnormal
+        0x007f_ffff, // largest positive subnormal
+        0x807f_ffff, // largest negative subnormal
+        0x7f7f_ffff, // f32::MAX
+        0xff7f_ffff, // f32::MIN
+    ];
 
     #[test]
     fn log_sum_exp_known_values() {
@@ -111,8 +96,9 @@ mod tests {
 
     #[test]
     fn cross_entropy_matches_manual_softmax() {
-        let logits = [0.5, -1.0, 2.0];
-        let p = softmax(&logits);
+        let logits = [0.5f32, -1.0, 2.0];
+        let z: f32 = logits.iter().map(|x| x.exp()).sum();
+        let p = logits.map(|x| x.exp() / z);
         for (target, &pt) in p.iter().enumerate() {
             let ce = cross_entropy_with_logits(&logits, target);
             assert!((ce + pt.ln()).abs() < 1e-5);
@@ -128,14 +114,17 @@ mod tests {
     }
 
     proptest! {
+        /// The MLP reads ReLU's derivative off the post-ReLU activations:
+        /// `relu_grad(relu(z))` is `relu_grad(z)` for every `f32`. Each
+        /// case checks every special value — NaN, ±0, ±inf, subnormals —
+        /// and one uniform bit pattern.
         #[test]
-        fn prop_softmax_is_probability_vector(
-            logits in proptest::collection::vec(-20.0f32..20.0, 1..20)
-        ) {
-            let p = softmax(&logits);
-            prop_assert_eq!(p.len(), logits.len());
-            prop_assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)));
-            prop_assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-4);
+        fn prop_relu_grad_reads_the_same_off_relu(random in 0u32..=u32::MAX) {
+            for bits in SPECIAL_BITS.into_iter().chain([random]) {
+                let z = f32::from_bits(bits);
+                let (got, want) = (relu_grad(relu(z)).to_bits(), relu_grad(z).to_bits());
+                prop_assert_eq!(got, want, "z = {:#x}", bits);
+            }
         }
 
         #[test]

@@ -4,23 +4,21 @@ use agsfl_sparse::{topk, ClientUpload};
 
 use crate::codec::Codec;
 
-/// Reusable workspace for [`Codec::encode_into`], matching the house style
-/// of `agsfl_sparse::SelectionScratch` and `agsfl_ml`'s `Im2colScratch`:
-/// reusable buffers invalidated by a generation bump, so steady-state
+/// Reusable workspace for [`Codec::encode_into`], in the house style of
+/// `agsfl_sparse::SelectionScratch` and `agsfl_ml`'s `Im2colScratch`:
+/// grow-only buffers that each call clears or overwrites, so steady-state
 /// encoding performs no heap allocation.
 ///
-/// * `frame` — the output byte buffer, logically cleared by starting a new
-///   generation.
+/// * `frame` — the output byte buffer, cleared by each encode.
 /// * `staging` — an index-sort buffer used by
 ///   [`WireScratch::encoded_len_prefix`] to canonicalize ranked uplink
 ///   prefixes before pricing them. Only the server's one workspace ever
 ///   fills it: clients select their entry list in index order and call
 ///   [`Codec::encode_into`].
 ///
-/// Each encode starts a new generation (see [`WireScratch::generation`]);
-/// the byte slice returned by an encode borrows the workspace, so the
+/// The byte slice returned by an encode borrows the workspace, so the
 /// borrow checker guarantees a frame is copied out or consumed before the
-/// next generation can overwrite it. The workspace carries no message
+/// next encode can overwrite it. The workspace carries no message
 /// state across calls: encoding the same message twice yields identical
 /// bytes.
 ///
@@ -29,7 +27,6 @@ use crate::codec::Codec;
 /// once that message has been encoded no allocation ever happens again.
 #[derive(Debug, Clone, Default)]
 pub struct WireScratch {
-    generation: u64,
     frame: Vec<u8>,
     staging: Vec<(usize, f32)>,
 }
@@ -40,27 +37,18 @@ impl WireScratch {
         Self::default()
     }
 
-    /// Number of frames encoded through this workspace so far. Each encode
-    /// bumps the generation, invalidating the previous frame in O(1) (the
-    /// buffer's capacity is retained).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Current capacity of the frame buffer in bytes (for memory audits).
     pub fn frame_capacity(&self) -> usize {
         self.frame.capacity()
     }
 
-    /// Starts a new encode generation and hands out the (cleared) frame
-    /// buffer.
+    /// Starts a new encode: hands out the frame buffer, cleared.
     pub(crate) fn begin(&mut self) -> &mut Vec<u8> {
-        self.generation += 1;
         self.frame.clear();
         &mut self.frame
     }
 
-    /// The current generation's frame bytes.
+    /// The last encode's frame bytes.
     pub(crate) fn frame(&self) -> &[u8] {
         &self.frame
     }

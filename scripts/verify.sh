@@ -445,6 +445,25 @@ done | grep -E 'params\[[^]]*\]\.to_vec\(\)'; then
     exit 1
 fi
 
+step "one dense network (Mlp and SimpleCnn are the models; no model copies its input)"
+# Multinomial logistic regression is Mlp::new(d, &[], c): a third model
+# type would be a second dense forward and backward to keep bit-identical.
+# A model multiplies its first layer straight out of the caller's batch,
+# as it does out of params: an input copied with as_slice().to_vec() is
+# the copy the MLP used to make per forward and gradient. Product code
+# only (no #[cfg(test)] item); comment lines are exempt.
+model_product() {
+    for f in crates/ml/src/model/*.rs; do product_lines "$f"; done
+}
+if model_product | grep -E 'impl[^{]*Model for ' | grep -vE 'impl Model for (Mlp|SimpleCnn) \{'; then
+    echo "verify: a model other than Mlp and SimpleCnn (lines above); a dense network is an Mlp" >&2
+    exit 1
+fi
+if model_product | grep -F 'as_slice().to_vec()'; then
+    echo "verify: a model copies its input (lines above); borrow it as a MatrixView" >&2
+    exit 1
+fi
+
 step "one pair body (bench-report records every pair through its ledger; no fork-join, one evaluation type)"
 # bench-report builds a KernelReport in one place, Ledger::record, which
 # prints the pair's line; a second literal is a hand-copied section body

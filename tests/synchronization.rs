@@ -4,7 +4,7 @@
 //! weight vector is a faithful representation of Algorithm 1.
 
 use agsfl::ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
-use agsfl::ml::model::{LinearSoftmax, Model};
+use agsfl::ml::model::{Mlp, Model};
 use agsfl::sparse::{ClientUpload, FabTopK, ResidualAccumulator, Sparsifier, UploadPlan};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -16,7 +16,7 @@ use rand_chacha::ChaCha8Rng;
 fn per_client_weight_copies_stay_identical_under_fab_topk() {
     let mut rng = ChaCha8Rng::seed_from_u64(1);
     let fed = SyntheticFemnist::new(SyntheticFemnistConfig::tiny()).generate(&mut rng);
-    let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+    let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
     let dim = model.num_params();
     let init = model.init_params(&mut rng);
     let n = fed.num_clients();
@@ -71,7 +71,7 @@ fn per_client_weight_copies_stay_identical_under_fab_topk() {
 fn fab_fairness_holds_throughout_training() {
     let mut rng = ChaCha8Rng::seed_from_u64(2);
     let fed = SyntheticFemnist::new(SyntheticFemnistConfig::tiny()).generate(&mut rng);
-    let model = LinearSoftmax::new(fed.feature_dim(), fed.num_classes());
+    let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
     let dim = model.num_params();
     let mut weights = model.init_params(&mut rng);
     let n = fed.num_clients();
