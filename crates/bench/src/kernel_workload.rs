@@ -464,14 +464,15 @@ mod tests {
 
     #[test]
     fn telemetry_workload_records_wire_spans() {
-        use agsfl_telemetry::{CounterId, SpanId, StageRecorder};
+        use agsfl_telemetry::{SpanId, StageRecorder};
         let mut sim = telemetry_workload();
         let mut rec = StageRecorder::new();
         rec.begin_round();
-        sim.run_round_recorded(TELEM_K, None, &mut rec);
-        assert_eq!(rec.counter_total(CounterId::Rounds), 1);
-        assert!(rec.counter_total(CounterId::UplinkBytes) > 0);
+        let report = sim.run_round_recorded(TELEM_K, None, &mut rec);
+        let wire = report.wire.expect("the telemetry workload is wired");
+        assert!(wire.uplink_bytes.iter().sum::<usize>() > 0);
         assert_eq!(rec.span_histogram(SpanId::ClientPass).count(), 1);
+        assert!(rec.span_histogram(SpanId::ServerDecode).sum() > 0);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod telemetry;
 
 pub use agsfl_exec::{Executor, Parallelism};
 pub use agsfl_fl::{FaultConfigError, FaultModel, FaultRoundReport, FaultTotals, SnapshotError};
-pub use agsfl_telemetry::{CounterId, GaugeId, Histogram, Recorder, SpanId, StageRecorder};
+pub use agsfl_telemetry::{Histogram, Recorder, SpanId, StageRecorder};
 pub use agsfl_wire::CodecSpec;
 pub use config::{
     ChannelSpec, ConfigError, DatasetSpec, ExperimentConfig, ExperimentConfigBuilder, Fluctuation,

@@ -6,7 +6,9 @@
 //! from the benchmark output.
 
 use agsfl_fl::RunHistory;
-use agsfl_telemetry::{CounterId, GaugeId, Histogram, SpanId, StageRecorder};
+use agsfl_telemetry::{Histogram, SpanId};
+
+use crate::telemetry::TelemetryState;
 
 /// Formats a `(time, value)` series sampled at the given time points from a
 /// set of labelled histories, using the global-loss channel.
@@ -124,14 +126,16 @@ pub fn fault_summary(histories: &[&RunHistory]) -> String {
     out
 }
 
-/// Formats the cumulative telemetry of a run: one row per observed stage
-/// span (count, p50/p95/p99 and total wall time), followed by the non-zero
-/// counters and gauge peaks. Pass the executor's drained dispatch-latency
-/// histogram (if the pool set was on) to append it as an extra row.
+/// Formats the cumulative wall-clock telemetry of a run: one row per
+/// observed stage span (count, p50/p95/p99 and total wall time), the
+/// worker pool's dispatch latency when it was drained, and the last
+/// process memory sample when one was taken. The run's deterministic
+/// totals — wire bytes, codec counts, fault tallies — are the
+/// [`RunHistory`]'s ([`fault_summary`], [`RunHistory::wire_bytes`]).
 ///
 /// Quantiles come from the log-bucketed [`Histogram`], so they are bucket
 /// lower bounds — stable summaries, not exact order statistics.
-pub fn telemetry_summary(rec: &StageRecorder, dispatch: Option<&Histogram>) -> String {
+pub fn telemetry_summary(state: &TelemetryState) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<18}{:>10}{:>14}{:>14}{:>14}{:>16}\n",
@@ -150,42 +154,22 @@ pub fn telemetry_summary(rec: &StageRecorder, dispatch: Option<&Histogram>) -> S
         ));
     };
     for id in SpanId::ALL {
-        let h = rec.span_histogram(id);
+        let h = state.recorder().span_histogram(id);
         if !h.is_empty() {
             span_row(&mut out, id.name(), h);
         }
     }
-    if let Some(h) = dispatch {
-        if !h.is_empty() {
-            span_row(&mut out, "pool_dispatch", h);
-        }
+    if !state.dispatch_histogram().is_empty() {
+        span_row(&mut out, "pool_dispatch", state.dispatch_histogram());
     }
-    let mut counters = String::new();
-    for id in CounterId::ALL {
-        let total = rec.counter_total(id);
-        if total > 0 {
-            counters.push_str(&format!("{:<26}{total:>16}\n", truncate(id.name(), 26)));
-        }
-    }
-    if !counters.is_empty() {
-        out.push_str(&format!("\n{:<26}{:>16}\n", "counter", "total"));
-        out.push_str(&counters);
-    }
-    let mut gauges = String::new();
-    for id in GaugeId::ALL {
-        let peak = rec.gauge_peak(id);
-        if peak > 0 {
-            gauges.push_str(&format!(
-                "{:<26}{:>16}{:>16}\n",
-                truncate(id.name(), 26),
-                rec.gauge_value(id),
-                peak
-            ));
-        }
-    }
-    if !gauges.is_empty() {
-        out.push_str(&format!("\n{:<26}{:>16}{:>16}\n", "gauge", "last", "peak"));
-        out.push_str(&gauges);
+    if let Some(mem) = state.memory {
+        let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
+        out.push_str(&format!(
+            "\nmemory: rss {:.1} MiB, peak rss {:.1} MiB, {} threads\n",
+            mib(mem.rss_bytes),
+            mib(mem.rss_peak_bytes),
+            mem.threads
+        ));
     }
     out
 }
@@ -295,23 +279,27 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_summary_lists_observed_spans_counters_and_gauges() {
+    fn telemetry_summary_lists_observed_spans_dispatch_and_memory() {
         use agsfl_telemetry::Recorder;
-        let mut rec = StageRecorder::new();
-        rec.span(SpanId::ClientPass, 2_000);
-        rec.span(SpanId::ClientPass, 4_000);
-        rec.counter(CounterId::UplinkBytes, 1024);
-        rec.gauge(GaugeId::QueueDepthPeak, 7);
-        let mut dispatch = Histogram::new();
-        dispatch.record(500);
-        let table = telemetry_summary(&rec, Some(&dispatch));
+        let mut state = TelemetryState::open(Default::default()).unwrap();
+        let table = telemetry_summary(&state);
+        assert_eq!(table.lines().count(), 1, "header only: {table}");
+        state.recorder.span(SpanId::ClientPass, 2_000);
+        state.recorder.span(SpanId::ClientPass, 4_000);
+        state.dispatch.record(500);
+        state.memory = Some(crate::telemetry::MemorySample {
+            rss_bytes: 3 << 20,
+            rss_peak_bytes: 5 << 20,
+            threads: 4,
+        });
+        let table = telemetry_summary(&state);
         assert!(table.contains("client_pass"), "{table}");
         assert!(table.contains("pool_dispatch"), "{table}");
-        assert!(table.contains("uplink_bytes"), "{table}");
-        assert!(table.contains("1024"), "{table}");
-        assert!(table.contains("queue_depth_peak"), "{table}");
-        // Unobserved spans and zero counters stay out of the table.
+        assert!(
+            table.contains("rss 3.0 MiB, peak rss 5.0 MiB, 4 threads"),
+            "{table}"
+        );
+        // Unobserved spans stay out of the table.
         assert!(!table.contains("checkpoint_write"), "{table}");
-        assert!(!table.contains("fault_offline"), "{table}");
     }
 }

@@ -183,28 +183,27 @@ impl Experiment {
 
     /// Installs a telemetry spec: opens the JSONL sink (truncating any
     /// previous file), resets the recorder, and switches the subsequent runs
-    /// onto the recorded round path. When the spec opts into the pool or
-    /// timings sets, the executor's worker metrics are enabled too.
+    /// onto the recorded round path. When the spec opts into the wall-clock
+    /// sets, the executor's worker metrics are enabled too.
     ///
     /// Telemetry is observation only: a run with a spec installed is
     /// bit-identical to one without (pinned by `telemetry_determinism.rs`
     /// and the byte-identity test in `tests/metrics_jsonl.rs`).
     pub fn set_telemetry(&mut self, spec: TelemetrySpec) -> std::io::Result<()> {
-        self.sim
-            .executor()
-            .set_metrics_enabled(spec.pool || spec.timings);
+        self.sim.executor().set_metrics_enabled(spec.wall_clock);
         self.telemetry = Some(TelemetryState::open(spec)?);
         Ok(())
     }
 
-    /// The live telemetry state, if a spec is installed (read the recorder
-    /// from here for [`crate::report::telemetry_summary`]).
+    /// The live telemetry state, if a spec is installed (what
+    /// [`crate::report::telemetry_summary`] renders).
     pub fn telemetry(&self) -> Option<&TelemetryState> {
         self.telemetry.as_ref()
     }
 
     /// Uninstalls telemetry, flushing and closing the sink, and returns the
-    /// final state (recorder + dispatch histogram) for post-run summaries.
+    /// final state (recorder, dispatch histogram, last memory sample) for
+    /// post-run summaries.
     pub fn take_telemetry(&mut self) -> Option<TelemetryState> {
         self.sim.executor().set_metrics_enabled(false);
         let mut state = self.telemetry.take()?;
@@ -352,7 +351,7 @@ impl Experiment {
     fn round(&mut self, k: usize, probe_k: Option<usize>) -> agsfl_fl::RoundReport {
         match self.telemetry.as_mut() {
             Some(state) => {
-                let rec = state.recorder_mut();
+                let rec = &mut state.recorder;
                 rec.begin_round();
                 self.sim.run_round_recorded(k, probe_k, rec)
             }
@@ -365,7 +364,7 @@ impl Experiment {
     /// installed.
     fn evaluate_into(&mut self, point: &mut MetricPoint) {
         let eval = match self.telemetry.as_mut() {
-            Some(state) => self.sim.evaluate_recorded(state.recorder_mut()),
+            Some(state) => self.sim.evaluate_recorded(&mut state.recorder),
             None => self.sim.evaluate(),
         };
         point.global_loss = Some(eval.train_loss as f64);
@@ -470,7 +469,7 @@ impl Experiment {
                     )?;
                     if let (Some(t0), Some(state)) = (t0, self.telemetry.as_mut()) {
                         state
-                            .recorder_mut()
+                            .recorder
                             .span(SpanId::CheckpointWrite, t0.elapsed().as_nanos() as u64);
                     }
                 }
@@ -502,13 +501,13 @@ impl Experiment {
         let Some(state) = self.telemetry.as_mut() else {
             return Ok(());
         };
-        let want_pool = state.spec().pool;
-        if want_pool {
+        let wall_clock = state.spec().wall_clock;
+        if wall_clock {
             self.sim
                 .executor()
-                .drain_dispatch_latency(state.dispatch_mut());
+                .drain_dispatch_latency(&mut state.dispatch);
         }
-        let pool = want_pool
+        let pool = wall_clock
             .then(|| self.sim.executor().pool_metrics())
             .flatten();
         state.emit_round(report, pool.as_ref())

@@ -6,14 +6,14 @@
 //!
 //! A metrics line always carries the round's **deterministic facts** —
 //! round number, `k`, training loss, simulated times, cohort size, wire
-//! bytes, codec frame counts, fault tallies. Every one of them is a pure
-//! function of the seeded trajectory, so two identically-configured runs
-//! write **byte-identical** `metrics.jsonl` files (pinned by a test).
-//! Wall-clock observations — stage span nanoseconds ([`TelemetrySpec::
-//! timings`]), worker-pool counters ([`TelemetrySpec::pool`]), and process
-//! memory probes ([`TelemetrySpec::memory`]) — vary run to run by nature,
-//! so each set must be opted into explicitly and is appended *after* the
-//! deterministic fields, keeping the stable prefix grep-able.
+//! bytes, codec frame counts, fault tallies — read straight from the
+//! round's [`RoundReport`]. Every one of them is a pure function of the
+//! seeded trajectory, so two identically-configured runs write
+//! **byte-identical** `metrics.jsonl` files (pinned by a test).
+//! Wall-clock observations — stage span nanoseconds, worker-pool metrics
+//! and process memory probes — vary run to run by nature, so they are
+//! opted into together through [`TelemetrySpec::wall_clock`] and appended
+//! *after* the deterministic fields, keeping the stable prefix grep-able.
 //!
 //! Telemetry is observation only in the strong sense the rest of the
 //! workspace pins: installing a spec draws no randomness and perturbs no
@@ -26,9 +26,10 @@
 use std::io;
 use std::path::PathBuf;
 
+use agsfl_exec::mem;
 use agsfl_exec::metrics::PoolMetricsSnapshot;
 use agsfl_fl::RoundReport;
-use agsfl_telemetry::{GaugeId, Histogram, JsonlSink, Recorder, SpanId, StageRecorder};
+use agsfl_telemetry::{Histogram, JsonlSink, SpanId, StageRecorder};
 
 /// How a run records and sinks telemetry. Install on an
 /// [`Experiment`](crate::Experiment) with
@@ -47,16 +48,12 @@ pub struct TelemetrySpec {
     /// Sink flush cadence in lines (0 is treated as 1: flush every line).
     /// Memory probes sample on the same cadence.
     pub flush_every: usize,
-    /// Include wall-clock stage spans in each line. Non-deterministic.
-    pub timings: bool,
-    /// Include worker-pool counters (busy/idle fractions, dispatch
-    /// latency, queue depth) and enable them on the executor.
+    /// Include the wall-clock sets in each line: stage spans, worker-pool
+    /// metrics (busy/idle time, tasks, queue depth, imbalance; enabled on
+    /// the executor too) and process memory probes (RSS, peak RSS, thread
+    /// count, sampled every [`TelemetrySpec::flush_every`] rounds).
     /// Non-deterministic.
-    pub pool: bool,
-    /// Include process memory probes (RSS, peak RSS, thread count),
-    /// sampled every [`TelemetrySpec::flush_every`] rounds.
-    /// Non-deterministic.
-    pub memory: bool,
+    pub wall_clock: bool,
 }
 
 impl TelemetrySpec {
@@ -71,32 +68,37 @@ impl TelemetrySpec {
         }
     }
 
-    /// Everything on: the deterministic fields plus timings, pool, and
-    /// memory sets. The file is no longer byte-reproducible.
+    /// Everything on: the deterministic fields plus the wall-clock sets.
+    /// The file is no longer byte-reproducible.
     pub fn full(path: impl Into<PathBuf>) -> Self {
         Self {
-            path: Some(path.into()),
-            flush_every: 32,
-            timings: true,
-            pool: true,
-            memory: true,
+            wall_clock: true,
+            ..Self::deterministic(path)
         }
-    }
-
-    /// Adds the wall-clock stage-span set.
-    pub fn with_timings(mut self) -> Self {
-        self.timings = true;
-        self
     }
 }
 
+/// One process memory sample: resident set, its high-water mark, and OS
+/// threads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct MemorySample {
+    pub(crate) rss_bytes: u64,
+    pub(crate) rss_peak_bytes: u64,
+    pub(crate) threads: u64,
+}
+
 /// Live telemetry state of a run: the installed spec, the accumulating
-/// recorder, and the open sink.
+/// recorder, the last memory sample, and the open sink.
 #[derive(Debug)]
 pub struct TelemetryState {
     spec: TelemetrySpec,
-    recorder: StageRecorder,
-    dispatch: Histogram,
+    /// The accumulating recorder the round loop records into.
+    pub(crate) recorder: StageRecorder,
+    /// The pool's dispatch latencies, drained on each round when the
+    /// wall-clock sets are on.
+    pub(crate) dispatch: Histogram,
+    /// The last memory sample, once the wall-clock sets have taken one.
+    pub(crate) memory: Option<MemorySample>,
     sink: Option<JsonlSink>,
     lines: usize,
 }
@@ -114,6 +116,7 @@ impl TelemetryState {
             spec,
             recorder: StageRecorder::new(),
             dispatch: Histogram::new(),
+            memory: None,
             sink,
             lines: 0,
         })
@@ -129,25 +132,17 @@ impl TelemetryState {
         &self.recorder
     }
 
-    /// Mutable recorder access for the round loop.
-    pub(crate) fn recorder_mut(&mut self) -> &mut StageRecorder {
-        &mut self.recorder
-    }
-
     /// The cumulative task dispatch-latency histogram (submit → dequeue),
-    /// drained from the worker pool on each round when the pool set is on.
+    /// drained from the worker pool on each round when the wall-clock sets
+    /// are on.
     pub fn dispatch_histogram(&self) -> &Histogram {
         &self.dispatch
     }
 
-    /// Mutable dispatch-histogram access for the round loop's drain.
-    pub(crate) fn dispatch_mut(&mut self) -> &mut Histogram {
-        &mut self.dispatch
-    }
-
     /// Emits one round's metrics line and flushes on the spec's cadence.
     /// Call after `run_round_recorded` returned `report` into `self`'s
-    /// recorder. `pool` is the executor's snapshot when the pool set is on.
+    /// recorder. `pool` is the executor's snapshot when the wall-clock sets
+    /// are on.
     pub(crate) fn emit_round(
         &mut self,
         report: &RoundReport,
@@ -155,24 +150,23 @@ impl TelemetryState {
     ) -> io::Result<()> {
         self.lines += 1;
         // Memory probes sample on the flush cadence (first line included)
-        // and land in the recorder's gauges even when no sink is open.
+        // and are kept for the summary even when no sink is open. A probe
+        // the platform cannot answer keeps its previous value.
         let sample_memory =
-            self.spec.memory && (self.lines - 1).is_multiple_of(self.spec.flush_every.max(1));
+            self.spec.wall_clock && (self.lines - 1).is_multiple_of(self.spec.flush_every.max(1));
         if sample_memory {
-            if let Some(rss) = agsfl_exec::mem::current_rss_bytes() {
-                self.recorder.gauge(GaugeId::RssBytes, rss);
-            }
-            if let Some(peak) = agsfl_exec::mem::peak_rss_bytes() {
-                self.recorder.gauge(GaugeId::RssPeakBytes, peak);
-            }
-            if let Some(threads) = agsfl_exec::mem::thread_count() {
-                self.recorder.gauge(GaugeId::Threads, threads);
-            }
+            let last = self.memory.unwrap_or_default();
+            self.memory = Some(MemorySample {
+                rss_bytes: mem::current_rss_bytes().unwrap_or(last.rss_bytes),
+                rss_peak_bytes: mem::peak_rss_bytes().unwrap_or(last.rss_peak_bytes),
+                threads: mem::thread_count().unwrap_or(last.threads),
+            });
         }
         let Some(sink) = &mut self.sink else {
             return Ok(());
         };
-        let line = render_line(&self.spec, &self.recorder, report, pool, sample_memory);
+        let memory = self.memory.filter(|_| sample_memory);
+        let line = render_line(&self.spec, &self.recorder, report, pool, memory);
         sink.write_line(&line)
     }
 
@@ -186,14 +180,15 @@ impl TelemetryState {
 }
 
 /// Renders one self-describing JSONL object for a finished round. The
-/// deterministic fields come first in a fixed order; opted-in wall-clock
-/// sets follow.
+/// deterministic fields come first in a fixed order; the wall-clock sets
+/// follow when the spec opts into them (the memory set only on a line
+/// that took a `memory` sample).
 fn render_line(
     spec: &TelemetrySpec,
     rec: &StageRecorder,
     report: &RoundReport,
     pool: Option<&PoolMetricsSnapshot>,
-    include_memory: bool,
+    memory: Option<MemorySample>,
 ) -> String {
     use std::fmt::Write as _;
     let mut s = String::with_capacity(256);
@@ -234,7 +229,7 @@ fn render_line(
             fault.survivors,
         );
     }
-    if spec.timings {
+    if spec.wall_clock {
         s.push_str(",\"spans_ns\":{");
         let mut first = true;
         for id in SpanId::ALL {
@@ -249,8 +244,6 @@ fn render_line(
             let _ = write!(s, "\"{}\":{}", id.name(), ns);
         }
         s.push('}');
-    }
-    if spec.pool {
         if let Some(snap) = pool {
             let _ = write!(
                 s,
@@ -263,15 +256,13 @@ fn render_line(
                 snap.imbalance_ratio(),
             );
         }
-    }
-    if include_memory {
-        let _ = write!(
-            s,
-            ",\"mem\":{{\"rss_bytes\":{},\"rss_peak_bytes\":{},\"threads\":{}}}",
-            rec.gauge_value(GaugeId::RssBytes),
-            rec.gauge_value(GaugeId::RssPeakBytes),
-            rec.gauge_value(GaugeId::Threads),
-        );
+        if let Some(mem) = memory {
+            let _ = write!(
+                s,
+                ",\"mem\":{{\"rss_bytes\":{},\"rss_peak_bytes\":{},\"threads\":{}}}",
+                mem.rss_bytes, mem.rss_peak_bytes, mem.threads,
+            );
+        }
     }
     s.push('}');
     s
@@ -280,14 +271,16 @@ fn render_line(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agsfl_telemetry::Recorder;
 
     #[test]
     fn deterministic_spec_has_no_wallclock_sets() {
         let spec = TelemetrySpec::deterministic("m.jsonl");
-        assert!(!spec.timings && !spec.pool && !spec.memory);
+        assert!(!spec.wall_clock);
         assert_eq!(spec.flush_every, 32);
         let full = TelemetrySpec::full("m.jsonl");
-        assert!(full.timings && full.pool && full.memory);
+        assert!(full.wall_clock);
+        assert_eq!(full.flush_every, 32);
     }
 
     #[test]
@@ -295,9 +288,7 @@ mod tests {
         let spec = TelemetrySpec {
             path: None,
             flush_every: 1,
-            timings: true,
-            pool: false,
-            memory: false,
+            wall_clock: true,
         };
         let mut rec = StageRecorder::new();
         rec.begin_round();
@@ -316,9 +307,20 @@ mod tests {
             wire: None,
             fault: None,
         };
-        let line = render_line(&spec, &rec, &report, None, false);
+        let line = render_line(&spec, &rec, &report, None, None);
         assert!(line.starts_with("{\"round\":1,\"k\":8,\"train_loss\":0.5"));
         assert!(line.contains("\"spans_ns\":{\"client_pass\":1234}"));
+        assert!(!line.contains("\"mem\""), "{line}");
+        let memory = MemorySample {
+            rss_bytes: 3,
+            rss_peak_bytes: 4,
+            threads: 5,
+        };
+        let line = render_line(&spec, &rec, &report, None, Some(memory));
+        assert!(
+            line.ends_with(",\"mem\":{\"rss_bytes\":3,\"rss_peak_bytes\":4,\"threads\":5}}"),
+            "{line}"
+        );
         assert!(line.ends_with('}'));
         assert!(!line.contains('\n'));
     }
@@ -347,7 +349,7 @@ mod tests {
             fault: Some(fault),
         };
         let spec = TelemetrySpec::deterministic("m.jsonl");
-        let line = render_line(&spec, &StageRecorder::new(), &report, None, false);
+        let line = render_line(&spec, &StageRecorder::new(), &report, None, None);
         assert!(line.contains("\"lost\":10,"), "{line}");
     }
 }

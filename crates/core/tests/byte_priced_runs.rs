@@ -15,6 +15,7 @@ use agsfl_core::{
     FaultTotals, ModelSpec, StopCondition, WireSpec,
 };
 use agsfl_fl::RunHistory;
+use agsfl_online::PrecisionController;
 use agsfl_wire::{CodecId, Precision};
 
 fn uniform() -> ChannelSpec {
@@ -181,6 +182,42 @@ fn qlinear8_final_loss_tracks_lossless() {
 }
 
 const FAULT_ROUNDS: usize = 20;
+
+/// A diverging run — learning rate 50, where the loss turns NaN, and 1e30,
+/// where values overflow to ±inf — finishes all its rounds on every lossy
+/// codec and under the precision controller, which picks lossy tiers
+/// itself: a message holding a NaN or ±inf goes out in a lossless frame
+/// instead of panicking the pool worker that encodes it.
+#[test]
+fn diverging_runs_complete_on_every_lossy_codec() {
+    const ROUNDS: usize = 40;
+    let stop = StopCondition::after_rounds(ROUNDS);
+    for lr in [50.0, 1e30] {
+        let config = |codec| {
+            ExperimentConfig::builder()
+                .dataset(DatasetSpec::femnist_tiny())
+                .model(ModelSpec::Mlp { hidden: vec![16] })
+                .learning_rate(lr)
+                .batch_size(8)
+                .seed(3)
+                .wire(WireSpec {
+                    codec,
+                    channel: uniform(),
+                })
+                .build()
+        };
+        for codec in CodecSpec::lossy() {
+            let history =
+                Experiment::new(&config(codec)).run_adaptive(ControllerSpec::Algorithm3, &stop);
+            assert_eq!(history.len(), ROUNDS, "{} at lr {lr:e}", codec.name());
+        }
+        let mut experiment = Experiment::new(&config(CodecSpec::Auto));
+        let inner = ControllerSpec::Algorithm3.build(experiment.dim(), 3);
+        let mut controller = PrecisionController::new(inner);
+        let history = experiment.run_with_controller(&mut controller, &stop, "precision");
+        assert_eq!(history.len(), ROUNDS, "precision controller at lr {lr:e}");
+    }
+}
 
 fn dropout() -> FaultModel {
     FaultModel {

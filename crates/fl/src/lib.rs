@@ -131,7 +131,7 @@ mod time;
 mod wire_state;
 
 pub use agsfl_exec::{Executor, Parallelism};
-pub use agsfl_telemetry::{CounterId, GaugeId, NoopRecorder, Recorder, SpanId, StageRecorder};
+pub use agsfl_telemetry::{NoopRecorder, Recorder, SpanId, StageRecorder};
 pub use agsfl_wire::snapshot::SnapshotError;
 pub use channel::{ChannelModel, ClientLink};
 pub use client::Client;
@@ -139,5 +139,5 @@ pub use fault::{FaultConfigError, FaultModel, FaultRoundReport, MAX_RETRY_LIMIT}
 pub use fedavg::{FedAvgConfig, FedAvgSimulation};
 pub use history::{FaultTotals, MetricPoint, RunHistory};
 pub use round::{ProbeReport, RoundReport, WireRoundReport};
-pub use simulation::{record_round_report, Simulation, SimulationConfig, WireConfig};
+pub use simulation::{Simulation, SimulationConfig, WireConfig};
 pub use time::TimeModel;

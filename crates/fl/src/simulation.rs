@@ -7,7 +7,7 @@ use agsfl_ml::data::{FederatedDataset, ShardSource};
 use agsfl_ml::metrics::GlobalEvaluation;
 use agsfl_ml::model::Model;
 use agsfl_sparse::{SelectionScratch, Sparsifier};
-use agsfl_telemetry::{stage, CounterId, GaugeId, NoopRecorder, Recorder, SpanId};
+use agsfl_telemetry::{stage, NoopRecorder, Recorder, SpanId};
 use agsfl_wire::Precision;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -427,8 +427,8 @@ impl Simulation {
     /// Each stage's arguments are the fields it borrows. A faulty round is
     /// the same round over the surviving subset — there is one engine, and
     /// a clean round is the one where every member is admitted. The
-    /// report's deterministic facts (cohort size, wire bytes, fault counts)
-    /// are mirrored into [`CounterId`]/[`GaugeId`] streams.
+    /// recorder sees only the spans: the round's deterministic facts
+    /// (cohort, wire bytes, fault counts) are the returned report's.
     ///
     /// Telemetry is **observation only**: it draws no randomness, touches
     /// no simulation state, and every clock read is gated on
@@ -535,7 +535,7 @@ impl Simulation {
         );
         self.scratch.recycle(selection);
 
-        let report = RoundReport {
+        RoundReport {
             round: self.round,
             k_used: k,
             train_loss,
@@ -548,46 +548,7 @@ impl Simulation {
             probe,
             wire: wire_report,
             fault: fault_report,
-        };
-        if rec.enabled() {
-            record_round_report(rec, &report);
-            rec.gauge(GaugeId::ResidentClients, self.resident_clients() as u64);
         }
-        report
-    }
-}
-
-/// Mirrors a finished round's deterministic facts — cohort size, wire
-/// bytes, codec frame counts, fault tallies — into a recorder's counter and
-/// gauge streams. Called by [`Simulation::run_round_recorded`] for every
-/// round whose recorder is enabled; exposed so callers replaying stored
-/// [`RoundReport`]s (the runner's resumed histories, report tooling) can
-/// rebuild the same totals.
-///
-/// Every value recorded here is a pure function of the report, so two
-/// bit-identical trajectories produce bit-identical counter streams — the
-/// property the byte-identical `metrics.jsonl` contract rests on.
-pub fn record_round_report<R: Recorder>(rec: &mut R, report: &RoundReport) {
-    rec.counter(CounterId::Rounds, 1);
-    rec.counter(CounterId::CohortClients, report.cohort.len() as u64);
-    rec.counter(CounterId::DownlinkElements, report.downlink_elements as u64);
-    rec.gauge(GaugeId::KUsed, report.k_used as u64);
-    if let Some(wire) = &report.wire {
-        let uplink: u64 = wire.uplink_bytes.iter().map(|&b| b as u64).sum();
-        rec.counter(CounterId::UplinkBytes, uplink);
-        rec.counter(CounterId::DownlinkBytes, wire.downlink_bytes as u64);
-        rec.counter(CounterId::UplinkFrames, wire.uplink_codecs.len() as u64);
-        rec.gauge(GaugeId::MaxUplinkBytes, wire.max_uplink_bytes as u64);
-    }
-    if let Some(fault) = &report.fault {
-        rec.counter(CounterId::FaultOffline, fault.offline as u64);
-        rec.counter(CounterId::FaultDropped, fault.dropped as u64);
-        rec.counter(CounterId::FaultStragglers, fault.stragglers as u64);
-        rec.counter(CounterId::FaultCorruptFrames, fault.corrupt_frames as u64);
-        rec.counter(CounterId::FaultLost, fault.lost() as u64);
-        rec.counter(CounterId::FaultRetries, fault.retries as u64);
-        let retransmitted = fault.retransmitted_bytes;
-        rec.counter(CounterId::FaultRetransmittedBytes, retransmitted);
     }
 }
 

@@ -1,6 +1,11 @@
 //! Observability substrate for the AGSFL workspace: monotonic span timers
 //! over the round's stages, log-bucketed HDR-style histograms with exact
-//! count/sum, counters and gauges, and a line-buffered JSONL metrics sink.
+//! count/sum, and a line-buffered JSONL metrics sink.
+//!
+//! The crate observes **time only**. A round's deterministic facts — `k`,
+//! the round time, the cohort, wire bytes, fault tallies — are recorded
+//! once, in `agsfl_fl::RoundReport`; the metrics line is written from the
+//! report and the run history totals it, so nothing here keeps a copy.
 //!
 //! The crate is dependency-free (consistent with the workspace's
 //! vendored-shim policy) and **read-only with respect to the training
@@ -24,7 +29,7 @@
 //! instrumentation compiles down to the bare closure call, which is the
 //! overhead contract `bench-report` and `scripts/verify.sh` check. A
 //! [`StageRecorder`] collects the same calls into per-stage histograms plus
-//! per-round deltas.
+//! each stage's nanoseconds in the current round.
 //!
 //! All histogram state is integer: shard merges fold bit-identically in
 //! worker order, exactly like every other merge in the codebase, and the
@@ -42,7 +47,7 @@ mod sink;
 use std::time::Instant;
 
 pub use hist::{Histogram, NUM_BUCKETS};
-pub use ids::{CounterId, GaugeId, SpanId};
+pub use ids::SpanId;
 pub use recorder::{NoopRecorder, Recorder, StageRecorder};
 pub use sink::JsonlSink;
 

@@ -2,16 +2,20 @@
 //! [`NoopRecorder`] default and the collecting [`StageRecorder`].
 
 use crate::hist::Histogram;
-use crate::ids::{CounterId, GaugeId, SpanId};
+use crate::ids::SpanId;
 
-/// Sink for instrumentation events.
+/// Sink for wall-clock stage spans.
 ///
-/// Every method has a no-op default, and [`Recorder::enabled`] defaults to
-/// `false`: instrumented code gates its clock reads on `enabled()`, so a
-/// recorder that keeps the default compiles the instrumentation away
-/// entirely after monomorphization. Implementations must not draw
-/// randomness or otherwise feed back into the computation they observe —
-/// telemetry is read-only with respect to the trajectory.
+/// A recorder observes time and nothing else: the round's deterministic
+/// facts (`k`, the round time, the cohort, wire bytes, fault tallies) live
+/// in the round report, the metrics line written from it and the run
+/// history, never in a second copy here. Both methods have no-op defaults,
+/// and [`Recorder::enabled`] defaults to `false`: instrumented code gates
+/// its clock reads on `enabled()`, so a recorder that keeps the default
+/// compiles the instrumentation away entirely after monomorphization.
+/// Implementations must not draw randomness or otherwise feed back into
+/// the computation they observe — telemetry is read-only with respect to
+/// the trajectory.
 pub trait Recorder {
     /// Whether this recorder wants events at all. Instrumented code skips
     /// clock reads (and any other observation cost) when this is `false`.
@@ -23,14 +27,6 @@ pub trait Recorder {
     /// Records one completed span of `nanos` under `id`.
     #[inline]
     fn span(&mut self, _id: SpanId, _nanos: u64) {}
-
-    /// Adds `delta` to the counter `id`.
-    #[inline]
-    fn counter(&mut self, _id: CounterId, _delta: u64) {}
-
-    /// Sets the gauge `id` to `value`.
-    #[inline]
-    fn gauge(&mut self, _id: GaugeId, _value: u64) {}
 }
 
 /// The default recorder: discards everything, reports `enabled() = false`.
@@ -43,9 +39,9 @@ pub struct NoopRecorder;
 impl Recorder for NoopRecorder {}
 
 /// A collecting recorder: one [`Histogram`] per span (cumulative across
-/// rounds), exact counters and last/max gauges, plus per-round deltas that
-/// reset at [`StageRecorder::begin_round`] — the raw material for the
-/// per-round JSONL line and the cumulative summary table.
+/// rounds) plus each span's nanoseconds since [`StageRecorder::begin_round`]
+/// — the raw material for the per-round JSONL line and the cumulative
+/// summary table.
 ///
 /// All state is preallocated at construction; recording is array indexing
 /// and integer adds, never an allocation.
@@ -53,10 +49,6 @@ impl Recorder for NoopRecorder {}
 pub struct StageRecorder {
     spans: Vec<Histogram>,
     round_span_ns: [u64; SpanId::COUNT],
-    counters: [u64; CounterId::COUNT],
-    round_counters: [u64; CounterId::COUNT],
-    gauges: [u64; GaugeId::COUNT],
-    gauge_max: [u64; GaugeId::COUNT],
 }
 
 impl Default for StageRecorder {
@@ -71,18 +63,13 @@ impl StageRecorder {
         Self {
             spans: (0..SpanId::COUNT).map(|_| Histogram::new()).collect(),
             round_span_ns: [0; SpanId::COUNT],
-            counters: [0; CounterId::COUNT],
-            round_counters: [0; CounterId::COUNT],
-            gauges: [0; GaugeId::COUNT],
-            gauge_max: [0; GaugeId::COUNT],
         }
     }
 
-    /// Clears the per-round deltas (span nanoseconds and counter deltas);
-    /// the cumulative histograms, counters, and gauge maxima persist.
+    /// Clears the per-round span nanoseconds; the cumulative histograms
+    /// persist.
     pub fn begin_round(&mut self) {
         self.round_span_ns = [0; SpanId::COUNT];
-        self.round_counters = [0; CounterId::COUNT];
     }
 
     /// The cumulative histogram of one span.
@@ -96,32 +83,10 @@ impl StageRecorder {
         self.round_span_ns[id.index()]
     }
 
-    /// Cumulative value of a counter.
-    pub fn counter_total(&self, id: CounterId) -> u64 {
-        self.counters[id.index()]
-    }
-
-    /// Counter delta since the last [`StageRecorder::begin_round`].
-    #[cfg(test)]
-    fn round_counter(&self, id: CounterId) -> u64 {
-        self.round_counters[id.index()]
-    }
-
-    /// Last value set on a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> u64 {
-        self.gauges[id.index()]
-    }
-
-    /// Largest value ever set on a gauge.
-    pub fn gauge_peak(&self, id: GaugeId) -> u64 {
-        self.gauge_max[id.index()]
-    }
-
     /// Folds another recorder into this one (shard merge, called in worker
-    /// order): histograms merge bucket-wise, counters add, gauge maxima
-    /// fold by max, and the per-round deltas add. Integer operations only,
-    /// so the fold is bit-identical regardless of how samples were
-    /// sharded.
+    /// order): histograms merge bucket-wise and the per-round nanoseconds
+    /// add. Integer operations only, so the fold is bit-identical
+    /// regardless of how samples were sharded.
     pub fn merge(&mut self, other: &StageRecorder) {
         for (a, b) in self.spans.iter_mut().zip(other.spans.iter()) {
             a.merge(b);
@@ -132,19 +97,6 @@ impl StageRecorder {
             .zip(other.round_span_ns.iter())
         {
             *a = a.saturating_add(b);
-        }
-        for (a, &b) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *a = a.saturating_add(b);
-        }
-        for (a, &b) in self
-            .round_counters
-            .iter_mut()
-            .zip(other.round_counters.iter())
-        {
-            *a = a.saturating_add(b);
-        }
-        for (a, &b) in self.gauge_max.iter_mut().zip(other.gauge_max.iter()) {
-            *a = (*a).max(b);
         }
     }
 }
@@ -160,21 +112,6 @@ impl Recorder for StageRecorder {
         self.spans[id.index()].record(nanos);
         let slot = &mut self.round_span_ns[id.index()];
         *slot = slot.saturating_add(nanos);
-    }
-
-    #[inline]
-    fn counter(&mut self, id: CounterId, delta: u64) {
-        let total = &mut self.counters[id.index()];
-        *total = total.saturating_add(delta);
-        let round = &mut self.round_counters[id.index()];
-        *round = round.saturating_add(delta);
-    }
-
-    #[inline]
-    fn gauge(&mut self, id: GaugeId, value: u64) {
-        self.gauges[id.index()] = value;
-        let peak = &mut self.gauge_max[id.index()];
-        *peak = (*peak).max(value);
     }
 }
 
@@ -196,23 +133,16 @@ mod tests {
         rec.begin_round();
         rec.span(SpanId::Selection, 100);
         rec.span(SpanId::Selection, 50);
-        rec.counter(CounterId::UplinkBytes, 7);
-        rec.gauge(GaugeId::QueueDepthPeak, 3);
         assert_eq!(rec.round_span_ns(SpanId::Selection), 150);
         assert_eq!(rec.span_histogram(SpanId::Selection).count(), 2);
-        assert_eq!(rec.round_counter(CounterId::UplinkBytes), 7);
         assert_eq!(crate::stage(&mut rec, SpanId::Probe, || 7), 7);
         assert_eq!(rec.span_histogram(SpanId::Probe).count(), 1);
 
         rec.begin_round();
         assert_eq!(rec.round_span_ns(SpanId::Selection), 0);
-        assert_eq!(rec.round_counter(CounterId::UplinkBytes), 0);
         // Cumulative state survives the round boundary.
         assert_eq!(rec.span_histogram(SpanId::Selection).count(), 2);
-        assert_eq!(rec.counter_total(CounterId::UplinkBytes), 7);
-        rec.gauge(GaugeId::QueueDepthPeak, 1);
-        assert_eq!(rec.gauge_value(GaugeId::QueueDepthPeak), 1);
-        assert_eq!(rec.gauge_peak(GaugeId::QueueDepthPeak), 3);
+        assert_eq!(rec.span_histogram(SpanId::Selection).sum(), 150);
     }
 
     #[test]
@@ -223,23 +153,13 @@ mod tests {
         for i in 0..100u64 {
             let ns = i * 37 + 5;
             whole.span(SpanId::ClientPass, ns);
-            whole.counter(CounterId::Rounds, 1);
             if i % 2 == 0 {
                 a.span(SpanId::ClientPass, ns);
-                a.counter(CounterId::Rounds, 1);
             } else {
                 b.span(SpanId::ClientPass, ns);
-                b.counter(CounterId::Rounds, 1);
             }
         }
         a.merge(&b);
-        assert_eq!(
-            a.span_histogram(SpanId::ClientPass),
-            whole.span_histogram(SpanId::ClientPass)
-        );
-        assert_eq!(
-            a.counter_total(CounterId::Rounds),
-            whole.counter_total(CounterId::Rounds)
-        );
+        assert_eq!(a, whole);
     }
 }

@@ -232,36 +232,53 @@ impl Codec {
     }
 
     /// The format this codec emits for the given message: its spec's own,
-    /// or for [`CodecSpec::Auto`] the size argmin over the lossless ones.
+    /// or the size argmin over the lossless ones for [`CodecSpec::Auto`] and
+    /// for a lossy spec on a message holding a NaN or ±inf (see
+    /// [`Codec::encode_into`]).
     pub fn choose(self, dim: usize, entries: &[(usize, f32)]) -> CodecId {
-        self.spec
-            .id()
+        self.own_format(entries)
             .unwrap_or_else(|| smallest_lossless(dim, entries).1)
     }
 
-    /// Exact frame length in bytes, without encoding.
+    /// Exact frame length in bytes, without encoding: the length of the
+    /// frame [`Codec::choose`] names.
     pub fn encoded_len(self, dim: usize, entries: &[(usize, f32)]) -> usize {
-        match self.spec.id() {
+        match self.own_format(entries) {
             Some(id) => frame_len(id, dim, entries),
             None => smallest_lossless(dim, entries).0,
         }
     }
 
+    /// The spec's own format, if it can carry the message: every format
+    /// but a lossy one meeting a non-finite value.
+    fn own_format(self, entries: &[(usize, f32)]) -> Option<CodecId> {
+        let finite = || entries.iter().all(|&(_, v)| v.is_finite());
+        self.spec.id().filter(|id| !id.is_lossy() || finite())
+    }
+
     /// Encodes the message into `scratch`'s frame buffer and returns the
     /// frame. Zero-allocation once the buffer has grown to the message size.
     ///
+    /// A message holding a NaN or ±inf goes out in its smallest lossless
+    /// frame whatever the spec — a lossy format has no level, half or norm
+    /// for it, and a diverging run must not panic its encoders. The lossy
+    /// formats find the value in the sweep they make anyway (qlinear8's
+    /// survey, the others' contract check) before writing a payload byte
+    /// and rewrite the frame losslessly; [`Codec::choose`] and
+    /// [`Codec::encoded_len`] report that same frame.
+    ///
     /// # Panics
     ///
-    /// Panics if an entry index is `>= dim`, or if a lossy format meets a
-    /// non-finite value (debug builds also assert the strictly-increasing
-    /// ordering).
+    /// Panics if an entry index is `>= dim` (debug builds also assert the
+    /// strictly-increasing ordering).
     pub fn encode_into<'a>(
         self,
         dim: usize,
         entries: &[(usize, f32)],
         scratch: &'a mut WireScratch,
     ) -> &'a [u8] {
-        let id = self.choose(dim, entries);
+        let auto = || smallest_lossless(dim, entries).1;
+        let id = self.spec.id().unwrap_or_else(auto);
         let buf = scratch.begin();
         write_header(buf, id, dim, entries.len());
         write_payload(id, self.seed, dim, entries, buf);
@@ -306,9 +323,9 @@ fn frame_len(id: CodecId, dim: usize, entries: &[(usize, f32)]) -> usize {
 
 /// Writes the payload of the `id` frame of a message after its header,
 /// first checking the encode contract: every index `< dim` (debug builds:
-/// strictly increasing, mirroring `SparseGradient::from_sorted_entries`)
-/// and, for a lossy format, every value finite — a lossy frame's header
-/// fields must be finite for the decoder to accept them.
+/// strictly increasing, mirroring `SparseGradient::from_sorted_entries`).
+/// A lossy format meeting a value that is not finite — which its header
+/// fields could not hold — rewrites the frame with [`write_lossless`].
 fn write_payload(id: CodecId, seed: u64, dim: usize, entries: &[(usize, f32)], buf: &mut Vec<u8>) {
     // qlinear8's survey checks the contract in the sweep it makes anyway.
     if id != CodecId::QLinear8 {
@@ -316,10 +333,9 @@ fn write_payload(id: CodecId, seed: u64, dim: usize, entries: &[(usize, f32)], b
             entries.iter().all(|&(j, _)| j < dim),
             "wire entry index out of range (dim {dim})"
         );
-        assert!(
-            !id.is_lossy() || entries.iter().all(|&(_, v)| v.is_finite()),
-            "lossy codecs require finite values"
-        );
+        if id.is_lossy() && !entries.iter().all(|&(_, v)| v.is_finite()) {
+            return write_lossless(dim, entries, buf);
+        }
         debug_assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "wire entries must be sorted by strictly increasing index"
@@ -356,6 +372,15 @@ fn write_payload(id: CodecId, seed: u64, dim: usize, entries: &[(usize, f32)], b
         }),
         CodecId::SignNorm => lossy::write_sign_norm(entries, buf),
     }
+}
+
+/// Rewrites `buf` as the smallest lossless frame of a message: the frame a
+/// lossy format sends for a message holding a NaN or ±inf.
+pub(crate) fn write_lossless(dim: usize, entries: &[(usize, f32)], buf: &mut Vec<u8>) {
+    let id = smallest_lossless(dim, entries).1;
+    buf.clear();
+    write_header(buf, id, dim, entries.len());
+    write_payload(id, 0, dim, entries, buf);
 }
 
 fn header_len(dim: usize, nnz: usize) -> usize {

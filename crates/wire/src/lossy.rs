@@ -56,7 +56,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::codec::{read_f32, read_gaps, take, write_gaps, CodecSpec};
+use crate::codec::{read_f32, read_gaps, take, write_gaps, write_lossless, CodecSpec};
 use crate::error::WireError;
 
 /// Largest finite IEEE-754 binary16 value; f16 frames saturate here.
@@ -187,10 +187,11 @@ fn q8_value(lo: f32, step: f64, q: u8) -> f32 {
 
 /// Everything a qlinear8 frame needs to know about a message before it
 /// writes a byte, from one sweep over it: the encode contract checked
-/// (indices in range, values finite; debug builds also the index order),
-/// the value range `[lo, hi]` (`[0, 0]` for an empty message), and the
-/// content hash that keys the frame's stochastic-rounding stream.
-fn q8_survey(dim: usize, entries: &[(usize, f32)]) -> (f32, f32, u64) {
+/// (indices in range; debug builds also the index order), the value range
+/// `[lo, hi]` (`[0, 0]` for an empty message), and the content hash that
+/// keys the frame's stochastic-rounding stream — or `None` when a value is
+/// not finite, which no qlinear8 frame can carry.
+fn q8_survey(dim: usize, entries: &[(usize, f32)]) -> Option<(f32, f32, u64)> {
     let mut hash = fnv_bytes(FNV_BASIS, (dim as u64).to_le_bytes());
     let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
     let (mut in_range, mut finite) = (true, true);
@@ -202,7 +203,6 @@ fn q8_survey(dim: usize, entries: &[(usize, f32)]) -> (f32, f32, u64) {
         hash = fnv_entry(hash, j, v);
     }
     assert!(in_range, "wire entry index out of range (dim {dim})");
-    assert!(finite, "lossy codecs require finite values");
     debug_assert!(
         entries.windows(2).all(|w| w[0].0 < w[1].0),
         "wire entries must be sorted by strictly increasing index"
@@ -210,7 +210,7 @@ fn q8_survey(dim: usize, entries: &[(usize, f32)]) -> (f32, f32, u64) {
     if entries.is_empty() {
         (lo, hi) = (0.0, 0.0);
     }
-    (lo, hi, hash)
+    finite.then_some((lo, hi, hash))
 }
 
 /// Quantizes one value `v >= lo` to a level in `0..=255`.
@@ -242,8 +242,11 @@ fn q8_quantize(v: f32, lo: f32, step: f64, rng: &mut ChaCha8Rng) -> u8 {
 
 /// Writes a qlinear8 payload: the value range, then the gap stream with
 /// one level per entry, rounded on the stream keyed by `(seed, message)`.
+/// A message holding a NaN or ±inf goes out as its smallest lossless frame.
 pub(crate) fn write_qlinear8(seed: u64, dim: usize, entries: &[(usize, f32)], buf: &mut Vec<u8>) {
-    let (lo, hi, hash) = q8_survey(dim, entries);
+    let Some((lo, hi, hash)) = q8_survey(dim, entries) else {
+        return write_lossless(dim, entries, buf);
+    };
     let step = q8_step(lo, hi);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ hash);
     buf.extend_from_slice(&lo.to_le_bytes());
@@ -447,7 +450,7 @@ mod tests {
                 edges[..=n].iter().map(|&j| (j, (j as f32).sin())).collect();
             for entries in [vec![(j, -1.5f32)], prefix] {
                 for dim in [j + 1, usize::MAX] {
-                    let (lo, hi, hash) = q8_survey(dim, &entries);
+                    let (lo, hi, hash) = q8_survey(dim, &entries).unwrap();
                     assert_eq!(
                         hash,
                         crate::reference::frame_hash(dim, &entries),
@@ -461,8 +464,9 @@ mod tests {
         }
         assert_eq!(
             q8_survey(4, &[]),
-            (0.0, 0.0, crate::reference::frame_hash(4, &[]))
+            Some((0.0, 0.0, crate::reference::frame_hash(4, &[])))
         );
+        assert_eq!(q8_survey(4, &[(1, 0.5), (2, f32::NAN)]), None);
     }
 
     #[test]
@@ -470,13 +474,6 @@ mod tests {
     fn qlinear8_rejects_an_out_of_range_index() {
         let codec = CodecSpec::QLinear8.build_seeded(1);
         codec.encode_into(4, &[(1, 0.5), (4, 1.0)], &mut WireScratch::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "finite values")]
-    fn qlinear8_rejects_a_non_finite_value() {
-        let codec = CodecSpec::QLinear8.build_seeded(1);
-        codec.encode_into(4, &[(1, 0.5), (2, f32::NAN)], &mut WireScratch::new());
     }
 
     /// `q8_quantize` as it was written with `f64::round`/`f64::floor`.

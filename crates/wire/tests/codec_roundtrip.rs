@@ -210,6 +210,59 @@ fn indexed_selection_encodes_to_the_frame_of_the_index_sorted_ranking() {
     }
 }
 
+/// A message holding a NaN or ±inf goes out in its smallest lossless frame
+/// whatever the spec: on every lossy spec, over messages mixing NaN, ±inf
+/// and finite values, the frame decodes bit-exactly in a lossless format,
+/// is as long as `encoded_len` says, and a prefix of the message is priced
+/// as the frame its top entries encode to.
+#[test]
+fn non_finite_messages_go_out_losslessly_on_every_lossy_spec() {
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -f32::NAN];
+    let bits = |list: &[(usize, f32)]| -> Vec<(usize, u32)> {
+        list.iter().map(|&(j, v)| (j, v.to_bits())).collect()
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(41);
+    let (mut scratch, mut keys, mut decoded) = (WireScratch::new(), Vec::new(), Vec::new());
+    for trial in 0..48usize {
+        let dim = 8 + trial * 37;
+        let mut entries: Vec<(usize, f32)> = Vec::new();
+        for j in 0..dim {
+            if rng.gen_bool(0.3) {
+                let pick = rng.gen_range(0..8usize);
+                let finite = rng.gen_range(-5.0f32..5.0);
+                entries.push((j, specials.get(pick).copied().unwrap_or(finite)));
+            }
+        }
+        if entries.is_empty() {
+            entries.push((dim - 1, 1.0));
+        }
+        let at = trial % entries.len();
+        entries[at].1 = specials[trial % specials.len()];
+        let upload = ClientUpload::new(0, 1.0, entries.clone());
+        for spec in CodecSpec::lossy() {
+            let codec = spec.build_seeded(7);
+            let frame = codec.encode_into(dim, &entries, &mut scratch).to_vec();
+            let name = format!("{} trial {trial}", spec.name());
+            assert_eq!(frame.len(), codec.encoded_len(dim, &entries), "{name}");
+            let (got_dim, id) = decode_frame(&frame, &mut decoded).expect("valid frame");
+            assert_eq!(got_dim, dim, "{name}");
+            assert!(!id.is_lossy(), "{name}: {id:?}");
+            assert_eq!(id, codec.choose(dim, &entries), "{name}");
+            assert_eq!(bits(&decoded), bits(&entries), "{name}");
+            for len in [upload.len() / 2, upload.len()] {
+                let mut top: Vec<(usize, f32)> = upload.ranked[..len]
+                    .iter()
+                    .map(|&key| topk::key_entry(key))
+                    .collect();
+                top.sort_unstable_by_key(|&(j, _)| j);
+                let priced = scratch.encoded_len_prefix(codec, dim, &upload, len, &mut keys);
+                let sent = codec.encode_into(dim, &top, &mut scratch).len();
+                assert_eq!(priced, sent, "{name}: prefix of {len}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

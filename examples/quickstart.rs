@@ -14,8 +14,10 @@
 //! within the same normalized time budget.
 //!
 //! `--metrics <path>` streams one JSON line per adaptive round to `<path>`
-//! (stage timings, pool counters and memory probes included) and prints the
-//! cumulative telemetry summary at the end. Telemetry is observation only:
+//! (stage timings, pool metrics and memory probes included) and prints, at
+//! the end, the run's totals from its history (wire bytes, codec frame
+//! counts, fault tallies) and resident client states next to the
+//! cumulative wall-clock telemetry summary. Telemetry is observation only:
 //! the trained trajectory is bit-identical with or without the flag.
 
 use agsfl::core::telemetry::TelemetrySpec;
@@ -23,6 +25,7 @@ use agsfl::core::{
     report, ControllerSpec, DatasetSpec, Experiment, ExperimentConfig, ModelSpec, StopCondition,
 };
 use agsfl::exec::Parallelism;
+use agsfl::wire::CodecId;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -91,11 +94,21 @@ fn main() {
     );
 
     if let Some(state) = adaptive.take_telemetry() {
-        println!("\nTelemetry summary (adaptive run):");
-        print!(
-            "{}",
-            report::telemetry_summary(state.recorder(), Some(state.dispatch_histogram()))
+        let (uplink, downlink) = adaptive_history.wire_bytes();
+        println!("\nRun totals (adaptive run):");
+        println!("wire bytes: {uplink} up, {downlink} down");
+        for (id, &frames) in CodecId::ALL.iter().zip(adaptive_history.codec_counts()) {
+            if frames > 0 {
+                println!("{} uplink frames: {frames}", id.name());
+            }
+        }
+        print!("{}", report::fault_summary(&[&adaptive_history]));
+        println!(
+            "resident clients: {}",
+            adaptive.simulation().resident_clients()
         );
+        println!("\nTelemetry summary (adaptive run):");
+        print!("{}", report::telemetry_summary(&state));
         println!(
             "Per-round metrics written to {}",
             metrics.as_deref().unwrap_or("-")

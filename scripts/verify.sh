@@ -485,6 +485,18 @@ if grep -rn 'FedAvgEvaluation' crates/*/src; then
     exit 1
 fi
 
+step "telemetry observes time (the recorder keeps spans; a round's facts live in its report)"
+# A round's deterministic facts (k, round time, cohort, wire bytes, fault
+# tallies) are recorded once, in RoundReport: the metrics line is written
+# from it and RunHistory totals it. A counter or gauge copy of them is a
+# second record that can drift from the first (one such copy counted two
+# of the four fault losses), so the recorder has spans only.
+if grep -rnE --include='*.rs' 'CounterId|GaugeId|record_round_report|fn counter\(|fn gauge\(' \
+    crates/*/src src examples tests; then
+    echo "verify: a counter or gauge is back (lines above); record the fact in RoundReport and the metrics line" >&2
+    exit 1
+fi
+
 step "cargo build --release"
 cargo build --release
 
@@ -563,10 +575,12 @@ step "checkpoint fuzz + format pins (hostile AGCK files never panic the resume; 
 cargo test -q -p agsfl-core --test checkpoint_fuzz
 cargo test -q -p agsfl-core --test checkpoint_format
 
-step "lossy tier (quantize/dequantize contracts + seed-reproducibility pins)"
+step "lossy tier (quantize/dequantize contracts + seed-reproducibility pins; a non-finite message goes out losslessly and a diverging run completes)"
 cargo test -q -p agsfl-wire --test quantized_roundtrip
 cargo test -q -p agsfl-fl --test lossy_reproducibility
 named_tests -q -p agsfl-core qlinear8
+named_tests -q -p agsfl-wire --test codec_roundtrip non_finite_messages_go_out_losslessly
+named_tests -q -p agsfl-core --test byte_priced_runs diverging_runs_complete_on_every_lossy_codec
 
 step "pool gate (goldens + lossy pins bit-identical through the worker pool at every worker count)"
 # golden_trajectory and lossy_reproducibility sweep Serial/2/4/8 workers
@@ -583,12 +597,13 @@ cargo test -q -p agsfl-fl --test cohort_determinism
 step "bounded-RSS smoke (N=10^5 cohort rounds under a 256 MiB peak-RSS assertion)"
 cargo run --release --example million_clients -- --smoke
 
-step "telemetry gate (recording is observation-only; metrics files byte-identical across runs)"
+step "telemetry gate (recording is observation-only; metrics files byte-identical across runs and worker counts, and total to the history)"
 # telemetry_determinism pins recorded == unrecorded trajectories at
 # Serial/2/4/8 workers and bounds the recorded round's overhead against
 # the noop round; metrics_jsonl pins the JSONL sink output of two
-# identical seeded runs byte-for-byte and the recorded checkpoint/resume
-# path bit-identical.
+# identical seeded runs byte-for-byte, a chaos run's file byte-identical
+# at Serial/2/4 workers with its wire bytes and fault tallies summing to
+# the RunHistory, and the recorded checkpoint/resume path bit-identical.
 cargo test -q -p agsfl-fl --test telemetry_determinism
 cargo test -q -p agsfl-core --test metrics_jsonl
 
