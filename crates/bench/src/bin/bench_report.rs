@@ -39,7 +39,9 @@
 //! that gradient's four
 //! matrix products at every dispatch level the host runs (`fc_fwd@avx2`,
 //! …) and its fused convolution layer against the im2col lowering it
-//! replaced (`conv_relu_pool@avx512`, …), the fused evaluation sweep (`eval_sweep`), the lossless and
+//! replaced (`conv_relu_pool@avx512`, …), the fused evaluation sweep (`eval_sweep`),
+//! dataset generation on the pool at `sparse_wide_linear`'s shape
+//! (`dataset_generate_wide`), the lossless and
 //! quantized wire codecs (`wire_*`, `quant_*`), a wired upload's ordering
 //! work at `sparse_wide_linear`'s shape (`wired_client_upload`,
 //! `server_rank_decoded`, `reset_errors_merge`), the bookkeeping resets of
@@ -70,6 +72,7 @@ use agsfl_bench::kernel_workload::{
 };
 use agsfl_core::figures::scale_sweep::{self, ScaleSweepConfig, ScaleSweepPoint};
 use agsfl_exec::{mem, Executor};
+use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
 use agsfl_ml::metrics;
 use agsfl_ml::model::{Im2colScratch, Model};
 use agsfl_ml::reference as ml_reference;
@@ -83,6 +86,8 @@ use agsfl_tensor::{ConvLayer, ConvScratch, ConvShape, Matrix, MatrixView, Produc
 use agsfl_wire::{
     decode_frame, decode_frame_with, reference as wire_reference, CodecSpec, WireScratch,
 };
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 
 /// Samples per kernel; each sample runs enough iterations to cover ~20 ms.
@@ -716,6 +721,42 @@ fn main() {
     assert_eq!(
         fused.test_accuracy,
         model.accuracy(&eval_params, &test.features, &test.labels)
+    );
+
+    // Dataset generation at `sparse_wide_linear`'s shape (16 writers × 32
+    // rows × 6,751 features, 62 classes, 512 test rows): the sequential
+    // spec, every draw in order on one stream, vs the shipped path on a
+    // two-worker pool — a sequential pass of the variable-length draws,
+    // then every fixed-width Gaussian block filled from a seeked copy of
+    // the stream. Both must build the same dataset and leave the stream
+    // at the same word.
+    let wide = SyntheticFemnistConfig {
+        num_clients: 16,
+        samples_per_client: 32,
+        feature_dim: 6_751,
+        num_classes: 62,
+        classes_per_client: 12,
+        writer_shift_std: 1.0,
+        noise_std: 3.0,
+        test_samples: 512,
+    };
+    let generate_exec = Executor::new(2);
+    let (mut spec_rng, mut pool_rng) = (ChaCha8Rng::seed_from_u64(5), ChaCha8Rng::seed_from_u64(5));
+    assert!(
+        ml_reference::femnist_generate(&wide, &mut spec_rng)
+            == SyntheticFemnist::new(wide).generate_on(&mut pool_rng, &generate_exec)
+            && spec_rng.get_word_pos() == pool_rng.get_word_pos(),
+        "the pool path must generate the sequential spec's dataset"
+    );
+    ledger.pair(
+        "dataset_generate_wide",
+        Shape::new(wide.feature_dim, wide.num_clients, wide.test_samples).on_threads(2),
+        "16x32 rows + 512 test rows",
+        || ml_reference::femnist_generate(&wide, &mut ChaCha8Rng::seed_from_u64(5)),
+        || {
+            SyntheticFemnist::new(wide)
+                .generate_on(&mut ChaCha8Rng::seed_from_u64(5), &generate_exec)
+        },
     );
 
     // Wire codec encode/decode at the acceptance shape (a dim = 10⁵

@@ -1,6 +1,6 @@
 //! Declarative experiment configuration.
 
-use agsfl_exec::Parallelism;
+use agsfl_exec::{Executor, Parallelism};
 use agsfl_fl::{ChannelModel, ClientLink, FaultConfigError, FaultModel, WireConfig};
 use agsfl_ml::data::{
     FederatedDataset, SyntheticCifar, SyntheticCifarConfig, SyntheticFemnist,
@@ -77,11 +77,18 @@ impl DatasetSpec {
         }
     }
 
-    /// Generates the dataset.
-    pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> FederatedDataset {
+    /// Generates the dataset on the calling thread.
+    pub fn generate(&self, rng: &mut ChaCha8Rng) -> FederatedDataset {
+        self.generate_on(rng, &Executor::serial())
+    }
+
+    /// Generates the dataset with its Gaussian blocks drawn on `exec`'s
+    /// pool: the same bytes as [`DatasetSpec::generate`], and `rng` left at
+    /// the same word, at every worker count.
+    pub fn generate_on(&self, rng: &mut ChaCha8Rng, exec: &Executor) -> FederatedDataset {
         match self {
-            Self::Femnist(cfg) => SyntheticFemnist::new(*cfg).generate(rng),
-            Self::Cifar(cfg) => SyntheticCifar::new(*cfg).generate(rng),
+            Self::Femnist(cfg) => SyntheticFemnist::new(*cfg).generate_on(rng, exec),
+            Self::Cifar(cfg) => SyntheticCifar::new(*cfg).generate_on(rng, exec),
         }
     }
 }

@@ -146,11 +146,14 @@ impl std::fmt::Debug for Experiment {
 }
 
 impl Experiment {
-    /// Builds the experiment: generates the dataset, instantiates the model
-    /// and sparsifier and wires up the simulator.
+    /// Builds the experiment: generates the dataset (on a pool of the run's
+    /// `parallelism`, the same bytes at every worker count), instantiates
+    /// the model and sparsifier and wires up the simulator.
     pub fn new(config: &ExperimentConfig) -> Self {
         config.validate();
-        let dataset = config.dataset.generate(&mut data_rng(config.seed));
+        let dataset = config
+            .dataset
+            .generate_on(&mut data_rng(config.seed), &config.parallelism.build());
         let model = config
             .model
             .build(dataset.feature_dim(), dataset.num_classes());
@@ -536,7 +539,9 @@ impl Experiment {
     /// experiment's executor.
     pub fn run_fedavg(&self, k_equivalent: usize, stop: &StopCondition) -> RunHistory {
         let config = &self.config;
-        let dataset = config.dataset.generate(&mut data_rng(config.seed));
+        let dataset = config
+            .dataset
+            .generate_on(&mut data_rng(config.seed), self.sim.executor());
         let model = config
             .model
             .build(dataset.feature_dim(), dataset.num_classes());

@@ -16,6 +16,7 @@
 
 mod partition;
 mod sampler;
+mod seeked;
 mod source;
 mod synthetic_cifar;
 mod synthetic_femnist;

@@ -25,11 +25,31 @@ pub fn partition_one_class_per_client<R: Rng + ?Sized>(
     num_classes: usize,
     rng: &mut R,
 ) -> Vec<ClientShard> {
+    one_class_per_client_rows(&pool.labels, num_clients, num_classes, rng)
+        .iter()
+        .map(|rows| pool.subset(rows))
+        .collect()
+}
+
+/// The rows [`partition_one_class_per_client`] hands each client, from
+/// the pool's labels alone: client `i`'s list holds indices of samples
+/// labelled `i % num_classes`, in the order the client's shard holds them.
+///
+/// # Panics
+///
+/// Panics if `num_clients == 0`, `num_classes == 0` or a label is
+/// `>= num_classes`.
+pub(crate) fn one_class_per_client_rows<R: Rng + ?Sized>(
+    labels: &[usize],
+    num_clients: usize,
+    num_classes: usize,
+    rng: &mut R,
+) -> Vec<Vec<usize>> {
     assert!(num_clients > 0, "num_clients must be positive");
     assert!(num_classes > 0, "num_classes must be positive");
     // Group sample indices by class and shuffle within each class.
     let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
-    for (i, &label) in pool.labels.iter().enumerate() {
+    for (i, &label) in labels.iter().enumerate() {
         assert!(label < num_classes, "label {label} out of range");
         by_class[label].push(i);
     }
@@ -42,18 +62,18 @@ pub fn partition_one_class_per_client<R: Rng + ?Sized>(
         clients_per_class[client % num_classes] += 1;
     }
     let mut next_slot = vec![0usize; num_classes];
-    let mut shards = Vec::with_capacity(num_clients);
-    for client in 0..num_clients {
-        let class = client % num_classes;
-        let total = by_class[class].len();
-        let parts = clients_per_class[class];
-        let slot = next_slot[class];
-        next_slot[class] += 1;
-        let start = total * slot / parts;
-        let end = total * (slot + 1) / parts;
-        shards.push(pool.subset(&by_class[class][start..end]));
-    }
-    shards
+    (0..num_clients)
+        .map(|client| {
+            let class = client % num_classes;
+            let total = by_class[class].len();
+            let parts = clients_per_class[class];
+            let slot = next_slot[class];
+            next_slot[class] += 1;
+            let start = total * slot / parts;
+            let end = total * (slot + 1) / parts;
+            by_class[class][start..end].to_vec()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -23,12 +23,13 @@
 //! RNG stream derived from the source seed, seeking straight to each
 //! requested row.
 
-use agsfl_tensor::init;
-use rand::Rng;
+use agsfl_exec::Executor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::data::synthetic_femnist::{row_words, sample_features_into, WriterHeader};
+use crate::data::synthetic_femnist::{
+    class_prototypes, row_words, unseen_writer_test, WriterHeader,
+};
 use crate::data::{ClientShard, FederatedDataset, SyntheticFemnistConfig};
 use agsfl_tensor::Matrix;
 
@@ -187,29 +188,10 @@ impl LazySyntheticFemnist {
     pub fn new(config: SyntheticFemnistConfig, seed: u64) -> Self {
         config.validate();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let prototypes = super::synthetic_femnist::class_prototypes(
-            config.num_classes,
-            config.feature_dim,
-            &mut rng,
-        );
-        // Test set: unseen writers, uniform over classes (same recipe as the
-        // eager generator's test block).
-        let mut test = ClientShard::empty(config.feature_dim);
-        test.features
-            .resize_for_overwrite(config.test_samples, config.feature_dim);
-        for row in 0..config.test_samples {
-            let class = rng.gen_range(0..config.num_classes);
-            let style =
-                init::normal_vec(config.feature_dim, 0.0, config.writer_shift_std, &mut rng);
-            sample_features_into(
-                prototypes.row(class),
-                Some(&style),
-                config.noise_std,
-                &mut rng,
-                test.features.row_mut(row),
-            );
-            test.labels.push(class);
-        }
+        let serial = Executor::serial();
+        let prototypes =
+            class_prototypes(config.num_classes, config.feature_dim, &mut rng, &serial);
+        let test = unseen_writer_test(&config, &prototypes, &mut rng, &serial);
         Self {
             config,
             seed,

@@ -4,15 +4,18 @@
 //! partition: 100 clients, each holding images of exactly **one** class
 //! (class `i % 10` for client `i`), with the images of each class split
 //! randomly among the clients assigned to it. This module generates a
-//! synthetic 10-class dataset and applies exactly that partition via
-//! [`partition_one_class_per_client`].
+//! synthetic 10-class dataset and applies exactly that partition (the
+//! rows of [`partition_one_class_per_client`](crate::data::partition_one_class_per_client)).
 
-use agsfl_tensor::{init, Matrix};
-use rand::Rng;
+use agsfl_exec::Executor;
+use agsfl_tensor::Matrix;
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::data::synthetic_femnist::{class_prototypes, sample_features};
-use crate::data::{partition_one_class_per_client, ClientShard, FederatedDataset};
+use crate::data::partition::one_class_per_client_rows;
+use crate::data::seeked::{fill_seeked, normal_words, skip};
+use crate::data::synthetic_femnist::{class_prototypes, shifted_row_into};
+use crate::data::{ClientShard, FederatedDataset};
 
 /// Configuration of the synthetic CIFAR-10-like generator.
 ///
@@ -112,46 +115,64 @@ impl SyntheticCifar {
     }
 
     /// Generates the federated dataset with the one-class-per-client
-    /// partition.
-    pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> FederatedDataset {
-        let cfg = &self.config;
-        let prototypes = class_prototypes(cfg.num_classes, cfg.feature_dim, rng);
-
-        // Pooled training data with (roughly) balanced classes.
-        let pool = generate_pool(cfg.train_samples, &prototypes, cfg.noise_std, rng);
-        let clients = partition_one_class_per_client(&pool, cfg.num_clients, cfg.num_classes, rng);
-
-        let test = generate_pool(cfg.test_samples, &prototypes, cfg.noise_std, rng);
-        FederatedDataset::new(clients, test, cfg.num_classes)
+    /// partition on the calling thread: [`SyntheticCifar::generate_on`]
+    /// with a serial executor.
+    pub fn generate(&self, rng: &mut ChaCha8Rng) -> FederatedDataset {
+        self.generate_on(rng, &Executor::serial())
     }
-}
 
-fn generate_pool<R: Rng + ?Sized>(
-    samples: usize,
-    prototypes: &Matrix,
-    noise_std: f32,
-    rng: &mut R,
-) -> ClientShard {
-    let num_classes = prototypes.rows();
-    let dim = prototypes.cols();
-    let mut flat = Vec::with_capacity(samples * dim);
-    let mut labels = Vec::with_capacity(samples);
-    for s in 0..samples {
-        // Round-robin class assignment keeps classes balanced; the partition
-        // step shuffles within each class.
-        let class = s % num_classes;
-        // Per-sample "scene" shift models the higher intra-class variance of
-        // natural images compared to handwritten characters.
-        let scene = init::normal_vec(dim, 0.0, noise_std * 0.5, rng);
-        flat.extend(sample_features(
-            prototypes.row(class),
-            Some(&scene),
-            noise_std,
-            rng,
-        ));
-        labels.push(class);
+    /// Generates the federated dataset with the one-class-per-client
+    /// partition, drawing its Gaussian blocks on `exec`'s pool.
+    ///
+    /// The draw order is the sequential one — prototypes, the training
+    /// pool, the partition's shuffles, the test pool — and only the
+    /// shuffles are drawn on `rng`: each pool row is a fixed-width block,
+    /// skipped there and filled on the pool from a seeked copy, straight
+    /// into the client shard the partition puts it in. So every executor
+    /// writes the same bytes, and `rng` is left where the sequential order
+    /// ends.
+    pub fn generate_on(&self, rng: &mut ChaCha8Rng, exec: &Executor) -> FederatedDataset {
+        let (cfg, dim) = (&self.config, self.config.feature_dim);
+        let prototypes = class_prototypes(cfg.num_classes, dim, rng, exec);
+        // A pool row is a scene shift and the features, 2·dim Gaussians;
+        // round-robin classes keep the pool balanced, and the partition
+        // shuffles within each class.
+        let width = 2 * normal_words(dim);
+        let class_of = |s: usize| s % cfg.num_classes;
+        let train = skip(rng, cfg.train_samples as u128 * width);
+        let labels: Vec<usize> = (0..cfg.train_samples).map(class_of).collect();
+        let parts = one_class_per_client_rows(&labels, cfg.num_clients, cfg.num_classes, rng);
+        let test = skip(rng, cfg.test_samples as u128 * width);
+
+        let shard = |rows: &[usize]| ClientShard {
+            features: Matrix::zeros(rows.len(), dim),
+            labels: rows.iter().copied().map(class_of).collect(),
+        };
+        let mut clients: Vec<ClientShard> = parts.iter().map(|rows| shard(rows)).collect();
+        let test_rows: Vec<usize> = (0..cfg.test_samples).collect();
+        let mut test_shard = shard(&test_rows);
+        let train_blocks = parts
+            .iter()
+            .zip(&mut clients)
+            .map(|(rows, c)| (train, rows, c));
+        let test_block = std::iter::once((test, &test_rows, &mut test_shard));
+        let mut blocks: Vec<_> = train_blocks
+            .chain(test_block)
+            .flat_map(|(start, rows, shard)| {
+                let out = shard.features.as_mut_slice().chunks_mut(dim);
+                rows.iter()
+                    .zip(out)
+                    .map(move |(&s, out)| (start + s as u128 * width, (class_of(s), out)))
+            })
+            .collect();
+        // Per-sample "scene" shift models the higher intra-class variance
+        // of natural images compared to handwritten characters.
+        fill_seeked(exec, rng, width, &mut blocks, |rng, (class, out)| {
+            let prototype = prototypes.row(*class);
+            shifted_row_into(prototype, cfg.noise_std * 0.5, cfg.noise_std, rng, out)
+        });
+        FederatedDataset::new(clients, test_shard, cfg.num_classes)
     }
-    ClientShard::new(Matrix::from_vec(samples, dim, flat), labels)
 }
 
 #[cfg(test)]

@@ -14,11 +14,14 @@
 //! The held-out test set is drawn from all classes with fresh writer styles,
 //! mimicking FEMNIST's unseen-writer evaluation.
 
+use agsfl_exec::Executor;
 use agsfl_tensor::{init, Matrix};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::data::seeked::{fill_seeked, normal_words, skip};
 use crate::data::{ClientShard, FederatedDataset};
 
 /// Configuration of the synthetic FEMNIST generator.
@@ -136,86 +139,158 @@ impl SyntheticFemnist {
         &self.config
     }
 
-    /// Generates the federated dataset.
+    /// Generates the federated dataset on the calling thread:
+    /// [`SyntheticFemnist::generate_on`] with a serial executor.
+    pub fn generate(&self, rng: &mut ChaCha8Rng) -> FederatedDataset {
+        self.generate_on(rng, &Executor::serial())
+    }
+
+    /// Generates the federated dataset, drawing its Gaussian blocks on
+    /// `exec`'s pool.
     ///
-    /// The output is fully determined by the RNG state, so passing a seeded
-    /// RNG yields a reproducible dataset.
-    pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> FederatedDataset {
-        let cfg = &self.config;
-        let prototypes = class_prototypes(cfg.num_classes, cfg.feature_dim, rng);
+    /// The output is fully determined by the RNG state, and the same for
+    /// every executor: a sequential pass makes the writers' class-subset
+    /// shuffles and preference weights and the test rows' classes on `rng`
+    /// and skips every fixed-width block, which the pool then fills from
+    /// seeked copies (see `seeked`). `rng` is left at the word the
+    /// sequential draw order ends at.
+    pub fn generate_on(&self, rng: &mut ChaCha8Rng, exec: &Executor) -> FederatedDataset {
+        let (cfg, dim) = (&self.config, self.config.feature_dim);
+        let prototypes = class_prototypes(cfg.num_classes, dim, rng, exec);
 
-        let mut clients = Vec::with_capacity(cfg.num_clients);
-        for _ in 0..cfg.num_clients {
-            let mut shard = ClientShard::empty(cfg.feature_dim);
-            write_writer_shard(cfg, &prototypes, rng, &mut shard);
-            clients.push(shard);
-        }
+        // Each writer's header: its style block, the variable-length class
+        // draws, then its block of rows.
+        let mut writers: Vec<(u128, u128, WriterHeader)> = (0..cfg.num_clients)
+            .map(|_| {
+                let style = skip(rng, normal_words(dim));
+                let header = WriterHeader::with_style(cfg, vec![0.0; dim], rng);
+                let rows = skip(rng, cfg.samples_per_client as u128 * row_words(dim));
+                (style, rows, header)
+            })
+            .collect();
+        let mut styles: Vec<_> = writers
+            .iter_mut()
+            .map(|(start, _, header)| (*start, header.style.as_mut_slice()))
+            .collect();
+        fill_seeked(exec, rng, normal_words(dim), &mut styles, |rng, style| {
+            fill_normals(cfg.writer_shift_std, rng, style)
+        });
 
-        // Test set: unseen writers, uniform over classes.
-        let mut flat = Vec::with_capacity(cfg.test_samples * cfg.feature_dim);
-        let mut labels = Vec::with_capacity(cfg.test_samples);
-        for _ in 0..cfg.test_samples {
-            let class = rng.gen_range(0..cfg.num_classes);
-            let style = init::normal_vec(cfg.feature_dim, 0.0, cfg.writer_shift_std, rng);
-            flat.extend(sample_features(
-                prototypes.row(class),
-                Some(&style),
-                cfg.noise_std,
-                rng,
-            ));
-            labels.push(class);
-        }
-        let test = ClientShard::new(
-            Matrix::from_vec(cfg.test_samples, cfg.feature_dim, flat),
-            labels,
+        let mut clients: Vec<ClientShard> = (0..cfg.num_clients)
+            .map(|_| ClientShard {
+                features: Matrix::zeros(cfg.samples_per_client, dim),
+                labels: vec![0; cfg.samples_per_client],
+            })
+            .collect();
+        let mut rows: Vec<_> = writers
+            .iter()
+            .zip(&mut clients)
+            .flat_map(|((_, start, header), shard)| {
+                let rows = shard.features.as_mut_slice().chunks_mut(dim);
+                (0..)
+                    .zip(rows.zip(&mut shard.labels))
+                    .map(move |(r, row)| (start + r * row_words(dim), (header, row)))
+            })
+            .collect();
+        fill_seeked(
+            exec,
+            rng,
+            row_words(dim),
+            &mut rows,
+            |rng, (header, (out, label))| **label = header.write_row(cfg, &prototypes, rng, out),
         );
 
+        let test = unseen_writer_test(cfg, &prototypes, rng, exec);
         FederatedDataset::new(clients, test, cfg.num_classes)
     }
 }
 
-/// Draws well-separated class prototype vectors.
-pub(crate) fn class_prototypes<R: Rng + ?Sized>(
+/// How much the unit-normal class prototypes are stretched: separable
+/// classes, but not trivially so once writer shift and noise are added.
+const PROTOTYPE_SCALE: f32 = 1.2;
+
+/// Draws well-separated class prototype vectors, one seeked block per
+/// class.
+pub(crate) fn class_prototypes(
     num_classes: usize,
     feature_dim: usize,
-    rng: &mut R,
+    rng: &mut ChaCha8Rng,
+    exec: &Executor,
 ) -> Matrix {
-    // Unit-ish normal prototypes scaled so classes are separable but not
-    // trivially so once writer shift and noise are added.
-    let mut m = Matrix::from_vec(
-        num_classes,
-        feature_dim,
-        init::normal_vec(num_classes * feature_dim, 0.0, 1.0, rng),
-    );
-    m.scale(1.2);
+    let width = normal_words(feature_dim);
+    let start = skip(rng, num_classes as u128 * width);
+    let mut m = Matrix::zeros(num_classes, feature_dim);
+    let mut rows: Vec<_> = (0..)
+        .zip(m.as_mut_slice().chunks_mut(feature_dim))
+        .map(|(c, row)| (start + c * width, row))
+        .collect();
+    fill_seeked(exec, rng, width, &mut rows, |rng, row| {
+        for v in row.iter_mut() {
+            *v = init::normal(0.0, 1.0, rng) * PROTOTYPE_SCALE;
+        }
+    });
     m
 }
 
-/// Generates one feature vector `prototype + style + noise`.
-pub(crate) fn sample_features<R: Rng + ?Sized>(
-    prototype: &[f32],
-    style: Option<&[f32]>,
-    noise_std: f32,
-    rng: &mut R,
-) -> Vec<f32> {
-    let mut out = vec![0.0; prototype.len()];
-    sample_features_into(prototype, style, noise_std, rng, &mut out);
-    out
+/// Overwrites `out` with i.i.d. `N(0, std²)` draws, in order.
+fn fill_normals(std: f32, rng: &mut ChaCha8Rng, out: &mut [f32]) {
+    for v in out.iter_mut() {
+        *v = init::normal(0.0, std, rng);
+    }
 }
 
-/// [`sample_features`] writing into a caller-owned row buffer: identical
-/// draws and arithmetic, no per-sample allocation.
-pub(crate) fn sample_features_into<R: Rng + ?Sized>(
+/// The held-out test set: unseen writers, uniform over classes — the one
+/// recipe of the eager generator and the lazy source. Each row's class is
+/// drawn on `rng`, then its fresh writer style and its features are one
+/// `4 · feature_dim`-word block, drawn on `exec`'s pool from a seeked copy
+/// ([`shifted_row_into`]).
+pub(crate) fn unseen_writer_test(
+    cfg: &SyntheticFemnistConfig,
+    prototypes: &Matrix,
+    rng: &mut ChaCha8Rng,
+    exec: &Executor,
+) -> ClientShard {
+    let (n, dim) = (cfg.test_samples, cfg.feature_dim);
+    let width = 2 * normal_words(dim);
+    let mut test = ClientShard::empty(dim);
+    test.features.resize_for_overwrite(n, dim);
+    let starts: Vec<u128> = (0..n)
+        .map(|_| {
+            test.labels.push(rng.gen_range(0..cfg.num_classes));
+            skip(rng, width)
+        })
+        .collect();
+    let rows = test
+        .labels
+        .iter()
+        .zip(test.features.as_mut_slice().chunks_mut(dim));
+    let mut rows: Vec<_> = starts.into_iter().zip(rows).collect();
+    fill_seeked(exec, rng, width, &mut rows, |rng, (class, out)| {
+        shifted_row_into(
+            prototypes.row(**class),
+            cfg.writer_shift_std,
+            cfg.noise_std,
+            rng,
+            out,
+        )
+    });
+    test
+}
+
+/// One sample with a shift of its own — a FEMNIST test row's unseen-writer
+/// style, a CIFAR row's scene: `out.len()` shift draws, then
+/// `prototype + shift + noise` per feature, `4 · out.len()` keystream words.
+/// The shift is drawn into `out` and read back in place.
+pub(crate) fn shifted_row_into(
     prototype: &[f32],
-    style: Option<&[f32]>,
+    shift_std: f32,
     noise_std: f32,
-    rng: &mut R,
+    rng: &mut ChaCha8Rng,
     out: &mut [f32],
 ) {
-    debug_assert_eq!(out.len(), prototype.len());
-    for (j, (o, &p)) in out.iter_mut().zip(prototype.iter()).enumerate() {
-        let s = style.map(|s| s[j]).unwrap_or(0.0);
-        *o = p + s + init::normal(0.0, noise_std, rng);
+    fill_normals(shift_std, rng, out);
+    for (o, &p) in out.iter_mut().zip(prototype) {
+        *o = p + *o + init::normal(0.0, noise_std, rng);
     }
 }
 
@@ -229,9 +304,20 @@ pub(crate) struct WriterHeader {
 
 impl WriterHeader {
     /// Draws the header: style vector, class-subset shuffle, preference
-    /// weights — the head of every writer's stream, eager or lazy.
+    /// weights — the head of every lazy writer's stream. The eager
+    /// generator draws the same words, its style from a seeked block.
     pub(crate) fn draw<R: Rng + ?Sized>(cfg: &SyntheticFemnistConfig, rng: &mut R) -> Self {
         let style = init::normal_vec(cfg.feature_dim, 0.0, cfg.writer_shift_std, rng);
+        Self::with_style(cfg, style, rng)
+    }
+
+    /// The header's variable-length draws after its style: the class
+    /// subset and the preference weights.
+    fn with_style<R: Rng + ?Sized>(
+        cfg: &SyntheticFemnistConfig,
+        style: Vec<f32>,
+        rng: &mut R,
+    ) -> Self {
         // Pick the writer's class subset.
         let mut classes: Vec<usize> = (0..cfg.num_classes).collect();
         classes.shuffle(rng);
@@ -260,13 +346,10 @@ impl WriterHeader {
     ) -> usize {
         let slot = init::sample_weighted(&self.prefs, rng).unwrap_or(0);
         let class = self.classes[slot];
-        sample_features_into(
-            prototypes.row(class),
-            Some(&self.style),
-            cfg.noise_std,
-            rng,
-            features,
-        );
+        let prototype = prototypes.row(class);
+        for ((o, &p), &s) in features.iter_mut().zip(prototype).zip(&self.style) {
+            *o = p + s + init::normal(0.0, cfg.noise_std, rng);
+        }
         class
     }
 }
@@ -279,34 +362,9 @@ impl WriterHeader {
 /// * `sample_weighted` draws exactly one `next_u64` (two words): the
 ///   preference weights lie in `[0.2, 1)`, so they are never empty and
 ///   never sum to zero, and it returns on its single draw.
-/// * Each feature's `standard_normal` draws exactly two `u32` words. The
-///   second, `gen::<f32>()`, is one word by construction. The first,
-///   `gen_range(f32::MIN_POSITIVE..1.0)`, is a rejection loop that never
-///   rejects: the span `1.0 − MIN_POSITIVE` rounds to `1.0`, and the unit
-///   draw is at most `1 − 2⁻²³`, so the candidate `unit + MIN_POSITIVE`
-///   rounds to at most `1 − 2⁻²³ < 1.0`.
+/// * Each feature is one Gaussian, two words ([`normal_words`]).
 pub(crate) fn row_words(feature_dim: usize) -> u128 {
-    2 + 2 * feature_dim as u128
-}
-
-/// Writes one writer's shard into `out`, reusing its buffers: the header,
-/// then one [`WriterHeader::write_row`] per sample, sequentially on `rng`.
-/// This is the eager generator's per-client step, so the draws interleave
-/// with the other writers' on one master stream.
-pub(crate) fn write_writer_shard<R: Rng + ?Sized>(
-    cfg: &SyntheticFemnistConfig,
-    prototypes: &Matrix,
-    rng: &mut R,
-    out: &mut ClientShard,
-) {
-    let header = WriterHeader::draw(cfg, rng);
-    out.features
-        .resize_for_overwrite(cfg.samples_per_client, cfg.feature_dim);
-    out.labels.clear();
-    for row in 0..cfg.samples_per_client {
-        let label = header.write_row(cfg, prototypes, rng, out.features.row_mut(row));
-        out.labels.push(label);
-    }
+    2 + normal_words(feature_dim)
 }
 
 #[cfg(test)]

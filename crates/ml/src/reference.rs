@@ -1,4 +1,13 @@
-//! Seed (pre-im2col) model kernels kept as the executable specification.
+//! Seed (pre-im2col) model kernels and the sequential dataset generators,
+//! kept as executable specifications.
+//!
+//! [`femnist_generate`] and [`cifar_generate`] are the generators as they
+//! drew before generation went to the pool: every draw in order on one
+//! stream. `SyntheticFemnist::generate_on` and `SyntheticCifar::generate_on`
+//! must reproduce them bit for bit — features, labels, test shard and the
+//! stream's final position — at every worker count
+//! (`crates/ml/tests/generate_schedule.rs`); `bench-report` times the pair
+//! as `dataset_generate_wide`.
 //!
 //! Mirroring `agsfl_sparse::reference`, this module preserves the original
 //! scalar-loop implementation of [`SimpleCnn`]'s forward and backward passes
@@ -22,8 +31,14 @@
 //!
 //! [`SimpleCnn`]: crate::model::SimpleCnn
 
-use agsfl_tensor::{ops, Matrix};
+use agsfl_tensor::{init, ops, Matrix};
+use rand::seq::SliceRandom;
+use rand::Rng;
 
+use crate::data::{
+    partition_one_class_per_client, ClientShard, FederatedDataset, SyntheticCifarConfig,
+    SyntheticFemnistConfig,
+};
 use crate::loss::batch_cross_entropy_with_grad;
 use crate::model::{Model, SimpleCnn};
 
@@ -192,4 +207,105 @@ pub fn cnn_loss_and_grad(
         }
     }
     (loss, grad)
+}
+
+/// Sequential FEMNIST generator: prototypes, then each writer's style,
+/// class subset, preferences and rows, then the unseen-writer test rows,
+/// all on `rng` in that order. `cfg` must be valid (as
+/// `SyntheticFemnist::new` checks).
+pub fn femnist_generate<R: Rng + ?Sized>(
+    cfg: &SyntheticFemnistConfig,
+    rng: &mut R,
+) -> FederatedDataset {
+    let prototypes = prototypes(cfg.num_classes, cfg.feature_dim, rng);
+    let mut clients = Vec::with_capacity(cfg.num_clients);
+    for _ in 0..cfg.num_clients {
+        let style = init::normal_vec(cfg.feature_dim, 0.0, cfg.writer_shift_std, rng);
+        let mut classes: Vec<usize> = (0..cfg.num_classes).collect();
+        classes.shuffle(rng);
+        classes.truncate(cfg.classes_per_client);
+        let prefs: Vec<f64> = (0..classes.len())
+            .map(|_| rng.gen_range(0.2f64..1.0))
+            .collect();
+        let mut flat = Vec::with_capacity(cfg.samples_per_client * cfg.feature_dim);
+        let mut labels = Vec::with_capacity(cfg.samples_per_client);
+        for _ in 0..cfg.samples_per_client {
+            let slot = init::sample_weighted(&prefs, rng).unwrap_or(0);
+            let class = classes[slot];
+            flat.extend(features(prototypes.row(class), &style, cfg.noise_std, rng));
+            labels.push(class);
+        }
+        clients.push(ClientShard::new(
+            Matrix::from_vec(cfg.samples_per_client, cfg.feature_dim, flat),
+            labels,
+        ));
+    }
+    let mut flat = Vec::with_capacity(cfg.test_samples * cfg.feature_dim);
+    let mut labels = Vec::with_capacity(cfg.test_samples);
+    for _ in 0..cfg.test_samples {
+        let class = rng.gen_range(0..cfg.num_classes);
+        let style = init::normal_vec(cfg.feature_dim, 0.0, cfg.writer_shift_std, rng);
+        flat.extend(features(prototypes.row(class), &style, cfg.noise_std, rng));
+        labels.push(class);
+    }
+    let test = ClientShard::new(
+        Matrix::from_vec(cfg.test_samples, cfg.feature_dim, flat),
+        labels,
+    );
+    FederatedDataset::new(clients, test, cfg.num_classes)
+}
+
+/// Sequential CIFAR generator: prototypes, the whole training pool (each
+/// row a scene shift, then its features), the one-class-per-client
+/// partition of it, then the test pool, all on `rng` in that order. `cfg`
+/// must be valid (as `SyntheticCifar::new` checks).
+pub fn cifar_generate<R: Rng + ?Sized>(
+    cfg: &SyntheticCifarConfig,
+    rng: &mut R,
+) -> FederatedDataset {
+    let prototypes = prototypes(cfg.num_classes, cfg.feature_dim, rng);
+    let pool = cifar_pool(cfg.train_samples, &prototypes, cfg.noise_std, rng);
+    let clients = partition_one_class_per_client(&pool, cfg.num_clients, cfg.num_classes, rng);
+    let test = cifar_pool(cfg.test_samples, &prototypes, cfg.noise_std, rng);
+    FederatedDataset::new(clients, test, cfg.num_classes)
+}
+
+fn prototypes<R: Rng + ?Sized>(num_classes: usize, feature_dim: usize, rng: &mut R) -> Matrix {
+    let mut m = Matrix::from_vec(
+        num_classes,
+        feature_dim,
+        init::normal_vec(num_classes * feature_dim, 0.0, 1.0, rng),
+    );
+    m.scale(1.2);
+    m
+}
+
+/// `prototype + shift + noise`, one noise draw per feature.
+fn features<R: Rng + ?Sized>(
+    prototype: &[f32],
+    shift: &[f32],
+    noise_std: f32,
+    rng: &mut R,
+) -> Vec<f32> {
+    (0..prototype.len())
+        .map(|j| prototype[j] + shift[j] + init::normal(0.0, noise_std, rng))
+        .collect()
+}
+
+fn cifar_pool<R: Rng + ?Sized>(
+    samples: usize,
+    prototypes: &Matrix,
+    noise_std: f32,
+    rng: &mut R,
+) -> ClientShard {
+    let (num_classes, dim) = (prototypes.rows(), prototypes.cols());
+    let mut flat = Vec::with_capacity(samples * dim);
+    let mut labels = Vec::with_capacity(samples);
+    for s in 0..samples {
+        let class = s % num_classes;
+        let scene = init::normal_vec(dim, 0.0, noise_std * 0.5, rng);
+        flat.extend(features(prototypes.row(class), &scene, noise_std, rng));
+        labels.push(class);
+    }
+    ClientShard::new(Matrix::from_vec(samples, dim, flat), labels)
 }

@@ -10,14 +10,22 @@
 //! words, over four), shards of 1, 7 and 64
 //! rows, and writers with one class (a one-weight preference draw) or all
 //! of them. Row lists come in every order, with repeats.
+//!
+//! The eager generators seek on the same kind of argument: every Gaussian
+//! is two keystream words, so each fixed-width block — a prototype row, a
+//! FEMNIST test row after its class draw, a CIFAR pool row — has a width
+//! known before it is drawn. The last three tests pin those widths on the
+//! sequential generators of `agsfl_ml::reference`, over many seeds and with
+//! standard deviations of 0.
 
 use agsfl_ml::data::{
-    ClientShard, FederatedDataset, LazySyntheticFemnist, ShardSource, SyntheticFemnist,
-    SyntheticFemnistConfig,
+    ClientShard, FederatedDataset, LazySyntheticFemnist, ShardSource, SyntheticCifarConfig,
+    SyntheticFemnist, SyntheticFemnistConfig,
 };
+use agsfl_ml::reference;
+use agsfl_tensor::init;
 use rand::seq::SliceRandom;
-use rand::Rng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 const NUM_CLASSES: usize = 5;
@@ -136,4 +144,107 @@ fn eager_row_out_of_range_panics() {
     let fed = SyntheticFemnist::new(config(4, 7, 2)).generate(&mut ChaCha8Rng::seed_from_u64(0));
     let mut out = ClientShard::empty(4);
     fed.materialize_rows_into(1, &[0, 7], &mut out);
+}
+
+/// A `ChaCha8Rng` that logs the keystream words of every call, in order:
+/// 1 for `next_u32`, 2 for `next_u64`.
+struct Tap {
+    rng: ChaCha8Rng,
+    words: Vec<u8>,
+}
+
+impl RngCore for Tap {
+    fn next_u32(&mut self) -> u32 {
+        self.words.push(1);
+        self.rng.next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.words.push(2);
+        self.rng.next_u64()
+    }
+}
+
+#[test]
+fn a_prototype_normal_is_two_words() {
+    for seed in 0..64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for std in [0.0, 1.0, 0.3] {
+            for _ in 0..200 {
+                let before = rng.get_word_pos();
+                init::normal(0.0, std, &mut rng);
+                assert_eq!(rng.get_word_pos() - before, 2, "seed {seed}, std {std}");
+            }
+        }
+    }
+}
+
+/// Every test row of the sequential FEMNIST generator is one class draw
+/// (a `u64` per attempt: `gen_range` rejects) followed by `4 · feature_dim`
+/// single words: the writer style, then the features.
+#[test]
+fn a_femnist_test_row_is_four_words_per_feature_after_its_class_draw() {
+    for seed in 0..32 {
+        for (feature_dim, std) in [(1, 0.0), (16, 0.0), (33, 0.0), (16, 0.4)] {
+            let cfg = SyntheticFemnistConfig {
+                num_clients: 2,
+                samples_per_client: 3,
+                feature_dim,
+                num_classes: 6,
+                classes_per_client: 3,
+                writer_shift_std: std,
+                noise_std: std,
+                test_samples: 5,
+            };
+            let mut tap = Tap {
+                rng: ChaCha8Rng::seed_from_u64(seed),
+                words: Vec::new(),
+            };
+            reference::femnist_generate(&cfg, &mut tap);
+            let mut calls = tap.words.iter().rev().peekable();
+            for row in (0..cfg.test_samples).rev() {
+                let mut singles = 0;
+                while calls.next_if_eq(&&1).is_some() {
+                    singles += 1;
+                }
+                assert_eq!(singles, 4 * feature_dim, "seed {seed}, test row {row}");
+                let mut attempts = 0;
+                while calls.next_if_eq(&&2).is_some() {
+                    attempts += 1;
+                }
+                assert!(attempts >= 1, "seed {seed}, test row {row}: no class draw");
+            }
+        }
+    }
+}
+
+/// Each CIFAR pool row — a scene shift, then the features — is
+/// `4 · feature_dim` words: a test pool of `t` rows, the last block drawn,
+/// moves the stream `4 · feature_dim · t` words further than none does.
+#[test]
+fn a_cifar_pool_row_is_four_words_per_feature() {
+    for seed in 0..32 {
+        for (feature_dim, noise_std) in [(1, 0.0), (16, 0.0), (33, 0.0), (16, 0.6)] {
+            let end = |test_samples: usize| {
+                let cfg = SyntheticCifarConfig {
+                    num_clients: 3,
+                    num_classes: 4,
+                    train_samples: 13,
+                    test_samples,
+                    feature_dim,
+                    noise_std,
+                };
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                reference::cifar_generate(&cfg, &mut rng);
+                rng.get_word_pos()
+            };
+            for rows in [1, 7] {
+                assert_eq!(
+                    end(rows) - end(0),
+                    4 * feature_dim as u128 * rows as u128,
+                    "seed {seed}, dim {feature_dim}, {rows} rows"
+                );
+            }
+        }
+    }
 }

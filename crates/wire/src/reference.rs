@@ -82,6 +82,22 @@ pub fn bitmap_encode(dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
     out
 }
 
+/// What every lossy encoder sends for a message holding a NaN or ±inf,
+/// which no lossy header or level can carry: the shortest of the three
+/// lossless frames, ties to the lowest id. `None` for a finite message.
+fn lossless_fallback(dim: usize, entries: &[(usize, f32)]) -> Option<Vec<u8>> {
+    if entries.iter().all(|&(_, v)| v.is_finite()) {
+        return None;
+    }
+    [
+        coo_encode(dim, entries),
+        delta_encode(dim, entries),
+        bitmap_encode(dim, entries),
+    ]
+    .into_iter()
+    .min_by_key(Vec::len)
+}
+
 /// The key of a qlinear8 frame's stochastic-rounding stream:
 /// FNV-1a, one byte at a time, over the message serialized as `dim` then
 /// every `(index, value bits)`, each index a little-endian `u64`. Derived
@@ -104,8 +120,11 @@ pub fn frame_hash(dim: usize, entries: &[(usize, f32)]) -> u64 {
 /// stream derivation and the snap-vs-stochastic rounding rule are part of
 /// the frame format spec, so both are re-derived here from scratch; the
 /// frames are byte-identical to the fast path's for every `(seed,
-/// message)` pair.
+/// message)` pair. A message holding a NaN or ±inf goes out losslessly.
 pub fn qlinear8_encode(seed: u64, dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
+    if let Some(frame) = lossless_fallback(dim, entries) {
+        return frame;
+    }
     let mut out = Vec::new();
     push_header(&mut out, CodecId::QLinear8, dim, entries.len());
     let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
@@ -145,8 +164,12 @@ pub fn qlinear8_encode(seed: u64, dim: usize, entries: &[(usize, f32)]) -> Vec<u
     out
 }
 
-/// Allocating f16 encoder.
+/// Allocating f16 encoder; a message holding a NaN or ±inf goes out
+/// losslessly.
 pub fn f16_encode(dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
+    if let Some(frame) = lossless_fallback(dim, entries) {
+        return frame;
+    }
     let mut out = Vec::new();
     push_header(&mut out, CodecId::F16, dim, entries.len());
     let mut prev = 0u64;
@@ -160,8 +183,12 @@ pub fn f16_encode(dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
     out
 }
 
-/// Allocating sign-norm encoder.
+/// Allocating sign-norm encoder; a message holding a NaN or ±inf goes out
+/// losslessly.
 pub fn sign_norm_encode(dim: usize, entries: &[(usize, f32)]) -> Vec<u8> {
+    if let Some(frame) = lossless_fallback(dim, entries) {
+        return frame;
+    }
     let mut out = Vec::new();
     push_header(&mut out, CodecId::SignNorm, dim, entries.len());
     let magnitude = if entries.is_empty() {

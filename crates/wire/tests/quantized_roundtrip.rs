@@ -192,38 +192,71 @@ proptest! {
 
     /// The allocating reference encoders emit byte-identical lossy frames
     /// (including the content-keyed stochastic stream), and the reference
-    /// decoder agrees with the fast path on every valid lossy frame.
+    /// decoder agrees with the fast path on every valid lossy frame — on
+    /// finite messages, and on messages with NaN, ±inf and `-0.0` planted
+    /// among finite values, which both sides send as the same lossless
+    /// frame.
     #[test]
     fn prop_lossy_reference_equivalence(
         seed in 0u64..20,
         dim in 1usize..300,
         raw in proptest::collection::vec((0usize..300, -50.0f32..50.0), 0..60),
+        planted in proptest::collection::vec((0usize..300, PlantedValue), 0..60),
     ) {
-        let entries = sorted_entries(dim, raw);
-        let mut scratch = WireScratch::new();
-        prop_assert_eq!(
-            reference::qlinear8_encode(seed, dim, &entries),
-            qlinear8(seed).encode_into(dim, &entries, &mut scratch)
-        );
-        prop_assert_eq!(
-            reference::f16_encode(dim, &entries),
-            CodecSpec::F16.build().encode_into(dim, &entries, &mut scratch)
-        );
-        prop_assert_eq!(
-            reference::sign_norm_encode(dim, &entries),
-            CodecSpec::SignNorm.build().encode_into(dim, &entries, &mut scratch)
-        );
-        let mut out = Vec::new();
-        for codec in lossy_codecs() {
-            let frame = codec.encode_into(dim, &entries, &mut scratch).to_vec();
-            let (ref_dim, ref_entries) = reference::decode(&frame).unwrap();
-            let fast_dim = codec.decode_into(&frame, &mut out).unwrap();
-            prop_assert_eq!(ref_dim, fast_dim);
-            prop_assert_eq!(ref_entries.len(), out.len());
-            for (a, b) in ref_entries.iter().zip(out.iter()) {
-                prop_assert_eq!(a.0, b.0);
-                prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
-            }
+        for raw in [raw, planted] {
+            assert_lossy_reference_equivalence(seed, dim, raw);
+        }
+    }
+}
+
+/// A value strategy for messages the lossy tier cannot carry: mostly
+/// finite values in `[-50, 50)`, with one draw in four planting NaN, +inf,
+/// -inf or `-0.0`.
+struct PlantedValue;
+
+impl Strategy for PlantedValue {
+    type Value = f32;
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> f32 {
+        match (0u32..16).generate(rng) {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => -0.0,
+            _ => (-50.0f32..50.0).generate(rng),
+        }
+    }
+}
+
+fn assert_lossy_reference_equivalence(seed: u64, dim: usize, raw: Vec<(usize, f32)>) {
+    let entries = sorted_entries(dim, raw);
+    let mut scratch = WireScratch::new();
+    assert_eq!(
+        reference::qlinear8_encode(seed, dim, &entries),
+        qlinear8(seed).encode_into(dim, &entries, &mut scratch)
+    );
+    assert_eq!(
+        reference::f16_encode(dim, &entries),
+        CodecSpec::F16
+            .build()
+            .encode_into(dim, &entries, &mut scratch)
+    );
+    assert_eq!(
+        reference::sign_norm_encode(dim, &entries),
+        CodecSpec::SignNorm
+            .build()
+            .encode_into(dim, &entries, &mut scratch)
+    );
+    let mut out = Vec::new();
+    for codec in lossy_codecs() {
+        let frame = codec.encode_into(dim, &entries, &mut scratch).to_vec();
+        let (ref_dim, ref_entries) = reference::decode(&frame).unwrap();
+        let fast_dim = codec.decode_into(&frame, &mut out).unwrap();
+        assert_eq!(ref_dim, fast_dim);
+        assert_eq!(ref_entries.len(), out.len());
+        for (a, b) in ref_entries.iter().zip(out.iter()) {
+            assert_eq!(a.0, b.0);
+            assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
     }
 }

@@ -525,10 +525,11 @@ step "product and convolution equivalence (every dispatch level == the scalar fo
 cargo test -q -p agsfl-tensor --test product_equivalence
 cargo test -q -p agsfl-tensor --test conv_equivalence
 
-step "row fetches (a seek lands where drawing lands; rows == the whole shard's rows; a warm gradient step allocates nothing of the client's, a real model's only its pinned count)"
+step "row fetches and seeked generation (a seek lands where drawing lands; rows == the whole shard's rows; every generator block has the width the seeks assume; generation on the pool == the sequential spec at every worker count; a warm gradient step allocates nothing of the client's, a real model's only its pinned count)"
 named_tests -q -p rand_chacha set_word_pos_matches_drawing_at_every_offset
 named_tests -q -p rand_chacha word_pos_round_trips_and_seeks_in_both_directions
 cargo test -q -p agsfl-ml --test materialize_rows
+named_tests -q -p agsfl-ml --test generate_schedule generation
 cargo test -q -p agsfl-fl --test gradient_allocations
 
 step "bench-report --check rule and the FedAvg baseline's last evaluated point"
