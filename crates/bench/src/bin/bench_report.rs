@@ -36,10 +36,11 @@
 //! gradient into a residual, then the top-k — with the gradient
 //! materialized and added against landed in the residual, at the CNN and
 //! at `sparse_wide_linear`'s linear model (`client_step`, `linear_step`),
-//! that gradient's four
+//! that gradient's three
 //! matrix products at every dispatch level the host runs (`fc_fwd@avx2`,
-//! …) and its fused convolution layer against the im2col lowering it
-//! replaced (`conv_relu_pool@avx512`, …), the fused evaluation sweep (`eval_sweep`),
+//! …) and its fused convolution layer and backward against the im2col
+//! lowering they replaced (`conv_relu_pool@avx512`, `conv_bwd@avx512`, …),
+//! the fused evaluation sweep (`eval_sweep`),
 //! dataset generation on the pool at `sparse_wide_linear`'s shape
 //! (`dataset_generate_wide`), the lossless and
 //! quantized wire codecs (`wire_*`, `quant_*`), a wired upload's ordering
@@ -74,7 +75,7 @@ use agsfl_core::figures::scale_sweep::{self, ScaleSweepConfig, ScaleSweepPoint};
 use agsfl_exec::{mem, Executor};
 use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
 use agsfl_ml::metrics;
-use agsfl_ml::model::{Im2colScratch, Model};
+use agsfl_ml::model::{CnnScratch, Model};
 use agsfl_ml::reference as ml_reference;
 use agsfl_sparse::{
     reference, topk, ClientUpload, FabTopK, ResidualAccumulator, SelectionScratch, Sparsifier,
@@ -535,17 +536,17 @@ fn main() {
 
     // CNN forward and gradient at the paper shape (~420k weights, batch
     // 32): the seed scalar-loop kernels kept in `agsfl_ml::reference` vs
-    // the fused convolution kernel (plus, for the gradient, the im2col
-    // weight-gradient contraction) with a reused workspace.
+    // the fused convolution kernels (the forward, and for the gradient the
+    // backward too) with a reused workspace.
     let (cnn, params, x, labels) = cnn_workload();
     let cnn_shape = Shape::new(cnn.num_params(), CNN_BATCH, cnn.filters());
-    let (mut im2col, mut grad) = (Im2colScratch::new(), Vec::new());
+    let (mut cnn_scratch, mut grad) = (CnnScratch::new(), Vec::new());
     ledger.pair(
         "cnn_forward",
         cnn_shape,
         "",
         || ml_reference::cnn_forward(&cnn, black_box(&params), black_box(&x)),
-        || cnn.forward_with(black_box(&params), black_box(&x).view(), &mut im2col),
+        || cnn.forward_with(black_box(&params), black_box(&x).view(), &mut cnn_scratch),
     );
     ledger.pair(
         "cnn_grad",
@@ -554,7 +555,7 @@ fn main() {
         || ml_reference::cnn_loss_and_grad(&cnn, black_box(&params), black_box(&x), &labels),
         || {
             let (params, x) = (black_box(&params), black_box(&x));
-            cnn.loss_and_grad_with(params, x, &labels, &mut im2col, &mut grad)
+            cnn.loss_and_grad_with(params, x, &labels, &mut cnn_scratch, &mut grad)
         },
     );
 
@@ -638,7 +639,76 @@ fn main() {
         );
     }
 
-    // That gradient's four matrix products, one by one: the scalar spec of
+    // Its backward alone (the weight and bias gradients from the pooled
+    // gradient, the forward's ReLU mask and the images), at every level:
+    // the im2col lowering the fused kernel replaced — the pre-activation
+    // gradient written out, a serial row sum per filter for the bias, the
+    // columns, and `dpre · colsᵀ` through the dispatched product at the
+    // same level — against the fused kernel. Both sides must agree bit for
+    // bit.
+    let mut mask = vec![0u8; CNN_BATCH * conv_shape.mask_dim()];
+    dispatch::conv_relu_pool(
+        Level::detect(),
+        layer,
+        x.view(),
+        &mut conv_scratch,
+        &mut pooled,
+        Some(&mut mask),
+    );
+    let dpooled: Vec<f32> = (0..pooled.len())
+        .map(|i| ((i * 37 % 101) as f32 - 50.0) * 1e-3)
+        .collect();
+    let mut expected = (
+        vec![0.0f32; layer.weights().len()],
+        vec![0.0f32; cnn.filters()],
+    );
+    let mut got = expected.clone();
+    for level in Level::available() {
+        let note = if level == Level::detect() {
+            "dispatched"
+        } else {
+            ""
+        };
+        ledger.pair(
+            &format!("conv_bwd@{}", level.name()),
+            Shape::new(layer.weights().len(), CNN_BATCH, cnn.filters()),
+            note,
+            || {
+                lowering.backward(
+                    conv_shape,
+                    black_box(&x).view(),
+                    (&dpooled, &mask),
+                    (&mut expected.0, &mut expected.1),
+                    |dpre, cols, out| {
+                        dispatch::run(level, Product::MatmulTransposeAcc, dpre, cols, out)
+                    },
+                )
+            },
+            || {
+                dispatch::conv_relu_pool_backward(
+                    level,
+                    conv_shape,
+                    black_box(&x).view(),
+                    &dpooled,
+                    &mask,
+                    &mut conv_scratch,
+                    &mut got.0,
+                    &mut got.1,
+                )
+            },
+        );
+        assert!(
+            got.0
+                .iter()
+                .chain(&got.1)
+                .zip(expected.0.iter().chain(&expected.1))
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "conv_bwd at {} must reproduce the im2col lowering bit for bit",
+            level.name()
+        );
+    }
+
+    // That gradient's three matrix products, one by one: the scalar spec of
     // each product's fold order, timed once, against the register-tiled
     // kernel at every vector width this CPU can run. The rows justify the
     // levels shipped — a level that does not beat the one below it on its

@@ -5,10 +5,10 @@
 //! are comparable; it builds them here. Five workload families are
 //! tracked: the FAB server selection (and, at the paper's dimension, the
 //! probe's restriction of it), the paper-shape CNN forward pass and
-//! gradient (im2col vs the seed scalar loops), one client step into a
-//! residual at the CNN and at `sparse_wide_linear`'s linear model, and
-//! that gradient's four matrix products one by one (scalar spec vs each
-//! dispatch level), the
+//! gradient (the fused kernels vs the seed scalar loops), one client step
+//! into a residual at the CNN and at `sparse_wide_linear`'s linear model,
+//! and that gradient's three matrix products one by one (scalar spec vs
+//! each dispatch level), the
 //! per-evaluation `O(N·D)` metric sweep (fused executor sweep vs the
 //! seed's three serial passes), and the wire-codec message (encode/decode
 //! fast paths vs the allocating reference implementations).
@@ -204,15 +204,13 @@ pub fn residual_workload(dim: usize) -> Vec<f32> {
 /// shape)`.
 type ProductShape = (&'static str, Product, (usize, usize), (usize, usize));
 
-/// The four matrix products of one batch-32 gradient of the paper-shape
-/// CNN: the fully
-/// connected forward (`pooled · W`), weight gradient (`pooledᵀ · dlogits`)
-/// and input gradient (`dlogits · Wᵀ`), and the convolution's weight
-/// gradient against the im2col columns (`dpre · colsᵀ`). 6760 = 40 filters
-/// x 13 x 13 pooled positions, 21,632 = 32 samples x 26 x 26 positions.
-/// The convolution's forward is the fused kernel, paired on its own
-/// (`conv_relu_pool@…`).
-pub const PRODUCT_SHAPES: [ProductShape; 4] = [
+/// The three matrix products of one batch-32 gradient of the paper-shape
+/// CNN: the fully connected forward (`pooled · W`), weight gradient
+/// (`pooledᵀ · dlogits`) and input gradient (`dlogits · Wᵀ`). 6760 = 40
+/// filters x 13 x 13 pooled positions. The convolution's forward and
+/// backward are fused kernels, paired on their own (`conv_relu_pool@…`,
+/// `conv_bwd@…`).
+pub const PRODUCT_SHAPES: [ProductShape; 3] = [
     ("fc_fwd", Product::MatmulAcc, (CNN_BATCH, 6760), (6760, 62)),
     (
         "fc_wgrad",
@@ -225,12 +223,6 @@ pub const PRODUCT_SHAPES: [ProductShape; 4] = [
         Product::MatmulTransposeAcc,
         (CNN_BATCH, 62),
         (6760, 62),
-    ),
-    (
-        "conv_wgrad",
-        Product::MatmulTransposeAcc,
-        (40, 21_632),
-        (9, 21_632),
     ),
 ];
 
@@ -433,11 +425,9 @@ mod tests {
     fn product_shapes_are_the_paper_cnn_s() {
         let (model, _, _, _) = cnn_workload();
         let (ph, pw) = model.pooled_size();
-        let (ch, cw) = model.conv_output_size();
         assert_eq!(PRODUCT_SHAPES[0].2, (CNN_BATCH, CNN_FILTERS * ph * pw));
         assert_eq!(PRODUCT_SHAPES[0].3, (CNN_FILTERS * ph * pw, CNN_CLASSES));
-        assert_eq!(PRODUCT_SHAPES[3].2, (CNN_FILTERS, CNN_BATCH * ch * cw));
-        assert_eq!(PRODUCT_SHAPES[3].3, (CNN_CHANNELS * 9, CNN_BATCH * ch * cw));
+        assert_eq!(PRODUCT_SHAPES[2].2, (CNN_BATCH, CNN_CLASSES));
         for (_, op, lhs, rhs) in PRODUCT_SHAPES {
             let (a, b) = product_workload(lhs, rhs);
             let a = agsfl_tensor::MatrixView::new(lhs.0, lhs.1, &a);

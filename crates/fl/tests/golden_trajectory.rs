@@ -294,8 +294,10 @@ type CnnPin = (u64, u64, u64);
 /// The CNN pins: `(params, per-round losses, evaluated point)` hashes of a
 /// FAB-top-k run on a `SimpleCnn`, one per geometry. Captured from the im2col
 /// convolution (bias-seeded `matmul_acc` product, then a separate ReLU and
-/// 2x2 average-pool pass) before the fused convolution kernel replaced it;
-/// the fused kernel keeps every pre-activation's fold, so none may move.
+/// 2x2 average-pool pass; its backward the pre-activation gradient's row
+/// sums and its product against the columns) before the fused convolution
+/// kernels replaced it; they keep every fold, so none may move, at any
+/// worker count.
 const CNN_GOLDEN: [(CnnGeometry, CnnPin); 2] = [
     // 1 channel, 14x14, 8 filters: even convolution output, paired filters.
     (
@@ -311,8 +313,13 @@ const CNN_GOLDEN: [(CnnGeometry, CnnPin); 2] = [
 ];
 
 #[test]
-fn cnn_trajectories_match_the_im2col_engine() {
-    for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+fn cnn_trajectories_match_the_fused_conv_engine() {
+    for parallelism in [
+        Parallelism::Serial,
+        Parallelism::Threads(2),
+        Parallelism::Threads(4),
+        Parallelism::Threads(8),
+    ] {
         for &((channels, height, width, filters), want) in &CNN_GOLDEN {
             let mut rng = ChaCha8Rng::seed_from_u64(23);
             let fed = SyntheticFemnist::new(SyntheticFemnistConfig {

@@ -3,7 +3,7 @@ use agsfl_tensor::{init, ConvLayer, ConvShape, Matrix, MatrixView, Store};
 use rand::RngCore;
 
 use crate::loss::batch_cross_entropy_with_grad;
-use crate::model::im2col::Im2colScratch;
+use crate::model::scratch::CnnScratch;
 use crate::model::{check_input, check_params, land, Model};
 
 /// A small convolutional network: one 3x3 convolution, ReLU, 2x2 average
@@ -30,14 +30,16 @@ use crate::model::{check_input, check_params, land, Model};
 /// pooling — is **one fused kernel** straight from the images
 /// ([`ConvLayer::relu_pool`], dispatched to the CPU's vector width like the
 /// matrix products): a forward writes only the pooled activations, never
-/// the pre-activations. Each pre-activation keeps the fold of the im2col
-/// lowering the kernel replaced (a bias-seeded `matmul_acc` over the patch
-/// index; see [`agsfl_tensor::conv`]), so both paths are bit-identical.
-/// The gradient asks the same kernel for a ReLU mask too (one byte per
-/// pre-activation: where ReLU was active), and it alone still lowers
-/// the batch to an im2col column matrix (see [`Im2colScratch`]): the
-/// convolution's weight gradient is the contraction `∂L/∂W_conv = dpre ·
-/// colsᵀ` against it. Every product multiplies straight out of `params`
+/// the pre-activations. The gradient asks the same kernel for a ReLU mask
+/// too (one bit per pre-activation: where ReLU was active), and its
+/// convolution backward is **one fused kernel** as well
+/// ([`ConvLayer::relu_pool_backward`]): the weight and bias gradients
+/// straight from the images, the pooled gradient and the mask, with the
+/// gradient at each pre-activation recomputed where it is used. Both keep
+/// the folds of the im2col lowering they replaced (see
+/// [`agsfl_tensor::conv`]), so every output is bit-identical to it; no
+/// pre-activation, pre-activation gradient or column matrix is ever
+/// stored (see [`CnnScratch`]). Every product multiplies straight out of `params`
 /// through borrowed [`MatrixView`]s — no weight block is copied first — and
 /// the forward pass runs in blocks of at most
 /// [`FORWARD_BLOCK`](SimpleCnn::FORWARD_BLOCK) rows, so its workspace is
@@ -58,7 +60,7 @@ use crate::model::{check_input, check_params, land, Model};
 /// the two against each other. The plain [`Model`] methods reuse a
 /// per-thread workspace, so `dyn Model` callers (the FL round engine)
 /// amortize the buffers too; callers that want explicit control can hold
-/// an [`Im2colScratch`] and use [`SimpleCnn::forward_with`] /
+/// a [`CnnScratch`] and use [`SimpleCnn::forward_with`] /
 /// [`SimpleCnn::loss_and_grad_with`].
 ///
 /// # Examples
@@ -80,15 +82,15 @@ pub struct SimpleCnn {
 }
 
 thread_local! {
-    /// Per-thread im2col workspace behind the plain [`Model`] methods, so
+    /// Per-thread workspace behind the plain [`Model`] methods, so
     /// trait-object callers (the FL round engine's `dyn Model` clients) get
     /// scratch reuse without threading a workspace through the trait: a
     /// round-engine worker processing its chunk of clients allocates once
     /// per thread, not once per client. Sound because the scratch carries no
     /// state between calls (observational purity, pinned by the
     /// equivalence proptests), so the shared buffer never changes results.
-    static THREAD_SCRATCH: std::cell::RefCell<Im2colScratch> =
-        std::cell::RefCell::new(Im2colScratch::new());
+    static THREAD_SCRATCH: std::cell::RefCell<CnnScratch> =
+        std::cell::RefCell::new(CnnScratch::new());
 }
 
 impl SimpleCnn {
@@ -160,8 +162,8 @@ impl SimpleCnn {
         }
     }
 
-    /// Length of a flattened receptive field (`in_channels · 3 · 3`) — the
-    /// row count of the im2col column matrix.
+    /// Length of a flattened receptive field (`in_channels · 3 · 3`): the
+    /// weights per filter.
     fn patch_dim(&self) -> usize {
         self.conv_shape().patch_dim()
     }
@@ -197,36 +199,6 @@ impl SimpleCnn {
         ((o * self.in_channels + c) * KERNEL + ky) * KERNEL + kx
     }
 
-    /// Unrolls the batch into the column matrix: column `b·P + p` holds the
-    /// flattened receptive field of output position `p` of sample `b`.
-    ///
-    /// Row `(c·3 + ky)·3 + kx` of the result is filled with contiguous
-    /// `copy_from_slice` runs of one output row each, because for fixed
-    /// `(c, ky, kx)` the receptive-field pixels of output positions
-    /// `(y, 0..cw)` are exactly the input pixels `(c, y+ky, kx..kx+cw)`.
-    fn im2col(&self, x: MatrixView<'_>, cols: &mut Matrix) {
-        let (ch, cw) = self.conv_output_size();
-        let positions = ch * cw;
-        let batch = x.rows();
-        cols.resize_for_overwrite(self.patch_dim(), batch * positions);
-        for c in 0..self.in_channels {
-            for ky in 0..KERNEL {
-                for kx in 0..KERNEL {
-                    let row = cols.row_mut((c * KERNEL + ky) * KERNEL + kx);
-                    for b in 0..batch {
-                        let sample = x.row(b);
-                        let dst = &mut row[b * positions..(b + 1) * positions];
-                        for y in 0..ch {
-                            let src_start = self.input_index(c, y + ky, kx);
-                            dst[y * cw..(y + 1) * cw]
-                                .copy_from_slice(&sample[src_start..src_start + cw]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// The convolution layer over its weights and biases inside `params`.
     fn conv_layer<'p>(&self, params: &'p [f32]) -> ConvLayer<'p> {
         let (conv_w_off, conv_b_off, fc_w_off, _) = self.offsets();
@@ -255,7 +227,7 @@ impl SimpleCnn {
         &self,
         params: &[f32],
         x: MatrixView<'_>,
-        scratch: &mut Im2colScratch,
+        scratch: &mut CnnScratch,
         keep_mask: bool,
     ) {
         let shape = self.conv_shape();
@@ -263,7 +235,7 @@ impl SimpleCnn {
             .pooled
             .resize_for_overwrite(x.rows(), shape.pooled_dim());
         let relu_mask = if keep_mask {
-            let len = x.rows() * shape.window_dim();
+            let len = x.rows() * shape.mask_dim();
             if scratch.relu_mask.len() < len {
                 scratch.relu_mask.resize(len, 0);
             }
@@ -286,7 +258,7 @@ impl SimpleCnn {
     /// is the same in every block as in the whole batch.
     pub const FORWARD_BLOCK: usize = 32;
 
-    /// Forward pass reusing an explicit [`Im2colScratch`] (the
+    /// Forward pass reusing an explicit [`CnnScratch`] (the
     /// allocation-free hot path; the [`Model::forward_view`] impl wraps this
     /// with the thread's workspace), in blocks of
     /// [`SimpleCnn::FORWARD_BLOCK`] rows — bit-identical to one pass over
@@ -301,7 +273,7 @@ impl SimpleCnn {
         &self,
         params: &[f32],
         x: MatrixView<'_>,
-        scratch: &mut Im2colScratch,
+        scratch: &mut CnnScratch,
     ) -> Matrix {
         check_params(self, params);
         check_input(self, x);
@@ -320,7 +292,7 @@ impl SimpleCnn {
         logits
     }
 
-    /// Loss + gradient reusing an explicit [`Im2colScratch`] (the
+    /// Loss + gradient reusing an explicit [`CnnScratch`] (the
     /// allocation-free hot path; the [`Model::loss_and_land`] impl runs the
     /// same body with the thread's workspace). `grad` is overwritten:
     /// resized to [`Model::num_params`], every coordinate stored, whatever
@@ -335,7 +307,7 @@ impl SimpleCnn {
         params: &[f32],
         x: &Matrix,
         labels: &[usize],
-        scratch: &mut Im2colScratch,
+        scratch: &mut CnnScratch,
         grad: &mut Vec<f32>,
     ) -> f32 {
         grad.resize(self.num_params(), 0.0);
@@ -347,8 +319,8 @@ impl SimpleCnn {
     /// added into a residual.
     ///
     /// The forward is the fused convolution kernel, which also hands back
-    /// where ReLU was active; the backward pass is the col2im-style
-    /// contraction described on [`Im2colScratch`], in the sample-major
+    /// where ReLU was active; the backward pass runs the classifier's
+    /// products, then the fused convolution backward, in the sample-major
     /// order documented on the [`Model`] trait. The fully connected weight
     /// gradient — 419,120 of the paper shape's 419,582 coordinates — is
     /// folded in registers and stored into `out` once, by the product's
@@ -359,20 +331,16 @@ impl SimpleCnn {
         params: &[f32],
         x: &Matrix,
         labels: &[usize],
-        scratch: &mut Im2colScratch,
+        scratch: &mut CnnScratch,
         out: &mut [f32],
         store: Store,
     ) -> f32 {
         check_params(self, params);
         check_input(self, x.view());
-        let (conv_w_off, conv_b_off, fc_w_off, fc_b_off) = self.offsets();
-        let (ch, cw) = self.conv_output_size();
-        let (ph, pw) = self.pooled_size();
-        let positions = ch * cw;
+        let (_, conv_b_off, fc_w_off, fc_b_off) = self.offsets();
         let batch = x.rows();
 
         self.forward_conv(params, x.view(), scratch, true);
-        self.im2col(x.view(), &mut scratch.cols);
         let mut logits = Matrix::zeros(batch, self.num_classes);
         scratch
             .pooled
@@ -397,86 +365,23 @@ impl SimpleCnn {
             .view()
             .matmul_transpose_acc(self.fc_weights(params), scratch.dpooled.as_mut_slice());
 
-        // Average pooling + ReLU backward into the column-layout gradient
-        // at the pre-activations, reading the ReLU mask the forward kept.
-        // Positions not covered by a 2x2 pooling window
-        // (odd trailing row/column) keep a zero gradient; every covered
-        // position is overwritten, so only an odd geometry needs the clear.
-        scratch
-            .dpre
-            .resize_for_overwrite(self.out_channels, batch * positions);
-        if ch % 2 == 1 || cw % 2 == 1 {
-            scratch.dpre.fill(0.0);
-        }
-        for b in 0..batch {
-            let dpooled_row = scratch.dpooled.row(b);
-            let mask = &scratch.relu_mask[b * self.conv_shape().window_dim()..];
-            for o in 0..self.out_channels {
-                let dpre_row = &mut scratch.dpre.row_mut(o)[b * positions..(b + 1) * positions];
-                for py in 0..ph {
-                    let window_grads = &dpooled_row[(o * ph + py) * pw..][..pw];
-                    for dy in 0..2 {
-                        // Window positions (dy, 0) and (dy, 1): the even and
-                        // odd columns of convolution row 2·py + dy.
-                        let plane = |dx: usize| ((4 * o + 2 * dy + dx) * ph + py) * pw;
-                        let even = &mask[plane(0)..][..pw];
-                        let odd = &mask[plane(1)..][..pw];
-                        let row = &mut dpre_row[(py * 2 + dy) * cw..][..2 * pw];
-                        // A mask byte is the pre-activation's `relu_grad`.
-                        for (((d, &g), &m0), &m1) in
-                            row.chunks_exact_mut(2).zip(window_grads).zip(even).zip(odd)
-                        {
-                            let g = g / 4.0;
-                            d[0] = g * f32::from(m0);
-                            d[1] = g * f32::from(m1);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Convolution gradients, into the small block buffer: the bias
-        // gradient is a row sum and the weight gradient the col2im
-        // contraction against the column buffer, from zero.
+        // The convolution's weights and biases, into the small block
+        // buffer: one fused pass over the images, the pooled gradient and
+        // the mask the forward kept.
         let conv_grad = &mut scratch.conv_grad;
-        conv_grad.clear();
         conv_grad.resize(fc_w_off, 0.0);
-        sum_rows_interleaved(&scratch.dpre, &mut conv_grad[conv_b_off..]);
-        scratch
-            .dpre
-            .view()
-            .matmul_transpose_acc(scratch.cols.view(), &mut conv_grad[conv_w_off..conv_b_off]);
+        let (dweights, dbias) = conv_grad.split_at_mut(conv_b_off);
+        self.conv_layer(params).relu_pool_backward(
+            x.view(),
+            scratch.dpooled.as_slice(),
+            &scratch.relu_mask[..batch * self.conv_shape().mask_dim()],
+            &mut scratch.conv,
+            dweights,
+            dbias,
+        );
         land(&mut out[..fc_w_off], conv_grad, store);
 
         loss
-    }
-}
-
-/// `out[o]` = the left-to-right sum of row `o` of `m`, eight rows at a time:
-/// each row's additions form one serial dependency chain (that order is the
-/// bias gradient's fold order), so eight independent chains are advanced
-/// together to keep the adder busy instead of waiting out one chain's
-/// latency 21,632 times per filter.
-fn sum_rows_interleaved(m: &Matrix, out: &mut [f32]) {
-    let len = m.cols();
-    for (block, sums) in m.as_slice().chunks(8 * len.max(1)).zip(out.chunks_mut(8)) {
-        if sums.len() == 8 {
-            let mut acc = [0.0f32; 8];
-            for p in 0..len {
-                for (r, a) in acc.iter_mut().enumerate() {
-                    *a += block[r * len + p];
-                }
-            }
-            sums.copy_from_slice(&acc);
-        } else {
-            for (row, sum) in block.chunks_exact(len.max(1)).zip(sums.iter_mut()) {
-                let mut acc = 0.0f32;
-                for &g in row {
-                    acc += g;
-                }
-                *sum = acc;
-            }
-        }
     }
 }
 
@@ -600,7 +505,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let params = m.init_params(&mut rng);
         let (x, labels) = toy_batch(&m, 4);
-        let mut scratch = Im2colScratch::new();
+        let mut scratch = CnnScratch::new();
         // Warm the scratch on a *different* geometry first: stale contents
         // must never leak into a later call.
         let other = SimpleCnn::new(2, 8, 5, 4, 2);
@@ -676,7 +581,7 @@ mod tests {
         let flat: Vec<f32> = rows.iter().flatten().copied().collect();
         let x = Matrix::from_vec(8, 36, flat);
         let initial = m.loss(&params, &x, &labels);
-        let mut scratch = Im2colScratch::new();
+        let mut scratch = CnnScratch::new();
         let mut grad = Vec::new();
         for _ in 0..500 {
             m.loss_and_grad_with(&params, &x, &labels, &mut scratch, &mut grad);

@@ -8,12 +8,12 @@
 //! updated by `w(m) = w(m-1) - η ∇_s L(w(m-1))` (Eq. (1)).
 
 mod cnn;
-mod im2col;
 mod mlp;
+mod scratch;
 
 pub use cnn::SimpleCnn;
-pub use im2col::Im2colScratch;
 pub use mlp::{LinearSoftmax, Mlp};
+pub use scratch::CnnScratch;
 
 use agsfl_tensor::{Matrix, MatrixView, Store};
 use rand::RngCore;

@@ -13,8 +13,8 @@
 //! scalar-loop implementation of [`SimpleCnn`]'s forward and backward passes
 //! exactly as the seed wrote them: six nested loops per convolution, an
 //! explicit pooling/ReLU pass and per-sample fully connected accumulation.
-//! The optimized path (the fused convolution kernel and the im2col weight
-//! gradient; see [`crate::model::Im2colScratch`]) is property-tested against
+//! The optimized path (the fused convolution kernels, forward and backward;
+//! see [`crate::model::CnnScratch`]) is property-tested against
 //! these functions in `crates/ml/tests/cnn_equivalence.rs`.
 //!
 //! **Equivalence is ULP-level, not bit-level.** The fast path folds each

@@ -2,8 +2,9 @@
 //!
 //! `SimpleCnn` runs its convolution layer as one fused kernel
 //! (`agsfl_tensor::ConvLayer::relu_pool`: convolution, bias, ReLU and 2x2
-//! average pooling in one pass) and its gradient against a reused im2col
-//! column workspace (`Im2colScratch`); the seed scalar-loop implementation
+//! average pooling in one pass) and its backward as another
+//! (`ConvLayer::relu_pool_backward`), on a reused workspace (`CnnScratch`);
+//! the seed scalar-loop implementation
 //! survives in `agsfl_ml::reference` as the executable specification, and
 //! these tests pin the two against each other over random geometries,
 //! batches and weights.
@@ -23,16 +24,17 @@
 //!
 //! which is orders of magnitude tighter than the finite-difference gradient
 //! check but loose enough to absorb any IEEE reassociation of the summands.
-//! What *is* exact: the fused convolution layer against the im2col lowering
-//! it replaced (bias-seeded `matmul_acc`, then ReLU and the four-term pool),
-//! at every dispatch level — pinned in `agsfl-tensor`'s `conv_equivalence`
-//! and, through whole FL runs, by the CNN golden in `agsfl-fl`'s
-//! `golden_trajectory`; the im2col pass of the gradient (pure copies); the
+//! What *is* exact: the fused convolution layer and its backward against
+//! the im2col lowering they replaced (bias-seeded `matmul_acc`, then ReLU
+//! and the four-term pool; the pre-activation gradient's row sums and its
+//! eight-lane dot tree against the columns), at every dispatch level —
+//! pinned in `agsfl-tensor`'s `conv_equivalence` and, through whole FL
+//! runs, by the CNN golden in `agsfl-fl`'s `golden_trajectory`; the
 //! pooling fold (same four-term order as the reference); and repeated calls
 //! on a shared scratch (observational purity, asserted bit-identical
 //! below).
 
-use agsfl_ml::model::{Im2colScratch, Model, SimpleCnn};
+use agsfl_ml::model::{CnnScratch, Model, SimpleCnn};
 use agsfl_ml::reference;
 use agsfl_tensor::Matrix;
 use proptest::prelude::*;
@@ -52,7 +54,7 @@ fn assert_all_close(fast: &[f32], slow: &[f32], what: &str) {
     for (i, (a, b)) in fast.iter().zip(slow.iter()).enumerate() {
         assert!(
             close(*a, *b),
-            "{what}[{i}] diverged: im2col {a} vs reference {b}"
+            "{what}[{i}] diverged: fused {a} vs reference {b}"
         );
     }
 }
@@ -80,11 +82,11 @@ fn build_case(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Forward pass: im2col logits match the scalar reference within the
+    /// Forward pass: fused logits match the scalar reference within the
     /// documented tolerance, for random geometries (odd and even
     /// convolution outputs, so uncovered pooling edges are exercised).
     #[test]
-    fn prop_im2col_forward_matches_reference(
+    fn prop_fused_forward_matches_reference(
         seed in 0u64..10_000,
         channels in 1usize..3,
         height in 3usize..9,
@@ -102,7 +104,7 @@ proptest! {
     /// Backward pass: loss and every gradient coordinate match the scalar
     /// reference within the documented tolerance.
     #[test]
-    fn prop_im2col_backward_matches_reference(
+    fn prop_fused_backward_matches_reference(
         seed in 0u64..10_000,
         channels in 1usize..3,
         height in 3usize..9,
@@ -117,7 +119,7 @@ proptest! {
         let (slow_loss, slow_grad) = reference::cnn_loss_and_grad(&model, &params, &x, &labels);
         prop_assert!(
             close(fast_loss, slow_loss),
-            "loss diverged: im2col {fast_loss} vs reference {slow_loss}"
+            "loss diverged: fused {fast_loss} vs reference {slow_loss}"
         );
         assert_all_close(&fast_grad, &slow_grad, "grad");
     }
@@ -139,7 +141,7 @@ proptest! {
             build_case(seed, 1, height_a, width_a, filters, 3, batch);
         let (model_b, params_b, x_b, labels_b) =
             build_case(seed ^ 0xDEAD, 2, height_b, width_b, filters, 4, batch);
-        let mut scratch = Im2colScratch::new();
+        let mut scratch = CnnScratch::new();
         // One gradient buffer across both geometries: each call finds the
         // other model's gradient in it, at the other model's length.
         let mut grad = Vec::new();

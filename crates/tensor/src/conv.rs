@@ -1,5 +1,7 @@
-//! The CNN's convolution layer as one kernel: a 3x3 valid convolution, the
-//! bias, ReLU and 2x2 average pooling in a single pass over the images.
+//! The CNN's convolution layer as two kernels: the forward — a 3x3 valid
+//! convolution, the bias, ReLU and 2x2 average pooling in a single pass over
+//! the images — and its backward, the weight and bias gradients in a single
+//! pass over the images and the pooled gradient.
 //!
 //! A convolution lowered to a matrix product (im2col) writes every
 //! pre-activation to a buffer that a second pass reads back to apply ReLU
@@ -8,8 +10,14 @@
 //! pooling window's four pre-activations in vector registers from the bias
 //! seed to the pooled value, so a forward writes only the pooled
 //! activations. The backward pass, which needs to know where ReLU was
-//! active, asks for that too (`relu_mask`): one byte per pre-activation, a
-//! quarter of what the pre-activations themselves would take.
+//! active, asks for that too (`relu_mask`): one *bit* per pre-activation.
+//!
+//! The lowered backward wrote the gradient at every pre-activation (`dpre`,
+//! another 3.5 MB), summed it per filter for the bias, and contracted it
+//! against the column matrix for the weights. [`ConvLayer::relu_pool_backward`]
+//! recomputes each `dpre` value where it is used, from the pooled gradient
+//! and the mask, and reads each tap straight from the image: no
+//! pre-activation gradient and no column matrix exist.
 //!
 //! # The fold-order contract
 //!
@@ -36,17 +44,42 @@
 //! by four (both are the correctly rounded exact quarter). A trailing odd
 //! convolution row or column is covered by no window and never computed.
 //!
+//! The backward keeps the lowering's folds too, which
+//! [`crate::reference::conv_relu_pool_backward`] states: the gradient at
+//! the pre-activation of filter `o` at column index `p = b·P + y·cw + x`
+//! (`P = ch·cw` positions per image) is `dpre = (g / 4) · m`, with `g` the
+//! pooled gradient of the window covering `(y, x)` and `m` its mask bit as
+//! `0.0` or `1.0` — and `+0.0` at a position no window covers. Then
+//!
+//! * `dbias[o]` is one serial chain from `+0.0` over `p` ascending:
+//!   `((0 + dpre₀) + dpre₁) + …`;
+//! * `dweights[o][t]`, `t` the patch index, is the dot product of `dpre`
+//!   with the tap's column (`x_t(p)` = input pixel `(c, y + ky, x + kx)` of
+//!   sample `b`) in [`MatrixView::matmul_transpose_acc`]'s order, landed on
+//!   `+0.0`: eight lane sums from `+0.0`, the term at `p` going to lane
+//!   `p mod 8` for `p` below the last multiple of eight of `B·P`, each
+//!   lane in ascending `p`; a sequential tail sum over the rest; combined
+//!   as `0 + ((((l₀+l₁)+(l₂+l₃)) + ((l₄+l₅)+(l₆+l₇))) + tail)`.
+//!
+//! Terms of zero are added, not skipped: an uncovered or masked-off
+//! position adds `+0.0 · x`, which is NaN where `x` is infinite.
+//!
 //! # Layouts
 //!
 //! * images: `B x (C·H·W)`, channel-major (`(c, y, x)` at
 //!   `c·H·W + y·W + x`);
-//! * weights: `[O][C][3][3]`; bias: `[O]`;
-//! * pooled: `B x (O·ph·pw)`, `(o, py, px)` at `(o·ph + py)·pw + px`;
-//! * relu_mask: `B x (O·4·ph·pw)` bytes, four pooled-shaped planes per
-//!   filter, one per window position: byte
-//!   `((o·4 + 2·dy + dx)·ph + py)·pw + px` is `ops::relu_grad` (1 or 0) of
-//!   the pre-activation at convolution position `(2·py + dy, 2·px + dx)` —
-//!   1 iff it is `> 0`.
+//! * weights and their gradient: `[O][C][3][3]`; bias and its gradient:
+//!   `[O]`;
+//! * pooled and its gradient: `B x (O·ph·pw)`, `(o, py, px)` at
+//!   `(o·ph + py)·pw + px`;
+//! * relu_mask: `B x (4·G·O)` bytes ([`ConvShape::mask_dim`]), the
+//!   `ph·pw` windows of an image in `G = ⌈ph·pw / 8⌉` groups of eight.
+//!   Window `w = py·pw + px` at position `q = 2·dy + dx` of filter `o` is
+//!   bit `w mod 8` of byte `(q·G + w / 8)·O + o`: `ops::relu_grad` (1 or
+//!   0) of the pre-activation at convolution position
+//!   `(2·py + dy, 2·px + dx)` — 1 iff it is `> 0`. Bits past the last
+//!   window are 0. A group's bytes for all filters are adjacent, so the
+//!   backward reads a vector of filters at one position in one load.
 
 use crate::dispatch::{self, Level};
 use crate::product::MatrixView;
@@ -96,10 +129,11 @@ impl ConvShape {
         self.filters * ph * pw
     }
 
-    /// Pre-activations under a pooling window per image, `4·O·ph·pw`: the
-    /// ReLU mask's length (see the [module docs](self)).
-    pub fn window_dim(&self) -> usize {
-        4 * self.pooled_dim()
+    /// Bytes of one image's ReLU mask, `4·⌈ph·pw / 8⌉·O`: one bit per
+    /// pre-activation under a pooling window (see the [module docs](self)).
+    pub fn mask_dim(&self) -> usize {
+        let (ph, pw) = self.pooled_size();
+        4 * (ph * pw).div_ceil(8) * self.filters
     }
 }
 
@@ -172,17 +206,57 @@ impl<'a> ConvLayer<'a> {
     ) {
         dispatch::conv_relu_pool(Level::detect(), self, images, scratch, pooled, relu_mask);
     }
+
+    /// Writes the gradients of the layer's weights and biases into
+    /// `dweights` and `dbias` (overwritten), from the gradient `dpooled` at
+    /// the pooled activations of `images` and the ReLU mask
+    /// [`ConvLayer::relu_pool`] kept for them (layouts and fold order in
+    /// the [module docs](self)), at the level [`Level::detect`] picks. The
+    /// layer's parameters themselves are not read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `images` rows are not [`ConvShape::input_dim`] long or an
+    /// input or output has the wrong length.
+    pub fn relu_pool_backward(
+        self,
+        images: MatrixView<'_>,
+        dpooled: &[f32],
+        relu_mask: &[u8],
+        scratch: &mut ConvScratch,
+        dweights: &mut [f32],
+        dbias: &mut [f32],
+    ) {
+        dispatch::conv_relu_pool_backward(
+            Level::detect(),
+            self.shape,
+            images,
+            dpooled,
+            relu_mask,
+            scratch,
+            dweights,
+            dbias,
+        );
+    }
 }
 
-/// The fused kernel's workspace: one image split into even- and odd-column
-/// planes, the input every pooling window meets at each patch index and
-/// window position (one contiguous run per pair), and one block's operand
-/// vectors. Grow-only and stateless between calls: every
-/// element a call reads was written by that call, or only reaches vector
-/// lanes that are never stored.
+/// The fused kernels' workspace. The forward's: one image split into even-
+/// and odd-column planes, the input every pooling window meets at each
+/// patch index and window position (one contiguous run per pair), and one
+/// block's operand vectors. The backward's: one image's pooled gradient,
+/// quartered and laid out window-major with the filters padded to the
+/// widest vector, and the lane sums of every output, carried from image to
+/// image. Grow-only and stateless between calls: every element a call
+/// reads was written by that call, or only reaches vector lanes that are
+/// never stored.
 #[derive(Debug, Clone, Default)]
 pub struct ConvScratch {
     buf: Vec<f32>,
+    /// The backward's table of where each convolution position reads.
+    table: Vec<[usize; TABLE_STRIDE]>,
+    /// The backward's copy of one image's ReLU mask, with a padded row of
+    /// zero bytes behind it so every vector load of it is whole.
+    mask: Vec<u8>,
 }
 
 /// The widest vector any level uses, in lanes.
@@ -196,13 +270,13 @@ impl ConvScratch {
 
     /// Elements currently reserved (for capacity tests).
     pub fn capacity(&self) -> usize {
-        self.buf.capacity()
+        self.buf.capacity() + TABLE_STRIDE * self.table.capacity() + self.mask.capacity()
     }
 
-    /// The workspace for `shape`, grown if it is too small: the planes
-    /// region first ([`plane_len`] plus a vector's overhang), then one
-    /// operand run per patch index and window position, then one block's
-    /// operand vectors.
+    /// The forward's workspace for `shape`, grown if it is too small: the
+    /// planes region first ([`plane_len`] plus a vector's overhang), then
+    /// one operand run per patch index and window position, then one
+    /// block's operand vectors.
     pub(crate) fn reserve(&mut self, shape: ConvShape) -> &mut [f32] {
         let len =
             plane_len(shape) + 2 * MAX_LANES + 4 * shape.patch_dim() * (run_len(shape) + MAX_LANES);
@@ -211,6 +285,52 @@ impl ConvScratch {
         }
         &mut self.buf[..len]
     }
+
+    /// The backward's workspace for `shape`, grown if it is too small: one
+    /// image's window-major pooled gradient ([`padded_filters`] per window,
+    /// and a zero row for the positions no window covers), then [`SLOTS`]
+    /// lane-sum vectors per filter and patch index, then the bias chains;
+    /// the table of offsets, one row per convolution position; and one
+    /// image's mask bytes and a padded row of zeros, zeroed.
+    pub(crate) fn reserve_backward(
+        &mut self,
+        shape: ConvShape,
+    ) -> (&mut [f32], &mut [[usize; TABLE_STRIDE]], &mut [u8]) {
+        let (ph, pw) = shape.pooled_size();
+        let (ch, cw) = shape.conv_size();
+        let filters = padded_filters(shape);
+        let table = ch * cw;
+        if self.table.len() < table {
+            self.table.resize(table, [0; TABLE_STRIDE]);
+        }
+        let len = filters * (ph * pw + 1 + SLOTS * shape.patch_dim() + 1);
+        if self.buf.len() < len {
+            self.buf.resize(len, 0.0);
+        }
+        self.mask.clear();
+        self.mask.resize(shape.mask_dim() + filters, 0);
+        (
+            &mut self.buf[..len],
+            &mut self.table[..table],
+            &mut self.mask,
+        )
+    }
+}
+
+/// Lane sums the backward keeps per weight gradient: the eight of the dot
+/// tree and the sequential tail.
+pub(crate) const SLOTS: usize = 9;
+
+/// Offsets the backward's table holds per convolution position: its first
+/// tap in a channel of the image, its window's row of the pooled gradient,
+/// and its mask byte (times eight) plus bit.
+pub(crate) const TABLE_STRIDE: usize = 3;
+
+/// The filter count rounded up to the widest vector: the row length of the
+/// backward's window-major pooled gradient, so every vector load of it is
+/// whole.
+pub(crate) fn padded_filters(shape: ConvShape) -> usize {
+    shape.filters.div_ceil(MAX_LANES) * MAX_LANES
 }
 
 /// Floats of one image's column planes: every row of every channel as its

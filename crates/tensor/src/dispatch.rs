@@ -1,10 +1,10 @@
 //! Vector-width dispatch for the product kernels and the fused convolution
-//! kernel (`kernels.rs`).
+//! kernels (`kernels.rs`).
 //!
 //! Each kernel body is written once, generic over a `Vector` — a handful
-//! of `f32` lanes with `load`/`splat`/`mul`/`add`/`relu`/`store` and a
-//! lane-sign bit mask, nothing else (no fused multiply-add, no horizontal
-//! arithmetic) — and
+//! of `f32` lanes with `load`/`splat`/`mul`/`add`/`relu`/`store`, a
+//! lane-sign bit mask and its inverse, nothing else (no fused multiply-add,
+//! no horizontal arithmetic) — and
 //! instantiated at
 //! every [`Level`]: a portable four-lane array type that is plain safe Rust
 //! and compiles everywhere, plus `__m256` (AVX2) and `__m512` (AVX-512F) on
@@ -16,9 +16,10 @@
 //!
 //! [`Level::detect`] is the product path's only selector: a pure function
 //! of `is_x86_feature_detected!`, with no cargo feature, environment
-//! variable, config field or settable global behind it. [`run`] and
-//! [`conv_relu_pool`] take the level as an argument so the equivalence
-//! proptests and `bench-report` can drive every level the host supports.
+//! variable, config field or settable global behind it. [`run`],
+//! [`conv_relu_pool`] and [`conv_relu_pool_backward`] take the level as an
+//! argument so the equivalence proptests and `bench-report` can drive every
+//! level the host supports.
 //!
 //! # `unsafe` policy
 //!
@@ -26,8 +27,8 @@
 //! root is `#![deny(unsafe_code)]`; `agsfl_exec::pool` is the only other
 //! such module in the workspace). Two things need it, both here:
 //!
-//! * **Calling a `#[target_feature]` instantiation** from [`run`] or
-//!   [`conv_relu_pool`], after the level's `is_available` check has
+//! * **Calling a `#[target_feature]` instantiation** from [`run`],
+//!   [`conv_relu_pool`] or [`conv_relu_pool_backward`], after the level's `is_available` check has
 //!   confirmed the CPU implements the feature.
 //! * **The `Vector` impls of the `x86_64` register types**, which wrap
 //!   `core::arch` intrinsics in safe methods. Those types are private to
@@ -41,7 +42,7 @@
 //! states in its docs what its callers must have checked.
 #![allow(unsafe_code)]
 
-use crate::conv::{ConvLayer, ConvScratch};
+use crate::conv::{ConvLayer, ConvScratch, ConvShape};
 use crate::kernels;
 use crate::product::{MatrixView, Product};
 
@@ -57,8 +58,7 @@ pub enum Level {
     /// 256-bit `__m256` vectors (needs AVX2).
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// 512-bit `__m512` vectors (needs AVX-512F; the kernels whose fold
-    /// order is eight lanes wide run their AVX2 body at this level).
+    /// 512-bit `__m512` vectors (needs AVX-512F).
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
@@ -177,10 +177,7 @@ pub fn run(level: Level, op: Product, a: MatrixView<'_>, b: MatrixView<'_>, out:
 /// Panics if the CPU cannot run `level`, if `images` rows are not the
 /// layer's input length, or if `pooled` (or `relu_mask`) is not
 /// `images.rows()` times [`ConvShape::pooled_dim`] (or
-/// [`ConvShape::window_dim`]) long.
-///
-/// [`ConvShape::pooled_dim`]: crate::conv::ConvShape::pooled_dim
-/// [`ConvShape::window_dim`]: crate::conv::ConvShape::window_dim
+/// [`ConvShape::mask_dim`]) long.
 pub fn conv_relu_pool(
     level: Level,
     layer: ConvLayer<'_>,
@@ -199,7 +196,7 @@ pub fn conv_relu_pool(
     if let Some(relu_mask) = &relu_mask {
         assert_eq!(
             relu_mask.len(),
-            images.rows() * shape.window_dim(),
+            images.rows() * shape.mask_dim(),
             "ReLU mask length"
         );
     }
@@ -227,6 +224,81 @@ pub fn conv_relu_pool(
     }
 }
 
+/// The weight and bias gradients of a convolution layer of `shape` over
+/// every row of `images`, from the pooled gradient `dpooled` and the ReLU
+/// mask the forward kept, at `level` (see [`crate::conv`] for the layouts
+/// and the fold order every level keeps). `dweights` and `dbias` are
+/// overwritten.
+///
+/// [`ConvLayer::relu_pool_backward`] calls this with [`Level::detect`];
+/// tests and `bench-report` pass each available level.
+///
+/// # Panics
+///
+/// Panics if the CPU cannot run `level`, if `images` rows are not the
+/// layer's input length, if `dpooled` (or `relu_mask`) is not
+/// `images.rows()` times [`ConvShape::pooled_dim`] (or
+/// [`ConvShape::mask_dim`]) long, or if `dweights` (or `dbias`) is not
+/// `O·9·C` (or `O`) long.
+#[allow(clippy::too_many_arguments)]
+pub fn conv_relu_pool_backward(
+    level: Level,
+    shape: ConvShape,
+    images: MatrixView<'_>,
+    dpooled: &[f32],
+    relu_mask: &[u8],
+    scratch: &mut ConvScratch,
+    dweights: &mut [f32],
+    dbias: &mut [f32],
+) {
+    assert_eq!(images.cols(), shape.input_dim(), "image length");
+    let batch = images.rows();
+    assert_eq!(
+        dpooled.len(),
+        batch * shape.pooled_dim(),
+        "pooled gradient length"
+    );
+    assert_eq!(
+        relu_mask.len(),
+        batch * shape.mask_dim(),
+        "ReLU mask length"
+    );
+    assert_eq!(
+        dweights.len(),
+        shape.filters * shape.patch_dim(),
+        "weight gradient length"
+    );
+    assert_eq!(dbias.len(), shape.filters, "bias gradient length");
+    assert!(
+        level.is_available(),
+        "dispatch level {} is not available on this CPU",
+        level.name()
+    );
+    let (work, table, mask) = scratch.reserve_backward(shape);
+    let args = kernels::Backward {
+        table,
+        mask,
+        shape,
+        images,
+        dpooled,
+        relu_mask,
+        dweights,
+        dbias,
+    };
+    match level {
+        Level::Portable => kernels::conv_relu_pool_backward::<Lanes4>(args, work),
+        // SAFETY: `is_available` above confirmed through
+        // `is_x86_feature_detected!` that this CPU implements AVX2, the
+        // only precondition of the `#[target_feature]` instantiation.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => unsafe { x86::conv_relu_pool_backward_avx2(args, work) },
+        // SAFETY: as above, for AVX-512F and AVX2 (`Level::select` returns
+        // `Avx512` only when both bits are set).
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => unsafe { x86::conv_relu_pool_backward_avx512(args, work) },
+    }
+}
+
 /// A fixed number of `f32` lanes — the whole instruction set the kernel
 /// bodies are written in. `mul` and `add` are separate IEEE operations at
 /// every level (never fused), which is what keeps the levels bit-identical.
@@ -237,9 +309,9 @@ pub(crate) trait Vector: Copy {
     /// accumulators: as much of the row as the register file holds, so the
     /// lhs is walked as few times as possible.
     const ROW_STRIP: usize;
-    /// The widest vector type of the same level with at most eight lanes,
-    /// for the kernel whose fold order is itself eight lanes wide.
-    type Oct: Vector;
+    /// Filter blocks the convolution backward keeps live at once: as many
+    /// as nine tap sums each, plus their operands, fit the register file.
+    const FILTER_TILE: usize;
 
     /// All lanes set to `x`.
     fn splat(x: f32) -> Self;
@@ -264,6 +336,9 @@ pub(crate) trait Vector: Copy {
     /// Bit `l` set iff lane `l` is `> 0` (an ordered compare: NaN and `±0`
     /// clear it) — where [`crate::ops::relu_grad`] is 1.
     fn positive_bits(self) -> u32;
+    /// Lane `l` is `1.0` if bit `bit` (below 8) of `bytes[l]` is set, else
+    /// `0.0`. Panics if `bytes` is shorter than `LANES`.
+    fn bit_lanes(bytes: &[u8], bit: u32) -> Self;
 }
 
 /// The portable vector: four lanes in an array, plain safe Rust. LLVM
@@ -275,7 +350,7 @@ pub(crate) struct Lanes4([f32; 4]);
 impl Vector for Lanes4 {
     const LANES: usize = 4;
     const ROW_STRIP: usize = 4;
-    type Oct = Lanes4;
+    const FILTER_TILE: usize = 1;
 
     #[inline(always)]
     fn splat(x: f32) -> Self {
@@ -332,6 +407,16 @@ impl Vector for Lanes4 {
         }
         bits
     }
+
+    #[inline(always)]
+    fn bit_lanes(bytes: &[u8], bit: u32) -> Self {
+        let bytes: &[u8; 4] = bytes[..4].try_into().expect("four lanes");
+        let mut lanes = [0.0f32; 4];
+        for l in 0..4 {
+            lanes[l] = f32::from((bytes[l] >> bit) & 1);
+        }
+        Lanes4(lanes)
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -352,9 +437,8 @@ mod x86 {
         kernels::run::<Avx2>(op, a, b, out);
     }
 
-    /// [`kernels::run`] compiled with AVX-512F (and AVX2, for
-    /// [`Vector::Oct`]) enabled. Callers must have confirmed both
-    /// ([`super::Level::Avx512`] available).
+    /// [`kernels::run`] compiled with AVX-512F and AVX2 enabled. Callers
+    /// must have confirmed both ([`super::Level::Avx512`] available).
     #[target_feature(enable = "avx512f,avx2")]
     pub(super) fn run_avx512(op: Product, a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
         kernels::run::<Avx512>(op, a, b, out);
@@ -386,12 +470,27 @@ mod x86 {
         kernels::conv_relu_pool::<Avx512>(layer, images, work, pooled, relu_mask);
     }
 
+    /// [`kernels::conv_relu_pool_backward`] compiled with AVX2 enabled.
+    /// Callers must have confirmed AVX2, as for [`run_avx2`].
+    #[target_feature(enable = "avx2")]
+    pub(super) fn conv_relu_pool_backward_avx2(args: kernels::Backward<'_>, work: &mut [f32]) {
+        kernels::conv_relu_pool_backward::<Avx2>(args, work);
+    }
+
+    /// [`kernels::conv_relu_pool_backward`] compiled with AVX-512F and AVX2
+    /// enabled. Callers must have confirmed both, as for [`run_avx512`].
+    #[target_feature(enable = "avx512f,avx2")]
+    pub(super) fn conv_relu_pool_backward_avx512(args: kernels::Backward<'_>, work: &mut [f32]) {
+        kernels::conv_relu_pool_backward::<Avx512>(args, work);
+    }
+
     /// `MASK8[8 - n..][..8]` has its first `n` lanes set.
     const MASK8: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
 
-    /// Eight lanes in a `__m256`. Only named inside [`run_avx2`] and
-    /// [`run_avx512`], i.e. only where AVX2 has been detected — the
-    /// precondition every `unsafe` block below relies on.
+    /// Eight lanes in a `__m256`. Only named inside the AVX2 entry points
+    /// ([`run_avx2`], [`conv_relu_pool_avx2`],
+    /// [`conv_relu_pool_backward_avx2`]), i.e. only where AVX2 has been
+    /// detected — the precondition every `unsafe` block below relies on.
     #[derive(Clone, Copy)]
     struct Avx2(__m256);
 
@@ -409,7 +508,7 @@ mod x86 {
     impl Vector for Avx2 {
         const LANES: usize = 8;
         const ROW_STRIP: usize = 8;
-        type Oct = Avx2;
+        const FILTER_TILE: usize = 1;
 
         #[inline(always)]
         fn splat(x: f32) -> Self {
@@ -480,11 +579,27 @@ mod x86 {
             };
             bits as u32
         }
+
+        #[inline(always)]
+        fn bit_lanes(bytes: &[u8], bit: u32) -> Self {
+            let bytes: &[u8; 8] = bytes[..8].try_into().expect("eight lanes");
+            // SAFETY: AVX2 is available (see the type's docs); the pointer
+            // comes from a reference to exactly eight bytes, which the
+            // 64-bit load reads; the rest touches registers only.
+            Avx2(unsafe {
+                let select = _mm256_set1_epi32(1 << bit);
+                let wide = _mm256_cvtepu8_epi32(_mm_loadl_epi64(bytes.as_ptr().cast()));
+                let set = _mm256_cmpeq_epi32(_mm256_and_si256(wide, select), select);
+                _mm256_and_ps(_mm256_castsi256_ps(set), _mm256_set1_ps(1.0))
+            })
+        }
     }
 
-    /// Sixteen lanes in a `__m512`. Only named inside [`run_avx512`], i.e.
-    /// only where AVX-512F has been detected — the precondition every
-    /// `unsafe` block below relies on.
+    /// Sixteen lanes in a `__m512`. Only named inside the AVX-512 entry
+    /// points ([`run_avx512`], [`conv_relu_pool_avx512`],
+    /// [`conv_relu_pool_backward_avx512`]), i.e. only where AVX-512F has
+    /// been detected — the precondition every `unsafe` block below relies
+    /// on.
     #[derive(Clone, Copy)]
     struct Avx512(__m512);
 
@@ -499,7 +614,7 @@ mod x86 {
     impl Vector for Avx512 {
         const LANES: usize = 16;
         const ROW_STRIP: usize = 8;
-        type Oct = Avx2;
+        const FILTER_TILE: usize = 2;
 
         #[inline(always)]
         fn splat(x: f32) -> Self {
@@ -568,6 +683,19 @@ mod x86 {
             // compare writes a mask register only.
             let bits = unsafe { _mm512_cmp_ps_mask::<_CMP_GT_OQ>(self.0, _mm512_setzero_ps()) };
             u32::from(bits)
+        }
+
+        #[inline(always)]
+        fn bit_lanes(bytes: &[u8], bit: u32) -> Self {
+            let bytes: &[u8; 16] = bytes[..16].try_into().expect("sixteen lanes");
+            // SAFETY: AVX-512F is available (see the type's docs); the
+            // pointer comes from a reference to exactly sixteen bytes, which
+            // the 128-bit load reads; the rest touches registers only.
+            Avx512(unsafe {
+                let wide = _mm512_cvtepu8_epi32(_mm_loadu_si128(bytes.as_ptr().cast()));
+                let set = _mm512_test_epi32_mask(wide, _mm512_set1_epi32(1 << bit));
+                _mm512_maskz_mov_ps(set, _mm512_set1_ps(1.0))
+            })
         }
     }
 }

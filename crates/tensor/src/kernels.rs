@@ -1,6 +1,6 @@
 //! The product kernel bodies — one register-tiled body per product shape —
-//! and the fused convolution layer's body, generic over the [`Vector`]
-//! width [`crate::dispatch`] instantiates them at.
+//! and the fused convolution layer's forward and backward bodies, generic
+//! over the [`Vector`] width [`crate::dispatch`] instantiates them at.
 //!
 //! Every body keeps a block of output elements in vector registers for the
 //! whole contraction instead of streaming the output through memory once
@@ -22,7 +22,10 @@
 // See the note on index loops above.
 #![allow(clippy::needless_range_loop)]
 
-use crate::conv::{plane_len, run_len, ConvLayer, KERNEL, MAX_LANES};
+use crate::conv::{
+    padded_filters, plane_len, run_len, ConvLayer, ConvShape, KERNEL, MAX_LANES, SLOTS,
+    TABLE_STRIDE,
+};
 use crate::dispatch::Vector;
 use crate::product::{MatrixView, Product, Store};
 
@@ -33,16 +36,10 @@ pub(crate) fn run<V: Vector>(op: Product, a: MatrixView<'_>, b: MatrixView<'_>, 
         Product::MatmulAcc => for_each_strip::<V, _>(b.cols(), 4, &mut Matmul { a, b, out }),
         Product::TransposeMatmulGrouped(store) => transpose_matmul::<V, true>(a, b, out, store),
         Product::TransposeMatmul(store) => transpose_matmul::<V, false>(a, b, out, store),
-        // The lanes-across-rows body transposes the lhs once per block of
-        // `LANES` rows and reuses it for every rhs row, which pays when
-        // there are at least as many rhs rows as contraction indices (the
-        // back-propagated `dlogits · Wᵀ`: 6760 rows of 62); with few, long
-        // rhs rows (the convolution's `dpre · colsᵀ`: 9 rows of 21,632)
-        // the lanes run along the contraction instead — and so they do for
-        // a contraction too long to transpose onto the stack.
-        Product::MatmulTransposeAcc if b.rows() < b.cols() || b.cols() > ACROSS_CHUNK => {
-            long_dots::<V::Oct>(a, b, out)
-        }
+        // The lanes-across-rows bodies transpose a block of lhs rows onto
+        // the stack, so a contraction too long for it runs element by
+        // element, in the same fold.
+        Product::MatmulTransposeAcc if b.cols() > ACROSS_CHUNK => tree_dots(a, b, out),
         Product::MatmulTransposeAcc => dots_across_rows::<V, true>(a, b, out),
         Product::MatmulTransposeInto if b.cols() > ACROSS_CHUNK => sequential_dots(a, b, out),
         Product::MatmulTransposeInto => dots_across_rows::<V, false>(a, b, out),
@@ -337,8 +334,8 @@ impl<const GROUPED: bool, const ADD: bool> StripBody for TransposeMatmul<'_, GRO
 
 /// The longest contraction the lanes-across-rows body transposes (a
 /// multiple of eight): the back-propagated `dlogits · Wᵀ` contracts over the
-/// classes (62 for the paper's models). A longer one takes
-/// [`long_dots`] or [`sequential_dots`].
+/// classes (62 for the paper's models). A longer one takes [`tree_dots`]
+/// or [`sequential_dots`].
 const ACROSS_CHUNK: usize = 128;
 
 /// `out (m x n) (+)= a (m x k) · bᵀ` for `b: n x k` and `k` at most
@@ -421,6 +418,32 @@ fn sequential_dots(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
     }
 }
 
+/// [`Product::MatmulTransposeAcc`] for a contraction longer than
+/// [`ACROSS_CHUNK`]: each output gets eight lane sums and a sequential tail,
+/// combined as in [`dot_tree`] — the spec's own fold, element by element.
+fn tree_dots(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
+    let (k, n) = (a.cols(), b.rows());
+    let full = k / 8 * 8;
+    for i in 0..a.rows() {
+        let a_row = a.row(i);
+        for j in 0..n {
+            let b_row = b.row(j);
+            let mut l = [0.0f32; 8];
+            for p in (0..full).step_by(8) {
+                for q in 0..8 {
+                    l[q] += a_row[p + q] * b_row[p + q];
+                }
+            }
+            let mut tail = 0.0f32;
+            for p in full..k {
+                tail += a_row[p] * b_row[p];
+            }
+            out[i * n + j] +=
+                (((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))) + tail;
+        }
+    }
+}
+
 /// Eight lane sums plus a sequential tail, combined as
 /// `(((l₀+l₁)+(l₂+l₃)) + ((l₄+l₅)+(l₆+l₇))) + tail` — per lane of `V`, the
 /// dot product of one transposed lhs row with `b_row`.
@@ -462,135 +485,6 @@ fn dot_sequential<V: Vector>(transposed: &[f32], b_row: &[f32]) -> V {
     sum
 }
 
-/// [`Product::MatmulTransposeAcc`] for few, long rhs rows (or a long
-/// contraction): the vector lanes *are* the dot tree's eight lane sums (`O`
-/// is four or eight lanes wide, so one or two registers per output
-/// element), held for a tile of `2 x 4` outputs while a chunk of the
-/// contraction streams past. The contraction is chunked so the rhs chunk
-/// stays in L1 while the lhs streams once; the lane sums wait in `sums`
-/// between chunks, which keeps every lane's additions in ascending index
-/// order. The outputs are covered in blocks of at most `BLOCK`, so `sums`
-/// is a stack array and the kernel allocates nothing; the convolution's
-/// `40 x 9` outputs are one block.
-#[inline(always)]
-fn long_dots<O: Vector>(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut [f32]) {
-    /// Contraction indices per pass (a multiple of eight): 2 KB per row.
-    const CHUNK: usize = 512;
-    /// Outputs per block: 16 KB of lane sums.
-    const BLOCK: usize = 512;
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    let full = k / 8 * 8;
-    let mut sums = [0.0f32; BLOCK * 8];
-    let block_cols = n.clamp(1, BLOCK / 2);
-    let block_rows = BLOCK / block_cols;
-    for i0 in (0..m).step_by(block_rows) {
-        let i1 = (i0 + block_rows).min(m);
-        for j0 in (0..n).step_by(block_cols) {
-            let j1 = (j0 + block_cols).min(n);
-            let cols = j1 - j0;
-            let sums = &mut sums[..(i1 - i0) * cols * 8];
-            sums.fill(0.0);
-            for p0 in (0..full).step_by(CHUNK) {
-                let p1 = (p0 + CHUNK).min(full);
-                let mut i = i0;
-                while i < i1 {
-                    let it = (i1 - i).min(2);
-                    let mut j = j0;
-                    while j < j1 {
-                        let jt = match j1 - j {
-                            4.. => 4,
-                            2.. => 2,
-                            _ => 1,
-                        };
-                        let at = (i - i0) * cols + (j - j0);
-                        let args = (a, b, &mut sums[at * 8..], i, j, cols, p0..p1);
-                        match (it, jt) {
-                            (2, 4) => long_dots_tile::<O, 2, 4>(args),
-                            (2, 2) => long_dots_tile::<O, 2, 2>(args),
-                            (2, _) => long_dots_tile::<O, 2, 1>(args),
-                            (_, 4) => long_dots_tile::<O, 1, 4>(args),
-                            (_, 2) => long_dots_tile::<O, 1, 2>(args),
-                            (_, _) => long_dots_tile::<O, 1, 1>(args),
-                        }
-                        j += jt;
-                    }
-                    i += it;
-                }
-            }
-            for i in i0..i1 {
-                for j in j0..j1 {
-                    let l = &sums[((i - i0) * cols + j - j0) * 8..][..8];
-                    let mut tail = 0.0f32;
-                    for (&x, &y) in a.row(i)[full..].iter().zip(&b.row(j)[full..]) {
-                        tail += x * y;
-                    }
-                    out[i * n + j] +=
-                        (((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))) + tail;
-                }
-            }
-        }
-    }
-}
-
-/// Advances the lane sums of outputs `(i..i + IT) x (j..j + JT)` over the
-/// contraction indices `span` (a multiple of eight long); `sums` starts at
-/// output `(i, j)`'s eight, in a block `cols` outputs wide.
-#[inline(always)]
-fn long_dots_tile<O: Vector, const IT: usize, const JT: usize>(
-    (a, b, sums, i, j, cols, span): (
-        MatrixView<'_>,
-        MatrixView<'_>,
-        &mut [f32],
-        usize,
-        usize,
-        usize,
-        std::ops::Range<usize>,
-    ),
-) {
-    // One or two registers hold an output's eight lane sums.
-    let parts = 8 / O::LANES;
-    let mut a_rows = [&[][..]; IT];
-    for r in 0..IT {
-        a_rows[r] = &a.row(i + r)[span.clone()];
-    }
-    let mut b_rows = [&[][..]; JT];
-    for c in 0..JT {
-        b_rows[c] = &b.row(j + c)[span.clone()];
-    }
-    let mut acc = [[[O::splat(0.0); 2]; JT]; IT];
-    for r in 0..IT {
-        for c in 0..JT {
-            let l = &sums[(r * cols + c) * 8..][..8];
-            for part in 0..parts {
-                acc[r][c][part] = O::load(&l[part * O::LANES..]);
-            }
-        }
-    }
-    for p in (0..span.len()).step_by(8) {
-        for part in 0..parts {
-            let at = p + part * O::LANES;
-            let mut bv = [O::splat(0.0); JT];
-            for c in 0..JT {
-                bv[c] = O::load(&b_rows[c][at..]);
-            }
-            for r in 0..IT {
-                let av = O::load(&a_rows[r][at..]);
-                for c in 0..JT {
-                    acc[r][c][part] = acc[r][c][part].add(av.mul(bv[c]));
-                }
-            }
-        }
-    }
-    for r in 0..IT {
-        for c in 0..JT {
-            let l = &mut sums[(r * cols + c) * 8..][..8];
-            for part in 0..parts {
-                acc[r][c][part].store(&mut l[part * O::LANES..]);
-            }
-        }
-    }
-}
-
 /// [`crate::conv::ConvLayer::relu_pool`] with `V`-wide vectors; shapes were
 /// checked by the caller and `work` is [`crate::conv::ConvScratch`]'s
 /// region for the layer.
@@ -606,7 +500,7 @@ fn long_dots_tile<O: Vector, const IT: usize, const JT: usize>(
 /// and goes over them with the filters a pair at a time: four accumulators
 /// per filter (one per window position) carry the contract's fold from the
 /// bias seed, and ReLU, the pooling sum and the quarter follow in
-/// registers, as does the ReLU mask when it is asked for.
+/// registers, as do the ReLU mask's bits when they are asked for.
 #[inline(always)]
 pub(crate) fn conv_relu_pool<V: Vector>(
     layer: ConvLayer<'_>,
@@ -679,7 +573,7 @@ fn conv_body<V: Vector, const KEEP: bool>(
         }
         let pooled = &mut pooled[b * shape.pooled_dim()..][..shape.pooled_dim()];
         let relu_mask = if KEEP {
-            &mut relu_mask[b * shape.window_dim()..][..shape.window_dim()]
+            &mut relu_mask[b * shape.mask_dim()..][..shape.mask_dim()]
         } else {
             &mut []
         };
@@ -741,9 +635,12 @@ impl WindowBlock<'_> {
             let at = (o + f) * windows + self.p0;
             store_lanes(pooled, &mut self.pooled[at..][..n]);
             if KEEP {
+                let groups = windows.div_ceil(8);
+                let filters = self.layer.shape().filters;
                 for q in 0..4 {
-                    let at = (4 * (o + f) + q) * windows + self.p0;
-                    store_mask(pre[f][q], &mut self.relu_mask[at..][..n]);
+                    let bits = pre[f][q].positive_bits() & ((1 << n) - 1);
+                    let row = &mut self.relu_mask[q * groups * filters + o + f..];
+                    store_mask_bits::<V>(bits, n, self.p0, row, filters);
                 }
             }
         }
@@ -817,37 +714,24 @@ impl WindowBlock<'_> {
     }
 }
 
-/// `SPREAD[b]` holds bit `i` of `b` in byte `i` (little-endian).
-const SPREAD: [u64; 256] = {
-    let mut table = [0u64; 256];
-    let mut b = 0;
-    while b < 256 {
-        let mut i = 0;
-        while i < 8 {
-            table[b] |= ((b as u64 >> i) & 1) << (8 * i);
-            i += 1;
-        }
-        b += 1;
-    }
-    table
-};
-
-/// Writes lane `l`'s bit of `v.positive_bits()` to `dst[l]` as 0 or 1,
-/// for the first `dst.len()` (at most `LANES`) lanes, eight bytes per
-/// table lookup.
+/// Writes the `n` mask bits `bits` of windows `p0..p0 + n` (`p0` a multiple
+/// of `LANES`) of one filter and window position: bit `w mod 8` of byte
+/// `(w / 8)·filters` of `row`. A four-lane level writes a byte in two
+/// halves, the first setting it and the second ORed in.
 #[inline(always)]
-fn store_mask<V: Vector>(v: V, dst: &mut [u8]) {
-    let bits = v.positive_bits();
-    let mut l = 0;
-    while l < dst.len() {
-        let bytes = SPREAD[(bits >> l) as usize & 0xFF].to_le_bytes();
-        if dst.len() - l >= 8 {
-            dst[l..l + 8].copy_from_slice(&bytes);
+fn store_mask_bits<V: Vector>(bits: u32, n: usize, p0: usize, row: &mut [u8], filters: usize) {
+    let at = p0 / 8 * filters;
+    if V::LANES < 8 {
+        if p0.is_multiple_of(8) {
+            row[at] = bits as u8;
         } else {
-            let tail = dst.len() - l;
-            dst[l..].copy_from_slice(&bytes[..tail]);
+            row[at] |= (bits << (p0 % 8)) as u8;
         }
-        l += 8;
+    } else {
+        row[at] = bits as u8;
+        if V::LANES > 8 && n > 8 {
+            row[at + filters] = (bits >> 8) as u8;
+        }
     }
 }
 
@@ -858,5 +742,329 @@ fn store_lanes<V: Vector>(v: V, dst: &mut [f32]) {
         v.store(dst);
     } else {
         v.store_head(dst);
+    }
+}
+
+/// The operands of [`conv_relu_pool_backward`], their lengths checked by
+/// the caller.
+pub(crate) struct Backward<'a> {
+    /// [`crate::conv::ConvScratch`]'s table region for the shape.
+    pub(crate) table: &'a mut [[usize; TABLE_STRIDE]],
+    /// [`crate::conv::ConvScratch`]'s padded mask copy, zeroed.
+    pub(crate) mask: &'a mut [u8],
+    pub(crate) shape: ConvShape,
+    pub(crate) images: MatrixView<'a>,
+    pub(crate) dpooled: &'a [f32],
+    pub(crate) relu_mask: &'a [u8],
+    pub(crate) dweights: &'a mut [f32],
+    pub(crate) dbias: &'a mut [f32],
+}
+
+/// [`crate::conv::ConvLayer::relu_pool_backward`] with `V`-wide vectors;
+/// `work` is [`crate::conv::ConvScratch`]'s backward region for the shape.
+///
+/// The vector lanes run across filters, so each output's fold is one lane
+/// of one register and `LANES` filters advance per instruction. A table
+/// built once per call gives every convolution position its offset in an
+/// image channel, its window's row of the pooled gradient and its mask
+/// byte and bit; a position no window covers points at a row of zeros.
+/// Image by image, the kernel first lays the pooled gradient out
+/// window-major and quartered (`g / 4` of window `w`, filter `o` at
+/// `w·stride + o`) and copies the mask in front of a row of zero bytes, so
+/// a vector of filters at one position is one load of each. The bias
+/// chains then walk every position in order, up to four filter blocks at a
+/// time. For the weights, each filter block (or pair of blocks, at
+/// [`Vector::FILTER_TILE`] 2), channel and lane sum (the eight residue
+/// classes of the column index and the tail) walks its own positions in
+/// order with the nine taps' sums in registers, recomputing `dpre` and
+/// reading each tap from the image. The sums wait in `work` from image to
+/// image and are combined by the dot tree at the end.
+#[inline(always)]
+pub(crate) fn conv_relu_pool_backward<V: Vector>(args: Backward<'_>, work: &mut [f32]) {
+    let Backward {
+        table,
+        mask,
+        shape,
+        images,
+        dpooled,
+        relu_mask,
+        dweights,
+        dbias,
+    } = args;
+    let lanes = V::LANES;
+    let taps = KERNEL * KERNEL;
+    let (ch, cw) = shape.conv_size();
+    let (ph, pw) = shape.pooled_size();
+    let (windows, channels, filters) = (ph * pw, shape.channels, shape.filters);
+    let (stride, blocks, positions) = (padded_filters(shape), filters.div_ceil(lanes), ch * cw);
+    let (width, image_len) = (shape.width, shape.height * shape.width);
+    // Column indices below `full` go to the eight lane sums, the rest to
+    // the tail.
+    let full = images.rows() * positions / 8 * 8;
+    if filters == 0 {
+        return;
+    }
+    let (grads, work) = work.split_at_mut((windows + 1) * stride);
+    let (sums, chains) = work.split_at_mut(SLOTS * shape.patch_dim() * stride);
+    // The padding lanes of `grads` and its last row, where the positions no
+    // window covers read, are never written below: they stay `+0.0`.
+    grads.fill(0.0);
+    sums.fill(0.0);
+    chains.fill(0.0);
+    let groups = windows.div_ceil(8);
+    for y in 0..ch {
+        for x in 0..cw {
+            let entry = &mut table[y * cw + x];
+            entry[0] = y * width + x;
+            if y < 2 * ph && x < 2 * pw {
+                let w = (y / 2) * pw + x / 2;
+                let q = 2 * (y % 2) + x % 2;
+                entry[1] = w * stride;
+                entry[2] = mask_entry(q, w, groups, filters);
+            } else {
+                entry[1] = windows * stride;
+                entry[2] = 0;
+            }
+        }
+    }
+    for b in 0..images.rows() {
+        let dpooled = &dpooled[b * shape.pooled_dim()..][..shape.pooled_dim()];
+        quarter_window_major(dpooled, windows, grads, stride);
+        // The image's mask, copied in front of zeros, so the vector load
+        // of a filter block past its last row of bytes stays in bounds.
+        mask[..shape.mask_dim()]
+            .copy_from_slice(&relu_mask[b * shape.mask_dim()..][..shape.mask_dim()]);
+        let grad = PreGradient { grads, mask };
+
+        // The bias chains, up to four blocks of filters at a time.
+        let mut blk = 0;
+        while blk < blocks {
+            let held = &mut chains[blk * lanes..];
+            blk += match blocks - blk {
+                1 => grad.bias_chains::<V, 1>(shape, blk * lanes, held),
+                2 => grad.bias_chains::<V, 2>(shape, blk * lanes, held),
+                3 => grad.bias_chains::<V, 3>(shape, blk * lanes, held),
+                _ => grad.bias_chains::<V, 4>(shape, blk * lanes, held),
+            };
+        }
+
+        // The weights' lane sums: slot `l < 8` takes the column indices
+        // `p ≡ l (mod 8)` below `full`, slot 8 the tail.
+        let first = b * positions;
+        let lane_end = positions.min(full.saturating_sub(first));
+        for c in 0..channels {
+            let image = &images.row(b)[c * image_len..][..image_len];
+            for slot in 0..SLOTS {
+                let (start, end, step) = if slot < 8 {
+                    ((slot + 8 - first % 8) % 8, lane_end, 8)
+                } else {
+                    (lane_end, positions, 1)
+                };
+                if start >= end {
+                    continue;
+                }
+                let walk = Walk {
+                    table,
+                    image,
+                    width,
+                    grad: &grad,
+                    positions: (start, end, step),
+                };
+                let mut blk = 0;
+                while blk < blocks {
+                    let held = &mut sums[((c * SLOTS + slot) * blocks + blk) * taps * lanes..];
+                    if V::FILTER_TILE == 2 && blk + 2 <= blocks {
+                        walk.tap_sums::<V, 2>(blk * lanes, held);
+                        blk += 2;
+                    } else {
+                        walk.tap_sums::<V, 1>(blk * lanes, held);
+                        blk += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    // The dot tree per weight, landed on `+0.0`; the bias chains as they
+    // are.
+    let mut out = [0.0f32; MAX_LANES];
+    for blk in 0..blocks {
+        let o0 = blk * lanes;
+        let n = lanes.min(filters - o0);
+        for c in 0..channels {
+            for t in 0..taps {
+                let mut l = [V::splat(0.0); SLOTS];
+                for slot in 0..SLOTS {
+                    let at = (((c * SLOTS + slot) * blocks + blk) * taps + t) * lanes;
+                    l[slot] = V::load(&sums[at..]);
+                }
+                let tree = l[0]
+                    .add(l[1])
+                    .add(l[2].add(l[3]))
+                    .add(l[4].add(l[5]).add(l[6].add(l[7])));
+                V::splat(0.0).add(tree.add(l[8])).store(&mut out);
+                for f in 0..n {
+                    dweights[(o0 + f) * shape.patch_dim() + c * taps + t] = out[f];
+                }
+            }
+        }
+        dbias[o0..o0 + n].copy_from_slice(&chains[o0..o0 + n]);
+    }
+}
+
+/// One lane sum's walk over one image channel's positions
+/// `(start..end).step_by(step)`.
+struct Walk<'a> {
+    table: &'a [[usize; TABLE_STRIDE]],
+    image: &'a [f32],
+    width: usize,
+    grad: &'a PreGradient<'a>,
+    positions: (usize, usize, usize),
+}
+
+impl Walk<'_> {
+    /// Advances the nine tap sums of `T` filter blocks from filter `o` on
+    /// over the walk, with them in registers; `held` holds the sums, block
+    /// after block, tap after tap.
+    #[inline(always)]
+    fn tap_sums<V: Vector, const T: usize>(&self, o: usize, held: &mut [f32]) {
+        let (lanes, taps) = (V::LANES, KERNEL * KERNEL);
+        let mut acc = [[V::splat(0.0); KERNEL * KERNEL]; T];
+        for k in 0..T {
+            for t in 0..taps {
+                acc[k][t] = V::load(&held[(k * taps + t) * lanes..]);
+            }
+        }
+        let (start, end, step) = self.positions;
+        let mut p = start;
+        while p < end {
+            let entry = &self.table[p];
+            let d = self.grad.at::<V, T>(entry, o);
+            let at = entry[0];
+            for ky in 0..KERNEL {
+                let row = &self.image[at + ky * self.width..][..KERNEL];
+                for kx in 0..KERNEL {
+                    let x = V::splat(row[kx]);
+                    for k in 0..T {
+                        let t = ky * KERNEL + kx;
+                        acc[k][t] = acc[k][t].add(d[k].mul(x));
+                    }
+                }
+            }
+            p += step;
+        }
+        for k in 0..T {
+            for t in 0..taps {
+                acc[k][t].store(&mut held[(k * taps + t) * lanes..]);
+            }
+        }
+    }
+}
+
+/// One image's `dpre` values, recomputed from its window-major quartered
+/// pooled gradient and its ReLU mask.
+struct PreGradient<'a> {
+    grads: &'a [f32],
+    mask: &'a [u8],
+}
+
+impl PreGradient<'_> {
+    /// Advances the bias chains of `T` filter blocks from filter `o` on
+    /// over the image's positions in order — row by row, each window's two
+    /// positions in the row, then the `+0.0` of an uncovered trailing
+    /// column or row — with them in registers; `held` holds the chains,
+    /// block after block. Returns `T`.
+    #[inline(always)]
+    fn bias_chains<V: Vector, const T: usize>(
+        &self,
+        shape: ConvShape,
+        o: usize,
+        held: &mut [f32],
+    ) -> usize {
+        let lanes = V::LANES;
+        let (ch, cw) = shape.conv_size();
+        let (ph, pw) = shape.pooled_size();
+        let (filters, groups) = (shape.filters, (ph * pw).div_ceil(8));
+        let stride = self.grads.len() / (ph * pw + 1);
+        let mut acc = [V::splat(0.0); T];
+        for k in 0..T {
+            acc[k] = V::load(&held[k * lanes..]);
+        }
+        for y in 0..ch {
+            let covered = if y < 2 * ph { pw } else { 0 };
+            for px in 0..covered {
+                let w = (y / 2) * pw + px;
+                for dx in 0..2 {
+                    let q = 2 * (y % 2) + dx;
+                    let entry = [0, w * stride, mask_entry(q, w, groups, filters)];
+                    let d = self.at::<V, T>(&entry, o);
+                    for k in 0..T {
+                        acc[k] = acc[k].add(d[k]);
+                    }
+                }
+            }
+            for _ in 2 * covered..cw {
+                for k in 0..T {
+                    acc[k] = acc[k].add(V::splat(0.0));
+                }
+            }
+        }
+        for k in 0..T {
+            acc[k].store(&mut held[k * lanes..]);
+        }
+        T
+    }
+
+    /// `dpre` of the `T` filter blocks from filter `o` on at the position
+    /// of `entry`, the position's row of the backward's table:
+    /// `(g / 4) · m`, which is `+0.0 · m` where no window covers it.
+    #[inline(always)]
+    fn at<V: Vector, const T: usize>(&self, entry: &[usize; TABLE_STRIDE], o: usize) -> [V; T] {
+        let lanes = V::LANES;
+        let (mask_at, bit) = (entry[2] >> 3, (entry[2] & 7) as u32);
+        // One bounds check per row; the blocks' offsets are constants.
+        let grads = &self.grads[entry[1] + o..][..T * lanes];
+        let mask = &self.mask[mask_at + o..][..T * lanes];
+        let mut d = [V::splat(0.0); T];
+        for k in 0..T {
+            let g = V::load(&grads[k * lanes..]);
+            d[k] = g.mul(V::bit_lanes(&mask[k * lanes..], bit));
+        }
+        d
+    }
+}
+
+/// The mask column of the backward's table for window `w` at position `q`:
+/// the offset of its filters' byte row, times eight, plus its bit.
+#[inline(always)]
+fn mask_entry(q: usize, w: usize, groups: usize, filters: usize) -> usize {
+    (((q * groups + w / 8) * filters) << 3) | (w % 8)
+}
+
+/// Lays one image's pooled gradient (`o·windows + w`) out window-major and
+/// quartered: `g / 4` at `w·stride + o`, four filters at a time.
+#[inline(always)]
+fn quarter_window_major(dpooled: &[f32], windows: usize, grads: &mut [f32], stride: usize) {
+    if windows == 0 {
+        return;
+    }
+    let mut rows = dpooled.chunks_exact(windows);
+    let mut o = 0;
+    while let (Some(s0), Some(s1), Some(s2), Some(s3)) =
+        (rows.next(), rows.next(), rows.next(), rows.next())
+    {
+        for (w, row) in grads.chunks_exact_mut(stride).take(windows).enumerate() {
+            let g = &mut row[o..o + 4];
+            g[0] = s0[w] / 4.0;
+            g[1] = s1[w] / 4.0;
+            g[2] = s2[w] / 4.0;
+            g[3] = s3[w] / 4.0;
+        }
+        o += 4;
+    }
+    for (o, src) in dpooled.chunks_exact(windows).enumerate().skip(o) {
+        for (g, &v) in grads[o..].iter_mut().step_by(stride).zip(src) {
+            *g = v / 4.0;
+        }
     }
 }

@@ -11,9 +11,10 @@
 //!   documented per-element fold order bit for bit, with the scalar
 //!   statement of that order in [`mod@reference`],
 //! * the CNN's convolution layer as one fused kernel — 3x3 convolution,
-//!   bias, ReLU and 2x2 average pooling in a single pass ([`conv`]),
-//!   dispatched like the products and bit-identical to their im2col
-//!   lowering,
+//!   bias, ReLU and 2x2 average pooling in a single pass — and its
+//!   backward as another, the weight and bias gradients in a single pass
+//!   ([`conv`]), dispatched like the products and bit-identical to the
+//!   im2col lowering they replaced,
 //! * free functions over flat `f32` slices ([`vecops`]) — dot products, AXPY,
 //!   scaling, arg-max — used for flattened model parameter/gradient vectors,
 //! * deterministic random initialisation ([`init`]) for model weights and

@@ -227,9 +227,9 @@ impl Matrix {
     /// contents**: slots that existed before keep their old values and any
     /// newly grown slots are zero.
     ///
-    /// This is the scratch-buffer primitive behind the im2col workspace in
+    /// This is the scratch-buffer primitive behind the CNN workspace in
     /// `agsfl-ml`: buffers that are fully overwritten by their producer pass
-    /// (the column lowering, [`Matrix::matmul_into`]) reuse their allocation
+    /// (the pooled activations, [`Matrix::matmul_into`]) reuse their allocation
     /// across calls instead of reallocating per batch. Callers that need a
     /// cleared buffer should follow up with [`Matrix::fill`].
     pub fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {

@@ -1,5 +1,6 @@
 //! The products' fold orders, written once as scalar loops, and the fused
-//! convolution layer as the im2col lowering it replaced.
+//! convolution layer's forward and backward as the im2col lowering they
+//! replaced.
 //!
 //! Mirroring `agsfl_sparse::reference`, this module is the executable
 //! specification of [`crate::product`]'s and [`crate::conv`]'s fold-order
@@ -10,7 +11,7 @@
 //! against it bit for bit, and `bench-report` times it as the baseline of
 //! the paired kernels.
 
-use crate::conv::{ConvLayer, KERNEL};
+use crate::conv::{ConvLayer, ConvShape, KERNEL};
 use crate::ops;
 use crate::product::{MatrixView, Product, Store};
 
@@ -264,12 +265,41 @@ pub fn conv_relu_pool(
     }
 }
 
+/// The fused backward ([`ConvLayer::relu_pool_backward`]) as the im2col
+/// lowering it replaced, with the scalar [`Product::MatmulTransposeAcc`]
+/// spec as the weight product: the statement of the backward's half of
+/// [`crate::conv`]'s contract.
+///
+/// # Panics
+///
+/// Panics on the length mismatches [`ConvLayer::relu_pool_backward`]
+/// panics on.
+pub fn conv_relu_pool_backward(
+    shape: ConvShape,
+    images: MatrixView<'_>,
+    dpooled: &[f32],
+    relu_mask: &[u8],
+    dweights: &mut [f32],
+    dbias: &mut [f32],
+) {
+    Im2colLowering::default().backward(
+        shape,
+        images,
+        (dpooled, relu_mask),
+        (dweights, dbias),
+        matmul_transpose_acc,
+    );
+}
+
 /// The im2col convolution layer, with its two buffers kept across calls:
-/// the images unrolled into a `C·9 x B·P` column matrix, one bias-seeded
-/// `O x B·P` product against the filters, then a ReLU + 2x2 average-pool
-/// pass reading the product back. The product is the caller's, so
-/// `bench-report` can time the lowering with the dispatched
-/// [`MatrixView::matmul_acc`] as the fused kernel's seed.
+/// the images unrolled into a `C·9 x B·P` column matrix, and an `O x B·P`
+/// matrix at the pre-activations. The forward is one bias-seeded product
+/// against the filters into it, then a ReLU + 2x2 average-pool pass reading
+/// it back; the backward writes the pre-activations' gradient into it from
+/// the pooled gradient and the mask, sums each row for the bias, and
+/// contracts it against the columns for the weights. The product is the
+/// caller's, so `bench-report` can time the lowering with the dispatched
+/// product at the level of the fused kernel it pairs.
 #[derive(Debug, Clone, Default)]
 pub struct Im2colLowering {
     cols: Vec<f32>,
@@ -292,31 +322,12 @@ impl Im2colLowering {
         product: impl FnOnce(MatrixView<'_>, MatrixView<'_>, &mut [f32]),
     ) {
         let shape = layer.shape();
-        let (height, width, filters) = (shape.height, shape.width, shape.filters);
+        let filters = shape.filters;
         let (ch, cw) = shape.conv_size();
         let (ph, pw) = shape.pooled_size();
         let (patch, positions, batch) = (shape.patch_dim(), ch * cw, images.rows());
-        assert_eq!(images.cols(), shape.input_dim(), "image length");
         assert_eq!(pooled.len(), batch * shape.pooled_dim(), "pooled length");
-
-        // Column `b·P + y·cw + x`, row `(c·3 + ky)·3 + kx`: input pixel
-        // `(c, y + ky, x + kx)` of sample `b`.
-        self.cols.resize(patch * batch * positions, 0.0);
-        for c in 0..shape.channels {
-            for ky in 0..KERNEL {
-                for kx in 0..KERNEL {
-                    let row = (c * KERNEL + ky) * KERNEL + kx;
-                    for b in 0..batch {
-                        let sample = images.row(b);
-                        for y in 0..ch {
-                            let src = &sample[(c * height + y + ky) * width + kx..][..cw];
-                            let at = (row * batch + b) * positions + y * cw;
-                            self.cols[at..at + cw].copy_from_slice(src);
-                        }
-                    }
-                }
-            }
-        }
+        self.lower(shape, images);
         self.pre.clear();
         for &bias in layer.bias() {
             self.pre
@@ -347,25 +358,121 @@ impl Im2colLowering {
         }
     }
 
+    /// The backward over `images`: from `(dpooled, relu_mask)` into
+    /// `(dweights, dbias)`, both overwritten, with `product` computing
+    /// `out += dpre · columnsᵀ` onto zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `images` rows are not the layer's input length or an input
+    /// or output has the wrong length.
+    pub fn backward(
+        &mut self,
+        shape: ConvShape,
+        images: MatrixView<'_>,
+        (dpooled, relu_mask): (&[f32], &[u8]),
+        (dweights, dbias): (&mut [f32], &mut [f32]),
+        product: impl FnOnce(MatrixView<'_>, MatrixView<'_>, &mut [f32]),
+    ) {
+        let filters = shape.filters;
+        let (ch, cw) = shape.conv_size();
+        let (ph, pw) = shape.pooled_size();
+        let (patch, positions, batch) = (shape.patch_dim(), ch * cw, images.rows());
+        let groups = (ph * pw).div_ceil(8);
+        assert_eq!(dpooled.len(), batch * shape.pooled_dim(), "dpooled length");
+        assert_eq!(relu_mask.len(), batch * shape.mask_dim(), "mask length");
+        assert_eq!(dweights.len(), filters * patch, "dweights length");
+        assert_eq!(dbias.len(), filters, "dbias length");
+        self.lower(shape, images);
+
+        // The pool and ReLU backward: a quarter of the window's gradient
+        // where the mask is set, at each covered position; an uncovered
+        // one (odd trailing row or column) keeps `+0.0`.
+        self.pre.clear();
+        self.pre.resize(filters * batch * positions, 0.0);
+        for b in 0..batch {
+            let mask = &relu_mask[b * shape.mask_dim()..][..shape.mask_dim()];
+            for o in 0..filters {
+                let dpre = &mut self.pre[o * batch * positions + b * positions..][..positions];
+                for py in 0..ph {
+                    for px in 0..pw {
+                        let w = py * pw + px;
+                        let g = dpooled[(b * filters + o) * ph * pw + w];
+                        for (q, (dy, dx)) in
+                            [(0, 0), (0, 1), (1, 0), (1, 1)].into_iter().enumerate()
+                        {
+                            let m = (mask[(q * groups + w / 8) * filters + o] >> (w % 8)) & 1;
+                            dpre[(2 * py + dy) * cw + 2 * px + dx] = (g / 4.0) * f32::from(m);
+                        }
+                    }
+                }
+            }
+        }
+
+        // The bias: one serial chain per row.
+        let rows = batch * positions;
+        for (o, sum) in dbias.iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for &g in &self.pre[o * rows..][..rows] {
+                acc += g;
+            }
+            *sum = acc;
+        }
+        dweights.fill(0.0);
+        product(
+            MatrixView::new(filters, rows, &self.pre),
+            MatrixView::new(patch, rows, &self.cols),
+            dweights,
+        );
+    }
+
+    /// Unrolls `images` into the column matrix: column `b·P + y·cw + x`,
+    /// row `(c·3 + ky)·3 + kx` holds input pixel `(c, y + ky, x + kx)` of
+    /// sample `b`.
+    fn lower(&mut self, shape: ConvShape, images: MatrixView<'_>) {
+        let (height, width) = (shape.height, shape.width);
+        let (ch, cw) = shape.conv_size();
+        let (positions, batch) = (ch * cw, images.rows());
+        assert_eq!(images.cols(), shape.input_dim(), "image length");
+        self.cols.resize(shape.patch_dim() * batch * positions, 0.0);
+        for c in 0..shape.channels {
+            for ky in 0..KERNEL {
+                for kx in 0..KERNEL {
+                    let row = (c * KERNEL + ky) * KERNEL + kx;
+                    for b in 0..batch {
+                        let sample = images.row(b);
+                        for y in 0..ch {
+                            let src = &sample[(c * height + y + ky) * width + kx..][..cw];
+                            let at = (row * batch + b) * positions + y * cw;
+                            self.cols[at..at + cw].copy_from_slice(src);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Writes the `ops::relu_grad` of the last run's pre-activations into
-    /// `relu_mask`, in [`crate::conv`]'s window order.
+    /// `relu_mask`, in [`crate::conv`]'s bit layout.
     fn relu_mask_into(&self, layer: ConvLayer<'_>, batch: usize, relu_mask: &mut [u8]) {
         let shape = layer.shape();
         let (ch, cw) = shape.conv_size();
         let (ph, pw) = shape.pooled_size();
-        let positions = ch * cw;
-        assert_eq!(relu_mask.len(), batch * shape.window_dim(), "mask length");
+        let (positions, filters, groups) = (ch * cw, shape.filters, (ph * pw).div_ceil(8));
+        assert_eq!(relu_mask.len(), batch * shape.mask_dim(), "mask length");
+        relu_mask.fill(0);
         for b in 0..batch {
-            for o in 0..shape.filters {
+            let mask = &mut relu_mask[b * shape.mask_dim()..][..shape.mask_dim()];
+            for o in 0..filters {
                 let pre = &self.pre[(o * batch + b) * positions..][..positions];
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        let plane = (b * shape.filters + o) * 4 + 2 * dy + dx;
-                        for py in 0..ph {
-                            for px in 0..pw {
-                                let z = pre[(2 * py + dy) * cw + 2 * px + dx];
-                                relu_mask[(plane * ph + py) * pw + px] = ops::relu_grad(z) as u8;
-                            }
+                for q in 0..4 {
+                    let (dy, dx) = (q / 2, q % 2);
+                    for py in 0..ph {
+                        for px in 0..pw {
+                            let w = py * pw + px;
+                            let z = pre[(2 * py + dy) * cw + 2 * px + dx];
+                            let bit = ops::relu_grad(z) as u8;
+                            mask[(q * groups + w / 8) * filters + o] |= bit << (w % 8);
                         }
                     }
                 }

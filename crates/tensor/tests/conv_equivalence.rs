@@ -1,12 +1,12 @@
-//! Every dispatch level of the fused convolution layer equals its scalar
-//! spec, bit for bit.
+//! Every dispatch level of the fused convolution layer, forward and
+//! backward, equals its scalar spec, bit for bit.
 //!
 //! `agsfl_tensor::reference::conv_relu_pool` states the layer as the im2col
 //! lowering it replaced — columns, a bias-seeded scalar `matmul_acc`, then
 //! ReLU and the four-term pool — and the fused kernel behind
 //! `ConvLayer::relu_pool` must reproduce its pooled activations and its
-//! ReLU mask (one byte per pre-activation under a pooling window, 1 where it
-//! is positive) exactly at every vector width the host can run
+//! ReLU mask (one bit per pre-activation under a pooling window, set where
+//! it is positive) exactly at every vector width the host can run
 //! (`dispatch::Level::available`). The sweep covers random geometries
 //! (one to four channels, odd and even images, odd filter counts, pooled
 //! widths on both sides of every vector width), the skip rules the filter
@@ -14,6 +14,16 @@
 //! one only, an all-zero group in an unpaired last filter — and `-0.0`,
 //! NaN, ±∞ and subnormal inputs, so the vector ReLU is held to
 //! `ops::relu`.
+//!
+//! `agsfl_tensor::reference::conv_relu_pool_backward` states the backward
+//! the same way — the pre-activation gradient written out, a serial row sum
+//! for the bias, the columns and the scalar eight-lane dot tree for the
+//! weights — and `ConvLayer::relu_pool_backward` must reproduce both
+//! gradients at every level: over random geometries, filter counts on both
+//! sides of every vector width, batches whose column count `B·P` is below
+//! eight or not a multiple of it (the dot tree's tail), and planted `-0.0`,
+//! NaN, ±∞ and subnormal pooled gradients, with infinite pixels where only
+//! an uncovered position's `+0.0` term meets them.
 
 use agsfl_tensor::dispatch::{self, Level};
 use agsfl_tensor::{ops, reference, ConvLayer, ConvScratch, ConvShape, MatrixView};
@@ -73,7 +83,7 @@ fn assert_levels_match_spec(
     let layer = ConvLayer::new(shape, weights, bias);
     let images = MatrixView::new(batch, shape.input_dim(), images);
     let mut pooled = vec![f32::NAN; batch * shape.pooled_dim()];
-    let mut mask = vec![7u8; batch * shape.window_dim()];
+    let mut mask = vec![7u8; batch * shape.mask_dim()];
     reference::conv_relu_pool(layer, images, &mut pooled, Some(&mut mask));
     for level in Level::available() {
         let mut got_pooled = vec![1.5f32; pooled.len()];
@@ -301,4 +311,227 @@ fn wrong_pooled_length_panics() {
         &mut pooled,
         None,
     );
+}
+
+/// Runs the backward through the spec and through every available level,
+/// on one scratch that earlier cases left dirty, into outputs that start
+/// out dirty.
+fn assert_backward_levels_match_spec(
+    shape: ConvShape,
+    batch: usize,
+    images: &[f32],
+    dpooled: &[f32],
+    mask: &[u8],
+    scratch: &mut ConvScratch,
+    case: &str,
+) {
+    let images = MatrixView::new(batch, shape.input_dim(), images);
+    let mut dweights = vec![f32::NAN; shape.filters * shape.patch_dim()];
+    let mut dbias = vec![f32::NAN; shape.filters];
+    reference::conv_relu_pool_backward(shape, images, dpooled, mask, &mut dweights, &mut dbias);
+    for level in Level::available() {
+        let mut got_dweights = vec![-1.5f32; dweights.len()];
+        let mut got_dbias = vec![-1.5f32; dbias.len()];
+        dispatch::conv_relu_pool_backward(
+            level,
+            shape,
+            images,
+            dpooled,
+            mask,
+            scratch,
+            &mut got_dweights,
+            &mut got_dbias,
+        );
+        assert_eq!(
+            bits(&got_dweights),
+            bits(&dweights),
+            "weight gradient at {} differs from the spec: {shape:?}, batch {batch}, {case}",
+            level.name()
+        );
+        assert_eq!(
+            bits(&got_dbias),
+            bits(&dbias),
+            "bias gradient at {} differs from the spec: {shape:?}, batch {batch}, {case}",
+            level.name()
+        );
+    }
+}
+
+/// A random backward case: generator flavours for the pooled gradient and
+/// the images, and a random mask — every byte, bits past the last window
+/// included, which nothing may read.
+fn random_backward_case(
+    shape: ConvShape,
+    batch: usize,
+    generators: (usize, usize),
+    seed: u64,
+    scratch: &mut ConvScratch,
+) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let dpooled = values(&mut rng, generators.0, batch * shape.pooled_dim());
+    let images = values(&mut rng, generators.1, batch * shape.input_dim());
+    let mask: Vec<u8> = (0..batch * shape.mask_dim())
+        .map(|_| rng.gen::<u32>() as u8)
+        .collect();
+    assert_backward_levels_match_spec(
+        shape,
+        batch,
+        &images,
+        &dpooled,
+        &mask,
+        scratch,
+        &format!("generators {generators:?}, seed {seed}"),
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn prop_every_backward_level_matches_the_scalar_spec(
+        seed in 0u64..1_000_000,
+        channels in 1usize..4,
+        height in 3usize..20,
+        width in 3usize..24,
+        filters in 0usize..42,
+        batch in 0usize..4,
+        generators in (0usize..GENERATORS, 0usize..GENERATORS),
+    ) {
+        let shape = ConvShape { channels, height, width, filters };
+        random_backward_case(shape, batch, generators, seed, &mut ConvScratch::new());
+    }
+}
+
+/// Channel counts 1–3, filter counts 1, 15, 16, 17 and 40 against 4-, 8-
+/// and 16-lane vectors, the paper's 1x28x28 at batch 32, and batches whose
+/// `B·P` column count is below eight (1x3x4: two positions a sample) or
+/// not a multiple of it (1x5x5: nine), on one shared scratch.
+#[test]
+fn named_backward_geometries_match_the_scalar_spec() {
+    let mut scratch = ConvScratch::new();
+    let mut cases = vec![(1, 28, 28, 40, 32)];
+    for channels in [1, 2, 3] {
+        for filters in [1, 15, 16, 17, 40] {
+            cases.push((channels, 9, 11, filters, 3));
+        }
+    }
+    cases.extend([
+        (1, 3, 4, 3, 1),
+        (1, 3, 4, 17, 3),
+        (1, 4, 4, 2, 1),
+        (1, 5, 5, 16, 1),
+        (2, 5, 5, 17, 3),
+        (1, 3, 3, 40, 7),
+    ]);
+    for (case, &(channels, height, width, filters, batch)) in cases.iter().enumerate() {
+        let shape = ConvShape {
+            channels,
+            height,
+            width,
+            filters,
+        };
+        for generators in [(0, 0), (1, 3), (2, 1), (4, 0), (0, 4)] {
+            random_backward_case(shape, batch, generators, 0xBAC + case as u64, &mut scratch);
+        }
+    }
+}
+
+/// Planted pooled gradients: `-0.0`, NaN, ±∞ and subnormals spread over
+/// every window, under a mask that sets some bits and clears others, so a
+/// masked-off `∞` or NaN gradient still turns its terms NaN and a `-0.0`
+/// one still adds its signed zeros.
+#[test]
+fn planted_pooled_gradients_match_the_scalar_spec() {
+    let mut scratch = ConvScratch::new();
+    let specials = [
+        -0.0,
+        0.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1e-40,
+        -1e-40,
+        f32::MIN_POSITIVE,
+    ];
+    for (channels, filters) in [(1, 40), (3, 17), (2, 5)] {
+        let shape = ConvShape {
+            channels,
+            height: 10,
+            width: 13,
+            filters,
+        };
+        let batch = 3;
+        let mut rng = ChaCha8Rng::seed_from_u64(71 + filters as u64);
+        for every in [1, 3, 7] {
+            let mut dpooled = values(&mut rng, 0, batch * shape.pooled_dim());
+            for (i, g) in dpooled.iter_mut().enumerate() {
+                if i % every == 0 {
+                    *g = specials[i / every % specials.len()];
+                }
+            }
+            let images = values(&mut rng, 0, batch * shape.input_dim());
+            let mask: Vec<u8> = (0..batch * shape.mask_dim())
+                .map(|_| rng.gen::<u32>() as u8)
+                .collect();
+            assert_backward_levels_match_spec(
+                shape,
+                batch,
+                &images,
+                &dpooled,
+                &mask,
+                &mut scratch,
+                &format!("planted gradients every {every}, {channels} channels"),
+            );
+        }
+    }
+}
+
+/// An infinite pixel that only positions outside every pooling window reach
+/// (the last column of an image whose convolution output is 7 wide, the
+/// last row of one 7 high): the lowering adds `+0.0 · ∞` there, so the
+/// weight gradients of the taps that meet it are NaN — at every level too.
+#[test]
+fn an_uncovered_infinite_pixel_still_gives_nan() {
+    let mut scratch = ConvScratch::new();
+    let shape = ConvShape {
+        channels: 1,
+        height: 9,
+        width: 9,
+        filters: 17,
+    };
+    let batch = 2;
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let dpooled = values(&mut rng, 0, batch * shape.pooled_dim());
+    let mask = vec![0xFFu8; batch * shape.mask_dim()];
+    for (y, x) in [(4, 8), (8, 4), (8, 8)] {
+        let mut images = values(&mut rng, 0, batch * shape.input_dim());
+        images[shape.input_dim() + y * shape.width + x] = f32::INFINITY;
+        assert_backward_levels_match_spec(
+            shape,
+            batch,
+            &images,
+            &dpooled,
+            &mask,
+            &mut scratch,
+            &format!("infinite pixel at ({y}, {x})"),
+        );
+        let mut dweights = vec![0.0f32; shape.filters * shape.patch_dim()];
+        let mut dbias = vec![0.0f32; shape.filters];
+        ConvLayer::new(shape, &vec![0.0; dweights.len()], &dbias.clone()).relu_pool_backward(
+            MatrixView::new(batch, shape.input_dim(), &images),
+            &dpooled,
+            &mask,
+            &mut scratch,
+            &mut dweights,
+            &mut dbias,
+        );
+        // Tap (2, 2) meets pixel (y, x) at position (y - 2, x - 2), which
+        // is uncovered: the convolution output is 7x7, the windows cover
+        // 6x6.
+        assert!(
+            (0..shape.filters).all(|o| dweights[o * 9 + 8].is_nan()),
+            "pixel ({y}, {x}): tap (2, 2) must be NaN"
+        );
+        assert!(dbias.iter().all(|b| b.is_finite()));
+    }
 }

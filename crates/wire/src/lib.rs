@@ -35,7 +35,7 @@
 //! [`mod@lossy`]).
 //!
 //! Encoding is zero-allocation in steady state against a reusable
-//! [`WireScratch`] (the `SelectionScratch`/`Im2colScratch` house style);
+//! [`WireScratch`] (the `SelectionScratch`/`CnnScratch` house style);
 //! decoding validates untrusted frames and reports malformed input as
 //! [`WireError`] values instead of panics. The seed-style allocating
 //! implementations live in [`mod@reference`] as the executable spec for

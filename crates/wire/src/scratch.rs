@@ -5,7 +5,7 @@ use agsfl_sparse::{topk, ClientUpload};
 use crate::codec::Codec;
 
 /// Reusable workspace for [`Codec::encode_into`], in the house style of
-/// `agsfl_sparse::SelectionScratch` and `agsfl_ml`'s `Im2colScratch`:
+/// `agsfl_sparse::SelectionScratch` and `agsfl_ml`'s `CnnScratch`:
 /// grow-only buffers that each call clears or overwrites, so steady-state
 /// encoding performs no heap allocation.
 ///

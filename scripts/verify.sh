@@ -331,7 +331,7 @@ if [[ "$(engine_product | grep -c 'materialize_into')" -ne 1 ]] \
 fi
 
 step "scratch is grow-only (no workspace releases capacity)"
-# Every reusable workspace (SelectionScratch, WireScratch, Im2colScratch,
+# Every reusable workspace (SelectionScratch, WireScratch, CnnScratch,
 # the slot and upload buffers) is sized to the largest geometry seen and
 # never shrinks: a release under Algorithm 3's moving k and the probe's
 # batch-1 forwards is re-allocated and zero-filled the round after. The
@@ -369,17 +369,19 @@ if ! awk '
     exit 1
 fi
 
-step "one convolution forward (the fused conv + bias + ReLU + pool kernel; im2col only for the weight gradient)"
+step "one convolution forward and one backward (the fused kernels; no im2col, no dpre)"
 # SimpleCnn's forward calls agsfl_tensor's fused kernel straight from the
-# images: the column matrix is built once, in loss_and_land_with (the one
-# backward body behind loss_and_grad_with and Model::loss_and_land),
-# for the conv_wgrad contraction, and no ReLU/pool loop over stored
-# pre-activations is left in the model (the backward's relu_grad is).
+# images, and its backward the fused backward kernel straight from the
+# images, the pooled gradient and the ReLU mask: no model file lowers a
+# batch to columns, keeps the gradient at the pre-activations, or sums its
+# rows for the bias, and no ReLU/pool loop over stored pre-activations is
+# left in the model.
 cnn=crates/ml/src/model/cnn.rs
-if [[ "$(product_lines "$cnn" | grep 'im2col(' | grep -vc 'fn im2col(')" -ne 1 ]] \
-    || [[ "$(fn_body "$cnn" loss_and_land_with | grep -c 'im2col(')" -ne 1 ]]; then
-    echo "verify: $cnn must call im2col exactly once, in loss_and_land_with:" >&2
-    product_lines "$cnn" | grep 'im2col(' >&2
+lowered=$(for file in crates/ml/src/model/*.rs; do product_lines "$file"; done \
+    | grep -E 'im2col|sum_rows_interleaved|\bdpre\b|\bcols\b[^(]|\bcols$' || true)
+if [[ -n "$lowered" ]]; then
+    printf '%s\n' "$lowered" >&2
+    echo "verify: the im2col lowering is back in crates/ml/src/model (lines above); the backward is ConvLayer::relu_pool_backward" >&2
     exit 1
 fi
 if product_lines "$cnn" | grep -E 'ops::relu\(|\.max\(0\.0\)'; then
@@ -524,6 +526,7 @@ named_tests -q -p agsfl-fl --lib workspace_capacity_never_decreases
 step "product and convolution equivalence (every dispatch level == the scalar fold-order spec, bit for bit)"
 cargo test -q -p agsfl-tensor --test product_equivalence
 cargo test -q -p agsfl-tensor --test conv_equivalence
+named_tests -q -p agsfl-tensor --test conv_equivalence backward
 
 step "row fetches and seeked generation (a seek lands where drawing lands; rows == the whole shard's rows; every generator block has the width the seeks assume; generation on the pool == the sequential spec at every worker count; a warm gradient step allocates nothing of the client's, a real model's only its pinned count)"
 named_tests -q -p rand_chacha set_word_pos_matches_drawing_at_every_offset
