@@ -52,13 +52,11 @@
 //! (`telemetry_record`). Each section's comment says what its two sides
 //! are.
 //!
-//! Beyond the kernels, the report records the process' peak RSS, the
-//! telemetry recorder's stage quantiles and pool occupancy, and runs the
-//! `figures::scale_sweep` memory audit — fixed-cohort rounds at
-//! N = 10³..10⁶ with per-population rounds/sec and resident-set bytes —
-//! writing the points into `BENCH_kernels.json` (`"scale"`) and appending
-//! a dedicated `scale_sweep` line to the history log, so the O(cohort·k)
-//! memory claim is tracked across PRs alongside the timings.
+//! Beyond the kernels, the report records the process' peak RSS and the
+//! telemetry recorder's stage quantiles and pool occupancy. The cohort
+//! engine's memory bound is not timed here: `examples/million_clients.rs`
+//! gates it, and the benchmark's `cohort_million_wired` workload measures
+//! a 256-member cohort of a lazy 10⁶-client population.
 
 use std::cell::RefCell;
 use std::io::Write as _;
@@ -71,7 +69,6 @@ use agsfl_bench::kernel_workload::{
     EVAL_CLIENTS, FAB_CLIENTS, FAB_DIM, FAB_K, PRODUCT_SHAPES, SERVER_SHAPES, TELEM_CLIENTS,
     TELEM_K, TOPK_DIM, TOPK_KS, WIRED_DIM, WIRED_K, WIRED_RESETS,
 };
-use agsfl_core::figures::scale_sweep::{self, ScaleSweepConfig, ScaleSweepPoint};
 use agsfl_exec::{mem, Executor};
 use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
 use agsfl_ml::metrics;
@@ -1161,13 +1158,12 @@ fn main() {
         || "null".to_string(),
         |s| {
             format!(
-                "{{\"workers\":{},\"busy_fraction\":{:.4},\"busy_ns\":{},\"idle_ns\":{},\"tasks\":{},\"queue_depth_peak\":{},\"imbalance\":{:.3}}}",
+                "{{\"workers\":{},\"busy_fraction\":{:.4},\"busy_ns\":{},\"idle_ns\":{},\"tasks\":{},\"imbalance\":{:.3}}}",
                 s.workers.len(),
                 s.busy_fraction(),
                 s.total_busy_ns(),
                 s.total_idle_ns(),
                 s.total_tasks(),
-                s.queue_depth_peak,
                 s.imbalance_ratio()
             )
         },
@@ -1193,17 +1189,6 @@ fn main() {
         std::process::exit(i32::from(regressed));
     }
 
-    // Population-scale sweep: fixed-cohort rounds over lazily materialized
-    // populations, with resident memory observed by the OS. This is what
-    // makes the O(cohort·k) scale claim auditable next to the ns/iter
-    // numbers — the rss column must stay flat while N grows 1000x.
-    let scale_config = ScaleSweepConfig::default();
-    eprintln!(
-        "bench-report: scale sweep over N={:?}, cohort={}",
-        scale_config.populations, scale_config.cohort
-    );
-    let scale = scale_sweep::run(&scale_config);
-    eprint!("{}", scale.render());
     // Peak RSS of this whole process — an upper bound on every workload
     // above, recorded so memory regressions show up in the snapshot diff.
     let peak_rss_json = mem::peak_rss_bytes().map_or_else(|| "null".to_string(), |b| b.to_string());
@@ -1211,11 +1196,6 @@ fn main() {
         .kernels
         .iter()
         .map(KernelReport::json_object)
-        .collect();
-    let scale_points: Vec<String> = scale
-        .points
-        .iter()
-        .map(ScaleSweepPoint::json_object)
         .collect();
 
     let json = format!(
@@ -1229,8 +1209,7 @@ fn main() {
             "  \"telemetry\": {{\n",
             "    \"spans\": [\n{}\n    ],\n",
             "    \"pool\": {}\n",
-            "  }},\n",
-            "  \"scale\": [\n{}\n  ]\n",
+            "  }}\n",
             "}}\n"
         ),
         FAB_DIM,
@@ -1240,8 +1219,7 @@ fn main() {
         peak_rss_json,
         json_lines(&kernels, "    "),
         json_lines(&telemetry_spans, "      "),
-        telemetry_pool_json,
-        json_lines(&scale_points, "    ")
+        telemetry_pool_json
     );
     std::fs::write(&out_path, json).expect("failed to write bench report");
     eprintln!("bench-report: wrote {out_path}");
@@ -1289,12 +1267,6 @@ fn main() {
     history
         .write_all(telemetry_line.as_bytes())
         .expect("failed to append telemetry history");
-    // The scale sweep gets its own history line (suite "scale_sweep"):
-    // per-population rounds/sec and RSS, so the flat-memory claim is
-    // tracked across PRs, not just asserted once.
-    history
-        .write_all(scale.history_json_line(unix_secs).as_bytes())
-        .expect("failed to append scale-sweep history");
     eprintln!("bench-report: appended to {history_path}");
 }
 

@@ -6,10 +6,10 @@
 //! `*Result` holding the exact series the paper plots plus a `render()`
 //! method that prints them as text tables. The benchmark crate
 //! (`agsfl-bench`) runs the paper's figures and the regret check, one
-//! `cargo bench` target each. The one table beyond the paper is the
-//! population-scale audit; what the wire codecs and the fault model do to
-//! a whole run is asserted on [`crate::Experiment`] runs directly, in
-//! `crates/core/tests/byte_priced_runs.rs`.
+//! `cargo bench` target each. What the wire codecs and the fault model do
+//! to a whole run is asserted on [`crate::Experiment`] runs directly, in
+//! `crates/core/tests/byte_priced_runs.rs`; the cohort engine's memory
+//! bound is gated by `examples/million_clients.rs`.
 //!
 //! | Paper figure | Function |
 //! |---|---|
@@ -20,12 +20,10 @@
 //! | Fig. 7 (comm-time sweep, FEMNIST) | [`sweep::run_femnist`] |
 //! | Fig. 8 (comm-time sweep, CIFAR-10) | [`sweep::run_cifar`] |
 //! | Theorems 1–2 (regret bounds) | [`regret_check::run`] |
-//! | Population-scale sweep (cohort memory audit, beyond the paper) | [`scale_sweep::run`] |
 
 pub mod fig1;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod regret_check;
-pub mod scale_sweep;
 pub mod sweep;

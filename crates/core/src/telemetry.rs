@@ -49,9 +49,9 @@ pub struct TelemetrySpec {
     /// Memory probes sample on the same cadence.
     pub flush_every: usize,
     /// Include the wall-clock sets in each line: stage spans, worker-pool
-    /// metrics (busy/idle time, tasks, queue depth, imbalance; enabled on
-    /// the executor too) and process memory probes (RSS, peak RSS, thread
-    /// count, sampled every [`TelemetrySpec::flush_every`] rounds).
+    /// metrics (busy/idle time, tasks, imbalance; enabled on the executor
+    /// too) and process memory probes (RSS, peak RSS, thread count, sampled
+    /// every [`TelemetrySpec::flush_every`] rounds).
     /// Non-deterministic.
     pub wall_clock: bool,
 }
@@ -247,12 +247,11 @@ fn render_line(
         if let Some(snap) = pool {
             let _ = write!(
                 s,
-                ",\"pool\":{{\"workers\":{},\"busy_ns\":{},\"idle_ns\":{},\"tasks\":{},\"queue_depth_peak\":{},\"imbalance\":{}}}",
+                ",\"pool\":{{\"workers\":{},\"busy_ns\":{},\"idle_ns\":{},\"tasks\":{},\"imbalance\":{}}}",
                 snap.workers.len(),
                 snap.total_busy_ns(),
                 snap.total_idle_ns(),
                 snap.total_tasks(),
-                snap.queue_depth_peak,
                 snap.imbalance_ratio(),
             );
         }

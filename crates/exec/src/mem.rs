@@ -1,17 +1,18 @@
 //! Process resident-memory probes.
 //!
-//! The scale experiments (`figures::scale_sweep` in `agsfl-core`, the
-//! bounded-RSS smoke step in `scripts/verify.sh`) and the benchmark
-//! reporter need to *observe* server memory, not model it: the whole point
-//! of the streamed cohort engine is that a million-client round runs in
-//! `O(cohort · k)` resident memory, and only the OS can attest to that.
+//! The million-client example (`examples/million_clients.rs`, whose
+//! `--smoke` mode is the bounded-RSS step in `scripts/verify.sh`), the
+//! telemetry memory probes and the benchmark reporter need to *observe*
+//! server memory, not model it: the whole point of the streamed cohort
+//! engine is that a million-client round runs in `O(cohort · k)` resident
+//! memory, and only the OS can attest to that.
 //!
 //! Both probes read `/proc/self/status` on Linux. On any other platform
 //! they are compiled to return `None` without touching the filesystem, and
 //! even on Linux a failed read (procfs unmounted, sandboxed, or a field
 //! missing) degrades to `None` rather than panicking. Callers must degrade
-//! gracefully — print `null`/`n/a`, skip the assertion — so `scale_sweep`,
-//! `million_clients --smoke`, and `bench-report` keep working off-procfs.
+//! gracefully — print `null`/`n/a`, skip the assertion — so
+//! `million_clients --smoke` and `bench-report` keep working off-procfs.
 
 /// Current resident set size of this process in bytes (`VmRSS`), or `None`
 /// if the platform does not expose `/proc/self/status` (non-Linux, or a

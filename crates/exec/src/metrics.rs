@@ -1,14 +1,11 @@
-//! Worker-pool metrics: per-worker busy/idle time, task counts, dispatch
-//! latency, and queue depth, collected without locks on the hot path.
+//! Worker-pool metrics: per-worker busy/idle time, task counts and
+//! dispatch latency, collected without locks on the hot path.
 //!
 //! Everything here is relaxed atomics and fixed, preallocated storage:
 //!
 //! * each worker owns a `WorkerStats` row (busy/idle nanoseconds, task
 //!   count, and a lossy single-producer ring of dispatch-latency samples),
 //!   written only by that worker with relaxed stores;
-//! * the submitter maintains the queue depth (incremented per task at
-//!   submit, decremented by the dequeuing worker) and its peak via
-//!   `fetch_max`;
 //! * recording is gated on one [`AtomicBool`]: with metrics disabled the
 //!   pool pays a single relaxed load per region and per dequeue, and never
 //!   reads the clock.
@@ -16,8 +13,8 @@
 //! The rings are drained — into an integer
 //! [`Histogram`], workers folded in index
 //! order — by whoever snapshots the pool (the runner's sink cadence,
-//! `bench-report`, the scale sweep). A full ring overwrites its oldest
-//! samples and counts them as dropped rather than ever blocking a worker.
+//! `bench-report`). A full ring overwrites its oldest samples and counts
+//! them as dropped rather than ever blocking a worker.
 //! None of this feeds back into scheduling or results: pool metrics are
 //! observation only, and the golden-trajectory pins run with them enabled.
 
@@ -110,13 +107,11 @@ impl WorkerStats {
     }
 }
 
-/// Shared pool metrics: the enable gate, queue-depth accounting, and one
-/// `WorkerStats` row per worker.
+/// Shared pool metrics: the enable gate and one `WorkerStats` row per
+/// worker.
 #[derive(Debug)]
 pub struct PoolMetrics {
     enabled: AtomicBool,
-    queue_depth: AtomicU64,
-    queue_peak: AtomicU64,
     workers: Vec<WorkerStats>,
 }
 
@@ -124,8 +119,6 @@ impl PoolMetrics {
     pub(crate) fn new(workers: usize) -> Self {
         Self {
             enabled: AtomicBool::new(false),
-            queue_depth: AtomicU64::new(0),
-            queue_peak: AtomicU64::new(0),
             workers: (0..workers).map(|_| WorkerStats::new()).collect(),
         }
     }
@@ -136,22 +129,11 @@ impl PoolMetrics {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turns recording on or off. Safe at any time; per-task accounting is
-    /// keyed on the submit-time decision, so depth increments and
-    /// decrements stay paired across a flip.
+    /// Turns recording on or off. Safe at any time; a task's busy time and
+    /// count are keyed on the submit-time decision, so a task in flight
+    /// across a flip is counted whole or not at all.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Submitter-side: one task entered the queue.
-    pub(crate) fn task_submitted(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Worker-side: one instrumented task left the queue.
-    pub(crate) fn task_dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     pub(crate) fn worker(&self, index: usize) -> &WorkerStats {
@@ -170,8 +152,6 @@ impl PoolMetrics {
                     tasks: w.tasks.load(Ordering::Relaxed),
                 })
                 .collect(),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_peak.load(Ordering::Relaxed),
         }
     }
 
@@ -199,10 +179,6 @@ pub struct WorkerCounters {
 pub struct PoolMetricsSnapshot {
     /// Per-worker counters, in worker index order.
     pub workers: Vec<WorkerCounters>,
-    /// Tasks currently queued (submitted, not yet dequeued).
-    pub queue_depth: u64,
-    /// Largest queue depth ever observed.
-    pub queue_depth_peak: u64,
 }
 
 impl PoolMetricsSnapshot {
@@ -259,17 +235,6 @@ mod tests {
         assert!(!m.enabled());
         m.set_enabled(true);
         assert!(m.enabled());
-    }
-
-    #[test]
-    fn queue_depth_tracks_submissions_and_peak() {
-        let m = PoolMetrics::new(1);
-        m.task_submitted();
-        m.task_submitted();
-        m.task_dequeued();
-        let snap = m.snapshot();
-        assert_eq!(snap.queue_depth, 1);
-        assert_eq!(snap.queue_depth_peak, 2);
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl WorkerPool {
     }
 
     /// The pool's observation-only metrics (per-worker busy/idle time,
-    /// dispatch-latency rings, queue depth). Disabled until
+    /// task counts, dispatch-latency rings). Disabled until
     /// [`PoolMetrics::set_enabled`] flips them on.
     pub fn metrics(&self) -> &PoolMetrics {
         &self.metrics
@@ -261,9 +261,6 @@ impl WorkerPool {
         // is submitted in the same instant for dispatch-latency purposes.
         let submitted_at = self.metrics.enabled().then(Instant::now);
         for index in 0..tasks {
-            if submitted_at.is_some() {
-                self.metrics.task_submitted();
-            }
             let task = Task {
                 call: call_erased::<F>,
                 ctx: (f as *const F).cast::<()>(),
@@ -378,7 +375,6 @@ fn worker_loop(receiver: &Mutex<Receiver<Task>>, metrics: &PoolMetrics, worker: 
             submitted_at,
         } = task;
         let busy_start = submitted_at.map(|t0| {
-            metrics.task_dequeued();
             let now = Instant::now();
             stats.record_dispatch_ns(now.duration_since(t0).as_nanos() as u64);
             now
@@ -455,27 +451,32 @@ mod tests {
         pool.run_region(8, &|_| {});
         let before = pool.metrics().snapshot();
         assert_eq!(before.total_tasks(), 0);
-        assert_eq!(before.queue_depth_peak, 0);
-        // Enabled: every task is counted, the queue drains back to zero,
-        // and the dispatch rings hold one sample per task.
+        assert_eq!(before.total_busy_ns(), 0);
+        assert_eq!(before.total_idle_ns(), 0);
+        // Enabled: every task is counted with its busy time (each sleeps,
+        // so the clock must see it), and the dispatch rings hold one
+        // sample per task.
         pool.metrics().set_enabled(true);
         let hits: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
         pool.run_region(16, &|i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(std::time::Duration::from_micros(50));
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         let after = pool.metrics().snapshot();
+        assert_eq!(after.workers.len(), 2);
         assert_eq!(after.total_tasks(), 16);
-        assert_eq!(after.queue_depth, 0);
-        assert!(after.queue_depth_peak >= 1);
+        assert!(after.total_busy_ns() >= 16 * 50_000, "{after:?}");
+        assert!(after.busy_fraction() > 0.0 && after.busy_fraction() <= 1.0);
         let mut hist = agsfl_telemetry::Histogram::new();
         assert_eq!(pool.metrics().drain_dispatch_into(&mut hist), 0);
         assert_eq!(hist.count(), 16);
-        // Disabling mid-life keeps the counters balanced.
+        // Disabling mid-life stops the task and busy accounting.
         pool.metrics().set_enabled(false);
         pool.run_region(8, &|_| {});
-        assert_eq!(pool.metrics().snapshot().total_tasks(), 16);
-        assert_eq!(pool.metrics().snapshot().queue_depth, 0);
+        let off = pool.metrics().snapshot();
+        assert_eq!(off.total_tasks(), 16);
+        assert_eq!(off.total_busy_ns(), after.total_busy_ns());
     }
 
     #[test]

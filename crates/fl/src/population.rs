@@ -17,8 +17,11 @@
 //! shard_len))` — the second factor is each stored state's residual and
 //! sampler epoch — rather than `O(N · (shard + dim))`: with a fixed round
 //! budget and cohort size the footprint is flat in the population size
-//! `N`, which is the tentpole claim audited by `figures::scale_sweep` in
-//! `agsfl-core` and the bounded-RSS smoke step of `scripts/verify.sh`.
+//! `N`. `crates/fl/tests/cohort_determinism.rs` asserts the participation
+//! bound at N = 50 and 10⁶, `examples/million_clients.rs` prints a
+//! 10⁶-client run's RSS (its `--smoke` mode is the bounded-RSS step of
+//! `scripts/verify.sh`), and the benchmark's `cohort_million_wired` times
+//! that engine.
 //!
 //! # Determinism
 //!

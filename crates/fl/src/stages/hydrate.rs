@@ -78,9 +78,7 @@ fn bind_slots(
 
 #[cfg(test)]
 mod tests {
-    use super::bind_slots;
     use crate::fixture::{chaos_model, tiny_sim, uniform_wire};
-    use crate::population::{ClientPopulation, Slot};
     use crate::{Parallelism, Simulation};
     use agsfl_sparse::{FabTopK, FubTopK};
     use agsfl_wire::CodecSpec;
@@ -163,16 +161,25 @@ mod tests {
         assert_eq!(serial.params(), parallel.params());
     }
 
-    /// Binding one client to two slots trips the distinct-members check
-    /// before either slot swaps its state.
-    #[test]
+    /// The distinct-members check is a `debug_assert`, so its test and
+    /// imports exist only where it does.
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "cohort members are not distinct")]
-    fn binding_one_client_to_two_slots_panics() {
-        let sim = tiny_sim(Box::new(FabTopK::new()), 23, |_, _| {});
-        let mut population = ClientPopulation::new();
-        let mut slots: Vec<Slot> = (0..2).map(|_| Slot::new(sim.dim(), 4)).collect();
-        let source = sim.shared.source.as_ref();
-        bind_slots(source, &[1, 1], None, &mut population, &mut slots);
+    mod debug {
+        use super::super::bind_slots;
+        use crate::fixture::tiny_sim;
+        use crate::population::{ClientPopulation, Slot};
+        use agsfl_sparse::FabTopK;
+
+        /// Binding one client to two slots trips the distinct-members check
+        /// before either slot swaps its state.
+        #[test]
+        #[should_panic(expected = "cohort members are not distinct")]
+        fn binding_one_client_to_two_slots_panics() {
+            let sim = tiny_sim(Box::new(FabTopK::new()), 23, |_, _| {});
+            let mut population = ClientPopulation::new();
+            let mut slots: Vec<Slot> = (0..2).map(|_| Slot::new(sim.dim(), 4)).collect();
+            let source = sim.shared.source.as_ref();
+            bind_slots(source, &[1, 1], None, &mut population, &mut slots);
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! the member's own stream, so neither the worker count nor a
 //! checkpoint/restore cycle may perturb a single bit.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use agsfl_exec::Parallelism;
@@ -486,4 +486,37 @@ fn lazy_evaluate_materializes_each_shard_once() {
         (eval.test_accuracy as f64).to_bits(),
         sim.test_accuracy().to_bits()
     );
+}
+
+/// Resident client state is bounded by participation, never by the
+/// population: over a lazy source of 50 or 1,000,000 writers, at most
+/// `rounds · cohort` clients — exactly the ones drawn so far — hold state,
+/// and a cohort larger than the population clamps to it.
+#[test]
+fn lazy_residency_is_bounded_by_participation_not_population() {
+    for (population, cohort) in [(50, 8), (50, 64), (1_000_000, 8)] {
+        let writers = SyntheticFemnistConfig {
+            num_clients: population,
+            ..SyntheticFemnistConfig::tiny()
+        };
+        let mut sim = sim_over(
+            Box::new(LazySyntheticFemnist::new(writers, 13)),
+            13,
+            Some(cohort),
+            Parallelism::Threads(2),
+            false,
+            None,
+        );
+        let members = cohort.min(population);
+        assert_eq!(sim.cohort_size(), members, "N = {population}");
+        assert_eq!(sim.resident_clients(), 0);
+        let mut drawn = BTreeSet::new();
+        for round in 0..4 {
+            let report = step(&mut sim, round);
+            assert_eq!(report.cohort.len(), members, "N = {population}");
+            drawn.extend(report.cohort.iter().copied());
+            assert_eq!(sim.resident_clients(), drawn.len(), "N = {population}");
+            assert!(sim.resident_clients() <= (round + 1) * members);
+        }
+    }
 }

@@ -809,33 +809,81 @@ mod tests {
         law(&wrapper, PrecisionState::default);
     }
 
-    #[test]
-    fn restore_rejects_wrong_controller_and_corrupt_bytes() {
-        let sign = SignOgd::new(SearchInterval::new(1.0, 101.0), 50.0);
-        let snapshot = sign.save_state();
-
-        // A snapshot from another controller type is a typed error.
-        let mut fixed = FixedK::new(10.0);
-        assert!(matches!(
-            fixed.restore_state(&snapshot),
-            Err(SnapshotError::WrongController { .. })
-        ));
-
-        // Every truncation errors and leaves the controller untouched.
-        let mut target = SignOgd::new(SearchInterval::new(1.0, 101.0), 50.0);
-        for cut in 0..snapshot.len() {
-            let before = target.clone();
-            assert!(target.restore_state(&snapshot[..cut]).is_err());
-            assert_eq!(target, before, "cut at {cut} mutated the controller");
+    /// The snapshot shape laws on `make`'s type: every strict prefix of a
+    /// driven controller's snapshot is a typed error that leaves a fresh
+    /// target untouched (its own snapshot unchanged), one trailing byte is
+    /// `TrailingBytes`, and the whole snapshot restores.
+    fn shape_laws(name: &str, make: &dyn Fn() -> Box<dyn KController>) {
+        let mut driven = make();
+        for round in 0..25 {
+            let k = driven.propose_k();
+            driven.observe(&synthetic_feedback(round, k));
         }
-
-        // Trailing garbage is rejected too.
+        let snapshot = driven.save_state();
+        let mut target = make();
+        let before = target.save_state();
+        for cut in 0..snapshot.len() {
+            assert!(
+                target.restore_state(&snapshot[..cut]).is_err(),
+                "{name}: cut at {cut} restored"
+            );
+            assert_eq!(
+                target.save_state(),
+                before,
+                "{name}: cut at {cut} mutated the controller"
+            );
+        }
         let mut extended = snapshot.clone();
         extended.push(0);
         assert_eq!(
             target.restore_state(&extended),
-            Err(SnapshotError::TrailingBytes)
+            Err(SnapshotError::TrailingBytes),
+            "{name}"
         );
+        assert_eq!(target.save_state(), before, "{name}: trailing byte mutated");
+        target.restore_state(&snapshot).unwrap();
+        assert_eq!(target.save_state(), snapshot, "{name}");
+    }
+
+    #[test]
+    fn restore_rejects_wrong_controller_and_corrupt_bytes() {
+        // A snapshot from another controller type is a typed error.
+        let sign = SignOgd::new(SearchInterval::new(1.0, 101.0), 50.0);
+        let mut fixed = FixedK::new(10.0);
+        assert!(matches!(
+            fixed.restore_state(&sign.save_state()),
+            Err(SnapshotError::WrongController { .. })
+        ));
+
+        let interval = SearchInterval::new(10.0, 1010.0);
+        let arms = || Exp3::geometric_arms(10.0, 1000.0, 6);
+        shape_laws("FixedK", &|| Box::new(FixedK::new(123.0)));
+        shape_laws("SignOgd", &|| Box::new(SignOgd::new(interval, 800.0)));
+        shape_laws("ExtendedSignOgd", &|| {
+            Box::new(ExtendedSignOgd::new(ExtendedConfig {
+                k_min: 1.0,
+                k_max: 1000.0,
+                alpha: 1.5,
+                update_window: 5,
+                initial_k: 500.0,
+            }))
+        });
+        shape_laws("ValueBasedDescent", &|| {
+            Box::new(ValueBasedDescent::new(interval, 500.0))
+        });
+        shape_laws("Exp3Controller", &|| {
+            Box::new(Exp3Controller::new(Exp3::new(arms(), 0.2, 42)))
+        });
+        shape_laws("BanditController", &|| {
+            Box::new(BanditController::new(
+                ContinuousBandit::with_default_scales(interval, 500.0, 7),
+            ))
+        });
+        shape_laws("PrecisionController", &|| {
+            Box::new(PrecisionController::new(Box::new(SignOgd::new(
+                interval, 800.0,
+            ))))
+        });
     }
 
     #[test]
