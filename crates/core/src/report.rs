@@ -194,7 +194,7 @@ fn truncate(s: &str, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agsfl_fl::MetricPoint;
+    use agsfl_fl::{MetricPoint, RoundReport};
 
     fn history(label: &str, losses: &[(f64, f64)]) -> RunHistory {
         let mut h = RunHistory::new(label, 2);
@@ -208,7 +208,20 @@ mod tests {
                 test_accuracy: Some(1.0 - l / 10.0),
             });
         }
-        h.add_contributions(&[3, 0]);
+        h.record_round(&RoundReport {
+            round: 1,
+            k_used: 5,
+            train_loss: 0.0,
+            round_time: 1.0,
+            elapsed_time: 1.0,
+            downlink_elements: 3,
+            max_uplink_scalars: 3,
+            cohort: vec![0, 1],
+            contributions: vec![3, 0],
+            probe: None,
+            wire: None,
+            fault: None,
+        });
         h
     }
 

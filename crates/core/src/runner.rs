@@ -24,8 +24,8 @@ use crate::telemetry::{TelemetrySpec, TelemetryState};
 const RUN_MAGIC: [u8; 4] = *b"AGCK";
 const RUN_VERSION: u32 = 1;
 
-/// The stream a run's dataset is generated from: the sparse run and its
-/// FedAvg baseline draw the same data from the same seed.
+/// The stream a run's dataset is generated from (its FedAvg baseline runs
+/// on the same dataset, see [`Experiment::run_fedavg`]).
 fn data_rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed.wrapping_mul(0x5DEECE66D).wrapping_add(11))
 }
@@ -196,12 +196,6 @@ impl Experiment {
         self.sim.executor().set_metrics_enabled(spec.wall_clock);
         self.telemetry = Some(TelemetryState::open(spec)?);
         Ok(())
-    }
-
-    /// The live telemetry state, if a spec is installed (what
-    /// [`crate::report::telemetry_summary`] renders).
-    pub fn telemetry(&self) -> Option<&TelemetryState> {
-        self.telemetry.as_ref()
     }
 
     /// Uninstalls telemetry, flushing and closing the sink, and returns the
@@ -535,13 +529,16 @@ impl Experiment {
 
     /// Runs the FedAvg baseline at the communication overhead equivalent to
     /// `k`-element GS (aggregation every `⌊D/(2k)⌋` rounds), building a fresh
-    /// FedAvg simulation from this experiment's configuration on this
-    /// experiment's executor.
+    /// FedAvg simulation from this experiment's configuration, on a copy of
+    /// its dataset and on its executor.
     pub fn run_fedavg(&self, k_equivalent: usize, stop: &StopCondition) -> RunHistory {
         let config = &self.config;
-        let dataset = config
-            .dataset
-            .generate_on(&mut data_rng(config.seed), self.sim.executor());
+        let dataset = self
+            .sim
+            .source()
+            .as_dataset()
+            .expect("an experiment generates its dataset eagerly")
+            .clone();
         let model = config
             .model
             .build(dataset.feature_dim(), dataset.num_classes());
@@ -743,6 +740,47 @@ mod tests {
             assert_eq!(point.test_accuracy.is_some(), evaluated, "{point:?}");
         }
         assert_eq!(history.final_global_loss(), history.points()[6].global_loss);
+    }
+
+    /// The baseline runs on the experiment's own dataset: its points are
+    /// those of a FedAvg simulation built on a freshly generated copy.
+    #[test]
+    fn fedavg_run_matches_a_freshly_generated_dataset() {
+        let config = tiny_config(10.0, 5);
+        let exp = Experiment::new(&config);
+        let k = exp.dim() / 20;
+        let history = exp.run_fedavg(k, &StopCondition::after_rounds(12));
+        let dataset = config.dataset.generate(&mut data_rng(config.seed));
+        assert_eq!(exp.sim.source().as_dataset(), Some(&dataset));
+        let model = config
+            .model
+            .build(dataset.feature_dim(), dataset.num_classes());
+        let mut sim = FedAvgSimulation::new(
+            model,
+            dataset,
+            FedAvgConfig {
+                learning_rate: config.learning_rate,
+                batch_size: config.batch_size,
+                time_model: TimeModel::normalized(config.comm_time),
+                aggregation_period: TimeModel::fedavg_period(exp.dim(), k),
+                seed: config.seed,
+            },
+            exp.sim.executor().clone(),
+        );
+        assert_eq!(history.len(), 12);
+        for (round, point) in (1..).zip(history.points()) {
+            let report = sim.run_round();
+            let eval = point.global_loss.map(|_| sim.evaluate());
+            let expected = MetricPoint {
+                round,
+                elapsed_time: sim.elapsed_time(),
+                k: if report.aggregated { exp.dim() } else { 0 },
+                train_loss: report.train_loss,
+                global_loss: eval.as_ref().map(|e| e.train_loss as f64),
+                test_accuracy: eval.as_ref().map(|e| e.test_accuracy as f64),
+            };
+            assert_eq!(point, &expected);
+        }
     }
 
     #[test]

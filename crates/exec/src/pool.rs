@@ -221,11 +221,6 @@ impl WorkerPool {
         }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Number of regions submitted so far (the current generation).
     pub fn generations(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)

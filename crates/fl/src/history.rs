@@ -101,27 +101,9 @@ impl RunHistory {
         self.points.push(point);
     }
 
-    /// Adds this round's per-client contribution counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the client count given at
-    /// construction.
-    pub fn add_contributions(&mut self, per_client: &[usize]) {
-        assert_eq!(
-            per_client.len(),
-            self.contributions.len(),
-            "contribution vector length mismatch"
-        );
-        for (total, &c) in self.contributions.iter_mut().zip(per_client.iter()) {
-            *total += c as u64;
-        }
-    }
-
     /// Adds a sampled-cohort round's contribution counts, scattering
     /// `per_member[i]` to global client `cohort[i]`. With a full-population
-    /// cohort (`cohort == [0, 1, .., N-1]`) this is exactly
-    /// [`RunHistory::add_contributions`].
+    /// cohort (`cohort == [0, 1, .., N-1]`) `per_member` is per-client.
     ///
     /// # Panics
     ///
@@ -416,8 +398,8 @@ mod tests {
     #[test]
     fn contributions_accumulate_and_cdf() {
         let mut h = RunHistory::new("test", 3);
-        h.add_contributions(&[1, 0, 2]);
-        h.add_contributions(&[1, 0, 2]);
+        h.add_cohort_contributions(&[0, 1, 2], &[1, 0, 2]);
+        h.add_cohort_contributions(&[0, 1, 2], &[1, 0, 2]);
         assert_eq!(h.contributions(), &[2, 0, 4]);
         let cdf = h.contribution_cdf();
         assert_eq!(cdf.eval(0.0), 1.0 / 3.0);
@@ -430,12 +412,6 @@ mod tests {
         h.add_cohort_contributions(&[4, 1], &[7, 2]);
         h.add_cohort_contributions(&[1, 3], &[1, 9]);
         assert_eq!(h.contributions(), &[0, 3, 0, 9, 7]);
-        // A full-population cohort is exactly add_contributions.
-        let mut full = RunHistory::new("full", 3);
-        full.add_cohort_contributions(&[0, 1, 2], &[1, 0, 2]);
-        let mut dense = RunHistory::new("full", 3);
-        dense.add_contributions(&[1, 0, 2]);
-        assert_eq!(full.contributions(), dense.contributions());
     }
 
     #[test]
@@ -448,8 +424,8 @@ mod tests {
     #[test]
     #[should_panic]
     fn contribution_length_mismatch_panics() {
-        let mut h = RunHistory::new("test", 2);
-        h.add_contributions(&[1, 2, 3]);
+        let mut h = RunHistory::new("test", 3);
+        h.add_cohort_contributions(&[0, 1], &[1, 2, 3]);
     }
 
     #[test]
@@ -557,7 +533,7 @@ mod tests {
         let mut h = RunHistory::new("snapshot", 2);
         h.push(point(1, 1.5, Some(2.0), None));
         h.push(point(2, 3.0, None, Some(0.4)));
-        h.add_contributions(&[3, 1]);
+        h.add_cohort_contributions(&[0, 1], &[3, 1]);
         h.record_wire(&WireRoundReport {
             uplink_bytes: vec![10, 20],
             max_uplink_bytes: 20,

@@ -320,11 +320,6 @@ impl Simulation {
         self.shared.model.as_ref()
     }
 
-    /// The sparsifier driving this run.
-    pub fn sparsifier(&self) -> &dyn Sparsifier {
-        self.sparsifier.as_ref()
-    }
-
     /// The simulation configuration.
     pub fn config(&self) -> &SimulationConfig {
         &self.shared.config

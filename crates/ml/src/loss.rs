@@ -10,7 +10,7 @@
 //! use agsfl_ml::loss::batch_cross_entropy;
 //! use agsfl_tensor::Matrix;
 //!
-//! let logits = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 3.0]]);
+//! let logits = Matrix::from_vec(2, 2, vec![2.0, 0.0, 0.0, 3.0]);
 //! let loss = batch_cross_entropy(&logits, &[0, 1]);
 //! assert!(loss > 0.0 && loss < 0.2);
 //! ```
@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn loss_of_perfect_prediction_is_small() {
-        let logits = Matrix::from_rows(&[&[20.0, 0.0], &[0.0, 20.0]]);
+        let logits = Matrix::from_vec(2, 2, vec![20.0, 0.0, 0.0, 20.0]);
         assert!(batch_cross_entropy(&logits, &[0, 1]) < 1e-6);
     }
 
@@ -175,11 +175,11 @@ mod tests {
         ];
         for row in rows {
             for label in 0..3 {
-                assert_matches_two_pass(&Matrix::from_rows(&[&row]), &[label]);
+                assert_matches_two_pass(&Matrix::from_vec(1, 3, row.to_vec()), &[label]);
             }
         }
-        let all: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-        assert_matches_two_pass(&Matrix::from_rows(&all), &[0, 1, 2, 0, 1, 2, 0, 1, 2, 0]);
+        let all = Matrix::from_vec(10, 3, rows.concat());
+        assert_matches_two_pass(&all, &[0, 1, 2, 0, 1, 2, 0, 1, 2, 0]);
         assert_matches_two_pass(&Matrix::zeros(0, 4), &[]);
         let (loss, grad) = batch_cross_entropy_with_grad(&Matrix::zeros(0, 4), &[]);
         assert_eq!((loss.to_bits(), grad.shape()), (0, (0, 4)));
@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn grad_rows_sum_to_zero() {
-        let logits = Matrix::from_rows(&[&[1.0, -2.0, 0.5], &[0.0, 0.0, 0.0]]);
+        let logits = Matrix::from_vec(2, 3, vec![1.0, -2.0, 0.5, 0.0, 0.0, 0.0]);
         let (_, grad) = batch_cross_entropy_with_grad(&logits, &[2, 0]);
         for i in 0..grad.rows() {
             let s: f32 = grad.row(i).iter().sum();
@@ -198,7 +198,8 @@ mod tests {
     #[test]
     fn grad_is_the_shift_invariant_soft_max_less_the_label() {
         let probs = |row: &[f32]| {
-            let (_, grad) = batch_cross_entropy_with_grad(&Matrix::from_rows(&[row]), &[0]);
+            let logits = Matrix::from_vec(1, row.len(), row.to_vec());
+            let (_, grad) = batch_cross_entropy_with_grad(&logits, &[0]);
             let mut p = grad.row(0).to_vec();
             p[0] += 1.0;
             p
@@ -213,10 +214,10 @@ mod tests {
 
     #[test]
     fn grad_points_away_from_true_class() {
-        let logits = Matrix::from_rows(&[&[0.0, 0.0]]);
+        let logits = Matrix::zeros(1, 2);
         let (_, grad) = batch_cross_entropy_with_grad(&logits, &[0]);
-        assert!(grad.get(0, 0) < 0.0);
-        assert!(grad.get(0, 1) > 0.0);
+        assert!(grad.row(0)[0] < 0.0);
+        assert!(grad.row(0)[1] > 0.0);
     }
 
     #[test]
@@ -256,8 +257,8 @@ mod tests {
                 let lp = batch_cross_entropy(&Matrix::from_vec(1, 6, plus), &labels);
                 let lm = batch_cross_entropy(&Matrix::from_vec(1, 6, minus), &labels);
                 let fd = (lp - lm) / (2.0 * eps);
-                prop_assert!((fd - grad.get(0, j)).abs() < 2e-2,
-                    "j={} fd={} analytic={}", j, fd, grad.get(0, j));
+                prop_assert!((fd - grad.row(0)[j]).abs() < 2e-2,
+                    "j={} fd={} analytic={}", j, fd, grad.row(0)[j]);
             }
         }
     }

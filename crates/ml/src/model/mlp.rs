@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn no_hidden_layer_forward_known_values() {
         let m = Mlp::new(2, &[], 2);
-        let x = Matrix::from_rows(&[&[2.0, 3.0]]);
+        let x = Matrix::from_vec(1, 2, vec![2.0, 3.0]);
         let zero = m.forward(&[0.0; 6], &x);
         assert!(zero.as_slice().iter().all(|&v| v == 0.0));
         // W = [[1, 0], [0, 1]], b = [0.5, -0.5]
@@ -267,12 +267,13 @@ mod tests {
         let m = Mlp::new(4, &[], 2);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut params = m.init_params(&mut rng);
-        let x = Matrix::from_rows(&[
-            &[1.0, 1.0, 0.0, 0.0],
-            &[0.9, 1.1, 0.1, 0.0],
-            &[0.0, 0.0, 1.0, 1.0],
-            &[0.1, 0.0, 0.9, 1.1],
-        ]);
+        let rows = [
+            [1.0, 1.0, 0.0, 0.0],
+            [0.9, 1.1, 0.1, 0.0],
+            [0.0, 0.0, 1.0, 1.0],
+            [0.1, 0.0, 0.9, 1.1],
+        ];
+        let x = Matrix::from_vec(4, 4, rows.concat());
         let labels = vec![0, 0, 1, 1];
         let initial = m.loss(&params, &x, &labels);
         for _ in 0..200 {
@@ -351,7 +352,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut params = m.init_params(&mut rng);
         // XOR-ish data that a linear model cannot fit but an MLP can.
-        let x = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0], &[0.0, 1.0], &[1.0, 0.0]]);
+        let x = Matrix::from_vec(4, 2, vec![0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0]);
         let labels = vec![0, 0, 1, 1];
         let initial = m.loss(&params, &x, &labels);
         for _ in 0..2000 {

@@ -48,11 +48,7 @@ const KERNEL: usize = 3;
 ///
 /// Returns `(pre_activation, pooled)` where `pre_activation` is the raw
 /// convolution output (needed for the ReLU derivative).
-pub fn cnn_forward_sample(
-    model: &SimpleCnn,
-    params: &[f32],
-    sample: &[f32],
-) -> (Vec<f32>, Vec<f32>) {
+fn cnn_forward_sample(model: &SimpleCnn, params: &[f32], sample: &[f32]) -> (Vec<f32>, Vec<f32>) {
     let (conv_w_off, conv_b_off, _, _) = model.offsets();
     let (ch, cw) = model.conv_output_size();
     let out_channels = model.filters();

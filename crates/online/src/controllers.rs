@@ -886,6 +886,131 @@ mod tests {
         });
     }
 
+    /// Reads `bytes` into `target` bare, as a section inside a snapshot is
+    /// read: `read_state`, then `finish`.
+    fn read_section<T: Snapshot>(target: &mut T, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let mut r = SnapshotReader::new(bytes);
+        target.read_state(&mut r)?;
+        r.finish()
+    }
+
+    /// The shape laws of a persisted type that is not a controller, read
+    /// through `read_state` + `finish`: every strict prefix of `state`'s
+    /// section is `Truncated`, one trailing byte is `TrailingBytes`, each
+    /// `(bytes, reason)` of `invalid` is `Invalid(reason)`, and the whole
+    /// section restores. These readers write fields before they validate
+    /// (only `restore_tagged` commits all or nothing), so every read gets a
+    /// fresh target and nothing is said about a failed one.
+    fn component_shape_laws<T: Snapshot>(
+        name: &str,
+        state: &T,
+        make: impl Fn() -> T,
+        invalid: &[(Vec<u8>, &'static str)],
+    ) {
+        let bytes = SnapshotWriter::write_exact(|w| state.write_state(w));
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                read_section(&mut make(), &bytes[..cut]),
+                Err(SnapshotError::Truncated),
+                "{name}: cut at {cut}"
+            );
+        }
+        let mut extended = bytes.clone();
+        extended.push(0);
+        assert_eq!(
+            read_section(&mut make(), &extended),
+            Err(SnapshotError::TrailingBytes),
+            "{name}"
+        );
+        for (case, (section, reason)) in invalid.iter().enumerate() {
+            assert_eq!(
+                read_section(&mut make(), section),
+                Err(SnapshotError::Invalid(reason)),
+                "{name}: invalid case {case}"
+            );
+        }
+        let mut restored = make();
+        read_section(&mut restored, &bytes).unwrap();
+        assert_eq!(
+            SnapshotWriter::write_exact(|w| restored.write_state(w)),
+            bytes,
+            "{name}"
+        );
+    }
+
+    /// Out-of-range fields: `min > max`; a zero weight, a negative weight
+    /// and five weights for six arms; an iterate below and above the
+    /// interval, and a direction of 0 and of 2.
+    #[test]
+    fn component_sections_obey_their_shape_laws() {
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+        let rng = ChaCha8Rng::seed_from_u64(3);
+
+        let interval = SearchInterval::new(10.0, 1010.0);
+        let reversed = SnapshotWriter::write_exact(|w| {
+            w.f64(1010.0);
+            w.f64(10.0);
+        });
+        component_shape_laws(
+            "SearchInterval",
+            &interval,
+            || SearchInterval::new(1.0, 2.0),
+            &[(reversed, "search interval")],
+        );
+
+        let arms = || Exp3::geometric_arms(10.0, 1000.0, 6);
+        let mut exp3 = Exp3::new(arms(), 0.2, 42);
+        for round in 0..25 {
+            let arm = exp3.draw();
+            exp3.update(arm, (round % 4) as f64 / 4.0);
+        }
+        let weights = |weights: &[f64]| {
+            SnapshotWriter::write_exact(|w| {
+                w.f64s(weights);
+                w.usize(25);
+                w.rng(&rng);
+            })
+        };
+        component_shape_laws(
+            "Exp3",
+            &exp3,
+            || Exp3::new(arms(), 0.2, 42),
+            &[
+                (weights(&[1.0, 1.0, 0.0, 1.0, 1.0, 1.0]), "weight value"),
+                (weights(&[1.0, -2.0, 1.0, 1.0, 1.0, 1.0]), "weight value"),
+                (weights(&[1.0; 5]), "weight count"),
+            ],
+        );
+
+        let bandit = || ContinuousBandit::with_default_scales(interval, 500.0, 7);
+        let mut driven = bandit();
+        for round in 0..25 {
+            driven.observe_cost(driven.k() / 1000.0 + round as f64 * 0.01);
+        }
+        let bandit_state = |x: f64, direction: f64| {
+            SnapshotWriter::write_exact(|w| {
+                w.f64(x);
+                w.usize(25);
+                w.f64(direction);
+                w.rng(&rng);
+            })
+        };
+        let outside = "iterate outside interval";
+        let direction = "perturbation direction";
+        component_shape_laws(
+            "ContinuousBandit",
+            &driven,
+            bandit,
+            &[
+                (bandit_state(9.0, 1.0), outside),
+                (bandit_state(1011.0, -1.0), outside),
+                (bandit_state(500.0, 0.0), direction),
+                (bandit_state(500.0, 2.0), direction),
+            ],
+        );
+    }
+
     #[test]
     fn exp3_restore_rejects_mismatched_arm_count() {
         let donor = Exp3Controller::new(Exp3::new(vec![10.0, 100.0, 1000.0], 0.2, 1));

@@ -70,7 +70,7 @@ fn result_from(
 
 /// Size of `∪_i J_i^κ`, rebuilt from scratch — the per-probe cost the fast
 /// path eliminates. Prefixes are read from each upload's ranked key view.
-pub fn fab_union_size(uploads: &[ClientUpload], kappa: usize) -> usize {
+fn fab_union_size(uploads: &[ClientUpload], kappa: usize) -> usize {
     let mut set = HashSet::new();
     for upload in uploads {
         set.extend(topk::prefix_indices(&upload.ranked, kappa));

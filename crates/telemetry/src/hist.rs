@@ -146,15 +146,6 @@ impl Histogram {
         self.count == 0
     }
 
-    /// Mean of the recorded samples (exact sum over exact count).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// The quantile estimate for `q ∈ [0, 1]`: the lower bound of the
     /// bucket containing the sample of rank `ceil(q · count)` (rank 1 for
     /// `q = 0`). Deterministic — a pure function of the integer bucket

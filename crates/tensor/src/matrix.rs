@@ -1,7 +1,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::product::MatrixView;
-use crate::ShapeError;
 
 /// A dense, row-major `f32` matrix.
 ///
@@ -16,13 +15,14 @@ use crate::ShapeError;
 /// ```
 /// use agsfl_tensor::Matrix;
 ///
-/// let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+/// let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
 /// assert_eq!(a.shape(), (2, 3));
-/// assert_eq!(a.get(1, 2), 6.0);
+/// assert_eq!(a.row(1)[2], 6.0);
 ///
-/// let at = a.transpose();
-/// assert_eq!(at.shape(), (3, 2));
-/// assert_eq!(at.get(2, 1), 6.0);
+/// let b = Matrix::from_vec(3, 1, vec![1.0, 0.0, -1.0]);
+/// let mut c = Matrix::default();
+/// a.matmul_into(&b, &mut c);
+/// assert_eq!(c.as_slice(), &[-2.0, -2.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -50,33 +50,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a `rows x cols` matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
-    /// Creates the `n x n` identity matrix.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use agsfl_tensor::Matrix;
-    /// let i = Matrix::identity(3);
-    /// assert_eq!(i.get(1, 1), 1.0);
-    /// assert_eq!(i.get(0, 2), 0.0);
-    /// ```
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
     /// Creates a matrix from a flat row-major vector.
     ///
     /// # Panics
@@ -94,26 +67,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a matrix from a slice of equally long rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have differing lengths or `rows` is empty.
-    pub fn from_rows(rows: &[&[f32]]) -> Self {
-        assert!(!rows.is_empty(), "from_rows requires at least one row");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "all rows must have the same length");
-            data.extend_from_slice(r);
-        }
-        Self {
-            rows: rows.len(),
-            cols,
-            data,
-        }
-    }
-
     /// Creates a matrix where element `(i, j)` is `f(i, j)`.
     ///
     /// # Examples
@@ -121,7 +74,7 @@ impl Matrix {
     /// ```
     /// # use agsfl_tensor::Matrix;
     /// let m = Matrix::from_fn(2, 2, |i, j| (i * 10 + j) as f32);
-    /// assert_eq!(m.get(1, 0), 10.0);
+    /// assert_eq!(m.row(1)[0], 10.0);
     /// ```
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -166,34 +119,6 @@ impl Matrix {
     /// Mutably borrows the underlying row-major data.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Returns element `(i, j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows` or `j >= cols`.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f32 {
-        assert!(
-            i < self.rows && j < self.cols,
-            "index ({i},{j}) out of bounds"
-        );
-        self.data[i * self.cols + j]
-    }
-
-    /// Sets element `(i, j)` to `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows` or `j >= cols`.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, value: f32) {
-        assert!(
-            i < self.rows && j < self.cols,
-            "index ({i},{j}) out of bounds"
-        );
-        self.data[i * self.cols + j] = value;
     }
 
     /// Borrows row `i` as a slice.
@@ -255,21 +180,10 @@ impl Matrix {
         MatrixView::new(self.rows, self.cols, &self.data)
     }
 
-    /// Matrix multiplication `self * rhs`, panicking on shape mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`. Use [`Matrix::try_matmul`] for a
-    /// fallible variant.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        self.try_matmul(rhs).expect("matmul shape mismatch")
-    }
-
     /// Matrix multiplication `self * rhs` written into `out`, reusing `out`'s
     /// allocation (the buffer is reshaped with [`Matrix::resize_for_overwrite`]
     /// and fully overwritten).
     ///
-    /// Bit-identical to [`Matrix::matmul`]: both are
     /// [`MatrixView::matmul_acc`] on a zeroed output.
     ///
     /// # Panics
@@ -279,31 +193,6 @@ impl Matrix {
         out.resize_for_overwrite(self.rows, rhs.cols);
         out.fill(0.0);
         self.view().matmul_acc(rhs.view(), &mut out.data);
-    }
-
-    /// Matrix multiplication `self * rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] if `self.cols() != rhs.rows()`.
-    pub fn try_matmul(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.cols != rhs.rows {
-            return Err(ShapeError::new("matmul", self.shape(), rhs.shape()));
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.view().matmul_acc(rhs.view(), &mut out.data);
-        Ok(out)
-    }
-
-    /// Returns the transposed matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.set(j, i, self.get(i, j));
-            }
-        }
-        out
     }
 
     /// In-place scalar multiplication `self *= s`.
@@ -318,15 +207,6 @@ impl Matrix {
         for v in &mut self.data {
             *v = f(*v);
         }
-    }
-
-    /// Returns a new matrix with `f` applied to every element.
-    pub fn map(&self, mut f: impl FnMut(f32) -> f32) -> Matrix {
-        Matrix::from_vec(
-            self.rows,
-            self.cols,
-            self.data.iter().map(|&v| f(v)).collect(),
-        )
     }
 
     /// Adds a row vector (broadcast over rows), used for bias addition.
@@ -366,51 +246,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeros_and_filled() {
+    fn zeros_is_all_zero() {
         let z = Matrix::zeros(3, 2);
         assert_eq!(z.len(), 6);
         assert!(z.as_slice().iter().all(|&x| x == 0.0));
-        let f = Matrix::filled(2, 2, 7.5);
-        assert!(f.as_slice().iter().all(|&x| x == 7.5));
     }
 
     #[test]
-    fn identity_matmul_is_noop() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i), a);
-        assert_eq!(i.matmul(&a), a);
-    }
-
-    #[test]
-    fn matmul_known_result() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let b = Matrix::from_rows(&[&[7.0, 8.0], &[9.0, 10.0], &[11.0, 12.0]]);
-        let c = a.matmul(&b);
+    fn matmul_into_known_result() {
+        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
+        let mut c = Matrix::default();
+        a.matmul_into(&b, &mut c);
         assert_eq!(c.shape(), (2, 2));
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]
-    fn matmul_shape_mismatch_errors() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.try_matmul(&b).is_err());
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let a = Matrix::from_fn(3, 4, |i, j| (i * 4 + j) as f32);
-        assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn matmul_into_matches_matmul_and_reuses_buffer() {
+    fn matmul_into_overwrites_a_stale_buffer_and_reuses_it() {
+        // Quarter-integer operands: every product and sum is exact, so the
+        // textbook loop gives the kernel's bits whatever its fold order.
         let a = Matrix::from_fn(3, 4, |i, j| (i * 4 + j) as f32 * 0.5 - 2.0);
         let b = Matrix::from_fn(4, 5, |i, j| (i + 2 * j) as f32 * 0.25 - 1.0);
-        let mut out = Matrix::filled(7, 7, f32::NAN); // stale garbage, wrong shape
+        let expected =
+            Matrix::from_fn(3, 5, |i, j| (0..4).map(|l| a.row(i)[l] * b.row(l)[j]).sum());
+        // Stale garbage of the wrong shape.
+        let mut out = Matrix::from_vec(7, 7, vec![f32::NAN; 49]);
         a.matmul_into(&b, &mut out);
-        assert_eq!(out, a.matmul(&b));
+        assert_eq!(out, expected);
         // A second call on the (now right-sized) buffer gives the same bits.
         let first = out.clone();
         a.matmul_into(&b, &mut out);
@@ -419,7 +282,7 @@ mod tests {
 
     #[test]
     fn resize_for_overwrite_keeps_allocation_and_fill_clears() {
-        let mut m = Matrix::filled(2, 3, 7.0);
+        let mut m = Matrix::from_vec(2, 3, vec![7.0; 6]);
         m.resize_for_overwrite(3, 2);
         assert_eq!(m.shape(), (3, 2));
         assert_eq!(m.as_slice()[0], 7.0, "old contents survive the reshape");
@@ -429,7 +292,7 @@ mod tests {
 
     #[test]
     fn scale_multiplies_every_element() {
-        let mut c = Matrix::filled(2, 2, 3.0);
+        let mut c = Matrix::from_vec(2, 2, vec![3.0; 4]);
         c.scale(2.0);
         assert!(c.as_slice().iter().all(|&x| x == 6.0));
     }
@@ -443,33 +306,31 @@ mod tests {
 
     #[test]
     fn rows_and_cols_accessors() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(a.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(a.iter_rows().count(), 2);
     }
 
     #[test]
-    fn map_and_map_inplace_agree() {
-        let a = Matrix::from_fn(2, 3, |i, j| (i + j) as f32);
-        let mapped = a.map(|x| x * 2.0 + 1.0);
-        let mut inplace = a.clone();
-        inplace.map_inplace(|x| x * 2.0 + 1.0);
-        assert_eq!(mapped, inplace);
+    fn map_inplace_applies_to_every_element() {
+        let mut a = Matrix::from_vec(2, 3, vec![0.0, 1.0, 2.0, 1.0, 2.0, 3.0]);
+        a.map_inplace(|x| x * 2.0 + 1.0);
+        assert_eq!(a.as_slice(), &[1.0, 3.0, 5.0, 3.0, 5.0, 7.0]);
     }
 
     #[test]
     #[should_panic]
-    fn get_out_of_bounds_panics() {
+    fn row_out_of_bounds_panics() {
         let a = Matrix::zeros(2, 2);
-        let _ = a.get(2, 0);
+        let _ = a.row(2);
     }
 
     #[test]
     fn clone_is_deep() {
-        let a = Matrix::from_fn(2, 2, |i, j| (i * 2 + j) as f32);
+        let a = Matrix::from_vec(2, 2, vec![0.0, 1.0, 2.0, 3.0]);
         let mut b = a.clone();
-        b.set(0, 0, 99.0);
-        assert_eq!(a.get(0, 0), 0.0);
-        assert_eq!(b.get(0, 0), 99.0);
+        b.as_mut_slice()[0] = 99.0;
+        assert_eq!(a.row(0)[0], 0.0);
+        assert_eq!(b.row(0)[0], 99.0);
     }
 }

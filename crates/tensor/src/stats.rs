@@ -66,21 +66,6 @@ impl Ecdf {
             ((q * (self.sorted.len() - 1) as f32).round() as usize).min(self.sorted.len() - 1);
         Some(self.sorted[idx])
     }
-
-    /// Returns the sorted samples backing the ECDF.
-    pub fn samples(&self) -> &[f32] {
-        &self.sorted
-    }
-
-    /// Returns `(x, F(x))` pairs suitable for plotting a step function.
-    pub fn curve(&self) -> Vec<(f32, f32)> {
-        let n = self.sorted.len();
-        self.sorted
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (x, (i + 1) as f32 / n as f32))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -113,17 +98,6 @@ mod tests {
         assert_eq!(cdf.quantile(0.0), Some(1.0));
         assert_eq!(cdf.quantile(1.0), Some(5.0));
         assert_eq!(cdf.quantile(0.5), Some(3.0));
-    }
-
-    #[test]
-    fn ecdf_curve_is_monotone() {
-        let cdf = Ecdf::new(vec![3.0, 1.0, 2.0]);
-        let curve = cdf.curve();
-        assert_eq!(curve.len(), 3);
-        assert!(curve
-            .windows(2)
-            .all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
-        assert_eq!(curve.last().unwrap().1, 1.0);
     }
 
     proptest! {

@@ -1,9 +1,9 @@
 //! Free functions over flat `f32` slices.
 //!
-//! Flattened model parameter vectors, gradient vectors and gradient residual
-//! accumulators in the higher-level crates are plain `Vec<f32>`/`&[f32]`
-//! values; this module provides the handful of BLAS-level-1 style operations
-//! they need.
+//! Flattened model parameter vectors and logit rows in the higher-level
+//! crates are plain `Vec<f32>`/`&[f32]` values; this module provides the two
+//! operations they need: the SGD step's AXPY and the accuracy count's
+//! arg-max.
 //!
 //! # Examples
 //!
@@ -15,22 +15,6 @@
 //! assert_eq!(w, vec![0.0, 1.0, 2.0]);
 //! assert_eq!(vecops::argmax(&w), Some(2));
 //! ```
-
-/// Dot product of two equally long slices.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "dot: length mismatch {} vs {}",
-        a.len(),
-        b.len()
-    );
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-}
 
 /// In-place AXPY update `y += alpha * x`.
 ///
@@ -47,20 +31,6 @@ pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
     );
     for (yi, xi) in y.iter_mut().zip(x.iter()) {
         *yi += alpha * xi;
-    }
-}
-
-/// In-place scalar multiplication `y *= alpha`.
-pub fn scale(y: &mut [f32], alpha: f32) {
-    for yi in y.iter_mut() {
-        *yi *= alpha;
-    }
-}
-
-/// Fills the slice with zeros.
-pub fn zero(y: &mut [f32]) {
-    for yi in y.iter_mut() {
-        *yi = 0.0;
     }
 }
 
@@ -83,39 +53,16 @@ pub fn argmax(a: &[f32]) -> Option<usize> {
     Some(best)
 }
 
-/// Arithmetic mean, `0.0` for an empty slice.
-pub fn mean(a: &[f32]) -> f32 {
-    if a.is_empty() {
-        0.0
-    } else {
-        a.iter().sum::<f32>() / a.len() as f32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
     #[test]
-    fn dot_known_value() {
-        assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-    }
-
-    #[test]
-    fn axpy_and_friends() {
+    fn axpy_known_value() {
         let mut y = vec![1.0, 1.0];
         axpy(&mut y, 2.0, &[1.0, 3.0]);
         assert_eq!(y, vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn scale_and_zero() {
-        let mut y = vec![2.0, -4.0];
-        scale(&mut y, 0.5);
-        assert_eq!(y, vec![1.0, -2.0]);
-        zero(&mut y);
-        assert_eq!(y, vec![0.0, 0.0]);
     }
 
     #[test]
@@ -127,27 +74,7 @@ mod tests {
         assert_eq!(argmax(&[f32::NAN, 1.0, 2.0]), Some(2));
     }
 
-    #[test]
-    fn mean_known_values() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn dot_length_mismatch_panics() {
-        let _ = dot(&[1.0], &[1.0, 2.0]);
-    }
-
     proptest! {
-        #[test]
-        fn prop_dot_symmetry(a in proptest::collection::vec(-10.0f32..10.0, 1..50)) {
-            let b: Vec<f32> = a.iter().map(|x| x * 0.5 - 1.0).collect();
-            let ab = dot(&a, &b);
-            let ba = dot(&b, &a);
-            prop_assert!((ab - ba).abs() <= 1e-3 * (1.0 + ab.abs()));
-        }
-
         #[test]
         fn prop_axpy_matches_manual(
             y0 in proptest::collection::vec(-5.0f32..5.0, 1..30),

@@ -420,6 +420,24 @@ if product_lines crates/tensor/src/kernels.rs | grep -E 'vec!|Vec::'; then
     exit 1
 fi
 
+step "agsfl-tensor keeps only what the simulator calls (no general matrix library)"
+# The models need a few dense products, a fused convolution and a
+# cross-entropy; the seed's general linear algebra (a shape-error type, an
+# allocating and a fallible matmul, identity, transpose, filled and
+# row-slice constructors, dot/zero/mean/scale over slices) had no caller
+# but its own tests and was deleted. Any of these names back in the product
+# code of crates/*/src is that library growing back. Product code only (no
+# #[cfg(test)] item); comment lines are exempt.
+if for f in $(find crates/*/src -name '*.rs'); do product_lines "$f"; done \
+    | grep -E 'ShapeError|try_matmul|fn matmul\(|fn identity\(|fn transpose\(|fn filled\(|fn from_rows\('; then
+    echo "verify: a deleted general-purpose tensor item is back (lines above); use Matrix::matmul_into or agsfl_tensor::product" >&2
+    exit 1
+fi
+if product_lines crates/tensor/src/vecops.rs | grep -E 'pub fn (dot|zero|mean|scale)\('; then
+    echo "verify: crates/tensor/src/vecops.rs grew a deleted slice helper back (lines above)" >&2
+    exit 1
+fi
+
 step "products keep their fold order (no fused multiply-add, no staged weight copies)"
 # The goldens pin each product's exact sequence of roundings: a fused
 # multiply-add rounds once where mul-then-add rounds twice, so neither the
