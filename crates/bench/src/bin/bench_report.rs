@@ -7,22 +7,20 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p agsfl-bench --bin bench-report [-- [--check] [OUTPUT.json [HISTORY.jsonl]]]
+//! cargo run --release -p agsfl-bench --bin bench-report [-- [OUTPUT.json [HISTORY.jsonl]]]
 //! ```
 //!
-//! With `--check` nothing is written: every single-threaded pair's ratio is
-//! compared with the same pair in the last `selection_kernels` line of the
-//! history file recorded at the same core count, and the process exits 1 if
-//! one fell more than 15 % below it. Both sides of a pair see the same
-//! machine noise, which is why the *ratio* is what is gated; pairs whose
-//! optimized side runs on several threads are listed but not gated.
+//! A regression is judged by `scripts/pair.sh`, which runs this binary at
+//! a parent revision and at the working tree in alternation and pairs each
+//! kernel's optimized-side time across the two; the history file is a
+//! ledger for reading, not a baseline.
 //!
 //! Every pair goes through one [`Ledger`]. A section builds its inputs,
 //! asserts that both sides produce the same bits or bytes, and makes one
 //! ledger call, which times both sides with [`time_ns`] (mean ns per
 //! iteration over the fastest half of the samples), records one
-//! [`KernelReport`] and prints one line. `--check`, the snapshot and the
-//! history line read the ledger in call order, and a report renders as the
+//! [`KernelReport`] and prints one line. The snapshot and the history
+//! line read the ledger in call order, and a report renders as the
 //! same JSON object in both files.
 //!
 //! The pairs, each a baseline (usually the executable spec in a
@@ -243,66 +241,6 @@ impl Ledger {
     }
 }
 
-/// A pair's ratio may fall this far below its last recorded value before
-/// `--check` fails.
-const CHECK_TOLERANCE: f64 = 0.15;
-
-/// The `(kernel, speedup)` pairs of the last `selection_kernels` line of
-/// `history` that was recorded on `cores` cores. Reads the one format
-/// [`KernelReport::json_object`] writes, not JSON in general.
-fn last_recorded_ratios(history: &str, cores: usize) -> Option<Vec<(String, f64)>> {
-    let cores_field = format!("\"cores\":{cores},");
-    let line = history.lines().rev().find(|line| {
-        line.contains("\"suite\":\"selection_kernels\"") && line.contains(&cores_field)
-    })?;
-    Some(
-        line.split("{\"kernel\":\"")
-            .skip(1)
-            .filter_map(|entry| {
-                let name = entry.split('"').next()?;
-                let speedup = entry.split("\"speedup\":").nth(1)?.split('}').next()?;
-                Some((name.to_string(), speedup.parse().ok()?))
-            })
-            .collect(),
-    )
-}
-
-/// `--check`: compares every pair with the last history line at the same
-/// core count; returns whether a gated pair regressed.
-fn check_against_history(kernels: &[KernelReport], history_path: &str, cores: usize) -> bool {
-    let history = std::fs::read_to_string(history_path).unwrap_or_default();
-    let Some(recorded) = last_recorded_ratios(&history, cores) else {
-        eprintln!("bench-report --check: no selection_kernels line at {cores} core(s) in {history_path}; nothing to compare");
-        return false;
-    };
-    let mut regressed = false;
-    for kernel in kernels {
-        let Some(&(_, before)) = recorded.iter().find(|(name, _)| *name == kernel.name) else {
-            eprintln!(
-                "  {}: {:.2}x (no recorded ratio)",
-                kernel.name,
-                kernel.speedup()
-            );
-            continue;
-        };
-        let now = kernel.speedup();
-        let verdict = if now >= before * (1.0 - CHECK_TOLERANCE) {
-            "ok"
-        } else if kernel.shape.threads > 1 {
-            "below, not gated (multi-threaded pair)"
-        } else {
-            regressed = true;
-            "REGRESSION"
-        };
-        eprintln!(
-            "  {}: {before:.2}x recorded, {now:.2}x now ({:+.1} %) {verdict}",
-            kernel.name,
-            (now / before - 1.0) * 100.0
-        );
-    }
-    regressed
-}
-
 /// Records one client-step pair: the gradient of `batch` added into a
 /// dirty residual, then its index-ordered top-`k`. The seed materializes
 /// the gradient in a reused `D`-vector and adds it; the optimized side
@@ -361,14 +299,11 @@ fn json_lines(objects: &[String], indent: &str) -> String {
 }
 
 fn main() {
-    let (flags, paths): (Vec<String>, Vec<String>) = std::env::args()
-        .skip(1)
-        .partition(|arg| arg.starts_with("--"));
-    if let Some(unknown) = flags.iter().find(|flag| *flag != "--check") {
-        eprintln!("bench-report: unknown flag {unknown}; usage: bench-report [--check] [OUTPUT.json [HISTORY.jsonl]]");
+    let paths: Vec<String> = std::env::args().skip(1).collect();
+    if paths.len() > 2 || paths.iter().any(|arg| arg.starts_with('-')) {
+        eprintln!("usage: bench-report [OUTPUT.json [HISTORY.jsonl]]");
         std::process::exit(2);
     }
-    let check = !flags.is_empty();
     let out_path = paths
         .first()
         .cloned()
@@ -1178,17 +1113,6 @@ fn main() {
         );
     }
 
-    if check {
-        eprintln!(
-            "bench-report --check: ratios against the last {cores}-core line of {history_path}"
-        );
-        let regressed = check_against_history(&ledger.kernels, &history_path, cores);
-        if regressed {
-            eprintln!("bench-report --check: a paired ratio fell more than {:.0} % below its recorded value", CHECK_TOLERANCE * 100.0);
-        }
-        std::process::exit(i32::from(regressed));
-    }
-
     // Peak RSS of this whole process — an upper bound on every workload
     // above, recorded so memory regressions show up in the snapshot diff.
     let peak_rss_json = mem::peak_rss_bytes().map_or_else(|| "null".to_string(), |b| b.to_string());
@@ -1268,88 +1192,4 @@ fn main() {
         .write_all(telemetry_line.as_bytes())
         .expect("failed to append telemetry history");
     eprintln!("bench-report: appended to {history_path}");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn report(name: &str, threads: usize, seed_ns: f64, scratch_ns: f64) -> KernelReport {
-        KernelReport {
-            name: name.into(),
-            shape: Shape::new(1, 1, 1).on_threads(threads),
-            seed_ns,
-            scratch_ns,
-        }
-    }
-
-    #[test]
-    fn last_recorded_ratios_reads_the_last_line_at_the_same_core_count() {
-        let line = |cores: usize, ratio: f64| {
-            format!(
-                "{{\"unix_time\":1,\"suite\":\"selection_kernels\",\"workload\":{{\"dim\":1,\"clients\":1,\"k\":1}},\"cores\":{cores},\"peak_rss_bytes\":null,\"kernels\":[{},{}]}}",
-                report("fab_select", 1, ratio * 100.0, 100.0).json_object(),
-                report("fc_fwd@avx2", 1, 300.0, 100.0).json_object(),
-            )
-        };
-        let history = [
-            line(2, 2.0),
-            line(2, 4.0),
-            "{\"unix_time\":2,\"suite\":\"telemetry\",\"cores\":2,\"spans\":[]}".to_string(),
-            line(1, 9.0),
-        ]
-        .join("\n");
-        assert_eq!(
-            last_recorded_ratios(&history, 2),
-            Some(vec![
-                ("fab_select".to_string(), 4.0),
-                ("fc_fwd@avx2".to_string(), 3.0)
-            ])
-        );
-        assert_eq!(last_recorded_ratios(&history, 1).unwrap()[0].1, 9.0);
-        assert_eq!(last_recorded_ratios(&history, 8), None);
-    }
-
-    #[test]
-    fn check_fails_only_on_a_single_threaded_pair_more_than_the_tolerance_below() {
-        let dir = std::env::temp_dir().join(format!("bench-report-check-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("history.jsonl");
-        let recorded = [
-            report("steady", 1, 400.0, 100.0),
-            report("slower", 1, 400.0, 100.0),
-            report("pooled", 2, 400.0, 100.0),
-        ];
-        let body: Vec<String> = recorded.iter().map(KernelReport::json_object).collect();
-        std::fs::write(
-            &path,
-            format!(
-                "{{\"suite\":\"selection_kernels\",\"cores\":2,\"kernels\":[{}]}}\n",
-                body.join(",")
-            ),
-        )
-        .unwrap();
-        let path = path.to_str().unwrap();
-        // 4.0x -> 3.5x is inside 15 %; a multi-threaded pair is never gated;
-        // a pair with no recorded ratio is only listed.
-        let inside = [
-            report("steady", 1, 350.0, 100.0),
-            report("pooled", 2, 100.0, 100.0),
-            report("new", 1, 100.0, 100.0),
-        ];
-        assert!(!check_against_history(&inside, path, 2));
-        // 4.0x -> 3.3x is not.
-        assert!(check_against_history(
-            &[report("slower", 1, 330.0, 100.0)],
-            path,
-            2
-        ));
-        // Another core count has no baseline.
-        assert!(!check_against_history(
-            &[report("slower", 1, 100.0, 100.0)],
-            path,
-            4
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 }

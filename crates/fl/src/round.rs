@@ -94,27 +94,11 @@ pub struct RoundReport {
     pub fault: Option<FaultRoundReport>,
 }
 
-impl RoundReport {
-    /// Returns the estimator inputs `(loss_prev, loss_now, loss_probe,
-    /// probe_round_time, round_time)` if a probe was run this round.
-    pub fn estimator_inputs(&self) -> Option<(f64, f64, f64, f64, f64)> {
-        self.probe.map(|p| {
-            (
-                p.loss_prev,
-                p.loss_now,
-                p.loss_probe,
-                p.probe_round_time,
-                self.round_time,
-            )
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report(probe: Option<ProbeReport>) -> RoundReport {
+    fn report() -> RoundReport {
         RoundReport {
             round: 3,
             k_used: 100,
@@ -125,7 +109,7 @@ mod tests {
             max_uplink_scalars: 200,
             cohort: vec![0, 1],
             contributions: vec![50, 50],
-            probe,
+            probe: None,
             wire: None,
             fault: None,
         }
@@ -144,31 +128,8 @@ mod tests {
     }
 
     #[test]
-    fn estimator_inputs_absent_without_probe() {
-        assert!(report(None).estimator_inputs().is_none());
-    }
-
-    #[test]
-    fn estimator_inputs_present_with_probe() {
-        let p = ProbeReport {
-            probe_k: 80,
-            loss_prev: 2.0,
-            loss_now: 1.8,
-            loss_probe: 1.9,
-            probe_round_time: 2.5,
-        };
-        let (prev, now, probe, probe_time, round_time) =
-            report(Some(p)).estimator_inputs().unwrap();
-        assert_eq!(prev, 2.0);
-        assert_eq!(now, 1.8);
-        assert_eq!(probe, 1.9);
-        assert_eq!(probe_time, 2.5);
-        assert_eq!(round_time, 3.0);
-    }
-
-    #[test]
     fn report_serializes() {
-        let r = report(None);
+        let r = report();
         let clone = r.clone();
         assert_eq!(r, clone);
     }

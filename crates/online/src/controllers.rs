@@ -886,6 +886,180 @@ mod tests {
         });
     }
 
+    /// Out-of-range fields, one per case: each blob is well-formed but for
+    /// that field, restores to `Invalid(reason)` through `restore_tagged`
+    /// and leaves the target's own snapshot unchanged.
+    #[test]
+    fn restore_rejects_out_of_range_fields() {
+        let interval = SearchInterval::new(10.0, 1010.0);
+        let exp3 = || Exp3::new(Exp3::geometric_arms(10.0, 1000.0, 6), 0.2, 42);
+        let bandit = || ContinuousBandit::with_default_scales(interval, 500.0, 7);
+        let sign = || SignOgd::new(interval, 800.0);
+        let paper = || ExtendedSignOgd::new(ExtendedConfig::paper_defaults(100_000));
+        let blob = |tag: u8, body: &dyn Fn(&mut SnapshotWriter)| {
+            SnapshotWriter::write_exact(|w| {
+                w.tag(tag);
+                body(w);
+            })
+        };
+        let descent = |tag: u8, k: f64| {
+            blob(tag, &|w| {
+                interval.write_state(w);
+                w.f64(k);
+                w.usize(3);
+            })
+        };
+        // Algorithm 3: the instance's `interval, k, m`, then `M'`, `n`, the
+        // window's min and max and the restarts.
+        let extended = |min: f64, max: f64, k: f64, window_count: usize| {
+            blob(TAG_EXTENDED, &|w| {
+                w.f64(min);
+                w.f64(max);
+                w.f64(k);
+                w.usize(0);
+                w.usize(0);
+                w.usize(window_count);
+                w.f64(f64::INFINITY);
+                w.f64(0.0);
+                w.usize(0);
+            })
+        };
+        let exp3_state = |arm: usize, best_cost: f64| {
+            blob(TAG_EXP3, &|w| {
+                exp3().write_state(w);
+                w.usize(arm);
+                w.f64(best_cost);
+            })
+        };
+        let bandit_state = |reference: f64| {
+            blob(TAG_BANDIT, &|w| {
+                bandit().write_state(w);
+                w.opt_f64(Some(reference));
+            })
+        };
+        let precision_state = |tier_cost: f64, explore_every: usize| {
+            let state = PrecisionState {
+                round: 3,
+                explore_every,
+                cost: [Some(1.0), Some(tier_cost), None, None],
+                inner: sign().save_state(),
+            };
+            blob(TAG_PRECISION, &|w| state.write_state(w))
+        };
+        let precision = || PrecisionController::new(Box::new(sign()));
+        // (what is out of range, the target, its snapshot, the reason)
+        type Case = (&'static str, Box<dyn KController>, Vec<u8>, &'static str);
+        let cases: Vec<Case> = vec![
+            (
+                "FixedK k = 0.5",
+                Box::new(FixedK::new(123.0)),
+                blob(TAG_FIXED_K, &|w| w.f64(0.5)),
+                "fixed k",
+            ),
+            (
+                "FixedK k = NaN",
+                Box::new(FixedK::new(123.0)),
+                blob(TAG_FIXED_K, &|w| w.f64(f64::NAN)),
+                "fixed k",
+            ),
+            (
+                "SignOgd k below",
+                Box::new(sign()),
+                descent(TAG_SIGN_OGD, 5.0),
+                "k outside interval",
+            ),
+            (
+                "SignOgd k above",
+                Box::new(sign()),
+                descent(TAG_SIGN_OGD, 1011.0),
+                "k outside interval",
+            ),
+            (
+                "ValueBasedDescent k below",
+                Box::new(ValueBasedDescent::new(interval, 500.0)),
+                descent(TAG_VALUE_BASED, 5.0),
+                "k outside interval",
+            ),
+            (
+                "ValueBasedDescent k above",
+                Box::new(ValueBasedDescent::new(interval, 500.0)),
+                descent(TAG_VALUE_BASED, 1011.0),
+                "k outside interval",
+            ),
+            // Restored, this one would propose k = 1.5e9, and 20 signs later
+            // the window's shrink would build [6.7e8, 1e5] and panic.
+            (
+                "ExtendedSignOgd instance [1e9, 2e9]",
+                Box::new(paper()),
+                extended(1e9, 2e9, 1.5e9, 0),
+                "instance interval",
+            ),
+            (
+                "ExtendedSignOgd instance below k_min",
+                Box::new(paper()),
+                extended(100.0, 1000.0, 500.0, 0),
+                "instance interval",
+            ),
+            (
+                "ExtendedSignOgd full window",
+                Box::new(paper()),
+                extended(200.0, 100_000.0, 500.0, 20),
+                "window count",
+            ),
+            (
+                "Exp3Controller arm == num_arms",
+                Box::new(Exp3Controller::new(exp3())),
+                exp3_state(6, 1.0),
+                "current arm",
+            ),
+            (
+                "Exp3Controller NaN best cost",
+                Box::new(Exp3Controller::new(exp3())),
+                exp3_state(0, f64::NAN),
+                "best cost",
+            ),
+            (
+                "BanditController reference 0",
+                Box::new(BanditController::new(bandit())),
+                bandit_state(0.0),
+                "reference cost",
+            ),
+            (
+                "BanditController reference -1",
+                Box::new(BanditController::new(bandit())),
+                bandit_state(-1.0),
+                "reference cost",
+            ),
+            (
+                "BanditController reference inf",
+                Box::new(BanditController::new(bandit())),
+                bandit_state(f64::INFINITY),
+                "reference cost",
+            ),
+            (
+                "PrecisionController negative tier cost",
+                Box::new(precision()),
+                precision_state(-1.0, 16),
+                "tier cost",
+            ),
+            (
+                "PrecisionController explore period 8",
+                Box::new(precision()),
+                precision_state(1.0, 8),
+                "explore period",
+            ),
+        ];
+        for (name, mut target, bytes, reason) in cases {
+            let before = target.save_state();
+            assert_eq!(
+                target.restore_state(&bytes),
+                Err(SnapshotError::Invalid(reason)),
+                "{name}"
+            );
+            assert_eq!(target.save_state(), before, "{name}: mutated the target");
+        }
+    }
+
     /// Reads `bytes` into `target` bare, as a section inside a snapshot is
     /// read: `read_state`, then `finish`.
     fn read_section<T: Snapshot>(target: &mut T, bytes: &[u8]) -> Result<(), SnapshotError> {

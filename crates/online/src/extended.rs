@@ -185,10 +185,20 @@ impl Snapshot for ExtendedSignOgd {
         w.usize(self.restarts);
     }
 
+    /// Rejects what `step` never leaves behind: an instance interval outside
+    /// the configured `[k_min, k_max]` (a later shrink would clip it to an
+    /// empty interval and panic) and a full window (`step` closes it).
     fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.instance.read_state(r)?;
+        let interval = self.instance.interval();
+        if interval.min() < self.config.k_min || interval.max() > self.config.k_max {
+            return Err(SnapshotError::Invalid("instance interval"));
+        }
         self.previous_instance_rounds = r.usize()?;
         self.window_count = r.usize()?;
+        if self.window_count >= self.config.update_window {
+            return Err(SnapshotError::Invalid("window count"));
+        }
         self.window_min = r.f64()?;
         self.window_max = r.f64()?;
         self.restarts = r.usize()?;

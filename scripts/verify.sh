@@ -448,10 +448,10 @@ if grep -rnE 'mul_add|fmadd|"fma"' crates/tensor/src crates/ml/src; then
     exit 1
 fi
 # The old streaming loops survive only as the scalar spec; nothing but the
-# bench crate (its paired kernels' baseline) and tests may call it.
-if { grep -rn 'agsfl_tensor::reference' crates/*/src; grep -rn 'crate::reference' crates/tensor/src; } \
-    | grep -vE '^crates/bench/' \
-    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+# bench crate (its paired kernels' baseline) and tests may call it. Product
+# lines only, so a #[cfg(test)] item may compare a kernel with the spec.
+if for f in $(find crates/*/src -name '*.rs' | grep -v '^crates/bench/'); do product_lines "$f"; done \
+    | grep -E 'agsfl_tensor::reference|^crates/tensor/src/[^:]+:[0-9]+:.*crate::reference'; then
     echo "verify: product code calls agsfl_tensor::reference (lines above); it is the spec, not a path" >&2
     exit 1
 fi
@@ -564,7 +564,24 @@ cargo test -q -p agsfl-ml --test materialize_rows
 named_tests -q -p agsfl-ml --test generate_schedule generation
 cargo test -q -p agsfl-fl --test gradient_allocations
 
-step "bench-report --check rule and the FedAvg baseline's last evaluated point"
+step "the pair gate (scripts/pair_summary.sh fails a row behind in >= 9/10 pairs by more than the parent's IQR, and no other; a kernel row is lower-is-better)"
+# pair_gated.tsv: an end-to-end metric behind in 9/10 pairs and a kernel
+# behind in 10/10, each by more than the parent's IQR, fail; a faster kernel
+# passes. pair_passing.tsv: behind in 9/10 inside the IQR, behind in 8/10
+# far outside it (once with the other two pairs ahead, once tied: a tie
+# still counts in N), all ties, and a faster kernel (which would fail if
+# read higher-is-better) all pass.
+scripts/pair_summary.sh scripts/testdata/pair_passing.tsv
+status=0
+failed=$(scripts/pair_summary.sh scripts/testdata/pair_gated.tsv 2>&1 >/dev/null) || status=$?
+if [[ "$status" -ne 1 ]] || [[ "$(grep '^  ' <<<"$failed")" != \
+    $'  paper_cnn_adaptive rounds_per_s (behind in 9/10)\n  kernels fc_fwd@avx512 (behind in 10/10)' ]]; then
+    echo "verify: pair_summary.sh on scripts/testdata/pair_gated.tsv exited $status, naming:" >&2
+    printf '%s\n' "$failed" >&2
+    exit 1
+fi
+
+step "the bench crate's workload shapes and the FedAvg baseline's last evaluated point"
 cargo test -q -p agsfl-bench
 named_tests -q -p agsfl-core --lib fedavg_run_evaluates_its_last_point
 
