@@ -12,43 +12,40 @@
 //!
 //! A regression is judged by `scripts/pair.sh`, which runs this binary at
 //! a parent revision and at the working tree in alternation and pairs each
-//! kernel's optimized-side time across the two; the history file is a
-//! ledger for reading, not a baseline.
+//! kernel's time across the two; the history file is a ledger for reading,
+//! not a baseline.
 //!
-//! Every pair goes through one [`Ledger`]. A section builds its inputs,
-//! asserts that both sides produce the same bits or bytes, and makes one
-//! ledger call, which times both sides with [`time_ns`] (mean ns per
-//! iteration over the fastest half of the samples), records one
-//! [`KernelReport`] and prints one line. The snapshot and the history
-//! line read the ledger in call order, and a report renders as the
-//! same JSON object in both files.
+//! Every row goes through one [`Ledger`]. A section builds its inputs,
+//! computes the expected value once through the executable spec (usually a
+//! `reference` module), makes one [`Ledger::time`] call on the shipped
+//! path, which times it with [`time_ns`] (mean ns per iteration over the
+//! fastest half of the samples), records one [`KernelReport`] and prints
+//! one line, and asserts that the shipped path produced the spec's bits or
+//! bytes. The spec is not timed. The snapshot and the history line read
+//! the ledger in call order, and a report renders as the same JSON object
+//! in both files.
 //!
-//! The pairs, each a baseline (usually the executable spec in a
-//! `reference` module) against the shipped fast path: FAB selection at
-//! dim = 10⁵, N = 40, k = dim/100 (`fab_select`) and at the paper's
-//! dimension (`fab_select_wide`/`_kmax`), the probe aggregate as a
-//! restriction of the round's own (`probe_restrict_*`), one pool region's
-//! dispatch against a scoped spawn (`pool_dispatch`), the client top-k and
-//! the lossy tier's re-rank (`client_top_k*`, `rank_by_magnitude`), the
-//! paper-shape CNN forward and gradient (`cnn_*`), one client step —
-//! gradient into a residual, then the top-k — with the gradient
-//! materialized and added against landed in the residual, at the CNN and
-//! at `sparse_wide_linear`'s linear model (`client_step`, `linear_step`),
-//! that gradient's three
-//! matrix products at every dispatch level the host runs (`fc_fwd@avx2`,
-//! …) and its fused convolution layer and backward against the im2col
-//! lowering they replaced (`conv_relu_pool@avx512`, `conv_bwd@avx512`, …),
-//! the fused evaluation sweep (`eval_sweep`),
-//! dataset generation on the pool at `sparse_wide_linear`'s shape
-//! (`dataset_generate_wide`), the lossless and
-//! quantized wire codecs (`wire_*`, `quant_*`), a wired upload's ordering
-//! work at `sparse_wide_linear`'s shape (`wired_client_upload`,
-//! `server_rank_decoded`, `reset_errors_merge`), the bookkeeping resets of
-//! a `k = D/2` round from a reset list vs the members' fused walk
-//! (`bookkeeping_reset_kmax`), a checkpoint restore at
-//! the paper's scale (`checkpoint_load`) and the recorded-vs-noop round
-//! (`telemetry_record`). Each section's comment says what its two sides
-//! are.
+//! The rows: FAB selection at dim = 10⁵, N = 40, k = dim/100
+//! (`fab_select`) and at the paper's dimension (`fab_select_wide`/`_kmax`),
+//! the probe aggregate as a restriction of the round's own
+//! (`probe_restrict_*`), one pool region's dispatch (`pool_dispatch`), the
+//! client top-k and the lossy tier's re-rank (`client_top_k*`,
+//! `rank_by_magnitude`), the paper-shape CNN forward and gradient
+//! (`cnn_*`), one client step — gradient landed in a residual, then the
+//! top-k — at the CNN and at `sparse_wide_linear`'s linear model
+//! (`client_step`, `linear_step`), that gradient's three matrix products
+//! and its fused convolution layer and backward at every dispatch level
+//! the host runs (`fc_fwd@avx2`, `conv_relu_pool@avx512`, `conv_bwd@avx512`,
+//! …), the fused evaluation sweep (`eval_sweep`), dataset generation on
+//! the pool at `sparse_wide_linear`'s shape (`dataset_generate_wide`), the
+//! lossless and quantized wire codecs (`wire_*`, `quant_*`), a wired
+//! upload's ordering work at `sparse_wide_linear`'s shape
+//! (`wired_client_upload`, `server_rank_decoded`, `reset_errors_merge`),
+//! the members' bookkeeping resets of a `k = D/2` round
+//! (`bookkeeping_reset_kmax`), a checkpoint restore at the paper's scale
+//! (`checkpoint_load`) and a noop and a recorded round (`telemetry_noop`,
+//! `telemetry_record`). Each section's comment says what it times and
+//! which spec it is asserted against.
 //!
 //! Beyond the kernels, the report records the process' peak RSS and the
 //! telemetry recorder's stage quantiles and pool occupancy. The cohort
@@ -56,7 +53,6 @@
 //! gates it, and the benchmark's `cohort_million_wired` workload measures
 //! a 256-member cohort of a lazy 10⁶-client population.
 
-use std::cell::RefCell;
 use std::io::Write as _;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -77,7 +73,7 @@ use agsfl_sparse::{
 };
 use agsfl_telemetry::{SpanId, StageRecorder};
 use agsfl_tensor::dispatch::{self, Level};
-use agsfl_tensor::reference::{self as tensor_reference, Im2colLowering};
+use agsfl_tensor::reference as tensor_reference;
 use agsfl_tensor::{ConvLayer, ConvScratch, ConvShape, Matrix, MatrixView, Product};
 use agsfl_wire::{
     decode_frame, decode_frame_with, reference as wire_reference, CodecSpec, WireScratch,
@@ -116,30 +112,8 @@ fn time_ns<T>(mut f: impl FnMut() -> T) -> f64 {
     samples[..half].iter().sum::<f64>() / half as f64 * 1e9
 }
 
-/// The `pool_dispatch` baseline: a spawn-per-region map over
-/// `std::thread::scope`, chunked like `Executor::map_mut` and returning
-/// results in item order.
-fn scoped_map_mut<T: Send, R: Send>(
-    threads: usize,
-    items: &mut [T],
-    f: impl Fn(&mut T) -> R + Sync,
-) -> Vec<R> {
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .map(|chunk| scope.spawn(move || chunk.iter_mut().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("baseline worker panicked"))
-            .collect()
-    })
-}
-
-/// The workload a pair ran at: dimension, clients (or batch rows), `k`,
-/// and the worker threads of the optimized side (1 = serial kernel).
+/// The workload a row ran at: dimension, clients (or batch rows), `k`,
+/// and the worker threads of the timed path (1 = serial kernel).
 #[derive(Debug, Clone, Copy)]
 struct Shape {
     dim: usize,
@@ -149,7 +123,7 @@ struct Shape {
 }
 
 impl Shape {
-    /// A pair whose optimized side runs on one thread.
+    /// A row whose timed path runs on one thread.
     fn new(dim: usize, clients: usize, k: usize) -> Self {
         Self {
             dim,
@@ -159,94 +133,80 @@ impl Shape {
         }
     }
 
-    /// The same shape with the optimized side on `threads` workers.
+    /// The same shape with the timed path on `threads` workers.
     fn on_threads(self, threads: usize) -> Self {
         Self { threads, ..self }
     }
 }
 
-/// One recorded pair: baseline ("seed") and optimized ("scratch")
-/// nanoseconds per iteration at one shape.
+/// One recorded row: nanoseconds per iteration of a kernel at one shape.
 struct KernelReport {
     name: String,
     shape: Shape,
-    seed_ns: f64,
-    scratch_ns: f64,
+    ns: f64,
 }
 
 impl KernelReport {
-    fn speedup(&self) -> f64 {
-        self.seed_ns / self.scratch_ns
-    }
-
-    /// The pair's one JSON object, written to both the snapshot and the
-    /// history line.
+    /// The row's one JSON object, on one line, written to both the snapshot
+    /// and the history line. `scripts/pair.sh` reads its `kernel` and
+    /// `scratch_ns_per_iter`.
     fn json_object(&self) -> String {
         let s = self.shape;
         format!(
-            "{{\"kernel\":\"{}\",\"dim\":{},\"clients\":{},\"k\":{},\"threads\":{},\"seed_ns_per_iter\":{:.1},\"scratch_ns_per_iter\":{:.1},\"speedup\":{:.2}}}",
-            self.name, s.dim, s.clients, s.k, s.threads, self.seed_ns, self.scratch_ns, self.speedup()
+            "{{\"kernel\":\"{}\",\"dim\":{},\"clients\":{},\"k\":{},\"threads\":{},\"scratch_ns_per_iter\":{:.1}}}",
+            self.name, s.dim, s.clients, s.k, s.threads, self.ns
         )
     }
 }
 
-/// Every pair of the run, in call order.
+/// Every row of the run, in call order.
 #[derive(Default)]
 struct Ledger {
     kernels: Vec<KernelReport>,
 }
 
 impl Ledger {
-    /// Times `baseline`, then `optimized`, and records the pair.
-    fn pair<A, B>(
-        &mut self,
-        name: &str,
-        shape: Shape,
-        note: &str,
-        baseline: impl FnMut() -> A,
-        optimized: impl FnMut() -> B,
-    ) -> &KernelReport {
-        let seed_ns = time_ns(baseline);
-        let scratch_ns = time_ns(optimized);
-        self.record(name, shape, note, seed_ns, scratch_ns)
-    }
-
-    /// Records a pair whose sides the caller timed and prints its line:
-    /// name, shape, both times, the ratio and `note` (if not empty).
-    fn record(
+    /// Times `f`, records the row and prints its line: name, shape, the
+    /// time and `note` (if not empty). Returns the time.
+    fn time<T>(
         &mut self,
         name: impl Into<String>,
         shape: Shape,
         note: &str,
-        seed_ns: f64,
-        scratch_ns: f64,
-    ) -> &KernelReport {
+        f: impl FnMut() -> T,
+    ) -> f64 {
         let name = name.into();
+        let ns = time_ns(f);
         let note = if note.is_empty() {
             String::new()
         } else {
             format!("; {note}")
         };
         eprintln!(
-            "  {name} (D={}, N={}, k={}, threads={}{note}): {seed_ns:.0} ns -> {scratch_ns:.0} ns, {:.2}x",
-            shape.dim, shape.clients, shape.k, shape.threads, seed_ns / scratch_ns
+            "  {name} (D={}, N={}, k={}, threads={}{note}): {ns:.0} ns",
+            shape.dim, shape.clients, shape.k, shape.threads
         );
-        self.kernels.push(KernelReport {
-            name,
-            shape,
-            seed_ns,
-            scratch_ns,
-        });
-        self.kernels.last().expect("just recorded")
+        self.kernels.push(KernelReport { name, shape, ns });
+        ns
     }
 }
 
-/// Records one client-step pair: the gradient of `batch` added into a
-/// dirty residual, then its index-ordered top-`k`. The seed materializes
-/// the gradient in a reused `D`-vector and adds it; the optimized side
-/// lands it in the residual. Both start from the same residual, and their
-/// first steps must leave the same bits and the same loss.
-fn client_step_pair(
+/// The note of a row timed at `level`: `dispatched` at the level the
+/// product path runs.
+fn level_note(level: Level) -> &'static str {
+    if level == Level::detect() {
+        "dispatched"
+    } else {
+        ""
+    }
+}
+
+/// Times one client step: the gradient of `batch` landed in a dirty
+/// residual (`loss_and_accumulate_into`), then its index-ordered top-`k`.
+/// Its first step is asserted against the spec's from the same residual:
+/// the gradient materialized in a `D`-vector and added, which must leave
+/// the same bits and the same loss.
+fn time_client_step(
     ledger: &mut Ledger,
     name: &str,
     model: &dyn Model,
@@ -254,16 +214,11 @@ fn client_step_pair(
     k: usize,
 ) {
     let dim = model.num_params();
-    let start: ResidualAccumulator = residual_workload(dim).into();
-    let (mut seed_acc, mut landed_acc) = (start.clone(), start);
-    let (mut grad, mut seed_keys, mut seed_entries) = (Vec::new(), Vec::new(), Vec::new());
-    let mut seed_step = |acc: &mut ResidualAccumulator| {
-        let loss = model.loss_and_grad_into(black_box(params), x, labels, &mut grad);
-        acc.add(&grad);
-        acc.top_k_entries_indexed_into(k, &mut seed_keys, &mut seed_entries);
-        black_box(&seed_entries);
-        loss
-    };
+    let mut spec_acc: ResidualAccumulator = residual_workload(dim).into();
+    let mut landed_acc = spec_acc.clone();
+    let mut grad = Vec::new();
+    let spec_loss = model.loss_and_grad_into(params, x, labels, &mut grad);
+    spec_acc.add(&grad);
     let (mut keys, mut entries) = (Vec::new(), Vec::new());
     let mut landed_step = |acc: &mut ResidualAccumulator| {
         let loss = acc.add_with(dim, |residual| {
@@ -273,23 +228,19 @@ fn client_step_pair(
         black_box(&entries);
         loss
     };
-    let (seed_loss, landed_loss) = (seed_step(&mut seed_acc), landed_step(&mut landed_acc));
-    assert_eq!(seed_loss.to_bits(), landed_loss.to_bits(), "{name}: loss");
+    let landed_loss = landed_step(&mut landed_acc);
+    assert_eq!(spec_loss.to_bits(), landed_loss.to_bits(), "{name}: loss");
     assert!(
-        seed_acc
+        spec_acc
             .as_slice()
             .iter()
             .zip(landed_acc.as_slice())
             .all(|(a, b)| a.to_bits() == b.to_bits()),
         "{name}: the landed gradient must leave the residual bits of the added one"
     );
-    ledger.pair(
-        name,
-        Shape::new(dim, x.rows(), k),
-        "",
-        || seed_step(&mut seed_acc),
-        || landed_step(&mut landed_acc),
-    );
+    ledger.time(name, Shape::new(dim, x.rows(), k), "", || {
+        landed_step(&mut landed_acc)
+    });
 }
 
 /// `objects`, one per line at `indent`, comma-separated.
@@ -316,7 +267,7 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    // The pool pairs are always measured through the parallel engine (at
+    // The pool rows are always measured through the parallel engine (at
     // least two workers), so the machinery is exercised and its overhead
     // honestly recorded even on a single-core box.
     let pool_threads = cores.max(2);
@@ -326,42 +277,38 @@ fn main() {
     );
     let mut ledger = Ledger::default();
 
-    // FAB server selection: seed vs the shipped path — every upload
+    // FAB server selection as the round engine runs it — every upload
     // accumulated into the dense sums, then the rank-major scan into the
     // `J` bitset and the gather — with the result recycled into the
-    // workspace, as the round engine runs it. (In the engine the
-    // accumulation runs in the client pass's admission, overlapped with
-    // the workers; here it is timed in full.)
+    // workspace. (In the engine the accumulation runs in the client pass's
+    // admission, overlapped with the workers; here it is timed in full.)
     let uploads = fab_workload();
     let mut scratch = SelectionScratch::new();
     let select_recycled = |scratch: &mut SelectionScratch, uploads: &[ClientUpload], dim, k| {
         let result = FabTopK::new().select_into(black_box(uploads), dim, k, scratch);
         scratch.recycle(result);
     };
-    ledger.pair(
+    ledger.time(
         "fab_select",
         Shape::new(FAB_DIM, FAB_CLIENTS, FAB_K),
         "accumulate + select",
-        || reference::fab_select(black_box(&uploads), FAB_DIM, FAB_K),
         || select_recycled(&mut scratch, &uploads, FAB_DIM, FAB_K),
     );
 
     // The server's two reads of a round's uploads at the paper's dimension,
     // on `sparse_wide_linear`'s shape and on an adaptive run's k ≈ D/2
-    // round. `fab_select_*`: accumulate + the rank-major scan + the gather
-    // against the seed's binary search over hash-set unions.
+    // round. `fab_select_*`: accumulate + the rank-major scan + the gather,
+    // asserted against the spec's binary search over hash-set unions.
     // `probe_restrict_*`: the probe aggregate as a restriction of the
-    // round's own against the second `select_into` at k' it replaced; both
-    // sides share the round's workspace, as they did in the round. Both
-    // sides of each pair must return the same bits.
+    // round's own, in the round's workspace, asserted against an
+    // independent selection at k'.
     for (select_name, restrict_name, clients, k, probe_k) in SERVER_SHAPES {
         let uploads = server_workload(clients, k);
         let fab = FabTopK::new();
-        ledger.pair(
+        ledger.time(
             select_name,
             Shape::new(TOPK_DIM, clients, k),
             "accumulate + select",
-            || reference::fab_select(black_box(&uploads), TOPK_DIM, k),
             || select_recycled(&mut scratch, &uploads, TOPK_DIM, k),
         );
         let selection = fab.select_into(&uploads, TOPK_DIM, k, &mut scratch);
@@ -370,19 +317,13 @@ fn main() {
             reference::fab_select(&uploads, TOPK_DIM, k),
             "the rank-major scan must select what the reference selects"
         );
-        let shared = RefCell::new(&mut scratch);
-        ledger.pair(
+        ledger.time(
             restrict_name,
             Shape::new(TOPK_DIM, clients, probe_k),
             "",
             || {
-                let scratch = &mut shared.borrow_mut();
-                fab.select_into(black_box(&uploads), TOPK_DIM, probe_k, scratch)
-            },
-            || {
-                let scratch = &mut shared.borrow_mut();
                 let uploads = black_box(&uploads);
-                fab.probe_aggregate(uploads, TOPK_DIM, k, &selection, probe_k, scratch)
+                fab.probe_aggregate(uploads, TOPK_DIM, k, &selection, probe_k, &mut scratch)
             },
         );
         assert_eq!(
@@ -392,35 +333,32 @@ fn main() {
         );
     }
 
-    // Parallel-region dispatch overhead: a spawn-per-region `thread::scope`
-    // map (`scoped_map_mut` above, the baseline) vs the persistent
-    // channel-fed pool (`Executor::map_mut`), over a deliberately tiny
-    // region — trivial per-item work on a small slice — so the pair
-    // isolates what *dispatching* one region costs, not what the region
-    // computes. The round engine pays this cost several times per round;
-    // the acceptance bar is pool dispatch below the scope spawn cost.
+    // Parallel-region dispatch overhead: the persistent channel-fed pool
+    // (`Executor::map_mut`) over a deliberately tiny region — trivial
+    // per-item work on a small slice — so the row isolates what
+    // *dispatching* one region costs, not what the region computes. The
+    // round engine pays this cost several times per round.
     const DISPATCH_ITEMS: usize = 64;
     let dispatch_exec = Executor::new(pool_threads);
-    let bump = |x: &mut u64| {
-        *x = x.wrapping_add(1);
-        *x
-    };
-    let (mut scoped_items, mut pooled_items) =
-        (vec![0u64; DISPATCH_ITEMS], vec![0u64; DISPATCH_ITEMS]);
-    ledger.pair(
+    let mut items = vec![0u64; DISPATCH_ITEMS];
+    ledger.time(
         "pool_dispatch",
         Shape::new(DISPATCH_ITEMS, DISPATCH_ITEMS, 0).on_threads(pool_threads),
         "",
-        || scoped_map_mut(pool_threads, black_box(&mut scoped_items), bump),
-        || dispatch_exec.map_mut(black_box(&mut pooled_items), bump),
+        || {
+            dispatch_exec.map_mut(black_box(&mut items), |x| {
+                *x = x.wrapping_add(1);
+                *x
+            })
+        },
     );
 
     // Client-side top-k extraction at the paper's dimension, at a fixed-k
     // round's degree, at an adaptive run's k_max and at Algorithm 3's low
-    // end: the comparator quickselect + sort kept in `reference` (the
-    // executable spec) vs the integer-key sampled select + radix rank.
-    // Then the lossy tier's re-rank of an index-sorted (decoded) list:
-    // comparator sort vs keys.
+    // end: the integer-key sampled select + radix rank, asserted against
+    // the comparator quickselect + sort kept in `reference`. Then the lossy
+    // tier's re-rank of an index-sorted (decoded) list by keys, asserted to
+    // restore the ranking.
     let values = topk_workload();
     let mut keys = Vec::new();
     for (name, k) in ["client_top_k", "client_top_k_kmax", "client_top_k_min"]
@@ -428,16 +366,10 @@ fn main() {
         .zip(TOPK_KS)
     {
         let mut ranked = Vec::new();
-        ledger.pair(
-            name,
-            Shape::new(TOPK_DIM, 1, k),
-            "",
-            || reference::top_k_entries(black_box(&values), k),
-            || {
-                topk::top_k_entries_into(black_box(&values), k, &mut keys, &mut ranked);
-                black_box(&ranked);
-            },
-        );
+        ledger.time(name, Shape::new(TOPK_DIM, 1, k), "", || {
+            topk::top_k_entries_into(black_box(&values), k, &mut keys, &mut ranked);
+            black_box(&ranked);
+        });
         assert_eq!(
             ranked,
             reference::top_k_entries(&values, k),
@@ -448,58 +380,33 @@ fn main() {
     let ranked = topk::top_k_entries(&values, k);
     let mut by_index = ranked.clone();
     topk::sort_by_index(&mut by_index, &mut keys);
-    let (mut sorted, mut entries) = (Vec::new(), Vec::new());
-    ledger.pair(
-        "rank_by_magnitude",
-        Shape::new(TOPK_DIM, 1, k),
-        "",
-        || {
-            sorted.clone_from(&by_index);
-            sorted.sort_unstable_by(topk::compare_magnitude_then_index);
-            black_box(&sorted);
-        },
-        || {
-            entries.clone_from(&by_index);
-            topk::rank_by_magnitude(&mut entries, &mut keys);
-            black_box(&entries);
-        },
-    );
+    let mut entries = Vec::new();
+    ledger.time("rank_by_magnitude", Shape::new(TOPK_DIM, 1, k), "", || {
+        entries.clone_from(&by_index);
+        topk::rank_by_magnitude(&mut entries, &mut keys);
+        black_box(&entries);
+    });
     assert_eq!(entries, ranked, "keyed re-rank must restore the ranking");
 
     // CNN forward and gradient at the paper shape (~420k weights, batch
-    // 32): the seed scalar-loop kernels kept in `agsfl_ml::reference` vs
-    // the fused convolution kernels (the forward, and for the gradient the
-    // backward too) with a reused workspace.
+    // 32): the fused convolution kernels (the forward, and for the gradient
+    // the backward too) with a reused workspace. Their bits against the
+    // scalar loops of `agsfl_ml::reference` are `cnn_equivalence`'s.
     let (cnn, params, x, labels) = cnn_workload();
     let cnn_shape = Shape::new(cnn.num_params(), CNN_BATCH, cnn.filters());
     let (mut cnn_scratch, mut grad) = (CnnScratch::new(), Vec::new());
-    ledger.pair(
-        "cnn_forward",
-        cnn_shape,
-        "",
-        || ml_reference::cnn_forward(&cnn, black_box(&params), black_box(&x)),
-        || cnn.forward_with(black_box(&params), black_box(&x).view(), &mut cnn_scratch),
-    );
-    ledger.pair(
-        "cnn_grad",
-        cnn_shape,
-        "",
-        || ml_reference::cnn_loss_and_grad(&cnn, black_box(&params), black_box(&x), &labels),
-        || {
-            let (params, x) = (black_box(&params), black_box(&x));
-            cnn.loss_and_grad_with(params, x, &labels, &mut cnn_scratch, &mut grad)
-        },
-    );
+    ledger.time("cnn_forward", cnn_shape, "", || {
+        cnn.forward_with(black_box(&params), black_box(&x).view(), &mut cnn_scratch)
+    });
+    ledger.time("cnn_grad", cnn_shape, "", || {
+        let (params, x) = (black_box(&params), black_box(&x));
+        cnn.loss_and_grad_with(params, x, &labels, &mut cnn_scratch, &mut grad)
+    });
 
-    // One client step, Line 4 then Line 6 of Algorithm 1: the gradient
-    // added into a dirty residual, then the index-ordered top-k of it. The
-    // seed materializes the gradient (`loss_and_grad_into` into a reused
-    // D-vector) and adds it (`ResidualAccumulator::add`); the optimized
-    // side lands it in the residual (`loss_and_accumulate_into`). Both
-    // start from the same residual and must agree on its bits. At the
-    // paper's CNN (`client_step`) and at `sparse_wide_linear`'s model
-    // (`linear_step`).
-    client_step_pair(
+    // One client step, Line 4 then Line 6 of Algorithm 1, at the paper's
+    // CNN (`client_step`) and at `sparse_wide_linear`'s model
+    // (`linear_step`); see `time_client_step`.
+    time_client_step(
         &mut ledger,
         "client_step",
         &cnn,
@@ -507,7 +414,7 @@ fn main() {
         CLIENT_STEP_K,
     );
     let (linear, linear_params, linear_x, linear_labels) = linear_workload();
-    client_step_pair(
+    time_client_step(
         &mut ledger,
         "linear_step",
         &linear,
@@ -516,11 +423,9 @@ fn main() {
     );
 
     // Its convolution layer alone (conv + bias + ReLU + 2x2 pool, 32 rows
-    // of 1x28x28, 40 filters), at every vector width this CPU can run: the
-    // im2col lowering the fused kernel replaced — columns, a bias-seeded
-    // `matmul_acc` at the same level, then a ReLU/pool pass reading the
-    // pre-activations back — against the fused kernel. Both sides must
-    // agree bit for bit.
+    // of 1x28x28, 40 filters): the fused kernel at every vector width this
+    // CPU can run, asserted bit for bit against the spec's im2col lowering
+    // (columns, a bias-seeded scalar product, a ReLU/pool pass).
     let conv_shape = ConvShape {
         channels: cnn.in_channels(),
         height: cnn.height(),
@@ -535,27 +440,16 @@ fn main() {
         &params[..conv_weights],
         &params[conv_weights..conv_weights + cnn.filters()],
     );
-    let (mut lowering, mut conv_scratch) = (Im2colLowering::default(), ConvScratch::new());
+    let conv_rows = Shape::new(layer.weights().len(), CNN_BATCH, cnn.filters());
+    let mut conv_scratch = ConvScratch::new();
     let mut expected = vec![0.0f32; CNN_BATCH * conv_shape.pooled_dim()];
+    tensor_reference::conv_relu_pool(layer, x.view(), &mut expected, None);
     let mut pooled = expected.clone();
     for level in Level::available() {
-        let note = if level == Level::detect() {
-            "dispatched"
-        } else {
-            ""
-        };
-        ledger.pair(
-            &format!("conv_relu_pool@{}", level.name()),
-            Shape::new(layer.weights().len(), CNN_BATCH, cnn.filters()),
-            note,
-            || {
-                lowering.run(
-                    layer,
-                    black_box(&x).view(),
-                    &mut expected,
-                    |w, cols, pre| dispatch::run(level, Product::MatmulAcc, w, cols, pre),
-                )
-            },
+        ledger.time(
+            format!("conv_relu_pool@{}", level.name()),
+            conv_rows,
+            level_note(level),
             || {
                 let images = black_box(&x).view();
                 dispatch::conv_relu_pool(level, layer, images, &mut conv_scratch, &mut pooled, None)
@@ -572,12 +466,11 @@ fn main() {
     }
 
     // Its backward alone (the weight and bias gradients from the pooled
-    // gradient, the forward's ReLU mask and the images), at every level:
-    // the im2col lowering the fused kernel replaced — the pre-activation
-    // gradient written out, a serial row sum per filter for the bias, the
-    // columns, and `dpre · colsᵀ` through the dispatched product at the
-    // same level — against the fused kernel. Both sides must agree bit for
-    // bit.
+    // gradient, the forward's ReLU mask and the images): the fused kernel
+    // at every level, asserted bit for bit against the spec's im2col
+    // lowering (the pre-activation gradient written out, a serial row sum
+    // per filter for the bias, the columns, and `dpre · colsᵀ` through the
+    // scalar product).
     let mut mask = vec![0u8; CNN_BATCH * conv_shape.mask_dim()];
     dispatch::conv_relu_pool(
         Level::detect(),
@@ -594,28 +487,20 @@ fn main() {
         vec![0.0f32; layer.weights().len()],
         vec![0.0f32; cnn.filters()],
     );
+    tensor_reference::conv_relu_pool_backward(
+        conv_shape,
+        x.view(),
+        &dpooled,
+        &mask,
+        &mut expected.0,
+        &mut expected.1,
+    );
     let mut got = expected.clone();
     for level in Level::available() {
-        let note = if level == Level::detect() {
-            "dispatched"
-        } else {
-            ""
-        };
-        ledger.pair(
-            &format!("conv_bwd@{}", level.name()),
-            Shape::new(layer.weights().len(), CNN_BATCH, cnn.filters()),
-            note,
-            || {
-                lowering.backward(
-                    conv_shape,
-                    black_box(&x).view(),
-                    (&dpooled, &mask),
-                    (&mut expected.0, &mut expected.1),
-                    |dpre, cols, out| {
-                        dispatch::run(level, Product::MatmulTransposeAcc, dpre, cols, out)
-                    },
-                )
-            },
+        ledger.time(
+            format!("conv_bwd@{}", level.name()),
+            conv_rows,
+            level_note(level),
             || {
                 dispatch::conv_relu_pool_backward(
                     level,
@@ -640,12 +525,12 @@ fn main() {
         );
     }
 
-    // That gradient's three matrix products, one by one: the scalar spec of
-    // each product's fold order, timed once, against the register-tiled
-    // kernel at every vector width this CPU can run. The rows justify the
-    // levels shipped — a level that does not beat the one below it on its
-    // pair has no business being dispatched to — and both sides must agree
-    // bit for bit. The level the product path runs at is noted.
+    // That gradient's three matrix products, one by one: the
+    // register-tiled kernel at every vector width this CPU can run,
+    // asserted bit for bit against the scalar spec of the product's fold
+    // order. The rows justify the levels shipped — a level that does not
+    // beat the one below it has no business being dispatched to. The
+    // level the product path runs at is noted.
     for (name, op, lhs, rhs) in PRODUCT_SHAPES {
         let (a_data, b_data) = product_workload(lhs, rhs);
         let a = MatrixView::new(lhs.0, lhs.1, &a_data);
@@ -654,21 +539,21 @@ fn main() {
         let mut expected = vec![0.0f32; rows * cols];
         tensor_reference::run(op, a, b, &mut expected);
         let mut out = vec![0.0f32; rows * cols];
-        let seed_ns = time_ns(|| {
-            out.fill(0.0);
-            tensor_reference::run(op, black_box(a), black_box(b), &mut out);
-            black_box(&out);
-        });
         let inner = match op {
             Product::TransposeMatmulGrouped(_) | Product::TransposeMatmul(_) => lhs.0,
             _ => lhs.1,
         };
         for level in Level::available() {
-            let scratch_ns = time_ns(|| {
-                out.fill(0.0);
-                dispatch::run(level, op, black_box(a), black_box(b), &mut out);
-                black_box(&out);
-            });
+            ledger.time(
+                format!("{name}@{}", level.name()),
+                Shape::new(rows * cols, lhs.0, inner),
+                level_note(level),
+                || {
+                    out.fill(0.0);
+                    dispatch::run(level, op, black_box(a), black_box(b), &mut out);
+                    black_box(&out);
+                },
+            );
             assert!(
                 out.iter()
                     .zip(&expected)
@@ -676,39 +561,21 @@ fn main() {
                 "{name} at {} must reproduce the scalar spec bit for bit",
                 level.name()
             );
-            let note = if level == Level::detect() {
-                "dispatched"
-            } else {
-                ""
-            };
-            let shape = Shape::new(rows * cols, lhs.0, inner);
-            ledger.record(
-                format!("{name}@{}", level.name()),
-                shape,
-                note,
-                seed_ns,
-                scratch_ns,
-            );
         }
     }
 
-    // Per-evaluation metric sweep: the seed's three serial passes (global
-    // loss, global accuracy, test accuracy) vs the fused executor sweep,
-    // which must be bit-identical to the passes it replaces.
+    // Per-evaluation metric sweep: the fused executor sweep, asserted
+    // bit-identical to the three serial passes it replaced (global loss,
+    // global accuracy, test accuracy).
     let (eval_model, eval_params, eval_dataset) = eval_workload();
     let model = eval_model.as_ref();
     let shards = eval_dataset.clients();
     let test = eval_dataset.test();
     let eval_exec = Executor::new(pool_threads);
-    ledger.pair(
+    ledger.time(
         "eval_sweep",
         Shape::new(eval_model.num_params(), EVAL_CLIENTS, test.len()).on_threads(pool_threads),
         "",
-        || {
-            black_box(metrics::global_loss(model, &eval_params, shards));
-            black_box(metrics::global_accuracy(model, &eval_params, shards));
-            model.accuracy(&eval_params, &test.features, &test.labels)
-        },
         || metrics::global_evaluation(model, &eval_params, shards, test, &eval_exec),
     );
     let fused = metrics::global_evaluation(model, &eval_params, shards, test, &eval_exec);
@@ -726,12 +593,11 @@ fn main() {
     );
 
     // Dataset generation at `sparse_wide_linear`'s shape (16 writers × 32
-    // rows × 6,751 features, 62 classes, 512 test rows): the sequential
-    // spec, every draw in order on one stream, vs the shipped path on a
-    // two-worker pool — a sequential pass of the variable-length draws,
-    // then every fixed-width Gaussian block filled from a seeked copy of
-    // the stream. Both must build the same dataset and leave the stream
-    // at the same word.
+    // rows × 6,751 features, 62 classes, 512 test rows) on a two-worker
+    // pool — a sequential pass of the variable-length draws, then every
+    // fixed-width Gaussian block filled from a seeked copy of the stream —
+    // asserted to build the sequential spec's dataset (every draw in order
+    // on one stream) and to leave the stream at the same word.
     let wide = SyntheticFemnistConfig {
         num_clients: 16,
         samples_per_client: 32,
@@ -750,11 +616,10 @@ fn main() {
             && spec_rng.get_word_pos() == pool_rng.get_word_pos(),
         "the pool path must generate the sequential spec's dataset"
     );
-    ledger.pair(
+    ledger.time(
         "dataset_generate_wide",
         Shape::new(wide.feature_dim, wide.num_clients, wide.test_samples).on_threads(2),
         "16x32 rows + 512 test rows",
-        || ml_reference::femnist_generate(&wide, &mut ChaCha8Rng::seed_from_u64(5)),
         || {
             SyntheticFemnist::new(wide)
                 .generate_on(&mut ChaCha8Rng::seed_from_u64(5), &generate_exec)
@@ -763,11 +628,10 @@ fn main() {
 
     // Wire codec encode/decode at the acceptance shape (a dim = 10⁵
     // message with k = 10³ entries — what a k = D/100 round broadcasts):
-    // the allocating byte-at-a-time reference encoder vs the
-    // scratch-reusing `encode_into`, and the allocating reference decode
-    // vs `decode_frame` into a caller-reused entry buffer. Frames are
-    // byte-identical between the variants (the reference is the executable
-    // spec).
+    // the scratch-reusing `encode_into`, asserted byte-identical to the
+    // allocating byte-at-a-time reference encoder (the executable spec),
+    // and `decode_frame` into a caller-reused entry buffer, asserted to
+    // invert it.
     let message = wire_workload();
     let wire_shape = Shape::new(FAB_DIM, 1, FAB_K);
     let mut wire_scratch = WireScratch::new();
@@ -780,11 +644,10 @@ fn main() {
         wire_reference::delta_encode(message.dim(), message.entries()),
         "reference encoder must emit the identical frame"
     );
-    ledger.pair(
+    ledger.time(
         "wire_encode",
         wire_shape,
         &format!("delta-varint, {} B frame", frame.len()),
-        || wire_reference::delta_encode(message.dim(), black_box(message.entries())),
         || {
             let message = black_box(&message);
             let frame = delta.encode_into(message.dim(), message.entries(), &mut wire_scratch);
@@ -792,13 +655,9 @@ fn main() {
         },
     );
     let mut entries_buf = Vec::new();
-    ledger.pair(
-        "wire_decode",
-        wire_shape,
-        "delta-varint",
-        || wire_reference::decode(black_box(&frame)).expect("valid frame"),
-        || decode_frame(black_box(&frame), &mut entries_buf).expect("valid frame"),
-    );
+    ledger.time("wire_decode", wire_shape, "delta-varint", || {
+        decode_frame(black_box(&frame), &mut entries_buf).expect("valid frame")
+    });
     decode_frame(&frame, &mut entries_buf).expect("valid frame");
     assert_eq!(
         entries_buf,
@@ -806,12 +665,11 @@ fn main() {
         "decode must invert encode bit-exactly"
     );
 
-    // Lossy quantized codec on the same message: the allocating reference
-    // QLinear8 encoder (the executable spec of the quantized frame format,
-    // including the content-keyed stochastic-rounding stream) vs the
-    // scratch-reusing fast path, and the allocating reference decode vs
-    // `decode_frame` into a reused buffer. As with the lossless pair, the
-    // two encoders must emit byte-identical frames.
+    // Lossy quantized codec on the same message: the scratch-reusing fast
+    // path, asserted byte-identical to the allocating reference QLinear8
+    // encoder (the executable spec of the quantized frame format, including
+    // the content-keyed stochastic-rounding stream), and `decode_frame`
+    // into a reused buffer, asserted against the reference decode.
     const QUANT_SEED: u64 = 0x9E37_79B9;
     let quant_codec = CodecSpec::QLinear8.build_seeded(QUANT_SEED);
     let quant_frame = quant_codec
@@ -822,11 +680,10 @@ fn main() {
         wire_reference::qlinear8_encode(QUANT_SEED, message.dim(), message.entries()),
         "reference quantizer must emit the identical frame"
     );
-    ledger.pair(
+    ledger.time(
         "quant_encode",
         wire_shape,
         &format!("qlinear8, {} B frame", quant_frame.len()),
-        || wire_reference::qlinear8_encode(QUANT_SEED, message.dim(), black_box(message.entries())),
         || {
             let message = black_box(&message);
             let frame =
@@ -834,13 +691,9 @@ fn main() {
             black_box(frame);
         },
     );
-    ledger.pair(
-        "quant_decode",
-        wire_shape,
-        "qlinear8",
-        || wire_reference::decode(black_box(&quant_frame)).expect("valid frame"),
-        || decode_frame(black_box(&quant_frame), &mut entries_buf).expect("valid frame"),
-    );
+    ledger.time("quant_decode", wire_shape, "qlinear8", || {
+        decode_frame(black_box(&quant_frame), &mut entries_buf).expect("valid frame")
+    });
     decode_frame(&quant_frame, &mut entries_buf).expect("valid frame");
     assert_eq!(
         entries_buf,
@@ -849,75 +702,49 @@ fn main() {
     );
 
     // A wired upload's ordering work at `sparse_wide_linear`'s shape
-    // (D = 418,624, k = 20,000, QLinear8), once per side. Client: select
-    // ranked, index-sort, encode (what a wired client did while it ranked)
-    // vs select in index order, encode. Server: decode to an index-ordered
-    // list, pack and rank it vs rank the decoder visitor's keys into the
-    // ranked key view. Reset: one binary search of the error list per reset
-    // index vs one merge of the (index-ordered, as delivered) reset indices
-    // against it. Each pair asserts equal bits; the baselines keep their
-    // own key and codec workspaces.
+    // (D = 418,624, k = 20,000, QLinear8). Client: select in index order,
+    // encode; asserted against the frame of the ordering it replaced
+    // (select ranked, index-sort, encode). Server: rank the decoder
+    // visitor's keys into the ranked key view; asserted against decoding
+    // to an index-ordered list and ranking it. Each expected value is
+    // computed once, on its own workspaces.
     let residual = wired_workload();
     let wired_shape = Shape::new(WIRED_DIM, 1, WIRED_K);
-    let (mut seed_keys, mut seed_wire) = (Vec::new(), WireScratch::new());
-    let (mut ranked, mut indexed) = (Vec::new(), Vec::new());
-    let (mut sorted_frame, mut wired_frame) = (Vec::new(), Vec::new());
-    ledger.pair(
-        "wired_client_upload",
-        wired_shape,
-        "",
-        || {
-            topk::top_k_entries_into(black_box(&residual), WIRED_K, &mut seed_keys, &mut ranked);
-            topk::sort_by_index(&mut ranked, &mut seed_keys);
-            sorted_frame.clear();
-            sorted_frame.extend_from_slice(quant_codec.encode_into(
-                WIRED_DIM,
-                &ranked,
-                &mut seed_wire,
-            ));
-            black_box(&sorted_frame);
-        },
-        || {
-            topk::top_k_entries_indexed_into(
-                black_box(&residual),
-                WIRED_K,
-                &mut keys,
-                &mut indexed,
-            );
-            wired_frame.clear();
-            wired_frame.extend_from_slice(quant_codec.encode_into(
-                WIRED_DIM,
-                &indexed,
-                &mut wire_scratch,
-            ));
-            black_box(&wired_frame);
-        },
-    );
+    let mut sorted = Vec::new();
+    topk::top_k_entries_into(&residual, WIRED_K, &mut Vec::new(), &mut sorted);
+    topk::sort_by_index(&mut sorted, &mut Vec::new());
+    let sorted_frame = quant_codec
+        .encode_into(WIRED_DIM, &sorted, &mut WireScratch::new())
+        .to_vec();
+    let (mut indexed, mut wired_frame) = (Vec::new(), Vec::new());
+    ledger.time("wired_client_upload", wired_shape, "", || {
+        topk::top_k_entries_indexed_into(black_box(&residual), WIRED_K, &mut keys, &mut indexed);
+        wired_frame.clear();
+        wired_frame.extend_from_slice(quant_codec.encode_into(
+            WIRED_DIM,
+            &indexed,
+            &mut wire_scratch,
+        ));
+        black_box(&wired_frame);
+    });
     assert_eq!(
         wired_frame, sorted_frame,
         "the index-ordered selection must encode to the index-sorted ranking's frame"
     );
 
-    let (mut decoded, mut delivered) = (Vec::new(), Vec::new());
-    ledger.pair(
-        "server_rank_decoded",
-        wired_shape,
-        "",
-        || {
-            decode_frame(black_box(&wired_frame), &mut decoded).expect("valid frame");
-            topk::rank_by_magnitude(&mut decoded, &mut seed_keys);
-            black_box(&decoded);
-        },
-        || {
-            keys.clear();
-            decode_frame_with(black_box(&wired_frame), |j, v| {
-                keys.push(topk::order_key(j as u32, v))
-            })
-            .expect("valid frame");
-            topk::rank_index_ordered_keys_into(&mut keys, &mut delivered);
-            black_box(&delivered);
-        },
-    );
+    let mut decoded = Vec::new();
+    decode_frame(&wired_frame, &mut decoded).expect("valid frame");
+    topk::rank_by_magnitude(&mut decoded, &mut Vec::new());
+    let mut delivered = Vec::new();
+    ledger.time("server_rank_decoded", wired_shape, "", || {
+        keys.clear();
+        decode_frame_with(black_box(&wired_frame), |j, v| {
+            keys.push(topk::order_key(j as u32, v))
+        })
+        .expect("valid frame");
+        topk::rank_index_ordered_keys_into(&mut keys, &mut delivered);
+        black_box(&delivered);
+    });
     let entry_bits = |entries: &[(usize, f32)]| -> Vec<(usize, u32)> {
         entries.iter().map(|&(j, v)| (j, v.to_bits())).collect()
     };
@@ -930,11 +757,11 @@ fn main() {
 
     // The errors of the frame above (entries it did not reproduce exactly)
     // and the resets FAB hands one client: a top prefix of its ranking, in
-    // the index order of its upload. `reset_errors_merge`: the spec's
-    // per-index search of the index-keyed errors over a prebuilt reset
-    // list against the member's packed walk of its whole upload, which
-    // tests each entry against `J` and reads the per-entry errors
-    // alongside.
+    // the index order of its upload. `reset_errors_merge` times the
+    // member's packed walk of its whole upload, which tests each entry
+    // against `J` and reads the per-entry errors alongside; it is asserted
+    // against the spec's per-index search of the index-keyed errors over a
+    // prebuilt reset list.
     decode_frame(&wired_frame, &mut decoded).expect("valid frame");
     let errors: Vec<(usize, f32)> = indexed
         .iter()
@@ -956,13 +783,13 @@ fn main() {
         .map(|(&(_, v), &(_, vhat))| if v != vhat { v - vhat } else { 0.0 })
         .collect();
     let mut by_search = residual.clone();
+    reference::reset_indices_to(&mut by_search, &resets, &errors);
     let mut fused = ResidualAccumulator::new(WIRED_DIM);
     fused.add(&residual);
-    ledger.pair(
+    ledger.time(
         "reset_errors_merge",
         Shape::new(WIRED_DIM, 1, WIRED_RESETS),
         &format!("{} errors", errors.len()),
-        || reference::reset_indices_to(&mut by_search, black_box(&resets), black_box(&errors)),
         || fused.reset_selected(black_box(&decoded), &selection, black_box(&per_entry)),
     );
     assert!(
@@ -976,12 +803,11 @@ fn main() {
 
     // The bookkeeping stage's residual resets at an adaptive run's k = D/2
     // round (`fab_select_kmax`'s 8 members, index-ordered uploads as the
-    // round engine delivers them): the reset list built from `J` with a
-    // branch per entry — what the server's sweep built for every member —
-    // and then applied, against each member's fused walk of its upload
+    // round engine delivers them): each member's fused walk of its upload
     // (`ResidualAccumulator::reset_selected`: the test against `J` is a
-    // mask, every entry is stored, no list). Both sides leave the same
-    // residuals and count the same resets.
+    // mask, every entry is stored, no list), asserted against a reset list
+    // built from `J` per member and applied — what the server's sweep did.
+    // Both leave the same residuals and count the same resets.
     let (_, _, reset_clients, reset_k, _) = SERVER_SHAPES[1];
     let uploads = server_workload(reset_clients, reset_k);
     let selection = FabTopK::new().select(&uploads, TOPK_DIM, reset_k);
@@ -995,19 +821,14 @@ fn main() {
             .collect()
     };
     let (mut listed, mut walked) = (members(), members());
+    for (acc, upload) in listed.iter_mut().zip(&uploads) {
+        acc.reset_indices(&selection.resets(upload).collect::<Vec<_>>());
+    }
     let reset_count: usize = selection.contributions(&uploads).iter().sum();
-    let mut list = Vec::with_capacity(reset_k);
-    ledger.pair(
+    ledger.time(
         "bookkeeping_reset_kmax",
         Shape::new(TOPK_DIM, reset_clients, reset_k),
         &format!("{reset_count} resets"),
-        || {
-            for (acc, upload) in listed.iter_mut().zip(black_box(&uploads)) {
-                list.clear();
-                list.extend(selection.resets(upload));
-                acc.reset_indices(&list);
-            }
-        },
         || {
             let mut count = 0;
             for (acc, upload) in walked.iter_mut().zip(black_box(&uploads)) {
@@ -1031,18 +852,16 @@ fn main() {
     );
 
     // Checkpoint load at the paper's >400k-weight scale: the fault path's
-    // resume story priced as a kernel. `checkpoint_load` compares rebuilding
-    // the simulation from its inputs (dataset regeneration + model init —
-    // the no-checkpoint baseline) against `restore_state` of the serialized
-    // blob, which must reproduce the saved state bit-exactly.
+    // resume story priced as a kernel. `checkpoint_load` times
+    // `restore_state` of the serialized blob into a freshly built
+    // simulation, which must reproduce the saved state bit-exactly.
     let ckpt_sim = checkpoint_workload();
     let blob = ckpt_sim.save_state();
     let mut target = fresh_checkpoint_sim();
-    ledger.pair(
+    ledger.time(
         "checkpoint_load",
         Shape::new(ckpt_sim.dim(), CKPT_CLIENTS, 0),
         &format!("{} B blob", blob.len()),
-        fresh_checkpoint_sim,
         || {
             target
                 .restore_state(black_box(&blob))
@@ -1051,27 +870,24 @@ fn main() {
     );
     assert_eq!(target.save_state(), blob, "restore must be bit-exact");
 
-    // Telemetry: the recorded-vs-noop round pair prices what full
+    // Telemetry: a noop round and a recorded round price what full
     // instrumentation (stage clock reads, histogram buckets, pool
     // counters) costs per round, and the recorder's own output — stage
     // quantiles plus pool busy/idle fractions — goes into the snapshot so
     // stage-share regressions in the round engine are visible across PRs.
     let mut noop_sim = telemetry_workload();
     let telem_dim = noop_sim.dim();
+    let telem_shape = Shape::new(telem_dim, TELEM_CLIENTS, TELEM_K).on_threads(2);
     let mut rec_sim = telemetry_workload();
     rec_sim.executor().set_metrics_enabled(true);
     let mut recorder = StageRecorder::new();
-    let telemetry_record = ledger.pair(
-        "telemetry_record",
-        Shape::new(telem_dim, TELEM_CLIENTS, TELEM_K).on_threads(2),
-        "noop vs recorded round",
-        || noop_sim.run_round(TELEM_K, None),
-        || {
-            recorder.begin_round();
-            rec_sim.run_round_recorded(TELEM_K, None, &mut recorder)
-        },
-    );
-    let (telem_seed_ns, telem_scratch_ns) = (telemetry_record.seed_ns, telemetry_record.scratch_ns);
+    let noop_ns = ledger.time("telemetry_noop", telem_shape, "noop round", || {
+        noop_sim.run_round(TELEM_K, None)
+    });
+    let recorded_ns = ledger.time("telemetry_record", telem_shape, "recorded round", || {
+        recorder.begin_round();
+        rec_sim.run_round_recorded(TELEM_K, None, &mut recorder)
+    });
     let telemetry_spans: Vec<String> = SpanId::ALL
         .into_iter()
         .filter_map(|id| {
@@ -1172,19 +988,20 @@ fn main() {
     history
         .write_all(line.as_bytes())
         .expect("failed to append bench history");
-    // The telemetry suite gets its own history line: the recorded-vs-noop
-    // overhead pair plus the stage quantiles and pool occupancy from the
-    // recorded rounds, so both the *cost* of instrumentation and the
-    // *shape* of a round (stage shares, worker balance) are tracked.
+    // The telemetry suite gets its own history line: the noop and recorded
+    // round times, the overhead between them, and the stage quantiles and
+    // pool occupancy from the recorded rounds, so both the *cost* of
+    // instrumentation and the *shape* of a round (stage shares, worker
+    // balance) are tracked.
     let telemetry_line = format!(
         "{{\"unix_time\":{},\"suite\":\"telemetry\",\"workload\":{{\"dim\":{},\"clients\":{},\"k\":{}}},\"noop_ns_per_round\":{:.1},\"recorded_ns_per_round\":{:.1},\"overhead_fraction\":{:.4},\"spans\":[{}],\"pool\":{}}}\n",
         unix_secs,
         telem_dim,
         TELEM_CLIENTS,
         TELEM_K,
-        telem_seed_ns,
-        telem_scratch_ns,
-        telem_scratch_ns / telem_seed_ns - 1.0,
+        noop_ns,
+        recorded_ns,
+        recorded_ns / noop_ns - 1.0,
         telemetry_spans.join(","),
         telemetry_pool_json
     );
@@ -1192,4 +1009,25 @@ fn main() {
         .write_all(telemetry_line.as_bytes())
         .expect("failed to append telemetry history");
     eprintln!("bench-report: appended to {history_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `scripts/pair.sh` reads each kernel from one line of the snapshot
+    /// with two patterns, `"kernel":"…"` and `"scratch_ns_per_iter":`
+    /// followed by the number up to the next `,` or `}`.
+    #[test]
+    fn json_object_is_the_line_pair_sh_reads() {
+        let report = KernelReport {
+            name: "fc_fwd@avx2".to_string(),
+            shape: Shape::new(7, 3, 2).on_threads(2),
+            ns: 1234.5,
+        };
+        assert_eq!(
+            report.json_object(),
+            "{\"kernel\":\"fc_fwd@avx2\",\"dim\":7,\"clients\":3,\"k\":2,\"threads\":2,\"scratch_ns_per_iter\":1234.5}"
+        );
+    }
 }

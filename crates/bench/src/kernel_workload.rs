@@ -5,13 +5,11 @@
 //! are comparable; it builds them here. Five workload families are
 //! tracked: the FAB server selection (and, at the paper's dimension, the
 //! probe's restriction of it), the paper-shape CNN forward pass and
-//! gradient (the fused kernels vs the seed scalar loops), one client step
-//! into a residual at the CNN and at `sparse_wide_linear`'s linear model,
-//! and that gradient's three matrix products one by one (scalar spec vs
-//! each dispatch level), the
-//! per-evaluation `O(N·D)` metric sweep (fused executor sweep vs the
-//! seed's three serial passes), and the wire-codec message (encode/decode
-//! fast paths vs the allocating reference implementations).
+//! gradient (the fused kernels), one client step into a residual at the
+//! CNN and at `sparse_wide_linear`'s linear model, and that gradient's
+//! three matrix products one by one (each dispatch level), the
+//! per-evaluation `O(N·D)` metric sweep (the fused executor sweep), and
+//! the wire-codec message (the encode/decode fast paths).
 
 use agsfl_exec::Parallelism;
 use agsfl_fl::{ChannelModel, Simulation, SimulationConfig, TimeModel, WireConfig};
@@ -54,7 +52,7 @@ pub fn fab_workload() -> Vec<ClientUpload> {
 /// Dimension of the client top-k and rank workloads: the paper's CNN.
 pub const TOPK_DIM: usize = 419_582;
 
-/// The three degrees the client top-k pair is tracked at: a fixed-`k`
+/// The three degrees the client top-k row is tracked at: a fixed-`k`
 /// round (`faulty_auto_resume`'s `k`), an adaptive run's first rounds
 /// (`k = D/2`, the controller's `k_max`) and the low end Algorithm 3 probes
 /// in `paper_cnn_adaptive` (`k = 839`).
@@ -200,7 +198,7 @@ pub fn residual_workload(dim: usize) -> Vec<f32> {
         .collect()
 }
 
-/// One entry of [`PRODUCT_SHAPES`]: `(pair name, product, lhs shape, rhs
+/// One entry of [`PRODUCT_SHAPES`]: `(row name, product, lhs shape, rhs
 /// shape)`.
 type ProductShape = (&'static str, Product, (usize, usize), (usize, usize));
 
@@ -208,7 +206,7 @@ type ProductShape = (&'static str, Product, (usize, usize), (usize, usize));
 /// CNN: the fully connected forward (`pooled · W`), weight gradient
 /// (`pooledᵀ · dlogits`) and input gradient (`dlogits · Wᵀ`). 6760 = 40
 /// filters x 13 x 13 pooled positions. The convolution's forward and
-/// backward are fused kernels, paired on their own (`conv_relu_pool@…`,
+/// backward are fused kernels, timed on their own (`conv_relu_pool@…`,
 /// `conv_bwd@…`).
 pub const PRODUCT_SHAPES: [ProductShape; 3] = [
     ("fc_fwd", Product::MatmulAcc, (CNN_BATCH, 6760), (6760, 62)),
@@ -319,8 +317,8 @@ pub fn checkpoint_workload() -> Simulation {
     sim
 }
 
-/// Builds the checkpoint-workload simulation at round zero — the
-/// "rebuild from scratch" baseline a restore is measured against.
+/// Builds the checkpoint-workload simulation at round zero, the target
+/// a restore is timed into.
 pub fn fresh_checkpoint_sim() -> Simulation {
     let mut rng = ChaCha8Rng::seed_from_u64(super::BENCH_SEED);
     let dataset = SyntheticFemnist::new(ckpt_config()).generate(&mut rng);
@@ -340,7 +338,7 @@ pub const TELEM_K: usize = 16;
 
 /// Builds the telemetry workload: a wired multi-thread simulation small
 /// enough to run thousands of rounds inside the timing budget, so the
-/// recorded-vs-noop round pair prices the *instrumentation* (clock reads,
+/// recorded and noop round rows price the *instrumentation* (clock reads,
 /// histogram buckets, pool counters), not the training math. The wire
 /// layer is on so the span set covers encode/decode stages too.
 pub fn telemetry_workload() -> Simulation {

@@ -6,8 +6,8 @@
 //! stream. `SyntheticFemnist::generate_on` and `SyntheticCifar::generate_on`
 //! must reproduce them bit for bit — features, labels, test shard and the
 //! stream's final position — at every worker count
-//! (`crates/ml/tests/generate_schedule.rs`); `bench-report` times the pair
-//! as `dataset_generate_wide`.
+//! (`crates/ml/tests/generate_schedule.rs`), and `bench-report` asserts
+//! its `dataset_generate_wide` row against [`femnist_generate`].
 //!
 //! Mirroring `agsfl_sparse::reference`, this module preserves the original
 //! scalar-loop implementation of [`SimpleCnn`]'s forward and backward passes
@@ -25,9 +25,6 @@
 //! tests assert a small relative tolerance instead of byte equality — in
 //! contrast to the selection kernels in `agsfl-sparse`, whose folds are
 //! reproduced order-exactly and are therefore pinned bit-identical.
-//!
-//! These functions are also the `cnn_forward` baseline timed by
-//! `bench-report` (see `BENCH_kernels.json`).
 //!
 //! [`SimpleCnn`]: crate::model::SimpleCnn
 

@@ -53,9 +53,9 @@
 //!
 //! Measured on the kernel benchmark (`bench-report`, dim = 10⁵, N = 40,
 //! k = dim/100), the scratch path selects faster than the seed path it
-//! replaced (`BENCH_kernels.json` holds the ratio); the [`mod@reference`]
-//! module keeps the seed implementations as the executable specification
-//! the fast paths are property-tested against.
+//! replaced (the older lines of `BENCH_history.jsonl` hold the ratio); the
+//! [`mod@reference`] module keeps the seed implementations as the
+//! executable specification the fast paths are property-tested against.
 //!
 //! Selection is serial on purpose: what is left of it after the
 //! accumulation — the scan, the gather and the fill — is small next to

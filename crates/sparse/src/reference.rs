@@ -12,9 +12,8 @@
 //!   five sparsifiers over random uploads, dims and `k`, and that every
 //!   upload's resets read off the result equal the reset list
 //!   [`aggregate_selected`] builds;
-//! * the `bench-report` binary times the fast paths against these
-//!   baselines, which is where the headline FAB selection speedup is
-//!   measured.
+//! * the `bench-report` binary asserts the fast paths it times against
+//!   them, computed once per run; the baselines themselves are not timed.
 //!
 //! Complexity of the FAB baseline: each binary-search probe rebuilds a
 //! `HashSet` over all uploads — O(Σ|uploads|) hashing per probe and O(log k)
@@ -171,8 +170,8 @@ pub fn send_all_select(uploads: &[ClientUpload], dim: usize) -> SelectionResult 
 /// [`topk::top_k_entries_into`] replaced this with a sampled select and
 /// radix rank on packed integer keys; this comparator version is the
 /// executable spec of the order on finite values
-/// (`tests/topk_equivalence.rs`) and keeps the historical cost measurable
-/// (`bench-report`'s `client_top_k` pairs).
+/// (`tests/topk_equivalence.rs`) and the value `bench-report`'s
+/// `client_top_k` rows are asserted against.
 pub fn top_k_entries(values: &[f32], k: usize) -> Vec<(usize, f32)> {
     let mut candidates: Vec<(usize, f32)> = values
         .iter()
@@ -198,8 +197,8 @@ pub fn top_k_entries(values: &[f32], k: usize) -> Vec<(usize, f32)> {
 /// [`ResidualAccumulator::reset_selected`](crate::ResidualAccumulator::reset_selected)
 /// replaced this with a client's walk of its own upload against `J`, which
 /// reads one error per sent entry at the entry's position; this per-index
-/// version over `J ∩ J_i` is what it is tested against (`bench-report`'s
-/// `reset_errors_merge` pair times the two).
+/// version over `J ∩ J_i` is what it is tested against (and what
+/// `bench-report`'s `reset_errors_merge` row is asserted against).
 ///
 /// # Panics
 ///

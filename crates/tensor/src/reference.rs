@@ -8,8 +8,8 @@
 //! with, kept exactly as they were. Nothing on the product path calls it —
 //! the equivalence proptests (`crates/tensor/tests/product_equivalence.rs`,
 //! `crates/tensor/tests/conv_equivalence.rs`) compare every dispatch level
-//! against it bit for bit, and `bench-report` times it as the baseline of
-//! the paired kernels.
+//! against it bit for bit, and `bench-report` asserts its product and
+//! convolution rows against it before timing them.
 
 use crate::conv::{ConvLayer, ConvShape, KERNEL};
 use crate::ops;
@@ -246,8 +246,12 @@ fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// The fused convolution layer ([`ConvLayer::relu_pool`]) as the im2col
-/// lowering it replaced, with the scalar [`Product::MatmulAcc`] spec as
-/// the convolution product: the statement of [`crate::conv`]'s contract.
+/// lowering it replaced, the statement of [`crate::conv`]'s contract: the
+/// images unrolled into a `C·9 x B·P` column matrix, one bias-seeded
+/// scalar [`Product::MatmulAcc`] against the filters into an `O x B·P`
+/// pre-activation matrix, then a ReLU + 2x2 average-pool pass reading it
+/// back, which also writes the `ops::relu_grad` mask in the module's bit
+/// layout.
 ///
 /// # Panics
 ///
@@ -256,19 +260,65 @@ pub fn conv_relu_pool(
     layer: ConvLayer<'_>,
     images: MatrixView<'_>,
     pooled: &mut [f32],
-    relu_mask: Option<&mut [u8]>,
+    mut relu_mask: Option<&mut [u8]>,
 ) {
-    let mut lowering = Im2colLowering::default();
-    lowering.run(layer, images, pooled, matmul_acc);
-    if let Some(relu_mask) = relu_mask {
-        lowering.relu_mask_into(layer, images.rows(), relu_mask);
+    let shape = layer.shape();
+    let filters = shape.filters;
+    let (ch, cw) = shape.conv_size();
+    let (ph, pw) = shape.pooled_size();
+    let (patch, positions, batch) = (shape.patch_dim(), ch * cw, images.rows());
+    let (mask_dim, groups) = (shape.mask_dim(), (ph * pw).div_ceil(8));
+    assert_eq!(pooled.len(), batch * shape.pooled_dim(), "pooled length");
+    if let Some(relu_mask) = relu_mask.as_deref_mut() {
+        assert_eq!(relu_mask.len(), batch * mask_dim, "mask length");
+        relu_mask.fill(0);
+    }
+    let cols = im2col(shape, images);
+    let mut pre = Vec::with_capacity(filters * batch * positions);
+    for &bias in layer.bias() {
+        pre.extend(std::iter::repeat_n(bias, batch * positions));
+    }
+    matmul_acc(
+        MatrixView::new(filters, patch, layer.weights()),
+        MatrixView::new(patch, batch * positions, &cols),
+        &mut pre,
+    );
+
+    // ReLU + pooling over the window (dy, dx) in (0, 0), (0, 1), (1, 0),
+    // (1, 1), the mask's quadrant order.
+    for b in 0..batch {
+        for o in 0..filters {
+            let pre = &pre[(o * batch + b) * positions..][..positions];
+            for py in 0..ph {
+                for px in 0..pw {
+                    let w = py * pw + px;
+                    let window = [(0, 0), (0, 1), (1, 0), (1, 1)]
+                        .map(|(dy, dx)| pre[(2 * py + dy) * cw + 2 * px + dx]);
+                    pooled[(b * filters + o) * ph * pw + w] = (ops::relu(window[0])
+                        + ops::relu(window[1])
+                        + ops::relu(window[2])
+                        + ops::relu(window[3]))
+                        / 4.0;
+                    if let Some(relu_mask) = relu_mask.as_deref_mut() {
+                        let mask = &mut relu_mask[b * mask_dim..][..mask_dim];
+                        for (q, &z) in window.iter().enumerate() {
+                            let bit = ops::relu_grad(z) as u8;
+                            mask[(q * groups + w / 8) * filters + o] |= bit << (w % 8);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
 /// The fused backward ([`ConvLayer::relu_pool_backward`]) as the im2col
-/// lowering it replaced, with the scalar [`Product::MatmulTransposeAcc`]
-/// spec as the weight product: the statement of the backward's half of
-/// [`crate::conv`]'s contract.
+/// lowering it replaced, the statement of the backward's half of
+/// [`crate::conv`]'s contract: the pre-activations' gradient written out
+/// from the pooled gradient and the mask, each row summed for the bias,
+/// and contracted against the columns by the scalar
+/// [`Product::MatmulTransposeAcc`] for the weights. Both outputs are
+/// overwritten.
 ///
 /// # Panics
 ///
@@ -282,201 +332,78 @@ pub fn conv_relu_pool_backward(
     dweights: &mut [f32],
     dbias: &mut [f32],
 ) {
-    Im2colLowering::default().backward(
-        shape,
-        images,
-        (dpooled, relu_mask),
-        (dweights, dbias),
-        matmul_transpose_acc,
+    let filters = shape.filters;
+    let (ch, cw) = shape.conv_size();
+    let (ph, pw) = shape.pooled_size();
+    let (patch, positions, batch) = (shape.patch_dim(), ch * cw, images.rows());
+    let groups = (ph * pw).div_ceil(8);
+    assert_eq!(dpooled.len(), batch * shape.pooled_dim(), "dpooled length");
+    assert_eq!(relu_mask.len(), batch * shape.mask_dim(), "mask length");
+    assert_eq!(dweights.len(), filters * patch, "dweights length");
+    assert_eq!(dbias.len(), filters, "dbias length");
+    let cols = im2col(shape, images);
+
+    // The pool and ReLU backward: a quarter of the window's gradient
+    // where the mask is set, at each covered position; an uncovered
+    // one (odd trailing row or column) keeps `+0.0`.
+    let rows = batch * positions;
+    let mut dpre = vec![0.0f32; filters * rows];
+    for b in 0..batch {
+        let mask = &relu_mask[b * shape.mask_dim()..][..shape.mask_dim()];
+        for o in 0..filters {
+            let dpre = &mut dpre[o * rows + b * positions..][..positions];
+            for py in 0..ph {
+                for px in 0..pw {
+                    let w = py * pw + px;
+                    let g = dpooled[(b * filters + o) * ph * pw + w];
+                    for (q, (dy, dx)) in [(0, 0), (0, 1), (1, 0), (1, 1)].into_iter().enumerate() {
+                        let m = (mask[(q * groups + w / 8) * filters + o] >> (w % 8)) & 1;
+                        dpre[(2 * py + dy) * cw + 2 * px + dx] = (g / 4.0) * f32::from(m);
+                    }
+                }
+            }
+        }
+    }
+
+    // The bias: one serial chain per row.
+    for (o, sum) in dbias.iter_mut().enumerate() {
+        let mut acc = 0.0f32;
+        for &g in &dpre[o * rows..][..rows] {
+            acc += g;
+        }
+        *sum = acc;
+    }
+    dweights.fill(0.0);
+    matmul_transpose_acc(
+        MatrixView::new(filters, rows, &dpre),
+        MatrixView::new(patch, rows, &cols),
+        dweights,
     );
 }
 
-/// The im2col convolution layer, with its two buffers kept across calls:
-/// the images unrolled into a `C·9 x B·P` column matrix, and an `O x B·P`
-/// matrix at the pre-activations. The forward is one bias-seeded product
-/// against the filters into it, then a ReLU + 2x2 average-pool pass reading
-/// it back; the backward writes the pre-activations' gradient into it from
-/// the pooled gradient and the mask, sums each row for the bias, and
-/// contracts it against the columns for the weights. The product is the
-/// caller's, so `bench-report` can time the lowering with the dispatched
-/// product at the level of the fused kernel it pairs.
-#[derive(Debug, Clone, Default)]
-pub struct Im2colLowering {
-    cols: Vec<f32>,
-    pre: Vec<f32>,
-}
-
-impl Im2colLowering {
-    /// Runs the layer over `images` into `pooled`, with `product` computing
-    /// `out += filters · columns`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `images` rows are not the layer's input length or `pooled`
-    /// is not `images.rows()` pooled rows long.
-    pub fn run(
-        &mut self,
-        layer: ConvLayer<'_>,
-        images: MatrixView<'_>,
-        pooled: &mut [f32],
-        product: impl FnOnce(MatrixView<'_>, MatrixView<'_>, &mut [f32]),
-    ) {
-        let shape = layer.shape();
-        let filters = shape.filters;
-        let (ch, cw) = shape.conv_size();
-        let (ph, pw) = shape.pooled_size();
-        let (patch, positions, batch) = (shape.patch_dim(), ch * cw, images.rows());
-        assert_eq!(pooled.len(), batch * shape.pooled_dim(), "pooled length");
-        self.lower(shape, images);
-        self.pre.clear();
-        for &bias in layer.bias() {
-            self.pre
-                .extend(std::iter::repeat_n(bias, batch * positions));
-        }
-        product(
-            MatrixView::new(filters, patch, layer.weights()),
-            MatrixView::new(patch, batch * positions, &self.cols),
-            &mut self.pre,
-        );
-
-        // ReLU + pooling, (dy, dx) in (0, 0), (0, 1), (1, 0), (1, 1).
-        for b in 0..batch {
-            for o in 0..filters {
-                let pre = &self.pre[(o * batch + b) * positions..][..positions];
-                for py in 0..ph {
-                    let (r0, r1) = (&pre[2 * py * cw..], &pre[(2 * py + 1) * cw..]);
-                    for px in 0..pw {
-                        pooled[(b * filters + o) * ph * pw + py * pw + px] =
-                            (ops::relu(r0[2 * px])
-                                + ops::relu(r0[2 * px + 1])
-                                + ops::relu(r1[2 * px])
-                                + ops::relu(r1[2 * px + 1]))
-                                / 4.0;
+/// `images` unrolled into the `C·9 x B·P` column matrix: column
+/// `b·P + y·cw + x`, row `(c·3 + ky)·3 + kx` holds input pixel
+/// `(c, y + ky, x + kx)` of sample `b`.
+fn im2col(shape: ConvShape, images: MatrixView<'_>) -> Vec<f32> {
+    let (height, width) = (shape.height, shape.width);
+    let (ch, cw) = shape.conv_size();
+    let (positions, batch) = (ch * cw, images.rows());
+    assert_eq!(images.cols(), shape.input_dim(), "image length");
+    let mut cols = vec![0.0f32; shape.patch_dim() * batch * positions];
+    for c in 0..shape.channels {
+        for ky in 0..KERNEL {
+            for kx in 0..KERNEL {
+                let row = (c * KERNEL + ky) * KERNEL + kx;
+                for b in 0..batch {
+                    let sample = images.row(b);
+                    for y in 0..ch {
+                        let src = &sample[(c * height + y + ky) * width + kx..][..cw];
+                        let at = (row * batch + b) * positions + y * cw;
+                        cols[at..at + cw].copy_from_slice(src);
                     }
                 }
             }
         }
     }
-
-    /// The backward over `images`: from `(dpooled, relu_mask)` into
-    /// `(dweights, dbias)`, both overwritten, with `product` computing
-    /// `out += dpre · columnsᵀ` onto zeros.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `images` rows are not the layer's input length or an input
-    /// or output has the wrong length.
-    pub fn backward(
-        &mut self,
-        shape: ConvShape,
-        images: MatrixView<'_>,
-        (dpooled, relu_mask): (&[f32], &[u8]),
-        (dweights, dbias): (&mut [f32], &mut [f32]),
-        product: impl FnOnce(MatrixView<'_>, MatrixView<'_>, &mut [f32]),
-    ) {
-        let filters = shape.filters;
-        let (ch, cw) = shape.conv_size();
-        let (ph, pw) = shape.pooled_size();
-        let (patch, positions, batch) = (shape.patch_dim(), ch * cw, images.rows());
-        let groups = (ph * pw).div_ceil(8);
-        assert_eq!(dpooled.len(), batch * shape.pooled_dim(), "dpooled length");
-        assert_eq!(relu_mask.len(), batch * shape.mask_dim(), "mask length");
-        assert_eq!(dweights.len(), filters * patch, "dweights length");
-        assert_eq!(dbias.len(), filters, "dbias length");
-        self.lower(shape, images);
-
-        // The pool and ReLU backward: a quarter of the window's gradient
-        // where the mask is set, at each covered position; an uncovered
-        // one (odd trailing row or column) keeps `+0.0`.
-        self.pre.clear();
-        self.pre.resize(filters * batch * positions, 0.0);
-        for b in 0..batch {
-            let mask = &relu_mask[b * shape.mask_dim()..][..shape.mask_dim()];
-            for o in 0..filters {
-                let dpre = &mut self.pre[o * batch * positions + b * positions..][..positions];
-                for py in 0..ph {
-                    for px in 0..pw {
-                        let w = py * pw + px;
-                        let g = dpooled[(b * filters + o) * ph * pw + w];
-                        for (q, (dy, dx)) in
-                            [(0, 0), (0, 1), (1, 0), (1, 1)].into_iter().enumerate()
-                        {
-                            let m = (mask[(q * groups + w / 8) * filters + o] >> (w % 8)) & 1;
-                            dpre[(2 * py + dy) * cw + 2 * px + dx] = (g / 4.0) * f32::from(m);
-                        }
-                    }
-                }
-            }
-        }
-
-        // The bias: one serial chain per row.
-        let rows = batch * positions;
-        for (o, sum) in dbias.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for &g in &self.pre[o * rows..][..rows] {
-                acc += g;
-            }
-            *sum = acc;
-        }
-        dweights.fill(0.0);
-        product(
-            MatrixView::new(filters, rows, &self.pre),
-            MatrixView::new(patch, rows, &self.cols),
-            dweights,
-        );
-    }
-
-    /// Unrolls `images` into the column matrix: column `b·P + y·cw + x`,
-    /// row `(c·3 + ky)·3 + kx` holds input pixel `(c, y + ky, x + kx)` of
-    /// sample `b`.
-    fn lower(&mut self, shape: ConvShape, images: MatrixView<'_>) {
-        let (height, width) = (shape.height, shape.width);
-        let (ch, cw) = shape.conv_size();
-        let (positions, batch) = (ch * cw, images.rows());
-        assert_eq!(images.cols(), shape.input_dim(), "image length");
-        self.cols.resize(shape.patch_dim() * batch * positions, 0.0);
-        for c in 0..shape.channels {
-            for ky in 0..KERNEL {
-                for kx in 0..KERNEL {
-                    let row = (c * KERNEL + ky) * KERNEL + kx;
-                    for b in 0..batch {
-                        let sample = images.row(b);
-                        for y in 0..ch {
-                            let src = &sample[(c * height + y + ky) * width + kx..][..cw];
-                            let at = (row * batch + b) * positions + y * cw;
-                            self.cols[at..at + cw].copy_from_slice(src);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Writes the `ops::relu_grad` of the last run's pre-activations into
-    /// `relu_mask`, in [`crate::conv`]'s bit layout.
-    fn relu_mask_into(&self, layer: ConvLayer<'_>, batch: usize, relu_mask: &mut [u8]) {
-        let shape = layer.shape();
-        let (ch, cw) = shape.conv_size();
-        let (ph, pw) = shape.pooled_size();
-        let (positions, filters, groups) = (ch * cw, shape.filters, (ph * pw).div_ceil(8));
-        assert_eq!(relu_mask.len(), batch * shape.mask_dim(), "mask length");
-        relu_mask.fill(0);
-        for b in 0..batch {
-            let mask = &mut relu_mask[b * shape.mask_dim()..][..shape.mask_dim()];
-            for o in 0..filters {
-                let pre = &self.pre[(o * batch + b) * positions..][..positions];
-                for q in 0..4 {
-                    let (dy, dx) = (q / 2, q % 2);
-                    for py in 0..ph {
-                        for px in 0..pw {
-                            let w = py * pw + px;
-                            let z = pre[(2 * py + dy) * cw + 2 * px + dx];
-                            let bit = ops::relu_grad(z) as u8;
-                            mask[(q * groups + w / 8) * filters + o] |= bit << (w % 8);
-                        }
-                    }
-                }
-            }
-        }
-    }
+    cols
 }

@@ -39,7 +39,8 @@
 //! decoding validates untrusted frames and reports malformed input as
 //! [`WireError`] values instead of panics. The seed-style allocating
 //! implementations live in [`mod@reference`] as the executable spec for
-//! the equivalence tests and the `bench-report` encode/decode pairs.
+//! the equivalence tests and the values `bench-report`'s encode/decode
+//! rows are asserted against.
 //!
 //! The same validated, panic-free decode discipline backs the other byte
 //! surface that takes outside input: [`mod@snapshot`] is the one codec every

@@ -1,13 +1,13 @@
 //! Straightforward allocating codec implementations — the executable
-//! specification the scratch-reusing fast paths are benchmarked and
-//! property-tested against, mirroring `agsfl_sparse::reference` and
+//! specification the scratch-reusing fast paths are property-tested
+//! against, mirroring `agsfl_sparse::reference` and
 //! `agsfl_ml::reference`.
 //!
 //! Every function here allocates its output per call and pushes bytes one
 //! at a time; the frames are **byte-identical** to the ones
 //! [`crate::Codec::encode_into`] produces (pinned by the equivalence tests
-//! in `tests/codec_roundtrip.rs`), so the `bench-report` encode/decode
-//! pairs measure pure implementation overhead, not format drift.
+//! in `tests/codec_roundtrip.rs`, and asserted by `bench-report` before it
+//! times the fast paths).
 
 use rand::Rng;
 use rand::SeedableRng;

@@ -54,11 +54,12 @@ fi
 
 step "one dispatch path (no thread::scope / thread::spawn in product code outside the pool)"
 # Every parallel region goes through agsfl-exec's persistent pool; only
-# pool.rs itself and the bench crate's dispatch-cost baseline may open
-# threads. Comment lines are exempt. pool_lifecycle cannot see a spawn that
-# is joined within its round, so this is the gate for those.
+# pool.rs itself may open threads, the bench crate included (its
+# `pool_dispatch` row times the pool alone). Comment lines are exempt.
+# pool_lifecycle cannot see a spawn that is joined within its round, so
+# this is the gate for those.
 if grep -rnE 'thread::(scope|spawn)' crates/*/src \
-    | grep -vE '^(crates/exec/src/pool\.rs|crates/bench/)' \
+    | grep -vE '^crates/exec/src/pool\.rs:' \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
     echo "verify: product code opens its own threads (lines above); use agsfl_exec::Executor" >&2
     exit 1
@@ -82,10 +83,9 @@ step "one ordering path (the comparator is the spec, not a code path)"
 # (sampled select with a histogram cut, radix rank);
 # `compare_magnitude_then_index` survives as the executable spec for
 # reference.rs and tests, and is not a total order once a NaN shows up — a
-# comparison sort handed it may panic. The bench
-# crate times it as the baseline; comment lines are exempt, and so is
+# comparison sort handed it may panic. Comment lines are exempt, and so is
 # everything from a file's `#[cfg(test)]` on.
-if for f in $(grep -rlE 'magnitude_then_index' crates/*/src | grep -vE '^(crates/sparse/src/reference\.rs$|crates/bench/)'); do
+if for f in $(grep -rlE 'magnitude_then_index' crates/*/src | grep -vE '^crates/sparse/src/reference\.rs$'); do
     awk -v f="$f" '/#\[cfg\(test\)\]/ { exit } { print f ":" FNR ":" $0 }' "$f"
 done | grep -E '(sort_unstable_by|sort_by|select_nth_unstable_by)\(.*magnitude_then_index' \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
@@ -396,7 +396,8 @@ step "the gradient lands in the residual (one accumulate call, no client gradien
 # loss_and_grad_into or a thread-local buffer in the client crate is the
 # materialized D-vector growing back (the fixture's thread-locals are test
 # hooks); a second caller of the accumulate entry is a second gradient
-# path. The bench crate times the old path as its seed and is exempt. The
+# path. The bench crate runs the old path once, as the spec its client-step
+# rows are asserted against, and is exempt. The
 # product kernels run on stack arrays: a vec! or Vec:: in kernels.rs is a
 # per-call allocation coming back. Product code only (no #[cfg(test)]
 # item); comment lines are exempt.
@@ -448,8 +449,9 @@ if grep -rnE 'mul_add|fmadd|"fma"' crates/tensor/src crates/ml/src; then
     exit 1
 fi
 # The old streaming loops survive only as the scalar spec; nothing but the
-# bench crate (its paired kernels' baseline) and tests may call it. Product
-# lines only, so a #[cfg(test)] item may compare a kernel with the spec.
+# bench crate (the expected values its product and convolution rows are
+# asserted against) and tests may call it. Product lines only, so a
+# #[cfg(test)] item may compare a kernel with the spec.
 if for f in $(find crates/*/src -name '*.rs' | grep -v '^crates/bench/'); do product_lines "$f"; done \
     | grep -E 'agsfl_tensor::reference|^crates/tensor/src/[^:]+:[0-9]+:.*crate::reference'; then
     echo "verify: product code calls agsfl_tensor::reference (lines above); it is the spec, not a path" >&2
@@ -484,16 +486,22 @@ if model_product | grep -F 'as_slice().to_vec()'; then
     exit 1
 fi
 
-step "one pair body (bench-report records every pair through its ledger; no fork-join, one evaluation type)"
-# bench-report builds a KernelReport in one place, Ledger::record, which
-# prints the pair's line; a second literal is a hand-copied section body
-# growing back (the type's definition, its impl, the `&KernelReport`
-# return types and the tests are exempt). The executor's scoped join had
-# one caller, the downlink pricing, which now runs inline; FedAvg
-# evaluates into agsfl_ml's GlobalEvaluation.
+step "one row body (bench-report times every row through its ledger, and times no baseline; no fork-join, one evaluation type)"
+# bench-report builds a KernelReport in one place, Ledger::time, which
+# prints the row's line; a second literal is a hand-copied section body
+# growing back (the type's definition, its impl and the tests are exempt).
+# Each row times the shipped path only and asserts it against a spec value
+# computed once: a second timed side (a baseline time, the ratio over it,
+# the scoped-spawn dispatch baseline) is timing that no gate reads. The
+# executor's scoped join had one caller, the downlink pricing, which now
+# runs inline; FedAvg evaluates into agsfl_ml's GlobalEvaluation.
 if [[ "$(awk '/#\[cfg\(test\)\]/ { exit } /KernelReport \{/ && !/(struct |impl |&)KernelReport \{/' \
     crates/bench/src/bin/bench_report.rs | wc -l)" -ne 1 ]]; then
-    echo "verify: crates/bench/src/bin/bench_report.rs must build KernelReport exactly once (Ledger::record)" >&2
+    echo "verify: crates/bench/src/bin/bench_report.rs must build KernelReport exactly once (Ledger::time)" >&2
+    exit 1
+fi
+if grep -rnE 'seed_ns|speedup|scoped_map_mut' crates/bench/src; then
+    echo "verify: a timed baseline is back in the bench crate (lines above); time the shipped path and assert it against the spec" >&2
     exit 1
 fi
 if grep -n 'fn join' crates/exec/src/lib.rs; then
@@ -569,9 +577,17 @@ step "the pair gate (scripts/pair_summary.sh fails a row behind in >= 9/10 pairs
 # behind in 10/10, each by more than the parent's IQR, fail; a faster kernel
 # passes. pair_passing.tsv: behind in 9/10 inside the IQR, behind in 8/10
 # far outside it (once with the other two pairs ahead, once tied: a tie
-# still counts in N), all ties, and a faster kernel (which would fail if
-# read higher-is-better) all pass.
-scripts/pair_summary.sh scripts/testdata/pair_passing.tsv
+# still counts in N), all ties, a faster kernel (which would fail if read
+# higher-is-better), and a kernel only the change runs and one only the
+# parent runs (a row added or deleted: 0 pairs, nothing to judge) all pass.
+passing=$(scripts/pair_summary.sh scripts/testdata/pair_passing.tsv)
+printf '%s\n' "$passing"
+for kernel in telemetry_noop retired_kernel; do
+    if ! grep -qE "^kernels +$kernel .* 0/0 +0/0 +ok$" <<<"$passing"; then
+        echo "verify: pair_summary.sh must print kernels $kernel (one side only) with 0 pairs, passing" >&2
+        exit 1
+    fi
+done
 status=0
 failed=$(scripts/pair_summary.sh scripts/testdata/pair_gated.tsv 2>&1 >/dev/null) || status=$?
 if [[ "$status" -ne 1 ]] || [[ "$(grep '^  ' <<<"$failed")" != \
