@@ -989,19 +989,19 @@ fn main() {
         .write_all(line.as_bytes())
         .expect("failed to append bench history");
     // The telemetry suite gets its own history line: the noop and recorded
-    // round times, the overhead between them, and the stage quantiles and
-    // pool occupancy from the recorded rounds, so both the *cost* of
-    // instrumentation and the *shape* of a round (stage shares, worker
-    // balance) are tracked.
+    // round times, and the stage quantiles and pool occupancy from the
+    // recorded rounds, so the *shape* of a round (stage shares, worker
+    // balance) is tracked. No overhead ratio is written: one back-to-back
+    // pair of the two times swings by more than the instrumentation costs,
+    // and scripts/pair.sh pairs the two rows instead.
     let telemetry_line = format!(
-        "{{\"unix_time\":{},\"suite\":\"telemetry\",\"workload\":{{\"dim\":{},\"clients\":{},\"k\":{}}},\"noop_ns_per_round\":{:.1},\"recorded_ns_per_round\":{:.1},\"overhead_fraction\":{:.4},\"spans\":[{}],\"pool\":{}}}\n",
+        "{{\"unix_time\":{},\"suite\":\"telemetry\",\"workload\":{{\"dim\":{},\"clients\":{},\"k\":{}}},\"noop_ns_per_round\":{:.1},\"recorded_ns_per_round\":{:.1},\"spans\":[{}],\"pool\":{}}}\n",
         unix_secs,
         telem_dim,
         TELEM_CLIENTS,
         TELEM_K,
         noop_ns,
         recorded_ns,
-        recorded_ns / noop_ns - 1.0,
         telemetry_spans.join(","),
         telemetry_pool_json
     );

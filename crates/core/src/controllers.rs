@@ -118,22 +118,26 @@ mod tests {
         assert_eq!(lineup.len(), 4);
     }
 
+    /// Every learning controller asks for a probe (the sign-based ones for
+    /// their `k'`, the bandits for the probe's two losses); a prescribed `k`
+    /// — fixed or replayed — asks for none.
     #[test]
-    fn sign_controllers_request_probes_bandits_do_not() {
+    fn learning_controllers_request_probes_prescribed_k_does_not() {
         let dim = 2_000;
-        assert!(ControllerSpec::Algorithm3.build(dim, 0).probe_k().is_some());
-        assert!(ControllerSpec::Algorithm2.build(dim, 0).probe_k().is_some());
-        assert!(ControllerSpec::ValueBased.build(dim, 0).probe_k().is_some());
-        assert!(ControllerSpec::Exp3 { num_arms: 4 }
-            .build(dim, 0)
-            .probe_k()
-            .is_none());
-        assert!(ControllerSpec::ContinuousBandit
-            .build(dim, 0)
-            .probe_k()
-            .is_none());
+        for spec in [
+            ControllerSpec::Algorithm2,
+            ControllerSpec::Algorithm3,
+            ControllerSpec::ValueBased,
+            ControllerSpec::Exp3 { num_arms: 4 },
+            ControllerSpec::ContinuousBandit,
+        ] {
+            assert!(spec.build(dim, 0).probe_k().is_some(), "{}", spec.name());
+        }
         assert!(ControllerSpec::Fixed(10.0)
             .build(dim, 0)
+            .probe_k()
+            .is_none());
+        assert!(agsfl_online::KSequence::new(vec![10, 20])
             .probe_k()
             .is_none());
     }

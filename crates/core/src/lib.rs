@@ -20,6 +20,8 @@
 //!   prescribed-`k`-sequence and FedAvg training loops, producing
 //!   [`agsfl_fl::RunHistory`] time series,
 //! * [`ControllerSpec`] — which adaptive-`k` method to use,
+//! * [`controlled_round`] — the one controller step every run loop (and a
+//!   hand-driven [`agsfl_fl::Simulation`]) takes per round,
 //! * [`figures`] — one function per figure of the paper's evaluation,
 //!   returning the exact series the paper plots.
 //!
@@ -50,6 +52,7 @@ mod controllers;
 pub mod figures;
 pub mod report;
 mod runner;
+mod step;
 pub mod telemetry;
 
 pub use agsfl_exec::{Executor, Parallelism};
@@ -62,4 +65,5 @@ pub use config::{
 };
 pub use controllers::ControllerSpec;
 pub use runner::{CheckpointSpec, Experiment, StopCondition};
+pub use step::{controlled_round, rounding_rng};
 pub use telemetry::{TelemetrySpec, TelemetryState};

@@ -7,8 +7,8 @@ use agsfl_fl::{
     FedAvgConfig, FedAvgSimulation, MetricPoint, RunHistory, Simulation, SimulationConfig,
     TimeModel,
 };
-use agsfl_online::{stochastic_round, KController, RoundFeedback};
-use agsfl_telemetry::{Recorder, SpanId};
+use agsfl_online::{KController, KSequence};
+use agsfl_telemetry::{NoopRecorder, Recorder, SpanId};
 use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::ExperimentConfig;
 use crate::controllers::ControllerSpec;
+use crate::step::{controlled_round, rounding_rng};
 use crate::telemetry::{TelemetrySpec, TelemetryState};
 
 /// Magic bytes and version of the run-level checkpoint file: the simulation
@@ -122,19 +123,6 @@ pub struct Experiment {
     telemetry: Option<TelemetryState>,
 }
 
-/// What picks each round's `k` in [`Experiment::run_loop`].
-enum Drive<'a> {
-    /// A live controller: proposes `(k, probe k', precision)` before the
-    /// round, observes the feedback after it, and — being the only drive
-    /// with state worth saving — is what a checkpoint spec rides with.
-    Controller {
-        controller: &'a mut dyn KController,
-        checkpoint: Option<&'a CheckpointSpec>,
-    },
-    /// A prescribed `{k_m}` sequence, its last value repeated.
-    Sequence(&'a [usize]),
-}
-
 impl std::fmt::Debug for Experiment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Experiment")
@@ -179,7 +167,7 @@ impl Experiment {
         Self {
             config: config.clone(),
             sim,
-            rounding_rng: ChaCha8Rng::seed_from_u64(config.seed ^ 0x517C_C1B7_2722_0A95),
+            rounding_rng: rounding_rng(config.seed),
             telemetry: None,
         }
     }
@@ -251,11 +239,7 @@ impl Experiment {
     ) -> RunHistory {
         let history = RunHistory::new(label, self.num_clients());
         let start_time = self.sim.elapsed_time();
-        let drive = Drive::Controller {
-            controller,
-            checkpoint: None,
-        };
-        self.run_loop(drive, stop, history, 0, start_time)
+        self.run_loop(controller, None, stop, history, 0, start_time)
             .expect("a checkpoint-free run can only fail on telemetry sink I/O")
     }
 
@@ -273,11 +257,7 @@ impl Experiment {
     ) -> Result<RunHistory, SnapshotError> {
         let history = RunHistory::new(label, self.num_clients());
         let start_time = self.sim.elapsed_time();
-        let drive = Drive::Controller {
-            controller,
-            checkpoint: Some(spec),
-        };
-        self.run_loop(drive, stop, history, 0, start_time)
+        self.run_loop(controller, Some(spec), stop, history, 0, start_time)
     }
 
     /// Resumes a run from the checkpoint file at [`CheckpointSpec::path`].
@@ -313,11 +293,14 @@ impl Experiment {
         self.sim.restore_state(&sim_blob)?;
         controller.restore_state(&controller_bytes)?;
         self.rounding_rng = rounding_rng;
-        let drive = Drive::Controller {
+        self.run_loop(
             controller,
-            checkpoint: Some(spec),
-        };
-        self.run_loop(drive, stop, history, round_in_run, start_time)
+            Some(spec),
+            stop,
+            history,
+            round_in_run,
+            start_time,
+        )
     }
 
     /// Serializes the full run state (simulation, rounding RNG, controller,
@@ -343,19 +326,6 @@ impl Experiment {
         checkpoint::write_atomic(path, &bytes)
     }
 
-    /// Runs one round, on the recorded path when a telemetry spec is
-    /// installed.
-    fn round(&mut self, k: usize, probe_k: Option<usize>) -> agsfl_fl::RoundReport {
-        match self.telemetry.as_mut() {
-            Some(state) => {
-                let rec = &mut state.recorder;
-                rec.begin_round();
-                self.sim.run_round_recorded(k, probe_k, rec)
-            }
-            None => self.sim.run_round(k, probe_k),
-        }
-    }
-
     /// Fills in `point`'s evaluation from one fused sweep
     /// ([`Simulation::evaluate`]), recorded when a telemetry spec is
     /// installed.
@@ -369,18 +339,20 @@ impl Experiment {
     }
 
     /// The one GS round loop, behind every `run_*` and `resume_*` entry
-    /// point but [`Experiment::run_fedavg`]. Checkpoint writes happen after
-    /// a round is fully recorded and never touch any RNG, so a checkpointed
-    /// run's trajectory is bit-identical to an unobserved one.
+    /// point but [`Experiment::run_fedavg`]: each round is one
+    /// [`controlled_round`], on the recorded path when a telemetry spec is
+    /// installed. Checkpoint writes happen after a round is fully recorded
+    /// and never touch any RNG, so a checkpointed run's trajectory is
+    /// bit-identical to an unobserved one.
     fn run_loop(
         &mut self,
-        mut drive: Drive<'_>,
+        controller: &mut dyn KController,
+        checkpoint: Option<&CheckpointSpec>,
         stop: &StopCondition,
         mut history: RunHistory,
         mut round_in_run: usize,
         start_time: f64,
     ) -> Result<RunHistory, SnapshotError> {
-        let dim = self.dim();
         loop {
             if stop.rounds_exhausted(round_in_run)
                 || stop.time_exhausted(self.sim.elapsed_time() - start_time)
@@ -389,46 +361,16 @@ impl Experiment {
             }
             round_in_run += 1;
 
-            let (k, probe_k) = match &mut drive {
-                Drive::Controller { controller, .. } => {
-                    let k_cont = controller.propose_k().clamp(1.0, dim as f64);
-                    let k = stochastic_round(k_cont, &mut self.rounding_rng).min(dim);
-                    // Always evaluate a probe so bandit-style controllers get
-                    // a loss-decrease signal; sign-based controllers dictate
-                    // their own probe k' = k − δ/2.
-                    let probe_k = controller
-                        .probe_k()
-                        .map(|p| p.round().max(1.0) as usize)
-                        .unwrap_or(k);
-                    // The second axis of the 2-D (k × precision) action space.
-                    // Pure-k controllers propose `None` (keep the configured
-                    // codec), so this is a no-op — and bit-identical to older
-                    // runs — unless the controller actively adapts the uplink
-                    // precision. The override is controller policy, not
-                    // simulation state: after a resume the restored controller
-                    // re-proposes it here before the next round.
-                    self.sim.set_wire_precision(controller.propose_precision());
-                    (k, Some(probe_k))
+            let rounding_rng = &mut self.rounding_rng;
+            let report = match self.telemetry.as_mut() {
+                Some(state) => {
+                    state.recorder.begin_round();
+                    controlled_round(&mut self.sim, controller, rounding_rng, &mut state.recorder)
                 }
-                // A replay pays no probe: nothing consumes the feedback.
-                Drive::Sequence(sequence) => {
-                    let k = sequence[(round_in_run - 1).min(sequence.len() - 1)];
-                    (k.clamp(1, dim), None)
+                None => {
+                    controlled_round(&mut self.sim, controller, rounding_rng, &mut NoopRecorder)
                 }
             };
-            let report = self.round(k, probe_k);
-            if let Drive::Controller { controller, .. } = &mut drive {
-                controller.observe(&RoundFeedback {
-                    k_used: report.k_used,
-                    round_time: report.round_time,
-                    probe_loss_prev: report.probe.map(|p| p.loss_prev),
-                    probe_loss_now: report.probe.map(|p| p.loss_now),
-                    probe_loss_alt: report.probe.map(|p| p.loss_probe),
-                    probe_round_time: report.probe.map(|p| p.probe_round_time),
-                    probe_k: report.probe.map(|p| p.probe_k),
-                    loss_decrease: None,
-                });
-            }
             history.record_round(&report);
 
             // Evaluate strictly on the cadence (plus round 1). The final
@@ -450,15 +392,11 @@ impl Experiment {
             }
             let global_loss = point.global_loss;
             history.push(point);
-            if let Drive::Controller {
-                controller,
-                checkpoint: Some(spec),
-            } = &drive
-            {
+            if let Some(spec) = checkpoint {
                 if round_in_run.is_multiple_of(spec.every) {
                     let t0 = self.telemetry.is_some().then(std::time::Instant::now);
                     self.save_checkpoint(
-                        &**controller,
+                        controller,
                         &history,
                         round_in_run,
                         start_time,
@@ -512,19 +450,17 @@ impl Experiment {
 
     /// Runs with a prescribed sequence of `k` values (used by Figs. 7 and 8
     /// to cross-apply a `{k_m}` sequence adapted for one communication time
-    /// to a system with a different communication time). If the run lasts
-    /// longer than the sequence, the last value is repeated. A replay pays no
-    /// probe, and like every other history has its last point evaluated.
+    /// to a system with a different communication time), driven by a
+    /// [`KSequence`]: if the run lasts longer than the sequence, the last
+    /// value is repeated. A replay asks for no probe, and like every other
+    /// history has its last point evaluated.
     ///
     /// # Panics
     ///
     /// Panics if the sequence is empty.
     pub fn run_k_sequence(&mut self, sequence: &[usize], stop: &StopCondition) -> RunHistory {
-        assert!(!sequence.is_empty(), "k sequence must not be empty");
-        let history = RunHistory::new("prescribed k sequence", self.num_clients());
-        let start_time = self.sim.elapsed_time();
-        self.run_loop(Drive::Sequence(sequence), stop, history, 0, start_time)
-            .expect("a checkpoint-free run can only fail on telemetry sink I/O")
+        let mut controller = KSequence::new(sequence.to_vec());
+        self.run_with_controller(&mut controller, stop, "prescribed k sequence")
     }
 
     /// Runs the FedAvg baseline at the communication overhead equivalent to
@@ -714,6 +650,35 @@ mod tests {
         }
         assert_eq!(exp.sim.params(), manual.sim.params());
         assert_eq!(history.final_global_loss(), history.points()[6].global_loss);
+    }
+
+    /// A round probes exactly when its controller asks: never for a fixed
+    /// or a replayed `k`, at every round of a learning controller.
+    #[test]
+    fn a_round_probes_only_when_its_controller_asks() {
+        let mut exp = Experiment::new(&tiny_config(10.0, 9));
+        let dim = exp.dim();
+        let mut controllers = vec![
+            ControllerSpec::Fixed(20.0).build(dim, 9),
+            Box::new(KSequence::new(vec![10, 20])),
+        ];
+        let prescribed = controllers.len();
+        for spec in ControllerSpec::fig5_lineup() {
+            controllers.push(spec.build(dim, 9));
+        }
+        for (i, controller) in controllers.iter_mut().enumerate() {
+            for _ in 0..3 {
+                let asks = controller.probe_k().is_some();
+                assert_eq!(asks, i >= prescribed, "{}", controller.name());
+                let report = controlled_round(
+                    &mut exp.sim,
+                    controller.as_mut(),
+                    &mut exp.rounding_rng,
+                    &mut NoopRecorder,
+                );
+                assert_eq!(report.probe.is_some(), asks, "{}", controller.name());
+            }
+        }
     }
 
     #[test]

@@ -137,30 +137,33 @@ mod tests {
     use agsfl_sparse::FabTopK;
     use agsfl_wire::CodecSpec;
 
-    /// Every sparsifier under every exchange — scalar-priced, lossless
-    /// wired, the QLinear8 lossy tier, and wired under chaos — probing
-    /// below `k`, at `k`, one above it (the runner's stochastic-rounding
-    /// corner, served by the independent selection) and far above anything
-    /// selected. The probe stage compares each report, bit for bit, with
+    type Tweak = fn(&mut SimulationConfig, usize);
+
+    /// Scalar-priced, lossless wired, the QLinear8 lossy tier, and wired
+    /// under chaos.
+    const EXCHANGES: [(&str, Tweak); 4] = [
+        ("unwired", |_, _| {}),
+        ("lossless", |c, n| {
+            c.wire = uniform_wire(CodecSpec::DeltaVarint, n)
+        }),
+        ("qlinear8", |c, n| {
+            c.wire = uniform_wire(CodecSpec::QLinear8, n)
+        }),
+        ("faulty", |c, n| {
+            c.wire = uniform_wire(CodecSpec::Auto, n);
+            c.fault = Some(chaos_model(9));
+        }),
+    ];
+
+    /// Every sparsifier under every exchange, probing below `k`, at `k`,
+    /// one above it (a rounded `k'` above the stochastic draw, served by
+    /// the independent selection) and far above anything selected. The
+    /// probe stage compares each report, bit for bit, with
     /// `fixture::probe_by_second_selection`; this test supplies the rounds
     /// and checks the comparison really ran on both sides of `k' <= k`.
     #[test]
     fn probe_reports_what_a_second_selection_reports() {
-        type Tweak = fn(&mut SimulationConfig, usize);
-        let exchanges: [(&str, Tweak); 4] = [
-            ("unwired", |_, _| {}),
-            ("lossless", |c, n| {
-                c.wire = uniform_wire(CodecSpec::DeltaVarint, n)
-            }),
-            ("qlinear8", |c, n| {
-                c.wire = uniform_wire(CodecSpec::QLinear8, n)
-            }),
-            ("faulty", |c, n| {
-                c.wire = uniform_wire(CodecSpec::Auto, n);
-                c.fault = Some(chaos_model(9));
-            }),
-        ];
-        for (exchange, tweak) in exchanges {
+        for (exchange, tweak) in EXCHANGES {
             for sparsifier in SPARSIFIERS {
                 let mut sim: Simulation = tiny_sim(sparsifier(), 3, |c, n| {
                     c.parallelism = Parallelism::Threads(2);
@@ -176,6 +179,43 @@ mod tests {
                     if probe_k == k {
                         assert_eq!(probe.loss_probe.to_bits(), probe.loss_now.to_bits());
                     }
+                }
+            }
+        }
+    }
+
+    /// The probe is observation only: a run that probes every round,
+    /// cycling `k'` through `k/2`, `k`, `k + 1` and `2k`, and one that never
+    /// probes end with the same weights, clock and checkpoint bytes, and
+    /// report the same rounds but for the probe — for every sparsifier,
+    /// exchange and worker count. A round whose controller asks for no
+    /// probe can therefore skip it.
+    #[test]
+    fn probing_never_changes_the_trajectory() {
+        for (exchange, tweak) in EXCHANGES {
+            for sparsifier in SPARSIFIERS {
+                for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+                    let build = || {
+                        tiny_sim(sparsifier(), 5, |c, n| {
+                            c.parallelism = parallelism;
+                            tweak(c, n);
+                        })
+                    };
+                    let name = format!("{exchange} {} {parallelism:?}", sparsifier().name());
+                    let (mut probed, mut plain) = (build(), build());
+                    let k = probed.dim() / 8;
+                    for probe_k in [k / 2, k, k + 1, 2 * k].repeat(2) {
+                        let mut with_probe = probed.run_round(k, Some(probe_k));
+                        assert!(with_probe.probe.take().is_some(), "{name}");
+                        assert_eq!(with_probe, plain.run_round(k, None), "{name}");
+                    }
+                    assert_eq!(probed.params(), plain.params(), "{name}");
+                    assert_eq!(
+                        probed.elapsed_time().to_bits(),
+                        plain.elapsed_time().to_bits(),
+                        "{name}"
+                    );
+                    assert_eq!(probed.save_state(), plain.save_state(), "{name}");
                 }
             }
         }

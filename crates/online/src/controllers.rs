@@ -11,7 +11,8 @@
 //! * [`Exp3Controller`] and [`BanditController`] convert the round outcome
 //!   into a scalar cost — the time spent per unit of single-sample loss
 //!   decrease, the empirical analogue of `t(k, l)` — and feed it to EXP3 /
-//!   the one-point bandit.
+//!   the one-point bandit;
+//! * [`FixedK`] and [`KSequence`] prescribe `k` and ask for no probe.
 
 use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use agsfl_wire::Precision;
@@ -34,6 +35,7 @@ const TAG_FIXED_K: u8 = 4;
 const TAG_EXP3: u8 = 5;
 const TAG_BANDIT: u8 = 6;
 const TAG_PRECISION: u8 = 7;
+const TAG_K_SEQUENCE: u8 = 8;
 
 /// The body of every [`KController::save_state`]: the controller-type tag,
 /// then the state.
@@ -78,13 +80,15 @@ fn estimator_inputs(feedback: &RoundFeedback) -> Option<EstimatorInputs> {
 }
 
 /// Scalar per-round cost used by the bandit-style baselines: normalized time
-/// spent per unit of loss decrease. Falls back to the raw round time when no
-/// loss information is available, and reports `None` when the loss did not
-/// decrease (those rounds carry no usable signal).
+/// spent per unit of the probe's loss decrease
+/// `L̃(w(m−1)) − L̃(w(m))`. Falls back to the raw round time when the round
+/// ran no probe, and reports `None` when the loss did not decrease (those
+/// rounds carry no usable signal).
 fn round_cost(feedback: &RoundFeedback) -> Option<f64> {
     let decrease = feedback
-        .loss_decrease
-        .or_else(|| Some(feedback.probe_loss_prev? - feedback.probe_loss_now?));
+        .probe_loss_prev
+        .zip(feedback.probe_loss_now)
+        .map(|(prev, now)| prev - now);
     match decrease {
         Some(d) if d > 1e-9 => Some(feedback.round_time / d),
         Some(_) => None,
@@ -233,6 +237,64 @@ impl Snapshot for FixedK {
     }
 }
 
+/// A prescribed `{k_m}` sequence, its last value repeated once it runs out
+/// (the replays of Figs. 7 and 8). Each observed round advances it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KSequence {
+    sequence: Vec<usize>,
+    next: usize,
+}
+
+impl KSequence {
+    /// Creates the controller at the sequence's first value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sequence` is empty.
+    pub fn new(sequence: Vec<usize>) -> Self {
+        assert!(!sequence.is_empty(), "k sequence must not be empty");
+        Self { sequence, next: 0 }
+    }
+}
+
+impl KController for KSequence {
+    fn name(&self) -> &'static str {
+        "prescribed k sequence"
+    }
+
+    fn propose_k(&self) -> f64 {
+        self.sequence[self.next.min(self.sequence.len() - 1)] as f64
+    }
+
+    fn probe_k(&self) -> Option<f64> {
+        None
+    }
+
+    fn observe(&mut self, _feedback: &RoundFeedback) {
+        self.next = self.next.saturating_add(1);
+    }
+
+    fn save_state(&self) -> Vec<u8> {
+        save_tagged(TAG_K_SEQUENCE, self)
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        restore_tagged(TAG_K_SEQUENCE, "k sequence", self, bytes)
+    }
+}
+
+/// The position only: the sequence is configuration.
+impl Snapshot for KSequence {
+    fn write_state(&self, w: &mut SnapshotWriter) {
+        w.usize(self.next);
+    }
+
+    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.next = r.usize()?;
+        Ok(())
+    }
+}
+
 /// EXP3 adapted to the adaptive-`k` problem: arms are candidate `k` values,
 /// the reward of a round is `best cost so far / this round's cost` (a value
 /// in `(0, 1]` that is 1 for the best round observed so far).
@@ -269,8 +331,10 @@ impl KController for Exp3Controller {
         self.exp3.arm_value(self.current_arm)
     }
 
+    /// The cost reads only the probe's losses at `w(m−1)` and `w(m)`, which
+    /// no `k'` changes.
     fn probe_k(&self) -> Option<f64> {
-        None
+        Some(self.propose_k())
     }
 
     fn observe(&mut self, feedback: &RoundFeedback) {
@@ -349,8 +413,9 @@ impl KController for BanditController {
         self.bandit.k()
     }
 
+    /// As for [`Exp3Controller`]: any `k'` yields the cost's two losses.
     fn probe_k(&self) -> Option<f64> {
-        None
+        Some(self.propose_k())
     }
 
     fn observe(&mut self, feedback: &RoundFeedback) {
@@ -554,14 +619,22 @@ mod tests {
         // If the smaller probe k achieves the same loss drop in less time,
         // the derivative sign is positive and k should decrease.
         RoundFeedback {
-            k_used: k,
-            round_time: 10.0,
             probe_loss_prev: Some(2.0),
             probe_loss_now: Some(1.9),
             probe_loss_alt: Some(if faster_small_k { 1.9 } else { 1.99 }),
             probe_round_time: Some(8.0),
             probe_k: Some(probe_k),
-            loss_decrease: None,
+            ..RoundFeedback::time_only(k, 10.0)
+        }
+    }
+
+    /// Feedback of a round whose probe losses fell by exactly `decrease`,
+    /// the only loss signal the bandits' cost reads.
+    fn loss_decrease(k_used: usize, round_time: f64, decrease: f64) -> RoundFeedback {
+        RoundFeedback {
+            probe_loss_prev: Some(decrease),
+            probe_loss_now: Some(0.0),
+            ..RoundFeedback::time_only(k_used, round_time)
         }
     }
 
@@ -614,6 +687,23 @@ mod tests {
     }
 
     #[test]
+    fn k_sequence_replays_then_repeats_its_last_value() {
+        let mut c = KSequence::new(vec![10, 20, 30]);
+        let mut proposed = Vec::new();
+        for _ in 0..5 {
+            assert_eq!(KController::probe_k(&c), None);
+            proposed.push(c.propose_k());
+            c.observe(&RoundFeedback::time_only(1, 2.0));
+        }
+        assert_eq!(proposed, [10.0, 20.0, 30.0, 30.0, 30.0]);
+    }
+
+    /// A sequence long enough that the roundtrip tests restore it mid-way.
+    fn k_sequence() -> KSequence {
+        KSequence::new((1..=40).map(|i| 7 * i).collect())
+    }
+
+    #[test]
     fn exp3_controller_draws_valid_arms_and_learns() {
         let exp3 = Exp3::new(Exp3::geometric_arms(10.0, 1000.0, 6), 0.2, 1);
         let arms = exp3.arms().to_vec();
@@ -623,16 +713,7 @@ mod tests {
             assert!(arms.iter().any(|&a| (a - k).abs() < 1e-9));
             // Rounds with small k are cheap per unit loss decrease.
             let cost_time = 1.0 + k / 100.0;
-            c.observe(&RoundFeedback {
-                k_used: k.round() as usize,
-                round_time: cost_time,
-                probe_loss_prev: None,
-                probe_loss_now: None,
-                probe_loss_alt: None,
-                probe_round_time: None,
-                probe_k: None,
-                loss_decrease: Some(0.1),
-            });
+            c.observe(&loss_decrease(k.round() as usize, cost_time, 0.1));
         }
         // The smallest arms should now dominate the probabilities.
         let probs = c.exp3().probabilities();
@@ -648,16 +729,7 @@ mod tests {
         for _ in 0..50 {
             let k = c.propose_k();
             assert!((10.0..=1010.0).contains(&k));
-            c.observe(&RoundFeedback {
-                k_used: k.round() as usize,
-                round_time: 1.0 + k / 50.0,
-                probe_loss_prev: None,
-                probe_loss_now: None,
-                probe_loss_alt: None,
-                probe_round_time: None,
-                probe_k: None,
-                loss_decrease: Some(0.05),
-            });
+            c.observe(&loss_decrease(k.round() as usize, 1.0 + k / 50.0, 0.05));
         }
         assert!(c.bandit().center().is_finite());
     }
@@ -668,8 +740,6 @@ mod tests {
         let phase = (round % 7) as f64;
         let drift = 0.001 * round as f64;
         RoundFeedback {
-            k_used: k.round().max(1.0) as usize,
-            round_time: 5.0 + k / 100.0 + phase * 0.3,
             probe_loss_prev: Some(2.0 - drift),
             probe_loss_now: Some(1.95 - drift),
             probe_loss_alt: Some(if round.is_multiple_of(3) {
@@ -679,7 +749,7 @@ mod tests {
             }),
             probe_round_time: Some(4.0 + k / 120.0),
             probe_k: Some(((k * 0.8) as usize).max(1)),
-            loss_decrease: Some(0.05 + 0.01 * phase),
+            ..RoundFeedback::time_only(k.round().max(1.0) as usize, 5.0 + k / 100.0 + phase * 0.3)
         }
     }
 
@@ -733,6 +803,7 @@ mod tests {
                 ))
             }),
             Box::new(|| Box::new(FixedK::new(123.0))),
+            Box::new(|| Box::new(k_sequence())),
             Box::new(|| {
                 Box::new(Exp3Controller::new(Exp3::new(
                     Exp3::geometric_arms(10.0, 1000.0, 6),
@@ -795,6 +866,7 @@ mod tests {
         }));
         roundtrip!(ValueBasedDescent::new(interval, 500.0));
         roundtrip!(FixedK::new(123.0));
+        roundtrip!(k_sequence());
         let exp3 = roundtrip!(Exp3Controller::new(Exp3::new(arms(), 0.2, 42)));
         law(exp3.exp3(), || Exp3::new(arms(), 0.2, 42));
         let bandit = || ContinuousBandit::with_default_scales(interval, 500.0, 7);
@@ -854,10 +926,17 @@ mod tests {
             fixed.restore_state(&sign.save_state()),
             Err(SnapshotError::WrongController { .. })
         ));
+        assert_eq!(
+            k_sequence().restore_state(&fixed.save_state()),
+            Err(SnapshotError::WrongController {
+                expected: "k sequence"
+            })
+        );
 
         let interval = SearchInterval::new(10.0, 1010.0);
         let arms = || Exp3::geometric_arms(10.0, 1000.0, 6);
         shape_laws("FixedK", &|| Box::new(FixedK::new(123.0)));
+        shape_laws("KSequence", &|| Box::new(k_sequence()));
         shape_laws("SignOgd", &|| Box::new(SignOgd::new(interval, 800.0)));
         shape_laws("ExtendedSignOgd", &|| {
             Box::new(ExtendedSignOgd::new(ExtendedConfig {
@@ -1198,10 +1277,7 @@ mod tests {
 
     /// Feedback whose scalar cost is exactly `cost` (loss decrease of 1).
     fn feedback_costing(cost: f64) -> RoundFeedback {
-        RoundFeedback {
-            loss_decrease: Some(1.0),
-            ..RoundFeedback::time_only(8, cost)
-        }
+        loss_decrease(8, cost, 1.0)
     }
 
     #[test]
@@ -1290,16 +1366,7 @@ mod tests {
         let exp3 = Exp3::new(vec![10.0, 100.0], 0.5, 0);
         let mut c = Exp3Controller::new(exp3);
         let draws_before = c.exp3().draws();
-        c.observe(&RoundFeedback {
-            k_used: 10,
-            round_time: 5.0,
-            probe_loss_prev: None,
-            probe_loss_now: None,
-            probe_loss_alt: None,
-            probe_round_time: None,
-            probe_k: None,
-            loss_decrease: Some(0.0),
-        });
+        c.observe(&loss_decrease(10, 5.0, 0.0));
         // A new arm is still drawn (the round happened), but no update was fed.
         assert_eq!(c.exp3().draws(), draws_before + 1);
     }

@@ -63,7 +63,7 @@ use agsfl_wire::snapshot::SnapshotError;
 #[doc(hidden)]
 pub use agsfl_wire::snapshot::SnapshotError as StateError;
 pub use bandit::ContinuousBandit;
-pub use controllers::{BanditController, Exp3Controller, FixedK, PrecisionController};
+pub use controllers::{BanditController, Exp3Controller, FixedK, KSequence, PrecisionController};
 pub use estimator::{DerivativeSignEstimator, EstimatorInputs};
 pub use exp3::Exp3;
 pub use extended::{ExtendedConfig, ExtendedSignOgd};
@@ -85,8 +85,11 @@ pub trait KController: Send + std::fmt::Debug {
     fn propose_k(&self) -> f64;
 
     /// The probe sparsity `k'` this controller wants evaluated alongside the
-    /// next round, if it needs one for its feedback. For the sign-based
-    /// algorithms this is `k_m − δ_m / 2` (Section IV-E).
+    /// next round, or `None` for a round without a probe (the feedback's
+    /// `probe_*` fields are then `None`). For the sign-based algorithms this
+    /// is `k_m − δ_m / 2` (Section IV-E); the bandits read only the probe's
+    /// two losses at `w(m−1)` and `w(m)`, which no `k'` changes, and ask at
+    /// their own proposal.
     fn probe_k(&self) -> Option<f64>;
 
     /// Feeds back the outcome of the round that used [`KController::propose_k`].
@@ -139,16 +142,18 @@ pub struct RoundFeedback {
     pub probe_round_time: Option<f64>,
     /// The probe sparsity `k'` that was evaluated, if any.
     pub probe_k: Option<usize>,
-    /// The drop in global training loss achieved by this round, when the
-    /// harness tracks it (used by the bandit-style baselines to build their
-    /// scalar cost).
+    /// Read by nothing: a round's loss decrease is
+    /// `probe_loss_prev − probe_loss_now`. Kept only because
+    /// `benchmark/src/probes.rs` still spells it in a struct literal; goes
+    /// with the next change that may edit `benchmark/` (see ROADMAP).
+    #[doc(hidden)]
     pub loss_decrease: Option<f64>,
 }
 
+#[cfg(test)]
 impl RoundFeedback {
-    /// Creates feedback carrying only the round time (sufficient for the
-    /// bandit baselines when no loss tracking is available).
-    pub fn time_only(k_used: usize, round_time: f64) -> Self {
+    /// Feedback of a round that ran no probe: only `k` and the round time.
+    pub(crate) fn time_only(k_used: usize, round_time: f64) -> Self {
         Self {
             k_used,
             round_time,

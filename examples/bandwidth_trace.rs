@@ -16,13 +16,13 @@
 //! sink when the channel fades and recover when it clears — the behaviour
 //! the scalar `2k` proxy cannot express.
 
-use agsfl::core::{ChannelSpec, CodecSpec, ControllerSpec};
+use agsfl::core::{controlled_round, rounding_rng, ChannelSpec, CodecSpec, ControllerSpec};
 use agsfl::exec::Parallelism;
 use agsfl::fl::{Simulation, SimulationConfig, TimeModel, WireConfig};
 use agsfl::ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
 use agsfl::ml::model::Mlp;
-use agsfl::online::{stochastic_round, RoundFeedback};
 use agsfl::sparse::FabTopK;
+use agsfl::telemetry::NoopRecorder;
 use agsfl::wire::CodecId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -63,7 +63,7 @@ fn main() {
 
     let dim = sim.dim();
     let mut controller = ControllerSpec::Algorithm3.build(dim, seed);
-    let mut rounding_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x517C_C1B7_2722_0A95);
+    let mut rounding_rng = rounding_rng(seed);
 
     println!(
         "Adaptive k over a fluctuating byte-priced channel (D = {dim}, N = {num_clients}, codec = auto)\n"
@@ -76,13 +76,12 @@ fn main() {
     let mut total_up = 0u64;
     let mut total_down = 0u64;
     for _ in 0..36 {
-        let k_cont = controller.propose_k().clamp(1.0, dim as f64);
-        let k = stochastic_round(k_cont, &mut rounding_rng).min(dim);
-        let probe_k = controller
-            .probe_k()
-            .map(|p| p.round().max(1.0) as usize)
-            .unwrap_or(k);
-        let report = sim.run_round(k, Some(probe_k));
+        let report = controlled_round(
+            &mut sim,
+            controller.as_mut(),
+            &mut rounding_rng,
+            &mut NoopRecorder,
+        );
         let wire = report.wire.as_ref().expect("byte-priced round");
 
         // Count which concrete encodings Auto picked for the uplinks.
@@ -109,17 +108,6 @@ fn main() {
         );
         total_up += wire.uplink_bytes.iter().map(|&b| b as u64).sum::<u64>();
         total_down += wire.downlink_bytes as u64;
-
-        controller.observe(&RoundFeedback {
-            k_used: report.k_used,
-            round_time: report.round_time,
-            probe_loss_prev: report.probe.map(|p| p.loss_prev),
-            probe_loss_now: report.probe.map(|p| p.loss_now),
-            probe_loss_alt: report.probe.map(|p| p.loss_probe),
-            probe_round_time: report.probe.map(|p| p.probe_round_time),
-            probe_k: report.probe.map(|p| p.probe_k),
-            loss_decrease: None,
-        });
     }
 
     let eval = sim.evaluate();

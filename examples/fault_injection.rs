@@ -16,15 +16,15 @@
 //! clients keep their updates in the error-feedback residual for later
 //! rounds.
 
-use agsfl::core::{report, ChannelSpec, CodecSpec, ControllerSpec};
+use agsfl::core::{controlled_round, report, rounding_rng, ChannelSpec, CodecSpec, ControllerSpec};
 use agsfl::exec::Parallelism;
 use agsfl::fl::{
     FaultModel, MetricPoint, RunHistory, Simulation, SimulationConfig, TimeModel, WireConfig,
 };
 use agsfl::ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
 use agsfl::ml::model::Mlp;
-use agsfl::online::{stochastic_round, RoundFeedback};
 use agsfl::sparse::FabTopK;
+use agsfl::telemetry::NoopRecorder;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -78,7 +78,7 @@ fn main() {
 
     let dim = sim.dim();
     let mut controller = ControllerSpec::Algorithm3.build(dim, seed);
-    let mut rounding_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x517C_C1B7_2722_0A95);
+    let mut rounding_rng = rounding_rng(seed);
     let mut history = RunHistory::new("algorithm3+chaos", num_clients);
 
     println!(
@@ -90,13 +90,12 @@ fn main() {
     );
 
     for _ in 0..36 {
-        let k_cont = controller.propose_k().clamp(1.0, dim as f64);
-        let k = stochastic_round(k_cont, &mut rounding_rng).min(dim);
-        let probe_k = controller
-            .probe_k()
-            .map(|p| p.round().max(1.0) as usize)
-            .unwrap_or(k);
-        let report = sim.run_round(k, Some(probe_k));
+        let report = controlled_round(
+            &mut sim,
+            controller.as_mut(),
+            &mut rounding_rng,
+            &mut NoopRecorder,
+        );
         let f = report.fault.as_ref().expect("fault model is configured");
         println!(
             "{:>5}{:>7}{:>6}{:>9}{:>6}{:>9}{:>9}{:>9}{:>9}{:>12}",
@@ -119,17 +118,6 @@ fn main() {
             train_loss: report.train_loss,
             global_loss: None,
             test_accuracy: None,
-        });
-
-        controller.observe(&RoundFeedback {
-            k_used: report.k_used,
-            round_time: report.round_time,
-            probe_loss_prev: report.probe.map(|p| p.loss_prev),
-            probe_loss_now: report.probe.map(|p| p.loss_now),
-            probe_loss_alt: report.probe.map(|p| p.loss_probe),
-            probe_round_time: report.probe.map(|p| p.probe_round_time),
-            probe_k: report.probe.map(|p| p.probe_k),
-            loss_decrease: None,
         });
     }
 

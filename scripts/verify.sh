@@ -525,6 +525,29 @@ if grep -rnE --include='*.rs' 'CounterId|GaugeId|record_round_report|fn counter\
     exit 1
 fi
 
+step "one controller step (a round's k, probe k' and precision come from its controller in agsfl_core::controlled_round alone)"
+# The rule that turns a controller's proposal into a round (clamp,
+# stochastic rounding, a probe only when the controller asks for one, the
+# precision tier) and the round's report back into its feedback is written
+# once, in crates/core/src/step.rs. A stochastic_round( or .probe_k() call
+# anywhere else in the product code is a copy of that rule. Two calls are
+# not steps: a controller asking its own part (self.FIELD.probe_k() in
+# agsfl-online), and the rounding ablation, which measures Definition 2's
+# bias without running a round. Product code only (no #[cfg(test)] item);
+# comment lines are exempt.
+step_calls() {
+    for f in $(find crates/*/src examples crates/bench/benches -name '*.rs' | sort); do
+        product_lines "$f"
+    done | grep -E 'stochastic_round\(|\.probe_k\(\)' | grep -vE 'self\.[a-z_]+\.probe_k\(\)'
+}
+in_step=$(fn_body crates/core/src/step.rs controlled_round | grep -cE 'stochastic_round\(|\.probe_k\(\)' || true)
+in_ablation=$(fn_body crates/bench/benches/ablations.rs rounding_ablation | grep -c 'stochastic_round(' || true)
+if [[ "$in_step" -ne 2 ]] || [[ "$(step_calls | wc -l)" -ne $((in_step + in_ablation)) ]]; then
+    echo "verify: stochastic_round( and .probe_k() belong in agsfl_core::controlled_round alone; call it instead of copying the step:" >&2
+    step_calls >&2
+    exit 1
+fi
+
 step "no table beyond the paper (the memory bound is a test and a cohort run, not a sweep)"
 # The population-scale sweep was retired: resident state bounded by
 # participation is asserted in cohort_determinism, the peak-RSS gate is
