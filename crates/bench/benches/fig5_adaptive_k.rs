@@ -16,10 +16,6 @@ fn main() {
     let result = fig5::run(&config);
     println!("{}", result.render(config.max_time));
 
-    println!("k stability (spread of k over the final 50 rounds):");
-    for (label, spread) in result.k_spread(50) {
-        println!("  {label:<40} {spread:>8.0}");
-    }
     println!("Final losses:");
     for (label, loss) in result.final_losses() {
         println!("  {label:<40} {loss:>8.4}");

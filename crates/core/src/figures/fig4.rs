@@ -6,11 +6,10 @@
 //! accuracy vs normalized time, and the CDF of the number of gradient
 //! elements used from each client.
 
-use agsfl_fl::RunHistory;
 use serde::{Deserialize, Serialize};
 
+use super::Comparison;
 use crate::config::{ExperimentConfig, SparsifierSpec};
-use crate::report;
 use crate::runner::{Experiment, StopCondition};
 
 /// Configuration of the Fig. 4 experiment.
@@ -36,61 +35,15 @@ impl Default for Fig4Config {
     }
 }
 
-/// The result of the Fig. 4 experiment: one history per method.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig4Result {
-    /// The integer sparsity degree used by the GS methods.
-    pub k: usize,
-    /// Histories of the five sparsifier-based methods, in
-    /// [`SparsifierSpec::all`] order, followed by FedAvg.
-    pub histories: Vec<RunHistory>,
-}
-
-impl Fig4Result {
-    /// The history of a method by label; `None` if not present.
-    pub fn history(&self, label: &str) -> Option<&RunHistory> {
-        self.histories.iter().find(|h| h.label == label)
-    }
-
-    /// Final global loss per method as `(label, loss)` pairs.
-    pub fn final_losses(&self) -> Vec<(String, f64)> {
-        self.histories
-            .iter()
-            .map(|h| (h.label.clone(), h.final_global_loss().unwrap_or(f64::NAN)))
-            .collect()
-    }
-
-    /// Final test accuracy per method as `(label, accuracy)` pairs.
-    pub fn final_accuracies(&self) -> Vec<(String, f64)> {
-        self.histories
-            .iter()
-            .map(|h| (h.label.clone(), h.final_test_accuracy().unwrap_or(f64::NAN)))
-            .collect()
-    }
-
-    /// Renders the loss/accuracy-vs-time tables and the contribution CDF
-    /// summary.
-    pub fn render(&self, max_time: f64) -> String {
-        let refs: Vec<&RunHistory> = self.histories.iter().collect();
-        let times = report::sample_times(max_time, 10);
-        let mut out = String::new();
-        out.push_str(&format!("Fig. 4 — GS method comparison (k = {})\n", self.k));
-        out.push_str("\nGlobal loss vs normalized time\n");
-        out.push_str(&report::loss_table(&refs, &times));
-        out.push_str("\nTest accuracy vs normalized time\n");
-        out.push_str(&report::accuracy_table(&refs, &times));
-        out.push_str("\nPer-client contributed gradient elements (CDF summary)\n");
-        out.push_str(&report::contribution_summary(&refs));
-        out
-    }
-}
-
-/// Runs the Fig. 4 experiment.
-pub fn run(config: &Fig4Config) -> Fig4Result {
+/// Runs the Fig. 4 experiment: the five GS methods in
+/// [`SparsifierSpec::all`] order, then FedAvg.
+pub fn run(config: &Fig4Config) -> Comparison {
     let stop = StopCondition::after_time(config.max_time);
     let mut histories = Vec::new();
-    let mut k_used = 0usize;
+    let mut last_arm = None;
     for spec in SparsifierSpec::all() {
+        // One arm's simulation in memory at a time.
+        drop(last_arm.take());
         let experiment_config = ExperimentConfig {
             sparsifier: spec,
             ..config.base.clone()
@@ -98,18 +51,24 @@ pub fn run(config: &Fig4Config) -> Fig4Result {
         let mut experiment = Experiment::new(&experiment_config);
         let dim = experiment.dim();
         let k = ((dim as f64 * config.k_fraction).round() as usize).clamp(1, dim);
-        k_used = k;
         let mut history = experiment.run_fixed_k(k, &stop);
         history.label = spec.name().to_string();
         histories.push(history);
+        last_arm = Some((experiment, k));
     }
-    // FedAvg at the equal-average-overhead period.
-    let experiment = Experiment::new(&config.base);
-    let mut fedavg = experiment.run_fedavg(k_used, &stop);
+    // FedAvg at the equal-average-overhead period. `run_fedavg` reads only
+    // the experiment's dataset, executor and configured hyper-parameters —
+    // never its sparsifier or the simulation's state — so the last GS arm's
+    // experiment serves, and the dataset is not generated a sixth time.
+    let (experiment, k) = last_arm.expect("SparsifierSpec::all is not empty");
+    let mut fedavg = experiment.run_fedavg(k, &stop);
     fedavg.label = "FedAvg".to_string();
     histories.push(fedavg);
-    Fig4Result {
-        k: k_used,
+    Comparison {
+        title: format!(
+            "GS methods at k = {k}, communication time {}",
+            config.base.comm_time
+        ),
         histories,
     }
 }
@@ -169,6 +128,18 @@ mod tests {
         // And the least-contributing FAB client contributes at least as much
         // as the least-contributing FUB client.
         assert!(fab.quantile(0.0).unwrap() >= fub.quantile(0.0).unwrap());
+    }
+
+    #[test]
+    fn fedavg_equals_a_run_on_a_fresh_experiment() {
+        let cfg = tiny_config();
+        let result = run(&cfg);
+        let experiment = Experiment::new(&cfg.base);
+        let dim = experiment.dim();
+        let k = ((dim as f64 * cfg.k_fraction).round() as usize).clamp(1, dim);
+        let mut fresh = experiment.run_fedavg(k, &StopCondition::after_time(cfg.max_time));
+        fresh.label = "FedAvg".to_string();
+        assert_eq!(result.history("FedAvg"), Some(&fresh));
     }
 
     #[test]

@@ -1,21 +1,24 @@
-//! Fig. 5: comparison of online-learning methods for adapting `k`.
+//! Figs. 5 and 6: comparison of online-learning methods for adapting `k`.
 //!
 //! At a communication time of 10, the paper compares its Algorithm 3 against
 //! value-based derivative descent, EXP3 and the continuous bandit, reporting
-//! loss and accuracy versus normalized time and the trajectories of `k_m`.
+//! loss and accuracy versus normalized time and the trajectories of `k_m`
+//! (Fig. 5). Fig. 6 is the same run with the lineup Algorithm 3, Algorithm 2
+//! at a communication time of 100: the extended algorithm (shrinking search
+//! intervals) learns faster in wall-clock terms and its `k_m` fluctuates
+//! much less than plain Algorithm 2's.
 
-use agsfl_fl::RunHistory;
 use serde::{Deserialize, Serialize};
 
+use super::Comparison;
 use crate::config::ExperimentConfig;
 use crate::controllers::ControllerSpec;
-use crate::report;
 use crate::runner::{Experiment, StopCondition};
 
 /// Configuration of the Fig. 5 experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig5Config {
-    /// Base workload (communication time 10 in the paper).
+    /// Base workload (communication time 10 in Fig. 5, 100 in Fig. 6).
     pub base: ExperimentConfig,
     /// Normalized time budget per method.
     pub max_time: f64,
@@ -34,60 +37,10 @@ impl Default for Fig5Config {
     }
 }
 
-/// The result of the Fig. 5 experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig5Result {
-    /// One history per adaptive method (same order as the config).
-    pub histories: Vec<RunHistory>,
-}
-
-impl Fig5Result {
-    /// The history of a method by label.
-    pub fn history(&self, label: &str) -> Option<&RunHistory> {
-        self.histories.iter().find(|h| h.label == label)
-    }
-
-    /// The stability of each method's `k` trajectory measured as the spread
-    /// (max − min) of `k` over the last `window` rounds.
-    pub fn k_spread(&self, window: usize) -> Vec<(String, f64)> {
-        self.histories
-            .iter()
-            .map(|h| {
-                let ks = h.k_sequence();
-                let tail = &ks[ks.len().saturating_sub(window)..];
-                let max = tail.iter().copied().max().unwrap_or(0) as f64;
-                let min = tail.iter().copied().min().unwrap_or(0) as f64;
-                (h.label.clone(), max - min)
-            })
-            .collect()
-    }
-
-    /// Final global loss per method.
-    pub fn final_losses(&self) -> Vec<(String, f64)> {
-        self.histories
-            .iter()
-            .map(|h| (h.label.clone(), h.final_global_loss().unwrap_or(f64::NAN)))
-            .collect()
-    }
-
-    /// Renders loss/accuracy tables and sub-sampled `k_m` trajectories.
-    pub fn render(&self, max_time: f64) -> String {
-        let refs: Vec<&RunHistory> = self.histories.iter().collect();
-        let times = report::sample_times(max_time, 10);
-        let mut out = String::new();
-        out.push_str("Fig. 5 — adaptive-k methods (communication time 10)\n");
-        out.push_str("\nGlobal loss vs normalized time\n");
-        out.push_str(&report::loss_table(&refs, &times));
-        out.push_str("\nTest accuracy vs normalized time\n");
-        out.push_str(&report::accuracy_table(&refs, &times));
-        out.push_str("\nk_m trajectories\n");
-        out.push_str(&report::k_trajectory_table(&refs, 15));
-        out
-    }
-}
-
-/// Runs the Fig. 5 experiment.
-pub fn run(config: &Fig5Config) -> Fig5Result {
+/// Runs the Fig. 5 experiment: one fresh experiment per controller, in
+/// lineup order. With `controllers: vec![Algorithm3, Algorithm2]` at a
+/// communication time of 100 it is Fig. 6.
+pub fn run(config: &Fig5Config) -> Comparison {
     let stop = StopCondition::after_time(config.max_time);
     let histories = config
         .controllers
@@ -99,7 +52,13 @@ pub fn run(config: &Fig5Config) -> Fig5Result {
             history
         })
         .collect();
-    Fig5Result { histories }
+    Comparison {
+        title: format!(
+            "Adaptive-k methods at communication time {}",
+            config.base.comm_time
+        ),
+        histories,
+    }
 }
 
 #[cfg(test)]
@@ -159,5 +118,60 @@ mod tests {
         for spec in &cfg.controllers {
             assert!(text.contains(&spec.name()[..10.min(spec.name().len())]));
         }
+    }
+
+    /// The Fig. 6 lineup at a communication time of 100.
+    fn alg3_vs_alg2_config() -> Fig5Config {
+        Fig5Config {
+            base: ExperimentConfig {
+                comm_time: 100.0,
+                eval_every: 10,
+                seed: 4,
+                ..tiny_config().base
+            },
+            max_time: 1_200.0,
+            controllers: vec![ControllerSpec::Algorithm3, ControllerSpec::Algorithm2],
+        }
+    }
+
+    #[test]
+    fn both_algorithms_produce_histories() {
+        let result = run(&alg3_vs_alg2_config());
+        assert_eq!(result.histories.len(), 2);
+        for (h, (_, loss)) in result.histories.iter().zip(result.final_losses()) {
+            assert!(!h.is_empty(), "{} produced no rounds", h.label);
+            assert!(loss.is_finite(), "{}", h.label);
+        }
+    }
+
+    #[test]
+    fn algorithm3_k_fluctuates_no_more_than_algorithm2() {
+        let result = run(&alg3_vs_alg2_config());
+        let spreads = result.k_spread(20);
+        let (s3, s2) = (spreads[0].1, spreads[1].1);
+        assert!(
+            s3 <= s2 + 1.0,
+            "Algorithm 3 spread {s3} vs Algorithm 2 {s2}"
+        );
+    }
+
+    #[test]
+    fn render_contains_both_algorithms() {
+        let cfg = alg3_vs_alg2_config();
+        let text = run(&cfg).render(cfg.max_time);
+        assert!(text.contains("Algorithm 3"));
+        assert!(text.contains("Algorithm 2"));
+        assert!(text.contains("k spread"));
+    }
+
+    #[test]
+    fn render_title_carries_the_configured_comm_time() {
+        let cfg = Fig5Config {
+            max_time: 300.0,
+            ..alg3_vs_alg2_config()
+        };
+        let text = run(&cfg).render(cfg.max_time);
+        let title = text.lines().next().unwrap();
+        assert!(title.contains("communication time 100"), "{title}");
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * [`SignOgd`], [`ExtendedSignOgd`] and [`ValueBasedDescent`] build their
 //!   derivative(-sign) estimate from the probe losses via
-//!   [`DerivativeSignEstimator`];
+//!   [`derivative_sign`] / [`derivative`];
 //! * [`Exp3Controller`] and [`BanditController`] convert the round outcome
 //!   into a scalar cost — the time spent per unit of single-sample loss
 //!   decrease, the empirical analogue of `t(k, l)` — and feed it to EXP3 /
@@ -19,7 +19,7 @@ use agsfl_wire::Precision;
 use serde::{Deserialize, Serialize};
 
 use crate::bandit::ContinuousBandit;
-use crate::estimator::{DerivativeSignEstimator, EstimatorInputs};
+use crate::estimator::{derivative, derivative_sign};
 use crate::exp3::Exp3;
 use crate::extended::ExtendedSignOgd;
 use crate::sign_ogd::SignOgd;
@@ -65,20 +65,6 @@ fn restore_tagged<T: Snapshot + Clone>(
     Ok(())
 }
 
-/// Builds the estimator inputs from a round's feedback, if the probe data is
-/// complete.
-fn estimator_inputs(feedback: &RoundFeedback) -> Option<EstimatorInputs> {
-    Some(EstimatorInputs {
-        k: feedback.k_used as f64,
-        k_alt: feedback.probe_k? as f64,
-        loss_prev: feedback.probe_loss_prev?,
-        loss_now: feedback.probe_loss_now?,
-        loss_alt: feedback.probe_loss_alt?,
-        round_time: feedback.round_time,
-        alt_round_time: feedback.probe_round_time?,
-    })
-}
-
 /// Scalar per-round cost used by the bandit-style baselines: normalized time
 /// spent per unit of the probe's loss decrease
 /// `L̃(w(m−1)) − L̃(w(m))`. Falls back to the raw round time when the round
@@ -110,9 +96,7 @@ impl KController for SignOgd {
     }
 
     fn observe(&mut self, feedback: &RoundFeedback) {
-        let sign = estimator_inputs(feedback)
-            .and_then(|inputs| DerivativeSignEstimator::new().estimate(&inputs));
-        self.step(sign);
+        self.step(derivative_sign(feedback));
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -138,9 +122,7 @@ impl KController for ExtendedSignOgd {
     }
 
     fn observe(&mut self, feedback: &RoundFeedback) {
-        let sign = estimator_inputs(feedback)
-            .and_then(|inputs| DerivativeSignEstimator::new().estimate(&inputs));
-        self.step(sign);
+        self.step(derivative_sign(feedback));
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -166,9 +148,7 @@ impl KController for ValueBasedDescent {
     }
 
     fn observe(&mut self, feedback: &RoundFeedback) {
-        let derivative = estimator_inputs(feedback)
-            .and_then(|inputs| DerivativeSignEstimator::new().estimate_derivative(&inputs));
-        self.step(derivative);
+        self.step(derivative(feedback));
     }
 
     fn save_state(&self) -> Vec<u8> {

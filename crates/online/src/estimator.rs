@@ -1,33 +1,11 @@
 //! The practical derivative-sign estimator of Section IV-E.
 
-use serde::{Deserialize, Serialize};
+use crate::RoundFeedback;
 
-/// The per-round measurements the estimator consumes.
-///
-/// `loss_prev`, `loss_now` and `loss_alt` are the averaged single-sample
-/// losses `L̃(w(m-1))`, `L̃(w(m))` and `L̃(w'(m))`; `round_time` is the
-/// measured time `τ_m(k_m)` of the round and `alt_round_time` the time
-/// `θ_m(k')` one round of `k'`-element GS would take.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EstimatorInputs {
-    /// The sparsity `k_m` used this round.
-    pub k: f64,
-    /// The probe sparsity `k'_m` (must differ from `k`).
-    pub k_alt: f64,
-    /// `L̃(w(m-1))`.
-    pub loss_prev: f64,
-    /// `L̃(w(m))`.
-    pub loss_now: f64,
-    /// `L̃(w'(m))`.
-    pub loss_alt: f64,
-    /// `τ_m(k_m)`: measured time of this round.
-    pub round_time: f64,
-    /// `θ_m(k'_m)`: time of one round with `k'`-element GS.
-    pub alt_round_time: f64,
-}
-
-/// Estimates the sign of `∂τ_m/∂k` at `k_m` from three single-sample losses
-/// (Eqs. (10)–(11) of the paper).
+/// Estimates `∂τ_m/∂k` at `k_m` from a round's three single-sample losses
+/// (Eqs. (10)–(11) of the paper), or `None` if the round carries no usable
+/// estimate. Exposed apart from [`derivative_sign`] because the value-based
+/// baseline uses the raw estimate without the `sign(·)`.
 ///
 /// The estimator maps the time of one hypothetical `k'`-element round onto
 /// the loss interval achieved by the actual `k_m`-element round:
@@ -37,71 +15,64 @@ pub struct EstimatorInputs {
 /// ŝ_m = sign( (τ_m(k_m) − τ̂_m(k')) / (k_m − k') )
 /// ```
 ///
-/// When either single-sample loss fails to decrease (`L̃(w(m-1)) ≤ L̃(w(m))`
-/// or `L̃(w(m-1)) ≤ L̃(w'(m))`), Eq. (10) has no physical meaning and the
-/// estimator reports `None`; the online algorithms then leave `k` unchanged
+/// with `τ_m(k_m)` the feedback's `round_time`, `θ_m(k')` its
+/// `probe_round_time` and the three losses its `probe_loss_*`. A round that
+/// ran no probe, or probed at `k' = k_m`, has no estimate. When either
+/// single-sample loss fails to decrease (`L̃(w(m-1)) ≤ L̃(w(m))` or
+/// `L̃(w(m-1)) ≤ L̃(w'(m))`), Eq. (10) has no physical meaning and the
+/// estimate is `None` too; the online algorithms then leave `k` unchanged
 /// for that round.
+pub fn derivative(feedback: &RoundFeedback) -> Option<f64> {
+    let k = feedback.k_used as f64;
+    let k_alt = feedback.probe_k? as f64;
+    if k == k_alt {
+        return None;
+    }
+    let loss_prev = feedback.probe_loss_prev?;
+    let drop_actual = loss_prev - feedback.probe_loss_now?;
+    let drop_alt = loss_prev - feedback.probe_loss_alt?;
+    // Both one-round loss decreases must be positive for the mapping in
+    // Eq. (10) to make sense.
+    if drop_actual <= 0.0 || drop_alt <= 0.0 {
+        return None;
+    }
+    let tau_alt = feedback.probe_round_time? * drop_actual / drop_alt;
+    let derivative = (feedback.round_time - tau_alt) / (k - k_alt);
+    derivative.is_finite().then_some(derivative)
+}
+
+/// The estimated derivative sign `ŝ_m ∈ {-1, 0, 1}`, or `None` if
+/// [`derivative`] has no estimate this round.
 ///
 /// # Examples
 ///
 /// ```
-/// use agsfl_online::{DerivativeSignEstimator, EstimatorInputs};
+/// use agsfl_online::{derivative_sign, RoundFeedback};
 ///
-/// let est = DerivativeSignEstimator::new();
 /// // The smaller k' makes the same loss progress in less time, so the
 /// // derivative with respect to k is positive (k should decrease).
-/// let sign = est.estimate(&EstimatorInputs {
-///     k: 100.0,
-///     k_alt: 80.0,
-///     loss_prev: 2.0,
-///     loss_now: 1.9,
-///     loss_alt: 1.9,
+/// let sign = derivative_sign(&RoundFeedback {
+///     k_used: 100,
 ///     round_time: 10.0,
-///     alt_round_time: 8.0,
+///     probe_loss_prev: Some(2.0),
+///     probe_loss_now: Some(1.9),
+///     probe_loss_alt: Some(1.9),
+///     probe_round_time: Some(8.0),
+///     probe_k: Some(80),
+///     loss_decrease: None,
 /// });
 /// assert_eq!(sign, Some(1));
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DerivativeSignEstimator;
-
-impl DerivativeSignEstimator {
-    /// Creates the estimator.
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// The estimated (unsigned) derivative value, or `None` if the inputs are
-    /// invalid for Eq. (10). Exposed separately because the value-based
-    /// baseline uses the raw estimate without the `sign(·)`.
-    pub fn estimate_derivative(&self, inputs: &EstimatorInputs) -> Option<f64> {
-        if inputs.k == inputs.k_alt {
-            return None;
+pub fn derivative_sign(feedback: &RoundFeedback) -> Option<i8> {
+    derivative(feedback).map(|d| {
+        if d > 0.0 {
+            1
+        } else if d < 0.0 {
+            -1
+        } else {
+            0
         }
-        let drop_actual = inputs.loss_prev - inputs.loss_now;
-        let drop_alt = inputs.loss_prev - inputs.loss_alt;
-        // Both one-round loss decreases must be positive for the mapping in
-        // Eq. (10) to make sense.
-        if drop_actual <= 0.0 || drop_alt <= 0.0 {
-            return None;
-        }
-        let tau_alt = inputs.alt_round_time * drop_actual / drop_alt;
-        let derivative = (inputs.round_time - tau_alt) / (inputs.k - inputs.k_alt);
-        derivative.is_finite().then_some(derivative)
-    }
-
-    /// The estimated derivative sign `ŝ_m ∈ {-1, 0, 1}`, or `None` if the
-    /// estimate is unavailable this round.
-    pub fn estimate(&self, inputs: &EstimatorInputs) -> Option<i8> {
-        self.estimate_derivative(inputs).map(|d| {
-            if d > 0.0 {
-                1
-            } else if d < 0.0 {
-                -1
-            } else {
-                0
-            }
-        })
-    }
+    })
 }
 
 #[cfg(test)]
@@ -109,72 +80,79 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn base() -> EstimatorInputs {
-        EstimatorInputs {
-            k: 200.0,
-            k_alt: 150.0,
-            loss_prev: 3.0,
-            loss_now: 2.8,
-            loss_alt: 2.85,
-            round_time: 6.0,
-            alt_round_time: 5.0,
+    /// A probed round: `k` and its probe `k'`, the losses
+    /// `[L̃(w(m-1)), L̃(w(m)), L̃(w'(m))]`, `τ_m(k)` and `θ_m(k')`.
+    fn probed(
+        k: usize,
+        k_alt: usize,
+        [loss_prev, loss_now, loss_alt]: [f64; 3],
+        round_time: f64,
+        alt_round_time: f64,
+    ) -> RoundFeedback {
+        RoundFeedback {
+            k_used: k,
+            round_time,
+            probe_loss_prev: Some(loss_prev),
+            probe_loss_now: Some(loss_now),
+            probe_loss_alt: Some(loss_alt),
+            probe_round_time: Some(alt_round_time),
+            probe_k: Some(k_alt),
+            loss_decrease: None,
         }
+    }
+
+    fn base() -> RoundFeedback {
+        probed(200, 150, [3.0, 2.8, 2.85], 6.0, 5.0)
     }
 
     #[test]
     fn positive_derivative_when_smaller_k_is_cheaper_per_loss() {
         // k' reaches almost the same loss in less time: τ̂(k') < τ(k), and
         // k > k', so the derivative is positive.
-        let inputs = EstimatorInputs {
-            loss_alt: 2.8,
+        let feedback = RoundFeedback {
+            probe_loss_alt: Some(2.8),
             ..base()
         };
-        let est = DerivativeSignEstimator::new();
-        assert_eq!(est.estimate(&inputs), Some(1));
+        assert_eq!(derivative_sign(&feedback), Some(1));
     }
 
     #[test]
     fn negative_derivative_when_smaller_k_is_much_slower() {
         // k' barely reduces the loss, so mapped to the same loss interval it
         // would take far longer: τ̂(k') > τ(k) ⇒ negative derivative.
-        let inputs = EstimatorInputs {
-            loss_alt: 2.99,
+        let feedback = RoundFeedback {
+            probe_loss_alt: Some(2.99),
             ..base()
         };
-        let est = DerivativeSignEstimator::new();
-        assert_eq!(est.estimate(&inputs), Some(-1));
+        assert_eq!(derivative_sign(&feedback), Some(-1));
     }
 
     #[test]
     fn unavailable_when_losses_do_not_decrease() {
-        let est = DerivativeSignEstimator::new();
-        let no_actual_drop = EstimatorInputs {
-            loss_now: 3.1,
+        let no_actual_drop = RoundFeedback {
+            probe_loss_now: Some(3.1),
             ..base()
         };
-        assert_eq!(est.estimate(&no_actual_drop), None);
-        let no_alt_drop = EstimatorInputs {
-            loss_alt: 3.0,
+        assert_eq!(derivative_sign(&no_actual_drop), None);
+        let no_alt_drop = RoundFeedback {
+            probe_loss_alt: Some(3.0),
             ..base()
         };
-        assert_eq!(est.estimate(&no_alt_drop), None);
+        assert_eq!(derivative_sign(&no_alt_drop), None);
     }
 
     #[test]
     fn unavailable_when_k_equals_probe() {
-        let est = DerivativeSignEstimator::new();
-        let same_k = EstimatorInputs {
-            k_alt: 200.0,
+        let same_k = RoundFeedback {
+            probe_k: Some(200),
             ..base()
         };
-        assert_eq!(est.estimate(&same_k), None);
+        assert_eq!(derivative_sign(&same_k), None);
     }
 
     #[test]
     fn derivative_value_matches_formula() {
-        let inputs = base();
-        let est = DerivativeSignEstimator::new();
-        let d = est.estimate_derivative(&inputs).unwrap();
+        let d = derivative(&base()).unwrap();
         let tau_alt = 5.0 * (3.0 - 2.8) / (3.0 - 2.85);
         let expected = (6.0 - tau_alt) / (200.0 - 150.0);
         assert!((d - expected).abs() < 1e-12);
@@ -183,41 +161,30 @@ mod tests {
     #[test]
     fn exactly_equal_times_give_zero_sign() {
         // Construct inputs where τ̂(k') == τ(k).
-        let inputs = EstimatorInputs {
-            k: 100.0,
-            k_alt: 50.0,
-            loss_prev: 2.0,
-            loss_now: 1.5,
-            loss_alt: 1.5,
-            round_time: 4.0,
-            alt_round_time: 4.0,
-        };
-        assert_eq!(DerivativeSignEstimator::new().estimate(&inputs), Some(0));
+        let feedback = probed(100, 50, [2.0, 1.5, 1.5], 4.0, 4.0);
+        assert_eq!(derivative_sign(&feedback), Some(0));
     }
 
     proptest! {
         #[test]
         fn prop_sign_matches_derivative_sign(
-            k in 10.0f64..1000.0,
-            dk in 1.0f64..100.0,
+            k in 100usize..1000,
+            dk in 1usize..100,
             loss_prev in 1.0f64..5.0,
             drop_actual in 0.001f64..0.5,
             drop_alt in 0.001f64..0.5,
             round_time in 0.5f64..50.0,
             alt_round_time in 0.5f64..50.0,
         ) {
-            let inputs = EstimatorInputs {
+            let feedback = probed(
                 k,
-                k_alt: k - dk,
-                loss_prev,
-                loss_now: loss_prev - drop_actual,
-                loss_alt: loss_prev - drop_alt,
+                k - dk,
+                [loss_prev, loss_prev - drop_actual, loss_prev - drop_alt],
                 round_time,
                 alt_round_time,
-            };
-            let est = DerivativeSignEstimator::new();
-            let d = est.estimate_derivative(&inputs).unwrap();
-            let s = est.estimate(&inputs).unwrap();
+            );
+            let d = derivative(&feedback).unwrap();
+            let s = derivative_sign(&feedback).unwrap();
             prop_assert_eq!(s as f64, d.signum() * if d == 0.0 { 0.0 } else { 1.0 });
         }
     }

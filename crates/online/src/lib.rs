@@ -11,9 +11,9 @@
 //! * [`ExtendedSignOgd`] — Algorithm 3, which shrinks the search interval
 //!   (and hence the step size) whenever the recently visited range of `k`
 //!   becomes small enough, restarting the inner instance;
-//! * [`DerivativeSignEstimator`] — the practical sign estimator of
-//!   Section IV-E built from three single-sample loss evaluations per round
-//!   (Eqs. (10)–(11)).
+//! * [`derivative_sign`] — the practical sign estimator of Section IV-E,
+//!   read off a round's [`RoundFeedback`]: three single-sample loss
+//!   evaluations and two round times (Eqs. (10)–(11)).
 //!
 //! The baselines the paper compares against are also provided:
 //! [`ValueBasedDescent`] (derivative descent without the sign), [`Exp3`]
@@ -64,7 +64,7 @@ use agsfl_wire::snapshot::SnapshotError;
 pub use agsfl_wire::snapshot::SnapshotError as StateError;
 pub use bandit::ContinuousBandit;
 pub use controllers::{BanditController, Exp3Controller, FixedK, KSequence, PrecisionController};
-pub use estimator::{DerivativeSignEstimator, EstimatorInputs};
+pub use estimator::{derivative, derivative_sign};
 pub use exp3::Exp3;
 pub use extended::{ExtendedConfig, ExtendedSignOgd};
 pub use rounding::stochastic_round;

@@ -439,6 +439,21 @@ if product_lines crates/tensor/src/vecops.rs | grep -E 'pub fn (dot|zero|mean|sc
     exit 1
 fi
 
+step "one result per comparison figure, one derivative estimator (deleted names stay gone)"
+# Figs. 4-6 are one experiment, a lineup of methods at one communication
+# time: they return figures::Comparison, and Fig. 6 is fig5::run with the
+# lineup Algorithm 3, Algorithm 2. The derivative-sign estimator reads a
+# RoundFeedback through agsfl_online::derivative / derivative_sign, not a
+# third copy of the probe fields. A per-figure result type, a fig6 module
+# or the estimator's input struct back in the product code is one of those
+# copies growing back. Product code only (no #[cfg(test)] item); comment
+# lines are exempt.
+if for f in $(find crates/*/src examples crates/bench/benches -name '*.rs' | sort); do product_lines "$f"; done \
+    | grep -E 'Fig[456]Result|figures::fig6|\bfig6::|mod fig6\b|EstimatorInputs|DerivativeSignEstimator'; then
+    echo "verify: a deleted figure or estimator type is back (lines above); use figures::Comparison, fig5::run with a lineup, or agsfl_online::derivative_sign" >&2
+    exit 1
+fi
+
 step "products keep their fold order (no fused multiply-add, no staged weight copies)"
 # The goldens pin each product's exact sequence of roundings: a fused
 # multiply-add rounds once where mul-then-add rounds twice, so neither the
