@@ -3,7 +3,7 @@
 //! factor `α`, and stochastic vs floor rounding of the continuous `k`.
 
 use agsfl_bench::{banner, femnist_base};
-use agsfl_core::{ControllerSpec, Experiment, ExperimentConfig, SparsifierSpec, StopCondition};
+use agsfl_core::{Experiment, ExperimentConfig, SparsifierSpec, StopCondition};
 use agsfl_online::{stochastic_round, ExtendedConfig, ExtendedSignOgd};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -106,7 +106,4 @@ fn main() {
     fairness_ablation();
     algorithm3_parameter_ablation();
     rounding_ablation();
-    // Keep a reference to the controller spec list so ablation configs stay in
-    // sync with the main experiments if the lineup changes.
-    let _ = ControllerSpec::fig5_lineup();
 }

@@ -465,16 +465,15 @@ impl Experiment {
 
     /// Runs the FedAvg baseline at the communication overhead equivalent to
     /// `k`-element GS (aggregation every `⌊D/(2k)⌋` rounds), building a fresh
-    /// FedAvg simulation from this experiment's configuration, on a copy of
-    /// its dataset and on its executor.
+    /// FedAvg simulation from this experiment's configuration, on its
+    /// dataset (borrowed, not copied) and on its executor.
     pub fn run_fedavg(&self, k_equivalent: usize, stop: &StopCondition) -> RunHistory {
         let config = &self.config;
         let dataset = self
             .sim
             .source()
             .as_dataset()
-            .expect("an experiment generates its dataset eagerly")
-            .clone();
+            .expect("an experiment generates its dataset eagerly");
         let model = config
             .model
             .build(dataset.feature_dim(), dataset.num_classes());
@@ -722,7 +721,7 @@ mod tests {
             .build(dataset.feature_dim(), dataset.num_classes());
         let mut sim = FedAvgSimulation::new(
             model,
-            dataset,
+            &dataset,
             FedAvgConfig {
                 learning_rate: config.learning_rate,
                 batch_size: config.batch_size,

@@ -1,10 +1,14 @@
-//! A federated client: its persistent [`ClientState`] — the residual
-//! accumulator, private stream and mini-batch sampler — plus the
-//! round-transient batch rows and scratch.
+//! A federated client of Algorithm 1, as one cohort member: its persistent
+//! [`ClientState`] — the residual accumulator, private stream and
+//! mini-batch sampler — plus everything the round engine needs of it for
+//! one round: the batch rows, the upload's entry, ranked, frame and error
+//! buffers, the fault plan and the round's bookkeeping.
 //!
 //! A client holds no gradient: its local step lands the model's gradient
 //! straight in the residual accumulator
-//! ([`Client::compute_local_gradient`]).
+//! ([`Client::compute_local_gradient`]). Each upload step reads and writes
+//! the member's own buffers, and a wired member's frame is the one its
+//! codec wrote into its [`WireScratch`] ([`Client::frame`]).
 
 use agsfl_ml::data::{ClientShard, MinibatchSampler, ShardSource};
 use agsfl_ml::model::Model;
@@ -14,12 +18,14 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use crate::fault::ClientFaultPlan;
+
 /// The part of a client that outlives a round, and all of it: the private
 /// RNG stream, the residual accumulator `a_i` (the error-feedback memory of
 /// Algorithm 1), the mini-batch sampler's epoch, and the estimator's
 /// bookkeeping. It is what one checkpoint row holds, and the whole of what
 /// the population stores per client id: hydration swaps it into a cohort
-/// slot's [`Client`] and dehydration swaps it back.
+/// member's [`Client`] and dehydration swaps it back.
 #[derive(Debug, Clone)]
 pub(crate) struct ClientState {
     pub rng: ChaCha8Rng,
@@ -59,7 +65,32 @@ impl ClientState {
     }
 }
 
-/// One federated client of Algorithm 1.
+/// A producer's timed steps, in nanoseconds (see [`Client::worker_ns`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct WorkerNs {
+    /// The local gradient, landed in the residual.
+    pub gradient: u64,
+    /// Building the upload (the member's selection).
+    pub select: u64,
+    /// Encoding the wired upload into its frame.
+    pub encode: u64,
+    /// Decoding the wired frame and ranking the decoded upload.
+    pub decode: u64,
+    /// Ranking the upload's keys into the ranked view.
+    pub rank: u64,
+}
+
+impl std::ops::AddAssign for WorkerNs {
+    fn add_assign(&mut self, other: WorkerNs) {
+        self.gradient += other.gradient;
+        self.select += other.select;
+        self.encode += other.encode;
+        self.decode += other.decode;
+        self.rank += other.rank;
+    }
+}
+
+/// One federated client of Algorithm 1, and one entry of the cohort arena.
 ///
 /// The client owns its persistent state (`ClientState`) — a mini-batch
 /// sampler over its shard's sample indices, its residual accumulator `a_i`
@@ -68,7 +99,9 @@ impl ClientState {
 /// computation is parallelized across threads). Its data stays in a
 /// [`ShardSource`] as client `id`: a gradient step draws the batch indices
 /// first and then fetches just those rows into a reused batch buffer, so a
-/// client never holds its whole shard.
+/// client never holds its whole shard. The round engine rebinds an arena
+/// entry to a new member each round; the `pub(crate)` fields are that
+/// round's bookkeeping, which the stages read between phases.
 #[derive(Debug, Clone)]
 pub struct Client {
     id: usize,
@@ -84,14 +117,52 @@ pub struct Client {
     /// Reused order-key buffer (see `agsfl_sparse::topk`). A `TopKOwn`
     /// build leaves the upload's keys here in index order — the selection's
     /// own, or on a byte-priced round the decoded values' — for
-    /// [`Client::rank_upload_into`], whose radix passes ping-pong between
-    /// it and the ranked view, so it holds about `k` keys, not `2k`. So
-    /// building the uplink message allocates nothing after the first
-    /// round.
+    /// [`Client::rank_upload`], whose radix passes ping-pong between it and
+    /// `ranked`, so it holds about `k` keys, not `2k`. So building the
+    /// uplink message allocates nothing after the first round.
     topk_scratch: Vec<u64>,
-    /// Reused wire-encoding workspace; byte-priced rounds encode the uplink
-    /// message here without per-round allocation beyond the emitted frame.
+    /// Reused wire-encoding workspace, and the one copy of the member's
+    /// uplink frame: byte-priced rounds encode the upload here without
+    /// per-round allocation, and every reader of the frame borrows it from
+    /// here ([`Client::frame`]).
     wire_scratch: WireScratch,
+    /// Whether hydration swapped the member's stored state in (`false` for
+    /// a first-time participant, whose state the client pass freshly
+    /// resets instead). Hydration sets it every round.
+    pub(crate) hydrated: bool,
+    /// The member's fault plan for this round ([`ClientFaultPlan::clean`]
+    /// without a fault model): hydration writes it, the client pass reads
+    /// it, and bookkeeping stores no state for an offline first-timer.
+    pub(crate) plan: ClientFaultPlan,
+    /// Mini-batch loss of this round's local step.
+    pub(crate) loss: f32,
+    /// Whether admission delivered this round's upload to the server, so
+    /// bookkeeping resets the member's residual on the round's `J`.
+    pub(crate) delivered: bool,
+    /// Nanoseconds the producer spent on this round's local gradient,
+    /// upload selection, frame encode, frame decode and rank, when the
+    /// recorder is enabled (zero otherwise); admission takes them into the
+    /// round's
+    /// [`SpanId::ClientGradient`](agsfl_telemetry::SpanId::ClientGradient),
+    /// [`SpanId::ClientSelect`](agsfl_telemetry::SpanId::ClientSelect),
+    /// [`SpanId::ClientEncode`](agsfl_telemetry::SpanId::ClientEncode),
+    /// [`SpanId::ServerDecode`](agsfl_telemetry::SpanId::ServerDecode) and
+    /// [`SpanId::ClientRank`](agsfl_telemetry::SpanId::ClientRank)
+    /// samples.
+    pub(crate) worker_ns: WorkerNs,
+    /// This round's finished upload entries, exactly as the server
+    /// aggregates them: in index order, and byte-priced, the decode of the
+    /// member's frame. A grow-only buffer the member owns: admission lends
+    /// it to an aggregation input, and bookkeeping takes it back.
+    pub(crate) entries: Vec<(usize, f32)>,
+    /// The entries' order keys in the magnitude order when the plan ranks
+    /// (empty otherwise), owned and lent like `entries`.
+    pub(crate) ranked: Vec<u64>,
+    /// The quantization error `v - v̂` of each of this round's uplink
+    /// entries, zero where the codec was exact (reused buffer; empty unless
+    /// a lossy codec changed a value), fed back into the residual at reset
+    /// time.
+    pub(crate) errors: Vec<f32>,
 }
 
 impl Client {
@@ -119,11 +190,12 @@ impl Client {
         client
     }
 
-    /// Creates an unbound cohort slot: no samples, zero weight, and an
-    /// empty state with room for a `dim`-residual. The cohort engine binds
-    /// a real client onto the slot each round ([`Client::bind`], then either
-    /// a population swap or [`ClientState::reset`]); a placeholder never
-    /// computes a gradient on its own.
+    /// Creates an unbound cohort arena entry: no samples, zero weight, an
+    /// empty state with room for a `dim`-residual, and empty upload
+    /// buffers. The cohort engine binds a real client onto it each round
+    /// ([`Client::bind`], then either a population swap or
+    /// [`ClientState::reset`]); a placeholder never computes a gradient on
+    /// its own.
     ///
     /// # Panics
     ///
@@ -137,11 +209,20 @@ impl Client {
             probe_row: 0,
             topk_scratch: Vec::new(),
             wire_scratch: WireScratch::new(),
+            hydrated: false,
+            plan: ClientFaultPlan::clean(),
+            loss: 0.0,
+            delivered: false,
+            worker_ns: WorkerNs::default(),
+            entries: Vec::new(),
+            ranked: Vec::new(),
+            errors: Vec::new(),
         }
     }
 
-    /// Rebinds this slot to client `id` with aggregation weight `weight`
-    /// (cohort hydration; the persistent state is installed separately).
+    /// Rebinds this arena entry to client `id` with aggregation weight
+    /// `weight` (cohort hydration; the persistent state is installed
+    /// separately).
     pub(crate) fn bind(&mut self, id: usize, weight: f64) {
         self.id = id;
         self.weight = weight;
@@ -207,28 +288,21 @@ impl Client {
     }
 
     /// Builds the uplink message for the current round according to the
-    /// sparsifier's [`UploadPlan`], writing the entries into a caller-owned
-    /// buffer, in index order for every plan — what a codec encodes and
-    /// what the server's sweep and the resets stream through (`Coordinates`
-    /// is sorted at plan time). A `TopKOwn` build is the index-ordered
-    /// top-k selection, and it leaves the entries' order keys in the
-    /// client's key buffer for [`Client::rank_upload_into`]. Top-k
-    /// extraction reuses that buffer, so nothing is allocated after the
-    /// first round.
-    pub(crate) fn build_upload_into(
-        &mut self,
-        plan: &UploadPlan,
-        k: usize,
-        out: &mut Vec<(usize, f32)>,
-    ) {
+    /// sparsifier's [`UploadPlan`] into the member's `entries`, in index
+    /// order for every plan — what a codec encodes and what the server's
+    /// sweep and the resets stream through (`Coordinates` is sorted at plan
+    /// time). A `TopKOwn` build is the index-ordered top-k selection, and
+    /// it leaves the entries' order keys in the client's key buffer for
+    /// [`Client::rank_upload`]. Top-k extraction reuses that buffer, so
+    /// nothing is allocated after the first round.
+    pub(crate) fn build_upload(&mut self, plan: &UploadPlan, k: usize) {
+        let (residual, out) = (&self.state.residual, &mut self.entries);
         match plan {
             UploadPlan::TopKOwn => {
-                self.state
-                    .residual
-                    .top_k_entries_indexed_into(k, &mut self.topk_scratch, out)
+                residual.top_k_entries_indexed_into(k, &mut self.topk_scratch, out)
             }
-            UploadPlan::Coordinates(coords) => self.state.residual.entries_at_into(coords, out),
-            UploadPlan::Dense => self.state.residual.dense_entries_into(out),
+            UploadPlan::Coordinates(coords) => residual.entries_at_into(coords, out),
+            UploadPlan::Dense => residual.dense_entries_into(out),
         }
     }
 
@@ -237,31 +311,31 @@ impl Client {
     /// index-ordered keys the last `TopKOwn` build or wired decode left in
     /// the client's key buffer; otherwise nothing, since only FAB's scan
     /// and the probe's prefix pricing read the view.
-    pub(crate) fn rank_upload_into(&mut self, rank: bool, ranked: &mut Vec<u64>) {
+    pub(crate) fn rank_upload(&mut self, rank: bool) {
         if rank {
-            topk::rank_index_ordered_keys_into(&mut self.topk_scratch, ranked);
+            topk::rank_index_ordered_keys_into(&mut self.topk_scratch, &mut self.ranked);
         } else {
-            ranked.clear();
+            self.ranked.clear();
         }
     }
 
-    /// Encodes an uplink message into `frame` (cleared first) — the bytes
-    /// that would actually cross the client's uplink. `entries` must be in
-    /// index order, which [`Client::build_upload_into`] emits for every
+    /// Encodes `entries` into the member's frame ([`Client::frame`]) — the
+    /// bytes that would actually cross the client's uplink. The entries
+    /// are in index order, which [`Client::build_upload`] emits for every
     /// plan (the codecs debug-assert it): nothing sorts between selection
     /// and encode.
-    pub(crate) fn encode_upload_into(
-        &mut self,
-        codec: Codec,
-        dim: usize,
-        entries: &[(usize, f32)],
-        frame: &mut Vec<u8>,
-    ) {
-        frame.clear();
-        frame.extend_from_slice(codec.encode_into(dim, entries, &mut self.wire_scratch));
+    pub(crate) fn encode_upload(&mut self, codec: Codec, dim: usize) {
+        codec.encode_into(dim, &self.entries, &mut self.wire_scratch);
     }
 
-    /// Finishes a wired upload from the frame [`Client::encode_upload_into`]
+    /// The member's uplink frame: what the last [`Client::encode_upload`]
+    /// wrote, in the encode workspace it wrote it to (empty before the
+    /// first encode).
+    pub(crate) fn frame(&self) -> &[u8] {
+        self.wire_scratch.frame()
+    }
+
+    /// Finishes a wired upload from the frame [`Client::encode_upload`]
     /// just wrote: decodes it exactly once, writing each decoded `v̂` back
     /// over `entries` in place (a frame carries them in the same index
     /// order), so that `entries` becomes what the server aggregates, bit
@@ -271,36 +345,30 @@ impl Client {
     /// where the codec was exact, for the residual reset
     /// ([`Client::reset_selected`]); otherwise it stays empty.
     /// When `rank`, the visitor also repacks the client's key buffer with
-    /// the decoded values' order keys, for [`Client::rank_upload_into`].
-    pub(crate) fn decode_upload_into(
-        &mut self,
-        frame: &[u8],
-        rank: bool,
-        entries: &mut [(usize, f32)],
-        errors: &mut Vec<f32>,
-    ) {
+    /// the decoded values' order keys, for [`Client::rank_upload`].
+    pub(crate) fn decode_upload(&mut self, rank: bool) {
+        let frame = self.wire_scratch.frame();
         #[cfg(any(test, debug_assertions))]
-        let sent = entries.to_vec();
-        errors.clear();
-        let keys = &mut self.topk_scratch;
-        keys.clear();
+        let sent = self.entries.clone();
+        self.errors.clear();
+        self.topk_scratch.clear();
         let (mut at, mut changed) = (0usize, false);
         let (_, _codec) = decode_frame_with(frame, |j, decoded| {
-            let (_, value) = entries[at];
+            let (_, value) = self.entries[at];
             let exact = value == decoded;
-            errors.push(if exact { 0.0 } else { value - decoded });
+            self.errors.push(if exact { 0.0 } else { value - decoded });
             changed |= !exact;
             if rank {
                 // The ranked plan's selection asserted the dimension fits
                 // the key's 32-bit index field.
-                keys.push(topk::order_key(j as u32, decoded));
+                self.topk_scratch.push(topk::order_key(j as u32, decoded));
             }
-            entries[at].1 = decoded;
+            self.entries[at].1 = decoded;
             at += 1;
         })
         .expect("a frame this client just encoded must decode");
         if !changed {
-            errors.clear();
+            self.errors.clear();
         }
         // The one-pass decode against the recipe it replaced: decode into
         // an index-ordered list (on a lossless codec, the list that was
@@ -320,7 +388,7 @@ impl Client {
                 );
             }
             assert_eq!(
-                bits(entries),
+                bits(&self.entries),
                 bits(&expected),
                 "the decoder's visitor must equal decode_frame"
             );
@@ -330,7 +398,7 @@ impl Client {
                     .map(|&(j, v)| topk::order_key(j as u32, v))
                     .collect();
                 assert_eq!(
-                    *keys, expected_keys,
+                    self.topk_scratch, expected_keys,
                     "the visitor must pack the decoded keys"
                 );
             }
@@ -339,22 +407,19 @@ impl Client {
 
     /// Resets the accumulator coordinates the server actually used
     /// (Lines 16–17 of Algorithm 1): the client derives `J ∩ J_i` from the
-    /// round's `J` and `sent`, the upload it delivered, in one walk of its
-    /// entries ([`ResidualAccumulator::reset_selected`]), seeding each reset
+    /// round's `J` and `entries`, the upload it delivered, in one walk
+    /// ([`ResidualAccumulator::reset_selected`]), seeding each reset
     /// coordinate with its quantization error instead of zero — the lossy
     /// tier's error feedback; `errors` is empty on a lossless round, else
     /// one per sent entry. Returns `|J ∩ J_i|`, the client's contribution.
-    pub fn reset_selected(
-        &mut self,
-        sent: &[(usize, f32)],
-        selection: &SelectionResult,
-        errors: &[f32],
-    ) -> usize {
-        self.state.residual.reset_selected(sent, selection, errors)
+    pub(crate) fn reset_selected(&mut self, selection: &SelectionResult) -> usize {
+        self.state
+            .residual
+            .reset_selected(&self.entries, selection, &self.errors)
     }
 
-    /// Capacity of the client's encode workspace, for the engine's
-    /// grow-only capacity test.
+    /// Capacity of the client's encode workspace — its one frame buffer —
+    /// for the engine's grow-only capacity test.
     #[cfg(test)]
     pub(crate) fn wire_frame_capacity(&self) -> usize {
         self.wire_scratch.frame_capacity()
@@ -421,24 +486,27 @@ mod tests {
     fn upload_plans_produce_expected_shapes() {
         let (mut client, model, params, data) = client_and_model();
         client.compute_local_gradient(&data, &model, &params);
-        let (mut out, mut ranked) = (Vec::new(), Vec::new());
-        client.build_upload_into(&UploadPlan::TopKOwn, 3, &mut out);
+        client.build_upload(&UploadPlan::TopKOwn, 3);
         // The top three in index order, and their ranking as keys.
-        assert_eq!(out.len(), 3);
-        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(client.entries.len(), 3);
+        assert!(client.entries.windows(2).all(|w| w[0].0 < w[1].0));
         let mut expected = client.accumulator().top_k_entries(3);
-        client.rank_upload_into(true, &mut ranked);
-        let view: Vec<(usize, f32)> = ranked.iter().map(|&key| topk::key_entry(key)).collect();
+        client.rank_upload(true);
+        let view: Vec<(usize, f32)> = client
+            .ranked
+            .iter()
+            .map(|&key| topk::key_entry(key))
+            .collect();
         assert_eq!(view, expected);
         expected.sort_unstable_by_key(|&(j, _)| j);
-        assert_eq!(out, expected);
-        client.build_upload_into(&UploadPlan::Coordinates(vec![0, 5]), 3, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, 0);
-        client.rank_upload_into(false, &mut ranked);
-        assert!(ranked.is_empty());
-        client.build_upload_into(&UploadPlan::Dense, 3, &mut out);
-        assert_eq!(out.len(), model.num_params());
+        assert_eq!(client.entries, expected);
+        client.build_upload(&UploadPlan::Coordinates(vec![0, 5]), 3);
+        assert_eq!(client.entries.len(), 2);
+        assert_eq!(client.entries[0].0, 0);
+        client.rank_upload(false);
+        assert!(client.ranked.is_empty());
+        client.build_upload(&UploadPlan::Dense, 3);
+        assert_eq!(client.entries.len(), model.num_params());
     }
 
     /// The one wired path over every codec and both plan shapes: after the
@@ -467,18 +535,19 @@ mod tests {
             let codec = spec.build_seeded(5);
             for plan in &plans {
                 let rank = matches!(plan, UploadPlan::TopKOwn);
-                let (mut entries, mut frame, mut errors) = (Vec::new(), Vec::new(), Vec::new());
-                let mut ranked = vec![7];
+                client.ranked = vec![7];
                 let mut first = None;
                 for _ in 0..2 {
-                    client.build_upload_into(plan, 6, &mut entries);
-                    let sent = entries.clone();
-                    client.encode_upload_into(codec, dim, &entries, &mut frame);
-                    client.decode_upload_into(&frame, rank, &mut entries, &mut errors);
-                    client.rank_upload_into(rank, &mut ranked);
+                    client.build_upload(plan, 6);
+                    let sent = client.entries.clone();
+                    client.encode_upload(codec, dim);
+                    client.decode_upload(rank);
+                    client.rank_upload(rank);
+                    let (entries, errors, ranked) =
+                        (&client.entries, &client.errors, &client.ranked);
 
                     let mut expected = Vec::new();
-                    decode_frame(&frame, &mut expected).unwrap();
+                    decode_frame(client.frame(), &mut expected).unwrap();
                     let mut changed: Vec<f32> = sent
                         .iter()
                         .zip(&expected)
@@ -490,13 +559,13 @@ mod tests {
                     let error_bits = |errors: &[f32]| -> Vec<u32> {
                         errors.iter().map(|e| e.to_bits()).collect()
                     };
-                    assert_eq!(error_bits(&errors), error_bits(&changed), "{}", spec.name());
+                    assert_eq!(error_bits(errors), error_bits(&changed), "{}", spec.name());
                     if spec.is_lossy() {
                         lossy_changed |= !errors.is_empty();
                     } else {
                         assert!(errors.is_empty(), "{}", spec.name());
                     }
-                    assert_eq!(bits(&entries), bits(&expected), "{}", spec.name());
+                    assert_eq!(bits(entries), bits(&expected), "{}", spec.name());
                     let view: Vec<(usize, f32)> =
                         ranked.iter().map(|&key| topk::key_entry(key)).collect();
                     if rank {
@@ -506,9 +575,9 @@ mod tests {
                         assert!(view.is_empty(), "{}", spec.name());
                     }
                     let call = (
-                        bits(&entries),
-                        error_bits(&errors),
-                        frame.clone(),
+                        bits(entries),
+                        error_bits(errors),
+                        client.frame().to_vec(),
                         ranked.clone(),
                     );
                     assert_eq!(*first.get_or_insert_with(|| call.clone()), call);
@@ -522,13 +591,13 @@ mod tests {
     fn reset_clears_only_used_coordinates() {
         let (mut client, model, params, data) = client_and_model();
         client.compute_local_gradient(&data, &model, &params);
-        let mut upload = Vec::new();
-        client.build_upload_into(&UploadPlan::TopKOwn, 2, &mut upload);
+        client.build_upload(&UploadPlan::TopKOwn, 2);
         let dim = model.num_params();
-        let sent = [ClientUpload::new(0, 1.0, upload.clone())];
+        let sent = [ClientUpload::new(0, 1.0, client.entries.clone())];
         let selection = FabTopK::new().select(&sent, dim, 1);
         let before = client.accumulator().residual_l1();
-        assert_eq!(client.reset_selected(&upload, &selection, &[]), 1);
+        assert!(client.errors.is_empty());
+        assert_eq!(client.reset_selected(&selection), 1);
         let after = client.accumulator().residual_l1();
         assert!(after < before);
         assert!(after > 0.0, "non-selected coordinates keep their residual");
@@ -565,39 +634,39 @@ mod tests {
         let data = source(10);
         let mut fresh = Client::new(0, 10, 0.5, model.num_params(), 4, 99);
 
-        let mut slot = Client::placeholder(model.num_params(), 4);
-        slot.bind(0, 0.5);
-        slot.state.reset(99, model.num_params(), 10);
+        let mut member = Client::placeholder(model.num_params(), 4);
+        member.bind(0, 0.5);
+        member.state.reset(99, model.num_params(), 10);
 
         for _ in 0..3 {
             let lf = fresh.compute_local_gradient(&data, &model, &params);
-            let ls = slot.compute_local_gradient(&data, &model, &params);
+            let ls = member.compute_local_gradient(&data, &model, &params);
             assert_eq!(lf.to_bits(), ls.to_bits());
         }
         assert_eq!(
             fresh.accumulator().as_slice(),
-            slot.accumulator().as_slice()
+            member.accumulator().as_slice()
         );
 
-        // Dehydrate the slot's persistent state, rehydrate it into another
+        // Dehydrate the member's persistent state, rehydrate it into another
         // placeholder, and the gradient stream continues bit-identically.
         let mut parked = ClientState::with_capacity(0, 0, 1);
-        std::mem::swap(&mut slot.state, &mut parked);
-        let mut slot2 = Client::placeholder(model.num_params(), 4);
-        slot2.bind(0, 0.5);
-        std::mem::swap(&mut slot2.state, &mut parked);
-        // Before it computes, the rehydrated slot holds no rows: fetching
+        std::mem::swap(&mut member.state, &mut parked);
+        let mut member2 = Client::placeholder(model.num_params(), 4);
+        member2.bind(0, 0.5);
+        std::mem::swap(&mut member2.state, &mut parked);
+        // Before it computes, the rehydrated member holds no rows: fetching
         // its stale probe sample reads what the original batch read.
         let bits = |c: &Client| c.probe_losses(&model, [&params[..]]).map(|[l]| l.to_bits());
-        slot2.fetch_probe_sample(&data);
-        assert_eq!(bits(&slot2), bits(&fresh));
+        member2.fetch_probe_sample(&data);
+        assert_eq!(bits(&member2), bits(&fresh));
         assert!(bits(&fresh).is_some());
         let lf = fresh.compute_local_gradient(&data, &model, &params);
-        let ls = slot2.compute_local_gradient(&data, &model, &params);
+        let ls = member2.compute_local_gradient(&data, &model, &params);
         assert_eq!(lf.to_bits(), ls.to_bits());
         assert_eq!(
             fresh.accumulator().as_slice(),
-            slot2.accumulator().as_slice()
+            member2.accumulator().as_slice()
         );
     }
 

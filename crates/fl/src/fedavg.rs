@@ -87,10 +87,11 @@ struct FedAvgClient {
     batch: ClientShard,
 }
 
-/// Federated averaging with periodic full-model exchange.
-pub struct FedAvgSimulation {
+/// Federated averaging with periodic full-model exchange, on a borrowed
+/// dataset.
+pub struct FedAvgSimulation<'a> {
     model: Box<dyn Model>,
-    dataset: FederatedDataset,
+    dataset: &'a FederatedDataset,
     config: FedAvgConfig,
     /// Per-client state (local weights diverge between aggregations).
     clients: Vec<FedAvgClient>,
@@ -102,7 +103,7 @@ pub struct FedAvgSimulation {
     elapsed: f64,
 }
 
-impl std::fmt::Debug for FedAvgSimulation {
+impl std::fmt::Debug for FedAvgSimulation<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FedAvgSimulation")
             .field("num_clients", &self.clients.len())
@@ -112,7 +113,7 @@ impl std::fmt::Debug for FedAvgSimulation {
     }
 }
 
-impl FedAvgSimulation {
+impl<'a> FedAvgSimulation<'a> {
     /// Creates a FedAvg run with all clients initialized to the same weights,
     /// running its parallel passes on `executor`.
     ///
@@ -122,7 +123,7 @@ impl FedAvgSimulation {
     /// disagree.
     pub fn new(
         model: Box<dyn Model>,
-        dataset: FederatedDataset,
+        dataset: &'a FederatedDataset,
         config: FedAvgConfig,
         executor: Executor,
     ) -> Self {
@@ -229,7 +230,7 @@ impl FedAvgSimulation {
         self.round += 1;
         let lr = self.config.learning_rate;
         let model = self.model.as_ref();
-        let dataset = &self.dataset;
+        let dataset = self.dataset;
         let losses: Vec<(f64, f32)> = self.executor.map_mut(&mut self.clients, |client| {
             client
                 .sampler
@@ -275,14 +276,20 @@ mod tests {
     use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
     use agsfl_ml::model::Mlp;
 
+    fn tiny_dataset(seed: u64) -> FederatedDataset {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        SyntheticFemnist::new(SyntheticFemnistConfig::tiny()).generate(&mut rng)
+    }
+
+    /// A FedAvg run on `fed`, which the caller generates with
+    /// [`tiny_dataset`] from the same `seed`.
     fn tiny_fedavg_with(
+        fed: &FederatedDataset,
         period: usize,
         beta: f64,
         seed: u64,
         parallelism: Parallelism,
-    ) -> FedAvgSimulation {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let fed = SyntheticFemnist::new(SyntheticFemnistConfig::tiny()).generate(&mut rng);
+    ) -> FedAvgSimulation<'_> {
         let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
         FedAvgSimulation::new(
             Box::new(model),
@@ -298,13 +305,19 @@ mod tests {
         )
     }
 
-    fn tiny_fedavg(period: usize, beta: f64, seed: u64) -> FedAvgSimulation {
-        tiny_fedavg_with(period, beta, seed, Parallelism::Auto)
+    fn tiny_fedavg(
+        fed: &FederatedDataset,
+        period: usize,
+        beta: f64,
+        seed: u64,
+    ) -> FedAvgSimulation<'_> {
+        tiny_fedavg_with(fed, period, beta, seed, Parallelism::Auto)
     }
 
     #[test]
     fn aggregation_happens_on_schedule() {
-        let mut sim = tiny_fedavg(3, 10.0, 0);
+        let fed = tiny_dataset(0);
+        let mut sim = tiny_fedavg(&fed, 3, 10.0, 0);
         let mut aggregations = Vec::new();
         for _ in 0..6 {
             let r = sim.run_round();
@@ -315,7 +328,8 @@ mod tests {
 
     #[test]
     fn round_time_depends_on_aggregation() {
-        let mut sim = tiny_fedavg(2, 10.0, 1);
+        let fed = tiny_dataset(1);
+        let mut sim = tiny_fedavg(&fed, 2, 10.0, 1);
         let local = sim.run_round();
         assert_eq!(local.round_time, 1.0);
         let agg = sim.run_round();
@@ -325,7 +339,8 @@ mod tests {
 
     #[test]
     fn local_weights_synchronized_after_aggregation() {
-        let mut sim = tiny_fedavg(2, 1.0, 2);
+        let fed = tiny_dataset(2);
+        let mut sim = tiny_fedavg(&fed, 2, 1.0, 2);
         sim.run_round();
         // After one local round, clients differ.
         assert_ne!(sim.local_params(0), sim.local_params(1));
@@ -336,7 +351,8 @@ mod tests {
 
     #[test]
     fn training_reduces_loss() {
-        let mut sim = tiny_fedavg(4, 1.0, 3);
+        let fed = tiny_dataset(3);
+        let mut sim = tiny_fedavg(&fed, 4, 1.0, 3);
         let initial = sim.evaluate().train_loss;
         for _ in 0..120 {
             sim.run_round();
@@ -352,7 +368,8 @@ mod tests {
 
     #[test]
     fn averaged_params_is_weighted_mean() {
-        let mut sim = tiny_fedavg(100, 1.0, 4);
+        let fed = tiny_dataset(4);
+        let mut sim = tiny_fedavg(&fed, 100, 1.0, 4);
         sim.run_round();
         let avg = sim.averaged_params();
         let mut manual = vec![0.0f64; avg.len()];
@@ -371,10 +388,11 @@ mod tests {
     /// weights and equal evaluations, across 1–8 workers.
     #[test]
     fn serial_and_parallel_fedavg_runs_are_identical() {
-        let mut serial = tiny_fedavg_with(2, 5.0, 9, Parallelism::Serial);
+        let fed = tiny_dataset(9);
+        let mut serial = tiny_fedavg_with(&fed, 2, 5.0, 9, Parallelism::Serial);
         let mut parallel: Vec<FedAvgSimulation> = (2..=8)
             .step_by(3)
-            .map(|t| tiny_fedavg_with(2, 5.0, 9, Parallelism::Threads(t)))
+            .map(|t| tiny_fedavg_with(&fed, 2, 5.0, 9, Parallelism::Threads(t)))
             .collect();
         for _ in 0..4 {
             let rs = serial.run_round();
@@ -394,7 +412,6 @@ mod tests {
     /// one-stripe fold at a dimension that splits into uneven stripes.
     #[test]
     fn striped_average_matches_serial_at_large_dim() {
-        use agsfl_ml::data::{ClientShard, FederatedDataset};
         use agsfl_tensor::Matrix;
         let dim_features = 2_100; // zero-hidden `Mlp` params: 2100*2 + 2
         let shard = |seed: usize, n: usize| {
@@ -405,12 +422,12 @@ mod tests {
                 (0..n).map(|i| (i + seed) % 2).collect(),
             )
         };
+        let fed =
+            FederatedDataset::new(vec![shard(0, 5), shard(1, 3), shard(2, 7)], shard(9, 4), 2);
         let build = |parallelism: Parallelism| {
-            let fed =
-                FederatedDataset::new(vec![shard(0, 5), shard(1, 3), shard(2, 7)], shard(9, 4), 2);
             FedAvgSimulation::new(
                 Box::new(Mlp::new(dim_features, &[], 2)),
-                fed,
+                &fed,
                 FedAvgConfig {
                     batch_size: 2,
                     ..FedAvgConfig::default()
@@ -436,7 +453,7 @@ mod tests {
         let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
         let _ = FedAvgSimulation::new(
             Box::new(model),
-            fed,
+            &fed,
             FedAvgConfig {
                 aggregation_period: 0,
                 ..FedAvgConfig::default()

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::{Cell, RefCell};
 
-use crate::population::Slot;
+use crate::client::Client;
 use crate::simulation::Shared;
 use crate::wire_state::WireState;
 use crate::{
@@ -160,7 +160,7 @@ pub(crate) fn probe_by_second_selection(
     probe_k: usize,
     selection: &SelectionResult,
     uploads: &[ClientUpload],
-    slots: &[Slot],
+    members: &[Client],
     wire: Option<&WireState>,
 ) -> ProbeReport {
     let (params, config) = (&shared.params[..], &shared.config);
@@ -173,9 +173,9 @@ pub(crate) fn probe_by_second_selection(
     probe_selection.aggregated.apply_sgd(&mut w_probe, lr);
     let mut sums = [0.0f64; 3];
     let mut count = 0usize;
-    for slot in slots {
+    for member in members {
         let weights = [params, &w_now, &w_probe];
-        if let Some(losses) = slot.client.probe_losses(shared.model.as_ref(), weights) {
+        if let Some(losses) = member.probe_losses(shared.model.as_ref(), weights) {
             for (sum, loss) in sums.iter_mut().zip(losses) {
                 *sum += loss as f64;
             }
@@ -236,28 +236,28 @@ pub(crate) fn probe_bits(report: &ProbeReport) -> (usize, [u64; 4]) {
 /// Every reusable buffer a wired round touches, as capacities: the
 /// selection workspace's buffers (the dense sums first, then the `J`
 /// bitsets), the server's encode workspace and rank
-/// keys, and each slot's entry, ranked, frame, error and client-side encode
-/// buffers. Between rounds a slot owns its upload buffers — the upload it
-/// lent them to holds none — so a released one lowers its slot's capacity.
+/// keys, and each member's entry, ranked and error buffers and its one
+/// frame buffer (the encode workspace's). Between rounds a member owns its
+/// upload buffers — the upload it lent them to holds none — so a released
+/// one lowers its member's capacity.
 pub(crate) fn workspace_capacities(sim: &Simulation) -> Vec<usize> {
     assert_uploads_hold_nothing(sim);
     let mut caps = sim.scratch.capacities().to_vec();
     caps.push(sim.probe.rank_keys.capacity());
     caps.extend(sim.wire.as_ref().map(|w| w.scratch.frame_capacity()));
-    for slot in &sim.cohort.slots {
+    for member in &sim.cohort.members {
         caps.extend([
-            slot.entries.capacity(),
-            slot.ranked.capacity(),
-            slot.frame.capacity(),
-            slot.errors.capacity(),
-            slot.client.wire_frame_capacity(),
+            member.entries.capacity(),
+            member.ranked.capacity(),
+            member.errors.capacity(),
+            member.wire_frame_capacity(),
         ]);
     }
     caps
 }
 
 /// After bookkeeping every upload holds zero capacity: its member's buffers
-/// went back to the slot.
+/// went back to the member.
 pub(crate) fn assert_uploads_hold_nothing(sim: &Simulation) {
     for (u, upload) in sim.cohort.uploads.iter().enumerate() {
         assert_eq!(

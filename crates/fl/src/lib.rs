@@ -37,7 +37,7 @@
 //! sampler cursor) is one `ClientState` value per client id, held by the
 //! `ClientPopulation` only for clients that have participated, and each
 //! round swaps the participating clients' states whole into a reusable
-//! arena of cohort slots.
+//! arena of cohort members, one reusable `Client` each.
 //! [`SimulationConfig::cohort`] samples that many clients per round
 //! (without replacement, from a dedicated seeded stream, drawn serially
 //! before the parallel pass); `None` runs everyone and is bit-identical

@@ -1,19 +1,20 @@
-//! The client population behind the cohort engine, and the slot arena its
-//! members are hydrated into.
+//! The client population behind the cohort engine, and the arena of
+//! [`Client`]s its members are hydrated into.
 //!
 //! A million-client simulation cannot afford a [`Client`] per client: each
-//! one owns a batch buffer, reusable scratch buffers, and a resident
-//! residual vector. [`ClientPopulation`] keeps only what is genuinely
-//! *persistent* across rounds — one [`ClientState`] (the private RNG
-//! stream, the residual accumulator, the mini-batch sampler epoch, and the
-//! estimator bookkeeping) per client id — and only for clients that have
-//! actually participated online at least once. Everything transient (the
-//! batch rows, top-k scratch, wire scratch) lives in a small reusable arena
-//! of cohort [`Slot`]s that is rebound to the round's sampled members. No
-//! slot ever holds a whole shard: a member fetches only its mini-batch rows
+//! one owns a batch buffer, reusable scratch and upload buffers, and a
+//! resident residual vector. [`ClientPopulation`] keeps only what is
+//! genuinely *persistent* across rounds — one [`ClientState`] (the private
+//! RNG stream, the residual accumulator, the mini-batch sampler epoch, and
+//! the estimator bookkeeping) per client id — and only for clients that
+//! have actually participated online at least once. Everything transient
+//! (the batch rows, top-k scratch, wire scratch and frame, upload buffers,
+//! the round's bookkeeping) lives in the [`Cohort`]: a small reusable arena
+//! of `Client`s, one per member, rebound to the round's sampled members.
+//! No member ever holds a whole shard: it fetches only its mini-batch rows
 //! from the `ShardSource`.
 //!
-//! Resident memory is therefore `O(slots · batch + touched_clients · (dim +
+//! Resident memory is therefore `O(members · batch + touched_clients · (dim +
 //! shard_len))` — the second factor is each stored state's residual and
 //! sampler epoch — rather than `O(N · (shard + dim))`: with a fixed round
 //! budget and cohort size the footprint is flat in the population size
@@ -28,10 +29,10 @@
 //! Hydration is a map lookup and one swap of the whole [`ClientState`]
 //! (serial: the population is the one shared structure), and a fresh
 //! client's state is a pure function of `(simulation seed, client id)`
-//! ([`ClientState::reset`], run per slot inside the parallel client pass,
-//! ahead of the member's row fetch), so which rounds touch which clients —
-//! and in which slot, on which worker, a client lands — never changes any
-//! stream. Cohort draws ([`draw_cohort`]) advance a dedicated ChaCha8
+//! ([`ClientState::reset`], run per member inside the parallel client
+//! pass, ahead of the member's row fetch), so which rounds touch which
+//! clients — and in which arena entry, on which worker, a client lands —
+//! never changes any stream. Cohort draws ([`draw_cohort`]) advance a dedicated ChaCha8
 //! stream serially before the parallel client pass, and a full-population
 //! cohort makes *no* draw at all, which pins the sampled engine
 //! bit-identical to the historical owned-client path.
@@ -44,123 +45,33 @@ use rand_chacha::ChaCha8Rng;
 use agsfl_sparse::ClientUpload;
 
 use crate::client::{Client, ClientState};
-use crate::fault::ClientFaultPlan;
 
 /// Every client's persistent state, by client id, for the clients that
 /// have participated online at least once. A `BTreeMap` keeps iteration
 /// (and therefore checkpoint bytes) in ascending id order.
 pub(crate) type ClientPopulation = BTreeMap<usize, ClientState>;
 
-/// One reusable cohort slot: a transient [`Client`] arena entry — its batch
-/// buffer holds this round's rows of the member's shard, never the shard —
-/// plus the round-scoped bookkeeping the engine needs between phases.
-#[derive(Debug)]
-pub(crate) struct Slot {
-    /// The transient client the round's member is hydrated into.
-    pub client: Client,
-    /// Whether hydration swapped the member's stored state in (`false` for
-    /// a first-time participant, whose state the client pass freshly
-    /// resets instead). Hydration sets it every round.
-    pub hydrated: bool,
-    /// The member's fault plan for this round ([`ClientFaultPlan::clean`]
-    /// without a fault model): hydration writes it, the client pass reads
-    /// it, and bookkeeping stores no state for an offline first-timer.
-    pub plan: ClientFaultPlan,
-    /// Mini-batch loss of this round's local step.
-    pub loss: f32,
-    /// Whether admission delivered this round's upload to the server, so
-    /// bookkeeping resets the member's residual on the round's `J`.
-    pub delivered: bool,
-    /// Nanoseconds the producer spent on this round's local gradient,
-    /// upload selection, frame encode, frame decode and rank, when the
-    /// recorder is enabled (zero otherwise); admission takes them into the
-    /// round's
-    /// [`SpanId::ClientGradient`](agsfl_telemetry::SpanId::ClientGradient),
-    /// [`SpanId::ClientSelect`](agsfl_telemetry::SpanId::ClientSelect),
-    /// [`SpanId::ClientEncode`](agsfl_telemetry::SpanId::ClientEncode),
-    /// [`SpanId::ServerDecode`](agsfl_telemetry::SpanId::ServerDecode) and
-    /// [`SpanId::ClientRank`](agsfl_telemetry::SpanId::ClientRank)
-    /// samples.
-    pub worker_ns: WorkerNs,
-    /// This round's finished upload entries, exactly as the server
-    /// aggregates them: in index order, and byte-priced, the decode of
-    /// `frame`. A grow-only buffer the slot owns: admission lends it to an
-    /// aggregation input, and bookkeeping takes it back.
-    pub entries: Vec<(usize, f32)>,
-    /// The entries' order keys in the magnitude order when the plan ranks
-    /// (empty otherwise), owned and lent like `entries`.
-    pub ranked: Vec<u64>,
-    /// The encoded uplink frame (reused buffer; empty on scalar rounds).
-    pub frame: Vec<u8>,
-    /// The quantization error `v - v̂` of each of this round's uplink
-    /// entries, zero where the codec was exact (reused buffer; empty unless
-    /// a lossy codec changed a value), fed back into the residual at reset
-    /// time.
-    pub errors: Vec<f32>,
-}
-
-/// A producer's timed steps, in nanoseconds (see [`Slot::worker_ns`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct WorkerNs {
-    /// The local gradient, landed in the residual.
-    pub gradient: u64,
-    /// Building the upload (the member's selection).
-    pub select: u64,
-    /// Encoding the wired upload into its frame.
-    pub encode: u64,
-    /// Decoding the wired frame and ranking the decoded upload.
-    pub decode: u64,
-    /// Ranking the upload's keys into the ranked view.
-    pub rank: u64,
-}
-
-impl std::ops::AddAssign for WorkerNs {
-    fn add_assign(&mut self, other: WorkerNs) {
-        self.gradient += other.gradient;
-        self.select += other.select;
-        self.encode += other.encode;
-        self.decode += other.decode;
-        self.rank += other.rank;
-    }
-}
-
-impl Slot {
-    /// Creates an empty slot arena entry.
-    pub fn new(dim: usize, batch_size: usize) -> Self {
-        Self {
-            client: Client::placeholder(dim, batch_size),
-            hydrated: false,
-            plan: ClientFaultPlan::clean(),
-            loss: 0.0,
-            delivered: false,
-            worker_ns: WorkerNs::default(),
-            entries: Vec::new(),
-            ranked: Vec::new(),
-            frame: Vec::new(),
-            errors: Vec::new(),
-        }
-    }
-}
-
-/// The reusable cohort arena: one slot per cohort member, rebound to each
-/// round's sample, and the aggregation inputs the delivered members lend
-/// their finished buffers to. The first `survivors.len()` uploads are
+/// The reusable cohort arena: one [`Client`] per cohort member, rebound to
+/// each round's sample, and the aggregation inputs the delivered members
+/// lend their finished buffers to. The first `survivors.len()` uploads are
 /// rebuilt each round, each borrowing its member's entry list and ranked
-/// view by a swap with the member's slot, which bookkeeping swaps back:
-/// between rounds every upload holds empty buffers and each buffer has one
-/// owner, its slot.
+/// view by a swap with the member, which bookkeeping swaps back: between
+/// rounds every upload holds empty buffers and each buffer has one owner,
+/// its member.
 pub(crate) struct Cohort {
-    pub slots: Vec<Slot>,
+    pub members: Vec<Client>,
     pub uploads: Vec<ClientUpload>,
-    /// Slot index of each delivered upload, in cohort order.
+    /// Index in `members` of each delivered upload, in cohort order.
     pub survivors: Vec<usize>,
 }
 
 impl Cohort {
-    /// `size` empty slots and as many empty uploads.
+    /// `size` unbound members and as many empty uploads.
     pub fn new(size: usize, dim: usize, batch_size: usize) -> Self {
         Self {
-            slots: (0..size).map(|_| Slot::new(dim, batch_size)).collect(),
+            members: (0..size)
+                .map(|_| Client::placeholder(dim, batch_size))
+                .collect(),
             uploads: vec![ClientUpload::new(0, 0.0, Vec::new()); size],
             survivors: Vec::new(),
         }

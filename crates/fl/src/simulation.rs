@@ -133,19 +133,22 @@ pub(crate) struct Shared {
 ///
 /// The simulation owns the model architecture, a [`ShardSource`] describing
 /// the client population, the persistent per-client state in a
-/// `ClientPopulation` (one `ClientState` per client id), a small arena of reusable cohort
-/// `Slot`s, and a single global weight vector. Keeping one weight vector
-/// is sound because every client applies exactly the same downlink update
-/// (the paper's synchronization argument for Algorithm 1); an integration
-/// test in `tests/` additionally verifies this by replaying updates on
+/// `ClientPopulation` (one `ClientState` per client id), a small `Cohort`
+/// arena of reusable [`Client`](crate::Client)s, one per cohort member, and
+/// a single global weight vector. Keeping one weight vector is sound
+/// because every client applies exactly the same downlink update (the
+/// paper's synchronization argument for Algorithm 1); an integration test
+/// in `tests/` additionally verifies this by replaying updates on
 /// independent per-client copies.
 ///
-/// Each round hydrates the sampled cohort into the slot arena, runs the
-/// fused gradient/upload pass over the slots, lends each surviving member's
-/// finished entry list and ranked key view to the upload arena the server
-/// aggregates from (bookkeeping takes them back, so each buffer has one
-/// owner, its slot), and dehydrates the persistent state back into the
-/// population — so resident memory is `O(cohort + touched_clients · dim)`
+/// Each round hydrates the sampled cohort into the arena's clients, runs
+/// the fused gradient/upload pass over them (a wired member encodes its
+/// frame once, into its own encode workspace, where admission, the probe
+/// and the broadcast's byte accounting read it), lends each surviving
+/// member's finished entry list and ranked key view to the upload arena the
+/// server aggregates from (bookkeeping takes them back, so each buffer has
+/// one owner, its member), and dehydrates the persistent state back into
+/// the population — so resident memory is `O(cohort + touched_clients · dim)`
 /// rather than `O(N)`, and the round's buffers are reused: the selection's
 /// result goes back into its workspace at the end of the round, so what a
 /// steady-state round still allocates is the per-member contribution list
@@ -164,7 +167,7 @@ pub struct Simulation {
     /// Persistent per-client state (RNG stream, residual, sampler epoch,
     /// probe bookkeeping), stored only for clients that have participated.
     pub(crate) population: ClientPopulation,
-    /// The slot arena the round's members are hydrated into, and the
+    /// The arena of clients the round's members are hydrated into, and the
     /// aggregation inputs they lend their finished uploads to.
     pub(crate) cohort: Cohort,
     pub(crate) server_rng: ChaCha8Rng,
@@ -288,9 +291,9 @@ impl Simulation {
         self.shared.source.num_clients()
     }
 
-    /// Number of cohort slots (the per-round participant count).
+    /// Number of cohort members (the per-round participant count).
     pub fn cohort_size(&self) -> usize {
-        self.cohort.slots.len()
+        self.cohort.members.len()
     }
 
     /// Number of clients with persistent state resident in the population
@@ -447,7 +450,7 @@ impl Simulation {
         self.round += 1;
         let round_idx = self.round - 1;
 
-        // (0) Cohort draw, fault plans, slot binding.
+        // (0) Cohort draw, fault plans, member binding.
         let cohort = stage(rec, SpanId::Hydrate, || {
             hydrate::bind_cohort(
                 &self.shared,
@@ -455,7 +458,7 @@ impl Simulation {
                 &mut self.cohort_rng,
                 self.fault.as_mut(),
                 &mut self.population,
-                &mut self.cohort.slots,
+                &mut self.cohort.members,
             )
         });
 

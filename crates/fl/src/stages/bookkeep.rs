@@ -13,7 +13,7 @@ use crate::wire_state::WireState;
 /// End-of-round bookkeeping, then the broadcast pricing. Returns the
 /// per-member contributions and the downlink phase time.
 ///
-/// Each delivered upload's buffers go back into its slot first. Then every
+/// Each delivered upload's buffers go back into its member first. Then every
 /// member resets its own residual on the pool, as Algorithm 1's clients do:
 /// a member that delivered derives `J ∩ J_i` from the round's `J` (the
 /// selection's bitset) and its own upload in one walk of its entries, which
@@ -27,8 +27,8 @@ use crate::wire_state::WireState;
 /// which makes that a plain reset. The server builds no reset list.
 /// Dehydration then swaps every hydrated member's [`ClientState`] back into
 /// the population. A first-time participant's state is stored only if it
-/// was online: the population takes the slot's state whole, and the slot
-/// gets an empty one pre-sized here, on the round thread, so the next
+/// was online: the population takes the member's state whole, and the
+/// member gets an empty one pre-sized here, on the round thread, so the next
 /// first-timer's reset — on a pool worker — allocates nothing and the
 /// population's states do not migrate into the workers' allocator arenas.
 /// A pristine offline first-timer's state is dropped (offline clients
@@ -49,26 +49,25 @@ pub(crate) fn bookkeep<R: Recorder>(
     population: &mut ClientPopulation,
 ) -> (Vec<usize>, f64) {
     let t0 = rec.enabled().then(Instant::now);
-    let slots = &mut cohort.slots;
     for (upload, &pos) in cohort.uploads.iter_mut().zip(&cohort.survivors) {
-        std::mem::swap(&mut slots[pos].entries, &mut upload.entries);
-        std::mem::swap(&mut slots[pos].ranked, &mut upload.ranked);
+        let member = &mut cohort.members[pos];
+        std::mem::swap(&mut member.entries, &mut upload.entries);
+        std::mem::swap(&mut member.ranked, &mut upload.ranked);
     }
-    let contributions = shared.executor.map_mut(slots, |slot| {
-        if !slot.delivered {
+    let contributions = shared.executor.map_mut(&mut cohort.members, |member| {
+        if !member.delivered {
             return 0;
         }
-        slot.client
-            .reset_selected(&slot.entries, selection, &slot.errors)
+        member.reset_selected(selection)
     });
-    for slot in slots.iter_mut() {
-        let (id, state) = (slot.client.id(), &mut slot.client.state);
-        if slot.hydrated {
+    for member in &mut cohort.members {
+        let (id, state) = (member.id(), &mut member.state);
+        if member.hydrated {
             let stored = population
                 .get_mut(&id)
                 .expect("a hydrated member is stored");
             std::mem::swap(stored, state);
-        } else if !slot.plan.offline {
+        } else if !member.plan.offline {
             let (dim, len) = (state.residual.dim(), state.sampler.order().len());
             let empty = ClientState::with_capacity(dim, len, state.sampler.batch_size());
             population.insert(id, std::mem::replace(state, empty));

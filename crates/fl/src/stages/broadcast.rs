@@ -59,18 +59,18 @@ pub(crate) fn apply_broadcast(
         .expect("self-encoded frame must decode");
     // Byte accounting is indexed parallel to the cohort: zero bytes for
     // members that never delivered.
-    let (slots, survivors) = (&cohort.slots, &cohort.survivors);
-    let mut uplink_bytes = vec![0usize; slots.len()];
-    for &pos in survivors {
-        uplink_bytes[pos] = slots[pos].frame.len();
+    let mut uplink_bytes = vec![0usize; cohort.members.len()];
+    for &pos in &cohort.survivors {
+        uplink_bytes[pos] = cohort.members[pos].frame().len();
     }
     let report = WireRoundReport {
         max_uplink_bytes: uplink_bytes.iter().copied().max().unwrap_or(0),
         uplink_bytes,
         downlink_bytes: frame.len(),
-        uplink_codecs: survivors
+        uplink_codecs: cohort
+            .survivors
             .iter()
-            .map(|&pos| frame_codec(&slots[pos].frame).expect("freshly encoded frame"))
+            .map(|&pos| frame_codec(cohort.members[pos].frame()).expect("freshly encoded frame"))
             .collect(),
         downlink_codec,
     };

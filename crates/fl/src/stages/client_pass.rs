@@ -6,33 +6,34 @@ use agsfl_telemetry::{stage, Recorder, SpanId};
 use agsfl_wire::decode_frame;
 use std::time::Instant;
 
+use crate::client::{Client, WorkerNs};
 use crate::fault::{corrupt_frame, FaultModel, FaultRoundReport};
-use crate::population::{Cohort, Slot, WorkerNs};
+use crate::population::Cohort;
 use crate::simulation::Shared;
 use crate::wire_state::WireState;
 
 /// The fused client pass and the server's admission of its output, as the
-/// two ends of one pipeline over the cohort's slots. Returns the weighted
+/// two ends of one pipeline over the cohort's members. Returns the weighted
 /// training loss, the uplink phase and — with a fault model — the round's
 /// fault accounting.
 ///
-/// The *producer* runs on the pool, one call per cohort slot, and finishes
-/// the member's upload: a first-timer's fresh state, then local gradient
-/// computation (Line 4: batch indices, then just those rows from the
-/// source) immediately followed by building the uplink message (Line 6) in
-/// index order, so each member's residual is still hot in cache when its
-/// top-k runs. Byte-priced, that message is encoded and the frame decoded
-/// once (`Client::decode_upload_into`): the decoded list is what the server
-/// aggregates, and the entries the codec changed are the member's
-/// quantization errors. Both paths end with one rank of the upload's
-/// index-ordered keys into the slot's ranked view when the plan ranks. Each
-/// slot owns its member's RNG and sampler and writes only into its own
-/// reused buffers, so the pass is bit-identical to the sequential loop and
-/// allocation-free in steady state. When the recorder is enabled the
-/// producer leaves its gradient, selection, encode, decode and rank times
-/// in the slot for admission to sum; the
-/// producer returns nothing, so the pipeline's per-chunk result lists stay
-/// zero-sized and never allocate on a worker.
+/// The *producer* runs on the pool, one call per cohort member, and
+/// finishes the member's upload: a first-timer's fresh state, then local
+/// gradient computation (Line 4: batch indices, then just those rows from
+/// the source) immediately followed by building the uplink message (Line
+/// 6) in index order, so each member's residual is still hot in cache when
+/// its top-k runs. Byte-priced, that message is encoded into the member's
+/// frame and the frame decoded once (`Client::decode_upload`): the decoded
+/// list is what the server aggregates, and the entries the codec changed
+/// are the member's quantization errors. Both paths end with one rank of
+/// the upload's index-ordered keys into the member's ranked view when the
+/// plan ranks. Each member owns its RNG and sampler and writes only into
+/// its own reused buffers, so the pass is bit-identical to the sequential
+/// loop and allocation-free in steady state. When the recorder is enabled
+/// the producer leaves its gradient, selection, encode, decode and rank
+/// times in the member for admission to sum; the producer returns nothing,
+/// so the pipeline's per-chunk result lists stay zero-sized and never
+/// allocate on a worker.
 ///
 /// The *consumer* is the admission step, run on this thread in strict
 /// cohort order as uploads complete, and it only decides each member's fate
@@ -75,54 +76,49 @@ pub(crate) fn client_pass<R: Recorder>(
     let seed = shared.config.seed.wrapping_add(1).wrapping_mul(0x9E37_79B9);
     let rank = matches!(upload_plan, UploadPlan::TopKOwn);
     let clock = rec.enabled();
-    let produce = |slot: &mut Slot| {
+    let produce = |member: &mut Client| {
         // Derive a first-timer's persistent state from `(seed, id)`: a
-        // pure function writing only into this slot, so it runs on the
+        // pure function writing only into this member, so it runs on the
         // pool.
-        let id = slot.client.id();
-        if !slot.hydrated {
+        let id = member.id();
+        if !member.hydrated {
             let client_seed = seed.wrapping_add(id as u64);
-            slot.client
-                .state
-                .reset(client_seed, dim, source.shard_len(id));
+            member.state.reset(client_seed, dim, source.shard_len(id));
         }
-        if slot.plan.offline {
+        if member.plan.offline {
             // Mid-outage: no compute, no upload, and none of the member's
             // streams advance, so recovery resumes them at exactly the
             // position an always-online run never left. The probe still
             // evaluates the sample index of the member's last online
             // round, so that one row is fetched.
-            slot.client.fetch_probe_sample(source);
+            member.fetch_probe_sample(source);
             return;
         }
         // Line 4: the batch indices are drawn first and only those rows of
         // the member's shard are fetched from the source.
         let elapsed = |t: Option<Instant>| t.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let t_gradient = clock.then(Instant::now);
-        slot.loss = slot.client.compute_local_gradient(source, model, params);
+        member.loss = member.compute_local_gradient(source, model, params);
         let gradient = elapsed(t_gradient);
         let t_select = clock.then(Instant::now);
-        slot.client
-            .build_upload_into(upload_plan, k, &mut slot.entries);
+        member.build_upload(upload_plan, k);
         let select = elapsed(t_select);
         // Byte-priced, the decode and the rank after it are the decode
         // span; the rank is its own span too, wired or not.
         let (mut encode, mut t_decode) = (0, None);
         if let Some(w) = wire {
             // The quantization stream is keyed on frame content, not on the
-            // worker schedule, so encoding here is per-slot work too.
+            // worker schedule, so encoding here is per-member work too.
             let t_encode = clock.then(Instant::now);
-            slot.client
-                .encode_upload_into(w.codec, dim, &slot.entries, &mut slot.frame);
+            member.encode_upload(w.codec, dim);
             encode = elapsed(t_encode);
             t_decode = clock.then(Instant::now);
-            slot.client
-                .decode_upload_into(&slot.frame, rank, &mut slot.entries, &mut slot.errors);
+            member.decode_upload(rank);
         }
         let t_rank = clock.then(Instant::now);
-        slot.client.rank_upload_into(rank, &mut slot.ranked);
+        member.rank_upload(rank);
         let rank = elapsed(t_rank);
-        slot.worker_ns = WorkerNs {
+        member.worker_ns = WorkerNs {
             gradient,
             select,
             encode,
@@ -142,17 +138,17 @@ pub(crate) fn client_pass<R: Recorder>(
     let mut fr = FaultRoundReport::default();
     let mut damaged_entries: Vec<(usize, f32)> = Vec::new();
     // The nested spans accumulate here, one sample per round: the wire
-    // faults on this thread, the worker spans as each slot reports them.
+    // faults on this thread, the worker spans as each member reports them.
     let (mut wire_fault_ns, mut worker_ns) = (0u64, WorkerNs::default());
-    let admit = |pos: usize, slot: &mut Slot, ()| {
-        worker_ns += std::mem::take(&mut slot.worker_ns);
-        slot.delivered = false;
-        let (id, p) = (slot.client.id(), &slot.plan);
+    let admit = |pos: usize, member: &mut Client, ()| {
+        worker_ns += std::mem::take(&mut member.worker_ns);
+        member.delivered = false;
+        let (id, p) = (member.id(), &member.plan);
         if p.offline {
             fr.offline += 1;
             return;
         }
-        train_loss += slot.client.weight() * slot.loss as f64;
+        train_loss += member.weight() * member.loss as f64;
         if p.dropped {
             // Upload lost in transit, no retry. The computed gradient stays
             // in the member's residual accumulator (no reset will target
@@ -163,7 +159,7 @@ pub(crate) fn client_pass<R: Recorder>(
         if let Some(wire) = wire {
             let t_fault = clock.then(Instant::now);
             fr.stragglers += usize::from(p.slowdown > 1.0);
-            let frame = &slot.frame;
+            let frame = member.frame();
             let attempt_time =
                 wire.channel
                     .uplink_time_scaled(round_idx, id, frame.len(), p.slowdown);
@@ -192,22 +188,22 @@ pub(crate) fn client_pass<R: Recorder>(
                 return;
             }
         }
-        // Delivered: the slot lends its finished entry list and ranked view
-        // to the next aggregation input, which held empty buffers
+        // Delivered: the member lends its finished entry list and ranked
+        // view to the next aggregation input, which held empty buffers
         // (bookkeeping swaps them back), and the server adds it in.
         let upload = &mut cohort.uploads[cohort.survivors.len()];
         upload.client = id;
-        upload.weight = slot.client.weight();
-        std::mem::swap(&mut upload.entries, &mut slot.entries);
-        std::mem::swap(&mut upload.ranked, &mut slot.ranked);
+        upload.weight = member.weight();
+        std::mem::swap(&mut upload.entries, &mut member.entries);
+        std::mem::swap(&mut upload.ranked, &mut member.ranked);
         scratch.accumulate(upload);
-        slot.delivered = true;
+        member.delivered = true;
         cohort.survivors.push(pos);
     };
     stage(rec, SpanId::ClientPass, || {
         shared
             .executor
-            .pipeline_mut(&mut cohort.slots, produce, admit)
+            .pipeline_mut(&mut cohort.members, produce, admit)
     });
     if clock {
         rec.span(SpanId::WireFault, wire_fault_ns);
@@ -255,7 +251,7 @@ mod tests {
     /// every lossless and lossy codec, then wired under chaos: each
     /// delivered upload is index-ordered and carries its own magnitude rank
     /// (checked inside every client pass by `fixture::assert_upload_contract`),
-    /// and after bookkeeping the uploads hold nothing while each slot owns
+    /// and after bookkeeping the uploads hold nothing while each member owns
     /// its buffers again — the ranked one only under the ranked plan.
     #[test]
     fn delivered_uploads_are_index_ordered_and_slots_own_their_buffers() {
@@ -279,10 +275,10 @@ mod tests {
                 for round in 0..3 {
                     sim.run_round(k, (round == 1).then_some(k / 2));
                     assert_uploads_hold_nothing(&sim);
-                    for slot in &sim.cohort.slots {
-                        assert!(slot.entries.capacity() > 0, "{codec:?}, plan {which}");
+                    for member in &sim.cohort.members {
+                        assert!(member.entries.capacity() > 0, "{codec:?}, plan {which}");
                         let ranks = which == 0;
-                        assert_eq!(slot.ranked.capacity() > 0, ranks, "{codec:?}");
+                        assert_eq!(member.ranked.capacity() > 0, ranks, "{codec:?}");
                     }
                 }
             }
@@ -341,21 +337,21 @@ mod tests {
                 let (_, spec_resets) = reference::aggregate_selected(&delivered, &j, dim);
                 let mut spec_contributions = vec![0; report.cohort.len()];
                 let mut uploads = delivered.iter().zip(&spec_resets);
-                for (pos, slot) in sim.cohort.slots.iter().enumerate() {
-                    let id = slot.client.id();
+                for (pos, member) in sim.cohort.members.iter().enumerate() {
+                    let id = member.id();
                     let residual = || sim.population[&id].residual.as_slice();
-                    if slot.delivered {
+                    if member.delivered {
                         let (upload, resets) = uploads.next().expect("one upload per delivery");
-                        assert_eq!((upload.client, &upload.entries), (id, &slot.entries));
+                        assert_eq!((upload.client, &upload.entries), (id, &member.entries));
                         spec_contributions[pos] = resets.len();
                         for &(j, v) in &upload.entries {
                             let reset = resets.contains(&j);
                             assert_eq!(residual()[j] == 0.0, reset || v == 0.0, "client {id}, {j}");
                         }
-                    } else if !slot.plan.offline {
+                    } else if !member.plan.offline {
                         // Computed, never received: nothing was reset.
                         lost_any = true;
-                        for &(j, v) in &slot.entries {
+                        for &(j, v) in &member.entries {
                             assert_eq!(residual()[j], v, "client {id} lost mass at {j}");
                         }
                     }

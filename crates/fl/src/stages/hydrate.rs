@@ -1,20 +1,22 @@
-//! Stage (0), hydration: the cohort draw, its fault plans and the slot
-//! binding.
+//! Stage (0), hydration: the cohort draw, its fault plans and the
+//! members' binding.
 
 use agsfl_ml::data::ShardSource;
 use rand_chacha::ChaCha8Rng;
 
+use crate::client::Client;
 use crate::fault::{ClientFaultPlan, FaultState};
-use crate::population::{draw_cohort, ClientPopulation, Slot};
+use crate::population::{draw_cohort, ClientPopulation};
 use crate::simulation::Shared;
 
-/// Draws the cohort and its fault plans and binds the slot arena to the
+/// Draws the cohort and its fault plans and binds the cohort arena to the
 /// members; returns the members' ids, ascending. Everything here is serial
 /// and O(cohort), and every random draw of the round except the
 /// sparsifier's happens here, *before* any parallel work: the plan — never
 /// the worker schedule — decides every fault, so identical seeds give
 /// identical bits at any thread count. A full-population cohort makes no
-/// draw at all (see [`draw_cohort`]). Each member's plan lands in its slot;
+/// draw at all (see [`draw_cohort`]). Each member's plan lands in its
+/// arena entry;
 /// without a fault model every plan is [`ClientFaultPlan::clean`].
 pub(crate) fn bind_cohort(
     shared: &Shared,
@@ -22,10 +24,10 @@ pub(crate) fn bind_cohort(
     cohort_rng: &mut ChaCha8Rng,
     fault: Option<&mut FaultState>,
     population: &mut ClientPopulation,
-    slots: &mut [Slot],
+    members: &mut [Client],
 ) -> Vec<usize> {
     let source = shared.source.as_ref();
-    let mut cohort = Vec::with_capacity(slots.len());
+    let mut cohort = Vec::with_capacity(members.len());
     draw_cohort(
         cohort_rng,
         source.num_clients(),
@@ -33,27 +35,27 @@ pub(crate) fn bind_cohort(
         &mut cohort,
     );
     let plans = fault.map(|f| f.plan_round_for(round_idx, f.model().max_retries + 1, &cohort));
-    bind_slots(source, &cohort, plans, population, slots);
+    bind_members(source, &cohort, plans, population, members);
     cohort
 }
 
-/// Points each slot at its member and swaps a returning participant's
-/// [`ClientState`](crate::client::ClientState) in from the population —
-/// the only hydration step that mutates shared state. A first-timer's
-/// fresh state and the member's row fetch are per-slot work on the pool, in
-/// the client pass.
+/// Points each arena entry at its member and swaps a returning
+/// participant's [`ClientState`](crate::client::ClientState) in from the
+/// population — the only hydration step that mutates shared state. A
+/// first-timer's fresh state and the member's row fetch are per-member work
+/// on the pool, in the client pass.
 ///
 /// The members must be distinct (debug builds check that they ascend):
-/// two slots bound to one client would each swap with its one stored
-/// state, and dehydration would store the wrong one.
-fn bind_slots(
+/// two arena entries bound to one client would each swap with its one
+/// stored state, and dehydration would store the wrong one.
+fn bind_members(
     source: &dyn ShardSource,
     cohort: &[usize],
     plans: Option<Vec<ClientFaultPlan>>,
     population: &mut ClientPopulation,
-    slots: &mut [Slot],
+    members: &mut [Client],
 ) {
-    debug_assert_eq!(cohort.len(), slots.len(), "one slot per cohort member");
+    debug_assert_eq!(cohort.len(), members.len(), "one member per cohort id");
     debug_assert!(
         cohort.windows(2).all(|w| w[0] < w[1]),
         "cohort members are not distinct and ascending: {cohort:?}"
@@ -64,14 +66,14 @@ fn bind_slots(
     let cohort_samples: usize = cohort.iter().map(|&id| source.shard_len(id)).sum();
     assert!(cohort_samples > 0, "cohort holds no samples");
     let mut plans = plans.into_iter().flatten();
-    for (slot, &id) in slots.iter_mut().zip(cohort) {
+    for (member, &id) in members.iter_mut().zip(cohort) {
         let weight = source.shard_len(id) as f64 / cohort_samples as f64;
-        slot.client.bind(id, weight);
-        slot.plan = plans.next().unwrap_or_else(ClientFaultPlan::clean);
+        member.bind(id, weight);
+        member.plan = plans.next().unwrap_or_else(ClientFaultPlan::clean);
         let stored = population.get_mut(&id);
-        slot.hydrated = stored.is_some();
+        member.hydrated = stored.is_some();
         if let Some(state) = stored {
-            std::mem::swap(&mut slot.client.state, state);
+            std::mem::swap(&mut member.state, state);
         }
     }
 }
@@ -165,21 +167,23 @@ mod tests {
     /// imports exist only where it does.
     #[cfg(debug_assertions)]
     mod debug {
-        use super::super::bind_slots;
+        use super::super::bind_members;
+        use crate::client::Client;
         use crate::fixture::tiny_sim;
-        use crate::population::{ClientPopulation, Slot};
+        use crate::population::ClientPopulation;
         use agsfl_sparse::FabTopK;
 
-        /// Binding one client to two slots trips the distinct-members check
-        /// before either slot swaps its state.
+        /// Binding one client to two arena entries trips the
+        /// distinct-members check before either entry swaps its state.
         #[test]
         #[should_panic(expected = "cohort members are not distinct")]
         fn binding_one_client_to_two_slots_panics() {
             let sim = tiny_sim(Box::new(FabTopK::new()), 23, |_, _| {});
             let mut population = ClientPopulation::new();
-            let mut slots: Vec<Slot> = (0..2).map(|_| Slot::new(sim.dim(), 4)).collect();
+            let mut members: Vec<Client> =
+                (0..2).map(|_| Client::placeholder(sim.dim(), 4)).collect();
             let source = sim.shared.source.as_ref();
-            bind_slots(source, &[1, 1], None, &mut population, &mut slots);
+            bind_members(source, &[1, 1], None, &mut population, &mut members);
         }
     }
 }

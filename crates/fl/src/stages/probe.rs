@@ -53,7 +53,7 @@ pub(crate) fn probe(
     let (model, params) = (shared.model.as_ref(), &shared.params[..]);
     let dim = params.len();
     let probe_k = probe_k?.clamp(1, dim);
-    let (slots, delivered) = (&cohort.slots, cohort.delivered());
+    let delivered = cohort.delivered();
     let probe_aggregate =
         sparsifier.probe_aggregate(delivered, dim, k, selection, probe_k, scratch);
     let lr = shared.config.learning_rate;
@@ -64,7 +64,7 @@ pub(crate) fn probe(
     };
     refill(&mut workspace.w_now, &selection.aggregated);
 
-    // One pass per cohort slot (every hydrated member, offline ones
+    // One pass per cohort member (every hydrated one, offline ones
     // included — their stale probe sample is exactly what an all-client
     // sweep evaluates): the probe sample is fetched once and the weight
     // vectors evaluated together. The per-member results come back in
@@ -74,12 +74,12 @@ pub(crate) fn probe(
         Some(aggregate) => {
             refill(&mut workspace.w_probe, aggregate);
             let (w_now, w_probe) = (&workspace.w_now, &workspace.w_probe);
-            shared.executor.map_ref(slots, |slot| {
-                slot.client.probe_losses(model, [params, w_now, w_probe])
+            shared.executor.map_ref(&cohort.members, |member| {
+                member.probe_losses(model, [params, w_now, w_probe])
             })
         }
-        None => shared.executor.map_ref(slots, |slot| {
-            let losses = slot.client.probe_losses(model, [params, &workspace.w_now]);
+        None => shared.executor.map_ref(&cohort.members, |member| {
+            let losses = member.probe_losses(model, [params, &workspace.w_now]);
             losses.map(|[prev, now]| [prev, now, now])
         }),
     };
@@ -101,7 +101,7 @@ pub(crate) fn probe(
                 round_idx,
                 probe_k,
                 delivered,
-                |pos| slots[cohort.survivors[pos]].frame.len(),
+                |pos| cohort.members[cohort.survivors[pos]].frame().len(),
                 probe_aggregate.as_ref().unwrap_or(&selection.aggregated),
                 &mut workspace.rank_keys,
             ),
@@ -118,7 +118,7 @@ pub(crate) fn probe(
             probe_k,
             selection,
             delivered,
-            slots,
+            &cohort.members,
             wire.as_deref(),
         );
         assert_eq!(

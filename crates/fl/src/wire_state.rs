@@ -107,7 +107,7 @@ impl WireState {
     /// ranked prefix is unpacked and index-sorted through the server's
     /// packed `keys`).
     ///
-    /// Uploads are addressed by their carried client id (not their slot), so
+    /// Uploads are addressed by their carried client id (not their cohort position), so
     /// the pricing also holds under fault injection when only a surviving
     /// subset of clients delivered this round; for a full cohort the result
     /// is bit-identical to pricing the complete byte vector.

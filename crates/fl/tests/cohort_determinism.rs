@@ -8,7 +8,7 @@
 //! `crates/fl/src/stages/hydrate.rs` and `crates/fl/src/checkpoint.rs`
 //! (and the historical pins in `golden_trajectory.rs`) across the whole
 //! configuration space: cohort draws and RNG streams advance serially in
-//! client order before any parallel region, and the per-slot work that runs
+//! client order before any parallel region, and the per-member work that runs
 //! *inside* the parallel client pass (a first-timer's fresh state, the
 //! member's batch-row fetch) is a pure function of `(source, seed, id)` and
 //! the member's own stream, so neither the worker count nor a

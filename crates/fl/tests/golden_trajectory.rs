@@ -1,9 +1,10 @@
 //! Golden-trajectory pins for the cohort round engine.
 //!
 //! The hashes below were captured from the historical owned-client engine
-//! (one resident `Client` per dataset shard, dense per-client state) before
-//! the struct-of-arrays `ClientPopulation` rewrite. The rewrite must keep
-//! every trajectory — plain, byte-priced, and fault-injected — **bit
+//! (one resident `Client` per dataset shard, dense per-client state). The
+//! cohort engine — a `ClientPopulation` of one `ClientState` per client id,
+//! swapped into a reusable arena of one `Client` per sampled member — must
+//! keep every trajectory — plain, byte-priced, and fault-injected — **bit
 //! identical**, and a full-population cohort (`cohort: Some(N)` or `None`)
 //! must match the historical path exactly. Any change to these hashes is a
 //! silent break of the determinism contract and must be treated as a bug,

@@ -16,9 +16,10 @@ use crate::codec::Codec;
 ///   fills it: clients select their entry list in index order and call
 ///   [`Codec::encode_into`].
 ///
-/// The byte slice returned by an encode borrows the workspace, so the
-/// borrow checker guarantees a frame is copied out or consumed before the
-/// next encode can overwrite it. The workspace carries no message
+/// The byte slice returned by an encode borrows the workspace, and so does
+/// [`WireScratch::frame`], which reads the last encode's bytes back later:
+/// the borrow checker guarantees a frame is consumed before the next encode
+/// can overwrite it. The workspace carries no message
 /// state across calls: encoding the same message twice yields identical
 /// bytes.
 ///
@@ -48,8 +49,10 @@ impl WireScratch {
         &mut self.frame
     }
 
-    /// The last encode's frame bytes.
-    pub(crate) fn frame(&self) -> &[u8] {
+    /// The last encode's frame bytes (empty before the first encode): an
+    /// encoder's frame is read here, where the codec wrote it, never copied
+    /// out.
+    pub fn frame(&self) -> &[u8] {
         &self.frame
     }
 

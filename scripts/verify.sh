@@ -189,11 +189,11 @@ fi
 
 step "a wired upload is finished where it is produced (ordered once per side, decoded once on the pool, admission only decides its fate)"
 # A byte-priced client selects in index order (topk::top_k_entries_indexed_into),
-# encodes that, and decodes its own frame exactly once
-# (Client::decode_upload_into): the decoded list — ranked from the decoder's
+# encodes that into its own WireScratch, and decodes that frame exactly once
+# (Client::decode_upload): the decoded list — ranked from the decoder's
 # visitor when the plan ranks — is the upload the server aggregates, and the
 # entries the codec changed are the lossy tier's errors. Admission swaps the
-# slot's entry buffer into the aggregation input, so the round thread never
+# member's entry buffer into the aggregation input, so the round thread never
 # decodes or ranks an upload: the round engine calls decode_frame_with
 # once, in stages/broadcast.rs apply_broadcast (the downlink). An index sort
 # in client.rs is the discarded client rank coming back. The lossy tier's
@@ -215,7 +215,7 @@ if [[ "$(engine_product | grep -c 'decode_frame_with(')" -ne 1 ]] \
     exit 1
 fi
 if [[ "$(product_lines crates/fl/src/client.rs | grep -c 'decode_frame_with(')" -ne 1 ]]; then
-    echo "verify: crates/fl/src/client.rs must call decode_frame_with exactly once (Client::decode_upload_into):" >&2
+    echo "verify: crates/fl/src/client.rs must call decode_frame_with exactly once (Client::decode_upload):" >&2
     product_lines crates/fl/src/client.rs | grep 'decode_frame_with(' >&2
     exit 1
 fi
@@ -252,8 +252,8 @@ fi
 
 step "an upload is index-ordered wherever it lives (entries in index order, the ranking a key view, one owner per buffer)"
 # Every TopKOwn build is topk::top_k_entries_indexed_into, wired or not;
-# the producer ranks the index-ordered keys into the slot's ranked view
-# (Client::rank_upload_into), which FAB's scan and the probe's prefix
+# the producer ranks the index-ordered keys into the member's ranked view
+# (Client::rank_upload), which FAB's scan and the probe's prefix
 # pricing read. A ranked top_k_entries_into call or a wired-only arm in the
 # product code of crates/fl/src is the rank-ordered upload coming back, and
 # a probe that prices entries[..k'] prices an index-ordered prefix as if it
@@ -332,7 +332,7 @@ fi
 
 step "scratch is grow-only (no workspace releases capacity)"
 # Every reusable workspace (SelectionScratch, WireScratch, CnnScratch,
-# the slot and upload buffers) is sized to the largest geometry seen and
+# the member and upload buffers) is sized to the largest geometry seen and
 # never shrinks: a release under Algorithm 3's moving k and the probe's
 # batch-1 forwards is re-allocated and zero-filled the round after. The
 # decaying-demand policy was deleted; this keeps a copy from growing back.
@@ -451,6 +451,21 @@ step "one result per comparison figure, one derivative estimator (deleted names 
 if for f in $(find crates/*/src examples crates/bench/benches -name '*.rs' | sort); do product_lines "$f"; done \
     | grep -E 'Fig[456]Result|figures::fig6|\bfig6::|mod fig6\b|EstimatorInputs|DerivativeSignEstimator'; then
     echo "verify: a deleted figure or estimator type is back (lines above); use figures::Comparison, fig5::run with a lineup, or agsfl_online::derivative_sign" >&2
+    exit 1
+fi
+
+step "a cohort member is one Client (no Slot wrapper, one copy of a wired frame)"
+# A cohort member is one Client: its round bookkeeping (plan, loss,
+# delivered, worker times) and its upload buffers (entries, ranked view,
+# errors) are its own fields, and Cohort.members is a Vec<Client>. A wired
+# member's frame stays in its WireScratch, where the codec wrote it, and
+# every reader borrows it there (Client::frame). A Slot type or
+# constructor, a `slot.client` hop, or an extend_from_slice of an
+# encode_into result in the product code of crates/fl/src is the wrapper
+# or the frame copy growing back. Product code only (no #[cfg(test)] item);
+# comment lines are exempt.
+if fl_product | grep -E 'struct Slot\b|Slot::new|slot\.client\b|extend_from_slice\(.*encode_into\('; then
+    echo "verify: a cohort member is split or its frame copied again (lines above); fold it into Client and read the frame from its WireScratch" >&2
     exit 1
 fi
 
@@ -661,7 +676,7 @@ cargo test -q -p agsfl-sparse --test topk_equivalence
 step "wired uploads (one encode-then-decode per member over every codec; indexed selection, single-sweep radix, packed reset with per-entry errors, decode-to-keys rank, frame hash, integer quantize == their specs)"
 # topk_equivalence above already ran the indexed-selection proptest. Every
 # test and debug build re-derives each wired upload as decode_frame (and its
-# order keys) inside Client::decode_upload_into, and every in-file
+# order keys) inside Client::decode_upload, and every in-file
 # simulation test checks each delivered upload's rank, so the in-file wired
 # simulation tests check both too.
 named_tests -q -p agsfl-fl --lib wired_upload_equals_its_decoded_frame
