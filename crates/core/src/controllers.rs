@@ -1,8 +1,8 @@
 //! Adaptive-`k` controller specifications.
 
 use agsfl_online::{
-    BanditController, ContinuousBandit, Exp3, Exp3Controller, ExtendedConfig, ExtendedSignOgd,
-    FixedK, KController, SearchInterval, SignOgd, ValueBasedDescent,
+    ContinuousBandit, Exp3, ExtendedConfig, ExtendedSignOgd, FixedK, KController, SearchInterval,
+    SignOgd, ValueBasedDescent,
 };
 use serde::{Deserialize, Serialize};
 
@@ -71,10 +71,10 @@ impl ControllerSpec {
             Self::ValueBased => Box::new(ValueBasedDescent::new(interval, initial)),
             Self::Exp3 { num_arms } => {
                 let arms = Exp3::geometric_arms(paper.k_min, paper.k_max, (*num_arms).max(2));
-                Box::new(Exp3Controller::new(Exp3::new(arms, 0.1, seed)))
+                Box::new(Exp3::new(arms, 0.1, seed))
             }
-            Self::ContinuousBandit => Box::new(BanditController::new(
-                ContinuousBandit::with_default_scales(interval, initial, seed),
+            Self::ContinuousBandit => Box::new(ContinuousBandit::with_default_scales(
+                interval, initial, seed,
             )),
         }
     }

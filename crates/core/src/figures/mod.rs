@@ -93,11 +93,11 @@ impl Comparison {
         out.push_str(&report::loss_table(&refs, &times));
         out.push_str("\nTest accuracy vs normalized time\n");
         out.push_str(&report::accuracy_table(&refs, &times));
-        out.push_str("\nk_m trajectories\n");
+        out.push_str("\nk_m trajectories (FedAvg: elements exchanged, D or 0)\n");
         out.push_str(&report::k_trajectory_table(&refs, 15));
         out.push_str("\nPer-client contributed gradient elements (CDF summary)\n");
         out.push_str(&report::contribution_summary(&refs));
-        out.push_str("\nk spread over the final 50 rounds\n");
+        out.push_str("\nk spread over the final 50 rounds (FedAvg: of elements exchanged)\n");
         for (label, spread) in self.k_spread(50) {
             out.push_str(&format!("  {label:<40} {spread:>8.0}\n"));
         }

@@ -50,7 +50,9 @@ pub struct MetricPoint {
     pub round: usize,
     /// Cumulative normalized time at this point.
     pub elapsed_time: f64,
-    /// Sparsity degree used in this round.
+    /// Sparsity degree used in this round. A FedAvg run, which sends whole
+    /// models, records the elements exchanged instead: `D` on a round that
+    /// aggregated and 0 on one that did not.
     pub k: usize,
     /// Mini-batch training loss observed in this round.
     pub train_loss: f64,

@@ -22,6 +22,10 @@ use crate::sign_ogd::SearchInterval;
 /// with `δ_m ∝ m^{-1/4}` and `η_m ∝ m^{-3/4}` (the schedule that gives the
 /// classic `O(M^{3/4})` regret, asymptotically worse than the paper's
 /// `O(√M)` sign-based method).
+///
+/// As a [`KController`](crate::KController) it divides each round's cost
+/// (the round time per unit of the probe's loss decrease) by the first one
+/// it observed, so the gradient estimate's scale is dimensionless.
 #[derive(Debug, Clone)]
 pub struct ContinuousBandit {
     interval: SearchInterval,
@@ -33,6 +37,9 @@ pub struct ContinuousBandit {
     m: usize,
     current_direction: f64,
     rng: ChaCha8Rng,
+    /// The first observed round cost, which every cost is divided by
+    /// (`None` before the first).
+    reference_cost: Option<f64>,
 }
 
 impl ContinuousBandit {
@@ -65,6 +72,7 @@ impl ContinuousBandit {
             m: 0,
             current_direction,
             rng,
+            reference_cost: None,
         }
     }
 
@@ -75,13 +83,9 @@ impl ContinuousBandit {
     }
 
     /// The unperturbed iterate `x_m`.
-    pub fn center(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn center(&self) -> f64 {
         self.x
-    }
-
-    /// The search interval.
-    pub fn interval(&self) -> &SearchInterval {
-        &self.interval
     }
 
     /// The perturbation radius `δ_m` for the upcoming round.
@@ -95,14 +99,14 @@ impl ContinuousBandit {
     }
 
     /// The perturbed point `k_m = P_K(x_m + δ_m·u_m)` to play this round.
-    pub fn k(&self) -> f64 {
+    pub(crate) fn k(&self) -> f64 {
         self.interval
             .project(self.x + self.current_delta() * self.current_direction)
     }
 
     /// Feeds back the observed scalar cost of the played point and advances
     /// to the next round. Non-finite or negative costs are ignored.
-    pub fn observe_cost(&mut self, cost: f64) {
+    pub(crate) fn observe_cost(&mut self, cost: f64) {
         if cost.is_finite() && cost >= 0.0 {
             let delta = self.current_delta();
             let eta = self.current_eta();
@@ -112,6 +116,16 @@ impl ContinuousBandit {
         }
         self.current_direction = if self.rng.gen::<bool>() { 1.0 } else { -1.0 };
     }
+
+    /// Feeds back the round's `cost` divided by the reference cost, which
+    /// the first cost sets (`None`: the round carried no signal, and
+    /// nothing changes).
+    pub(crate) fn step(&mut self, cost: Option<f64>) {
+        if let Some(cost) = cost {
+            let reference = *self.reference_cost.get_or_insert(cost.max(1e-12));
+            self.observe_cost(cost / reference);
+        }
+    }
 }
 
 impl Snapshot for ContinuousBandit {
@@ -120,6 +134,7 @@ impl Snapshot for ContinuousBandit {
         w.usize(self.m);
         w.f64(self.current_direction);
         w.rng(&self.rng);
+        w.opt_f64(self.reference_cost);
     }
 
     fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
@@ -133,6 +148,13 @@ impl Snapshot for ContinuousBandit {
             return Err(SnapshotError::Invalid("perturbation direction"));
         }
         self.rng = r.rng()?;
+        self.reference_cost = r.opt_f64()?;
+        if self
+            .reference_cost
+            .is_some_and(|c| !c.is_finite() || c <= 0.0)
+        {
+            return Err(SnapshotError::Invalid("reference cost"));
+        }
         Ok(())
     }
 }

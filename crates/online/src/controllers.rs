@@ -2,17 +2,17 @@
 //!
 //! The experiment harness in `agsfl-core` speaks only the [`KController`]
 //! interface: it asks for the next `k` (and probe `k'`), runs the FL round,
-//! and feeds back a [`RoundFeedback`]. This module adapts every algorithm in
-//! this crate to that interface:
+//! and feeds back a [`RoundFeedback`]. Every algorithm of this crate is its
+//! own controller, one type with one snapshot:
 //!
-//! * [`SignOgd`], [`ExtendedSignOgd`] and [`ValueBasedDescent`] build their
-//!   derivative(-sign) estimate from the probe losses via
-//!   [`derivative_sign`] / [`derivative`];
-//! * [`Exp3Controller`] and [`BanditController`] convert the round outcome
-//!   into a scalar cost — the time spent per unit of single-sample loss
-//!   decrease, the empirical analogue of `t(k, l)` — and feed it to EXP3 /
-//!   the one-point bandit;
-//! * [`FixedK`] and [`KSequence`] prescribe `k` and ask for no probe.
+//! * [`SignOgd`], [`ExtendedSignOgd`] and [`ValueBasedDescent`] step on the
+//!   derivative(-sign) estimate of the probe losses, [`derivative_sign`] /
+//!   [`derivative`];
+//! * [`Exp3`] and [`ContinuousBandit`] step on the round's scalar cost —
+//!   the time spent per unit of single-sample loss decrease, the empirical
+//!   analogue of `t(k, l)`;
+//! * [`FixedK`] and [`KSequence`] prescribe `k` and ask for no probe;
+//! * [`PrecisionController`] wraps any of them and adds the precision axis.
 
 use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use agsfl_wire::Precision;
@@ -68,9 +68,19 @@ fn restore_tagged<T: Snapshot + Clone>(
 /// Scalar per-round cost used by the bandit-style baselines: normalized time
 /// spent per unit of the probe's loss decrease
 /// `L̃(w(m−1)) − L̃(w(m))`. Falls back to the raw round time when the round
-/// ran no probe, and reports `None` when the loss did not decrease (those
-/// rounds carry no usable signal).
+/// ran no probe. Reports `None` when the loss did not decrease or a time or
+/// loss of the round is not finite: those rounds carry no usable signal.
 fn round_cost(feedback: &RoundFeedback) -> Option<f64> {
+    let measured = [
+        Some(feedback.round_time),
+        feedback.probe_round_time,
+        feedback.probe_loss_prev,
+        feedback.probe_loss_now,
+        feedback.probe_loss_alt,
+    ];
+    if !measured.into_iter().flatten().all(f64::is_finite) {
+        return None;
+    }
     let decrease = feedback
         .probe_loss_prev
         .zip(feedback.probe_loss_now)
@@ -80,6 +90,7 @@ fn round_cost(feedback: &RoundFeedback) -> Option<f64> {
         Some(_) => None,
         None => Some(feedback.round_time),
     }
+    .filter(|cost| cost.is_finite())
 }
 
 impl KController for SignOgd {
@@ -157,6 +168,61 @@ impl KController for ValueBasedDescent {
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         restore_tagged(TAG_VALUE_BASED, "value-based descent", self, bytes)
+    }
+}
+
+impl KController for Exp3 {
+    fn name(&self) -> &'static str {
+        "EXP3"
+    }
+
+    fn propose_k(&self) -> f64 {
+        self.k()
+    }
+
+    /// The cost reads only the probe's losses at `w(m−1)` and `w(m)`, which
+    /// no `k'` changes.
+    fn probe_k(&self) -> Option<f64> {
+        Some(self.k())
+    }
+
+    fn observe(&mut self, feedback: &RoundFeedback) {
+        self.step(round_cost(feedback));
+    }
+
+    fn save_state(&self) -> Vec<u8> {
+        save_tagged(TAG_EXP3, self)
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        restore_tagged(TAG_EXP3, "EXP3", self, bytes)
+    }
+}
+
+impl KController for ContinuousBandit {
+    fn name(&self) -> &'static str {
+        "Continuous bandit"
+    }
+
+    fn propose_k(&self) -> f64 {
+        self.k()
+    }
+
+    /// As for [`Exp3`]: any `k'` yields the cost's two losses.
+    fn probe_k(&self) -> Option<f64> {
+        Some(self.k())
+    }
+
+    fn observe(&mut self, feedback: &RoundFeedback) {
+        self.step(round_cost(feedback));
+    }
+
+    fn save_state(&self) -> Vec<u8> {
+        save_tagged(TAG_BANDIT, self)
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        restore_tagged(TAG_BANDIT, "continuous bandit", self, bytes)
     }
 }
 
@@ -271,164 +337,6 @@ impl Snapshot for KSequence {
 
     fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.next = r.usize()?;
-        Ok(())
-    }
-}
-
-/// EXP3 adapted to the adaptive-`k` problem: arms are candidate `k` values,
-/// the reward of a round is `best cost so far / this round's cost` (a value
-/// in `(0, 1]` that is 1 for the best round observed so far).
-#[derive(Debug, Clone)]
-pub struct Exp3Controller {
-    exp3: Exp3,
-    current_arm: usize,
-    best_cost: f64,
-}
-
-impl Exp3Controller {
-    /// Creates the controller; the first arm is drawn immediately.
-    pub fn new(mut exp3: Exp3) -> Self {
-        let current_arm = exp3.draw();
-        Self {
-            exp3,
-            current_arm,
-            best_cost: f64::INFINITY,
-        }
-    }
-
-    /// The underlying EXP3 state.
-    pub fn exp3(&self) -> &Exp3 {
-        &self.exp3
-    }
-}
-
-impl KController for Exp3Controller {
-    fn name(&self) -> &'static str {
-        "EXP3"
-    }
-
-    fn propose_k(&self) -> f64 {
-        self.exp3.arm_value(self.current_arm)
-    }
-
-    /// The cost reads only the probe's losses at `w(m−1)` and `w(m)`, which
-    /// no `k'` changes.
-    fn probe_k(&self) -> Option<f64> {
-        Some(self.propose_k())
-    }
-
-    fn observe(&mut self, feedback: &RoundFeedback) {
-        if let Some(cost) = round_cost(feedback) {
-            self.best_cost = self.best_cost.min(cost);
-            let reward = if cost > 0.0 {
-                (self.best_cost / cost).clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
-            self.exp3.update(self.current_arm, reward);
-        }
-        self.current_arm = self.exp3.draw();
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        save_tagged(TAG_EXP3, self)
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        restore_tagged(TAG_EXP3, "EXP3", self, bytes)
-    }
-}
-
-impl Snapshot for Exp3Controller {
-    fn write_state(&self, w: &mut SnapshotWriter) {
-        self.exp3.write_state(w);
-        w.usize(self.current_arm);
-        w.f64(self.best_cost);
-    }
-
-    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.exp3.read_state(r)?;
-        self.current_arm = r.usize()?;
-        if self.current_arm >= self.exp3.num_arms() {
-            return Err(SnapshotError::Invalid("current arm"));
-        }
-        self.best_cost = r.f64()?;
-        if self.best_cost.is_nan() {
-            return Err(SnapshotError::Invalid("best cost"));
-        }
-        Ok(())
-    }
-}
-
-/// The continuous one-point bandit adapted to the adaptive-`k` problem, with
-/// costs normalized by the first observed cost so the gradient-estimate scale
-/// is dimensionless.
-#[derive(Debug, Clone)]
-pub struct BanditController {
-    bandit: ContinuousBandit,
-    reference_cost: Option<f64>,
-}
-
-impl BanditController {
-    /// Creates the controller.
-    pub fn new(bandit: ContinuousBandit) -> Self {
-        Self {
-            bandit,
-            reference_cost: None,
-        }
-    }
-
-    /// The underlying bandit state.
-    pub fn bandit(&self) -> &ContinuousBandit {
-        &self.bandit
-    }
-}
-
-impl KController for BanditController {
-    fn name(&self) -> &'static str {
-        "Continuous bandit"
-    }
-
-    fn propose_k(&self) -> f64 {
-        self.bandit.k()
-    }
-
-    /// As for [`Exp3Controller`]: any `k'` yields the cost's two losses.
-    fn probe_k(&self) -> Option<f64> {
-        Some(self.propose_k())
-    }
-
-    fn observe(&mut self, feedback: &RoundFeedback) {
-        if let Some(cost) = round_cost(feedback) {
-            let reference = *self.reference_cost.get_or_insert(cost.max(1e-12));
-            self.bandit.observe_cost(cost / reference);
-        }
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        save_tagged(TAG_BANDIT, self)
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        restore_tagged(TAG_BANDIT, "continuous bandit", self, bytes)
-    }
-}
-
-impl Snapshot for BanditController {
-    fn write_state(&self, w: &mut SnapshotWriter) {
-        self.bandit.write_state(w);
-        w.opt_f64(self.reference_cost);
-    }
-
-    fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.bandit.read_state(r)?;
-        self.reference_cost = r.opt_f64()?;
-        if self
-            .reference_cost
-            .is_some_and(|c| !c.is_finite() || c <= 0.0)
-        {
-            return Err(SnapshotError::Invalid("reference cost"));
-        }
         Ok(())
     }
 }
@@ -685,9 +593,8 @@ mod tests {
 
     #[test]
     fn exp3_controller_draws_valid_arms_and_learns() {
-        let exp3 = Exp3::new(Exp3::geometric_arms(10.0, 1000.0, 6), 0.2, 1);
-        let arms = exp3.arms().to_vec();
-        let mut c = Exp3Controller::new(exp3);
+        let arms = Exp3::geometric_arms(10.0, 1000.0, 6);
+        let mut c = Exp3::new(arms.clone(), 0.2, 1);
         for _ in 0..200 {
             let k = c.propose_k();
             assert!(arms.iter().any(|&a| (a - k).abs() < 1e-9));
@@ -696,22 +603,21 @@ mod tests {
             c.observe(&loss_decrease(k.round() as usize, cost_time, 0.1));
         }
         // The smallest arms should now dominate the probabilities.
-        let probs = c.exp3().probabilities();
+        let probs = c.probabilities();
         let small_mass: f64 = probs[..2].iter().sum();
         assert!(small_mass > 0.4, "probabilities {probs:?}");
     }
 
     #[test]
     fn bandit_controller_normalizes_costs() {
-        let bandit =
+        let mut c =
             ContinuousBandit::with_default_scales(SearchInterval::new(10.0, 1010.0), 500.0, 7);
-        let mut c = BanditController::new(bandit);
         for _ in 0..50 {
             let k = c.propose_k();
             assert!((10.0..=1010.0).contains(&k));
             c.observe(&loss_decrease(k.round() as usize, 1.0 + k / 50.0, 0.05));
         }
-        assert!(c.bandit().center().is_finite());
+        assert!(c.center().is_finite());
     }
 
     /// Deterministic synthetic feedback stream exercising both the probe
@@ -784,20 +690,12 @@ mod tests {
             }),
             Box::new(|| Box::new(FixedK::new(123.0))),
             Box::new(|| Box::new(k_sequence())),
+            Box::new(|| Box::new(Exp3::new(Exp3::geometric_arms(10.0, 1000.0, 6), 0.2, 42))),
             Box::new(|| {
-                Box::new(Exp3Controller::new(Exp3::new(
-                    Exp3::geometric_arms(10.0, 1000.0, 6),
-                    0.2,
-                    42,
-                )))
-            }),
-            Box::new(|| {
-                Box::new(BanditController::new(
-                    ContinuousBandit::with_default_scales(
-                        SearchInterval::new(10.0, 1010.0),
-                        500.0,
-                        7,
-                    ),
+                Box::new(ContinuousBandit::with_default_scales(
+                    SearchInterval::new(10.0, 1010.0),
+                    500.0,
+                    7,
                 ))
             }),
             Box::new(|| {
@@ -807,8 +705,10 @@ mod tests {
                 ))))
             }),
             Box::new(|| {
-                Box::new(PrecisionController::new(Box::new(Exp3Controller::new(
-                    Exp3::new(Exp3::geometric_arms(10.0, 1000.0, 6), 0.2, 42),
+                Box::new(PrecisionController::new(Box::new(Exp3::new(
+                    Exp3::geometric_arms(10.0, 1000.0, 6),
+                    0.2,
+                    42,
                 ))))
             }),
         ];
@@ -847,11 +747,11 @@ mod tests {
         roundtrip!(ValueBasedDescent::new(interval, 500.0));
         roundtrip!(FixedK::new(123.0));
         roundtrip!(k_sequence());
-        let exp3 = roundtrip!(Exp3Controller::new(Exp3::new(arms(), 0.2, 42)));
-        law(exp3.exp3(), || Exp3::new(arms(), 0.2, 42));
+        let exp3 = roundtrip!(Exp3::new(arms(), 0.2, 42));
+        law(&exp3, || Exp3::new(arms(), 0.2, 42));
         let bandit = || ContinuousBandit::with_default_scales(interval, 500.0, 7);
-        let restored = roundtrip!(BanditController::new(bandit()));
-        law(restored.bandit(), bandit);
+        let restored = roundtrip!(bandit());
+        law(&restored, bandit);
         let wrapper = PrecisionState {
             round: 9,
             explore_every: 16,
@@ -930,13 +830,9 @@ mod tests {
         shape_laws("ValueBasedDescent", &|| {
             Box::new(ValueBasedDescent::new(interval, 500.0))
         });
-        shape_laws("Exp3Controller", &|| {
-            Box::new(Exp3Controller::new(Exp3::new(arms(), 0.2, 42)))
-        });
-        shape_laws("BanditController", &|| {
-            Box::new(BanditController::new(
-                ContinuousBandit::with_default_scales(interval, 500.0, 7),
-            ))
+        shape_laws("Exp3", &|| Box::new(Exp3::new(arms(), 0.2, 42)));
+        shape_laws("ContinuousBandit", &|| {
+            Box::new(ContinuousBandit::with_default_scales(interval, 500.0, 7))
         });
         shape_laws("PrecisionController", &|| {
             Box::new(PrecisionController::new(Box::new(SignOgd::new(
@@ -950,6 +846,8 @@ mod tests {
     /// and leaves the target's own snapshot unchanged.
     #[test]
     fn restore_rejects_out_of_range_fields() {
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
         let interval = SearchInterval::new(10.0, 1010.0);
         let exp3 = || Exp3::new(Exp3::geometric_arms(10.0, 1000.0, 6), 0.2, 42);
         let bandit = || ContinuousBandit::with_default_scales(interval, 500.0, 7);
@@ -983,16 +881,24 @@ mod tests {
                 w.usize(0);
             })
         };
+        let rng = ChaCha8Rng::seed_from_u64(42);
+        // EXP3: six weights, the draws, the rng, the arm and the best cost.
         let exp3_state = |arm: usize, best_cost: f64| {
             blob(TAG_EXP3, &|w| {
-                exp3().write_state(w);
+                w.f64s(&[1.0; 6]);
+                w.usize(1);
+                w.rng(&rng);
                 w.usize(arm);
                 w.f64(best_cost);
             })
         };
+        // The bandit: `x, m`, the direction, the rng and the reference cost.
         let bandit_state = |reference: f64| {
             blob(TAG_BANDIT, &|w| {
-                bandit().write_state(w);
+                w.f64(500.0);
+                w.usize(0);
+                w.f64(1.0);
+                w.rng(&rng);
                 w.opt_f64(Some(reference));
             })
         };
@@ -1066,32 +972,32 @@ mod tests {
                 "window count",
             ),
             (
-                "Exp3Controller arm == num_arms",
-                Box::new(Exp3Controller::new(exp3())),
+                "Exp3 arm == num_arms",
+                Box::new(exp3()),
                 exp3_state(6, 1.0),
                 "current arm",
             ),
             (
-                "Exp3Controller NaN best cost",
-                Box::new(Exp3Controller::new(exp3())),
+                "Exp3 NaN best cost",
+                Box::new(exp3()),
                 exp3_state(0, f64::NAN),
                 "best cost",
             ),
             (
-                "BanditController reference 0",
-                Box::new(BanditController::new(bandit())),
+                "ContinuousBandit reference 0",
+                Box::new(bandit()),
                 bandit_state(0.0),
                 "reference cost",
             ),
             (
-                "BanditController reference -1",
-                Box::new(BanditController::new(bandit())),
+                "ContinuousBandit reference -1",
+                Box::new(bandit()),
                 bandit_state(-1.0),
                 "reference cost",
             ),
             (
-                "BanditController reference inf",
-                Box::new(BanditController::new(bandit())),
+                "ContinuousBandit reference inf",
+                Box::new(bandit()),
                 bandit_state(f64::INFINITY),
                 "reference cost",
             ),
@@ -1117,6 +1023,125 @@ mod tests {
             );
             assert_eq!(target.save_state(), before, "{name}: mutated the target");
         }
+    }
+
+    /// Non-finite feedback carries no signal, the rule of
+    /// [`KController::observe`]: a round whose round time, probe round time
+    /// or one probe loss is NaN or +∞ leaves each controller where a round
+    /// with no signal (no probe, no loss decrease) leaves it, so only EXP3's
+    /// next draw and the round counters of a sequence or the wrapper move.
+    /// `k` stays finite and in range, and the snapshot restores into a fresh
+    /// controller. Every failing case is listed.
+    #[test]
+    fn non_finite_feedback_carries_no_signal() {
+        let interval = SearchInterval::new(10.0, 1010.0);
+        let extended = || {
+            ExtendedSignOgd::new(ExtendedConfig {
+                k_min: 1.0,
+                k_max: 1000.0,
+                alpha: 1.5,
+                update_window: 5,
+                initial_k: 500.0,
+            })
+        };
+        // (the controller, a fresh instance, its k range)
+        type Kind = (
+            &'static str,
+            Box<dyn Fn() -> Box<dyn KController>>,
+            [f64; 2],
+        );
+        let kinds: Vec<Kind> = vec![
+            (
+                "SignOgd",
+                Box::new(move || Box::new(SignOgd::new(interval, 800.0))),
+                [10.0, 1010.0],
+            ),
+            (
+                "ExtendedSignOgd",
+                Box::new(move || Box::new(extended())),
+                [1.0, 1000.0],
+            ),
+            (
+                "ValueBasedDescent",
+                Box::new(move || Box::new(ValueBasedDescent::new(interval, 500.0))),
+                [10.0, 1010.0],
+            ),
+            (
+                "FixedK",
+                Box::new(|| Box::new(FixedK::new(123.0))),
+                [123.0, 123.0],
+            ),
+            (
+                "KSequence",
+                Box::new(|| Box::new(k_sequence())),
+                [7.0, 280.0],
+            ),
+            (
+                "Exp3",
+                Box::new(|| Box::new(Exp3::new(Exp3::geometric_arms(10.0, 1000.0, 6), 0.2, 42))),
+                [10.0, 1000.0],
+            ),
+            (
+                "ContinuousBandit",
+                Box::new(move || {
+                    Box::new(ContinuousBandit::with_default_scales(interval, 500.0, 7))
+                }),
+                [10.0, 1010.0],
+            ),
+            (
+                "PrecisionController over ExtendedSignOgd",
+                Box::new(move || Box::new(PrecisionController::new(Box::new(extended())))),
+                [1.0, 1000.0],
+            ),
+            (
+                "PrecisionController over FixedK",
+                Box::new(|| Box::new(PrecisionController::new(Box::new(FixedK::new(123.0))))),
+                [123.0, 123.0],
+            ),
+        ];
+        // Each measured field of a probed round, poisoned in turn.
+        type Poison = (&'static str, fn(&mut RoundFeedback, f64));
+        let fields: [Poison; 5] = [
+            ("round_time", |f, v| f.round_time = v),
+            ("probe_round_time", |f, v| f.probe_round_time = Some(v)),
+            ("probe_loss_prev", |f, v| f.probe_loss_prev = Some(v)),
+            ("probe_loss_now", |f, v| f.probe_loss_now = Some(v)),
+            ("probe_loss_alt", |f, v| f.probe_loss_alt = Some(v)),
+        ];
+        let mut failures = Vec::new();
+        for (name, make, [lo, hi]) in &kinds {
+            let mut driven = make();
+            for round in 0..25 {
+                let k = driven.propose_k();
+                driven.observe(&synthetic_feedback(round, k));
+            }
+            let snapshot = driven.save_state();
+            let k = driven.propose_k();
+            let mut quiet = make();
+            quiet.restore_state(&snapshot).unwrap();
+            quiet.observe(&loss_decrease(k.round() as usize, 5.0, 0.0));
+            for (field, poison) in fields {
+                for value in [f64::NAN, f64::INFINITY] {
+                    let case = format!("{name}: {field} = {value}");
+                    let mut feedback = synthetic_feedback(25, k);
+                    poison(&mut feedback, value);
+                    let mut target = make();
+                    target.restore_state(&snapshot).unwrap();
+                    target.observe(&feedback);
+                    let next = target.propose_k();
+                    if !(next.is_finite() && (*lo..=*hi).contains(&next)) {
+                        failures.push(format!("{case}: k = {next}"));
+                    }
+                    if target.save_state() != quiet.save_state() {
+                        failures.push(format!("{case}: the state moved"));
+                    }
+                    if let Err(e) = make().restore_state(&target.save_state()) {
+                        failures.push(format!("{case}: restore failed, {e:?}"));
+                    }
+                }
+            }
+        }
+        assert!(failures.is_empty(), "{failures:#?}");
     }
 
     /// Reads `bytes` into `target` bare, as a section inside a snapshot is
@@ -1203,6 +1228,8 @@ mod tests {
                 w.f64s(weights);
                 w.usize(25);
                 w.rng(&rng);
+                w.usize(0);
+                w.f64(f64::INFINITY);
             })
         };
         component_shape_laws(
@@ -1227,6 +1254,7 @@ mod tests {
                 w.usize(25);
                 w.f64(direction);
                 w.rng(&rng);
+                w.opt_f64(None);
             })
         };
         let outside = "iterate outside interval";
@@ -1246,9 +1274,9 @@ mod tests {
 
     #[test]
     fn exp3_restore_rejects_mismatched_arm_count() {
-        let donor = Exp3Controller::new(Exp3::new(vec![10.0, 100.0, 1000.0], 0.2, 1));
+        let donor = Exp3::new(vec![10.0, 100.0, 1000.0], 0.2, 1);
         let snapshot = donor.save_state();
-        let mut two_arms = Exp3Controller::new(Exp3::new(vec![10.0, 100.0], 0.2, 1));
+        let mut two_arms = Exp3::new(vec![10.0, 100.0], 0.2, 1);
         assert_eq!(
             two_arms.restore_state(&snapshot),
             Err(SnapshotError::Invalid("weight count"))
@@ -1343,11 +1371,10 @@ mod tests {
 
     #[test]
     fn rounds_with_no_loss_decrease_are_skipped_by_bandits() {
-        let exp3 = Exp3::new(vec![10.0, 100.0], 0.5, 0);
-        let mut c = Exp3Controller::new(exp3);
-        let draws_before = c.exp3().draws();
+        let mut c = Exp3::new(vec![10.0, 100.0], 0.5, 0);
+        let draws_before = c.draws();
         c.observe(&loss_decrease(10, 5.0, 0.0));
         // A new arm is still drawn (the round happened), but no update was fed.
-        assert_eq!(c.exp3().draws(), draws_before + 1);
+        assert_eq!(c.draws(), draws_before + 1);
     }
 }

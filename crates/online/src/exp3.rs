@@ -16,18 +16,19 @@ use agsfl_tensor::init::sample_weighted;
 /// adaptive-`k` problem is far more erratic than the sign-based method,
 /// which is exactly what the paper reports.
 ///
-/// Rewards must lie in `[0, 1]`; the caller is responsible for normalizing
-/// its cost signal (see `CostNormalizer` in `agsfl-core`).
+/// As a [`KController`](crate::KController) it plays one arm a round. The
+/// reward of a round is `best cost so far / this round's cost`, a value in
+/// `(0, 1]` that is 1 for the best round observed so far; the cost is the
+/// round time per unit of the probe's loss decrease.
 ///
 /// # Examples
 ///
 /// ```
-/// use agsfl_online::Exp3;
+/// use agsfl_online::{Exp3, KController};
 ///
-/// let mut exp3 = Exp3::new(vec![10.0, 100.0, 1000.0], 0.1, 7);
-/// let arm = exp3.draw();
-/// exp3.update(arm, 0.8);
-/// assert!(exp3.probabilities().iter().all(|&p| p > 0.0));
+/// // The first arm is drawn at construction.
+/// let exp3 = Exp3::new(vec![10.0, 100.0, 1000.0], 0.1, 7);
+/// assert!([10.0, 100.0, 1000.0].contains(&exp3.propose_k()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Exp3 {
@@ -36,11 +37,15 @@ pub struct Exp3 {
     gamma: f64,
     rng: ChaCha8Rng,
     draws: usize,
+    /// The arm played this round.
+    current_arm: usize,
+    /// The lowest round cost observed so far (`∞` before the first).
+    best_cost: f64,
 }
 
 impl Exp3 {
     /// Creates an EXP3 instance over the given arms with exploration rate
-    /// `gamma ∈ (0, 1]`.
+    /// `gamma ∈ (0, 1]`, and draws the first round's arm.
     ///
     /// # Panics
     ///
@@ -49,13 +54,17 @@ impl Exp3 {
         assert!(!arms.is_empty(), "EXP3 needs at least one arm");
         assert!(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
         let n = arms.len();
-        Self {
+        let mut exp3 = Self {
             arms,
             weights: vec![1.0; n],
             gamma,
             rng: ChaCha8Rng::seed_from_u64(seed),
             draws: 0,
-        }
+            current_arm: 0,
+            best_cost: f64::INFINITY,
+        };
+        exp3.current_arm = exp3.draw();
+        exp3
     }
 
     /// Builds the standard geometric arm grid `{kmin, kmin·r, kmin·r², …,
@@ -74,24 +83,20 @@ impl Exp3 {
             .collect()
     }
 
-    /// The candidate `k` values.
-    pub fn arms(&self) -> &[f64] {
-        &self.arms
-    }
-
-    /// Number of arms.
-    pub fn num_arms(&self) -> usize {
-        self.arms.len()
+    /// The `k` of the arm played this round.
+    pub(crate) fn k(&self) -> f64 {
+        self.arms[self.current_arm]
     }
 
     /// Number of draws made so far.
-    pub fn draws(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn draws(&self) -> usize {
         self.draws
     }
 
     /// Current arm-selection probabilities
     /// `p_i = (1-γ)·w_i/Σw + γ/K`.
-    pub fn probabilities(&self) -> Vec<f64> {
+    pub(crate) fn probabilities(&self) -> Vec<f64> {
         let total: f64 = self.weights.iter().sum();
         let n = self.arms.len() as f64;
         self.weights
@@ -101,19 +106,10 @@ impl Exp3 {
     }
 
     /// Draws an arm index according to the current probabilities.
-    pub fn draw(&mut self) -> usize {
+    pub(crate) fn draw(&mut self) -> usize {
         self.draws += 1;
         let probs = self.probabilities();
         sample_weighted(&probs, &mut self.rng).expect("probabilities are positive")
-    }
-
-    /// The `k` value of arm `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn arm_value(&self, index: usize) -> f64 {
-        self.arms[index]
     }
 
     /// Feeds back the reward (in `[0, 1]`) obtained for the arm that was
@@ -122,7 +118,7 @@ impl Exp3 {
     /// # Panics
     ///
     /// Panics if `arm` is out of range.
-    pub fn update(&mut self, arm: usize, reward: f64) {
+    pub(crate) fn update(&mut self, arm: usize, reward: f64) {
         assert!(arm < self.arms.len(), "arm {arm} out of range");
         let reward = reward.clamp(0.0, 1.0);
         let probs = self.probabilities();
@@ -138,6 +134,22 @@ impl Exp3 {
             }
         }
     }
+
+    /// Rewards the played arm with the round's `cost` (`None`: the round
+    /// carried no signal, and no arm is rewarded), then draws the next
+    /// round's arm.
+    pub(crate) fn step(&mut self, cost: Option<f64>) {
+        if let Some(cost) = cost {
+            self.best_cost = self.best_cost.min(cost);
+            let reward = if cost > 0.0 {
+                (self.best_cost / cost).clamp(0.0, 1.0)
+            } else {
+                1.0
+            };
+            self.update(self.current_arm, reward);
+        }
+        self.current_arm = self.draw();
+    }
 }
 
 impl Snapshot for Exp3 {
@@ -145,6 +157,8 @@ impl Snapshot for Exp3 {
         w.f64s(&self.weights);
         w.usize(self.draws);
         w.rng(&self.rng);
+        w.usize(self.current_arm);
+        w.f64(self.best_cost);
     }
 
     fn read_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
@@ -157,6 +171,14 @@ impl Snapshot for Exp3 {
         }
         self.draws = r.usize()?;
         self.rng = r.rng()?;
+        self.current_arm = r.usize()?;
+        if self.current_arm >= self.arms.len() {
+            return Err(SnapshotError::Invalid("current arm"));
+        }
+        self.best_cost = r.f64()?;
+        if self.best_cost.is_nan() {
+            return Err(SnapshotError::Invalid("best cost"));
+        }
         Ok(())
     }
 }

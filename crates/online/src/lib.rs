@@ -20,7 +20,9 @@
 //! (non-stochastic multi-armed bandit over integer arms) and
 //! [`ContinuousBandit`] (one-point gradient estimation), plus synthetic
 //! convex cost environments and regret accounting ([`regret`]) used to check
-//! the theorems empirically.
+//! the theorems empirically. Each algorithm is its own [`KController`]: the
+//! two bandits turn a round into a scalar cost themselves, the time spent
+//! per unit of the probe's loss decrease.
 //!
 //! Every controller survives a checkpoint: [`KController::save_state`] /
 //! [`KController::restore_state`] carry its mutable state (RNG position
@@ -63,7 +65,7 @@ use agsfl_wire::snapshot::SnapshotError;
 #[doc(hidden)]
 pub use agsfl_wire::snapshot::SnapshotError as StateError;
 pub use bandit::ContinuousBandit;
-pub use controllers::{BanditController, Exp3Controller, FixedK, KSequence, PrecisionController};
+pub use controllers::{FixedK, KSequence, PrecisionController};
 pub use estimator::{derivative, derivative_sign};
 pub use exp3::Exp3;
 pub use extended::{ExtendedConfig, ExtendedSignOgd};
@@ -93,6 +95,20 @@ pub trait KController: Send + std::fmt::Debug {
     fn probe_k(&self) -> Option<f64>;
 
     /// Feeds back the outcome of the round that used [`KController::propose_k`].
+    ///
+    /// A round whose round time, probe round time or a probe loss is not
+    /// finite carries no signal, and no controller learns from it:
+    ///
+    /// * [`SignOgd`], [`ExtendedSignOgd`] and [`ValueBasedDescent`] have no
+    ///   [`derivative`] estimate for it and leave their state unchanged;
+    /// * [`Exp3`] rewards no arm and, as after a round whose loss did not
+    ///   decrease, draws the next round's arm;
+    /// * [`ContinuousBandit`] leaves its iterate, its perturbation and its
+    ///   reference cost unchanged;
+    /// * [`PrecisionController`] keeps its tier costs, counts the round and
+    ///   hands the feedback to the controller it wraps;
+    /// * [`FixedK`] ignores feedback, and [`KSequence`] advances one round
+    ///   whatever the feedback holds.
     fn observe(&mut self, feedback: &RoundFeedback);
 
     /// The uplink precision tier this controller wants for the next round —

@@ -578,6 +578,19 @@ if [[ "$in_step" -ne 2 ]] || [[ "$(step_calls | wc -l)" -ne $((in_step + in_abla
     exit 1
 fi
 
+step "one type per k-controller (each algorithm implements KController itself; no adapter)"
+# EXP3 and the continuous bandit turn a round into a cost and snapshot their
+# own state, as Algorithms 2 and 3 and value-based descent do: every
+# controller in agsfl-online is one type with one Snapshot impl. An
+# Exp3Controller or BanditController in the product code of crates/*/src is
+# the adapter growing back. Product code only (no #[cfg(test)] item);
+# comment lines are exempt.
+if for f in $(find crates/*/src -name '*.rs' | sort); do product_lines "$f"; done \
+    | grep -E '\b(Exp3Controller|BanditController)\b'; then
+    echo "verify: a k-controller adapter is back (lines above); implement KController on the algorithm itself" >&2
+    exit 1
+fi
+
 step "no table beyond the paper (the memory bound is a test and a cohort run, not a sweep)"
 # The population-scale sweep was retired: resident state bounded by
 # participation is asserted in cohort_determinism, the peak-RSS gate is
