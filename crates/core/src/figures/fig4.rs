@@ -57,9 +57,9 @@ pub fn run(config: &Fig4Config) -> Comparison {
         last_arm = Some((experiment, k));
     }
     // FedAvg at the equal-average-overhead period. `run_fedavg` reads only
-    // the experiment's dataset, executor and configured hyper-parameters —
-    // never its sparsifier or the simulation's state — so the last GS arm's
-    // experiment serves, and the dataset is not generated a sixth time.
+    // the simulation's model, dataset, executor and configuration — never
+    // its sparsifier or its state — so the last GS arm's experiment serves,
+    // and the dataset is not generated a sixth time.
     let (experiment, k) = last_arm.expect("SparsifierSpec::all is not empty");
     let mut fedavg = experiment.run_fedavg(k, &stop);
     fedavg.label = "FedAvg".to_string();

@@ -4,9 +4,9 @@ use std::path::PathBuf;
 
 use agsfl_fl::checkpoint;
 use agsfl_fl::{
-    FedAvgConfig, FedAvgSimulation, MetricPoint, RunHistory, Simulation, SimulationConfig,
-    TimeModel,
+    FedAvgSimulation, MetricPoint, RunHistory, Simulation, SimulationConfig, TimeModel,
 };
+use agsfl_ml::metrics::GlobalEvaluation;
 use agsfl_online::{KController, KSequence};
 use agsfl_telemetry::{NoopRecorder, Recorder, SpanId};
 use agsfl_wire::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -59,7 +59,10 @@ impl CheckpointSpec {
 
 /// When to stop a training run.
 ///
-/// A run stops as soon as **any** enabled criterion triggers.
+/// A run stops as soon as **any** enabled criterion triggers. A run refuses,
+/// before its first round, a condition that bounds neither the rounds nor the
+/// time (`max_rounds` is `None` and `max_time` is `None`, NaN or `+∞`): a
+/// target loss alone may never be reached.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct StopCondition {
     /// Maximum number of rounds.
@@ -97,6 +100,14 @@ impl StopCondition {
         }
     }
 
+    /// Panics unless the condition bounds the rounds or the time.
+    fn assert_bounded(&self) {
+        assert!(
+            self.max_rounds.is_some() || self.max_time.is_some_and(|t| t < f64::INFINITY),
+            "a stop condition must bound the rounds or the time: {self:?}"
+        );
+    }
+
     fn rounds_exhausted(&self, round: usize) -> bool {
         self.max_rounds.is_some_and(|m| round >= m)
     }
@@ -110,6 +121,25 @@ impl StopCondition {
             (Some(target), Some(loss)) => loss <= target,
             _ => false,
         }
+    }
+}
+
+/// The evaluation rule of every run's history: fills in `point`'s global
+/// loss and test accuracy from one `evaluate()` sweep at round 1 and every
+/// `eval_every` rounds, and, with `last`, at a run's final point if the
+/// cadence left it unevaluated — the loss a run that stops off-cadence is
+/// compared by.
+fn evaluate_due(
+    point: &mut MetricPoint,
+    eval_every: usize,
+    last: bool,
+    evaluate: impl FnOnce() -> GlobalEvaluation,
+) {
+    let on_cadence = point.round.is_multiple_of(eval_every) || point.round == 1;
+    if point.global_loss.is_none() && (on_cadence || last) {
+        let eval = evaluate();
+        point.global_loss = Some(eval.train_loss as f64);
+        point.test_accuracy = Some(eval.test_accuracy as f64);
     }
 }
 
@@ -227,12 +257,20 @@ impl Experiment {
     }
 
     /// Runs a fixed-`k` training loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stop` bounds neither the rounds nor the time.
     pub fn run_fixed_k(&mut self, k: usize, stop: &StopCondition) -> RunHistory {
         let mut controller = ControllerSpec::Fixed(k as f64).build(self.dim(), self.config.seed);
         self.run_with_controller(controller.as_mut(), stop, "Fixed k")
     }
 
     /// Runs an adaptive-`k` training loop with the given controller spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stop` bounds neither the rounds nor the time.
     pub fn run_adaptive(&mut self, spec: ControllerSpec, stop: &StopCondition) -> RunHistory {
         let mut controller = spec.build(self.dim(), self.config.seed);
         self.run_with_controller(controller.as_mut(), stop, spec.name())
@@ -240,6 +278,10 @@ impl Experiment {
 
     /// Runs with an externally constructed controller (useful for ablations
     /// that tweak controller parameters directly).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stop` bounds neither the rounds nor the time.
     pub fn run_with_controller(
         &mut self,
         controller: &mut dyn KController,
@@ -257,6 +299,11 @@ impl Experiment {
     /// between checkpoints can be continued with
     /// [`Experiment::resume_with_controller`]; the resumed run is
     /// bit-identical to one that was never interrupted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stop` bounds neither the rounds nor the time, or if
+    /// `spec.every` is zero.
     pub fn run_with_controller_checkpointed(
         &mut self,
         controller: &mut dyn KController,
@@ -278,6 +325,11 @@ impl Experiment {
     /// with [`SnapshotError::Mismatch`]. The run continues (checkpointing
     /// on the same spec) until `stop` triggers, counting rounds from the
     /// checkpointed round number.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stop` bounds neither the rounds nor the time, or if
+    /// `spec.every` is zero.
     pub fn resume_with_controller(
         &mut self,
         controller: &mut dyn KController,
@@ -335,16 +387,13 @@ impl Experiment {
         checkpoint::write_atomic(path, &bytes)
     }
 
-    /// Fills in `point`'s evaluation from one fused sweep
-    /// ([`Simulation::evaluate`]), recorded when a telemetry spec is
-    /// installed.
-    fn evaluate_into(&mut self, point: &mut MetricPoint) {
-        let eval = match self.telemetry.as_mut() {
+    /// One fused evaluation sweep ([`Simulation::evaluate`]), recorded when
+    /// a telemetry spec is installed.
+    fn evaluate(&mut self) -> GlobalEvaluation {
+        match self.telemetry.as_mut() {
             Some(state) => self.sim.evaluate_recorded(&mut state.recorder),
             None => self.sim.evaluate(),
-        };
-        point.global_loss = Some(eval.train_loss as f64);
-        point.test_accuracy = Some(eval.test_accuracy as f64);
+        }
     }
 
     /// The one GS round loop, behind every `run_*` and `resume_*` entry
@@ -353,6 +402,9 @@ impl Experiment {
     /// installed. Checkpoint writes happen after a round is fully recorded
     /// and never touch any RNG, so a checkpointed run's trajectory is
     /// bit-identical to an unobserved one.
+    ///
+    /// Before the first round it refuses a `stop` that would never end the
+    /// loop and a checkpoint cadence of zero, which would never write one.
     fn run_loop(
         &mut self,
         controller: &mut dyn KController,
@@ -362,6 +414,11 @@ impl Experiment {
         mut round_in_run: usize,
         start_time: f64,
     ) -> Result<RunHistory, SnapshotError> {
+        stop.assert_bounded();
+        assert!(
+            checkpoint.is_none_or(|spec| spec.every > 0),
+            "checkpoint cadence must be positive"
+        );
         loop {
             if stop.rounds_exhausted(round_in_run)
                 || stop.time_exhausted(self.sim.elapsed_time() - start_time)
@@ -396,9 +453,9 @@ impl Experiment {
                 global_loss: None,
                 test_accuracy: None,
             };
-            if round_in_run.is_multiple_of(self.config.eval_every) || round_in_run == 1 {
-                self.evaluate_into(&mut point);
-            }
+            evaluate_due(&mut point, self.config.eval_every, false, || {
+                self.evaluate()
+            });
             let global_loss = point.global_loss;
             history.push(point);
             if let Some(spec) = checkpoint {
@@ -427,9 +484,7 @@ impl Experiment {
         // Evaluation is a read-only measurement, so filling it in here
         // records exactly the values an in-loop evaluation would have.
         if let Some(last) = history.last_point_mut() {
-            if last.global_loss.is_none() {
-                self.evaluate_into(last);
-            }
+            evaluate_due(last, self.config.eval_every, true, || self.evaluate());
         }
         if let Some(state) = self.telemetry.as_mut() {
             state
@@ -466,46 +521,27 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Panics if the sequence is empty.
+    /// Panics if the sequence is empty or `stop` bounds neither the rounds
+    /// nor the time.
     pub fn run_k_sequence(&mut self, sequence: &[usize], stop: &StopCondition) -> RunHistory {
         let mut controller = KSequence::new(sequence.to_vec());
         self.run_with_controller(&mut controller, stop, "prescribed k sequence")
     }
 
-    /// Runs the FedAvg baseline at the communication overhead equivalent to
-    /// `k`-element GS (aggregation every `⌊D/(2k)⌋` rounds), building a fresh
-    /// FedAvg simulation from this experiment's configuration, on its
-    /// dataset (borrowed, not copied) and on its executor.
+    /// Runs the FedAvg baseline of this experiment's simulation
+    /// ([`FedAvgSimulation::new`]: its model, dataset, executor and
+    /// hyper-parameters) at the communication overhead equivalent to
+    /// `k`-element GS (aggregation every `⌊D/(2k)⌋` rounds).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stop` bounds neither the rounds nor the time.
     pub fn run_fedavg(&self, k_equivalent: usize, stop: &StopCondition) -> RunHistory {
-        let config = &self.config;
-        let dataset = self
-            .sim
-            .source()
-            .as_dataset()
-            .expect("an experiment generates its dataset eagerly");
-        let model = config
-            .model
-            .build(dataset.feature_dim(), dataset.num_classes());
-        let dim = model.num_params();
-        let num_clients = dataset.num_clients();
-        let mut sim = FedAvgSimulation::new(
-            model,
-            dataset,
-            FedAvgConfig {
-                learning_rate: config.learning_rate,
-                batch_size: config.batch_size,
-                time_model: TimeModel::normalized(config.comm_time),
-                aggregation_period: TimeModel::fedavg_period(dim, k_equivalent),
-                seed: config.seed,
-            },
-            self.sim.executor().clone(),
-        );
-        let evaluate_into = |sim: &FedAvgSimulation, point: &mut MetricPoint| {
-            let eval = sim.evaluate();
-            point.global_loss = Some(eval.train_loss as f64);
-            point.test_accuracy = Some(eval.test_accuracy as f64);
-        };
-        let mut history = RunHistory::new("FedAvg", num_clients);
+        stop.assert_bounded();
+        let dim = self.dim();
+        let mut sim = FedAvgSimulation::new(&self.sim, TimeModel::fedavg_period(dim, k_equivalent));
+        let eval_every = self.config.eval_every;
+        let mut history = RunHistory::new("FedAvg", self.num_clients());
         let mut round = 0usize;
         loop {
             if stop.rounds_exhausted(round) || stop.time_exhausted(sim.elapsed_time()) {
@@ -521,21 +557,15 @@ impl Experiment {
                 global_loss: None,
                 test_accuracy: None,
             };
-            if round.is_multiple_of(config.eval_every) || round == 1 {
-                evaluate_into(&sim, &mut point);
-            }
+            evaluate_due(&mut point, eval_every, false, || sim.evaluate());
             let global_loss = point.global_loss;
             history.push(point);
             if stop.loss_reached(global_loss) {
                 break;
             }
         }
-        // As in `run_loop`: a run stopped off-cadence still ends on an
-        // evaluated point, the loss Fig. 4 compares FedAvg by.
         if let Some(last) = history.last_point_mut() {
-            if last.global_loss.is_none() {
-                evaluate_into(&sim, last);
-            }
+            evaluate_due(last, eval_every, true, || sim.evaluate());
         }
         history
     }
@@ -715,8 +745,9 @@ mod tests {
         assert_eq!(history.final_global_loss(), history.points()[6].global_loss);
     }
 
-    /// The baseline runs on the experiment's own dataset: its points are
-    /// those of a FedAvg simulation built on a freshly generated copy.
+    /// The baseline runs on the experiment's own dataset, a freshly
+    /// generated copy: its points are those of a FedAvg simulation
+    /// hand-driven on a fresh experiment's simulation.
     #[test]
     fn fedavg_run_matches_a_freshly_generated_dataset() {
         let config = tiny_config(10.0, 5);
@@ -725,21 +756,8 @@ mod tests {
         let history = exp.run_fedavg(k, &StopCondition::after_rounds(12));
         let dataset = config.dataset.generate(&mut data_rng(config.seed));
         assert_eq!(exp.sim.source().as_dataset(), Some(&dataset));
-        let model = config
-            .model
-            .build(dataset.feature_dim(), dataset.num_classes());
-        let mut sim = FedAvgSimulation::new(
-            model,
-            &dataset,
-            FedAvgConfig {
-                learning_rate: config.learning_rate,
-                batch_size: config.batch_size,
-                time_model: TimeModel::normalized(config.comm_time),
-                aggregation_period: TimeModel::fedavg_period(exp.dim(), k),
-                seed: config.seed,
-            },
-            exp.sim.executor().clone(),
-        );
+        let fresh = Experiment::new(&config);
+        let mut sim = FedAvgSimulation::new(&fresh.sim, TimeModel::fedavg_period(exp.dim(), k));
         assert_eq!(history.len(), 12);
         for (round, point) in (1..).zip(history.points()) {
             let report = sim.run_round();
@@ -754,6 +772,62 @@ mod tests {
             };
             assert_eq!(point, &expected);
         }
+    }
+
+    /// A stop that bounds neither the rounds nor the time would run
+    /// forever; every loop refuses it before its first round.
+    #[test]
+    #[should_panic(expected = "a stop condition must bound the rounds or the time")]
+    fn a_default_stop_condition_panics() {
+        let mut exp = Experiment::new(&tiny_config(10.0, 0));
+        exp.run_fixed_k(exp.dim() / 10, &StopCondition::default());
+    }
+
+    /// The other unbounded conditions, in the GS and the FedAvg loop.
+    #[test]
+    fn every_unbounded_stop_condition_is_refused() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let unbounded = [
+            StopCondition::after_time(f64::NAN),
+            StopCondition::after_time(f64::INFINITY),
+            StopCondition {
+                target_loss: Some(0.0),
+                ..StopCondition::default()
+            },
+        ];
+        let mut exp = Experiment::new(&tiny_config(10.0, 0));
+        let k = exp.dim() / 10;
+        for stop in unbounded {
+            let gs = catch_unwind(AssertUnwindSafe(|| exp.run_fixed_k(k, &stop)));
+            assert!(gs.is_err(), "GS run accepted {stop:?}");
+            let fedavg = catch_unwind(AssertUnwindSafe(|| exp.run_fedavg(k, &stop)));
+            assert!(fedavg.is_err(), "FedAvg run accepted {stop:?}");
+        }
+        // A round budget bounds a run whatever its time budget.
+        let bounded = StopCondition {
+            max_rounds: Some(2),
+            ..StopCondition::after_time(f64::NAN)
+        };
+        assert_eq!(exp.run_fedavg(k, &bounded).len(), 2);
+    }
+
+    /// A cadence of zero would never write a checkpoint.
+    #[test]
+    #[should_panic(expected = "checkpoint cadence must be positive")]
+    fn a_zero_checkpoint_cadence_panics() {
+        let cfg = tiny_config(10.0, 0);
+        let mut exp = Experiment::new(&cfg);
+        let mut controller = ControllerSpec::Algorithm3.build(exp.dim(), cfg.seed);
+        let spec = CheckpointSpec {
+            path: unique_ckpt_path("zero_cadence"),
+            every: 0,
+        };
+        let _ = exp.run_with_controller_checkpointed(
+            controller.as_mut(),
+            &StopCondition::after_rounds(3),
+            "run",
+            &spec,
+        );
     }
 
     #[test]

@@ -6,55 +6,28 @@
 //! that sparse messages need), and performs purely local SGD steps in the
 //! rounds in between.
 //!
+//! A FedAvg run is the baseline *of* a GS [`Simulation`]: it borrows that
+//! simulation's model, dataset and executor and reads its learning rate,
+//! batch size, time model and seed, so the two runs cannot disagree on any
+//! of them. Only the aggregation period is its own.
+//!
 //! Like the sparse simulator, FedAvg runs its `O(N·D)` passes through the
-//! [`agsfl_exec::Executor`] it is built with (the runner hands it the
-//! experiment's own, so the baseline shares the sparse run's pool): the
-//! per-round local SGD steps are a client-parallel map (each client owns its
-//! RNG and sampler, results reduce in client order), the `N×D` weight
-//! average is sharded by *dimension stripe* so every coordinate keeps its
-//! serial client-order sum, and evaluation uses the fused sweep of
+//! borrowed [`agsfl_exec::Executor`]: the per-round local SGD steps are a
+//! client-parallel map (each client owns its RNG and sampler, results reduce
+//! in client order), the `N×D` weight average is sharded by *dimension
+//! stripe* so every coordinate keeps its serial client-order sum, and
+//! evaluation uses the fused sweep of
 //! [`agsfl_ml::metrics::global_evaluation`]. All of it is bit-identical to
 //! the serial path for every thread count; see `ARCHITECTURE.md`.
 
-use agsfl_exec::Executor;
 use agsfl_ml::data::{ClientShard, FederatedDataset, MinibatchSampler, ShardSource};
 use agsfl_ml::metrics::{global_evaluation, GlobalEvaluation};
-use agsfl_ml::model::Model;
 use agsfl_ml::optim::sgd_step;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::time::TimeModel;
-
-/// Configuration of a [`FedAvgSimulation`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FedAvgConfig {
-    /// SGD step size `η`.
-    pub learning_rate: f32,
-    /// Mini-batch size per client per round.
-    pub batch_size: usize,
-    /// Normalized time model.
-    pub time_model: TimeModel,
-    /// Weight aggregation period in rounds. Use
-    /// [`TimeModel::fedavg_period`] to match the average communication
-    /// overhead of `k`-element GS.
-    pub aggregation_period: usize,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for FedAvgConfig {
-    fn default() -> Self {
-        Self {
-            learning_rate: 0.01,
-            batch_size: 32,
-            time_model: TimeModel::default(),
-            aggregation_period: 10,
-            seed: 0,
-        }
-    }
-}
+use crate::Simulation;
 
 /// Report of one FedAvg round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -87,18 +60,18 @@ struct FedAvgClient {
     batch: ClientShard,
 }
 
-/// Federated averaging with periodic full-model exchange, on a borrowed
-/// dataset.
+/// Federated averaging with periodic full-model exchange, as the baseline of
+/// a borrowed GS [`Simulation`].
 pub struct FedAvgSimulation<'a> {
-    model: Box<dyn Model>,
+    /// The GS run this is the baseline of: the model, the executor (reused by
+    /// the round pass, the weight average and the evaluation sweeps) and the
+    /// hyper-parameters.
+    sim: &'a Simulation,
+    /// `sim`'s dataset.
     dataset: &'a FederatedDataset,
-    config: FedAvgConfig,
+    aggregation_period: usize,
     /// Per-client state (local weights diverge between aggregations).
     clients: Vec<FedAvgClient>,
-    /// The executor the run was built with, reused by the round pass, the
-    /// weight average and the evaluation sweeps. Results are bit-identical
-    /// for every thread count.
-    executor: Executor,
     round: usize,
     elapsed: f64,
 }
@@ -108,36 +81,35 @@ impl std::fmt::Debug for FedAvgSimulation<'_> {
         f.debug_struct("FedAvgSimulation")
             .field("num_clients", &self.clients.len())
             .field("round", &self.round)
-            .field("aggregation_period", &self.config.aggregation_period)
+            .field("aggregation_period", &self.aggregation_period)
             .finish()
     }
 }
 
 impl<'a> FedAvgSimulation<'a> {
-    /// Creates a FedAvg run with all clients initialized to the same weights,
-    /// running its parallel passes on `executor`.
+    /// Creates the FedAvg baseline of `sim`, exchanging the full model every
+    /// `aggregation_period` rounds ([`crate::TimeModel::fedavg_period`]
+    /// matches the average communication overhead of `k`-element GS). Every
+    /// client starts from the weights `sim` was initialized with.
     ///
     /// # Panics
     ///
-    /// Panics if `aggregation_period == 0` or the model/dataset dimensions
-    /// disagree.
-    pub fn new(
-        model: Box<dyn Model>,
-        dataset: &'a FederatedDataset,
-        config: FedAvgConfig,
-        executor: Executor,
-    ) -> Self {
+    /// Panics if `aggregation_period == 0` or `sim` runs over a lazy shard
+    /// source: FedAvg keeps every client's weights, so it needs the whole
+    /// dataset.
+    pub fn new(sim: &'a Simulation, aggregation_period: usize) -> Self {
         assert!(
-            config.aggregation_period > 0,
+            aggregation_period > 0,
             "aggregation period must be positive"
         );
-        assert_eq!(
-            model.input_dim(),
-            dataset.feature_dim(),
-            "feature dim mismatch"
-        );
-        let mut init_rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let init = model.init_params(&mut init_rng);
+        let dataset = sim
+            .source()
+            .as_dataset()
+            .expect("a FedAvg baseline runs on an eagerly generated dataset");
+        let config = sim.config();
+        let init = sim
+            .model()
+            .init_params(&mut ChaCha8Rng::seed_from_u64(config.seed));
         let total = dataset.total_samples() as f64;
         let clients = dataset
             .clients()
@@ -154,11 +126,10 @@ impl<'a> FedAvgSimulation<'a> {
             })
             .collect();
         Self {
-            model,
+            sim,
             dataset,
-            config,
+            aggregation_period,
             clients,
-            executor,
             round: 0,
             elapsed: 0.0,
         }
@@ -192,10 +163,11 @@ impl<'a> FedAvgSimulation<'a> {
     pub fn averaged_params(&self) -> Vec<f32> {
         let dim = self.clients[0].params.len();
         let mut avg = vec![0.0f64; dim];
-        let stripe = dim.div_ceil(self.executor.threads()).max(1);
+        let executor = self.sim.executor();
+        let stripe = dim.div_ceil(executor.threads()).max(1);
         let mut stripes: Vec<(usize, &mut [f64])> = avg.chunks_mut(stripe).enumerate().collect();
         let clients = &self.clients;
-        self.executor.map_mut(&mut stripes, |(i, chunk)| {
+        executor.map_mut(&mut stripes, |(i, chunk)| {
             let lo = *i * stripe;
             for client in clients {
                 let src = &client.params[lo..lo + chunk.len()];
@@ -214,11 +186,11 @@ impl<'a> FedAvgSimulation<'a> {
     pub fn evaluate(&self) -> GlobalEvaluation {
         let avg = self.averaged_params();
         global_evaluation(
-            self.model.as_ref(),
+            self.sim.model(),
             &avg,
             self.dataset.clients(),
             self.dataset.test(),
-            &self.executor,
+            self.sim.executor(),
         )
     }
 
@@ -228,17 +200,16 @@ impl<'a> FedAvgSimulation<'a> {
     /// full weight aggregation every `aggregation_period` rounds.
     pub fn run_round(&mut self) -> FedAvgRoundReport {
         self.round += 1;
-        let lr = self.config.learning_rate;
-        let model = self.model.as_ref();
-        let dataset = self.dataset;
-        let losses: Vec<(f64, f32)> = self.executor.map_mut(&mut self.clients, |client| {
+        let (sim, dataset) = (self.sim, self.dataset);
+        let (model, config) = (sim.model(), sim.config());
+        let losses: Vec<(f64, f32)> = sim.executor().map_mut(&mut self.clients, |client| {
             client
                 .sampler
                 .next_indices_into(&mut client.rng, &mut client.indices);
             dataset.materialize_rows_into(client.id, &client.indices, &mut client.batch);
             let batch = &client.batch;
             let (loss, grad) = model.loss_and_grad(&client.params, &batch.features, &batch.labels);
-            sgd_step(&mut client.params, &grad, lr);
+            sgd_step(&mut client.params, &grad, config.learning_rate);
             (client.weight, loss)
         });
         let mut train_loss = 0.0f64;
@@ -246,16 +217,16 @@ impl<'a> FedAvgSimulation<'a> {
             train_loss += weight * loss as f64;
         }
 
-        let aggregated = self.round.is_multiple_of(self.config.aggregation_period);
+        let aggregated = self.round.is_multiple_of(self.aggregation_period);
         let dim = self.clients[0].params.len();
         let round_time = if aggregated {
             let avg = self.averaged_params();
             for client in &mut self.clients {
                 client.params.copy_from_slice(&avg);
             }
-            self.config.time_model.dense_round_time(dim)
+            config.time_model.dense_round_time(dim)
         } else {
-            self.config.time_model.local_round_time()
+            config.time_model.local_round_time()
         };
         self.elapsed += round_time;
 
@@ -272,52 +243,25 @@ impl<'a> FedAvgSimulation<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::tiny_sim;
+    use crate::{SimulationConfig, TimeModel};
     use agsfl_exec::Parallelism;
-    use agsfl_ml::data::{SyntheticFemnist, SyntheticFemnistConfig};
     use agsfl_ml::model::Mlp;
+    use agsfl_sparse::FabTopK;
 
-    fn tiny_dataset(seed: u64) -> FederatedDataset {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        SyntheticFemnist::new(SyntheticFemnistConfig::tiny()).generate(&mut rng)
-    }
-
-    /// A FedAvg run on `fed`, which the caller generates with
-    /// [`tiny_dataset`] from the same `seed`.
-    fn tiny_fedavg_with(
-        fed: &FederatedDataset,
-        period: usize,
-        beta: f64,
-        seed: u64,
-        parallelism: Parallelism,
-    ) -> FedAvgSimulation<'_> {
-        let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
-        FedAvgSimulation::new(
-            Box::new(model),
-            fed,
-            FedAvgConfig {
-                learning_rate: 0.05,
-                batch_size: 8,
-                time_model: TimeModel::normalized(beta),
-                aggregation_period: period,
-                seed,
-            },
-            parallelism.build(),
-        )
-    }
-
-    fn tiny_fedavg(
-        fed: &FederatedDataset,
-        period: usize,
-        beta: f64,
-        seed: u64,
-    ) -> FedAvgSimulation<'_> {
-        tiny_fedavg_with(fed, period, beta, seed, Parallelism::Auto)
+    /// The fixture's GS simulation at `seed` with communication time `beta`
+    /// on `parallelism`: the run each baseline here is built from.
+    fn gs(seed: u64, beta: f64, parallelism: Parallelism) -> Simulation {
+        tiny_sim(Box::new(FabTopK::new()), seed, |config, _| {
+            config.time_model = TimeModel::normalized(beta);
+            config.parallelism = parallelism;
+        })
     }
 
     #[test]
     fn aggregation_happens_on_schedule() {
-        let fed = tiny_dataset(0);
-        let mut sim = tiny_fedavg(&fed, 3, 10.0, 0);
+        let gs = gs(0, 10.0, Parallelism::Auto);
+        let mut sim = FedAvgSimulation::new(&gs, 3);
         let mut aggregations = Vec::new();
         for _ in 0..6 {
             let r = sim.run_round();
@@ -328,8 +272,8 @@ mod tests {
 
     #[test]
     fn round_time_depends_on_aggregation() {
-        let fed = tiny_dataset(1);
-        let mut sim = tiny_fedavg(&fed, 2, 10.0, 1);
+        let gs = gs(1, 10.0, Parallelism::Auto);
+        let mut sim = FedAvgSimulation::new(&gs, 2);
         let local = sim.run_round();
         assert_eq!(local.round_time, 1.0);
         let agg = sim.run_round();
@@ -339,8 +283,8 @@ mod tests {
 
     #[test]
     fn local_weights_synchronized_after_aggregation() {
-        let fed = tiny_dataset(2);
-        let mut sim = tiny_fedavg(&fed, 2, 1.0, 2);
+        let gs = gs(2, 1.0, Parallelism::Auto);
+        let mut sim = FedAvgSimulation::new(&gs, 2);
         sim.run_round();
         // After one local round, clients differ.
         assert_ne!(sim.local_params(0), sim.local_params(1));
@@ -351,8 +295,8 @@ mod tests {
 
     #[test]
     fn training_reduces_loss() {
-        let fed = tiny_dataset(3);
-        let mut sim = tiny_fedavg(&fed, 4, 1.0, 3);
+        let gs = gs(3, 1.0, Parallelism::Auto);
+        let mut sim = FedAvgSimulation::new(&gs, 4);
         let initial = sim.evaluate().train_loss;
         for _ in 0..120 {
             sim.run_round();
@@ -368,8 +312,8 @@ mod tests {
 
     #[test]
     fn averaged_params_is_weighted_mean() {
-        let fed = tiny_dataset(4);
-        let mut sim = tiny_fedavg(&fed, 100, 1.0, 4);
+        let gs = gs(4, 1.0, Parallelism::Auto);
+        let mut sim = FedAvgSimulation::new(&gs, 100);
         sim.run_round();
         let avg = sim.averaged_params();
         let mut manual = vec![0.0f64; avg.len()];
@@ -388,11 +332,15 @@ mod tests {
     /// weights and equal evaluations, across 1–8 workers.
     #[test]
     fn serial_and_parallel_fedavg_runs_are_identical() {
-        let fed = tiny_dataset(9);
-        let mut serial = tiny_fedavg_with(&fed, 2, 5.0, 9, Parallelism::Serial);
-        let mut parallel: Vec<FedAvgSimulation> = (2..=8)
+        let serial_gs = gs(9, 5.0, Parallelism::Serial);
+        let mut serial = FedAvgSimulation::new(&serial_gs, 2);
+        let parallel_gs: Vec<Simulation> = (2..=8)
             .step_by(3)
-            .map(|t| tiny_fedavg_with(&fed, 2, 5.0, 9, Parallelism::Threads(t)))
+            .map(|t| gs(9, 5.0, Parallelism::Threads(t)))
+            .collect();
+        let mut parallel: Vec<FedAvgSimulation> = parallel_gs
+            .iter()
+            .map(|gs| FedAvgSimulation::new(gs, 2))
             .collect();
         for _ in 0..4 {
             let rs = serial.run_round();
@@ -422,43 +370,33 @@ mod tests {
                 (0..n).map(|i| (i + seed) % 2).collect(),
             )
         };
-        let fed =
-            FederatedDataset::new(vec![shard(0, 5), shard(1, 3), shard(2, 7)], shard(9, 4), 2);
         let build = |parallelism: Parallelism| {
-            FedAvgSimulation::new(
+            Simulation::new(
                 Box::new(Mlp::new(dim_features, &[], 2)),
-                &fed,
-                FedAvgConfig {
+                FederatedDataset::new(vec![shard(0, 5), shard(1, 3), shard(2, 7)], shard(9, 4), 2),
+                Box::new(FabTopK::new()),
+                SimulationConfig {
                     batch_size: 2,
-                    ..FedAvgConfig::default()
+                    parallelism,
+                    ..SimulationConfig::default()
                 },
-                parallelism.build(),
             )
         };
-        let mut serial = build(Parallelism::Serial);
+        let serial_gs = build(Parallelism::Serial);
+        let mut serial = FedAvgSimulation::new(&serial_gs, 10);
         serial.run_round();
         let expected = serial.averaged_params();
         for threads in [2usize, 3, 5, 8] {
-            let mut sim = build(Parallelism::Threads(threads));
+            let gs = build(Parallelism::Threads(threads));
+            let mut sim = FedAvgSimulation::new(&gs, 10);
             sim.run_round();
             assert_eq!(expected, sim.averaged_params(), "threads={threads}");
         }
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "aggregation period must be positive")]
     fn zero_period_panics() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let fed = SyntheticFemnist::new(SyntheticFemnistConfig::tiny()).generate(&mut rng);
-        let model = Mlp::new(fed.feature_dim(), &[], fed.num_classes());
-        let _ = FedAvgSimulation::new(
-            Box::new(model),
-            &fed,
-            FedAvgConfig {
-                aggregation_period: 0,
-                ..FedAvgConfig::default()
-            },
-            Executor::serial(),
-        );
+        let _ = FedAvgSimulation::new(&gs(0, 5.0, Parallelism::Serial), 0);
     }
 }

@@ -136,7 +136,7 @@ pub use agsfl_wire::snapshot::SnapshotError;
 pub use channel::{ChannelModel, ClientLink};
 pub use client::Client;
 pub use fault::{FaultConfigError, FaultModel, FaultRoundReport, MAX_RETRY_LIMIT};
-pub use fedavg::{FedAvgConfig, FedAvgSimulation};
+pub use fedavg::FedAvgSimulation;
 pub use history::{FaultTotals, MetricPoint, RunHistory};
 pub use round::{ProbeReport, RoundReport, WireRoundReport};
 pub use simulation::{Simulation, SimulationConfig, WireConfig};

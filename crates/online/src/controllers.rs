@@ -19,7 +19,7 @@ use agsfl_wire::Precision;
 use serde::{Deserialize, Serialize};
 
 use crate::bandit::ContinuousBandit;
-use crate::estimator::{derivative, derivative_sign};
+use crate::estimator::{derivative, derivative_sign, times_carry_signal};
 use crate::exp3::Exp3;
 use crate::extended::ExtendedSignOgd;
 use crate::sign_ogd::SignOgd;
@@ -68,9 +68,13 @@ fn restore_tagged<T: Snapshot + Clone>(
 /// Scalar per-round cost used by the bandit-style baselines: normalized time
 /// spent per unit of the probe's loss decrease
 /// `L̃(w(m−1)) − L̃(w(m))`. Falls back to the raw round time when the round
-/// ran no probe. Reports `None` when the loss did not decrease or a time or
-/// loss of the round is not finite: those rounds carry no usable signal.
+/// ran no probe. Reports `None` when the loss did not decrease, a time of
+/// the round is negative or a time or loss is not finite: those rounds carry
+/// no usable signal.
 fn round_cost(feedback: &RoundFeedback) -> Option<f64> {
+    if !times_carry_signal(feedback) {
+        return None;
+    }
     let measured = [
         Some(feedback.round_time),
         feedback.probe_round_time,
@@ -1025,9 +1029,10 @@ mod tests {
         }
     }
 
-    /// Non-finite feedback carries no signal, the rule of
-    /// [`KController::observe`]: a round whose round time, probe round time
-    /// or one probe loss is NaN or +∞ leaves each controller where a round
+    /// Non-finite feedback carries no signal, nor does a negative time, the
+    /// rule of [`KController::observe`]: a round whose round time or probe
+    /// round time is NaN, +∞ or −1, or one of whose probe losses is NaN or
+    /// +∞, leaves each controller where a round
     /// with no signal (no probe, no loss decrease) leaves it, so only EXP3's
     /// next draw and the round counters of a sequence or the wrapper move.
     /// `k` stays finite and in range, and the snapshot restores into a fresh
@@ -1099,14 +1104,21 @@ mod tests {
                 [123.0, 123.0],
             ),
         ];
-        // Each measured field of a probed round, poisoned in turn.
-        type Poison = (&'static str, fn(&mut RoundFeedback, f64));
+        // Each measured field of a probed round, poisoned in turn with the
+        // values it carries no signal in.
+        type Poison = (&'static str, fn(&mut RoundFeedback, f64), &'static [f64]);
+        const TIME: &[f64] = &[f64::NAN, f64::INFINITY, -1.0];
+        const LOSS: &[f64] = &[f64::NAN, f64::INFINITY];
         let fields: [Poison; 5] = [
-            ("round_time", |f, v| f.round_time = v),
-            ("probe_round_time", |f, v| f.probe_round_time = Some(v)),
-            ("probe_loss_prev", |f, v| f.probe_loss_prev = Some(v)),
-            ("probe_loss_now", |f, v| f.probe_loss_now = Some(v)),
-            ("probe_loss_alt", |f, v| f.probe_loss_alt = Some(v)),
+            ("round_time", |f, v| f.round_time = v, TIME),
+            (
+                "probe_round_time",
+                |f, v| f.probe_round_time = Some(v),
+                TIME,
+            ),
+            ("probe_loss_prev", |f, v| f.probe_loss_prev = Some(v), LOSS),
+            ("probe_loss_now", |f, v| f.probe_loss_now = Some(v), LOSS),
+            ("probe_loss_alt", |f, v| f.probe_loss_alt = Some(v), LOSS),
         ];
         let mut failures = Vec::new();
         for (name, make, [lo, hi]) in &kinds {
@@ -1120,8 +1132,8 @@ mod tests {
             let mut quiet = make();
             quiet.restore_state(&snapshot).unwrap();
             quiet.observe(&loss_decrease(k.round() as usize, 5.0, 0.0));
-            for (field, poison) in fields {
-                for value in [f64::NAN, f64::INFINITY] {
+            for (field, poison, values) in fields {
+                for &value in values {
                     let case = format!("{name}: {field} = {value}");
                     let mut feedback = synthetic_feedback(25, k);
                     poison(&mut feedback, value);

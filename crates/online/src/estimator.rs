@@ -19,10 +19,13 @@ use crate::RoundFeedback;
 /// `probe_round_time` and the three losses its `probe_loss_*`. A round that
 /// ran no probe, or probed at `k' = k_m`, has no estimate. When either
 /// single-sample loss fails to decrease (`L̃(w(m-1)) ≤ L̃(w(m))` or
-/// `L̃(w(m-1)) ≤ L̃(w'(m))`), Eq. (10) has no physical meaning and the
-/// estimate is `None` too; the online algorithms then leave `k` unchanged
-/// for that round.
+/// `L̃(w(m-1)) ≤ L̃(w'(m))`), or either time is negative or NaN, Eq. (10)
+/// has no physical meaning and the estimate is `None` too; the online
+/// algorithms then leave `k` unchanged for that round.
 pub fn derivative(feedback: &RoundFeedback) -> Option<f64> {
+    if !times_carry_signal(feedback) {
+        return None;
+    }
     let k = feedback.k_used as f64;
     let k_alt = feedback.probe_k? as f64;
     if k == k_alt {
@@ -39,6 +42,13 @@ pub fn derivative(feedback: &RoundFeedback) -> Option<f64> {
     let tau_alt = feedback.probe_round_time? * drop_actual / drop_alt;
     let derivative = (feedback.round_time - tau_alt) / (k - k_alt);
     derivative.is_finite().then_some(derivative)
+}
+
+/// Whether a round's times can carry a signal: its round time and probe
+/// round time are at least zero (a NaN is not). No round takes negative
+/// time, so a negative one is a fault of the measurement.
+pub(crate) fn times_carry_signal(feedback: &RoundFeedback) -> bool {
+    feedback.round_time >= 0.0 && feedback.probe_round_time.is_none_or(|t| t >= 0.0)
 }
 
 /// The estimated derivative sign `ŝ_m ∈ {-1, 0, 1}`, or `None` if
@@ -139,6 +149,25 @@ mod tests {
             ..base()
         };
         assert_eq!(derivative_sign(&no_alt_drop), None);
+    }
+
+    #[test]
+    fn unavailable_when_a_time_is_negative() {
+        let negative_round = RoundFeedback {
+            round_time: -1.0,
+            ..base()
+        };
+        assert_eq!(derivative(&negative_round), None);
+        let negative_probe = RoundFeedback {
+            probe_round_time: Some(-1.0),
+            ..base()
+        };
+        assert_eq!(derivative(&negative_probe), None);
+        let zero_probe = RoundFeedback {
+            probe_round_time: Some(0.0),
+            ..base()
+        };
+        assert!(derivative(&zero_probe).is_some());
     }
 
     #[test]

@@ -97,7 +97,8 @@ pub trait KController: Send + std::fmt::Debug {
     /// Feeds back the outcome of the round that used [`KController::propose_k`].
     ///
     /// A round whose round time, probe round time or a probe loss is not
-    /// finite carries no signal, and no controller learns from it:
+    /// finite, or whose round time or probe round time is negative, carries
+    /// no signal, and no controller learns from it:
     ///
     /// * [`SignOgd`], [`ExtendedSignOgd`] and [`ValueBasedDescent`] have no
     ///   [`derivative`] estimate for it and leave their state unchanged;

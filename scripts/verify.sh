@@ -591,6 +591,19 @@ if for f in $(find crates/*/src -name '*.rs' | sort); do product_lines "$f"; don
     exit 1
 fi
 
+step "one source of the FedAvg baseline's hyper-parameters (it borrows its GS simulation)"
+# FedAvgSimulation::new takes the GS Simulation it is compared with and reads
+# its model, dataset, executor, learning rate, batch size, time model and
+# seed from it, so the comparison at equal overhead cannot drift. A
+# FedAvgConfig in the product code of crates/*/src is a second copy of those
+# values growing back. Product code only (no #[cfg(test)] item); comment
+# lines are exempt.
+if for f in $(find crates/*/src -name '*.rs' | sort); do product_lines "$f"; done \
+    | grep -E '\bFedAvgConfig\b'; then
+    echo "verify: FedAvgConfig is back (lines above); build the baseline with FedAvgSimulation::new(&simulation, period)" >&2
+    exit 1
+fi
+
 step "no table beyond the paper (the memory bound is a test and a cohort run, not a sweep)"
 # The population-scale sweep was retired: resident state bounded by
 # participation is asserted in cohort_determinism, the peak-RSS gate is
